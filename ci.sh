@@ -3,7 +3,7 @@
 # network access required — all dependencies are vendored (see vendor/).
 #
 #   ./ci.sh            full gate (debug + release stages)
-#   ./ci.sh debug      fmt check, debug tests, clippy
+#   ./ci.sh debug      fmt check, debug tests (+ CLI flake gate x5), clippy
 #   ./ci.sh release    release build, bench smokes, benchdiff gates
 #                      (parallel, kernel, metrics schema, trace, host,
 #                      serve: pimserve + loadgen over loopback, obs:
@@ -171,8 +171,17 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
     step "cargo fmt --check"
     cargo fmt --all --check
 
+    # --no-fail-fast: a failing binary must not hide the ones after it.
     step "cargo test (debug)"
-    cargo test -q --workspace
+    cargo test -q --workspace --no-fail-fast
+
+    # Flake gate: the CLI test binaries share the system temp directory
+    # and spawn real processes; five consecutive green runs each.
+    step "cargo test x5 (CLI flake gate)"
+    for _ in 1 2 3 4 5; do
+        cargo test -q --test metrics_json --test cli_sam_output \
+            --test index_artifact_cli --test sam_thread_invariance
+    done
 
     # The two named perf lints guard the packed LFM hot path: a
     # reintroduced per-call collect or byte-count loop fails the build.
@@ -205,11 +214,8 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     # Packed-kernel gate: the bit-plane LFM kernel must hold its >= 5x
     # advantage over the boolean reference implementation (same-machine
     # ratio), with a broad Mlfm/s tripwire against the committed
-    # baseline, the interleaved-batch speedup floor (>= 2x at width 8),
-    # the Pd = 2 pipeline-overlap makespan check, the SIMD+cache lfm
-    # speedup floor (1.2x when an AVX2/SSE2 lane dispatched, else ~0.9
-    # non-degradation), and a kernel-cache hit-rate > 0 check on the
-    # repeat-dense sweep.
+    # baseline, the interleaved-batch speedup floor (>= 2x at width 8)
+    # and the Pd = 2 pipeline-overlap makespan check.
     step "kernelbench smoke (packed LFM kernel)"
     cargo run -q --release -p bench --bin kernelbench -- \
         --quick --out target/ci/BENCH_kernel_smoke.json

@@ -27,6 +27,8 @@
 //! assert!(race.throughput_per_watt() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod scaling;
 
 mod figures;

@@ -568,59 +568,6 @@ fn run_kernel(args: &Args, gate: &mut Gate) -> Result<bool, String> {
         "<",
         pd2 < pd1,
     );
-
-    // SIMD + rank-checkpoint cache: the cached auto path must beat the
-    // scalar (PR-8) path on the repeat-dense single-read sweep when a
-    // SIMD lane dispatched; on a portable-only host the floor degrades
-    // to "must not cost more than ~10 %". Fresh side only — the floor
-    // is a property of this host's run, not of the baseline file.
-    let simd_field = |field: &str| -> Result<f64, String> {
-        fresh
-            .get("simd")
-            .and_then(|s| s.get(field))
-            .and_then(Value::as_f64)
-            .ok_or(format!("{}: missing simd.{field}", args.fresh))
-    };
-    let path = fresh
-        .get("simd")
-        .and_then(|s| s.get("dispatched_path"))
-        .and_then(Value::as_str)
-        .ok_or(format!("{}: missing simd.dispatched_path", args.fresh))?;
-    let simd_speedup = simd_field("speedup_vs_scalar")?;
-    let simd_floor = if matches!(path, "avx2" | "sse2") {
-        1.2
-    } else {
-        0.9
-    };
-    let verdict = if simd_speedup >= simd_floor {
-        "ok"
-    } else {
-        "REGRESSION"
-    };
-    eprintln!(
-        "benchdiff: simd[{path}] cached lfm {simd_speedup:.2}x vs scalar \
-         (floor {simd_floor:.1}x) {verdict}"
-    );
-    ok &= gate.ge("simd.speedup_vs_scalar", simd_speedup, simd_floor);
-
-    // The rank-checkpoint cache must actually fire on the repeat-dense
-    // sweep: a zero hit-rate means the cache key or the memoised window
-    // regressed even if the timing floor still happens to pass.
-    let hit_rate = fresh
-        .get("simd")
-        .and_then(|s| s.get("cache"))
-        .and_then(|c| c.get("hit_rate"))
-        .and_then(Value::as_f64)
-        .ok_or(format!("{}: missing simd.cache.hit_rate", args.fresh))?;
-    let verdict = if hit_rate > 0.0 { "ok" } else { "REGRESSION" };
-    eprintln!("benchdiff: kernel cache hit rate {hit_rate:.3} (must be > 0) {verdict}");
-    ok &= gate.record(
-        "simd.cache.hit_rate",
-        json_f64(hit_rate),
-        json_f64(0.0),
-        ">",
-        hit_rate > 0.0,
-    );
     Ok(ok)
 }
 

@@ -24,10 +24,8 @@ use std::time::Instant;
 use bioseq::Base;
 use mram::array::ArrayModel;
 use pim_aligner::{LfmBatchScratch, LfmRequest, MappedIndex, PimAlignerConfig};
-use pimsim::reference::{
-    packed_compare_stage, packed_compare_stage_with, reference_compare_stage, BoolSubArray,
-};
-use pimsim::{dispatched_path, CycleLedger, KernelCache, SimdPolicy, SubArray, SubArrayLayout};
+use pimsim::reference::{packed_compare_stage, reference_compare_stage, BoolSubArray};
+use pimsim::{CycleLedger, SubArray, SubArrayLayout};
 use readsim::genome;
 
 /// Speedup the packed kernel must reach over the reference in full mode.
@@ -211,6 +209,7 @@ fn main() {
                 mapped.lfm_batch_into(
                     &requests,
                     &mut [],
+                    None,
                     &mut ledger,
                     &mut scratch,
                     &mut step_sums,
@@ -247,180 +246,6 @@ fn main() {
         .map(|(_, t8)| t8.mlfm_per_s / width_results[0].1.mlfm_per_s)
         .unwrap_or(0.0);
     eprintln!("kernelbench: batch=8 is {speedup_at_8:.2}x the single-read kernel");
-
-    // SIMD kernel sweep (PR 9): the main compare-stage schedule replayed
-    // under the scalar policy (the PR-8 word loop) and the auto policy
-    // (runtime-dispatched SSE2/AVX2 plane combine + popcnt prefix
-    // count). Charges are identical by construction, so the ratio
-    // isolates the host-side lane change on the raw kernel — the number
-    // the CI gate floors.
-    // Warm-up pass + min-of-3: same noise discipline as the cache sweep
-    // below.
-    let run_kernel_policy = |policy: SimdPolicy| {
-        let mut wall = f64::INFINITY;
-        let mut sums = 0u64;
-        let mut cycles = 0u64;
-        for pass in 0..4 {
-            let mut ledger = CycleLedger::new();
-            sums = 0;
-            let t0 = Instant::now();
-            for &(bucket, base, sentinel, within) in &schedule {
-                sums += packed_compare_stage_with(
-                    &packed,
-                    bucket,
-                    base,
-                    sentinel,
-                    within,
-                    policy,
-                    None,
-                    &mut ledger,
-                ) as u64;
-            }
-            if pass > 0 {
-                wall = wall.min(t0.elapsed().as_secs_f64());
-            }
-            black_box(sums);
-            cycles = ledger.total_busy_cycles();
-        }
-        (wall, sums, cycles)
-    };
-    let (kscalar_s, kscalar_sum, kscalar_cycles) = run_kernel_policy(SimdPolicy::Scalar);
-    let (kauto_s, kauto_sum, kauto_cycles) = run_kernel_policy(SimdPolicy::Auto);
-    assert_eq!(kscalar_sum, sink, "scalar policy diverged from the oracle");
-    assert_eq!(kauto_sum, sink, "auto policy diverged from the oracle");
-    assert_eq!(
-        kscalar_cycles, kauto_cycles,
-        "the kernel policy moved simulated cycles"
-    );
-    let kscalar_t = timing(iterations, kscalar_s);
-    let kauto_t = timing(iterations, kauto_s);
-    let kernel_speedup = kauto_t.mlfm_per_s / kscalar_t.mlfm_per_s;
-    let path = dispatched_path(SimdPolicy::Auto);
-    eprintln!(
-        "kernelbench: simd kernel scalar {:.1} ms, auto[{path}] {:.1} ms — {kernel_speedup:.2}x",
-        kscalar_t.wall_ms, kauto_t.wall_ms
-    );
-
-    // Rank-checkpoint cache sweep: the repeat-dense schedule replayed
-    // end-to-end under scalar (cache off) and auto (cache on), at the
-    // single-read width and the full kernel-batch width. The schedule
-    // revisits the same (bucket, base) checkpoints, so the cache
-    // converges to near-100% hits and a hit skips the plane compare and
-    // the 32-row marker gather on the host; sums must still equal the
-    // single-read oracle and the charged cycles must be identical — the
-    // policy is host-wall-clock only.
-    let simd_width = 8;
-    // Each timed measurement repeats the sweep and keeps the *fastest*
-    // pass: scheduler interference on a busy 1-core CI runner only ever
-    // adds time, so the minimum is the noise-robust estimator for a
-    // speedup ratio. One untimed warm-up pass per policy faults in
-    // pages and trains predictors (and, for auto, fills the cache to
-    // its repeat-dense steady state) before the clock starts.
-    let simd_passes = 5;
-    let run_policy = |width: usize, policy: SimdPolicy, cache: Option<&mut KernelCache>| {
-        let mut cache = cache;
-        let mut wall_s = f64::INFINITY;
-        let mut last: Option<(Vec<u32>, CycleLedger)> = None;
-        for pass in 0..simd_passes + 1 {
-            let mut ledger = CycleLedger::new();
-            let mut sums = Vec::with_capacity(sweep_total);
-            let t0 = Instant::now();
-            if width == 1 {
-                let mut injector = mapped.session_injector();
-                for k in 0..sweep_total {
-                    let (nt, id) = sweep_req(k);
-                    sums.push(mapped.lfm_with(
-                        nt,
-                        id,
-                        &mut injector,
-                        policy,
-                        cache.as_deref_mut(),
-                        &mut ledger,
-                    ));
-                }
-            } else {
-                let mut requests = Vec::with_capacity(width);
-                let mut scratch = LfmBatchScratch::new();
-                let mut step_sums = Vec::new();
-                for chunk in 0..sweep_total / width {
-                    requests.clear();
-                    for s in 0..width {
-                        let (nt, id) = sweep_req(chunk * width + s);
-                        requests.push(LfmRequest { stream: s, nt, id });
-                    }
-                    mapped.lfm_batch_into_with(
-                        &requests,
-                        &mut [],
-                        policy,
-                        cache.as_deref_mut(),
-                        &mut ledger,
-                        &mut scratch,
-                        &mut step_sums,
-                    );
-                    sums.extend_from_slice(&step_sums);
-                }
-            }
-            // Pass 0 is the warm-up: its wall clock is discarded.
-            if pass > 0 {
-                wall_s = wall_s.min(t0.elapsed().as_secs_f64());
-            }
-            last = Some((sums, ledger));
-        }
-        let (sums, ledger) = last.expect("at least one pass ran");
-        (wall_s, sums, ledger)
-    };
-    let (single_scalar_s, ss_sums, ss_ledger) = run_policy(1, SimdPolicy::Scalar, None);
-    let mut cache1 = KernelCache::new();
-    let (single_auto_s, sa_sums, sa_ledger) = run_policy(1, SimdPolicy::Auto, Some(&mut cache1));
-    let (scalar_s, scalar_sums, scalar_ledger) = run_policy(simd_width, SimdPolicy::Scalar, None);
-    let mut cache = KernelCache::new();
-    let (auto_s, auto_sums, auto_ledger) =
-        run_policy(simd_width, SimdPolicy::Auto, Some(&mut cache));
-    let oracle1 = oracle_sums.as_ref().expect("width sweep ran first");
-    assert_eq!(&ss_sums, oracle1, "scalar single-read diverged from oracle");
-    assert_eq!(&sa_sums, oracle1, "auto single-read diverged from oracle");
-    assert_eq!(
-        ss_ledger.total_busy_cycles(),
-        sa_ledger.total_busy_cycles(),
-        "the kernel policy moved single-read simulated cycles"
-    );
-    assert_eq!(ss_ledger.primitives(), sa_ledger.primitives());
-    let single_scalar_t = timing(sweep_total, single_scalar_s);
-    let single_auto_t = timing(sweep_total, single_auto_s);
-    let single_speedup = single_auto_t.mlfm_per_s / single_scalar_t.mlfm_per_s;
-    let single_cache_stats = sa_ledger.kernel_cache_counters();
-    eprintln!(
-        "kernelbench: simd lfm    scalar {:.1} ms, auto {:.1} ms — {single_speedup:.2}x, \
-         cache {:.1}% hits",
-        single_scalar_t.wall_ms,
-        single_auto_t.wall_ms,
-        single_cache_stats.hit_rate() * 100.0,
-    );
-    let oracle = oracle_sums.as_ref().expect("width sweep ran first");
-    assert_eq!(&scalar_sums, oracle, "scalar policy disagrees with oracle");
-    assert_eq!(&auto_sums, oracle, "auto policy disagrees with oracle");
-    assert_eq!(
-        scalar_ledger.total_busy_cycles(),
-        auto_ledger.total_busy_cycles(),
-        "the kernel policy moved simulated cycles"
-    );
-    assert_eq!(
-        scalar_ledger.primitives(),
-        auto_ledger.primitives(),
-        "the kernel policy moved primitive charges"
-    );
-    let scalar_t = timing(sweep_total, scalar_s);
-    let auto_t = timing(sweep_total, auto_s);
-    let e2e_simd_speedup = auto_t.mlfm_per_s / scalar_t.mlfm_per_s;
-    let cache_stats = auto_ledger.kernel_cache_counters();
-    eprintln!(
-        "kernelbench: simd e2e    scalar {:.1} ms, auto {:.1} ms — {e2e_simd_speedup:.2}x, \
-         cache {:.1}% hits ({} evictions)",
-        scalar_t.wall_ms,
-        auto_t.wall_ms,
-        cache_stats.hit_rate() * 100.0,
-        cache_stats.evictions
-    );
 
     // Pd pipeline scheduler on a mostly-unshared schedule (distinct
     // buckets per stream, so compares cannot collapse into shared
@@ -488,14 +313,6 @@ fn main() {
          \"e2e_lfm\": {{ \"iterations\": {e2e_iters}, \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }},\n  \
          \"batch\": {{ \"requests\": {sweep_total}, \"widths\": [{widths_json}], \
          \"speedup_at_8\": {speedup_at_8:.3} }},\n  \
-         \"simd\": {{ \"dispatched_path\": \"{path}\", \
-         \"kernel_speedup\": {kernel_speedup:.3}, \
-         \"speedup_vs_scalar\": {single_speedup:.3}, \
-         \"batch8_speedup\": {e2e_simd_speedup:.3}, \
-         \"scalar\": {{ \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }}, \
-         \"auto\": {{ \"wall_ms\": {:.3}, \"mlfm_per_s\": {:.3} }}, \
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"hit_rate\": {:.6} }} }},\n  \
          \"pipeline\": {{ \"issued\": {}, \"pd1_makespan_cycles\": {}, \
          \"pd2_makespan_cycles\": {}, \"pd2_overlap_saved_cycles\": {} }}\n}}",
         packed_t.wall_ms,
@@ -504,14 +321,6 @@ fn main() {
         reference_t.mlfm_per_s,
         e2e_t.wall_ms,
         e2e_t.mlfm_per_s,
-        single_scalar_t.wall_ms,
-        single_scalar_t.mlfm_per_s,
-        single_auto_t.wall_ms,
-        single_auto_t.mlfm_per_s,
-        cache_stats.hits,
-        cache_stats.misses,
-        cache_stats.evictions,
-        cache_stats.hit_rate(),
         pd1_pipe.issued,
         pd1_pipe.makespan_cycles,
         pd2_pipe.makespan_cycles,

@@ -5,6 +5,8 @@
 //! figure) and the Criterion benches (which measure the *code* behind
 //! them) stay consistent.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod rows;
 pub mod table;

@@ -29,6 +29,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod base;
 mod error;
 mod packed;

@@ -7,12 +7,12 @@ use bioseq::DnaSeq;
 use fmindex::{EditBudget, SaInterval};
 use pimsim::{
     CycleLedger, Dpu, FaultInjector, HostEpoch, HostHistogram, HostSpan, HostSpanLog, KernelCache,
-    SimdPolicy, Span, SpanTracer,
+    Span, SpanTracer,
 };
 
 use crate::config::PimAlignerConfig;
 use crate::error::AlignError;
-use crate::exact::{exact_search_batch_with, exact_search_with, ExactStats};
+use crate::exact::{exact_search, exact_search_batch_cached, ExactStats};
 use crate::inexact::inexact_search;
 use crate::mapping::MappedIndex;
 use crate::metrics::PhaseLfm;
@@ -143,13 +143,10 @@ pub struct AlignSession {
     /// Wall-clock span recorder mirroring the simulated-cycle tracer
     /// sites; `None` (the default) costs one branch per site.
     host_log: Option<HostSpanLog>,
-    /// Kernel SIMD policy from the config, threaded into every exact
-    /// phase's `LFM`s.
-    simd_policy: SimdPolicy,
-    /// The session's rank-checkpoint cache; `Some` exactly when the
-    /// policy enables it. Per-session mutable state — the shared
+    /// The session's rank-checkpoint cache, threaded into every exact
+    /// phase's `LFM`s. Per-session mutable state — the shared
     /// `MappedIndex` stays immutable.
-    kernel_cache: Option<KernelCache>,
+    kernel_cache: KernelCache,
 }
 
 /// The pre-split name for [`AlignSession`]: one platform, one session.
@@ -169,7 +166,6 @@ impl AlignSession {
     pub(crate) fn for_platform(platform: Platform, worker: u64) -> AlignSession {
         let injector = platform.mapped().worker_injector(worker);
         let dpu = Dpu::new(*platform.config().model());
-        let simd_policy = platform.config().kernel_simd();
         AlignSession {
             platform,
             injector,
@@ -182,8 +178,7 @@ impl AlignSession {
             phase_lfm: PhaseLfm::default(),
             host_per_read: HostHistogram::new(),
             host_log: None,
-            simd_policy,
-            kernel_cache: simd_policy.cache_enabled().then(KernelCache::new),
+            kernel_cache: KernelCache::new(),
         }
     }
 
@@ -367,13 +362,12 @@ impl AlignSession {
             None => {
                 let t_exact = self.dpu.tracer().start(&self.ledger);
                 let h_exact = self.host_start();
-                let result = exact_search_with(
+                let result = exact_search(
                     self.platform.mapped(),
                     &mut self.injector,
                     &mut self.dpu,
                     read,
-                    self.simd_policy,
-                    self.kernel_cache.as_mut(),
+                    Some(&mut self.kernel_cache),
                     &mut self.ledger,
                 );
                 self.dpu
@@ -819,12 +813,11 @@ impl AlignSession {
     ) -> Vec<(SaInterval, ExactStats)> {
         let t_exact = self.dpu.tracer().start(&self.ledger);
         let h_exact = self.host_start();
-        let seeds = exact_search_batch_with(
+        let seeds = exact_search_batch_cached(
             self.platform.mapped(),
             streams,
             reads,
-            self.simd_policy,
-            self.kernel_cache.as_mut(),
+            Some(&mut self.kernel_cache),
             &mut self.ledger,
         );
         self.dpu

@@ -2,7 +2,7 @@
 
 use bioseq::DnaSeq;
 use fmindex::SaInterval;
-use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache, SimdPolicy};
+use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache};
 
 use crate::mapping::{LfmBatchScratch, LfmRequest, MappedIndex};
 
@@ -20,7 +20,9 @@ pub struct ExactStats {
 /// the in-memory `LFM` procedure, stopping early when `low ≥ high`.
 ///
 /// The index is shared and immutable; the caller supplies the session's
-/// own fault-injection stream, DPU and ledger.
+/// own fault-injection stream, DPU and ledger, and optionally its
+/// rank-checkpoint cache, which is threaded into every `LFM` (see
+/// [`MappedIndex::lfm_cached`]) and never changes a result or a charge.
 ///
 /// Returns the final interval (empty = no exact match) plus statistics
 /// for the performance model.
@@ -29,29 +31,6 @@ pub fn exact_search(
     injector: &mut FaultInjector,
     dpu: &mut Dpu,
     read: &DnaSeq,
-    ledger: &mut CycleLedger,
-) -> (SaInterval, ExactStats) {
-    exact_search_with(
-        mapped,
-        injector,
-        dpu,
-        read,
-        SimdPolicy::Scalar,
-        None,
-        ledger,
-    )
-}
-
-/// [`exact_search`] under a SIMD policy and an optional rank-checkpoint
-/// cache, both threaded into every `LFM` (see
-/// [`MappedIndex::lfm_with`]). Intervals, statistics and all simulated
-/// charges are byte-identical across policies.
-pub fn exact_search_with(
-    mapped: &MappedIndex,
-    injector: &mut FaultInjector,
-    dpu: &mut Dpu,
-    read: &DnaSeq,
-    policy: SimdPolicy,
     mut cache: Option<&mut KernelCache>,
     ledger: &mut CycleLedger,
 ) -> (SaInterval, ExactStats) {
@@ -62,19 +41,17 @@ pub fn exact_search_with(
     };
     for &nt in read.iter().rev() {
         let t_lfm = dpu.tracer().start(ledger);
-        let low = mapped.lfm_with(
+        let low = mapped.lfm_cached(
             nt,
             dpu.low() as usize,
             injector,
-            policy,
             cache.as_deref_mut(),
             ledger,
         );
-        let high = mapped.lfm_with(
+        let high = mapped.lfm_cached(
             nt,
             dpu.high() as usize,
             injector,
-            policy,
             cache.as_deref_mut(),
             ledger,
         );
@@ -111,18 +88,16 @@ pub fn exact_search_batch(
     reads: &[&DnaSeq],
     ledger: &mut CycleLedger,
 ) -> Vec<(SaInterval, ExactStats)> {
-    exact_search_batch_with(mapped, injectors, reads, SimdPolicy::Scalar, None, ledger)
+    exact_search_batch_cached(mapped, injectors, reads, None, ledger)
 }
 
-/// [`exact_search_batch`] under a SIMD policy and an optional
-/// rank-checkpoint cache (see [`MappedIndex::lfm_batch_into_with`]).
-/// Results, statistics and all simulated charges are byte-identical
-/// across policies.
-pub fn exact_search_batch_with(
+/// [`exact_search_batch`] with an optional rank-checkpoint cache (see
+/// [`MappedIndex::lfm_batch_into`]). Results, statistics and all
+/// simulated charges are byte-identical with and without it.
+pub fn exact_search_batch_cached(
     mapped: &MappedIndex,
     injectors: &mut [FaultInjector],
     reads: &[&DnaSeq],
-    policy: SimdPolicy,
     mut cache: Option<&mut KernelCache>,
     ledger: &mut CycleLedger,
 ) -> Vec<(SaInterval, ExactStats)> {
@@ -175,10 +150,9 @@ pub fn exact_search_batch_with(
         if requests.is_empty() {
             break;
         }
-        mapped.lfm_batch_into_with(
+        mapped.lfm_batch_into(
             &requests,
             injectors,
-            policy,
             cache.as_deref_mut(),
             ledger,
             &mut scratch,
@@ -224,7 +198,8 @@ mod tests {
         let reference: DnaSeq = "TGCTA".parse().unwrap();
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read: DnaSeq = "CTA".parse().unwrap();
-        let (interval, stats) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+        let (interval, stats) =
+            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert_eq!(interval.count(), 1);
         assert_eq!(mapped.locate(interval, &mut ledger), vec![2]);
         assert_eq!(stats.lfm_calls, 6);
@@ -238,7 +213,8 @@ mod tests {
         let oracle = mapped.index().clone();
         for start in (0..49_000).step_by(1_777) {
             let read = reference.subseq(start..start + 60);
-            let (interval, _) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+            let (interval, _) =
+                exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
             let sw = oracle.backward_search(&read);
             match sw {
                 Some(expected) => assert_eq!(interval, expected, "read at {start}"),
@@ -253,7 +229,8 @@ mod tests {
         let reference: DnaSeq = "AAAAAAAAAA".parse().unwrap();
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read: DnaSeq = "AAAAAAAACT".parse().unwrap(); // rightmost T absent
-        let (interval, stats) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+        let (interval, stats) =
+            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert!(interval.is_empty());
         assert_eq!(stats.bases_consumed, 1);
         assert_eq!(stats.lfm_calls, 2);
@@ -274,8 +251,14 @@ mod tests {
         assert_eq!(batched.len(), reads.len());
         let mut single_ledger = CycleLedger::new();
         for (read, (interval, stats)) in reads.iter().zip(&batched) {
-            let (expected, expected_stats) =
-                exact_search(&mapped, &mut injector, &mut dpu, read, &mut single_ledger);
+            let (expected, expected_stats) = exact_search(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                None,
+                &mut single_ledger,
+            );
             assert_eq!(*interval, expected);
             assert_eq!(*stats, expected_stats);
         }
@@ -312,19 +295,50 @@ mod tests {
             .map(|k| reference.subseq(k * 5_003..k * 5_003 + 50))
             .collect();
         let refs: Vec<&DnaSeq> = reads.iter().collect();
-        let mut injectors: Vec<FaultInjector> = (0..reads.len())
-            .map(|r| mapped.read_injector(r as u64))
-            .collect();
+        let fresh_injectors = || -> Vec<FaultInjector> {
+            (0..reads.len())
+                .map(|r| mapped.read_injector(r as u64))
+                .collect()
+        };
+        let mut injectors = fresh_injectors();
+        let mut batch_ledger = CycleLedger::new();
+        let batched = exact_search_batch(&mapped, &mut injectors, &refs, &mut batch_ledger);
+        assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
+        // Cached leg: the batch and the single-read oracle below share
+        // one rank-checkpoint cache and must replay the uncached batch.
+        let mut cache = KernelCache::new();
+        let mut cached_injectors = fresh_injectors();
+        let mut cached_ledger = CycleLedger::new();
+        let cached = exact_search_batch_cached(
+            &mapped,
+            &mut cached_injectors,
+            &refs,
+            Some(&mut cache),
+            &mut cached_ledger,
+        );
+        assert_eq!(cached, batched);
+        assert_eq!(cached_ledger, batch_ledger);
         let mut ledger = CycleLedger::new();
-        let batched = exact_search_batch(&mapped, &mut injectors, &refs, &mut ledger);
         for (r, read) in reads.iter().enumerate() {
             let mut oracle = mapped.read_injector(r as u64);
             let mut dpu = Dpu::new(mapped.model());
-            let (expected, expected_stats) =
-                exact_search(&mapped, &mut oracle, &mut dpu, read, &mut ledger);
+            let (expected, expected_stats) = exact_search(
+                &mapped,
+                &mut oracle,
+                &mut dpu,
+                read,
+                Some(&mut cache),
+                &mut ledger,
+            );
             assert_eq!(batched[r], (expected, expected_stats), "read {r}");
             assert_eq!(injectors[r].counters(), oracle.counters(), "read {r}");
+            assert_eq!(
+                cached_injectors[r].counters(),
+                oracle.counters(),
+                "read {r}"
+            );
         }
+        assert!(ledger.kernel_cache_counters().hits > 0);
     }
 
     #[test]
@@ -336,7 +350,8 @@ mod tests {
         assert!(mapped.subarray_count() >= 3);
         for &start in &[32_700usize, 32_760, 65_500] {
             let read = reference.subseq(start..start + 100);
-            let (interval, _) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+            let (interval, _) =
+                exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
             assert!(!interval.is_empty(), "boundary read at {start} failed");
             assert!(mapped.locate(interval, &mut ledger).contains(&start));
         }

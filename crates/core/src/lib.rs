@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod aligner;
 mod artifact;
 mod config;

@@ -17,8 +17,8 @@ use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::pipeline::{PipelineParams, PipelineSim};
 use pimsim::{
-    CycleLedger, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SimdPolicy,
-    SubArray, SubArrayLayout,
+    CycleLedger, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SubArray,
+    SubArrayLayout,
 };
 
 use crate::config::{AddMethod, PimAlignerConfig};
@@ -355,28 +355,27 @@ impl MappedIndex {
         injector: &mut FaultInjector,
         ledger: &mut CycleLedger,
     ) -> u32 {
-        self.lfm_with(nt, id, injector, SimdPolicy::Scalar, None, ledger)
+        self.lfm_cached(nt, id, injector, None, ledger)
     }
 
-    /// [`MappedIndex::lfm`] under a SIMD policy and an optional
-    /// rank-checkpoint cache. The cache memoizes the compare stage —
-    /// `(sub-array, bucket, nt) → (post-sentinel match mask, marker)`,
-    /// both pure functions of the immutable index — so a hit skips the
-    /// plane load and the 32-row marker gather on the host while
-    /// charging the platform the exact op sequence a recompute pays
-    /// (`XNOR_Match`, popcount, marker `MEM`, in that order). Results,
-    /// every simulated counter and the seeded fault stream are
-    /// byte-identical across policies, pinned by test.
+    /// [`MappedIndex::lfm`] with an optional rank-checkpoint cache. The
+    /// cache memoizes the compare stage — `(sub-array, bucket, nt) →
+    /// (post-sentinel match mask, marker)`, both pure functions of the
+    /// immutable index — so a hit skips the plane load and the 32-row
+    /// marker gather on the host while charging the platform the exact
+    /// op sequence a recompute pays (`XNOR_Match`, popcount, marker
+    /// `MEM`, in that order). Results, every simulated counter and the
+    /// seeded fault stream are byte-identical with and without the
+    /// cache, pinned by test.
     ///
     /// # Panics
     ///
     /// Panics if `id` exceeds the indexed text length.
-    pub fn lfm_with(
+    pub fn lfm_cached(
         &self,
         nt: Base,
         id: usize,
         injector: &mut FaultInjector,
-        policy: SimdPolicy,
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u32 {
@@ -420,7 +419,7 @@ impl MappedIndex {
                     // Stack-allocated packed match mask: the whole
                     // compare stage runs on [u64; 2] words, no heap
                     // traffic per LFM.
-                    let mut matches = sub.xnor_match_with(lb, nt, policy, ledger);
+                    let mut matches = sub.xnor_match(lb, nt, ledger);
                     // The 2-bit code space cannot represent `$`, so the
                     // sentinel cell is stored with a placeholder code
                     // (T). The DPU knows the sentinel's position and
@@ -455,7 +454,7 @@ impl MappedIndex {
                 injector.transient_row_mask(&mut matches);
                 injector.corrupt_match_mask(&mut matches, within);
             }
-            let count = matches.count_prefix_with(within, policy);
+            let count = matches.count_prefix(within);
             (count, marker)
         };
         let carry_fault = injector.carry_fault_bit();
@@ -518,47 +517,24 @@ impl MappedIndex {
     ) -> Vec<u32> {
         let mut scratch = LfmBatchScratch::new();
         let mut sums = Vec::new();
-        self.lfm_batch_into(requests, injectors, ledger, &mut scratch, &mut sums);
+        self.lfm_batch_into(requests, injectors, None, ledger, &mut scratch, &mut sums);
         sums
     }
 
-    /// [`MappedIndex::lfm_batch`] with caller-owned scratch: `scratch`
-    /// keeps the partition tables, group masks and scheduler between
-    /// calls (no per-call allocation on the hot path) and `sums` is
-    /// cleared then filled with one result per request. Lock-step
-    /// drivers ([`crate::exact::exact_search_batch`]) reuse one scratch
-    /// across every step of a batch.
+    /// [`MappedIndex::lfm_batch`] with caller-owned scratch and an
+    /// optional rank-checkpoint cache: `scratch` keeps the partition
+    /// tables, group masks and scheduler between calls (no per-call
+    /// allocation on the hot path) and `sums` is cleared then filled
+    /// with one result per request. Lock-step drivers
+    /// ([`crate::exact::exact_search_batch`]) reuse one scratch across
+    /// every step of a batch. The shared compare stage consults/feeds
+    /// `cache` per `(sub-array, bucket, nt)` group (see
+    /// [`MappedIndex::lfm_cached`]); sums, charges and fault draws are
+    /// byte-identical with and without it.
     pub fn lfm_batch_into(
         &self,
         requests: &[LfmRequest],
         injectors: &mut [FaultInjector],
-        ledger: &mut CycleLedger,
-        scratch: &mut LfmBatchScratch,
-        sums: &mut Vec<u32>,
-    ) {
-        self.lfm_batch_into_with(
-            requests,
-            injectors,
-            SimdPolicy::Scalar,
-            None,
-            ledger,
-            scratch,
-            sums,
-        )
-    }
-
-    /// [`MappedIndex::lfm_batch_into`] under a SIMD policy and an
-    /// optional rank-checkpoint cache (see [`MappedIndex::lfm_with`]):
-    /// the shared compare stage consults/feeds the cache per
-    /// `(sub-array, bucket, nt)` group and the per-request popcounts
-    /// dispatch to the policy's lane. Sums, charges and fault draws are
-    /// byte-identical across policies and cache states.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lfm_batch_into_with(
-        &self,
-        requests: &[LfmRequest],
-        injectors: &mut [FaultInjector],
-        policy: SimdPolicy,
         mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
         scratch: &mut LfmBatchScratch,
@@ -625,10 +601,9 @@ impl MappedIndex {
                 sentinel_bucket % 256,
                 sentinel % SubArrayLayout::BASES_PER_ROW,
             ));
-            let groups = batch.run_compare_with(
+            let groups = batch.run_compare(
                 &self.subarrays[s],
                 local_sentinel,
-                policy,
                 cache.as_deref_mut(),
                 s as u32,
                 ledger,
@@ -669,7 +644,7 @@ impl MappedIndex {
                     let batch = &pool[slot as usize];
                     let i = idx as usize;
                     (
-                        batch.mask(i).count_prefix_with(batch.within(i), policy),
+                        batch.mask(i).count_prefix(batch.within(i)),
                         batch.marker(i),
                         !batch.is_leader(i),
                     )
@@ -691,9 +666,9 @@ impl MappedIndex {
                             let mut mask = *batch.mask(i);
                             injector.transient_row_mask(&mut mask);
                             injector.corrupt_match_mask(&mut mask, within);
-                            mask.count_prefix_with(within, policy)
+                            mask.count_prefix(within)
                         }
-                        _ => batch.mask(i).count_prefix_with(within, policy),
+                        _ => batch.mask(i).count_prefix(within),
                     };
                     (count, batch.marker(i), !batch.is_leader(i))
                 };
@@ -934,18 +909,61 @@ mod tests {
             },
         ];
         let mut injectors = vec![m.read_injector(0), m.read_injector(1)];
-        let mut ledger = CycleLedger::new();
-        let batched = m.lfm_batch(&requests, &mut injectors, &mut ledger);
+        let mut batch_ledger = CycleLedger::new();
+        let batched = m.lfm_batch(&requests, &mut injectors, &mut batch_ledger);
         // Oracle: single-read replay per stream in per-stream order.
         let mut oracle = [m.read_injector(0), m.read_injector(1)];
+        let mut single_ledger = CycleLedger::new();
         let expected: Vec<u32> = requests
             .iter()
-            .map(|r| m.lfm(r.nt, r.id, &mut oracle[r.stream], &mut ledger))
+            .map(|r| m.lfm(r.nt, r.id, &mut oracle[r.stream], &mut single_ledger))
             .collect();
         assert_eq!(batched, expected);
         for s in 0..2 {
             assert_eq!(injectors[s].counters(), oracle[s].counters(), "stream {s}");
         }
+        assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
+        assert_eq!(single_ledger.kernel_cache_counters().lookups(), 0);
+
+        // Cached leg: the same schedule through one rank-checkpoint
+        // cache replays sums, fault draws and every simulated charge of
+        // the uncached legs — cold (3 groups install) and warm (3 hits).
+        let mut cache = KernelCache::new();
+        for (hits, misses) in [(0, 3), (3, 0)] {
+            let mut cached = vec![m.read_injector(0), m.read_injector(1)];
+            let mut ledger = CycleLedger::new();
+            let mut sums = Vec::new();
+            m.lfm_batch_into(
+                &requests,
+                &mut cached,
+                Some(&mut cache),
+                &mut ledger,
+                &mut LfmBatchScratch::new(),
+                &mut sums,
+            );
+            assert_eq!(sums, batched);
+            assert_eq!(ledger, batch_ledger);
+            for s in 0..2 {
+                assert_eq!(cached[s].counters(), injectors[s].counters(), "stream {s}");
+            }
+            let cc = ledger.kernel_cache_counters();
+            assert_eq!((cc.hits, cc.misses), (hits, misses));
+        }
+        let mut cached = [m.read_injector(0), m.read_injector(1)];
+        let mut ledger = CycleLedger::new();
+        let singles: Vec<u32> = requests
+            .iter()
+            .map(|r| {
+                let injector = &mut cached[r.stream];
+                m.lfm_cached(r.nt, r.id, injector, Some(&mut cache), &mut ledger)
+            })
+            .collect();
+        assert_eq!(singles, expected);
+        assert_eq!(ledger, single_ledger);
+        for s in 0..2 {
+            assert_eq!(cached[s].counters(), oracle[s].counters(), "stream {s}");
+        }
+        assert_eq!(ledger.kernel_cache_counters().hits, 4);
     }
 
     #[test]

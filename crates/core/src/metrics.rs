@@ -36,9 +36,9 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// `makespan_cycles`, `sequential_cycles`, `overlap_saved_cycles`,
 /// all-zero on the single-read kernel path). v6 added
 /// `breakdown.kernel_cache` (rank-checkpoint cache `hits`/`misses`/
-/// `evictions`/`hit_rate` — host-side counters, all-zero under
-/// `--kernel-simd=scalar`). v7 added the top-level `obs` section
-/// (observability-plane summary: rolling-window ring geometry, watchdog
+/// `evictions`/`hit_rate` — host-side counters). v7 added the
+/// top-level `obs` section (observability-plane summary:
+/// rolling-window ring geometry, watchdog
 /// stall verdicts and the bounded slow-request log — all-zero/empty for
 /// one-shot CLI runs; the *live* windowed views travel over the wire
 /// via `Request::Stats`, not through this document). Each version

@@ -52,7 +52,7 @@ proptest! {
         let start = ((reference.len() - len) as f64 * start_frac) as usize;
         let read = reference.subseq(start..start + len);
         let (interval, _) =
-            exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         match oracle.backward_search(&read) {
             Some(expected) => prop_assert_eq!(interval, expected),
             None => prop_assert!(interval.is_empty()),

@@ -44,6 +44,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod io;
 pub mod size_model;
 

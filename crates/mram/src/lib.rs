@@ -34,6 +34,8 @@
 //! assert!(sa.evaluate(SenseMode::Or3, &r));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod device;
 pub mod faults;

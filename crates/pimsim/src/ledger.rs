@@ -125,7 +125,7 @@ pub struct CycleLedger {
     /// path ([`crate::PipelineSim`]); all-zero on the single-read path.
     pipeline: PipelineCounters,
     /// Rank-checkpoint cache totals noted by the kernel call sites;
-    /// all-zero when the cache is disabled (`--kernel-simd=scalar`).
+    /// all-zero when the caller passes no cache.
     kernel_cache: KernelCacheCounters,
 }
 
@@ -241,8 +241,8 @@ impl CycleLedger {
         self.kernel_cache.evictions += 1;
     }
 
-    /// Accumulated rank-checkpoint cache totals (all-zero when the
-    /// cache is disabled).
+    /// Accumulated rank-checkpoint cache totals (all-zero when no
+    /// caller passed a cache).
     pub fn kernel_cache_counters(&self) -> KernelCacheCounters {
         self.kernel_cache
     }

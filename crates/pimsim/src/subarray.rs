@@ -16,7 +16,6 @@ use mram::sense::{SenseAmp, SenseMode};
 
 use crate::costs::LogicalOp;
 use crate::ledger::CycleLedger;
-use crate::simd::{self, SimdPolicy};
 
 /// The Fig. 6a zone partitioning of a 512×256 sub-array:
 ///
@@ -196,19 +195,6 @@ impl MatchMask {
     pub fn count_prefix(&self, n: usize) -> u32 {
         let m = Self::prefix_words(n);
         (self.0[0] & m[0]).count_ones() + (self.0[1] & m[1]).count_ones()
-    }
-
-    /// [`MatchMask::count_prefix`] evaluated under a SIMD policy: `Auto`
-    /// dispatches to the hardware `popcnt` instruction when the CPU has
-    /// one, `Scalar` uses the portable expansion. Same result either way,
-    /// pinned by test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 128`.
-    #[inline]
-    pub fn count_prefix_with(&self, n: usize, policy: SimdPolicy) -> u32 {
-        simd::masked_count(self.0, Self::prefix_words(n), policy)
     }
 
     /// The mask as 128 booleans (test/reference interop; not used on the
@@ -404,24 +390,6 @@ impl SubArray {
         base: bioseq::Base,
         ledger: &mut CycleLedger,
     ) -> MatchMask {
-        self.xnor_match_with(bucket, base, SimdPolicy::Scalar, ledger)
-    }
-
-    /// [`SubArray::xnor_match`] evaluated under a SIMD policy: identical
-    /// charge, identical result, only the host lane differs (`Auto`
-    /// dispatches AVX2 → SSE2 → portable at runtime).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is out of range.
-    #[inline]
-    pub fn xnor_match_with(
-        &self,
-        bucket: usize,
-        base: bioseq::Base,
-        policy: SimdPolicy,
-        ledger: &mut CycleLedger,
-    ) -> MatchMask {
         assert!(
             bucket < self.layout.buckets(),
             "bucket {bucket} out of range"
@@ -430,7 +398,11 @@ impl SubArray {
         let cref = &self.rows[self.layout.cref_rows.start + base.rank()];
         LogicalOp::XnorMatch.charge(&self.model, ledger);
         let loaded = MatchMask::prefix_words(self.bwt_row_len[bucket]);
-        MatchMask(simd::plane_match(bwt, cref, loaded, policy))
+        // Words 0..2 of a row are bit-plane 0, words 2..4 bit-plane 1.
+        MatchMask([
+            !(bwt[0] ^ cref[0]) & !(bwt[2] ^ cref[2]) & loaded[0],
+            !(bwt[1] ^ cref[1]) & !(bwt[3] ^ cref[3]) & loaded[1],
+        ])
     }
 
     /// Stores marker word `value` for `base` of bucket-column `bucket`
@@ -779,37 +751,6 @@ mod tests {
         for n in [0usize, 63, 64, 65, 127, 128] {
             assert_eq!(full.count_prefix(n), n as u32, "full mask prefix {n}");
             assert_eq!(MatchMask::default().count_prefix(n), 0);
-        }
-    }
-
-    #[test]
-    fn count_prefix_with_matches_scalar_for_every_policy() {
-        let mut mask = MatchMask::default();
-        for i in [0usize, 2, 62, 63, 64, 66, 126, 127] {
-            mask.set(i, true);
-        }
-        for n in 0..=128 {
-            let want = mask.count_prefix(n);
-            for policy in [SimdPolicy::Scalar, SimdPolicy::Auto] {
-                assert_eq!(mask.count_prefix_with(n, policy), want, "prefix {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn xnor_match_with_is_lane_invariant_and_charge_identical() {
-        let (mut sa, mut ledger) = fresh();
-        sa.load_cref_rows(&mut ledger);
-        let codes: Vec<u8> = (0..128).map(|i| ((i * 13 + 1) % 4) as u8).collect();
-        sa.load_bwt_row(5, &codes, &mut ledger);
-        for base in Base::ALL {
-            let mut scalar_ledger = CycleLedger::new();
-            let mut auto_ledger = CycleLedger::new();
-            let scalar = sa.xnor_match_with(5, base, SimdPolicy::Scalar, &mut scalar_ledger);
-            let auto = sa.xnor_match_with(5, base, SimdPolicy::Auto, &mut auto_ledger);
-            assert_eq!(scalar, auto, "lane divergence for {base}");
-            assert_eq!(scalar, sa.xnor_match(5, base, &mut CycleLedger::new()));
-            assert_eq!(scalar_ledger, auto_ledger, "charge divergence for {base}");
         }
     }
 

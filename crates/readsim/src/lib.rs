@@ -27,6 +27,8 @@
 //! assert!(sim.reads.iter().all(|r| r.seq.len() == 100));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod genome;
 pub mod paired;
 pub mod variant;

@@ -31,6 +31,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cigar;
 mod dp;
 mod score;

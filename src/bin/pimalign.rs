@@ -25,18 +25,13 @@
 //!   --batch-size <N>      reads aligned per streamed chunk (default 4096)
 //!   --kernel-batch <N>    reads interleaved per LFM kernel batch
 //!                         (default 8; 1 = single-read kernel path)
-//!   --kernel-simd <P>     host kernel policy: auto (SIMD dispatch +
-//!                         rank-checkpoint cache, default) or scalar
-//!                         (portable word loop, cache off); simulated
-//!                         cycles and SAM output are identical either way
 //!   --fault-seed <S>      seed for the fault-injection campaign
 //!   --fault-xnor <P>      per-bit XNOR sense-misread probability
 //!   --fault-stuck <R>     stuck-at cell rate in the data zones
 //!   --fault-transient <R> transient row-read fault rate per marker read
 //!   --fault-carry <P>     IM_ADD carry-chain fault probability per add
 //!   --no-recover          disable verify-and-recover under fault injection
-//!   --metrics <PATH>      write the per-primitive cycle breakdown as JSON
-//!   --metrics-out <PATH>  same document, alias kept distinct from --metrics
+//!   --metrics-out <PATH>  write the per-primitive cycle breakdown as JSON
 //!   --trace-out <PATH>    write a Chrome trace-event JSON (wall-clock spans,
 //!                         one track per worker; open in Perfetto)
 //!   --progress            stream reads/s + ETA to stderr while aligning
@@ -78,9 +73,7 @@ use pim_aligner_suite::pim_aligner::{
     IndexArtifact, MappedStrand, PimAlignerConfig, Platform, RecoveryPolicy, ShardedPlatform,
     DEFAULT_KERNEL_BATCH,
 };
-use pim_aligner_suite::pimsim::{
-    chrome_trace_json, dispatched_path, HostEpoch, HostSpan, SimdPolicy,
-};
+use pim_aligner_suite::pimsim::{chrome_trace_json, HostEpoch, HostSpan};
 
 /// Wraps the raw reads file and counts bytes consumed, so `--progress`
 /// can estimate completion from file position without a pre-pass over
@@ -213,14 +206,12 @@ struct Cli {
     threads: usize,
     batch_size: usize,
     kernel_batch: usize,
-    kernel_simd: SimdPolicy,
     fault_seed: u64,
     fault_xnor: f64,
     fault_stuck: f64,
     fault_transient: f64,
     fault_carry: f64,
     recover: bool,
-    metrics: Option<String>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
     progress: bool,
@@ -273,14 +264,12 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         threads: 1,
         batch_size: 4_096,
         kernel_batch: DEFAULT_KERNEL_BATCH,
-        kernel_simd: SimdPolicy::Auto,
         fault_seed: 0x5eed,
         fault_xnor: 0.0,
         fault_stuck: 0.0,
         fault_transient: 0.0,
         fault_carry: 0.0,
         recover: true,
-        metrics: None,
         metrics_out: None,
         trace_out: None,
         progress: false,
@@ -332,7 +321,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     );
                 }
             }
-            "--kernel-simd" => cli.kernel_simd = parse_flag(args, &mut i, "--kernel-simd")?,
             "--fault-seed" => cli.fault_seed = parse_flag(args, &mut i, "--fault-seed")?,
             "--fault-xnor" => cli.fault_xnor = parse_prob(args, &mut i, "--fault-xnor")?,
             "--fault-stuck" => cli.fault_stuck = parse_prob(args, &mut i, "--fault-stuck")?,
@@ -341,7 +329,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--fault-carry" => cli.fault_carry = parse_prob(args, &mut i, "--fault-carry")?,
             "--no-recover" => cli.recover = false,
-            "--metrics" => cli.metrics = Some(parse_flag(args, &mut i, "--metrics")?),
             "--metrics-out" => cli.metrics_out = Some(parse_flag(args, &mut i, "--metrics-out")?),
             "--trace-out" => cli.trace_out = Some(parse_flag(args, &mut i, "--trace-out")?),
             "--progress" => cli.progress = true,
@@ -456,13 +443,7 @@ fn run() -> Result<(), CliError> {
         .with_max_diffs(cli.max_diffs)
         .with_indels(cli.indels)
         .with_kernel_batch(cli.kernel_batch)
-        .with_kernel_simd(cli.kernel_simd)
         .with_fault_campaign(campaign);
-    eprintln!(
-        "pimalign: kernel dispatch {} (--kernel-simd {})",
-        dispatched_path(cli.kernel_simd),
-        cli.kernel_simd.name()
-    );
     if cli.pd >= 2 {
         config = config.with_pd(cli.pd);
     }
@@ -593,12 +574,7 @@ fn run() -> Result<(), CliError> {
         return Err(CliError::Input(format!("{reads_path}: no reads")));
     }
     let report = engine.batch_report(&totals);
-    let mut metrics_paths: Vec<&String> = Vec::new();
-    metrics_paths.extend(&cli.metrics);
-    if cli.metrics_out.as_ref() != cli.metrics.as_ref() {
-        metrics_paths.extend(&cli.metrics_out);
-    }
-    for path in metrics_paths {
+    if let Some(path) = &cli.metrics_out {
         std::fs::write(path, report.to_metrics_json())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
     }

@@ -21,9 +21,6 @@
 //!   --pd <N>                  parallelism degree (implies method-II for N >= 2)
 //!   --kernel-batch <N>        reads interleaved per LFM kernel batch
 //!                             (default 8; 1 = single-read kernel path)
-//!   --kernel-simd <P>         host kernel policy: auto (SIMD dispatch +
-//!                             rank-checkpoint cache, default) or scalar;
-//!                             simulated cycles and responses identical
 //!   --max-diffs <Z>           inexact-stage difference budget (default 2, max 8)
 //!   --no-indels               substitutions only in the inexact stage
 //!   --single-strand           skip the reverse-complement retry
@@ -58,7 +55,7 @@ use pim_aligner_suite::pim_aligner::service::{serve, ServiceConfig, ServiceError
 use pim_aligner_suite::pim_aligner::{
     IndexArtifact, PimAlignerConfig, Platform, DEFAULT_KERNEL_BATCH,
 };
-use pim_aligner_suite::pimsim::{chrome_trace_json, dispatched_path, SimdPolicy};
+use pim_aligner_suite::pimsim::chrome_trace_json;
 
 /// A CLI failure, classified exactly as in `pimalign`: usage = 2,
 /// input = 3, runtime = 4.
@@ -108,7 +105,6 @@ struct Cli {
     service: ServiceConfig,
     pd: usize,
     kernel_batch: usize,
-    kernel_simd: SimdPolicy,
     max_diffs: u8,
     indels: bool,
     metrics_out: Option<String>,
@@ -135,7 +131,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         service: ServiceConfig::default(),
         pd: 1,
         kernel_batch: DEFAULT_KERNEL_BATCH,
-        kernel_simd: SimdPolicy::Auto,
         max_diffs: 2,
         indels: true,
         metrics_out: None,
@@ -175,7 +170,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     );
                 }
             }
-            "--kernel-simd" => cli.kernel_simd = parse_flag(args, &mut i, "--kernel-simd")?,
             "--max-diffs" => {
                 cli.max_diffs = parse_flag(args, &mut i, "--max-diffs")?;
                 if cli.max_diffs > 8 {
@@ -228,15 +222,7 @@ fn run() -> Result<(), CliError> {
     let mut config = PimAlignerConfig::baseline()
         .with_max_diffs(cli.max_diffs)
         .with_indels(cli.indels)
-        .with_kernel_batch(cli.kernel_batch)
-        .with_kernel_simd(cli.kernel_simd);
-    log_kv(
-        "kernel_dispatch",
-        &[
-            ("path", dispatched_path(cli.kernel_simd).to_owned()),
-            ("policy", cli.kernel_simd.name().to_owned()),
-        ],
-    );
+        .with_kernel_batch(cli.kernel_batch);
     if cli.pd >= 2 {
         config = config.with_pd(cli.pd);
     }

@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use accel;
 pub use bioseq;
 pub use fmindex;

@@ -5,11 +5,8 @@ use std::process::Command;
 
 use bench::json::{self, Value};
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("pimalign_test_{name}_{}", std::process::id()));
-    std::fs::write(&path, contents).expect("write temp file");
-    path
-}
+mod support;
+use support::{temp_path, write_temp};
 
 fn run_cli(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_pimalign"))
@@ -71,9 +68,6 @@ fn aligns_reads_and_emits_valid_sam() {
     // The performance report lands on stderr.
     assert!(stderr.contains("queries/s"));
     assert!(stderr.contains("2 mapped"));
-
-    std::fs::remove_file(reference).ok();
-    std::fs::remove_file(reads).ok();
 }
 
 #[test]
@@ -106,9 +100,6 @@ fn reverse_mapped_seq_is_the_reference_window() {
         fields[10], "NMLKJIHGFEDCBA",
         "0x10 QUAL must be the read's qualities reversed"
     );
-
-    std::fs::remove_file(reference).ok();
-    std::fs::remove_file(reads).ok();
 }
 
 #[test]
@@ -141,9 +132,6 @@ fn streamed_chunks_match_single_batch() {
             "stderr with {extra:?}: {stderr}"
         );
     }
-
-    std::fs::remove_file(reference).ok();
-    std::fs::remove_file(reads).ok();
 }
 
 #[test]
@@ -158,45 +146,51 @@ fn telemetry_flags_never_touch_the_sam_stream() {
         "telem_reads.fq",
         "@exact\nGATTACAGATTACA\n+\nIIIIIIIIIIIIII\n@revcomp\nCGTTCCAAGGTTCA\n+\nIIIIIIIIIIIIII\n",
     );
-    let metrics_old = write_temp("telem_m_old.json", "");
-    let metrics_new = write_temp("telem_m_new.json", "");
-    let trace = write_temp("telem_trace.json", "");
+    let metrics_untraced = temp_path("telem_m_untraced.json");
+    let metrics_traced = temp_path("telem_m_traced.json");
+    let trace = temp_path("telem_trace.json");
     let base = [reference.to_str().unwrap(), reads.to_str().unwrap()];
 
     let (sam_plain, stderr, ok) = run_cli(&base);
     assert!(ok, "plain run failed: {stderr}");
 
-    // Back-compat flag: --metrics still writes the document.
-    let mut old_args: Vec<&str> = base.to_vec();
-    old_args.extend_from_slice(&["--metrics", metrics_old.to_str().unwrap()]);
-    let (sam_old, stderr, ok) = run_cli(&old_args);
-    assert!(ok, "--metrics run failed: {stderr}");
-    assert_eq!(sam_old, sam_plain, "--metrics changed the SAM stream");
+    // --metrics-out alone: no host tracing.
+    let mut untraced_args: Vec<&str> = base.to_vec();
+    untraced_args.extend_from_slice(&["--metrics-out", metrics_untraced.to_str().unwrap()]);
+    let (sam_untraced, stderr, ok) = run_cli(&untraced_args);
+    assert!(ok, "--metrics-out run failed: {stderr}");
+    assert_eq!(
+        sam_untraced, sam_plain,
+        "--metrics-out changed the SAM stream"
+    );
 
-    // New flags: --metrics-out + --trace-out, with tracing live.
-    let mut new_args: Vec<&str> = base.to_vec();
-    new_args.extend_from_slice(&[
+    // --metrics-out + --trace-out, with tracing live.
+    let mut traced_args: Vec<&str> = base.to_vec();
+    traced_args.extend_from_slice(&[
         "--metrics-out",
-        metrics_new.to_str().unwrap(),
+        metrics_traced.to_str().unwrap(),
         "--trace-out",
         trace.to_str().unwrap(),
         "--threads",
         "2",
     ]);
-    let (sam_new, stderr, ok) = run_cli(&new_args);
+    let (sam_traced, stderr, ok) = run_cli(&traced_args);
     assert!(ok, "--metrics-out/--trace-out run failed: {stderr}");
-    assert_eq!(sam_new, sam_plain, "telemetry flags changed the SAM stream");
+    assert_eq!(
+        sam_traced, sam_plain,
+        "telemetry flags changed the SAM stream"
+    );
 
-    let doc_old = json::parse(&std::fs::read_to_string(&metrics_old).unwrap())
-        .expect("--metrics JSON parses");
-    let doc_new = json::parse(&std::fs::read_to_string(&metrics_new).unwrap())
-        .expect("--metrics-out JSON parses");
+    let doc_untraced = json::parse(&std::fs::read_to_string(&metrics_untraced).unwrap())
+        .expect("untraced metrics JSON parses");
+    let doc_traced = json::parse(&std::fs::read_to_string(&metrics_traced).unwrap())
+        .expect("traced metrics JSON parses");
     // The simulated sections are value-identical across flag shapes —
     // only the wall-clock `host` section may differ.
     for section in ["schema_version", "report", "faults", "breakdown"] {
         assert_eq!(
-            doc_old.get(section),
-            doc_new.get(section),
+            doc_untraced.get(section),
+            doc_traced.get(section),
             "simulated section {section} diverged under tracing"
         );
     }
@@ -227,10 +221,6 @@ fn telemetry_flags_never_touch_the_sam_stream() {
             }),
             "missing {want} track"
         );
-    }
-
-    for f in [reference, reads, metrics_old, metrics_new, trace] {
-        std::fs::remove_file(f).ok();
     }
 }
 
@@ -263,6 +253,7 @@ fn usage_errors_exit_2_with_named_flags() {
     for (args, needle) in [
         (&["only-one-arg"][..], "usage"),
         (&["a", "b", "--bogus"][..], "unknown option"),
+        (&["a", "b", "--kernel-simd", "auto"][..], "unknown option"),
         (&["a", "b", "--threads", "0"][..], "--threads"),
         (&["a", "b", "--batch-size", "0"][..], "--batch-size"),
         (&["a", "b", "--pd", "0"][..], "--pd"),
@@ -272,6 +263,18 @@ fn usage_errors_exit_2_with_named_flags() {
         assert_eq!(code, 2, "{args:?} must exit 2 (usage), stderr: {stderr}");
         assert!(stderr.contains(needle), "{args:?} stderr: {stderr}");
     }
+    // pimserve shares the exit-code scheme; flags are parsed before the
+    // reference is opened, so no socket is ever bound.
+    let out = Command::new(env!("CARGO_BIN_EXE_pimserve"))
+        .args(["/nonexistent/ref.fa", "--kernel-simd", "auto"])
+        .output()
+        .expect("run pimserve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "pimserve stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown option --kernel-simd"),
+        "pimserve stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -308,9 +311,6 @@ fn truncated_fastq_exit_3_names_record_and_offset() {
     assert_eq!(code, 3, "truncated FASTQ must exit 3, stderr: {stderr}");
     assert!(stderr.contains("record 2"), "stderr: {stderr}");
     assert!(stderr.contains("byte offset 36"), "stderr: {stderr}");
-
-    std::fs::remove_file(reference).ok();
-    std::fs::remove_file(reads).ok();
 }
 
 #[test]
@@ -343,7 +343,4 @@ fn closed_stdout_is_a_clean_early_exit() {
         Some(0),
         "a closed SAM pipe must be a clean exit, not an error"
     );
-
-    std::fs::remove_file(reference).ok();
-    std::fs::remove_file(reads).ok();
 }

@@ -16,16 +16,8 @@ use bench::json::{self, Value};
 use pim_aligner_suite::bioseq::{Base, DnaSeq};
 use pim_aligner_suite::readsim::genome;
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("pimalign_artifact_{name}_{}", std::process::id()));
-    std::fs::write(&path, contents).expect("write temp file");
-    path
-}
-
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("pimalign_artifact_{name}_{}", std::process::id()))
-}
+mod support;
+use support::{temp_path, write_temp};
 
 fn run_cli(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_pimalign"))
@@ -117,7 +109,7 @@ fn assert_cold_warm_identical(
 
     let mut cold_args = vec![ref_fa.to_str().unwrap(), reads_fq.to_str().unwrap()];
     cold_args.extend_from_slice(engine_flags);
-    cold_args.extend_from_slice(&["--metrics", cold_metrics.to_str().unwrap()]);
+    cold_args.extend_from_slice(&["--metrics-out", cold_metrics.to_str().unwrap()]);
     let (cold_sam, stderr, ok) = run_cli(&cold_args);
     assert!(ok, "{label}: cold run failed: {stderr}");
 
@@ -127,7 +119,7 @@ fn assert_cold_warm_identical(
         reads_fq.to_str().unwrap(),
     ];
     warm_args.extend_from_slice(engine_flags);
-    warm_args.extend_from_slice(&["--metrics", warm_metrics.to_str().unwrap()]);
+    warm_args.extend_from_slice(&["--metrics-out", warm_metrics.to_str().unwrap()]);
     let (warm_sam, stderr, ok) = run_cli(&warm_args);
     assert!(ok, "{label}: warm run failed: {stderr}");
     assert!(
@@ -151,8 +143,6 @@ fn assert_cold_warm_identical(
             "{label}: simulated counter {path} moved across the serialisation boundary"
         );
     }
-    std::fs::remove_file(cold_metrics).ok();
-    std::fs::remove_file(warm_metrics).ok();
     (cold, warm)
 }
 
@@ -219,10 +209,6 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
         counter(&cold, "faults.xnor_bit_flips") > 0,
         "faults must fire"
     );
-
-    for p in [ref_fa, reads_fq, artifact] {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 #[test]
@@ -259,7 +245,7 @@ fn sharded_artifact_aligns_to_the_unsharded_sam() {
         reads_fq.to_str().unwrap(),
         "--threads",
         "4",
-        "--metrics",
+        "--metrics-out",
         metrics.to_str().unwrap(),
     ]);
     assert!(ok, "sharded run failed: {stderr}");
@@ -273,10 +259,6 @@ fn sharded_artifact_aligns_to_the_unsharded_sam() {
     assert_eq!(counter(&doc, "index.shards"), 4);
     assert_eq!(counter(&doc, "index.shard_window"), 1000);
     assert_eq!(counter(&doc, "index.shard_overlap"), 128);
-
-    for p in [ref_fa, reads_fq, artifact, metrics] {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 #[test]
@@ -327,8 +309,4 @@ fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
         stderr.contains("checksum") || stderr.contains("corrupt"),
         "corruption error must name the cause: {stderr}"
     );
-
-    for p in [ref_fa, artifact] {
-        std::fs::remove_file(p).ok();
-    }
 }

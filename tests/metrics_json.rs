@@ -1,4 +1,4 @@
-//! Integration: `pimalign --metrics` — the stable JSON metrics document.
+//! Integration: `pimalign --metrics-out` — the stable JSON metrics document.
 //!
 //! The schema is a published interface (`benchdiff` and external
 //! dashboards consume it), so beyond the semantic checks a golden file
@@ -11,13 +11,10 @@ use std::process::Command;
 
 use bench::json::{self, Value};
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("pimalign_metrics_{name}_{}", std::process::id()));
-    std::fs::write(&path, contents).expect("write temp file");
-    path
-}
+mod support;
+use support::{temp_path, write_temp};
 
-/// Runs the CLI over a tiny FASTA/FASTQ pair with `--metrics` and
+/// Runs the CLI over a tiny FASTA/FASTQ pair with `--metrics-out` and
 /// returns the parsed metrics document.
 fn run_with_metrics(extra: &[&str]) -> Value {
     let reference = write_temp(
@@ -28,11 +25,11 @@ fn run_with_metrics(extra: &[&str]) -> Value {
         "reads.fq",
         "@exact\nGATTACAGATTACA\n+\nIIIIIIIIIIIIII\n@mismatch\nGGAACGTACGTTAGCATCGAAC\n+\nIIIIIIIIIIIIIIIIIIIIII\n",
     );
-    let metrics = write_temp("out.json", "");
+    let metrics = temp_path("out.json");
     let mut args = vec![
         reference.to_str().unwrap().to_owned(),
         reads.to_str().unwrap().to_owned(),
-        "--metrics".to_owned(),
+        "--metrics-out".to_owned(),
         metrics.to_str().unwrap().to_owned(),
     ];
     args.extend(extra.iter().map(|s| (*s).to_owned()));
@@ -46,11 +43,7 @@ fn run_with_metrics(extra: &[&str]) -> Value {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&metrics).expect("metrics file written");
-    let doc = json::parse(&text).unwrap_or_else(|e| panic!("invalid metrics JSON: {e}\n{text}"));
-    std::fs::remove_file(reference).ok();
-    std::fs::remove_file(reads).ok();
-    std::fs::remove_file(metrics).ok();
-    doc
+    json::parse(&text).unwrap_or_else(|e| panic!("invalid metrics JSON: {e}\n{text}"))
 }
 
 fn as_u64(doc: &Value, path: &str) -> u64 {
