@@ -5,7 +5,8 @@
 #   ./ci.sh            full gate (debug + release stages)
 #   ./ci.sh debug      fmt check, debug tests (+ CLI flake gate x5), clippy
 #   ./ci.sh release    release build, bench smokes, benchdiff gates
-#                      (parallel, kernel, metrics schema, trace, host,
+#                      (parallel, kernel, metrics schema + full-mode
+#                      perfdump cmp'd against BENCH_metrics.json, trace, host,
 #                      serve: pimserve + loadgen over loopback, obs:
 #                      mid-load Stats scrapes + Prometheus exposition,
 #                      and the index artifact: build/--index rerun +
@@ -231,6 +232,15 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     cargo run -q --release -p bench --bin perfdump -- \
         --quick --out target/ci/BENCH_metrics_smoke.json
     gate_metrics
+
+    # Simulated-count gate: full-mode perfdump is byte-deterministic and
+    # takes about a second, so the committed baseline must be exactly
+    # what this tree produces. A change that moves a simulated count
+    # regenerates BENCH_metrics.json in the same PR.
+    step "perfdump full + cmp (committed simulated counts)"
+    cargo run -q --release -p bench --bin perfdump -- \
+        --out target/ci/BENCH_metrics_full.json
+    cmp target/ci/BENCH_metrics_full.json BENCH_metrics.json
 
     # Host-telemetry gate: pimalign must emit a loadable Chrome trace
     # naming every worker track, and a quick hostbench run must match the

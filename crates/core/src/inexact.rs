@@ -8,33 +8,61 @@
 //! explicit DFS over the DPU's backtracking register file — the hardware
 //! form of `fmindex`'s recursive Algorithm 2 — and is tested for
 //! interval-exact agreement with that software oracle.
+//!
+//! The DFS issues an `LFM` only when its result can reach a hit
+//! (DESIGN.md §5):
+//!
+//! * a greedy right-to-left exact pass first cuts the read into disjoint
+//!   substrings that do not occur in the reference. Each needs at least
+//!   one difference, so `d[i]` — the number of them inside `read[0..=i]`
+//!   — bounds from below what aligning that prefix costs, and a state
+//!   with fewer differences left than `d[i]` is never created;
+//! * a visited state issues only its match continuation and saves itself
+//!   in the register file; its insertion, deletion and substitution
+//!   children are expanded when the DFS backtracks into that frame, and
+//!   only if the bound leaves them a budget.
 
 use std::collections::HashMap;
 
 use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, InexactHit, SaInterval};
-use pimsim::{CycleLedger, Dpu, FaultInjector};
+use pimsim::{BacktrackState, CycleLedger, Dpu, FaultInjector};
 
 use crate::mapping::MappedIndex;
 
 /// Statistics of one inexact search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InexactStats {
-    /// `LFM` invocations issued.
+    /// `LFM` invocations issued, the lower-bound pass included.
     pub lfm_calls: u64,
     /// Backtracking states explored.
     pub states_explored: u64,
-    /// Peak DPU register-file depth.
+    /// Peak DPU register-file depth: the most deferred frames live at
+    /// once.
     pub max_stack_depth: usize,
 }
 
-/// One explicit DFS frame: read position, remaining budget, interval.
+/// One search state: `read[0..=i]` is still to be aligned with `z`
+/// differences left, and `[low, high)` is the interval of what has been
+/// consumed so far.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     i: isize,
     z: i16,
     low: u32,
     high: u32,
+}
+
+/// One entry of the DFS stack.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// A state to visit.
+    Visit(Frame),
+    /// A visited state whose alternatives to the match continuation are
+    /// not expanded yet, mirrored by one saved [`BacktrackState`]. Beside
+    /// it, the match continuation's interval (if not empty): the deletion
+    /// child of `read[i]`'s own base starts from it.
+    Deferred(Frame, Option<(u32, u32)>),
 }
 
 /// Runs Algorithm 2 on the platform exhaustively: finds **all** SA
@@ -56,7 +84,7 @@ pub fn inexact_search(
     budget: EditBudget,
     ledger: &mut CycleLedger,
 ) -> (Vec<InexactHit>, InexactStats) {
-    search_impl(mapped, injector, dpu, read, budget, ledger, false)
+    Search::new(mapped, injector, dpu, read, budget, ledger).run(false)
 }
 
 /// First-accept variant of Algorithm 2: depth-first with the match
@@ -76,122 +104,246 @@ pub fn inexact_search_first(
     budget: EditBudget,
     ledger: &mut CycleLedger,
 ) -> (Option<InexactHit>, InexactStats) {
-    let (hits, stats) = search_impl(mapped, injector, dpu, read, budget, ledger, true);
+    let (hits, stats) = Search::new(mapped, injector, dpu, read, budget, ledger).run(true);
     (hits.into_iter().next(), stats)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search_impl(
-    mapped: &MappedIndex,
-    injector: &mut FaultInjector,
-    dpu: &mut Dpu,
-    read: &DnaSeq,
+/// One search: the platform handles it drives, the read, and the DFS
+/// state.
+struct Search<'a> {
+    mapped: &'a MappedIndex,
+    injector: &'a mut FaultInjector,
+    dpu: &'a mut Dpu,
+    ledger: &'a mut CycleLedger,
+    read: &'a DnaSeq,
     budget: EditBudget,
-    ledger: &mut CycleLedger,
-    first_only: bool,
-) -> (Vec<InexactHit>, InexactStats) {
-    let mut stats = InexactStats::default();
-    let mut best: HashMap<SaInterval, u8> = HashMap::new();
-    let n = mapped.index().text_len() as u32;
-    let mut stack = vec![Frame {
-        i: read.len() as isize - 1,
-        z: budget.max_diffs() as i16,
-        low: 0,
-        high: n,
-    }];
-    dpu.init_interval(n, ledger);
-    'dfs: while let Some(frame) = stack.pop() {
-        stats.states_explored += 1;
-        stats.max_stack_depth = stats.max_stack_depth.max(stack.len() + 1);
-        if frame.z < 0 {
-            continue;
-        }
-        if frame.i < 0 {
-            let diffs = budget.max_diffs() - frame.z as u8;
-            let interval = SaInterval::new(frame.low, frame.high);
-            best.entry(interval)
-                .and_modify(|d| *d = (*d).min(diffs))
-                .or_insert(diffs);
-            if first_only {
-                break 'dfs;
-            }
-            continue;
-        }
-        // Insertion in the read: skip read[i] without an LFM step.
-        // Pushed first so cheaper (match) branches are popped earlier.
-        if budget.allows_indels() {
-            stack.push(Frame {
-                i: frame.i - 1,
-                z: frame.z - 1,
-                ..frame
-            });
-        }
-        let current = read[frame.i as usize];
-        // Defer the match branch so it lands on top of the stack and is
-        // explored first (depth-first greedy continuation).
-        let mut match_branch: Option<Frame> = None;
-        for b in Base::ALL {
-            let low = mapped.lfm(b, frame.low as usize, injector, ledger);
-            let high = mapped.lfm(b, frame.high as usize, injector, ledger);
-            stats.lfm_calls += 2;
-            dpu.set_interval(low, high, ledger);
-            if dpu.interval_empty() {
-                continue;
-            }
-            // Save the branch state in the DPU register file (hardware
-            // bookkeeping for the backtracking).
-            dpu.push_state(
-                pimsim::BacktrackState {
-                    position: frame.i as u32,
-                    low,
-                    high,
-                    budget: frame.z as i8,
-                    symbol: b.rank() as u8,
-                },
-                ledger,
-            );
-            if budget.allows_indels() {
-                // Deletion from the read: consume a reference base only.
-                stack.push(Frame {
-                    i: frame.i,
-                    z: frame.z - 1,
-                    low,
-                    high,
-                });
-            }
-            if b == current {
-                match_branch = Some(Frame {
-                    i: frame.i - 1,
-                    z: frame.z,
-                    low,
-                    high,
-                });
-            } else {
-                stack.push(Frame {
-                    i: frame.i - 1,
-                    z: frame.z - 1,
-                    low,
-                    high,
-                });
-            }
-            let _ = dpu.pop_state(ledger);
-        }
-        if let Some(m) = match_branch {
-            stack.push(m);
+    /// `[0, n)` is the interval of the empty string.
+    n: u32,
+    /// The difference lower bound, see [`Search::lower_bound`].
+    d: Vec<i16>,
+    /// Every `Frame` on it satisfies `z >= bound(i)`.
+    stack: Vec<Entry>,
+    stats: InexactStats,
+}
+
+impl<'a> Search<'a> {
+    fn new(
+        mapped: &'a MappedIndex,
+        injector: &'a mut FaultInjector,
+        dpu: &'a mut Dpu,
+        read: &'a DnaSeq,
+        budget: EditBudget,
+        ledger: &'a mut CycleLedger,
+    ) -> Search<'a> {
+        Search {
+            n: mapped.index().text_len() as u32,
+            mapped,
+            injector,
+            dpu,
+            ledger,
+            read,
+            budget,
+            d: Vec::new(),
+            stack: Vec::new(),
+            stats: InexactStats::default(),
         }
     }
+
+    /// Extends `[low, high)` backward by `b`: two `LFM`s and one interval
+    /// write. `None` when nothing in the reference continues that way.
+    fn extend(&mut self, b: Base, low: u32, high: u32) -> Option<(u32, u32)> {
+        let low = self.mapped.lfm(b, low as usize, self.injector, self.ledger);
+        let high = self
+            .mapped
+            .lfm(b, high as usize, self.injector, self.ledger);
+        self.stats.lfm_calls += 2;
+        self.dpu.set_interval(low, high, self.ledger);
+        (!self.dpu.interval_empty()).then_some((low, high))
+    }
+
+    /// Fills `d`, the difference lower bound: `d[i]` is the number of
+    /// disjoint substrings of `read[0..=i]` that do not occur in the
+    /// reference, found by one greedy right-to-left exact pass (at most
+    /// `2·m` `LFM`s). An alignment spends at least one substitution,
+    /// insertion or deletion inside each of them, so `read[0..=i]`
+    /// cannot be aligned with fewer than `d[i]` differences.
+    ///
+    /// Returns `false` as soon as more substrings are found than the
+    /// budget has differences: the whole read is then out of reach and
+    /// the pass stops there.
+    fn lower_bound(&mut self) -> bool {
+        let read = self.read;
+        self.d = vec![0; read.len()];
+        let mut found = 0;
+        // read[i..end] is the substring being extended leftward.
+        let mut end = read.len();
+        let (mut low, mut high) = (0, self.n);
+        self.dpu.init_interval(self.n, self.ledger);
+        for i in (0..read.len()).rev() {
+            if let Some(next) = self.extend(read[i], low, high) {
+                (low, high) = next;
+                continue;
+            }
+            found += 1;
+            if found > self.budget.max_diffs() as i16 {
+                return false;
+            }
+            self.d[end - 1] = 1;
+            end = i;
+            (low, high) = (0, self.n);
+            self.dpu.init_interval(self.n, self.ledger);
+        }
+        let mut inside = 0;
+        for slot in &mut self.d {
+            inside += *slot;
+            *slot = inside;
+        }
+        true
+    }
+
+    /// The fewest differences aligning `read[0..=i]` can cost.
+    fn bound(&self, i: isize) -> i16 {
+        if i < 0 {
+            0
+        } else {
+            self.d[i as usize]
+        }
+    }
+
+    /// Visits a state with `i >= 0`: issues the match continuation only,
+    /// and saves the state in the register file if an alternative could
+    /// still reach a hit.
+    fn visit(&mut self, frame: Frame) {
+        let current = self.read[frame.i as usize];
+        let matched = self.extend(current, frame.low, frame.high);
+        // An alternative spends one difference on read[i] (or before
+        // it) and must still afford read[0..i].
+        if frame.z > self.bound(frame.i - 1) {
+            self.dpu.push_state(
+                BacktrackState {
+                    position: frame.i as u32,
+                    low: frame.low,
+                    high: frame.high,
+                    budget: frame.z as i8,
+                    symbol: current.rank() as u8,
+                },
+                self.ledger,
+            );
+            self.stats.max_stack_depth = self.stats.max_stack_depth.max(self.dpu.stack_depth());
+            self.stack.push(Entry::Deferred(frame, matched));
+        }
+        if let Some((low, high)) = matched {
+            self.stack.push(Entry::Visit(Frame {
+                i: frame.i - 1,
+                low,
+                high,
+                ..frame
+            }));
+        }
+    }
+
+    /// Backtracks into a deferred frame: its match continuation is
+    /// exhausted, so the alternatives are expanded — pushed so that they
+    /// pop substitution then deletion per base (`T` first), then the
+    /// insertion.
+    fn expand(&mut self, frame: Frame, matched: Option<(u32, u32)>) {
+        let _ = self.dpu.pop_state(self.ledger);
+        let current = self.read[frame.i as usize];
+        let z = frame.z - 1;
+        let indels = self.budget.allows_indels();
+        if indels {
+            // Insertion in the read: skip read[i] without an LFM step.
+            self.stack.push(Entry::Visit(Frame {
+                i: frame.i - 1,
+                z,
+                ..frame
+            }));
+        }
+        // A deletion from the read consumes a reference base only, so
+        // all of read[0..=i] is still to pay for.
+        let deletions = indels && z >= self.bound(frame.i);
+        for b in Base::ALL {
+            let next = if b == current {
+                matched
+            } else {
+                self.extend(b, frame.low, frame.high)
+            };
+            let Some((low, high)) = next else {
+                continue;
+            };
+            let child = Frame {
+                i: frame.i,
+                z,
+                low,
+                high,
+            };
+            if deletions {
+                self.stack.push(Entry::Visit(child));
+            }
+            if b != current {
+                self.stack.push(Entry::Visit(Frame {
+                    i: frame.i - 1,
+                    ..child
+                }));
+            }
+        }
+    }
+
+    fn run(mut self, first_only: bool) -> (Vec<InexactHit>, InexactStats) {
+        let max_diffs = self.budget.max_diffs();
+        let mut best: HashMap<SaInterval, u8> = HashMap::new();
+        if self.lower_bound() {
+            self.stack.push(Entry::Visit(Frame {
+                i: self.read.len() as isize - 1,
+                z: max_diffs as i16,
+                low: 0,
+                high: self.n,
+            }));
+            self.dpu.init_interval(self.n, self.ledger);
+        }
+        while let Some(entry) = self.stack.pop() {
+            match entry {
+                Entry::Deferred(frame, matched) => self.expand(frame, matched),
+                Entry::Visit(frame) => {
+                    self.stats.states_explored += 1;
+                    if frame.i >= 0 {
+                        self.visit(frame);
+                        continue;
+                    }
+                    let diffs = max_diffs - frame.z as u8;
+                    best.entry(SaInterval::new(frame.low, frame.high))
+                        .and_modify(|least| *least = (*least).min(diffs))
+                        .or_insert(diffs);
+                    if first_only {
+                        break;
+                    }
+                }
+            }
+        }
+        // A first-accept return leaves the accepted path's frames saved;
+        // unwind them so the next search starts on an empty register
+        // file.
+        while self.dpu.pop_state(self.ledger).is_some() {}
+        (sorted_hits(best), self.stats)
+    }
+}
+
+/// The oracle's hit contract: one hit per interval, sorted
+/// `(diffs, interval)`.
+fn sorted_hits(best: HashMap<SaInterval, u8>) -> Vec<InexactHit> {
     let mut hits: Vec<InexactHit> = best
         .into_iter()
         .map(|(interval, diffs)| InexactHit { interval, diffs })
         .collect();
     hits.sort_by_key(|h| (h.diffs, h.interval));
-    (hits, stats)
+    hits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PimAlignerConfig;
+    use proptest::prelude::*;
     use readsim::genome;
 
     fn setup(reference: &DnaSeq) -> (MappedIndex, FaultInjector, Dpu, CycleLedger) {
@@ -200,6 +352,198 @@ mod tests {
         let injector = mapped.session_injector();
         let dpu = Dpu::new(*config.model());
         (mapped, injector, dpu, CycleLedger::new())
+    }
+
+    /// The eager DFS this module replaced, kept as the reference the
+    /// search is compared against: every visited state issues all eight
+    /// `LFM`s (4 bases × 2 bounds) and no state is pruned. Children are
+    /// pushed in the order `expand` reproduces.
+    fn eager_reference(
+        mapped: &MappedIndex,
+        injector: &mut FaultInjector,
+        read: &DnaSeq,
+        budget: EditBudget,
+        ledger: &mut CycleLedger,
+        first_only: bool,
+    ) -> (Vec<InexactHit>, u64) {
+        let mut lfm_calls = 0;
+        let mut best: HashMap<SaInterval, u8> = HashMap::new();
+        let mut stack = vec![Frame {
+            i: read.len() as isize - 1,
+            z: budget.max_diffs() as i16,
+            low: 0,
+            high: mapped.index().text_len() as u32,
+        }];
+        while let Some(frame) = stack.pop() {
+            if frame.z < 0 {
+                continue;
+            }
+            if frame.i < 0 {
+                let diffs = budget.max_diffs() - frame.z as u8;
+                best.entry(SaInterval::new(frame.low, frame.high))
+                    .and_modify(|d| *d = (*d).min(diffs))
+                    .or_insert(diffs);
+                if first_only {
+                    break;
+                }
+                continue;
+            }
+            if budget.allows_indels() {
+                stack.push(Frame {
+                    i: frame.i - 1,
+                    z: frame.z - 1,
+                    ..frame
+                });
+            }
+            let current = read[frame.i as usize];
+            let mut match_branch = None;
+            for b in Base::ALL {
+                let low = mapped.lfm(b, frame.low as usize, injector, ledger);
+                let high = mapped.lfm(b, frame.high as usize, injector, ledger);
+                lfm_calls += 2;
+                if low >= high {
+                    continue;
+                }
+                if budget.allows_indels() {
+                    stack.push(Frame {
+                        i: frame.i,
+                        z: frame.z - 1,
+                        low,
+                        high,
+                    });
+                }
+                let next = Frame {
+                    i: frame.i - 1,
+                    z: frame.z,
+                    low,
+                    high,
+                };
+                if b == current {
+                    match_branch = Some(next);
+                } else {
+                    stack.push(Frame {
+                        z: frame.z - 1,
+                        ..next
+                    });
+                }
+            }
+            stack.extend(match_branch);
+        }
+        (sorted_hits(best), lfm_calls)
+    }
+
+    fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
+        proptest::collection::vec(0u8..4, min..max)
+            .prop_map(|v| v.into_iter().map(|r| Base::from_rank(r as usize)).collect())
+    }
+
+    /// A 16-base window of `reference` with every code of `edits` applied
+    /// (`code % 3`: substitute, insert, delete; the rest picks the base
+    /// and the place), reverse-complemented if asked. The generator of
+    /// `platform_properties::platform_inexact_equals_software_on_mutated_reads`.
+    fn edited_read(reference: &DnaSeq, start_frac: f64, edits: &[u32], reverse: bool) -> DnaSeq {
+        let len = 16.min(reference.len());
+        let start = ((reference.len() - len) as f64 * start_frac) as usize;
+        let mut bases = reference.subseq(start..start + len).into_bases();
+        for &code in edits {
+            let base = Base::from_rank((code / 3 % 4) as usize);
+            let at = (code / 12) as usize % bases.len();
+            match code % 3 {
+                0 => bases[at] = base,
+                1 => bases.insert(at, base),
+                _ if bases.len() > 1 => drop(bases.remove(at)),
+                _ => {}
+            }
+        }
+        let read = DnaSeq::from_bases(bases);
+        if reverse {
+            read.reverse_complement()
+        } else {
+            read
+        }
+    }
+
+    /// Fewest edits turning `read` into some substring of `reference`
+    /// (Sellers' dynamic programme: a free start and end in the
+    /// reference).
+    fn min_edits_to_any_substring(reference: &DnaSeq, read: &[Base]) -> usize {
+        let mut row = vec![0usize; reference.len() + 1];
+        for (r, &base) in read.iter().enumerate() {
+            let mut diagonal = row[0];
+            row[0] = r + 1;
+            for j in 1..=reference.len() {
+                let substitute = diagonal + usize::from(reference[j - 1] != base);
+                diagonal = row[j];
+                row[j] = substitute.min(row[j] + 1).min(row[j - 1] + 1);
+            }
+        }
+        row.into_iter().min().expect("row holds column 0")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn search_equals_eager_reference_and_never_costs_more(
+            reference in arb_seq(20, 200),
+            start_frac in 0.0f64..1.0,
+            edits in proptest::collection::vec(any::<u32>(), 0..5),
+            reverse in any::<bool>(),
+            z in 0u8..3,
+            indels in any::<bool>(),
+        ) {
+            let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+            let read = edited_read(&reference, start_frac, &edits, reverse);
+            let budget = if indels {
+                EditBudget::edits(z)
+            } else {
+                EditBudget::substitutions_only(z)
+            };
+            let (eager_first, eager_first_lfm) =
+                eager_reference(&mapped, &mut injector, &read, budget, &mut ledger, true);
+            let (first, stats) =
+                inexact_search_first(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+            prop_assert_eq!(first, eager_first.first().copied());
+            prop_assert!(
+                stats.lfm_calls <= eager_first_lfm,
+                "first-accept issued {} LFMs, the eager DFS {}",
+                stats.lfm_calls,
+                eager_first_lfm
+            );
+            prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+            let (eager_all, _) =
+                eager_reference(&mapped, &mut injector, &read, budget, &mut ledger, false);
+            let (all, _) =
+                inexact_search(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+            prop_assert_eq!(all, eager_all);
+        }
+
+        #[test]
+        fn lower_bound_never_exceeds_the_true_edit_distance(
+            reference in arb_seq(8, 120),
+            read in arb_seq(1, 24),
+        ) {
+            let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+            let budget = EditBudget::edits(EditBudget::MAX_DIFFS);
+            let mut search =
+                Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+            let within_budget = search.lower_bound();
+            prop_assert!(search.stats.lfm_calls <= 2 * read.len() as u64);
+            let bases = read.clone().into_bases();
+            if !within_budget {
+                let truth = min_edits_to_any_substring(&reference, &bases);
+                prop_assert!(truth > EditBudget::MAX_DIFFS as usize, "rejected at {} edits", truth);
+            }
+            // A rejecting pass stops early and leaves `d` an under-count.
+            for (i, &bound) in search.d.iter().enumerate() {
+                let truth = min_edits_to_any_substring(&reference, &bases[..=i]);
+                prop_assert!(
+                    bound as usize <= truth,
+                    "d[{}] = {} but read[0..={}] aligns with {} edits",
+                    i, bound, i, truth
+                );
+            }
+        }
     }
 
     #[test]
@@ -264,7 +608,34 @@ mod tests {
         );
         assert!(s2.lfm_calls > s0.lfm_calls);
         assert!(s2.states_explored > s0.states_explored);
-        assert!(s2.max_stack_depth >= s0.max_stack_depth);
+        // No budget, no alternative to come back to: nothing is saved.
+        assert_eq!(s0.max_stack_depth, 0);
+        // With a budget every state of the match path is saved at once.
+        assert_eq!(s2.max_stack_depth, read.len());
+    }
+
+    #[test]
+    fn max_stack_depth_is_the_register_file_occupancy() {
+        let reference = genome::uniform(4_000, 27);
+        let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+        // One substitution at position 30 of 40: the bound forbids any
+        // alternative left of it once it is paid for, so the accepted
+        // path holds the 9 frames right of it, the one that paid, and
+        // nothing after.
+        let mut bases = reference.subseq(1_000..1_040).into_bases();
+        bases[30] = Base::from_rank((bases[30].rank() + 1) % 4);
+        let read = DnaSeq::from_bases(bases);
+        let (hit, stats) = inexact_search_first(
+            &mapped,
+            &mut injector,
+            &mut dpu,
+            &read,
+            EditBudget::substitutions_only(1),
+            &mut ledger,
+        );
+        assert_eq!(hit.expect("one substitution is in budget").diffs, 1);
+        assert_eq!(stats.max_stack_depth, 10);
+        assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
     }
 
     #[test]
@@ -295,8 +666,8 @@ mod tests {
 
     #[test]
     fn first_accept_cost_is_linear_in_read_length() {
-        // The production mode must stay O(m)-ish on a clean read: the
-        // match-first DFS walks straight down.
+        // On a clean read the production mode pays the lower-bound pass
+        // and one straight match descent, two LFMs a base each.
         let reference = genome::uniform(8_000, 26);
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = reference.subseq(2_000..2_100);
@@ -309,12 +680,52 @@ mod tests {
             &mut ledger,
         );
         assert!(hit.is_some());
-        // 8 LFMs per level (4 bases × 2 bounds) + bounded backtracking.
         assert!(
-            stats.lfm_calls < 20 * read.len() as u64,
+            stats.lfm_calls <= 4 * read.len() as u64,
             "first-accept LFM count {} too high",
             stats.lfm_calls
         );
+    }
+
+    #[test]
+    fn wrong_strand_read_is_rejected_by_the_bound_pass() {
+        let reference = genome::uniform(200_000, 28);
+        let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+        let read = reference.subseq(50_000..50_100).reverse_complement();
+        let (hit, stats) = inexact_search_first(
+            &mapped,
+            &mut injector,
+            &mut dpu,
+            &read,
+            EditBudget::edits(2),
+            &mut ledger,
+        );
+        assert_eq!(hit, None);
+        assert_eq!(stats.states_explored, 0, "the DFS must not start");
+        assert!(
+            stats.lfm_calls <= 2 * read.len() as u64,
+            "wrong-strand read cost {} LFMs",
+            stats.lfm_calls
+        );
+    }
+
+    #[test]
+    fn three_spread_differences_at_z2_are_rejected_by_the_bound_pass() {
+        let reference = genome::uniform(8_000, 29);
+        let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+        let mut bases = reference.subseq(3_000..3_100).into_bases();
+        for at in [25, 50, 75] {
+            bases[at] = Base::from_rank((bases[at].rank() + 1) % 4);
+        }
+        let read = DnaSeq::from_bases(bases);
+        let budget = EditBudget::edits(2);
+        let (hit, stats) =
+            inexact_search_first(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+        assert_eq!(hit, None);
+        assert_eq!(stats.states_explored, 0, "the DFS must not start");
+        assert!(stats.lfm_calls <= 2 * read.len() as u64);
+        // The software oracle, which searches exhaustively, agrees.
+        assert!(mapped.index().search_inexact(&read, budget).is_empty());
     }
 
     #[test]

@@ -63,7 +63,8 @@ proptest! {
     fn platform_inexact_equals_software_on_mutated_reads(
         reference in arb_seq(20, 200),
         start_frac in 0.0f64..1.0,
-        mutate_at in 0usize..12,
+        edits in proptest::collection::vec(any::<u32>(), 0..5),
+        reverse in any::<bool>(),
         z in 0u8..3,
     ) {
         let config = PimAlignerConfig::baseline();
@@ -72,13 +73,26 @@ proptest! {
         let mut injector = mapped.session_injector();
         let mut dpu = Dpu::new(*config.model());
         let mut ledger = CycleLedger::new();
-        let len = 12.min(reference.len());
+        let len = 16.min(reference.len());
         let start = ((reference.len() - len) as f64 * start_frac) as usize;
         let mut bases = reference.subseq(start..start + len).into_bases();
-        let k = mutate_at % bases.len();
-        bases[k] = Base::from_rank((bases[k].rank() + 1) % 4);
-        let read = DnaSeq::from_bases(bases);
-        let budget = EditBudget::substitutions_only(z);
+        // Each code is one edit: `code % 3` substitutes, inserts or
+        // deletes; the rest picks the base and the place.
+        for code in edits {
+            let base = Base::from_rank((code / 3 % 4) as usize);
+            let at = (code / 12) as usize % bases.len();
+            match code % 3 {
+                0 => bases[at] = base,
+                1 => bases.insert(at, base),
+                _ if bases.len() > 1 => drop(bases.remove(at)),
+                _ => {}
+            }
+        }
+        let mut read = DnaSeq::from_bases(bases);
+        if reverse {
+            read = read.reverse_complement();
+        }
+        let budget = EditBudget::edits(z);
         let (hw, _) = pim_aligner::inexact_search(
             &mapped, &mut injector, &mut dpu, &read, budget, &mut ledger,
         );

@@ -101,6 +101,54 @@ fn recovery_restores_accuracy_under_active_campaign() {
 }
 
 #[test]
+fn bound_pruned_unmapped_climbs_the_ladder_under_a_campaign() {
+    const PRUNED: usize = 30;
+    // Three evenly spread substitutions: at the base budget z = 2 the
+    // inexact stage's lower-bound pass rejects the read before any
+    // backtracking, so every base-budget rung comes up `Unmapped`.
+    let reference = genome::uniform(40_000, 213);
+    let (clean, mut truth) = reads_with_truth(&reference);
+    truth.truncate(PRUNED);
+    let reads: Vec<DnaSeq> = clean
+        .into_iter()
+        .take(PRUNED)
+        .map(|read| {
+            let mut bases = read.into_bases();
+            for at in [20, 40, 60] {
+                bases[at] = bioseq::Base::from_rank((bases[at].rank() + 1) % 4);
+            }
+            DnaSeq::from_bases(bases)
+        })
+        .collect();
+
+    // Fault-free, that `Unmapped` is the truth at z = 2 and is trusted:
+    // the ladder short-circuits, and the pass cost at most 2·m LFMs on
+    // top of the exact stage's.
+    let config = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
+    let quiet = PimAligner::new(&reference, config).align_batch(&reads);
+    assert!(quiet.outcomes.iter().all(|o| o.positions().is_none()));
+    assert_eq!(quiet.report.faults.escalations, 0);
+    assert!(
+        quiet.report.lfm_calls <= (PRUNED * 4 * READ_LEN) as u64,
+        "{} LFMs: the bound pass did not prune",
+        quiet.report.lfm_calls
+    );
+
+    // Under a campaign the pass draws from the read's fault stream like
+    // any other `LFM`, so the same `Unmapped` could be a corrupted bound
+    // and is not trusted: both retries run, then the z = 3 rung (or the
+    // host) places the read.
+    let (accuracy, t) = placement_accuracy(&reference, &reads, &truth, RecoveryPolicy::standard());
+    assert!(
+        accuracy >= 0.99,
+        "recovery must place >= 99% of reads correctly, got {accuracy}"
+    );
+    assert_eq!(t.retries, 2 * PRUNED as u64, "{t:?}");
+    assert_eq!(t.escalations, PRUNED as u64, "{t:?}");
+    assert_eq!(t.unrecoverable, 0);
+}
+
+#[test]
 fn recovered_run_replays_identically() {
     let reference = genome::uniform(20_000, 212);
     let (reads, _) = reads_with_truth(&reference);

@@ -214,52 +214,6 @@ fn metrics_json_is_valid_and_reconciles() {
 }
 
 #[test]
-fn v1_fixture_still_parses_and_is_a_schema_subset() {
-    // Back-compat: a consumer that reads v1 fields by name keeps working
-    // on v2 documents. The committed v1 fixture (a pre-v2 CLI run over
-    // this exact workload) must parse, and every v1 leaf path must still
-    // exist in a fresh v2 document — v2 only *adds* paths.
-    let fixture_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics_v1.json");
-    let text = std::fs::read_to_string(fixture_path).expect("v1 fixture readable");
-    let v1 = json::parse(&text).expect("v1 fixture parses");
-    assert_eq!(as_u64(&v1, "schema_version"), 1);
-    assert_eq!(as_u64(&v1, "report.queries"), 2);
-    assert!(as_u64(&v1, "breakdown.total_busy_cycles") > 0);
-
-    // The fixture predates the interleaved batch kernel, whose shared
-    // plane loads legitimately charge fewer cycles; --kernel-batch 1 is
-    // the single-read path the fixture recorded.
-    let v2 = run_with_metrics(&["--kernel-batch", "1"]);
-    let v2_paths = v2.schema_paths();
-    for path in v1.schema_paths() {
-        if path == "schema_version" {
-            continue;
-        }
-        assert!(
-            v2_paths.contains(&path),
-            "v1 path {path} vanished from the v2 document — v2 must be a strict superset"
-        );
-    }
-
-    // And on the shared workload the simulated quantities are unchanged:
-    // adding host telemetry moved no simulated cycle.
-    for path in [
-        "report.queries",
-        "report.lfm_calls",
-        "breakdown.total_busy_cycles",
-        "breakdown.primitive_cycles_total",
-        "breakdown.subarray_activations",
-        "breakdown.lfm_calls",
-    ] {
-        assert_eq!(
-            v2.get(path).and_then(Value::as_u64),
-            v1.get(path).and_then(Value::as_u64),
-            "simulated quantity {path} drifted from the v1 fixture"
-        );
-    }
-}
-
-#[test]
 fn metrics_schema_matches_golden_file() {
     let doc = run_with_metrics(&[]);
     let actual = doc.schema_paths().join("\n") + "\n";
