@@ -10,13 +10,18 @@
 //!
 //! * `build_ms`: `IndexArtifact::build` (SA-IS + BWT + tables per
 //!   shard) — what a cold start pays every run;
-//! * `load_ms`: `IndexArtifact::load_from_path` (deserialise +
-//!   checksum + Occ rebuild) — what the warm path pays instead;
+//! * `load_ms`: `IndexArtifact::load_from_path` (checksums, table
+//!   decode, and one pass over the BWT recounting the marker
+//!   check-points to cross-check the stored ones) — what the warm path
+//!   pays instead;
 //! * `boot_ms`: the sub-array mapping, which both paths pay identically
 //!   and which therefore stays out of `load_speedup = build / load`;
 //! * the serialised footprint against the `size_model` prediction
 //!   (`model_rel_err` — the save format and the model share the exact
 //!   byte accounting, so any drift is a bug, not noise);
+//! * `peak_rss_mb`: the process's resident high-water mark (`VmHWM`)
+//!   after the row — rows run small to large, so it is the row's own
+//!   peak; `null` where the host does not report it;
 //! * on the smallest genome, byte-identity of sharded vs unsharded SAM
 //!   output over a reads-with-errors workload (`sam_identical`).
 //!
@@ -47,6 +52,8 @@ struct SweepRow {
     bytes_per_bp: f64,
     model_bytes: usize,
     model_rel_err: f64,
+    /// `VmHWM` once the row has run, in units of 2^20 bytes.
+    peak_rss_mb: Option<f64>,
 }
 
 fn ms(t0: Instant) -> f64 {
@@ -66,6 +73,11 @@ fn sweep_point(genome_len: usize, sa_rate: u32, scratch: &PathBuf) -> SweepRow {
     let t0 = Instant::now();
     artifact.save_to_path(scratch).expect("save artifact");
     let save_ms = ms(t0);
+    let index_bytes = artifact.index_bytes();
+    let model_bytes = artifact.model_bytes();
+    // A warm boot is another process's: the built artifact must not be
+    // resident under the load it is compared with.
+    drop(artifact);
 
     let t0 = Instant::now();
     let loaded = IndexArtifact::load_from_path(scratch).expect("load artifact");
@@ -77,8 +89,6 @@ fn sweep_point(genome_len: usize, sa_rate: u32, scratch: &PathBuf) -> SweepRow {
     let boot_ms = ms(t0);
     let _ = std::fs::remove_file(scratch);
 
-    let index_bytes = artifact.index_bytes();
-    let model_bytes = artifact.model_bytes();
     let model_rel_err = index_bytes.abs_diff(model_bytes) as f64 / model_bytes as f64;
     SweepRow {
         genome_len,
@@ -92,6 +102,7 @@ fn sweep_point(genome_len: usize, sa_rate: u32, scratch: &PathBuf) -> SweepRow {
         bytes_per_bp: index_bytes as f64 / genome_len as f64,
         model_bytes,
         model_rel_err,
+        peak_rss_mb: pimsim::peak_rss_bytes().map(|b| b as f64 / f64::from(1u32 << 20)),
     }
 }
 
@@ -168,14 +179,17 @@ fn main() {
         let row = sweep_point(genome_len, sa_rate, &scratch);
         eprintln!(
             "indexbench: {genome_len} bp @ SA rate {sa_rate}: build {:.1} ms, save {:.1} ms, \
-             load {:.1} ms ({:.1}x faster), boot {:.1} ms, {:.2} bytes/bp, model err {:.2e}",
+             load {:.1} ms ({:.1}x faster), boot {:.1} ms, {:.2} bytes/bp, model err {:.2e}, \
+             peak RSS {} MB",
             row.build_ms,
             row.save_ms,
             row.load_ms,
             row.load_speedup,
             row.boot_ms,
             row.bytes_per_bp,
-            row.model_rel_err
+            row.model_rel_err,
+            row.peak_rss_mb
+                .map_or("?".to_owned(), |mb| format!("{mb:.0}")),
         );
         rows.push(row);
     }
@@ -202,7 +216,7 @@ fn main() {
                  \"save_ms\": {:.3}, \"load_ms\": {:.3}, \"boot_ms\": {:.3}, \
                  \"load_speedup\": {:.3}, \
                  \"index_bytes\": {}, \"bytes_per_bp\": {:.4}, \"model_bytes\": {}, \
-                 \"model_rel_err\": {:.6} }}",
+                 \"model_rel_err\": {:.6}, \"peak_rss_mb\": {} }}",
                 r.genome_len,
                 r.sa_rate,
                 r.build_ms,
@@ -214,6 +228,8 @@ fn main() {
                 r.bytes_per_bp,
                 r.model_bytes,
                 r.model_rel_err,
+                r.peak_rss_mb
+                    .map_or("null".to_owned(), |mb| format!("{mb:.1}")),
             )
         })
         .collect::<Vec<_>>()

@@ -54,6 +54,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use bioseq::{Base, DnaSeq};
 use fmindex::io as fm_io;
@@ -73,18 +74,6 @@ pub const ARTIFACT_MAGIC: &[u8; 8] = b"PIMAIX1\n";
 /// Suffix-array sampling rates [`sa_rate_for_budget`] considers, best
 /// (densest) first.
 pub const BUDGET_RATES: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
-    let mut d = digest;
-    for &b in bytes {
-        d ^= b as u64;
-        d = d.wrapping_mul(FNV_PRIME);
-    }
-    d
-}
 
 /// Why an artifact stream could not be loaded.
 #[derive(Debug)]
@@ -140,8 +129,9 @@ impl From<fm_io::LoadIndexError> for LoadArtifactError {
 pub struct ArtifactShard {
     /// First reference position this shard owns (== start of its slice).
     start: usize,
-    /// The index over `reference[start .. start + slice_len]`.
-    index: FmIndex,
+    /// The index over `reference[start .. start + slice_len]`, shared
+    /// with every platform booted from this shard.
+    index: Arc<FmIndex>,
 }
 
 impl ArtifactShard {
@@ -203,18 +193,28 @@ impl IndexArtifact {
         } else {
             SaStorage::Sampled(sa_rate)
         };
+        let builder = FmIndex::builder()
+            .bucket_width(SubArrayLayout::BASES_PER_ROW)
+            .sa_storage(storage);
         let count = reference.len().div_ceil(window);
         let mut shards = Vec::with_capacity(count);
         for i in 0..count {
             let start = i * window;
             let slice_end = (start + window + overlap).min(reference.len());
-            let slice = reference.subseq(start..slice_end);
-            let index = FmIndex::builder()
-                .bucket_width(SubArrayLayout::BASES_PER_ROW)
-                .sa_storage(storage)
-                .build(&slice);
-            shards.push(ArtifactShard { start, index });
+            // An unsharded artifact indexes the reference itself, not a
+            // full-length copy of it.
+            let index = if count == 1 {
+                builder.clone().build(reference)
+            } else {
+                builder.clone().build(&reference.subseq(start..slice_end))
+            };
+            shards.push(ArtifactShard {
+                start,
+                index: Arc::new(index),
+            });
         }
+        // The artifact's own copy of the reference is made only now, so
+        // it is not resident while SA-IS runs.
         IndexArtifact {
             reference_name: reference_name.to_string(),
             reference: reference.clone(),
@@ -280,31 +280,39 @@ impl IndexArtifact {
     }
 
     /// Serialises the artifact: magic, body, trailing FNV-1a-64 checksum.
+    /// The body is hashed as it is written — never staged in memory.
     pub fn save<W: Write>(&self, mut writer: W) -> io::Result<()> {
         writer.write_all(ARTIFACT_MAGIC)?;
-        let mut body = Vec::new();
+        let mut body = fm_io::HashingWriter::new(&mut writer);
         self.save_body(&mut body)?;
-        writer.write_all(&body)?;
-        writer.write_all(&fnv1a(FNV_OFFSET, &body).to_le_bytes())?;
+        let digest = body.digest();
+        writer.write_all(&digest.to_le_bytes())?;
         writer.flush()
     }
 
-    fn save_body(&self, body: &mut Vec<u8>) -> io::Result<()> {
+    fn save_body<W: Write>(&self, body: &mut fm_io::HashingWriter<W>) -> io::Result<()> {
         let name = self.reference_name.as_bytes();
-        body.extend_from_slice(&(name.len() as u64).to_le_bytes());
-        body.extend_from_slice(name);
-        body.extend_from_slice(&(self.reference.len() as u64).to_le_bytes());
-        body.extend_from_slice(self.reference.to_packed().as_bytes());
-        body.extend_from_slice(&self.sa_rate.to_le_bytes());
-        body.extend_from_slice(&(self.shard_window as u64).to_le_bytes());
-        body.extend_from_slice(&(self.shard_overlap as u64).to_le_bytes());
-        body.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
+        body.write_all(&(name.len() as u64).to_le_bytes())?;
+        body.write_all(name)?;
+        body.write_all(&(self.reference.len() as u64).to_le_bytes())?;
+        body.write_all(self.reference.to_packed().as_bytes())?;
+        body.write_all(&self.sa_rate.to_le_bytes())?;
+        body.write_all(&(self.shard_window as u64).to_le_bytes())?;
+        body.write_all(&(self.shard_overlap as u64).to_le_bytes())?;
+        body.write_all(&(self.shards.len() as u64).to_le_bytes())?;
         for shard in &self.shards {
-            body.extend_from_slice(&(shard.start as u64).to_le_bytes());
-            let mut stream = Vec::new();
-            fm_io::save(&shard.index, &mut stream)?;
-            body.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-            body.extend_from_slice(&stream);
+            body.write_all(&(shard.start as u64).to_le_bytes())?;
+            let stream_len = fm_io::stream_len(&shard.index) as u64;
+            body.write_all(&stream_len.to_le_bytes())?;
+            let stream_start = body.written();
+            fm_io::save(&shard.index, &mut *body)?;
+            // The length prefix was written before the stream it
+            // describes; a loader trusts it to find the next shard.
+            if body.written() - stream_start != stream_len {
+                return Err(io::Error::other(
+                    "index stream length differs from its length prefix",
+                ));
+            }
         }
         Ok(())
     }
@@ -347,7 +355,7 @@ impl IndexArtifact {
         }
         let (body, trailer) = rest.split_at(rest.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if fnv1a(FNV_OFFSET, body) != stored {
+        if fm_io::fnv1a(body) != stored {
             return Err(LoadArtifactError::Corrupt("checksum mismatch".to_string()));
         }
         Self::parse_body(body)
@@ -369,10 +377,17 @@ impl IndexArtifact {
             return Err(LoadArtifactError::Corrupt("empty reference".to_string()));
         }
         let packed = cursor.bytes(ref_len.div_ceil(4), "reference")?;
-        let mut bases = Vec::with_capacity(ref_len);
-        for i in 0..ref_len {
-            bases.push(Base::from_code((packed[i / 4] >> ((i % 4) * 2)) & 0b11));
+        // One packed byte is four 2-bit base codes, low bits first.
+        let mut bases = Vec::with_capacity(packed.len() * 4);
+        for &byte in packed {
+            bases.extend_from_slice(&[
+                Base::from_code(byte),
+                Base::from_code(byte >> 2),
+                Base::from_code(byte >> 4),
+                Base::from_code(byte >> 6),
+            ]);
         }
+        bases.truncate(ref_len);
         let reference = DnaSeq::from_bases(bases);
         let sa_rate = cursor.u32("SA rate")?;
         if sa_rate == 0 {
@@ -387,7 +402,9 @@ impl IndexArtifact {
                  over {ref_len} bases"
             )));
         }
-        let mut shards = Vec::with_capacity(shard_count);
+        // Grown per parsed shard: the count is a header field, the
+        // shards behind it may not be there.
+        let mut shards = Vec::new();
         for i in 0..shard_count {
             let start = cursor.u64("shard start")? as usize;
             if start != i * shard_window {
@@ -398,15 +415,22 @@ impl IndexArtifact {
             }
             let stream_len = cursor.u64("shard byte length")? as usize;
             let stream = cursor.bytes(stream_len, "shard index stream")?;
-            let index = fm_io::load(stream)?;
-            let slice_len = (start + shard_window + shard_overlap).min(ref_len) - start;
+            let index = fm_io::load_bytes(stream)?;
+            let slice_len = start
+                .saturating_add(shard_window)
+                .saturating_add(shard_overlap)
+                .min(ref_len)
+                - start;
             if index.reference_len() != slice_len {
                 return Err(LoadArtifactError::Corrupt(format!(
                     "shard {i} indexes {} bases, expected {slice_len}",
                     index.reference_len()
                 )));
             }
-            shards.push(ArtifactShard { start, index });
+            shards.push(ArtifactShard {
+                start,
+                index: Arc::new(index),
+            });
         }
         if cursor.pos != body.len() {
             return Err(LoadArtifactError::Corrupt(
@@ -493,7 +517,8 @@ pub struct ShardedPlatform {
 
 impl ShardedPlatform {
     /// Boots warm platforms from the artifact: only the sub-array
-    /// mapping runs per shard; the FM-indexes are taken as-is.
+    /// mapping runs per shard; each platform shares its shard's
+    /// FM-index with the artifact rather than copying it.
     ///
     /// `loaded` records provenance for telemetry — pass `true` when the
     /// artifact came off disk, `false` when it was just built in-process.
@@ -512,7 +537,7 @@ impl ShardedPlatform {
             let slice_end =
                 (start + artifact.shard_window() + artifact.shard_overlap()).min(reference.len());
             let slice = reference.subseq(start..slice_end);
-            let platform = Platform::from_index(slice, shard.index().clone(), config.clone());
+            let platform = Platform::from_index(slice, Arc::clone(&shard.index), config.clone());
             shards.push(ShardRuntime {
                 start,
                 owned_end,
@@ -865,6 +890,50 @@ mod tests {
         let mut extended = buffer.clone();
         extended.extend_from_slice(b"EXTRA");
         assert!(IndexArtifact::load(&extended[..]).is_err());
+    }
+
+    /// A checksum only proves the bytes are the ones written; a writer
+    /// can still declare lengths it does not back. The declared
+    /// reference here is 2³¹ bases in a stream of under 64 bytes.
+    #[test]
+    fn inflated_reference_length_is_truncation() {
+        let mut stream = ARTIFACT_MAGIC.to_vec();
+        stream.extend_from_slice(&1u64.to_le_bytes());
+        stream.push(b'r');
+        stream.extend_from_slice(&(1u64 << 31).to_le_bytes());
+        stream.extend_from_slice(&[0u8; 8]);
+        let digest = fm_io::fnv1a(&stream[8..]);
+        stream.extend_from_slice(&digest.to_le_bytes());
+        assert!(stream.len() <= 64);
+        match IndexArtifact::load(&stream[..]).unwrap_err() {
+            LoadArtifactError::Corrupt(msg) => assert_eq!(msg, "truncated in reference"),
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
+
+    /// The bytes an artifact serialises to are a contract with every
+    /// artifact already on disk: length and trailing checksum of four
+    /// geometries, as they have been since the format was introduced.
+    #[test]
+    fn saved_bytes_are_golden() {
+        let reference = genome::uniform(50_000, 7);
+        for (rate, window, overlap, len, trailer) in [
+            (1, 0, 0, 231_416, 0x0330_267f_c9cd_0f14u64),
+            (8, 0, 0, 81_432, 0x60cf_cd7c_b517_de00),
+            (8, 20_000, 512, 83_092, 0x06d6_5748_ae3e_5278),
+            (32, 0, 0, 43_928, 0xc266_4bcf_300d_7b9a),
+        ] {
+            let mut bytes = Vec::new();
+            IndexArtifact::build("golden", &reference, rate, window, overlap)
+                .save(&mut bytes)
+                .expect("save");
+            let (_, tail) = bytes.split_at(bytes.len() - 8);
+            assert_eq!(
+                (bytes.len(), u64::from_le_bytes(tail.try_into().unwrap())),
+                (len, trailer),
+                "rate {rate} window {window} overlap {overlap}"
+            );
+        }
     }
 
     #[test]

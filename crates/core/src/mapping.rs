@@ -9,6 +9,7 @@
 //! `IM_ADD` all happen inside one sub-array.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bioseq::{Base, DnaSeq};
 use fmindex::{FmIndex, SaInterval};
@@ -139,7 +140,9 @@ impl Default for LfmBatchScratch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappedIndex {
-    index: FmIndex,
+    /// Shared, not owned: a platform booted from an artifact maps the
+    /// artifact's own index instead of a copy of it.
+    index: Arc<FmIndex>,
     subarrays: Vec<SubArray>,
     /// Mirror sub-arrays for method-II (empty for method-I).
     mirrors: Vec<SubArray>,
@@ -168,8 +171,9 @@ impl MappedIndex {
         MappedIndex::from_index(index, config)
     }
 
-    /// Maps an already-built FM-index — e.g. one deserialised from a
-    /// [`fmindex::io`] artifact — into sub-arrays, skipping the index
+    /// Maps an already-built FM-index — owned, or shared as an
+    /// `Arc<FmIndex>` with e.g. the [`fmindex::io`] artifact it was
+    /// deserialised from — into sub-arrays, skipping the index
     /// construction itself. The mapping (table loads, mirrors, stuck-cell
     /// injection) is identical to [`MappedIndex::build`], so a loaded
     /// index produces the same sub-array state and mapping ledger as an
@@ -179,7 +183,8 @@ impl MappedIndex {
     ///
     /// Panics if the index's bucket width is not 128 (one sub-array word
     /// line) — the mapping's bucket-per-row correspondence requires it.
-    pub fn from_index(index: FmIndex, config: &PimAlignerConfig) -> MappedIndex {
+    pub fn from_index(index: impl Into<Arc<FmIndex>>, config: &PimAlignerConfig) -> MappedIndex {
+        let index: Arc<FmIndex> = index.into();
         BUILD_COUNT.fetch_add(1, Ordering::SeqCst);
         assert_eq!(
             index.bucket_width(),

@@ -69,7 +69,8 @@ impl Platform {
     /// Builds the platform around an already-constructed FM-index — the
     /// warm-boot path used when loading a serialised artifact. Only the
     /// sub-array mapping runs; the index construction (SA-IS, BWT,
-    /// tables) is skipped entirely.
+    /// tables) is skipped entirely, and an index passed as
+    /// `Arc<FmIndex>` is shared, not copied.
     ///
     /// # Panics
     ///
@@ -77,9 +78,10 @@ impl Platform {
     /// mismatch) or its bucket width is not 128.
     pub fn from_index(
         reference: DnaSeq,
-        index: fmindex::FmIndex,
+        index: impl Into<Arc<fmindex::FmIndex>>,
         config: PimAlignerConfig,
     ) -> Platform {
+        let index: Arc<fmindex::FmIndex> = index.into();
         assert_eq!(
             index.reference_len(),
             reference.len(),

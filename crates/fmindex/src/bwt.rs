@@ -40,13 +40,13 @@ impl Bwt {
     /// # Panics
     ///
     /// Panics if `sa` is not a permutation of `0..text.len()`.
-    pub fn from_sa(text: &Text, sa: &[usize]) -> Bwt {
+    pub fn from_sa(text: &Text, sa: &[u32]) -> Bwt {
         assert_eq!(sa.len(), text.len(), "suffix array length mismatch");
         let n = text.len();
         let mut ranks = Vec::with_capacity(n);
         let mut sentinel_pos = usize::MAX;
         for (i, &p) in sa.iter().enumerate() {
-            let prev = if p == 0 { n - 1 } else { p - 1 };
+            let prev = if p == 0 { n - 1 } else { p as usize - 1 };
             let r = text.rank(prev);
             if r == 0 {
                 sentinel_pos = i;

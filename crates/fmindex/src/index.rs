@@ -9,7 +9,7 @@ use crate::inexact::{search_inexact, EditBudget, InexactHit};
 use crate::locate::{locate, SuffixArraySamples};
 use crate::sa::suffix_array;
 use crate::search::{backward_search, SaInterval};
-use crate::tables::{CountTable, MarkerTable, OccTable, SampledOcc};
+use crate::tables::{CountTable, MarkerTable, SampledOcc};
 use crate::text::Text;
 
 /// How the suffix array is retained for `locate` queries.
@@ -28,8 +28,8 @@ pub enum SaStorage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexBuildError {
     /// The reference exceeds [`FmIndex::MAX_REFERENCE_LEN`]. Text
-    /// positions are stored as `u32` with `u32::MAX` reserved as the
-    /// unsampled-SA sentinel, so the text (reference + sentinel) must
+    /// positions are stored as `u32` with `u32::MAX` reserved (SA-IS
+    /// marks empty slots with it), so the text (reference + sentinel) must
     /// fit in `u32::MAX` rows.
     ReferenceTooLong {
         /// The offending reference length, bases.
@@ -130,7 +130,7 @@ impl FmIndexBuilder {
     ///
     /// [`IndexBuildError::ReferenceTooLong`] when the reference exceeds
     /// [`FmIndex::MAX_REFERENCE_LEN`] (text positions are `u32` with
-    /// `u32::MAX` reserved as the unsampled-SA sentinel).
+    /// `u32::MAX` reserved as SA-IS's empty-slot mark).
     pub fn try_build(self, reference: &DnaSeq) -> Result<FmIndex, IndexBuildError> {
         if reference.len() > FmIndex::MAX_REFERENCE_LEN {
             return Err(IndexBuildError::ReferenceTooLong {
@@ -140,19 +140,18 @@ impl FmIndexBuilder {
         let text = Text::from_reference(reference);
         let sa = suffix_array(&text);
         let bwt = Bwt::from_sa(&text, &sa);
+        drop(text);
         let count = CountTable::from_bwt(&bwt);
-        let occ = OccTable::from_bwt(&bwt);
-        let sampled = SampledOcc::from_occ(&occ, self.bucket_width);
+        let sampled = SampledOcc::from_bwt(&bwt, self.bucket_width);
         let marker = MarkerTable::new(&count, &sampled);
         let samples = match self.sa_storage {
-            SaStorage::Full => SuffixArraySamples::full(&sa),
-            SaStorage::Sampled(rate) => SuffixArraySamples::sampled(&sa, rate),
+            SaStorage::Full => SuffixArraySamples::full(sa),
+            SaStorage::Sampled(rate) => SuffixArraySamples::sampled(sa, rate),
         };
         Ok(FmIndex {
-            text_len: text.len(),
+            text_len: bwt.len(),
             bwt,
             count,
-            occ,
             marker,
             samples,
         })
@@ -185,7 +184,6 @@ pub struct FmIndex {
     text_len: usize,
     bwt: Bwt,
     count: CountTable,
-    occ: OccTable,
     marker: MarkerTable,
     samples: SuffixArraySamples,
 }
@@ -197,7 +195,7 @@ impl FmIndex {
 
     /// Longest supported reference, bases. Text positions (reference +
     /// one sentinel) are stored as `u32` and `u32::MAX` is reserved as
-    /// the unsampled-SA sentinel, so the text may hold at most
+    /// SA-IS's empty-slot mark, so the text may hold at most
     /// `u32::MAX` rows — a reference of `u32::MAX − 1` bases. Covers any
     /// single chromosome (Hg19's largest is ~249 Mbp; the whole 3.2 Gbp
     /// genome is indexed per-chromosome or sharded).
@@ -243,11 +241,6 @@ impl FmIndex {
         &self.marker
     }
 
-    /// The full Occ table (used by locate's LF-stepping and by oracles).
-    pub fn occ_table(&self) -> &OccTable {
-        &self.occ
-    }
-
     /// The suffix-array storage.
     pub fn sa_samples(&self) -> &SuffixArraySamples {
         &self.samples
@@ -270,7 +263,7 @@ impl FmIndex {
     ///
     /// Panics if the interval is out of range for this index.
     pub fn locate(&self, interval: SaInterval) -> Vec<usize> {
-        locate(&self.samples, &self.bwt, &self.count, &self.occ, interval)
+        locate(&self.samples, &self.bwt, &self.marker, interval)
     }
 
     /// Exact search returning reference positions directly.
@@ -309,8 +302,8 @@ impl FmIndex {
     }
 
     /// Reassembles an index from its stored tables (the `io::load`
-    /// path), rebuilding the derived Occ table and cross-checking the
-    /// stored Count and Marker tables against recomputed values.
+    /// path), cross-checking the stored Count and Marker tables against
+    /// values recomputed from the BWT.
     ///
     /// # Errors
     ///
@@ -321,35 +314,40 @@ impl FmIndex {
         packed_bwt: &[u8],
         stored_count: [u32; 4],
         bucket_width: usize,
-        stored_markers: Vec<u32>,
+        stored_markers: impl Iterator<Item = u32>,
         samples: SuffixArraySamples,
     ) -> Result<FmIndex, String> {
-        let mut ranks = Vec::with_capacity(text_len);
-        for i in 0..text_len {
-            if i == sentinel_pos {
-                ranks.push(0);
-                continue;
-            }
-            let byte = packed_bwt[i / 4];
-            let code = (byte >> ((i % 4) * 2)) & 0b11;
-            ranks.push(bioseq::Base::from_code(code).rank() as u8 + 1);
+        // One packed byte is four 2-bit base codes, low bits first.
+        let rank_of = [0u8, 1, 2, 3].map(|code| bioseq::Base::from_code(code).rank() as u8 + 1);
+        let mut ranks = Vec::with_capacity(packed_bwt.len() * 4);
+        for &byte in packed_bwt {
+            ranks.extend_from_slice(&[
+                rank_of[(byte & 3) as usize],
+                rank_of[(byte >> 2 & 3) as usize],
+                rank_of[(byte >> 4 & 3) as usize],
+                rank_of[(byte >> 6) as usize],
+            ]);
         }
+        ranks.truncate(text_len);
+        ranks[sentinel_pos] = 0;
         let bwt = Bwt::from_ranks(ranks, sentinel_pos);
         let count = CountTable::from_bwt(&bwt);
         if count.as_array() != stored_count {
             return Err("count table disagrees with the stored BWT".into());
         }
-        let occ = OccTable::from_bwt(&bwt);
-        let sampled = SampledOcc::from_occ(&occ, bucket_width);
+        let sampled = SampledOcc::from_bwt(&bwt, bucket_width);
         let marker = MarkerTable::new(&count, &sampled);
-        for bucket in 0..marker.buckets() {
-            for base in bioseq::Base::ALL {
-                if marker.marker(base, bucket) != stored_markers[bucket * 4 + base.rank()] {
-                    return Err(format!(
-                        "marker table disagrees at bucket {bucket} base {base}"
-                    ));
-                }
-            }
+        if let Some(i) = marker
+            .as_words()
+            .iter()
+            .zip(stored_markers)
+            .position(|(&recounted, stored)| recounted != stored)
+        {
+            return Err(format!(
+                "marker table disagrees at bucket {} base {}",
+                i / 4,
+                bioseq::Base::from_rank(i % 4)
+            ));
         }
         if samples.len() != text_len {
             return Err("suffix-array storage length mismatch".into());
@@ -358,7 +356,6 @@ impl FmIndex {
             text_len,
             bwt,
             count,
-            occ,
             marker,
             samples,
         })

@@ -175,24 +175,23 @@ fn recur(
 mod tests {
     use super::*;
     use crate::sa::suffix_array;
-    use crate::tables::{CountTable, OccTable, SampledOcc};
+    use crate::tables::{CountTable, SampledOcc};
     use crate::text::Text;
     use proptest::prelude::*;
 
-    fn index(s: &str, d: usize) -> (Vec<usize>, Bwt, MarkerTable) {
+    fn index(s: &str, d: usize) -> (Vec<u32>, Bwt, MarkerTable) {
         let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);
-        let occ = OccTable::from_bwt(&bwt);
-        let mt = MarkerTable::new(&count, &SampledOcc::from_occ(&occ, d));
+        let mt = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, d));
         (sa, bwt, mt)
     }
 
-    fn positions(sa: &[usize], hits: &[InexactHit]) -> Vec<usize> {
+    fn positions(sa: &[u32], hits: &[InexactHit]) -> Vec<usize> {
         let mut p: Vec<usize> = hits
             .iter()
-            .flat_map(|h| h.interval.rows().map(|r| sa[r]))
+            .flat_map(|h| h.interval.rows().map(|r| sa[r] as usize))
             .collect();
         p.sort_unstable();
         p.dedup();
@@ -307,8 +306,7 @@ mod tests {
             let sa = suffix_array(&t);
             let bwt = Bwt::from_sa(&t, &sa);
             let count = CountTable::from_bwt(&bwt);
-            let occ = OccTable::from_bwt(&bwt);
-            let mt = MarkerTable::new(&count, &SampledOcc::from_occ(&occ, 5));
+            let mt = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, 5));
             let hits = search_inexact(&mt, &bwt, &read, EditBudget::substitutions_only(z));
             let found = positions(&sa, &hits);
             // Positions past reference.len()-read.len() can appear when the

@@ -14,38 +14,49 @@
 //! u64    marker bucket count, then u32×4 per bucket
 //! u8     SA tag (0 = full, 1 = sampled) [+ u32 rate when sampled]
 //! u64    stored SA entry count, then u32 per entry (sampled: row index
-//!        u32 + value u32 pairs)
+//!        u32 + value u32 pairs, rows ascending)
 //! u64    FNV-1a-64 checksum of every byte after the magic
 //! ```
 //!
-//! [`load`] verifies the trailing checksum and rejects streams with
-//! trailing garbage; a short read anywhere surfaces as
-//! [`LoadIndexError::Corrupt`] naming the table that was cut off. The
-//! previous `PIMFMI1` format (same body, no checksum) remains loadable
-//! through a compat path so existing artifacts keep working; [`save`]
-//! always writes `PIMFMI2`.
+//! [`load_bytes`] slices the sections out of the stream first — every
+//! declared length is checked against the bytes that remain, so a
+//! hostile header allocates nothing — then verifies the trailing
+//! checksum, rejects trailing garbage, and only then decodes the tables.
+//! A short stream surfaces as [`LoadIndexError::Corrupt`] naming the
+//! table that was cut off.
 //!
-//! The full Occ table is *not* stored; it is rebuilt from the BWT on
-//! load (linear time, and 16 bytes/base on disk would dwarf everything
-//! else).
-//!
-//! Functions take `R: Read` / `W: Write` by value; pass `&mut reader` to
-//! reuse a stream.
+//! Only what the format stores is ever held: the check-points of the
+//! marker table are recounted from the BWT on load (one streaming pass)
+//! and cross-checked against the stored ones; the full Occ table exists
+//! neither on disk nor in memory.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::index::FmIndex;
+use crate::locate::SuffixArraySamples;
 
-/// Magic bytes heading every serialised index (current version).
+/// Magic bytes heading every serialised index.
 pub const MAGIC: &[u8; 8] = b"PIMFMI2\n";
-
-/// Magic of the legacy checksum-free format, still accepted by [`load`].
-pub const MAGIC_V1: &[u8; 8] = b"PIMFMI1\n";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a-64 of `bytes`, continuing from `digest` — cheap,
+/// dependency-free, and plenty for catching torn writes and bit rot
+/// (this is an integrity check, not an authenticity one).
+fn fnv1a_update(digest: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(digest, |d, &b| (d ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a-64 of `bytes` — the checksum of this format and of the
+/// artifact container around it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_update(FNV_OFFSET, bytes)
+}
 
 /// Error returned by [`load`].
 #[derive(Debug)]
@@ -54,7 +65,7 @@ pub enum LoadIndexError {
     ///
     /// [`Corrupt`]: LoadIndexError::Corrupt
     Io(io::Error),
-    /// The stream starts with neither [`MAGIC`] nor [`MAGIC_V1`].
+    /// The stream does not start with [`MAGIC`].
     BadMagic,
     /// The declared text length exceeds the `u32` position bound
     /// ([`FmIndex::MAX_REFERENCE_LEN`]); such an index can never have
@@ -98,29 +109,41 @@ impl From<io::Error> for LoadIndexError {
     }
 }
 
-/// FNV-1a-64 over a running stream — cheap, dependency-free, and plenty
-/// for catching torn writes and bit rot (this is an integrity check, not
-/// an authenticity one).
-struct HashingWriter<W: Write> {
+/// A writer that checksums (FNV-1a-64) and counts what passes through
+/// it, so a stream is hashed as it is written instead of being staged
+/// in memory first.
+pub struct HashingWriter<W: Write> {
     inner: W,
     hash: u64,
+    written: u64,
 }
 
 impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
+    /// Wraps `inner`; nothing hashed yet.
+    pub fn new(inner: W) -> Self {
         HashingWriter {
             inner,
             hash: FNV_OFFSET,
+            written: 0,
         }
+    }
+
+    /// The checksum of every byte written so far.
+    pub fn digest(&self) -> u64 {
+        self.hash
+    }
+
+    /// The number of bytes written so far.
+    pub fn written(&self) -> u64 {
+        self.written
     }
 }
 
 impl<W: Write> Write for HashingWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+        self.hash = fnv1a_update(self.hash, &buf[..n]);
+        self.written += n as u64;
         Ok(n)
     }
 
@@ -129,31 +152,22 @@ impl<W: Write> Write for HashingWriter<W> {
     }
 }
 
-struct HashingReader<R: Read> {
-    inner: R,
-    hash: u64,
+/// Exactly how many bytes [`save`] writes for `index`:
+/// [`FmIndex::size_bytes`] plus the fixed framing (magic, lengths, Count
+/// table, SA header, checksum). Lets a container length-prefix the
+/// stream without staging it.
+pub fn stream_len(index: &FmIndex) -> usize {
+    // magic + n + sentinel + count + bucket width + bucket count + SA tag
+    // + SA row count + checksum, and for a sampled SA its rate + stored
+    // count.
+    let framing = match index.sa_samples() {
+        SuffixArraySamples::Full(_) => 73,
+        SuffixArraySamples::Sampled { .. } => 85,
+    };
+    index.size_bytes() + framing
 }
 
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R) -> Self {
-        HashingReader {
-            inner,
-            hash: FNV_OFFSET,
-        }
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        for &b in &buf[..n] {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-}
-
-/// Serialises an index in the current (`PIMFMI2`) format.
+/// Serialises an index in the `PIMFMI2` format.
 ///
 /// # Errors
 ///
@@ -178,9 +192,15 @@ pub fn save<W: Write>(index: &FmIndex, mut writer: W) -> io::Result<()> {
     writer.write_all(MAGIC)?;
     let mut hashed = HashingWriter::new(&mut writer);
     save_body(index, &mut hashed)?;
-    let digest = hashed.hash;
+    let digest = hashed.digest();
     writer.write_all(&digest.to_le_bytes())?;
     writer.flush()
+}
+
+fn write_words<W: Write>(writer: &mut W, words: &[u32]) -> io::Result<()> {
+    words
+        .iter()
+        .try_for_each(|w| writer.write_all(&w.to_le_bytes()))
 }
 
 fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
@@ -190,51 +210,33 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
     writer.write_all(&(bwt.sentinel_pos() as u64).to_le_bytes())?;
     let (packed, _) = bwt.to_packed();
     writer.write_all(packed.as_bytes())?;
-    for c in index.count_table().as_array() {
-        writer.write_all(&c.to_le_bytes())?;
-    }
+    drop(packed);
+    write_words(writer, &index.count_table().as_array())?;
     let mt = index.marker_table();
     writer.write_all(&(mt.bucket_width() as u64).to_le_bytes())?;
     writer.write_all(&(mt.buckets() as u64).to_le_bytes())?;
-    for bucket in 0..mt.buckets() {
-        for base in bioseq::Base::ALL {
-            writer.write_all(&mt.marker(base, bucket).to_le_bytes())?;
-        }
-    }
+    write_words(writer, mt.as_words())?;
     match index.sa_samples() {
-        crate::locate::SuffixArraySamples::Full(values) => {
+        SuffixArraySamples::Full(values) => {
             writer.write_all(&[0u8])?;
             writer.write_all(&(values.len() as u64).to_le_bytes())?;
-            for &v in values {
-                writer.write_all(&v.to_le_bytes())?;
-            }
+            write_words(writer, values)?;
         }
-        crate::locate::SuffixArraySamples::Sampled { values, rate } => {
+        SuffixArraySamples::Sampled { stored, rate } => {
             writer.write_all(&[1u8])?;
             writer.write_all(&rate.to_le_bytes())?;
-            writer.write_all(&(values.len() as u64).to_le_bytes())?;
-            let stored: Vec<(u32, u32)> = values
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != u32::MAX)
-                .map(|(row, &v)| (row as u32, v))
-                .collect();
-            writer.write_all(&(stored.len() as u64).to_le_bytes())?;
-            for (row, v) in stored {
-                writer.write_all(&row.to_le_bytes())?;
-                writer.write_all(&v.to_le_bytes())?;
+            writer.write_all(&(index.text_len() as u64).to_le_bytes())?;
+            writer.write_all(&(stored.stored_len() as u64).to_le_bytes())?;
+            for (row, v) in stored.pairs() {
+                write_words(writer, &[row, v])?;
             }
         }
     }
     Ok(())
 }
 
-/// Deserialises an index previously written by [`save`], rebuilding the
-/// derived Occ table.
-///
-/// Accepts the current `PIMFMI2` format (checksum verified) and the
-/// legacy `PIMFMI1` format (no checksum to verify). Both must end
-/// exactly where the format says they do — trailing bytes are rejected.
+/// Deserialises an index previously written by [`save`]: reads the
+/// stream to its end and hands the bytes to [`load_bytes`].
 ///
 /// # Errors
 ///
@@ -242,137 +244,189 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
 /// over-long text, or structurally invalid contents (including
 /// truncation and checksum mismatch).
 pub fn load<R: Read>(mut reader: R) -> Result<FmIndex, LoadIndexError> {
-    let mut magic = [0u8; 8];
-    read_exact_in(&mut reader, &mut magic, "magic")?;
-    if &magic == MAGIC {
-        let mut hashed = HashingReader::new(&mut reader);
-        let index = load_body(&mut hashed)?;
-        let digest = hashed.hash;
-        let mut trailer = [0u8; 8];
-        read_exact_in(&mut reader, &mut trailer, "checksum")?;
-        if u64::from_le_bytes(trailer) != digest {
-            return Err(LoadIndexError::Corrupt("checksum mismatch".into()));
-        }
-        ensure_end_of_stream(&mut reader)?;
-        Ok(index)
-    } else if &magic == MAGIC_V1 {
-        let index = load_body(&mut reader)?;
-        ensure_end_of_stream(&mut reader)?;
-        Ok(index)
-    } else {
-        Err(LoadIndexError::BadMagic)
-    }
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    load_bytes(&bytes)
 }
 
-fn load_body<R: Read>(reader: &mut R) -> Result<FmIndex, LoadIndexError> {
-    let n = read_u64(reader, "text length")? as usize;
-    if n == 0 {
-        return Err(LoadIndexError::Corrupt("empty text".into()));
+/// Deserialises an index from a complete in-memory `PIMFMI2` stream —
+/// the whole of `bytes` must be the stream, trailing bytes are rejected.
+///
+/// # Errors
+///
+/// As [`load`], minus the I/O failures.
+pub fn load_bytes(bytes: &[u8]) -> Result<FmIndex, LoadIndexError> {
+    let mut cursor = Cursor { bytes, pos: 0 };
+    if cursor.take(MAGIC.len(), "magic")? != MAGIC {
+        return Err(LoadIndexError::BadMagic);
     }
-    if n > u32::MAX as usize {
-        return Err(LoadIndexError::TooLarge { len: n });
+    let sections = Sections::parse(&mut cursor)?;
+    let body = &bytes[MAGIC.len()..cursor.pos];
+    if cursor.u64("checksum")? != fnv1a(body) {
+        return Err(LoadIndexError::Corrupt("checksum mismatch".into()));
     }
-    let sentinel = read_u64(reader, "sentinel")? as usize;
-    if sentinel >= n {
-        return Err(LoadIndexError::Corrupt("sentinel out of range".into()));
-    }
-    let mut packed = vec![0u8; n.div_ceil(4)];
-    read_exact_in(reader, &mut packed, "BWT")?;
-    let mut count = [0u32; 4];
-    for c in &mut count {
-        *c = read_u32(reader, "count table")?;
-    }
-    let bucket_width = read_u64(reader, "marker table")? as usize;
-    if bucket_width == 0 {
-        return Err(LoadIndexError::Corrupt("zero bucket width".into()));
-    }
-    let buckets = read_u64(reader, "marker table")? as usize;
-    if buckets != n / bucket_width + 1 {
-        return Err(LoadIndexError::Corrupt("bucket count mismatch".into()));
-    }
-    let mut markers = Vec::with_capacity(buckets * 4);
-    for _ in 0..buckets * 4 {
-        markers.push(read_u32(reader, "marker table")?);
-    }
-    let mut tag = [0u8; 1];
-    read_exact_in(reader, &mut tag, "SA tag")?;
-    let samples = match tag[0] {
-        0 => {
-            let len = read_u64(reader, "suffix array")? as usize;
-            if len != n {
-                return Err(LoadIndexError::Corrupt("SA length mismatch".into()));
-            }
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                values.push(read_u32(reader, "suffix array")?);
-            }
-            crate::locate::SuffixArraySamples::Full(values)
-        }
-        1 => {
-            let rate = read_u32(reader, "suffix array")?;
-            if rate == 0 {
-                return Err(LoadIndexError::Corrupt("zero SA rate".into()));
-            }
-            let len = read_u64(reader, "suffix array")? as usize;
-            if len != n {
-                return Err(LoadIndexError::Corrupt("SA length mismatch".into()));
-            }
-            let stored = read_u64(reader, "suffix array")? as usize;
-            let mut values = vec![u32::MAX; len];
-            for _ in 0..stored {
-                let row = read_u32(reader, "suffix array")? as usize;
-                let v = read_u32(reader, "suffix array")?;
-                if row >= len {
-                    return Err(LoadIndexError::Corrupt("SA row out of range".into()));
-                }
-                values[row] = v;
-            }
-            crate::locate::SuffixArraySamples::Sampled { values, rate }
-        }
-        other => {
-            return Err(LoadIndexError::Corrupt(format!("unknown SA tag {other}")));
-        }
-    };
-    FmIndex::from_stored_parts(n, sentinel, &packed, count, bucket_width, markers, samples)
-        .map_err(LoadIndexError::Corrupt)
-}
-
-/// Reads exactly `buf.len()` bytes, converting a short read into
-/// [`LoadIndexError::Corrupt`] naming the table it happened in.
-fn read_exact_in<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-    section: &str,
-) -> Result<(), LoadIndexError> {
-    reader.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            LoadIndexError::Corrupt(format!("truncated in {section}"))
-        } else {
-            LoadIndexError::Io(e)
-        }
-    })
-}
-
-fn read_u64<R: Read>(reader: &mut R, section: &str) -> Result<u64, LoadIndexError> {
-    let mut b = [0u8; 8];
-    read_exact_in(reader, &mut b, section)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(reader: &mut R, section: &str) -> Result<u32, LoadIndexError> {
-    let mut b = [0u8; 4];
-    read_exact_in(reader, &mut b, section)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn ensure_end_of_stream<R: Read>(reader: &mut R) -> Result<(), LoadIndexError> {
-    let mut probe = [0u8; 1];
-    match reader.read(&mut probe) {
-        Ok(0) => Ok(()),
-        Ok(_) => Err(LoadIndexError::Corrupt(
+    if cursor.pos != bytes.len() {
+        return Err(LoadIndexError::Corrupt(
             "trailing bytes after the index".into(),
-        )),
-        Err(e) => Err(LoadIndexError::Io(e)),
+        ));
+    }
+    sections.assemble()
+}
+
+/// Reads sections off a byte slice; every length is checked against the
+/// bytes that remain before anything is sliced, let alone allocated.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, len: usize, section: &str) -> Result<&'a [u8], LoadIndexError> {
+        if self.bytes.len() - self.pos < len {
+            return Err(LoadIndexError::Corrupt(format!("truncated in {section}")));
+        }
+        let out = &self.bytes[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(out)
+    }
+
+    /// `count` records of `record_bytes` each.
+    fn records(
+        &mut self,
+        count: usize,
+        record_bytes: usize,
+        section: &str,
+    ) -> Result<&'a [u8], LoadIndexError> {
+        // A count whose byte length overflows cannot be backed by bytes.
+        self.take(count.saturating_mul(record_bytes), section)
+    }
+
+    fn u64(&mut self, section: &str) -> Result<u64, LoadIndexError> {
+        let b = self.take(8, section)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// A `u64` length or position field; one that does not fit `usize`
+    /// saturates, which every later range or length check rejects.
+    fn len(&mut self, section: &str) -> Result<usize, LoadIndexError> {
+        Ok(usize::try_from(self.u64(section)?).unwrap_or(usize::MAX))
+    }
+
+    fn u32(&mut self, section: &str) -> Result<u32, LoadIndexError> {
+        let b = self.take(4, section)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+    }
+}
+
+/// Little-endian `u32`s of a section whose length is a multiple of 4.
+fn words(section: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    section
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+}
+
+/// The SA section of a stream, still as bytes.
+enum SaSection<'a> {
+    Full(&'a [u8]),
+    Sampled { rate: u32, pairs: &'a [u8] },
+}
+
+/// A stream's sections, sliced and length-checked but not yet decoded.
+struct Sections<'a> {
+    text_len: usize,
+    sentinel: usize,
+    packed_bwt: &'a [u8],
+    count: [u32; 4],
+    bucket_width: usize,
+    markers: &'a [u8],
+    sa: SaSection<'a>,
+}
+
+impl<'a> Sections<'a> {
+    fn parse(cursor: &mut Cursor<'a>) -> Result<Sections<'a>, LoadIndexError> {
+        let corrupt = |msg: &str| Err(LoadIndexError::Corrupt(msg.into()));
+        let n = cursor.len("text length")?;
+        if n == 0 {
+            return corrupt("empty text");
+        }
+        if n > u32::MAX as usize {
+            return Err(LoadIndexError::TooLarge { len: n });
+        }
+        let sentinel = cursor.len("sentinel")?;
+        if sentinel >= n {
+            return corrupt("sentinel out of range");
+        }
+        let packed_bwt = cursor.take(n.div_ceil(4), "BWT")?;
+        let mut count = [0u32; 4];
+        for c in &mut count {
+            *c = cursor.u32("count table")?;
+        }
+        let bucket_width = cursor.len("marker table")?;
+        if bucket_width == 0 {
+            return corrupt("zero bucket width");
+        }
+        let buckets = cursor.len("marker table")?;
+        if buckets != n / bucket_width + 1 {
+            return corrupt("bucket count mismatch");
+        }
+        let markers = cursor.records(buckets, 16, "marker table")?;
+        let tag = cursor.take(1, "SA tag")?[0];
+        let sa = match tag {
+            0 => {
+                if cursor.len("suffix array")? != n {
+                    return corrupt("SA length mismatch");
+                }
+                SaSection::Full(cursor.records(n, 4, "suffix array")?)
+            }
+            1 => {
+                let rate = cursor.u32("suffix array")?;
+                if rate == 0 {
+                    return corrupt("zero SA rate");
+                }
+                if cursor.len("suffix array")? != n {
+                    return corrupt("SA length mismatch");
+                }
+                let stored = cursor.len("suffix array")?;
+                let pairs = cursor.records(stored, 8, "suffix array")?;
+                SaSection::Sampled { rate, pairs }
+            }
+            other => {
+                return Err(LoadIndexError::Corrupt(format!("unknown SA tag {other}")));
+            }
+        };
+        Ok(Sections {
+            text_len: n,
+            sentinel,
+            packed_bwt,
+            count,
+            bucket_width,
+            markers,
+            sa,
+        })
+    }
+
+    fn assemble(self) -> Result<FmIndex, LoadIndexError> {
+        let samples = match self.sa {
+            SaSection::Full(values) => SuffixArraySamples::Full(words(values).collect()),
+            SaSection::Sampled { rate, pairs } => {
+                let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
+                let pairs = pairs
+                    .chunks_exact(8)
+                    .map(|pair| (word(&pair[..4]), word(&pair[4..])));
+                SuffixArraySamples::from_stored_pairs(self.text_len, rate, pairs)
+                    .map_err(LoadIndexError::Corrupt)?
+            }
+        };
+        FmIndex::from_stored_parts(
+            self.text_len,
+            self.sentinel,
+            self.packed_bwt,
+            self.count,
+            self.bucket_width,
+            words(self.markers),
+            samples,
+        )
+        .map_err(LoadIndexError::Corrupt)
     }
 }
 
@@ -448,6 +502,7 @@ mod tests {
                 buffer.len() - overhead,
                 "accounting drifted from the serializer for {storage:?}"
             );
+            assert_eq!(stream_len(&index), buffer.len());
         }
     }
 
@@ -465,7 +520,7 @@ mod tests {
         save(&index, &mut buffer).unwrap();
         // Cut the stream at every byte boundary: each must produce a
         // Corrupt("truncated in …") error, never a bare Io error.
-        for cut in 8..buffer.len() {
+        for cut in 0..buffer.len() {
             let err = load(&buffer[..cut]).unwrap_err();
             match err {
                 LoadIndexError::Corrupt(msg) => {
@@ -501,21 +556,6 @@ mod tests {
             LoadIndexError::Corrupt(msg) => assert!(msg.contains("trailing"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_v1_stream_still_loads() {
-        let index = sample_index(SaStorage::Sampled(4));
-        let mut buffer = Vec::new();
-        save(&index, &mut buffer).unwrap();
-        // A V1 stream is the same body with the old magic and no
-        // trailing checksum.
-        buffer[..8].copy_from_slice(MAGIC_V1);
-        buffer.truncate(buffer.len() - 8);
-        let restored = load(buffer.as_slice()).expect("v1 compat load");
-        let read: DnaSeq = "GATTACA".parse().unwrap();
-        assert_eq!(restored.find(&read), index.find(&read));
-        assert_eq!(restored.size_bytes(), index.size_bytes());
     }
 
     #[test]
@@ -560,6 +600,75 @@ mod tests {
         buffer[offset] = 0xFF; // mangle the bucket width
         let err = load(buffer.as_slice()).unwrap_err();
         assert!(matches!(err, LoadIndexError::Corrupt(_)), "{err}");
+    }
+
+    /// A header may declare any length it likes; the loader must answer
+    /// from the bytes it was actually given. Each stream here is at most
+    /// 64 bytes and inflates one length field to 2³¹ — the loader slices
+    /// sections before it decodes any, so nothing is allocated for them.
+    #[test]
+    fn hostile_lengths_are_truncation_not_allocation() {
+        const HUGE: u64 = 1 << 31;
+        let header = |n: u64, sentinel: u64| {
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&n.to_le_bytes());
+            b.extend_from_slice(&sentinel.to_le_bytes());
+            b
+        };
+        // n inflated: the BWT section cannot be there.
+        let inflated_n = header(HUGE, 0);
+        // n = 4 (one BWT byte), d = 1 → 5 buckets promised, none present;
+        // and d inflated so that the bucket count (1) is consistent.
+        let tables = |d: u64, buckets: u64| {
+            let mut b = header(4, 0);
+            b.push(0);
+            b.extend_from_slice(&[0u8; 16]);
+            b.extend_from_slice(&d.to_le_bytes());
+            b.extend_from_slice(&buckets.to_le_bytes());
+            b
+        };
+        let inflated_buckets = tables(1, HUGE);
+        let missing_buckets = tables(1, 5);
+        // One marker row present, then a sampled SA promising 2³¹ pairs.
+        let mut inflated_stored = tables(HUGE, 1);
+        inflated_stored.extend_from_slice(&[0u8; 16]);
+        inflated_stored.push(1);
+        inflated_stored.extend_from_slice(&8u32.to_le_bytes());
+        inflated_stored.extend_from_slice(&4u64.to_le_bytes());
+        inflated_stored.extend_from_slice(&HUGE.to_le_bytes());
+        for (stream, expected) in [
+            (&inflated_n, "truncated in BWT"),
+            (&inflated_buckets, "bucket count mismatch"),
+            (&missing_buckets, "truncated in marker table"),
+            (&inflated_stored, "truncated in suffix array"),
+        ] {
+            assert!(stream.len() <= 96, "{} bytes", stream.len());
+            match load(stream.as_slice()).unwrap_err() {
+                LoadIndexError::Corrupt(msg) => assert_eq!(msg, expected),
+                other => panic!("expected Corrupt({expected}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unordered_or_out_of_range_sampled_rows_rejected() {
+        let index = sample_index(SaStorage::Sampled(4));
+        let mut pristine = Vec::new();
+        save(&index, &mut pristine).unwrap();
+        // The last (row, value) pair sits just before the checksum; move
+        // its row past the text, then back onto row 0, re-sealing the
+        // stream each time so only the row is wrong.
+        for (row, expected) in [(u32::MAX, "out of range"), (0, "ascending")] {
+            let mut buffer = pristine.clone();
+            let body_end = buffer.len() - 8;
+            buffer[body_end - 8..body_end - 4].copy_from_slice(&row.to_le_bytes());
+            let digest = fnv1a(&buffer[8..body_end]);
+            buffer[body_end..].copy_from_slice(&digest.to_le_bytes());
+            match load(buffer.as_slice()).unwrap_err() {
+                LoadIndexError::Corrupt(msg) => assert!(msg.contains(expected), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! Pipeline (paper Fig. 2):
 //!
 //! 1. append the sentinel `$` to the reference and build the **suffix
-//!    array** ([`suffix_array`], linear-time SA-IS with a naive
-//!    cross-check implementation);
+//!    array** ([`suffix_array`], linear-time SA-IS in one `u32` array,
+//!    with a naive cross-check implementation);
 //! 2. derive the **BWT** ([`Bwt`]) — the last column of the sorted
 //!    BW-matrix;
-//! 3. pre-compute **`Count(nt)`** ([`CountTable`]), the full **Occ**
-//!    table ([`OccTable`]), its down-sampled form with bucket width `d`
-//!    ([`SampledOcc`]), and the **Marker Table**
-//!    ([`MarkerTable`] = `SampledOcc + Count`);
+//! 3. pre-compute **`Count(nt)`** ([`CountTable`]), the **Occ** table
+//!    check-pointed every `d` positions ([`SampledOcc`], counted in one
+//!    pass over the BWT — the full [`OccTable`] is Fig. 2's illustration
+//!    and the tests' oracle, never part of an index), and the **Marker
+//!    Table** ([`MarkerTable`] = `SampledOcc + Count`);
 //! 4. answer queries by **backward search** ([`FmIndex::backward_search`])
 //!    built on the hardware-friendly [`MarkerTable::lfm`] procedure, with
 //!    inexact matching ([`FmIndex::search_inexact`]) via bounded
@@ -61,7 +62,7 @@ mod text;
 pub use bwt::Bwt;
 pub use index::{FmIndex, FmIndexBuilder, IndexBuildError, SaStorage};
 pub use inexact::{EditBudget, InexactHit};
-pub use locate::SuffixArraySamples;
+pub use locate::{SampledRows, SuffixArraySamples};
 pub use sa::{suffix_array, suffix_array_naive};
 pub use search::SaInterval;
 pub use tables::{CountTable, MarkerTable, OccTable, SampledOcc};

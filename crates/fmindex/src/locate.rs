@@ -8,7 +8,88 @@
 
 use crate::bwt::Bwt;
 use crate::search::SaInterval;
-use crate::tables::{CountTable, OccTable};
+use crate::tables::MarkerTable;
+
+/// The rows a sampled suffix array keeps, held the size they serialise:
+/// one bit per SA row saying whether the row is stored, a running count
+/// every [`RANK_BLOCK`] rows, and the stored values in row order
+/// (≈ `n/8 + 4·n/rate` bytes, against `4·n` for a row-indexed array).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SampledRows {
+    /// Bit `row % 64` of word `row / 64` is set when the row is stored.
+    bits: Vec<u64>,
+    /// `block_ranks[b]` = stored rows before row `b · RANK_BLOCK`.
+    block_ranks: Vec<u32>,
+    /// The stored SA values, in row order.
+    values: Vec<u32>,
+    /// SA rows covered.
+    rows: usize,
+}
+
+/// Rows per rank check-point: eight bitmap words, so a lookup counts
+/// bits in at most eight words it has just touched one of.
+const RANK_BLOCK: usize = 512;
+
+impl SampledRows {
+    /// Indexes a row bitmap and the values of its set rows.
+    fn new(bits: Vec<u64>, values: Vec<u32>, rows: usize) -> SampledRows {
+        let mut seen = 0u32;
+        let block_ranks = bits
+            .chunks(RANK_BLOCK / 64)
+            .map(|block| {
+                let before = seen;
+                seen += block.iter().map(|w| w.count_ones()).sum::<u32>();
+                before
+            })
+            .collect();
+        debug_assert_eq!(seen as usize, values.len());
+        SampledRows {
+            bits,
+            block_ranks,
+            values,
+            rows,
+        }
+    }
+
+    /// The stored value of `row`, if it is a stored row.
+    #[inline]
+    fn get(&self, row: usize) -> Option<u32> {
+        let word = self.bits[row / 64];
+        let bit = 1u64 << (row % 64);
+        if word & bit == 0 {
+            return None;
+        }
+        let block = row / RANK_BLOCK;
+        let rank = self.block_ranks[block]
+            + self.bits[block * (RANK_BLOCK / 64)..row / 64]
+                .iter()
+                .map(|w| w.count_ones())
+                .sum::<u32>()
+            + (word & (bit - 1)).count_ones();
+        Some(self.values[rank as usize])
+    }
+
+    /// How many rows are stored.
+    pub fn stored_len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The stored `(row, value)` pairs, rows ascending — what a sampled
+    /// SA serialises.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let rows = self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                (left != 0).then(|| {
+                    let bit = left.trailing_zeros();
+                    left &= left - 1;
+                    (w * 64) as u32 + bit
+                })
+            })
+        });
+        rows.zip(self.values.iter().copied())
+    }
+}
 
 /// Suffix-array storage: either the full array or a sampled subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,71 +97,114 @@ pub enum SuffixArraySamples {
     /// Every SA entry, indexed by row.
     Full(Vec<u32>),
     /// Entries whose *text position* is a multiple of the sampling rate,
-    /// addressed by SA row (`u32::MAX` marks an unsampled row).
+    /// addressed by SA row.
     Sampled {
-        /// `values[row]` = SA value when sampled, `u32::MAX` otherwise.
-        values: Vec<u32>,
+        /// The stored rows and their SA values.
+        stored: SampledRows,
         /// Sampling rate `s` (every `s`-th text position is kept).
         rate: u32,
     },
 }
 
 impl SuffixArraySamples {
-    /// Keeps the full SA.
+    /// Keeps the full SA, taking over the array [`suffix_array`] built.
     ///
-    /// Entries are stored as `u32`, and `u32::MAX` is reserved as the
-    /// unsampled-row sentinel of the `Sampled` variant, so every text
-    /// position must be strictly below `u32::MAX`. The index builder
-    /// enforces this bound with a typed error
-    /// ([`IndexBuildError`](crate::IndexBuildError)); the assert here is
-    /// defence in depth against callers constructing samples directly.
+    /// Text positions are `u32` with `u32::MAX` kept out of range (SA-IS
+    /// uses it as its empty-slot mark), so the SA may have at most
+    /// `u32::MAX` rows. The index builder enforces this bound with a
+    /// typed error ([`IndexBuildError`](crate::IndexBuildError)); the
+    /// assert here is defence in depth against callers constructing
+    /// samples directly.
+    ///
+    /// [`suffix_array`]: crate::suffix_array
     ///
     /// # Panics
     ///
-    /// Panics if any SA entry is `>= u32::MAX`.
-    pub fn full(sa: &[usize]) -> SuffixArraySamples {
+    /// Panics if the SA has more than `u32::MAX` rows.
+    pub fn full(sa: Vec<u32>) -> SuffixArraySamples {
         assert!(
             sa.len() <= u32::MAX as usize,
             "SA has {} rows; text positions must fit below u32::MAX",
             sa.len()
         );
-        SuffixArraySamples::Full(sa.iter().map(|&v| v as u32).collect())
+        SuffixArraySamples::Full(sa)
     }
 
-    /// Samples the SA at text positions divisible by `rate`.
+    /// Samples the SA at text positions divisible by `rate`. The kept
+    /// values are compacted to the front of the array's own storage
+    /// (rows are visited in order, so nothing is sorted), which is then
+    /// shrunk to fit them.
     ///
-    /// The same `u32::MAX` position bound as [`SuffixArraySamples::full`]
-    /// applies — a position equal to `u32::MAX` would be
-    /// indistinguishable from the unsampled sentinel.
+    /// The same row bound as [`SuffixArraySamples::full`] applies.
     ///
     /// # Panics
     ///
-    /// Panics if `rate == 0` or any SA entry is `>= u32::MAX`.
-    pub fn sampled(sa: &[usize], rate: u32) -> SuffixArraySamples {
+    /// Panics if `rate == 0` or the SA has more than `u32::MAX` rows.
+    pub fn sampled(mut sa: Vec<u32>, rate: u32) -> SuffixArraySamples {
         assert!(rate > 0, "SA sampling rate must be positive");
         assert!(
             sa.len() <= u32::MAX as usize,
             "SA has {} rows; text positions must fit below u32::MAX",
             sa.len()
         );
-        let values = sa
-            .iter()
-            .map(|&v| {
-                if v % rate as usize == 0 {
-                    v as u32
-                } else {
-                    u32::MAX
-                }
-            })
-            .collect();
-        SuffixArraySamples::Sampled { values, rate }
+        let rows = sa.len();
+        let mut bits = vec![0u64; rows.div_ceil(64)];
+        let mut kept = 0;
+        for row in 0..rows {
+            let v = sa[row];
+            if v.is_multiple_of(rate) {
+                bits[row / 64] |= 1 << (row % 64);
+                sa[kept] = v;
+                kept += 1;
+            }
+        }
+        sa.truncate(kept);
+        sa.shrink_to_fit();
+        SuffixArraySamples::Sampled {
+            stored: SampledRows::new(bits, sa, rows),
+            rate,
+        }
+    }
+
+    /// Rebuilds sampled storage over `rows` SA rows from the serialised
+    /// `(row, value)` pairs, decoding them straight into the compact
+    /// form.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first pair whose row is out of range or not above
+    /// the row before it.
+    pub(crate) fn from_stored_pairs(
+        rows: usize,
+        rate: u32,
+        pairs: impl ExactSizeIterator<Item = (u32, u32)>,
+    ) -> Result<SuffixArraySamples, String> {
+        let mut bits = vec![0u64; rows.div_ceil(64)];
+        let mut values = Vec::with_capacity(pairs.len());
+        let mut next_row = 0;
+        for (row, v) in pairs {
+            let row = row as usize;
+            if row >= rows {
+                return Err("SA row out of range".into());
+            }
+            if row < next_row {
+                return Err("SA rows not in ascending order".into());
+            }
+            next_row = row + 1;
+            bits[row / 64] |= 1 << (row % 64);
+            values.push(v);
+        }
+        Ok(SuffixArraySamples::Sampled {
+            stored: SampledRows::new(bits, values, rows),
+            rate,
+        })
     }
 
     /// Number of SA rows covered.
     pub fn len(&self) -> usize {
         match self {
             SuffixArraySamples::Full(v) => v.len(),
-            SuffixArraySamples::Sampled { values, .. } => values.len(),
+            SuffixArraySamples::Sampled { stored, .. } => stored.rows,
         }
     }
 
@@ -98,9 +222,7 @@ impl SuffixArraySamples {
     pub fn size_bytes(&self) -> usize {
         match self {
             SuffixArraySamples::Full(v) => v.len() * 4,
-            SuffixArraySamples::Sampled { values, .. } => {
-                values.iter().filter(|&&v| v != u32::MAX).count() * 8
-            }
+            SuffixArraySamples::Sampled { stored, .. } => stored.stored_len() * 8,
         }
     }
 
@@ -108,10 +230,7 @@ impl SuffixArraySamples {
     fn stored(&self, row: usize) -> Option<u32> {
         match self {
             SuffixArraySamples::Full(v) => Some(v[row]),
-            SuffixArraySamples::Sampled { values, .. } => {
-                let v = values[row];
-                (v != u32::MAX).then_some(v)
-            }
+            SuffixArraySamples::Sampled { stored, .. } => stored.get(row),
         }
     }
 }
@@ -126,8 +245,7 @@ impl SuffixArraySamples {
 pub fn locate(
     samples: &SuffixArraySamples,
     bwt: &Bwt,
-    count: &CountTable,
-    occ: &OccTable,
+    marker: &MarkerTable,
     interval: SaInterval,
 ) -> Vec<usize> {
     assert!(
@@ -137,7 +255,7 @@ pub fn locate(
     );
     let mut out: Vec<usize> = interval
         .rows()
-        .map(|row| resolve_row(samples, bwt, count, occ, row))
+        .map(|row| resolve_row(samples, bwt, marker, row))
         .collect();
     out.sort_unstable();
     out.dedup();
@@ -147,8 +265,7 @@ pub fn locate(
 fn resolve_row(
     samples: &SuffixArraySamples,
     bwt: &Bwt,
-    count: &CountTable,
-    occ: &OccTable,
+    marker: &MarkerTable,
     mut row: usize,
 ) -> usize {
     let mut steps = 0usize;
@@ -156,82 +273,173 @@ fn resolve_row(
         if let Some(v) = samples.stored(row) {
             return v as usize + steps;
         }
-        row = lf_step(bwt, count, occ, row);
+        row = lf_step(bwt, marker, row);
         steps += 1;
         debug_assert!(steps <= bwt.len(), "LF walk did not terminate");
     }
 }
 
 /// One LF-mapping step: the SA row of the suffix one position earlier in
-/// the text.
-fn lf_step(bwt: &Bwt, count: &CountTable, occ: &OccTable, row: usize) -> usize {
+/// the text — `Count(nt) + occ(nt, row)`, which is exactly
+/// [`MarkerTable::lfm`], the one software rank path.
+fn lf_step(bwt: &Bwt, marker: &MarkerTable, row: usize) -> usize {
     let r = bwt.rank(row);
     if r == 0 {
         return 0; // the sentinel maps to row 0
     }
-    let base = bioseq::Base::from_rank(r as usize - 1);
-    count.get(base) as usize + occ.occ(base, row) as usize
+    marker.lfm(bwt, bioseq::Base::from_rank(r as usize - 1), row) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sa::suffix_array;
-    use crate::tables::SampledOcc;
+    use crate::tables::{CountTable, OccTable, SampledOcc};
     use crate::text::Text;
-    use bioseq::DnaSeq;
+    use crate::{FmIndex, SaStorage};
+    use bioseq::{Base, DnaSeq};
     use proptest::prelude::*;
 
-    fn setup(s: &str) -> (Vec<usize>, Bwt, CountTable, OccTable) {
+    fn setup(s: &str) -> (Vec<u32>, Bwt, MarkerTable) {
         let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);
-        let occ = OccTable::from_bwt(&bwt);
-        let _ = SampledOcc::from_occ(&occ, 4);
-        (sa, bwt, count, occ)
+        let marker = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, 4));
+        (sa, bwt, marker)
+    }
+
+    fn row(r: usize) -> SaInterval {
+        SaInterval::new(r as u32, r as u32 + 1)
     }
 
     #[test]
     fn full_storage_is_direct_lookup() {
-        let (sa, bwt, count, occ) = setup("TGCTAACG");
-        let samples = SuffixArraySamples::full(&sa);
-        for (row, &entry) in sa.iter().enumerate() {
-            let interval = SaInterval::new(row as u32, row as u32 + 1);
-            assert_eq!(locate(&samples, &bwt, &count, &occ, interval), vec![entry]);
+        let (sa, bwt, marker) = setup("TGCTAACG");
+        let samples = SuffixArraySamples::full(sa.clone());
+        for (r, &entry) in sa.iter().enumerate() {
+            assert_eq!(
+                locate(&samples, &bwt, &marker, row(r)),
+                vec![entry as usize]
+            );
         }
     }
 
     #[test]
     fn sampled_storage_recovers_all_rows() {
-        let (sa, bwt, count, occ) = setup("GATTACAGATTACAGGGTTTCCC");
+        let (sa, bwt, marker) = setup("GATTACAGATTACAGGGTTTCCC");
         for rate in [1u32, 2, 3, 4, 8] {
-            let samples = SuffixArraySamples::sampled(&sa, rate);
-            for (row, &entry) in sa.iter().enumerate() {
-                let interval = SaInterval::new(row as u32, row as u32 + 1);
+            let samples = SuffixArraySamples::sampled(sa.clone(), rate);
+            for (r, &entry) in sa.iter().enumerate() {
                 assert_eq!(
-                    locate(&samples, &bwt, &count, &occ, interval),
-                    vec![entry],
-                    "rate {rate} row {row}"
+                    locate(&samples, &bwt, &marker, row(r)),
+                    vec![entry as usize],
+                    "rate {rate} row {r}"
                 );
             }
+        }
+    }
+
+    /// The walk `FmIndex::locate` takes through `MarkerTable::lfm`
+    /// against the textbook one stepped through the full Occ table:
+    /// `LF(row) = Count(c) + Occ(c, row)` until a sampled position.
+    #[test]
+    fn locate_matches_an_occ_table_stepped_walk() {
+        let reference = readsim::genome::uniform(700, 41);
+        let text = Text::from_reference(&reference);
+        let sa = suffix_array(&text);
+        let bwt = Bwt::from_sa(&text, &sa);
+        let count = CountTable::from_bwt(&bwt);
+        let occ = OccTable::from_bwt(&bwt);
+        // Also reports whether a step's bucket scan ran across the
+        // sentinel cell of the BWT (same bucket, past it) — the one cell
+        // that must match no base.
+        let sentinel = bwt.sentinel_pos();
+        let occ_walk = |mut r: usize, rate: u32, d: usize| {
+            let (mut steps, mut crossed) = (0, false);
+            while !sa[r].is_multiple_of(rate) {
+                crossed |= r > sentinel && r / d == sentinel / d;
+                let base = Base::from_rank(bwt.rank(r) as usize - 1);
+                r = (count.get(base) + occ.occ(base, r)) as usize;
+                steps += 1;
+            }
+            (sa[r] as usize + steps, crossed)
+        };
+        for rate in [1u32, 2, 3, 8, 32] {
+            let mut crossings = 0;
+            for d in [1usize, 3, 7, 128] {
+                let storage = match rate {
+                    1 => SaStorage::Full,
+                    _ => SaStorage::Sampled(rate),
+                };
+                let index = FmIndex::builder()
+                    .bucket_width(d)
+                    .sa_storage(storage)
+                    .build(&reference);
+                for (r, &entry) in sa.iter().enumerate() {
+                    let (expected, crossed) = occ_walk(r, rate, d);
+                    assert_eq!(expected, entry as usize);
+                    assert_eq!(
+                        index.locate(row(r)),
+                        vec![expected],
+                        "rate {rate} d {d} row {r}"
+                    );
+                    crossings += usize::from(crossed);
+                }
+            }
+            assert!(
+                rate == 1 || crossings > 0,
+                "rate {rate}: no walk crossed the sentinel"
+            );
+        }
+    }
+
+    /// The compact form against the row-indexed array it replaced, for
+    /// every row, over several rank blocks and a ragged last word.
+    #[test]
+    fn compact_rows_equal_the_dense_array() {
+        let text = Text::from_reference(&readsim::genome::uniform(5_003, 9));
+        let sa = suffix_array(&text);
+        for rate in [1u32, 2, 3, 8, 32, 4_999] {
+            let samples = SuffixArraySamples::sampled(sa.clone(), rate);
+            let dense: Vec<Option<u32>> = sa
+                .iter()
+                .map(|&v| v.is_multiple_of(rate).then_some(v))
+                .collect();
+            for (r, &expected) in dense.iter().enumerate() {
+                assert_eq!(samples.stored(r), expected, "rate {rate} row {r}");
+            }
+            let SuffixArraySamples::Sampled { stored, .. } = &samples else {
+                panic!("sampled() builds the sampled variant");
+            };
+            let pairs: Vec<(u32, u32)> = stored.pairs().collect();
+            let expected: Vec<(u32, u32)> = dense
+                .iter()
+                .enumerate()
+                .filter_map(|(r, v)| v.map(|v| (r as u32, v)))
+                .collect();
+            assert_eq!(pairs, expected, "rate {rate}");
+            assert_eq!(samples.size_bytes(), pairs.len() * 8);
+            let reloaded = SuffixArraySamples::from_stored_pairs(sa.len(), rate, pairs.into_iter())
+                .expect("own pairs");
+            assert_eq!(reloaded, samples, "rate {rate}");
         }
     }
 
     #[test]
     fn sampled_uses_less_space() {
         let (sa, ..) = setup(&"ACGT".repeat(64));
-        let full = SuffixArraySamples::full(&sa);
-        let sparse = SuffixArraySamples::sampled(&sa, 8);
+        let full = SuffixArraySamples::full(sa.clone());
+        let sparse = SuffixArraySamples::sampled(sa, 8);
         assert!(sparse.size_bytes() < full.size_bytes());
     }
 
     #[test]
     fn locate_interval_sorts_and_dedups() {
-        let (sa, bwt, count, occ) = setup("ACGTACGTACGT");
-        let samples = SuffixArraySamples::full(&sa);
+        let (sa, bwt, marker) = setup("ACGTACGTACGT");
+        let samples = SuffixArraySamples::full(sa);
         // Rows 0..4 in one interval: positions come back sorted.
-        let pos = locate(&samples, &bwt, &count, &occ, SaInterval::new(0, 4));
+        let pos = locate(&samples, &bwt, &marker, SaInterval::new(0, 4));
         let mut sorted = pos.clone();
         sorted.sort_unstable();
         assert_eq!(pos, sorted);
@@ -240,16 +448,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds SA rows")]
     fn out_of_range_interval_panics() {
-        let (sa, bwt, count, occ) = setup("ACGT");
-        let samples = SuffixArraySamples::full(&sa);
-        let _ = locate(&samples, &bwt, &count, &occ, SaInterval::new(0, 99));
+        let (sa, bwt, marker) = setup("ACGT");
+        let samples = SuffixArraySamples::full(sa);
+        let _ = locate(&samples, &bwt, &marker, SaInterval::new(0, 99));
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_panics() {
         let (sa, ..) = setup("ACGT");
-        let _ = SuffixArraySamples::sampled(&sa, 0);
+        let _ = SuffixArraySamples::sampled(sa, 0);
     }
 
     proptest! {
@@ -258,18 +466,18 @@ mod tests {
             bases in proptest::collection::vec(0u8..4, 1..120),
             rate in 1u32..10,
         ) {
-            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let seq: DnaSeq = bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             let sa = suffix_array(&t);
             let bwt = Bwt::from_sa(&t, &sa);
             let count = CountTable::from_bwt(&bwt);
-            let occ = OccTable::from_bwt(&bwt);
-            let full = SuffixArraySamples::full(&sa);
-            let sparse = SuffixArraySamples::sampled(&sa, rate);
+            let marker = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, 4));
             let interval = SaInterval::full(sa.len());
+            let full = SuffixArraySamples::full(sa.clone());
+            let sparse = SuffixArraySamples::sampled(sa, rate);
             prop_assert_eq!(
-                locate(&full, &bwt, &count, &occ, interval),
-                locate(&sparse, &bwt, &count, &occ, interval)
+                locate(&full, &bwt, &marker, interval),
+                locate(&sparse, &bwt, &marker, interval)
             );
         }
     }

@@ -131,18 +131,17 @@ pub fn backward_search(mt: &MarkerTable, bwt: &Bwt, read: &DnaSeq) -> SaInterval
 mod tests {
     use super::*;
     use crate::sa::suffix_array;
-    use crate::tables::{CountTable, OccTable, SampledOcc};
+    use crate::tables::{CountTable, SampledOcc};
     use crate::text::Text;
     use bioseq::Base;
     use proptest::prelude::*;
 
-    fn index(s: &str, d: usize) -> (Text, Vec<usize>, Bwt, MarkerTable) {
+    fn index(s: &str, d: usize) -> (Text, Vec<u32>, Bwt, MarkerTable) {
         let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);
-        let occ = OccTable::from_bwt(&bwt);
-        let mt = MarkerTable::new(&count, &SampledOcc::from_occ(&occ, d));
+        let mt = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, d));
         (t, sa, bwt, mt)
     }
 
@@ -153,7 +152,7 @@ mod tests {
         let hit = backward_search(&mt, &bwt, &read);
         assert!(!hit.is_empty());
         assert_eq!(hit.count(), 1);
-        let positions: Vec<usize> = hit.rows().map(|r| sa[r]).collect();
+        let positions: Vec<usize> = hit.rows().map(|r| sa[r] as usize).collect();
         assert_eq!(positions, vec![2]);
     }
 
@@ -170,7 +169,7 @@ mod tests {
         let read: DnaSeq = "ACGT".parse().unwrap();
         let hit = backward_search(&mt, &bwt, &read);
         assert_eq!(hit.count(), 3);
-        let mut positions: Vec<usize> = hit.rows().map(|r| sa[r]).collect();
+        let mut positions: Vec<usize> = hit.rows().map(|r| sa[r] as usize).collect();
         positions.sort_unstable();
         assert_eq!(positions, vec![0, 4, 8]);
     }
@@ -233,12 +232,11 @@ mod tests {
                 let sa = suffix_array(&t);
                 let bwt = Bwt::from_sa(&t, &sa);
                 let count = CountTable::from_bwt(&bwt);
-                let occ = OccTable::from_bwt(&bwt);
-                let mt = MarkerTable::new(&count, &SampledOcc::from_occ(&occ, d));
+                let mt = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, d));
                 (t, sa, bwt, mt)
             };
             let hit = backward_search(&mt, &bwt, &read);
-            let mut found: Vec<usize> = hit.rows().map(|r| sa[r]).collect();
+            let mut found: Vec<usize> = hit.rows().map(|r| sa[r] as usize).collect();
             found.sort_unstable();
             prop_assert_eq!(found, scan_positions(&reference, &read));
         }
@@ -254,10 +252,9 @@ mod tests {
             let sa = suffix_array(&t);
             let bwt = Bwt::from_sa(&t, &sa);
             let count = CountTable::from_bwt(&bwt);
-            let occ = OccTable::from_bwt(&bwt);
             let mut results = Vec::new();
             for d in [1usize, 2, 7, 128] {
-                let mt = MarkerTable::new(&count, &SampledOcc::from_occ(&occ, d));
+                let mt = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, d));
                 results.push(backward_search(&mt, &bwt, &read));
             }
             prop_assert!(results.windows(2).all(|w| w[0] == w[1]));

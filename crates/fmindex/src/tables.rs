@@ -76,8 +76,9 @@ impl CountTable {
 /// The full Occ table (FM-index): `occ(nt, i)` = occurrences of `nt` in
 /// `BWT[0 .. i)`.
 ///
-/// Size is `O(4·n)` — the reason the paper down-samples it into
-/// [`SampledOcc`]. Kept here as the exactness oracle.
+/// Size is `O(4·n)` words — the reason the paper down-samples it into
+/// [`SampledOcc`]. The index never builds it: it is the Fig. 2
+/// illustration and the exactness oracle of the tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccTable {
     /// Row-major: `cum[i * 4 + rank]`, `i` in `0 ..= n`.
@@ -140,21 +141,24 @@ pub struct SampledOcc {
 }
 
 impl SampledOcc {
-    /// Samples `occ` at positions `0, d, 2d, …` up to and including the
-    /// bucket that covers index `n`.
+    /// Counts the check-points `occ(·, 0), occ(·, d), occ(·, 2d), …` up
+    /// to and including the one at `⌊n/d⌋·d`, in one streaming pass over
+    /// the BWT — the full [`OccTable`] is never materialised.
     ///
     /// # Panics
     ///
     /// Panics if `bucket_width == 0`.
-    pub fn from_occ(occ: &OccTable, bucket_width: usize) -> SampledOcc {
+    pub fn from_bwt(bwt: &Bwt, bucket_width: usize) -> SampledOcc {
         assert!(bucket_width > 0, "bucket width must be positive");
-        let n = occ.len();
-        let buckets = n / bucket_width + 1;
-        let mut samples = Vec::with_capacity(buckets * 4);
-        for b in 0..buckets {
-            for base in Base::ALL {
-                samples.push(occ.occ(base, b * bucket_width));
+        let n = bwt.len();
+        let mut samples = Vec::with_capacity((n / bucket_width + 1) * 4);
+        let mut running = [0u32; ALPHABET];
+        samples.extend_from_slice(&running[1..]);
+        for bucket in bwt.as_ranks().chunks_exact(bucket_width) {
+            for &r in bucket {
+                running[r as usize] += 1;
             }
+            samples.extend_from_slice(&running[1..]);
         }
         SampledOcc {
             samples,
@@ -246,6 +250,12 @@ impl MarkerTable {
         self.markers[bucket * 4 + base.rank()]
     }
 
+    /// Every marker, row-major (`bucket * 4 + rank`) — the serialised
+    /// order.
+    pub(crate) fn as_words(&self) -> &[u32] {
+        &self.markers
+    }
+
     /// The hardware-friendly `LFM(MT, nt, id)` procedure (paper §III,
     /// Algorithm 1 line 9): the updated interval bound
     /// `Count(nt) + occ(nt, id)`, computed as
@@ -290,7 +300,7 @@ mod tests {
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);
         let occ = OccTable::from_bwt(&bwt);
-        let sampled = SampledOcc::from_occ(&occ, d);
+        let sampled = SampledOcc::from_bwt(&bwt, d);
         let mt = MarkerTable::new(&count, &sampled);
         (bwt, count, occ, sampled, mt)
     }
@@ -327,18 +337,23 @@ mod tests {
 
     #[test]
     fn sampled_matches_full_at_checkpoints() {
-        let (_, _, occ, sampled, _) = setup("GATTACAGATTACAGGGTTT", 3);
-        for b in 0..sampled.buckets() {
-            for base in Base::ALL {
-                assert_eq!(sampled.sample(base, b), occ.occ(base, b * 3));
+        // 20 bases + sentinel = 21 rows: d = 3 and 7 divide it (the
+        // final check-point sits at n itself), 1 samples every row, 4
+        // leaves a partial last bucket, 128 keeps only check-point 0.
+        for d in [1, 3, 4, 7, 21, 128] {
+            let (bwt, _, occ, sampled, _) = setup("GATTACAGATTACAGGGTTT", d);
+            assert_eq!(sampled.buckets(), bwt.len() / d + 1, "d = {d}");
+            for b in 0..sampled.buckets() {
+                for base in Base::ALL {
+                    assert_eq!(sampled.sample(base, b), occ.occ(base, b * d), "d = {d}");
+                }
             }
         }
     }
 
     #[test]
     fn sampled_size_reduction() {
-        let (bwt, _, occ, ..) = setup(&"ACGT".repeat(64), 128);
-        let sampled = SampledOcc::from_occ(&occ, 128);
+        let (bwt, _, _, sampled, _) = setup(&"ACGT".repeat(64), 128);
         assert_eq!(sampled.buckets(), bwt.len() / 128 + 1);
     }
 
@@ -382,8 +397,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "bucket width must be positive")]
     fn zero_bucket_width_rejected() {
-        let (_, _, occ, ..) = setup("ACGT", 2);
-        let _ = SampledOcc::from_occ(&occ, 0);
+        let (bwt, ..) = setup("ACGT", 2);
+        let _ = SampledOcc::from_bwt(&bwt, 0);
     }
 
     proptest! {
@@ -398,7 +413,13 @@ mod tests {
             let bwt = Bwt::from_sa(&t, &sa);
             let count = CountTable::from_bwt(&bwt);
             let occ = OccTable::from_bwt(&bwt);
-            let mt = MarkerTable::new(&count, &SampledOcc::from_occ(&occ, d));
+            let sampled = SampledOcc::from_bwt(&bwt, d);
+            for b in 0..sampled.buckets() {
+                for base in Base::ALL {
+                    prop_assert_eq!(sampled.sample(base, b), occ.occ(base, b * d));
+                }
+            }
+            let mt = MarkerTable::new(&count, &sampled);
             for id in 0..=bwt.len() {
                 for base in Base::ALL {
                     prop_assert_eq!(mt.lfm(&bwt, base, id), count.get(base) + occ.occ(base, id));

@@ -22,7 +22,9 @@
 //!   out of the parallel engine;
 //! * [`chrome_trace_json`] — the Chrome trace-event exporter behind
 //!   `pimalign --trace-out` (one track per worker, viewable in
-//!   `chrome://tracing` or Perfetto).
+//!   `chrome://tracing` or Perfetto);
+//! * [`peak_rss_bytes`] — the process's resident-set high-water mark,
+//!   for the index builder's and `indexbench`'s memory lines.
 
 use std::time::Instant;
 
@@ -376,6 +378,22 @@ pub fn chrome_trace_json(spans: &[HostSpan], tracks: &[(u32, String)]) -> String
     )
 }
 
+/// The peak resident set size of this process so far, in bytes: the
+/// `VmHWM` line of `/proc/self/status`. `None` where that file or line
+/// does not exist (any non-Linux host).
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()?;
+    Some(kib * 1024)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,5 +549,20 @@ mod tests {
         assert!(build < chunk);
         assert!(json.contains("\"ts\":2.000"));
         assert!(json.contains("\"dur\":1.500"));
+    }
+
+    #[test]
+    fn peak_rss_reflects_touched_memory() {
+        // Only meaningful where the kernel reports it.
+        let Some(before) = peak_rss_bytes() else {
+            return;
+        };
+        assert!(before > 0);
+        let block = std::hint::black_box(vec![1u8; 32 << 20]);
+        let after = peak_rss_bytes().expect("reported a moment ago");
+        // The kernel's resident counters are batched per CPU, so allow
+        // the reading some slack below the 32 MiB just written.
+        assert!(after >= (24 << 20), "{before} -> {after}");
+        drop(block);
     }
 }

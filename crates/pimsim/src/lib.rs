@@ -60,7 +60,9 @@ pub use batch::LfmBatch;
 pub use cache::KernelCache;
 pub use dpu::{BacktrackState, Dpu};
 pub use faults::{FaultCounters, FaultInjector};
-pub use host::{chrome_trace_json, HostEpoch, HostHistogram, HostSpan, HostSpanLog, WorkerStats};
+pub use host::{
+    chrome_trace_json, peak_rss_bytes, HostEpoch, HostHistogram, HostSpan, HostSpanLog, WorkerStats,
+};
 pub use ledger::{CycleLedger, KernelCacheCounters, Resource};
 pub use metrics::{PrimCounters, Span, SpanTracer};
 pub use pipeline::{PipelineCounters, PipelineParams, PipelineSim};

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sa = suffix_array(&text);
     println!("suffix array (sorted suffixes of {text}):");
     for (row, &pos) in sa.iter().enumerate() {
-        let suffix: String = text.to_string().chars().skip(pos).collect();
+        let suffix: String = text.to_string().chars().skip(pos as usize).collect();
         println!("  SA[{row}] = {pos:>2}  {suffix}");
     }
 
@@ -52,7 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    let sampled = SampledOcc::from_occ(&occ, d);
+    // The index itself never builds the full table above: it counts the
+    // check-points in one pass over the BWT.
+    let sampled = SampledOcc::from_bwt(&bwt, d);
     println!(
         "\nsampled Occ: {} buckets (size reduced by d = {d})",
         sampled.buckets()

@@ -73,7 +73,7 @@ use pim_aligner_suite::pim_aligner::{
     IndexArtifact, MappedStrand, PimAlignerConfig, Platform, RecoveryPolicy, ShardedPlatform,
     DEFAULT_KERNEL_BATCH,
 };
-use pim_aligner_suite::pimsim::{chrome_trace_json, HostEpoch, HostSpan};
+use pim_aligner_suite::pimsim::{chrome_trace_json, peak_rss_bytes, HostEpoch, HostSpan};
 
 /// Wraps the raw reads file and counts bytes consumed, so `--progress`
 /// can estimate completion from file position without a pre-pass over
@@ -344,15 +344,19 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
 fn load_reference(ref_path: &str) -> Result<(String, DnaSeq), CliError> {
     let ref_text = std::fs::read_to_string(ref_path)
         .map_err(|e| CliError::Input(format!("cannot read {ref_path}: {e}")))?;
-    let references =
+    let mut references =
         fasta::parse(&ref_text).map_err(|e| CliError::Input(format!("{ref_path}: {e}")))?;
-    let [reference] = references.as_slice() else {
+    // The FASTA text is a second copy of the genome; it must not outlive
+    // the parse into the index build.
+    drop(ref_text);
+    if references.len() != 1 {
         return Err(CliError::Input(format!(
             "{ref_path}: expected exactly one reference record, found {}",
             references.len()
         )));
-    };
-    Ok((reference.id().to_owned(), reference.seq().clone()))
+    }
+    let reference = references.pop().expect("exactly one record");
+    Ok((reference.id().to_owned(), reference.into_seq()))
 }
 
 /// The alignment engine behind the streaming loop: one flat platform
@@ -738,9 +742,13 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
     artifact
         .save_to_path(std::path::Path::new(out_path))
         .map_err(|e| CliError::Runtime(format!("cannot write {out_path}: {e}")))?;
+    // MB as the benchmark's `peak_rss_mb` counts them: 2^20 bytes.
+    let peak_rss = peak_rss_bytes().map_or(String::new(), |bytes| {
+        format!(", peak RSS {:.0} MB", bytes as f64 / f64::from(1u32 << 20))
+    });
     eprintln!(
         "pimalign: index build: {} bases -> {} shard(s), SA rate {}, {} index bytes \
-         ({:.2} bytes/bp), {:.0} ms",
+         ({:.2} bytes/bp), {:.0} ms{peak_rss}",
         reference.len(),
         artifact.shards().len(),
         artifact.sa_rate(),

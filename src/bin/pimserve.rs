@@ -53,7 +53,7 @@ use pim_aligner_suite::bioseq::fasta;
 use pim_aligner_suite::pim_aligner::service::obs::log_kv;
 use pim_aligner_suite::pim_aligner::service::{serve, ServiceConfig, ServiceError};
 use pim_aligner_suite::pim_aligner::{
-    IndexArtifact, PimAlignerConfig, Platform, DEFAULT_KERNEL_BATCH,
+    IndexArtifact, PimAlignerConfig, Platform, ShardedPlatform, DEFAULT_KERNEL_BATCH,
 };
 use pim_aligner_suite::pimsim::chrome_trace_json;
 
@@ -233,20 +233,27 @@ fn run() -> Result<(), CliError> {
         (Some(artifact_path), None) => {
             let artifact = IndexArtifact::load_from_path(std::path::Path::new(artifact_path))
                 .map_err(|e| CliError::Input(format!("{artifact_path}: {e}")))?;
-            let [shard] = artifact.shards() else {
+            if artifact.shards().len() != 1 {
                 return Err(CliError::Input(format!(
                     "{artifact_path}: pimserve needs a single-shard artifact, found {} shards; \
                      rebuild with --shard-window 0",
                     artifact.shards().len()
                 )));
-            };
-            Platform::from_index(artifact.reference().clone(), shard.index().clone(), config)
+            }
+            // The same boot `pimalign --index` runs: the platform shares
+            // the artifact's index, so dropping the artifact here frees
+            // only its copy of the reference.
+            ShardedPlatform::from_artifact(&artifact, config, true)
+                .single_platform()
+                .expect("one shard boots one platform")
+                .clone()
         }
         (None, Some(ref_path)) => {
             let ref_text = std::fs::read_to_string(ref_path)
                 .map_err(|e| CliError::Input(format!("cannot read {ref_path}: {e}")))?;
             let references =
                 fasta::parse(&ref_text).map_err(|e| CliError::Input(format!("{ref_path}: {e}")))?;
+            drop(ref_text);
             let [reference] = references.as_slice() else {
                 return Err(CliError::Input(format!(
                     "{ref_path}: expected exactly one reference record, found {}",

@@ -1,11 +1,13 @@
 //! Integration: the shared-platform guarantee — `MappedIndex::build`
-//! runs exactly once per run, no matter how many worker threads align.
+//! runs exactly once per run, no matter how many worker threads align,
+//! and a platform booted from an artifact maps the artifact's own
+//! `FmIndex`, once per shard, without copying it.
 //!
 //! This test must stay ALONE in this file: `MappedIndex::build_count()`
 //! is a process-global counter, and any sibling `#[test]` running
 //! concurrently in the same process would inflate the delta.
 
-use pim_aligner::{MappedIndex, PimAlignerConfig, Platform};
+use pim_aligner::{IndexArtifact, MappedIndex, PimAlignerConfig, Platform, ShardedPlatform};
 use readsim::genome;
 
 #[test]
@@ -51,5 +53,26 @@ fn eight_thread_run_builds_the_index_exactly_once() {
         MappedIndex::build_count(),
         before + 1,
         "align_batch_parallel must build exactly once for 8 threads"
+    );
+
+    // Booting from an artifact maps each shard exactly once and shares
+    // the shard's index with the artifact instead of cloning it.
+    let config = PimAlignerConfig::baseline();
+    let artifact = IndexArtifact::build("r", &reference, 8, 0, 0);
+    let before = MappedIndex::build_count();
+    let booted = ShardedPlatform::from_artifact(&artifact, config.clone(), true);
+    assert_eq!(MappedIndex::build_count(), before + 1);
+    assert!(std::ptr::eq(
+        artifact.shards()[0].index(),
+        booted.single_platform().unwrap().mapped().index()
+    ));
+    let sharded = IndexArtifact::build("r", &reference, 8, 15_000, 512);
+    assert_eq!(sharded.shards().len(), 3);
+    let before = MappedIndex::build_count();
+    let _booted = ShardedPlatform::from_artifact(&sharded, config, true);
+    assert_eq!(
+        MappedIndex::build_count(),
+        before + 3,
+        "one mapping per shard"
     );
 }
