@@ -39,30 +39,6 @@ pub struct Deployment {
 /// assert!(d.chips > 100, "needs a board of dies, got {}", d.chips);
 /// assert!(d.headroom >= 1.0);
 /// ```
-/// Load-balance efficiency of a parallel region from its per-worker
-/// busy times: mean over max. `1.0` means every worker was busy for
-/// exactly as long as the busiest one (perfect balance); values toward
-/// `0.0` mean one straggler dominated. Empty or all-idle input is
-/// defined as `0.0` — there was no work to balance.
-///
-/// # Examples
-///
-/// ```
-/// use accel::scaling::load_balance_efficiency;
-///
-/// assert_eq!(load_balance_efficiency(&[500, 500, 500, 500]), 1.0);
-/// assert_eq!(load_balance_efficiency(&[1_000, 0, 0, 0]), 0.25);
-/// assert_eq!(load_balance_efficiency(&[]), 0.0);
-/// ```
-pub fn load_balance_efficiency(busy_ns: &[u64]) -> f64 {
-    let max = busy_ns.iter().copied().max().unwrap_or(0);
-    if max == 0 {
-        return 0.0;
-    }
-    let mean = busy_ns.iter().map(|&b| b as f64).sum::<f64>() / busy_ns.len() as f64;
-    mean / max as f64
-}
-
 pub fn deployment_for(
     table_bytes: u64,
     chip_capacity_bytes: u64,
@@ -121,19 +97,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = deployment_for(1, 0, 1.0);
-    }
-
-    #[test]
-    fn balance_is_mean_over_max() {
-        assert_eq!(load_balance_efficiency(&[400, 400, 400, 400]), 1.0);
-        let skewed = load_balance_efficiency(&[800, 200, 200, 400]);
-        assert!((skewed - 0.5).abs() < 1e-12, "got {skewed}");
-        assert_eq!(load_balance_efficiency(&[7]), 1.0);
-    }
-
-    #[test]
-    fn balance_degenerate_inputs_are_zero() {
-        assert_eq!(load_balance_efficiency(&[]), 0.0);
-        assert_eq!(load_balance_efficiency(&[0, 0, 0]), 0.0);
     }
 }

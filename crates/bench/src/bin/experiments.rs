@@ -147,7 +147,7 @@ fn fig9c() {
 fn energy_breakdown() {
     let workload = figure_workload(19);
     let mut aligner =
-        pim_aligner::PimAligner::new(&workload.reference, PimAlignerConfig::baseline());
+        pim_aligner::AlignSession::new(&workload.reference, PimAlignerConfig::baseline());
     let _ = aligner.align_batch(&workload.reads);
     let model = *aligner.config().model();
     let breakdown = aligner.ledger().energy_breakdown_pj(&model);
@@ -169,7 +169,7 @@ fn energy_breakdown() {
 fn stages() {
     let workload = paper_workload(17);
     let mut aligner =
-        pim_aligner::PimAligner::new(&workload.reference, PimAlignerConfig::baseline());
+        pim_aligner::AlignSession::new(&workload.reference, PimAlignerConfig::baseline());
     let result = aligner.align_batch(&workload.reads);
     let mapped = result.outcomes.iter().filter(|o| o.is_mapped()).count();
     println!("Two-stage alignment on the paper workload (100 bp, 0.2% error, 0.1% variation)");

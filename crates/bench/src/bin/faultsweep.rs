@@ -20,7 +20,7 @@
 use bench::Workload;
 use mram::device::CellParams;
 use mram::faults::{FaultCampaign, FaultModel};
-use pim_aligner::{PimAligner, PimAlignerConfig, RecoveryPolicy};
+use pim_aligner::{AlignSession, PimAlignerConfig, RecoveryPolicy};
 
 /// Comparator offset levels (mV-scale sigma multiplier on the sense
 /// path); 0 is the paper's nominal fault-free design point.
@@ -93,7 +93,7 @@ fn run_once(workload: &Workload, campaign: FaultCampaign, recovery: RecoveryPoli
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(campaign)
         .with_recovery(recovery);
-    let mut aligner = PimAligner::new(&workload.reference, config);
+    let mut aligner = AlignSession::new(&workload.reference, config);
     let result = aligner.align_batch(&workload.reads);
     let correct = result
         .outcomes

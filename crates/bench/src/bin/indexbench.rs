@@ -26,16 +26,20 @@
 //!   output over a reads-with-errors workload (`sam_identical`).
 //!
 //! Results are written as JSON (default `BENCH_index.json`) and
-//! summarised on stderr; `benchdiff --kind index` gates the load
-//! speedup, the SAM identity, the footprint reconciliation and a
-//! bytes-per-base tripwire against the committed baseline. `--quick`
-//! shrinks the sweep for CI; the full sweep reaches 64 Mbp, which is
-//! only practical because the build cost is paid once per artifact.
+//! summarised on stderr. The run checks its own counted results and
+//! exits 1 when the sharded SAM diverges, when the footprint is off the
+//! size model by more than 0.1 %, or when the largest row's peak RSS
+//! exceeds 16 bytes per reference base; `load_speedup` is wall-clock and
+//! stays a printed number. `--quick` shrinks the sweep for CI; the full
+//! sweep reaches 64 Mbp, which is only practical because the build cost
+//! is paid once per artifact. An unknown flag or an `--out` without a
+//! value is a usage error (exit 2).
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use bench::parse_report_args;
 use bench::workload::Workload;
 use pim_aligner::{sam, IndexArtifact, PimAlignerConfig, Platform, ShardedPlatform};
 use readsim::genome;
@@ -145,15 +149,61 @@ fn check_sam_identity(threads: usize) -> bool {
     flat_sam == sharded_sam
 }
 
+/// The report document. Hand-rolled JSON: the workspace's vendored
+/// serde_json is an offline stub, so the report is assembled textually.
+fn report_json(
+    quick: bool,
+    host_cores: usize,
+    rows: &[SweepRow],
+    sam_identical: bool,
+    footprint_max_rel_err: f64,
+) -> String {
+    let largest = rows.last().expect("nonempty sweep");
+    let sweep_rows = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{ \"genome_len\": {}, \"sa_rate\": {}, \"build_ms\": {:.3}, \
+                 \"save_ms\": {:.3}, \"load_ms\": {:.3}, \"boot_ms\": {:.3}, \
+                 \"load_speedup\": {:.3}, \
+                 \"index_bytes\": {}, \"bytes_per_bp\": {:.4}, \"model_bytes\": {}, \
+                 \"model_rel_err\": {:.6}, \"peak_rss_mb\": {} }}",
+                r.genome_len,
+                r.sa_rate,
+                r.build_ms,
+                r.save_ms,
+                r.load_ms,
+                r.boot_ms,
+                r.load_speedup,
+                r.index_bytes,
+                r.bytes_per_bp,
+                r.model_bytes,
+                r.model_rel_err,
+                r.peak_rss_mb
+                    .map_or("null".to_owned(), |mb| format!("{mb:.1}")),
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    format!(
+        "{{\n  \"quick\": {quick},\n  \"host_cores\": {host_cores},\n  \
+         \"sweep\": [\n{sweep_rows}\n  ],\n  \
+         \"largest\": {{ \"genome_len\": {}, \"load_speedup\": {:.3} }},\n  \
+         \"sam_identical\": {sam_identical},\n  \
+         \"footprint_max_rel_err\": {footprint_max_rel_err:.6}\n}}",
+        largest.genome_len, largest.load_speedup,
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_index.json".to_owned());
+    let (quick, out_path) = match parse_report_args(&args, "--quick", "BENCH_index.json") {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("indexbench: {msg}\nusage: indexbench [--quick] [--out PATH]");
+            std::process::exit(2);
+        }
+    };
 
     // Full sweep reaches the >= 64 Mbp point the artifact is for; the
     // larger genomes sample the SA so the artifact stays disk-friendly.
@@ -206,48 +256,69 @@ fn main() {
         }
     );
 
-    // Hand-rolled JSON: the workspace's vendored serde_json is an
-    // offline stub, so the report is assembled textually.
-    let sweep_rows = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"genome_len\": {}, \"sa_rate\": {}, \"build_ms\": {:.3}, \
-                 \"save_ms\": {:.3}, \"load_ms\": {:.3}, \"boot_ms\": {:.3}, \
-                 \"load_speedup\": {:.3}, \
-                 \"index_bytes\": {}, \"bytes_per_bp\": {:.4}, \"model_bytes\": {}, \
-                 \"model_rel_err\": {:.6}, \"peak_rss_mb\": {} }}",
-                r.genome_len,
-                r.sa_rate,
-                r.build_ms,
-                r.save_ms,
-                r.load_ms,
-                r.boot_ms,
-                r.load_speedup,
-                r.index_bytes,
-                r.bytes_per_bp,
-                r.model_bytes,
-                r.model_rel_err,
-                r.peak_rss_mb
-                    .map_or("null".to_owned(), |mb| format!("{mb:.1}")),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"host_cores\": {host_cores},\n  \
-         \"sweep\": [\n{sweep_rows}\n  ],\n  \
-         \"largest\": {{ \"genome_len\": {}, \"load_speedup\": {:.3} }},\n  \
-         \"sam_identical\": {sam_identical},\n  \
-         \"footprint_max_rel_err\": {footprint_max_rel_err:.6}\n}}",
-        largest.genome_len, largest.load_speedup,
+    let json = report_json(
+        quick,
+        host_cores,
+        &rows,
+        sam_identical,
+        footprint_max_rel_err,
     );
     let mut file = std::fs::File::create(&out_path)
         .unwrap_or_else(|e| panic!("cannot create {out_path}: {e}"));
     writeln!(file, "{json}").unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("indexbench: wrote {out_path}");
 
-    if !sam_identical {
+    // Rows run small to large in one process, so the last row's
+    // high-water mark is its own: build, load and boot of that genome.
+    let peak_rss_bytes_per_bp = largest
+        .peak_rss_mb
+        .map(|mb| mb * f64::from(1u32 << 20) / largest.genome_len as f64);
+    let mut ok = sam_identical;
+    if footprint_max_rel_err > 1e-3 {
+        eprintln!(
+            "indexbench: FAIL: serialised footprint off the size model by {:.3} % (tolerance 0.1 %)",
+            footprint_max_rel_err * 100.0
+        );
+        ok = false;
+    }
+    if let Some(per_bp) = peak_rss_bytes_per_bp.filter(|&b| b > 16.0) {
+        eprintln!(
+            "indexbench: FAIL: peak RSS at {} bp is {per_bp:.1} bytes/bp (ceiling 16)",
+            largest.genome_len
+        );
+        ok = false;
+    }
+    if !ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::json;
+
+    /// The committed full-sweep record must be in the format this bin
+    /// writes today (sweep rows dedupe by shape).
+    #[test]
+    fn committed_baseline_has_the_report_schema() {
+        let row = SweepRow {
+            genome_len: 1_000,
+            sa_rate: 1,
+            build_ms: 2.0,
+            save_ms: 1.0,
+            load_ms: 1.0,
+            boot_ms: 1.0,
+            load_speedup: 2.0,
+            index_bytes: 4_375,
+            bytes_per_bp: 4.375,
+            model_bytes: 4_375,
+            model_rel_err: 0.0,
+            peak_rss_mb: None,
+        };
+        let fresh = json::parse(&report_json(true, 1, &[row], true, 0.0)).expect("report parses");
+        let committed = json::parse(include_str!("../../../../BENCH_index.json"))
+            .expect("BENCH_index.json parses");
+        assert_eq!(fresh.schema_paths(), committed.schema_paths());
     }
 }

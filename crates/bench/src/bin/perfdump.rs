@@ -1,7 +1,7 @@
 //! `perfdump` — dump the platform's cycle-level metrics breakdown.
 //!
 //! ```text
-//! perfdump [--quick] [--pipelined] [--out PATH]
+//! perfdump [--pipelined] [--out PATH]
 //! ```
 //!
 //! Runs the paper-shaped workload through one traced alignment session
@@ -11,13 +11,17 @@
 //! cycles, so the output is deterministic — byte-identical across runs
 //! and machines — and is committed as the metrics baseline. The `host`
 //! section (wall-clock telemetry) is redacted to its empty default for
-//! exactly that reason; `hostbench` owns the live host numbers.
+//! exactly that reason; `pimalign --metrics-out` carries the live host
+//! numbers.
 //!
-//! `--quick` shrinks the workload for CI smoke runs; `--pipelined`
-//! switches to PIM-Aligner-p (Pd = 2).
+//! `--pipelined` switches to PIM-Aligner-p (Pd = 2). An unknown flag or
+//! an `--out` without a value is a usage error (exit 2), so a typo never
+//! overwrites the committed baseline.
 
 use std::io::Write as _;
+use std::process::ExitCode;
 
+use bench::parse_report_args;
 use bench::workload::Workload;
 use pim_aligner::{HostTotals, PimAlignerConfig, Platform};
 
@@ -25,20 +29,21 @@ use pim_aligner::{HostTotals, PimAlignerConfig, Platform};
 /// per-read phase span and the tail of the per-`LFM` spans.
 const TRACE_CAPACITY: usize = 512;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let pipelined = args.iter().any(|a| a == "--pipelined");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_metrics.json".to_owned());
+    let (pipelined, out_path) = match parse_report_args(&args, "--pipelined", "BENCH_metrics.json")
+    {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("perfdump: {msg}\nusage: perfdump [--pipelined] [--out PATH]");
+            return ExitCode::from(2);
+        }
+    };
 
     // A mixed workload: mostly-exact paper-statistics reads so both the
     // exact and inexact stages (and their phase attribution) show up.
-    let (genome_len, read_count) = if quick { (40_000, 24) } else { (120_000, 64) };
+    let genome_len = 120_000;
+    let read_count = 64;
     let workload = Workload::paper_scaled(genome_len, read_count, 80, 2304);
     let config = if pipelined {
         PimAlignerConfig::pipelined()
@@ -46,11 +51,8 @@ fn main() {
         PimAlignerConfig::baseline()
     };
     eprintln!(
-        "perfdump: {} bp reference, {} x 80 bp reads, Pd={}{}",
-        genome_len,
-        read_count,
-        config.pd(),
-        if quick { " (quick)" } else { "" }
+        "perfdump: {genome_len} bp reference, {read_count} x 80 bp reads, Pd={}",
+        config.pd()
     );
 
     let platform = Platform::new(&workload.reference, config);
@@ -62,7 +64,7 @@ fn main() {
     let mut report = session.report();
     // The committed baseline must stay byte-identical across runs and
     // machines, and the host section is wall-clock time. Redact it; the
-    // live host numbers belong to `hostbench`/`pimalign --metrics-out`.
+    // live host numbers belong to `pimalign --metrics-out`.
     report.host = HostTotals::default();
     eprintln!("perfdump: host telemetry redacted (wall-clock; kept deterministic)");
 
@@ -97,4 +99,5 @@ fn main() {
     write!(file, "{}", report.to_metrics_json())
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("perfdump: wrote {out_path}");
+    ExitCode::SUCCESS
 }

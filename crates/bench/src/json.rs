@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the bench tooling.
 //!
 //! The workspace's vendored `serde_json` is an offline stub, so the
-//! tools that *consume* bench JSON (`benchdiff`, the metrics golden
+//! tools that *consume* bench JSON (`pimbench`, the metrics golden
 //! tests) parse it with this hand-rolled recursive-descent reader. It
 //! covers the full JSON grammar the emitters in this repository produce:
 //! objects, arrays, strings (with escapes), numbers (including the
@@ -374,7 +374,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_parbench_shape() {
+    fn parses_a_nested_report_shape() {
         let doc = r#"{
   "workload": { "genome_len": 400000, "read_count": 64, "quick": false },
   "index_build_ms": 1234.567,

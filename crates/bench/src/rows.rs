@@ -3,7 +3,7 @@
 //! [`accel::Platform`] entries.
 
 use accel::{Platform, PlatformClass};
-use pim_aligner::{PerfReport, PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, PerfReport, PimAlignerConfig};
 
 use crate::workload::Workload;
 
@@ -22,7 +22,7 @@ pub struct PimRows {
 
 /// Runs one configuration over the workload and returns its report.
 pub fn simulate_config(workload: &Workload, config: PimAlignerConfig) -> PerfReport {
-    let mut aligner = PimAligner::new(&workload.reference, config);
+    let mut aligner = AlignSession::new(&workload.reference, config);
     aligner.align_batch(&workload.reads).report
 }
 
@@ -96,17 +96,48 @@ mod tests {
         // 3.1× T/W over RaceLogic, ~2× over ASIC, ~9×/1.9× area-normalised.
         let r = rows();
         let catalog = accel::catalog();
-        let tpw = |name: &str| {
-            catalog
-                .iter()
-                .find(|p| p.name == name)
-                .unwrap()
-                .throughput_per_watt()
-        };
+        let by_name = |name: &str| catalog.iter().find(|p| p.name == name).unwrap();
         let pim = r.baseline.throughput_per_watt();
-        let race = pim / tpw("RaceLogic");
+        let race = pim / by_name("RaceLogic").throughput_per_watt();
         assert!((2.5..3.8).contains(&race), "RaceLogic ratio {race:.2}");
-        let asic = pim / tpw("ASIC");
+        let asic = pim / by_name("ASIC").throughput_per_watt();
         assert!((1.6..2.6).contains(&asic), "ASIC ratio {asic:.2}");
+        let asic_area =
+            r.baseline.throughput_per_watt_mm2() / by_name("ASIC").throughput_per_watt_mm2();
+        assert!(
+            (7.0..11.0).contains(&asic_area),
+            "ASIC T/W/mm2 ratio {asic_area:.2} (paper ~9x)"
+        );
+    }
+
+    #[test]
+    fn simulated_rows_hold_figure_orderings() {
+        // 160 reads > the chip's 144 parallel units, so the rows reflect
+        // the saturated operating point the figures compare at.
+        let r = pim_platform_rows(&Workload::clean(60_000, 160, 100, 5));
+        // Fig. 8b: only RaceLogic out-throughputs PIM-Aligner-p.
+        // Fig. 10c: PIM-Aligner-p has the highest resource utilisation.
+        for p in accel::catalog() {
+            if p.name != "RaceLogic" {
+                assert!(
+                    p.throughput_qps < r.pipelined.throughput_qps,
+                    "{} should trail PIM-Aligner-p",
+                    p.name
+                );
+            }
+            assert!(
+                p.rur_pct < r.pipelined.rur_pct,
+                "{} RUR {:.1} should trail PIM-Aligner-p {:.1}",
+                p.name,
+                p.rur_pct,
+                r.pipelined.rur_pct
+            );
+        }
+        assert!(r.baseline.rur_pct < r.pipelined.rur_pct);
+        // Fig. 10a/10b: no off-chip memory, under 18 % of time on it.
+        for row in [&r.baseline, &r.pipelined] {
+            assert_eq!(row.offchip_gb, 0.0);
+            assert!(row.mbr_pct < 18.0, "{} MBR {:.1}", row.name, row.mbr_pct);
+        }
     }
 }

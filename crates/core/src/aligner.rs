@@ -101,19 +101,18 @@ pub struct BatchResult {
 /// shared platform — [`MappedIndex::build`] runs exactly once per
 /// [`Platform::new`], no matter how many sessions are spawned.
 ///
-/// [`PimAligner`] is an alias for this type: constructing one with
-/// [`AlignSession::new`] builds a single-session platform, which keeps
-/// the pre-split API working unchanged.
+/// Constructing one with [`AlignSession::new`] builds a single-session
+/// platform.
 ///
 /// # Examples
 ///
 /// ```
 /// use bioseq::DnaSeq;
-/// use pim_aligner::{AlignmentOutcome, PimAligner, PimAlignerConfig};
+/// use pim_aligner::{AlignmentOutcome, AlignSession, PimAlignerConfig};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
 /// let reference: DnaSeq = "TGCTA".parse()?;
-/// let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+/// let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
 /// let outcome = aligner.align_read(&"CTA".parse()?);
 /// assert_eq!(outcome, AlignmentOutcome::Exact { positions: vec![2] });
 /// # Ok(())
@@ -148,9 +147,6 @@ pub struct AlignSession {
     /// `MappedIndex` stays immutable.
     kernel_cache: KernelCache,
 }
-
-/// The pre-split name for [`AlignSession`]: one platform, one session.
-pub type PimAligner = AlignSession;
 
 impl AlignSession {
     /// Builds a fresh single-session platform over a reference genome
@@ -850,7 +846,7 @@ impl AlignSession {
     /// # Panics
     ///
     /// Panics if `reads` is empty (use
-    /// [`try_align_batch`](PimAligner::try_align_batch) for a typed
+    /// [`try_align_batch`](AlignSession::try_align_batch) for a typed
     /// error).
     pub fn align_batch(&mut self, reads: &[DnaSeq]) -> BatchResult {
         self.try_align_batch(reads)
@@ -936,7 +932,7 @@ mod tests {
     #[test]
     fn exact_and_inexact_stages_cooperate() {
         let reference = genome::uniform(5_000, 31);
-        let mut aligner = PimAligner::new(
+        let mut aligner = AlignSession::new(
             &reference,
             PimAlignerConfig::baseline().with_exhaustive_inexact(true),
         );
@@ -962,7 +958,7 @@ mod tests {
     #[test]
     fn unmappable_read_reported() {
         let reference: DnaSeq = "AAAAAAAAAAAAAAAAAAAA".parse().unwrap();
-        let mut aligner = PimAligner::new(
+        let mut aligner = AlignSession::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
@@ -975,7 +971,7 @@ mod tests {
     #[test]
     fn platform_positions_match_software_oracle() {
         let reference = genome::uniform(8_000, 32);
-        let mut aligner = PimAligner::new(
+        let mut aligner = AlignSession::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
@@ -1019,7 +1015,7 @@ mod tests {
     #[test]
     fn batch_reports_exact_fraction() {
         let reference = genome::uniform(20_000, 34);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         let profile = SimProfile::paper_defaults()
             .read_count(60)
             .read_len(60)
@@ -1044,8 +1040,8 @@ mod tests {
         let reads: Vec<DnaSeq> = (0..20)
             .map(|i| reference.subseq(i * 100..i * 100 + 50))
             .collect();
-        let mut n = PimAligner::new(&reference, PimAlignerConfig::baseline());
-        let mut p = PimAligner::new(&reference, PimAlignerConfig::pipelined());
+        let mut n = AlignSession::new(&reference, PimAlignerConfig::baseline());
+        let mut p = AlignSession::new(&reference, PimAlignerConfig::pipelined());
         let rn = n.align_batch(&reads).report;
         let rp = p.align_batch(&reads).report;
         let gain = rp.throughput_qps / rn.throughput_qps;
@@ -1058,7 +1054,7 @@ mod tests {
         // strand must come back Forward (SAM leaves 0x10 clear on
         // unmapped records), not Reverse as the pre-fix code claimed.
         let reference: DnaSeq = "AAAAAAAAAAAAAAAAAAAA".parse().unwrap();
-        let mut aligner = PimAligner::new(
+        let mut aligner = AlignSession::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
@@ -1071,7 +1067,7 @@ mod tests {
         );
         // A reverse-complement hit still reports Reverse.
         let reference = genome::uniform(4_000, 48);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         let rev = reference.subseq(1_000..1_060).reverse_complement();
         let (outcome, strand) = aligner.align_read_both_strands(&rev);
         assert!(outcome.is_mapped());
@@ -1082,14 +1078,14 @@ mod tests {
     #[should_panic(expected = "at least one read")]
     fn empty_batch_panics() {
         let reference = genome::uniform(1_000, 37);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         let _ = aligner.align_batch(&[]);
     }
 
     #[test]
     fn empty_batch_yields_typed_error() {
         let reference = genome::uniform(1_000, 38);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         assert_eq!(
             aligner.try_align_batch(&[]).unwrap_err(),
             crate::error::AlignError::EmptyBatch
@@ -1103,8 +1099,8 @@ mod tests {
         let reads: Vec<DnaSeq> = (0..12)
             .map(|i| reference.subseq(i * 400..i * 400 + 60))
             .collect();
-        let mut raw = PimAligner::new(&reference, PimAlignerConfig::baseline());
-        let mut recovering = PimAligner::new(
+        let mut raw = AlignSession::new(&reference, PimAlignerConfig::baseline());
+        let mut recovering = AlignSession::new(
             &reference,
             PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard()),
         );
@@ -1136,7 +1132,7 @@ mod tests {
             .with_transient_row_rate(0.05)
             .with_carry_fault_prob(0.02)
             .with_stuck_at_rate(1e-4);
-        let mut aligner = PimAligner::new(
+        let mut aligner = AlignSession::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_fault_campaign(campaign)

@@ -116,7 +116,7 @@ pub enum AddMethod {
     Mirrored,
 }
 
-/// Configuration of a [`PimAligner`](crate::PimAligner).
+/// Configuration of an [`AlignSession`](crate::AlignSession).
 ///
 /// # Examples
 ///

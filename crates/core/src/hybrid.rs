@@ -12,7 +12,7 @@
 use bioseq::DnaSeq;
 use swalign::{affine_local, Alignment, Scoring};
 
-use crate::aligner::PimAligner;
+use crate::aligner::AlignSession;
 use crate::exact::exact_search;
 
 /// Configuration of the seed-and-extend stage.
@@ -67,7 +67,7 @@ pub struct HybridHit {
 ///
 /// Panics if `config.seed_len` is zero or exceeds the read length.
 pub fn seed_and_extend(
-    aligner: &mut PimAligner,
+    aligner: &mut AlignSession,
     read: &DnaSeq,
     config: SeedExtendConfig,
 ) -> Option<HybridHit> {
@@ -150,7 +150,7 @@ mod tests {
     fn recovers_read_beyond_backtracking_budget() {
         let reference = genome::uniform(40_000, 301);
         let mut aligner =
-            PimAligner::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
+            AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
         // Five substitutions: far beyond z = 2 (the seed at offset 60
         // stays clean, so seeding still succeeds).
         let read = damage(&reference.subseq(9_000..9_100), &[5, 25, 45, 88, 92]);
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn recovers_long_deletion() {
         let reference = genome::uniform(30_000, 302);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         // Delete 6 bases from the middle of a 100-bp template.
         let mut bases = reference.subseq(5_000..5_100).into_bases();
         bases.drain(50..56);
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn clean_read_scores_perfect() {
         let reference = genome::uniform(10_000, 303);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         let read = reference.subseq(2_000..2_080);
         let config = SeedExtendConfig::default();
         let hit = seed_and_extend(&mut aligner, &read, config).expect("clean read");
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn hopeless_read_returns_none() {
         let reference = genome::uniform(10_000, 304);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         let junk: DnaSeq = "ACGT".repeat(25).parse().unwrap();
         // Periodic junk may seed somewhere, but the DP threshold rejects.
         let hit = seed_and_extend(&mut aligner, &junk, SeedExtendConfig::default());
@@ -210,7 +210,7 @@ mod tests {
     #[should_panic(expected = "seed length exceeds")]
     fn oversized_seed_rejected() {
         let reference = genome::uniform(1_000, 305);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         let read = reference.subseq(0..10);
         let _ = seed_and_extend(
             &mut aligner,

@@ -12,7 +12,7 @@
 //! * [`exact_search`] — Algorithm 1 (exact alignment-in-memory);
 //! * [`inexact_search`] — Algorithm 2 (≤ z differences via DPU
 //!   backtracking);
-//! * [`PimAligner`] — the end-to-end two-stage aligner with the paper's
+//! * [`AlignSession`] — the end-to-end two-stage aligner with the paper's
 //!   two configurations, [`PimAlignerConfig::baseline`] (PIM-Aligner-n)
 //!   and [`PimAlignerConfig::pipelined`] (PIM-Aligner-p, Pd = 2);
 //! * [`PerfReport`] — throughput, power, MBR and RUR, the quantities of
@@ -25,12 +25,12 @@
 //!
 //! ```
 //! use bioseq::DnaSeq;
-//! use pim_aligner::{PimAligner, PimAlignerConfig};
+//! use pim_aligner::{AlignSession, PimAlignerConfig};
 //!
 //! # fn main() -> Result<(), bioseq::ParseSeqError> {
 //! // The paper's Fig. 1 example: read CTA against reference TGCTA.
 //! let reference: DnaSeq = "TGCTA".parse()?;
-//! let mut aligner = PimAligner::new(&reference, PimAlignerConfig::pipelined());
+//! let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
 //! let outcome = aligner.align_read(&"CTA".parse()?);
 //! assert_eq!(outcome.positions(), Some(&[2usize][..]));
 //!
@@ -61,7 +61,7 @@ pub mod metrics;
 pub mod sam;
 pub mod service;
 
-pub use aligner::{AlignSession, AlignmentOutcome, BatchResult, MappedStrand, PimAligner};
+pub use aligner::{AlignSession, AlignmentOutcome, BatchResult, MappedStrand};
 pub use artifact::{
     sa_rate_for_budget, ArtifactShard, IndexArtifact, LoadArtifactError, ShardedPlatform,
     ARTIFACT_MAGIC, BUDGET_RATES,
@@ -74,9 +74,8 @@ pub use hybrid::{seed_and_extend, HybridHit, SeedExtendConfig};
 pub use inexact::{inexact_search, inexact_search_first, InexactStats};
 pub use mapping::{LfmBatchScratch, LfmRequest, MappedIndex};
 pub use metrics::{
-    host_section_json, index_section_json, obs_section_json, service_section_json,
-    MetricsBreakdown, PhaseLfm, PrimitiveMetrics, ResourceMetrics, StageOccupancy,
-    METRICS_SCHEMA_VERSION,
+    index_section_json, obs_section_json, service_section_json, MetricsBreakdown, PhaseLfm,
+    PrimitiveMetrics, ResourceMetrics, StageOccupancy, METRICS_SCHEMA_VERSION,
 };
 pub use paired::{align_pair, Mate, PairConstraints, PairOutcome};
 pub use parallel::{align_batch_parallel, align_batch_parallel_both_strands, BatchTotals};

@@ -9,10 +9,10 @@
 //! `Pd`, and any spans captured by the session tracer.
 //!
 //! The JSON emitters here are **stable interfaces**: `pimalign
-//! --metrics` and the `perfdump` bench bin both write
+//! --metrics-out` and the `perfdump` bench bin both write
 //! [`PerfReport::to_metrics_json`], whose schema is pinned by a
 //! golden-file test (`tests/metrics_json.rs`). Change the schema only
-//! together with that golden file and `benchdiff` consumers.
+//! together with that golden file and its `pimbench` consumer.
 
 use pimsim::costs::LogicalOp;
 use pimsim::{CycleLedger, HostHistogram, KernelCacheCounters, Resource, Span, SpanTracer};
@@ -473,9 +473,8 @@ pub fn service_section_json(s: &ServiceTelemetry) -> String {
 /// histograms, worker utilisation and trace-span counts. Everything here
 /// is host time — nondeterministic across runs and machines — which is
 /// why it lives in its own top-level section, never mixed into the
-/// simulated `report`/`breakdown` quantities (DESIGN.md §12). Shared by
-/// [`PerfReport::to_metrics_json`] and the `hostbench` bin.
-pub fn host_section_json(host: &HostTotals) -> String {
+/// simulated `report`/`breakdown` quantities (DESIGN.md §12).
+fn host_section_json(host: &HostTotals) -> String {
     let worker_rows = host
         .workers
         .iter()

@@ -10,7 +10,7 @@
 
 use bioseq::DnaSeq;
 
-use crate::aligner::{MappedStrand, PimAligner};
+use crate::aligner::{AlignSession, MappedStrand};
 
 /// Constraints for proper pairing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ impl PairOutcome {
 /// smallest fragment is reported (the most probable under any unimodal
 /// insert distribution).
 pub fn align_pair(
-    aligner: &mut PimAligner,
+    aligner: &mut AlignSession,
     r1: &DnaSeq,
     r2: &DnaSeq,
     constraints: PairConstraints,
@@ -190,7 +190,7 @@ mod tests {
                 ..Default::default()
             });
         let sim = simulate_pairs(&reference, profile, InsertProfile::default(), 202);
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         for pair in &sim.pairs {
             let outcome = align_pair(&mut aligner, &pair.r1, &pair.r2, constraints());
             match outcome {
@@ -223,7 +223,7 @@ mod tests {
         reference.extend(repeat.iter().copied());
         reference.extend(tail.iter().copied());
 
-        let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
         // R1 inside the first repeat copy (ambiguous: two positions).
         let r1_start = 300 + 50;
         let r1 = reference.subseq(r1_start..r1_start + 60);
@@ -251,7 +251,7 @@ mod tests {
     fn unpairable_combinations_are_classified() {
         let reference = genome::uniform(10_000, 207);
         let mut aligner =
-            PimAligner::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+            AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
         let r1 = reference.subseq(1_000..1_060);
         // Both mates forward and far apart: discordant.
         let r2_same_strand = reference.subseq(9_000..9_060);

@@ -397,7 +397,7 @@ impl Platform {
 ///
 /// The index is built exactly once — workers share it through the
 /// [`Platform`] — and outcomes are returned in input order, identical to
-/// a sequential [`PimAligner::align_batch`](crate::PimAligner::align_batch)
+/// a sequential [`AlignSession::align_batch`](crate::AlignSession::align_batch)
 /// run with an ideal fault model
 /// (fault injection draws per-worker decorrelated streams, so faulty runs
 /// are only statistically equivalent).
@@ -447,7 +447,7 @@ pub fn align_batch_parallel_both_strands(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aligner::PimAligner;
+    use crate::aligner::AlignSession;
     use readsim::{genome, ReadSimulator, SimProfile};
 
     fn workload() -> (DnaSeq, Vec<DnaSeq>) {
@@ -468,7 +468,7 @@ mod tests {
         // the parallel side to kernel_batch = 1 for an exact ledger
         // match (batched runs charge fewer plane loads by design).
         let config = PimAlignerConfig::baseline().with_kernel_batch(1);
-        let mut sequential = PimAligner::new(&reference, config.clone());
+        let mut sequential = AlignSession::new(&reference, config.clone());
         let seq_result = sequential.align_batch(&reads);
         let par_result = align_batch_parallel(&reference, &config, &reads, 4).unwrap();
         assert_eq!(par_result.outcomes, seq_result.outcomes);

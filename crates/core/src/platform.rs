@@ -139,7 +139,7 @@ impl Platform {
 
     /// Spawns a sequential alignment session. Its fault-injection stream
     /// is seeded straight from the campaign, so it replays bit-identically
-    /// to the pre-split `PimAligner` behaviour.
+    /// to a single-session [`AlignSession::new`] run.
     pub fn session(&self) -> AlignSession {
         self.worker_session(0)
     }

@@ -6,7 +6,7 @@
 //! rather than merely fast when idle:
 //!
 //! * [`protocol`] — the length-prefixed wire format and a blocking
-//!   [`Client`](protocol::Client) shared by server, `loadgen` and tests;
+//!   [`Client`](protocol::Client) shared by server, `pimbench` and tests;
 //! * [`queue`] — the bounded, byte-accounted admission queue with
 //!   load-shedding and an arrival-rate-adaptive batch take;
 //! * [`server`] — acceptor/readers/batcher threads, per-request

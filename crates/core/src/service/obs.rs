@@ -179,8 +179,9 @@ impl BucketRing {
 
     /// Everything ever recorded: retired aggregate ⊕ all live buckets.
     /// Field-for-field equal to the lifetime counters when every event
-    /// goes through [`ObsState`] (pinned by test and by the
-    /// `benchdiff --kind obs` gate).
+    /// goes through [`ObsState`] (pinned in-process by
+    /// `tests/obs_plane.rs` and over the wire by
+    /// `tests/pimserve_process.rs`).
     pub fn cumulative(&self) -> ObsBucket {
         let mut acc = self.retired.clone();
         for (i, bucket) in self.slots.iter().enumerate() {
@@ -402,7 +403,7 @@ impl ObsState {
     /// lifetime telemetry with queue peaks folded in (the server owns
     /// the queue); `queue_depth`/`inflight_bytes` are the live gauges.
     ///
-    /// Shape (stable, parsed by `loadgen` and the obs gate):
+    /// Shape (stable, parsed by `pimbench` and the obs tests):
     /// `service` (the schema-v7 service section), `cumulative`
     /// (ring-derived, must equal `service`'s counters exactly),
     /// `windows.w1|w10|w60`, `gauges`, `watchdog`, `slow[]`.

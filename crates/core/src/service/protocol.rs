@@ -14,7 +14,7 @@
 //! what lets the batcher answer whole coalesced batches without
 //! per-connection ordering barriers.
 //!
-//! Both sides of the conversation (server, `loadgen`, tests) share the
+//! Both sides of the conversation (server, `pimbench`, tests) share the
 //! encoders/decoders here, so a framing change cannot silently desync
 //! them.
 
@@ -529,8 +529,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
     Ok(resp)
 }
 
-/// A blocking client for the `pimserve` protocol, shared by `loadgen`,
-/// the CI smoke and the integration tests. One client owns one TCP
+/// A blocking client for the `pimserve` protocol, shared by `pimbench`
+/// and the integration tests. One client owns one TCP
 /// connection; requests may be pipelined (send several, then receive)
 /// and responses are correlated by `req_id`.
 #[derive(Debug)]
@@ -656,18 +656,6 @@ impl Client {
                 "server closed mid-request",
             )),
         }
-    }
-
-    /// A second handle on the same connection (e.g. a dedicated receiver
-    /// thread while this one keeps sending).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn try_clone(&self) -> io::Result<Client> {
-        Ok(Client {
-            stream: self.stream.try_clone()?,
-        })
     }
 }
 

@@ -5,14 +5,10 @@
 //! rows as `Vec<Vec<bool>>` and `XNOR_Match` allocated a fresh 128-entry
 //! `Vec<bool>` per call, comparing the two interleaved bit lanes of every
 //! base position one boolean at a time. That representation is preserved
-//! here, bit-for-bit, for two jobs:
-//!
-//! * the property tests prove the packed kernel agrees with this one over
-//!   random rows, lengths, sentinel positions, stuck cells, and fault
-//!   seeds — the packed rewrite is an *optimisation*, not a behaviour
-//!   change;
-//! * the `kernelbench` bin measures the packed kernel's speedup against
-//!   it, which is the number the ISSUE's ≥5× acceptance gate checks.
+//! here, bit-for-bit, as the oracle of the property tests: they prove
+//! the packed kernel agrees with this one over random rows, lengths,
+//! sentinel positions, stuck cells, and fault seeds — the packed rewrite
+//! is an *optimisation*, not a behaviour change.
 //!
 //! Both kernels charge the same [`LogicalOp`]s: the cycle model prices
 //! logical operations, not host-side data structures.
@@ -142,8 +138,8 @@ impl BoolSubArray {
 /// APIs, then a per-bool prefix scan. Returns `count_match`.
 ///
 /// The packed equivalent is
-/// [`packed_compare_stage`]; `kernelbench` times the two against each
-/// other and the property tests pin their outputs equal.
+/// [`packed_compare_stage`]; the property tests pin their outputs
+/// equal.
 pub fn reference_compare_stage(
     sa: &BoolSubArray,
     bucket: usize,

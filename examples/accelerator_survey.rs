@@ -6,7 +6,7 @@
 
 use accel::{catalog, figure_series, Figure, Platform, PlatformClass};
 use bioseq::DnaSeq;
-use pim_aligner::{PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, PimAlignerConfig};
 use readsim::variant::VariantProfile;
 use readsim::{genome, ReadSimulator, SimProfile};
 
@@ -16,7 +16,7 @@ fn simulate(
     reference: &DnaSeq,
     reads: &[DnaSeq],
 ) -> Platform {
-    let mut aligner = PimAligner::new(reference, config);
+    let mut aligner = AlignSession::new(reference, config);
     let report = aligner.align_batch(reads).report;
     Platform::from_measurements(
         name,

@@ -9,7 +9,7 @@
 
 use bioseq::{Base, DnaSeq};
 use pim_aligner::{
-    align_pair, seed_and_extend, PairConstraints, PairOutcome, PimAligner, PimAlignerConfig,
+    align_pair, seed_and_extend, AlignSession, PairConstraints, PairOutcome, PimAlignerConfig,
     SeedExtendConfig,
 };
 use readsim::paired::{simulate_pairs, InsertProfile};
@@ -26,7 +26,7 @@ fn main() {
     let sim = simulate_pairs(&reference, profile, insert, 778);
     let constraints = PairConstraints::new(150, 600);
 
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::pipelined());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
     let mut proper = 0usize;
     let mut correct_fragment = 0usize;
     let mut other = 0usize;

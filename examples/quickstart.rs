@@ -9,7 +9,7 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::FmIndex;
-use pim_aligner::{PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, PimAlignerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Fig. 1: reference, BWT, suffix array ---
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- The same alignment on the simulated PIM platform ---
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::pipelined());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
     let outcome = aligner.align_read(&read);
     println!("platform search: {outcome:?}");
     assert_eq!(outcome.positions(), Some(&[2usize][..]));

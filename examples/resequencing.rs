@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example resequencing`
 
-use pim_aligner::{AlignmentOutcome, PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
 use readsim::{genome, ReadSimulator, SimProfile, Strand};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         sim.donor.variants.len()
     );
 
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::pipelined());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
     let mut exact = 0usize;
     let mut inexact = 0usize;
     let mut unmapped = 0usize;

@@ -15,11 +15,11 @@
 //! # Examples
 //!
 //! ```
-//! use pim_aligner_suite::pim_aligner::{PimAligner, PimAlignerConfig};
+//! use pim_aligner_suite::pim_aligner::{AlignSession, PimAlignerConfig};
 //!
 //! # fn main() -> Result<(), bioseq::ParseSeqError> {
 //! let reference: bioseq::DnaSeq = "TGCTA".parse()?;
-//! let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+//! let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
 //! assert_eq!(
 //!     aligner.align_read(&"CTA".parse()?).positions(),
 //!     Some(&[2usize][..])

@@ -206,12 +206,28 @@ fn telemetry_flags_never_touch_the_sam_stream() {
         .get("traceEvents")
         .and_then(Value::as_array)
         .expect("traceEvents");
-    assert!(
-        events
-            .iter()
-            .any(|e| e.get("ph").and_then(Value::as_str) == Some("X")),
-        "trace has no complete spans"
-    );
+    // Only complete spans and metadata, and every span is well-formed.
+    let mut complete = 0;
+    for (i, event) in events.iter().enumerate() {
+        match event.get("ph").and_then(Value::as_str) {
+            Some("X") => {
+                assert!(
+                    event.get("name").and_then(Value::as_str).is_some()
+                        && event.get("tid").and_then(Value::as_u64).is_some()
+                        && event.get("ts").and_then(Value::as_f64).is_some()
+                        && event
+                            .get("dur")
+                            .and_then(Value::as_f64)
+                            .is_some_and(|d| d >= 0.0),
+                    "event {i} is not a well-formed complete span"
+                );
+                complete += 1;
+            }
+            Some("M") => {}
+            other => panic!("event {i} has unexpected phase {other:?}"),
+        }
+    }
+    assert!(complete > 0, "trace has no complete spans");
     // One named track per worker plus the main thread's.
     for want in ["worker-0", "worker-1", "main"] {
         assert!(

@@ -1,12 +1,12 @@
 //! Integration: boundary conditions across the whole stack.
 
 use bioseq::DnaSeq;
-use pim_aligner::{AlignmentOutcome, PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
 
 #[test]
 fn single_base_reference() {
     let reference: DnaSeq = "A".parse().unwrap();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     assert_eq!(
         aligner.align_read(&"A".parse().unwrap()),
         AlignmentOutcome::Exact { positions: vec![0] }
@@ -20,7 +20,7 @@ fn single_base_reference() {
             diffs: 1
         }
     );
-    let mut strict = PimAligner::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let mut strict = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
     assert_eq!(
         strict.align_read(&"C".parse().unwrap()),
         AlignmentOutcome::Unmapped
@@ -30,7 +30,7 @@ fn single_base_reference() {
 #[test]
 fn read_longer_than_reference_does_not_panic() {
     let reference: DnaSeq = "ACGTACGT".parse().unwrap();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     let long: DnaSeq = "ACGTACGTACGTACGT".parse().unwrap();
     // Exact match is impossible; inexact may only succeed by treating the
     // overhang as insertions, which exceeds z = 2 here.
@@ -40,7 +40,7 @@ fn read_longer_than_reference_does_not_panic() {
 #[test]
 fn read_equal_to_reference_maps_at_origin() {
     let reference: DnaSeq = "GATTACAGATTACA".parse().unwrap();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     match aligner.align_read(&reference) {
         AlignmentOutcome::Exact { positions } => assert_eq!(positions, vec![0]),
         other => panic!("full-reference read must map exactly, got {other:?}"),
@@ -54,7 +54,7 @@ fn reference_exactly_one_subarray_capacity() {
     let reference: DnaSeq = (0..32_768)
         .map(|i| bioseq::Base::from_rank((i * 13 + 1) % 4))
         .collect();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     let oracle = fmindex::FmIndex::new(&reference);
     for start in [0usize, 16_000, 32_768 - 64] {
         let read = reference.subseq(start..start + 64);
@@ -70,7 +70,7 @@ fn reference_exactly_one_subarray_capacity() {
 #[test]
 fn homopolymer_reference_multi_hits() {
     let reference: DnaSeq = "A".repeat(200).parse().unwrap();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     match aligner.align_read(&"AAAA".parse().unwrap()) {
         AlignmentOutcome::Exact { positions } => {
             assert_eq!(positions.len(), 197);
@@ -84,7 +84,7 @@ fn homopolymer_reference_multi_hits() {
 #[test]
 fn one_base_reads() {
     let reference: DnaSeq = "TGCTA".parse().unwrap();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     match aligner.align_read(&"T".parse().unwrap()) {
         AlignmentOutcome::Exact { positions } => assert_eq!(positions, vec![0, 3]),
         other => panic!("{other:?}"),

@@ -10,7 +10,7 @@
 use bioseq::DnaSeq;
 use mram::device::CellParams;
 use mram::faults::FaultModel;
-use pim_aligner::{AlignmentOutcome, PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
 use readsim::genome;
 
 fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<(usize, DnaSeq)> {
@@ -23,7 +23,7 @@ fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<(usize, DnaS
 }
 
 fn accuracy(reference: &DnaSeq, faults: FaultModel) -> f64 {
-    let mut aligner = PimAligner::new(
+    let mut aligner = AlignSession::new(
         reference,
         PimAlignerConfig::baseline()
             .with_max_diffs(0)

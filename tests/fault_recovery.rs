@@ -11,7 +11,7 @@
 
 use bioseq::DnaSeq;
 use mram::faults::{FaultCampaign, FaultModel};
-use pim_aligner::{PimAligner, PimAlignerConfig, RecoveryPolicy};
+use pim_aligner::{AlignSession, PimAlignerConfig, RecoveryPolicy};
 use readsim::genome;
 
 const READS: usize = 100;
@@ -47,7 +47,7 @@ fn placement_accuracy(
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(hostile_campaign())
         .with_recovery(recovery);
-    let mut aligner = PimAligner::new(reference, config);
+    let mut aligner = AlignSession::new(reference, config);
     let result = aligner.align_batch(reads);
     let correct = result
         .outcomes
@@ -125,7 +125,7 @@ fn bound_pruned_unmapped_climbs_the_ladder_under_a_campaign() {
     // the ladder short-circuits, and the pass cost at most 2·m LFMs on
     // top of the exact stage's.
     let config = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
-    let quiet = PimAligner::new(&reference, config).align_batch(&reads);
+    let quiet = AlignSession::new(&reference, config).align_batch(&reads);
     assert!(quiet.outcomes.iter().all(|o| o.positions().is_none()));
     assert_eq!(quiet.report.faults.escalations, 0);
     assert!(
@@ -156,7 +156,7 @@ fn recovered_run_replays_identically() {
         let config = PimAlignerConfig::baseline()
             .with_fault_campaign(hostile_campaign())
             .with_recovery(RecoveryPolicy::standard());
-        let mut aligner = PimAligner::new(&reference, config);
+        let mut aligner = AlignSession::new(&reference, config);
         let result = aligner.align_batch(&reads);
         (result.outcomes, result.report.faults)
     };

@@ -85,6 +85,7 @@ fn simulated_totals_and_heatmap_are_thread_invariant() {
     // The host layer still accounts for every read in both shapes.
     assert_eq!(totals_1.host.per_read.count(), reads.len() as u64);
     assert_eq!(totals_8.host.per_read.count(), reads.len() as u64);
+    assert_eq!(totals_8.host.workers.len(), 8, "one worker row per thread");
     let reads_8: u64 = totals_8.host.workers.iter().map(|w| w.reads).sum();
     assert_eq!(reads_8, reads.len() as u64);
 }

@@ -3,7 +3,7 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, FmIndex};
-use pim_aligner::{AlignmentOutcome, PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
 use readsim::genome;
 use swalign::{banded_global, Scoring};
 
@@ -19,7 +19,7 @@ fn mutate(read: &DnaSeq, positions: &[usize]) -> DnaSeq {
 fn exhaustive_platform_hits_equal_software_hits() {
     let reference = genome::uniform(20_000, 81);
     let oracle = FmIndex::new(&reference);
-    let mut aligner = PimAligner::new(
+    let mut aligner = AlignSession::new(
         &reference,
         PimAlignerConfig::baseline()
             .with_max_diffs(2)
@@ -61,7 +61,7 @@ fn first_accept_position_confirmed_by_dp_baseline() {
     // paper compares against: banded global alignment at the reported
     // position must reach the expected score.
     let reference = genome::uniform(15_000, 82);
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
     let read = mutate(&reference.subseq(7_000..7_060), &[15, 40]);
     let AlignmentOutcome::Inexact { positions, diffs } = aligner.align_read(&read) else {
         panic!("expected an inexact hit");
@@ -86,7 +86,7 @@ fn indel_variant_recovered_cross_stack() {
     let mut bases = reference.subseq(3_000..3_050).into_bases();
     bases.remove(25);
     let read = DnaSeq::from_bases(bases);
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline().with_max_diffs(1));
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(1));
     match aligner.align_read(&read) {
         AlignmentOutcome::Inexact { positions, .. } => {
             assert!(positions.iter().any(|&p| p.abs_diff(3_000) <= 1));

@@ -1,6 +1,6 @@
 //! Integration: `pimalign --metrics-out` — the stable JSON metrics document.
 //!
-//! The schema is a published interface (`benchdiff` and external
+//! The schema is a published interface (`pimbench` and external
 //! dashboards consume it), so beyond the semantic checks a golden file
 //! (`tests/golden/metrics_schema.txt`) pins the exact set of leaf paths.
 //! A failing golden test means the schema changed: bump
@@ -227,6 +227,6 @@ fn metrics_schema_matches_golden_file() {
         actual, golden,
         "metrics JSON schema drifted from tests/golden/metrics_schema.txt.\n\
          If the change is intentional, bump METRICS_SCHEMA_VERSION, update the\n\
-         golden file to the `actual` value above, and update benchdiff/dashboards."
+         golden file to the `actual` value above, and update pimbench/dashboards."
     );
 }

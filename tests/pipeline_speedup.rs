@@ -3,7 +3,8 @@
 
 use bioseq::DnaSeq;
 use pim_aligner::{
-    align_batch_parallel_both_strands, sam, BatchResult, MappedStrand, PimAligner, PimAlignerConfig,
+    align_batch_parallel_both_strands, sam, AlignSession, BatchResult, MappedStrand,
+    PimAlignerConfig,
 };
 use readsim::genome;
 
@@ -20,8 +21,8 @@ fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<DnaSeq> {
 fn pd2_gains_about_forty_percent() {
     let reference = genome::uniform(80_000, 91);
     let reads = clean_reads(&reference, 50, 100);
-    let mut baseline = PimAligner::new(&reference, PimAlignerConfig::baseline());
-    let mut pipelined = PimAligner::new(&reference, PimAlignerConfig::pipelined());
+    let mut baseline = AlignSession::new(&reference, PimAlignerConfig::baseline());
+    let mut pipelined = AlignSession::new(&reference, PimAlignerConfig::pipelined());
     let rn = baseline.align_batch(&reads).report;
     let rp = pipelined.align_batch(&reads).report;
     let gain = rp.throughput_qps / rn.throughput_qps;
@@ -114,7 +115,7 @@ fn pd_sweep_monotone_with_diminishing_returns() {
         } else {
             PimAlignerConfig::pipelined().with_pd(pd)
         };
-        let mut aligner = PimAligner::new(&reference, config);
+        let mut aligner = AlignSession::new(&reference, config);
         let report = aligner.align_batch(&reads).report;
         throughput.push(report.throughput_qps);
         power.push(report.total_power_w);

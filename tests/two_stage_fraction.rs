@@ -3,7 +3,7 @@
 //! paper's workload statistics (100 bp, 0.2 % error, 0.1 % variation).
 
 use bioseq::DnaSeq;
-use pim_aligner::{PimAligner, PimAlignerConfig};
+use pim_aligner::{AlignSession, PimAlignerConfig};
 use readsim::{genome, ReadSimulator, SimProfile};
 
 #[test]
@@ -12,7 +12,7 @@ fn about_seventy_percent_resolve_in_stage_one() {
     let profile = SimProfile::paper_defaults().read_count(250).forward_only();
     let sim = ReadSimulator::new(profile, 102).simulate(&reference);
     let reads: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     let result = aligner.align_batch(&reads);
     // Expected exact fraction: (1 - per-base error)^(100) with both error
     // sources ≈ 0.997^100 ≈ 0.74; paper says "up to ~70%".
@@ -43,7 +43,7 @@ fn error_free_workload_is_all_exact() {
         .forward_only();
     let sim = ReadSimulator::new(profile, 104).simulate(&reference);
     let reads: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
-    let mut aligner = PimAligner::new(&reference, PimAlignerConfig::baseline());
+    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
     let result = aligner.align_batch(&reads);
     assert_eq!(result.exact_fraction, 1.0);
 }
