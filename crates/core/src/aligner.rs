@@ -56,7 +56,8 @@ pub enum AlignmentOutcome {
         /// Sorted reference positions of the best (fewest-difference)
         /// hits.
         positions: Vec<usize>,
-        /// Differences used by the best hits.
+        /// Differences used by the best hits: the fewest the read aligns
+        /// with, in first-accept mode as in exhaustive mode.
         diffs: u8,
     },
     /// No alignment within the configured budget.

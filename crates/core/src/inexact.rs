@@ -9,7 +9,7 @@
 //! form of `fmindex`'s recursive Algorithm 2 — and is tested for
 //! interval-exact agreement with that software oracle.
 //!
-//! The DFS issues an `LFM` only when its result can reach a hit
+//! The DFS issues an `LFM` only for an alternative the answer could need
 //! (DESIGN.md §5):
 //!
 //! * a greedy right-to-left exact pass first cuts the read into disjoint
@@ -20,7 +20,17 @@
 //! * a visited state issues only its match continuation and saves itself
 //!   in the register file; its insertion, deletion and substitution
 //!   children are expanded when the DFS backtracks into that frame, and
-//!   only if the bound leaves them a budget.
+//!   only if the bound leaves them a budget;
+//! * first-accept mode searches in rounds of growing budget, from the
+//!   number of absent substrings up to `z` ("one and two mismatch …
+//!   based on input-z"), so the hit it returns is a minimum-difference
+//!   one and a cheap answer is never preceded by the neighbourhood of a
+//!   dearer one. When a round fails, the substrings — minimal on the
+//!   left only — are trimmed on the right before the next round, which
+//!   takes the slack away from the 3' end, where intervals are widest;
+//! * the first segment of the bound pass is the pure-match descent every
+//!   round starts with, so its intervals are kept and each round
+//!   re-creates those frames without issuing an `LFM`.
 
 use std::collections::HashMap;
 
@@ -84,18 +94,31 @@ pub fn inexact_search(
     budget: EditBudget,
     ledger: &mut CycleLedger,
 ) -> (Vec<InexactHit>, InexactStats) {
-    Search::new(mapped, injector, dpu, read, budget, ledger).run(false)
+    let mut search = Search::new(mapped, injector, dpu, read, budget, ledger);
+    let mut best: HashMap<SaInterval, u8> = HashMap::new();
+    if search.lower_bound().is_some() {
+        search.start_round(budget.max_diffs());
+        while let Some(hit) = search.next_hit() {
+            best.entry(hit.interval)
+                .and_modify(|least| *least = (*least).min(hit.diffs))
+                .or_insert(hit.diffs);
+        }
+    }
+    (sorted_hits(best), search.stats)
 }
 
 /// First-accept variant of Algorithm 2: depth-first with the match
-/// branch explored first, returning as soon as one full-length interval
-/// is found. This is the hardware-faithful production mode — the DPU's
-/// small register file bounds the backtracking, and the paper's platform
-/// reports hits as they are located rather than enumerating the entire
-/// edit neighbourhood.
+/// branch explored first, one round per difference budget from the
+/// fewest the read can need up to `budget.max_diffs()`, returning as
+/// soon as one full-length interval is found. This is the
+/// hardware-faithful production mode — the DPU's small register file
+/// bounds the backtracking, and the paper's platform reports hits as
+/// they are located rather than enumerating the entire edit
+/// neighbourhood.
 ///
-/// The returned hit (if any) is always a member of the exhaustive hit
-/// set, though not necessarily the minimum-difference one.
+/// The returned hit (if any) is a member of the exhaustive hit set with
+/// the minimum difference count of that set: the first one the DFS
+/// meets at the smallest budget that has any.
 pub fn inexact_search_first(
     mapped: &MappedIndex,
     injector: &mut FaultInjector,
@@ -104,12 +127,13 @@ pub fn inexact_search_first(
     budget: EditBudget,
     ledger: &mut CycleLedger,
 ) -> (Option<InexactHit>, InexactStats) {
-    let (hits, stats) = Search::new(mapped, injector, dpu, read, budget, ledger).run(true);
-    (hits.into_iter().next(), stats)
+    let mut search = Search::new(mapped, injector, dpu, read, budget, ledger);
+    (search.first_hit(), search.stats)
 }
 
 /// One search: the platform handles it drives, the read, and the DFS
-/// state.
+/// state. The buffers live as long as the search, whatever the number of
+/// rounds.
 struct Search<'a> {
     mapped: &'a MappedIndex,
     injector: &'a mut FaultInjector,
@@ -119,10 +143,21 @@ struct Search<'a> {
     budget: EditBudget,
     /// `[0, n)` is the interval of the empty string.
     n: u32,
-    /// The difference lower bound, see [`Search::lower_bound`].
+    /// The disjoint substrings `read[s..e)` absent from the reference,
+    /// as `(s, e)`, rightmost first; see [`Search::lower_bound`].
+    absent: Vec<(usize, usize)>,
+    /// The difference lower bound: how many of `absent` lie inside
+    /// `read[0..=i]`.
     d: Vec<i16>,
+    /// The pure-match descent from the read's last base, recorded by the
+    /// bound pass: `path[j]` is the interval of the read's last `j`
+    /// bases, up to the first one that does not extend (or the whole
+    /// read).
+    path: Vec<(u32, u32)>,
     /// Every `Frame` on it satisfies `z >= bound(i)`.
     stack: Vec<Entry>,
+    /// The budget of the round in progress.
+    round: u8,
     stats: InexactStats,
 }
 
@@ -143,8 +178,11 @@ impl<'a> Search<'a> {
             ledger,
             read,
             budget,
+            absent: Vec::new(),
             d: Vec::new(),
+            path: Vec::new(),
             stack: Vec::new(),
+            round: 0,
             stats: InexactStats::default(),
         }
     }
@@ -161,44 +199,103 @@ impl<'a> Search<'a> {
         (!self.dpu.interval_empty()).then_some((low, high))
     }
 
-    /// Fills `d`, the difference lower bound: `d[i]` is the number of
-    /// disjoint substrings of `read[0..=i]` that do not occur in the
-    /// reference, found by one greedy right-to-left exact pass (at most
-    /// `2·m` `LFM`s). An alignment spends at least one substitution,
-    /// insertion or deletion inside each of them, so `read[0..=i]`
-    /// cannot be aligned with fewer than `d[i]` differences.
+    /// The interval of the empty string, loaded into the DPU.
+    fn whole_text(&mut self) -> (u32, u32) {
+        self.dpu.init_interval(self.n, self.ledger);
+        (0, self.n)
+    }
+
+    /// One greedy right-to-left exact pass (at most `2·m` `LFM`s) that
+    /// cuts the read into the disjoint substrings `absent`, none of
+    /// which occurs in the reference, and fills `d` from them. An
+    /// alignment spends at least one substitution, insertion or deletion
+    /// inside each, so `read[0..=i]` cannot be aligned with fewer than
+    /// `d[i]` differences, nor the read with fewer than the number of
+    /// substrings, which is returned.
     ///
-    /// Returns `false` as soon as more substrings are found than the
+    /// Returns `None` as soon as more substrings are found than the
     /// budget has differences: the whole read is then out of reach and
     /// the pass stops there.
-    fn lower_bound(&mut self) -> bool {
+    ///
+    /// Up to its first failure the pass is the match descent of the DFS
+    /// itself; those intervals are kept in `path`.
+    fn lower_bound(&mut self) -> Option<u8> {
         let read = self.read;
-        self.d = vec![0; read.len()];
-        let mut found = 0;
         // read[i..end] is the substring being extended leftward.
         let mut end = read.len();
-        let (mut low, mut high) = (0, self.n);
-        self.dpu.init_interval(self.n, self.ledger);
+        let (mut low, mut high) = self.whole_text();
+        self.path.push((low, high));
         for i in (0..read.len()).rev() {
             if let Some(next) = self.extend(read[i], low, high) {
                 (low, high) = next;
+                if self.absent.is_empty() {
+                    self.path.push(next);
+                }
                 continue;
             }
-            found += 1;
-            if found > self.budget.max_diffs() as i16 {
-                return false;
+            if self.absent.len() == self.budget.max_diffs() as usize {
+                return None;
             }
-            self.d[end - 1] = 1;
+            self.absent.push((i, end));
             end = i;
-            (low, high) = (0, self.n);
-            self.dpu.init_interval(self.n, self.ledger);
+            (low, high) = self.whole_text();
+        }
+        self.count_absent();
+        Some(self.absent.len() as u8)
+    }
+
+    /// Fills `d` from `absent`: a substring `read[s..e)` counts from
+    /// `e − 1` on.
+    fn count_absent(&mut self) {
+        self.d.clear();
+        self.d.resize(self.read.len(), 0);
+        for &(_, end) in &self.absent {
+            self.d[end - 1] = 1;
         }
         let mut inside = 0;
         for slot in &mut self.d {
             inside += *slot;
             *slot = inside;
         }
-        true
+    }
+
+    /// The length an absent substring is trimmed to, `⌈log₄ n⌉ + 6`: a
+    /// string that long which was not taken from the reference occurs in
+    /// it by chance about once in 4⁶ times, so what made the substring
+    /// absent almost always keeps its first `L` bases absent.
+    fn trimmed_len(&self) -> usize {
+        let log4 = (u32::BITS - (self.n.max(2) - 1).leading_zeros()).div_ceil(2);
+        log4 as usize + 6
+    }
+
+    /// Trims the absent substrings on the right. The bound pass extends
+    /// leftward, so `read[s..e)` is minimal on the left only, and it
+    /// counts in `d` from `e − 1` — the first one from the read's last
+    /// base, although what makes it absent is typically next to `s`.
+    /// Each substring longer than [`Search::trimmed_len`] is re-tested
+    /// as its first `L` bases with one more backward pass (`2·L` `LFM`s)
+    /// and, if those are absent too, replaced by them, which moves its
+    /// count down to `s + L − 1`: BWA's `D[]`, without the reverse-text
+    /// index.
+    fn trim(&mut self) {
+        let len = self.trimmed_len();
+        for k in 0..self.absent.len() {
+            let (start, end) = self.absent[k];
+            if end - start <= len {
+                continue;
+            }
+            let (mut low, mut high) = self.whole_text();
+            for i in (start..start + len).rev() {
+                match self.extend(self.read[i], low, high) {
+                    Some(next) => (low, high) = next,
+                    None => {
+                        self.absent[k].1 = start + len;
+                        break;
+                    }
+                }
+            }
+        }
+        self.count_absent();
     }
 
     /// The fewest differences aligning `read[0..=i]` can cost.
@@ -210,12 +307,43 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Visits a state with `i >= 0`: issues the match continuation only,
-    /// and saves the state in the register file if an alternative could
-    /// still reach a hit.
+    /// Starts a round of the DFS at budget `z` by re-creating the states
+    /// of the match descent from `path` — the visits the DFS would begin
+    /// with, in its order, each saving its frame as a visit does, none
+    /// issuing an `LFM`.
+    fn start_round(&mut self, z: u8) {
+        debug_assert!(self.stack.is_empty() && self.dpu.stack_depth() == 0);
+        self.round = z;
+        let mut frame = Frame {
+            i: self.read.len() as isize - 1,
+            z: z as i16,
+            low: 0,
+            high: self.n,
+        };
+        while frame.i >= 0 {
+            self.stats.states_explored += 1;
+            let matched = self.path.get(self.read.len() - frame.i as usize).copied();
+            match self.descend(frame, matched) {
+                Some(next) => frame = next,
+                None => return,
+            }
+        }
+        // The whole read matched.
+        self.stack.push(Entry::Visit(frame));
+    }
+
+    /// Visits a state with `i >= 0`: issues the match continuation only.
     fn visit(&mut self, frame: Frame) {
-        let current = self.read[frame.i as usize];
-        let matched = self.extend(current, frame.low, frame.high);
+        let matched = self.extend(self.read[frame.i as usize], frame.low, frame.high);
+        if let Some(next) = self.descend(frame, matched) {
+            self.stack.push(Entry::Visit(next));
+        }
+    }
+
+    /// Steps from a visited state to `matched`, its match continuation,
+    /// saving the state in the register file if an alternative could
+    /// still reach a hit. `None` when the match does not continue.
+    fn descend(&mut self, frame: Frame, matched: Option<(u32, u32)>) -> Option<Frame> {
         // An alternative spends one difference on read[i] (or before
         // it) and must still afford read[0..i].
         if frame.z > self.bound(frame.i - 1) {
@@ -225,21 +353,19 @@ impl<'a> Search<'a> {
                     low: frame.low,
                     high: frame.high,
                     budget: frame.z as i8,
-                    symbol: current.rank() as u8,
+                    symbol: self.read[frame.i as usize].rank() as u8,
                 },
                 self.ledger,
             );
             self.stats.max_stack_depth = self.stats.max_stack_depth.max(self.dpu.stack_depth());
             self.stack.push(Entry::Deferred(frame, matched));
         }
-        if let Some((low, high)) = matched {
-            self.stack.push(Entry::Visit(Frame {
-                i: frame.i - 1,
-                low,
-                high,
-                ..frame
-            }));
-        }
+        matched.map(|(low, high)| Frame {
+            i: frame.i - 1,
+            low,
+            high,
+            ..frame
+        })
     }
 
     /// Backtracks into a deferred frame: its match continuation is
@@ -289,18 +415,10 @@ impl<'a> Search<'a> {
         }
     }
 
-    fn run(mut self, first_only: bool) -> (Vec<InexactHit>, InexactStats) {
-        let max_diffs = self.budget.max_diffs();
-        let mut best: HashMap<SaInterval, u8> = HashMap::new();
-        if self.lower_bound() {
-            self.stack.push(Entry::Visit(Frame {
-                i: self.read.len() as isize - 1,
-                z: max_diffs as i16,
-                low: 0,
-                high: self.n,
-            }));
-            self.dpu.init_interval(self.n, self.ledger);
-        }
+    /// Runs the round's DFS on to its next full-length interval; `None`
+    /// once the round is exhausted, which leaves the register file
+    /// empty.
+    fn next_hit(&mut self) -> Option<InexactHit> {
         while let Some(entry) = self.stack.pop() {
             match entry {
                 Entry::Deferred(frame, matched) => self.expand(frame, matched),
@@ -310,21 +428,37 @@ impl<'a> Search<'a> {
                         self.visit(frame);
                         continue;
                     }
-                    let diffs = max_diffs - frame.z as u8;
-                    best.entry(SaInterval::new(frame.low, frame.high))
-                        .and_modify(|least| *least = (*least).min(diffs))
-                        .or_insert(diffs);
-                    if first_only {
-                        break;
-                    }
+                    return Some(InexactHit {
+                        interval: SaInterval::new(frame.low, frame.high),
+                        diffs: self.round - frame.z as u8,
+                    });
                 }
             }
         }
-        // A first-accept return leaves the accepted path's frames saved;
-        // unwind them so the next search starts on an empty register
-        // file.
-        while self.dpu.pop_state(self.ledger).is_some() {}
-        (sorted_hits(best), self.stats)
+        None
+    }
+
+    /// The first hit of the first round that has one, over the budgets
+    /// from the bound pass's substring count — fewer differences cannot
+    /// align the read — up to the budget asked for.
+    fn first_hit(&mut self) -> Option<InexactHit> {
+        let fewest = self.lower_bound()?;
+        for z in fewest..=self.budget.max_diffs() {
+            self.start_round(z);
+            if let Some(hit) = self.next_hit() {
+                // The accepted path's frames are still saved; unwind
+                // them so the next search starts on an empty register
+                // file.
+                while self.dpu.pop_state(self.ledger).is_some() {}
+                return Some(hit);
+            }
+            // From here on rounds have differences to spare, and an
+            // untrimmed bound lets them be spent anywhere.
+            if z == fewest && z < self.budget.max_diffs() {
+                self.trim();
+            }
+        }
+        None
     }
 }
 
@@ -437,12 +571,19 @@ mod tests {
             .prop_map(|v| v.into_iter().map(|r| Base::from_rank(r as usize)).collect())
     }
 
-    /// A 16-base window of `reference` with every code of `edits` applied
-    /// (`code % 3`: substitute, insert, delete; the rest picks the base
-    /// and the place), reverse-complemented if asked. The generator of
+    /// A window of `reference`, at most `len` bases, with every code of
+    /// `edits` applied (`code % 3`: substitute, insert, delete; the rest
+    /// picks the base and the place), reverse-complemented if asked. At
+    /// `len` 16, the generator of
     /// `platform_properties::platform_inexact_equals_software_on_mutated_reads`.
-    fn edited_read(reference: &DnaSeq, start_frac: f64, edits: &[u32], reverse: bool) -> DnaSeq {
-        let len = 16.min(reference.len());
+    fn edited_read(
+        reference: &DnaSeq,
+        start_frac: f64,
+        len: usize,
+        edits: &[u32],
+        reverse: bool,
+    ) -> DnaSeq {
+        let len = len.min(reference.len());
         let start = ((reference.len() - len) as f64 * start_frac) as usize;
         let mut bases = reference.subseq(start..start + len).into_bases();
         for &code in edits {
@@ -480,6 +621,24 @@ mod tests {
         row.into_iter().min().expect("row holds column 0")
     }
 
+    /// Checks `d[i]` against Sellers' distance of `read[0..=i]`, for
+    /// every `i`.
+    fn bound_is_sound(d: &[i16], reference: &DnaSeq, read: &DnaSeq) -> Result<(), TestCaseError> {
+        let bases = read.clone().into_bases();
+        for (i, &bound) in d.iter().enumerate() {
+            let truth = min_edits_to_any_substring(reference, &bases[..=i]);
+            prop_assert!(
+                bound as usize <= truth,
+                "d[{}] = {} but read[0..={}] aligns with {} edits",
+                i,
+                bound,
+                i,
+                truth
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -493,29 +652,43 @@ mod tests {
             indels in any::<bool>(),
         ) {
             let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
-            let read = edited_read(&reference, start_frac, &edits, reverse);
-            let budget = if indels {
+            let read = edited_read(&reference, start_frac, 16, &edits, reverse);
+            let budget = |z| if indels {
                 EditBudget::edits(z)
             } else {
                 EditBudget::substitutions_only(z)
             };
-            let (eager_first, eager_first_lfm) =
-                eager_reference(&mapped, &mut injector, &read, budget, &mut ledger, true);
-            let (first, stats) =
-                inexact_search_first(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
-            prop_assert_eq!(first, eager_first.first().copied());
+            // The contract of the rounds: the eager DFS's first hit at
+            // the smallest budget that has one, for no more LFMs than
+            // those eager rounds issue.
+            let mut eager_first = None;
+            let mut eager_rounds_lfm = 0;
+            for round in 0..=z {
+                let (hits, lfm) =
+                    eager_reference(&mapped, &mut injector, &read, budget(round), &mut ledger, true);
+                eager_rounds_lfm += lfm;
+                eager_first = hits.first().copied();
+                if eager_first.is_some() {
+                    break;
+                }
+            }
+            let (first, stats) = inexact_search_first(
+                &mapped, &mut injector, &mut dpu, &read, budget(z), &mut ledger,
+            );
+            prop_assert_eq!(first, eager_first);
             prop_assert!(
-                stats.lfm_calls <= eager_first_lfm,
-                "first-accept issued {} LFMs, the eager DFS {}",
+                stats.lfm_calls <= eager_rounds_lfm,
+                "first-accept issued {} LFMs, the eager rounds {}",
                 stats.lfm_calls,
-                eager_first_lfm
+                eager_rounds_lfm
             );
             prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
             let (eager_all, _) =
-                eager_reference(&mapped, &mut injector, &read, budget, &mut ledger, false);
+                eager_reference(&mapped, &mut injector, &read, budget(z), &mut ledger, false);
             let (all, _) =
-                inexact_search(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+                inexact_search(&mapped, &mut injector, &mut dpu, &read, budget(z), &mut ledger);
             prop_assert_eq!(all, eager_all);
+            prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
         }
 
         #[test]
@@ -529,21 +702,88 @@ mod tests {
                 Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
             let within_budget = search.lower_bound();
             prop_assert!(search.stats.lfm_calls <= 2 * read.len() as u64);
-            let bases = read.clone().into_bases();
-            if !within_budget {
-                let truth = min_edits_to_any_substring(&reference, &bases);
-                prop_assert!(truth > EditBudget::MAX_DIFFS as usize, "rejected at {} edits", truth);
+            match within_budget {
+                Some(found) => prop_assert_eq!(found as i16, search.d[read.len() - 1]),
+                None => {
+                    let truth =
+                        min_edits_to_any_substring(&reference, &read.clone().into_bases());
+                    prop_assert!(
+                        truth > EditBudget::MAX_DIFFS as usize,
+                        "rejected at {} edits",
+                        truth
+                    );
+                }
             }
-            // A rejecting pass stops early and leaves `d` an under-count.
-            for (i, &bound) in search.d.iter().enumerate() {
-                let truth = min_edits_to_any_substring(&reference, &bases[..=i]);
-                prop_assert!(
-                    bound as usize <= truth,
-                    "d[{}] = {} but read[0..={}] aligns with {} edits",
-                    i, bound, i, truth
-                );
-            }
+            // A rejecting pass stops early and leaves `d` empty.
+            bound_is_sound(&search.d, &reference, &read)?;
         }
+
+        #[test]
+        fn trimmed_lower_bound_never_exceeds_the_true_edit_distance(
+            reference in arb_seq(200, 2_000),
+            start_frac in 0.0f64..1.0,
+            len in 30usize..=60,
+            edits in proptest::collection::vec(any::<u32>(), 0..4),
+        ) {
+            // A few edits in a 30–60 bp window leave absent substrings
+            // longer than the 10–12 bases they are trimmed to here.
+            let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+            let read = edited_read(&reference, start_frac, len, &edits, false);
+            let budget = EditBudget::edits(EditBudget::MAX_DIFFS);
+            let mut search =
+                Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+            prop_assert!(search.lower_bound().is_some(), "at most 3 edits");
+            let untrimmed = search.absent.clone();
+            let before = search.stats.lfm_calls;
+            search.trim();
+            let len = search.trimmed_len();
+            prop_assert!((10..=12).contains(&len));
+            let long = untrimmed.iter().filter(|(s, e)| e - s > len).count();
+            prop_assert!(search.stats.lfm_calls - before <= (2 * len * long) as u64);
+            for (was, now) in untrimmed.iter().zip(&search.absent) {
+                prop_assert!(*now == *was || *now == (was.0, was.0 + len), "{:?} -> {:?}", was, now);
+            }
+            bound_is_sound(&search.d, &reference, &read)?;
+        }
+    }
+
+    /// `reference[50_000..50_100)` with substitutions at `places`.
+    fn read_with_substitutions_at(reference: &DnaSeq, places: &[usize]) -> DnaSeq {
+        let mut bases = reference.subseq(50_000..50_100).into_bases();
+        for &at in places {
+            bases[at] = Base::from_rank((bases[at].rank() + 1) % 4);
+        }
+        DnaSeq::from_bases(bases)
+    }
+
+    #[test]
+    fn a_failed_round_trims_the_bound_before_the_next() {
+        // Substitutions at 2, 3, 4 of 100 at budget 2. Right to left the
+        // bound pass sees one absent substring, read[4..100), and counts
+        // it at the read's last base: round 1 fails, and round 2 would
+        // have a difference to spare over the whole read. The trim
+        // re-tests read[4..4+L), finds it absent, and counts it there.
+        let reference = genome::uniform(200_000, 28);
+        let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+        let read = read_with_substitutions_at(&reference, &[2, 3, 4]);
+        let budget = EditBudget::edits(2);
+        let mut search = Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+        assert_eq!(search.lower_bound(), Some(1));
+        assert_eq!(search.absent, [(4, 100)]);
+        assert_eq!(search.path.len(), 100 - 4, "read[5..100) matched");
+        assert_eq!((search.d[98], search.d[99]), (0, 1));
+        search.start_round(1);
+        assert_eq!(search.next_hit(), None);
+        assert_eq!(search.dpu.stack_depth(), 0, "a failed round unwinds itself");
+
+        let len = search.trimmed_len();
+        assert_eq!(len, 9 + 6, "⌈log₄ 200 001⌉ = 9");
+        let before = search.stats.lfm_calls;
+        search.trim();
+        assert_eq!(search.stats.lfm_calls - before, 2 * len as u64);
+        assert_eq!(search.absent, [(4, 4 + len)]);
+        assert_eq!((search.d[4 + len - 2], search.d[4 + len - 1]), (0, 1));
+        assert_eq!(search.d[99], 1);
     }
 
     #[test]
@@ -667,7 +907,7 @@ mod tests {
     #[test]
     fn first_accept_cost_is_linear_in_read_length() {
         // On a clean read the production mode pays the lower-bound pass
-        // and one straight match descent, two LFMs a base each.
+        // only, two LFMs a base: the round replays that descent.
         let reference = genome::uniform(8_000, 26);
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = reference.subseq(2_000..2_100);
@@ -679,12 +919,52 @@ mod tests {
             EditBudget::edits(2),
             &mut ledger,
         );
-        assert!(hit.is_some());
+        assert_eq!(hit.expect("a clean read maps").diffs, 0);
         assert!(
-            stats.lfm_calls <= 4 * read.len() as u64,
+            stats.lfm_calls <= 2 * read.len() as u64 + 8,
             "first-accept LFM count {} too high",
             stats.lfm_calls
         );
+    }
+
+    #[test]
+    fn cost_classes_by_where_the_differences_fall() {
+        // A 100-base read of a 200 kbp genome at `EditBudget::edits(2)`:
+        // whether it maps, and for how many LFMs.
+        let reference = genome::uniform(200_000, 28);
+        let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+        let mut cost = |places: &[usize]| {
+            let read = read_with_substitutions_at(&reference, places);
+            let (hit, stats) = inexact_search_first(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                &read,
+                EditBudget::edits(2),
+                &mut ledger,
+            );
+            assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+            assert!(hit.is_none_or(|h| h.diffs as usize == places.len()));
+            (hit.is_some(), stats.lfm_calls)
+        };
+        let m = 100;
+        // In the 3' seed, where the interval is still wide: round 1
+        // tries the one-difference alternatives of the last bases only
+        // (3 296 LFMs when the one round had budget 2).
+        let (mapped, lfm) = cost(&[95]);
+        assert!(mapped && lfm <= 8 * m, "3' seed difference: {lfm} LFMs");
+        // Mid-read: bound pass, then the frame that failed pays and the
+        // rest matches (406 before the descent was shared).
+        let (mapped, lfm) = cost(&[50]);
+        assert!(
+            mapped && 2 * lfm <= 7 * m,
+            "mid-read difference: {lfm} LFMs"
+        );
+        // Over budget, all at the 5' end, where the right-to-left pass
+        // sees one substring: both rounds run to exhaustion, the second
+        // on a trimmed bound (52 870 on the untrimmed one).
+        let (mapped, lfm) = cost(&[2, 3, 4]);
+        assert!(!mapped && lfm <= 80 * m, "5' over-budget read: {lfm} LFMs");
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub struct SamRecord {
     pub seq: String,
     /// Quality string (`*` when absent).
     pub qual: String,
-    /// Edit distance, when known (`NM:i:` tag).
+    /// Edit distance of a mapped read (`NM:i:` tag): 0 for an exact hit,
+    /// otherwise the fewest differences the read aligns with — the
+    /// inexact stage accepts a hit at the smallest budget that has one.
     pub edit_distance: Option<u8>,
 }
 

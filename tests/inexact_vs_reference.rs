@@ -4,6 +4,8 @@
 use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, FmIndex};
 use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use readsim::genome;
 use swalign::{banded_global, Scoring};
 
@@ -66,7 +68,7 @@ fn first_accept_position_confirmed_by_dp_baseline() {
     let AlignmentOutcome::Inexact { positions, diffs } = aligner.align_read(&read) else {
         panic!("expected an inexact hit");
     };
-    assert!((1..=2).contains(&diffs));
+    assert_eq!(diffs, 2);
     for &pos in &positions {
         let window = reference.subseq(pos..(pos + read.len()).min(reference.len()));
         let aln = banded_global(&window, &read, Scoring::default(), 4).expect("band wide enough");
@@ -77,6 +79,56 @@ fn first_accept_position_confirmed_by_dp_baseline() {
             aln.score
         );
     }
+}
+
+#[test]
+fn first_accept_reports_the_minimum_difference_count() {
+    // The production mode returns at its first hit, and that hit is a
+    // minimum-difference one: `diffs` (SAM's `NM:i`) is what the
+    // exhaustive software oracle calls the best, and every reported
+    // position is one of the oracle's best.
+    let reference = genome::uniform(6_000, 84);
+    let oracle = FmIndex::new(&reference);
+    let config = PimAlignerConfig::baseline();
+    assert!(!config.exhaustive_inexact(), "first-accept is the default");
+    let budget = config.edit_budget();
+    let mut aligner = AlignSession::new(&reference, config);
+    let mut rng = StdRng::seed_from_u64(0x4e4d);
+    let mut by_diffs = [0usize; 3];
+    for case in 0..240 {
+        let len = rng.gen_range(30usize..=40);
+        let start = rng.gen_range(0..reference.len() - len);
+        let mut bases = reference.subseq(start..start + len).into_bases();
+        for _ in 0..case % 3 {
+            let at = rng.gen_range(0..bases.len());
+            let base = Base::from_rank(rng.gen_range(0usize..4));
+            match rng.gen_range(0..3) {
+                0 => bases[at] = base,
+                1 => bases.insert(at, base),
+                _ => drop(bases.remove(at)),
+            }
+        }
+        let read = DnaSeq::from_bases(bases);
+        let sw = oracle.find_inexact(&read, budget);
+        let best = sw.iter().map(|&(_, d)| d).min().expect("≤ 2 edits map");
+        let outcome = aligner.align_read(&read);
+        let diffs = match &outcome {
+            AlignmentOutcome::Exact { .. } => 0,
+            AlignmentOutcome::Inexact { diffs, .. } => *diffs,
+            AlignmentOutcome::Unmapped => panic!("case {case}: read @{start} must map"),
+        };
+        assert_eq!(diffs, best, "case {case}: read @{start}");
+        for pos in outcome.positions().expect("mapped") {
+            assert!(
+                sw.contains(&(*pos, best)),
+                "case {case}: position {pos} is not a {best}-difference position"
+            );
+        }
+        by_diffs[diffs as usize] += 1;
+    }
+    // An edit can restore the reference base, so the classes are not
+    // exactly 80 each; all three must be well represented.
+    assert!(by_diffs.iter().all(|&n| n >= 40), "{by_diffs:?}");
 }
 
 #[test]
