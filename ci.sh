@@ -5,7 +5,8 @@
 #   ./ci.sh            full gate (debug + release stages)
 #   ./ci.sh debug      fmt check, debug tests (+ CLI flake gate x5), clippy
 #   ./ci.sh release    release build, perfdump cmp'd against
-#                      BENCH_metrics.json, the release-binary smoke
+#                      BENCH_metrics.json, the 8 Mbp suffix-array test
+#                      tier-1 ignores, the release-binary smoke
 #                      (pimalign --threads 2 --trace-out, index build /
 #                      inspect / --index rerun + SAM cmp), a
 #                      self-checking indexbench --quick, and a locked
@@ -106,6 +107,13 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     cargo run -q --release -p bench --bin perfdump -- \
         --out target/ci/BENCH_metrics_full.json
     cmp target/ci/BENCH_metrics_full.json BENCH_metrics.json
+
+    # SA-IS at the size the naive oracle cannot reach (8 Mbp uniform,
+    # 2 Mbp repeat-rich), checked through BWT inversion: seconds here,
+    # minutes in a debug build, hence #[ignore]d for `cargo test`.
+    step "large suffix arrays (release-only test)"
+    cargo test -q --release -p fmindex --lib -- \
+        --ignored large_suffix_arrays_invert_to_their_text
 
     # Release-binary smoke: the optimised pimalign must align, write its
     # metrics and trace, and reproduce its own SAM byte-for-byte from a

@@ -129,15 +129,34 @@ impl Base {
     /// (ambiguity codes such as `N` are rejected; the read simulator never
     /// produces them and the 2-bit hardware encoding cannot represent them).
     pub fn from_char(c: char) -> Result<Base, ParseSeqError> {
-        match c.to_ascii_uppercase() {
-            'A' => Ok(Base::A),
-            'C' => Ok(Base::C),
-            'G' => Ok(Base::G),
-            'T' => Ok(Base::T),
-            other => Err(ParseSeqError::bad_char(other)),
-        }
+        u8::try_from(c)
+            .ok()
+            .and_then(Base::from_ascii)
+            .ok_or_else(|| ParseSeqError::bad_char(c.to_ascii_uppercase()))
+    }
+
+    /// The base an ASCII byte spells (case-insensitive), `None` for any
+    /// other byte: one load from [`DECODE`], the workspace's one decoder
+    /// of sequence text.
+    #[inline]
+    pub(crate) fn from_ascii(byte: u8) -> Option<Base> {
+        DECODE[byte as usize]
     }
 }
+
+/// ASCII → base, indexed by byte. Everything but `ACGTacgt` is `None`.
+const DECODE: [Option<Base>; 256] = {
+    let mut table = [None; 256];
+    let mut rank = 0;
+    while rank < 4 {
+        let base = BASES[rank];
+        let upper = base.to_char() as u8;
+        table[upper as usize] = Some(base);
+        table[upper.to_ascii_lowercase() as usize] = Some(base);
+        rank += 1;
+    }
+    table
+};
 
 impl fmt::Display for Base {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -117,8 +117,7 @@ pub fn parse(text: &str) -> Result<Vec<Record>, ParseSeqError> {
                     "sequence data before the first '>' header",
                 ));
             }
-            let chunk: DnaSeq = line.parse()?;
-            seq.extend(chunk);
+            seq.extend_from_str(line)?;
         }
     }
     if let Some((id, desc)) = header {

@@ -51,6 +51,27 @@ impl PackedSeq {
         }
     }
 
+    /// Packs a slice four items to a byte; `code` gives each item's 2-bit
+    /// hardware pattern ([`Base::code`] for a base). The bulk form of
+    /// pushing every item.
+    pub fn pack<T>(items: &[T], code: impl Fn(&T) -> u8) -> PackedSeq {
+        let byte_of = |quad: &[T]| {
+            quad.iter()
+                .enumerate()
+                .fold(0, |byte, (i, item)| byte | (code(item) & 0b11) << (2 * i))
+        };
+        let mut quads = items.chunks_exact(4);
+        let mut bytes = Vec::with_capacity(items.len().div_ceil(4));
+        bytes.extend(quads.by_ref().map(byte_of));
+        if !quads.remainder().is_empty() {
+            bytes.push(byte_of(quads.remainder()));
+        }
+        PackedSeq {
+            bytes,
+            len: items.len(),
+        }
+    }
+
     /// Number of bases stored.
     pub fn len(&self) -> usize {
         self.len
@@ -143,7 +164,7 @@ impl Extend<Base> for PackedSeq {
 
 impl From<&DnaSeq> for PackedSeq {
     fn from(seq: &DnaSeq) -> Self {
-        seq.iter().copied().collect()
+        seq.to_packed()
     }
 }
 

@@ -55,7 +55,53 @@ impl DnaSeq {
     ///
     /// Returns [`ParseSeqError`] on the first non-ACGT byte.
     pub fn from_ascii(ascii: &[u8]) -> Result<Self, ParseSeqError> {
-        ascii.iter().map(|&b| Base::try_from(b)).collect()
+        let mut seq = DnaSeq::new();
+        seq.extend_from_ascii(ascii)?;
+        Ok(seq)
+    }
+
+    /// Appends the bases an ASCII byte slice spells (case-insensitive
+    /// `ACGT`); on error nothing is appended.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseSeqError`] naming the first non-ACGT byte.
+    pub fn extend_from_ascii(&mut self, ascii: &[u8]) -> Result<(), ParseSeqError> {
+        self.extend_decoded(ascii).map_err(|at| {
+            Base::from_char(ascii[at] as char).expect_err("the byte the table rejected")
+        })
+    }
+
+    /// [`DnaSeq::extend_from_ascii`] over text, where the offender named
+    /// is a whole character.
+    pub(crate) fn extend_from_str(&mut self, text: &str) -> Result<(), ParseSeqError> {
+        self.extend_decoded(text.as_bytes()).map_err(|at| {
+            // Every byte before `at` was an ASCII letter, so `at` starts
+            // a character.
+            let offender = text[at..].chars().next().expect("a rejected byte");
+            Base::from_char(offender).expect_err("the character the table rejected")
+        })
+    }
+
+    /// Decodes `ascii` through the byte table straight onto the end of
+    /// the sequence, or appends nothing and returns the offset of the
+    /// first byte that is not a base.
+    fn extend_decoded(&mut self, ascii: &[u8]) -> Result<(), usize> {
+        let start = self.bases.len();
+        let mut all_bases = true;
+        self.bases.extend(ascii.iter().map(|&byte| {
+            let base = Base::from_ascii(byte);
+            all_bases &= base.is_some();
+            base.unwrap_or(Base::A)
+        }));
+        if all_bases {
+            return Ok(());
+        }
+        self.bases.truncate(start);
+        Err(ascii
+            .iter()
+            .position(|&byte| Base::from_ascii(byte).is_none())
+            .expect("a byte was rejected"))
     }
 
     /// Number of bases.
@@ -108,7 +154,7 @@ impl DnaSeq {
 
     /// Converts to the 2-bit packed representation used by the PIM platform.
     pub fn to_packed(&self) -> PackedSeq {
-        self.bases.iter().copied().collect()
+        PackedSeq::pack(&self.bases, |base| base.code())
     }
 
     /// Consumes the sequence, returning the underlying base vector.
@@ -138,7 +184,9 @@ impl FromStr for DnaSeq {
     type Err = ParseSeqError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        s.chars().map(Base::from_char).collect()
+        let mut seq = DnaSeq::new();
+        seq.extend_from_str(s)?;
+        Ok(seq)
     }
 }
 

@@ -13,6 +13,8 @@ proptest! {
     #[test]
     fn packed_round_trip(seq in arb_seq(600)) {
         let packed: PackedSeq = seq.to_packed();
+        // Four to a byte from the slice, and base by base.
+        prop_assert_eq!(&packed, &seq.iter().copied().collect::<PackedSeq>());
         prop_assert_eq!(packed.to_dna_seq(), seq);
     }
 

@@ -912,27 +912,55 @@ mod tests {
     }
 
     /// The bytes an artifact serialises to are a contract with every
-    /// artifact already on disk: length and trailing checksum of four
-    /// geometries, as they have been since the format was introduced.
+    /// artifact already on disk, and the proof that a change to the
+    /// build path (parse, SA-IS, tables, sampling, save) changed no
+    /// byte: length and trailing checksum per genome and geometry. The
+    /// uniform rows without the 40 000 window are as they have been
+    /// since the format was introduced; the rest were taken at the
+    /// parent of the one-pass build.
     #[test]
     fn saved_bytes_are_golden() {
-        let reference = genome::uniform(50_000, 7);
-        for (rate, window, overlap, len, trailer) in [
-            (1, 0, 0, 231_416, 0x0330_267f_c9cd_0f14u64),
-            (8, 0, 0, 81_432, 0x60cf_cd7c_b517_de00),
-            (8, 20_000, 512, 83_092, 0x06d6_5748_ae3e_5278),
-            (32, 0, 0, 43_928, 0xc266_4bcf_300d_7b9a),
-        ] {
-            let mut bytes = Vec::new();
-            IndexArtifact::build("golden", &reference, rate, window, overlap)
-                .save(&mut bytes)
-                .expect("save");
-            let (_, tail) = bytes.split_at(bytes.len() - 8);
-            assert_eq!(
-                (bytes.len(), u64::from_le_bytes(tail.try_into().unwrap())),
-                (len, trailer),
-                "rate {rate} window {window} overlap {overlap}"
-            );
+        let uniform = genome::uniform(50_000, 7);
+        let repeats = genome::repeat_rich(200_000, genome::RepeatProfile::default(), 0x5a15);
+        /// `(sa_rate, shard_window, shard_overlap, bytes, trailer)`.
+        type Row = (u32, usize, usize, usize, u64);
+        let golden: [(&str, &DnaSeq, &[Row]); 2] = [
+            (
+                "uniform",
+                &uniform,
+                &[
+                    (1, 0, 0, 231_416, 0x0330_267f_c9cd_0f14),
+                    (8, 0, 0, 81_432, 0x60cf_cd7c_b517_de00),
+                    (8, 20_000, 512, 83_092, 0x06d6_5748_ae3e_5278),
+                    (32, 0, 0, 43_928, 0xc266_4bcf_300d_7b9a),
+                    (1, 40_000, 512, 233_766, 0xdd56_fb0c_1201_3f73),
+                    (8, 40_000, 512, 82_262, 0x8486_6580_8da1_df8a),
+                ],
+            ),
+            (
+                "repeats",
+                &repeats,
+                &[
+                    (1, 0, 0, 925_168, 0xfbec_18be_8325_5b10),
+                    (8, 0, 0, 325_184, 0x8885_11a8_4076_431a),
+                    (1, 40_000, 512, 934_536, 0xc89b_3ec9_4684_3610),
+                    (8, 40_000, 512, 328_472, 0x266b_cc87_6b74_198b),
+                ],
+            ),
+        ];
+        for (name, reference, rows) in golden {
+            for &(rate, window, overlap, len, trailer) in rows {
+                let mut bytes = Vec::new();
+                IndexArtifact::build("golden", reference, rate, window, overlap)
+                    .save(&mut bytes)
+                    .expect("save");
+                let (_, tail) = bytes.split_at(bytes.len() - 8);
+                assert_eq!(
+                    (bytes.len(), u64::from_le_bytes(tail.try_into().unwrap())),
+                    (len, trailer),
+                    "{name} rate {rate} window {window} overlap {overlap}"
+                );
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bioseq::{PackedSeq, Symbol};
+use bioseq::{Base, PackedSeq, Symbol};
 
 use crate::text::Text;
 
@@ -153,17 +153,10 @@ impl Bwt {
     /// gives `(packed sequence, sentinel position)` and the platform treats
     /// the sentinel cell as a never-matching placeholder (encoded as `T`).
     pub fn to_packed(&self) -> (PackedSeq, usize) {
-        let packed = self
-            .ranks
-            .iter()
-            .map(|&r| {
-                if r == 0 {
-                    bioseq::Base::T // placeholder bits for the sentinel cell
-                } else {
-                    bioseq::Base::from_rank(r as usize - 1)
-                }
-            })
-            .collect();
+        // Hardware code by text rank; the sentinel cell gets T's bits as
+        // a placeholder.
+        let code_of = [Base::T, Base::A, Base::C, Base::G, Base::T].map(Base::code);
+        let packed = PackedSeq::pack(&self.ranks, |&r| code_of[r as usize]);
         (packed, self.sentinel_pos)
     }
 

@@ -197,10 +197,20 @@ pub fn save<W: Write>(index: &FmIndex, mut writer: W) -> io::Result<()> {
     writer.flush()
 }
 
-fn write_words<W: Write>(writer: &mut W, words: &[u32]) -> io::Result<()> {
-    words
-        .iter()
-        .try_for_each(|w| writer.write_all(&w.to_le_bytes()))
+/// Writes `words` little-endian, staged through a chunk buffer so the
+/// writer (and the checksums stacked on it) see kilobytes, not words.
+fn write_words<W: Write>(writer: &mut W, words: impl IntoIterator<Item = u32>) -> io::Result<()> {
+    let mut chunk = [0u8; 4096];
+    let mut used = 0;
+    for word in words {
+        chunk[used..used + 4].copy_from_slice(&word.to_le_bytes());
+        used += 4;
+        if used == chunk.len() {
+            writer.write_all(&chunk)?;
+            used = 0;
+        }
+    }
+    writer.write_all(&chunk[..used])
 }
 
 fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
@@ -211,25 +221,23 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
     let (packed, _) = bwt.to_packed();
     writer.write_all(packed.as_bytes())?;
     drop(packed);
-    write_words(writer, &index.count_table().as_array())?;
+    write_words(writer, index.count_table().as_array())?;
     let mt = index.marker_table();
     writer.write_all(&(mt.bucket_width() as u64).to_le_bytes())?;
     writer.write_all(&(mt.buckets() as u64).to_le_bytes())?;
-    write_words(writer, mt.as_words())?;
+    write_words(writer, mt.as_words().iter().copied())?;
     match index.sa_samples() {
         SuffixArraySamples::Full(values) => {
             writer.write_all(&[0u8])?;
             writer.write_all(&(values.len() as u64).to_le_bytes())?;
-            write_words(writer, values)?;
+            write_words(writer, values.iter().copied())?;
         }
         SuffixArraySamples::Sampled { stored, rate } => {
             writer.write_all(&[1u8])?;
             writer.write_all(&rate.to_le_bytes())?;
             writer.write_all(&(index.text_len() as u64).to_le_bytes())?;
             writer.write_all(&(stored.stored_len() as u64).to_le_bytes())?;
-            for (row, v) in stored.pairs() {
-                write_words(writer, &[row, v])?;
-            }
+            write_words(writer, stored.pairs().flat_map(|(row, v)| [row, v]))?;
         }
     }
     Ok(())
@@ -448,6 +456,18 @@ mod tests {
         let mut buffer = Vec::new();
         save(index, &mut buffer).expect("save");
         load(buffer.as_slice()).expect("load")
+    }
+
+    #[test]
+    fn chunked_words_are_the_words_one_by_one() {
+        // Around the 1 024-word chunk: empty, partial, exact, one over.
+        for count in [0u32, 1, 1_023, 1_024, 1_025, 2_048, 3_000] {
+            let words = (0..count).map(|i| i.wrapping_mul(0x9e37_79b9) ^ 0xdead_beef);
+            let mut chunked = Vec::new();
+            write_words(&mut chunked, words.clone()).expect("write to a Vec");
+            let one_by_one: Vec<u8> = words.flat_map(u32::to_le_bytes).collect();
+            assert_eq!(chunked, one_by_one, "{count} words");
+        }
     }
 
     #[test]

@@ -91,6 +91,28 @@ impl SampledRows {
     }
 }
 
+/// Lemire's exact divisibility test for `u32` values: with
+/// `magic = ⌊(2⁶⁴ − 1) / d⌋ + 1`, `v` is a multiple of `d` exactly when
+/// `v · magic mod 2⁶⁴ ≤ magic − 1` — one multiply per value, any `d ≥ 1`
+/// (`d = 1` wraps `magic` to 0 and every value passes; Lemire, Kaser &
+/// Kurz, "Faster remainder by direct computation", 2019).
+struct Divisibility {
+    magic: u64,
+}
+
+impl Divisibility {
+    fn by(divisor: u32) -> Divisibility {
+        Divisibility {
+            magic: (u64::MAX / u64::from(divisor)).wrapping_add(1),
+        }
+    }
+
+    #[inline]
+    fn test(&self, v: u32) -> bool {
+        u64::from(v).wrapping_mul(self.magic) <= self.magic.wrapping_sub(1)
+    }
+}
+
 /// Suffix-array storage: either the full array or a sampled subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SuffixArraySamples {
@@ -148,14 +170,18 @@ impl SuffixArraySamples {
             sa.len()
         );
         let rows = sa.len();
+        let multiple_of_rate = Divisibility::by(rate);
         let mut bits = vec![0u64; rows.div_ceil(64)];
         let mut kept = 0;
-        for row in 0..rows {
-            let v = sa[row];
-            if v.is_multiple_of(rate) {
-                bits[row / 64] |= 1 << (row % 64);
+        for (w, word) in bits.iter_mut().enumerate() {
+            for row in w * 64..rows.min(w * 64 + 64) {
+                let v = sa[row];
+                let keep = multiple_of_rate.test(v);
+                *word |= u64::from(keep) << (row % 64);
+                // `kept <= row`: a value that is not kept is overwritten
+                // by the next one, so no branch decides the store.
                 sa[kept] = v;
-                kept += 1;
+                kept += usize::from(keep);
             }
         }
         sa.truncate(kept);
@@ -427,6 +453,22 @@ mod tests {
     }
 
     #[test]
+    fn multiply_test_is_the_remainder_test() {
+        let edges = [0, 1, 0x7fff_ffff, 0x8000_0000, u32::MAX - 1, u32::MAX];
+        let divisors = [1, 2, 3, 5, 8, 12, 641, 4_999, 65_537, 1 << 31, u32::MAX];
+        for d in divisors {
+            let multiple_of_d = Divisibility::by(d);
+            let near_multiples = [1, 2, 1_000, u64::from(u32::MAX / d)]
+                .into_iter()
+                .flat_map(|k| [k * u64::from(d) - 1, k * u64::from(d), k * u64::from(d) + 1])
+                .filter_map(|v| u32::try_from(v).ok());
+            for v in edges.into_iter().chain(near_multiples).chain(0..2_000) {
+                assert_eq!(multiple_of_d.test(v), v.is_multiple_of(d), "{v} % {d}");
+            }
+        }
+    }
+
+    #[test]
     fn sampled_uses_less_space() {
         let (sa, ..) = setup(&"ACGT".repeat(64));
         let full = SuffixArraySamples::full(sa.clone());
@@ -461,6 +503,16 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn multiply_test_matches_remainder(v in any::<u32>(), d in 1u32..=u32::MAX) {
+            prop_assert_eq!(Divisibility::by(d).test(v), v.is_multiple_of(d));
+            // Small divisors are the rates in use; force a multiple too.
+            let rate = d % 4_096 + 1;
+            let multiple = v - v % rate;
+            prop_assert!(Divisibility::by(rate).test(multiple));
+            prop_assert_eq!(Divisibility::by(rate).test(v), v.is_multiple_of(rate));
+        }
+
         #[test]
         fn sampled_equals_full(
             bases in proptest::collection::vec(0u8..4, 1..120),

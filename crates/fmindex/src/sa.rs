@@ -37,7 +37,8 @@ pub fn suffix_array(text: &Text) -> Vec<u32> {
         "text of {} rows; positions must fit below u32::MAX",
         s.len()
     );
-    let mut sa = vec![EMPTY; s.len()];
+    // Zeroed, so untouched until `sais` makes its own first fill.
+    let mut sa = vec![0; s.len()];
     sais(s, &mut sa, ALPHABET);
     sa
 }
@@ -76,21 +77,31 @@ impl Sym for u32 {
 }
 
 /// One bit per position: set for S-type (suffix smaller than its right
-/// neighbour), clear for L-type.
+/// neighbour), clear for L-type. Bits past the text in the last word are
+/// clear.
 struct Types {
     bits: Vec<u64>,
 }
 
 impl Types {
+    /// Classifies every position of `s`, right to left, a word of type
+    /// bits at a time.
     fn classify<T: Sym>(s: &[T]) -> Types {
         let n = s.len();
         let mut bits = vec![0u64; n.div_ceil(64)];
-        let mut next_is_s = true; // the sentinel
-        bits[(n - 1) / 64] |= 1 << ((n - 1) % 64);
-        for i in (0..n - 1).rev() {
-            let (a, b) = (s[i].index(), s[i + 1].index());
-            next_is_s = a < b || (a == b && next_is_s);
-            bits[i / 64] |= u64::from(next_is_s) << (i % 64);
+        // Nothing stands right of the sentinel; "larger than any symbol"
+        // there makes it S-type by the rule every other position uses.
+        let mut right = usize::MAX;
+        let mut is_s = false;
+        for (w, word) in bits.iter_mut().enumerate().rev() {
+            let mut acc = 0u64;
+            for &sym in s[w * 64..n.min(w * 64 + 64)].iter().rev() {
+                let a = sym.index();
+                is_s = a < right || (a == right && is_s);
+                acc = acc << 1 | u64::from(is_s);
+                right = a;
+            }
+            *word = acc;
         }
         Types { bits }
     }
@@ -100,10 +111,40 @@ impl Types {
         self.bits[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Left-most S-type: an S position whose left neighbour is L-type.
+    /// The left-most-S positions among the 64 of word `w`, as a mask: S
+    /// positions whose left neighbour is L-type. Position 0 has no left
+    /// neighbour and is never one.
     #[inline]
-    fn is_lms(&self, i: usize) -> bool {
-        i > 0 && self.is_s(i) && !self.is_s(i - 1)
+    fn lms_word(&self, w: usize) -> u64 {
+        let word = self.bits[w];
+        let carry = if w == 0 { 1 } else { self.bits[w - 1] >> 63 };
+        word & !(word << 1 | carry)
+    }
+
+    /// Calls `f` with every LMS position, in text order.
+    fn for_each_lms(&self, mut f: impl FnMut(usize)) {
+        for w in 0..self.bits.len() {
+            let mut lms = self.lms_word(w);
+            while lms != 0 {
+                f(w * 64 + lms.trailing_zeros() as usize);
+                lms &= lms - 1;
+            }
+        }
+    }
+
+    /// The first LMS position after `p`; `None` only for the sentinel,
+    /// which is the last one.
+    fn next_lms(&self, p: usize) -> Option<usize> {
+        let from = p + 1;
+        let mut mask = !0u64 << (from % 64);
+        for w in from / 64..self.bits.len() {
+            let lms = self.lms_word(w) & mask;
+            if lms != 0 {
+                return Some(w * 64 + lms.trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
     }
 }
 
@@ -134,13 +175,11 @@ fn bucket_tails(sizes: &[u32], out: &mut [u32]) {
     }
 }
 
-/// Induced sort over `sa`, which holds LMS suffixes at their bucket
-/// tails and [`EMPTY`] elsewhere: L-types are induced left-to-right
-/// into bucket heads, then S-types right-to-left into bucket tails.
-fn induce<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: &mut [u32]) {
-    let n = s.len();
+/// The L-pass of an induced sort: scanning left to right, the L-type
+/// predecessor of every suffix met goes to its bucket's head.
+fn induce_l<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: &mut [u32]) {
     bucket_heads(sizes, bkt);
-    for i in 0..n {
+    for i in 0..sa.len() {
         let p = sa[i];
         if p != EMPTY && p > 0 {
             let q = p as usize - 1;
@@ -151,7 +190,30 @@ fn induce<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: &m
             }
         }
     }
+}
+
+/// The S-pass of an induced sort: scanning right to left, the S-type
+/// predecessor of every suffix met goes to its bucket's tail.
+///
+/// With `COLLECT_LMS`, each LMS suffix met (S-type, L-type predecessor)
+/// is also appended to the array's right end, growing leftwards, and the
+/// number collected is returned: `sa[n - m..]` then lists the LMS
+/// suffixes in the order the pass left them. That end is dead storage:
+/// an induced suffix is smaller than the one it was induced from, so
+/// every write of the pass lands left of the cursor, a slot's value is
+/// final when the cursor reads it, and after `j` slots are read at most
+/// `j` suffixes have been collected — the collection never passes the
+/// cursor.
+fn induce_s<T: Sym, const COLLECT_LMS: bool>(
+    s: &[T],
+    sa: &mut [u32],
+    types: &Types,
+    sizes: &[u32],
+    bkt: &mut [u32],
+) -> usize {
+    let n = sa.len();
     bucket_tails(sizes, bkt);
+    let mut collected = n;
     for i in (0..n).rev() {
         let p = sa[i];
         if p != EMPTY && p > 0 {
@@ -160,36 +222,42 @@ fn induce<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: &m
                 let c = s[q].index();
                 bkt[c] -= 1;
                 sa[bkt[c] as usize] = q as u32;
+            } else if COLLECT_LMS && types.is_s(p as usize) {
+                collected -= 1;
+                sa[collected] = p;
             }
         }
     }
+    n - collected
 }
 
-/// `true` when the LMS substrings starting at `a` and `b` are equal
-/// (same symbols and same types, up to and including the next LMS
-/// position). The sentinel's substring is itself and equals no other.
-fn lms_substrings_equal<T: Sym>(s: &[T], types: &Types, a: usize, b: usize) -> bool {
-    let n = s.len();
-    let mut d = 0;
-    loop {
-        if a + d >= n || b + d >= n {
-            return false;
-        }
-        if s[a + d] != s[b + d] || types.is_s(a + d) != types.is_s(b + d) {
-            return false;
-        }
-        if d > 0 && (types.is_lms(a + d) || types.is_lms(b + d)) {
-            return true;
-        }
-        d += 1;
-    }
+/// Stage 1 of SA-IS: sorts the LMS substrings by inducing from the LMS
+/// suffixes placed in text order, and returns how many there are. With
+/// `COLLECT_LMS` they end up, sorted, in `sa[n - m..]` (see
+/// [`induce_s`]); without, `sa` is the whole induced array.
+fn sort_lms_substrings<T: Sym, const COLLECT_LMS: bool>(
+    s: &[T],
+    sa: &mut [u32],
+    types: &Types,
+    sizes: &[u32],
+    bkt: &mut [u32],
+) -> usize {
+    sa.fill(EMPTY);
+    bucket_tails(sizes, bkt);
+    types.for_each_lms(|p| {
+        let c = s[p].index();
+        bkt[c] -= 1;
+        sa[bkt[c] as usize] = p as u32;
+    });
+    induce_l(s, sa, types, sizes, bkt);
+    induce_s::<T, COLLECT_LMS>(s, sa, types, sizes, bkt)
 }
 
 /// SA-IS over `s`, whose last element is the unique smallest symbol (the
 /// sentinel), with symbols below `k`. Writes the suffix array of `s`
 /// into `sa` (same length), which is also the only working storage
 /// proportional to `n` apart from one type bit per position: the sorted
-/// LMS suffixes are compacted into `sa[..m]`, their names are parked at
+/// LMS suffixes are moved to `sa[..m]`, their names are parked at
 /// `sa[m + p/2]` (LMS positions are at least 2 apart) and then packed
 /// into `sa[n-m..]`, which is the reduced text the recursion sorts into
 /// `sa[..m]`. Returns how many levels deep the recursion went (1 when
@@ -202,48 +270,35 @@ fn sais<T: Sym>(s: &[T], sa: &mut [u32], k: usize) -> u32 {
         return 1;
     }
     let types = Types::classify(s);
-
-    // --- Stage 1: sort the LMS substrings by inducing from LMS
-    // suffixes placed in text order. ---
+    // The bucket arrays are as large as the alphabet, which below level 0
+    // can approach the text: they live for one stage, never across the
+    // recursion.
     let m = {
         let sizes = bucket_sizes(s, k);
-        let mut bkt = vec![0u32; k];
-        sa.fill(EMPTY);
-        bucket_tails(&sizes, &mut bkt);
-        for (i, c) in s.iter().enumerate().skip(1) {
-            if types.is_lms(i) {
-                let c = c.index();
-                bkt[c] -= 1;
-                sa[bkt[c] as usize] = i as u32;
-            }
-        }
-        induce(s, sa, &types, &sizes, &mut bkt);
-        let mut m = 0;
-        for i in 0..n {
-            let p = sa[i];
-            if p != EMPTY && types.is_lms(p as usize) {
-                sa[m] = p;
-                m += 1;
-            }
-        }
-        m
+        sort_lms_substrings::<T, true>(s, sa, &types, &sizes, &mut vec![0u32; k])
     };
+    sa.copy_within(n - m.., 0);
 
-    // --- Name the LMS substrings in sorted order. ---
-    sa[m..].fill(EMPTY);
+    // --- Name the LMS substrings in sorted order. An LMS substring runs
+    // to the next LMS position inclusive (the sentinel's is itself), and
+    // both ends being S-type fixes every type in between from the
+    // symbols alone: equal slices are equal substrings. ---
+    let parked = m..m + n.div_ceil(2);
+    sa[parked.clone()].fill(EMPTY);
     let mut names = 0u32;
-    let mut prev = None;
+    let mut prev: &[T] = &[];
     for i in 0..m {
         let p = sa[i] as usize;
-        if !prev.is_some_and(|q| lms_substrings_equal(s, &types, p, q)) {
+        let substring = &s[p..=types.next_lms(p).unwrap_or(p)];
+        if substring != prev {
             names += 1;
         }
         sa[m + p / 2] = names - 1;
-        prev = Some(p);
+        prev = substring;
     }
     // Pack the names, still in text order, into sa[n-m..].
     let mut j = n;
-    for i in (m..n).rev() {
+    for i in parked.rev() {
         if sa[i] != EMPTY {
             j -= 1;
             sa[j] = sa[i];
@@ -267,12 +322,10 @@ fn sais<T: Sym>(s: &[T], sa: &mut [u32], k: usize) -> u32 {
     };
     // Reduced-text indices back to text positions.
     let mut j = n - m;
-    for i in 1..n {
-        if types.is_lms(i) {
-            sa[j] = i as u32;
-            j += 1;
-        }
-    }
+    types.for_each_lms(|p| {
+        sa[j] = p as u32;
+        j += 1;
+    });
     for i in 0..m {
         sa[i] = sa[n - m + sa[i] as usize];
     }
@@ -290,7 +343,8 @@ fn sais<T: Sym>(s: &[T], sa: &mut [u32], k: usize) -> u32 {
         bkt[c] -= 1;
         sa[bkt[c] as usize] = p;
     }
-    induce(s, sa, &types, &sizes, &mut bkt);
+    induce_l(s, sa, &types, &sizes, &mut bkt);
+    induce_s::<T, false>(s, sa, &types, &sizes, &mut bkt);
     levels
 }
 
@@ -365,7 +419,7 @@ mod tests {
 
     /// Suffix array plus the recursion depth SA-IS needed for it.
     fn sais_levels(t: &Text) -> (Vec<u32>, u32) {
-        let mut sa = vec![EMPTY; t.len()];
+        let mut sa = vec![0; t.len()];
         let levels = sais(t.as_ranks(), &mut sa, ALPHABET);
         (sa, levels)
     }
@@ -424,12 +478,141 @@ mod tests {
         }
     }
 
+    impl Types {
+        /// The definition `lms_word` computes 64 positions at a time.
+        fn is_lms(&self, i: usize) -> bool {
+            i > 0 && self.is_s(i) && !self.is_s(i - 1)
+        }
+    }
+
+    #[test]
+    fn lms_enumeration_matches_the_bitwise_definition() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random_word = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [1usize, 2, 63, 64, 65, 127, 128, 129] {
+            let words = n.div_ceil(64);
+            let last_mask = !0u64 >> (words * 64 - n);
+            let mut patterns = vec![
+                vec![0u64; words],
+                vec![!0u64; words],
+                vec![0x5555_5555_5555_5555; words],
+                vec![0xaaaa_aaaa_aaaa_aaaa; words],
+                // S runs that start exactly on a word boundary.
+                vec![1; words],
+                vec![1 << 63; words],
+            ];
+            patterns.extend((0..32).map(|_| (0..words).map(|_| random_word()).collect()));
+            for mut bits in patterns {
+                bits[words - 1] &= last_mask;
+                let types = Types { bits };
+                let expected: Vec<usize> = (0..n).filter(|&i| types.is_lms(i)).collect();
+                let mut listed = Vec::new();
+                types.for_each_lms(|p| listed.push(p));
+                assert_eq!(listed, expected, "n {n} bits {:x?}", types.bits);
+                for p in 0..n {
+                    assert_eq!(
+                        types.next_lms(p),
+                        expected.iter().copied().find(|&q| q > p),
+                        "n {n} p {p} bits {:x?}",
+                        types.bits
+                    );
+                }
+            }
+        }
+    }
+
+    /// The sorted LMS suffixes as stage 1's S-pass collects them, and as
+    /// filtering the whole induced array for LMS positions finds them
+    /// (how they were found before the S-pass collected them).
+    fn lms_order_collected_and_filtered(t: &Text) -> (Vec<u32>, Vec<u32>) {
+        let s = t.as_ranks();
+        let n = s.len();
+        let sizes = bucket_sizes(s, ALPHABET);
+        let mut bkt = vec![0u32; ALPHABET];
+        let types = Types::classify(s);
+        let mut sa = vec![0; n];
+        let m = sort_lms_substrings::<u8, true>(s, &mut sa, &types, &sizes, &mut bkt);
+        let collected = sa[n - m..].to_vec();
+        sort_lms_substrings::<u8, false>(s, &mut sa, &types, &sizes, &mut bkt);
+        sa.retain(|&p| p != EMPTY && types.is_lms(p as usize));
+        (collected, sa)
+    }
+
+    #[test]
+    fn s_pass_collects_the_lms_order_a_filter_finds() {
+        let mut texts = vec![
+            text_of("A"),
+            text_of("TGCTA"),
+            text_of(&morphic_word("AC", "A", 1_597)),
+            text_of(&morphic_word("AC", "AA", 2_000)),
+            text_of(&morphic_word("AC", "CA", 2_000)),
+        ];
+        texts.push(Text::from_reference(&readsim::genome::repeat_rich(
+            200_000,
+            readsim::genome::RepeatProfile::default(),
+            0x5a15,
+        )));
+        for t in &texts {
+            let (collected, filtered) = lms_order_collected_and_filtered(t);
+            assert!(!collected.is_empty(), "the sentinel is always LMS");
+            assert_eq!(collected, filtered, "text of {} rows", t.len());
+        }
+    }
+
+    /// The size the naive oracle cannot reach, checked through the
+    /// transform's reversibility. Release mode only (`./ci.sh release`).
+    #[test]
+    #[ignore = "8 Mbp: run in release mode, as ./ci.sh release does"]
+    fn large_suffix_arrays_invert_to_their_text() {
+        let genomes = [
+            readsim::genome::uniform(8_000_000, 0x8_0000),
+            readsim::genome::repeat_rich(
+                2_000_000,
+                readsim::genome::RepeatProfile::default(),
+                0x2_0000,
+            ),
+        ];
+        for genome in genomes {
+            let t = Text::from_reference(&genome);
+            let sa = suffix_array(&t);
+            assert!(
+                crate::Bwt::from_sa(&t, &sa).invert() == t,
+                "{} bp",
+                genome.len()
+            );
+        }
+    }
+
     proptest! {
         #[test]
-        fn sais_matches_naive(bases in proptest::collection::vec(0u8..4, 0..300)) {
+        fn sais_matches_naive(
+            bases in proptest::collection::vec(0u8..4, 0..300),
+            unit in proptest::collection::vec(0u8..4, 1..8),
+            letters in 1u8..5,
+            len in 0usize..3_000,
+        ) {
             let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             prop_assert_eq!(suffix_array(&t), suffix_array_naive(&t));
+            // Periodic texts (period 1–7, one to four letters): every LMS
+            // substring repeats, so naming and the recursion carry the sort.
+            let periodic: DnaSeq = (0..len)
+                .map(|i| bioseq::Base::from_rank((unit[i % unit.len()] % letters) as usize))
+                .collect();
+            let t = Text::from_reference(&periodic);
+            prop_assert_eq!(suffix_array(&t), suffix_array_naive(&t));
+        }
+
+        #[test]
+        fn s_pass_collection_matches_the_filter(bases in proptest::collection::vec(0u8..3, 0..400)) {
+            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let (collected, filtered) = lms_order_collected_and_filtered(&Text::from_reference(&seq));
+            prop_assert_eq!(collected, filtered);
         }
 
         #[test]

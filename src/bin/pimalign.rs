@@ -711,7 +711,9 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
             "usage: pimalign index build <reference.fasta> <artifact> [options]".to_owned(),
         ));
     };
+    let parse_start = Instant::now();
     let (ref_id, reference) = load_reference(ref_path)?;
+    let parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
     let max_len = pim_aligner_suite::fmindex::FmIndex::MAX_REFERENCE_LEN;
     if reference.len() > max_len {
         return Err(CliError::Input(format!(
@@ -739,22 +741,24 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
         cli.shard_overlap,
     );
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
+    let save_start = Instant::now();
     artifact
         .save_to_path(std::path::Path::new(out_path))
         .map_err(|e| CliError::Runtime(format!("cannot write {out_path}: {e}")))?;
+    let save_ms = save_start.elapsed().as_secs_f64() * 1e3;
     // MB as the benchmark's `peak_rss_mb` counts them: 2^20 bytes.
     let peak_rss = peak_rss_bytes().map_or(String::new(), |bytes| {
         format!(", peak RSS {:.0} MB", bytes as f64 / f64::from(1u32 << 20))
     });
     eprintln!(
         "pimalign: index build: {} bases -> {} shard(s), SA rate {}, {} index bytes \
-         ({:.2} bytes/bp), {:.0} ms{peak_rss}",
+         ({:.2} bytes/bp), parse {parse_ms:.0} ms, build {build_ms:.0} ms, \
+         save {save_ms:.0} ms{peak_rss}",
         reference.len(),
         artifact.shards().len(),
         artifact.sa_rate(),
         artifact.index_bytes(),
         artifact.index_bytes() as f64 / reference.len() as f64,
-        build_ms,
     );
     Ok(())
 }

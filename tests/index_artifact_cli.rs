@@ -160,6 +160,10 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
         artifact.to_str().unwrap(),
     ]);
     assert!(ok, "index build failed: {stderr}");
+    // The summary says where the process's time went, stage by stage.
+    for stage in [" parse ", " build ", " save "] {
+        assert!(stderr.contains(stage), "no `{stage}` in: {stderr}");
+    }
 
     // Faults off, 8 threads: dynamic partitioning must not cost a byte
     // (the engine's thread-invariance guarantee, here asserted across
