@@ -12,8 +12,8 @@ use pimsim::{
 
 use crate::config::PimAlignerConfig;
 use crate::error::AlignError;
-use crate::exact::{exact_search, exact_search_batch_cached, ExactStats};
-use crate::inexact::inexact_search;
+use crate::exact::{exact_search_batch_cached, exact_search_recorded, Descent, ExactStats};
+use crate::inexact::inexact_search_from;
 use crate::mapping::MappedIndex;
 use crate::metrics::PhaseLfm;
 use crate::platform::Platform;
@@ -147,6 +147,13 @@ pub struct AlignSession {
     /// phase's `LFM`s. Per-session mutable state — the shared
     /// `MappedIndex` stays immutable.
     kernel_cache: KernelCache,
+    /// The match descent of the exact stage that ran last, which the
+    /// inexact stage starts from: recorded by the single-read exact
+    /// stage, or swapped in from `batch_descents` with a batched seed.
+    descent: Descent,
+    /// One descent buffer per kernel-batch slot, filled by the batched
+    /// exact phase and reused by every group.
+    batch_descents: Vec<Descent>,
 }
 
 impl AlignSession {
@@ -163,6 +170,7 @@ impl AlignSession {
     pub(crate) fn for_platform(platform: Platform, worker: u64) -> AlignSession {
         let injector = platform.mapped().worker_injector(worker);
         let dpu = Dpu::new(*platform.config().model());
+        let batch_descents = vec![Descent::new(); platform.config().kernel_batch()];
         AlignSession {
             platform,
             injector,
@@ -176,6 +184,8 @@ impl AlignSession {
             host_per_read: HostHistogram::new(),
             host_log: None,
             kernel_cache: KernelCache::new(),
+            descent: Descent::new(),
+            batch_descents,
         }
     }
 
@@ -311,9 +321,9 @@ impl AlignSession {
     /// optional pre-computed exact-stage result. The batched kernel
     /// path runs the exact phase of a whole read group as one
     /// [`exact_search_batch`] and hands each read its `(interval,
-    /// stats)` here; the seed replaces attempt 0's exact pass only —
-    /// recovery retries and escalations always recompute on the
-    /// platform.
+    /// stats)` here, with the read's descent in `self.descent`; the
+    /// seed replaces attempt 0's exact pass only — recovery retries and
+    /// escalations always recompute on the platform, descent included.
     fn align_read_seeded(
         &mut self,
         read: &DnaSeq,
@@ -345,7 +355,9 @@ impl AlignSession {
     /// One unverified platform pass at difference budget `max_diffs`.
     /// When `seed` is set the exact stage was already executed (by the
     /// batched kernel) and its cycles charged; only the bookkeeping —
-    /// `LFM` attribution, locate, the inexact stage — runs here.
+    /// `LFM` attribution, locate, the inexact stage — runs here. Either
+    /// way the inexact stage starts from the exact stage's descent and
+    /// walks none of it again.
     fn raw_align(
         &mut self,
         read: &DnaSeq,
@@ -359,12 +371,13 @@ impl AlignSession {
             None => {
                 let t_exact = self.dpu.tracer().start(&self.ledger);
                 let h_exact = self.host_start();
-                let result = exact_search(
+                let result = exact_search_recorded(
                     self.platform.mapped(),
                     &mut self.injector,
                     &mut self.dpu,
                     read,
                     Some(&mut self.kernel_cache),
+                    Some(&mut self.descent),
                     &mut self.ledger,
                 );
                 self.dpu
@@ -392,23 +405,20 @@ impl AlignSession {
         let budget = self.edit_budget_for(max_diffs);
         let t_inexact = self.dpu.tracer().start(&self.ledger);
         let h_inexact = self.host_start();
-        let hits = {
-            let (mapped, injector, dpu, ledger) = self.platform_parts();
-            if exhaustive {
-                let (hits, istats) = inexact_search(mapped, injector, dpu, read, budget, ledger);
-                (hits, istats)
-            } else {
-                let (hit, istats) = crate::inexact::inexact_search_first(
-                    mapped, injector, dpu, read, budget, ledger,
-                );
-                (hit.into_iter().collect(), istats)
-            }
-        };
+        let (hits, istats) = inexact_search_from(
+            self.platform.mapped(),
+            &mut self.injector,
+            &mut self.dpu,
+            read,
+            budget,
+            exhaustive,
+            &mut self.descent,
+            &mut self.ledger,
+        );
         self.dpu
             .tracer_mut()
             .record("inexact_pass", t_inexact, &self.ledger);
         self.host_record("inexact_pass", h_inexact);
-        let (hits, istats) = hits;
         self.lfm_calls += istats.lfm_calls;
         self.note_lfm(attr, false, istats.lfm_calls);
         let Some(best) = hits.first() else {
@@ -738,6 +748,7 @@ impl AlignSession {
             if !streams.is_empty() {
                 std::mem::swap(&mut self.injector, &mut streams[r]);
             }
+            std::mem::swap(&mut self.descent, &mut self.batch_descents[r]);
             let outcome = self.align_read_seeded(read, Some(seeds[r]));
             if !streams.is_empty() {
                 std::mem::swap(&mut self.injector, &mut streams[r]);
@@ -774,6 +785,7 @@ impl AlignSession {
                 if !miss_streams.is_empty() {
                     std::mem::swap(&mut self.injector, &mut miss_streams[k]);
                 }
+                std::mem::swap(&mut self.descent, &mut self.batch_descents[k]);
                 let outcome = self.align_read_seeded(&revs[k], Some(seeds[k]));
                 if !miss_streams.is_empty() {
                     std::mem::swap(&mut self.injector, &mut miss_streams[k]);
@@ -802,7 +814,8 @@ impl AlignSession {
             .collect()
     }
 
-    /// Runs one batched exact phase and records its span.
+    /// Runs one batched exact phase and records its span; read `r`'s
+    /// descent is left in `batch_descents[r]`.
     fn exact_batch_phase(
         &mut self,
         reads: &[&DnaSeq],
@@ -815,6 +828,7 @@ impl AlignSession {
             streams,
             reads,
             Some(&mut self.kernel_cache),
+            &mut self.batch_descents,
             &mut self.ledger,
         );
         self.dpu

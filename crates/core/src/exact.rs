@@ -31,10 +31,35 @@ pub fn exact_search(
     injector: &mut FaultInjector,
     dpu: &mut Dpu,
     read: &DnaSeq,
+    cache: Option<&mut KernelCache>,
+    ledger: &mut CycleLedger,
+) -> (SaInterval, ExactStats) {
+    exact_search_recorded(mapped, injector, dpu, read, cache, None, ledger)
+}
+
+/// The match descent of one exact search: `descent[j]` is the interval of
+/// the read's last `j` bases, from `[0, N)` at `j = 0` up to the last base
+/// that extended — the whole read, or the one before the search failed.
+/// Stage 2 starts from it instead of walking those bases again (see
+/// `crate::inexact`).
+pub(crate) type Descent = Vec<(u32, u32)>;
+
+/// [`exact_search`] that also records its [`Descent`] into `descent`,
+/// overwriting what the buffer held.
+pub(crate) fn exact_search_recorded(
+    mapped: &MappedIndex,
+    injector: &mut FaultInjector,
+    dpu: &mut Dpu,
+    read: &DnaSeq,
     mut cache: Option<&mut KernelCache>,
+    mut descent: Option<&mut Descent>,
     ledger: &mut CycleLedger,
 ) -> (SaInterval, ExactStats) {
     dpu.init_interval(mapped.index().text_len() as u32, ledger);
+    if let Some(descent) = descent.as_deref_mut() {
+        descent.clear();
+        descent.push((dpu.low(), dpu.high()));
+    }
     let mut stats = ExactStats {
         lfm_calls: 0,
         bases_consumed: 0,
@@ -63,6 +88,9 @@ pub fn exact_search(
             // Algorithm 1: "if low ≥ high, it has failed to find a match".
             return (SaInterval::new(low, low), stats);
         }
+        if let Some(descent) = descent.as_deref_mut() {
+            descent.push((low, high));
+        }
     }
     (SaInterval::new(dpu.low(), dpu.high()), stats)
 }
@@ -88,19 +116,24 @@ pub fn exact_search_batch(
     reads: &[&DnaSeq],
     ledger: &mut CycleLedger,
 ) -> Vec<(SaInterval, ExactStats)> {
-    exact_search_batch_cached(mapped, injectors, reads, None, ledger)
+    exact_search_batch_cached(mapped, injectors, reads, None, &mut [], ledger)
 }
 
 /// [`exact_search_batch`] with an optional rank-checkpoint cache (see
-/// [`MappedIndex::lfm_batch_into`]). Results, statistics and all
-/// simulated charges are byte-identical with and without it.
-pub fn exact_search_batch_cached(
+/// [`MappedIndex::lfm_batch_into`]) — results, statistics and all
+/// simulated charges are byte-identical with and without it — and, when
+/// `descents` holds one buffer per read (pass an empty slice to record
+/// none), each read's [`Descent`] written into its buffer, equal to what
+/// [`exact_search_recorded`] records for that read.
+pub(crate) fn exact_search_batch_cached(
     mapped: &MappedIndex,
     injectors: &mut [FaultInjector],
     reads: &[&DnaSeq],
     mut cache: Option<&mut KernelCache>,
+    descents: &mut [Descent],
     ledger: &mut CycleLedger,
 ) -> Vec<(SaInterval, ExactStats)> {
+    debug_assert!(descents.is_empty() || descents.len() >= reads.len());
     let n = mapped.index().text_len() as u32;
     let mut dpus: Vec<Dpu> = (0..reads.len()).map(|_| Dpu::new(mapped.model())).collect();
     let mut stats = vec![
@@ -118,6 +151,10 @@ pub fn exact_search_batch_cached(
         .collect();
     for (r, dpu) in dpus.iter_mut().enumerate() {
         dpu.init_interval(n, ledger);
+        if let Some(descent) = descents.get_mut(r) {
+            descent.clear();
+            descent.push((0, n));
+        }
         if suffixes[r].is_empty() {
             results[r] = Some(SaInterval::new(dpu.low(), dpu.high()));
         }
@@ -167,7 +204,12 @@ pub fn exact_search_batch_cached(
                 // Algorithm 1: "if low ≥ high, it has failed to find a
                 // match".
                 results[r] = Some(SaInterval::new(low, low));
-            } else if step + 1 == suffixes[r].len() {
+                continue;
+            }
+            if let Some(descent) = descents.get_mut(r) {
+                descent.push((low, high));
+            }
+            if step + 1 == suffixes[r].len() {
                 results[r] = Some(SaInterval::new(low, high));
             }
         }
@@ -291,9 +333,15 @@ mod tests {
         );
         let reference = genome::uniform(30_000, 23);
         let mapped = MappedIndex::build(&reference, &config);
-        let reads: Vec<DnaSeq> = (0..4)
+        let mut reads: Vec<DnaSeq> = (0..4)
             .map(|k| reference.subseq(k * 5_003..k * 5_003 + 50))
             .collect();
+        // One whose descent breaks whatever the campaign draws, and one
+        // with nothing to descend.
+        let mut bases = reference.subseq(20_000..20_050).into_bases();
+        bases[25] = bioseq::Base::from_rank((bases[25].rank() + 1) % 4);
+        reads.push(DnaSeq::from_bases(bases));
+        reads.push(DnaSeq::from_bases(Vec::new()));
         let refs: Vec<&DnaSeq> = reads.iter().collect();
         let fresh_injectors = || -> Vec<FaultInjector> {
             (0..reads.len())
@@ -306,14 +354,17 @@ mod tests {
         assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
         // Cached leg: the batch and the single-read oracle below share
         // one rank-checkpoint cache and must replay the uncached batch.
+        // It records its descents, into buffers that hold stale ones.
         let mut cache = KernelCache::new();
         let mut cached_injectors = fresh_injectors();
         let mut cached_ledger = CycleLedger::new();
+        let mut descents = vec![vec![(1, 2), (3, 4)]; reads.len()];
         let cached = exact_search_batch_cached(
             &mapped,
             &mut cached_injectors,
             &refs,
             Some(&mut cache),
+            &mut descents,
             &mut cached_ledger,
         );
         assert_eq!(cached, batched);
@@ -322,15 +373,22 @@ mod tests {
         for (r, read) in reads.iter().enumerate() {
             let mut oracle = mapped.read_injector(r as u64);
             let mut dpu = Dpu::new(mapped.model());
-            let (expected, expected_stats) = exact_search(
+            let mut descent = Descent::new();
+            let (expected, expected_stats) = exact_search_recorded(
                 &mapped,
                 &mut oracle,
                 &mut dpu,
                 read,
                 Some(&mut cache),
+                Some(&mut descent),
                 &mut ledger,
             );
             assert_eq!(batched[r], (expected, expected_stats), "read {r}");
+            assert_eq!(descents[r], descent, "read {r}");
+            assert_eq!(descent[0], (0, reference.len() as u32 + 1), "read {r}");
+            // One interval per base that extended.
+            let extended = expected_stats.bases_consumed - usize::from(expected.is_empty());
+            assert_eq!(descent.len(), 1 + extended, "read {r}");
             assert_eq!(injectors[r].counters(), oracle.counters(), "read {r}");
             assert_eq!(
                 cached_injectors[r].counters(),

@@ -29,8 +29,14 @@
 //!   left only — are trimmed on the right before the next round, which
 //!   takes the slack away from the 3' end, where intervals are widest;
 //! * the first segment of the bound pass is the pure-match descent every
-//!   round starts with, so its intervals are kept and each round
-//!   re-creates those frames without issuing an `LFM`.
+//!   round starts with, and it is the walk stage 1 has just failed on:
+//!   the aligner hands that descent over, the bound pass starts where it
+//!   broke, and each round re-creates its frames without issuing an
+//!   `LFM`;
+//! * when the descent broke deep in the read, the difference is almost
+//!   surely at the break, so first-accept mode tries the break frame's
+//!   one-difference alternatives before it pays for the rest of the
+//!   bound pass.
 
 use std::collections::HashMap;
 
@@ -38,6 +44,7 @@ use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, InexactHit, SaInterval};
 use pimsim::{BacktrackState, CycleLedger, Dpu, FaultInjector};
 
+use crate::exact::Descent;
 use crate::mapping::MappedIndex;
 
 /// Statistics of one inexact search.
@@ -94,17 +101,16 @@ pub fn inexact_search(
     budget: EditBudget,
     ledger: &mut CycleLedger,
 ) -> (Vec<InexactHit>, InexactStats) {
-    let mut search = Search::new(mapped, injector, dpu, read, budget, ledger);
-    let mut best: HashMap<SaInterval, u8> = HashMap::new();
-    if search.lower_bound().is_some() {
-        search.start_round(budget.max_diffs());
-        while let Some(hit) = search.next_hit() {
-            best.entry(hit.interval)
-                .and_modify(|least| *least = (*least).min(hit.diffs))
-                .or_insert(hit.diffs);
-        }
-    }
-    (sorted_hits(best), search.stats)
+    inexact_search_from(
+        mapped,
+        injector,
+        dpu,
+        read,
+        budget,
+        true,
+        &mut Descent::new(),
+        ledger,
+    )
 }
 
 /// First-accept variant of Algorithm 2: depth-first with the match
@@ -127,8 +133,66 @@ pub fn inexact_search_first(
     budget: EditBudget,
     ledger: &mut CycleLedger,
 ) -> (Option<InexactHit>, InexactStats) {
-    let mut search = Search::new(mapped, injector, dpu, read, budget, ledger);
-    (search.first_hit(), search.stats)
+    let (hits, stats) = inexact_search_from(
+        mapped,
+        injector,
+        dpu,
+        read,
+        budget,
+        false,
+        &mut Descent::new(),
+        ledger,
+    );
+    (hits.first().copied(), stats)
+}
+
+/// Both searches behind one entry that takes the read's match descent:
+/// [`inexact_search`] when `exhaustive`, else [`inexact_search_first`]
+/// (no hit or one). A `descent` that is not empty is the exact stage's
+/// ([`crate::exact::exact_search_recorded`]) for this very read: the
+/// search starts where it ends and issues no `LFM`, interval write or
+/// fault draw for the bases it covers, so `InexactStats::lfm_calls` is
+/// smaller by that stage's count and everything else is the same search.
+/// An empty `descent` is filled by the search's own walk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn inexact_search_from(
+    mapped: &MappedIndex,
+    injector: &mut FaultInjector,
+    dpu: &mut Dpu,
+    read: &DnaSeq,
+    budget: EditBudget,
+    exhaustive: bool,
+    descent: &mut Descent,
+    ledger: &mut CycleLedger,
+) -> (Vec<InexactHit>, InexactStats) {
+    let mut search = Search::new(mapped, injector, dpu, read, budget, descent, ledger);
+    let hits = if exhaustive {
+        let mut best: HashMap<SaInterval, u8> = HashMap::new();
+        if search.lower_bound().is_some() {
+            search.start_round(budget.max_diffs(), Saved::All);
+            while let Some(hit) = search.next_hit() {
+                best.entry(hit.interval)
+                    .and_modify(|least| *least = (*least).min(hit.diffs))
+                    .or_insert(hit.diffs);
+            }
+        }
+        sorted_hits(best)
+    } else {
+        search.first_hit().into_iter().collect()
+    };
+    (hits, search.stats)
+}
+
+/// Which frames of the match descent a round's replay saves in the
+/// register file, to expand when the DFS backtracks into them. The break
+/// frame is the descent's last: the state whose match did not continue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Saved {
+    All,
+    /// [`Search::first_hit`] tries the break frame ahead of the round…
+    BreakOnly,
+    /// …and the round it belongs to leaves it out.
+    AllButBreak,
 }
 
 /// One search: the platform handles it drives, the read, and the DFS
@@ -149,11 +213,11 @@ struct Search<'a> {
     /// The difference lower bound: how many of `absent` lie inside
     /// `read[0..=i]`.
     d: Vec<i16>,
-    /// The pure-match descent from the read's last base, recorded by the
-    /// bound pass: `path[j]` is the interval of the read's last `j`
-    /// bases, up to the first one that does not extend (or the whole
-    /// read).
-    path: Vec<(u32, u32)>,
+    /// The pure-match descent from the read's last base — the exact
+    /// stage's, or this search's own ([`Search::descent`]): `path[j]` is
+    /// the interval of the read's last `j` bases, up to the first one
+    /// that does not extend (or the whole read). The caller's buffer.
+    path: &'a mut Descent,
     /// Every `Frame` on it satisfies `z >= bound(i)`.
     stack: Vec<Entry>,
     /// The budget of the round in progress.
@@ -168,6 +232,7 @@ impl<'a> Search<'a> {
         dpu: &'a mut Dpu,
         read: &'a DnaSeq,
         budget: EditBudget,
+        path: &'a mut Descent,
         ledger: &'a mut CycleLedger,
     ) -> Search<'a> {
         Search {
@@ -180,7 +245,7 @@ impl<'a> Search<'a> {
             budget,
             absent: Vec::new(),
             d: Vec::new(),
-            path: Vec::new(),
+            path,
             stack: Vec::new(),
             round: 0,
             stats: InexactStats::default(),
@@ -205,43 +270,67 @@ impl<'a> Search<'a> {
         (0, self.n)
     }
 
-    /// One greedy right-to-left exact pass (at most `2·m` `LFM`s) that
-    /// cuts the read into the disjoint substrings `absent`, none of
-    /// which occurs in the reference, and fills `d` from them. An
-    /// alignment spends at least one substitution, insertion or deletion
-    /// inside each, so `read[0..=i]` cannot be aligned with fewer than
-    /// `d[i]` differences, nor the read with fewer than the number of
-    /// substrings, which is returned.
+    /// Makes the match descent from the read's last base, unless the
+    /// exact stage handed its own over: the `LFM`s Algorithm 1 issues,
+    /// kept in `path`. Returns the base the descent broke at — extending
+    /// by `read[i]` left nothing — or `None` if the whole read matched.
+    fn descent(&mut self) -> Option<usize> {
+        if self.path.is_empty() {
+            self.first_absent_before(self.read.len(), true);
+        }
+        debug_assert!(self.path.len() <= self.read.len() + 1);
+        self.read.len().checked_sub(self.path.len())
+    }
+
+    /// One greedy right-to-left exact pass (at most `2·m` `LFM`s, the
+    /// descent's included) that cuts the read into the disjoint
+    /// substrings `absent`, none of which occurs in the reference, and
+    /// fills `d` from them. An alignment spends at least one
+    /// substitution, insertion or deletion inside each, so `read[0..=i]`
+    /// cannot be aligned with fewer than `d[i]` differences, nor the read
+    /// with fewer than the number of substrings, which is returned.
     ///
     /// Returns `None` as soon as more substrings are found than the
     /// budget has differences: the whole read is then out of reach and
     /// the pass stops there.
     ///
     /// Up to its first failure the pass is the match descent of the DFS
-    /// itself; those intervals are kept in `path`.
+    /// itself, so it starts where [`Search::descent`] broke.
     fn lower_bound(&mut self) -> Option<u8> {
-        let read = self.read;
-        // read[i..end] is the substring being extended leftward.
-        let mut end = read.len();
-        let (mut low, mut high) = self.whole_text();
-        self.path.push((low, high));
-        for i in (0..read.len()).rev() {
-            if let Some(next) = self.extend(read[i], low, high) {
-                (low, high) = next;
-                if self.absent.is_empty() {
-                    self.path.push(next);
-                }
-                continue;
-            }
+        // read[i..end) is the substring being extended leftward, and
+        // `broke` the base it turned out absent at.
+        let mut end = self.read.len();
+        let mut broke = self.descent();
+        while let Some(i) = broke {
             if self.absent.len() == self.budget.max_diffs() as usize {
                 return None;
             }
             self.absent.push((i, end));
             end = i;
-            (low, high) = self.whole_text();
+            broke = self.first_absent_before(end, false);
         }
         self.count_absent();
         Some(self.absent.len() as u8)
+    }
+
+    /// Extends the empty string leftward from `read[end - 1]`, keeping
+    /// the intervals in `path` if `record`; returns the first base that
+    /// does not extend, if one does not.
+    fn first_absent_before(&mut self, end: usize, record: bool) -> Option<usize> {
+        let mut interval = self.whole_text();
+        for i in (0..end).rev() {
+            if record {
+                self.path.push(interval);
+            }
+            interval = match self.extend(self.read[i], interval.0, interval.1) {
+                Some(next) => next,
+                None => return Some(i),
+            };
+        }
+        if record {
+            self.path.push(interval);
+        }
+        None
     }
 
     /// Fills `d` from `absent`: a substring `read[s..e)` counts from
@@ -309,9 +398,9 @@ impl<'a> Search<'a> {
 
     /// Starts a round of the DFS at budget `z` by re-creating the states
     /// of the match descent from `path` — the visits the DFS would begin
-    /// with, in its order, each saving its frame as a visit does, none
-    /// issuing an `LFM`.
-    fn start_round(&mut self, z: u8) {
+    /// with, in its order, none issuing an `LFM` — and saving those
+    /// `saved` names as a visit does.
+    fn start_round(&mut self, z: u8, saved: Saved) {
         debug_assert!(self.stack.is_empty() && self.dpu.stack_depth() == 0);
         self.round = z;
         let mut frame = Frame {
@@ -323,7 +412,12 @@ impl<'a> Search<'a> {
         while frame.i >= 0 {
             self.stats.states_explored += 1;
             let matched = self.path.get(self.read.len() - frame.i as usize).copied();
-            match self.descend(frame, matched) {
+            let save = match saved {
+                Saved::All => true,
+                Saved::BreakOnly => matched.is_none(),
+                Saved::AllButBreak => matched.is_some(),
+            };
+            match self.descend(frame, matched, save) {
                 Some(next) => frame = next,
                 None => return,
             }
@@ -335,18 +429,18 @@ impl<'a> Search<'a> {
     /// Visits a state with `i >= 0`: issues the match continuation only.
     fn visit(&mut self, frame: Frame) {
         let matched = self.extend(self.read[frame.i as usize], frame.low, frame.high);
-        if let Some(next) = self.descend(frame, matched) {
+        if let Some(next) = self.descend(frame, matched, true) {
             self.stack.push(Entry::Visit(next));
         }
     }
 
     /// Steps from a visited state to `matched`, its match continuation,
-    /// saving the state in the register file if an alternative could
-    /// still reach a hit. `None` when the match does not continue.
-    fn descend(&mut self, frame: Frame, matched: Option<(u32, u32)>) -> Option<Frame> {
+    /// saving the state in the register file if `save` and an alternative
+    /// could still reach a hit. `None` when the match does not continue.
+    fn descend(&mut self, frame: Frame, matched: Option<(u32, u32)>, save: bool) -> Option<Frame> {
         // An alternative spends one difference on read[i] (or before
         // it) and must still afford read[0..i].
-        if frame.z > self.bound(frame.i - 1) {
+        if save && frame.z > self.bound(frame.i - 1) {
             self.dpu.push_state(
                 BacktrackState {
                     position: frame.i as u32,
@@ -441,10 +535,40 @@ impl<'a> Search<'a> {
     /// The first hit of the first round that has one, over the budgets
     /// from the bound pass's substring count — fewer differences cannot
     /// align the read — up to the budget asked for.
+    ///
+    /// A descent that matched more than [`Search::trimmed_len`] bases
+    /// before it broke is almost surely at the read's locus, with a
+    /// difference where it broke. The break frame's alternatives are then
+    /// tried with nothing left to spend, ahead of the rest of the bound
+    /// pass: a hit has one difference where the exact stage found none
+    /// with zero, so it is a minimum-difference hit, and it is the hit
+    /// round 1 meets first — the break frame is the deepest the replay
+    /// saves, and with one absent substring the bound is zero left of the
+    /// read's last base. On a miss the pass completes and round 1, if
+    /// there is one, covers the other frames.
     fn first_hit(&mut self) -> Option<InexactHit> {
+        let broke_deep = self.descent().is_some()
+            && self.path.len() - 1 > self.trimmed_len()
+            && self.budget.max_diffs() > 0;
+        if broke_deep {
+            // No bound is known yet, and none is needed: the frame
+            // itself is saved whatever lies left of it, and its children
+            // have nothing left to be pruned from.
+            self.d.clear();
+            self.d.resize(self.read.len(), 0);
+            self.start_round(1, Saved::BreakOnly);
+            if let Some(hit) = self.next_hit() {
+                return Some(hit);
+            }
+        }
         let fewest = self.lower_bound()?;
         for z in fewest..=self.budget.max_diffs() {
-            self.start_round(z);
+            let saved = if broke_deep && z == 1 {
+                Saved::AllButBreak
+            } else {
+                Saved::All
+            };
+            self.start_round(z, saved);
             if let Some(hit) = self.next_hit() {
                 // The accepted path's frames are still saved; unwind
                 // them so the next search starts on an empty register
@@ -476,7 +600,9 @@ fn sorted_hits(best: HashMap<SaInterval, u8>) -> Vec<InexactHit> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aligner::AlignmentOutcome;
     use crate::config::PimAlignerConfig;
+    use crate::exact::exact_search_recorded;
     use proptest::prelude::*;
     use readsim::genome;
 
@@ -639,6 +765,184 @@ mod tests {
         Ok(())
     }
 
+    fn budget_of(z: u8, indels: bool) -> EditBudget {
+        if indels {
+            EditBudget::edits(z)
+        } else {
+            EditBudget::substitutions_only(z)
+        }
+    }
+
+    /// The contract of the rounds: the eager DFS's first hit at the
+    /// smallest budget that has one, for no more LFMs than those eager
+    /// rounds issue; and exhaustively, the eager DFS's hit set.
+    fn equals_eager_reference(
+        reference: &DnaSeq,
+        read: &DnaSeq,
+        z: u8,
+        indels: bool,
+    ) -> Result<(), TestCaseError> {
+        let (mapped, mut injector, mut dpu, mut ledger) = setup(reference);
+        let budget = |z| budget_of(z, indels);
+        let mut eager_first = None;
+        let mut eager_rounds_lfm = 0;
+        for round in 0..=z {
+            let (hits, lfm) = eager_reference(
+                &mapped,
+                &mut injector,
+                read,
+                budget(round),
+                &mut ledger,
+                true,
+            );
+            eager_rounds_lfm += lfm;
+            eager_first = hits.first().copied();
+            if eager_first.is_some() {
+                break;
+            }
+        }
+        let (first, stats) = inexact_search_first(
+            &mapped,
+            &mut injector,
+            &mut dpu,
+            read,
+            budget(z),
+            &mut ledger,
+        );
+        prop_assert_eq!(first, eager_first);
+        prop_assert!(
+            stats.lfm_calls <= eager_rounds_lfm,
+            "first-accept issued {} LFMs, the eager rounds {}",
+            stats.lfm_calls,
+            eager_rounds_lfm
+        );
+        prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+        let (eager_all, _) =
+            eager_reference(&mapped, &mut injector, read, budget(z), &mut ledger, false);
+        let (all, _) = inexact_search(
+            &mapped,
+            &mut injector,
+            &mut dpu,
+            read,
+            budget(z),
+            &mut ledger,
+        );
+        prop_assert_eq!(all, eager_all);
+        prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+        Ok(())
+    }
+
+    /// The hand-over contract, first-accept and exhaustive: started from
+    /// the exact stage's recorded descent, the search returns the hits
+    /// and explores the states of the search that walks for itself, and
+    /// the two stages together issue and charge — to the bit, the charges
+    /// falling in the same order — what that search does alone.
+    fn seeded_equals_unseeded(
+        reference: &DnaSeq,
+        read: &DnaSeq,
+        z: u8,
+        indels: bool,
+    ) -> Result<(), TestCaseError> {
+        let (mapped, mut injector, mut dpu, _) = setup(reference);
+        let budget = budget_of(z, indels);
+        for exhaustive in [false, true] {
+            let mut alone = CycleLedger::new();
+            let (expected, unseeded) = inexact_search_from(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                budget,
+                exhaustive,
+                &mut Descent::new(),
+                &mut alone,
+            );
+            prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+
+            let mut staged = CycleLedger::new();
+            let mut descent = vec![(7, 7)]; // stale: the exact stage overwrites it
+            let (interval, exact) = exact_search_recorded(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                None,
+                Some(&mut descent),
+                &mut staged,
+            );
+            // One interval per base that extended, after [0, N).
+            prop_assert_eq!(
+                descent.len(),
+                1 + exact.bases_consumed - usize::from(interval.is_empty())
+            );
+            let (hits, seeded) = inexact_search_from(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                budget,
+                exhaustive,
+                &mut descent,
+                &mut staged,
+            );
+            prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+            prop_assert_eq!(&hits, &expected);
+            if !interval.is_empty() {
+                // The whole read matched: the hit is the replayed
+                // descent's, and round 0 has nothing left to walk.
+                prop_assert!(exhaustive || seeded.lfm_calls == 0);
+                let whole = InexactHit { interval, diffs: 0 };
+                prop_assert_eq!(hits.first(), Some(&whole));
+            }
+            prop_assert_eq!(
+                InexactStats {
+                    lfm_calls: seeded.lfm_calls + exact.lfm_calls,
+                    ..seeded
+                },
+                unseeded
+            );
+            prop_assert!(
+                staged == alone,
+                "the two stages charge what the one search does"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn seeded_search_on_the_edge_descents() {
+        let homopolymer: DnaSeq = "AAAAAAAAAA".parse().unwrap();
+        let reference = genome::uniform(3_000, 30);
+        let window = reference.subseq(1_000..1_040);
+        let substituted = |at: usize| {
+            let mut bases = window.clone().into_bases();
+            bases[at] = Base::from_rank((bases[at].rank() + 1) % 4);
+            DnaSeq::from_bases(bases)
+        };
+        let cases: [(&DnaSeq, DnaSeq); 8] = [
+            // Breaks at the first base tried: no T in the reference.
+            (&homopolymer, "AAAAAAAACT".parse().unwrap()),
+            // Breaks at the read's last base but one, and at its first.
+            (&reference, substituted(38)),
+            (&reference, substituted(0)),
+            // Never breaks.
+            (&reference, window.clone()),
+            // The empty and the 1-base reads of `tests/edge_cases.rs`.
+            (&reference, DnaSeq::from_bases(Vec::new())),
+            (&reference, "G".parse().unwrap()),
+            (&homopolymer, "A".parse().unwrap()),
+            (&homopolymer, "C".parse().unwrap()),
+        ];
+        for (reference, read) in &cases {
+            for z in 0..3 {
+                for indels in [false, true] {
+                    seeded_equals_unseeded(reference, read, z, indels)
+                        .unwrap_or_else(|e| panic!("{read} at z = {z}: {e}"));
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -651,44 +955,22 @@ mod tests {
             z in 0u8..3,
             indels in any::<bool>(),
         ) {
-            let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
             let read = edited_read(&reference, start_frac, 16, &edits, reverse);
-            let budget = |z| if indels {
-                EditBudget::edits(z)
-            } else {
-                EditBudget::substitutions_only(z)
-            };
-            // The contract of the rounds: the eager DFS's first hit at
-            // the smallest budget that has one, for no more LFMs than
-            // those eager rounds issue.
-            let mut eager_first = None;
-            let mut eager_rounds_lfm = 0;
-            for round in 0..=z {
-                let (hits, lfm) =
-                    eager_reference(&mapped, &mut injector, &read, budget(round), &mut ledger, true);
-                eager_rounds_lfm += lfm;
-                eager_first = hits.first().copied();
-                if eager_first.is_some() {
-                    break;
-                }
-            }
-            let (first, stats) = inexact_search_first(
-                &mapped, &mut injector, &mut dpu, &read, budget(z), &mut ledger,
-            );
-            prop_assert_eq!(first, eager_first);
-            prop_assert!(
-                stats.lfm_calls <= eager_rounds_lfm,
-                "first-accept issued {} LFMs, the eager rounds {}",
-                stats.lfm_calls,
-                eager_rounds_lfm
-            );
-            prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
-            let (eager_all, _) =
-                eager_reference(&mapped, &mut injector, &read, budget(z), &mut ledger, false);
-            let (all, _) =
-                inexact_search(&mapped, &mut injector, &mut dpu, &read, budget(z), &mut ledger);
-            prop_assert_eq!(all, eager_all);
-            prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+            equals_eager_reference(&reference, &read, z, indels)?;
+        }
+
+        #[test]
+        fn seeded_search_is_the_unseeded_search_minus_the_descent(
+            reference in arb_seq(200, 20_000),
+            start_frac in 0.0f64..1.0,
+            len in 16usize..=100,
+            edits in proptest::collection::vec(any::<u32>(), 0..5),
+            reverse in any::<bool>(),
+            z in 0u8..3,
+            indels in any::<bool>(),
+        ) {
+            let read = edited_read(&reference, start_frac, len, &edits, reverse);
+            seeded_equals_unseeded(&reference, &read, z, indels)?;
         }
 
         #[test]
@@ -698,8 +980,10 @@ mod tests {
         ) {
             let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
             let budget = EditBudget::edits(EditBudget::MAX_DIFFS);
-            let mut search =
-                Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+            let mut path = Descent::new();
+            let mut search = Search::new(
+                &mapped, &mut injector, &mut dpu, &read, budget, &mut path, &mut ledger,
+            );
             let within_budget = search.lower_bound();
             prop_assert!(search.stats.lfm_calls <= 2 * read.len() as u64);
             match within_budget {
@@ -730,8 +1014,10 @@ mod tests {
             let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
             let read = edited_read(&reference, start_frac, len, &edits, false);
             let budget = EditBudget::edits(EditBudget::MAX_DIFFS);
-            let mut search =
-                Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+            let mut path = Descent::new();
+            let mut search = Search::new(
+                &mapped, &mut injector, &mut dpu, &read, budget, &mut path, &mut ledger,
+            );
             prop_assert!(search.lower_bound().is_some(), "at most 3 edits");
             let untrimmed = search.absent.clone();
             let before = search.stats.lfm_calls;
@@ -744,6 +1030,30 @@ mod tests {
                 prop_assert!(*now == *was || *now == (was.0, was.0 + len), "{:?} -> {:?}", was, now);
             }
             bound_is_sound(&search.d, &reference, &read)?;
+        }
+    }
+
+    proptest! {
+        // The eager DFS enumerates the whole neighbourhood of a 40–60 bp
+        // read: fewer cases, each several thousand times the work.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// `search_equals_eager_reference_and_never_costs_more` on reads
+        /// whose descent breaks deeper than `trimmed_len()` (12–14 here),
+        /// so that the break frame is tried first; on ≤ 200 bp references
+        /// that length is 10 of a read's 16 bases and it rarely is.
+        #[test]
+        fn search_equals_eager_reference_where_the_break_frame_goes_first(
+            reference in arb_seq(2_000, 20_000),
+            start_frac in 0.0f64..1.0,
+            len in 40usize..=60,
+            edits in proptest::collection::vec(any::<u32>(), 0..4),
+            reverse in any::<bool>(),
+            z in 1u8..3,
+            indels in any::<bool>(),
+        ) {
+            let read = edited_read(&reference, start_frac, len, &edits, reverse);
+            equals_eager_reference(&reference, &read, z, indels)?;
         }
     }
 
@@ -767,12 +1077,21 @@ mod tests {
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = read_with_substitutions_at(&reference, &[2, 3, 4]);
         let budget = EditBudget::edits(2);
-        let mut search = Search::new(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+        let mut path = Descent::new();
+        let mut search = Search::new(
+            &mapped,
+            &mut injector,
+            &mut dpu,
+            &read,
+            budget,
+            &mut path,
+            &mut ledger,
+        );
         assert_eq!(search.lower_bound(), Some(1));
         assert_eq!(search.absent, [(4, 100)]);
         assert_eq!(search.path.len(), 100 - 4, "read[5..100) matched");
         assert_eq!((search.d[98], search.d[99]), (0, 1));
-        search.start_round(1);
+        search.start_round(1, Saved::All);
         assert_eq!(search.next_hit(), None);
         assert_eq!(search.dpu.stack_depth(), 0, "a failed round unwinds itself");
 
@@ -929,42 +1248,52 @@ mod tests {
 
     #[test]
     fn cost_classes_by_where_the_differences_fall() {
-        // A 100-base read of a 200 kbp genome at `EditBudget::edits(2)`:
-        // whether it maps, and for how many LFMs.
+        // A 100-base read of a 200 kbp genome at the default budget, two
+        // edits: whether it maps, and for how many LFMs end to end —
+        // stage 1's and stage 2's — through the single-read kernel and
+        // the batched one.
+        use crate::aligner::AlignSession;
         let reference = genome::uniform(200_000, 28);
-        let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
-        let mut cost = |places: &[usize]| {
-            let read = read_with_substitutions_at(&reference, places);
-            let (hit, stats) = inexact_search_first(
-                &mapped,
-                &mut injector,
-                &mut dpu,
-                &read,
-                EditBudget::edits(2),
-                &mut ledger,
-            );
-            assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
-            assert!(hit.is_none_or(|h| h.diffs as usize == places.len()));
-            (hit.is_some(), stats.lfm_calls)
-        };
         let m = 100;
-        // In the 3' seed, where the interval is still wide: round 1
-        // tries the one-difference alternatives of the last bases only
-        // (3 296 LFMs when the one round had budget 2).
-        let (mapped, lfm) = cost(&[95]);
-        assert!(mapped && lfm <= 8 * m, "3' seed difference: {lfm} LFMs");
-        // Mid-read: bound pass, then the frame that failed pays and the
-        // rest matches (406 before the descent was shared).
-        let (mapped, lfm) = cost(&[50]);
-        assert!(
-            mapped && 2 * lfm <= 7 * m,
-            "mid-read difference: {lfm} LFMs"
-        );
-        // Over budget, all at the 5' end, where the right-to-left pass
-        // sees one substring: both rounds run to exhaustion, the second
-        // on a trimmed bound (52 870 on the untrimmed one).
-        let (mapped, lfm) = cost(&[2, 3, 4]);
-        assert!(!mapped && lfm <= 80 * m, "5' over-budget read: {lfm} LFMs");
+        for kernel_batch in [1, 8] {
+            let config = PimAlignerConfig::baseline().with_kernel_batch(kernel_batch);
+            let mut session = AlignSession::new(&reference, config);
+            let mut cost = |read: DnaSeq, diffs: Option<u8>| {
+                let before = session.lfm_calls();
+                let outcome = session.align_group(&[read], 0, false).remove(0).0;
+                match (&outcome, diffs) {
+                    (AlignmentOutcome::Inexact { diffs, .. }, Some(expected)) => {
+                        assert_eq!(*diffs, expected)
+                    }
+                    (AlignmentOutcome::Unmapped, None) => {}
+                    _ => panic!("expected {diffs:?} differences, got {outcome:?}"),
+                }
+                session.lfm_calls() - before
+            };
+            // Mid-read: stage 1 walks to the difference, the break frame
+            // pays for it and the rest matches: 2·m and the alternatives
+            // that die (100 + 306 while stage 2 made the descent again
+            // and ran the bound pass to the end first).
+            let lfm = cost(read_with_substitutions_at(&reference, &[50]), Some(1));
+            assert!(lfm <= 2 * m + 16, "mid-read difference: {lfm} LFMs");
+            // In the 3' seed, where the interval is still wide: the break
+            // is too shallow to be tried first, and round 1 tries the
+            // one-difference alternatives of the last bases (18 + 606
+            // before the hand-over).
+            let lfm = cost(read_with_substitutions_at(&reference, &[95]), Some(1));
+            assert!(lfm <= 624, "3' seed difference: {lfm} LFMs");
+            // The wrong strand: the bound pass alone used to cost what
+            // both stages may now.
+            let wrong_strand = reference.subseq(50_000..50_100).reverse_complement();
+            let lfm = cost(wrong_strand, None);
+            assert!(lfm <= 56, "wrong-strand read: {lfm} LFMs");
+            // Over budget, all at the 5' end, where the right-to-left
+            // pass sees one substring: the break frame, then both rounds
+            // to exhaustion, the second on a trimmed bound (52 870 on the
+            // untrimmed one).
+            let lfm = cost(read_with_substitutions_at(&reference, &[2, 3, 4]), None);
+            assert!(lfm <= 80 * m, "5' over-budget read: {lfm} LFMs");
+        }
     }
 
     #[test]
@@ -1002,8 +1331,24 @@ mod tests {
         let (hit, stats) =
             inexact_search_first(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
         assert_eq!(hit, None);
-        assert_eq!(stats.states_explored, 0, "the DFS must not start");
-        assert!(stats.lfm_calls <= 2 * read.len() as u64);
+        // The descent breaks 24 bases in, deeper than the 13 a chance
+        // match is good for here, so the break frame is tried before the
+        // bound pass goes on: its substitution child matches the 24
+        // bases to the next difference and dies there. The pass then
+        // finds the third substring, and no round starts: the break
+        // frame is the one frame ever saved.
+        assert_eq!(stats.max_stack_depth, 1, "only the break frame is expanded");
+        assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
+        assert!(
+            stats.states_explored <= 2 * 25 + 8,
+            "{} states: the replayed descent, then one child's",
+            stats.states_explored
+        );
+        assert!(
+            stats.lfm_calls <= 2 * read.len() as u64 + 2 * 25 + 16,
+            "{} LFMs",
+            stats.lfm_calls
+        );
         // The software oracle, which searches exhaustively, agrees.
         assert!(mapped.index().search_inexact(&read, budget).is_empty());
     }
