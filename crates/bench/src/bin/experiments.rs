@@ -15,7 +15,7 @@ use bench::table::{format_value, render_series, render_table};
 use bench::{figure_workload, paper_workload, pim_platform_rows, simulate_config};
 use mram::device::CellParams;
 use mram::montecarlo;
-use pim_aligner::PimAlignerConfig;
+use pim_aligner::{PerfReport, PimAlignerConfig};
 use pimsim::pipeline::PipelineParams;
 
 fn main() {
@@ -104,6 +104,40 @@ fn fig7() {
     );
 }
 
+/// The runs as they ran, under the figures they are compared in. The
+/// figure rows are taken at the published algorithm's `LFM` count
+/// (`PerfReport::as_published`); the one-row interval step issues fewer,
+/// by the factor `f`, and that is an extension beyond the paper.
+fn beyond_the_paper(label: &str, runs: &[(String, PerfReport)]) -> String {
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, r)| {
+            vec![
+                name.clone(),
+                format!("{:.3}", r.published_lfm_calls as f64 / r.lfm_calls as f64),
+                format_value(r.throughput_qps),
+                format_value(r.total_power_w),
+                format_value(r.throughput_per_watt),
+                format_value(r.throughput_per_watt_mm2),
+                format_value(r.energy_per_query_j * 1e9),
+            ]
+        })
+        .collect();
+    render_table(
+        "beyond the paper: singleton step (as run; f = published / issued LFMs)",
+        &[
+            label,
+            "f",
+            "Throughput (q/s)",
+            "Power (W)",
+            "T/W",
+            "T/W/mm2",
+            "nJ/query",
+        ],
+        &rows,
+    )
+}
+
 /// Figs. 8a/8b/9a/9b/10a/10b/10c: the ten-platform comparison bars.
 fn fig8_to_10(figures: &[Figure]) {
     let workload = figure_workload(11);
@@ -113,12 +147,18 @@ fn fig8_to_10(figures: &[Figure]) {
         let series = figure_series(figure, &platforms);
         println!("{}", render_series(figure.label(), &series));
     }
+    let runs = [
+        (rows.baseline.name.clone(), rows.baseline_report),
+        (rows.pipelined.name.clone(), rows.pipelined_report),
+    ];
+    println!("{}", beyond_the_paper("Platform", &runs));
 }
 
 /// Fig. 9c: power/throughput trade-off vs parallelism degree.
 fn fig9c() {
     let workload = figure_workload(13);
     let mut rows = Vec::new();
+    let mut runs = Vec::new();
     for pd in 1..=4 {
         let config = if pd == 1 {
             PimAlignerConfig::baseline()
@@ -126,11 +166,13 @@ fn fig9c() {
             PimAlignerConfig::pipelined().with_pd(pd)
         };
         let report = simulate_config(&workload, config);
+        let published = report.as_published();
         rows.push(vec![
             pd.to_string(),
-            format_value(report.throughput_qps),
-            format_value(report.total_power_w),
+            format_value(published.throughput_qps),
+            format_value(published.total_power_w),
         ]);
+        runs.push((pd.to_string(), report));
     }
     println!(
         "{}",
@@ -140,6 +182,7 @@ fn fig9c() {
             &rows
         )
     );
+    println!("{}", beyond_the_paper("Pd", &runs));
 }
 
 /// Beyond-paper: where the platform's dynamic energy goes, per

@@ -26,8 +26,11 @@ pub fn simulate_config(workload: &Workload, config: PimAlignerConfig) -> PerfRep
     aligner.align_batch(&workload.reads).report
 }
 
-/// Converts a report into a figure row.
+/// Converts a report into a figure row. The paper's figures are of the
+/// published algorithm, so the row is taken at its `LFM` count
+/// ([`PerfReport::as_published`]), not at the run's.
 fn to_platform(name: &str, report: &PerfReport) -> Platform {
+    let report = report.as_published();
     Platform::from_measurements(
         name,
         PlatformClass::FmIndex,
@@ -88,6 +91,37 @@ mod tests {
         let r = rows();
         assert!(r.pipelined.throughput_qps > r.baseline.throughput_qps);
         assert!(r.pipelined.power_w > r.baseline.power_w);
+    }
+
+    #[test]
+    fn figure_rows_are_taken_at_the_published_count() {
+        // 40 error-free 100-base reads, a pipeline unit each: Algorithm 1
+        // issues 2·m `LFM`s a read, the run fewer, and the figure row's
+        // throughput is the published algorithm's at the Fig. 7 rate.
+        let r = rows();
+        for (row, report, config) in [
+            (
+                &r.baseline,
+                &r.baseline_report,
+                PimAlignerConfig::baseline(),
+            ),
+            (
+                &r.pipelined,
+                &r.pipelined_report,
+                PimAlignerConfig::pipelined(),
+            ),
+        ] {
+            assert_eq!(report.published_lfm_calls, 40 * 2 * 100);
+            assert!(report.lfm_calls < report.published_lfm_calls);
+            let cycles_per_read = 200.0 * config.pipeline().cycles_per_lfm(config.pd());
+            let qps = 40.0 / (cycles_per_read * config.model().cycle_ns() * 1e-9);
+            assert!(
+                (row.throughput_qps / qps - 1.0).abs() < 1e-12,
+                "{}: {} q/s, published {qps}",
+                row.name,
+                row.throughput_qps
+            );
+        }
     }
 
     #[test]

@@ -4,20 +4,26 @@ use bioseq::DnaSeq;
 use fmindex::SaInterval;
 use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache};
 
-use crate::mapping::{LfmBatchScratch, LfmRequest, MappedIndex};
+use crate::mapping::{LfmBatchScratch, MappedIndex};
 
 /// Statistics of one exact search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactStats {
-    /// `LFM` invocations issued (two per consumed base).
+    /// `LFM` invocations issued: two per consumed base while the interval
+    /// spans several rows, one per base once it is a single row (see
+    /// `MappedIndex::step`) — about `m + 2·log₄ N` for a read of `m`
+    /// bases that occurs once. Algorithm 1 as published issues
+    /// `2 · bases_consumed`.
     pub lfm_calls: u64,
     /// Read bases consumed before success or early failure.
     pub bases_consumed: usize,
 }
 
 /// Runs Algorithm 1 on the platform: initialises the DPU interval to
-/// `[0, N)`, walks the read right-to-left, and updates both bounds with
-/// the in-memory `LFM` procedure, stopping early when `low ≥ high`.
+/// `[0, N)`, walks the read right-to-left, and extends the interval by
+/// each base with the in-memory `LFM` procedure — one interval step a
+/// base, `LFM(low)` and `LFM(high)` or, on a one-row interval, the one
+/// `LFM` that serves both bounds — stopping early when `low ≥ high`.
 ///
 /// The index is shared and immutable; the caller supplies the session's
 /// own fault-injection stream, DPU and ledger, and optionally its
@@ -66,24 +72,11 @@ pub(crate) fn exact_search_recorded(
     };
     for &nt in read.iter().rev() {
         let t_lfm = dpu.tracer().start(ledger);
-        let low = mapped.lfm_cached(
-            nt,
-            dpu.low() as usize,
-            injector,
-            cache.as_deref_mut(),
-            ledger,
-        );
-        let high = mapped.lfm_cached(
-            nt,
-            dpu.high() as usize,
-            injector,
-            cache.as_deref_mut(),
-            ledger,
-        );
-        dpu.set_interval(low, high, ledger);
+        let interval = (dpu.low(), dpu.high());
+        stats.lfm_calls += mapped.step(nt, interval, dpu, injector, cache.as_deref_mut(), ledger);
         dpu.tracer_mut().record("lfm", t_lfm, ledger);
-        stats.lfm_calls += 2;
         stats.bases_consumed += 1;
+        let (low, high) = (dpu.low(), dpu.high());
         if dpu.interval_empty() {
             // Algorithm 1: "if low ≥ high, it has failed to find a match".
             return (SaInterval::new(low, low), stats);
@@ -97,9 +90,9 @@ pub(crate) fn exact_search_recorded(
 
 /// Runs Algorithm 1 for `reads.len()` reads in lock-step through the
 /// batched kernel: at each step every still-active read contributes its
-/// `low` then its `high` LFM request (read order), and the whole step
-/// executes as one [`MappedIndex::lfm_batch`] so plane loads shared
-/// across reads are charged once. Results and statistics are
+/// `low` then — unless its interval is one row — its `high` LFM request
+/// (read order), and the whole step executes as one batch so plane loads
+/// shared across reads are charged once. Results and statistics are
 /// bit-identical to running [`exact_search`] per read — including under
 /// seeded faults when `injectors` holds one per-read injector (indexed
 /// by read; pass an empty slice for a clean run), because the per-read
@@ -107,9 +100,9 @@ pub(crate) fn exact_search_recorded(
 ///
 /// Each read gets its own transient DPU (interval registers), charged
 /// exactly like the single-read path: one `IndexUpdate` at
-/// initialisation, one per consumed step. Reads drop out of the batch
-/// on early failure (`low ≥ high`) or exhaustion, exactly like the
-/// single-read early exit.
+/// initialisation, one per consumed step, one `IndexBump` per one-row
+/// step. Reads drop out of the batch on early failure (`low ≥ high`) or
+/// exhaustion, exactly like the single-read early exit.
 pub fn exact_search_batch(
     mapped: &MappedIndex,
     injectors: &mut [FaultInjector],
@@ -136,13 +129,8 @@ pub(crate) fn exact_search_batch_cached(
     debug_assert!(descents.is_empty() || descents.len() >= reads.len());
     let n = mapped.index().text_len() as u32;
     let mut dpus: Vec<Dpu> = (0..reads.len()).map(|_| Dpu::new(mapped.model())).collect();
-    let mut stats = vec![
-        ExactStats {
-            lfm_calls: 0,
-            bases_consumed: 0,
-        };
-        reads.len()
-    ];
+    let mut lfm_calls = vec![0u64; reads.len()];
+    let mut bases_consumed = vec![0usize; reads.len()];
     let mut results: Vec<Option<SaInterval>> = vec![None; reads.len()];
     // Right-to-left base order per read, indexable by step.
     let suffixes: Vec<Vec<bioseq::Base>> = reads
@@ -160,46 +148,30 @@ pub(crate) fn exact_search_batch_cached(
         }
     }
     let max_len = suffixes.iter().map(Vec::len).max().unwrap_or(0);
-    let mut requests = Vec::new();
-    let mut active = Vec::new();
+    let mut steps = Vec::new();
     let mut scratch = LfmBatchScratch::new();
-    let mut sums = Vec::new();
     for step in 0..max_len {
-        requests.clear();
-        active.clear();
+        steps.clear();
         for (r, suffix) in suffixes.iter().enumerate() {
-            if results[r].is_some() {
-                continue;
+            if results[r].is_none() {
+                steps.push((r, suffix[step]));
             }
-            let nt = suffix[step];
-            requests.push(LfmRequest {
-                stream: r,
-                nt,
-                id: dpus[r].low() as usize,
-            });
-            requests.push(LfmRequest {
-                stream: r,
-                nt,
-                id: dpus[r].high() as usize,
-            });
-            active.push(r);
         }
-        if requests.is_empty() {
+        if steps.is_empty() {
             break;
         }
-        mapped.lfm_batch_into(
-            &requests,
+        mapped.step_batch(
+            &steps,
+            &mut dpus,
+            &mut lfm_calls,
             injectors,
             cache.as_deref_mut(),
             ledger,
             &mut scratch,
-            &mut sums,
         );
-        for (k, &r) in active.iter().enumerate() {
-            let (low, high) = (sums[2 * k], sums[2 * k + 1]);
-            dpus[r].set_interval(low, high, ledger);
-            stats[r].lfm_calls += 2;
-            stats[r].bases_consumed += 1;
+        for &(r, _) in &steps {
+            bases_consumed[r] += 1;
+            let (low, high) = (dpus[r].low(), dpus[r].high());
             if dpus[r].interval_empty() {
                 // Algorithm 1: "if low ≥ high, it has failed to find a
                 // match".
@@ -216,15 +188,25 @@ pub(crate) fn exact_search_batch_cached(
     }
     results
         .into_iter()
-        .zip(stats)
-        .map(|(interval, st)| (interval.expect("every read resolves"), st))
+        .zip(lfm_calls.into_iter().zip(bases_consumed))
+        .map(|(interval, (lfm_calls, bases_consumed))| {
+            let stats = ExactStats {
+                lfm_calls,
+                bases_consumed,
+            };
+            (interval.expect("every read resolves"), stats)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PimAlignerConfig;
+    use crate::config::{AddMethod, PimAlignerConfig};
+    use crate::inexact::tests::{arb_seq, edited_read};
+    use pimsim::costs::LogicalOp;
+    use pimsim::Resource;
+    use proptest::prelude::*;
     use readsim::genome;
 
     fn setup(reference: &DnaSeq) -> (MappedIndex, FaultInjector, Dpu, CycleLedger) {
@@ -235,6 +217,36 @@ mod tests {
         (mapped, injector, dpu, CycleLedger::new())
     }
 
+    /// Algorithm 1 as published — `LFM(low)` and `LFM(high)` for every
+    /// base, whatever the interval — recording its descent: the oracle
+    /// the interval step is held to.
+    fn published_search(
+        mapped: &MappedIndex,
+        injector: &mut FaultInjector,
+        dpu: &mut Dpu,
+        read: &DnaSeq,
+        ledger: &mut CycleLedger,
+    ) -> (SaInterval, ExactStats, Descent) {
+        dpu.init_interval(mapped.index().text_len() as u32, ledger);
+        let mut descent = vec![(dpu.low(), dpu.high())];
+        let mut stats = ExactStats {
+            lfm_calls: 0,
+            bases_consumed: 0,
+        };
+        for &nt in read.iter().rev() {
+            let low = mapped.lfm(nt, dpu.low() as usize, injector, ledger);
+            let high = mapped.lfm(nt, dpu.high() as usize, injector, ledger);
+            dpu.set_interval(low, high, ledger);
+            stats.lfm_calls += 2;
+            stats.bases_consumed += 1;
+            if dpu.interval_empty() {
+                return (SaInterval::new(low, low), stats, descent);
+            }
+            descent.push((low, high));
+        }
+        (SaInterval::new(dpu.low(), dpu.high()), stats, descent)
+    }
+
     #[test]
     fn paper_example_cta() {
         let reference: DnaSeq = "TGCTA".parse().unwrap();
@@ -243,9 +255,214 @@ mod tests {
         let (interval, stats) =
             exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert_eq!(interval.count(), 1);
-        assert_eq!(mapped.locate(interval, &mut ledger), vec![2]);
-        assert_eq!(stats.lfm_calls, 6);
         assert_eq!(stats.bases_consumed, 3);
+        // The paper's worked example issues six `LFM`s. `A` narrows
+        // `TGCTA$` to one row, so `T` and `C` are one-row steps here: four
+        // issued, two bumps, the published six still accounted for.
+        assert_eq!(stats.lfm_calls, 4);
+        let bumps = ledger.primitives().count(LogicalOp::IndexBump);
+        assert_eq!(stats.lfm_calls + bumps, 6);
+        let (published, published_stats, _) =
+            published_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
+        assert_eq!(published, interval);
+        assert_eq!(published_stats.lfm_calls, 6);
+        assert_eq!(mapped.locate(interval, &mut ledger), vec![2]);
+    }
+
+    /// A window of `reference` of 1–100 bases with 0–3 edits, on either
+    /// strand, all decoded from `pick`.
+    fn window_from(reference: &DnaSeq, pick: u64) -> DnaSeq {
+        let mut x = pick | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let len = 1 + (next() % 100) as usize;
+        let start_frac = (next() % 1_000) as f64 / 1_000.0;
+        let edits: Vec<u32> = (0..next() % 4).map(|_| next() as u32).collect();
+        edited_read(reference, start_frac, len, &edits, next() & 1 == 1)
+    }
+
+    /// The interval step against the published descent, read by read:
+    /// the same interval at every step, the published `LFM` count
+    /// accounted for, and a ledger that differs by the `LFM`s not issued
+    /// and the bumps. Then the same searches cached, and in lock-step at
+    /// three widths, against those.
+    fn step_equals_published(
+        reference: &DnaSeq,
+        reads: &[DnaSeq],
+        method: AddMethod,
+    ) -> Result<(), TestCaseError> {
+        let config = match method {
+            AddMethod::InPlace => PimAlignerConfig::baseline(),
+            AddMethod::Mirrored => PimAlignerConfig::pipelined(),
+        };
+        let mapped = MappedIndex::build(reference, &config);
+        let model = mapped.model();
+        let mut injector = mapped.session_injector();
+        let mut dpu = Dpu::new(model);
+        let mut cache = KernelCache::new();
+        let mut singles = Vec::new();
+        let mut singles_ledger = CycleLedger::new();
+        for read in reads {
+            let mut published = CycleLedger::new();
+            let (want, want_stats, want_descent) =
+                published_search(&mapped, &mut injector, &mut dpu, read, &mut published);
+            let mut stepped = CycleLedger::new();
+            let mut descent = vec![(9, 9)];
+            let (got, stats) = exact_search_recorded(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                None,
+                Some(&mut descent),
+                &mut stepped,
+            );
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&descent, &want_descent);
+            prop_assert_eq!(stats.bases_consumed, want_stats.bases_consumed);
+            let bumps = stepped.primitives().count(LogicalOp::IndexBump);
+            prop_assert_eq!(want_stats.lfm_calls, stats.lfm_calls + bumps);
+            prop_assert_eq!(want_stats.lfm_calls, 2 * stats.bases_consumed as u64);
+            prop_assert_eq!(
+                stepped.primitives().count(LogicalOp::ImAdd32),
+                stats.lfm_calls
+            );
+            prop_assert_eq!(
+                stepped.primitives().total_cycles(),
+                stepped.total_busy_cycles()
+            );
+
+            // Charging the `LFM`s not issued on top of the stepped ledger
+            // gives the published one, the bumps over.
+            let mut rebuilt = stepped.clone();
+            for op in [
+                LogicalOp::XnorMatch,
+                LogicalOp::Popcount,
+                LogicalOp::MarkerRead,
+                LogicalOp::ImAdd32,
+            ] {
+                op.charge_many(&model, &mut rebuilt, bumps);
+            }
+            if method == AddMethod::Mirrored {
+                LogicalOp::RowWrite.charge_many(&model, &mut rebuilt, 7 * bumps);
+            }
+            let mut bumped = CycleLedger::new();
+            LogicalOp::IndexBump.charge_many(&model, &mut bumped, bumps);
+            for op in LogicalOp::ALL {
+                prop_assert_eq!(
+                    rebuilt.primitives().count(op),
+                    published.primitives().count(op) + bumped.primitives().count(op),
+                    "{:?}",
+                    op
+                );
+            }
+            for resource in Resource::ALL {
+                prop_assert_eq!(
+                    rebuilt.busy_cycles(resource),
+                    published.busy_cycles(resource) + bumped.busy_cycles(resource),
+                    "{:?}",
+                    resource
+                );
+            }
+            let energy = published.energy_pj() + bumped.energy_pj();
+            prop_assert!((rebuilt.energy_pj() - energy).abs() <= 1e-9 * energy);
+
+            let mut cached = CycleLedger::new();
+            let mut cached_descent = Descent::new();
+            let (again, again_stats) = exact_search_recorded(
+                &mapped,
+                &mut injector,
+                &mut dpu,
+                read,
+                Some(&mut cache),
+                Some(&mut cached_descent),
+                &mut cached,
+            );
+            prop_assert_eq!((again, again_stats), (got, stats));
+            prop_assert_eq!(&cached_descent, &descent);
+            prop_assert!(cached == stepped, "the cache moved a charge");
+
+            singles_ledger.merge(&stepped);
+            singles.push((got, stats, descent));
+        }
+        for width in [1, 3, 8] {
+            let mut ledgers = [CycleLedger::new(), CycleLedger::new()];
+            for (cached, ledger) in ledgers.iter_mut().enumerate() {
+                let mut descents = vec![Descent::new(); width];
+                for (g, group) in reads.chunks(width).enumerate() {
+                    let refs: Vec<&DnaSeq> = group.iter().collect();
+                    let batched = exact_search_batch_cached(
+                        &mapped,
+                        &mut [],
+                        &refs,
+                        (cached == 1).then_some(&mut cache),
+                        &mut descents,
+                        ledger,
+                    );
+                    for (k, result) in batched.iter().enumerate() {
+                        let (want, want_stats, want_descent) = &singles[g * width + k];
+                        prop_assert_eq!(result, &(*want, *want_stats), "width {}", width);
+                        prop_assert_eq!(&descents[k], want_descent, "width {}", width);
+                    }
+                }
+                // What grouping requests may not move (a wider batch
+                // shares plane loads: XNOR and marker charges shrink).
+                for op in [
+                    LogicalOp::Popcount,
+                    LogicalOp::ImAdd32,
+                    LogicalOp::IndexUpdate,
+                    LogicalOp::IndexBump,
+                    LogicalOp::RowWrite,
+                ] {
+                    prop_assert_eq!(
+                        ledger.primitives().count(op),
+                        singles_ledger.primitives().count(op),
+                        "{:?} at width {}",
+                        op,
+                        width
+                    );
+                }
+            }
+            prop_assert!(ledgers[0] == ledgers[1], "the cache moved a charge");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// One to two sub-arrays; up to eight windows, so that the widest
+        /// batch fills.
+        #[test]
+        fn step_equals_the_published_descent(
+            reference in arb_seq(200, 40_000),
+            picks in proptest::collection::vec(any::<u64>(), 1..=8),
+            mirrored in any::<bool>(),
+        ) {
+            let reads: Vec<DnaSeq> =
+                picks.iter().map(|&pick| window_from(&reference, pick)).collect();
+            let method = if mirrored { AddMethod::Mirrored } else { AddMethod::InPlace };
+            step_equals_published(&reference, &reads, method)?;
+        }
+    }
+
+    #[test]
+    fn step_equals_the_published_descent_on_the_edge_reads() {
+        // The empty and the 1-base reads of `tests/edge_cases.rs`, a read
+        // that is the whole reference, and one longer than it.
+        let reference: DnaSeq = "TGCTA".parse().unwrap();
+        let reads: Vec<DnaSeq> = ["", "A", "C", "TGCTA", "TGCTAA", "GG"]
+            .iter()
+            .map(|r| r.parse().unwrap())
+            .collect();
+        for method in [AddMethod::InPlace, AddMethod::Mirrored] {
+            step_equals_published(&reference, &reads, method).unwrap();
+            step_equals_published(&"A".parse().unwrap(), &reads, method).unwrap();
+        }
     }
 
     #[test]
@@ -308,11 +525,11 @@ mod tests {
         // starts from [0, N), so step 0 groups collapse hard).
         assert!(batch_ledger.total_busy_cycles() < single_ledger.total_busy_cycles());
         // ...but issues exactly the same per-request LFM work.
-        use pimsim::costs::LogicalOp;
         for op in [
             LogicalOp::Popcount,
             LogicalOp::ImAdd32,
             LogicalOp::IndexUpdate,
+            LogicalOp::IndexBump,
         ] {
             assert_eq!(
                 batch_ledger.primitives().count(op),
@@ -325,17 +542,32 @@ mod tests {
     #[test]
     fn batched_search_replays_per_read_fault_streams() {
         use mram::faults::{FaultCampaign, FaultModel};
-        let config = PimAlignerConfig::baseline().with_fault_campaign(
-            FaultCampaign::seeded(41)
-                .with_model(FaultModel::with_probabilities(0.02, 0.0))
-                .with_transient_row_rate(0.05)
-                .with_carry_fault_prob(0.02),
-        );
+        // A campaign under which no descent gets far, and one mild enough
+        // that a long read spends most of its steps on a one-row interval
+        // — where a step draws for one `LFM`, not two.
+        for (xnor, transient, carry) in [(0.02, 0.05, 0.02), (1e-4, 1e-3, 1e-3)] {
+            let campaign = FaultCampaign::seeded(41)
+                .with_model(FaultModel::with_probabilities(xnor, 0.0))
+                .with_transient_row_rate(transient)
+                .with_carry_fault_prob(carry);
+            let long = replays_per_read_fault_streams(campaign);
+            if xnor < 1e-3 {
+                assert!(long.bases_consumed > 150, "{long:?}");
+                assert!(long.lfm_calls < long.bases_consumed as u64 + 30, "{long:?}");
+            }
+        }
+    }
+
+    /// The body of the test above under one campaign; returns the stats
+    /// of its 200-base read.
+    fn replays_per_read_fault_streams(campaign: mram::faults::FaultCampaign) -> ExactStats {
+        let config = PimAlignerConfig::baseline().with_fault_campaign(campaign);
         let reference = genome::uniform(30_000, 23);
         let mapped = MappedIndex::build(&reference, &config);
         let mut reads: Vec<DnaSeq> = (0..4)
             .map(|k| reference.subseq(k * 5_003..k * 5_003 + 50))
             .collect();
+        reads.push(reference.subseq(9_000..9_200));
         // One whose descent breaks whatever the campaign draws, and one
         // with nothing to descend.
         let mut bases = reference.subseq(20_000..20_050).into_bases();
@@ -397,6 +629,7 @@ mod tests {
             );
         }
         assert!(ledger.kernel_cache_counters().hits > 0);
+        batched[4].1
     }
 
     #[test]

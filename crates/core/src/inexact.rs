@@ -252,16 +252,15 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Extends `[low, high)` backward by `b`: two `LFM`s and one interval
-    /// write. `None` when nothing in the reference continues that way.
+    /// Extends `[low, high)` backward by `b`, one interval step
+    /// ([`MappedIndex::step`]): two `LFM`s, or one on a one-row interval,
+    /// and the interval write. `None` when nothing in the reference
+    /// continues that way.
     fn extend(&mut self, b: Base, low: u32, high: u32) -> Option<(u32, u32)> {
-        let low = self.mapped.lfm(b, low as usize, self.injector, self.ledger);
-        let high = self
-            .mapped
-            .lfm(b, high as usize, self.injector, self.ledger);
-        self.stats.lfm_calls += 2;
-        self.dpu.set_interval(low, high, self.ledger);
-        (!self.dpu.interval_empty()).then_some((low, high))
+        self.stats.lfm_calls +=
+            self.mapped
+                .step(b, (low, high), self.dpu, self.injector, None, self.ledger);
+        (!self.dpu.interval_empty()).then_some((self.dpu.low(), self.dpu.high()))
     }
 
     /// The interval of the empty string, loaded into the DPU.
@@ -282,13 +281,14 @@ impl<'a> Search<'a> {
         self.read.len().checked_sub(self.path.len())
     }
 
-    /// One greedy right-to-left exact pass (at most `2·m` `LFM`s, the
-    /// descent's included) that cuts the read into the disjoint
-    /// substrings `absent`, none of which occurs in the reference, and
-    /// fills `d` from them. An alignment spends at least one
-    /// substitution, insertion or deletion inside each, so `read[0..=i]`
-    /// cannot be aligned with fewer than `d[i]` differences, nor the read
-    /// with fewer than the number of substrings, which is returned.
+    /// One greedy right-to-left exact pass (`m` interval steps, so at
+    /// most `2·m` `LFM`s, the descent's included) that cuts the read into
+    /// the disjoint substrings `absent`, none of which occurs in the
+    /// reference, and fills `d` from them. An alignment spends at least
+    /// one substitution, insertion or deletion inside each, so
+    /// `read[0..=i]` cannot be aligned with fewer than `d[i]` differences,
+    /// nor the read with fewer than the number of substrings, which is
+    /// returned.
     ///
     /// Returns `None` as soon as more substrings are found than the
     /// budget has differences: the whole read is then out of reach and
@@ -362,10 +362,10 @@ impl<'a> Search<'a> {
     /// counts in `d` from `e − 1` — the first one from the read's last
     /// base, although what makes it absent is typically next to `s`.
     /// Each substring longer than [`Search::trimmed_len`] is re-tested
-    /// as its first `L` bases with one more backward pass (`2·L` `LFM`s)
-    /// and, if those are absent too, replaced by them, which moves its
-    /// count down to `s + L − 1`: BWA's `D[]`, without the reverse-text
-    /// index.
+    /// as its first `L` bases with one more backward pass (`L` interval
+    /// steps, at most `2·L` `LFM`s) and, if those are absent too,
+    /// replaced by them, which moves its count down to `s + L − 1`: BWA's
+    /// `D[]`, without the reverse-text index.
     fn trim(&mut self) {
         let len = self.trimmed_len();
         for k in 0..self.absent.len() {
@@ -598,11 +598,12 @@ fn sorted_hits(best: HashMap<SaInterval, u8>) -> Vec<InexactHit> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::aligner::AlignmentOutcome;
     use crate::config::PimAlignerConfig;
     use crate::exact::exact_search_recorded;
+    use pimsim::costs::LogicalOp;
     use proptest::prelude::*;
     use readsim::genome;
 
@@ -692,7 +693,7 @@ mod tests {
         (sorted_hits(best), lfm_calls)
     }
 
-    fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
+    pub(crate) fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
         proptest::collection::vec(0u8..4, min..max)
             .prop_map(|v| v.into_iter().map(|r| Base::from_rank(r as usize)).collect())
     }
@@ -702,7 +703,7 @@ mod tests {
     /// picks the base and the place), reverse-complemented if asked. At
     /// `len` 16, the generator of
     /// `platform_properties::platform_inexact_equals_software_on_mutated_reads`.
-    fn edited_read(
+    pub(crate) fn edited_read(
         reference: &DnaSeq,
         start_frac: f64,
         len: usize,
@@ -1097,9 +1098,15 @@ mod tests {
 
         let len = search.trimmed_len();
         assert_eq!(len, 9 + 6, "⌈log₄ 200 001⌉ = 9");
-        let before = search.stats.lfm_calls;
+        let bumps = |search: &Search| search.ledger.primitives().count(LogicalOp::IndexBump);
+        let (before, bumps_before) = (search.stats.lfm_calls, bumps(&search));
         search.trim();
-        assert_eq!(search.stats.lfm_calls - before, 2 * len as u64);
+        // One interval step a base, the published two `LFM`s each but for
+        // the last five, which found the interval down to one row (30
+        // `LFM`s before the one-row step).
+        let bumped = bumps(&search) - bumps_before;
+        assert_eq!(search.stats.lfm_calls - before, 2 * len as u64 - bumped);
+        assert_eq!(bumped, 5);
         assert_eq!(search.absent, [(4, 4 + len)]);
         assert_eq!((search.d[4 + len - 2], search.d[4 + len - 1]), (0, 1));
         assert_eq!(search.d[99], 1);
@@ -1226,7 +1233,10 @@ mod tests {
     #[test]
     fn first_accept_cost_is_linear_in_read_length() {
         // On a clean read the production mode pays the lower-bound pass
-        // only, two LFMs a base: the round replays that descent.
+        // only — two LFMs a base while the interval spans several rows,
+        // ⌈log₄ 8 001⌉ = 7 bases and a couple more, then one a base — and
+        // the round replays that descent: 108 LFMs (200 at two a base
+        // throughout).
         let reference = genome::uniform(8_000, 26);
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = reference.subseq(2_000..2_100);
@@ -1240,10 +1250,12 @@ mod tests {
         );
         assert_eq!(hit.expect("a clean read maps").diffs, 0);
         assert!(
-            stats.lfm_calls <= 2 * read.len() as u64 + 8,
+            stats.lfm_calls <= read.len() as u64 + 2 * (7 + 2),
             "first-accept LFM count {} too high",
             stats.lfm_calls
         );
+        let bumps = ledger.primitives().count(LogicalOp::IndexBump);
+        assert_eq!(stats.lfm_calls + bumps, 2 * read.len() as u64);
     }
 
     #[test]
@@ -1270,29 +1282,35 @@ mod tests {
                 }
                 session.lfm_calls() - before
             };
+            // Each ceiling is the count measured with the one-row step,
+            // and a few `LFM`s; beside it, the count at two `LFM`s a step.
+            //
             // Mid-read: stage 1 walks to the difference, the break frame
-            // pays for it and the rest matches: 2·m and the alternatives
-            // that die (100 + 306 while stage 2 made the descent again
-            // and ran the bound pass to the end first).
+            // pays for it and the rest matches — one `LFM` a base from
+            // the eleventh on, the alternatives that die included: 113
+            // (206; 100 + 306 while stage 2 made the descent again and
+            // ran the bound pass to the end first).
             let lfm = cost(read_with_substitutions_at(&reference, &[50]), Some(1));
-            assert!(lfm <= 2 * m + 16, "mid-read difference: {lfm} LFMs");
+            assert!(lfm <= m + 16, "mid-read difference: {lfm} LFMs");
             // In the 3' seed, where the interval is still wide: the break
             // is too shallow to be tried first, and round 1 tries the
-            // one-difference alternatives of the last bases (18 + 606
-            // before the hand-over).
+            // one-difference alternatives of the last bases: 416 (606;
+            // 18 + 606 before the hand-over).
             let lfm = cost(read_with_substitutions_at(&reference, &[95]), Some(1));
-            assert!(lfm <= 624, "3' seed difference: {lfm} LFMs");
+            assert!(lfm <= 420, "3' seed difference: {lfm} LFMs");
             // The wrong strand: the bound pass alone used to cost what
-            // both stages may now.
+            // both stages may now. Its three absent substrings are about
+            // ten bases each, so one step in all reaches a one-row
+            // interval: 55 (56).
             let wrong_strand = reference.subseq(50_000..50_100).reverse_complement();
             let lfm = cost(wrong_strand, None);
             assert!(lfm <= 56, "wrong-strand read: {lfm} LFMs");
             // Over budget, all at the 5' end, where the right-to-left
             // pass sees one substring: the break frame, then both rounds
-            // to exhaustion, the second on a trimmed bound (52 870 on the
-            // untrimmed one).
+            // to exhaustion, the second on a trimmed bound: 3 661 (6 058;
+            // 52 870 on the untrimmed bound).
             let lfm = cost(read_with_substitutions_at(&reference, &[2, 3, 4]), None);
-            assert!(lfm <= 80 * m, "5' over-budget read: {lfm} LFMs");
+            assert!(lfm <= 37 * m, "5' over-budget read: {lfm} LFMs");
         }
     }
 

@@ -18,7 +18,7 @@ use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::pipeline::{PipelineParams, PipelineSim};
 use pimsim::{
-    CycleLedger, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SubArray,
+    CycleLedger, Dpu, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SubArray,
     SubArrayLayout,
 };
 
@@ -64,6 +64,15 @@ pub struct LfmBatchScratch {
     locator: Vec<(u32, u32)>,
     /// The Pd stage-queue scheduler, reset each call.
     sim: PipelineSim,
+    /// Per request of the last batch, the match bit at its own column if
+    /// it was a one-row step's probe (`false` where not asked for).
+    bits: Vec<bool>,
+    /// The requests, probe flags and sums of a lock-step interval step
+    /// ([`MappedIndex::step_batch`]), which builds the first two from the
+    /// DPU registers and writes the third back into them.
+    requests: Vec<LfmRequest>,
+    probes: Vec<bool>,
+    sums: Vec<u32>,
 }
 
 impl LfmBatchScratch {
@@ -75,6 +84,10 @@ impl LfmBatchScratch {
             active: 0,
             locator: Vec::new(),
             sim: PipelineSim::new(1, PipelineParams::default()),
+            bits: Vec::new(),
+            requests: Vec::new(),
+            probes: Vec::new(),
+            sums: Vec::new(),
         }
     }
 
@@ -82,6 +95,7 @@ impl LfmBatchScratch {
     fn begin(&mut self, pd: usize, params: PipelineParams) {
         self.active = 0;
         self.locator.clear();
+        self.bits.clear();
         self.sim.reset(pd, params);
     }
 
@@ -110,6 +124,34 @@ impl Default for LfmBatchScratch {
     fn default() -> LfmBatchScratch {
         LfmBatchScratch::new()
     }
+}
+
+/// The DPU's reading of one `LFM`'s match mask: the matches before column
+/// `within` and, when the `LFM` is a one-row step's `probe`, the match bit
+/// at `within` itself. Under an active campaign the reading is taken from
+/// this request's own copy of the mask, faulted with what one `LFM` draws
+/// (DESIGN.md §8, §15.2): one transient-row decision, then one misread
+/// draw per column sensed — the `within` counted and, if probed, that
+/// column too. The mask APIs draw the RNG stream of the boolean ones, so
+/// seeded replays do not depend on the packing.
+fn sense(
+    mut mask: MatchMask,
+    within: usize,
+    probe: bool,
+    injector: Option<&mut FaultInjector>,
+) -> (u32, bool) {
+    if let Some(injector) = injector.filter(|i| i.is_active()) {
+        injector.transient_row_mask(&mut mask);
+        injector.corrupt_match_mask(&mut mask, within + usize::from(probe));
+    }
+    (mask.count_prefix(within), probe && mask.get(within))
+}
+
+/// Whether `[low, high)` is a single BWT row: what selects the one-`LFM`
+/// interval step ([`MappedIndex::step`]), on either path, and nothing else
+/// does.
+fn one_row(low: u32, high: u32) -> bool {
+    high == low + 1
 }
 
 /// The FM-index tables distributed across computational sub-arrays.
@@ -373,6 +415,10 @@ impl MappedIndex {
     /// seeded fault stream are byte-identical with and without the
     /// cache, pinned by test.
     ///
+    /// A search does not call this: it extends its interval through
+    /// [`MappedIndex::step`], which issues one of these per bound, or one
+    /// for both when the interval is a single row.
+    ///
     /// # Panics
     ///
     /// Panics if `id` exceeds the indexed text length.
@@ -384,6 +430,23 @@ impl MappedIndex {
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u32 {
+        self.lfm_probed(nt, id, false, injector, cache, ledger).0
+    }
+
+    /// [`MappedIndex::lfm_cached`] that, when `probe`, also returns the
+    /// match bit at `id`'s own column — `BWT[id] == nt` — read from the
+    /// mask the `LFM` has sensed anyway: post-sentinel, and under a
+    /// campaign the same privately faulted copy the count is taken from
+    /// (see [`sense`]). Charges and counts as the one `LFM` it is.
+    fn lfm_probed(
+        &self,
+        nt: Base,
+        id: usize,
+        probe: bool,
+        injector: &mut FaultInjector,
+        cache: Option<&mut KernelCache>,
+        ledger: &mut CycleLedger,
+    ) -> (u32, bool) {
         assert!(id <= self.index.text_len(), "LFM index {id} out of range");
         let bucket = id / SubArrayLayout::BASES_PER_ROW;
         let within = id % SubArrayLayout::BASES_PER_ROW;
@@ -392,7 +455,10 @@ impl MappedIndex {
         // `id` may equal the text length, landing exactly on a bucket
         // boundary past the last row; the count contribution is then zero
         // and the marker row is the final checkpoint.
-        let (count, marker) = if s >= self.subarrays.len() {
+        let (count, bit, marker) = if s >= self.subarrays.len() {
+            // The checkpoint bucket holds no BWT row to probe: it can be
+            // an interval's `high`, never the `low` of a one-row one.
+            debug_assert!(!probe, "one-row interval at the boundary checkpoint");
             // Boundary bucket holds no BWT bases; its marker equals the
             // final checkpoint stored in the last sub-array's next column.
             // The builder always allocates the checkpoint bucket because
@@ -403,13 +469,13 @@ impl MappedIndex {
             // Heatmap: the checkpoint read activates the final primary
             // sub-array (where the last marker column lives).
             ledger.note_zone_many(self.subarrays.len() - 1, 1);
-            (0, self.index.marker_table().marker(nt, bucket))
+            (0, false, self.index.marker_table().marker(nt, bucket))
         } else {
             let sub = &self.subarrays[s];
             let cached = cache
                 .as_deref()
                 .and_then(|c| c.lookup(s as u32, lb, nt.rank()));
-            let (mut matches, marker) = match cached {
+            let (matches, marker) = match cached {
                 Some((words, marker)) => {
                     // Host work skipped; the platform is billed the
                     // identical charge sequence the recompute pays below
@@ -448,19 +514,10 @@ impl MappedIndex {
             // sub-array `s` (the popcount runs in the DPU, not the
             // array).
             ledger.note_zone_many(s, 2);
-            // Fault injection (DESIGN.md §8): a whole-row transient
-            // burst may corrupt this read, and each match bit may
-            // additionally misread with the campaign's XNOR probability.
-            // The mask APIs draw the identical RNG stream as the boolean
-            // ones, so seeded replays are unchanged by the packing —
-            // and always corrupt this request's private copy, never the
-            // cached entry.
-            if injector.is_active() {
-                injector.transient_row_mask(&mut matches);
-                injector.corrupt_match_mask(&mut matches, within);
-            }
-            let count = matches.count_prefix(within);
-            (count, marker)
+            // Fault injection (DESIGN.md §8) always corrupts this
+            // request's private copy of the mask, never the cached entry.
+            let (count, bit) = sense(matches, within, probe, Some(injector));
+            (count, bit, marker)
         };
         let carry_fault = injector.carry_fault_bit();
         let sum = match self.method {
@@ -492,7 +549,119 @@ impl MappedIndex {
         // inflate the count past the table range, and the controller
         // clamps rather than address outside the mapped region. A no-op
         // under ideal sensing.
-        sum.min(self.index.text_len() as u32)
+        (sum.min(self.index.text_len() as u32), bit)
+    }
+
+    /// One backward-search step (Algorithm 1 lines 8–10): extends
+    /// `[low, high)` by `nt` and leaves the result in `dpu`'s interval
+    /// registers. Returns the `LFM`s issued — every search, exact or
+    /// inexact, single-read or lock-step ([`MappedIndex::step_batch`]),
+    /// extends its interval here and nowhere else.
+    ///
+    /// The published step issues `LFM(nt, low)` and `LFM(nt, high)`. When
+    /// the interval is one row, `high == low + 1`, the second is
+    /// `rank(nt, low + 1) = rank(nt, low) + [BWT[low] == nt]`, and that
+    /// bit is column `low % 128` of the mask `LFM(nt, low)` has just
+    /// sensed. So the step issues that one `LFM`, and the DPU's counter
+    /// makes `high' = low' + bit` from it, saturating at `N` like every
+    /// index register: one [`LogicalOp::IndexBump`] beside the step's
+    /// usual interval write. The intervals are those of the published
+    /// step, at every step of every search; what changes is the count —
+    /// an extension beyond the paper (DESIGN.md §8), whose figures
+    /// [`PerfReport::as_published`](crate::PerfReport::as_published)
+    /// restores. Nothing selects it but the interval itself.
+    ///
+    /// Under a fault campaign the one `LFM` draws what one `LFM` draws
+    /// (DESIGN.md §15.2), the probed column being one more column sensed.
+    pub(crate) fn step(
+        &self,
+        nt: Base,
+        (low, high): (u32, u32),
+        dpu: &mut Dpu,
+        injector: &mut FaultInjector,
+        mut cache: Option<&mut KernelCache>,
+        ledger: &mut CycleLedger,
+    ) -> u64 {
+        if one_row(low, high) {
+            let (low, bit) = self.lfm_probed(nt, low as usize, true, injector, cache, ledger);
+            self.write_one_row(dpu, low, bit, ledger);
+            1
+        } else {
+            let low = self.lfm_cached(nt, low as usize, injector, cache.as_deref_mut(), ledger);
+            let high = self.lfm_cached(nt, high as usize, injector, cache, ledger);
+            dpu.set_interval(low, high, ledger);
+            2
+        }
+    }
+
+    /// The interval write of a one-row step: `low` as its `LFM` returned
+    /// it, `high` bumped from it by the match bit.
+    fn write_one_row(&self, dpu: &mut Dpu, low: u32, bit: bool, ledger: &mut CycleLedger) {
+        let n = self.index.text_len() as u32;
+        dpu.set_interval(low, (low + u32::from(bit)).min(n), ledger);
+        LogicalOp::IndexBump.charge(self.subarrays[0].model(), ledger);
+    }
+
+    /// [`MappedIndex::step`] for reads in lock-step through the batched
+    /// kernel: each `(stream, nt)` of `steps` extends the interval in
+    /// `dpus[stream]` by `nt` and adds the `LFM`s it issued to
+    /// `lfm_calls[stream]`. A stream contributes its `low` request then —
+    /// unless its interval is one row — its `high` request, in `steps`
+    /// order, and the whole step runs as one batch, so plane loads shared
+    /// across reads are charged once. Intervals, counts and each stream's
+    /// fault draws are those of [`MappedIndex::step`] per read.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_batch(
+        &self,
+        steps: &[(usize, Base)],
+        dpus: &mut [Dpu],
+        lfm_calls: &mut [u64],
+        injectors: &mut [FaultInjector],
+        cache: Option<&mut KernelCache>,
+        ledger: &mut CycleLedger,
+        scratch: &mut LfmBatchScratch,
+    ) {
+        let mut requests = std::mem::take(&mut scratch.requests);
+        let mut probes = std::mem::take(&mut scratch.probes);
+        let mut sums = std::mem::take(&mut scratch.sums);
+        requests.clear();
+        probes.clear();
+        for &(stream, nt) in steps {
+            let (low, high) = (dpus[stream].low(), dpus[stream].high());
+            let one_row = one_row(low, high);
+            requests.push(LfmRequest {
+                stream,
+                nt,
+                id: low as usize,
+            });
+            probes.push(one_row);
+            if !one_row {
+                requests.push(LfmRequest {
+                    stream,
+                    nt,
+                    id: high as usize,
+                });
+                probes.push(false);
+            }
+        }
+        self.lfm_batch_probed(
+            &requests, &probes, injectors, cache, ledger, scratch, &mut sums,
+        );
+        let mut k = 0;
+        for &(stream, _) in steps {
+            if probes[k] {
+                self.write_one_row(&mut dpus[stream], sums[k], scratch.bits[k], ledger);
+                k += 1;
+                lfm_calls[stream] += 1;
+            } else {
+                dpus[stream].set_interval(sums[k], sums[k + 1], ledger);
+                k += 2;
+                lfm_calls[stream] += 2;
+            }
+        }
+        scratch.requests = requests;
+        scratch.probes = probes;
+        scratch.sums = sums;
     }
 
     /// Executes one interleaved batch of `LFM` requests — the batched
@@ -540,11 +709,30 @@ impl MappedIndex {
         &self,
         requests: &[LfmRequest],
         injectors: &mut [FaultInjector],
+        cache: Option<&mut KernelCache>,
+        ledger: &mut CycleLedger,
+        scratch: &mut LfmBatchScratch,
+        sums: &mut Vec<u32>,
+    ) {
+        self.lfm_batch_probed(requests, &[], injectors, cache, ledger, scratch, sums);
+    }
+
+    /// [`MappedIndex::lfm_batch_into`] in which request `k` is a one-row
+    /// step's probe if `probes[k]` says so (an empty table: no request
+    /// is): the match bit at its own column comes back in
+    /// `scratch.bits[k]`, as [`MappedIndex::lfm_probed`] returns it.
+    #[allow(clippy::too_many_arguments)]
+    fn lfm_batch_probed(
+        &self,
+        requests: &[LfmRequest],
+        probes: &[bool],
+        injectors: &mut [FaultInjector],
         mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
         scratch: &mut LfmBatchScratch,
         sums: &mut Vec<u32>,
     ) {
+        debug_assert!(probes.is_empty() || probes.len() == requests.len());
         sums.clear();
         if requests.is_empty() {
             return;
@@ -634,69 +822,59 @@ impl MappedIndex {
         // straight to the addition queue). Disjoint field borrows: the
         // loop reads the partition while driving the scheduler.
         let LfmBatchScratch {
-            pool, locator, sim, ..
+            pool,
+            locator,
+            sim,
+            bits,
+            ..
         } = scratch;
-        if injectors.is_empty() {
-            // Clean fast path: no per-request fault draws, and a clean
-            // ripple add is value-exact to a wrapping add — charge all
-            // the adds in one step and skip the bit loops.
+        // No injector, no carry draw: a clean ripple add is value-exact
+        // to a wrapping add, so all the adds are charged in one step.
+        let clean = injectors.is_empty();
+        if clean {
             LogicalOp::ImAdd32.charge_many(model, ledger, requests.len() as u64);
-            for (req, &(slot, idx)) in requests.iter().zip(locator.iter()) {
-                let (count, marker, shares_compare) = if slot == u32::MAX {
-                    let bucket = req.id / SubArrayLayout::BASES_PER_ROW;
-                    (0, self.index.marker_table().marker(req.nt, bucket), false)
-                } else {
-                    let batch = &pool[slot as usize];
-                    let i = idx as usize;
-                    (
-                        batch.mask(i).count_prefix(batch.within(i)),
-                        batch.marker(i),
-                        !batch.is_leader(i),
-                    )
-                };
-                sim.issue(req.stream, shares_compare);
-                sums.push(marker.wrapping_add(count).min(text_len as u32));
-            }
-        } else {
-            for (req, &(slot, idx)) in requests.iter().zip(locator.iter()) {
-                let (count, marker, shares_compare) = if slot == u32::MAX {
-                    let bucket = req.id / SubArrayLayout::BASES_PER_ROW;
-                    (0, self.index.marker_table().marker(req.nt, bucket), false)
-                } else {
-                    let batch = &pool[slot as usize];
-                    let i = idx as usize;
-                    let within = batch.within(i);
-                    let count = match injectors.get_mut(req.stream) {
-                        Some(injector) if injector.is_active() => {
-                            let mut mask = *batch.mask(i);
-                            injector.transient_row_mask(&mut mask);
-                            injector.corrupt_match_mask(&mut mask, within);
-                            mask.count_prefix(within)
-                        }
-                        _ => batch.mask(i).count_prefix(within),
-                    };
-                    (count, batch.marker(i), !batch.is_leader(i))
-                };
-                // Same draw as the single-read path; returns `None`
-                // without consuming the stream when the carry rate is
-                // zero, so a present-but-inactive injector stays
-                // equivalent to the clean path.
-                let carry_fault = match injectors.get_mut(req.stream) {
-                    Some(injector) => injector.carry_fault_bit(),
-                    None => None,
-                };
-                sim.issue(req.stream, shares_compare);
-                // Every sub-array and mirror shares one ArrayModel, so
-                // the shared add's charge is position-independent.
-                let sum = match carry_fault {
-                    Some(k) => self.subarrays[0].im_add32_shared_faulty(marker, count, k, ledger),
-                    None => {
+        }
+        for (k, (req, &(slot, idx))) in requests.iter().zip(locator.iter()).enumerate() {
+            let probe = probes.get(k).is_some_and(|&p| p);
+            let (count, bit, marker, shares_compare) = if slot == u32::MAX {
+                debug_assert!(!probe, "one-row interval at the boundary checkpoint");
+                let bucket = req.id / SubArrayLayout::BASES_PER_ROW;
+                let marker = self.index.marker_table().marker(req.nt, bucket);
+                (0, false, marker, false)
+            } else {
+                let batch = &pool[slot as usize];
+                let i = idx as usize;
+                // The group's mask is shared; this request's draws fall
+                // on its own copy, as on the single-read path.
+                let (count, bit) = sense(
+                    *batch.mask(i),
+                    batch.within(i),
+                    probe,
+                    injectors.get_mut(req.stream),
+                );
+                (count, bit, batch.marker(i), !batch.is_leader(i))
+            };
+            bits.push(bit);
+            // Same draw as the single-read path; returns `None` without
+            // consuming the stream when the carry rate is zero, so a
+            // present-but-inactive injector stays equivalent to the
+            // clean path.
+            let carry_fault = injectors
+                .get_mut(req.stream)
+                .and_then(FaultInjector::carry_fault_bit);
+            sim.issue(req.stream, shares_compare);
+            // Every sub-array and mirror shares one ArrayModel, so the
+            // shared add's charge is position-independent.
+            let sum = match carry_fault {
+                Some(k) => self.subarrays[0].im_add32_shared_faulty(marker, count, k, ledger),
+                None => {
+                    if !clean {
                         LogicalOp::ImAdd32.charge(model, ledger);
-                        marker.wrapping_add(count)
                     }
-                };
-                sums.push(sum.min(text_len as u32));
-            }
+                    marker.wrapping_add(count)
+                }
+            };
+            sums.push(sum.min(text_len as u32));
         }
         ledger.record_pipeline(&sim.counters());
     }
@@ -969,6 +1147,144 @@ mod tests {
             assert_eq!(cached[s].counters(), oracle[s].counters(), "stream {s}");
         }
         assert_eq!(ledger.kernel_cache_counters().hits, 4);
+    }
+
+    /// Steps `[low, high)` by `nt` through the single-read entry and,
+    /// from the same registers, through the lock-step one; returns the
+    /// interval both left in the DPU, the `LFM`s both issued, and the
+    /// single-read ledger.
+    fn step_both_ways(
+        m: &MappedIndex,
+        nt: Base,
+        (low, high): (u32, u32),
+        injectors: &mut [FaultInjector; 2],
+    ) -> ((u32, u32), u64, CycleLedger) {
+        let [single, batched] = injectors;
+        let mut dpu = Dpu::new(m.model());
+        let mut ledger = CycleLedger::new();
+        let issued = m.step(nt, (low, high), &mut dpu, single, None, &mut ledger);
+        let mut dpus = [Dpu::new(m.model())];
+        dpus[0].set_interval(low, high, &mut CycleLedger::new());
+        let mut lfm_calls = [0];
+        let mut batch_ledger = CycleLedger::new();
+        m.step_batch(
+            &[(0, nt)],
+            &mut dpus,
+            &mut lfm_calls,
+            std::slice::from_mut(batched),
+            None,
+            &mut batch_ledger,
+            &mut LfmBatchScratch::new(),
+        );
+        let interval = (dpu.low(), dpu.high());
+        assert_eq!((dpus[0].low(), dpus[0].high()), interval, "{nt} at {low}");
+        assert_eq!(lfm_calls[0], issued, "{nt} at {low}");
+        // A one-row step's one `LFM` has nothing to share a plane load
+        // with; the pair of a wider step may (one `XNOR_Match` and one
+        // marker read when both bounds lie in one bucket).
+        for op in LogicalOp::ALL {
+            let shareable = matches!(op, LogicalOp::XnorMatch | LogicalOp::MarkerRead);
+            if issued == 1 || !shareable {
+                assert_eq!(
+                    batch_ledger.primitives().count(op),
+                    ledger.primitives().count(op),
+                    "{op:?}, {nt} at {low}"
+                );
+            }
+        }
+        (interval, issued, ledger)
+    }
+
+    #[test]
+    fn one_row_step_matches_software_oracle_at_the_edges() {
+        for method in [AddMethod::InPlace, AddMethod::Mirrored] {
+            // Three sub-arrays, the last row partial (70 001 = 546 · 128
+            // + 113); and a text that fills two sub-arrays exactly, so
+            // that `id = n` is the boundary checkpoint bucket.
+            for len in [70_000, 65_535] {
+                let m = mapped(&genome::uniform(len, 3), method);
+                let oracle = m.index();
+                let n = oracle.text_len() as u32;
+                let lfm = |nt, id: u32| oracle.marker_table().lfm(oracle.bwt(), nt, id as usize);
+                let mut clean = [m.session_injector(), m.session_injector()];
+                // The last column of a row (`high` lies in the next
+                // bucket, the bit is column 127 of `low`'s mask) and of a
+                // sub-array, the first row of the second sub-array, the
+                // sentinel's row, the last row of the text.
+                let sentinel = oracle.bwt().sentinel_pos() as u32;
+                for low in [0, 127, 32_767, 32_768, sentinel, n - 1] {
+                    let mut extended = 0;
+                    for nt in Base::ALL {
+                        let (interval, issued, ledger) =
+                            step_both_ways(&m, nt, (low, low + 1), &mut clean);
+                        assert_eq!(interval, (lfm(nt, low), lfm(nt, low + 1)), "{nt} at {low}");
+                        extended += interval.1 - interval.0;
+                        // One published `LFM`, the interval write, the
+                        // bump: 74 + 2 + 2 cycles, 76 in the time model.
+                        assert_eq!(issued, 1);
+                        let prims = ledger.primitives();
+                        for op in [
+                            LogicalOp::XnorMatch,
+                            LogicalOp::Popcount,
+                            LogicalOp::MarkerRead,
+                            LogicalOp::ImAdd32,
+                            LogicalOp::IndexUpdate,
+                            LogicalOp::IndexBump,
+                        ] {
+                            assert_eq!(prims.count(op), 1, "{op:?}");
+                        }
+                        let transfer = prims.cycles(LogicalOp::RowWrite);
+                        assert_eq!(transfer, if method == AddMethod::Mirrored { 7 } else { 0 });
+                        assert_eq!(ledger.total_busy_cycles(), 78 + transfer);
+                    }
+                    // A row holds one symbol: one base extends it, none
+                    // if it is the sentinel (stored as a placeholder `T`,
+                    // cleared from the mask before the bit is read).
+                    assert_eq!(extended, u32::from(low != sentinel), "row {low}");
+                }
+                // Two rows: the published pair, `high` on the boundary
+                // checkpoint when the text ends its sub-array.
+                for nt in Base::ALL {
+                    let (interval, issued, ledger) = step_both_ways(&m, nt, (n - 2, n), &mut clean);
+                    assert_eq!(interval, (lfm(nt, n - 2), lfm(nt, n)), "{nt}");
+                    assert_eq!(issued, 2);
+                    assert_eq!(ledger.primitives().count(LogicalOp::IndexBump), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_step_draws_what_one_lfm_draws() {
+        use mram::faults::FaultModel;
+        // Every decision fires, so the counters count the decisions: a
+        // misread draw per column sensed, a transient and a carry
+        // decision per `LFM`.
+        let config = PimAlignerConfig::baseline().with_fault_campaign(
+            FaultCampaign::seeded(5)
+                .with_model(FaultModel::with_probabilities(1.0, 0.0))
+                .with_transient_row_rate(1.0)
+                .with_carry_fault_prob(1.0),
+        );
+        let m = MappedIndex::build(&genome::uniform(40_000, 9), &config);
+        for (low, rows) in [(300u32, 1), (33_023, 1), (300, 2), (33_023, 5)] {
+            let mut injectors = [m.read_injector(7), m.read_injector(7)];
+            let (_, issued, _) = step_both_ways(&m, Base::G, (low, low + rows), &mut injectors);
+            let within = |id: u32| u64::from(id) % 128;
+            let (lfms, columns) = if rows == 1 {
+                // The `within` columns counted, and the probed one.
+                (1, within(low) + 1)
+            } else {
+                (2, within(low) + within(low + rows))
+            };
+            assert_eq!(issued, lfms);
+            for injector in &injectors {
+                let drawn = injector.counters();
+                assert_eq!(drawn.xnor_bit_flips, columns, "[{low}, +{rows})");
+                assert_eq!(drawn.transient_row_faults, lfms, "[{low}, +{rows})");
+                assert_eq!(drawn.carry_faults, lfms, "[{low}, +{rows})");
+            }
+        }
     }
 
     #[test]

@@ -41,10 +41,14 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// rolling-window ring geometry, watchdog
 /// stall verdicts and the bounded slow-request log — all-zero/empty for
 /// one-shot CLI runs; the *live* windowed views travel over the wire
-/// via `Request::Stats`, not through this document). Each version
+/// via `Request::Stats`, not through this document). v8 added
+/// `report.published_lfm_calls` (the `LFM` count of the published
+/// algorithm, two per interval step, beside the count issued) and the
+/// ninth `breakdown.primitives` row, `index_bump` (one per one-row step;
+/// `published_lfm_calls == lfm_calls + index_bump.count`). Each version
 /// only *adds* paths, so consumers that address fields by name keep
 /// working across versions.
-pub const METRICS_SCHEMA_VERSION: u32 = 7;
+pub const METRICS_SCHEMA_VERSION: u32 = 8;
 
 /// `LFM` invocations attributed to the alignment phase that issued them.
 ///
@@ -541,12 +545,14 @@ fn histogram_json(h: &HostHistogram) -> String {
 
 fn report_json(r: &PerfReport) -> String {
     format!(
-        "{{ \"queries\": {}, \"lfm_calls\": {}, \"time_s\": {}, \"throughput_qps\": {}, \
+        "{{ \"queries\": {}, \"lfm_calls\": {}, \"published_lfm_calls\": {}, \
+         \"time_s\": {}, \"throughput_qps\": {}, \
          \"dynamic_power_w\": {}, \"total_power_w\": {}, \"energy_per_query_j\": {}, \
          \"mbr_pct\": {}, \"rur_pct\": {}, \"area_mm2\": {}, \"offchip_gb\": {}, \
          \"throughput_per_watt\": {}, \"throughput_per_watt_mm2\": {} }}",
         r.queries,
         r.lfm_calls,
+        r.published_lfm_calls,
         json_f64(r.time_s),
         json_f64(r.throughput_qps),
         json_f64(r.dynamic_power_w),

@@ -679,6 +679,10 @@ mod tests {
             let base = run(1, 1);
             assert!(base.report.breakdown.lfm_by_phase.inexact > 0);
             assert_eq!(faulted, base.report.faults.injected_total() > 0);
+            assert!(
+                base.report.published_lfm_calls > base.report.lfm_calls,
+                "one-row steps in play"
+            );
             for batch in [1, 3, 8] {
                 let one = run(batch, 1);
                 let two = run(batch, 2);

@@ -14,11 +14,14 @@
 //! | index update      | 2      | low/high DPU register writes             |
 //! | SA entry read     | 11     | same vertical-read path as the marker    |
 //! | row load/copy     | 1      | one `WriteRow`/`ReadRow` per word line   |
+//! | index bump        | 2      | `high = low + bit` in the DPU's embedded counter, the second bound of a one-row interval (beyond the paper, DESIGN.md §8) |
 //!
 //! One sequential `LFM` is therefore 2 + 16 + 11 + 45 + 2 = **76 cycles**;
 //! the Fig. 7 pipeline overlaps the compare/memory stage (29 cycles) of one
 //! read with the add stage (47 cycles) of another — see
-//! [`pipeline`](crate::pipeline).
+//! [`pipeline`](crate::pipeline). The index bump is no part of an `LFM`:
+//! it is what a step on a one-row interval pays *instead of* its second
+//! `LFM`, on top of the step's usual index update.
 
 use mram::array::{ArrayModel, ArrayOp};
 
@@ -45,12 +48,18 @@ pub enum LogicalOp {
     RowWrite,
     /// Reading one word line out (result collection).
     RowRead,
+    /// The second bound of a one-row interval, `high = low + bit`, made
+    /// by the DPU's embedded counter from the match bit the step's one
+    /// `LFM` already sensed. Arithmetic inside the DPU, no array access;
+    /// an extension beyond the paper, so its count is the number of steps
+    /// that issued one `LFM` where Algorithm 1 issues two.
+    IndexBump,
 }
 
 impl LogicalOp {
     /// All logical operations, in the stable order the metrics emitters
     /// use.
-    pub const ALL: [LogicalOp; 8] = [
+    pub const ALL: [LogicalOp; 9] = [
         LogicalOp::XnorMatch,
         LogicalOp::Popcount,
         LogicalOp::MarkerRead,
@@ -59,6 +68,7 @@ impl LogicalOp {
         LogicalOp::SaEntryRead,
         LogicalOp::RowWrite,
         LogicalOp::RowRead,
+        LogicalOp::IndexBump,
     ];
 
     /// Position in [`LogicalOp::ALL`] (the counter-table index).
@@ -73,6 +83,7 @@ impl LogicalOp {
             LogicalOp::SaEntryRead => 5,
             LogicalOp::RowWrite => 6,
             LogicalOp::RowRead => 7,
+            LogicalOp::IndexBump => 8,
         }
     }
 
@@ -87,15 +98,19 @@ impl LogicalOp {
             LogicalOp::SaEntryRead => "sa_entry_read",
             LogicalOp::RowWrite => "row_write",
             LogicalOp::RowRead => "row_read",
+            LogicalOp::IndexBump => "index_bump",
         }
     }
 
     /// Whether the op drives word lines in a sub-array (everything but
-    /// the DPU-internal popcount and index-register updates). The
-    /// per-primitive counters derive the sub-array activation total from
-    /// this.
+    /// the DPU-internal popcount, index-register updates and index
+    /// bumps). The per-primitive counters derive the sub-array activation
+    /// total from this.
     pub fn activates_subarray(self) -> bool {
-        !matches!(self, LogicalOp::Popcount | LogicalOp::IndexUpdate)
+        !matches!(
+            self,
+            LogicalOp::Popcount | LogicalOp::IndexUpdate | LogicalOp::IndexBump
+        )
     }
 
     /// Cycles one logical op occupies on its resource.
@@ -109,13 +124,17 @@ impl LogicalOp {
             LogicalOp::SaEntryRead => 11,
             LogicalOp::RowWrite => 1,
             LogicalOp::RowRead => 1,
+            LogicalOp::IndexBump => 2,
         }
     }
 
     /// The resource class the op occupies.
     pub fn resource(self) -> Resource {
         match self {
-            LogicalOp::XnorMatch | LogicalOp::Popcount => Resource::Compare,
+            // The bump is counter arithmetic in the DPU, like the
+            // popcount — not a memory access, so it stays out of the
+            // Fig. 10b memory share.
+            LogicalOp::XnorMatch | LogicalOp::Popcount | LogicalOp::IndexBump => Resource::Compare,
             LogicalOp::ImAdd32 => Resource::Adder,
             LogicalOp::MarkerRead | LogicalOp::SaEntryRead | LogicalOp::IndexUpdate => {
                 Resource::Memory
@@ -163,7 +182,7 @@ impl LogicalOp {
                 ledger.charge(model, resource, ArrayOp::DpuOp, 13 * n);
                 ledger.charge_energy_only(model, ArrayOp::WriteRow, 64 * n);
             }
-            LogicalOp::IndexUpdate => {
+            LogicalOp::IndexUpdate | LogicalOp::IndexBump => {
                 ledger.charge(model, resource, ArrayOp::DpuOp, 2 * n);
             }
             LogicalOp::RowWrite => {
@@ -236,6 +255,11 @@ mod tests {
         assert_eq!(LogicalOp::ImAdd32.resource(), Resource::Adder);
         assert_eq!(LogicalOp::MarkerRead.resource(), Resource::Memory);
         assert_eq!(LogicalOp::RowWrite.resource(), Resource::Transfer);
+        // Counter arithmetic in the DPU: a bump on the memory resource
+        // would put a one-row step's share at (11 + 2 + 2) / 76 = 19.7 %,
+        // over the Fig. 10b claim, for an operation that reads no array.
+        assert_eq!(LogicalOp::IndexBump.resource(), Resource::Compare);
+        assert!(!LogicalOp::IndexBump.activates_subarray());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use pim_aligner::{
     inexact_search, inexact_search_first, AlignSession, AlignmentOutcome, InexactStats,
     MappedIndex, PimAlignerConfig,
 };
+use pimsim::costs::LogicalOp;
 use pimsim::{CycleLedger, Dpu};
 
 #[test]
@@ -98,12 +99,13 @@ fn one_base_reads() {
 
 /// Both inexact modes on one read, straight on the platform, checking
 /// that each leaves the DPU's register file empty. Returns the
-/// first-accept result and the exhaustive hits.
+/// first-accept result, the one-row steps it took (each issued one `LFM`
+/// for the published two) and the exhaustive hits.
 fn inexact_both_modes(
     reference: &str,
     read: &str,
     budget: EditBudget,
-) -> (Option<InexactHit>, InexactStats, Vec<InexactHit>) {
+) -> (Option<InexactHit>, InexactStats, u64, Vec<InexactHit>) {
     let config = PimAlignerConfig::baseline();
     let mapped = MappedIndex::build(&reference.parse().unwrap(), &config);
     let mut injector = mapped.session_injector();
@@ -113,14 +115,15 @@ fn inexact_both_modes(
     let (first, stats) =
         inexact_search_first(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
     assert_eq!(dpu.stack_depth(), 0, "first-accept left frames saved");
+    let bumps = ledger.primitives().count(LogicalOp::IndexBump);
     let (all, _) = inexact_search(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
     assert_eq!(dpu.stack_depth(), 0, "exhaustive left frames saved");
-    (first, stats, all)
+    (first, stats, bumps, all)
 }
 
 #[test]
 fn inexact_empty_read_is_the_whole_text_at_no_cost() {
-    let (first, stats, all) = inexact_both_modes("TGCTA", "", EditBudget::edits(2));
+    let (first, stats, _, all) = inexact_both_modes("TGCTA", "", EditBudget::edits(2));
     let hit = first.expect("the empty string occurs everywhere");
     assert_eq!((hit.interval.count(), hit.diffs), (6, 0), "TGCTA$");
     assert_eq!(stats.lfm_calls, 0);
@@ -131,16 +134,16 @@ fn inexact_empty_read_is_the_whole_text_at_no_cost() {
 fn inexact_one_base_reads() {
     // Present: the bound pass is the answer. Absent: one substitution
     // or nothing, by the budget.
-    let (first, stats, all) = inexact_both_modes("AAAA", "A", EditBudget::edits(2));
+    let (first, stats, _, all) = inexact_both_modes("AAAA", "A", EditBudget::edits(2));
     assert_eq!(first.map(|h| h.diffs), Some(0));
     assert_eq!(stats.lfm_calls, 2);
     assert_eq!(all.first().map(|h| h.diffs), Some(0));
 
-    let (first, _, all) = inexact_both_modes("AAAA", "C", EditBudget::edits(2));
+    let (first, _, _, all) = inexact_both_modes("AAAA", "C", EditBudget::edits(2));
     assert_eq!(first.map(|h| h.diffs), Some(1));
     assert_eq!(all.first().map(|h| h.diffs), Some(1));
 
-    let (first, stats, all) = inexact_both_modes("AAAA", "C", EditBudget::edits(0));
+    let (first, stats, _, all) = inexact_both_modes("AAAA", "C", EditBudget::edits(0));
     assert_eq!(first, None);
     assert_eq!(stats.states_explored, 0);
     assert!(all.is_empty());
@@ -150,13 +153,16 @@ fn inexact_one_base_reads() {
 fn inexact_zero_budget_is_exact_search() {
     let reference = "GATTACAGATTACACCGT";
     for budget in [EditBudget::edits(0), EditBudget::substitutions_only(0)] {
-        let (first, stats, all) = inexact_both_modes(reference, "TACAC", budget);
+        let (first, stats, bumps, all) = inexact_both_modes(reference, "TACAC", budget);
         let hit = first.expect("TACAC occurs once");
         assert_eq!((hit.interval.count(), hit.diffs), (1, 0));
-        assert_eq!(stats.lfm_calls, 10, "the bound pass and nothing else");
+        // Five interval steps; `CAC` occurs once, so the last two find a
+        // one-row interval and issue one `LFM` each (10 as published).
+        assert_eq!(stats.lfm_calls, 8, "the bound pass and nothing else");
+        assert_eq!(stats.lfm_calls, 2 * 5 - bumps);
         assert_eq!(all, [hit]);
 
-        let (first, stats, all) = inexact_both_modes(reference, "TACAT", budget);
+        let (first, stats, _, all) = inexact_both_modes(reference, "TACAT", budget);
         assert_eq!(first, None);
         assert_eq!(
             stats.states_explored, 0,
@@ -170,7 +176,8 @@ fn inexact_zero_budget_is_exact_search() {
 fn inexact_read_rejected_by_the_bound_pass_and_read_needing_a_second_round() {
     let reference = "GATTACAGATTACACCGTGGCATCGATCCGTAAGCTTGCAGGTCA";
     // Three absent substrings at budget 2: no round starts.
-    let (first, stats, all) = inexact_both_modes(reference, "AAAAAAAAAAAA", EditBudget::edits(2));
+    let (first, stats, _, all) =
+        inexact_both_modes(reference, "AAAAAAAAAAAA", EditBudget::edits(2));
     assert_eq!(first, None);
     assert_eq!(stats.states_explored, 0);
     assert_eq!(stats.max_stack_depth, 0);
@@ -178,7 +185,7 @@ fn inexact_read_rejected_by_the_bound_pass_and_read_needing_a_second_round() {
     // CATCGATCCGTAAGC with its first two bases changed: right to left
     // the bound pass sees one absent substring, round 1 fails, and
     // round 2 finds the two substitutions.
-    let (first, _, all) = inexact_both_modes(
+    let (first, _, _, all) = inexact_both_modes(
         reference,
         "GTTCGATCCGTAAGC",
         EditBudget::substitutions_only(2),

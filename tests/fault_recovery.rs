@@ -122,14 +122,21 @@ fn bound_pruned_unmapped_climbs_the_ladder_under_a_campaign() {
         .collect();
 
     // Fault-free, that `Unmapped` is the truth at z = 2 and is trusted:
-    // the ladder short-circuits, and the pass cost at most 2·m LFMs on
-    // top of the exact stage's.
+    // the ladder short-circuits, and the pass cost at most m interval
+    // steps on top of the exact stage's — 2·m `LFM`s each as published,
+    // and as issued 3 341 in all (5 146 before the one-row step), held
+    // to that + 5 %.
     let config = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
     let quiet = AlignSession::new(&reference, config).align_batch(&reads);
     assert!(quiet.outcomes.iter().all(|o| o.positions().is_none()));
     assert_eq!(quiet.report.faults.escalations, 0);
     assert!(
-        quiet.report.lfm_calls <= (PRUNED * 4 * READ_LEN) as u64,
+        quiet.report.published_lfm_calls <= (PRUNED * 4 * READ_LEN) as u64,
+        "{} LFMs as published: the bound pass did not prune",
+        quiet.report.published_lfm_calls
+    );
+    assert!(
+        quiet.report.lfm_calls <= 3_508,
         "{} LFMs: the bound pass did not prune",
         quiet.report.lfm_calls
     );

@@ -58,6 +58,11 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
     };
     assert_eq!(by_name("xnor_match").count, report.lfm_calls);
     assert_eq!(by_name("im_add32").count, report.lfm_calls);
+    // One bump for every step that issued one `LFM` for the published two.
+    assert_eq!(
+        report.published_lfm_calls,
+        report.lfm_calls + by_name("index_bump").count
+    );
     assert!(b.subarray_activations > 0);
     assert_eq!(b.im_add_carry_cycles, 13 * report.lfm_calls);
     assert!(b.index_build_cycles > 0, "one-time mapping cost attached");
@@ -132,6 +137,70 @@ fn worker_merge_is_associative() {
     assert_eq!(count(&one, "xnor_match"), count(&one, "marker_read"));
 }
 
+/// What the one-row interval step buys on reads stage 1 settles, and
+/// what it may not move: an error-free read of `m` bases is `m` interval
+/// steps — `2·m` `LFM`s as published — of which only the first
+/// ≈ log₄ n, while the interval still spans several rows, issue two.
+/// Held on the single-read kernel and on the batched one.
+#[test]
+fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
+    const M: usize = 80;
+    let reference = genome::uniform(50_000, 78);
+    let reads: Vec<DnaSeq> = (0..48)
+        .map(|i| {
+            let start = (i * 997) % (reference.len() - M);
+            reference.subseq(start..start + M)
+        })
+        .collect();
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let mut session = platform.session();
+    for read in &reads {
+        assert!(session.align_read(read).is_mapped());
+    }
+    let batched = platform.align_batch_parallel(&reads, 1).unwrap().report;
+    // ⌈log₄ 50 001⌉ = 8.
+    let log4_n = (0..).find(|&k| 4usize.pow(k) > reference.len()).unwrap() as u64;
+    for report in [session.report(), batched] {
+        let (m, reads) = (M as u64, reads.len() as u64);
+        assert_eq!(report.published_lfm_calls, 2 * m * reads);
+        assert!(
+            report.lfm_calls <= (m + 2 * (log4_n + 2)) * reads,
+            "{} LFMs for {reads} error-free reads of {m} bases",
+            report.lfm_calls
+        );
+        let count = |name: &str| {
+            let row = report.breakdown.primitives.iter().find(|p| p.name == name);
+            row.unwrap_or_else(|| panic!("missing primitive {name}"))
+                .count
+        };
+        assert_eq!(
+            report.published_lfm_calls,
+            report.lfm_calls + count("index_bump")
+        );
+        assert_eq!(count("im_add32"), report.lfm_calls);
+        assert!(report.breakdown.reconciles());
+
+        // The view the paper's figures are compared at: Algorithm 1's
+        // count at the same rate, so time and throughput are exact.
+        let published = report.as_published();
+        let f = report.published_lfm_calls as f64 / report.lfm_calls as f64;
+        assert_eq!(published.lfm_calls, report.published_lfm_calls);
+        assert_eq!(published.published_lfm_calls, report.published_lfm_calls);
+        let exact = PerfReport::from_batch(
+            platform.config(),
+            &pim_aligner_suite::pimsim::CycleLedger::new(),
+            reads,
+            report.published_lfm_calls,
+        );
+        assert!((published.time_s / exact.time_s - 1.0).abs() < 1e-12);
+        assert!((published.throughput_qps / exact.throughput_qps - 1.0).abs() < 1e-12);
+        assert!((published.energy_per_query_j / report.energy_per_query_j - f).abs() < 1e-12);
+        assert_eq!(published.total_power_w, report.total_power_w);
+        assert_eq!(published.mbr_pct, report.mbr_pct);
+        assert_eq!(published.breakdown, report.breakdown);
+    }
+}
+
 /// Span tracing: disabled by default, and when enabled it records the
 /// index build, per-`LFM` spans and the phase passes with monotone
 /// simulated-cycle timestamps.
@@ -161,9 +230,11 @@ fn span_tracer_records_alignment_phases() {
     for span in &spans {
         assert!(span.end_cycles >= span.start_cycles, "span {span:?}");
     }
-    // Each lfm span brackets two LFM invocations plus the interval
-    // update: 74 + 74 + 2 = 150 cycles in the common case (the first
-    // base's high bound lands on the boundary bucket and is cheaper).
+    // Each lfm span brackets one interval step. While the interval
+    // spans several rows that is two LFM invocations plus the interval
+    // update, 74 + 74 + 2 = 150 cycles (the first base's high bound lands
+    // on the boundary bucket and is cheaper); on a one-row interval it is
+    // one LFM, the update and the bump, 74 + 2 + 2 = 78.
     let lfm_spans: Vec<_> = spans.iter().filter(|s| s.name == "lfm").collect();
     assert!(!lfm_spans.is_empty());
     for span in &lfm_spans {
@@ -173,10 +244,12 @@ fn span_tracer_records_alignment_phases() {
             span.cycles()
         );
     }
-    assert!(
-        lfm_spans.iter().any(|s| s.cycles() == 150),
-        "common-case lfm span cost changed"
-    );
+    for cycles in [150, 78] {
+        assert!(
+            lfm_spans.iter().any(|s| s.cycles() == cycles),
+            "no {cycles}-cycle lfm span: a step's cost changed"
+        );
+    }
     // The traced report exposes the same spans.
     let report = session.report();
     assert_eq!(report.breakdown.spans.len(), spans.len());

@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pipelined"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 7);
+    assert_eq!(as_u64(&doc, "schema_version"), 8);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
@@ -114,7 +114,7 @@ fn metrics_json_is_valid_and_reconciles() {
         .get("breakdown.primitives")
         .and_then(Value::as_array)
         .expect("primitives array");
-    assert_eq!(prims.len(), 8);
+    assert_eq!(prims.len(), 9);
     let row_sum: u64 = prims
         .iter()
         .map(|p| {
@@ -149,6 +149,27 @@ fn metrics_json_is_valid_and_reconciles() {
         + as_u64(&doc, "breakdown.lfm_by_phase.recovery_escalate");
     assert_eq!(phase_sum, as_u64(&doc, "breakdown.lfm_calls"));
 
+    // v8: the published algorithm's count stands beside the issued one,
+    // one more `LFM` for every one-row step, and the adder ran once per
+    // `LFM` issued.
+    let count_of = |name: &str| {
+        prims
+            .iter()
+            .find(|p| p.get("name").and_then(Value::as_str) == Some(name))
+            .and_then(|p| p.get("count"))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no primitives row {name}"))
+    };
+    assert!(
+        count_of("index_bump") > 0,
+        "a 14-base read of a 56 bp reference narrows to one row"
+    );
+    assert_eq!(
+        as_u64(&doc, "report.published_lfm_calls"),
+        as_u64(&doc, "report.lfm_calls") + count_of("index_bump")
+    );
+    assert_eq!(count_of("im_add32"), as_u64(&doc, "report.lfm_calls"));
+
     // Pipeline occupancy reflects the requested Pd=2 configuration.
     assert_eq!(as_u64(&doc, "breakdown.pipeline.pd"), 2);
     let adder_occ = doc
@@ -175,7 +196,8 @@ fn metrics_json_is_valid_and_reconciles() {
             "index_update",
             "sa_entry_read",
             "row_write",
-            "row_read"
+            "row_read",
+            "index_bump"
         ]
     );
 

@@ -339,6 +339,7 @@ fn check_policy(
     both_strands: bool,
     digest: u64,
     pinned: [f64; 2],
+    published: u64,
 ) {
     let with = |batch: &'static str, threads: &'static str| {
         let mut args = policy.to_vec();
@@ -352,6 +353,8 @@ fn check_policy(
         (
             ["exact", "inexact", "recovery_retry", "recovery_escalate"].map(|b| lfm(doc, b)),
             doc.get("breakdown.lfm_calls").and_then(Value::as_u64),
+            doc.get("report.published_lfm_calls")
+                .and_then(Value::as_u64),
         )
     };
     for (batch, threads) in [("1", "2"), ("8", "1"), ("8", "2")] {
@@ -373,15 +376,20 @@ fn check_policy(
         fnv1a(sam.as_bytes())
     );
 
-    let ([exact, inexact, retry, escalate], total) = phases(&doc);
+    let ([exact, inexact, retry, escalate], total, as_published) = phases(&doc);
     assert_eq!(total, Some(exact + inexact), "phases sum to the total");
     assert_eq!((retry, escalate), (0, 0), "no campaign, no recovery");
     let reads = inputs.reads.len();
     // Shown when the test fails: what to re-pin, if the move is meant.
     eprintln!(
-        "{policy:?}: LFM a read: exact {:.3}, inexact {:.3}",
+        "{policy:?}: LFM a read: exact {:.3}, inexact {:.3}; as published {as_published:?}",
         exact as f64 / reads as f64,
         inexact as f64 / reads as f64
+    );
+    assert_eq!(
+        as_published,
+        Some(published),
+        "{policy:?}: interval steps taken, two LFMs each as published"
     );
     assert_lfm_within("exact", exact, reads, pinned[0]);
     assert_lfm_within("inexact", inexact, reads, pinned[1]);
@@ -393,8 +401,15 @@ fn every_record_holds_and_no_byte_or_lfm_budget_moves() {
     let inputs = inputs();
     assert_eq!(inputs.reads.len(), 404);
     assert!(inputs.reads.iter().any(|r| r.diffs == 3), "the 2-3-4 read");
-    check_policy(&inputs, &[], true, DIGEST_BOTH, LFM_BOTH);
-    check_policy(&inputs, &["--single-strand"], false, DIGEST_FWD, LFM_FWD);
+    check_policy(&inputs, &[], true, DIGEST_BOTH, LFM_BOTH, PUBLISHED_BOTH);
+    check_policy(
+        &inputs,
+        &["--single-strand"],
+        false,
+        DIGEST_FWD,
+        LFM_FWD,
+        PUBLISHED_FWD,
+    );
 }
 
 /// SAM digests, default flags and `--single-strand`: taken at the parent
@@ -402,7 +417,13 @@ fn every_record_holds_and_no_byte_or_lfm_budget_moves() {
 /// 2, the break frame tried first), before it touched the search.
 const DIGEST_BOTH: u64 = 0xc905_0dfc_4845_be7c;
 const DIGEST_FWD: u64 = 0x85b6_effd_1c96_7a2b;
-/// `LFM`s a read, `[exact, inexact]`, as measured with that change; at
-/// its parent `[183.475, 139.876]` and `[97.069, 95.450]`.
-const LFM_BOTH: [f64; 2] = [183.475, 88.842];
-const LFM_FWD: [f64; 2] = [97.069, 63.896];
+/// `LFM`s a read, `[exact, inexact]`, as measured with the one-row
+/// interval step; at its parent, two `LFM`s a step, `[183.475, 88.842]`
+/// and `[97.069, 63.896]`.
+const LFM_BOTH: [f64; 2] = [105.814, 59.077];
+const LFM_FWD: [f64; 2] = [57.851, 45.099];
+/// `report.published_lfm_calls`, two `LFM`s for every interval step the
+/// searches took: that parent's `lfm_calls`, to the `LFM` — the step
+/// changed what a step issues, not which steps are taken.
+const PUBLISHED_BOTH: u64 = 110_016;
+const PUBLISHED_FWD: u64 = 65_030;
