@@ -3,7 +3,8 @@
 # access required — all dependencies are vendored (see vendor/).
 #
 #   ./ci.sh            full gate (debug + release stages)
-#   ./ci.sh debug      fmt check, debug tests (+ CLI flake gate x5), clippy
+#   ./ci.sh debug      fmt check, debug tests (+ CLI flake gate x5), clippy,
+#                      rustdoc with broken intra-doc links denied
 #   ./ci.sh release    release build, perfdump cmp'd against
 #                      BENCH_metrics.json, the 8 Mbp suffix-array test
 #                      tier-1 ignores, the release-binary smoke
@@ -92,6 +93,12 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
     step "cargo clippy"
     cargo clippy --workspace --all-targets -- -D warnings \
         -D clippy::needless_collect -D clippy::naive_bytecount
+
+    # The docs name code by intra-doc link, so a deletion that leaves a
+    # [`dangling`] reference behind fails here.
+    step "cargo doc (broken intra-doc links denied)"
+    RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
+        cargo doc --workspace --no-deps --offline
 fi
 
 if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then

@@ -1,7 +1,7 @@
 //! K-mer iteration over DNA sequences.
 //!
-//! K-mers are used by the repeat-rich genome generator (seeding repeats) and
-//! by the seed-and-extend extension aligner.
+//! K-mers are how the repeat-rich genome generator's tests measure repeat
+//! content.
 
 use crate::{Base, DnaSeq};
 

@@ -165,10 +165,10 @@ impl AlignSession {
         Platform::new(reference, config).session()
     }
 
-    /// Spawns the session for `worker` over an existing platform
-    /// (called by [`Platform::session`] / [`Platform::worker_session`]).
-    pub(crate) fn for_platform(platform: Platform, worker: u64) -> AlignSession {
-        let injector = platform.mapped().worker_injector(worker);
+    /// Spawns a session over an existing platform (called by
+    /// [`Platform::session`]).
+    pub(crate) fn for_platform(platform: Platform) -> AlignSession {
+        let injector = platform.mapped().session_injector();
         let dpu = Dpu::new(*platform.config().model());
         let batch_descents = vec![Descent::new(); platform.config().kernel_batch()];
         AlignSession {
@@ -274,25 +274,9 @@ impl AlignSession {
         self.platform.mapped()
     }
 
-    /// The indexed reference genome (kept for seed-and-extend windows).
+    /// The indexed reference genome.
     pub fn reference(&self) -> &DnaSeq {
         self.platform.reference()
-    }
-
-    /// Access to the platform internals — the shared mapped index plus
-    /// the session's fault injector, DPU and alignment-time ledger — for
-    /// composed engines such as
-    /// [`seed_and_extend`](crate::seed_and_extend) that issue their own
-    /// platform searches.
-    pub fn platform_parts(
-        &mut self,
-    ) -> (&MappedIndex, &mut FaultInjector, &mut Dpu, &mut CycleLedger) {
-        (
-            self.platform.mapped(),
-            &mut self.injector,
-            &mut self.dpu,
-            &mut self.ledger,
-        )
     }
 
     /// Aligns one read: exact stage first, then — if it fails — the
@@ -651,11 +635,11 @@ impl AlignSession {
     /// Aligns a contiguous group of reads through the batched kernel
     /// path (DESIGN.md §15). Reads are processed in groups of
     /// `kernel_batch`: each group's initial exact phase runs as one
-    /// interleaved [`exact_search_batch`] (shared plane loads, the Pd
-    /// stage-queue scheduler), and each read then completes — locate,
-    /// inexact stage, recovery ladder, reverse-complement round —
-    /// through the single-read machinery, seeded with its batched
-    /// exact-stage result.
+    /// interleaved [`exact_search_batch`](crate::exact_search_batch)
+    /// (shared plane loads, the Pd stage-queue scheduler), and each read
+    /// then completes — locate, inexact stage, recovery ladder,
+    /// reverse-complement round — through the single-read machinery,
+    /// seeded with its batched exact-stage result.
     ///
     /// `first_token` is the global fault-stream token of `reads[0]`:
     /// read `r` draws from [`MappedIndex::read_injector`] with token

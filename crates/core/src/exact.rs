@@ -368,8 +368,8 @@ mod tests {
                     resource
                 );
             }
-            let energy = published.energy_pj() + bumped.energy_pj();
-            prop_assert!((rebuilt.energy_pj() - energy).abs() <= 1e-9 * energy);
+            let energy = published.energy_pj(&model) + bumped.energy_pj(&model);
+            prop_assert_eq!(rebuilt.energy_pj(&model).to_bits(), energy.to_bits());
 
             let mut cached = CycleLedger::new();
             let mut cached_descent = Descent::new();

@@ -48,10 +48,8 @@ mod config;
 mod error;
 mod exact;
 mod host;
-mod hybrid;
 mod inexact;
 mod mapping;
-mod paired;
 mod parallel;
 mod platform;
 mod report;
@@ -70,14 +68,12 @@ pub use config::{AddMethod, PimAlignerConfig, RecoveryPolicy, DEFAULT_KERNEL_BAT
 pub use error::AlignError;
 pub use exact::{exact_search, exact_search_batch, ExactStats};
 pub use host::{HostTotals, HostTraceConfig, MAX_TRACE_SPANS};
-pub use hybrid::{seed_and_extend, HybridHit, SeedExtendConfig};
 pub use inexact::{inexact_search, inexact_search_first, InexactStats};
 pub use mapping::{LfmBatchScratch, LfmRequest, MappedIndex};
 pub use metrics::{
     index_section_json, obs_section_json, service_section_json, MetricsBreakdown, PhaseLfm,
     PrimitiveMetrics, ResourceMetrics, StageOccupancy, METRICS_SCHEMA_VERSION,
 };
-pub use paired::{align_pair, Mate, PairConstraints, PairOutcome};
 pub use parallel::{align_batch_parallel, align_batch_parallel_both_strands, BatchTotals};
 pub use platform::Platform;
 pub use report::{

@@ -358,14 +358,6 @@ impl MappedIndex {
         FaultInjector::new(self.campaign)
     }
 
-    /// A fresh alignment-time injector for parallel worker `worker`:
-    /// worker 0 replays the sequential stream bit-identically, higher
-    /// workers draw decorrelated sub-seeds
-    /// ([`FaultCampaign::for_worker`]).
-    pub fn worker_injector(&self, worker: u64) -> FaultInjector {
-        FaultInjector::new(self.campaign.for_worker(worker))
-    }
-
     /// A fresh alignment-time injector for globally indexed read
     /// `token`: the batched kernel gives every read its own
     /// decorrelated fault stream so faulted output is invariant to
@@ -1285,31 +1277,5 @@ mod tests {
                 assert_eq!(drawn.carry_faults, lfms, "[{low}, +{rows})");
             }
         }
-    }
-
-    #[test]
-    fn worker_zero_injector_replays_the_sequential_stream() {
-        use mram::faults::FaultModel;
-        let config = PimAlignerConfig::baseline().with_fault_campaign(
-            FaultCampaign::seeded(17).with_model(FaultModel::with_probabilities(0.05, 0.0)),
-        );
-        let m = MappedIndex::build(&genome::uniform(2_000, 7), &config);
-        let mut a = m.session_injector();
-        let mut b = m.worker_injector(0);
-        let mut c = m.worker_injector(1);
-        let mut same = true;
-        let mut diverged = false;
-        for _ in 0..64 {
-            let mut ra = vec![false; 128];
-            let mut rb = vec![false; 128];
-            let mut rc = vec![false; 128];
-            a.corrupt_match_bits(&mut ra);
-            b.corrupt_match_bits(&mut rb);
-            c.corrupt_match_bits(&mut rc);
-            same &= ra == rb;
-            diverged |= ra != rc;
-        }
-        assert!(same, "worker 0 must replay the sequential stream");
-        assert!(diverged, "worker 1 must draw a decorrelated stream");
     }
 }

@@ -144,8 +144,8 @@ pub struct MetricsBreakdown {
     /// The ledger's resource-level busy-cycle aggregate.
     pub total_busy_cycles: u64,
     /// Sum of the per-primitive busy cycles. Equals
-    /// [`total_busy_cycles`](MetricsBreakdown::total_busy_cycles) when
-    /// every charge flowed through a logical op (the production path).
+    /// [`total_busy_cycles`](MetricsBreakdown::total_busy_cycles) by
+    /// construction: both are priced from the ledger's op counts.
     pub primitive_cycles_total: u64,
     /// Total dynamic energy, pJ.
     pub energy_pj: f64,
@@ -233,7 +233,7 @@ impl MetricsBreakdown {
             resources,
             total_busy_cycles: ledger.total_busy_cycles(),
             primitive_cycles_total: prims.total_cycles(),
-            energy_pj: ledger.energy_pj(),
+            energy_pj: ledger.energy_pj(config.model()),
             subarray_activations: prims.subarray_activations(),
             im_add_carry_cycles: prims.im_add_carry_cycles(),
             lfm_calls,
@@ -253,9 +253,10 @@ impl MetricsBreakdown {
         self.spans_dropped = tracer.dropped();
     }
 
-    /// `true` when the per-primitive cycle total reconciles exactly with
-    /// the ledger's resource-level aggregate — the invariant the
-    /// production charge path maintains.
+    /// `true` when the per-primitive cycle total equals the
+    /// resource-level aggregate. Always so for a breakdown
+    /// [`from_ledger`](MetricsBreakdown::from_ledger) built; a check on
+    /// one whose public fields were filled some other way.
     pub fn reconciles(&self) -> bool {
         self.primitive_cycles_total == self.total_busy_cycles
     }

@@ -141,15 +141,7 @@ impl Platform {
     /// is seeded straight from the campaign, so it replays bit-identically
     /// to a single-session [`AlignSession::new`] run.
     pub fn session(&self) -> AlignSession {
-        self.worker_session(0)
-    }
-
-    /// Spawns the alignment session for parallel worker `worker`:
-    /// worker 0 replays the sequential fault stream, workers > 0 draw
-    /// decorrelated sub-seeds
-    /// ([`FaultCampaign::for_worker`](mram::faults::FaultCampaign::for_worker)).
-    pub fn worker_session(&self, worker: u64) -> AlignSession {
-        AlignSession::for_platform(self.clone(), worker)
+        AlignSession::for_platform(self.clone())
     }
 }
 
@@ -175,8 +167,8 @@ mod tests {
         let platform = Platform::new(&reference, PimAlignerConfig::baseline());
         let before = MappedIndex::build_count();
         let read = reference.subseq(100..160);
-        for w in 0..4 {
-            let mut session = platform.worker_session(w);
+        for _ in 0..4 {
+            let mut session = platform.session();
             assert!(session.align_read(&read).is_mapped());
         }
         assert_eq!(

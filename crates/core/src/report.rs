@@ -342,7 +342,7 @@ impl PerfReport {
 
         // Energy and power. Method-II operand streaming is already in the
         // ledger (the mapper charges the transfer row-writes per LFM).
-        let dynamic_j = ledger.energy_pj() * 1e-12;
+        let dynamic_j = ledger.energy_pj(model) * 1e-12;
         let dynamic_power_w = dynamic_j / time_s;
         let active_subarrays = units * pd as f64;
         let total_power_w = dynamic_power_w + active_subarrays * BACKGROUND_W_PER_SUBARRAY;

@@ -4,9 +4,11 @@
 //! into NVSim to obtain per-operation latency/energy and chip area for a
 //! given array organisation, then drives a behavioural simulator with
 //! those numbers. [`ArrayModel`] plays the NVSim role here: it exposes
-//! per-operation cycle counts and energies plus an area model, with the
-//! constants documented (and justified) in DESIGN.md §6. The behavioural
-//! accounting itself lives in the `pimsim` crate.
+//! the cycle time, per-operation energies and an area model, with the
+//! constants documented (and justified) in DESIGN.md §6. Every
+//! [`ArrayOp`] takes one cycle at word-line granularity; how many of them
+//! a multi-bit operation issues, and the behavioural accounting itself,
+//! live in the `pimsim` crate.
 
 use crate::device::CellParams;
 
@@ -72,7 +74,7 @@ impl Default for SubArrayGeometry {
 /// use mram::array::{ArrayModel, ArrayOp};
 ///
 /// let model = ArrayModel::default();
-/// assert_eq!(model.cycles(ArrayOp::ComputeTriple), 1); // single-cycle bulk op
+/// assert!(model.energy_pj(ArrayOp::ComputeTriple) > model.energy_pj(ArrayOp::ReadRow));
 /// assert!(model.compute_area_overhead() < 0.10);        // paper: <10 % of chip area
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,13 +142,6 @@ impl ArrayModel {
     /// Memory cycle time in ns.
     pub fn cycle_ns(&self) -> f64 {
         self.cycle_ns
-    }
-
-    /// Cycles taken by one operation (all primitives are single-cycle at
-    /// word-line granularity; multi-bit operations issue several of
-    /// them).
-    pub fn cycles(&self, _op: ArrayOp) -> u64 {
-        1
     }
 
     /// Dynamic energy of one operation in pJ.
@@ -247,14 +242,6 @@ mod tests {
         let g = SubArrayGeometry::PAPER;
         assert_eq!((g.rows, g.cols), (512, 256));
         assert_eq!(g.cells(), 131_072);
-    }
-
-    #[test]
-    fn all_primitives_single_cycle() {
-        let m = ArrayModel::default();
-        for op in ArrayOp::ALL {
-            assert_eq!(m.cycles(op), 1);
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! matching the x-axes and margins of Fig. 5b. MgO-barrier resistance
 //! scales exponentially with thickness; `LAMBDA_NM = 0.2307` makes the
 //! paper's `t_ox` 1.5 → 2 nm step produce the reported "~45 mV increase
-//! in the [MAJ] sense margin".
+//! in the \[MAJ\] sense margin".
 
 /// Exponential thickness constant of the MgO barrier (nm per e-fold of
 /// resistance). Calibrated so the paper's `t_ox` 1.5 → 2 nm step grows the

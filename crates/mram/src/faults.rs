@@ -240,31 +240,6 @@ impl FaultCampaign {
         self.carry_fault_prob
     }
 
-    /// Derives the deterministic sub-campaign for one parallel worker.
-    ///
-    /// Worker 0 keeps this campaign's seed unchanged, so a single-worker
-    /// (or sequential) run replays bit-identically to a session built
-    /// straight from the campaign. Workers > 0 re-seed through a
-    /// SplitMix64 finalizer over `(seed, worker)`, decorrelating their
-    /// decision streams: without this every worker would replay the
-    /// *same* fault history, and parallel fault statistics would not
-    /// match a sequential campaign over the same read set.
-    ///
-    /// The rates and the sensing model are inherited unchanged — only
-    /// the seed differs.
-    pub fn for_worker(self, worker: u64) -> FaultCampaign {
-        if worker == 0 {
-            return self;
-        }
-        let mut z = self
-            .seed
-            .wrapping_add(worker.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        self.with_seed(z)
-    }
-
     /// Derives the deterministic sub-campaign for one *read*.
     ///
     /// The batched kernel path gives every read its own decision stream
@@ -275,12 +250,14 @@ impl FaultCampaign {
     /// That is what makes seeded-fault SAM output byte-identical across
     /// `--kernel-batch` and `--threads` settings.
     ///
-    /// Unlike [`FaultCampaign::for_worker`] there is no identity token:
-    /// every token re-seeds, and the mix constant differs from the
-    /// worker derivation so read streams never collide with worker
-    /// streams (token 0 ≠ worker 0, token k ≠ worker k).
+    /// There is no identity token: every token re-seeds through a
+    /// SplitMix64 finalizer over `(seed, token)`, so no read replays the
+    /// base campaign's own stream (the one a sequential session and the
+    /// index build draw from). The rates and the sensing model are
+    /// inherited unchanged — only the seed differs.
     pub fn for_read(self, token: u64) -> FaultCampaign {
-        // Distinct odd salt keeps this family disjoint from for_worker's.
+        // The salt is part of the replay contract: every seeded faulted
+        // run on record was drawn with it.
         let mut z = self
             .seed
             .wrapping_add(0xd1b5_4a32_d192_ed03)
@@ -390,35 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_zero_keeps_the_seed() {
-        let base = FaultCampaign::seeded(37).with_transient_row_rate(1e-3);
-        assert_eq!(base.for_worker(0), base);
-    }
-
-    #[test]
-    fn workers_get_distinct_decorrelated_seeds() {
-        let base = FaultCampaign::seeded(37)
-            .with_model(FaultModel::with_probabilities(1e-3, 0.0))
-            .with_stuck_at_rate(1e-4);
-        let mut seeds: Vec<u64> = (0..16).map(|w| base.for_worker(w).seed()).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 16, "worker seeds must all differ");
-        // Rates and model are inherited unchanged.
-        let w3 = base.for_worker(3);
-        assert_eq!(w3.model(), base.model());
-        assert_eq!(w3.stuck_at_rate(), base.stuck_at_rate());
-        // Derivation is deterministic.
-        assert_eq!(base.for_worker(3), base.for_worker(3));
-        // Neighbouring base seeds must not collide with each other's
-        // worker streams (a plain seed+worker offset would).
-        assert_ne!(
-            FaultCampaign::seeded(37).for_worker(1).seed(),
-            FaultCampaign::seeded(38).for_worker(0).seed()
-        );
-    }
-
-    #[test]
     fn read_tokens_get_distinct_decorrelated_seeds() {
         let base = FaultCampaign::seeded(37)
             .with_model(FaultModel::with_probabilities(1e-3, 0.0))
@@ -427,8 +375,8 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 64, "read seeds must all differ");
-        // Unlike for_worker, token 0 re-seeds too: the per-read stream
-        // is never the base campaign's own stream.
+        // Token 0 re-seeds too: the per-read stream is never the base
+        // campaign's own stream.
         assert_ne!(base.for_read(0).seed(), base.seed());
         // Rates and model are inherited unchanged; derivation is
         // deterministic.
@@ -436,19 +384,5 @@ mod tests {
         assert_eq!(r5.model(), base.model());
         assert_eq!(r5.carry_fault_prob(), base.carry_fault_prob());
         assert_eq!(base.for_read(5), base.for_read(5));
-    }
-
-    #[test]
-    fn read_streams_are_disjoint_from_worker_streams() {
-        let base = FaultCampaign::seeded(37);
-        for token in 0..32 {
-            for worker in 0..32 {
-                assert_ne!(
-                    base.for_read(token).seed(),
-                    base.for_worker(worker).seed(),
-                    "read token {token} collided with worker {worker}"
-                );
-            }
-        }
     }
 }

@@ -15,7 +15,7 @@
 //!   XOR3 output stage used for XNOR2 compare and in-memory addition;
 //! * [`montecarlo`] — the 10 000-trial variation analysis behind Fig. 5b
 //!   (σ(RA) = 2 %, σ(TMR) = 5 %) with sense margins per fan-in;
-//! * [`array`] — an NVSim-lite latency/energy/area model for the
+//! * [`mod@array`] — an NVSim-lite latency/energy/area model for the
 //!   512×256 computational sub-array and the chip organisation built
 //!   from it.
 //!

@@ -5,16 +5,22 @@
 //! expands into single-cycle array primitives. The expansion factors
 //! below encode the micro-architecture of §IV–V:
 //!
-//! | logical op        | cycles | expansion                                |
-//! |-------------------|--------|------------------------------------------|
-//! | `XNOR_Match`      | 2      | one `ComputeTriple` per bit-plane of the 2-bit base encoding |
-//! | popcount          | 16     | the DPU counter digests the 128 match bits 8 per cycle |
-//! | marker read       | 11     | a vertically stored 32-bit word read 3 bits per cycle through the three sub-SAs |
-//! | `IM_ADD` (32-bit) | 45     | 32 `ComputeTriple` + 13 non-overlapped write-back cycles; sum and carry fire two write drivers per bit (the second is charged energy-only) |
-//! | index update      | 2      | low/high DPU register writes             |
-//! | SA entry read     | 11     | same vertical-read path as the marker    |
-//! | row load/copy     | 1      | one `WriteRow`/`ReadRow` per word line   |
-//! | index bump        | 2      | `high = low + bit` in the DPU's embedded counter, the second bound of a one-row interval (beyond the paper, DESIGN.md §8) |
+//! | logical op        | cycles | resource | expansion                     |
+//! |-------------------|--------|----------|-------------------------------|
+//! | `XNOR_Match`      | 2      | compare  | 2 `ComputeTriple`, one per bit-plane of the 2-bit base encoding |
+//! | popcount          | 16     | compare  | 16 `DpuOp`: the DPU counter digests the 128 match bits 8 per cycle |
+//! | marker read       | 11     | memory   | 11 `ReadRow`: a vertically stored 32-bit word read 3 bits per cycle through the three sub-SAs |
+//! | `IM_ADD` (32-bit) | 45     | adder    | 32 `ComputeTriple` + 13 `DpuOp` (non-overlapped write-back cycles) + 64 `WriteRow` in their shadow: sum and carry fire two write drivers per bit, which cost energy and no cycle |
+//! | index update      | 2      | memory   | 2 `DpuOp`: low/high DPU register writes |
+//! | SA entry read     | 11     | memory   | 11 `ReadRow`, the marker's vertical-read path |
+//! | row load          | 1      | transfer | 1 `WriteRow` per word line    |
+//! | row copy-out      | 1      | transfer | 1 `ReadRow` per word line     |
+//! | index bump        | 2      | compare  | 2 `DpuOp`: `high = low + bit` in the DPU's embedded counter, the second bound of a one-row interval (beyond the paper, DESIGN.md §8) |
+//!
+//! The three columns are [`LogicalOp::cycles`], [`LogicalOp::resource`]
+//! and [`LogicalOp::expansion`], and nothing else states them: a
+//! [`CycleLedger`] only counts the ops issued to it, and busy cycles and
+//! energy are read off those counts through this table (DESIGN.md §10).
 //!
 //! One sequential `LFM` is therefore 2 + 16 + 11 + 45 + 2 = **76 cycles**;
 //! the Fig. 7 pipeline overlaps the compare/memory stage (29 cycles) of one
@@ -26,6 +32,17 @@
 use mram::array::{ArrayModel, ArrayOp};
 
 use crate::ledger::{CycleLedger, Resource};
+use crate::metrics::IM_ADD_CARRY_CYCLES;
+
+/// One term of a logical op's expansion into single-cycle array
+/// primitives: which primitive fires, and how many times per logical op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Firing {
+    /// Firings that each hold the logical op's resource for a cycle.
+    Busy(ArrayOp, u64),
+    /// Firings in the shadow of a busy term: energy, no cycle.
+    Shadow(ArrayOp, u64),
+}
 
 /// A logical platform operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,55 +160,39 @@ impl LogicalOp {
         }
     }
 
-    /// Charges this logical op to a ledger (cycles + energy) and records
-    /// it in the ledger's per-primitive counters.
+    /// The array primitives one logical op fires (the table's expansion
+    /// column). The [`Firing::Busy`] terms sum to [`LogicalOp::cycles`].
+    pub fn expansion(self) -> &'static [Firing] {
+        use Firing::{Busy, Shadow};
+        match self {
+            LogicalOp::XnorMatch => &[Busy(ArrayOp::ComputeTriple, 2)],
+            LogicalOp::Popcount => &[Busy(ArrayOp::DpuOp, 16)],
+            LogicalOp::MarkerRead | LogicalOp::SaEntryRead => &[Busy(ArrayOp::ReadRow, 11)],
+            LogicalOp::ImAdd32 => &[
+                Busy(ArrayOp::ComputeTriple, 32),
+                Busy(ArrayOp::DpuOp, IM_ADD_CARRY_CYCLES),
+                Shadow(ArrayOp::WriteRow, 64),
+            ],
+            LogicalOp::IndexUpdate | LogicalOp::IndexBump => &[Busy(ArrayOp::DpuOp, 2)],
+            LogicalOp::RowWrite => &[Busy(ArrayOp::WriteRow, 1)],
+            LogicalOp::RowRead => &[Busy(ArrayOp::ReadRow, 1)],
+        }
+    }
+
+    /// Issues this logical op to a ledger. Cycles and energy are priced
+    /// from the ledger's counts when they are read, so the model is
+    /// unused (kept for `benchmark/src/trace.rs`, ROADMAP item 1(c)).
+    #[inline]
     pub fn charge(self, model: &ArrayModel, ledger: &mut CycleLedger) {
         self.charge_many(model, ledger, 1);
     }
 
-    /// Charges `n` repetitions of this logical op in one step.
-    ///
-    /// All integer accounting — busy cycles, `ArrayOp` counts, and the
-    /// per-primitive counters — reconciles *exactly* with `n` sequential
-    /// [`LogicalOp::charge`] calls; only the accumulated energy (an
-    /// `f64`) may differ in the last bit of rounding. Hot loops that
-    /// issue a known repeat count (SA-entry reads over an interval, the
-    /// method-II operand-transfer burst) use this to avoid per-iteration
-    /// charge overhead.
-    pub fn charge_many(self, model: &ArrayModel, ledger: &mut CycleLedger, n: u64) {
-        if n == 0 {
-            return;
-        }
-        ledger.note_op_many(self, n);
-        let resource = self.resource();
-        match self {
-            LogicalOp::XnorMatch => {
-                ledger.charge(model, resource, ArrayOp::ComputeTriple, 2 * n);
-            }
-            LogicalOp::Popcount => {
-                ledger.charge(model, resource, ArrayOp::DpuOp, 16 * n);
-            }
-            LogicalOp::MarkerRead | LogicalOp::SaEntryRead => {
-                ledger.charge(model, resource, ArrayOp::ReadRow, 11 * n);
-            }
-            LogicalOp::ImAdd32 => {
-                // Per add: 32 compute cycles + 13 write-stall cycles
-                // occupy the adder; sum and carry fire two write drivers
-                // per bit (64 firings), charged as energy.
-                ledger.charge(model, resource, ArrayOp::ComputeTriple, 32 * n);
-                ledger.charge(model, resource, ArrayOp::DpuOp, 13 * n);
-                ledger.charge_energy_only(model, ArrayOp::WriteRow, 64 * n);
-            }
-            LogicalOp::IndexUpdate | LogicalOp::IndexBump => {
-                ledger.charge(model, resource, ArrayOp::DpuOp, 2 * n);
-            }
-            LogicalOp::RowWrite => {
-                ledger.charge(model, resource, ArrayOp::WriteRow, n);
-            }
-            LogicalOp::RowRead => {
-                ledger.charge(model, resource, ArrayOp::ReadRow, n);
-            }
-        }
+    /// Issues `n` repetitions of this logical op in one step: one integer
+    /// add, equal to `n` [`LogicalOp::charge`] calls in everything a
+    /// ledger reports.
+    #[inline]
+    pub fn charge_many(self, _model: &ArrayModel, ledger: &mut CycleLedger, n: u64) {
+        ledger.prims.note_many(self, n);
     }
 }
 
@@ -275,7 +276,35 @@ mod tests {
     }
 
     #[test]
-    fn charge_many_reconciles_exactly_with_sequential_charges() {
+    fn table_columns_agree() {
+        let model = ArrayModel::default();
+        let mut one_of_each = CycleLedger::new();
+        for op in LogicalOp::ALL {
+            let busy: u64 = op
+                .expansion()
+                .iter()
+                .map(|&firing| match firing {
+                    Firing::Busy(_, n) => n,
+                    Firing::Shadow(..) => 0,
+                })
+                .sum();
+            assert_eq!(op.cycles(), busy, "{op:?} cycles against its expansion");
+            let owners = Resource::ALL.iter().filter(|&&r| r == op.resource());
+            assert_eq!(owners.count(), 1, "{op:?} resource");
+            op.charge(&model, &mut one_of_each);
+        }
+        // Every op's cycles land on exactly one resource.
+        let by_resource: u64 = Resource::ALL
+            .iter()
+            .map(|&r| one_of_each.busy_cycles(r))
+            .sum();
+        let by_op: u64 = LogicalOp::ALL.iter().map(|op| op.cycles()).sum();
+        assert_eq!(by_resource, by_op);
+        assert_eq!(one_of_each.total_busy_cycles(), by_op);
+    }
+
+    #[test]
+    fn charge_many_equals_sequential_charges() {
         let model = ArrayModel::default();
         for op in LogicalOp::ALL {
             let mut batched = CycleLedger::new();
@@ -284,32 +313,10 @@ mod tests {
             for _ in 0..7 {
                 op.charge(&model, &mut sequential);
             }
-            for r in Resource::ALL {
-                assert_eq!(
-                    batched.busy_cycles(r),
-                    sequential.busy_cycles(r),
-                    "{op:?} busy cycles on {r:?}"
-                );
-            }
-            for aop in [
-                ArrayOp::ReadRow,
-                ArrayOp::WriteRow,
-                ArrayOp::ComputeTriple,
-                ArrayOp::DpuOp,
-            ] {
-                assert_eq!(
-                    batched.op_count(aop),
-                    sequential.op_count(aop),
-                    "{op:?} count of {aop:?}"
-                );
-            }
+            assert_eq!(batched, sequential, "{op:?}");
             assert_eq!(
-                batched.primitives(),
-                sequential.primitives(),
-                "{op:?} per-primitive counters"
-            );
-            assert!(
-                (batched.energy_pj() - sequential.energy_pj()).abs() < 1e-6,
+                batched.energy_pj(&model).to_bits(),
+                sequential.energy_pj(&model).to_bits(),
                 "{op:?} energy"
             );
         }
@@ -322,7 +329,7 @@ mod tests {
         LogicalOp::RowWrite.charge_many(&model, &mut l, 0);
         assert_eq!(l.total_busy_cycles(), 0);
         assert_eq!(l.primitives().total_count(), 0);
-        assert_eq!(l.energy_pj(), 0.0);
+        assert_eq!(l.energy_pj(&model), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use mram::array::{ArrayModel, ArrayOp};
 
-use crate::costs::LogicalOp;
+use crate::costs::{Firing, LogicalOp};
 use crate::metrics::PrimCounters;
 use crate::pipeline::PipelineCounters;
 
@@ -30,15 +30,6 @@ impl Resource {
         Resource::Memory,
         Resource::Transfer,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            Resource::Compare => 0,
-            Resource::Adder => 1,
-            Resource::Memory => 2,
-            Resource::Transfer => 3,
-        }
-    }
 
     /// Stable lower-case label used by the metrics JSON emitters.
     pub fn name(self) -> &'static str {
@@ -91,8 +82,12 @@ impl KernelCacheCounters {
     }
 }
 
-/// Accumulates the cycles and dynamic energy of every primitive issued to
-/// the platform, attributed to resource classes.
+/// Counts every logical primitive issued to the platform. Busy cycles,
+/// their attribution to resource classes, array-primitive counts and
+/// dynamic energy are not stored: each is read off the nine counts
+/// through the [`costs`](crate::costs) table when asked for, so two
+/// ledgers that were issued the same ops are equal whatever order, batch
+/// size or thread split issued them.
 ///
 /// Busy cycles are accounted per resource; the *makespan* (wall-clock
 /// cycles) is tracked separately by the caller because overlapped
@@ -101,21 +96,21 @@ impl KernelCacheCounters {
 /// # Examples
 ///
 /// ```
-/// use mram::array::{ArrayModel, ArrayOp};
+/// use mram::array::ArrayModel;
+/// use pimsim::costs::LogicalOp;
 /// use pimsim::{CycleLedger, Resource};
 ///
 /// let model = ArrayModel::default();
 /// let mut ledger = CycleLedger::new();
-/// ledger.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, 2);
+/// LogicalOp::XnorMatch.charge(&model, &mut ledger);
 /// assert_eq!(ledger.busy_cycles(Resource::Compare), 2);
-/// assert!(ledger.energy_pj() > 0.0);
+/// assert!(ledger.energy_pj(&model) > 0.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CycleLedger {
-    busy: [u64; 4],
-    energy_pj: f64,
-    op_counts: [u64; 4],
-    prims: PrimCounters,
+    /// Issued [`LogicalOp`]s — the whole simulated cost state. Bumped by
+    /// [`LogicalOp::charge_many`] and nothing else.
+    pub(crate) prims: PrimCounters,
     /// Sub-array activation heatmap: `zones[z]` counts activating
     /// operations attributed to zone `z` by the charge sites that know
     /// their target (primary sub-arrays first, then method-II mirrors).
@@ -129,22 +124,17 @@ pub struct CycleLedger {
     kernel_cache: KernelCacheCounters,
 }
 
-/// Ledger equality is *simulated-state* equality: cycles, energy,
-/// primitive counts, zone heatmap, pipeline totals. The kernel-cache
-/// counters are deliberately excluded — they are host-side telemetry
-/// (a hit charges the identical ops as the recompute it replaces), and
-/// the hit/miss split depends on how the parallel engine partitions
-/// reads across per-worker caches, so it is not thread-invariant.
-/// Compare [`CycleLedger::kernel_cache_counters`] explicitly where
-/// cache traffic itself is under test.
+/// Ledger equality is *simulated-state* equality: primitive counts (and
+/// with them cycles and energy), zone heatmap, pipeline totals. The
+/// kernel-cache counters are deliberately excluded — they are host-side
+/// telemetry (a hit charges the identical ops as the recompute it
+/// replaces), and the hit/miss split depends on how the parallel engine
+/// partitions reads across per-worker caches, so it is not
+/// thread-invariant. Compare [`CycleLedger::kernel_cache_counters`]
+/// explicitly where cache traffic itself is under test.
 impl PartialEq for CycleLedger {
     fn eq(&self, other: &CycleLedger) -> bool {
-        self.busy == other.busy
-            && self.energy_pj == other.energy_pj
-            && self.op_counts == other.op_counts
-            && self.prims == other.prims
-            && self.zones == other.zones
-            && self.pipeline == other.pipeline
+        self.prims == other.prims && self.zones == other.zones && self.pipeline == other.pipeline
     }
 }
 
@@ -152,38 +142,6 @@ impl CycleLedger {
     /// An empty ledger.
     pub fn new() -> CycleLedger {
         CycleLedger::default()
-    }
-
-    /// Charges `count` repetitions of `op` to `resource`, accruing both
-    /// cycles and energy from the array model.
-    pub fn charge(&mut self, model: &ArrayModel, resource: Resource, op: ArrayOp, count: u64) {
-        self.busy[resource.index()] += model.cycles(op) * count;
-        self.energy_pj += model.energy_pj(op) * count as f64;
-        self.op_counts[op_index(op)] += count;
-    }
-
-    /// Charges energy only (e.g. the second write driver firing in the
-    /// same cycle as the first).
-    pub fn charge_energy_only(&mut self, model: &ArrayModel, op: ArrayOp, count: u64) {
-        self.energy_pj += model.energy_pj(op) * count as f64;
-        self.op_counts[op_index(op)] += count;
-    }
-
-    /// Records one issued logical primitive in the hierarchical
-    /// per-primitive counters. Called by [`LogicalOp::charge`]; the
-    /// cycle/energy accounting itself still flows through
-    /// [`CycleLedger::charge`].
-    #[inline]
-    pub fn note_op(&mut self, op: LogicalOp) {
-        self.prims.note(op);
-    }
-
-    /// Records `n` issued logical primitives in one step (the batched
-    /// form behind [`LogicalOp::charge_many`]). Integer-exact: equal to
-    /// `n` [`CycleLedger::note_op`] calls.
-    #[inline]
-    pub fn note_op_many(&mut self, op: LogicalOp, n: u64) {
-        self.prims.note_many(op, n);
     }
 
     /// Attributes `n` sub-array activations to `zone` in the activation
@@ -247,42 +205,59 @@ impl CycleLedger {
         self.kernel_cache
     }
 
-    /// The hierarchical per-primitive counters (counts and busy cycles
-    /// per [`LogicalOp`]). For any ledger charged exclusively through
-    /// logical operations — the entire production path — the counters'
-    /// cycle total reconciles with [`CycleLedger::total_busy_cycles`].
+    /// The per-primitive counters: how many of each [`LogicalOp`] were
+    /// issued, and the busy cycles that prices them at.
     pub fn primitives(&self) -> &PrimCounters {
         &self.prims
     }
 
     /// Busy cycles attributed to one resource.
     pub fn busy_cycles(&self, resource: Resource) -> u64 {
-        self.busy[resource.index()]
+        LogicalOp::ALL
+            .iter()
+            .filter(|op| op.resource() == resource)
+            .map(|&op| self.prims.cycles(op))
+            .sum()
     }
 
     /// Sum of busy cycles over all resources (the sequential-execution
     /// makespan).
     pub fn total_busy_cycles(&self) -> u64 {
-        self.busy.iter().sum()
+        self.prims.total_cycles()
     }
 
-    /// Total dynamic energy in pJ.
-    pub fn energy_pj(&self) -> f64 {
-        self.energy_pj
-    }
-
-    /// Number of primitives of `op` issued.
+    /// Number of array primitives of kind `op` the issued logical ops
+    /// fired, energy-only firings included.
     pub fn op_count(&self, op: ArrayOp) -> u64 {
-        self.op_counts[op_index(op)]
+        LogicalOp::ALL
+            .iter()
+            .flat_map(|&logical| {
+                let issued = self.prims.count(logical);
+                logical.expansion().iter().map(move |&firing| match firing {
+                    Firing::Busy(fired, n) | Firing::Shadow(fired, n) if fired == op => n * issued,
+                    _ => 0,
+                })
+            })
+            .sum()
+    }
+
+    /// Per-primitive energy breakdown under `model`, in pJ, in
+    /// [`ArrayOp::ALL`] order.
+    pub fn energy_breakdown_pj(&self, model: &ArrayModel) -> [(ArrayOp, f64); 4] {
+        ArrayOp::ALL.map(|op| (op, model.energy_pj(op) * self.op_count(op) as f64))
+    }
+
+    /// Total dynamic energy under `model` in pJ: the sum of
+    /// [`CycleLedger::energy_breakdown_pj`].
+    pub fn energy_pj(&self, model: &ArrayModel) -> f64 {
+        self.energy_breakdown_pj(model)
+            .iter()
+            .map(|(_, pj)| pj)
+            .sum()
     }
 
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &CycleLedger) {
-        for i in 0..4 {
-            self.busy[i] += other.busy[i];
-            self.op_counts[i] += other.op_counts[i];
-        }
-        self.energy_pj += other.energy_pj;
         self.prims.merge(&other.prims);
         self.pipeline.merge(&other.pipeline);
         self.kernel_cache.merge(&other.kernel_cache);
@@ -293,28 +268,6 @@ impl CycleLedger {
             self.zones[z] += n;
         }
     }
-
-    /// Per-primitive energy breakdown under `model`, in pJ, in
-    /// [`ArrayOp::ALL`] order. Sums to [`CycleLedger::energy_pj`] when
-    /// every charge used the same model.
-    pub fn energy_breakdown_pj(&self, model: &ArrayModel) -> [(ArrayOp, f64); 4] {
-        [
-            ArrayOp::ReadRow,
-            ArrayOp::WriteRow,
-            ArrayOp::ComputeTriple,
-            ArrayOp::DpuOp,
-        ]
-        .map(|op| (op, model.energy_pj(op) * self.op_count(op) as f64))
-    }
-}
-
-fn op_index(op: ArrayOp) -> usize {
-    match op {
-        ArrayOp::ReadRow => 0,
-        ArrayOp::WriteRow => 1,
-        ArrayOp::ComputeTriple => 2,
-        ArrayOp::DpuOp => 3,
-    }
 }
 
 #[cfg(test)]
@@ -322,62 +275,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn charges_accumulate() {
-        let model = ArrayModel::default();
-        let mut l = CycleLedger::new();
-        l.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, 2);
-        l.charge(&model, Resource::Memory, ArrayOp::ReadRow, 16);
-        l.charge(&model, Resource::Adder, ArrayOp::WriteRow, 32);
-        assert_eq!(l.busy_cycles(Resource::Compare), 2);
-        assert_eq!(l.busy_cycles(Resource::Memory), 16);
-        assert_eq!(l.busy_cycles(Resource::Adder), 32);
-        assert_eq!(l.total_busy_cycles(), 50);
-        let expected = 2.0 * model.energy_pj(ArrayOp::ComputeTriple)
-            + 16.0 * model.energy_pj(ArrayOp::ReadRow)
-            + 32.0 * model.energy_pj(ArrayOp::WriteRow);
-        assert!((l.energy_pj() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_only_charge_adds_no_cycles() {
-        let model = ArrayModel::default();
-        let mut l = CycleLedger::new();
-        l.charge_energy_only(&model, ArrayOp::WriteRow, 4);
-        assert_eq!(l.total_busy_cycles(), 0);
-        assert!(l.energy_pj() > 0.0);
-        assert_eq!(l.op_count(ArrayOp::WriteRow), 4);
-    }
-
-    #[test]
     fn merge_sums_everything() {
         let model = ArrayModel::default();
         let mut a = CycleLedger::new();
-        a.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, 3);
+        LogicalOp::XnorMatch.charge_many(&model, &mut a, 3);
         let mut b = CycleLedger::new();
-        b.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, 5);
-        b.charge(&model, Resource::Transfer, ArrayOp::WriteRow, 1);
+        LogicalOp::XnorMatch.charge_many(&model, &mut b, 5);
+        LogicalOp::RowWrite.charge(&model, &mut b);
         a.merge(&b);
-        assert_eq!(a.busy_cycles(Resource::Compare), 8);
+        assert_eq!(a.busy_cycles(Resource::Compare), 16);
         assert_eq!(a.busy_cycles(Resource::Transfer), 1);
-        assert_eq!(a.op_count(ArrayOp::ComputeTriple), 8);
+        assert_eq!(a.op_count(ArrayOp::ComputeTriple), 16);
     }
 
     #[test]
     fn energy_breakdown_sums_to_total() {
         let model = ArrayModel::default();
         let mut l = CycleLedger::new();
-        l.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, 10);
-        l.charge(&model, Resource::Memory, ArrayOp::ReadRow, 5);
-        l.charge_energy_only(&model, ArrayOp::WriteRow, 3);
+        LogicalOp::XnorMatch.charge_many(&model, &mut l, 5);
+        LogicalOp::MarkerRead.charge_many(&model, &mut l, 5);
+        LogicalOp::ImAdd32.charge_many(&model, &mut l, 3);
         let breakdown = l.energy_breakdown_pj(&model);
         let sum: f64 = breakdown.iter().map(|(_, e)| e).sum();
-        assert!((sum - l.energy_pj()).abs() < 1e-9);
+        assert_eq!(sum.to_bits(), l.energy_pj(&model).to_bits());
         let write = breakdown
             .iter()
             .find(|(op, _)| *op == ArrayOp::WriteRow)
             .unwrap()
             .1;
-        assert!((write - 3.0 * model.energy_pj(ArrayOp::WriteRow)).abs() < 1e-9);
+        // Three adds, 64 energy-only write-driver firings each.
+        assert_eq!(write, 192.0 * model.energy_pj(ArrayOp::WriteRow));
     }
 
     #[test]
@@ -438,16 +365,5 @@ mod tests {
         assert_eq!(total.evictions, 1);
         assert_eq!(total.lookups(), 5);
         assert!((total.hit_rate() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn op_counts_tracked_per_kind() {
-        let model = ArrayModel::default();
-        let mut l = CycleLedger::new();
-        l.charge(&model, Resource::Memory, ArrayOp::ReadRow, 7);
-        l.charge(&model, Resource::Compare, ArrayOp::DpuOp, 9);
-        assert_eq!(l.op_count(ArrayOp::ReadRow), 7);
-        assert_eq!(l.op_count(ArrayOp::DpuOp), 9);
-        assert_eq!(l.op_count(ArrayOp::WriteRow), 0);
     }
 }

@@ -3,14 +3,13 @@
 //! The paper's evaluation (Figs. 8–10) is about *where cycles go* — how
 //! much of an `LFM` is `XNOR_Match` versus marker `MEM` versus `IM_ADD`
 //! carry propagation, how busy each sub-array is, how well the `Pd`
-//! pipeline overlaps. The [`CycleLedger`](crate::CycleLedger) answers
-//! those questions only at resource granularity; this module adds:
+//! pipeline overlaps. This module holds the two types that answer:
 //!
-//! * [`PrimCounters`] — hierarchical counts and busy cycles per *logical
-//!   primitive* ([`LogicalOp`]), recorded automatically by every
-//!   [`LogicalOp::charge`] and merged with the ledger, so parallel
-//!   workers stay accurate through the existing
-//!   `BatchTotals` path;
+//! * [`PrimCounters`] — how many of each *logical primitive*
+//!   ([`LogicalOp`]) were issued, bumped by every [`LogicalOp::charge`].
+//!   It is the [`CycleLedger`]'s whole cost state, so it merges wherever
+//!   ledgers merge, and busy cycles per primitive are its counts priced
+//!   by [`LogicalOp::cycles`];
 //! * [`SpanTracer`] / [`Span`] — a lightweight ring-buffered span
 //!   tracer. Spans are timestamped in *simulated busy cycles* (the only
 //!   clock the platform has), the buffer is bounded, and a disabled
@@ -19,17 +18,13 @@
 use crate::costs::LogicalOp;
 use crate::ledger::CycleLedger;
 
-/// Per-primitive counters: how many of each [`LogicalOp`] were issued
-/// and how many busy cycles they occupied.
-///
-/// Every [`LogicalOp::charge`] records itself here via the ledger, so
-/// for any ledger whose charges all flowed through logical operations
-/// (the entire production path), `total_cycles()` reconciles exactly
-/// with [`CycleLedger::total_busy_cycles`].
+/// Per-primitive counters: how many of each [`LogicalOp`] were issued.
+/// The busy cycles they occupied are the counts priced by
+/// [`LogicalOp::cycles`], so `total_cycles()` is
+/// [`CycleLedger::total_busy_cycles`] by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrimCounters {
     counts: [u64; LogicalOp::ALL.len()],
-    cycles: [u64; LogicalOp::ALL.len()],
 }
 
 impl PrimCounters {
@@ -38,20 +33,10 @@ impl PrimCounters {
         PrimCounters::default()
     }
 
-    /// Records one issued `op` (count +1, cycles +`op.cycles()`).
-    #[inline]
-    pub fn note(&mut self, op: LogicalOp) {
-        self.note_many(op, 1);
-    }
-
-    /// Records `n` issued `op`s in one step. Exactly equivalent to `n`
-    /// [`PrimCounters::note`] calls — both fields are integers, so the
-    /// batched update reconciles bit-for-bit.
+    /// Records `n` issued `op`s.
     #[inline]
     pub fn note_many(&mut self, op: LogicalOp, n: u64) {
-        let i = op.index();
-        self.counts[i] += n;
-        self.cycles[i] += n * op.cycles();
+        self.counts[op.index()] += n;
     }
 
     /// Number of `op` primitives issued.
@@ -61,14 +46,12 @@ impl PrimCounters {
 
     /// Busy cycles attributed to `op`.
     pub fn cycles(&self, op: LogicalOp) -> u64 {
-        self.cycles[op.index()]
+        self.count(op) * op.cycles()
     }
 
-    /// Total busy cycles over all primitives. Reconciles with
-    /// [`CycleLedger::total_busy_cycles`] when every charge flowed
-    /// through a [`LogicalOp`].
+    /// Total busy cycles over all primitives.
     pub fn total_cycles(&self) -> u64 {
-        self.cycles.iter().sum()
+        LogicalOp::ALL.iter().map(|&op| self.cycles(op)).sum()
     }
 
     /// Total primitives issued.
@@ -96,9 +79,8 @@ impl PrimCounters {
 
     /// Adds `other`'s counts into `self` (ledger/worker merge).
     pub fn merge(&mut self, other: &PrimCounters) {
-        for i in 0..LogicalOp::ALL.len() {
-            self.counts[i] += other.counts[i];
-            self.cycles[i] += other.cycles[i];
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
     }
 }

@@ -153,8 +153,8 @@ impl PipelineCounters {
 ///
 /// With `Pd = 1` there is one sub-array and no overlap: every issue
 /// serialises. The simulator is transient scratch state — only its
-/// [`PipelineCounters`] survive, folded into the [`CycleLedger`]
-/// (`crate::CycleLedger`) by the caller.
+/// [`PipelineCounters`] survive, folded into the
+/// [`CycleLedger`](crate::CycleLedger) by the caller.
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     pd: usize,

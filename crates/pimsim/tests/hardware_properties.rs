@@ -2,6 +2,7 @@
 
 use bioseq::Base;
 use mram::array::ArrayModel;
+use pimsim::costs::LogicalOp;
 use pimsim::{CycleLedger, Dpu, SubArray};
 use proptest::prelude::*;
 
@@ -67,15 +68,14 @@ proptest! {
         xnor_a in 0u64..50, xnor_b in 0u64..50,
         reads_a in 0u64..50, reads_b in 0u64..50,
     ) {
-        use mram::array::ArrayOp;
         use pimsim::Resource;
         let model = ArrayModel::default();
         let mut a = CycleLedger::new();
-        a.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, xnor_a);
-        a.charge(&model, Resource::Memory, ArrayOp::ReadRow, reads_a);
+        LogicalOp::XnorMatch.charge_many(&model, &mut a, xnor_a);
+        LogicalOp::MarkerRead.charge_many(&model, &mut a, reads_a);
         let mut b = CycleLedger::new();
-        b.charge(&model, Resource::Compare, ArrayOp::ComputeTriple, xnor_b);
-        b.charge(&model, Resource::Memory, ArrayOp::ReadRow, reads_b);
+        LogicalOp::XnorMatch.charge_many(&model, &mut b, xnor_b);
+        LogicalOp::MarkerRead.charge_many(&model, &mut b, reads_b);
         let mut merged = a.clone();
         merged.merge(&b);
         prop_assert_eq!(
@@ -84,8 +84,46 @@ proptest! {
         );
         prop_assert_eq!(
             merged.busy_cycles(Resource::Memory),
-            reads_a + reads_b
+            11 * (reads_a + reads_b)
         );
-        prop_assert!((merged.energy_pj() - (a.energy_pj() + b.energy_pj())).abs() < 1e-9);
+        prop_assert_eq!(
+            merged.energy_pj(&model).to_bits(),
+            (a.energy_pj(&model) + b.energy_pj(&model)).to_bits()
+        );
+    }
+
+    #[test]
+    fn split_and_shuffled_merge_equals_the_sequential_ledger(
+        draws in proptest::collection::vec(any::<u64>(), 1..40),
+        k in 1usize..6,
+        shuffle in any::<u64>(),
+    ) {
+        let model = ArrayModel::default();
+        let mut sequential = CycleLedger::new();
+        let mut parts = vec![CycleLedger::new(); k];
+        for &draw in &draws {
+            let op = LogicalOp::ALL[(draw % 9) as usize];
+            let part = (draw >> 4) as usize % k;
+            // Up to 2^44 repeats: past 2^53 pJ an energy summed charge by
+            // charge would depend on the order of the charges.
+            let n = (draw >> 8) % (1 << 44);
+            op.charge_many(&model, &mut sequential, n);
+            op.charge_many(&model, &mut parts[part], n);
+        }
+        let mut order: Vec<usize> = (0..k).collect();
+        let mut rest = shuffle;
+        for i in (1..k).rev() {
+            order.swap(i, (rest % (i as u64 + 1)) as usize);
+            rest /= i as u64 + 1;
+        }
+        let mut merged = CycleLedger::new();
+        for part in order {
+            merged.merge(&parts[part]);
+        }
+        prop_assert_eq!(&merged, &sequential);
+        prop_assert_eq!(
+            merged.energy_pj(&model).to_bits(),
+            sequential.energy_pj(&model).to_bits()
+        );
     }
 }

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod genome;
-pub mod paired;
 pub mod variant;
 
 mod reads;

@@ -286,119 +286,6 @@ pub fn banded_edit_distance(a: &DnaSeq, b: &DnaSeq, band: usize) -> Option<u32> 
     (d as usize <= band).then_some(d)
 }
 
-/// Local alignment with affine gap penalties (Gotoh): a gap of length `k`
-/// costs `gap_open + k · gap_extend`.
-pub fn affine_local(reference: &DnaSeq, read: &DnaSeq, scoring: Scoring) -> Alignment {
-    let n = reference.len();
-    let m = read.len();
-    let open = scoring.gap_open as i32 + scoring.gap_extend as i32;
-    let extend = scoring.gap_extend as i32;
-    let width = m + 1;
-    const NEG: i32 = i32::MIN / 4;
-    // h: best ending in match/mismatch (or 0); e: gap in reference (Left);
-    // f: gap in read (Up).
-    let mut h = vec![0i32; (n + 1) * width];
-    let mut e = vec![NEG; (n + 1) * width];
-    let mut f = vec![NEG; (n + 1) * width];
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        H,
-        E,
-        F,
-    }
-    let mut from_h = vec![Dir::Stop; (n + 1) * width];
-    let mut e_open = vec![true; (n + 1) * width];
-    let mut f_open = vec![true; (n + 1) * width];
-    let mut best = (0i32, 0usize, 0usize);
-    for i in 1..=n {
-        for j in 1..=m {
-            let idx = i * width + j;
-            let e_ext = e[idx - 1].saturating_add(extend);
-            let e_opn = h[idx - 1].saturating_add(open);
-            if e_opn >= e_ext {
-                e[idx] = e_opn;
-                e_open[idx] = true;
-            } else {
-                e[idx] = e_ext;
-                e_open[idx] = false;
-            }
-            let f_ext = f[idx - width].saturating_add(extend);
-            let f_opn = h[idx - width].saturating_add(open);
-            if f_opn >= f_ext {
-                f[idx] = f_opn;
-                f_open[idx] = true;
-            } else {
-                f[idx] = f_ext;
-                f_open[idx] = false;
-            }
-            let diag = h[idx - width - 1] + scoring.score_pair(reference[i - 1] == read[j - 1]);
-            let (mut cell, mut d) = (diag, Dir::Diag);
-            if e[idx] > cell {
-                cell = e[idx];
-                d = Dir::Left;
-            }
-            if f[idx] > cell {
-                cell = f[idx];
-                d = Dir::Up;
-            }
-            if cell <= 0 {
-                cell = 0;
-                d = Dir::Stop;
-            }
-            h[idx] = cell;
-            from_h[idx] = d;
-            if cell > best.0 {
-                best = (cell, i, j);
-            }
-        }
-    }
-    // Traceback through the three-state machine.
-    let (best_score, bi, bj) = best;
-    let mut cigar = Cigar::new();
-    let (mut i, mut j) = (bi, bj);
-    let mut state = State::H;
-    loop {
-        let idx = i * width + j;
-        match state {
-            State::H => match from_h[idx] {
-                Dir::Stop => break,
-                Dir::Diag => {
-                    cigar.push(CigarOp::Match);
-                    i -= 1;
-                    j -= 1;
-                }
-                Dir::Left => state = State::E,
-                Dir::Up => state = State::F,
-            },
-            State::E => {
-                cigar.push(CigarOp::Insertion);
-                let opened = e_open[idx];
-                j -= 1;
-                if opened {
-                    state = State::H;
-                }
-            }
-            State::F => {
-                cigar.push(CigarOp::Deletion);
-                let opened = f_open[idx];
-                i -= 1;
-                if opened {
-                    state = State::H;
-                }
-            }
-        }
-    }
-    cigar.reverse();
-    Alignment {
-        score: best_score,
-        ref_start: i,
-        ref_end: bi,
-        read_start: j,
-        read_end: bj,
-        cigar,
-    }
-}
-
 /// Global traceback from `(n, m)` to the origin.
 fn traceback(
     dir: &[Dir],
@@ -498,38 +385,6 @@ mod tests {
     #[test]
     fn banded_rejects_length_gap_beyond_band() {
         assert!(banded_global(&seq("AAAAAAAAAA"), &seq("AA"), Scoring::default(), 3).is_none());
-    }
-
-    #[test]
-    fn affine_prefers_one_long_gap() {
-        // Flanks long enough that bridging the TTTTTT insert beats any
-        // gap-free sub-alignment.
-        let reference = seq("AACCGGTTTTTTAACCGG");
-        let read = seq("AACCGGAACCGG");
-        let scoring = Scoring::new(2, -4, -3, -1);
-        let aln = affine_local(&reference, &read, scoring);
-        // 12 matches (24) + one 6-base deletion (open −3−1, extend −1×5 = −9).
-        assert_eq!(aln.score, 15);
-        let deletion_runs: usize = aln
-            .cigar
-            .runs()
-            .iter()
-            .filter(|(_, op)| *op == CigarOp::Deletion)
-            .count();
-        assert_eq!(
-            deletion_runs, 1,
-            "gap should be a single run: {}",
-            aln.cigar
-        );
-        assert_eq!(aln.cigar.to_string(), "6M6D6M");
-    }
-
-    #[test]
-    fn affine_matches_identical() {
-        let a = seq("ACGTACGT");
-        let aln = affine_local(&a, &a, Scoring::default());
-        assert_eq!(aln.score, 8);
-        assert_eq!(aln.cigar.to_string(), "8M");
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`needleman_wunsch`] — global alignment;
 //! * [`smith_waterman`] — local alignment (the SW of the paper);
 //! * [`banded_global`] — banded global alignment for bounded edit distance;
-//! * [`banded_edit_distance`] — banded unit-cost Levenshtein distance;
-//! * [`affine_local`] — Gotoh local alignment with affine gap penalties.
+//! * [`banded_edit_distance`] — banded unit-cost Levenshtein distance.
 //!
 //! All return an [`Alignment`] with score, coordinates and a [`Cigar`].
 //!
@@ -38,7 +37,5 @@ mod dp;
 mod score;
 
 pub use cigar::{Cigar, CigarOp};
-pub use dp::{
-    affine_local, banded_edit_distance, banded_global, needleman_wunsch, smith_waterman, Alignment,
-};
+pub use dp::{banded_edit_distance, banded_global, needleman_wunsch, smith_waterman, Alignment};
 pub use score::Scoring;

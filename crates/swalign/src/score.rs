@@ -2,9 +2,8 @@
 
 /// Scoring scheme for the dynamic-programming aligners.
 ///
-/// Linear-gap aligners use `gap_open` as the per-base gap cost and ignore
-/// `gap_extend`; the affine aligner charges `gap_open + gap_extend` for
-/// the first base of a gap and `gap_extend` for each further base.
+/// Every aligner in this crate is linear-gap: `gap_open` is the per-base
+/// gap cost and `gap_extend` is not read.
 ///
 /// # Examples
 ///
@@ -25,8 +24,8 @@ pub struct Scoring {
     /// Cost of opening a gap (negative; per-base cost for linear-gap
     /// aligners).
     pub gap_open: i16,
-    /// Cost of extending a gap by one base (negative; affine aligner
-    /// only).
+    /// Cost of extending a gap by one base (negative; an affine scheme's
+    /// second parameter, which no aligner here reads).
     pub gap_extend: i16,
 }
 

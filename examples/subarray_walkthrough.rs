@@ -69,6 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ledger.busy_cycles(resource)
         );
     }
-    println!("  dynamic energy: {:.1} pJ", ledger.energy_pj());
+    println!("  dynamic energy: {:.1} pJ", ledger.energy_pj(&model));
     Ok(())
 }

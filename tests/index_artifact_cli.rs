@@ -187,32 +187,31 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
         counter(&warm, "index.actual_bytes")
     );
 
-    // Seeded faults, single worker: worker 0 replays the sequential
-    // fault stream, so the faulted run must also replay bit-identically
-    // from the artifact. (Faulted multi-thread runs are run-to-run
-    // nondeterministic by design — dynamic partitioning changes which
-    // decorrelated worker stream each read sees — so the faulted leg of
-    // this guarantee is exactly the sequential one.)
-    let (cold, _) = assert_cold_warm_identical(
-        &ref_fa,
-        &reads_fq,
-        &artifact,
-        &[
-            "--threads",
-            "1",
-            "--fault-seed",
-            "42",
-            "--fault-xnor",
-            "0.002",
-            "--fault-transient",
-            "0.001",
-        ],
-        "faulted1",
-    );
-    assert!(
-        counter(&cold, "faults.xnor_bit_flips") > 0,
-        "faults must fire"
-    );
+    // Seeded faults: every alignment-time draw is keyed by the read's
+    // global index, so a faulted run replays bit-identically from the
+    // artifact at any worker count, not only the sequential one.
+    for threads in ["1", "8"] {
+        let (cold, _) = assert_cold_warm_identical(
+            &ref_fa,
+            &reads_fq,
+            &artifact,
+            &[
+                "--threads",
+                threads,
+                "--fault-seed",
+                "42",
+                "--fault-xnor",
+                "0.002",
+                "--fault-transient",
+                "0.001",
+            ],
+            &format!("faulted{threads}"),
+        );
+        assert!(
+            counter(&cold, "faults.xnor_bit_flips") > 0,
+            "faults must fire"
+        );
+    }
 }
 
 #[test]

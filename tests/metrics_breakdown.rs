@@ -70,8 +70,8 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
 
 /// Counter-merge associativity: 8 worker ledgers merged through
 /// `BatchTotals` must yield the same counters as a single-thread run of
-/// the same seed — exactly, for all integer counters; approximately for
-/// energy (f64 summation order differs).
+/// the same seed — exactly, energy included: it is priced from the merged
+/// counts, not summed worker by worker.
 #[test]
 fn worker_merge_is_associative() {
     let (reference, reads) = workload(50_000, 48, 72);
@@ -95,8 +95,10 @@ fn worker_merge_is_associative() {
         one.breakdown.subarray_activations,
         eight.breakdown.subarray_activations
     );
-    let rel = (one.breakdown.energy_pj - eight.breakdown.energy_pj).abs() / one.breakdown.energy_pj;
-    assert!(rel < 1e-9, "energy merge disagreement {rel:.3e}");
+    assert_eq!(
+        one.breakdown.energy_pj.to_bits(),
+        eight.breakdown.energy_pj.to_bits()
+    );
 
     // The sequential session runs the single-read kernel; the parallel
     // engine matches it exactly once the batch width is forced to 1.
