@@ -141,6 +141,8 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         index build target/ci/smoke_ref.fa target/ci/smoke.pimx
     cargo run -q --release --bin pimalign -- index inspect target/ci/smoke.pimx \
         > target/ci/smoke_inspect.txt
+    # 57 rows are too few for a seed table; the line must say so.
+    grep -qx 'seed_depth: 0' target/ci/smoke_inspect.txt
     cargo run -q --release --bin pimalign -- \
         --index target/ci/smoke.pimx target/ci/smoke_reads.fq --threads 2 \
         > target/ci/smoke_index.sam

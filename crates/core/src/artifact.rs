@@ -144,6 +144,11 @@ impl ArtifactShard {
     pub fn index(&self) -> &FmIndex {
         &self.index
     }
+
+    /// Levels in the seed table of this shard's text.
+    fn seed_depth(&self) -> usize {
+        size_model::seed_depth(self.index.text_len())
+    }
 }
 
 /// A buildable, serialisable, loadable index artifact: reference +
@@ -255,10 +260,29 @@ impl IndexArtifact {
         &self.shards
     }
 
-    /// Total serialisable index bytes across all shards
-    /// ([`FmIndex::size_bytes`]; container framing excluded).
+    /// Total index bytes across all shards, as a platform holds them: the
+    /// serialisable tables ([`FmIndex::size_bytes`]; container framing
+    /// excluded) and [`IndexArtifact::seed_bytes`].
     pub fn index_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.index.size_bytes()).sum()
+        let stored: usize = self.shards.iter().map(|s| s.index.size_bytes()).sum();
+        stored + self.seed_bytes()
+    }
+
+    /// Levels in the seed table a platform derives from a shard when it
+    /// maps it (beyond the paper; stored in no artifact): the deepest
+    /// over the shards, 0 where none is long enough for a table.
+    pub fn seed_depth(&self) -> usize {
+        let depths = self.shards.iter().map(|s| s.seed_depth());
+        depths.max().unwrap_or(0)
+    }
+
+    /// Bytes of those tables, summed over the shards.
+    pub fn seed_bytes(&self) -> usize {
+        let tables = self
+            .shards
+            .iter()
+            .map(|s| size_model::seed_bytes(s.seed_depth()));
+        tables.sum()
     }
 
     /// What [`size_model::footprint`] predicts for this artifact's
@@ -354,7 +378,11 @@ impl IndexArtifact {
             ));
         }
         let (body, trailer) = rest.split_at(rest.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+        let stored = u64::from_le_bytes(
+            trailer
+                .try_into()
+                .expect("split_at(len - 8) of 8 or more bytes leaves an 8-byte trailer"),
+        );
         if fm_io::fnv1a(body) != stored {
             return Err(LoadArtifactError::Corrupt("checksum mismatch".to_string()));
         }
@@ -427,6 +455,15 @@ impl IndexArtifact {
                     index.reference_len()
                 )));
             }
+            // A stream can be a sound index and still not one a platform
+            // can map: `MappedIndex::from_index` asserts this width.
+            if index.bucket_width() != SubArrayLayout::BASES_PER_ROW {
+                return Err(LoadArtifactError::Corrupt(format!(
+                    "shard {i} has Occ buckets of {} bases, a word line holds {}",
+                    index.bucket_width(),
+                    SubArrayLayout::BASES_PER_ROW
+                )));
+            }
             shards.push(ArtifactShard {
                 start,
                 index: Arc::new(index),
@@ -467,13 +504,17 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self, section: &str) -> Result<u64, LoadArtifactError> {
         Ok(u64::from_le_bytes(
-            self.bytes(8, section)?.try_into().expect("8 bytes"),
+            self.bytes(8, section)?
+                .try_into()
+                .expect("bytes(8, _) returns 8 bytes or an error"),
         ))
     }
 
     fn u32(&mut self, section: &str) -> Result<u32, LoadArtifactError> {
         Ok(u32::from_le_bytes(
-            self.bytes(4, section)?.try_into().expect("4 bytes"),
+            self.bytes(4, section)?
+                .try_into()
+                .expect("bytes(4, _) returns 4 bytes or an error"),
         ))
     }
 }
@@ -823,6 +864,7 @@ fn union_sorted(mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use readsim::genome;
 
     fn test_artifact(len: usize, window: usize) -> IndexArtifact {
@@ -907,6 +949,211 @@ mod tests {
         assert!(stream.len() <= 64);
         match IndexArtifact::load(&stream[..]).unwrap_err() {
             LoadArtifactError::Corrupt(msg) => assert_eq!(msg, "truncated in reference"),
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
+
+    /// A saved two-shard artifact (each shard long enough for a seed
+    /// table), with where its length and geometry fields sit, as
+    /// `(offset, width)`, and where its shard streams do, as ranges.
+    struct Saved {
+        bytes: Vec<u8>,
+        fields: Vec<(usize, usize)>,
+        streams: Vec<std::ops::Range<usize>>,
+    }
+
+    fn saved_with_layout() -> Saved {
+        let name = "mut";
+        let artifact = IndexArtifact::build(name, &genome::uniform(5_000, 61), 4, 2_500, 100);
+        assert_eq!(artifact.shards().len(), 2);
+        assert_eq!(artifact.seed_depth(), 1);
+        let mut bytes = Vec::new();
+        artifact.save(&mut bytes).expect("save");
+        let mut fields = Vec::new();
+        let mut streams = Vec::new();
+        let mut pos = ARTIFACT_MAGIC.len();
+        let mut field = |pos: &mut usize, width: usize| {
+            fields.push((*pos, width));
+            *pos += width;
+        };
+        field(&mut pos, 8); // name length
+        pos += name.len();
+        field(&mut pos, 8); // reference length
+        pos += artifact.reference().len().div_ceil(4);
+        field(&mut pos, 4); // SA rate
+        field(&mut pos, 8); // shard window
+        field(&mut pos, 8); // shard overlap
+        field(&mut pos, 8); // shard count
+        for shard in artifact.shards() {
+            let index = shard.index();
+            field(&mut pos, 8); // shard start
+            field(&mut pos, 8); // stream length
+            let start = pos;
+            pos += fm_io::MAGIC.len();
+            field(&mut pos, 8); // text length
+            field(&mut pos, 8); // sentinel
+            pos += index.text_len().div_ceil(4) + 16; // BWT, Count
+            field(&mut pos, 8); // bucket width
+            field(&mut pos, 8); // bucket count
+            pos += index.marker_table().size_bytes() + 1; // markers, SA tag
+            field(&mut pos, 4); // SA rate
+            field(&mut pos, 8); // SA rows
+            field(&mut pos, 8); // SA entries stored
+            pos = start + fm_io::stream_len(index);
+            streams.push(start..pos);
+        }
+        assert_eq!(pos + 8, bytes.len(), "the layout walk ends at the trailer");
+        Saved {
+            bytes,
+            fields,
+            streams,
+        }
+    }
+
+    #[derive(Debug)]
+    enum Mutation {
+        /// Keep this many bytes.
+        Truncate(usize),
+        /// Flip one bit of one byte.
+        BitFlip(usize, u8),
+        /// Overwrite a length or geometry field.
+        Inflate(usize, u64),
+        /// Copy `len` bytes from `from` over those at `to`.
+        Splice { from: usize, to: usize, len: usize },
+    }
+
+    impl Mutation {
+        /// One of the four kinds from three raw draws. An inflated field
+        /// gets a length no stream backs, or a small one.
+        fn from_draws(kind: u8, a: usize, b: usize, c: u64) -> Mutation {
+            const HUGE: [u64; 5] = [0, 1 << 31, 1 << 40, 1 << 62, u64::MAX];
+            match kind {
+                0 => Mutation::Truncate(a),
+                1 => Mutation::BitFlip(a, (c % 8) as u8),
+                2 => Mutation::Inflate(a, *HUGE.get(b % 8).unwrap_or(&(c % 8_192))),
+                _ => Mutation::Splice {
+                    from: a,
+                    to: b,
+                    len: 1 + (c % 600) as usize,
+                },
+            }
+        }
+    }
+
+    /// Overwrites the last 8 bytes with the FNV-1a of what lies between
+    /// the 8-byte magic and them: both checksums are laid out so.
+    fn restamp(stream: &mut [u8]) {
+        if let Some(body_end) = stream.len().checked_sub(8).filter(|&end| end >= 8) {
+            let digest = fm_io::fnv1a(&stream[8..body_end]);
+            stream[body_end..].copy_from_slice(&digest.to_le_bytes());
+        }
+    }
+
+    /// Applies `mutation` to a saved artifact, every index taken modulo
+    /// what it indexes, then makes the checksums hold again: none, the
+    /// container's, or the shard streams' and the container's — a
+    /// checksum only proves the bytes are the ones somebody wrote.
+    fn mutated(saved: &Saved, mutation: &Mutation, restamps: u8) -> Vec<u8> {
+        let mut bytes = saved.bytes.clone();
+        let len = bytes.len();
+        match *mutation {
+            Mutation::Truncate(keep) => bytes.truncate(keep % len),
+            Mutation::BitFlip(at, bit) => bytes[at % len] ^= 1 << bit,
+            Mutation::Inflate(field, value) => {
+                let (at, width) = saved.fields[field % saved.fields.len()];
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            }
+            Mutation::Splice { from, to, len: n } => {
+                let n = n.min(len);
+                let (from, to) = (from % (len - n + 1), to % (len - n + 1));
+                bytes.copy_within(from..from + n, to);
+            }
+        }
+        if restamps == 2 && bytes.len() == len {
+            for stream in &saved.streams {
+                restamp(&mut bytes[stream.clone()]);
+            }
+        }
+        if restamps >= 1 {
+            restamp(&mut bytes);
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes through `load`, and what loads through the
+        /// mapping (seed-table derivation included): a typed error or a
+        /// platform, never a panic, and never an allocation sized by a
+        /// field the bytes do not back — a length of 2⁴⁰ or 2⁶² would abort
+        /// the test, not fail it.
+        #[test]
+        fn mutated_artifacts_load_or_fail_typed(
+            kind in 0u8..4,
+            a in any::<usize>(),
+            b in any::<usize>(),
+            c in any::<u64>(),
+            restamps in 0u8..3,
+        ) {
+            let saved = saved_with_layout();
+            let mutation = Mutation::from_draws(kind, a, b, c);
+            let bytes = mutated(&saved, &mutation, restamps);
+            match IndexArtifact::load(&bytes[..]) {
+                Ok(artifact) => {
+                    prop_assert!(
+                        artifact.index_bytes() <= 2 * saved.bytes.len(),
+                        "{:?}",
+                        mutation
+                    );
+                    let platform =
+                        ShardedPlatform::from_artifact(&artifact, PimAlignerConfig::baseline(), true);
+                    prop_assert_eq!(platform.shard_count(), artifact.shards().len());
+                }
+                Err(LoadArtifactError::Io(e)) => {
+                    prop_assert!(false, "{:?}: a slice cannot fail: {}", mutation, e)
+                }
+                Err(e) => prop_assert!(!e.to_string().is_empty(), "{:?}", mutation),
+            }
+        }
+    }
+
+    #[test]
+    fn the_mutator_reaches_every_layer() {
+        // The pristine bytes load; a flipped marker fails at the
+        // container's checksum; with that restamped, at the shard
+        // stream's own; with both, in the index's cross-check against its
+        // BWT — so the sweep above is not a sweep of one checksum test.
+        let saved = saved_with_layout();
+        assert!(IndexArtifact::load(&saved.bytes[..]).is_ok());
+        let (bucket_count, width) = saved.fields[11];
+        let flip = Mutation::BitFlip(bucket_count + width, 0);
+        let error = |restamps| {
+            IndexArtifact::load(&mutated(&saved, &flip, restamps)[..])
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(error(0).contains("checksum mismatch"), "{}", error(0));
+        assert!(error(1).contains("shard"), "{}", error(1));
+        assert!(error(1).contains("checksum mismatch"), "{}", error(1));
+        assert!(!error(2).contains("checksum"), "{}", error(2));
+        // An index no platform can map — sound, but bucketed by 64 — in
+        // place of the first shard's.
+        let reference = genome::uniform(5_000, 61);
+        let narrow = FmIndex::builder()
+            .bucket_width(64)
+            .sa_storage(SaStorage::Sampled(4))
+            .build(&reference.subseq(0..2_600));
+        let mut stream = Vec::new();
+        fm_io::save(&narrow, &mut stream).expect("save");
+        let first = saved.streams[0].clone();
+        let mut bytes = saved.bytes[..first.start - 8].to_vec();
+        bytes.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&stream);
+        bytes.extend_from_slice(&saved.bytes[first.end..]);
+        restamp(&mut bytes);
+        match IndexArtifact::load(&bytes[..]).unwrap_err() {
+            LoadArtifactError::Corrupt(msg) => assert!(msg.contains("buckets of 64"), "{msg}"),
             other => panic!("expected Corrupt, got {other}"),
         }
     }

@@ -9,21 +9,24 @@ use crate::mapping::{LfmBatchScratch, MappedIndex};
 /// Statistics of one exact search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactStats {
-    /// `LFM` invocations issued: two per consumed base while the interval
-    /// spans several rows, one per base once it is a single row (see
-    /// `MappedIndex::step`) — about `m + 2·log₄ N` for a read of `m`
-    /// bases that occurs once. Algorithm 1 as published issues
+    /// `LFM` invocations issued: none for the bases a seed-table read
+    /// covers (`MappedIndex::start`), then two per consumed base while the
+    /// interval spans several rows and one per base once it is a single
+    /// row (`MappedIndex::step`) — about `m + log₄ N − 2·k` for a read of
+    /// `m` bases that occurs once. Algorithm 1 as published issues
     /// `2 · bases_consumed`.
     pub lfm_calls: u64,
     /// Read bases consumed before success or early failure.
     pub bases_consumed: usize,
 }
 
-/// Runs Algorithm 1 on the platform: initialises the DPU interval to
-/// `[0, N)`, walks the read right-to-left, and extends the interval by
-/// each base with the in-memory `LFM` procedure — one interval step a
-/// base, `LFM(low)` and `LFM(high)` or, on a one-row interval, the one
-/// `LFM` that serves both bounds — stopping early when `low ≥ high`.
+/// Runs Algorithm 1 on the platform: starts the DPU interval at `[0, N)`
+/// — or, beyond the paper, at what the seed table holds for the read's
+/// last `k` bases (`MappedIndex::start`) — walks the rest of the read
+/// right-to-left, and extends the interval by each base with the
+/// in-memory `LFM` procedure — one interval step a base, `LFM(low)` and
+/// `LFM(high)` or, on a one-row interval, the one `LFM` that serves both
+/// bounds — stopping early when `low ≥ high`.
 ///
 /// The index is shared and immutable; the caller supplies the session's
 /// own fault-injection stream, DPU and ledger, and optionally its
@@ -43,12 +46,66 @@ pub fn exact_search(
     exact_search_recorded(mapped, injector, dpu, read, cache, None, ledger)
 }
 
-/// The match descent of one exact search: `descent[j]` is the interval of
-/// the read's last `j` bases, from `[0, N)` at `j = 0` up to the last base
-/// that extended — the whole read, or the one before the search failed.
-/// Stage 2 starts from it instead of walking those bases again (see
-/// `crate::inexact`).
-pub(crate) type Descent = Vec<(u32, u32)>;
+/// The match descent of one exact search: the interval of the read's last
+/// `j` bases for `j = 0`, `[0, N)`, and for every `j` from where the walk
+/// took over — 1, or `k` after a level-`k` seed read — up to the last
+/// base that extended: the whole read, or the one before the search
+/// failed. Stage 2 starts from it instead of walking those bases again
+/// (see `crate::inexact`); the depths between, which nothing walked, it
+/// reads from the seed table if it needs them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Descent {
+    /// The depth of `held[1]`.
+    resumed: usize,
+    held: Vec<(u32, u32)>,
+}
+
+impl Descent {
+    /// A descent of nothing, not even `[0, N)`: a buffer to record into.
+    pub(crate) fn new() -> Descent {
+        Descent::default()
+    }
+
+    /// Whether nothing is recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.held.is_empty()
+    }
+
+    /// Starts the record over, overwriting what the buffer held: `[0, n)`
+    /// and, if the start covered `depth > 0` bases, the `interval` it
+    /// loaded for them.
+    pub(crate) fn restart(&mut self, n: u32, depth: usize, interval: (u32, u32)) {
+        self.held.clear();
+        self.held.push((0, n));
+        self.resumed = depth.max(1);
+        if depth > 0 {
+            self.held.push(interval);
+        }
+    }
+
+    /// Records the interval of one more base.
+    pub(crate) fn push(&mut self, interval: (u32, u32)) {
+        self.held.push(interval);
+    }
+
+    /// Bases matched: the depth of the last interval.
+    pub(crate) fn matched(&self) -> usize {
+        match self.held.len() {
+            0 | 1 => 0,
+            held => self.resumed + held - 2,
+        }
+    }
+
+    /// The interval at `depth`, if the descent holds it: `None` past its
+    /// end, and at the depths a seed read skipped.
+    pub(crate) fn get(&self, depth: usize) -> Option<(u32, u32)> {
+        match depth {
+            0 => self.held.first().copied(),
+            _ if depth >= self.resumed => self.held.get(depth - self.resumed + 1).copied(),
+            _ => None,
+        }
+    }
+}
 
 /// [`exact_search`] that also records its [`Descent`] into `descent`,
 /// overwriting what the buffer held.
@@ -61,16 +118,18 @@ pub(crate) fn exact_search_recorded(
     mut descent: Option<&mut Descent>,
     ledger: &mut CycleLedger,
 ) -> (SaInterval, ExactStats) {
-    dpu.init_interval(mapped.index().text_len() as u32, ledger);
+    // An empty seed entry says the read does not occur, not where the
+    // descent breaks: the walk from `[0, N)` finds that.
+    let depth = mapped.start(read.as_slice(), dpu, ledger).unwrap_or(0);
     if let Some(descent) = descent.as_deref_mut() {
-        descent.clear();
-        descent.push((dpu.low(), dpu.high()));
+        let n = mapped.index().text_len() as u32;
+        descent.restart(n, depth, (dpu.low(), dpu.high()));
     }
     let mut stats = ExactStats {
         lfm_calls: 0,
-        bases_consumed: 0,
+        bases_consumed: depth,
     };
-    for &nt in read.iter().rev() {
+    for &nt in read.iter().rev().skip(depth) {
         let t_lfm = dpu.tracer().start(ledger);
         let interval = (dpu.low(), dpu.high());
         stats.lfm_calls += mapped.step(nt, interval, dpu, injector, cache.as_deref_mut(), ledger);
@@ -89,20 +148,22 @@ pub(crate) fn exact_search_recorded(
 }
 
 /// Runs Algorithm 1 for `reads.len()` reads in lock-step through the
-/// batched kernel: at each step every still-active read contributes its
-/// `low` then — unless its interval is one row — its `high` LFM request
-/// (read order), and the whole step executes as one batch so plane loads
-/// shared across reads are charged once. Results and statistics are
-/// bit-identical to running [`exact_search`] per read — including under
-/// seeded faults when `injectors` holds one per-read injector (indexed
-/// by read; pass an empty slice for a clean run), because the per-read
-/// draw order (low before high, steps ascending) is preserved.
+/// batched kernel: every read starts as [`exact_search`] starts it, and
+/// at each step every still-active read contributes its `low` then —
+/// unless its interval is one row — its `high` LFM request (read order),
+/// and the whole step executes as one batch so plane loads shared across
+/// reads are charged once. Results and statistics are bit-identical to
+/// running [`exact_search`] per read — including under seeded faults when
+/// `injectors` holds one per-read injector (indexed by read; pass an
+/// empty slice for a clean run), because the per-read draw order (low
+/// before high, steps ascending) is preserved.
 ///
 /// Each read gets its own transient DPU (interval registers), charged
-/// exactly like the single-read path: one `IndexUpdate` at
-/// initialisation, one per consumed step, one `IndexBump` per one-row
-/// step. Reads drop out of the batch on early failure (`low ≥ high`) or
-/// exhaustion, exactly like the single-read early exit.
+/// exactly like the single-read path: one `IndexUpdate` and at most one
+/// `SeedRead` at the start, one `IndexUpdate` per consumed step, one
+/// `IndexBump` per one-row step. Reads drop out of the batch on early
+/// failure (`low ≥ high`) or exhaustion, exactly like the single-read
+/// early exit.
 pub fn exact_search_batch(
     mapped: &MappedIndex,
     injectors: &mut [FaultInjector],
@@ -132,29 +193,25 @@ pub(crate) fn exact_search_batch_cached(
     let mut lfm_calls = vec![0u64; reads.len()];
     let mut bases_consumed = vec![0usize; reads.len()];
     let mut results: Vec<Option<SaInterval>> = vec![None; reads.len()];
-    // Right-to-left base order per read, indexable by step.
-    let suffixes: Vec<Vec<bioseq::Base>> = reads
-        .iter()
-        .map(|r| r.iter().rev().copied().collect())
-        .collect();
     for (r, dpu) in dpus.iter_mut().enumerate() {
-        dpu.init_interval(n, ledger);
+        let depth = mapped.start(reads[r].as_slice(), dpu, ledger).unwrap_or(0);
+        bases_consumed[r] = depth;
         if let Some(descent) = descents.get_mut(r) {
-            descent.clear();
-            descent.push((0, n));
+            descent.restart(n, depth, (dpu.low(), dpu.high()));
         }
-        if suffixes[r].is_empty() {
+        if depth == reads[r].len() {
             results[r] = Some(SaInterval::new(dpu.low(), dpu.high()));
         }
     }
-    let max_len = suffixes.iter().map(Vec::len).max().unwrap_or(0);
     let mut steps = Vec::new();
     let mut scratch = LfmBatchScratch::new();
-    for step in 0..max_len {
+    loop {
+        // Each active read's next base, right to left; reads a seed
+        // started are `k` bases ahead of those it did not.
         steps.clear();
-        for (r, suffix) in suffixes.iter().enumerate() {
+        for (r, read) in reads.iter().enumerate() {
             if results[r].is_none() {
-                steps.push((r, suffix[step]));
+                steps.push((r, read[read.len() - 1 - bases_consumed[r]]));
             }
         }
         if steps.is_empty() {
@@ -181,7 +238,7 @@ pub(crate) fn exact_search_batch_cached(
             if let Some(descent) = descents.get_mut(r) {
                 descent.push((low, high));
             }
-            if step + 1 == suffixes[r].len() {
+            if bases_consumed[r] == reads[r].len() {
                 results[r] = Some(SaInterval::new(low, high));
             }
         }
@@ -203,7 +260,7 @@ pub(crate) fn exact_search_batch_cached(
 mod tests {
     use super::*;
     use crate::config::{AddMethod, PimAlignerConfig};
-    use crate::inexact::tests::{arb_seq, edited_read};
+    use crate::inexact::tests::{arb_seq, edited_read, island_genome, island_reads};
     use pimsim::costs::LogicalOp;
     use pimsim::Resource;
     use proptest::prelude::*;
@@ -217,16 +274,17 @@ mod tests {
         (mapped, injector, dpu, CycleLedger::new())
     }
 
-    /// Algorithm 1 as published — `LFM(low)` and `LFM(high)` for every
-    /// base, whatever the interval — recording its descent: the oracle
-    /// the interval step is held to.
+    /// Algorithm 1 as published — from `[0, N)`, `LFM(low)` and
+    /// `LFM(high)` for every base, whatever the interval — recording the
+    /// interval at every depth: the oracle the seeded start and the
+    /// interval step are held to.
     fn published_search(
         mapped: &MappedIndex,
         injector: &mut FaultInjector,
         dpu: &mut Dpu,
         read: &DnaSeq,
         ledger: &mut CycleLedger,
-    ) -> (SaInterval, ExactStats, Descent) {
+    ) -> (SaInterval, ExactStats, Vec<(u32, u32)>) {
         dpu.init_interval(mapped.index().text_len() as u32, ledger);
         let mut descent = vec![(dpu.low(), dpu.high())];
         let mut stats = ExactStats {
@@ -285,11 +343,42 @@ mod tests {
         edited_read(reference, start_frac, len, &edits, next() & 1 == 1)
     }
 
-    /// The interval step against the published descent, read by read:
-    /// the same interval at every step, the published `LFM` count
-    /// accounted for, and a ledger that differs by the `LFM`s not issued
-    /// and the bumps. Then the same searches cached, and in lock-step at
-    /// three widths, against those.
+    /// A buffer that holds another read's descent.
+    fn stale_descent() -> Descent {
+        let mut stale = Descent::new();
+        stale.restart(9, 3, (7, 8));
+        stale.push((7, 7));
+        stale
+    }
+
+    /// Checks a recorded descent against the published one: its end, the
+    /// same interval at every depth it holds, and nothing held at the
+    /// depths a read of level `seeded` skipped.
+    fn holds_the_published_intervals(
+        descent: &Descent,
+        published: &[(u32, u32)],
+        seeded: usize,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(descent.matched() + 1, published.len());
+        for (depth, &interval) in published.iter().enumerate() {
+            let held = depth == 0 || depth >= seeded;
+            prop_assert_eq!(
+                descent.get(depth),
+                held.then_some(interval),
+                "depth {}",
+                depth
+            );
+        }
+        prop_assert_eq!(descent.get(published.len()), None);
+        Ok(())
+    }
+
+    /// The seeded start and the interval step against the published
+    /// descent, read by read: the same interval at every step they take,
+    /// the published `LFM` count accounted for, and a ledger that differs
+    /// by the `LFM`s not issued, the bumps and the seed read. Then the
+    /// same searches cached, and in lock-step at three widths, against
+    /// those.
     fn step_equals_published(
         reference: &DnaSeq,
         reads: &[DnaSeq],
@@ -311,7 +400,7 @@ mod tests {
             let (want, want_stats, want_descent) =
                 published_search(&mapped, &mut injector, &mut dpu, read, &mut published);
             let mut stepped = CycleLedger::new();
-            let mut descent = vec![(9, 9)];
+            let mut descent = stale_descent();
             let (got, stats) = exact_search_recorded(
                 &mapped,
                 &mut injector,
@@ -322,10 +411,24 @@ mod tests {
                 &mut stepped,
             );
             prop_assert_eq!(got, want);
-            prop_assert_eq!(&descent, &want_descent);
             prop_assert_eq!(stats.bases_consumed, want_stats.bases_consumed);
+            // One table read if the read has `k` bases to look up, and
+            // `k` steps not walked if they all extend.
+            let k = mapped.seed_table().depth();
+            let seed_reads = u64::from(k > 0 && read.len() >= k);
+            let seeded = if seed_reads == 1 && want_descent.len() > k {
+                k
+            } else {
+                0
+            };
+            prop_assert_eq!(stepped.primitives().count(LogicalOp::SeedRead), seed_reads);
+            prop_assert_eq!(stepped.seeded_steps(), seeded as u64);
+            holds_the_published_intervals(&descent, &want_descent, seeded)?;
             let bumps = stepped.primitives().count(LogicalOp::IndexBump);
-            prop_assert_eq!(want_stats.lfm_calls, stats.lfm_calls + bumps);
+            prop_assert_eq!(
+                want_stats.lfm_calls,
+                stats.lfm_calls + bumps + 2 * seeded as u64
+            );
             prop_assert_eq!(want_stats.lfm_calls, 2 * stats.bases_consumed as u64);
             prop_assert_eq!(
                 stepped.primitives().count(LogicalOp::ImAdd32),
@@ -337,8 +440,18 @@ mod tests {
             );
 
             // Charging the `LFM`s not issued on top of the stepped ledger
-            // gives the published one, the bumps over.
+            // — one a bump, and the published walk of the `k` bases a
+            // successful seed read covered — gives the published one, the
+            // bumps, the seed read and its interval write over.
             let mut rebuilt = stepped.clone();
+            let mut over = CycleLedger::new();
+            LogicalOp::IndexBump.charge_many(&model, &mut over, bumps);
+            LogicalOp::SeedRead.charge_many(&model, &mut over, seed_reads);
+            if seeded > 0 {
+                let covered = read.subseq(read.len() - seeded..read.len());
+                published_search(&mapped, &mut injector, &mut dpu, &covered, &mut rebuilt);
+                LogicalOp::IndexUpdate.charge(&model, &mut over);
+            }
             for op in [
                 LogicalOp::XnorMatch,
                 LogicalOp::Popcount,
@@ -350,12 +463,10 @@ mod tests {
             if method == AddMethod::Mirrored {
                 LogicalOp::RowWrite.charge_many(&model, &mut rebuilt, 7 * bumps);
             }
-            let mut bumped = CycleLedger::new();
-            LogicalOp::IndexBump.charge_many(&model, &mut bumped, bumps);
             for op in LogicalOp::ALL {
                 prop_assert_eq!(
                     rebuilt.primitives().count(op),
-                    published.primitives().count(op) + bumped.primitives().count(op),
+                    published.primitives().count(op) + over.primitives().count(op),
                     "{:?}",
                     op
                 );
@@ -363,13 +474,16 @@ mod tests {
             for resource in Resource::ALL {
                 prop_assert_eq!(
                     rebuilt.busy_cycles(resource),
-                    published.busy_cycles(resource) + bumped.busy_cycles(resource),
+                    published.busy_cycles(resource) + over.busy_cycles(resource),
                     "{:?}",
                     resource
                 );
             }
-            let energy = published.energy_pj(&model) + bumped.energy_pj(&model);
-            prop_assert_eq!(rebuilt.energy_pj(&model).to_bits(), energy.to_bits());
+            over.merge(&published);
+            prop_assert_eq!(
+                rebuilt.energy_pj(&model).to_bits(),
+                over.energy_pj(&model).to_bits()
+            );
 
             let mut cached = CycleLedger::new();
             let mut cached_descent = Descent::new();
@@ -417,6 +531,7 @@ mod tests {
                     LogicalOp::IndexUpdate,
                     LogicalOp::IndexBump,
                     LogicalOp::RowWrite,
+                    LogicalOp::SeedRead,
                 ] {
                     prop_assert_eq!(
                         ledger.primitives().count(op),
@@ -426,6 +541,7 @@ mod tests {
                         width
                     );
                 }
+                prop_assert_eq!(ledger.seeded_steps(), singles_ledger.seeded_steps());
             }
             prop_assert!(ledgers[0] == ledgers[1], "the cache moved a charge");
         }
@@ -435,11 +551,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// One to two sub-arrays; up to eight windows, so that the widest
-        /// batch fills.
+        /// One to two sub-arrays and a seed table of no to three levels;
+        /// up to eight windows, so that the widest batch fills.
         #[test]
         fn step_equals_the_published_descent(
-            reference in arb_seq(200, 40_000),
+            reference in arb_seq(200, 48_000),
             picks in proptest::collection::vec(any::<u64>(), 1..=8),
             mirrored in any::<bool>(),
         ) {
@@ -462,6 +578,41 @@ mod tests {
         for method in [AddMethod::InPlace, AddMethod::Mirrored] {
             step_equals_published(&reference, &reads, method).unwrap();
             step_equals_published(&"A".parse().unwrap(), &reads, method).unwrap();
+        }
+    }
+
+    #[test]
+    fn step_equals_the_published_descent_where_seed_entries_are_empty() {
+        // Reads shorter than the table is deep, of exactly its depth, and
+        // ending in 3-mers a poly-A genome with one island lacks.
+        let reference = island_genome();
+        let reads = island_reads();
+        let mapped = MappedIndex::build(&reference, &PimAlignerConfig::baseline());
+        assert_eq!(mapped.seed_table().depth(), 3);
+        let mut ledger = CycleLedger::new();
+        let mut dpu = Dpu::new(mapped.model());
+        let started: Vec<Option<usize>> = reads
+            .iter()
+            .map(|read| mapped.start(read.as_slice(), &mut dpu, &mut ledger))
+            .collect();
+        assert_eq!(
+            started,
+            [
+                Some(3),
+                Some(3),
+                None,
+                Some(3),
+                Some(3),
+                None,
+                Some(0),
+                Some(0),
+                Some(0)
+            ]
+        );
+        assert_eq!(ledger.primitives().count(LogicalOp::SeedRead), 6);
+        assert_eq!(ledger.seeded_steps(), 4 * 3);
+        for method in [AddMethod::InPlace, AddMethod::Mirrored] {
+            step_equals_published(&reference, &reads, method).unwrap();
         }
     }
 
@@ -590,7 +741,7 @@ mod tests {
         let mut cache = KernelCache::new();
         let mut cached_injectors = fresh_injectors();
         let mut cached_ledger = CycleLedger::new();
-        let mut descents = vec![vec![(1, 2), (3, 4)]; reads.len()];
+        let mut descents = vec![stale_descent(); reads.len()];
         let cached = exact_search_batch_cached(
             &mapped,
             &mut cached_injectors,
@@ -617,10 +768,10 @@ mod tests {
             );
             assert_eq!(batched[r], (expected, expected_stats), "read {r}");
             assert_eq!(descents[r], descent, "read {r}");
-            assert_eq!(descent[0], (0, reference.len() as u32 + 1), "read {r}");
-            // One interval per base that extended.
+            assert_eq!(descent.get(0), Some((0, reference.len() as u32 + 1)));
+            // It ends at the last base that extended.
             let extended = expected_stats.bases_consumed - usize::from(expected.is_empty());
-            assert_eq!(descent.len(), 1 + extended, "read {r}");
+            assert_eq!(descent.matched(), extended, "read {r}");
             assert_eq!(injectors[r].counters(), oracle.counters(), "read {r}");
             assert_eq!(
                 cached_injectors[r].counters(),

@@ -32,7 +32,10 @@
 //!   round starts with, and it is the walk stage 1 has just failed on:
 //!   the aligner hands that descent over, the bound pass starts where it
 //!   broke, and each round re-creates its frames without issuing an
-//!   `LFM`;
+//!   `LFM`. Beyond the paper, a descent starts from the seed table's
+//!   interval for the next `k` bases where it can (`MappedIndex::start`)
+//!   and holds no interval for the depths that skipped: a round reads
+//!   from the table those of the frames it saves there;
 //! * when the descent broke deep in the read, the difference is almost
 //!   surely at the break, so first-accept mode tries the break frame's
 //!   one-difference alternatives before it pays for the rest of the
@@ -263,12 +266,6 @@ impl<'a> Search<'a> {
         (!self.dpu.interval_empty()).then_some((self.dpu.low(), self.dpu.high()))
     }
 
-    /// The interval of the empty string, loaded into the DPU.
-    fn whole_text(&mut self) -> (u32, u32) {
-        self.dpu.init_interval(self.n, self.ledger);
-        (0, self.n)
-    }
-
     /// Makes the match descent from the read's last base, unless the
     /// exact stage handed its own over: the `LFM`s Algorithm 1 issues,
     /// kept in `path`. Returns the base the descent broke at — extending
@@ -277,8 +274,8 @@ impl<'a> Search<'a> {
         if self.path.is_empty() {
             self.first_absent_before(self.read.len(), true);
         }
-        debug_assert!(self.path.len() <= self.read.len() + 1);
-        self.read.len().checked_sub(self.path.len())
+        debug_assert!(self.path.matched() <= self.read.len());
+        self.read.len().checked_sub(self.path.matched() + 1)
     }
 
     /// One greedy right-to-left exact pass (`m` interval steps, so at
@@ -313,22 +310,26 @@ impl<'a> Search<'a> {
         Some(self.absent.len() as u8)
     }
 
-    /// Extends the empty string leftward from `read[end - 1]`, keeping
+    /// Starts a descent of `read[..end]` and extends it leftward, keeping
     /// the intervals in `path` if `record`; returns the first base that
-    /// does not extend, if one does not.
+    /// does not extend, if one does not. Where the seed table has nothing
+    /// for the first `k` bases the walk from `[0, N)` finds which of them
+    /// it is.
     fn first_absent_before(&mut self, end: usize, record: bool) -> Option<usize> {
-        let mut interval = self.whole_text();
-        for i in (0..end).rev() {
-            if record {
-                self.path.push(interval);
-            }
+        let ahead = &self.read.as_slice()[..end];
+        let depth = self.mapped.start(ahead, self.dpu, self.ledger).unwrap_or(0);
+        let mut interval = (self.dpu.low(), self.dpu.high());
+        if record {
+            self.path.restart(self.n, depth, interval);
+        }
+        for i in (0..end - depth).rev() {
             interval = match self.extend(self.read[i], interval.0, interval.1) {
                 Some(next) => next,
                 None => return Some(i),
             };
-        }
-        if record {
-            self.path.push(interval);
+            if record {
+                self.path.push(interval);
+            }
         }
         None
     }
@@ -362,8 +363,8 @@ impl<'a> Search<'a> {
     /// counts in `d` from `e − 1` — the first one from the read's last
     /// base, although what makes it absent is typically next to `s`.
     /// Each substring longer than [`Search::trimmed_len`] is re-tested
-    /// as its first `L` bases with one more backward pass (`L` interval
-    /// steps, at most `2·L` `LFM`s) and, if those are absent too,
+    /// as its first `L` bases with one more backward pass (a descent of
+    /// `L` bases, at most `2·L` `LFM`s) and, if those are absent too,
     /// replaced by them, which moves its count down to `s + L − 1`: BWA's
     /// `D[]`, without the reverse-text index.
     fn trim(&mut self) {
@@ -373,15 +374,22 @@ impl<'a> Search<'a> {
             if end - start <= len {
                 continue;
             }
-            let (mut low, mut high) = self.whole_text();
-            for i in (start..start + len).rev() {
-                match self.extend(self.read[i], low, high) {
-                    Some(next) => (low, high) = next,
-                    None => {
-                        self.absent[k].1 = start + len;
-                        break;
+            let ahead = &self.read.as_slice()[start..start + len];
+            let absent = match self.mapped.start(ahead, self.dpu, self.ledger) {
+                // Absent is all the re-test asks: an empty seed entry
+                // answers it, wherever in those bases a walk would break.
+                None => true,
+                Some(depth) => {
+                    let mut interval = Some((self.dpu.low(), self.dpu.high()));
+                    for i in (start..start + len - depth).rev() {
+                        let Some((low, high)) = interval else { break };
+                        interval = self.extend(self.read[i], low, high);
                     }
+                    interval.is_none()
                 }
+            };
+            if absent {
+                self.absent[k].1 = start + len;
             }
         }
         self.count_absent();
@@ -399,67 +407,99 @@ impl<'a> Search<'a> {
     /// Starts a round of the DFS at budget `z` by re-creating the states
     /// of the match descent from `path` — the visits the DFS would begin
     /// with, in its order, none issuing an `LFM` — and saving those
-    /// `saved` names as a visit does.
+    /// `saved` names as a visit does. A frame at a depth the descent's
+    /// seed read skipped has no interval in `path`: if it is saved, it and
+    /// its match continuation are read from the seed table's level for
+    /// that depth, each level once a round.
     fn start_round(&mut self, z: u8, saved: Saved) {
         debug_assert!(self.stack.is_empty() && self.dpu.stack_depth() == 0);
         self.round = z;
-        let mut frame = Frame {
-            i: self.read.len() as isize - 1,
-            z: z as i16,
-            low: 0,
-            high: self.n,
-        };
-        while frame.i >= 0 {
+        let z = z as i16;
+        let m = self.read.len();
+        let matched = self.path.matched();
+        // The interval of the frame in hand, if held or read.
+        let mut own = Some((0, self.n));
+        for depth in 0..m.min(matched + 1) {
             self.stats.states_explored += 1;
-            let matched = self.path.get(self.read.len() - frame.i as usize).copied();
+            let i = (m - 1 - depth) as isize;
+            let continues = depth < matched;
+            let mut next = self.path.get(depth + 1);
             let save = match saved {
                 Saved::All => true,
-                Saved::BreakOnly => matched.is_none(),
-                Saved::AllButBreak => matched.is_some(),
+                Saved::BreakOnly => !continues,
+                Saved::AllButBreak => continues,
             };
-            match self.descend(frame, matched, save) {
-                Some(next) => frame = next,
-                None => return,
+            if save && self.affords_an_alternative(i, z) {
+                let (low, high) = match own {
+                    Some(held) => held,
+                    None => self.seeded(depth),
+                };
+                if continues && next.is_none() {
+                    next = Some(self.seeded(depth + 1));
+                }
+                self.save(Frame { i, z, low, high }, next);
             }
+            if !continues {
+                return;
+            }
+            own = next;
         }
         // The whole read matched.
-        self.stack.push(Entry::Visit(frame));
-    }
-
-    /// Visits a state with `i >= 0`: issues the match continuation only.
-    fn visit(&mut self, frame: Frame) {
-        let matched = self.extend(self.read[frame.i as usize], frame.low, frame.high);
-        if let Some(next) = self.descend(frame, matched, true) {
-            self.stack.push(Entry::Visit(next));
-        }
-    }
-
-    /// Steps from a visited state to `matched`, its match continuation,
-    /// saving the state in the register file if `save` and an alternative
-    /// could still reach a hit. `None` when the match does not continue.
-    fn descend(&mut self, frame: Frame, matched: Option<(u32, u32)>, save: bool) -> Option<Frame> {
-        // An alternative spends one difference on read[i] (or before
-        // it) and must still afford read[0..i].
-        if save && frame.z > self.bound(frame.i - 1) {
-            self.dpu.push_state(
-                BacktrackState {
-                    position: frame.i as u32,
-                    low: frame.low,
-                    high: frame.high,
-                    budget: frame.z as i8,
-                    symbol: self.read[frame.i as usize].rank() as u8,
-                },
-                self.ledger,
-            );
-            self.stats.max_stack_depth = self.stats.max_stack_depth.max(self.dpu.stack_depth());
-            self.stack.push(Entry::Deferred(frame, matched));
-        }
-        matched.map(|(low, high)| Frame {
-            i: frame.i - 1,
+        let (low, high) = own.expect("a descent holds its last interval");
+        self.stack.push(Entry::Visit(Frame {
+            i: -1,
+            z,
             low,
             high,
-            ..frame
-        })
+        }));
+    }
+
+    /// The interval of the read's last `depth` bases, read from the seed
+    /// table: what the descent's start skipped.
+    fn seeded(&mut self, depth: usize) -> (u32, u32) {
+        let kmer = &self.read.as_slice()[self.read.len() - depth..];
+        self.mapped.read_seed(kmer, self.ledger)
+    }
+
+    /// Visits a state with `i >= 0`: issues the match continuation only,
+    /// and saves the state if an alternative could still reach a hit.
+    fn visit(&mut self, frame: Frame) {
+        let matched = self.extend(self.read[frame.i as usize], frame.low, frame.high);
+        if self.affords_an_alternative(frame.i, frame.z) {
+            self.save(frame, matched);
+        }
+        if let Some((low, high)) = matched {
+            self.stack.push(Entry::Visit(Frame {
+                i: frame.i - 1,
+                low,
+                high,
+                ..frame
+            }));
+        }
+    }
+
+    /// Whether a state at `read[i]` with `z` differences left has an
+    /// alternative worth saving it for: one spends a difference on
+    /// `read[i]` (or before it) and must still afford `read[0..i]`.
+    fn affords_an_alternative(&self, i: isize, z: i16) -> bool {
+        z > self.bound(i - 1)
+    }
+
+    /// Saves a visited state in the register file, beside `matched`, its
+    /// match continuation.
+    fn save(&mut self, frame: Frame, matched: Option<(u32, u32)>) {
+        self.dpu.push_state(
+            BacktrackState {
+                position: frame.i as u32,
+                low: frame.low,
+                high: frame.high,
+                budget: frame.z as i8,
+                symbol: self.read[frame.i as usize].rank() as u8,
+            },
+            self.ledger,
+        );
+        self.stats.max_stack_depth = self.stats.max_stack_depth.max(self.dpu.stack_depth());
+        self.stack.push(Entry::Deferred(frame, matched));
     }
 
     /// Backtracks into a deferred frame: its match continuation is
@@ -548,7 +588,7 @@ impl<'a> Search<'a> {
     /// there is one, covers the other frames.
     fn first_hit(&mut self) -> Option<InexactHit> {
         let broke_deep = self.descent().is_some()
-            && self.path.len() - 1 > self.trimmed_len()
+            && self.path.matched() > self.trimmed_len()
             && self.budget.max_diffs() > 0;
         if broke_deep {
             // No bound is known yet, and none is needed: the frame
@@ -696,6 +736,37 @@ pub(crate) mod tests {
     pub(crate) fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
         proptest::collection::vec(0u8..4, min..max)
             .prop_map(|v| v.into_iter().map(|r| Base::from_rank(r as usize)).collect())
+    }
+
+    /// Poly-A with one island, 44 kbp: a seed table of three levels in
+    /// which most entries are empty, so that a descent's start falls back
+    /// to the walk from `[0, N)`.
+    pub(crate) fn island_genome() -> DnaSeq {
+        let mut bases = vec![Base::A; 44_000];
+        let island: DnaSeq = "CGTTGC".parse().unwrap();
+        bases.splice(6_000..6_006, island.iter().copied());
+        DnaSeq::from_bases(bases)
+    }
+
+    /// Reads of [`island_genome`]: across the island, clean and with a
+    /// substitution in it; ending in a 3-mer the genome lacks, at the
+    /// read's end and where the bound pass starts over; of exactly the
+    /// table's depth, present and absent; and shorter than it.
+    pub(crate) fn island_reads() -> Vec<DnaSeq> {
+        [
+            "AAAAACGTTGCAAAAA",
+            "AAAAACGATGCAAAAA",
+            "AAAAAAAAAAAAAGGG",
+            "AAAAAACCAAAAAAAAAACCAAAA",
+            "TGC",
+            "TTT",
+            "GC",
+            "GG",
+            "A",
+        ]
+        .iter()
+        .map(|read| read.parse().unwrap())
+        .collect()
     }
 
     /// A window of `reference`, at most `len` bases, with every code of
@@ -861,7 +932,9 @@ pub(crate) mod tests {
             prop_assert_eq!(dpu.stack_depth(), 0, "register file not unwound");
 
             let mut staged = CycleLedger::new();
-            let mut descent = vec![(7, 7)]; // stale: the exact stage overwrites it
+            // Stale: the exact stage overwrites it.
+            let mut descent = Descent::new();
+            descent.restart(7, 2, (7, 7));
             let (interval, exact) = exact_search_recorded(
                 &mapped,
                 &mut injector,
@@ -871,10 +944,10 @@ pub(crate) mod tests {
                 Some(&mut descent),
                 &mut staged,
             );
-            // One interval per base that extended, after [0, N).
+            // It ends at the last base that extended.
             prop_assert_eq!(
-                descent.len(),
-                1 + exact.bases_consumed - usize::from(interval.is_empty())
+                descent.matched(),
+                exact.bases_consumed - usize::from(interval.is_empty())
             );
             let (hits, seeded) = inexact_search_from(
                 &mapped,
@@ -934,10 +1007,29 @@ pub(crate) mod tests {
             (&homopolymer, "A".parse().unwrap()),
             (&homopolymer, "C".parse().unwrap()),
         ];
-        for (reference, read) in &cases {
+        let island = island_genome();
+        let island_reads = island_reads();
+        let cases = cases
+            .iter()
+            .map(|(reference, read)| (*reference, read))
+            .chain(island_reads.iter().map(|read| (&island, read)));
+        for (reference, read) in cases {
             for z in 0..3 {
                 for indels in [false, true] {
                     seeded_equals_unseeded(reference, read, z, indels)
+                        .unwrap_or_else(|e| panic!("{read} at z = {z}: {e}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn search_equals_eager_reference_where_seed_entries_are_empty() {
+        let island = island_genome();
+        for read in &island_reads() {
+            for z in 0..3 {
+                for indels in [false, true] {
+                    equals_eager_reference(&island, read, z, indels)
                         .unwrap_or_else(|e| panic!("{read} at z = {z}: {e}"));
                 }
             }
@@ -1090,7 +1182,7 @@ pub(crate) mod tests {
         );
         assert_eq!(search.lower_bound(), Some(1));
         assert_eq!(search.absent, [(4, 100)]);
-        assert_eq!(search.path.len(), 100 - 4, "read[5..100) matched");
+        assert_eq!(search.path.matched(), 100 - 5, "read[5..100) matched");
         assert_eq!((search.d[98], search.d[99]), (0, 1));
         search.start_round(1, Saved::All);
         assert_eq!(search.next_hit(), None);
@@ -1099,14 +1191,22 @@ pub(crate) mod tests {
         let len = search.trimmed_len();
         assert_eq!(len, 9 + 6, "⌈log₄ 200 001⌉ = 9");
         let bumps = |search: &Search| search.ledger.primitives().count(LogicalOp::IndexBump);
+        let seeded = |search: &Search| search.ledger.seeded_steps();
         let (before, bumps_before) = (search.stats.lfm_calls, bumps(&search));
+        let seeded_before = seeded(&search);
         search.trim();
-        // One interval step a base, the published two `LFM`s each but for
-        // the last five, which found the interval down to one row (30
-        // `LFM`s before the one-row step).
+        // One seed read for the first four bases, then one interval step
+        // a base, the published two `LFM`s each but for the last five,
+        // which found the interval down to one row: 17 `LFM`s (25 from
+        // `[0, N)`, 30 before the one-row step).
         let bumped = bumps(&search) - bumps_before;
-        assert_eq!(search.stats.lfm_calls - before, 2 * len as u64 - bumped);
-        assert_eq!(bumped, 5);
+        let skipped = seeded(&search) - seeded_before;
+        assert_eq!(skipped, mapped.seed_table().depth() as u64);
+        assert_eq!(
+            search.stats.lfm_calls - before,
+            2 * (len as u64 - skipped) - bumped
+        );
+        assert_eq!((skipped, bumped), (4, 5));
         assert_eq!(search.absent, [(4, 4 + len)]);
         assert_eq!((search.d[4 + len - 2], search.d[4 + len - 1]), (0, 1));
         assert_eq!(search.d[99], 1);
@@ -1233,10 +1333,11 @@ pub(crate) mod tests {
     #[test]
     fn first_accept_cost_is_linear_in_read_length() {
         // On a clean read the production mode pays the lower-bound pass
-        // only — two LFMs a base while the interval spans several rows,
-        // ⌈log₄ 8 001⌉ = 7 bases and a couple more, then one a base — and
-        // the round replays that descent: 108 LFMs (200 at two a base
-        // throughout).
+        // only — a seed read for the last base (the table of 8 001 rows
+        // has one level), two LFMs a base while the interval spans
+        // several rows, ⌈log₄ 8 001⌉ = 7 bases and a couple more less
+        // that one, then one a base — and the round replays that descent:
+        // 106 LFMs (200 at two a base throughout).
         let reference = genome::uniform(8_000, 26);
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = reference.subseq(2_000..2_100);
@@ -1250,12 +1351,13 @@ pub(crate) mod tests {
         );
         assert_eq!(hit.expect("a clean read maps").diffs, 0);
         assert!(
-            stats.lfm_calls <= read.len() as u64 + 2 * (7 + 2),
+            stats.lfm_calls <= read.len() as u64 + 2 * (7 + 2) - 2,
             "first-accept LFM count {} too high",
             stats.lfm_calls
         );
         let bumps = ledger.primitives().count(LogicalOp::IndexBump);
-        assert_eq!(stats.lfm_calls + bumps, 2 * read.len() as u64);
+        assert_eq!((ledger.seeded_steps(), bumps), (1, 92));
+        assert_eq!(stats.lfm_calls + bumps + 2, 2 * read.len() as u64);
     }
 
     #[test]
@@ -1282,33 +1384,35 @@ pub(crate) mod tests {
                 }
                 session.lfm_calls() - before
             };
-            // Each ceiling is the count measured with the one-row step,
-            // and a few `LFM`s; beside it, the count at two `LFM`s a step.
+            // Each ceiling is the count measured with the seed table (four
+            // levels here) and the one-row step, and a few `LFM`s; beside
+            // it, the count with the step alone, and at two `LFM`s a step.
             //
-            // Mid-read: stage 1 walks to the difference, the break frame
-            // pays for it and the rest matches — one `LFM` a base from
-            // the eleventh on, the alternatives that die included: 113
-            // (206; 100 + 306 while stage 2 made the descent again and
-            // ran the bound pass to the end first).
+            // Mid-read: stage 1 reads its first four steps, walks to the
+            // difference, the break frame pays for it and the rest matches
+            // — one `LFM` a base from the eleventh on, the alternatives
+            // that die included: 105 (113; 206; 100 + 306 while stage 2
+            // made the descent again and ran the bound pass to the end
+            // first).
             let lfm = cost(read_with_substitutions_at(&reference, &[50]), Some(1));
-            assert!(lfm <= m + 16, "mid-read difference: {lfm} LFMs");
+            assert!(lfm <= m + 8, "mid-read difference: {lfm} LFMs");
             // In the 3' seed, where the interval is still wide: the break
             // is too shallow to be tried first, and round 1 tries the
-            // one-difference alternatives of the last bases: 416 (606;
-            // 18 + 606 before the hand-over).
+            // one-difference alternatives of the last bases, reading from
+            // the table the frames the descent's start skipped: 400 (416;
+            // 606; 18 + 606 before the hand-over).
             let lfm = cost(read_with_substitutions_at(&reference, &[95]), Some(1));
-            assert!(lfm <= 420, "3' seed difference: {lfm} LFMs");
+            assert!(lfm <= 404, "3' seed difference: {lfm} LFMs");
             // The wrong strand: the bound pass alone used to cost what
             // both stages may now. Its three absent substrings are about
-            // ten bases each, so one step in all reaches a one-row
-            // interval: 55 (56).
+            // ten bases each, and each starts four bases in: 31 (55; 56).
             let wrong_strand = reference.subseq(50_000..50_100).reverse_complement();
             let lfm = cost(wrong_strand, None);
-            assert!(lfm <= 56, "wrong-strand read: {lfm} LFMs");
+            assert!(lfm <= 32, "wrong-strand read: {lfm} LFMs");
             // Over budget, all at the 5' end, where the right-to-left
             // pass sees one substring: the break frame, then both rounds
-            // to exhaustion, the second on a trimmed bound: 3 661 (6 058;
-            // 52 870 on the untrimmed bound).
+            // to exhaustion, the second on a trimmed bound: 3 637 (3 661;
+            // 6 058; 52 870 on the untrimmed bound).
             let lfm = cost(read_with_substitutions_at(&reference, &[2, 3, 4]), None);
             assert!(lfm <= 37 * m, "5' over-budget read: {lfm} LFMs");
         }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bioseq::{Base, DnaSeq};
-use fmindex::{FmIndex, SaInterval};
+use fmindex::{FmIndex, SaInterval, SeedTable};
 use mram::array::ArrayModel;
 use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
@@ -185,6 +185,9 @@ pub struct MappedIndex {
     /// Shared, not owned: a platform booted from an artifact maps the
     /// artifact's own index instead of a copy of it.
     index: Arc<FmIndex>,
+    /// The interval of every read suffix of up to `k` bases, derived from
+    /// `index` here and stored in no artifact; see [`MappedIndex::start`].
+    seeds: SeedTable,
     subarrays: Vec<SubArray>,
     /// Mirror sub-arrays for method-II (empty for method-I).
     mirrors: Vec<SubArray>,
@@ -299,6 +302,7 @@ impl MappedIndex {
             }
         }
         MappedIndex {
+            seeds: SeedTable::derive(&index),
             index,
             subarrays,
             mirrors,
@@ -584,6 +588,65 @@ impl MappedIndex {
             dpu.set_interval(low, high, ledger);
             2
         }
+    }
+
+    /// Starts a descent — every search's, and every new substring's of
+    /// the inexact stage's bound pass and trim: loads `dpu`'s interval
+    /// registers for a backward search of `ahead` (read order, so the
+    /// search consumes it from its last base) and returns how many of
+    /// those bases the registers already cover.
+    ///
+    /// As published that is none: `[0, N)`, and `k` interval steps to
+    /// follow that depend on the next `k` bases alone. With a seed table
+    /// of depth `k > 0` and at least `k` bases ahead, the start issues one
+    /// read of the table's level `k` instead ([`MappedIndex::read_seed`]),
+    /// writes what it holds into the registers — the interval of those
+    /// `k` steps, from the same `LFM`s — and the walk resumes at base
+    /// `k + 1`: `Some(k)`. If the entry is empty the published walk would
+    /// have failed somewhere in those `k` bases; the registers get
+    /// `[0, N)` for a caller that has to know where, and the answer is
+    /// `None`. With fewer than `k` bases ahead, or no table, `Some(0)`.
+    ///
+    /// An extension beyond the paper (DESIGN.md §8): the read is a
+    /// [`LogicalOp::SeedRead`] beside the start's usual interval write,
+    /// takes a whole `LFM` issue slot in the time model, and the `k` steps
+    /// it stood in for are noted on the ledger so that
+    /// [`PerfReport::published_lfm_calls`](crate::PerfReport) still counts
+    /// them.
+    pub(crate) fn start(
+        &self,
+        ahead: &[Base],
+        dpu: &mut Dpu,
+        ledger: &mut CycleLedger,
+    ) -> Option<usize> {
+        let n = self.index.text_len() as u32;
+        let k = self.seeds.depth();
+        if k == 0 || ahead.len() < k {
+            dpu.init_interval(n, ledger);
+            return Some(0);
+        }
+        let (low, high) = self.read_seed(&ahead[ahead.len() - k..], ledger);
+        if low >= high {
+            dpu.init_interval(n, ledger);
+            return None;
+        }
+        dpu.set_interval(low, high, ledger);
+        ledger.note_seeded_steps(k as u64);
+        Some(k)
+    }
+
+    /// Reads the seed table's entry for `kmer` (read order, `1 ..= k`
+    /// bases): the interval that many interval steps from `[0, N)` give.
+    /// A `MEM` read of two words, so no fault is drawn on it — like
+    /// [`MappedIndex::locate`]'s.
+    pub(crate) fn read_seed(&self, kmer: &[Base], ledger: &mut CycleLedger) -> (u32, u32) {
+        LogicalOp::SeedRead.charge(self.subarrays[0].model(), ledger);
+        self.seeds.interval(kmer)
+    }
+
+    /// The seed table derived from the index when it was mapped.
+    pub fn seed_table(&self) -> &SeedTable {
+        &self.seeds
     }
 
     /// The interval write of a one-row step: `low` as its `LFM` returned

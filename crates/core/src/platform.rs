@@ -98,8 +98,9 @@ impl Platform {
 
     /// How this platform's index came to be, for the report's `index`
     /// telemetry: one shard spanning the whole reference, the index's
-    /// actual suffix-array sampling rate, its serialisable byte count
-    /// and what the size model predicts for that geometry.
+    /// actual suffix-array sampling rate, the bytes of its serialisable
+    /// tables and of the seed table mapped beside them, and what the size
+    /// model predicts for that geometry.
     pub fn index_telemetry(&self) -> crate::report::IndexTelemetry {
         let index = self.mapped.index();
         let sa_rate = match index.sa_samples() {
@@ -112,7 +113,7 @@ impl Platform {
             sa_rate,
             shard_window: self.reference.len() as u64,
             shard_overlap: 0,
-            actual_bytes: index.size_bytes() as u64,
+            actual_bytes: (index.size_bytes() + self.mapped.seed_table().size_bytes()) as u64,
             model_bytes: fmindex::size_model::footprint(
                 self.reference.len(),
                 index.bucket_width(),

@@ -242,7 +242,8 @@ impl ObsTelemetry {
 ///
 /// * the batch's `LFM` count is spread over the chip's parallel pipeline
 ///   units; each unit issues `LFM`s at the pipeline rate for the
-///   configured `Pd` (Fig. 7 model);
+///   configured `Pd` (Fig. 7 model), and a seed-table read takes one
+///   such issue slot whole ([`PerfReport::issue_slots`]);
 /// * dynamic power = simulated dynamic energy ÷ simulated time;
 ///   total power adds [`BACKGROUND_W_PER_SUBARRAY`] per active
 ///   sub-array (`units × Pd`);
@@ -256,10 +257,11 @@ pub struct PerfReport {
     /// Total `LFM` invocations across the batch.
     pub lfm_calls: u64,
     /// `LFM` invocations Algorithm 1 and 2 as published issue for the
-    /// same searches, two per interval step: `lfm_calls` plus one for
+    /// same searches, two per interval step: `lfm_calls`, plus one for
     /// every step that found its interval a single row and served both
-    /// bounds with one `LFM` — the ledger's
-    /// [`LogicalOp::IndexBump`] count. See [`PerfReport::as_published`].
+    /// bounds with one `LFM` — the ledger's [`LogicalOp::IndexBump`]
+    /// count — plus two for every step a seed-table read stood in for
+    /// ([`CycleLedger::seeded_steps`]). See [`PerfReport::as_published`].
     pub published_lfm_calls: u64,
     /// Wall-clock seconds for the batch on the modelled chip.
     pub time_s: f64,
@@ -335,8 +337,11 @@ impl PerfReport {
         // the utilisation accounting use the *active* unit count.
         let rate = pipeline.cycles_per_lfm(pd);
         let active_units = units.min(queries as f64);
-        let lfm_per_unit = lfm_calls as f64 / active_units;
-        let makespan_cycles = lfm_per_unit * rate;
+        // A seed-table read is 22 memory cycles, and is given the whole
+        // slot of the `LFM` it is issued in place of: nothing here is
+        // assumed cheaper than the paper prices an issue.
+        let slots = lfm_calls + ledger.primitives().count(LogicalOp::SeedRead);
+        let makespan_cycles = slots as f64 / active_units * rate;
         let time_s = makespan_cycles * model.cycle_ns() * 1e-9;
         let throughput_qps = queries as f64 / time_s;
 
@@ -351,7 +356,7 @@ impl PerfReport {
         let visible_memory = if pd == 1 {
             // Sequential: all memory cycles are on the path.
             (ledger.busy_cycles(Resource::Memory) + ledger.busy_cycles(Resource::Transfer)) as f64
-                / lfm_calls.max(1) as f64
+                / slots.max(1) as f64
         } else {
             // Pipelined: the marker read hides under the other read's add;
             // the transfer and index update remain exposed on the adder
@@ -369,7 +374,9 @@ impl PerfReport {
         PerfReport {
             queries,
             lfm_calls,
-            published_lfm_calls: lfm_calls + ledger.primitives().count(LogicalOp::IndexBump),
+            published_lfm_calls: lfm_calls
+                + ledger.primitives().count(LogicalOp::IndexBump)
+                + 2 * ledger.seeded_steps(),
             time_s,
             throughput_qps,
             dynamic_power_w,
@@ -407,25 +414,37 @@ impl PerfReport {
         }
     }
 
+    /// Issue slots the run's time is made of: one per `LFM` and one per
+    /// seed-table read (the breakdown's `seed_read` row).
+    pub fn issue_slots(&self) -> u64 {
+        let seed_read = LogicalOp::SeedRead.name();
+        let row = self
+            .breakdown
+            .primitives
+            .iter()
+            .find(|p| p.name == seed_read);
+        self.lfm_calls + row.map_or(0, |p| p.count)
+    }
+
     /// The report at the published algorithm's `LFM` count: what the
     /// paper's figures (Figs. 8–10) are compared against. The one-row
-    /// interval step is an extension beyond the paper, and the platform's
-    /// time model is `LFM`s × cycles per `LFM`; with
-    /// `f = published_lfm_calls / lfm_calls`, time is multiplied by `f`
-    /// and throughput, throughput per watt and per watt per mm² divided by
-    /// it, which is exact: the published algorithm issues exactly that
-    /// many `LFM`s at the same rate. Energy per query is multiplied by
-    /// `f` too, which is pro rata: an `LFM` of the run costs a few
-    /// percent more energy than a published one on average, since a
-    /// one-row step's `LFM` has no partner on the same row to share a
-    /// compare with in the batched kernel and carries the step's whole
-    /// interval write and its bump. Power, MBR, RUR and area are
-    /// as run, and so is the breakdown — it describes work that ran.
+    /// interval step and the seed-table read are extensions beyond the
+    /// paper, and the platform's time model is issue slots × cycles per
+    /// `LFM`; with `f = published_lfm_calls / issue_slots`, time is
+    /// multiplied by `f` and throughput, throughput per watt and per watt
+    /// per mm² divided by it, which is exact: the published algorithm
+    /// issues exactly that many `LFM`s at the same rate. Energy per query
+    /// is multiplied by `f` too, which is pro rata: an `LFM` of the run
+    /// costs a few percent more energy than a published one on average,
+    /// since a one-row step's `LFM` has no partner on the same row to
+    /// share a compare with in the batched kernel and carries the step's
+    /// whole interval write and its bump. Power, MBR, RUR and area are as
+    /// run, and so is the breakdown — it describes work that ran, so take
+    /// this view of a run, not of another view.
     pub fn as_published(&self) -> PerfReport {
-        let f = if self.lfm_calls == 0 {
-            1.0
-        } else {
-            self.published_lfm_calls as f64 / self.lfm_calls as f64
+        let f = match self.issue_slots() {
+            0 => 1.0,
+            slots => self.published_lfm_calls as f64 / slots as f64,
         };
         PerfReport {
             lfm_calls: self.published_lfm_calls,
@@ -561,6 +580,42 @@ mod tests {
         let g1 = t[1] / t[0];
         let g3 = t[3] / t[2];
         assert!(g3 < g1, "gains must diminish: {t:?}");
+    }
+
+    #[test]
+    fn a_seed_read_takes_a_whole_lfm_slot() {
+        // 1 000 reads, each one table read for its first five steps and
+        // 95 `LFM`s: the run's time is 96 slots a read, the 22-cycle read
+        // priced as the 76-cycle `LFM` it is issued in place of, and the
+        // published view's is the 105 `LFM`s Algorithm 1 issues.
+        let (queries, lfm_calls) = (1_000, 95_000);
+        for pd in [1, 2] {
+            let config = if pd == 1 {
+                PimAlignerConfig::baseline()
+            } else {
+                PimAlignerConfig::pipelined()
+            };
+            let mut ledger = ledger_for(lfm_calls, pd);
+            LogicalOp::SeedRead.charge_many(config.model(), &mut ledger, queries);
+            ledger.note_seeded_steps(5 * queries);
+            let seeded = PerfReport::from_batch(&config, &ledger, queries, lfm_calls);
+            assert_eq!(seeded.issue_slots(), lfm_calls + queries);
+            let slots = |n| PerfReport::from_batch(&config, &CycleLedger::new(), queries, n);
+            assert_eq!(seeded.time_s, slots(lfm_calls + queries).time_s);
+            assert!(seeded.time_s > slots(lfm_calls).time_s);
+            assert_eq!(seeded.published_lfm_calls, lfm_calls + 10 * queries);
+            let published = seeded.as_published();
+            let exact = slots(seeded.published_lfm_calls);
+            assert!((published.time_s / exact.time_s - 1.0).abs() < 1e-12);
+            assert!((published.throughput_qps / exact.throughput_qps - 1.0).abs() < 1e-12);
+            // The ledger has the read at what it occupies: 22 cycles of
+            // the memory resource, and the breakdown still reconciles.
+            let row = seeded.breakdown.primitives.last().expect("ten rows");
+            assert_eq!((row.name, row.resource), ("seed_read", "memory"));
+            assert_eq!((row.count, row.busy_cycles), (queries, 22 * queries));
+            assert!(seeded.breakdown.reconciles());
+            assert!(seeded.mbr_pct < 18.0, "Pd={pd} MBR {:.1}%", seeded.mbr_pct);
+        }
     }
 
     #[test]

@@ -311,7 +311,10 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self, section: &str) -> Result<u64, LoadIndexError> {
         let b = self.take(8, section)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            b.try_into()
+                .expect("take(8, _) returns 8 bytes or an error"),
+        ))
     }
 
     /// A `u64` length or position field; one that does not fit `usize`
@@ -322,7 +325,10 @@ impl<'a> Cursor<'a> {
 
     fn u32(&mut self, section: &str) -> Result<u32, LoadIndexError> {
         let b = self.take(4, section)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            b.try_into()
+                .expect("take(4, _) returns 4 bytes or an error"),
+        ))
     }
 }
 
@@ -330,7 +336,7 @@ impl<'a> Cursor<'a> {
 fn words(section: &[u8]) -> impl Iterator<Item = u32> + '_ {
     section
         .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .map(|b| u32::from_le_bytes(b.try_into().expect("chunks_exact(4) yields 4-byte chunks")))
 }
 
 /// The SA section of a stream, still as bytes.
@@ -417,7 +423,9 @@ impl<'a> Sections<'a> {
         let samples = match self.sa {
             SaSection::Full(values) => SuffixArraySamples::Full(words(values).collect()),
             SaSection::Sampled { rate, pairs } => {
-                let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
+                let word = |b: &[u8]| {
+                    u32::from_le_bytes(b.try_into().expect("half of a chunks_exact(8) chunk"))
+                };
                 let pairs = pairs
                     .chunks_exact(8)
                     .map(|pair| (word(&pair[..4]), word(&pair[4..])));

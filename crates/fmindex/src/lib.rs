@@ -23,6 +23,10 @@
 //!    inexact matching ([`FmIndex::search_inexact`]) via bounded
 //!    backtracking (Algorithm 2).
 //!
+//! Beyond the paper, a [`SeedTable`] holds the interval of every short
+//! read suffix, so that a search can read its first steps instead of
+//! walking them.
+//!
 //! # Examples
 //!
 //! The paper's running example (Fig. 1): read `R = CTA` against reference
@@ -56,6 +60,7 @@ mod inexact;
 mod locate;
 mod sa;
 mod search;
+mod seed;
 mod tables;
 mod text;
 
@@ -65,5 +70,6 @@ pub use inexact::{EditBudget, InexactHit};
 pub use locate::{SampledRows, SuffixArraySamples};
 pub use sa::{suffix_array, suffix_array_naive};
 pub use search::SaInterval;
+pub use seed::SeedTable;
 pub use tables::{CountTable, MarkerTable, OccTable, SampledOcc};
 pub use text::Text;

@@ -8,8 +8,14 @@
 //! the test suite checks the paper's 12 GB claim directly.
 //!
 //! The model is also the scaling bridge for the laptop-scale experiments:
-//! `FmIndex::size_bytes()` agrees with it exactly on indexes we *can*
-//! build (see the tests), so extrapolating it to 3.2 Gbp is sound.
+//! `FmIndex::size_bytes()` and the derived table's agree with it exactly
+//! on indexes we *can* build (see the tests), so extrapolating it to
+//! 3.2 Gbp is sound.
+//!
+//! Beyond the paper's three tables the footprint counts the
+//! [`SeedTable`](crate::SeedTable) a platform derives when it maps the
+//! index: its depth, and so its size, is [`seed_depth`] of the text
+//! length and of nothing else.
 
 /// Bytes-per-table breakdown of a stored FM-index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,18 +26,39 @@ pub struct IndexFootprint {
     pub marker_bytes: usize,
     /// Suffix array storage.
     pub sa_bytes: usize,
+    /// The seed table of [`seed_depth`] levels (beyond the paper).
+    pub seed_bytes: usize,
 }
 
 impl IndexFootprint {
     /// Total bytes.
     pub fn total_bytes(&self) -> usize {
-        self.bwt_bytes + self.marker_bytes + self.sa_bytes
+        self.bwt_bytes + self.marker_bytes + self.sa_bytes + self.seed_bytes
     }
 
     /// Total in GiB.
     pub fn total_gib(&self) -> f64 {
         self.total_bytes() as f64 / (1u64 << 30) as f64
     }
+}
+
+/// Bytes of a seed table of `depth` levels: one `(low, high)` pair of
+/// `u32`s for every `j`-mer, `1 ≤ j ≤ depth` — `8 · (4 + … + 4^depth)`.
+pub fn seed_bytes(depth: usize) -> usize {
+    8 * ((1usize << (2 * depth + 2)) - 4) / 3
+}
+
+/// The depth `k` of the seed table of a text of `text_len` symbols: the
+/// largest whose table fits `text_len / 64` bytes — under 0.4 % of the
+/// index at the paper's full suffix array, 1.2 % at one sampled 1 in 8;
+/// 0, no table, below 2 048 symbols. Each level deeper saves a descent one more interval step and
+/// costs four times the bytes (EXPERIMENTS.md has the sweep).
+pub fn seed_depth(text_len: usize) -> usize {
+    let mut depth = 0;
+    while seed_bytes(depth + 1) <= text_len / 64 {
+        depth += 1;
+    }
+    depth
 }
 
 /// Computes the stored-table footprint for a reference of `genome_len`
@@ -71,13 +98,14 @@ pub fn footprint(genome_len: usize, d: usize, sa_rate: usize) -> IndexFootprint 
         bwt_bytes,
         marker_bytes,
         sa_bytes,
+        seed_bytes: seed_bytes(seed_depth(text_len)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FmIndex, SaStorage};
+    use crate::{FmIndex, SaStorage, SeedTable};
     use bioseq::{Base, DnaSeq};
 
     #[test]
@@ -119,9 +147,40 @@ mod tests {
                 .build(&reference);
             let model = footprint(reference.len(), d, rate as usize);
             assert_eq!(
-                index.size_bytes(),
+                index.size_bytes() + SeedTable::derive(&index).size_bytes(),
                 model.total_bytes(),
                 "model mismatch at d={d} rate={rate}"
+            );
+        }
+    }
+
+    #[test]
+    fn seed_depth_follows_the_text_length() {
+        // The benchmark's four genome sizes, and the edges of no table.
+        for (genome_len, depth) in [
+            (200_000, 4),
+            (1_000_000, 5),
+            (2_000_000, 5),
+            (8_000_000, 6),
+            (2_046, 0),
+            (2_047, 1),
+        ] {
+            assert_eq!(seed_depth(genome_len + 1), depth, "{genome_len} bp");
+        }
+        assert_eq!(seed_bytes(0), 0);
+        assert_eq!(seed_bytes(4), 8 * (4 + 16 + 64 + 256));
+        assert_eq!(seed_bytes(6), 43_680);
+        for genome_len in [200_000, 1_000_000, 2_000_000, 8_000_000, 3_200_000_000] {
+            let model = footprint(genome_len, 128, 1);
+            assert!(model.seed_bytes * 64 <= genome_len + 1);
+            assert!(
+                model.seed_bytes * 270 < model.total_bytes(),
+                "{genome_len} bp"
+            );
+            let sampled = footprint(genome_len, 128, 8);
+            assert!(
+                sampled.seed_bytes * 83 < sampled.total_bytes(),
+                "{genome_len} bp"
             );
         }
     }

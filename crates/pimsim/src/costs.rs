@@ -16,6 +16,7 @@
 //! | row load          | 1      | transfer | 1 `WriteRow` per word line    |
 //! | row copy-out      | 1      | transfer | 1 `ReadRow` per word line     |
 //! | index bump        | 2      | compare  | 2 `DpuOp`: `high = low + bit` in the DPU's embedded counter, the second bound of a one-row interval (beyond the paper, DESIGN.md §8) |
+//! | seed read         | 22     | memory   | 22 `ReadRow`: the two vertically stored 32-bit bounds of one seed-table entry, the marker's read path twice (beyond the paper, DESIGN.md §8) |
 //!
 //! The three columns are [`LogicalOp::cycles`], [`LogicalOp::resource`]
 //! and [`LogicalOp::expansion`], and nothing else states them: a
@@ -27,7 +28,9 @@
 //! read with the add stage (47 cycles) of another — see
 //! [`pipeline`](crate::pipeline). The index bump is no part of an `LFM`:
 //! it is what a step on a one-row interval pays *instead of* its second
-//! `LFM`, on top of the step's usual index update.
+//! `LFM`, on top of the step's usual index update. Nor is the seed read:
+//! it is what a descent pays *instead of* its first `k` interval steps,
+//! and the time model gives it a whole `LFM` issue slot for its 22 cycles.
 
 use mram::array::{ArrayModel, ArrayOp};
 
@@ -71,12 +74,17 @@ pub enum LogicalOp {
     /// an extension beyond the paper, so its count is the number of steps
     /// that issued one `LFM` where Algorithm 1 issues two.
     IndexBump,
+    /// Read of one seed-table entry: the `low` and `high` a descent's
+    /// first `k` interval steps produce, two 32-bit words on the marker's
+    /// vertical-read path (`MEM`, no compute, so no fault draw — like
+    /// [`LogicalOp::SaEntryRead`]). An extension beyond the paper.
+    SeedRead,
 }
 
 impl LogicalOp {
     /// All logical operations, in the stable order the metrics emitters
     /// use.
-    pub const ALL: [LogicalOp; 9] = [
+    pub const ALL: [LogicalOp; 10] = [
         LogicalOp::XnorMatch,
         LogicalOp::Popcount,
         LogicalOp::MarkerRead,
@@ -86,6 +94,7 @@ impl LogicalOp {
         LogicalOp::RowWrite,
         LogicalOp::RowRead,
         LogicalOp::IndexBump,
+        LogicalOp::SeedRead,
     ];
 
     /// Position in [`LogicalOp::ALL`] (the counter-table index).
@@ -101,6 +110,7 @@ impl LogicalOp {
             LogicalOp::RowWrite => 6,
             LogicalOp::RowRead => 7,
             LogicalOp::IndexBump => 8,
+            LogicalOp::SeedRead => 9,
         }
     }
 
@@ -116,6 +126,7 @@ impl LogicalOp {
             LogicalOp::RowWrite => "row_write",
             LogicalOp::RowRead => "row_read",
             LogicalOp::IndexBump => "index_bump",
+            LogicalOp::SeedRead => "seed_read",
         }
     }
 
@@ -142,6 +153,7 @@ impl LogicalOp {
             LogicalOp::RowWrite => 1,
             LogicalOp::RowRead => 1,
             LogicalOp::IndexBump => 2,
+            LogicalOp::SeedRead => 22,
         }
     }
 
@@ -153,9 +165,10 @@ impl LogicalOp {
             // Fig. 10b memory share.
             LogicalOp::XnorMatch | LogicalOp::Popcount | LogicalOp::IndexBump => Resource::Compare,
             LogicalOp::ImAdd32 => Resource::Adder,
-            LogicalOp::MarkerRead | LogicalOp::SaEntryRead | LogicalOp::IndexUpdate => {
-                Resource::Memory
-            }
+            LogicalOp::MarkerRead
+            | LogicalOp::SaEntryRead
+            | LogicalOp::IndexUpdate
+            | LogicalOp::SeedRead => Resource::Memory,
             LogicalOp::RowWrite | LogicalOp::RowRead => Resource::Transfer,
         }
     }
@@ -176,6 +189,7 @@ impl LogicalOp {
             LogicalOp::IndexUpdate | LogicalOp::IndexBump => &[Busy(ArrayOp::DpuOp, 2)],
             LogicalOp::RowWrite => &[Busy(ArrayOp::WriteRow, 1)],
             LogicalOp::RowRead => &[Busy(ArrayOp::ReadRow, 1)],
+            LogicalOp::SeedRead => &[Busy(ArrayOp::ReadRow, 22)],
         }
     }
 

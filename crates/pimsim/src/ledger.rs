@@ -84,7 +84,7 @@ impl KernelCacheCounters {
 
 /// Counts every logical primitive issued to the platform. Busy cycles,
 /// their attribution to resource classes, array-primitive counts and
-/// dynamic energy are not stored: each is read off the nine counts
+/// dynamic energy are not stored: each is read off the ten counts
 /// through the [`costs`](crate::costs) table when asked for, so two
 /// ledgers that were issued the same ops are equal whatever order, batch
 /// size or thread split issued them.
@@ -122,10 +122,17 @@ pub struct CycleLedger {
     /// Rank-checkpoint cache totals noted by the kernel call sites;
     /// all-zero when the caller passes no cache.
     kernel_cache: KernelCacheCounters,
+    /// Interval steps of the published algorithm that seed-table reads
+    /// stood in for ([`CycleLedger::note_seeded_steps`]). No cost hangs
+    /// on it — the reads are priced as [`LogicalOp::SeedRead`]s — it is
+    /// what lets a report state the published `LFM` count beside the
+    /// issued one.
+    seeded_steps: u64,
 }
 
 /// Ledger equality is *simulated-state* equality: primitive counts (and
-/// with them cycles and energy), zone heatmap, pipeline totals. The
+/// with them cycles and energy), zone heatmap, pipeline totals, seeded
+/// steps. The
 /// kernel-cache counters are deliberately excluded — they are host-side
 /// telemetry (a hit charges the identical ops as the recompute it
 /// replaces), and the hit/miss split depends on how the parallel engine
@@ -134,7 +141,10 @@ pub struct CycleLedger {
 /// explicitly where cache traffic itself is under test.
 impl PartialEq for CycleLedger {
     fn eq(&self, other: &CycleLedger) -> bool {
-        self.prims == other.prims && self.zones == other.zones && self.pipeline == other.pipeline
+        self.prims == other.prims
+            && self.zones == other.zones
+            && self.pipeline == other.pipeline
+            && self.seeded_steps == other.seeded_steps
     }
 }
 
@@ -205,6 +215,18 @@ impl CycleLedger {
         self.kernel_cache
     }
 
+    /// Notes that one seed-table read stood in for the first `steps`
+    /// interval steps of a descent, `2 · steps` `LFM`s as published.
+    #[inline]
+    pub fn note_seeded_steps(&mut self, steps: u64) {
+        self.seeded_steps += steps;
+    }
+
+    /// Published interval steps served by seed-table reads so far.
+    pub fn seeded_steps(&self) -> u64 {
+        self.seeded_steps
+    }
+
     /// The per-primitive counters: how many of each [`LogicalOp`] were
     /// issued, and the busy cycles that prices them at.
     pub fn primitives(&self) -> &PrimCounters {
@@ -261,6 +283,7 @@ impl CycleLedger {
         self.prims.merge(&other.prims);
         self.pipeline.merge(&other.pipeline);
         self.kernel_cache.merge(&other.kernel_cache);
+        self.seeded_steps += other.seeded_steps;
         if self.zones.len() < other.zones.len() {
             self.zones.resize(other.zones.len(), 0);
         }
@@ -282,7 +305,10 @@ mod tests {
         let mut b = CycleLedger::new();
         LogicalOp::XnorMatch.charge_many(&model, &mut b, 5);
         LogicalOp::RowWrite.charge(&model, &mut b);
+        a.note_seeded_steps(5);
+        b.note_seeded_steps(6);
         a.merge(&b);
+        assert_eq!(a.seeded_steps(), 11);
         assert_eq!(a.busy_cycles(Resource::Compare), 16);
         assert_eq!(a.busy_cycles(Resource::Transfer), 1);
         assert_eq!(a.op_count(ArrayOp::ComputeTriple), 16);

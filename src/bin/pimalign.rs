@@ -752,13 +752,15 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
     });
     eprintln!(
         "pimalign: index build: {} bases -> {} shard(s), SA rate {}, {} index bytes \
-         ({:.2} bytes/bp), parse {parse_ms:.0} ms, build {build_ms:.0} ms, \
-         save {save_ms:.0} ms{peak_rss}",
+         ({:.2} bytes/bp; seed depth {}, {} bytes of them, derived at mapping), \
+         parse {parse_ms:.0} ms, build {build_ms:.0} ms, save {save_ms:.0} ms{peak_rss}",
         reference.len(),
         artifact.shards().len(),
         artifact.sa_rate(),
         artifact.index_bytes(),
         artifact.index_bytes() as f64 / reference.len() as f64,
+        artifact.seed_depth(),
+        artifact.seed_bytes(),
     );
     Ok(())
 }
@@ -781,6 +783,8 @@ fn run_index_inspect(args: &[String]) -> Result<(), CliError> {
     println!("shard_overlap: {}", artifact.shard_overlap());
     println!("index_bytes: {}", artifact.index_bytes());
     println!("model_bytes: {}", artifact.model_bytes());
+    println!("seed_depth: {}", artifact.seed_depth());
+    println!("seed_bytes: {}", artifact.seed_bytes());
     println!(
         "bytes_per_bp: {:.4}",
         artifact.index_bytes() as f64 / artifact.reference().len() as f64

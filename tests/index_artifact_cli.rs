@@ -7,7 +7,9 @@
 //! fault counters — across 8 worker threads with faults off, and under
 //! seeded fault injection on the deterministic sequential stream. A
 //! sharded artifact must align to the same SAM as the unsharded
-//! platform, and `index inspect` must report the artifact's geometry.
+//! platform — and, under a fault campaign, to the same SAM and fault
+//! telemetry at any `--threads` × `--kernel-batch` — and `index inspect`
+//! must report the artifact's geometry.
 
 use std::fmt::Write as _;
 use std::process::Command;
@@ -264,6 +266,102 @@ fn sharded_artifact_aligns_to_the_unsharded_sam() {
     assert_eq!(counter(&doc, "index.shard_overlap"), 128);
 }
 
+/// Faults on a sharded platform: every shard draws each read's faults
+/// from the stream keyed by the read's global index, whichever worker and
+/// kernel-batch group aligns it, and reads its own seed table without a
+/// draw — so SAM, the stderr telemetry and the simulated counters repeat
+/// byte for byte across the matrix.
+#[test]
+fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
+    let reference = genome::uniform(9_000, 0x5eed);
+    let mut fastq = String::new();
+    for i in 0..10 {
+        let start = (i * 877) % (reference.len() - 64);
+        let mut read = reference.subseq(start..start + 64);
+        if i % 3 == 1 {
+            read = read.reverse_complement();
+        }
+        writeln!(fastq, "@read{i}\n{read}\n+\n{}", "I".repeat(64)).expect("format fastq");
+    }
+    let ref_fa = write_temp("shardfault_ref.fa", &format!(">chrA\n{reference}\n"));
+    let reads_fq = write_temp("shardfault_reads.fq", &fastq);
+    let artifact = temp_path("shardfault.pimx");
+    let (_, stderr, ok) = run_cli(&[
+        "index",
+        "build",
+        ref_fa.to_str().unwrap(),
+        artifact.to_str().unwrap(),
+        "--shard-window",
+        "3000",
+        "--shard-overlap",
+        "128",
+    ]);
+    assert!(ok, "sharded index build failed: {stderr}");
+    // Shards of 3 128 and 3 000 bases: each derives a one-level table.
+    assert!(stderr.contains("3 shard(s)"), "{stderr}");
+    assert!(stderr.contains("seed depth 1"), "{stderr}");
+
+    let run = |threads: &str, batch: &str| {
+        let metrics = temp_path(&format!("shardfault_{threads}_{batch}.json"));
+        let (sam, stderr, ok) = run_cli(&[
+            "--index",
+            artifact.to_str().unwrap(),
+            reads_fq.to_str().unwrap(),
+            "--threads",
+            threads,
+            "--kernel-batch",
+            batch,
+            "--fault-seed",
+            "42",
+            "--fault-xnor",
+            "0.002",
+            "--fault-transient",
+            "0.001",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        assert!(
+            ok,
+            "--threads {threads} --kernel-batch {batch} failed: {stderr}"
+        );
+        let doc = json::parse(&std::fs::read_to_string(&metrics).expect("metrics"))
+            .expect("metrics JSON");
+        let telemetry: Vec<String> = stderr
+            .lines()
+            .filter(|l| l.contains("faults injected") || l.contains("recovery:"))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(telemetry.len(), 2, "fault telemetry lines in: {stderr}");
+        (sam, telemetry, doc)
+    };
+    let (sam, telemetry, doc) = run("1", "1");
+    assert!(
+        counter(&doc, "faults.xnor_bit_flips") > 0,
+        "faults must fire"
+    );
+    assert_eq!(counter(&doc, "index.shards"), 3);
+    for (threads, batch) in [("8", "1"), ("1", "8"), ("8", "8")] {
+        let (other_sam, other_telemetry, other_doc) = run(threads, batch);
+        let at = format!("--threads {threads} --kernel-batch {batch}");
+        assert!(other_sam == sam, "{at}: SAM diverged");
+        assert_eq!(other_telemetry, telemetry, "{at}: fault telemetry diverged");
+        for path in SIMULATED_COUNTERS {
+            // A wider batch shares plane loads, and so busy cycles and
+            // activations, by design; everything else is the same work.
+            let shared = path.ends_with("cycles_total")
+                || path.ends_with("busy_cycles")
+                || path.ends_with("subarray_activations");
+            if batch == "1" || !shared {
+                assert_eq!(
+                    counter(&other_doc, path),
+                    counter(&doc, path),
+                    "{at}: {path}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
     let (reference, _) = fixture();
@@ -299,6 +397,11 @@ fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
     );
     let bytes: u64 = field("index_bytes").parse().expect("numeric index_bytes");
     assert!(bytes <= 12 * 1024, "budgeted artifact overshot: {bytes}");
+    // 4 001 rows hold a one-level seed table, four 8-byte entries,
+    // counted in the footprint and derived when the artifact is mapped.
+    assert_eq!(field("seed_depth"), "1");
+    assert_eq!(field("seed_bytes"), "32");
+    assert_eq!(field("model_bytes"), field("index_bytes"));
     assert_eq!(field("checksum"), "ok");
 
     // Corruption must be caught by the trailing checksum on load.

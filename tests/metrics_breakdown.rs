@@ -58,10 +58,12 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
     };
     assert_eq!(by_name("xnor_match").count, report.lfm_calls);
     assert_eq!(by_name("im_add32").count, report.lfm_calls);
-    // One bump for every step that issued one `LFM` for the published two.
+    // One bump for every step that issued one `LFM` for the published
+    // two, and two `LFM`s for every step a seed-table read stood in for.
+    assert!(by_name("seed_read").count >= reads.len() as u64);
     assert_eq!(
         report.published_lfm_calls,
-        report.lfm_calls + by_name("index_bump").count
+        report.lfm_calls + by_name("index_bump").count + 2 * session.ledger().seeded_steps()
     );
     assert!(b.subarray_activations > 0);
     assert_eq!(b.im_add_carry_cycles, 13 * report.lfm_calls);
@@ -139,11 +141,12 @@ fn worker_merge_is_associative() {
     assert_eq!(count(&one, "xnor_match"), count(&one, "marker_read"));
 }
 
-/// What the one-row interval step buys on reads stage 1 settles, and
-/// what it may not move: an error-free read of `m` bases is `m` interval
-/// steps — `2·m` `LFM`s as published — of which only the first
-/// ≈ log₄ n, while the interval still spans several rows, issue two.
-/// Held on the single-read kernel and on the batched one.
+/// What the seed table and the one-row interval step buy on reads stage 1
+/// settles, and what they may not move: an error-free read of `m` bases
+/// is `m` interval steps — `2·m` `LFM`s as published — of which one table
+/// read stands in for the first `k` and, of the rest, only the first
+/// ≈ log₄ n − k, while the interval still spans several rows, issue two
+/// `LFM`s. Held on the single-read kernel and on the batched one.
 #[test]
 fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
     const M: usize = 80;
@@ -160,13 +163,15 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
         assert!(session.align_read(read).is_mapped());
     }
     let batched = platform.align_batch_parallel(&reads, 1).unwrap().report;
-    // ⌈log₄ 50 001⌉ = 8.
+    // ⌈log₄ 50 001⌉ = 8, and a table of three levels.
     let log4_n = (0..).find(|&k| 4usize.pow(k) > reference.len()).unwrap() as u64;
+    let k = platform.mapped().seed_table().depth() as u64;
+    assert_eq!(k, 3);
     for report in [session.report(), batched] {
         let (m, reads) = (M as u64, reads.len() as u64);
         assert_eq!(report.published_lfm_calls, 2 * m * reads);
         assert!(
-            report.lfm_calls <= (m + 2 * (log4_n + 2)) * reads,
+            report.lfm_calls <= (m + 2 * (log4_n + 2) - 2 * k) * reads,
             "{} LFMs for {reads} error-free reads of {m} bases",
             report.lfm_calls
         );
@@ -175,17 +180,19 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
             row.unwrap_or_else(|| panic!("missing primitive {name}"))
                 .count
         };
+        assert_eq!(count("seed_read"), reads);
         assert_eq!(
             report.published_lfm_calls,
-            report.lfm_calls + count("index_bump")
+            report.lfm_calls + count("index_bump") + 2 * k * count("seed_read")
         );
         assert_eq!(count("im_add32"), report.lfm_calls);
         assert!(report.breakdown.reconciles());
+        assert_eq!(report.issue_slots(), report.lfm_calls + reads);
 
         // The view the paper's figures are compared at: Algorithm 1's
         // count at the same rate, so time and throughput are exact.
         let published = report.as_published();
-        let f = report.published_lfm_calls as f64 / report.lfm_calls as f64;
+        let f = report.published_lfm_calls as f64 / report.issue_slots() as f64;
         assert_eq!(published.lfm_calls, report.published_lfm_calls);
         assert_eq!(published.published_lfm_calls, report.published_lfm_calls);
         let exact = PerfReport::from_batch(

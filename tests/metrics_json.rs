@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pipelined"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 8);
+    assert_eq!(as_u64(&doc, "schema_version"), 9);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
@@ -114,7 +114,7 @@ fn metrics_json_is_valid_and_reconciles() {
         .get("breakdown.primitives")
         .and_then(Value::as_array)
         .expect("primitives array");
-    assert_eq!(prims.len(), 9);
+    assert_eq!(prims.len(), 10);
     let row_sum: u64 = prims
         .iter()
         .map(|p| {
@@ -169,6 +169,9 @@ fn metrics_json_is_valid_and_reconciles() {
         as_u64(&doc, "report.lfm_calls") + count_of("index_bump")
     );
     assert_eq!(count_of("im_add32"), as_u64(&doc, "report.lfm_calls"));
+    // v9: the seed-table read has its row; a 56 bp reference is too short
+    // for a table, so nothing read one.
+    assert_eq!(count_of("seed_read"), 0);
 
     // Pipeline occupancy reflects the requested Pd=2 configuration.
     assert_eq!(as_u64(&doc, "breakdown.pipeline.pd"), 2);
@@ -197,7 +200,8 @@ fn metrics_json_is_valid_and_reconciles() {
             "sa_entry_read",
             "row_write",
             "row_read",
-            "index_bump"
+            "index_bump",
+            "seed_read"
         ]
     );
 
