@@ -3,8 +3,9 @@
 # access required — all dependencies are vendored (see vendor/).
 #
 #   ./ci.sh            full gate (debug + release stages)
-#   ./ci.sh debug      fmt check, debug tests (+ CLI flake gate x5), clippy,
-#                      rustdoc with broken intra-doc links denied
+#   ./ci.sh debug      fmt check, a locked `cargo check` of benchmark/,
+#                      debug tests (+ CLI flake gate x5), clippy, rustdoc
+#                      with broken intra-doc links denied
 #   ./ci.sh release    release build, perfdump cmp'd against
 #                      BENCH_metrics.json, the 8 Mbp suffix-array test
 #                      tier-1 ignores, the release-binary smoke
@@ -74,6 +75,12 @@ trap 'exit 143' TERM
 if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
     step "cargo fmt --check"
     cargo fmt --all --check
+
+    # pimbench compiles against this tree's public names: a deletion that
+    # takes one of them away fails here, in seconds, and not only in the
+    # release stage's build of benchmark/.
+    step "benchmark/ check (locked)"
+    cargo check --offline --locked --manifest-path benchmark/Cargo.toml
 
     # --no-fail-fast: a failing binary must not hide the ones after it.
     step "cargo test (debug)"

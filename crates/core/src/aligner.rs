@@ -632,14 +632,15 @@ impl AlignSession {
         }
     }
 
-    /// Aligns a contiguous group of reads through the batched kernel
-    /// path (DESIGN.md §15). Reads are processed in groups of
-    /// `kernel_batch`: each group's initial exact phase runs as one
-    /// interleaved [`exact_search_batch`](crate::exact_search_batch)
-    /// (shared plane loads, the Pd stage-queue scheduler), and each read
-    /// then completes — locate, inexact stage, recovery ladder,
-    /// reverse-complement round — through the single-read machinery,
-    /// seeded with its batched exact-stage result.
+    /// Aligns a contiguous group of reads in lock step (DESIGN.md §15).
+    /// Reads are processed in groups of `kernel_batch`: each group's
+    /// initial exact phase runs as one
+    /// [`exact_search_batch`](crate::exact_search_batch) — every step a
+    /// lock step of the one `LFM` kernel, so a plane load several reads
+    /// ask for is charged once, and the Pd stage-queue scheduler times
+    /// the issues — and each read then completes — locate, inexact stage,
+    /// recovery ladder, reverse-complement round — one read at a time,
+    /// seeded with its lock-step exact-stage result.
     ///
     /// `first_token` is the global fault-stream token of `reads[0]`:
     /// read `r` draws from [`MappedIndex::read_injector`] with token
@@ -647,8 +648,11 @@ impl AlignSession {
     /// global index alone — invariant to batch width and worker count.
     /// The per-read streams' injection counters are absorbed into the
     /// session's telemetry before returning. With `kernel_batch == 1`
-    /// the kernel path is exactly today's single-read call sequence
-    /// (the per-read fault streams remain).
+    /// no lock step runs: every `LFM` is the same kernel with nothing
+    /// resident, nothing is shared or scheduled (`breakdown.pipeline`
+    /// stays zero), and the per-read fault streams remain. That is not a
+    /// batch of one, which would still share a step's `low` and `high`
+    /// plane load when both fall in one bucket.
     ///
     /// One wall-clock sample per read lands in the per-read histogram:
     /// its own completion time plus an equal share of each batched

@@ -862,7 +862,7 @@ fn union_sorted(mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use readsim::genome;
@@ -1010,8 +1010,10 @@ mod tests {
         }
     }
 
+    /// The hostile-bytes mutator of this crate's decoders: PIMAIX here,
+    /// the wire protocol in `service::protocol`.
     #[derive(Debug)]
-    enum Mutation {
+    pub(crate) enum Mutation {
         /// Keep this many bytes.
         Truncate(usize),
         /// Flip one bit of one byte.
@@ -1025,7 +1027,7 @@ mod tests {
     impl Mutation {
         /// One of the four kinds from three raw draws. An inflated field
         /// gets a length no stream backs, or a small one.
-        fn from_draws(kind: u8, a: usize, b: usize, c: u64) -> Mutation {
+        pub(crate) fn from_draws(kind: u8, a: usize, b: usize, c: u64) -> Mutation {
             const HUGE: [u64; 5] = [0, 1 << 31, 1 << 40, 1 << 62, u64::MAX];
             match kind {
                 0 => Mutation::Truncate(a),
@@ -1036,6 +1038,41 @@ mod tests {
                     to: b,
                     len: 1 + (c % 600) as usize,
                 },
+            }
+        }
+
+        /// Mutates the non-empty `bytes`, every index taken modulo what it
+        /// indexes. `fields` holds the `(offset, width)` of each length or
+        /// geometry field, which are `big_endian` or little; with none, an
+        /// inflation leaves the bytes alone.
+        pub(crate) fn apply(
+            &self,
+            bytes: &mut Vec<u8>,
+            fields: &[(usize, usize)],
+            big_endian: bool,
+        ) {
+            let len = bytes.len();
+            match *self {
+                Mutation::Truncate(keep) => bytes.truncate(keep % len),
+                Mutation::BitFlip(at, bit) => bytes[at % len] ^= 1 << bit,
+                Mutation::Inflate(field, value) => {
+                    if !fields.is_empty() {
+                        let (at, width) = fields[field % fields.len()];
+                        // The value's low `width` bytes, in the field's order.
+                        let (be, le) = (value.to_be_bytes(), value.to_le_bytes());
+                        let low = if big_endian {
+                            &be[8 - width..]
+                        } else {
+                            &le[..width]
+                        };
+                        bytes[at..at + width].copy_from_slice(low);
+                    }
+                }
+                Mutation::Splice { from, to, len: n } => {
+                    let n = n.min(len);
+                    let (from, to) = (from % (len - n + 1), to % (len - n + 1));
+                    bytes.copy_within(from..from + n, to);
+                }
             }
         }
     }
@@ -1056,19 +1093,7 @@ mod tests {
     fn mutated(saved: &Saved, mutation: &Mutation, restamps: u8) -> Vec<u8> {
         let mut bytes = saved.bytes.clone();
         let len = bytes.len();
-        match *mutation {
-            Mutation::Truncate(keep) => bytes.truncate(keep % len),
-            Mutation::BitFlip(at, bit) => bytes[at % len] ^= 1 << bit,
-            Mutation::Inflate(field, value) => {
-                let (at, width) = saved.fields[field % saved.fields.len()];
-                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
-            }
-            Mutation::Splice { from, to, len: n } => {
-                let n = n.min(len);
-                let (from, to) = (from % (len - n + 1), to % (len - n + 1));
-                bytes.copy_within(from..from + n, to);
-            }
-        }
+        mutation.apply(&mut bytes, &saved.fields, false);
         if restamps == 2 && bytes.len() == len {
             for stream in &saved.streams {
                 restamp(&mut bytes[stream.clone()]);

@@ -5,10 +5,11 @@ use mram::faults::{FaultCampaign, FaultModel};
 use pimsim::pipeline::PipelineParams;
 
 /// Default kernel batch width: how many reads the parallel engine
-/// interleaves into one `LfmBatch` step
-/// ([`PimAlignerConfig::with_kernel_batch`]). Eight keeps the shared
-/// plane-load amortisation high while the per-batch mask state still
-/// fits comfortably in cache.
+/// interleaves into one lock step
+/// ([`PimAlignerConfig::with_kernel_batch`]). A stated trade, measured in
+/// EXPERIMENTS.md ("Kernel-batch width"): on error-free reads width 8
+/// shares 3 % of the `XNOR_Match` plane loads and marker reads and
+/// records the `Pd` schedule, for about 6 % more host time than width 1.
 pub const DEFAULT_KERNEL_BATCH: usize = 8;
 
 /// The verify-and-recover policy (DESIGN.md §8): what the aligner does
@@ -190,7 +191,8 @@ impl PimAlignerConfig {
     }
 
     /// Sets the kernel batch width: how many reads the parallel engine
-    /// interleaves into one [`LfmBatch`](pimsim::LfmBatch) step so
+    /// interleaves into one lock step
+    /// ([`MappedIndex::lfm_batch`](crate::MappedIndex::lfm_batch)) so
     /// plane loads shared across reads are charged once per bucket. `1`
     /// selects the single-read path (bit-identical to the pre-batching
     /// engine); the default is [`DEFAULT_KERNEL_BATCH`]. Alignment

@@ -30,8 +30,8 @@ pub struct ExactStats {
 ///
 /// The index is shared and immutable; the caller supplies the session's
 /// own fault-injection stream, DPU and ledger, and optionally its
-/// rank-checkpoint cache, which is threaded into every `LFM` (see
-/// [`MappedIndex::lfm_cached`]) and never changes a result or a charge.
+/// rank-checkpoint cache, which every `LFM`'s compare stage consults and
+/// which never changes a result or a charge.
 ///
 /// Returns the final interval (empty = no exact match) plus statistics
 /// for the performance model.
@@ -173,9 +173,9 @@ pub fn exact_search_batch(
     exact_search_batch_cached(mapped, injectors, reads, None, &mut [], ledger)
 }
 
-/// [`exact_search_batch`] with an optional rank-checkpoint cache (see
-/// [`MappedIndex::lfm_batch_into`]) — results, statistics and all
-/// simulated charges are byte-identical with and without it — and, when
+/// [`exact_search_batch`] with an optional rank-checkpoint cache, which
+/// each step's leaders consult — results, statistics and all simulated
+/// charges are byte-identical with and without it — and, when
 /// `descents` holds one buffer per read (pass an empty slice to record
 /// none), each read's [`Descent`] written into its buffer, equal to what
 /// [`exact_search_recorded`] records for that read.

@@ -69,7 +69,7 @@ pub use error::AlignError;
 pub use exact::{exact_search, exact_search_batch, ExactStats};
 pub use host::{HostTotals, HostTraceConfig, MAX_TRACE_SPANS};
 pub use inexact::{inexact_search, inexact_search_first, InexactStats};
-pub use mapping::{LfmBatchScratch, LfmRequest, MappedIndex};
+pub use mapping::{LfmRequest, MappedIndex};
 pub use metrics::{
     index_section_json, obs_section_json, service_section_json, MetricsBreakdown, PhaseLfm,
     PrimitiveMetrics, ResourceMetrics, StageOccupancy, METRICS_SCHEMA_VERSION,

@@ -18,7 +18,7 @@ use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::pipeline::{PipelineParams, PipelineSim};
 use pimsim::{
-    CycleLedger, Dpu, FaultCounters, FaultInjector, KernelCache, LfmBatch, MatchMask, SubArray,
+    CycleLedger, Dpu, FaultCounters, FaultInjector, KernelCache, MatchMask, SubArray,
     SubArrayLayout,
 };
 
@@ -46,83 +46,33 @@ pub struct LfmRequest {
     pub id: usize,
 }
 
-/// Caller-owned scratch for [`MappedIndex::lfm_batch_into`]: the
-/// per-sub-array [`LfmBatch`] pool, the request locator table and the
-/// stage-queue scheduler, all recycled across calls so the hot batched
-/// path allocates nothing per step once warm.
+/// One compare stage a lock step has already paid for: the post-sentinel
+/// match mask and the marker of `(bucket, nt)`, which stay in the
+/// sub-array's sense-amplifier latches until the step ends.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    bucket: usize,
+    nt: Base,
+    mask: MatchMask,
+    marker: u32,
+}
+
+/// What a lock step keeps between its requests, recycled across steps:
+/// the table of compare stages already resident — a linear scan, at most
+/// two keys a read of the batch — and the `Pd` stage-queue scheduler.
 #[derive(Debug)]
-pub struct LfmBatchScratch {
-    /// Sub-array key of each pool entry; only the first `active` are
-    /// live this call.
-    keys: Vec<usize>,
-    /// One reusable batch per touched sub-array, parallel to `keys`.
-    pool: Vec<LfmBatch>,
-    /// Live entry count this call.
-    active: usize,
-    /// Per request: `(pool slot, request index)`, or `(u32::MAX, 0)`
-    /// for a boundary checkpoint request.
-    locator: Vec<(u32, u32)>,
-    /// The Pd stage-queue scheduler, reset each call.
+pub(crate) struct LfmBatchScratch {
+    resident: Vec<Resident>,
     sim: PipelineSim,
-    /// Per request of the last batch, the match bit at its own column if
-    /// it was a one-row step's probe (`false` where not asked for).
-    bits: Vec<bool>,
-    /// The requests, probe flags and sums of a lock-step interval step
-    /// ([`MappedIndex::step_batch`]), which builds the first two from the
-    /// DPU registers and writes the third back into them.
-    requests: Vec<LfmRequest>,
-    probes: Vec<bool>,
-    sums: Vec<u32>,
 }
 
 impl LfmBatchScratch {
     /// Fresh, empty scratch.
-    pub fn new() -> LfmBatchScratch {
+    pub(crate) fn new() -> LfmBatchScratch {
         LfmBatchScratch {
-            keys: Vec::new(),
-            pool: Vec::new(),
-            active: 0,
-            locator: Vec::new(),
+            resident: Vec::new(),
             sim: PipelineSim::new(1, PipelineParams::default()),
-            bits: Vec::new(),
-            requests: Vec::new(),
-            probes: Vec::new(),
-            sums: Vec::new(),
         }
-    }
-
-    /// Rewinds for a new call at degree `pd`.
-    fn begin(&mut self, pd: usize, params: PipelineParams) {
-        self.active = 0;
-        self.locator.clear();
-        self.bits.clear();
-        self.sim.reset(pd, params);
-    }
-
-    /// The pool slot batching sub-array `s`, reusing a retired entry's
-    /// capacity when possible. Linear scan: a call touches at most a
-    /// handful of sub-arrays.
-    fn slot_for(&mut self, s: usize) -> usize {
-        match self.keys[..self.active].iter().position(|&k| k == s) {
-            Some(t) => t,
-            None => {
-                if self.active == self.pool.len() {
-                    self.pool.push(LfmBatch::new());
-                    self.keys.push(s);
-                } else {
-                    self.pool[self.active].clear();
-                    self.keys[self.active] = s;
-                }
-                self.active += 1;
-                self.active - 1
-            }
-        }
-    }
-}
-
-impl Default for LfmBatchScratch {
-    fn default() -> LfmBatchScratch {
-        LfmBatchScratch::new()
     }
 }
 
@@ -388,6 +338,10 @@ impl MappedIndex {
     /// the alignment-time fault stream (transient bursts, sense
     /// misreads, carry kills) and accumulates the injection counters.
     ///
+    /// A search does not call this: it extends its interval through
+    /// `MappedIndex::step`, which issues one of these per bound, or one
+    /// for both when the interval is a single row.
+    ///
     /// # Panics
     ///
     /// Panics if `id` exceeds the indexed text length.
@@ -398,60 +352,58 @@ impl MappedIndex {
         injector: &mut FaultInjector,
         ledger: &mut CycleLedger,
     ) -> u32 {
-        self.lfm_cached(nt, id, injector, None, ledger)
+        self.lfm_kernel(nt, id, false, None, Some(injector), None, ledger)
+            .0
     }
 
-    /// [`MappedIndex::lfm`] with an optional rank-checkpoint cache. The
-    /// cache memoizes the compare stage — `(sub-array, bucket, nt) →
-    /// (post-sentinel match mask, marker)`, both pure functions of the
-    /// immutable index — so a hit skips the plane load and the 32-row
-    /// marker gather on the host while charging the platform the exact
-    /// op sequence a recompute pays (`XNOR_Match`, popcount, marker
-    /// `MEM`, in that order). Results, every simulated counter and the
-    /// seeded fault stream are byte-identical with and without the
-    /// cache, pinned by test.
+    /// The one `LFM` kernel: every `LFM` of every path — a single read's,
+    /// a lock step's, the inexact search's — is this function run once.
+    /// Returns the sum, the match bit at `id`'s own column if `probe` asks
+    /// for it — `BWT[id] == nt`, read from the mask the `LFM` has sensed
+    /// anyway: post-sentinel, and under a campaign the same privately
+    /// faulted copy the count is taken from (see [`sense`]) — and whether
+    /// the compare stage was already `resident`.
     ///
-    /// A search does not call this: it extends its interval through
-    /// [`MappedIndex::step`], which issues one of these per bound, or one
-    /// for both when the interval is a single row.
+    /// `resident` is the table of compare stages the current lock step has
+    /// paid for (`None` outside one). A request whose `(bucket, nt)` is in
+    /// it — a *follower* — reads the resident mask and marker: it is
+    /// charged neither `XNOR_Match` nor the marker `MEM` nor their two
+    /// zone activations, and never touches `cache`. Any other request — a
+    /// *leader* — runs the compare stage and leaves it in the table.
+    /// Popcount, the sensing draws, the carry draw and the add are per
+    /// request either way, so a stream's draws are those of its requests
+    /// taken one at a time, in the order they are made (DESIGN.md §15.2).
     ///
-    /// # Panics
-    ///
-    /// Panics if `id` exceeds the indexed text length.
-    pub fn lfm_cached(
-        &self,
-        nt: Base,
-        id: usize,
-        injector: &mut FaultInjector,
-        cache: Option<&mut KernelCache>,
-        ledger: &mut CycleLedger,
-    ) -> u32 {
-        self.lfm_probed(nt, id, false, injector, cache, ledger).0
-    }
-
-    /// [`MappedIndex::lfm_cached`] that, when `probe`, also returns the
-    /// match bit at `id`'s own column — `BWT[id] == nt` — read from the
-    /// mask the `LFM` has sensed anyway: post-sentinel, and under a
-    /// campaign the same privately faulted copy the count is taken from
-    /// (see [`sense`]). Charges and counts as the one `LFM` it is.
-    fn lfm_probed(
+    /// `cache` memoizes a leader's compare stage — `(sub-array, bucket,
+    /// nt) → (post-sentinel match mask, marker)`, both pure functions of
+    /// the immutable index — so a hit skips the plane load and the 32-row
+    /// marker gather on the host while the platform is charged what a
+    /// recompute pays. Results, every simulated counter and the seeded
+    /// fault stream are byte-identical with and without it, pinned by
+    /// test.
+    #[allow(clippy::too_many_arguments)]
+    fn lfm_kernel(
         &self,
         nt: Base,
         id: usize,
         probe: bool,
-        injector: &mut FaultInjector,
+        resident: Option<&mut Vec<Resident>>,
+        mut injector: Option<&mut FaultInjector>,
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
-    ) -> (u32, bool) {
+    ) -> (u32, bool, bool) {
         assert!(id <= self.index.text_len(), "LFM index {id} out of range");
         let bucket = id / SubArrayLayout::BASES_PER_ROW;
         let within = id % SubArrayLayout::BASES_PER_ROW;
         let s = bucket / 256;
         let lb = bucket % 256;
+        // Every sub-array and mirror shares one `ArrayModel`.
+        let model = self.subarrays[0].model();
+        let last = self.subarrays.len() - 1;
         // `id` may equal the text length, landing exactly on a bucket
         // boundary past the last row; the count contribution is then zero
         // and the marker row is the final checkpoint.
-        let (count, bit, marker) = if s >= self.subarrays.len() {
+        let (count, bit, marker, shared) = if s > last {
             // The checkpoint bucket holds no BWT row to probe: it can be
             // an interval's `high`, never the `low` of a one-row one.
             debug_assert!(!probe, "one-row interval at the boundary checkpoint");
@@ -461,91 +413,117 @@ impl MappedIndex {
             // buckets() = n/d + 1 columns fit in 256 only when the text
             // fills sub-arrays exactly; fall back to the software marker
             // (a local MEM read in hardware).
-            LogicalOp::MarkerRead.charge(self.subarrays[0].model(), ledger);
+            LogicalOp::MarkerRead.charge(model, ledger);
             // Heatmap: the checkpoint read activates the final primary
             // sub-array (where the last marker column lives).
-            ledger.note_zone_many(self.subarrays.len() - 1, 1);
-            (0, false, self.index.marker_table().marker(nt, bucket))
+            ledger.note_zone_many(last, 1);
+            let marker = self.index.marker_table().marker(nt, bucket);
+            (0, false, marker, false)
         } else {
-            let sub = &self.subarrays[s];
-            let cached = cache
+            let held = resident
                 .as_deref()
-                .and_then(|c| c.lookup(s as u32, lb, nt.rank()));
-            let (matches, marker) = match cached {
-                Some((words, marker)) => {
-                    // Host work skipped; the platform is billed the
-                    // identical charge sequence the recompute pays below
-                    // (`XNOR_Match` → popcount → marker `MEM`).
-                    ledger.note_kernel_cache_hit();
-                    LogicalOp::XnorMatch.charge(sub.model(), ledger);
-                    LogicalOp::Popcount.charge(sub.model(), ledger);
-                    LogicalOp::MarkerRead.charge(sub.model(), ledger);
-                    (MatchMask(words), marker)
-                }
+                .and_then(|table| table.iter().find(|r| r.bucket == bucket && r.nt == nt))
+                .map(|r| (r.mask, r.marker));
+            let (mask, marker) = match held {
+                Some(stage) => stage,
                 None => {
-                    // Stack-allocated packed match mask: the whole
-                    // compare stage runs on [u64; 2] words, no heap
-                    // traffic per LFM.
-                    let mut matches = sub.xnor_match(lb, nt, ledger);
-                    // The 2-bit code space cannot represent `$`, so the
-                    // sentinel cell is stored with a placeholder code
-                    // (T). The DPU knows the sentinel's position and
-                    // masks it out of the match vector before counting.
-                    let sentinel = self.index.bwt().sentinel_pos();
-                    if sentinel / SubArrayLayout::BASES_PER_ROW == bucket {
-                        matches.set(sentinel % SubArrayLayout::BASES_PER_ROW, false);
+                    let (mask, marker) = self.compare_stage(s, lb, nt, cache, ledger);
+                    // Heatmap: the XNOR match and the marker read each
+                    // activate sub-array `s` (the popcount runs in the
+                    // DPU, not the array).
+                    ledger.note_zone_many(s, 2);
+                    if let Some(table) = resident {
+                        let stage = Resident {
+                            bucket,
+                            nt,
+                            mask,
+                            marker,
+                        };
+                        table.push(stage);
                     }
-                    LogicalOp::Popcount.charge(sub.model(), ledger);
-                    let marker = sub.read_marker(lb, nt, ledger);
-                    if let Some(c) = cache {
-                        ledger.note_kernel_cache_miss();
-                        if c.insert(s as u32, lb, nt.rank(), matches.0, marker) {
-                            ledger.note_kernel_cache_eviction();
-                        }
-                    }
-                    (matches, marker)
+                    (mask, marker)
                 }
             };
-            // Heatmap: the XNOR match and the marker read each activate
-            // sub-array `s` (the popcount runs in the DPU, not the
-            // array).
-            ledger.note_zone_many(s, 2);
+            LogicalOp::Popcount.charge(model, ledger);
             // Fault injection (DESIGN.md §8) always corrupts this
-            // request's private copy of the mask, never the cached entry.
-            let (count, bit) = sense(matches, within, probe, Some(injector));
-            (count, bit, marker)
+            // request's private copy of the mask, never the resident or
+            // the cached one.
+            let (count, bit) = sense(mask, within, probe, injector.as_deref_mut());
+            (count, bit, marker, held.is_some())
         };
-        let carry_fault = injector.carry_fault_bit();
-        let sum = match self.method {
+        // `None` without consuming the stream when the carry rate is
+        // zero, so an inactive injector is no injector.
+        let carry_fault = injector.and_then(FaultInjector::carry_fault_bit);
+        let idx = s.min(last);
+        let adder = match self.method {
             AddMethod::InPlace => {
-                let idx = s.min(self.subarrays.len() - 1);
-                let sub = &self.subarrays[idx];
                 // Heatmap: the in-place add activates the same zone.
                 ledger.note_zone_many(idx, 1);
-                match carry_fault {
-                    Some(k) => sub.im_add32_shared_faulty(marker, count, k, ledger),
-                    None => sub.im_add32_shared(marker, count, ledger),
-                }
+                &self.subarrays[idx]
             }
             AddMethod::Mirrored => {
                 // Operand transfer into the mirror's write port.
-                let idx = s.min(self.mirrors.len() - 1);
-                let mirror = &self.mirrors[idx];
-                LogicalOp::RowWrite.charge_many(mirror.model(), ledger, 7);
+                LogicalOp::RowWrite.charge_many(model, ledger, 7);
                 // Heatmap: mirror zones are indexed after the primaries
                 // (7 operand-transfer writes + the add = 8 activations).
                 ledger.note_zone_many(self.subarrays.len() + idx, 8);
-                match carry_fault {
-                    Some(k) => mirror.im_add32_shared_faulty(marker, count, k, ledger),
-                    None => mirror.im_add32_shared(marker, count, ledger),
-                }
+                &self.mirrors[idx]
             }
+        };
+        let sum = match carry_fault {
+            Some(k) => adder.im_add32_shared_faulty(marker, count, k, ledger),
+            None => adder.im_add32_shared(marker, count, ledger),
         };
         // The DPU's index registers saturate at N: a sensing fault can
         // inflate the count past the table range, and the controller
         // clamps rather than address outside the mapped region. A no-op
         // under ideal sensing.
-        (sum.min(self.index.text_len() as u32), bit)
+        (sum.min(self.index.text_len() as u32), bit, shared)
+    }
+
+    /// The compare stage of `LFM(nt, ·)` on bucket row `lb` of sub-array
+    /// `s`: the post-sentinel match mask and the marker, from `cache` if
+    /// it holds them. Charges one `XNOR_Match` and one marker `MEM` either
+    /// way.
+    fn compare_stage(
+        &self,
+        s: usize,
+        lb: usize,
+        nt: Base,
+        cache: Option<&mut KernelCache>,
+        ledger: &mut CycleLedger,
+    ) -> (MatchMask, u32) {
+        let sub = &self.subarrays[s];
+        let cached = cache
+            .as_deref()
+            .and_then(|c| c.lookup(s as u32, lb, nt.rank()));
+        if let Some((words, marker)) = cached {
+            // Host work skipped; the platform is billed what the
+            // recompute below pays.
+            ledger.note_kernel_cache_hit();
+            LogicalOp::XnorMatch.charge(sub.model(), ledger);
+            LogicalOp::MarkerRead.charge(sub.model(), ledger);
+            return (MatchMask(words), marker);
+        }
+        // Stack-allocated packed match mask: the whole compare stage runs
+        // on [u64; 2] words, no heap traffic per LFM.
+        let mut mask = sub.xnor_match(lb, nt, ledger);
+        // The 2-bit code space cannot represent `$`, so the sentinel cell
+        // is stored with a placeholder code (T). The DPU knows the
+        // sentinel's position and masks it out of the match vector before
+        // counting.
+        let sentinel = self.index.bwt().sentinel_pos();
+        if sentinel / SubArrayLayout::BASES_PER_ROW == s * 256 + lb {
+            mask.set(sentinel % SubArrayLayout::BASES_PER_ROW, false);
+        }
+        let marker = sub.read_marker(lb, nt, ledger);
+        if let Some(c) = cache {
+            ledger.note_kernel_cache_miss();
+            if c.insert(s as u32, lb, nt.rank(), mask.0, marker) {
+                ledger.note_kernel_cache_eviction();
+            }
+        }
+        (mask, marker)
     }
 
     /// One backward-search step (Algorithm 1 lines 8–10): extends
@@ -578,13 +556,33 @@ impl MappedIndex {
         mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u64 {
+        self.step_by((low, high), dpu, ledger, |id, probe, ledger| {
+            let (injector, cache) = (Some(&mut *injector), cache.as_deref_mut());
+            let (sum, bit, _) = self.lfm_kernel(nt, id, probe, None, injector, cache, ledger);
+            (sum, bit)
+        })
+    }
+
+    /// The interval step both entries take, over whichever way
+    /// `issue(id, probe, ledger)` runs the kernel for `LFM(nt, id)`.
+    fn step_by(
+        &self,
+        (low, high): (u32, u32),
+        dpu: &mut Dpu,
+        ledger: &mut CycleLedger,
+        mut issue: impl FnMut(usize, bool, &mut CycleLedger) -> (u32, bool),
+    ) -> u64 {
         if one_row(low, high) {
-            let (low, bit) = self.lfm_probed(nt, low as usize, true, injector, cache, ledger);
-            self.write_one_row(dpu, low, bit, ledger);
+            // `low` as its `LFM` returned it, `high` bumped from it by
+            // the match bit.
+            let (low, bit) = issue(low as usize, true, ledger);
+            let n = self.index.text_len() as u32;
+            dpu.set_interval(low, (low + u32::from(bit)).min(n), ledger);
+            LogicalOp::IndexBump.charge(self.subarrays[0].model(), ledger);
             1
         } else {
-            let low = self.lfm_cached(nt, low as usize, injector, cache.as_deref_mut(), ledger);
-            let high = self.lfm_cached(nt, high as usize, injector, cache, ledger);
+            let (low, _) = issue(low as usize, false, ledger);
+            let (high, _) = issue(high as usize, false, ledger);
             dpu.set_interval(low, high, ledger);
             2
         }
@@ -649,22 +647,14 @@ impl MappedIndex {
         &self.seeds
     }
 
-    /// The interval write of a one-row step: `low` as its `LFM` returned
-    /// it, `high` bumped from it by the match bit.
-    fn write_one_row(&self, dpu: &mut Dpu, low: u32, bit: bool, ledger: &mut CycleLedger) {
-        let n = self.index.text_len() as u32;
-        dpu.set_interval(low, (low + u32::from(bit)).min(n), ledger);
-        LogicalOp::IndexBump.charge(self.subarrays[0].model(), ledger);
-    }
-
-    /// [`MappedIndex::step`] for reads in lock-step through the batched
-    /// kernel: each `(stream, nt)` of `steps` extends the interval in
-    /// `dpus[stream]` by `nt` and adds the `LFM`s it issued to
-    /// `lfm_calls[stream]`. A stream contributes its `low` request then —
-    /// unless its interval is one row — its `high` request, in `steps`
-    /// order, and the whole step runs as one batch, so plane loads shared
-    /// across reads are charged once. Intervals, counts and each stream's
-    /// fault draws are those of [`MappedIndex::step`] per read.
+    /// [`MappedIndex::step`] for reads in lock step: each `(stream, nt)`
+    /// of `steps` extends the interval in `dpus[stream]` by `nt` and adds
+    /// the `LFM`s it issued to `lfm_calls[stream]`. A stream issues its
+    /// `low` request then — unless its interval is one row — its `high`
+    /// request, in `steps` order, and the whole step is one lock step
+    /// ([`MappedIndex::lfm_batch`]), so a plane load shared across reads
+    /// is charged once. Intervals, counts and each stream's fault draws
+    /// are those of [`MappedIndex::step`] per read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step_batch(
         &self,
@@ -672,63 +662,33 @@ impl MappedIndex {
         dpus: &mut [Dpu],
         lfm_calls: &mut [u64],
         injectors: &mut [FaultInjector],
-        cache: Option<&mut KernelCache>,
+        mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
         scratch: &mut LfmBatchScratch,
     ) {
-        let mut requests = std::mem::take(&mut scratch.requests);
-        let mut probes = std::mem::take(&mut scratch.probes);
-        let mut sums = std::mem::take(&mut scratch.sums);
-        requests.clear();
-        probes.clear();
+        self.begin_lock_step(scratch);
         for &(stream, nt) in steps {
-            let (low, high) = (dpus[stream].low(), dpus[stream].high());
-            let one_row = one_row(low, high);
-            requests.push(LfmRequest {
-                stream,
-                nt,
-                id: low as usize,
+            let dpu = &mut dpus[stream];
+            let interval = (dpu.low(), dpu.high());
+            lfm_calls[stream] += self.step_by(interval, dpu, ledger, |id, probe, ledger| {
+                let request = LfmRequest { stream, nt, id };
+                let cache = cache.as_deref_mut();
+                self.lfm_in_lock_step(request, probe, injectors, cache, ledger, scratch)
             });
-            probes.push(one_row);
-            if !one_row {
-                requests.push(LfmRequest {
-                    stream,
-                    nt,
-                    id: high as usize,
-                });
-                probes.push(false);
-            }
         }
-        self.lfm_batch_probed(
-            &requests, &probes, injectors, cache, ledger, scratch, &mut sums,
-        );
-        let mut k = 0;
-        for &(stream, _) in steps {
-            if probes[k] {
-                self.write_one_row(&mut dpus[stream], sums[k], scratch.bits[k], ledger);
-                k += 1;
-                lfm_calls[stream] += 1;
-            } else {
-                dpus[stream].set_interval(sums[k], sums[k + 1], ledger);
-                k += 2;
-                lfm_calls[stream] += 2;
-            }
-        }
-        scratch.requests = requests;
-        scratch.probes = probes;
-        scratch.sums = sums;
+        ledger.record_pipeline(&scratch.sim.counters());
     }
 
-    /// Executes one interleaved batch of `LFM` requests — the batched
-    /// kernel path (DESIGN.md §15). Requests are partitioned per
-    /// sub-array into [`LfmBatch`]es whose shared compare stage
-    /// (`XNOR_Match` plane load, sentinel masking, marker read) is
-    /// charged once per distinct `(bucket, nt)` group instead of once
-    /// per request; the per-request stages (popcount, fault sensing,
-    /// `IM_ADD`) then run in request order, bit-identical to the same
-    /// sequence of single [`MappedIndex::lfm`] calls. Issue timing
-    /// flows through a [`PipelineSim`] stage-queue scheduler (`Pd` from
-    /// the config) whose counters are recorded on `ledger`.
+    /// Executes `requests` as one lock step (DESIGN.md §15): the kernel
+    /// of [`MappedIndex::lfm`] run once per request, in request order,
+    /// over a table of the compare stages the step has already paid for.
+    /// The first request for a `(bucket, nt)` pays its `XNOR_Match` plane
+    /// load and marker read; a later one finds them resident and pays
+    /// neither. Everything else — popcount, fault sensing, `IM_ADD` — is
+    /// per request, bit-identical to the same sequence of single
+    /// [`MappedIndex::lfm`] calls. Issue timing flows through a
+    /// [`PipelineSim`] stage-queue scheduler (`Pd` from the config) whose
+    /// counters are recorded on `ledger`.
     ///
     /// `injectors` is indexed by request `stream`; pass an empty slice
     /// when the fault campaign is inactive. Per-stream draw order is
@@ -745,193 +705,48 @@ impl MappedIndex {
         ledger: &mut CycleLedger,
     ) -> Vec<u32> {
         let mut scratch = LfmBatchScratch::new();
-        let mut sums = Vec::new();
-        self.lfm_batch_into(requests, injectors, None, ledger, &mut scratch, &mut sums);
+        self.begin_lock_step(&mut scratch);
+        let sums = requests
+            .iter()
+            .map(|&request| {
+                self.lfm_in_lock_step(request, false, injectors, None, ledger, &mut scratch)
+                    .0
+            })
+            .collect();
+        ledger.record_pipeline(&scratch.sim.counters());
         sums
     }
 
-    /// [`MappedIndex::lfm_batch`] with caller-owned scratch and an
-    /// optional rank-checkpoint cache: `scratch` keeps the partition
-    /// tables, group masks and scheduler between calls (no per-call
-    /// allocation on the hot path) and `sums` is cleared then filled
-    /// with one result per request. Lock-step drivers
-    /// ([`crate::exact::exact_search_batch`]) reuse one scratch across
-    /// every step of a batch. The shared compare stage consults/feeds
-    /// `cache` per `(sub-array, bucket, nt)` group (see
-    /// [`MappedIndex::lfm_cached`]); sums, charges and fault draws are
-    /// byte-identical with and without it.
-    pub fn lfm_batch_into(
+    /// Starts a lock step: nothing resident, an empty schedule.
+    fn begin_lock_step(&self, scratch: &mut LfmBatchScratch) {
+        scratch.resident.clear();
+        scratch.sim.reset(self.pd, self.pipeline);
+    }
+
+    /// One request of the lock step `scratch` holds: the kernel over the
+    /// step's resident table, then its issue slot — a follower's compare
+    /// result is already resident, so it goes straight to the addition
+    /// queue. Returns the sum and, if `probe`, the match bit.
+    fn lfm_in_lock_step(
         &self,
-        requests: &[LfmRequest],
+        request: LfmRequest,
+        probe: bool,
         injectors: &mut [FaultInjector],
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
         scratch: &mut LfmBatchScratch,
-        sums: &mut Vec<u32>,
-    ) {
-        self.lfm_batch_probed(requests, &[], injectors, cache, ledger, scratch, sums);
-    }
-
-    /// [`MappedIndex::lfm_batch_into`] in which request `k` is a one-row
-    /// step's probe if `probes[k]` says so (an empty table: no request
-    /// is): the match bit at its own column comes back in
-    /// `scratch.bits[k]`, as [`MappedIndex::lfm_probed`] returns it.
-    #[allow(clippy::too_many_arguments)]
-    fn lfm_batch_probed(
-        &self,
-        requests: &[LfmRequest],
-        probes: &[bool],
-        injectors: &mut [FaultInjector],
-        mut cache: Option<&mut KernelCache>,
-        ledger: &mut CycleLedger,
-        scratch: &mut LfmBatchScratch,
-        sums: &mut Vec<u32>,
-    ) {
-        debug_assert!(probes.is_empty() || probes.len() == requests.len());
-        sums.clear();
-        if requests.is_empty() {
-            return;
-        }
-        let text_len = self.index.text_len();
-        let model = self.subarrays[0].model();
-        scratch.begin(self.pd, self.pipeline);
-        // Partition into one batch per touched sub-array; boundary
-        // requests (the final checkpoint bucket past the mapped rows)
-        // stay unbatched. BASES_PER_ROW and the 256-bucket column count
-        // are powers of two, so the bucket math is shift-and-mask.
-        let mut boundary = 0u64;
-        for req in requests {
-            assert!(req.id <= text_len, "LFM index {} out of range", req.id);
-            let bucket = req.id / SubArrayLayout::BASES_PER_ROW;
-            let s = bucket / 256;
-            if s >= self.subarrays.len() {
-                boundary += 1;
-                scratch.locator.push((u32::MAX, 0));
-                continue;
-            }
-            let slot = scratch.slot_for(s);
-            let idx = scratch.pool[slot].push(
-                req.stream,
-                bucket % 256,
-                req.nt,
-                req.id % SubArrayLayout::BASES_PER_ROW,
-            );
-            scratch.locator.push((slot as u32, idx as u32));
-        }
-        // Boundary checkpoint reads land in the final primary sub-array:
-        // one marker read each, plus that request's add activation.
-        if boundary > 0 {
-            LogicalOp::MarkerRead.charge_many(model, ledger, boundary);
-            ledger.note_zone_many(self.subarrays.len() - 1, boundary);
-            match self.method {
-                AddMethod::InPlace => {
-                    ledger.note_zone_many(self.subarrays.len() - 1, boundary);
-                }
-                AddMethod::Mirrored => {
-                    let idx = self.mirrors.len() - 1;
-                    LogicalOp::RowWrite.charge_many(model, ledger, 7 * boundary);
-                    ledger.note_zone_many(self.subarrays.len() + idx, 8 * boundary);
-                }
-            }
-        }
-        // Shared compare stage, once per group per touched sub-array —
-        // plus the per-request charges that are a pure function of the
-        // partition (one popcount per request, the add-stage activations
-        // and method-II operand transfers), folded in with `charge_many`
-        // (integer-exact to the per-request charges of the single-read
-        // path).
-        let sentinel = self.index.bwt().sentinel_pos();
-        let sentinel_bucket = sentinel / SubArrayLayout::BASES_PER_ROW;
-        for t in 0..scratch.active {
-            let s = scratch.keys[t];
-            let batch = &mut scratch.pool[t];
-            let local_sentinel = (sentinel_bucket / 256 == s).then_some((
-                sentinel_bucket % 256,
-                sentinel % SubArrayLayout::BASES_PER_ROW,
-            ));
-            let groups = batch.run_compare(
-                &self.subarrays[s],
-                local_sentinel,
-                cache.as_deref_mut(),
-                s as u32,
-                ledger,
-            );
-            let n = batch.len() as u64;
-            // Heatmap: one XNOR match + one marker read per group.
-            ledger.note_zone_many(s, 2 * groups as u64);
-            LogicalOp::Popcount.charge_many(model, ledger, n);
-            match self.method {
-                AddMethod::InPlace => {
-                    ledger.note_zone_many(s.min(self.subarrays.len() - 1), n);
-                }
-                AddMethod::Mirrored => {
-                    let idx = s.min(self.mirrors.len() - 1);
-                    LogicalOp::RowWrite.charge_many(model, ledger, 7 * n);
-                    ledger.note_zone_many(self.subarrays.len() + idx, 8 * n);
-                }
-            }
-        }
-        // Per-request stages in request order: popcount + fault sensing,
-        // then the add — with the pipeline scheduler timing each issue
-        // (a follower's compare result is already resident, so it skips
-        // straight to the addition queue). Disjoint field borrows: the
-        // loop reads the partition while driving the scheduler.
-        let LfmBatchScratch {
-            pool,
-            locator,
-            sim,
-            bits,
-            ..
-        } = scratch;
-        // No injector, no carry draw: a clean ripple add is value-exact
-        // to a wrapping add, so all the adds are charged in one step.
-        let clean = injectors.is_empty();
-        if clean {
-            LogicalOp::ImAdd32.charge_many(model, ledger, requests.len() as u64);
-        }
-        for (k, (req, &(slot, idx))) in requests.iter().zip(locator.iter()).enumerate() {
-            let probe = probes.get(k).is_some_and(|&p| p);
-            let (count, bit, marker, shares_compare) = if slot == u32::MAX {
-                debug_assert!(!probe, "one-row interval at the boundary checkpoint");
-                let bucket = req.id / SubArrayLayout::BASES_PER_ROW;
-                let marker = self.index.marker_table().marker(req.nt, bucket);
-                (0, false, marker, false)
-            } else {
-                let batch = &pool[slot as usize];
-                let i = idx as usize;
-                // The group's mask is shared; this request's draws fall
-                // on its own copy, as on the single-read path.
-                let (count, bit) = sense(
-                    *batch.mask(i),
-                    batch.within(i),
-                    probe,
-                    injectors.get_mut(req.stream),
-                );
-                (count, bit, batch.marker(i), !batch.is_leader(i))
-            };
-            bits.push(bit);
-            // Same draw as the single-read path; returns `None` without
-            // consuming the stream when the carry rate is zero, so a
-            // present-but-inactive injector stays equivalent to the
-            // clean path.
-            let carry_fault = injectors
-                .get_mut(req.stream)
-                .and_then(FaultInjector::carry_fault_bit);
-            sim.issue(req.stream, shares_compare);
-            // Every sub-array and mirror shares one ArrayModel, so the
-            // shared add's charge is position-independent.
-            let sum = match carry_fault {
-                Some(k) => self.subarrays[0].im_add32_shared_faulty(marker, count, k, ledger),
-                None => {
-                    if !clean {
-                        LogicalOp::ImAdd32.charge(model, ledger);
-                    }
-                    marker.wrapping_add(count)
-                }
-            };
-            sums.push(sum.min(text_len as u32));
-        }
-        ledger.record_pipeline(&sim.counters());
+    ) -> (u32, bool) {
+        let (sum, bit, shared) = self.lfm_kernel(
+            request.nt,
+            request.id,
+            probe,
+            Some(&mut scratch.resident),
+            injectors.get_mut(request.stream),
+            cache,
+            ledger,
+        );
+        scratch.sim.issue(request.stream, shared);
+        (sum, bit)
     }
 
     /// Reads suffix-array entries for an interval (`MEM` on the SA
@@ -954,14 +769,23 @@ impl MappedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use readsim::genome;
 
     fn mapped(reference: &DnaSeq, method: AddMethod) -> MappedIndex {
+        mapped_under(reference, method, FaultCampaign::none())
+    }
+
+    fn req(stream: usize, nt: Base, id: usize) -> LfmRequest {
+        LfmRequest { stream, nt, id }
+    }
+
+    fn mapped_under(reference: &DnaSeq, method: AddMethod, campaign: FaultCampaign) -> MappedIndex {
         let config = match method {
             AddMethod::InPlace => PimAlignerConfig::baseline(),
             AddMethod::Mirrored => PimAlignerConfig::pipelined(),
         };
-        MappedIndex::build(reference, &config)
+        MappedIndex::build(reference, &config.with_fault_campaign(campaign))
     }
 
     #[test]
@@ -1064,31 +888,11 @@ mod tests {
         // Three streams: a shared (bucket, base) pair, a second
         // sub-array, and the boundary checkpoint.
         let requests = vec![
-            LfmRequest {
-                stream: 0,
-                nt: Base::A,
-                id: 130,
-            },
-            LfmRequest {
-                stream: 1,
-                nt: Base::A,
-                id: 180,
-            },
-            LfmRequest {
-                stream: 1,
-                nt: Base::C,
-                id: 33_000,
-            },
-            LfmRequest {
-                stream: 2,
-                nt: Base::C,
-                id: 33_100,
-            },
-            LfmRequest {
-                stream: 2,
-                nt: Base::T,
-                id: n,
-            },
+            req(0, Base::A, 130),
+            req(1, Base::A, 180),
+            req(1, Base::C, 33_000),
+            req(2, Base::C, 33_100),
+            req(2, Base::T, n),
         ];
         let mut batch_ledger = CycleLedger::new();
         let sums = m.lfm_batch(&requests, &mut [], &mut batch_ledger);
@@ -1125,26 +929,10 @@ mod tests {
         let m = MappedIndex::build(&genome::uniform(40_000, 9), &config);
         // Streams interleaved low/high, sharing bucket 1 across streams.
         let requests = vec![
-            LfmRequest {
-                stream: 0,
-                nt: Base::A,
-                id: 140,
-            },
-            LfmRequest {
-                stream: 1,
-                nt: Base::A,
-                id: 170,
-            },
-            LfmRequest {
-                stream: 0,
-                nt: Base::A,
-                id: 5_000,
-            },
-            LfmRequest {
-                stream: 1,
-                nt: Base::G,
-                id: 9_000,
-            },
+            req(0, Base::A, 140),
+            req(1, Base::A, 170),
+            req(0, Base::A, 5_000),
+            req(1, Base::G, 9_000),
         ];
         let mut injectors = vec![m.read_injector(0), m.read_injector(1)];
         let mut batch_ledger = CycleLedger::new();
@@ -1162,46 +950,98 @@ mod tests {
         }
         assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
         assert_eq!(single_ledger.kernel_cache_counters().lookups(), 0);
+    }
 
-        // Cached leg: the same schedule through one rank-checkpoint
-        // cache replays sums, fault draws and every simulated charge of
-        // the uncached legs — cold (3 groups install) and warm (3 hits).
-        let mut cache = KernelCache::new();
-        for (hits, misses) in [(0, 3), (3, 0)] {
-            let mut cached = vec![m.read_injector(0), m.read_injector(1)];
-            let mut ledger = CycleLedger::new();
-            let mut sums = Vec::new();
-            m.lfm_batch_into(
-                &requests,
-                &mut cached,
-                Some(&mut cache),
-                &mut ledger,
-                &mut LfmBatchScratch::new(),
-                &mut sums,
-            );
-            assert_eq!(sums, batched);
-            assert_eq!(ledger, batch_ledger);
-            for s in 0..2 {
-                assert_eq!(cached[s].counters(), injectors[s].counters(), "stream {s}");
-            }
-            let cc = ledger.kernel_cache_counters();
-            assert_eq!((cc.hits, cc.misses), (hits, misses));
-        }
-        let mut cached = [m.read_injector(0), m.read_injector(1)];
-        let mut ledger = CycleLedger::new();
-        let singles: Vec<u32> = requests
+    /// [`MappedIndex::lfm_batch`] over `cache`, which no public entry
+    /// takes.
+    fn lfm_batch_cached(
+        m: &MappedIndex,
+        requests: &[LfmRequest],
+        injectors: &mut [FaultInjector],
+        cache: &mut KernelCache,
+        ledger: &mut CycleLedger,
+    ) -> Vec<u32> {
+        let mut scratch = LfmBatchScratch::new();
+        m.begin_lock_step(&mut scratch);
+        let sums = requests
             .iter()
-            .map(|r| {
-                let injector = &mut cached[r.stream];
-                m.lfm_cached(r.nt, r.id, injector, Some(&mut cache), &mut ledger)
+            .map(|&request| {
+                let cache = Some(&mut *cache);
+                m.lfm_in_lock_step(request, false, injectors, cache, ledger, &mut scratch)
+                    .0
             })
             .collect();
-        assert_eq!(singles, expected);
-        assert_eq!(ledger, single_ledger);
-        for s in 0..2 {
-            assert_eq!(cached[s].counters(), oracle[s].counters(), "stream {s}");
+        ledger.record_pipeline(&scratch.sim.counters());
+        sums
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The cached leg of `lock_step_is_the_single_read_kernel_per_request`
+        /// (`tests/platform_properties.rs`): through one rank-checkpoint
+        /// cache a lock step replays the sums, the fault draws and every
+        /// simulated charge of the uncached one, round after round —
+        /// later rounds hit — and only a leader looks the cache up.
+        #[test]
+        fn cached_lock_step_replays_the_uncached_one(
+            seed in any::<u64>(),
+            mirrored in any::<bool>(),
+            // One request a code: two bits the stream, two the base, two
+            // one of four rows (the sentinel's among them), the rest the
+            // column; one code in eight is the boundary `id = N`.
+            codes in proptest::collection::vec(any::<u32>(), 1..16),
+            rounds in 1usize..4,
+        ) {
+            use mram::faults::FaultModel;
+            let method = if mirrored { AddMethod::Mirrored } else { AddMethod::InPlace };
+            let campaign = FaultCampaign::seeded(seed)
+                .with_model(FaultModel::with_probabilities(0.05, 0.0))
+                .with_stuck_at_rate(1e-4)
+                .with_transient_row_rate(0.2)
+                .with_carry_fault_prob(0.1);
+            let m = mapped_under(&genome::uniform(32_767, seed % 8), method, campaign);
+            let n = m.index().text_len();
+            let sentinel = m.index().bwt().sentinel_pos() / 128;
+            let rows = [seed as usize % 256, (seed >> 8) as usize % 256, 255, sentinel];
+            let requests: Vec<LfmRequest> = codes
+                .iter()
+                .map(|&code| {
+                    let code = code as usize;
+                    let id = match (code >> 6) % 8 {
+                        0 => n,
+                        _ => rows[(code >> 4) % 4] * 128 + (code >> 9) % 128,
+                    };
+                    req(code % 4, Base::from_rank((code >> 2) % 4), id)
+                })
+                .collect();
+            let streams = || -> Vec<FaultInjector> {
+                (0..4).map(|s| m.read_injector(seed ^ s)).collect()
+            };
+            let mut cache = KernelCache::new();
+            let (mut plain, mut cached) = (streams(), streams());
+            let (mut plain_ledger, mut cached_ledger) = (CycleLedger::new(), CycleLedger::new());
+            for round in 0..rounds {
+                let want = m.lfm_batch(&requests, &mut plain, &mut plain_ledger);
+                let got =
+                    lfm_batch_cached(&m, &requests, &mut cached, &mut cache, &mut cached_ledger);
+                prop_assert_eq!(got, want, "round {}", round);
+            }
+            for s in 0..4 {
+                prop_assert_eq!(cached[s].counters(), plain[s].counters(), "stream {}", s);
+            }
+            // Ledger equality is every simulated quantity — counts, zones,
+            // pipeline — and leaves the host-side cache counters out.
+            prop_assert_eq!(&cached_ledger, &plain_ledger);
+            prop_assert_eq!(plain_ledger.kernel_cache_counters().lookups(), 0);
+            // One lookup a compare stage paid for — a follower makes none
+            // — and one sub-array's keys never share a slot: the first
+            // round installs them all, the later ones hit them all.
+            let paid = plain_ledger.primitives().count(LogicalOp::XnorMatch);
+            let cc = cached_ledger.kernel_cache_counters();
+            let installed = paid / rounds as u64;
+            prop_assert_eq!((cc.hits, cc.misses, cc.evictions), (paid - installed, installed, 0));
         }
-        assert_eq!(ledger.kernel_cache_counters().hits, 4);
     }
 
     /// Steps `[low, high)` by `nt` through the single-read entry and,

@@ -290,20 +290,27 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtocolError> {
+        let bytes = self.take(N)?;
+        Ok(bytes
+            .try_into()
+            .expect("take(N) returns N bytes or an error"))
+    }
+
     fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_be_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Result<u16, ProtocolError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_be_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     fn string(&mut self, len: usize) -> Result<String, ProtocolError> {
@@ -662,79 +669,83 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::tests::Mutation;
+    use proptest::prelude::*;
 
-    fn round_trip_request(req: Request) {
-        let decoded = decode_request(&encode_request(&req)).expect("decodes");
-        assert_eq!(decoded, req);
+    fn requests() -> Vec<Request> {
+        let align = |req_id, deadline_ms, id: &str, seq: &str| {
+            let (id, seq) = (id.to_owned(), seq.to_owned());
+            Request::Align(AlignRequest {
+                req_id,
+                deadline_ms,
+                id,
+                seq,
+            })
+        };
+        vec![
+            align(42, 250, "read-1", &"ACGTACGT".repeat(12)),
+            align(u64::MAX, 0, "", "A"),
+            Request::Drain { req_id: 7 },
+            Request::Stats { req_id: 8 },
+            Request::Prom { req_id: 9 },
+        ]
     }
 
-    fn round_trip_response(resp: Response) {
-        let decoded = decode_response(&encode_response(&resp)).expect("decodes");
-        assert_eq!(decoded, resp);
+    fn responses() -> Vec<Response> {
+        let mapped = |req_id, positions| {
+            let (reverse, diffs) = (true, 2);
+            let status = AlignStatus::Mapped {
+                reverse,
+                diffs,
+                positions,
+            };
+            Response::Aligned { req_id, status }
+        };
+        let (message, json) = ("bad base 'N'".to_owned(), "{\"received\": 3}".to_owned());
+        let text = "# TYPE pimserve_queue_depth gauge\npimserve_queue_depth 0\n".to_owned();
+        let (status, retry_after_ms) = (AlignStatus::Unmapped, 40);
+        vec![
+            mapped(1, vec![0, 17, u64::MAX]),
+            // More positions than a decoder pre-sizes for.
+            mapped(12, (0..5_000).collect()),
+            Response::Aligned { req_id: 2, status },
+            Response::Overloaded {
+                req_id: 3,
+                retry_after_ms,
+                reason: ShedReason::QueueDepth,
+            },
+            Response::Overloaded {
+                req_id: 4,
+                retry_after_ms,
+                reason: ShedReason::InflightBytes,
+            },
+            Response::DeadlineExceeded { req_id: 5 },
+            Response::Invalid { req_id: 6, message },
+            Response::WorkerPanic {
+                req_id: 7,
+                message: "poisoned read".to_owned(),
+            },
+            Response::Draining { req_id: 8 },
+            Response::DrainStarted { req_id: 9 },
+            Response::Stats { req_id: 10, json },
+            Response::Prom { req_id: 11, text },
+        ]
     }
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Align(AlignRequest {
-            req_id: 42,
-            deadline_ms: 250,
-            id: "read-1".to_owned(),
-            seq: "ACGTACGT".to_owned(),
-        }));
-        round_trip_request(Request::Align(AlignRequest {
-            req_id: u64::MAX,
-            deadline_ms: 0,
-            id: String::new(),
-            seq: "A".to_owned(),
-        }));
-        round_trip_request(Request::Drain { req_id: 7 });
-        round_trip_request(Request::Stats { req_id: 8 });
-        round_trip_request(Request::Prom { req_id: 9 });
+        for request in requests() {
+            let decoded = decode_request(&encode_request(&request)).expect("decodes");
+            assert_eq!(decoded, request);
+        }
     }
 
     #[test]
     fn responses_round_trip() {
-        round_trip_response(Response::Aligned {
-            req_id: 1,
-            status: AlignStatus::Mapped {
-                reverse: true,
-                diffs: 2,
-                positions: vec![0, 17, u64::MAX],
-            },
-        });
-        round_trip_response(Response::Aligned {
-            req_id: 2,
-            status: AlignStatus::Unmapped,
-        });
-        round_trip_response(Response::Overloaded {
-            req_id: 3,
-            retry_after_ms: 40,
-            reason: ShedReason::QueueDepth,
-        });
-        round_trip_response(Response::Overloaded {
-            req_id: 4,
-            retry_after_ms: 1,
-            reason: ShedReason::InflightBytes,
-        });
-        round_trip_response(Response::DeadlineExceeded { req_id: 5 });
-        round_trip_response(Response::Invalid {
-            req_id: 6,
-            message: "bad base 'N'".to_owned(),
-        });
-        round_trip_response(Response::WorkerPanic {
-            req_id: 7,
-            message: "poisoned read".to_owned(),
-        });
-        round_trip_response(Response::Draining { req_id: 8 });
-        round_trip_response(Response::DrainStarted { req_id: 9 });
-        round_trip_response(Response::Stats {
-            req_id: 10,
-            json: "{\"received\": 3}".to_owned(),
-        });
-        round_trip_response(Response::Prom {
-            req_id: 11,
-            text: "# TYPE pimserve_queue_depth gauge\npimserve_queue_depth 0\n".to_owned(),
-        });
+        for response in responses() {
+            let decoded = decode_response(&encode_response(&response)).expect("decodes");
+            assert_eq!(decoded, response);
+        }
     }
 
     #[test]
@@ -795,5 +806,132 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    /// An encoded message and the `(offset, width)` of its length fields.
+    type Sample = (Vec<u8>, Vec<(usize, usize)>);
+
+    /// Every request and response shape — the mutator's corpus.
+    fn corpus() -> Vec<Sample> {
+        let requests = requests().into_iter().map(|request| {
+            let fields = match &request {
+                // Opcode, `req_id`, `deadline_ms`, then the id's length.
+                Request::Align(a) => vec![(13, 2), (15 + a.id.len(), 4)],
+                _ => vec![],
+            };
+            (encode_request(&request), fields)
+        });
+        let responses = responses().into_iter().map(|response| {
+            // `req_id` and the status byte come first; a mapped answer's
+            // count follows its three flag bytes.
+            let fields = match &response {
+                Response::Aligned { status, .. } if *status != AlignStatus::Unmapped => {
+                    vec![(12, 4)]
+                }
+                Response::Invalid { .. } | Response::WorkerPanic { .. } => vec![(9, 2)],
+                Response::Stats { .. } | Response::Prom { .. } => vec![(9, 4)],
+                _ => vec![],
+            };
+            (encode_response(&response), fields)
+        });
+        requests.chain(responses).collect()
+    }
+
+    /// Whatever the bytes, both decoders answer with a message or a typed
+    /// error, and a message accounts for every byte it was decoded from —
+    /// so nothing it holds outgrows the payload.
+    fn decodes_or_fails_typed(bytes: &[u8]) -> Result<(), TestCaseError> {
+        match decode_request(bytes) {
+            Ok(request) => prop_assert_eq!(encode_request(&request), bytes),
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        match decode_response(bytes) {
+            Ok(response) => prop_assert_eq!(encode_response(&response).len(), bytes.len()),
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn the_corpus_decodes_and_its_fields_are_the_lengths() {
+        for (payload, fields) in corpus() {
+            assert!(decode_request(&payload).is_ok() || decode_response(&payload).is_ok());
+            // A length field one too large runs the payload out.
+            for &(at, width) in &fields {
+                let mut longer = payload.clone();
+                longer[at + width - 1] = longer[at + width - 1].wrapping_add(1);
+                assert!(decode_request(&longer).is_err() && decode_response(&longer).is_err());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile payloads through `decode_request` and
+        /// `decode_response`: a typed error or a message, never a panic,
+        /// and never an allocation a field asks for and the bytes do not
+        /// back — a count of 2³¹ positions pre-sizes 4 096 and then runs
+        /// out of payload.
+        #[test]
+        fn mutated_payloads_decode_or_fail_typed(
+            pick in any::<usize>(),
+            kind in 0u8..4,
+            a in any::<usize>(),
+            b in any::<usize>(),
+            c in any::<u64>(),
+        ) {
+            let corpus = corpus();
+            let (payload, fields) = &corpus[pick % corpus.len()];
+            let mut bytes = payload.clone();
+            Mutation::from_draws(kind, a, b, c).apply(&mut bytes, fields, true);
+            decodes_or_fails_typed(&bytes)?;
+        }
+
+        /// Hostile framed streams through `read_frame`: frames no longer
+        /// than the stream that carried them, then a clean end, a torn
+        /// frame or a length over the cap — and each frame through the
+        /// decoders as above.
+        #[test]
+        fn mutated_streams_read_frames_or_fail_typed(
+            picks in proptest::collection::vec(any::<usize>(), 1..5),
+            kind in 0u8..4,
+            a in any::<usize>(),
+            b in any::<usize>(),
+            c in any::<u64>(),
+        ) {
+            let corpus = corpus();
+            let mut wire = Vec::new();
+            let mut fields = Vec::new();
+            for pick in picks {
+                let (payload, inner) = &corpus[pick % corpus.len()];
+                let at = wire.len();
+                fields.push((at, 4));
+                fields.extend(inner.iter().map(|&(offset, width)| (at + 4 + offset, width)));
+                write_frame(&mut wire, payload).expect("a Vec takes it");
+            }
+            Mutation::from_draws(kind, a, b, c).apply(&mut wire, &fields, true);
+            let mut rest = wire.as_slice();
+            loop {
+                let before = rest.len();
+                match read_frame(&mut rest) {
+                    Ok(None) => break,
+                    Ok(Some(payload)) => {
+                        prop_assert_eq!(before - rest.len(), 4 + payload.len());
+                        decodes_or_fails_typed(&payload)?;
+                    }
+                    Err(e) => {
+                        let kind = e.kind();
+                        prop_assert!(
+                            kind == io::ErrorKind::UnexpectedEof || kind == io::ErrorKind::InvalidData,
+                            "{:?}",
+                            e
+                        );
+                        break;
+                    }
+                }
+            }
+            prop_assert!(rest.len() <= wire.len());
+        }
     }
 }

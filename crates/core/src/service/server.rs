@@ -189,6 +189,12 @@ impl ServerHandle {
         self.addr
     }
 
+    /// Handles the connection registry holds.
+    #[cfg(test)]
+    fn registered_conns(&self) -> usize {
+        self.conns.lock().expect("conn registry poisoned").len()
+    }
+
     /// Programmatic graceful drain — the in-process equivalent of the
     /// protocol's `Drain` opcode (and of SIGTERM, which a dependency-free
     /// binary cannot hook; see DESIGN.md §13.5). Idempotent.
@@ -344,14 +350,37 @@ fn acceptor_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("pimserve-conn".into())
-                    .spawn(move || connection_loop(&shared, stream))
-                    .expect("spawn connection thread");
-                conns.lock().expect("conn registry poisoned").push(handle);
+                    .spawn(move || connection_loop(&shared, stream));
+                match spawned {
+                    Ok(handle) => {
+                        let mut conns = conns.lock().expect("conn registry poisoned");
+                        reap_finished(&mut conns);
+                        conns.push(handle);
+                    }
+                    // Out of threads: the unspawned closure is dropped and
+                    // the stream with it, so this peer sees a close and
+                    // the connections already served keep their acceptor.
+                    Err(e) => log_kv("conn_spawn_failed", &[("error", e.to_string())]),
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(_) => std::thread::sleep(ACCEPT_POLL),
+        }
+    }
+}
+
+/// Joins the connection threads that have already returned — their
+/// peers hung up — so the registry holds the live connections, not one
+/// handle per connection ever accepted.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut k = 0;
+    while k < conns.len() {
+        if !conns[k].is_finished() {
+            k += 1;
+        } else if conns.swap_remove(k).join().is_err() {
+            log_kv("conn_panicked", &[]);
         }
     }
 }
@@ -778,4 +807,34 @@ fn align_one_quarantined(shared: &Arc<Shared>, totals: &mut BatchTotals, p: Pend
         }
     };
     respond(shared, totals, p, &resp);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::protocol::Client;
+    use super::*;
+    use crate::PimAlignerConfig;
+
+    #[test]
+    fn closed_connections_are_reaped_not_kept_until_drain() {
+        let reference: DnaSeq = "TGCTAGCATGAACCTTGGAACGTACGTTAGCATCGATCGGATTACAGATTACAGGG"
+            .parse()
+            .expect("reference parses");
+        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let handle = serve(platform, ServiceConfig::default(), "127.0.0.1:0").expect("serves");
+        let addr = handle.local_addr().to_string();
+        for req_id in 0..200 {
+            let mut client = Client::connect(&addr).expect("connects");
+            let answer = client
+                .align(req_id, "r", "GATTACAGATTACA", 0)
+                .expect("answers");
+            assert_eq!(answer.req_id(), req_id);
+        }
+        // Each accept joins the connections that closed before it; only
+        // the last few can still be on their way out.
+        let held = handle.registered_conns();
+        assert!(held <= 8, "{held} handles for 200 closed connections");
+        handle.begin_drain();
+        assert_eq!(handle.join().telemetry.accepted, 200);
+    }
 }

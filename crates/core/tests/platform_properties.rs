@@ -3,9 +3,12 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::EditBudget;
-use pim_aligner::{exact_search, MappedIndex, PimAlignerConfig};
-use pimsim::{CycleLedger, Dpu};
+use mram::faults::{FaultCampaign, FaultModel};
+use pim_aligner::{exact_search, LfmRequest, MappedIndex, PimAlignerConfig};
+use pimsim::costs::LogicalOp;
+use pimsim::{CycleLedger, Dpu, FaultInjector, PipelineCounters, PipelineSim};
 use proptest::prelude::*;
+use readsim::genome;
 
 fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
     proptest::collection::vec(0u8..4, min..max)
@@ -98,5 +101,122 @@ proptest! {
         );
         let sw = oracle.search_inexact(&read, budget);
         prop_assert_eq!(hw, sw);
+    }
+
+    /// A lock step is the single-read kernel run once per request: over
+    /// request lists with repeated `(bucket, nt)` keys, sub-arrays
+    /// interleaved, the sentinel's row and the boundary checkpoint
+    /// `id = N`, under method I and II, clean and under a seeded campaign
+    /// with stuck cells, `lfm_batch` returns what `lfm` returns request by
+    /// request, charges one compare stage per distinct key, draws each
+    /// stream's faults as its single-read replay does, and schedules a
+    /// follower without its compare — round after round through the same
+    /// injectors.
+    #[test]
+    fn lock_step_is_the_single_read_kernel_per_request(
+        seed in any::<u64>(),
+        mirrored in any::<bool>(),
+        faulty in any::<bool>(),
+        // The A, B and free rows the requests fall on, beside the
+        // sentinel's.
+        rows in proptest::collection::vec(0usize..256, 3..=3),
+        // One request a code: two bits the stream, two the base, three
+        // the row (0 = the boundary), the rest the column.
+        codes in proptest::collection::vec(any::<u32>(), 1..24),
+        rounds in 1usize..4,
+    ) {
+        let mut config = if mirrored {
+            PimAlignerConfig::pipelined()
+        } else {
+            PimAlignerConfig::baseline()
+        };
+        if faulty {
+            config = config.with_fault_campaign(
+                FaultCampaign::seeded(seed)
+                    .with_model(FaultModel::with_probabilities(0.05, 0.0))
+                    .with_stuck_at_rate(1e-4)
+                    .with_transient_row_rate(0.2)
+                    .with_carry_fault_prob(0.1),
+            );
+        }
+        // 65 536 rows fill two sub-arrays exactly, so `id = N` is the
+        // checkpoint bucket no sub-array holds.
+        let mapped = MappedIndex::build(&genome::uniform(65_535, seed % 8), &config);
+        let oracle = mapped.index();
+        let n = oracle.text_len();
+        prop_assert_eq!(mapped.subarray_count(), 2);
+        let buckets = [
+            rows[0],
+            256 + rows[1],
+            2 * rows[2] + usize::from(seed & 8 != 0),
+            oracle.bwt().sentinel_pos() / 128,
+        ];
+        let requests: Vec<LfmRequest> = codes
+            .iter()
+            .map(|&code| {
+                let code = code as usize;
+                let id = match (code >> 4) % 8 {
+                    0 => n,
+                    row => buckets[row % 4] * 128 + (code >> 7) % 128,
+                };
+                LfmRequest { stream: code % 4, nt: Base::from_rank((code >> 2) % 4), id }
+            })
+            .collect();
+        let streams = |mapped: &MappedIndex| -> Vec<FaultInjector> {
+            (0..4).map(|s| mapped.read_injector(seed ^ s)).collect()
+        };
+        let mut injectors = if faulty { streams(&mapped) } else { Vec::new() };
+        let mut replay = streams(&mapped);
+        let mut ledger = CycleLedger::new();
+        let mut singles = CycleLedger::new();
+        let mut sim = PipelineSim::new(config.pd(), config.pipeline());
+        let mut scheduled = PipelineCounters::default();
+        let (mut keys, mut boundary) = (0, 0);
+        for round in 0..rounds {
+            let sums = mapped.lfm_batch(&requests, &mut injectors, &mut ledger);
+            sim.reset(config.pd(), config.pipeline());
+            let mut led: Vec<(usize, Base)> = Vec::new();
+            for (k, r) in requests.iter().enumerate() {
+                let single = mapped.lfm(r.nt, r.id, &mut replay[r.stream], &mut singles);
+                prop_assert_eq!(sums[k], single, "round {} request {}", round, k);
+                if !faulty {
+                    prop_assert_eq!(single, oracle.marker_table().lfm(oracle.bwt(), r.nt, r.id));
+                }
+                let key = (r.id / 128, r.nt);
+                let follower = r.id < n && led.contains(&key);
+                if r.id == n {
+                    boundary += 1;
+                } else if !follower {
+                    led.push(key);
+                }
+                sim.issue(r.stream, follower);
+            }
+            keys += led.len() as u64;
+            scheduled.merge(&sim.counters());
+        }
+        let issued = (rounds * requests.len()) as u64;
+        let prims = ledger.primitives();
+        prop_assert_eq!(prims.count(LogicalOp::XnorMatch), keys);
+        prop_assert_eq!(prims.count(LogicalOp::MarkerRead), keys + boundary);
+        prop_assert_eq!(prims.count(LogicalOp::Popcount), issued - boundary);
+        prop_assert_eq!(prims.count(LogicalOp::ImAdd32), issued);
+        // What a follower does not pay — its compare stage and the two
+        // activations of it — is all that sets the lock step apart from
+        // the single reads.
+        for op in LogicalOp::ALL {
+            if !matches!(op, LogicalOp::XnorMatch | LogicalOp::MarkerRead) {
+                prop_assert_eq!(prims.count(op), singles.primitives().count(op), "{:?}", op);
+            }
+        }
+        let followers = issued - boundary - keys;
+        prop_assert_eq!(
+            singles.zone_activations().iter().sum::<u64>(),
+            ledger.zone_activations().iter().sum::<u64>() + 2 * followers
+        );
+        prop_assert_eq!(ledger.pipeline_counters(), scheduled);
+        prop_assert_eq!(ledger.kernel_cache_counters().lookups(), 0);
+        for (s, injector) in injectors.iter().enumerate() {
+            prop_assert_eq!(injector.counters(), replay[s].counters(), "stream {}", s);
+        }
     }
 }

@@ -7,9 +7,9 @@
 //! a repeat-dense reference skip the compare recount and the 32-row
 //! marker gather on the host. Hits still charge the exact `XNOR_Match` +
 //! marker-read cycles a recompute would (the caller's responsibility;
-//! see `LfmBatch::run_compare`), keeping the simulated platform
-//! oblivious to the cache. Passing no cache is the reference the cached
-//! path is tested against.
+//! see `pim_aligner::MappedIndex`'s compare stage), keeping the simulated
+//! platform oblivious to the cache. Passing no cache is the reference the
+//! cached path is tested against.
 
 /// Slots in the rank-checkpoint cache: one full sub-array's
 /// `(bucket, base)` space (256 buckets × 4 bases), direct-mapped.

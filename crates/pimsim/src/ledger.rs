@@ -173,9 +173,8 @@ impl CycleLedger {
         &self.zones
     }
 
-    /// Folds one batch's stage-queue scheduling totals in (called once
-    /// per `lfm_batch` invocation with the batch's
-    /// [`crate::PipelineSim`] counters).
+    /// Folds one lock step's stage-queue scheduling totals in (called
+    /// once per step with its [`crate::PipelineSim`] counters).
     #[inline]
     pub fn record_pipeline(&mut self, counters: &PipelineCounters) {
         self.pipeline.merge(counters);

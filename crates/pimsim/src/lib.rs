@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod cache;
 pub mod costs;
 pub mod host;
@@ -56,7 +55,6 @@ mod faults;
 mod ledger;
 mod subarray;
 
-pub use batch::LfmBatch;
 pub use cache::KernelCache;
 pub use dpu::{BacktrackState, Dpu};
 pub use faults::{FaultCounters, FaultInjector};

@@ -531,7 +531,10 @@ impl SubArray {
     /// staging without any observable difference.
     pub fn im_add32_shared(&self, a: u32, b: u32, ledger: &mut CycleLedger) -> u32 {
         LogicalOp::ImAdd32.charge(&self.model, ledger);
-        ripple_add32(a, b, None)
+        // A ripple add with no carry killed is a wrapping add, value for
+        // value; this is every fault-free `LFM`'s add, so the host does
+        // not walk the 32 gates to learn it.
+        a.wrapping_add(b)
     }
 
     /// Shared-platform variant of [`SubArray::im_add32_faulty`]: the
@@ -550,7 +553,7 @@ impl SubArray {
     ) -> u32 {
         assert!(kill_carry_at < 32, "carry bit {kill_carry_at} out of range");
         LogicalOp::ImAdd32.charge(&self.model, ledger);
-        ripple_add32(a, b, Some(kill_carry_at))
+        ripple_add32(a, b, kill_carry_at)
     }
 
     /// Copies one row into another sub-array (method-II duplication);
@@ -568,17 +571,17 @@ impl SubArray {
     }
 }
 
-/// The ripple adder's gate-level arithmetic (XOR3 sum, MAJ carry, with
-/// an optional killed carry bit) — the pure function both the staged and
-/// the shared `IM_ADD` variants realise.
-fn ripple_add32(a: u32, b: u32, kill_carry_at: Option<usize>) -> u32 {
+/// The ripple adder's gate-level arithmetic (XOR3 sum, MAJ carry) with
+/// the carry out of bit `kill_carry_at` forced low — the pure function
+/// the staged faulty `IM_ADD` realises in its scratch rows.
+fn ripple_add32(a: u32, b: u32, kill_carry_at: usize) -> u32 {
     let mut carry = false;
     let mut sum = 0u32;
     for k in 0..32 {
         let x = (a >> k) & 1 == 1;
         let y = (b >> k) & 1 == 1;
         let s = x ^ y ^ carry;
-        carry = ((x & y) | (x & carry) | (y & carry)) && kill_carry_at != Some(k);
+        carry = ((x & y) | (x & carry) | (y & carry)) && kill_carry_at != k;
         if s {
             sum |= 1 << k;
         }
