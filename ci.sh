@@ -116,11 +116,15 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     # Simulated-count gate: perfdump is byte-deterministic and takes
     # about a second, so the committed baseline must be exactly
     # what this tree produces. A change that moves a simulated count
-    # regenerates BENCH_metrics.json in the same PR.
+    # regenerates BENCH_metrics.json in the same PR. A failure prints the
+    # head of the diff first, so the log names the counter that moved.
     step "perfdump + cmp (committed simulated counts)"
     cargo run -q --release -p bench --bin perfdump -- \
         --out target/ci/BENCH_metrics_full.json
-    cmp target/ci/BENCH_metrics_full.json BENCH_metrics.json
+    if ! cmp target/ci/BENCH_metrics_full.json BENCH_metrics.json; then
+        diff -u BENCH_metrics.json target/ci/BENCH_metrics_full.json | head -40
+        exit 1
+    fi
 
     # SA-IS at the size the naive oracle cannot reach (8 Mbp uniform,
     # 2 Mbp repeat-rich), checked through BWT inversion: seconds here,

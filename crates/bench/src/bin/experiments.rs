@@ -106,9 +106,9 @@ fn fig7() {
 
 /// The runs as they ran, under the figures they are compared in. The
 /// figure rows are taken at the published algorithm's `LFM` count
-/// (`PerfReport::as_published`); the seed table and the one-row interval
-/// step fill fewer issue slots, by the factor `f`, and those are
-/// extensions beyond the paper.
+/// (`PerfReport::as_published`); the seed table, the word-line interval
+/// step and the partition rule fill fewer issue slots, by the factor `f`,
+/// and those are extensions beyond the paper.
 fn beyond_the_paper(label: &str, runs: &[(String, PerfReport)]) -> String {
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -128,7 +128,7 @@ fn beyond_the_paper(label: &str, runs: &[(String, PerfReport)]) -> String {
         })
         .collect();
     render_table(
-        "beyond the paper: seed table + singleton step (as run; f = published LFMs / issue slots)",
+        "beyond the paper: seed table + word-line step + partition (as run; f = published LFMs / issue slots)",
         &[
             label,
             "f",

@@ -651,8 +651,10 @@ impl AlignSession {
     /// no lock step runs: every `LFM` is the same kernel with nothing
     /// resident, nothing is shared or scheduled (`breakdown.pipeline`
     /// stays zero), and the per-read fault streams remain. That is not a
-    /// batch of one, which would still share a step's `low` and `high`
-    /// plane load when both fall in one bucket.
+    /// batch of one, which would record its step schedule in
+    /// `breakdown.pipeline`. (It no longer differs in a plane load: a step
+    /// whose `low` and `high` fall in one bucket lies inside one word line
+    /// and issues one `LFM`.)
     ///
     /// One wall-clock sample per read lands in the per-read histogram:
     /// its own completion time plus an equal share of each batched

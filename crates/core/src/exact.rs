@@ -11,9 +11,9 @@ use crate::mapping::{LfmBatchScratch, MappedIndex};
 pub struct ExactStats {
     /// `LFM` invocations issued: none for the bases a seed-table read
     /// covers (`MappedIndex::start`), then two per consumed base while the
-    /// interval spans several rows and one per base once it is a single
-    /// row (`MappedIndex::step`) — about `m + log₄ N − 2·k` for a read of
-    /// `m` bases that occurs once. Algorithm 1 as published issues
+    /// interval spans word lines and one per base once it lies inside one
+    /// (`MappedIndex::step`) — about `m + log₄(N / 128) − 2·k` for a read
+    /// of `m` bases that occurs once. Algorithm 1 as published issues
     /// `2 · bases_consumed`.
     pub lfm_calls: u64,
     /// Read bases consumed before success or early failure.
@@ -25,8 +25,8 @@ pub struct ExactStats {
 /// last `k` bases (`MappedIndex::start`) — walks the rest of the read
 /// right-to-left, and extends the interval by each base with the
 /// in-memory `LFM` procedure — one interval step a base, `LFM(low)` and
-/// `LFM(high)` or, on a one-row interval, the one `LFM` that serves both
-/// bounds — stopping early when `low ≥ high`.
+/// `LFM(high)` or, on an interval inside one word line, the one `LFM`
+/// that serves both bounds — stopping early when `low ≥ high`.
 ///
 /// The index is shared and immutable; the caller supplies the session's
 /// own fault-injection stream, DPU and ledger, and optionally its
@@ -150,7 +150,8 @@ pub(crate) fn exact_search_recorded(
 /// Runs Algorithm 1 for `reads.len()` reads in lock-step through the
 /// batched kernel: every read starts as [`exact_search`] starts it, and
 /// at each step every still-active read contributes its `low` then —
-/// unless its interval is one row — its `high` LFM request (read order),
+/// unless its interval lies inside one word line — its `high` LFM request
+/// (read order),
 /// and the whole step executes as one batch so plane loads shared across
 /// reads are charged once. Results and statistics are bit-identical to
 /// running [`exact_search`] per read — including under seeded faults when
@@ -161,7 +162,8 @@ pub(crate) fn exact_search_recorded(
 /// Each read gets its own transient DPU (interval registers), charged
 /// exactly like the single-read path: one `IndexUpdate` and at most one
 /// `SeedRead` at the start, one `IndexUpdate` per consumed step, one
-/// `IndexBump` per one-row step. Reads drop out of the batch on early
+/// `IndexBump` per word-line step and one `Popcount` more if it spans two
+/// rows or more. Reads drop out of the batch on early
 /// failure (`low ≥ high`) or exhaustion, exactly like the single-read
 /// early exit.
 pub fn exact_search_batch(
@@ -314,10 +316,12 @@ mod tests {
             exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert_eq!(interval.count(), 1);
         assert_eq!(stats.bases_consumed, 3);
-        // The paper's worked example issues six `LFM`s. `A` narrows
-        // `TGCTA$` to one row, so `T` and `C` are one-row steps here: four
-        // issued, two bumps, the published six still accounted for.
-        assert_eq!(stats.lfm_calls, 4);
+        // The paper's worked example issues six `LFM`s. `TGCTA$` is six
+        // rows, all in one word line, so every step is a word-line step:
+        // three issued, three bumps, the published six still accounted
+        // for (four and two while only a one-row interval took one `LFM`:
+        // `A` narrows the text to one row).
+        assert_eq!(stats.lfm_calls, 3);
         let bumps = ledger.primitives().count(LogicalOp::IndexBump);
         assert_eq!(stats.lfm_calls + bumps, 6);
         let (published, published_stats, _) =
@@ -422,9 +426,21 @@ mod tests {
                 0
             };
             prop_assert_eq!(stepped.primitives().count(LogicalOp::SeedRead), seed_reads);
-            prop_assert_eq!(stepped.seeded_steps(), seeded as u64);
+            prop_assert_eq!(stepped.unissued_steps(), seeded as u64);
             holds_the_published_intervals(&descent, &want_descent, seeded)?;
-            let bumps = stepped.primitives().count(LogicalOp::IndexBump);
+            // A step the search walked from an interval inside one word
+            // line issued one `LFM` and a bump, and one popcount more if
+            // the interval spans two columns or more.
+            let walked = &want_descent[seeded..stats.bases_consumed];
+            let in_a_line =
+                |&&(low, high): &&(u32, u32)| high > low && (high - 1) / 128 == low / 128;
+            let bumps = walked.iter().filter(in_a_line).count() as u64;
+            let spans = walked
+                .iter()
+                .filter(in_a_line)
+                .filter(|(low, high)| high - low > 1)
+                .count() as u64;
+            prop_assert_eq!(stepped.primitives().count(LogicalOp::IndexBump), bumps);
             prop_assert_eq!(
                 want_stats.lfm_calls,
                 stats.lfm_calls + bumps + 2 * seeded as u64
@@ -442,10 +458,12 @@ mod tests {
             // Charging the `LFM`s not issued on top of the stepped ledger
             // — one a bump, and the published walk of the `k` bases a
             // successful seed read covered — gives the published one, the
-            // bumps, the seed read and its interval write over.
+            // bumps, the spans' popcounts, the seed read and its interval
+            // write over.
             let mut rebuilt = stepped.clone();
             let mut over = CycleLedger::new();
             LogicalOp::IndexBump.charge_many(&model, &mut over, bumps);
+            LogicalOp::Popcount.charge_many(&model, &mut over, spans);
             LogicalOp::SeedRead.charge_many(&model, &mut over, seed_reads);
             if seeded > 0 {
                 let covered = read.subseq(read.len() - seeded..read.len());
@@ -541,7 +559,7 @@ mod tests {
                         width
                     );
                 }
-                prop_assert_eq!(ledger.seeded_steps(), singles_ledger.seeded_steps());
+                prop_assert_eq!(ledger.unissued_steps(), singles_ledger.unissued_steps());
             }
             prop_assert!(ledgers[0] == ledgers[1], "the cache moved a charge");
         }
@@ -610,7 +628,7 @@ mod tests {
             ]
         );
         assert_eq!(ledger.primitives().count(LogicalOp::SeedRead), 6);
-        assert_eq!(ledger.seeded_steps(), 4 * 3);
+        assert_eq!(ledger.unissued_steps(), 4 * 3);
         for method in [AddMethod::InPlace, AddMethod::Mirrored] {
             step_equals_published(&reference, &reads, method).unwrap();
         }
@@ -643,17 +661,21 @@ mod tests {
             exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
         assert!(interval.is_empty());
         assert_eq!(stats.bases_consumed, 1);
-        assert_eq!(stats.lfm_calls, 2);
+        // `[0, 11)` lies in one word line: one `LFM`, not the published
+        // two (2 before the word-line step).
+        assert_eq!(stats.lfm_calls, 1);
     }
 
     #[test]
     fn batched_search_matches_single_reads_exactly() {
         let reference = genome::uniform(60_000, 21);
         let (mapped, mut injector, mut dpu, mut _ledger) = setup(&reference);
-        // Mixed lengths + one guaranteed miss + one empty read.
+        // Mixed lengths, one read that ends where another does, and one
+        // empty read.
         let mut reads: Vec<DnaSeq> = (0..6)
             .map(|k| reference.subseq(k * 7_919..k * 7_919 + 40 + 10 * k))
             .collect();
+        reads.push(reads[5].subseq(60..90));
         reads.push("".parse().unwrap());
         let refs: Vec<&DnaSeq> = reads.iter().collect();
         let mut batch_ledger = CycleLedger::new();
@@ -672,8 +694,11 @@ mod tests {
             assert_eq!(*interval, expected);
             assert_eq!(*stats, expected_stats);
         }
-        // The lock-step batch shares early-step plane loads (every read
-        // starts from [0, N), so step 0 groups collapse hard).
+        // The lock-step batch shares plane loads: the two reads that end
+        // alike walk the same intervals side by side. (Reads a seed table
+        // starts rarely meet in a bucket otherwise — none of the others
+        // here do — and since a step inside one word line issues one
+        // `LFM`, a read's own two bounds never share one.)
         assert!(batch_ledger.total_busy_cycles() < single_ledger.total_busy_cycles());
         // ...but issues exactly the same per-request LFM work.
         for op in [
@@ -694,24 +719,34 @@ mod tests {
     fn batched_search_replays_per_read_fault_streams() {
         use mram::faults::{FaultCampaign, FaultModel};
         // A campaign under which no descent gets far, and one mild enough
-        // that a long read spends most of its steps on a one-row interval
-        // — where a step draws for one `LFM`, not two.
-        for (xnor, transient, carry) in [(0.02, 0.05, 0.02), (1e-4, 1e-3, 1e-3)] {
-            let campaign = FaultCampaign::seeded(41)
+        // that a long read spends most of its steps inside one word line
+        // — where a step draws for one `LFM`, not two. (The mild one was
+        // seeded 41 until the word-line step: its draws now break the long
+        // read at base 38. Seed 1613 takes it through all 200 bases with a
+        // misread, a transient and a carry fault on the way.)
+        for (seed, xnor, transient, carry) in [(41, 0.02, 0.05, 0.02), (1613, 1e-4, 1e-3, 1e-3)] {
+            let campaign = FaultCampaign::seeded(seed)
                 .with_model(FaultModel::with_probabilities(xnor, 0.0))
                 .with_transient_row_rate(transient)
                 .with_carry_fault_prob(carry);
-            let long = replays_per_read_fault_streams(campaign);
+            let (long, faults) = replays_per_read_fault_streams(campaign);
             if xnor < 1e-3 {
                 assert!(long.bases_consumed > 150, "{long:?}");
                 assert!(long.lfm_calls < long.bases_consumed as u64 + 30, "{long:?}");
+                // The replay compared a stream that drew faults, not an
+                // all-zero one.
+                assert!(faults.xnor_bit_flips > 0, "{faults:?}");
+                assert!(faults.transient_row_faults > 0, "{faults:?}");
+                assert!(faults.carry_faults > 0, "{faults:?}");
             }
         }
     }
 
     /// The body of the test above under one campaign; returns the stats
-    /// of its 200-base read.
-    fn replays_per_read_fault_streams(campaign: mram::faults::FaultCampaign) -> ExactStats {
+    /// of its 200-base read and the faults its stream injected.
+    fn replays_per_read_fault_streams(
+        campaign: mram::faults::FaultCampaign,
+    ) -> (ExactStats, pimsim::FaultCounters) {
         let config = PimAlignerConfig::baseline().with_fault_campaign(campaign);
         let reference = genome::uniform(30_000, 23);
         let mapped = MappedIndex::build(&reference, &config);
@@ -780,7 +815,7 @@ mod tests {
             );
         }
         assert!(ledger.kernel_cache_counters().hits > 0);
-        batched[4].1
+        (batched[4].1, injectors[4].counters())
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   in the register file; its insertion, deletion and substitution
 //!   children are expanded when the DFS backtracks into that frame, and
 //!   only if the bound leaves them a budget;
+//! * the four extensions of a frame's interval split its rows, so once
+//!   the match continuation and the alternatives issued so far hold them
+//!   all, the remaining alternatives are empty and are not issued — at a
+//!   one-row frame whose match continued, none is;
 //! * first-accept mode searches in rounds of growing budget, from the
 //!   number of absent substrings up to `z` ("one and two mismatch …
 //!   based on input-z"), so the hit it returns is a minimum-difference
@@ -256,9 +260,9 @@ impl<'a> Search<'a> {
     }
 
     /// Extends `[low, high)` backward by `b`, one interval step
-    /// ([`MappedIndex::step`]): two `LFM`s, or one on a one-row interval,
-    /// and the interval write. `None` when nothing in the reference
-    /// continues that way.
+    /// ([`MappedIndex::step`]): two `LFM`s, or one on an interval inside
+    /// one word line, and the interval write. `None` when nothing in the
+    /// reference continues that way.
     fn extend(&mut self, b: Base, low: u32, high: u32) -> Option<(u32, u32)> {
         self.stats.lfm_calls +=
             self.mapped
@@ -506,6 +510,13 @@ impl<'a> Search<'a> {
     /// exhausted, so the alternatives are expanded — pushed so that they
     /// pop substitution then deletion per base (`T` first), then the
     /// insertion.
+    ///
+    /// The four extensions of the frame's interval split its rows that
+    /// hold a base ([`MappedIndex::base_rows`]). Once the match
+    /// continuation and the alternatives issued so far account for all of
+    /// them, the rest are empty: none is issued, and each is noted on the
+    /// ledger as a step taken without an `LFM` (DESIGN.md §5). The rule
+    /// trusts the registers, as every step does.
     fn expand(&mut self, frame: Frame, matched: Option<(u32, u32)>) {
         let _ = self.dpu.pop_state(self.ledger);
         let current = self.read[frame.i as usize];
@@ -522,11 +533,21 @@ impl<'a> Search<'a> {
         // A deletion from the read consumes a reference base only, so
         // all of read[0..=i] is still to pay for.
         let deletions = indels && z >= self.bound(frame.i);
+        let rows = |next: Option<(u32, u32)>| next.map_or(0, |(low, high)| high - low);
+        let mut left = self
+            .mapped
+            .base_rows((frame.low, frame.high))
+            .saturating_sub(rows(matched));
         for b in Base::ALL {
             let next = if b == current {
                 matched
+            } else if left == 0 {
+                self.ledger.note_unissued_steps(1);
+                None
             } else {
-                self.extend(b, frame.low, frame.high)
+                let next = self.extend(b, frame.low, frame.high);
+                left = left.saturating_sub(rows(next));
+                next
             };
             let Some((low, high)) = next else {
                 continue;
@@ -1150,6 +1171,57 @@ pub(crate) mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The partition rule against the software oracle: backtracking
+        /// into any frame `[low, high)` — the sentinel's row inside it or
+        /// not — every alternative `expand` resolves without an `LFM` is
+        /// empty, and it resolves every one after the last that is not.
+        #[test]
+        fn alternatives_resolved_without_an_lfm_are_empty(
+            reference in arb_seq(20, 3_000),
+            at in any::<u32>(),
+            rows in 1u32..300,
+            current in 0usize..4,
+            indels in any::<bool>(),
+        ) {
+            let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
+            let oracle = mapped.index();
+            let n = oracle.text_len() as u32;
+            let low = at % n;
+            let high = (low + rows).min(n);
+            let lfm = |b, id: u32| oracle.marker_table().lfm(oracle.bwt(), b, id as usize);
+            let child = |b| Some((lfm(b, low), lfm(b, high))).filter(|(l, h)| l < h);
+            let current = Base::from_rank(current);
+            let read = DnaSeq::from_bases(vec![current]);
+            let mut path = Descent::new();
+            let budget = budget_of(1, indels);
+            let mut search = Search::new(
+                &mapped, &mut injector, &mut dpu, &read, budget, &mut path, &mut ledger,
+            );
+            search.d = vec![0];
+            search.save(Frame { i: 0, z: 1, low, high }, child(current));
+            let Some(Entry::Deferred(frame, matched)) = search.stack.pop() else {
+                unreachable!("a saved frame is deferred")
+            };
+            search.expand(frame, matched);
+            let resolved = search.ledger.unissued_steps() as usize;
+            let alternatives: Vec<Base> = Base::ALL.into_iter().filter(|&b| b != current).collect();
+            for &b in &alternatives[3 - resolved..] {
+                prop_assert_eq!(child(b), None, "{} resolved at [{}, {})", b, low, high);
+            }
+            let issued = alternatives
+                .iter()
+                .rposition(|&b| child(b).is_some())
+                .map_or(0, |last| last + 1);
+            prop_assert_eq!(resolved, 3 - issued);
+            // The others were issued, one `LFM` each inside a word line.
+            let step = if (high - 1) / 128 == low / 128 { 1 } else { 2 };
+            prop_assert_eq!(search.stats.lfm_calls, step * issued as u64);
+        }
+    }
+
     /// `reference[50_000..50_100)` with substitutions at `places`.
     fn read_with_substitutions_at(reference: &DnaSeq, places: &[usize]) -> DnaSeq {
         let mut bases = reference.subseq(50_000..50_100).into_bases();
@@ -1191,14 +1263,15 @@ pub(crate) mod tests {
         let len = search.trimmed_len();
         assert_eq!(len, 9 + 6, "⌈log₄ 200 001⌉ = 9");
         let bumps = |search: &Search| search.ledger.primitives().count(LogicalOp::IndexBump);
-        let seeded = |search: &Search| search.ledger.seeded_steps();
+        let seeded = |search: &Search| search.ledger.unissued_steps();
         let (before, bumps_before) = (search.stats.lfm_calls, bumps(&search));
         let seeded_before = seeded(&search);
         search.trim();
         // One seed read for the first four bases, then one interval step
-        // a base, the published two `LFM`s each but for the last five,
-        // which found the interval down to one row: 17 `LFM`s (25 from
-        // `[0, N)`, 30 before the one-row step).
+        // a base, the published two `LFM`s each but for the last eight,
+        // which found the interval inside one word line: 14 `LFM`s (17
+        // while only a one-row interval took one, 25 from `[0, N)`, 30
+        // before that).
         let bumped = bumps(&search) - bumps_before;
         let skipped = seeded(&search) - seeded_before;
         assert_eq!(skipped, mapped.seed_table().depth() as u64);
@@ -1206,7 +1279,7 @@ pub(crate) mod tests {
             search.stats.lfm_calls - before,
             2 * (len as u64 - skipped) - bumped
         );
-        assert_eq!((skipped, bumped), (4, 5));
+        assert_eq!((skipped, bumped), (4, 8));
         assert_eq!(search.absent, [(4, 4 + len)]);
         assert_eq!((search.d[4 + len - 2], search.d[4 + len - 1]), (0, 1));
         assert_eq!(search.d[99], 1);
@@ -1335,9 +1408,9 @@ pub(crate) mod tests {
         // On a clean read the production mode pays the lower-bound pass
         // only — a seed read for the last base (the table of 8 001 rows
         // has one level), two LFMs a base while the interval spans
-        // several rows, ⌈log₄ 8 001⌉ = 7 bases and a couple more less
-        // that one, then one a base — and the round replays that descent:
-        // 106 LFMs (200 at two a base throughout).
+        // several word lines, three bases here, then one a base — and the
+        // round replays that descent: 102 LFMs (106 while only a one-row
+        // interval took one; 200 at two a base throughout).
         let reference = genome::uniform(8_000, 26);
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = reference.subseq(2_000..2_100);
@@ -1356,7 +1429,7 @@ pub(crate) mod tests {
             stats.lfm_calls
         );
         let bumps = ledger.primitives().count(LogicalOp::IndexBump);
-        assert_eq!((ledger.seeded_steps(), bumps), (1, 92));
+        assert_eq!((ledger.unissued_steps(), bumps), (1, 96));
         assert_eq!(stats.lfm_calls + bumps + 2, 2 * read.len() as u64);
     }
 
@@ -1385,36 +1458,39 @@ pub(crate) mod tests {
                 session.lfm_calls() - before
             };
             // Each ceiling is the count measured with the seed table (four
-            // levels here) and the one-row step, and a few `LFM`s; beside
-            // it, the count with the step alone, and at two `LFM`s a step.
+            // levels here), the word-line step and the partition rule, and
+            // a few `LFM`s; beside it, the count with the seed table and
+            // the one-row step, with that step alone, and at two `LFM`s a
+            // step.
             //
             // Mid-read: stage 1 reads its first four steps, walks to the
             // difference, the break frame pays for it and the rest matches
-            // — one `LFM` a base from the eleventh on, the alternatives
-            // that die included: 105 (113; 206; 100 + 306 while stage 2
-            // made the descent again and ran the bound pass to the end
-            // first).
+            // — one `LFM` a base once inside a word line, and none for an
+            // alternative of a one-row frame: 99 (105; 113; 206; 100 + 306
+            // while stage 2 made the descent again and ran the bound pass
+            // to the end first).
             let lfm = cost(read_with_substitutions_at(&reference, &[50]), Some(1));
-            assert!(lfm <= m + 8, "mid-read difference: {lfm} LFMs");
+            assert!(lfm <= m + 2, "mid-read difference: {lfm} LFMs");
             // In the 3' seed, where the interval is still wide: the break
             // is too shallow to be tried first, and round 1 tries the
             // one-difference alternatives of the last bases, reading from
-            // the table the frames the descent's start skipped: 400 (416;
-            // 606; 18 + 606 before the hand-over).
+            // the table the frames the descent's start skipped: 317 (400;
+            // 416; 606; 18 + 606 before the hand-over).
             let lfm = cost(read_with_substitutions_at(&reference, &[95]), Some(1));
-            assert!(lfm <= 404, "3' seed difference: {lfm} LFMs");
+            assert!(lfm <= 320, "3' seed difference: {lfm} LFMs");
             // The wrong strand: the bound pass alone used to cost what
             // both stages may now. Its three absent substrings are about
-            // ten bases each, and each starts four bases in: 31 (55; 56).
+            // ten bases each, and each starts four bases in: 24 (31; 55;
+            // 56).
             let wrong_strand = reference.subseq(50_000..50_100).reverse_complement();
             let lfm = cost(wrong_strand, None);
-            assert!(lfm <= 32, "wrong-strand read: {lfm} LFMs");
+            assert!(lfm <= 25, "wrong-strand read: {lfm} LFMs");
             // Over budget, all at the 5' end, where the right-to-left
             // pass sees one substring: the break frame, then both rounds
-            // to exhaustion, the second on a trimmed bound: 3 637 (3 661;
-            // 6 058; 52 870 on the untrimmed bound).
+            // to exhaustion, the second on a trimmed bound: 2 642 (3 637;
+            // 3 661; 6 058; 52 870 on the untrimmed bound).
             let lfm = cost(read_with_substitutions_at(&reference, &[2, 3, 4]), None);
-            assert!(lfm <= 37 * m, "5' over-budget read: {lfm} LFMs");
+            assert!(lfm <= 27 * m, "5' over-budget read: {lfm} LFMs");
         }
     }
 

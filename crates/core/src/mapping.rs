@@ -77,31 +77,34 @@ impl LfmBatchScratch {
 }
 
 /// The DPU's reading of one `LFM`'s match mask: the matches before column
-/// `within` and, when the `LFM` is a one-row step's `probe`, the match bit
-/// at `within` itself. Under an active campaign the reading is taken from
-/// this request's own copy of the mask, faulted with what one `LFM` draws
-/// (DESIGN.md §8, §15.2): one transient-row decision, then one misread
-/// draw per column sensed — the `within` counted and, if probed, that
-/// column too. The mask APIs draw the RNG stream of the boolean ones, so
-/// seeded replays do not depend on the packing.
+/// `within`, and the matches in the `span` columns from `within` on — the
+/// second bound of a word-line step ([`MappedIndex::step`]); `span` is 0
+/// for any other `LFM`. Under an active campaign the reading is taken
+/// from this request's own copy of the mask, faulted with what one `LFM`
+/// draws (DESIGN.md §8, §15.2): one transient-row decision, then one
+/// misread draw per column sensed, `within + span` of them. The mask APIs
+/// draw the RNG stream of the boolean ones, so seeded replays do not
+/// depend on the packing.
 fn sense(
     mut mask: MatchMask,
     within: usize,
-    probe: bool,
+    span: usize,
     injector: Option<&mut FaultInjector>,
-) -> (u32, bool) {
+) -> (u32, u32) {
     if let Some(injector) = injector.filter(|i| i.is_active()) {
         injector.transient_row_mask(&mut mask);
-        injector.corrupt_match_mask(&mut mask, within + usize::from(probe));
+        injector.corrupt_match_mask(&mut mask, within + span);
     }
-    (mask.count_prefix(within), probe && mask.get(within))
+    let prefix = mask.count_prefix(within);
+    (prefix, mask.count_prefix(within + span) - prefix)
 }
 
-/// Whether `[low, high)` is a single BWT row: what selects the one-`LFM`
-/// interval step ([`MappedIndex::step`]), on either path, and nothing else
-/// does.
-fn one_row(low: u32, high: u32) -> bool {
-    high == low + 1
+/// Whether `[low, high)` is not empty and lies inside one word line — one
+/// Occ bucket: what selects the one-`LFM` interval step
+/// ([`MappedIndex::step`]), on either path, and nothing else does.
+fn one_word_line(low: u32, high: u32) -> bool {
+    let row = SubArrayLayout::BASES_PER_ROW as u32;
+    high > low && (high - 1) / row == low / row
 }
 
 /// The FM-index tables distributed across computational sub-arrays.
@@ -340,7 +343,7 @@ impl MappedIndex {
     ///
     /// A search does not call this: it extends its interval through
     /// `MappedIndex::step`, which issues one of these per bound, or one
-    /// for both when the interval is a single row.
+    /// for both when the interval lies inside one word line.
     ///
     /// # Panics
     ///
@@ -352,17 +355,17 @@ impl MappedIndex {
         injector: &mut FaultInjector,
         ledger: &mut CycleLedger,
     ) -> u32 {
-        self.lfm_kernel(nt, id, false, None, Some(injector), None, ledger)
+        self.lfm_kernel(nt, id, 0, None, Some(injector), None, ledger)
             .0
     }
 
     /// The one `LFM` kernel: every `LFM` of every path — a single read's,
     /// a lock step's, the inexact search's — is this function run once.
-    /// Returns the sum, the match bit at `id`'s own column if `probe` asks
-    /// for it — `BWT[id] == nt`, read from the mask the `LFM` has sensed
-    /// anyway: post-sentinel, and under a campaign the same privately
-    /// faulted copy the count is taken from (see [`sense`]) — and whether
-    /// the compare stage was already `resident`.
+    /// Returns the sum; the matches in the `span` columns from `id`'s own
+    /// on — the `nt`s of `BWT[id .. id + span)`, read from the mask the
+    /// `LFM` has sensed anyway: post-sentinel, and under a campaign the
+    /// same privately faulted copy the count is taken from (see
+    /// [`sense`]); and whether the compare stage was already `resident`.
     ///
     /// `resident` is the table of compare stages the current lock step has
     /// paid for (`None` outside one). A request whose `(bucket, nt)` is in
@@ -386,12 +389,12 @@ impl MappedIndex {
         &self,
         nt: Base,
         id: usize,
-        probe: bool,
+        span: usize,
         resident: Option<&mut Vec<Resident>>,
         mut injector: Option<&mut FaultInjector>,
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
-    ) -> (u32, bool, bool) {
+    ) -> (u32, u32, bool) {
         assert!(id <= self.index.text_len(), "LFM index {id} out of range");
         let bucket = id / SubArrayLayout::BASES_PER_ROW;
         let within = id % SubArrayLayout::BASES_PER_ROW;
@@ -403,10 +406,10 @@ impl MappedIndex {
         // `id` may equal the text length, landing exactly on a bucket
         // boundary past the last row; the count contribution is then zero
         // and the marker row is the final checkpoint.
-        let (count, bit, marker, shared) = if s > last {
-            // The checkpoint bucket holds no BWT row to probe: it can be
-            // an interval's `high`, never the `low` of a one-row one.
-            debug_assert!(!probe, "one-row interval at the boundary checkpoint");
+        let (count, spanned, marker, shared) = if s > last {
+            // The checkpoint bucket holds no BWT row to sense: it can be
+            // an interval's `high`, never the `low` of a word-line step.
+            debug_assert_eq!(span, 0, "word-line step at the boundary checkpoint");
             // Boundary bucket holds no BWT bases; its marker equals the
             // final checkpoint stored in the last sub-array's next column.
             // The builder always allocates the checkpoint bucket because
@@ -418,7 +421,7 @@ impl MappedIndex {
             // sub-array (where the last marker column lives).
             ledger.note_zone_many(last, 1);
             let marker = self.index.marker_table().marker(nt, bucket);
-            (0, false, marker, false)
+            (0, 0, marker, false)
         } else {
             let held = resident
                 .as_deref()
@@ -448,8 +451,8 @@ impl MappedIndex {
             // Fault injection (DESIGN.md §8) always corrupts this
             // request's private copy of the mask, never the resident or
             // the cached one.
-            let (count, bit) = sense(mask, within, probe, injector.as_deref_mut());
-            (count, bit, marker, held.is_some())
+            let (count, spanned) = sense(mask, within, span, injector.as_deref_mut());
+            (count, spanned, marker, held.is_some())
         };
         // `None` without consuming the stream when the carry rate is
         // zero, so an inactive injector is no injector.
@@ -478,7 +481,7 @@ impl MappedIndex {
         // inflate the count past the table range, and the controller
         // clamps rather than address outside the mapped region. A no-op
         // under ideal sensing.
-        (sum.min(self.index.text_len() as u32), bit, shared)
+        (sum.min(self.index.text_len() as u32), spanned, shared)
     }
 
     /// The compare stage of `LFM(nt, ·)` on bucket row `lb` of sub-array
@@ -533,20 +536,23 @@ impl MappedIndex {
     /// extends its interval here and nowhere else.
     ///
     /// The published step issues `LFM(nt, low)` and `LFM(nt, high)`. When
-    /// the interval is one row, `high == low + 1`, the second is
-    /// `rank(nt, low + 1) = rank(nt, low) + [BWT[low] == nt]`, and that
-    /// bit is column `low % 128` of the mask `LFM(nt, low)` has just
-    /// sensed. So the step issues that one `LFM`, and the DPU's counter
-    /// makes `high' = low' + bit` from it, saturating at `N` like every
-    /// index register: one [`LogicalOp::IndexBump`] beside the step's
-    /// usual interval write. The intervals are those of the published
-    /// step, at every step of every search; what changes is the count —
-    /// an extension beyond the paper (DESIGN.md §8), whose figures
+    /// the interval lies inside one word line — `low` and `high − 1` in
+    /// one Occ bucket — the second is `rank(nt, high) = rank(nt, low) +`
+    /// the `nt`s of `BWT[low .. high)`, and those are columns
+    /// `low % 128 ..= (high − 1) % 128` of the mask `LFM(nt, low)` has
+    /// just sensed. So the step issues that one `LFM`, and the DPU's
+    /// counter makes `high' = low' + count` from it, saturating at `N`
+    /// like every index register: one [`LogicalOp::IndexBump`] beside the
+    /// step's usual interval write and, when the span is two columns or
+    /// more, one more [`LogicalOp::Popcount`] to count them (one column is
+    /// a bit, read as it is sensed). The intervals are those of the
+    /// published step, at every step of every search; what changes is the
+    /// count — an extension beyond the paper (DESIGN.md §8), whose figures
     /// [`PerfReport::as_published`](crate::PerfReport::as_published)
     /// restores. Nothing selects it but the interval itself.
     ///
     /// Under a fault campaign the one `LFM` draws what one `LFM` draws
-    /// (DESIGN.md §15.2), the probed column being one more column sensed.
+    /// (DESIGN.md §15.2), sensing on through `high − 1`'s column.
     pub(crate) fn step(
         &self,
         nt: Base,
@@ -556,36 +562,51 @@ impl MappedIndex {
         mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u64 {
-        self.step_by((low, high), dpu, ledger, |id, probe, ledger| {
+        self.step_by((low, high), dpu, ledger, |id, span, ledger| {
             let (injector, cache) = (Some(&mut *injector), cache.as_deref_mut());
-            let (sum, bit, _) = self.lfm_kernel(nt, id, probe, None, injector, cache, ledger);
-            (sum, bit)
+            let (sum, count, _) = self.lfm_kernel(nt, id, span, None, injector, cache, ledger);
+            (sum, count)
         })
     }
 
     /// The interval step both entries take, over whichever way
-    /// `issue(id, probe, ledger)` runs the kernel for `LFM(nt, id)`.
+    /// `issue(id, span, ledger)` runs the kernel for `LFM(nt, id)`.
     fn step_by(
         &self,
         (low, high): (u32, u32),
         dpu: &mut Dpu,
         ledger: &mut CycleLedger,
-        mut issue: impl FnMut(usize, bool, &mut CycleLedger) -> (u32, bool),
+        mut issue: impl FnMut(usize, usize, &mut CycleLedger) -> (u32, u32),
     ) -> u64 {
-        if one_row(low, high) {
-            // `low` as its `LFM` returned it, `high` bumped from it by
-            // the match bit.
-            let (low, bit) = issue(low as usize, true, ledger);
+        if one_word_line(low, high) {
+            // `low` as its `LFM` returned it, `high` counted on from it
+            // over the span — taken before `low` is rebound.
+            let span = (high - low) as usize;
+            let (low, count) = issue(low as usize, span, ledger);
             let n = self.index.text_len() as u32;
-            dpu.set_interval(low, (low + u32::from(bit)).min(n), ledger);
-            LogicalOp::IndexBump.charge(self.subarrays[0].model(), ledger);
+            dpu.set_interval(low, (low + count).min(n), ledger);
+            let model = self.subarrays[0].model();
+            LogicalOp::IndexBump.charge(model, ledger);
+            if span > 1 {
+                // On the DPU while the array adds: 16 cycles under 45.
+                LogicalOp::Popcount.charge(model, ledger);
+            }
             1
         } else {
-            let (low, _) = issue(low as usize, false, ledger);
-            let (high, _) = issue(high as usize, false, ledger);
+            let (low, _) = issue(low as usize, 0, ledger);
+            let (high, _) = issue(high as usize, 0, ledger);
             dpu.set_interval(low, high, ledger);
             2
         }
+    }
+
+    /// The rows of `[low, high)` that hold a base — all but the
+    /// sentinel's, whose position the DPU holds and clears from every
+    /// match mask. An interval's four extensions split exactly these
+    /// between them, a row to the base it holds.
+    pub(crate) fn base_rows(&self, (low, high): (u32, u32)) -> u32 {
+        let sentinel = self.index.bwt().sentinel_pos() as u32;
+        high.saturating_sub(low) - u32::from((low..high).contains(&sentinel))
     }
 
     /// Starts a descent — every search's, and every new substring's of
@@ -629,7 +650,7 @@ impl MappedIndex {
             return None;
         }
         dpu.set_interval(low, high, ledger);
-        ledger.note_seeded_steps(k as u64);
+        ledger.note_unissued_steps(k as u64);
         Some(k)
     }
 
@@ -650,10 +671,10 @@ impl MappedIndex {
     /// [`MappedIndex::step`] for reads in lock step: each `(stream, nt)`
     /// of `steps` extends the interval in `dpus[stream]` by `nt` and adds
     /// the `LFM`s it issued to `lfm_calls[stream]`. A stream issues its
-    /// `low` request then — unless its interval is one row — its `high`
-    /// request, in `steps` order, and the whole step is one lock step
-    /// ([`MappedIndex::lfm_batch`]), so a plane load shared across reads
-    /// is charged once. Intervals, counts and each stream's fault draws
+    /// `low` request then — unless its interval lies inside one word line
+    /// — its `high` request, in `steps` order, and the whole step is one
+    /// lock step ([`MappedIndex::lfm_batch`]), so a plane load shared
+    /// across reads is charged once. Intervals, counts and each stream's fault draws
     /// are those of [`MappedIndex::step`] per read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step_batch(
@@ -670,10 +691,10 @@ impl MappedIndex {
         for &(stream, nt) in steps {
             let dpu = &mut dpus[stream];
             let interval = (dpu.low(), dpu.high());
-            lfm_calls[stream] += self.step_by(interval, dpu, ledger, |id, probe, ledger| {
+            lfm_calls[stream] += self.step_by(interval, dpu, ledger, |id, span, ledger| {
                 let request = LfmRequest { stream, nt, id };
                 let cache = cache.as_deref_mut();
-                self.lfm_in_lock_step(request, probe, injectors, cache, ledger, scratch)
+                self.lfm_in_lock_step(request, span, injectors, cache, ledger, scratch)
             });
         }
         ledger.record_pipeline(&scratch.sim.counters());
@@ -709,7 +730,7 @@ impl MappedIndex {
         let sums = requests
             .iter()
             .map(|&request| {
-                self.lfm_in_lock_step(request, false, injectors, None, ledger, &mut scratch)
+                self.lfm_in_lock_step(request, 0, injectors, None, ledger, &mut scratch)
                     .0
             })
             .collect();
@@ -726,27 +747,28 @@ impl MappedIndex {
     /// One request of the lock step `scratch` holds: the kernel over the
     /// step's resident table, then its issue slot — a follower's compare
     /// result is already resident, so it goes straight to the addition
-    /// queue. Returns the sum and, if `probe`, the match bit.
+    /// queue. Returns the sum and the matches in the `span` columns from
+    /// the request's own on.
     fn lfm_in_lock_step(
         &self,
         request: LfmRequest,
-        probe: bool,
+        span: usize,
         injectors: &mut [FaultInjector],
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
         scratch: &mut LfmBatchScratch,
-    ) -> (u32, bool) {
-        let (sum, bit, shared) = self.lfm_kernel(
+    ) -> (u32, u32) {
+        let (sum, count, shared) = self.lfm_kernel(
             request.nt,
             request.id,
-            probe,
+            span,
             Some(&mut scratch.resident),
             injectors.get_mut(request.stream),
             cache,
             ledger,
         );
         scratch.sim.issue(request.stream, shared);
-        (sum, bit)
+        (sum, count)
     }
 
     /// Reads suffix-array entries for an interval (`MEM` on the SA
@@ -967,7 +989,7 @@ mod tests {
             .iter()
             .map(|&request| {
                 let cache = Some(&mut *cache);
-                m.lfm_in_lock_step(request, false, injectors, cache, ledger, &mut scratch)
+                m.lfm_in_lock_step(request, 0, injectors, cache, ledger, &mut scratch)
                     .0
             })
             .collect();
@@ -1074,83 +1096,103 @@ mod tests {
         let interval = (dpu.low(), dpu.high());
         assert_eq!((dpus[0].low(), dpus[0].high()), interval, "{nt} at {low}");
         assert_eq!(lfm_calls[0], issued, "{nt} at {low}");
-        // A one-row step's one `LFM` has nothing to share a plane load
-        // with; the pair of a wider step may (one `XNOR_Match` and one
-        // marker read when both bounds lie in one bucket).
-        for op in LogicalOp::ALL {
-            let shareable = matches!(op, LogicalOp::XnorMatch | LogicalOp::MarkerRead);
-            if issued == 1 || !shareable {
-                assert_eq!(
-                    batch_ledger.primitives().count(op),
-                    ledger.primitives().count(op),
-                    "{op:?}, {nt} at {low}"
-                );
-            }
-        }
+        // The two `LFM`s of a step that is not a word-line step lie in two
+        // word lines: a lone step shares no plane load.
+        assert_eq!(
+            batch_ledger.primitives(),
+            ledger.primitives(),
+            "{nt} at {low}"
+        );
         (interval, issued, ledger)
     }
 
     #[test]
-    fn one_row_step_matches_software_oracle_at_the_edges() {
+    fn word_line_step_matches_software_oracle_at_the_edges() {
         for method in [AddMethod::InPlace, AddMethod::Mirrored] {
             // Three sub-arrays, the last row partial (70 001 = 546 · 128
             // + 113); and a text that fills two sub-arrays exactly, so
-            // that `id = n` is the boundary checkpoint bucket.
+            // that `high = n` is the boundary checkpoint bucket.
             for len in [70_000, 65_535] {
                 let m = mapped(&genome::uniform(len, 3), method);
                 let oracle = m.index();
                 let n = oracle.text_len() as u32;
                 let lfm = |nt, id: u32| oracle.marker_table().lfm(oracle.bwt(), nt, id as usize);
                 let mut clean = [m.session_injector(), m.session_injector()];
-                // The last column of a row (`high` lies in the next
-                // bucket, the bit is column 127 of `low`'s mask) and of a
-                // sub-array, the first row of the second sub-array, the
-                // sentinel's row, the last row of the text.
                 let sentinel = oracle.bwt().sentinel_pos() as u32;
-                for low in [0, 127, 32_767, 32_768, sentinel, n - 1] {
+                let line = |id: u32| id / 128 * 128;
+                // `(low, span)`: spans of 1, 2, 64, 127 and 128 columns
+                // from column 0, the last ending on the word line's edge;
+                // from column 127, one column to the edge and two across
+                // it; a sub-array's last column, a span across into the
+                // next sub-array and that one's first word line; the
+                // sentinel's row and its word line; the text's last row
+                // and last word line, `high = n`.
+                let cases = [
+                    (0, 1),
+                    (0, 2),
+                    (0, 64),
+                    (0, 127),
+                    (0, 128),
+                    (127, 1),
+                    (127, 2),
+                    (32_767, 1),
+                    (32_700, 100),
+                    (32_768, 128),
+                    (sentinel, 1),
+                    (line(sentinel), (n - line(sentinel)).min(128)),
+                    (n - 1, 1),
+                    (line(n - 1), n - line(n - 1)),
+                ];
+                for (low, span) in cases {
+                    let high = low + span;
+                    let across = line(low) != line(high - 1);
                     let mut extended = 0;
                     for nt in Base::ALL {
                         let (interval, issued, ledger) =
-                            step_both_ways(&m, nt, (low, low + 1), &mut clean);
-                        assert_eq!(interval, (lfm(nt, low), lfm(nt, low + 1)), "{nt} at {low}");
+                            step_both_ways(&m, nt, (low, high), &mut clean);
+                        let at = format!("{nt} at [{low}, {high})");
+                        assert_eq!(interval, (lfm(nt, low), lfm(nt, high)), "{at}");
                         extended += interval.1 - interval.0;
+                        let prims = ledger.primitives();
+                        if across {
+                            // The published pair.
+                            assert_eq!(issued, 2, "{at}");
+                            assert_eq!(prims.count(LogicalOp::IndexBump), 0, "{at}");
+                            continue;
+                        }
                         // One published `LFM`, the interval write, the
                         // bump: 74 + 2 + 2 cycles, 76 in the time model.
-                        assert_eq!(issued, 1);
-                        let prims = ledger.primitives();
-                        for op in [
-                            LogicalOp::XnorMatch,
-                            LogicalOp::Popcount,
-                            LogicalOp::MarkerRead,
-                            LogicalOp::ImAdd32,
-                            LogicalOp::IndexUpdate,
-                            LogicalOp::IndexBump,
+                        // Two columns or more are counted by a second
+                        // popcount, in the shadow of the add.
+                        assert_eq!(issued, 1, "{at}");
+                        let counted = u64::from(span > 1);
+                        for (op, count) in [
+                            (LogicalOp::XnorMatch, 1),
+                            (LogicalOp::Popcount, 1 + counted),
+                            (LogicalOp::MarkerRead, 1),
+                            (LogicalOp::ImAdd32, 1),
+                            (LogicalOp::IndexUpdate, 1),
+                            (LogicalOp::IndexBump, 1),
                         ] {
-                            assert_eq!(prims.count(op), 1, "{op:?}");
+                            assert_eq!(prims.count(op), count, "{op:?}, {at}");
                         }
                         let transfer = prims.cycles(LogicalOp::RowWrite);
                         assert_eq!(transfer, if method == AddMethod::Mirrored { 7 } else { 0 });
-                        assert_eq!(ledger.total_busy_cycles(), 78 + transfer);
+                        assert_eq!(ledger.total_busy_cycles(), 78 + 16 * counted + transfer);
                     }
-                    // A row holds one symbol: one base extends it, none
-                    // if it is the sentinel (stored as a placeholder `T`,
-                    // cleared from the mask before the bit is read).
-                    assert_eq!(extended, u32::from(low != sentinel), "row {low}");
-                }
-                // Two rows: the published pair, `high` on the boundary
-                // checkpoint when the text ends its sub-array.
-                for nt in Base::ALL {
-                    let (interval, issued, ledger) = step_both_ways(&m, nt, (n - 2, n), &mut clean);
-                    assert_eq!(interval, (lfm(nt, n - 2), lfm(nt, n)), "{nt}");
-                    assert_eq!(issued, 2);
-                    assert_eq!(ledger.primitives().count(LogicalOp::IndexBump), 0);
+                    // The four extensions split the rows that hold a base:
+                    // all but the sentinel's (stored as a placeholder `T`,
+                    // cleared from the mask before it is counted).
+                    let rows = span - u32::from((low..high).contains(&sentinel));
+                    assert_eq!(extended, rows, "[{low}, {high})");
+                    assert_eq!(m.base_rows((low, high)), rows, "[{low}, {high})");
                 }
             }
         }
     }
 
     #[test]
-    fn one_row_step_draws_what_one_lfm_draws() {
+    fn word_line_step_draws_what_one_lfm_draws() {
         use mram::faults::FaultModel;
         // Every decision fires, so the counters count the decisions: a
         // misread draw per column sensed, a transient and a carry
@@ -1162,22 +1204,34 @@ mod tests {
                 .with_carry_fault_prob(1.0),
         );
         let m = MappedIndex::build(&genome::uniform(40_000, 9), &config);
-        for (low, rows) in [(300u32, 1), (33_023, 1), (300, 2), (33_023, 5)] {
+        // Inside a word line: one column, two, to the edge, a whole line,
+        // and column 127 alone. Across one: from column 127, and from 44.
+        let cases = [
+            (300u32, 1),
+            (300, 2),
+            (300, 84),
+            (256, 128),
+            (33_023, 1),
+            (33_023, 5),
+            (300, 100),
+        ];
+        for (low, span) in cases {
             let mut injectors = [m.read_injector(7), m.read_injector(7)];
-            let (_, issued, _) = step_both_ways(&m, Base::G, (low, low + rows), &mut injectors);
+            let high = low + span;
+            let (_, issued, _) = step_both_ways(&m, Base::G, (low, high), &mut injectors);
             let within = |id: u32| u64::from(id) % 128;
-            let (lfms, columns) = if rows == 1 {
-                // The `within` columns counted, and the probed one.
-                (1, within(low) + 1)
+            let (lfms, columns) = if low / 128 == (high - 1) / 128 {
+                // The `within` columns counted, then the span's.
+                (1, within(low) + u64::from(span))
             } else {
-                (2, within(low) + within(low + rows))
+                (2, within(low) + within(high))
             };
             assert_eq!(issued, lfms);
             for injector in &injectors {
                 let drawn = injector.counters();
-                assert_eq!(drawn.xnor_bit_flips, columns, "[{low}, +{rows})");
-                assert_eq!(drawn.transient_row_faults, lfms, "[{low}, +{rows})");
-                assert_eq!(drawn.carry_faults, lfms, "[{low}, +{rows})");
+                assert_eq!(drawn.xnor_bit_flips, columns, "[{low}, {high})");
+                assert_eq!(drawn.transient_row_faults, lfms, "[{low}, {high})");
+                assert_eq!(drawn.carry_faults, lfms, "[{low}, {high})");
             }
         }
     }

@@ -44,12 +44,14 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// via `Request::Stats`, not through this document). v8 added
 /// `report.published_lfm_calls` (the `LFM` count of the published
 /// algorithm, two per interval step, beside the count issued) and the
-/// ninth `breakdown.primitives` row, `index_bump` (one per one-row step;
-/// `published_lfm_calls == lfm_calls + index_bump.count` on an index too
-/// short for a seed table). v9 added the tenth row, `seed_read` (one per
+/// ninth `breakdown.primitives` row, `index_bump` (one per step that
+/// issued one `LFM` for the published two: a one-row step then, a
+/// word-line step now). v9 added the tenth row, `seed_read` (one per
 /// seed-table read; a run's time is `lfm_calls + seed_read.count` issue
 /// slots, and `published_lfm_calls` counts two more for every interval
-/// step a read stood in for). Each version only *adds* paths, so
+/// step a read stood in for, and for every alternative a search saw was
+/// empty without issuing it — neither count is in the document; on
+/// error-free reads the second is zero). Each version only *adds* paths, so
 /// consumers that address fields by name keep working across versions.
 pub const METRICS_SCHEMA_VERSION: u32 = 9;
 

@@ -679,7 +679,7 @@ mod tests {
             assert_eq!(faulted, base.report.faults.injected_total() > 0);
             assert!(
                 base.report.published_lfm_calls > base.report.lfm_calls,
-                "one-row steps in play"
+                "word-line steps in play"
             );
             for batch in [1, 3, 8] {
                 let one = run(batch, 1);

@@ -258,10 +258,12 @@ pub struct PerfReport {
     pub lfm_calls: u64,
     /// `LFM` invocations Algorithm 1 and 2 as published issue for the
     /// same searches, two per interval step: `lfm_calls`, plus one for
-    /// every step that found its interval a single row and served both
-    /// bounds with one `LFM` — the ledger's [`LogicalOp::IndexBump`]
-    /// count — plus two for every step a seed-table read stood in for
-    /// ([`CycleLedger::seeded_steps`]). See [`PerfReport::as_published`].
+    /// every step that found its interval inside one word line and served
+    /// both bounds with one `LFM` — the ledger's [`LogicalOp::IndexBump`]
+    /// count — plus two for every step taken without an `LFM`: one a
+    /// seed-table read stood in for, or an alternative its siblings had
+    /// already shown empty ([`CycleLedger::unissued_steps`]). See
+    /// [`PerfReport::as_published`].
     pub published_lfm_calls: u64,
     /// Wall-clock seconds for the batch on the modelled chip.
     pub time_s: f64,
@@ -376,7 +378,7 @@ impl PerfReport {
             lfm_calls,
             published_lfm_calls: lfm_calls
                 + ledger.primitives().count(LogicalOp::IndexBump)
-                + 2 * ledger.seeded_steps(),
+                + 2 * ledger.unissued_steps(),
             time_s,
             throughput_qps,
             dynamic_power_w,
@@ -427,18 +429,18 @@ impl PerfReport {
     }
 
     /// The report at the published algorithm's `LFM` count: what the
-    /// paper's figures (Figs. 8–10) are compared against. The one-row
-    /// interval step and the seed-table read are extensions beyond the
-    /// paper, and the platform's time model is issue slots × cycles per
+    /// paper's figures (Figs. 8–10) are compared against. The word-line
+    /// interval step, the seed-table read and the partition rule are
+    /// extensions beyond the paper, and the platform's time model is issue slots × cycles per
     /// `LFM`; with `f = published_lfm_calls / issue_slots`, time is
     /// multiplied by `f` and throughput, throughput per watt and per watt
     /// per mm² divided by it, which is exact: the published algorithm
     /// issues exactly that many `LFM`s at the same rate. Energy per query
     /// is multiplied by `f` too, which is pro rata: an `LFM` of the run
     /// costs a few percent more energy than a published one on average,
-    /// since a one-row step's `LFM` has no partner on the same row to
+    /// since a word-line step's `LFM` has no partner on the same row to
     /// share a compare with in the batched kernel and carries the step's
-    /// whole interval write and its bump. Power, MBR, RUR and area are as
+    /// whole interval write, its bump and its span's popcount. Power, MBR, RUR and area are as
     /// run, and so is the breakdown — it describes work that ran, so take
     /// this view of a run, not of another view.
     pub fn as_published(&self) -> PerfReport {
@@ -597,7 +599,7 @@ mod tests {
             };
             let mut ledger = ledger_for(lfm_calls, pd);
             LogicalOp::SeedRead.charge_many(config.model(), &mut ledger, queries);
-            ledger.note_seeded_steps(5 * queries);
+            ledger.note_unissued_steps(5 * queries);
             let seeded = PerfReport::from_batch(&config, &ledger, queries, lfm_calls);
             assert_eq!(seeded.issue_slots(), lfm_calls + queries);
             let slots = |n| PerfReport::from_batch(&config, &CycleLedger::new(), queries, n);

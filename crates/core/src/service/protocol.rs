@@ -670,7 +670,9 @@ impl Client {
 mod tests {
     use super::*;
     use crate::artifact::tests::Mutation;
+    use crate::service::server::read_frame_interruptible;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn requests() -> Vec<Request> {
         let align = |req_id, deadline_ms, id: &str, seq: &str| {
@@ -789,6 +791,12 @@ mod tests {
         let mut r = torn.as_slice();
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // The server's reader, a torn length prefix and an empty stream
+        // included.
+        for stream in [&wire[..], &torn, &torn[..2], &[]] {
+            interruptible_reads_what_read_frame_reads(stream);
+        }
     }
 
     #[test]
@@ -806,6 +814,7 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+        interruptible_reads_what_read_frame_reads(&wire);
     }
 
     /// An encoded message and the `(offset, width)` of its length fields.
@@ -852,6 +861,91 @@ mod tests {
         Ok(())
     }
 
+    /// A socket with a read timeout, as the server's connection loop sees
+    /// it: a `WouldBlock`, a `TimedOut`, then one byte, over and over.
+    struct Stalling<'a> {
+        bytes: &'a [u8],
+        reads: u8,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads = (self.reads + 1) % 3;
+            match self.reads {
+                1 => Err(io::ErrorKind::WouldBlock.into()),
+                2 => Err(io::ErrorKind::TimedOut.into()),
+                _ => {
+                    let n = buf.len().min(self.bytes.len()).min(1);
+                    buf[..n].copy_from_slice(&self.bytes[..n]);
+                    self.bytes = &self.bytes[n..];
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// What a frame reader makes of a stream, call after call: every
+    /// frame, then the end — `Ok(None)` or the error's kind.
+    type Verdicts = Vec<Result<Option<Vec<u8>>, io::ErrorKind>>;
+
+    fn verdicts(mut next: impl FnMut() -> io::Result<Option<Vec<u8>>>) -> Verdicts {
+        let mut seen = Vec::new();
+        loop {
+            let verdict = next().map_err(|e| e.kind());
+            let end = !matches!(verdict, Ok(Some(_)));
+            seen.push(verdict);
+            if end {
+                return seen;
+            }
+        }
+    }
+
+    /// The server's reader against `read_frame`'s `want` on `wire`, over
+    /// the bytes and over a [`Stalling`] socket: the same verdicts with
+    /// the stop flag clear; with it raised, `Ok(None)` before a byte is
+    /// read.
+    fn interruptible_agrees(wire: &[u8], want: &Verdicts) -> Result<(), TestCaseError> {
+        let stop = AtomicBool::new(false);
+        let mut bytes = wire;
+        let mut stalling = Stalling {
+            bytes: wire,
+            reads: 0,
+        };
+        prop_assert_eq!(
+            &verdicts(|| read_frame_interruptible(&mut bytes, &stop)),
+            want
+        );
+        prop_assert_eq!(
+            &verdicts(|| read_frame_interruptible(&mut stalling, &stop)),
+            want
+        );
+        stop.store(true, Ordering::Relaxed);
+        let (mut bytes, mut stalling) = (
+            wire,
+            Stalling {
+                bytes: wire,
+                reads: 0,
+            },
+        );
+        prop_assert_eq!(read_frame_interruptible(&mut bytes, &stop).ok(), Some(None));
+        prop_assert_eq!(
+            read_frame_interruptible(&mut stalling, &stop).ok(),
+            Some(None)
+        );
+        prop_assert_eq!(
+            (bytes.len(), stalling.bytes.len()),
+            (wire.len(), wire.len())
+        );
+        Ok(())
+    }
+
+    /// [`interruptible_agrees`] with `read_frame`'s own verdicts on `wire`.
+    fn interruptible_reads_what_read_frame_reads(wire: &[u8]) {
+        let mut r = wire;
+        let want = verdicts(|| read_frame(&mut r));
+        interruptible_agrees(wire, &want).unwrap();
+    }
+
     #[test]
     fn the_corpus_decodes_and_its_fields_are_the_lengths() {
         for (payload, fields) in corpus() {
@@ -889,9 +983,11 @@ mod tests {
         }
 
         /// Hostile framed streams through `read_frame`: frames no longer
-        /// than the stream that carried them, then a clean end, a torn
-        /// frame or a length over the cap — and each frame through the
-        /// decoders as above.
+        /// than the stream that carried them, then a clean end where the
+        /// last frame ends, a torn frame or a length over the cap — and
+        /// each frame through the decoders as above. The server's
+        /// interruptible reader gives the same verdicts, over the bytes
+        /// and over a stalling socket.
         #[test]
         fn mutated_streams_read_frames_or_fail_typed(
             picks in proptest::collection::vec(any::<usize>(), 1..5),
@@ -912,26 +1008,24 @@ mod tests {
             }
             Mutation::from_draws(kind, a, b, c).apply(&mut wire, &fields, true);
             let mut rest = wire.as_slice();
-            loop {
-                let before = rest.len();
-                match read_frame(&mut rest) {
-                    Ok(None) => break,
+            let want = verdicts(|| read_frame(&mut rest));
+            let mut framed = 0;
+            for verdict in &want {
+                match verdict {
                     Ok(Some(payload)) => {
-                        prop_assert_eq!(before - rest.len(), 4 + payload.len());
-                        decodes_or_fails_typed(&payload)?;
+                        framed += 4 + payload.len();
+                        decodes_or_fails_typed(payload)?;
                     }
-                    Err(e) => {
-                        let kind = e.kind();
-                        prop_assert!(
-                            kind == io::ErrorKind::UnexpectedEof || kind == io::ErrorKind::InvalidData,
-                            "{:?}",
-                            e
-                        );
-                        break;
-                    }
+                    Ok(None) => prop_assert_eq!(framed, wire.len()),
+                    Err(kind) => prop_assert!(
+                        matches!(kind, io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData),
+                        "{:?}",
+                        kind
+                    ),
                 }
             }
-            prop_assert!(rest.len() <= wire.len());
+            prop_assert!(framed <= wire.len());
+            interruptible_agrees(&wire, &want)?;
         }
     }
 }

@@ -385,12 +385,13 @@ fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
     }
 }
 
-/// [`super::protocol::read_frame`] against a read-timeout socket:
-/// retries timeout slices until a frame arrives, the peer hangs up, or
-/// the stop flag is raised. `Ok(None)` covers the latter two — the
-/// caller exits either way.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
+/// [`super::protocol::read_frame`] against a reader with a read timeout
+/// — the connection's socket: retries timeout slices until a frame
+/// arrives, the peer hangs up, or the stop flag is raised. `Ok(None)`
+/// covers the latter two — the caller exits either way. Otherwise its
+/// verdicts are `read_frame`'s, pinned by `protocol::tests`.
+pub(super) fn read_frame_interruptible(
+    stream: &mut impl Read,
     stop: &AtomicBool,
 ) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];

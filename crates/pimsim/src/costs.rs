@@ -8,14 +8,14 @@
 //! | logical op        | cycles | resource | expansion                     |
 //! |-------------------|--------|----------|-------------------------------|
 //! | `XNOR_Match`      | 2      | compare  | 2 `ComputeTriple`, one per bit-plane of the 2-bit base encoding |
-//! | popcount          | 16     | compare  | 16 `DpuOp`: the DPU counter digests the 128 match bits 8 per cycle |
+//! | popcount          | 16     | compare  | 16 `DpuOp`: the DPU counter digests the 128 match bits 8 per cycle; a word-line step of two columns or more pays a second, for its span (beyond the paper, DESIGN.md §8) |
 //! | marker read       | 11     | memory   | 11 `ReadRow`: a vertically stored 32-bit word read 3 bits per cycle through the three sub-SAs |
 //! | `IM_ADD` (32-bit) | 45     | adder    | 32 `ComputeTriple` + 13 `DpuOp` (non-overlapped write-back cycles) + 64 `WriteRow` in their shadow: sum and carry fire two write drivers per bit, which cost energy and no cycle |
 //! | index update      | 2      | memory   | 2 `DpuOp`: low/high DPU register writes |
 //! | SA entry read     | 11     | memory   | 11 `ReadRow`, the marker's vertical-read path |
 //! | row load          | 1      | transfer | 1 `WriteRow` per word line    |
 //! | row copy-out      | 1      | transfer | 1 `ReadRow` per word line     |
-//! | index bump        | 2      | compare  | 2 `DpuOp`: `high = low + bit` in the DPU's embedded counter, the second bound of a one-row interval (beyond the paper, DESIGN.md §8) |
+//! | index bump        | 2      | compare  | 2 `DpuOp`: `high = low + count` in the DPU's embedded counter, the second bound of an interval inside one word line (beyond the paper, DESIGN.md §8) |
 //! | seed read         | 22     | memory   | 22 `ReadRow`: the two vertically stored 32-bit bounds of one seed-table entry, the marker's read path twice (beyond the paper, DESIGN.md §8) |
 //!
 //! The three columns are [`LogicalOp::cycles`], [`LogicalOp::resource`]
@@ -27,8 +27,10 @@
 //! the Fig. 7 pipeline overlaps the compare/memory stage (29 cycles) of one
 //! read with the add stage (47 cycles) of another — see
 //! [`pipeline`](crate::pipeline). The index bump is no part of an `LFM`:
-//! it is what a step on a one-row interval pays *instead of* its second
-//! `LFM`, on top of the step's usual index update. Nor is the seed read:
+//! it is what a step on an interval inside one word line pays *instead
+//! of* its second `LFM`, on top of the step's usual index update — with
+//! the span's popcount, when it spans two columns or more, which runs on
+//! the DPU while the array adds (16 < 45 cycles). Nor is the seed read:
 //! it is what a descent pays *instead of* its first `k` interval steps,
 //! and the time model gives it a whole `LFM` issue slot for its 22 cycles.
 
@@ -53,7 +55,10 @@ pub enum LogicalOp {
     /// Parallel comparison of one query base against a 128-base BWT
     /// word-line segment (`XNOR_Match`).
     XnorMatch,
-    /// DPU popcount of the 128-bit match vector.
+    /// DPU popcount of the 128-bit match vector: the matches before an
+    /// `LFM`'s column, and — a second one, beyond the paper — those in the
+    /// span of a word-line step of two columns or more, which gives the
+    /// step its `high` from the mask its one `LFM` sensed.
     Popcount,
     /// Read of one 32-bit marker word from the vertical MT zone (`MEM`).
     MarkerRead,
@@ -68,11 +73,13 @@ pub enum LogicalOp {
     RowWrite,
     /// Reading one word line out (result collection).
     RowRead,
-    /// The second bound of a one-row interval, `high = low + bit`, made
-    /// by the DPU's embedded counter from the match bit the step's one
-    /// `LFM` already sensed. Arithmetic inside the DPU, no array access;
-    /// an extension beyond the paper, so its count is the number of steps
-    /// that issued one `LFM` where Algorithm 1 issues two.
+    /// The second bound of an interval inside one word line,
+    /// `high = low + count`, made by the DPU's embedded counter from the
+    /// matches in the span the step's one `LFM` already sensed (one bit
+    /// for a one-row interval, a [`LogicalOp::Popcount`] for a wider one).
+    /// Arithmetic inside the DPU, no array access; an extension beyond
+    /// the paper, so its count is the number of steps that issued one
+    /// `LFM` where Algorithm 1 issues two.
     IndexBump,
     /// Read of one seed-table entry: the `low` and `high` a descent's
     /// first `k` interval steps produce, two 32-bit words on the marker's
@@ -271,7 +278,7 @@ mod tests {
         assert_eq!(LogicalOp::MarkerRead.resource(), Resource::Memory);
         assert_eq!(LogicalOp::RowWrite.resource(), Resource::Transfer);
         // Counter arithmetic in the DPU: a bump on the memory resource
-        // would put a one-row step's share at (11 + 2 + 2) / 76 = 19.7 %,
+        // would put a word-line step's share at (11 + 2 + 2) / 76 = 19.7 %,
         // over the Fig. 10b claim, for an operation that reads no array.
         assert_eq!(LogicalOp::IndexBump.resource(), Resource::Compare);
         assert!(!LogicalOp::IndexBump.activates_subarray());

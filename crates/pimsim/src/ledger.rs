@@ -122,16 +122,18 @@ pub struct CycleLedger {
     /// Rank-checkpoint cache totals noted by the kernel call sites;
     /// all-zero when the caller passes no cache.
     kernel_cache: KernelCacheCounters,
-    /// Interval steps of the published algorithm that seed-table reads
-    /// stood in for ([`CycleLedger::note_seeded_steps`]). No cost hangs
-    /// on it — the reads are priced as [`LogicalOp::SeedRead`]s — it is
-    /// what lets a report state the published `LFM` count beside the
-    /// issued one.
-    seeded_steps: u64,
+    /// Interval steps of the published algorithm taken without an `LFM`
+    /// ([`CycleLedger::note_unissued_steps`]): those a seed-table read
+    /// stood in for, and alternatives a search saw were empty before
+    /// issuing them. No cost hangs on it — the reads are priced as
+    /// [`LogicalOp::SeedRead`]s, and an empty alternative costs nothing —
+    /// it is what lets a report state the published `LFM` count beside
+    /// the issued one.
+    unissued_steps: u64,
 }
 
 /// Ledger equality is *simulated-state* equality: primitive counts (and
-/// with them cycles and energy), zone heatmap, pipeline totals, seeded
+/// with them cycles and energy), zone heatmap, pipeline totals, unissued
 /// steps. The
 /// kernel-cache counters are deliberately excluded — they are host-side
 /// telemetry (a hit charges the identical ops as the recompute it
@@ -144,7 +146,7 @@ impl PartialEq for CycleLedger {
         self.prims == other.prims
             && self.zones == other.zones
             && self.pipeline == other.pipeline
-            && self.seeded_steps == other.seeded_steps
+            && self.unissued_steps == other.unissued_steps
     }
 }
 
@@ -214,16 +216,17 @@ impl CycleLedger {
         self.kernel_cache
     }
 
-    /// Notes that one seed-table read stood in for the first `steps`
-    /// interval steps of a descent, `2 · steps` `LFM`s as published.
+    /// Notes `steps` interval steps taken without an `LFM` — the first
+    /// steps of a descent one seed-table read stood in for, or an
+    /// alternative known empty — `2 · steps` `LFM`s as published.
     #[inline]
-    pub fn note_seeded_steps(&mut self, steps: u64) {
-        self.seeded_steps += steps;
+    pub fn note_unissued_steps(&mut self, steps: u64) {
+        self.unissued_steps += steps;
     }
 
-    /// Published interval steps served by seed-table reads so far.
-    pub fn seeded_steps(&self) -> u64 {
-        self.seeded_steps
+    /// Published interval steps taken without an `LFM` so far.
+    pub fn unissued_steps(&self) -> u64 {
+        self.unissued_steps
     }
 
     /// The per-primitive counters: how many of each [`LogicalOp`] were
@@ -282,7 +285,7 @@ impl CycleLedger {
         self.prims.merge(&other.prims);
         self.pipeline.merge(&other.pipeline);
         self.kernel_cache.merge(&other.kernel_cache);
-        self.seeded_steps += other.seeded_steps;
+        self.unissued_steps += other.unissued_steps;
         if self.zones.len() < other.zones.len() {
             self.zones.resize(other.zones.len(), 0);
         }
@@ -304,10 +307,10 @@ mod tests {
         let mut b = CycleLedger::new();
         LogicalOp::XnorMatch.charge_many(&model, &mut b, 5);
         LogicalOp::RowWrite.charge(&model, &mut b);
-        a.note_seeded_steps(5);
-        b.note_seeded_steps(6);
+        a.note_unissued_steps(5);
+        b.note_unissued_steps(6);
         a.merge(&b);
-        assert_eq!(a.seeded_steps(), 11);
+        assert_eq!(a.unissued_steps(), 11);
         assert_eq!(a.busy_cycles(Resource::Compare), 16);
         assert_eq!(a.busy_cycles(Resource::Transfer), 1);
         assert_eq!(a.op_count(ArrayOp::ComputeTriple), 16);

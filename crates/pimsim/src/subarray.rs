@@ -186,15 +186,19 @@ impl MatchMask {
     }
 
     /// Number of set bits strictly below position `n` — the `LFM` prefix
-    /// popcount, evaluated as two masked `count_ones`.
+    /// popcount, evaluated as one masked `count_ones` of the 128-bit word:
+    /// it runs once or twice per `LFM`, and a shift costs the host less
+    /// than [`MatchMask::prefix_words`]' branch on which half `n` is in.
     ///
     /// # Panics
     ///
     /// Panics if `n > 128`.
     #[inline]
     pub fn count_prefix(&self, n: usize) -> u32 {
-        let m = Self::prefix_words(n);
-        (self.0[0] & m[0]).count_ones() + (self.0[1] & m[1]).count_ones()
+        assert!(n <= Self::BITS, "prefix {n} out of range");
+        let bits = u128::from(self.0[0]) | u128::from(self.0[1]) << 64;
+        let below = u128::MAX.checked_shr((Self::BITS - n) as u32).unwrap_or(0);
+        (bits & below).count_ones()
     }
 
     /// The mask as 128 booleans (test/reference interop; not used on the

@@ -99,8 +99,8 @@ fn one_base_reads() {
 
 /// Both inexact modes on one read, straight on the platform, checking
 /// that each leaves the DPU's register file empty. Returns the
-/// first-accept result, the one-row steps it took (each issued one `LFM`
-/// for the published two) and the exhaustive hits.
+/// first-accept result, the word-line steps it took (each issued one
+/// `LFM` for the published two) and the exhaustive hits.
 fn inexact_both_modes(
     reference: &str,
     read: &str,
@@ -136,7 +136,9 @@ fn inexact_one_base_reads() {
     // or nothing, by the budget.
     let (first, stats, _, all) = inexact_both_modes("AAAA", "A", EditBudget::edits(2));
     assert_eq!(first.map(|h| h.diffs), Some(0));
-    assert_eq!(stats.lfm_calls, 2);
+    // `[0, 5)` lies in one word line: one `LFM` (2 before the word-line
+    // step).
+    assert_eq!(stats.lfm_calls, 1);
     assert_eq!(all.first().map(|h| h.diffs), Some(0));
 
     let (first, _, _, all) = inexact_both_modes("AAAA", "C", EditBudget::edits(2));
@@ -156,9 +158,10 @@ fn inexact_zero_budget_is_exact_search() {
         let (first, stats, bumps, all) = inexact_both_modes(reference, "TACAC", budget);
         let hit = first.expect("TACAC occurs once");
         assert_eq!((hit.interval.count(), hit.diffs), (1, 0));
-        // Five interval steps; `CAC` occurs once, so the last two find a
-        // one-row interval and issue one `LFM` each (10 as published).
-        assert_eq!(stats.lfm_calls, 8, "the bound pass and nothing else");
+        // Five interval steps, all inside the one word line of a 19-row
+        // text, so one `LFM` each (8 while only the last two, on one row,
+        // took one; 10 as published).
+        assert_eq!(stats.lfm_calls, 5, "the bound pass and nothing else");
         assert_eq!(stats.lfm_calls, 2 * 5 - bumps);
         assert_eq!(all, [hit]);
 

@@ -63,7 +63,7 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
     assert!(by_name("seed_read").count >= reads.len() as u64);
     assert_eq!(
         report.published_lfm_calls,
-        report.lfm_calls + by_name("index_bump").count + 2 * session.ledger().seeded_steps()
+        report.lfm_calls + by_name("index_bump").count + 2 * session.ledger().unissued_steps()
     );
     assert!(b.subarray_activations > 0);
     assert_eq!(b.im_add_carry_cycles, 13 * report.lfm_calls);
@@ -141,12 +141,13 @@ fn worker_merge_is_associative() {
     assert_eq!(count(&one, "xnor_match"), count(&one, "marker_read"));
 }
 
-/// What the seed table and the one-row interval step buy on reads stage 1
-/// settles, and what they may not move: an error-free read of `m` bases
+/// What the seed table and the word-line interval step buy on reads stage
+/// 1 settles, and what they may not move: an error-free read of `m` bases
 /// is `m` interval steps — `2·m` `LFM`s as published — of which one table
 /// read stands in for the first `k` and, of the rest, only the first
-/// ≈ log₄ n − k, while the interval still spans several rows, issue two
-/// `LFM`s. Held on the single-read kernel and on the batched one.
+/// ≈ log₄(n / 128) − k, while the interval still spans several word
+/// lines, issue two `LFM`s. Held on the single-read kernel and on the
+/// batched one.
 #[test]
 fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
     const M: usize = 80;
@@ -240,10 +241,11 @@ fn span_tracer_records_alignment_phases() {
         assert!(span.end_cycles >= span.start_cycles, "span {span:?}");
     }
     // Each lfm span brackets one interval step. While the interval
-    // spans several rows that is two LFM invocations plus the interval
-    // update, 74 + 74 + 2 = 150 cycles (the first base's high bound lands
-    // on the boundary bucket and is cheaper); on a one-row interval it is
-    // one LFM, the update and the bump, 74 + 2 + 2 = 78.
+    // spans several word lines that is two LFM invocations plus the
+    // interval update, 74 + 74 + 2 = 150 cycles (the first base's high
+    // bound lands on the boundary bucket and is cheaper); inside one word
+    // line it is one LFM, the update and the bump, 74 + 2 + 2 = 78, and
+    // 16 more for the span's popcount when it spans two rows or more.
     let lfm_spans: Vec<_> = spans.iter().filter(|s| s.name == "lfm").collect();
     assert!(!lfm_spans.is_empty());
     for span in &lfm_spans {
@@ -253,7 +255,7 @@ fn span_tracer_records_alignment_phases() {
             span.cycles()
         );
     }
-    for cycles in [150, 78] {
+    for cycles in [150, 94, 78] {
         assert!(
             lfm_spans.iter().any(|s| s.cycles() == cycles),
             "no {cycles}-cycle lfm span: a step's cost changed"

@@ -417,15 +417,18 @@ fn every_record_holds_and_no_byte_or_lfm_budget_moves() {
 /// 2, the break frame tried first), before it touched the search.
 const DIGEST_BOTH: u64 = 0xc905_0dfc_4845_be7c;
 const DIGEST_FWD: u64 = 0x85b6_effd_1c96_7a2b;
-/// `LFM`s a read, `[exact, inexact]`, as measured with a descent's first
-/// four steps read from the seed table; before that, with the one-row
-/// interval step alone, `[105.814, 59.077]` and `[57.851, 45.099]`, and
+/// `LFM`s a read, `[exact, inexact]`, as measured with one `LFM` for a
+/// step inside one word line and none for an alternative its siblings
+/// have accounted for; before that, with the one-row step and the seed
+/// table, `[93.834, 50.245]` and `[49.851, 36.743]`; with the one-row
+/// interval step alone, `[105.814, 59.077]` and `[57.851, 45.099]`; and
 /// at two `LFM`s a step `[183.475, 88.842]` and `[97.069, 63.896]`.
-const LFM_BOTH: [f64; 2] = [93.834, 50.245];
-const LFM_FWD: [f64; 2] = [49.851, 36.743];
+const LFM_BOTH: [f64; 2] = [89.423, 40.975];
+const LFM_FWD: [f64; 2] = [46.965, 29.020];
 /// `report.published_lfm_calls`, two `LFM`s for every interval step the
 /// searches took: that parent's `lfm_calls`, to the `LFM` — the one-row
-/// step changed what a step issues and the seed table how the first few
-/// are had, not which steps are taken.
+/// and then word-line step changed what a step issues, the seed table
+/// how the first few are had and the partition rule which alternatives
+/// issue theirs, not which steps are taken.
 const PUBLISHED_BOTH: u64 = 110_016;
 const PUBLISHED_FWD: u64 = 65_030;
