@@ -10,7 +10,8 @@
 #                      BENCH_metrics.json, the 8 Mbp suffix-array test
 #                      tier-1 ignores, the release-binary smoke
 #                      (pimalign --threads 2 --trace-out, index build /
-#                      inspect / --index rerun + SAM cmp), a
+#                      inspect / --index rerun + SAM cmp with the full
+#                      SA and again at --sa-rate 8), a
 #                      self-checking indexbench --quick, and a locked
 #                      build + test of benchmark/
 #
@@ -158,6 +159,24 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         --index target/ci/smoke.pimx target/ci/smoke_reads.fq --threads 2 \
         > target/ci/smoke_index.sam
     cmp target/ci/smoke.sam target/ci/smoke_index.sam
+    # The same round trip at the benchmark's SA rate, so a release binary
+    # writes and reads the sampled section (row bitmap + kept values),
+    # whose bytes must be the ones the size model counts.
+    cargo run -q --release --bin pimalign -- \
+        index build target/ci/smoke_ref.fa target/ci/smoke_sampled.pimx --sa-rate 8
+    cargo run -q --release --bin pimalign -- index inspect target/ci/smoke_sampled.pimx \
+        > target/ci/smoke_sampled_inspect.txt
+    grep -qx 'sa_rate: 8' target/ci/smoke_sampled_inspect.txt
+    _index_bytes=$(sed -n 's/^index_bytes: //p' target/ci/smoke_sampled_inspect.txt)
+    _model_bytes=$(sed -n 's/^model_bytes: //p' target/ci/smoke_sampled_inspect.txt)
+    if [ -z "$_index_bytes" ] || [ "$_index_bytes" != "$_model_bytes" ]; then
+        echo "ci: index_bytes '$_index_bytes' != model_bytes '$_model_bytes'" >&2
+        exit 1
+    fi
+    cargo run -q --release --bin pimalign -- \
+        --index target/ci/smoke_sampled.pimx target/ci/smoke_reads.fq --threads 2 \
+        > target/ci/smoke_sampled.sam
+    cmp target/ci/smoke.sam target/ci/smoke_sampled.sam
 
     # indexbench exits 1 on its own counted checks: sharded-vs-unsharded
     # SAM identity, footprint vs size model (<= 0.1 %), and peak RSS

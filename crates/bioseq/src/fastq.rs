@@ -316,10 +316,11 @@ pub fn parse(text: &str) -> Result<Vec<Record>, ParseSeqError> {
 pub fn to_string(records: &[Record]) -> String {
     let mut out = String::new();
     for r in records {
-        writeln!(out, "@{}", r.id).expect("write to String");
-        writeln!(out, "{}", r.seq).expect("write to String");
-        out.push_str("+\n");
-        writeln!(out, "{}", r.quality.to_fastq()).expect("write to String");
+        // `fmt::Write` into a `String` never fails, and neither the
+        // `String`s' nor the `DnaSeq`'s `Display` raises an error of its
+        // own.
+        writeln!(out, "@{}\n{}\n+\n{}", r.id, r.seq, r.quality.to_fastq())
+            .expect("writing to a String cannot fail");
     }
     out
 }

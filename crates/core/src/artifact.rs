@@ -27,7 +27,7 @@
 //! per shard:
 //!   start          u64       first owned reference position
 //!   byte length    u64       length of the embedded index stream
-//!   index          bytes     a complete `PIMFMI2` stream (fmindex::io)
+//!   index          bytes     a complete `PIMFMI3` stream (fmindex::io)
 //! checksum         u64       FNV-1a-64 over the body
 //! ```
 //!
@@ -97,6 +97,10 @@ impl fmt::Display for LoadArtifactError {
                 write!(f, "not a PIM-Aligner index artifact (bad magic)")
             }
             LoadArtifactError::Corrupt(what) => write!(f, "corrupt index artifact: {what}"),
+            // A shard of an older format is sound, only not readable here.
+            LoadArtifactError::Shard(e @ fm_io::LoadIndexError::Version(_)) => {
+                write!(f, "index artifact shard: {e}")
+            }
             LoadArtifactError::Shard(e) => write!(f, "corrupt index artifact shard: {e}"),
         }
     }
@@ -966,7 +970,8 @@ pub(crate) mod tests {
         let name = "mut";
         let artifact = IndexArtifact::build(name, &genome::uniform(5_000, 61), 4, 2_500, 100);
         assert_eq!(artifact.shards().len(), 2);
-        assert_eq!(artifact.seed_depth(), 1);
+        // 2 601 and 2 501 rows: two levels each (one at N/64 bytes).
+        assert_eq!(artifact.seed_depth(), 2);
         let mut bytes = Vec::new();
         artifact.save(&mut bytes).expect("save");
         let mut fields = Vec::new();
@@ -998,6 +1003,8 @@ pub(crate) mod tests {
             pos += index.marker_table().size_bytes() + 1; // markers, SA tag
             field(&mut pos, 4); // SA rate
             field(&mut pos, 8); // SA rows
+            field(&mut pos, 8); // SA bitmap words
+            pos += index.text_len().div_ceil(64) * 8;
             field(&mut pos, 8); // SA entries stored
             pos = start + fm_io::stream_len(index);
             streams.push(start..pos);
@@ -1187,9 +1194,15 @@ pub(crate) mod tests {
     /// artifact already on disk, and the proof that a change to the
     /// build path (parse, SA-IS, tables, sampling, save) changed no
     /// byte: length and trailing checksum per genome and geometry. The
-    /// uniform rows without the 40 000 window are as they have been
-    /// since the format was introduced; the rest were taken at the
-    /// parent of the one-pass build.
+    /// uniform full-SA rows without the 40 000 window are as they have
+    /// been since the format was introduced, the other full-SA rows as
+    /// they were taken at the parent of the one-pass build: a full SA is
+    /// stored as `PIMFMI2` stored it, so with each shard stream's magic
+    /// written back as `PIMFMI2` those bytes hash to the same trailer.
+    /// The sampled rows were re-taken when the sampled SA became a row
+    /// bitmap and its values (lengths 81 432 → 62 692, 83 092 → 63 984,
+    /// 43 928 → 43 940 at rate 32, where the two layouts are even,
+    /// 82 262 → 63 342, 325 184 → 250 196 and 328 472 → 252 764 bytes).
     #[test]
     fn saved_bytes_are_golden() {
         let uniform = genome::uniform(50_000, 7);
@@ -1202,11 +1215,11 @@ pub(crate) mod tests {
                 &uniform,
                 &[
                     (1, 0, 0, 231_416, 0x0330_267f_c9cd_0f14),
-                    (8, 0, 0, 81_432, 0x60cf_cd7c_b517_de00),
-                    (8, 20_000, 512, 83_092, 0x06d6_5748_ae3e_5278),
-                    (32, 0, 0, 43_928, 0xc266_4bcf_300d_7b9a),
+                    (8, 0, 0, 62_692, 0x0198_2f91_20c8_c964),
+                    (8, 20_000, 512, 63_984, 0xc579_edee_b5a5_0937),
+                    (32, 0, 0, 43_940, 0x9c37_9902_d6c1_f3c7),
                     (1, 40_000, 512, 233_766, 0xdd56_fb0c_1201_3f73),
-                    (8, 40_000, 512, 82_262, 0x8486_6580_8da1_df8a),
+                    (8, 40_000, 512, 63_342, 0x11f3_b056_4ed6_be98),
                 ],
             ),
             (
@@ -1214,18 +1227,27 @@ pub(crate) mod tests {
                 &repeats,
                 &[
                     (1, 0, 0, 925_168, 0xfbec_18be_8325_5b10),
-                    (8, 0, 0, 325_184, 0x8885_11a8_4076_431a),
+                    (8, 0, 0, 250_196, 0x7cc4_fdbe_a8e4_1c49),
                     (1, 40_000, 512, 934_536, 0xc89b_3ec9_4684_3610),
-                    (8, 40_000, 512, 328_472, 0x266b_cc87_6b74_198b),
+                    (8, 40_000, 512, 252_764, 0xe9db_55c1_12b5_ba5e),
                 ],
             ),
         ];
         for (name, reference, rows) in golden {
             for &(rate, window, overlap, len, trailer) in rows {
                 let mut bytes = Vec::new();
-                IndexArtifact::build("golden", reference, rate, window, overlap)
-                    .save(&mut bytes)
-                    .expect("save");
+                let artifact = IndexArtifact::build("golden", reference, rate, window, overlap);
+                artifact.save(&mut bytes).expect("save");
+                if rate == 1 {
+                    let magics: Vec<usize> = (0..bytes.len() - 8)
+                        .filter(|&at| &bytes[at..at + 8] == fm_io::MAGIC)
+                        .collect();
+                    assert_eq!(magics.len(), artifact.shards().len());
+                    for at in magics {
+                        bytes[at..at + 8].copy_from_slice(b"PIMFMI2\n");
+                    }
+                    restamp(&mut bytes);
+                }
                 let (_, tail) = bytes.split_at(bytes.len() - 8);
                 assert_eq!(
                     (bytes.len(), u64::from_le_bytes(tail.try_into().unwrap())),
@@ -1241,10 +1263,10 @@ pub(crate) mod tests {
         let len = 1 << 20;
         let full = size_model::footprint(len, SubArrayLayout::BASES_PER_ROW, 1).total_bytes();
         assert_eq!(sa_rate_for_budget(len, full), Some(1));
-        // Rate 2 stores ceil(n/2) (row, value) pairs at 8 bytes — no
-        // smaller than the full SA's n u32s — so the first rate that
-        // actually shrinks below a full-SA budget is 4.
-        assert_eq!(sa_rate_for_budget(len, full - 1), Some(4));
+        // Rate 2 stores a bit a row and ceil(n/2) u32s, 2.125 B/bp against
+        // the full SA's 4, so it is the first rate below a full-SA budget
+        // (4 while sampled rows were 8-byte (row, value) pairs).
+        assert_eq!(sa_rate_for_budget(len, full - 1), Some(2));
         let sparse = size_model::footprint(len, SubArrayLayout::BASES_PER_ROW, 1024).total_bytes();
         assert_eq!(sa_rate_for_budget(len, sparse), Some(1024));
         assert_eq!(sa_rate_for_budget(len, sparse - 1), None);

@@ -21,7 +21,7 @@
 //! socket in sight; the server queues its pending-request records.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long `take_batch` is willing to linger for more arrivals when
@@ -116,10 +116,13 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
-        // The mutex only guards plain data updates; a poisoned lock
-        // means a panic mid-update, which the service treats as fatal.
-        self.state.lock().expect("admission queue lock poisoned")
+    /// The state, poisoned or not. Every update a critical section here
+    /// makes leaves the state valid — items move whole, and counts are
+    /// saturating or checked before they are added — so a poisoned lock
+    /// still guards a whole state, and the queue keeps serving instead of
+    /// panicking every later caller.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Backoff hint scaled by how saturated admission currently is.
@@ -194,7 +197,7 @@ impl<T> AdmissionQueue<T> {
                 let (next, _) = self
                     .ready
                     .wait_timeout(s, WAIT_SLICE)
-                    .expect("admission queue lock poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 s = next;
                 continue;
             }
@@ -204,7 +207,7 @@ impl<T> AdmissionQueue<T> {
                 let (next, _) = self
                     .ready
                     .wait_timeout(s, WAIT_SLICE)
-                    .expect("admission queue lock poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 s = next;
             }
             let n = s.queue.len().min(batch_max);
@@ -349,6 +352,23 @@ mod tests {
         assert_eq!(batch, (0..8).collect::<Vec<_>>());
         let rest = q.take_batch(8).unwrap();
         assert_eq!(rest, vec![8, 9]);
+    }
+
+    #[test]
+    fn a_poisoned_queue_keeps_serving() {
+        let q = AdmissionQueue::new(limits(4, 100));
+        assert_eq!(q.offer("before", 10), Admit::Accepted);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = q.state.lock().expect("not yet poisoned");
+            panic!("a panic while the lock is held");
+        }));
+        assert!(poisoned.is_err() && q.state.is_poisoned());
+        assert_eq!(q.offer("after", 10), Admit::Accepted);
+        assert_eq!(q.take_batch(8).unwrap(), vec!["before", "after"]);
+        q.release(20);
+        assert_eq!(q.inflight_bytes(), 0);
+        q.begin_drain();
+        assert_eq!(q.take_batch(8), None);
     }
 
     #[test]

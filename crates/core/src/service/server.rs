@@ -35,7 +35,7 @@
 //! bytes are untouched by the plane.
 
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,10 +108,20 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
+    /// Writes one response frame. A writer poisoned by a panic part-way
+    /// through a frame may have torn the stream, so its connection is shut
+    /// down instead: the client sees it close rather than a garbled frame,
+    /// and the responder carries on.
     fn send(&self, resp: &Response) {
         let payload = encode_response(resp);
-        let mut stream = self.stream.lock().expect("connection writer poisoned");
-        let _ = write_frame(&mut *stream, &payload);
+        match self.stream.lock() {
+            Ok(mut stream) => {
+                let _ = write_frame(&mut *stream, &payload);
+            }
+            Err(poisoned) => {
+                let _ = poisoned.into_inner().shutdown(Shutdown::Both);
+            }
+        }
     }
 }
 
@@ -837,5 +847,38 @@ mod tests {
         assert!(held <= 8, "{held} handles for 200 closed connections");
         handle.begin_drain();
         assert_eq!(handle.join().telemetry.accepted, 200);
+    }
+
+    #[test]
+    fn a_poisoned_writer_closes_its_connection_without_panicking() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let mut client =
+            TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let (server_side, _) = listener.accept().expect("accepts");
+        // A connection left open fails the read below instead of hanging.
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("sets a timeout");
+        let writer = ConnWriter {
+            stream: Mutex::new(server_side),
+        };
+        let torn = catch_unwind(AssertUnwindSafe(|| {
+            let _held = writer.stream.lock().expect("not yet poisoned");
+            panic!("a panic part-way through a frame");
+        }));
+        assert!(torn.is_err() && writer.stream.is_poisoned());
+        writer.send(&Response::WorkerPanic {
+            req_id: 1,
+            message: "unsent".into(),
+        });
+        let mut received = Vec::new();
+        client
+            .read_to_end(&mut received)
+            .expect("reads to the close");
+        assert!(
+            received.is_empty(),
+            "{} bytes after the poison",
+            received.len()
+        );
     }
 }

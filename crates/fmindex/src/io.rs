@@ -5,18 +5,28 @@
 //! them at boot. This module defines a compact little-endian format:
 //!
 //! ```text
-//! magic  "PIMFMI2\n"
+//! magic  "PIMFMI3\n"
 //! u64    text length (incl. sentinel); must fit in u32 (position bound)
 //! u64    sentinel position in the BWT
 //! [u8]   BWT nucleotides, 2-bit packed (sentinel cell holds a placeholder)
 //! u32×4  Count table
 //! u64    bucket width d
 //! u64    marker bucket count, then u32×4 per bucket
-//! u8     SA tag (0 = full, 1 = sampled) [+ u32 rate when sampled]
-//! u64    stored SA entry count, then u32 per entry (sampled: row index
-//!        u32 + value u32 pairs, rows ascending)
+//! u8     SA tag (0 = full, 1 = sampled)
+//! full:     u64 SA row count, then u32 per row
+//! sampled:  u32 rate, u64 SA row count,
+//!           u64 bitmap word count (⌈rows/64⌉), then u64 per word — bit
+//!               row % 64 of word row / 64 set when the row is kept,
+//!           u64 kept count (the bitmap's popcount), then u32 per kept
+//!               value, rows ascending
 //! u64    FNV-1a-64 checksum of every byte after the magic
 //! ```
+//!
+//! The sampled SA is stored as [`SampledRows`](crate::SampledRows)
+//! holds it — the loader rebuilds only its rank directory — so the bytes
+//! on disk are the bytes in memory. A stream whose magic names another
+//! format version is a [`LoadIndexError::Version`], which says to
+//! rebuild the artifact; this module decodes no other version.
 //!
 //! [`load_bytes`] slices the sections out of the stream first — every
 //! declared length is checked against the bytes that remain, so a
@@ -35,10 +45,11 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::index::FmIndex;
-use crate::locate::SuffixArraySamples;
+use crate::locate::{SampledRows, SuffixArraySamples};
 
-/// Magic bytes heading every serialised index.
-pub const MAGIC: &[u8; 8] = b"PIMFMI2\n";
+/// Magic bytes heading every serialised index: `PIMFMI`, the format
+/// version's digit, a newline.
+pub const MAGIC: &[u8; 8] = b"PIMFMI3\n";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -67,6 +78,9 @@ pub enum LoadIndexError {
     Io(io::Error),
     /// The stream does not start with [`MAGIC`].
     BadMagic,
+    /// The stream is an FM-index of another format version (the digit
+    /// its magic carries), which this build does not decode.
+    Version(char),
     /// The declared text length exceeds the `u32` position bound
     /// ([`FmIndex::MAX_REFERENCE_LEN`]); such an index can never have
     /// been written by a correct builder.
@@ -84,6 +98,12 @@ impl fmt::Display for LoadIndexError {
         match self {
             LoadIndexError::Io(e) => write!(f, "index read failed: {e}"),
             LoadIndexError::BadMagic => f.write_str("not a PIM-Aligner FM-index stream"),
+            LoadIndexError::Version(found) => write!(
+                f,
+                "FM-index format version {found}, this build reads version {}: \
+                 rebuild the artifact with `pimalign index build`",
+                char::from(MAGIC[6])
+            ),
             LoadIndexError::TooLarge { len } => write!(
                 f,
                 "index text of {len} rows exceeds the u32 position bound ({} rows max)",
@@ -158,16 +178,16 @@ impl<W: Write> Write for HashingWriter<W> {
 /// stream without staging it.
 pub fn stream_len(index: &FmIndex) -> usize {
     // magic + n + sentinel + count + bucket width + bucket count + SA tag
-    // + SA row count + checksum, and for a sampled SA its rate + stored
-    // count.
+    // + SA row count + checksum, and for a sampled SA its rate, bitmap
+    // word count and kept count.
     let framing = match index.sa_samples() {
         SuffixArraySamples::Full(_) => 73,
-        SuffixArraySamples::Sampled { .. } => 85,
+        SuffixArraySamples::Sampled { .. } => 93,
     };
     index.size_bytes() + framing
 }
 
-/// Serialises an index in the `PIMFMI2` format.
+/// Serialises an index in the `PIMFMI3` format.
 ///
 /// # Errors
 ///
@@ -236,8 +256,15 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
             writer.write_all(&[1u8])?;
             writer.write_all(&rate.to_le_bytes())?;
             writer.write_all(&(index.text_len() as u64).to_le_bytes())?;
+            let bits = stored.bits();
+            writer.write_all(&(bits.len() as u64).to_le_bytes())?;
+            // A little-endian u64 is its low u32 then its high one.
+            write_words(
+                writer,
+                bits.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]),
+            )?;
             writer.write_all(&(stored.stored_len() as u64).to_le_bytes())?;
-            write_words(writer, stored.pairs().flat_map(|(row, v)| [row, v]))?;
+            write_words(writer, stored.values().iter().copied())?;
         }
     }
     Ok(())
@@ -257,16 +284,23 @@ pub fn load<R: Read>(mut reader: R) -> Result<FmIndex, LoadIndexError> {
     load_bytes(&bytes)
 }
 
-/// Deserialises an index from a complete in-memory `PIMFMI2` stream —
+/// Deserialises an index from a complete in-memory `PIMFMI3` stream —
 /// the whole of `bytes` must be the stream, trailing bytes are rejected.
 ///
 /// # Errors
 ///
-/// As [`load`], minus the I/O failures.
+/// As [`load`], minus the I/O failures; a stream of another format
+/// version is [`LoadIndexError::Version`].
 pub fn load_bytes(bytes: &[u8]) -> Result<FmIndex, LoadIndexError> {
     let mut cursor = Cursor { bytes, pos: 0 };
-    if cursor.take(MAGIC.len(), "magic")? != MAGIC {
-        return Err(LoadIndexError::BadMagic);
+    let magic = cursor.take(MAGIC.len(), "magic")?;
+    if magic != MAGIC {
+        return Err(match magic {
+            [b'P', b'I', b'M', b'F', b'M', b'I', v, b'\n'] if v.is_ascii_digit() => {
+                LoadIndexError::Version(char::from(*v))
+            }
+            _ => LoadIndexError::BadMagic,
+        });
     }
     let sections = Sections::parse(&mut cursor)?;
     let body = &bytes[MAGIC.len()..cursor.pos];
@@ -342,7 +376,11 @@ fn words(section: &[u8]) -> impl Iterator<Item = u32> + '_ {
 /// The SA section of a stream, still as bytes.
 enum SaSection<'a> {
     Full(&'a [u8]),
-    Sampled { rate: u32, pairs: &'a [u8] },
+    Sampled {
+        rate: u32,
+        bits: &'a [u8],
+        values: &'a [u8],
+    },
 }
 
 /// A stream's sections, sliced and length-checked but not yet decoded.
@@ -400,9 +438,11 @@ impl<'a> Sections<'a> {
                 if cursor.len("suffix array")? != n {
                     return corrupt("SA length mismatch");
                 }
+                let words = cursor.len("suffix array")?;
+                let bits = cursor.records(words, 8, "suffix array")?;
                 let stored = cursor.len("suffix array")?;
-                let pairs = cursor.records(stored, 8, "suffix array")?;
-                SaSection::Sampled { rate, pairs }
+                let values = cursor.records(stored, 4, "suffix array")?;
+                SaSection::Sampled { rate, bits, values }
             }
             other => {
                 return Err(LoadIndexError::Corrupt(format!("unknown SA tag {other}")));
@@ -422,15 +462,20 @@ impl<'a> Sections<'a> {
     fn assemble(self) -> Result<FmIndex, LoadIndexError> {
         let samples = match self.sa {
             SaSection::Full(values) => SuffixArraySamples::Full(words(values).collect()),
-            SaSection::Sampled { rate, pairs } => {
-                let word = |b: &[u8]| {
-                    u32::from_le_bytes(b.try_into().expect("half of a chunks_exact(8) chunk"))
-                };
-                let pairs = pairs
+            SaSection::Sampled { rate, bits, values } => {
+                let bits = bits
                     .chunks_exact(8)
-                    .map(|pair| (word(&pair[..4]), word(&pair[4..])));
-                SuffixArraySamples::from_stored_pairs(self.text_len, rate, pairs)
-                    .map_err(LoadIndexError::Corrupt)?
+                    .map(|b| {
+                        u64::from_le_bytes(
+                            b.try_into().expect("chunks_exact(8) yields 8-byte chunks"),
+                        )
+                    })
+                    .collect();
+                SuffixArraySamples::Sampled {
+                    stored: SampledRows::new(bits, words(values).collect(), self.text_len)
+                        .map_err(LoadIndexError::Corrupt)?,
+                    rate,
+                }
             }
         };
         FmIndex::from_stored_parts(
@@ -514,23 +559,74 @@ mod tests {
         );
     }
 
-    /// `size_bytes()` must equal the bytes `save` actually writes, modulo
-    /// the fixed per-stream overhead: magic(8) + n(8) + sentinel(8) +
-    /// count(16) + bucket width(8) + bucket count(8) + SA tag(1) + SA
-    /// header (full: len(8); sampled: rate(4) + len(8) + stored(8)) +
-    /// checksum(8).
+    /// Save → load → `locate` against the full suffix array, on random
+    /// intervals of a uniform and a repeat-rich genome, at rates from the
+    /// full SA to past the bitmap's break-even with `(row, value)` pairs.
+    /// At each, `size_bytes()` is the bytes `save` writes less the fixed
+    /// framing: magic(8) + n(8) + sentinel(8) + count(16) + bucket
+    /// width(8) + bucket count(8) + SA tag(1) + SA header (full: len(8);
+    /// sampled: rate(4) + len(8) + bitmap words(8) + stored(8)) +
+    /// checksum(8); and the sampled SA is smaller than the 8-byte pairs
+    /// it replaced below rate 32, even at 32 (6 001 rows), larger at 64.
     #[test]
-    fn size_bytes_matches_serialized_bytes() {
-        for (storage, overhead) in [(SaStorage::Full, 73usize), (SaStorage::Sampled(4), 85)] {
-            let index = sample_index(storage);
-            let mut buffer = Vec::new();
-            save(&index, &mut buffer).unwrap();
-            assert_eq!(
-                index.size_bytes(),
-                buffer.len() - overhead,
-                "accounting drifted from the serializer for {storage:?}"
-            );
-            assert_eq!(stream_len(&index), buffer.len());
+    fn saved_samples_locate_as_the_full_suffix_array() {
+        use crate::sa::suffix_array;
+        use crate::text::Text;
+        use crate::SaInterval;
+        use readsim::genome;
+        use std::cmp::Ordering;
+        let genomes = [
+            genome::uniform(6_000, 0x5eed),
+            genome::repeat_rich(6_000, genome::RepeatProfile::default(), 0x5eed),
+        ];
+        for reference in &genomes {
+            let sa = suffix_array(&Text::from_reference(reference));
+            for (rate, against_pairs) in [
+                (1u32, None),
+                (2, Some(Ordering::Less)),
+                (8, Some(Ordering::Less)),
+                (32, Some(Ordering::Equal)),
+                (64, Some(Ordering::Greater)),
+            ] {
+                let storage = match rate {
+                    1 => SaStorage::Full,
+                    _ => SaStorage::Sampled(rate),
+                };
+                let index = FmIndex::builder()
+                    .bucket_width(128)
+                    .sa_storage(storage)
+                    .build(reference);
+                let mut buffer = Vec::new();
+                save(&index, &mut buffer).unwrap();
+                let framing = if rate == 1 { 73 } else { 93 };
+                assert_eq!(index.size_bytes() + framing, buffer.len(), "rate {rate}");
+                assert_eq!(stream_len(&index), buffer.len());
+                if let SuffixArraySamples::Sampled { stored, .. } = index.sa_samples() {
+                    let held = index.sa_samples().size_bytes();
+                    let pairs = stored.stored_len() * 8;
+                    assert_eq!(Some(held.cmp(&pairs)), against_pairs, "rate {rate}");
+                }
+                let restored = load_bytes(&buffer).expect("own stream");
+                assert_eq!(restored.sa_samples(), index.sa_samples(), "rate {rate}");
+                // xorshift64: 300 intervals of 1 to 64 rows.
+                let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(rate);
+                for _ in 0..300 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let width = (x % 64) as usize + 1;
+                    let low = (x >> 8) as usize % (sa.len() - width + 1);
+                    let mut expected: Vec<usize> =
+                        sa[low..low + width].iter().map(|&v| v as usize).collect();
+                    expected.sort_unstable();
+                    let interval = SaInterval::new(low as u32, (low + width) as u32);
+                    assert_eq!(
+                        restored.locate(interval),
+                        expected,
+                        "rate {rate} {interval}"
+                    );
+                }
+            }
         }
     }
 
@@ -541,20 +637,38 @@ mod tests {
         assert!(err.to_string().contains("not a PIM-Aligner"));
     }
 
+    /// A stream of the previous format, whose sampled SA was
+    /// `(row, value)` pairs: its header is refused by version, with what
+    /// to do, before any of it is decoded.
+    #[test]
+    fn a_previous_version_says_to_rebuild() {
+        let mut v2 = b"PIMFMI2\n".to_vec();
+        v2.extend_from_slice(&31u64.to_le_bytes());
+        v2.extend_from_slice(&5u64.to_le_bytes());
+        let err = load(v2.as_slice()).unwrap_err();
+        assert!(matches!(err, LoadIndexError::Version('2')), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("version 2"), "{message}");
+        assert!(message.contains("reads version 3"), "{message}");
+        assert!(message.contains("pimalign index build"), "{message}");
+    }
+
     #[test]
     fn truncation_is_reported_as_corrupt_with_section() {
-        let index = sample_index(SaStorage::Full);
-        let mut buffer = Vec::new();
-        save(&index, &mut buffer).unwrap();
-        // Cut the stream at every byte boundary: each must produce a
-        // Corrupt("truncated in …") error, never a bare Io error.
-        for cut in 0..buffer.len() {
-            let err = load(&buffer[..cut]).unwrap_err();
-            match err {
-                LoadIndexError::Corrupt(msg) => {
-                    assert!(msg.contains("truncated in"), "cut {cut}: {msg}")
+        for storage in [SaStorage::Full, SaStorage::Sampled(4)] {
+            let index = sample_index(storage);
+            let mut buffer = Vec::new();
+            save(&index, &mut buffer).unwrap();
+            // Cut the stream at every byte boundary: each must produce a
+            // Corrupt("truncated in …") error, never a bare Io error.
+            for cut in 0..buffer.len() {
+                let err = load(&buffer[..cut]).unwrap_err();
+                match err {
+                    LoadIndexError::Corrupt(msg) => {
+                        assert!(msg.contains("truncated in"), "{storage:?} cut {cut}: {msg}")
+                    }
+                    other => panic!("{storage:?} cut {cut}: expected Corrupt, got {other:?}"),
                 }
-                other => panic!("cut {cut}: expected Corrupt, got {other:?}"),
             }
         }
     }
@@ -632,7 +746,7 @@ mod tests {
 
     /// A header may declare any length it likes; the loader must answer
     /// from the bytes it was actually given. Each stream here is at most
-    /// 64 bytes and inflates one length field to 2³¹ — the loader slices
+    /// 128 bytes and inflates one length field to 2³¹ — the loader slices
     /// sections before it decodes any, so nothing is allocated for them.
     #[test]
     fn hostile_lengths_are_truncation_not_allocation() {
@@ -657,20 +771,26 @@ mod tests {
         };
         let inflated_buckets = tables(1, HUGE);
         let missing_buckets = tables(1, 5);
-        // One marker row present, then a sampled SA promising 2³¹ pairs.
-        let mut inflated_stored = tables(HUGE, 1);
-        inflated_stored.extend_from_slice(&[0u8; 16]);
-        inflated_stored.push(1);
-        inflated_stored.extend_from_slice(&8u32.to_le_bytes());
-        inflated_stored.extend_from_slice(&4u64.to_le_bytes());
+        // One marker row present, then a sampled SA promising a bitmap of
+        // 2³¹ words; and one promising 2³¹ values behind its one word.
+        let mut inflated_words = tables(HUGE, 1);
+        inflated_words.extend_from_slice(&[0u8; 16]);
+        inflated_words.push(1);
+        inflated_words.extend_from_slice(&8u32.to_le_bytes());
+        inflated_words.extend_from_slice(&4u64.to_le_bytes());
+        let mut inflated_stored = inflated_words.clone();
+        inflated_words.extend_from_slice(&HUGE.to_le_bytes());
+        inflated_stored.extend_from_slice(&1u64.to_le_bytes());
+        inflated_stored.extend_from_slice(&1u64.to_le_bytes());
         inflated_stored.extend_from_slice(&HUGE.to_le_bytes());
         for (stream, expected) in [
             (&inflated_n, "truncated in BWT"),
             (&inflated_buckets, "bucket count mismatch"),
             (&missing_buckets, "truncated in marker table"),
+            (&inflated_words, "truncated in suffix array"),
             (&inflated_stored, "truncated in suffix array"),
         ] {
-            assert!(stream.len() <= 96, "{} bytes", stream.len());
+            assert!(stream.len() <= 128, "{} bytes", stream.len());
             match load(stream.as_slice()).unwrap_err() {
                 LoadIndexError::Corrupt(msg) => assert_eq!(msg, expected),
                 other => panic!("expected Corrupt({expected}), got {other:?}"),
@@ -678,23 +798,66 @@ mod tests {
         }
     }
 
+    /// What only a bitmap can get wrong, written into an otherwise sound
+    /// and sealed stream: a word count other than `⌈rows/64⌉`, a row
+    /// marked past the last, and a popcount other than the value count.
+    /// Each is a `Corrupt` naming the suffix array.
     #[test]
-    fn unordered_or_out_of_range_sampled_rows_rejected() {
+    fn an_unsound_sa_bitmap_is_corrupt() {
         let index = sample_index(SaStorage::Sampled(4));
+        let SuffixArraySamples::Sampled { stored, .. } = index.sa_samples() else {
+            panic!("a sampled index");
+        };
+        let rows = index.text_len();
+        assert_eq!(rows, 31, "one bitmap word, its top 33 bits past the rows");
         let mut pristine = Vec::new();
         save(&index, &mut pristine).unwrap();
-        // The last (row, value) pair sits just before the checksum; move
-        // its row past the text, then back onto row 0, re-sealing the
-        // stream each time so only the row is wrong.
-        for (row, expected) in [(u32::MAX, "out of range"), (0, "ascending")] {
-            let mut buffer = pristine.clone();
-            let body_end = buffer.len() - 8;
-            buffer[body_end - 8..body_end - 4].copy_from_slice(&row.to_le_bytes());
-            let digest = fnv1a(&buffer[8..body_end]);
-            buffer[body_end..].copy_from_slice(&digest.to_le_bytes());
-            match load(buffer.as_slice()).unwrap_err() {
-                LoadIndexError::Corrupt(msg) => assert!(msg.contains(expected), "{msg}"),
-                other => panic!("expected Corrupt, got {other:?}"),
+        // The section's bitmap and values, rewritten behind its rate and
+        // row count, then the stream re-sealed.
+        let section_len = 8 + 8 * stored.bits().len() + 8 + 4 * stored.stored_len();
+        let section_start = pristine.len() - 8 - section_len;
+        let seal = |bits: &[u64], values: &[u32]| {
+            let mut buffer = pristine[..section_start].to_vec();
+            buffer.extend_from_slice(&(bits.len() as u64).to_le_bytes());
+            bits.iter()
+                .for_each(|w| buffer.extend_from_slice(&w.to_le_bytes()));
+            buffer.extend_from_slice(&(values.len() as u64).to_le_bytes());
+            values
+                .iter()
+                .for_each(|v| buffer.extend_from_slice(&v.to_le_bytes()));
+            let digest = fnv1a(&buffer[8..]);
+            buffer.extend_from_slice(&digest.to_le_bytes());
+            buffer
+        };
+        let (word, values) = (stored.bits()[0], stored.values().to_vec());
+        assert_eq!(
+            seal(&[word], &values),
+            pristine,
+            "the rewrite is the layout"
+        );
+        let mut one_more = values.clone();
+        one_more.push(7);
+        let lowest_cleared = word & (word - 1);
+        for (stream, expected) in [
+            (seal(&[word, 0], &values), "has 2 words for 31 rows"),
+            (seal(&[], &values), "has 0 words for 31 rows"),
+            (
+                seal(&[word | 1 << 31], &one_more),
+                "marks a row past the last",
+            ),
+            (
+                seal(&[word | 1 << 63], &one_more),
+                "marks a row past the last",
+            ),
+            (seal(&[lowest_cleared], &values), "for 8 stored values"),
+            (seal(&[word], &one_more), "marks 8 rows for 9 stored values"),
+        ] {
+            match load(stream.as_slice()).unwrap_err() {
+                LoadIndexError::Corrupt(msg) => {
+                    assert!(msg.starts_with("suffix array bitmap"), "{msg}");
+                    assert!(msg.contains(expected), "{msg}");
+                }
+                other => panic!("expected Corrupt({expected}), got {other:?}"),
             }
         }
     }

@@ -10,10 +10,11 @@ use crate::bwt::Bwt;
 use crate::search::SaInterval;
 use crate::tables::MarkerTable;
 
-/// The rows a sampled suffix array keeps, held the size they serialise:
-/// one bit per SA row saying whether the row is stored, a running count
-/// every [`RANK_BLOCK`] rows, and the stored values in row order
-/// (≈ `n/8 + 4·n/rate` bytes, against `4·n` for a row-indexed array).
+/// The rows a sampled suffix array keeps, held as they serialise: one
+/// bit per SA row saying whether the row is stored and the stored values
+/// in row order (`n/8 + 4·n/rate` bytes, against `4·n` for a
+/// row-indexed array), plus a running count every [`RANK_BLOCK`] rows
+/// that is rebuilt from the bitmap rather than stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampledRows {
     /// Bit `row % 64` of word `row / 64` is set when the row is stored.
@@ -31,8 +32,28 @@ pub struct SampledRows {
 const RANK_BLOCK: usize = 512;
 
 impl SampledRows {
-    /// Indexes a row bitmap and the values of its set rows.
-    fn new(bits: Vec<u64>, values: Vec<u32>, rows: usize) -> SampledRows {
+    /// Indexes a bitmap of `rows` SA rows and the values of its set
+    /// rows, in row order.
+    ///
+    /// # Errors
+    ///
+    /// Describes a bitmap that is not `⌈rows/64⌉` words, that marks a
+    /// row past the last, or that marks other than one row per value.
+    pub(crate) fn new(
+        bits: Vec<u64>,
+        values: Vec<u32>,
+        rows: usize,
+    ) -> Result<SampledRows, String> {
+        if bits.len() != rows.div_ceil(64) {
+            return Err(format!(
+                "suffix array bitmap has {} words for {rows} rows",
+                bits.len()
+            ));
+        }
+        if !rows.is_multiple_of(64) && bits.last().is_some_and(|&w| w >> (rows % 64) != 0) {
+            return Err("suffix array bitmap marks a row past the last".into());
+        }
+        // At most `rows ≤ u32::MAX` bits are set once the tail is clear.
         let mut seen = 0u32;
         let block_ranks = bits
             .chunks(RANK_BLOCK / 64)
@@ -42,13 +63,18 @@ impl SampledRows {
                 before
             })
             .collect();
-        debug_assert_eq!(seen as usize, values.len());
-        SampledRows {
+        if seen as usize != values.len() {
+            return Err(format!(
+                "suffix array bitmap marks {seen} rows for {} stored values",
+                values.len()
+            ));
+        }
+        Ok(SampledRows {
             bits,
             block_ranks,
             values,
             rows,
-        }
+        })
     }
 
     /// The stored value of `row`, if it is a stored row.
@@ -74,20 +100,21 @@ impl SampledRows {
         self.values.len()
     }
 
-    /// The stored `(row, value)` pairs, rows ascending — what a sampled
-    /// SA serialises.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let rows = self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            let mut left = word;
-            std::iter::from_fn(move || {
-                (left != 0).then(|| {
-                    let bit = left.trailing_zeros();
-                    left &= left - 1;
-                    (w * 64) as u32 + bit
-                })
-            })
-        });
-        rows.zip(self.values.iter().copied())
+    /// The row bitmap: bit `row % 64` of word `row / 64` is set when the
+    /// row is stored.
+    pub(crate) fn bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// The stored values, in row order.
+    pub(crate) fn values(&self) -> &[u32] {
+        &self.values
+    }
+
+    /// Bytes of the bitmap and the values — what a sampled SA
+    /// serialises; the rank directory is rebuilt on load.
+    fn size_bytes(&self) -> usize {
+        self.bits.len() * 8 + self.values.len() * 4
     }
 }
 
@@ -187,43 +214,10 @@ impl SuffixArraySamples {
         sa.truncate(kept);
         sa.shrink_to_fit();
         SuffixArraySamples::Sampled {
-            stored: SampledRows::new(bits, sa, rows),
+            stored: SampledRows::new(bits, sa, rows)
+                .expect("the loop sets one bit of ⌈rows/64⌉ words per kept value"),
             rate,
         }
-    }
-
-    /// Rebuilds sampled storage over `rows` SA rows from the serialised
-    /// `(row, value)` pairs, decoding them straight into the compact
-    /// form.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first pair whose row is out of range or not above
-    /// the row before it.
-    pub(crate) fn from_stored_pairs(
-        rows: usize,
-        rate: u32,
-        pairs: impl ExactSizeIterator<Item = (u32, u32)>,
-    ) -> Result<SuffixArraySamples, String> {
-        let mut bits = vec![0u64; rows.div_ceil(64)];
-        let mut values = Vec::with_capacity(pairs.len());
-        let mut next_row = 0;
-        for (row, v) in pairs {
-            let row = row as usize;
-            if row >= rows {
-                return Err("SA row out of range".into());
-            }
-            if row < next_row {
-                return Err("SA rows not in ascending order".into());
-            }
-            next_row = row + 1;
-            bits[row / 64] |= 1 << (row % 64);
-            values.push(v);
-        }
-        Ok(SuffixArraySamples::Sampled {
-            stored: SampledRows::new(bits, values, rows),
-            rate,
-        })
     }
 
     /// Number of SA rows covered.
@@ -243,12 +237,13 @@ impl SuffixArraySamples {
     ///
     /// This mirrors the bytes [`io::save`](crate::io::save) actually
     /// writes for the SA table: 4 bytes per row for the full array, and
-    /// 8 bytes — a `(row, value)` pair of `u32`s — per stored entry for
-    /// the sampled form. The agreement is pinned by a serializer test.
+    /// for the sampled form the row bitmap — one bit per row, in 8-byte
+    /// words — plus 4 bytes per stored entry. The agreement is pinned by
+    /// a serializer test.
     pub fn size_bytes(&self) -> usize {
         match self {
             SuffixArraySamples::Full(v) => v.len() * 4,
-            SuffixArraySamples::Sampled { stored, .. } => stored.stored_len() * 8,
+            SuffixArraySamples::Sampled { stored, .. } => stored.size_bytes(),
         }
     }
 
@@ -438,17 +433,15 @@ mod tests {
             let SuffixArraySamples::Sampled { stored, .. } = &samples else {
                 panic!("sampled() builds the sampled variant");
             };
-            let pairs: Vec<(u32, u32)> = stored.pairs().collect();
-            let expected: Vec<(u32, u32)> = dense
-                .iter()
-                .enumerate()
-                .filter_map(|(r, v)| v.map(|v| (r as u32, v)))
-                .collect();
-            assert_eq!(pairs, expected, "rate {rate}");
-            assert_eq!(samples.size_bytes(), pairs.len() * 8);
-            let reloaded = SuffixArraySamples::from_stored_pairs(sa.len(), rate, pairs.into_iter())
-                .expect("own pairs");
-            assert_eq!(reloaded, samples, "rate {rate}");
+            let values: Vec<u32> = dense.iter().filter_map(|&v| v).collect();
+            assert_eq!(stored.values(), values, "rate {rate}");
+            assert_eq!(stored.bits().len(), sa.len().div_ceil(64));
+            assert_eq!(
+                samples.size_bytes(),
+                sa.len().div_ceil(64) * 8 + values.len() * 4
+            );
+            let reloaded = SampledRows::new(stored.bits().to_vec(), values, sa.len());
+            assert_eq!(reloaded.as_ref(), Ok(stored), "rate {rate}");
         }
     }
 

@@ -27,7 +27,8 @@ use crate::size_model;
 /// let reference: DnaSeq = (0..4_000).map(|i| bioseq::Base::from_rank(i * i % 4)).collect();
 /// let index = FmIndex::new(&reference);
 /// let seeds = SeedTable::derive(&index);
-/// assert_eq!(seeds.depth(), 1);
+/// // 4 001 rows hold 1 000 bytes of table: three levels (672 bytes).
+/// assert_eq!(seeds.depth(), 3);
 /// let c = index.backward_search(&"C".parse().unwrap()).unwrap();
 /// assert_eq!(seeds.interval(&[bioseq::Base::C]), (c.low(), c.high()));
 /// ```
@@ -141,7 +142,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// No table under 2 047 bases, then one, two and three levels.
+        /// No table under 127 bases, then one to five levels.
         #[test]
         fn entries_equal_the_published_walk_on_uniform_genomes(
             len in 1usize..50_000,
@@ -164,25 +165,31 @@ mod tests {
 
     #[test]
     fn a_genome_missing_most_kmers_has_empty_entries() {
-        // Poly-A with one island: three levels, and of 64 3-mers only
-        // those the island spells or borders occur.
+        // Poly-A with one island: five levels (three before the table
+        // grew from N/64 to N/4 bytes), and of 1 024 5-mers only those
+        // the island spells or borders occur.
         let mut bases = vec![Base::A; 44_000];
         let island: DnaSeq = "CGTTGC".parse().unwrap();
         bases.splice(6_000..6_006, island.iter().copied());
         let reference = DnaSeq::from_bases(bases);
         every_entry_is_the_published_walk(&reference).unwrap();
         let seeds = SeedTable::derive(&FmIndex::new(&reference));
-        assert_eq!(seeds.depth(), 3);
+        assert_eq!(seeds.depth(), 5);
         let (low, high) = seeds.interval(&[Base::G, Base::G, Base::G]);
         assert!(low >= high);
         let (low, high) = seeds.interval(&[Base::A, Base::A, Base::A]);
         assert_eq!(high - low, 44_000 - 6 - 4);
+        let (low, high) = seeds.interval(&[Base::A; 5]);
+        assert_eq!(high - low, 44_000 - 6 - 8);
+        let (low, high) = seeds.interval(&[Base::G, Base::C, Base::A, Base::A, Base::A]);
+        assert_eq!(high - low, 1);
     }
 
     #[test]
     #[should_panic(expected = "no level 2")]
     fn a_level_beyond_the_depth_panics() {
-        let seeds = SeedTable::derive(&FmIndex::new(&genome::uniform(3_000, 1)));
+        // 301 rows hold one level (32 of their 75 bytes).
+        let seeds = SeedTable::derive(&FmIndex::new(&genome::uniform(300, 1)));
         let _ = seeds.interval(&[Base::A, Base::C]);
     }
 }

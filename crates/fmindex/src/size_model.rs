@@ -49,13 +49,14 @@ pub fn seed_bytes(depth: usize) -> usize {
 }
 
 /// The depth `k` of the seed table of a text of `text_len` symbols: the
-/// largest whose table fits `text_len / 64` bytes — under 0.4 % of the
-/// index at the paper's full suffix array, 1.2 % at one sampled 1 in 8;
-/// 0, no table, below 2 048 symbols. Each level deeper saves a descent one more interval step and
+/// largest whose table fits `text_len / 4` bytes, the size of the 2-bit
+/// BWT — at most 0.25 B/bp, under 6 % of the index at the paper's full
+/// suffix array and a fifth at one sampled 1 in 8; 0, no table, below 128
+/// symbols. Each level deeper saves a descent one more interval step and
 /// costs four times the bytes (EXPERIMENTS.md has the sweep).
 pub fn seed_depth(text_len: usize) -> usize {
     let mut depth = 0;
-    while seed_bytes(depth + 1) <= text_len / 64 {
+    while seed_bytes(depth + 1) <= text_len / 4 {
         depth += 1;
     }
     depth
@@ -88,11 +89,11 @@ pub fn footprint(genome_len: usize, d: usize, sa_rate: usize) -> IndexFootprint 
     let sa_bytes = if sa_rate == 1 {
         text_len * 4
     } else {
-        // One (row, value) pair of u32s per stored entry — the layout
-        // io::save writes and SuffixArraySamples::size_bytes() charges.
-        // Stored entries are the text positions divisible by sa_rate in
-        // [0, text_len), i.e. ceil(text_len / sa_rate) of them.
-        text_len.div_ceil(sa_rate) * 8
+        // A bit per row in u64 words, then a u32 per stored entry — the
+        // layout io::save writes and SuffixArraySamples::size_bytes()
+        // charges. Stored entries are the text positions divisible by
+        // sa_rate in [0, text_len), i.e. ceil(text_len / sa_rate) of them.
+        text_len.div_ceil(64) * 8 + text_len.div_ceil(sa_rate) * 4
     };
     IndexFootprint {
         bwt_bytes,
@@ -157,29 +158,36 @@ mod tests {
     #[test]
     fn seed_depth_follows_the_text_length() {
         // The benchmark's four genome sizes, and the edges of no table.
+        // The table's budget went from N/64 to N/4 bytes, two levels
+        // deeper at each: 4/5/5/6 → 6/7/7/8, and the first table from
+        // 2 047 bases to 127.
         for (genome_len, depth) in [
-            (200_000, 4),
-            (1_000_000, 5),
-            (2_000_000, 5),
-            (8_000_000, 6),
-            (2_046, 0),
-            (2_047, 1),
+            (200_000, 6),
+            (1_000_000, 7),
+            (2_000_000, 7),
+            (8_000_000, 8),
+            (126, 0),
+            (127, 1),
         ] {
             assert_eq!(seed_depth(genome_len + 1), depth, "{genome_len} bp");
         }
         assert_eq!(seed_bytes(0), 0);
         assert_eq!(seed_bytes(4), 8 * (4 + 16 + 64 + 256));
         assert_eq!(seed_bytes(6), 43_680);
+        assert_eq!(seed_bytes(8), 699_040);
         for genome_len in [200_000, 1_000_000, 2_000_000, 8_000_000, 3_200_000_000] {
+            // Shares re-taken at N/4 (were 1/270 and 1/83): the least is
+            // 1/20.6 of the full-SA index (3.2 Gbp) and 1/5.5 of the 1 in
+            // 8 one (3.2 Gbp; 200 kbp 1/5.6).
             let model = footprint(genome_len, 128, 1);
-            assert!(model.seed_bytes * 64 <= genome_len + 1);
+            assert!(model.seed_bytes * 4 <= genome_len + 1);
             assert!(
-                model.seed_bytes * 270 < model.total_bytes(),
+                model.seed_bytes * 20 < model.total_bytes(),
                 "{genome_len} bp"
             );
             let sampled = footprint(genome_len, 128, 8);
             assert!(
-                sampled.seed_bytes * 83 < sampled.total_bytes(),
+                sampled.seed_bytes * 5 < sampled.total_bytes(),
                 "{genome_len} bp"
             );
         }
@@ -189,9 +197,9 @@ mod tests {
     fn sa_sampling_shrinks_the_footprint() {
         let full = footprint(10_000_000, 128, 1);
         let sampled = footprint(10_000_000, 128, 32);
-        // 32× fewer entries at twice the width (8-byte pairs vs 4-byte
-        // values) nets a 16× saving.
-        assert!(sampled.sa_bytes <= full.sa_bytes / 16 + 8);
+        // 32× fewer 4-byte values plus a bit a row (another 1/32 of the
+        // full SA) nets a 16× saving, give or take a word of rounding.
+        assert!(sampled.sa_bytes <= full.sa_bytes / 16 + 16);
         assert!(sampled.total_bytes() < full.total_bytes());
     }
 

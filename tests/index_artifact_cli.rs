@@ -297,9 +297,10 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
         "128",
     ]);
     assert!(ok, "sharded index build failed: {stderr}");
-    // Shards of 3 128 and 3 000 bases: each derives a one-level table.
+    // Shards of 3 128 and 3 000 bases: each derives a three-level table
+    // (one while the table took N/64 bytes).
     assert!(stderr.contains("3 shard(s)"), "{stderr}");
-    assert!(stderr.contains("seed depth 1"), "{stderr}");
+    assert!(stderr.contains("seed depth 3"), "{stderr}");
 
     let run = |threads: &str, batch: &str| {
         let metrics = temp_path(&format!("shardfault_{threads}_{batch}.json"));
@@ -362,6 +363,68 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
     }
 }
 
+/// An artifact whose shard is a `PIMFMI2` stream — one written before the
+/// sampled suffix array was stored as its row bitmap — is refused as
+/// input (exit 3) by both binaries, with its version and what to run.
+#[test]
+fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
+    use pim_aligner_suite::fmindex::io as fm_io;
+    let (reference, fastq) = fixture();
+    let ref_fa = write_temp("v2_ref.fa", &format!(">chrA\n{reference}\n"));
+    let reads_fq = write_temp("v2_reads.fq", &fastq);
+    let artifact = temp_path("v2.pimx");
+    let (_, stderr, ok) = run_cli(&[
+        "index",
+        "build",
+        ref_fa.to_str().unwrap(),
+        artifact.to_str().unwrap(),
+        "--sa-rate",
+        "8",
+    ]);
+    assert!(ok, "index build failed: {stderr}");
+    // Write the shard stream's magic back one version and re-seal the
+    // container: the loader must refuse the version before the layout.
+    let mut raw = std::fs::read(&artifact).expect("read artifact");
+    let at = (0..raw.len() - 8)
+        .find(|&at| &raw[at..at + 8] == fm_io::MAGIC)
+        .expect("one shard stream");
+    raw[at..at + 8].copy_from_slice(b"PIMFMI2\n");
+    let body_end = raw.len() - 8;
+    let digest = fm_io::fnv1a(&raw[8..body_end]);
+    raw[body_end..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(&artifact, &raw).expect("write the v2 artifact");
+
+    for (binary, args) in [
+        (
+            env!("CARGO_BIN_EXE_pimalign"),
+            vec![
+                "--index",
+                artifact.to_str().unwrap(),
+                reads_fq.to_str().unwrap(),
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_pimserve"),
+            vec!["--index", artifact.to_str().unwrap()],
+        ),
+    ] {
+        let out = Command::new(binary).args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{binary}: {stderr}");
+        for needle in [
+            "format version 2",
+            "reads version 3",
+            "pimalign index build",
+        ] {
+            assert!(
+                stderr.contains(needle),
+                "{binary}: no `{needle}` in {stderr}"
+            );
+        }
+        assert!(!stderr.contains("corrupt"), "{binary}: {stderr}");
+    }
+}
+
 #[test]
 fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
     let (reference, _) = fixture();
@@ -397,10 +460,11 @@ fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
     );
     let bytes: u64 = field("index_bytes").parse().expect("numeric index_bytes");
     assert!(bytes <= 12 * 1024, "budgeted artifact overshot: {bytes}");
-    // 4 001 rows hold a one-level seed table, four 8-byte entries,
-    // counted in the footprint and derived when the artifact is mapped.
-    assert_eq!(field("seed_depth"), "1");
-    assert_eq!(field("seed_bytes"), "32");
+    // 4 001 rows hold a three-level seed table, 84 8-byte entries,
+    // counted in the footprint and derived when the artifact is mapped
+    // (one level, 32 bytes, while the table took N/64 bytes).
+    assert_eq!(field("seed_depth"), "3");
+    assert_eq!(field("seed_bytes"), "672");
     assert_eq!(field("model_bytes"), field("index_bytes"));
     assert_eq!(field("checksum"), "ok");
 

@@ -164,10 +164,11 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
         assert!(session.align_read(read).is_mapped());
     }
     let batched = platform.align_batch_parallel(&reads, 1).unwrap().report;
-    // ⌈log₄ 50 001⌉ = 8, and a table of three levels.
+    // ⌈log₄ 50 001⌉ = 8, and a table of five levels (three while it took
+    // N/64 bytes).
     let log4_n = (0..).find(|&k| 4usize.pow(k) > reference.len()).unwrap() as u64;
     let k = platform.mapped().seed_table().depth() as u64;
-    assert_eq!(k, 3);
+    assert_eq!(k, 5);
     for report in [session.report(), batched] {
         let (m, reads) = (M as u64, reads.len() as u64);
         assert_eq!(report.published_lfm_calls, 2 * m * reads);

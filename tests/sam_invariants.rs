@@ -417,14 +417,16 @@ fn every_record_holds_and_no_byte_or_lfm_budget_moves() {
 /// 2, the break frame tried first), before it touched the search.
 const DIGEST_BOTH: u64 = 0xc905_0dfc_4845_be7c;
 const DIGEST_FWD: u64 = 0x85b6_effd_1c96_7a2b;
-/// `LFM`s a read, `[exact, inexact]`, as measured with one `LFM` for a
-/// step inside one word line and none for an alternative its siblings
-/// have accounted for; before that, with the one-row step and the seed
-/// table, `[93.834, 50.245]` and `[49.851, 36.743]`; with the one-row
-/// interval step alone, `[105.814, 59.077]` and `[57.851, 45.099]`; and
-/// at two `LFM`s a step `[183.475, 88.842]` and `[97.069, 63.896]`.
-const LFM_BOTH: [f64; 2] = [89.423, 40.975];
-const LFM_FWD: [f64; 2] = [46.965, 29.020];
+/// `LFM`s a read, `[exact, inexact]`, as measured with a seed table of
+/// `N/4` bytes (six levels on this 200 kbp genome); before that, at `N/64`
+/// bytes (four levels), `[89.423, 40.975]` and `[46.965, 29.020]`; before
+/// the word-line step and the partition rule, with the one-row step and
+/// the seed table, `[93.834, 50.245]` and `[49.851, 36.743]`; with the
+/// one-row interval step alone, `[105.814, 59.077]` and
+/// `[57.851, 45.099]`; and at two `LFM`s a step `[183.475, 88.842]` and
+/// `[97.069, 63.896]`.
+const LFM_BOTH: [f64; 2] = [83.433, 36.589];
+const LFM_FWD: [f64; 2] = [42.965, 24.871];
 /// `report.published_lfm_calls`, two `LFM`s for every interval step the
 /// searches took: that parent's `lfm_calls`, to the `LFM` — the one-row
 /// and then word-line step changed what a step issues, the seed table
