@@ -153,20 +153,23 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         index build target/ci/smoke_ref.fa target/ci/smoke.pimx
     cargo run -q --release --bin pimalign -- index inspect target/ci/smoke.pimx \
         > target/ci/smoke_inspect.txt
-    # 57 rows are too few for a seed table; the line must say so.
-    grep -qx 'seed_depth: 0' target/ci/smoke_inspect.txt
+    # 57 rows hold a two-level seed table: 17 boundaries of 6 bits.
+    grep -qx 'seed_depth: 2' target/ci/smoke_inspect.txt
+    grep -qx 'seed_bytes: 13' target/ci/smoke_inspect.txt
     cargo run -q --release --bin pimalign -- \
         --index target/ci/smoke.pimx target/ci/smoke_reads.fq --threads 2 \
         > target/ci/smoke_index.sam
     cmp target/ci/smoke.sam target/ci/smoke_index.sam
     # The same round trip at the benchmark's SA rate, so a release binary
-    # writes and reads the sampled section (row bitmap + kept values),
-    # whose bytes must be the ones the size model counts.
+    # writes and reads the sampled section (row bitmap + kept values,
+    # each v / 8 in the 3 bits ⌊56/8⌋ = 7 needs), whose bytes must be the
+    # ones the size model counts.
     cargo run -q --release --bin pimalign -- \
         index build target/ci/smoke_ref.fa target/ci/smoke_sampled.pimx --sa-rate 8
     cargo run -q --release --bin pimalign -- index inspect target/ci/smoke_sampled.pimx \
         > target/ci/smoke_sampled_inspect.txt
     grep -qx 'sa_rate: 8' target/ci/smoke_sampled_inspect.txt
+    grep -qx 'sa_value_bits: 3' target/ci/smoke_sampled_inspect.txt
     _index_bytes=$(sed -n 's/^index_bytes: //p' target/ci/smoke_sampled_inspect.txt)
     _model_bytes=$(sed -n 's/^model_bytes: //p' target/ci/smoke_sampled_inspect.txt)
     if [ -z "$_index_bytes" ] || [ "$_index_bytes" != "$_model_bytes" ]; then

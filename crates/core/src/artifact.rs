@@ -27,7 +27,7 @@
 //! per shard:
 //!   start          u64       first owned reference position
 //!   byte length    u64       length of the embedded index stream
-//!   index          bytes     a complete `PIMFMI3` stream (fmindex::io)
+//!   index          bytes     a complete `PIMFMI4` stream (fmindex::io)
 //! checksum         u64       FNV-1a-64 over the body
 //! ```
 //!
@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 use bioseq::{Base, DnaSeq};
 use fmindex::io as fm_io;
-use fmindex::{size_model, FmIndex, SaStorage};
+use fmindex::{size_model, FmIndex, SaStorage, SuffixArraySamples};
 use pimsim::SubArrayLayout;
 
 use crate::aligner::{AlignmentOutcome, MappedStrand};
@@ -280,12 +280,23 @@ impl IndexArtifact {
         depths.max().unwrap_or(0)
     }
 
+    /// Bits a stored suffix-array value takes: 32 for the full array, and
+    /// for a sampled one those of `⌊(rows − 1)/rate⌋`, the widest over
+    /// the shards.
+    pub fn sa_value_bits(&self) -> u32 {
+        let bits = self.shards.iter().map(|s| match s.index.sa_samples() {
+            SuffixArraySamples::Full(_) => u32::BITS,
+            SuffixArraySamples::Sampled { stored, .. } => stored.value_bits(),
+        });
+        bits.max().unwrap_or(0)
+    }
+
     /// Bytes of those tables, summed over the shards.
     pub fn seed_bytes(&self) -> usize {
         let tables = self
             .shards
             .iter()
-            .map(|s| size_model::seed_bytes(s.seed_depth()));
+            .map(|s| size_model::seed_bytes(s.seed_depth(), s.index.text_len()));
         tables.sum()
     }
 
@@ -970,8 +981,9 @@ pub(crate) mod tests {
         let name = "mut";
         let artifact = IndexArtifact::build(name, &genome::uniform(5_000, 61), 4, 2_500, 100);
         assert_eq!(artifact.shards().len(), 2);
-        // 2 601 and 2 501 rows: two levels each (one at N/64 bytes).
-        assert_eq!(artifact.seed_depth(), 2);
+        // 2 601 and 2 501 rows: four levels each (two while every level
+        // held a pair of u32s an entry, one at N/64 bytes).
+        assert_eq!(artifact.seed_depth(), 4);
         let mut bytes = Vec::new();
         artifact.save(&mut bytes).expect("save");
         let mut fields = Vec::new();
@@ -1005,7 +1017,8 @@ pub(crate) mod tests {
             field(&mut pos, 8); // SA rows
             field(&mut pos, 8); // SA bitmap words
             pos += index.text_len().div_ceil(64) * 8;
-            field(&mut pos, 8); // SA entries stored
+            field(&mut pos, 1); // SA value width
+            field(&mut pos, 8); // SA value words
             pos = start + fm_io::stream_len(index);
             streams.push(start..pos);
         }
@@ -1202,7 +1215,11 @@ pub(crate) mod tests {
     /// The sampled rows were re-taken when the sampled SA became a row
     /// bitmap and its values (lengths 81 432 → 62 692, 83 092 → 63 984,
     /// 43 928 → 43 940 at rate 32, where the two layouts are even,
-    /// 82 262 → 63 342, 325 184 → 250 196 and 328 472 → 252 764 bytes).
+    /// 82 262 → 63 342, 325 184 → 250 196 and 328 472 → 252 764 bytes),
+    /// and again when its values became `v / rate` packed in the bits
+    /// `⌊(rows − 1)/rate⌋` needs (62 692 → 47 849, 63 984 → 47 887,
+    /// 43 940 → 39 841, 63 342 → 48 040, 250 196 → 197 073 and
+    /// 252 764 → 192 781 bytes).
     #[test]
     fn saved_bytes_are_golden() {
         let uniform = genome::uniform(50_000, 7);
@@ -1215,11 +1232,11 @@ pub(crate) mod tests {
                 &uniform,
                 &[
                     (1, 0, 0, 231_416, 0x0330_267f_c9cd_0f14),
-                    (8, 0, 0, 62_692, 0x0198_2f91_20c8_c964),
-                    (8, 20_000, 512, 63_984, 0xc579_edee_b5a5_0937),
-                    (32, 0, 0, 43_940, 0x9c37_9902_d6c1_f3c7),
+                    (8, 0, 0, 47_849, 0x7d35_6483_8f83_ff60),
+                    (8, 20_000, 512, 47_887, 0x5a11_5ed4_667b_dd46),
+                    (32, 0, 0, 39_841, 0x7522_f122_511c_5f30),
                     (1, 40_000, 512, 233_766, 0xdd56_fb0c_1201_3f73),
-                    (8, 40_000, 512, 63_342, 0x11f3_b056_4ed6_be98),
+                    (8, 40_000, 512, 48_040, 0xa5ee_d32e_9fd1_d8dc),
                 ],
             ),
             (
@@ -1227,9 +1244,9 @@ pub(crate) mod tests {
                 &repeats,
                 &[
                     (1, 0, 0, 925_168, 0xfbec_18be_8325_5b10),
-                    (8, 0, 0, 250_196, 0x7cc4_fdbe_a8e4_1c49),
+                    (8, 0, 0, 197_073, 0xa639_9165_0f79_b960),
                     (1, 40_000, 512, 934_536, 0xc89b_3ec9_4684_3610),
-                    (8, 40_000, 512, 252_764, 0xe9db_55c1_12b5_ba5e),
+                    (8, 40_000, 512, 192_781, 0xc87b_2877_092f_2002),
                 ],
             ),
         ];
@@ -1263,9 +1280,10 @@ pub(crate) mod tests {
         let len = 1 << 20;
         let full = size_model::footprint(len, SubArrayLayout::BASES_PER_ROW, 1).total_bytes();
         assert_eq!(sa_rate_for_budget(len, full), Some(1));
-        // Rate 2 stores a bit a row and ceil(n/2) u32s, 2.125 B/bp against
-        // the full SA's 4, so it is the first rate below a full-SA budget
-        // (4 while sampled rows were 8-byte (row, value) pairs).
+        // Rate 2 stores a bit a row and ceil(n/2) values of 20 bits,
+        // 1.375 B/bp against the full SA's 4 (2.125 while the values were
+        // u32s), so it is the first rate below a full-SA budget (4 while
+        // sampled rows were 8-byte (row, value) pairs).
         assert_eq!(sa_rate_for_budget(len, full - 1), Some(2));
         let sparse = size_model::footprint(len, SubArrayLayout::BASES_PER_ROW, 1024).total_bytes();
         assert_eq!(sa_rate_for_budget(len, sparse), Some(1024));

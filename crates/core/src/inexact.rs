@@ -759,14 +759,15 @@ pub(crate) mod tests {
             .prop_map(|v| v.into_iter().map(|r| Base::from_rank(r as usize)).collect())
     }
 
-    /// Poly-A with one island, 10 kbp: a seed table of three levels in
+    /// Poly-A with one island, 1 200 bp: a seed table of three levels in
     /// which most entries are empty, so that a descent's start falls back
     /// to the walk from `[0, N)`. (It was 44 kbp while the table took
-    /// `N/64` bytes; at `N/4` that length holds five levels.)
+    /// `N/64` bytes, and 10 kbp while it held a pair of `u32`s an entry;
+    /// with one packed boundary a 3-mer, that length holds five levels.)
     pub(crate) fn island_genome() -> DnaSeq {
-        let mut bases = vec![Base::A; 10_000];
+        let mut bases = vec![Base::A; 1_200];
         let island: DnaSeq = "CGTTGC".parse().unwrap();
-        bases.splice(6_000..6_006, island.iter().copied());
+        bases.splice(600..606, island.iter().copied());
         DnaSeq::from_bases(bases)
     }
 
@@ -1268,12 +1269,12 @@ pub(crate) mod tests {
         let (before, bumps_before) = (search.stats.lfm_calls, bumps(&search));
         let seeded_before = seeded(&search);
         search.trim();
-        // One seed read for the first six bases, then one interval step
+        // One seed read for the first seven bases, then one interval step
         // a base, the published two `LFM`s for the first and one for each
-        // of the last eight, which found the interval inside one word
-        // line: 10 `LFM`s (14 at the four-level table of `N/64` bytes, 17
-        // while only a one-row interval took one, 25 from `[0, N)`, 30
-        // before that).
+        // of the last seven, which found the interval inside one word
+        // line: 9 `LFM`s (10 at the six-level table of `u32` pairs, 14 at
+        // the four-level one of `N/64` bytes, 17 while only a one-row
+        // interval took one, 25 from `[0, N)`, 30 before that).
         let bumped = bumps(&search) - bumps_before;
         let skipped = seeded(&search) - seeded_before;
         assert_eq!(skipped, mapped.seed_table().depth() as u64);
@@ -1281,7 +1282,7 @@ pub(crate) mod tests {
             search.stats.lfm_calls - before,
             2 * (len as u64 - skipped) - bumped
         );
-        assert_eq!((skipped, bumped), (6, 8));
+        assert_eq!((skipped, bumped), (7, 7));
         assert_eq!(search.absent, [(4, 4 + len)]);
         assert_eq!((search.d[4 + len - 2], search.d[4 + len - 1]), (0, 1));
         assert_eq!(search.d[99], 1);
@@ -1408,12 +1409,13 @@ pub(crate) mod tests {
     #[test]
     fn first_accept_cost_is_linear_in_read_length() {
         // On a clean read the production mode pays the lower-bound pass
-        // only — a seed read for the last three bases (the table of 8 001
-        // rows has three levels; one at `N/64` bytes), two LFMs a base
-        // while the interval spans several word lines, one base here,
-        // then one a base — and the round replays that descent: 98 LFMs
-        // (102 at the one-level table, 106 while only a one-row interval
-        // took one; 200 at two a base throughout).
+        // only — a seed read for the last five bases (the table of 8 001
+        // rows has five levels; three while each held `u32` pairs, one at
+        // `N/64` bytes), then one `LFM` a base, the interval inside one
+        // word line already — and the round replays that descent: 95 LFMs
+        // (98 at the three-level table, 102 at the one-level one, 106
+        // while only a one-row interval took one; 200 at two a base
+        // throughout).
         let reference = genome::uniform(8_000, 26);
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read = reference.subseq(2_000..2_100);
@@ -1432,9 +1434,9 @@ pub(crate) mod tests {
             stats.lfm_calls
         );
         let bumps = ledger.primitives().count(LogicalOp::IndexBump);
-        assert_eq!((ledger.unissued_steps(), bumps), (3, 96));
-        assert_eq!(stats.lfm_calls, 98);
-        assert_eq!(stats.lfm_calls + bumps + 2 * 3, 2 * read.len() as u64);
+        assert_eq!((ledger.unissued_steps(), bumps), (5, 95));
+        assert_eq!(stats.lfm_calls, 95);
+        assert_eq!(stats.lfm_calls + bumps + 2 * 5, 2 * read.len() as u64);
     }
 
     #[test]

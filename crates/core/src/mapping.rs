@@ -656,11 +656,20 @@ impl MappedIndex {
 
     /// Reads the seed table's entry for `kmer` (read order, `1 ..= k`
     /// bases): the interval that many interval steps from `[0, N)` give.
-    /// A `MEM` read of two words, so no fault is drawn on it — like
-    /// [`MappedIndex::locate`]'s.
+    /// A `MEM` read of the two boundary words, so no fault is drawn on it
+    /// — like [`MappedIndex::locate`]'s. When one of the text's last
+    /// `k − 1` suffixes sits on a boundary, the DPU takes it off from the
+    /// registers that hold those suffixes: one [`LogicalOp::IndexBump`],
+    /// noted as a seed correction.
     pub(crate) fn read_seed(&self, kmer: &[Base], ledger: &mut CycleLedger) -> (u32, u32) {
-        LogicalOp::SeedRead.charge(self.subarrays[0].model(), ledger);
-        self.seeds.interval(kmer)
+        let model = self.subarrays[0].model();
+        LogicalOp::SeedRead.charge(model, ledger);
+        let (interval, corrected) = self.seeds.read(kmer);
+        if corrected {
+            LogicalOp::IndexBump.charge(model, ledger);
+            ledger.note_seed_correction();
+        }
+        interval
     }
 
     /// The seed table derived from the index when it was mapped.

@@ -51,9 +51,12 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// slots, and `published_lfm_calls` counts two more for every interval
 /// step a read stood in for, and for every alternative a search saw was
 /// empty without issuing it — neither count is in the document; on
-/// error-free reads the second is zero). Each version only *adds* paths, so
-/// consumers that address fields by name keep working across versions.
-pub const METRICS_SCHEMA_VERSION: u32 = 9;
+/// error-free reads the second is zero). v10 added
+/// `report.seed_corrections` (seed-table reads a short suffix of the text
+/// moved a boundary of, each one `index_bump` that `published_lfm_calls`
+/// does not count). Each version only *adds* paths, so consumers that
+/// address fields by name keep working across versions.
+pub const METRICS_SCHEMA_VERSION: u32 = 10;
 
 /// `LFM` invocations attributed to the alignment phase that issued them.
 ///
@@ -552,13 +555,14 @@ fn histogram_json(h: &HostHistogram) -> String {
 fn report_json(r: &PerfReport) -> String {
     format!(
         "{{ \"queries\": {}, \"lfm_calls\": {}, \"published_lfm_calls\": {}, \
-         \"time_s\": {}, \"throughput_qps\": {}, \
+         \"seed_corrections\": {}, \"time_s\": {}, \"throughput_qps\": {}, \
          \"dynamic_power_w\": {}, \"total_power_w\": {}, \"energy_per_query_j\": {}, \
          \"mbr_pct\": {}, \"rur_pct\": {}, \"area_mm2\": {}, \"offchip_gb\": {}, \
          \"throughput_per_watt\": {}, \"throughput_per_watt_mm2\": {} }}",
         r.queries,
         r.lfm_calls,
         r.published_lfm_calls,
+        r.seed_corrections,
         json_f64(r.time_s),
         json_f64(r.throughput_qps),
         json_f64(r.dynamic_power_w),

@@ -262,9 +262,13 @@ pub struct PerfReport {
     /// both bounds with one `LFM` — the ledger's [`LogicalOp::IndexBump`]
     /// count — plus two for every step taken without an `LFM`: one a
     /// seed-table read stood in for, or an alternative its siblings had
-    /// already shown empty ([`CycleLedger::unissued_steps`]). See
-    /// [`PerfReport::as_published`].
+    /// already shown empty ([`CycleLedger::unissued_steps`]). The
+    /// `IndexBump`s of [`PerfReport::seed_corrections`] stand for no step
+    /// and are not counted. See [`PerfReport::as_published`].
     pub published_lfm_calls: u64,
+    /// Seed-table reads a short suffix of the text moved a boundary of,
+    /// each corrected with one `IndexBump` (DESIGN.md §8).
+    pub seed_corrections: u64,
     /// Wall-clock seconds for the batch on the modelled chip.
     pub time_s: f64,
     /// Queries per second.
@@ -376,9 +380,10 @@ impl PerfReport {
         PerfReport {
             queries,
             lfm_calls,
-            published_lfm_calls: lfm_calls
-                + ledger.primitives().count(LogicalOp::IndexBump)
+            published_lfm_calls: lfm_calls + ledger.primitives().count(LogicalOp::IndexBump)
+                - ledger.seed_corrections()
                 + 2 * ledger.unissued_steps(),
+            seed_corrections: ledger.seed_corrections(),
             time_s,
             throughput_qps,
             dynamic_power_w,
@@ -411,6 +416,7 @@ impl PerfReport {
             queries,
             lfm_calls: (self.lfm_calls as f64 * factor) as u64,
             published_lfm_calls: (self.published_lfm_calls as f64 * factor) as u64,
+            seed_corrections: (self.seed_corrections as f64 * factor) as u64,
             time_s: self.time_s * factor,
             ..self.clone()
         }

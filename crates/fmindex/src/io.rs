@@ -5,7 +5,7 @@
 //! them at boot. This module defines a compact little-endian format:
 //!
 //! ```text
-//! magic  "PIMFMI3\n"
+//! magic  "PIMFMI4\n"
 //! u64    text length (incl. sentinel); must fit in u32 (position bound)
 //! u64    sentinel position in the BWT
 //! [u8]   BWT nucleotides, 2-bit packed (sentinel cell holds a placeholder)
@@ -17,8 +17,11 @@
 //! sampled:  u32 rate, u64 SA row count,
 //!           u64 bitmap word count (⌈rows/64⌉), then u64 per word — bit
 //!               row % 64 of word row / 64 set when the row is kept,
-//!           u64 kept count (the bitmap's popcount), then u32 per kept
-//!               value, rows ascending
+//!           u8 value width w, the bits of ⌊(rows − 1)/rate⌋,
+//!           u64 value word count (⌈kept · w/64⌉, kept = ⌈rows/rate⌉ the
+//!               bitmap's popcount), then u64 per word — value / rate of
+//!               each kept row, rows ascending, w bits each from bit 0 up,
+//!               a field straddling two words, the bits past the last zero
 //! u64    FNV-1a-64 checksum of every byte after the magic
 //! ```
 //!
@@ -49,7 +52,7 @@ use crate::locate::{SampledRows, SuffixArraySamples};
 
 /// Magic bytes heading every serialised index: `PIMFMI`, the format
 /// version's digit, a newline.
-pub const MAGIC: &[u8; 8] = b"PIMFMI3\n";
+pub const MAGIC: &[u8; 8] = b"PIMFMI4\n";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -179,15 +182,15 @@ impl<W: Write> Write for HashingWriter<W> {
 pub fn stream_len(index: &FmIndex) -> usize {
     // magic + n + sentinel + count + bucket width + bucket count + SA tag
     // + SA row count + checksum, and for a sampled SA its rate, bitmap
-    // word count and kept count.
+    // word count, value width and value word count.
     let framing = match index.sa_samples() {
         SuffixArraySamples::Full(_) => 73,
-        SuffixArraySamples::Sampled { .. } => 93,
+        SuffixArraySamples::Sampled { .. } => 94,
     };
     index.size_bytes() + framing
 }
 
-/// Serialises an index in the `PIMFMI3` format.
+/// Serialises an index in the `PIMFMI4` format.
 ///
 /// # Errors
 ///
@@ -233,6 +236,16 @@ fn write_words<W: Write>(writer: &mut W, words: impl IntoIterator<Item = u32>) -
     writer.write_all(&chunk[..used])
 }
 
+/// Writes a count of `u64` words, then the words little-endian.
+fn write_u64s<W: Write>(writer: &mut W, words: &[u64]) -> io::Result<()> {
+    writer.write_all(&(words.len() as u64).to_le_bytes())?;
+    // A little-endian u64 is its low u32 then its high one.
+    write_words(
+        writer,
+        words.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]),
+    )
+}
+
 fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
     let n = index.text_len() as u64;
     writer.write_all(&n.to_le_bytes())?;
@@ -257,14 +270,9 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
             writer.write_all(&rate.to_le_bytes())?;
             writer.write_all(&(index.text_len() as u64).to_le_bytes())?;
             let bits = stored.bits();
-            writer.write_all(&(bits.len() as u64).to_le_bytes())?;
-            // A little-endian u64 is its low u32 then its high one.
-            write_words(
-                writer,
-                bits.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]),
-            )?;
-            writer.write_all(&(stored.stored_len() as u64).to_le_bytes())?;
-            write_words(writer, stored.values().iter().copied())?;
+            write_u64s(writer, bits)?;
+            writer.write_all(&[stored.value_bits() as u8])?;
+            write_u64s(writer, stored.value_words())?;
         }
     }
     Ok(())
@@ -284,7 +292,7 @@ pub fn load<R: Read>(mut reader: R) -> Result<FmIndex, LoadIndexError> {
     load_bytes(&bytes)
 }
 
-/// Deserialises an index from a complete in-memory `PIMFMI3` stream —
+/// Deserialises an index from a complete in-memory `PIMFMI4` stream —
 /// the whole of `bytes` must be the stream, trailing bytes are rejected.
 ///
 /// # Errors
@@ -373,12 +381,21 @@ fn words(section: &[u8]) -> impl Iterator<Item = u32> + '_ {
         .map(|b| u32::from_le_bytes(b.try_into().expect("chunks_exact(4) yields 4-byte chunks")))
 }
 
+/// Little-endian `u64`s of a section whose length is a multiple of 8.
+fn u64s(section: &[u8]) -> Vec<u64> {
+    section
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("chunks_exact(8) yields 8-byte chunks")))
+        .collect()
+}
+
 /// The SA section of a stream, still as bytes.
 enum SaSection<'a> {
     Full(&'a [u8]),
     Sampled {
         rate: u32,
         bits: &'a [u8],
+        width: u8,
         values: &'a [u8],
     },
 }
@@ -440,9 +457,15 @@ impl<'a> Sections<'a> {
                 }
                 let words = cursor.len("suffix array")?;
                 let bits = cursor.records(words, 8, "suffix array")?;
-                let stored = cursor.len("suffix array")?;
-                let values = cursor.records(stored, 4, "suffix array")?;
-                SaSection::Sampled { rate, bits, values }
+                let width = cursor.take(1, "suffix array")?[0];
+                let words = cursor.len("suffix array")?;
+                let values = cursor.records(words, 8, "suffix array")?;
+                SaSection::Sampled {
+                    rate,
+                    bits,
+                    width,
+                    values,
+                }
             }
             other => {
                 return Err(LoadIndexError::Corrupt(format!("unknown SA tag {other}")));
@@ -462,21 +485,22 @@ impl<'a> Sections<'a> {
     fn assemble(self) -> Result<FmIndex, LoadIndexError> {
         let samples = match self.sa {
             SaSection::Full(values) => SuffixArraySamples::Full(words(values).collect()),
-            SaSection::Sampled { rate, bits, values } => {
-                let bits = bits
-                    .chunks_exact(8)
-                    .map(|b| {
-                        u64::from_le_bytes(
-                            b.try_into().expect("chunks_exact(8) yields 8-byte chunks"),
-                        )
-                    })
-                    .collect();
-                SuffixArraySamples::Sampled {
-                    stored: SampledRows::new(bits, words(values).collect(), self.text_len)
-                        .map_err(LoadIndexError::Corrupt)?,
+            SaSection::Sampled {
+                rate,
+                bits,
+                width,
+                values,
+            } => SuffixArraySamples::Sampled {
+                stored: SampledRows::new(
+                    u64s(bits),
+                    u32::from(width),
+                    u64s(values),
+                    self.text_len,
                     rate,
-                }
-            }
+                )
+                .map_err(LoadIndexError::Corrupt)?,
+                rate,
+            },
         };
         FmIndex::from_stored_parts(
             self.text_len,
@@ -561,33 +585,31 @@ mod tests {
 
     /// Save → load → `locate` against the full suffix array, on random
     /// intervals of a uniform and a repeat-rich genome, at rates from the
-    /// full SA to past the bitmap's break-even with `(row, value)` pairs.
-    /// At each, `size_bytes()` is the bytes `save` writes less the fixed
-    /// framing: magic(8) + n(8) + sentinel(8) + count(16) + bucket
-    /// width(8) + bucket count(8) + SA tag(1) + SA header (full: len(8);
-    /// sampled: rate(4) + len(8) + bitmap words(8) + stored(8)) +
-    /// checksum(8); and the sampled SA is smaller than the 8-byte pairs
-    /// it replaced below rate 32, even at 32 (6 001 rows), larger at 64.
+    /// full SA to 64, and at two lengths: 4 095 and 4 096 bases put
+    /// `⌊(rows − 1)/rate⌋` at `2^w − 1` and `2^w` for every rate, the last
+    /// value to fit `w` bits and the first to need one more. At each,
+    /// `size_bytes()` is the bytes `save` writes less the fixed framing:
+    /// magic(8) + n(8) + sentinel(8) + count(16) + bucket width(8) +
+    /// bucket count(8) + SA tag(1) + SA header (full: len(8); sampled:
+    /// rate(4) + len(8) + bitmap words(8) + value width(1) + value
+    /// words(8)) + checksum(8); and the sampled SA is smaller than its
+    /// values as `u32`s.
     #[test]
     fn saved_samples_locate_as_the_full_suffix_array() {
+        use crate::packed::bits_for;
         use crate::sa::suffix_array;
         use crate::text::Text;
         use crate::SaInterval;
         use readsim::genome;
-        use std::cmp::Ordering;
-        let genomes = [
-            genome::uniform(6_000, 0x5eed),
-            genome::repeat_rich(6_000, genome::RepeatProfile::default(), 0x5eed),
-        ];
-        for reference in &genomes {
-            let sa = suffix_array(&Text::from_reference(reference));
-            for (rate, against_pairs) in [
-                (1u32, None),
-                (2, Some(Ordering::Less)),
-                (8, Some(Ordering::Less)),
-                (32, Some(Ordering::Equal)),
-                (64, Some(Ordering::Greater)),
-            ] {
+        let genomes = [4_095, 4_096].into_iter().flat_map(|len| {
+            [
+                genome::uniform(len, 0x5eed),
+                genome::repeat_rich(len, genome::RepeatProfile::default(), 0x5eed),
+            ]
+        });
+        for reference in genomes {
+            let sa = suffix_array(&Text::from_reference(&reference));
+            for rate in [1u32, 2, 8, 32, 64] {
                 let storage = match rate {
                     1 => SaStorage::Full,
                     _ => SaStorage::Sampled(rate),
@@ -595,16 +617,19 @@ mod tests {
                 let index = FmIndex::builder()
                     .bucket_width(128)
                     .sa_storage(storage)
-                    .build(reference);
+                    .build(&reference);
                 let mut buffer = Vec::new();
                 save(&index, &mut buffer).unwrap();
-                let framing = if rate == 1 { 73 } else { 93 };
+                let framing = if rate == 1 { 73 } else { 94 };
                 assert_eq!(index.size_bytes() + framing, buffer.len(), "rate {rate}");
                 assert_eq!(stream_len(&index), buffer.len());
                 if let SuffixArraySamples::Sampled { stored, .. } = index.sa_samples() {
-                    let held = index.sa_samples().size_bytes();
-                    let pairs = stored.stored_len() * 8;
-                    assert_eq!(Some(held.cmp(&pairs)), against_pairs, "rate {rate}");
+                    let largest = reference.len() / rate as usize;
+                    let edge = largest + reference.len() % 2;
+                    assert!(edge.is_power_of_two(), "rate {rate}: {largest}");
+                    assert_eq!(stored.value_bits(), bits_for(largest as u64), "rate {rate}");
+                    let as_u32s = stored.bits().len() * 8 + stored.stored_len() * 4;
+                    assert!(index.sa_samples().size_bytes() < as_u32s, "rate {rate}");
                 }
                 let restored = load_bytes(&buffer).expect("own stream");
                 assert_eq!(restored.sa_samples(), index.sa_samples(), "rate {rate}");
@@ -637,19 +662,19 @@ mod tests {
         assert!(err.to_string().contains("not a PIM-Aligner"));
     }
 
-    /// A stream of the previous format, whose sampled SA was
-    /// `(row, value)` pairs: its header is refused by version, with what
+    /// A stream of the previous format, whose sampled SA kept its values
+    /// as `u32`s: its header is refused by version, with what
     /// to do, before any of it is decoded.
     #[test]
     fn a_previous_version_says_to_rebuild() {
-        let mut v2 = b"PIMFMI2\n".to_vec();
-        v2.extend_from_slice(&31u64.to_le_bytes());
-        v2.extend_from_slice(&5u64.to_le_bytes());
-        let err = load(v2.as_slice()).unwrap_err();
-        assert!(matches!(err, LoadIndexError::Version('2')), "{err:?}");
+        let mut v3 = b"PIMFMI3\n".to_vec();
+        v3.extend_from_slice(&31u64.to_le_bytes());
+        v3.extend_from_slice(&5u64.to_le_bytes());
+        let err = load(v3.as_slice()).unwrap_err();
+        assert!(matches!(err, LoadIndexError::Version('3')), "{err:?}");
         let message = err.to_string();
-        assert!(message.contains("version 2"), "{message}");
-        assert!(message.contains("reads version 3"), "{message}");
+        assert!(message.contains("version 3"), "{message}");
+        assert!(message.contains("reads version 4"), "{message}");
         assert!(message.contains("pimalign index build"), "{message}");
     }
 
@@ -772,23 +797,24 @@ mod tests {
         let inflated_buckets = tables(1, HUGE);
         let missing_buckets = tables(1, 5);
         // One marker row present, then a sampled SA promising a bitmap of
-        // 2³¹ words; and one promising 2³¹ values behind its one word.
+        // 2³¹ words; and one promising 2³¹ value words behind its one.
         let mut inflated_words = tables(HUGE, 1);
         inflated_words.extend_from_slice(&[0u8; 16]);
         inflated_words.push(1);
         inflated_words.extend_from_slice(&8u32.to_le_bytes());
         inflated_words.extend_from_slice(&4u64.to_le_bytes());
-        let mut inflated_stored = inflated_words.clone();
+        let mut inflated_values = inflated_words.clone();
         inflated_words.extend_from_slice(&HUGE.to_le_bytes());
-        inflated_stored.extend_from_slice(&1u64.to_le_bytes());
-        inflated_stored.extend_from_slice(&1u64.to_le_bytes());
-        inflated_stored.extend_from_slice(&HUGE.to_le_bytes());
+        inflated_values.extend_from_slice(&1u64.to_le_bytes());
+        inflated_values.extend_from_slice(&1u64.to_le_bytes());
+        inflated_values.push(1);
+        inflated_values.extend_from_slice(&HUGE.to_le_bytes());
         for (stream, expected) in [
             (&inflated_n, "truncated in BWT"),
             (&inflated_buckets, "bucket count mismatch"),
             (&missing_buckets, "truncated in marker table"),
             (&inflated_words, "truncated in suffix array"),
-            (&inflated_stored, "truncated in suffix array"),
+            (&inflated_values, "truncated in suffix array"),
         ] {
             assert!(stream.len() <= 128, "{} bytes", stream.len());
             match load(stream.as_slice()).unwrap_err() {
@@ -798,63 +824,103 @@ mod tests {
         }
     }
 
-    /// What only a bitmap can get wrong, written into an otherwise sound
-    /// and sealed stream: a word count other than `⌈rows/64⌉`, a row
-    /// marked past the last, and a popcount other than the value count.
-    /// Each is a `Corrupt` naming the suffix array.
+    /// What only the sampled section can get wrong, written into an
+    /// otherwise sound and sealed stream. The bitmap: a word count other
+    /// than `⌈rows/64⌉`, a row marked past the last, a popcount other than
+    /// the `⌈rows/rate⌉` rows the rate keeps. The packed values: a width
+    /// other than that of `⌊(rows − 1)/rate⌋`, a word count other than
+    /// `⌈kept · width/64⌉`, a padding bit set, a value past
+    /// `⌊(rows − 1)/rate⌋`. Each is a `Corrupt` naming the suffix array.
     #[test]
-    fn an_unsound_sa_bitmap_is_corrupt() {
-        let index = sample_index(SaStorage::Sampled(4));
+    fn an_unsound_sampled_section_is_corrupt() {
+        let index = sample_index(SaStorage::Sampled(3));
         let SuffixArraySamples::Sampled { stored, .. } = index.sa_samples() else {
             panic!("a sampled index");
         };
         let rows = index.text_len();
         assert_eq!(rows, 31, "one bitmap word, its top 33 bits past the rows");
+        // ⌊30/3⌋ = 10: 11 values of 4 bits, 44 of one word's 64, and
+        // 11 ..= 15 fit the width but are past the largest.
+        assert_eq!(stored.value_bits(), 4);
         let mut pristine = Vec::new();
         save(&index, &mut pristine).unwrap();
         // The section's bitmap and values, rewritten behind its rate and
         // row count, then the stream re-sealed.
-        let section_len = 8 + 8 * stored.bits().len() + 8 + 4 * stored.stored_len();
+        let section_len = 8 + 8 * stored.bits().len() + 1 + 8 + 8 * stored.value_words().len();
         let section_start = pristine.len() - 8 - section_len;
-        let seal = |bits: &[u64], values: &[u32]| {
-            let mut buffer = pristine[..section_start].to_vec();
-            buffer.extend_from_slice(&(bits.len() as u64).to_le_bytes());
-            bits.iter()
-                .for_each(|w| buffer.extend_from_slice(&w.to_le_bytes()));
-            buffer.extend_from_slice(&(values.len() as u64).to_le_bytes());
-            values
+        let counted = |buffer: &mut Vec<u8>, words: &[u64]| {
+            buffer.extend_from_slice(&(words.len() as u64).to_le_bytes());
+            words
                 .iter()
-                .for_each(|v| buffer.extend_from_slice(&v.to_le_bytes()));
+                .for_each(|w| buffer.extend_from_slice(&w.to_le_bytes()));
+        };
+        let seal = |bits: &[u64], width: u8, values: &[u64]| {
+            let mut buffer = pristine[..section_start].to_vec();
+            counted(&mut buffer, bits);
+            buffer.push(width);
+            counted(&mut buffer, values);
             let digest = fnv1a(&buffer[8..]);
             buffer.extend_from_slice(&digest.to_le_bytes());
             buffer
         };
-        let (word, values) = (stored.bits()[0], stored.values().to_vec());
+        let (word, values) = (stored.bits()[0], stored.value_words()[0]);
         assert_eq!(
-            seal(&[word], &values),
+            seal(&[word], 4, &[values]),
             pristine,
             "the rewrite is the layout"
         );
-        let mut one_more = values.clone();
-        one_more.push(7);
         let lowest_cleared = word & (word - 1);
+        let lowest_unmarked = !word & (word + 1);
+        // The first value (field 0) set to 11, then to 10, the largest.
+        let (past, largest) = ((values & !0xf) | 11, (values & !0xf) | 10);
+        assert!(load(seal(&[word], 4, &[largest]).as_slice()).is_ok());
         for (stream, expected) in [
-            (seal(&[word, 0], &values), "has 2 words for 31 rows"),
-            (seal(&[], &values), "has 0 words for 31 rows"),
             (
-                seal(&[word | 1 << 31], &one_more),
-                "marks a row past the last",
+                seal(&[word, 0], 4, &[values]),
+                "bitmap has 2 words for 31 rows",
+            ),
+            (seal(&[], 4, &[values]), "bitmap has 0 words for 31 rows"),
+            (
+                seal(&[word | 1 << 31], 4, &[values]),
+                "bitmap marks a row past the last",
             ),
             (
-                seal(&[word | 1 << 63], &one_more),
-                "marks a row past the last",
+                seal(&[word | 1 << 63], 4, &[values]),
+                "bitmap marks a row past the last",
             ),
-            (seal(&[lowest_cleared], &values), "for 8 stored values"),
-            (seal(&[word], &one_more), "marks 8 rows for 9 stored values"),
+            (
+                seal(&[lowest_cleared], 4, &[values]),
+                "bitmap marks 10 rows where rate 3 keeps 11",
+            ),
+            (
+                seal(&[word | lowest_unmarked], 4, &[values]),
+                "bitmap marks 12 rows where rate 3 keeps 11",
+            ),
+            (
+                seal(&[word], 5, &[values]),
+                "values are 5 bits wide where ⌊(rows − 1)/rate⌋ = 10 needs 4",
+            ),
+            (seal(&[word], 255, &[values]), "values are 255 bits wide"),
+            (
+                seal(&[word], 4, &[values, 0]),
+                "values fill 2 words where 11 of 4 bits fill 1",
+            ),
+            (
+                seal(&[word], 4, &[]),
+                "values fill 0 words where 11 of 4 bits fill 1",
+            ),
+            (
+                seal(&[word], 4, &[values | 1 << 44]),
+                "values set a padding bit past the last value",
+            ),
+            (
+                seal(&[word], 4, &[past]),
+                "values hold 11, past ⌊(rows − 1)/rate⌋ = 10",
+            ),
         ] {
             match load(stream.as_slice()).unwrap_err() {
                 LoadIndexError::Corrupt(msg) => {
-                    assert!(msg.starts_with("suffix array bitmap"), "{msg}");
+                    assert!(msg.starts_with("suffix array "), "{msg}");
                     assert!(msg.contains(expected), "{msg}");
                 }
                 other => panic!("expected Corrupt({expected}), got {other:?}"),

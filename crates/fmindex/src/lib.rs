@@ -58,6 +58,7 @@ mod bwt;
 mod index;
 mod inexact;
 mod locate;
+mod packed;
 mod sa;
 mod search;
 mod seed;

@@ -7,22 +7,25 @@
 //! by the ablation benches to show the storage/latency trade-off.
 
 use crate::bwt::Bwt;
+use crate::packed::{bits_for, PackedFields};
 use crate::search::SaInterval;
 use crate::tables::MarkerTable;
 
 /// The rows a sampled suffix array keeps, held as they serialise: one
-/// bit per SA row saying whether the row is stored and the stored values
-/// in row order (`n/8 + 4·n/rate` bytes, against `4·n` for a
-/// row-indexed array), plus a running count every [`RANK_BLOCK`] rows
-/// that is rebuilt from the bitmap rather than stored.
+/// bit per SA row saying whether the row is stored, and the stored values
+/// in row order, each kept as `value / rate` in the bits
+/// `⌊(rows − 1) / rate⌋` needs and packed into `u64` words
+/// (`n/8 + ⌈n/rate⌉·w/8` bytes, `w` = 17 at 1 Mbp and rate 8, against
+/// `4·n` for a row-indexed array), plus a running count every
+/// [`RANK_BLOCK`] rows that is rebuilt from the bitmap rather than stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampledRows {
     /// Bit `row % 64` of word `row / 64` is set when the row is stored.
     bits: Vec<u64>,
     /// `block_ranks[b]` = stored rows before row `b · RANK_BLOCK`.
     block_ranks: Vec<u32>,
-    /// The stored SA values, in row order.
-    values: Vec<u32>,
+    /// `value / rate` of every stored row, in row order.
+    values: PackedFields,
     /// SA rows covered.
     rows: usize,
 }
@@ -31,18 +34,28 @@ pub struct SampledRows {
 /// bits in at most eight words it has just touched one of.
 const RANK_BLOCK: usize = 512;
 
+/// The largest `value / rate` a suffix array of `rows` rows keeps.
+fn largest_quotient(rows: usize, rate: u32) -> usize {
+    (rows.max(1) - 1) / rate as usize
+}
+
 impl SampledRows {
-    /// Indexes a bitmap of `rows` SA rows and the values of its set
-    /// rows, in row order.
+    /// Indexes a bitmap of `rows` SA rows and the packed `value / rate` of
+    /// its set rows, in row order, `width` bits each.
     ///
     /// # Errors
     ///
     /// Describes a bitmap that is not `⌈rows/64⌉` words, that marks a
-    /// row past the last, or that marks other than one row per value.
+    /// row past the last, or that marks other than the `⌈rows/rate⌉` rows
+    /// the rate keeps; and values of a width other than that of
+    /// `⌊(rows − 1)/rate⌋`, in other than `⌈kept · width/64⌉` words, with a
+    /// padding bit set, or past `⌊(rows − 1)/rate⌋`.
     pub(crate) fn new(
         bits: Vec<u64>,
-        values: Vec<u32>,
+        width: u32,
+        words: Vec<u64>,
         rows: usize,
+        rate: u32,
     ) -> Result<SampledRows, String> {
         if bits.len() != rows.div_ceil(64) {
             return Err(format!(
@@ -63,10 +76,28 @@ impl SampledRows {
                 before
             })
             .collect();
-        if seen as usize != values.len() {
+        let kept = rows.div_ceil(rate as usize);
+        if seen as usize != kept {
             return Err(format!(
-                "suffix array bitmap marks {seen} rows for {} stored values",
-                values.len()
+                "suffix array bitmap marks {seen} rows where rate {rate} keeps {kept}"
+            ));
+        }
+        let largest = largest_quotient(rows, rate);
+        let needed = bits_for(largest as u64);
+        if width != needed {
+            return Err(format!(
+                "suffix array values are {width} bits wide where ⌊(rows − 1)/rate⌋ = \
+                 {largest} needs {needed}"
+            ));
+        }
+        let values = PackedFields::from_words(width, words, kept)
+            .map_err(|what| format!("suffix array values {what}"))?;
+        if let Some(v) = (0..kept)
+            .map(|i| values.get(i))
+            .find(|&v| v as usize > largest)
+        {
+            return Err(format!(
+                "suffix array values hold {v}, past ⌊(rows − 1)/rate⌋ = {largest}"
             ));
         }
         Ok(SampledRows {
@@ -77,7 +108,7 @@ impl SampledRows {
         })
     }
 
-    /// The stored value of `row`, if it is a stored row.
+    /// `value / rate` of `row`, if it is a stored row.
     #[inline]
     fn get(&self, row: usize) -> Option<u32> {
         let word = self.bits[row / 64];
@@ -92,12 +123,12 @@ impl SampledRows {
                 .map(|w| w.count_ones())
                 .sum::<u32>()
             + (word & (bit - 1)).count_ones();
-        Some(self.values[rank as usize])
+        Some(self.values.get(rank as usize))
     }
 
     /// How many rows are stored.
     pub fn stored_len(&self) -> usize {
-        self.values.len()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The row bitmap: bit `row % 64` of word `row / 64` is set when the
@@ -106,15 +137,21 @@ impl SampledRows {
         &self.bits
     }
 
-    /// The stored values, in row order.
-    pub(crate) fn values(&self) -> &[u32] {
-        &self.values
+    /// Bits a stored value takes: those of `⌊(rows − 1)/rate⌋`.
+    pub fn value_bits(&self) -> u32 {
+        self.values.width()
     }
 
-    /// Bytes of the bitmap and the values — what a sampled SA
+    /// The stored `value / rate`s, in row order, packed
+    /// [`SampledRows::value_bits`] bits each, low bits first.
+    pub(crate) fn value_words(&self) -> &[u64] {
+        self.values.words()
+    }
+
+    /// Bytes of the bitmap and the packed values — what a sampled SA
     /// serialises; the rank directory is rebuilt on load.
     fn size_bytes(&self) -> usize {
-        self.bits.len() * 8 + self.values.len() * 4
+        (self.bits.len() + self.values.words().len()) * 8
     }
 }
 
@@ -181,8 +218,8 @@ impl SuffixArraySamples {
 
     /// Samples the SA at text positions divisible by `rate`. The kept
     /// values are compacted to the front of the array's own storage
-    /// (rows are visited in order, so nothing is sorted), which is then
-    /// shrunk to fit them.
+    /// (rows are visited in order, so nothing is sorted), then packed as
+    /// `value / rate` and the array freed.
     ///
     /// The same row bound as [`SuffixArraySamples::full`] applies.
     ///
@@ -211,11 +248,12 @@ impl SuffixArraySamples {
                 kept += usize::from(keep);
             }
         }
-        sa.truncate(kept);
-        sa.shrink_to_fit();
+        let width = bits_for(largest_quotient(rows, rate) as u64);
+        let words = PackedFields::pack(width, sa[..kept].iter().map(|&v| v / rate)).into_words();
+        drop(sa);
         SuffixArraySamples::Sampled {
-            stored: SampledRows::new(bits, sa, rows)
-                .expect("the loop sets one bit of ⌈rows/64⌉ words per kept value"),
+            stored: SampledRows::new(bits, width, words, rows, rate)
+                .expect("the loop keeps every multiple of the rate, each below the rows"),
             rate,
         }
     }
@@ -238,8 +276,8 @@ impl SuffixArraySamples {
     /// This mirrors the bytes [`io::save`](crate::io::save) actually
     /// writes for the SA table: 4 bytes per row for the full array, and
     /// for the sampled form the row bitmap — one bit per row, in 8-byte
-    /// words — plus 4 bytes per stored entry. The agreement is pinned by
-    /// a serializer test.
+    /// words — plus the packed values' 8-byte words. The agreement is
+    /// pinned by a serializer test.
     pub fn size_bytes(&self) -> usize {
         match self {
             SuffixArraySamples::Full(v) => v.len() * 4,
@@ -251,7 +289,7 @@ impl SuffixArraySamples {
     fn stored(&self, row: usize) -> Option<u32> {
         match self {
             SuffixArraySamples::Full(v) => Some(v[row]),
-            SuffixArraySamples::Sampled { stored, .. } => stored.get(row),
+            SuffixArraySamples::Sampled { stored, rate } => stored.get(row).map(|q| q * rate),
         }
     }
 }
@@ -433,14 +471,18 @@ mod tests {
             let SuffixArraySamples::Sampled { stored, .. } = &samples else {
                 panic!("sampled() builds the sampled variant");
             };
-            let values: Vec<u32> = dense.iter().filter_map(|&v| v).collect();
-            assert_eq!(stored.values(), values, "rate {rate}");
+            let width = bits_for(((sa.len() - 1) / rate as usize) as u64);
+            let values =
+                PackedFields::pack(width, dense.iter().filter_map(|&v| v.map(|v| v / rate)));
+            assert_eq!(stored.value_bits(), width, "rate {rate}");
+            assert_eq!(stored.value_words(), values.words(), "rate {rate}");
             assert_eq!(stored.bits().len(), sa.len().div_ceil(64));
             assert_eq!(
                 samples.size_bytes(),
-                sa.len().div_ceil(64) * 8 + values.len() * 4
+                (sa.len().div_ceil(64) + values.words().len()) * 8
             );
-            let reloaded = SampledRows::new(stored.bits().to_vec(), values, sa.len());
+            let words = values.words().to_vec();
+            let reloaded = SampledRows::new(stored.bits().to_vec(), width, words, sa.len(), rate);
             assert_eq!(reloaded.as_ref(), Ok(stored), "rate {rate}");
         }
     }

@@ -17,6 +17,8 @@
 //! index: its depth, and so its size, is [`seed_depth`] of the text
 //! length and of nothing else.
 
+use crate::packed::{bits_for, words_for};
+
 /// Bytes-per-table breakdown of a stored FM-index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexFootprint {
@@ -42,24 +44,41 @@ impl IndexFootprint {
     }
 }
 
-/// Bytes of a seed table of `depth` levels: one `(low, high)` pair of
-/// `u32`s for every `j`-mer, `1 ≤ j ≤ depth` — `8 · (4 + … + 4^depth)`.
-pub fn seed_bytes(depth: usize) -> usize {
-    8 * ((1usize << (2 * depth + 2)) - 4) / 3
+/// Bytes of a seed table of `depth` levels over a text of `text_len`
+/// symbols: `4^depth + 1` boundaries, each as wide as `text_len` needs
+/// (`⌈log₂(text_len + 1)⌉` bits), packed — `⌈(4^depth + 1) · bits / 8⌉`;
+/// 0 for no table.
+pub fn seed_bytes(depth: usize, text_len: usize) -> usize {
+    match depth {
+        0 => 0,
+        k => (((1usize << (2 * k)) + 1) * bits_for(text_len as u64) as usize).div_ceil(8),
+    }
 }
 
 /// The depth `k` of the seed table of a text of `text_len` symbols: the
 /// largest whose table fits `text_len / 4` bytes, the size of the 2-bit
-/// BWT — at most 0.25 B/bp, under 6 % of the index at the paper's full
-/// suffix array and a fifth at one sampled 1 in 8; 0, no table, below 128
-/// symbols. Each level deeper saves a descent one more interval step and
+/// BWT — at most 0.25 B/bp, under 1/24 of the index at the paper's full
+/// suffix array and a quarter at one sampled 1 in 8; 0, no table, below
+/// 12 symbols. Each level deeper saves a descent one more interval step and
 /// costs four times the bytes (EXPERIMENTS.md has the sweep).
 pub fn seed_depth(text_len: usize) -> usize {
     let mut depth = 0;
-    while seed_bytes(depth + 1) <= text_len / 4 {
+    while seed_bytes(depth + 1, text_len) <= text_len / 4 {
         depth += 1;
     }
     depth
+}
+
+/// Bytes of a suffix array sampled every `sa_rate` text positions over a
+/// text of `text_len` symbols: the row bitmap in `u64` words, then the
+/// `⌈text_len / sa_rate⌉` kept values, each stored as `value / sa_rate` in
+/// the bits `⌊(text_len − 1) / sa_rate⌋` needs, packed into `u64` words —
+/// the layout [`io::save`](crate::io::save) writes and
+/// [`SuffixArraySamples::size_bytes`](crate::SuffixArraySamples::size_bytes)
+/// charges.
+pub fn sampled_sa_bytes(text_len: usize, sa_rate: usize) -> usize {
+    let width = bits_for(((text_len.max(1) - 1) / sa_rate) as u64);
+    text_len.div_ceil(64) * 8 + words_for(text_len.div_ceil(sa_rate), width) * 8
 }
 
 /// Computes the stored-table footprint for a reference of `genome_len`
@@ -86,20 +105,15 @@ pub fn footprint(genome_len: usize, d: usize, sa_rate: usize) -> IndexFootprint 
     let bwt_bytes = text_len.div_ceil(4);
     let buckets = text_len / d + 1;
     let marker_bytes = buckets * 4 * std::mem::size_of::<u32>();
-    let sa_bytes = if sa_rate == 1 {
-        text_len * 4
-    } else {
-        // A bit per row in u64 words, then a u32 per stored entry — the
-        // layout io::save writes and SuffixArraySamples::size_bytes()
-        // charges. Stored entries are the text positions divisible by
-        // sa_rate in [0, text_len), i.e. ceil(text_len / sa_rate) of them.
-        text_len.div_ceil(64) * 8 + text_len.div_ceil(sa_rate) * 4
+    let sa_bytes = match sa_rate {
+        1 => text_len * 4,
+        rate => sampled_sa_bytes(text_len, rate),
     };
     IndexFootprint {
         bwt_bytes,
         marker_bytes,
         sa_bytes,
-        seed_bytes: seed_bytes(seed_depth(text_len)),
+        seed_bytes: seed_bytes(seed_depth(text_len), text_len),
     }
 }
 
@@ -137,7 +151,14 @@ mod tests {
         let reference: DnaSeq = (0..5_000)
             .map(|i| Base::from_rank((i * 7 + 1) % 4))
             .collect();
-        for (d, rate) in [(128usize, 1u32), (64, 1), (128, 8)] {
+        for (d, rate) in [
+            (128usize, 1u32),
+            (64, 1),
+            (128, 2),
+            (128, 3),
+            (128, 8),
+            (128, 64),
+        ] {
             let index = FmIndex::builder()
                 .bucket_width(d)
                 .sa_storage(if rate == 1 {
@@ -158,39 +179,57 @@ mod tests {
     #[test]
     fn seed_depth_follows_the_text_length() {
         // The benchmark's four genome sizes, and the edges of no table.
-        // The table's budget went from N/64 to N/4 bytes, two levels
-        // deeper at each: 4/5/5/6 → 6/7/7/8, and the first table from
-        // 2 047 bases to 127.
-        for (genome_len, depth) in [
-            (200_000, 6),
-            (1_000_000, 7),
-            (2_000_000, 7),
-            (8_000_000, 8),
-            (126, 0),
-            (127, 1),
+        // One packed boundary a k-mer, in place of a (low, high) pair of
+        // u32s at every level, buys a level at each: 6/7/7/8 → 7/8/8/9,
+        // and the first table from 127 bases to 11.
+        for (genome_len, depth, bytes) in [
+            (200_000, 7, 36_867),
+            (1_000_000, 8, 163_843),
+            (2_000_000, 8, 172_035),
+            (8_000_000, 9, 753_667),
+            (10, 0, 0),
+            (11, 1, 3),
         ] {
-            assert_eq!(seed_depth(genome_len + 1), depth, "{genome_len} bp");
+            let text_len = genome_len + 1;
+            assert_eq!(seed_depth(text_len), depth, "{genome_len} bp");
+            assert_eq!(seed_bytes(depth, text_len), bytes, "{genome_len} bp");
         }
-        assert_eq!(seed_bytes(0), 0);
-        assert_eq!(seed_bytes(4), 8 * (4 + 16 + 64 + 256));
-        assert_eq!(seed_bytes(6), 43_680);
-        assert_eq!(seed_bytes(8), 699_040);
+        // A level deeper at 1 Mbp: 0.66 B/bp, over two BWTs.
+        assert_eq!(seed_bytes(9, 1_000_001), 655_363);
+        assert_eq!(seed_bytes(0, 1_000_001), 0);
+        assert_eq!(seed_bytes(4, 4_001), (257 * 12usize).div_ceil(8));
         for genome_len in [200_000, 1_000_000, 2_000_000, 8_000_000, 3_200_000_000] {
-            // Shares re-taken at N/4 (were 1/270 and 1/83): the least is
-            // 1/20.6 of the full-SA index (3.2 Gbp) and 1/5.5 of the 1 in
-            // 8 one (3.2 Gbp; 200 kbp 1/5.6).
+            // Shares re-taken with the boundaries and the sampled values
+            // packed (were 1/20 and 1/5): the most is 1/24.7 of the
+            // full-SA index and 1/4.98 of the 1 in 8 one, both at 200 kbp.
             let model = footprint(genome_len, 128, 1);
             assert!(model.seed_bytes * 4 <= genome_len + 1);
             assert!(
-                model.seed_bytes * 20 < model.total_bytes(),
+                model.seed_bytes * 24 < model.total_bytes(),
                 "{genome_len} bp"
             );
             let sampled = footprint(genome_len, 128, 8);
             assert!(
-                sampled.seed_bytes * 5 < sampled.total_bytes(),
+                sampled.seed_bytes * 4 < sampled.total_bytes(),
                 "{genome_len} bp"
             );
         }
+    }
+
+    /// The sampled suffix array's bytes at the benchmark's rate: a bit a
+    /// row and, for every eighth position, `v / 8` in the bits
+    /// `⌊(rows − 1) / 8⌋` needs — 17 at 1 Mbp, where `u32`s held 32.
+    #[test]
+    fn sampled_values_are_as_wide_as_the_largest() {
+        let rows = 1_000_001;
+        assert_eq!(
+            sampled_sa_bytes(rows, 8),
+            rows.div_ceil(64) * 8 + (125_001 * 17usize).div_ceil(64) * 8
+        );
+        // ⌊(rows − 1) / rate⌋ at 2^w − 1 and at 2^w: one bit more.
+        // 512 values of 9 bits; 513 of 10.
+        assert_eq!(sampled_sa_bytes(4_089, 8), 64 * 8 + 72 * 8);
+        assert_eq!(sampled_sa_bytes(4_097, 8), 65 * 8 + 81 * 8);
     }
 
     #[test]

@@ -79,12 +79,17 @@ pub enum LogicalOp {
     /// for a one-row interval, a [`LogicalOp::Popcount`] for a wider one).
     /// Arithmetic inside the DPU, no array access; an extension beyond
     /// the paper, so its count is the number of steps that issued one
-    /// `LFM` where Algorithm 1 issues two.
+    /// `LFM` where Algorithm 1 issues two — and, once each, the seed-table
+    /// reads a short suffix of the text moved a boundary of, which it
+    /// takes off (counted apart on the ledger, they stand for no step).
     IndexBump,
-    /// Read of one seed-table entry: the `low` and `high` a descent's
-    /// first `k` interval steps produce, two 32-bit words on the marker's
-    /// vertical-read path (`MEM`, no compute, so no fault draw — like
-    /// [`LogicalOp::SaEntryRead`]). An extension beyond the paper.
+    /// Read of one seed-table entry: the two boundaries, rows below the
+    /// `j`-mer and below its successor, that bound the interval a
+    /// descent's first `j` steps produce — two words of at most 32 bits
+    /// on the marker's vertical-read path (`MEM`, no compute, so no fault
+    /// draw — like [`LogicalOp::SaEntryRead`]). The table holding one
+    /// boundary a `k`-mer rather than a pair an entry changes neither
+    /// word count nor price. An extension beyond the paper.
     SeedRead,
 }
 

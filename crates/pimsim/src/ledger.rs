@@ -130,11 +130,15 @@ pub struct CycleLedger {
     /// it is what lets a report state the published `LFM` count beside
     /// the issued one.
     unissued_steps: u64,
+    /// Seed-table reads whose boundaries the text's short suffixes moved
+    /// ([`CycleLedger::note_seed_correction`]), each priced as one
+    /// [`LogicalOp::IndexBump`] that stands for no interval step.
+    seed_corrections: u64,
 }
 
 /// Ledger equality is *simulated-state* equality: primitive counts (and
 /// with them cycles and energy), zone heatmap, pipeline totals, unissued
-/// steps. The
+/// steps, seed corrections. The
 /// kernel-cache counters are deliberately excluded — they are host-side
 /// telemetry (a hit charges the identical ops as the recompute it
 /// replaces), and the hit/miss split depends on how the parallel engine
@@ -147,6 +151,7 @@ impl PartialEq for CycleLedger {
             && self.zones == other.zones
             && self.pipeline == other.pipeline
             && self.unissued_steps == other.unissued_steps
+            && self.seed_corrections == other.seed_corrections
     }
 }
 
@@ -229,6 +234,19 @@ impl CycleLedger {
         self.unissued_steps
     }
 
+    /// Notes one seed-table read whose boundary a short suffix of the
+    /// text moved: the [`LogicalOp::IndexBump`] the caller charged for it
+    /// takes the suffix off, and saves no `LFM`.
+    #[inline]
+    pub fn note_seed_correction(&mut self) {
+        self.seed_corrections += 1;
+    }
+
+    /// Seed-table reads corrected for a short suffix so far.
+    pub fn seed_corrections(&self) -> u64 {
+        self.seed_corrections
+    }
+
     /// The per-primitive counters: how many of each [`LogicalOp`] were
     /// issued, and the busy cycles that prices them at.
     pub fn primitives(&self) -> &PrimCounters {
@@ -286,6 +304,7 @@ impl CycleLedger {
         self.pipeline.merge(&other.pipeline);
         self.kernel_cache.merge(&other.kernel_cache);
         self.unissued_steps += other.unissued_steps;
+        self.seed_corrections += other.seed_corrections;
         if self.zones.len() < other.zones.len() {
             self.zones.resize(other.zones.len(), 0);
         }
@@ -309,8 +328,10 @@ mod tests {
         LogicalOp::RowWrite.charge(&model, &mut b);
         a.note_unissued_steps(5);
         b.note_unissued_steps(6);
+        b.note_seed_correction();
         a.merge(&b);
         assert_eq!(a.unissued_steps(), 11);
+        assert_eq!(a.seed_corrections(), 1);
         assert_eq!(a.busy_cycles(Resource::Compare), 16);
         assert_eq!(a.busy_cycles(Resource::Transfer), 1);
         assert_eq!(a.op_count(ArrayOp::ComputeTriple), 16);

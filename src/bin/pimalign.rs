@@ -781,6 +781,7 @@ fn run_index_inspect(args: &[String]) -> Result<(), CliError> {
     println!("shards: {}", artifact.shards().len());
     println!("shard_window: {}", artifact.shard_window());
     println!("shard_overlap: {}", artifact.shard_overlap());
+    println!("sa_value_bits: {}", artifact.sa_value_bits());
     println!("index_bytes: {}", artifact.index_bytes());
     println!("model_bytes: {}", artifact.model_bytes());
     println!("seed_depth: {}", artifact.seed_depth());

@@ -158,11 +158,12 @@ fn inexact_zero_budget_is_exact_search() {
         let (first, stats, bumps, all) = inexact_both_modes(reference, "TACAC", budget);
         let hit = first.expect("TACAC occurs once");
         assert_eq!((hit.interval.count(), hit.diffs), (1, 0));
-        // Five interval steps, all inside the one word line of a 19-row
-        // text, so one `LFM` each (8 while only the last two, on one row,
-        // took one; 10 as published).
-        assert_eq!(stats.lfm_calls, 5, "the bound pass and nothing else");
-        assert_eq!(stats.lfm_calls, 2 * 5 - bumps);
+        // A 19-row text holds a one-level seed table: one read for the
+        // last base, then four interval steps, all inside the one word line,
+        // so one `LFM` each (5 while no table fit under 128 rows, 8 while
+        // only the last two steps, on one row, took one; 10 as published).
+        assert_eq!(stats.lfm_calls, 4, "the bound pass and nothing else");
+        assert_eq!(stats.lfm_calls, 2 * (5 - 1) - bumps);
         assert_eq!(all, [hit]);
 
         let (first, stats, _, all) = inexact_both_modes(reference, "TACAT", budget);

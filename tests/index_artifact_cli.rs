@@ -297,10 +297,11 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
         "128",
     ]);
     assert!(ok, "sharded index build failed: {stderr}");
-    // Shards of 3 128 and 3 000 bases: each derives a three-level table
-    // (one while the table took N/64 bytes).
+    // Shards of 3 128 and 3 000 bases: each derives a four-level table
+    // (three while it held a pair of u32s an entry, one while it took
+    // N/64 bytes).
     assert!(stderr.contains("3 shard(s)"), "{stderr}");
-    assert!(stderr.contains("seed depth 3"), "{stderr}");
+    assert!(stderr.contains("seed depth 4"), "{stderr}");
 
     let run = |threads: &str, batch: &str| {
         let metrics = temp_path(&format!("shardfault_{threads}_{batch}.json"));
@@ -363,16 +364,16 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
     }
 }
 
-/// An artifact whose shard is a `PIMFMI2` stream — one written before the
-/// sampled suffix array was stored as its row bitmap — is refused as
+/// An artifact whose shard is a `PIMFMI3` stream — one written before the
+/// sampled suffix array's values were packed at their width — is refused as
 /// input (exit 3) by both binaries, with its version and what to run.
 #[test]
 fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
     use pim_aligner_suite::fmindex::io as fm_io;
     let (reference, fastq) = fixture();
-    let ref_fa = write_temp("v2_ref.fa", &format!(">chrA\n{reference}\n"));
-    let reads_fq = write_temp("v2_reads.fq", &fastq);
-    let artifact = temp_path("v2.pimx");
+    let ref_fa = write_temp("v3_ref.fa", &format!(">chrA\n{reference}\n"));
+    let reads_fq = write_temp("v3_reads.fq", &fastq);
+    let artifact = temp_path("v3.pimx");
     let (_, stderr, ok) = run_cli(&[
         "index",
         "build",
@@ -388,11 +389,11 @@ fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
     let at = (0..raw.len() - 8)
         .find(|&at| &raw[at..at + 8] == fm_io::MAGIC)
         .expect("one shard stream");
-    raw[at..at + 8].copy_from_slice(b"PIMFMI2\n");
+    raw[at..at + 8].copy_from_slice(b"PIMFMI3\n");
     let body_end = raw.len() - 8;
     let digest = fm_io::fnv1a(&raw[8..body_end]);
     raw[body_end..].copy_from_slice(&digest.to_le_bytes());
-    std::fs::write(&artifact, &raw).expect("write the v2 artifact");
+    std::fs::write(&artifact, &raw).expect("write the v3 artifact");
 
     for (binary, args) in [
         (
@@ -412,8 +413,8 @@ fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(3), "{binary}: {stderr}");
         for needle in [
-            "format version 2",
-            "reads version 3",
+            "format version 3",
+            "reads version 4",
             "pimalign index build",
         ] {
             assert!(
@@ -460,11 +461,16 @@ fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
     );
     let bytes: u64 = field("index_bytes").parse().expect("numeric index_bytes");
     assert!(bytes <= 12 * 1024, "budgeted artifact overshot: {bytes}");
-    // 4 001 rows hold a three-level seed table, 84 8-byte entries,
+    // 4 001 rows hold a four-level seed table, 257 boundaries of 12 bits,
     // counted in the footprint and derived when the artifact is mapped
-    // (one level, 32 bytes, while the table took N/64 bytes).
-    assert_eq!(field("seed_depth"), "3");
-    assert_eq!(field("seed_bytes"), "672");
+    // (three levels, 84 8-byte entries and 672 bytes, while every entry
+    // was a pair of u32s; one level, 32 bytes, while the table took N/64
+    // bytes).
+    assert_eq!(field("seed_depth"), "4");
+    assert_eq!(field("seed_bytes"), "386");
+    // Rate 2 keeps `v / 2` of every even position, up to 2 000: 11 bits.
+    assert_eq!(rate, 2);
+    assert_eq!(field("sa_value_bits"), "11");
     assert_eq!(field("model_bytes"), field("index_bytes"));
     assert_eq!(field("checksum"), "ok");
 

@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pipelined"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 9);
+    assert_eq!(as_u64(&doc, "schema_version"), 10);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
@@ -161,18 +161,27 @@ fn metrics_json_is_valid_and_reconciles() {
             .unwrap_or_else(|| panic!("no primitives row {name}"))
     };
     // A 57-row text is one word line, so every step issues one `LFM` and
-    // one bump; and two for each alternative the inexact search saw was
-    // empty without an `LFM`, which the document does not count — three
-    // here. 178 published = 86 + 86 + 2 · 3 (130 + 48 while only a
-    // one-row interval took one `LFM`; the published count never moves).
+    // one bump; and two for each step a seed-table read stood in for or
+    // alternative the inexact search saw was empty without an `LFM`,
+    // which the document does not count — nine here. 178 published =
+    // 80 + 80 + 2 · 9 (86 + 86 + 2 · 3 with no table, 130 + 48 while only
+    // a one-row interval took one `LFM`; the published count never moves).
     let lfm_calls = as_u64(&doc, "report.lfm_calls");
-    assert_eq!(count_of("index_bump"), lfm_calls);
+    // v10: the text ends `G$`, and a seed read whose boundary that suffix
+    // moves is corrected with one bump more, which stands for no step.
+    let corrections = as_u64(&doc, "report.seed_corrections");
+    assert_eq!(corrections, 1);
+    assert_eq!(count_of("index_bump"), lfm_calls + corrections);
     assert_eq!(as_u64(&doc, "report.published_lfm_calls"), 178);
-    assert_eq!(lfm_calls + count_of("index_bump") + 2 * 3, 178);
+    assert_eq!(
+        lfm_calls + count_of("index_bump") - corrections + 2 * 9,
+        178
+    );
     assert_eq!(count_of("im_add32"), as_u64(&doc, "report.lfm_calls"));
-    // v9: the seed-table read has its row; a 56 bp reference is too short
-    // for a table, so nothing read one.
-    assert_eq!(count_of("seed_read"), 0);
+    // v9: the seed-table read has its row. A 56 bp reference holds a
+    // table of two levels with one packed boundary a 2-mer (none while
+    // every entry was a pair of u32s), read four times here.
+    assert_eq!(count_of("seed_read"), 4);
 
     // Pipeline occupancy reflects the requested Pd=2 configuration.
     assert_eq!(as_u64(&doc, "breakdown.pipeline.pd"), 2);

@@ -418,15 +418,17 @@ fn every_record_holds_and_no_byte_or_lfm_budget_moves() {
 const DIGEST_BOTH: u64 = 0xc905_0dfc_4845_be7c;
 const DIGEST_FWD: u64 = 0x85b6_effd_1c96_7a2b;
 /// `LFM`s a read, `[exact, inexact]`, as measured with a seed table of
-/// `N/4` bytes (six levels on this 200 kbp genome); before that, at `N/64`
+/// `N/4` bytes held as one packed boundary a 7-mer (seven levels on this
+/// 200 kbp genome); with a pair of `u32`s an entry at every level (six
+/// levels), `[83.433, 36.589]` and `[42.965, 24.871]`; before that, at `N/64`
 /// bytes (four levels), `[89.423, 40.975]` and `[46.965, 29.020]`; before
 /// the word-line step and the partition rule, with the one-row step and
 /// the seed table, `[93.834, 50.245]` and `[49.851, 36.743]`; with the
 /// one-row interval step alone, `[105.814, 59.077]` and
 /// `[57.851, 45.099]`; and at two `LFM`s a step `[183.475, 88.842]` and
 /// `[97.069, 63.896]`.
-const LFM_BOTH: [f64; 2] = [83.433, 36.589];
-const LFM_FWD: [f64; 2] = [42.965, 24.871];
+const LFM_BOTH: [f64; 2] = [81.413, 35.057];
+const LFM_FWD: [f64; 2] = [41.631, 23.421];
 /// `report.published_lfm_calls`, two `LFM`s for every interval step the
 /// searches took: that parent's `lfm_calls`, to the `LFM` — the one-row
 /// and then word-line step changed what a step issues, the seed table
