@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 use bioseq::DnaSeq;
-use fmindex::{EditBudget, SaInterval};
+use fmindex::EditBudget;
 use pimsim::{
     CycleLedger, Dpu, FaultInjector, HostEpoch, HostHistogram, HostSpan, HostSpanLog, KernelCache,
     Span, SpanTracer,
@@ -12,7 +12,7 @@ use pimsim::{
 
 use crate::config::PimAlignerConfig;
 use crate::error::AlignError;
-use crate::exact::{exact_search_batch_cached, exact_search_recorded, Descent, ExactStats};
+use crate::exact::{exact_search_recorded, Descent};
 use crate::inexact::inexact_search_from;
 use crate::mapping::MappedIndex;
 use crate::metrics::PhaseLfm;
@@ -148,12 +148,8 @@ pub struct AlignSession {
     /// `MappedIndex` stays immutable.
     kernel_cache: KernelCache,
     /// The match descent of the exact stage that ran last, which the
-    /// inexact stage starts from: recorded by the single-read exact
-    /// stage, or swapped in from `batch_descents` with a batched seed.
+    /// inexact stage starts from.
     descent: Descent,
-    /// One descent buffer per kernel-batch slot, filled by the batched
-    /// exact phase and reused by every group.
-    batch_descents: Vec<Descent>,
 }
 
 impl AlignSession {
@@ -170,7 +166,6 @@ impl AlignSession {
     pub(crate) fn for_platform(platform: Platform) -> AlignSession {
         let injector = platform.mapped().session_injector();
         let dpu = Dpu::new(*platform.config().model());
-        let batch_descents = vec![Descent::new(); platform.config().kernel_batch()];
         AlignSession {
             platform,
             injector,
@@ -185,7 +180,6 @@ impl AlignSession {
             host_log: None,
             kernel_cache: KernelCache::new(),
             descent: Descent::new(),
-            batch_descents,
         }
     }
 
@@ -298,26 +292,11 @@ impl AlignSession {
     /// sample, so each entry point — single- or both-strands — records
     /// exactly one per-read latency.
     fn align_read_inner(&mut self, read: &DnaSeq) -> AlignmentOutcome {
-        self.align_read_seeded(read, None)
-    }
-
-    /// [`align_read_inner`](AlignSession::align_read_inner) with an
-    /// optional pre-computed exact-stage result. The batched kernel
-    /// path runs the exact phase of a whole read group as one
-    /// [`exact_search_batch`] and hands each read its `(interval,
-    /// stats)` here, with the read's descent in `self.descent`; the
-    /// seed replaces attempt 0's exact pass only — recovery retries and
-    /// escalations always recompute on the platform, descent included.
-    fn align_read_seeded(
-        &mut self,
-        read: &DnaSeq,
-        seed: Option<(SaInterval, ExactStats)>,
-    ) -> AlignmentOutcome {
         self.queries += 1;
         let outcome = if self.config().recovery().is_enabled() {
-            self.align_read_recovered(read, seed)
+            self.align_read_recovered(read)
         } else {
-            self.raw_align(read, self.config().max_diffs(), LfmAttr::Primary, seed)
+            self.raw_align(read, self.config().max_diffs(), LfmAttr::Primary)
         };
         if matches!(outcome, AlignmentOutcome::Exact { .. }) {
             self.exact_hits += 1;
@@ -336,41 +315,26 @@ impl AlignSession {
         }
     }
 
-    /// One unverified platform pass at difference budget `max_diffs`.
-    /// When `seed` is set the exact stage was already executed (by the
-    /// batched kernel) and its cycles charged; only the bookkeeping —
-    /// `LFM` attribution, locate, the inexact stage — runs here. Either
-    /// way the inexact stage starts from the exact stage's descent and
-    /// walks none of it again.
-    fn raw_align(
-        &mut self,
-        read: &DnaSeq,
-        max_diffs: u8,
-        attr: LfmAttr,
-        seed: Option<(SaInterval, ExactStats)>,
-    ) -> AlignmentOutcome {
+    /// One unverified platform pass at difference budget `max_diffs`:
+    /// the exact stage, then — if it misses — the inexact stage, which
+    /// starts from the exact stage's descent and walks none of it again.
+    fn raw_align(&mut self, read: &DnaSeq, max_diffs: u8, attr: LfmAttr) -> AlignmentOutcome {
         let exhaustive = self.config().exhaustive_inexact();
-        let (interval, stats) = match seed {
-            Some(seeded) => seeded,
-            None => {
-                let t_exact = self.dpu.tracer().start(&self.ledger);
-                let h_exact = self.host_start();
-                let result = exact_search_recorded(
-                    self.platform.mapped(),
-                    &mut self.injector,
-                    &mut self.dpu,
-                    read,
-                    Some(&mut self.kernel_cache),
-                    Some(&mut self.descent),
-                    &mut self.ledger,
-                );
-                self.dpu
-                    .tracer_mut()
-                    .record("exact_pass", t_exact, &self.ledger);
-                self.host_record("exact_pass", h_exact);
-                result
-            }
-        };
+        let t_exact = self.dpu.tracer().start(&self.ledger);
+        let h_exact = self.host_start();
+        let (interval, stats) = exact_search_recorded(
+            self.platform.mapped(),
+            &mut self.injector,
+            &mut self.dpu,
+            read,
+            Some(&mut self.kernel_cache),
+            Some(&mut self.descent),
+            &mut self.ledger,
+        );
+        self.dpu
+            .tracer_mut()
+            .record("exact_pass", t_exact, &self.ledger);
+        self.host_record("exact_pass", h_exact);
         self.lfm_calls += stats.lfm_calls;
         self.note_lfm(attr, true, stats.lfm_calls);
         if !interval.is_empty() {
@@ -437,13 +401,8 @@ impl AlignSession {
     /// pass, verifies the candidate loci against the reference, and only
     /// a verified outcome escapes. Rungs, in order: same-budget retries
     /// (faults re-draw), difference-budget escalation, host software
-    /// fallback (fault-free by construction). A `seed` (pre-computed
-    /// exact-stage result from the batched kernel) feeds attempt 0 only.
-    fn align_read_recovered(
-        &mut self,
-        read: &DnaSeq,
-        mut seed: Option<(SaInterval, ExactStats)>,
-    ) -> AlignmentOutcome {
+    /// fallback (fault-free by construction).
+    fn align_read_recovered(&mut self, read: &DnaSeq) -> AlignmentOutcome {
         let policy = self.config().recovery();
         let base_z = self.config().max_diffs();
         let faults_possible = self.mapped().faults_active();
@@ -457,7 +416,7 @@ impl AlignSession {
             };
             let t_rung = self.dpu.tracer().start(&self.ledger);
             let h_rung = self.host_start();
-            let outcome = self.raw_align(read, base_z, attr, seed.take());
+            let outcome = self.raw_align(read, base_z, attr);
             if attempt > 0 {
                 self.dpu
                     .tracer_mut()
@@ -478,7 +437,7 @@ impl AlignSession {
             self.telemetry.escalations += 1;
             let t_rung = self.dpu.tracer().start(&self.ledger);
             let h_rung = self.host_start();
-            let outcome = self.raw_align(read, z, LfmAttr::Escalate, None);
+            let outcome = self.raw_align(read, z, LfmAttr::Escalate);
             self.dpu
                 .tracer_mut()
                 .record("recovery.escalate", t_rung, &self.ledger);
@@ -617,8 +576,8 @@ impl AlignSession {
     }
 
     /// [`align_read_both_strands`](AlignSession::align_read_both_strands)
-    /// minus the wall-clock sample (group paths time their reads
-    /// themselves).
+    /// minus the wall-clock sample ([`AlignSession::align_group`] times
+    /// its reads itself).
     fn align_both_inner(&mut self, read: &DnaSeq) -> (AlignmentOutcome, MappedStrand) {
         match self.align_read_inner(read) {
             AlignmentOutcome::Unmapped => match self.align_read_inner(&read.reverse_complement()) {
@@ -632,200 +591,44 @@ impl AlignSession {
         }
     }
 
-    /// Aligns a contiguous group of reads in lock step (DESIGN.md §15).
-    /// Reads are processed in groups of `kernel_batch`: each group's
-    /// initial exact phase runs as one
-    /// [`exact_search_batch`](crate::exact_search_batch) — every step a
-    /// lock step of the one `LFM` kernel, so a plane load several reads
-    /// ask for is charged once, and the Pd stage-queue scheduler times
-    /// the issues — and each read then completes — locate, inexact stage,
-    /// recovery ladder, reverse-complement round — one read at a time,
-    /// seeded with its lock-step exact-stage result.
+    /// Aligns a contiguous group of reads one at a time, each on one
+    /// strand or — with `both_strands` — its reverse complement too when
+    /// the forward orientation misses.
     ///
     /// `first_token` is the global fault-stream token of `reads[0]`:
     /// read `r` draws from [`MappedIndex::read_injector`] with token
     /// `first_token + r`, so faulted output is a function of the read's
-    /// global index alone — invariant to batch width and worker count.
-    /// The per-read streams' injection counters are absorbed into the
-    /// session's telemetry before returning. With `kernel_batch == 1`
-    /// no lock step runs: every `LFM` is the same kernel with nothing
-    /// resident, nothing is shared or scheduled (`breakdown.pipeline`
-    /// stays zero), and the per-read fault streams remain. That is not a
-    /// batch of one, which would record its step schedule in
-    /// `breakdown.pipeline`. (It no longer differs in a plane load: a step
-    /// whose `low` and `high` fall in one bucket lies inside one word line
-    /// and issues one `LFM`.)
-    ///
-    /// One wall-clock sample per read lands in the per-read histogram:
-    /// its own completion time plus an equal share of each batched
-    /// phase it took part in.
+    /// global index alone — invariant to the worker count. The per-read
+    /// streams' injection counters are absorbed into the session's
+    /// telemetry. One wall-clock sample per read lands in the per-read
+    /// histogram.
     pub fn align_group(
         &mut self,
         reads: &[DnaSeq],
         first_token: u64,
         both_strands: bool,
     ) -> Vec<(AlignmentOutcome, MappedStrand)> {
-        if reads.is_empty() {
-            return Vec::new();
-        }
         let faults = self.mapped().faults_active();
-        let mut streams: Vec<FaultInjector> = if faults {
-            (0..reads.len())
-                .map(|r| self.mapped().read_injector(first_token + r as u64))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let batch = self.config().kernel_batch();
         let mut results = Vec::with_capacity(reads.len());
-        if batch < 2 {
-            // The single-read kernel, with per-read fault streams.
-            for (r, read) in reads.iter().enumerate() {
-                let t0 = Instant::now();
-                if faults {
-                    std::mem::swap(&mut self.injector, &mut streams[r]);
-                }
-                let result = if both_strands {
-                    self.align_both_inner(read)
-                } else {
-                    (self.align_read_inner(read), MappedStrand::Forward)
-                };
-                if faults {
-                    std::mem::swap(&mut self.injector, &mut streams[r]);
-                }
-                self.host_per_read.record_ns(t0.elapsed().as_nanos() as u64);
-                results.push(result);
+        for (r, read) in reads.iter().enumerate() {
+            let t0 = Instant::now();
+            let mut stream = faults.then(|| self.mapped().read_injector(first_token + r as u64));
+            if let Some(stream) = stream.as_mut() {
+                std::mem::swap(&mut self.injector, stream);
             }
-        } else {
-            for (g, chunk) in reads.chunks(batch).enumerate() {
-                let base = g * batch;
-                let chunk_streams = if faults {
-                    &mut streams[base..base + chunk.len()]
-                } else {
-                    &mut []
-                };
-                results.extend(self.align_chunk_batched(chunk, chunk_streams, both_strands));
+            let result = if both_strands {
+                self.align_both_inner(read)
+            } else {
+                (self.align_read_inner(read), MappedStrand::Forward)
+            };
+            if let Some(stream) = stream.as_mut() {
+                std::mem::swap(&mut self.injector, stream);
+                self.injector.absorb_counters(&stream.counters());
             }
-        }
-        for stream in &streams {
-            self.injector.absorb_counters(&stream.counters());
+            self.host_per_read.record_ns(t0.elapsed().as_nanos() as u64);
+            results.push(result);
         }
         results
-    }
-
-    /// One kernel-batch group: batched forward exact phase, per-read
-    /// completion, then a batched reverse-complement round over the
-    /// forward misses. `streams` is the group's per-read injector slice
-    /// (empty when the campaign is inactive).
-    fn align_chunk_batched(
-        &mut self,
-        chunk: &[DnaSeq],
-        streams: &mut [FaultInjector],
-        both_strands: bool,
-    ) -> Vec<(AlignmentOutcome, MappedStrand)> {
-        let n = chunk.len();
-        let t_phase = Instant::now();
-        let refs: Vec<&DnaSeq> = chunk.iter().collect();
-        let seeds = self.exact_batch_phase(&refs, streams);
-        // Each read's histogram sample gets an equal share of the
-        // batched phase it rode in.
-        let mut host_extra = vec![t_phase.elapsed().as_nanos() as u64 / n as u64; n];
-        let mut out: Vec<Option<(AlignmentOutcome, MappedStrand)>> = (0..n).map(|_| None).collect();
-        let mut completion_ns = vec![0u64; n];
-        let mut misses: Vec<usize> = Vec::new();
-        for (r, read) in chunk.iter().enumerate() {
-            let t0 = Instant::now();
-            if !streams.is_empty() {
-                std::mem::swap(&mut self.injector, &mut streams[r]);
-            }
-            std::mem::swap(&mut self.descent, &mut self.batch_descents[r]);
-            let outcome = self.align_read_seeded(read, Some(seeds[r]));
-            if !streams.is_empty() {
-                std::mem::swap(&mut self.injector, &mut streams[r]);
-            }
-            completion_ns[r] = t0.elapsed().as_nanos() as u64;
-            match outcome {
-                AlignmentOutcome::Unmapped if both_strands => misses.push(r),
-                AlignmentOutcome::Unmapped => {
-                    out[r] = Some((AlignmentOutcome::Unmapped, MappedStrand::Forward))
-                }
-                hit => out[r] = Some((hit, MappedStrand::Forward)),
-            }
-        }
-        if !misses.is_empty() {
-            let t_phase = Instant::now();
-            let revs: Vec<DnaSeq> = misses
-                .iter()
-                .map(|&r| chunk[r].reverse_complement())
-                .collect();
-            let refs: Vec<&DnaSeq> = revs.iter().collect();
-            // Re-index the miss streams 0..m for the batched call; draw
-            // order within each stream is unchanged.
-            let mut miss_streams: Vec<FaultInjector> = Vec::new();
-            if !streams.is_empty() {
-                for (k, &r) in misses.iter().enumerate() {
-                    miss_streams.push(self.mapped().session_injector());
-                    std::mem::swap(&mut miss_streams[k], &mut streams[r]);
-                }
-            }
-            let seeds = self.exact_batch_phase(&refs, &mut miss_streams);
-            let share = t_phase.elapsed().as_nanos() as u64 / misses.len() as u64;
-            for (k, &r) in misses.iter().enumerate() {
-                let t0 = Instant::now();
-                if !miss_streams.is_empty() {
-                    std::mem::swap(&mut self.injector, &mut miss_streams[k]);
-                }
-                std::mem::swap(&mut self.descent, &mut self.batch_descents[k]);
-                let outcome = self.align_read_seeded(&revs[k], Some(seeds[k]));
-                if !miss_streams.is_empty() {
-                    std::mem::swap(&mut self.injector, &mut miss_streams[k]);
-                }
-                completion_ns[r] += t0.elapsed().as_nanos() as u64;
-                host_extra[r] += share;
-                out[r] = Some(match outcome {
-                    AlignmentOutcome::Unmapped => {
-                        (AlignmentOutcome::Unmapped, MappedStrand::Forward)
-                    }
-                    hit => (hit, MappedStrand::Reverse),
-                });
-            }
-            if !streams.is_empty() {
-                for (k, &r) in misses.iter().enumerate() {
-                    std::mem::swap(&mut miss_streams[k], &mut streams[r]);
-                }
-            }
-        }
-        for r in 0..n {
-            self.host_per_read
-                .record_ns(completion_ns[r] + host_extra[r]);
-        }
-        out.into_iter()
-            .map(|o| o.expect("every read resolves"))
-            .collect()
-    }
-
-    /// Runs one batched exact phase and records its span; read `r`'s
-    /// descent is left in `batch_descents[r]`.
-    fn exact_batch_phase(
-        &mut self,
-        reads: &[&DnaSeq],
-        streams: &mut [FaultInjector],
-    ) -> Vec<(SaInterval, ExactStats)> {
-        let t_exact = self.dpu.tracer().start(&self.ledger);
-        let h_exact = self.host_start();
-        let seeds = exact_search_batch_cached(
-            self.platform.mapped(),
-            streams,
-            reads,
-            Some(&mut self.kernel_cache),
-            &mut self.batch_descents,
-            &mut self.ledger,
-        );
-        self.dpu
-            .tracer_mut()
-            .record("exact_batch", t_exact, &self.ledger);
-        self.host_record("exact_batch", h_exact);
-        seeds
     }
 
     /// Aligns a batch of reads and produces the performance report, or

@@ -4,12 +4,10 @@ use mram::array::{ArrayModel, ChipOrg};
 use mram::faults::{FaultCampaign, FaultModel};
 use pimsim::pipeline::PipelineParams;
 
-/// Default kernel batch width: how many reads the parallel engine
-/// interleaves into one lock step
-/// ([`PimAlignerConfig::with_kernel_batch`]). A stated trade, measured in
-/// EXPERIMENTS.md ("Kernel-batch width"): on error-free reads width 8
-/// shares 3 % of the `XNOR_Match` plane loads and marker reads and
-/// records the `Pd` schedule, for about 6 % more host time than width 1.
+/// The request width of `benchmark/src/trace.rs`'s
+/// [`MappedIndex::lfm_batch`](crate::MappedIndex::lfm_batch) probe, which
+/// compiles against it. Nothing in the aligner reads it: every read runs
+/// the single-read kernel.
 pub const DEFAULT_KERNEL_BATCH: usize = 8;
 
 /// The verify-and-recover policy (DESIGN.md §8): what the aligner does
@@ -137,7 +135,6 @@ pub struct PimAlignerConfig {
     model: ArrayModel,
     chip: ChipOrg,
     pipeline: PipelineParams,
-    kernel_batch: usize,
     max_diffs: u8,
     allow_indels: bool,
     exhaustive_inexact: bool,
@@ -155,7 +152,6 @@ impl PimAlignerConfig {
             model: ArrayModel::default(),
             chip: ChipOrg::default(),
             pipeline: PipelineParams::default(),
-            kernel_batch: DEFAULT_KERNEL_BATCH,
             max_diffs: 2,
             allow_indels: true,
             exhaustive_inexact: false,
@@ -190,22 +186,8 @@ impl PimAlignerConfig {
         self
     }
 
-    /// Sets the kernel batch width: how many reads the parallel engine
-    /// interleaves into one lock step
-    /// ([`MappedIndex::lfm_batch`](crate::MappedIndex::lfm_batch)) so
-    /// plane loads shared across reads are charged once per bucket. `1`
-    /// selects the single-read path (bit-identical to the pre-batching
-    /// engine); the default is [`DEFAULT_KERNEL_BATCH`]. Alignment
-    /// results and seeded-fault SAM output are identical at every
-    /// width — only the charged compare-stage work and the wall clock
-    /// change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn with_kernel_batch(mut self, batch: usize) -> PimAlignerConfig {
-        assert!(batch >= 1, "kernel batch must be at least 1");
-        self.kernel_batch = batch;
+    /// No-op shim pinned by `benchmark/src/trace.rs:84` (ROADMAP 1c).
+    pub fn with_kernel_batch(self, _: usize) -> PimAlignerConfig {
         self
     }
 
@@ -341,11 +323,6 @@ impl PimAlignerConfig {
     /// The pipeline stage timing.
     pub fn pipeline(&self) -> PipelineParams {
         self.pipeline
-    }
-
-    /// The kernel batch width.
-    pub fn kernel_batch(&self) -> usize {
-        self.kernel_batch
     }
 
     /// The inexact-stage difference budget.

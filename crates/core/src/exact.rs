@@ -2,9 +2,10 @@
 
 use bioseq::DnaSeq;
 use fmindex::SaInterval;
+use mram::faults::FaultCampaign;
 use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache};
 
-use crate::mapping::{LfmBatchScratch, MappedIndex};
+use crate::mapping::MappedIndex;
 
 /// Statistics of one exact search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,116 +148,26 @@ pub(crate) fn exact_search_recorded(
     (SaInterval::new(dpu.low(), dpu.high()), stats)
 }
 
-/// Runs Algorithm 1 for `reads.len()` reads in lock-step through the
-/// batched kernel: every read starts as [`exact_search`] starts it, and
-/// at each step every still-active read contributes its `low` then —
-/// unless its interval lies inside one word line — its `high` LFM request
-/// (read order),
-/// and the whole step executes as one batch so plane loads shared across
-/// reads are charged once. Results and statistics are bit-identical to
-/// running [`exact_search`] per read — including under seeded faults when
-/// `injectors` holds one per-read injector (indexed by read; pass an
-/// empty slice for a clean run), because the per-read draw order (low
-/// before high, steps ascending) is preserved.
-///
-/// Each read gets its own transient DPU (interval registers), charged
-/// exactly like the single-read path: one `IndexUpdate` and at most one
-/// `SeedRead` — and one `IndexBump` if a short suffix of the text moved
-/// its boundary — at the start, one `IndexUpdate` per consumed step, one
-/// `IndexBump` per word-line step and one `Popcount` more if it spans two
-/// rows or more. Reads drop out of the batch on early
-/// failure (`low ≥ high`) or exhaustion, exactly like the single-read
-/// early exit.
+/// [`exact_search`] for each of `reads`, in order, read `r` drawing from
+/// `injectors[r]`; an empty `injectors` slice draws no faults. Kept
+/// because `benchmark/src/trace.rs` compiles against it.
 pub fn exact_search_batch(
     mapped: &MappedIndex,
     injectors: &mut [FaultInjector],
     reads: &[&DnaSeq],
     ledger: &mut CycleLedger,
 ) -> Vec<(SaInterval, ExactStats)> {
-    exact_search_batch_cached(mapped, injectors, reads, None, &mut [], ledger)
-}
-
-/// [`exact_search_batch`] with an optional rank-checkpoint cache, which
-/// each step's leaders consult — results, statistics and all simulated
-/// charges are byte-identical with and without it — and, when
-/// `descents` holds one buffer per read (pass an empty slice to record
-/// none), each read's [`Descent`] written into its buffer, equal to what
-/// [`exact_search_recorded`] records for that read.
-pub(crate) fn exact_search_batch_cached(
-    mapped: &MappedIndex,
-    injectors: &mut [FaultInjector],
-    reads: &[&DnaSeq],
-    mut cache: Option<&mut KernelCache>,
-    descents: &mut [Descent],
-    ledger: &mut CycleLedger,
-) -> Vec<(SaInterval, ExactStats)> {
-    debug_assert!(descents.is_empty() || descents.len() >= reads.len());
-    let n = mapped.index().text_len() as u32;
-    let mut dpus: Vec<Dpu> = (0..reads.len()).map(|_| Dpu::new(mapped.model())).collect();
-    let mut lfm_calls = vec![0u64; reads.len()];
-    let mut bases_consumed = vec![0usize; reads.len()];
-    let mut results: Vec<Option<SaInterval>> = vec![None; reads.len()];
-    for (r, dpu) in dpus.iter_mut().enumerate() {
-        let depth = mapped.start(reads[r].as_slice(), dpu, ledger).unwrap_or(0);
-        bases_consumed[r] = depth;
-        if let Some(descent) = descents.get_mut(r) {
-            descent.restart(n, depth, (dpu.low(), dpu.high()));
-        }
-        if depth == reads[r].len() {
-            results[r] = Some(SaInterval::new(dpu.low(), dpu.high()));
-        }
-    }
-    let mut steps = Vec::new();
-    let mut scratch = LfmBatchScratch::new();
-    loop {
-        // Each active read's next base, right to left; reads a seed
-        // started are `k` bases ahead of those it did not.
-        steps.clear();
-        for (r, read) in reads.iter().enumerate() {
-            if results[r].is_none() {
-                steps.push((r, read[read.len() - 1 - bases_consumed[r]]));
-            }
-        }
-        if steps.is_empty() {
-            break;
-        }
-        mapped.step_batch(
-            &steps,
-            &mut dpus,
-            &mut lfm_calls,
-            injectors,
-            cache.as_deref_mut(),
-            ledger,
-            &mut scratch,
-        );
-        for &(r, _) in &steps {
-            bases_consumed[r] += 1;
-            let (low, high) = (dpus[r].low(), dpus[r].high());
-            if dpus[r].interval_empty() {
-                // Algorithm 1: "if low ≥ high, it has failed to find a
-                // match".
-                results[r] = Some(SaInterval::new(low, low));
-                continue;
-            }
-            if let Some(descent) = descents.get_mut(r) {
-                descent.push((low, high));
-            }
-            if bases_consumed[r] == reads[r].len() {
-                results[r] = Some(SaInterval::new(low, high));
-            }
-        }
+    let mut dpu = Dpu::new(mapped.model());
+    let mut clean = FaultInjector::new(FaultCampaign::none());
+    let mut results = Vec::with_capacity(reads.len());
+    for (r, read) in reads.iter().enumerate() {
+        let injector = match injectors.get_mut(r) {
+            Some(injector) => injector,
+            None => &mut clean,
+        };
+        results.push(exact_search(mapped, injector, &mut dpu, read, None, ledger));
     }
     results
-        .into_iter()
-        .zip(lfm_calls.into_iter().zip(bases_consumed))
-        .map(|(interval, (lfm_calls, bases_consumed))| {
-            let stats = ExactStats {
-                lfm_calls,
-                bases_consumed,
-            };
-            (interval.expect("every read resolves"), stats)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -382,8 +293,7 @@ mod tests {
     /// descent, read by read: the same interval at every step they take,
     /// the published `LFM` count accounted for, and a ledger that differs
     /// by the `LFM`s not issued, the bumps and the seed read. Then the
-    /// same searches cached, and in lock-step at three widths, against
-    /// those.
+    /// same searches cached against those.
     fn step_equals_published(
         reference: &DnaSeq,
         reads: &[DnaSeq],
@@ -398,8 +308,6 @@ mod tests {
         let mut injector = mapped.session_injector();
         let mut dpu = Dpu::new(model);
         let mut cache = KernelCache::new();
-        let mut singles = Vec::new();
-        let mut singles_ledger = CycleLedger::new();
         for read in reads {
             let mut published = CycleLedger::new();
             let (want, want_stats, want_descent) =
@@ -525,51 +433,6 @@ mod tests {
             prop_assert_eq!((again, again_stats), (got, stats));
             prop_assert_eq!(&cached_descent, &descent);
             prop_assert!(cached == stepped, "the cache moved a charge");
-
-            singles_ledger.merge(&stepped);
-            singles.push((got, stats, descent));
-        }
-        for width in [1, 3, 8] {
-            let mut ledgers = [CycleLedger::new(), CycleLedger::new()];
-            for (cached, ledger) in ledgers.iter_mut().enumerate() {
-                let mut descents = vec![Descent::new(); width];
-                for (g, group) in reads.chunks(width).enumerate() {
-                    let refs: Vec<&DnaSeq> = group.iter().collect();
-                    let batched = exact_search_batch_cached(
-                        &mapped,
-                        &mut [],
-                        &refs,
-                        (cached == 1).then_some(&mut cache),
-                        &mut descents,
-                        ledger,
-                    );
-                    for (k, result) in batched.iter().enumerate() {
-                        let (want, want_stats, want_descent) = &singles[g * width + k];
-                        prop_assert_eq!(result, &(*want, *want_stats), "width {}", width);
-                        prop_assert_eq!(&descents[k], want_descent, "width {}", width);
-                    }
-                }
-                // What grouping requests may not move (a wider batch
-                // shares plane loads: XNOR and marker charges shrink).
-                for op in [
-                    LogicalOp::Popcount,
-                    LogicalOp::ImAdd32,
-                    LogicalOp::IndexUpdate,
-                    LogicalOp::IndexBump,
-                    LogicalOp::RowWrite,
-                    LogicalOp::SeedRead,
-                ] {
-                    prop_assert_eq!(
-                        ledger.primitives().count(op),
-                        singles_ledger.primitives().count(op),
-                        "{:?} at width {}",
-                        op,
-                        width
-                    );
-                }
-                prop_assert_eq!(ledger.unissued_steps(), singles_ledger.unissued_steps());
-            }
-            prop_assert!(ledgers[0] == ledgers[1], "the cache moved a charge");
         }
         Ok(())
     }
@@ -578,7 +441,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// One to two sub-arrays and a seed table of two to six levels;
-        /// up to eight windows, so that the widest batch fills.
+        /// up to eight windows through one cache.
         #[test]
         fn step_equals_the_published_descent(
             reference in arb_seq(200, 48_000),
@@ -704,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_matches_single_reads_exactly() {
+    fn search_batch_is_exact_search_per_read() {
         let reference = genome::uniform(60_000, 21);
         let (mapped, mut injector, mut dpu, mut _ledger) = setup(&reference);
         // Mixed lengths, one read that ends where another does, and one
@@ -719,8 +582,8 @@ mod tests {
         let batched = exact_search_batch(&mapped, &mut [], &refs, &mut batch_ledger);
         assert_eq!(batched.len(), reads.len());
         let mut single_ledger = CycleLedger::new();
-        for (read, (interval, stats)) in reads.iter().zip(&batched) {
-            let (expected, expected_stats) = exact_search(
+        for (read, result) in reads.iter().zip(&batched) {
+            let single = exact_search(
                 &mapped,
                 &mut injector,
                 &mut dpu,
@@ -728,32 +591,16 @@ mod tests {
                 None,
                 &mut single_ledger,
             );
-            assert_eq!(*interval, expected);
-            assert_eq!(*stats, expected_stats);
+            assert_eq!(*result, single);
         }
-        // The lock-step batch shares plane loads: the two reads that end
-        // alike walk the same intervals side by side. (Reads a seed table
-        // starts rarely meet in a bucket otherwise — none of the others
-        // here do — and since a step inside one word line issues one
-        // `LFM`, a read's own two bounds never share one.)
-        assert!(batch_ledger.total_busy_cycles() < single_ledger.total_busy_cycles());
-        // ...but issues exactly the same per-request LFM work.
-        for op in [
-            LogicalOp::Popcount,
-            LogicalOp::ImAdd32,
-            LogicalOp::IndexUpdate,
-            LogicalOp::IndexBump,
-        ] {
-            assert_eq!(
-                batch_ledger.primitives().count(op),
-                single_ledger.primitives().count(op),
-                "{op:?} must reconcile exactly"
-            );
-        }
+        // No two reads share a charge: the two that end alike pay for
+        // the same intervals twice.
+        assert_eq!(batch_ledger, single_ledger);
+        assert_eq!(batch_ledger.pipeline_counters().issued, 0);
     }
 
     #[test]
-    fn batched_search_replays_per_read_fault_streams() {
+    fn search_replays_per_read_fault_streams() {
         use mram::faults::{FaultCampaign, FaultModel};
         // A campaign under which no descent gets far, and one mild enough
         // that a long read spends most of its steps inside one word line
@@ -812,51 +659,46 @@ mod tests {
         let mut batch_ledger = CycleLedger::new();
         let batched = exact_search_batch(&mapped, &mut injectors, &refs, &mut batch_ledger);
         assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
-        // Cached leg: the batch and the single-read oracle below share
-        // one rank-checkpoint cache and must replay the uncached batch.
-        // It records its descents, into buffers that hold stale ones.
+        // Cached leg: two rounds of the same searches through one
+        // rank-checkpoint cache — the second hits what the first
+        // installed — each recording its descent into a buffer that holds
+        // a stale one, must replay the uncached searches.
         let mut cache = KernelCache::new();
-        let mut cached_injectors = fresh_injectors();
-        let mut cached_ledger = CycleLedger::new();
-        let mut descents = vec![stale_descent(); reads.len()];
-        let cached = exact_search_batch_cached(
-            &mapped,
-            &mut cached_injectors,
-            &refs,
-            Some(&mut cache),
-            &mut descents,
-            &mut cached_ledger,
-        );
-        assert_eq!(cached, batched);
-        assert_eq!(cached_ledger, batch_ledger);
         let mut ledger = CycleLedger::new();
-        for (r, read) in reads.iter().enumerate() {
-            let mut oracle = mapped.read_injector(r as u64);
-            let mut dpu = Dpu::new(mapped.model());
-            let mut descent = Descent::new();
-            let (expected, expected_stats) = exact_search_recorded(
-                &mapped,
-                &mut oracle,
-                &mut dpu,
-                read,
-                Some(&mut cache),
-                Some(&mut descent),
-                &mut ledger,
-            );
-            assert_eq!(batched[r], (expected, expected_stats), "read {r}");
-            assert_eq!(descents[r], descent, "read {r}");
-            assert_eq!(descent.get(0), Some((0, reference.len() as u32 + 1)));
-            // It ends at the last base that extended.
-            let extended = expected_stats.bases_consumed - usize::from(expected.is_empty());
-            assert_eq!(descent.matched(), extended, "read {r}");
-            assert_eq!(injectors[r].counters(), oracle.counters(), "read {r}");
-            assert_eq!(
-                cached_injectors[r].counters(),
-                oracle.counters(),
-                "read {r}"
-            );
+        let mut dpu = Dpu::new(mapped.model());
+        for round in 0..2 {
+            for (r, read) in reads.iter().enumerate() {
+                let mut oracle = mapped.read_injector(r as u64);
+                let mut descent = stale_descent();
+                let (expected, expected_stats) = exact_search_recorded(
+                    &mapped,
+                    &mut oracle,
+                    &mut dpu,
+                    read,
+                    Some(&mut cache),
+                    Some(&mut descent),
+                    &mut ledger,
+                );
+                let at = format!("round {round} read {r}");
+                assert_eq!(batched[r], (expected, expected_stats), "{at}");
+                assert_eq!(descent.get(0), Some((0, reference.len() as u32 + 1)));
+                // It ends at the last base that extended.
+                let extended = expected_stats.bases_consumed - usize::from(expected.is_empty());
+                assert_eq!(descent.matched(), extended, "{at}");
+                assert_eq!(injectors[r].counters(), oracle.counters(), "{at}");
+            }
         }
-        assert!(ledger.kernel_cache_counters().hits > 0);
+        let mut twice = batch_ledger.clone();
+        twice.merge(&batch_ledger);
+        assert_eq!(ledger, twice, "the cache moved a charge");
+        // One lookup a compare stage; the reference fills one sub-array,
+        // whose keys never share a slot, so nothing is evicted and the
+        // second round hits every key the first installed.
+        let cache = ledger.kernel_cache_counters();
+        let lookups = ledger.primitives().count(LogicalOp::XnorMatch);
+        assert_eq!(cache.lookups(), lookups, "{cache:?}");
+        assert_eq!(cache.evictions, 0, "{cache:?}");
+        assert!(cache.hits >= lookups / 2, "{cache:?}");
         (batched[4].1, injectors[4].counters())
     }
 

@@ -1443,61 +1443,55 @@ pub(crate) mod tests {
     fn cost_classes_by_where_the_differences_fall() {
         // A 100-base read of a 200 kbp genome at the default budget, two
         // edits: whether it maps, and for how many LFMs end to end —
-        // stage 1's and stage 2's — through the single-read kernel and
-        // the batched one.
+        // stage 1's and stage 2's.
         use crate::aligner::AlignSession;
         let reference = genome::uniform(200_000, 28);
         let m = 100;
-        for kernel_batch in [1, 8] {
-            let config = PimAlignerConfig::baseline().with_kernel_batch(kernel_batch);
-            let mut session = AlignSession::new(&reference, config);
-            let mut cost = |read: DnaSeq, diffs: Option<u8>| {
-                let before = session.lfm_calls();
-                let outcome = session.align_group(&[read], 0, false).remove(0).0;
-                match (&outcome, diffs) {
-                    (AlignmentOutcome::Inexact { diffs, .. }, Some(expected)) => {
-                        assert_eq!(*diffs, expected)
-                    }
-                    (AlignmentOutcome::Unmapped, None) => {}
-                    _ => panic!("expected {diffs:?} differences, got {outcome:?}"),
+        let mut session = AlignSession::new(&reference, PimAlignerConfig::baseline());
+        let mut cost = |read: DnaSeq, diffs: Option<u8>| {
+            let before = session.lfm_calls();
+            let outcome = session.align_group(&[read], 0, false).remove(0).0;
+            match (&outcome, diffs) {
+                (AlignmentOutcome::Inexact { diffs, .. }, Some(expected)) => {
+                    assert_eq!(*diffs, expected)
                 }
-                session.lfm_calls() - before
-            };
-            // Each ceiling is the count measured with the seed table (four
-            // levels here), the word-line step and the partition rule, and
-            // a few `LFM`s; beside it, the count with the seed table and
-            // the one-row step, with that step alone, and at two `LFM`s a
-            // step.
-            //
-            // Mid-read: stage 1 reads its first four steps, walks to the
-            // difference, the break frame pays for it and the rest matches
-            // — one `LFM` a base once inside a word line, and none for an
-            // alternative of a one-row frame: 99 (105; 113; 206; 100 + 306
-            // while stage 2 made the descent again and ran the bound pass
-            // to the end first).
-            let lfm = cost(read_with_substitutions_at(&reference, &[50]), Some(1));
-            assert!(lfm <= m + 2, "mid-read difference: {lfm} LFMs");
-            // In the 3' seed, where the interval is still wide: the break
-            // is too shallow to be tried first, and round 1 tries the
-            // one-difference alternatives of the last bases, reading from
-            // the table the frames the descent's start skipped: 317 (400;
-            // 416; 606; 18 + 606 before the hand-over).
-            let lfm = cost(read_with_substitutions_at(&reference, &[95]), Some(1));
-            assert!(lfm <= 320, "3' seed difference: {lfm} LFMs");
-            // The wrong strand: the bound pass alone used to cost what
-            // both stages may now. Its three absent substrings are about
-            // ten bases each, and each starts four bases in: 24 (31; 55;
-            // 56).
-            let wrong_strand = reference.subseq(50_000..50_100).reverse_complement();
-            let lfm = cost(wrong_strand, None);
-            assert!(lfm <= 25, "wrong-strand read: {lfm} LFMs");
-            // Over budget, all at the 5' end, where the right-to-left
-            // pass sees one substring: the break frame, then both rounds
-            // to exhaustion, the second on a trimmed bound: 2 642 (3 637;
-            // 3 661; 6 058; 52 870 on the untrimmed bound).
-            let lfm = cost(read_with_substitutions_at(&reference, &[2, 3, 4]), None);
-            assert!(lfm <= 27 * m, "5' over-budget read: {lfm} LFMs");
-        }
+                (AlignmentOutcome::Unmapped, None) => {}
+                _ => panic!("expected {diffs:?} differences, got {outcome:?}"),
+            }
+            session.lfm_calls() - before
+        };
+        // Each ceiling is the count measured with the seed table (four
+        // levels here), the word-line step and the partition rule, and a
+        // few `LFM`s; beside it, the count with the seed table and the
+        // one-row step, with that step alone, and at two `LFM`s a step.
+        //
+        // Mid-read: stage 1 reads its first four steps, walks to the
+        // difference, the break frame pays for it and the rest matches —
+        // one `LFM` a base once inside a word line, and none for an
+        // alternative of a one-row frame: 99 (105; 113; 206; 100 + 306
+        // while stage 2 made the descent again and ran the bound pass to
+        // the end first).
+        let lfm = cost(read_with_substitutions_at(&reference, &[50]), Some(1));
+        assert!(lfm <= m + 2, "mid-read difference: {lfm} LFMs");
+        // In the 3' seed, where the interval is still wide: the break is
+        // too shallow to be tried first, and round 1 tries the
+        // one-difference alternatives of the last bases, reading from the
+        // table the frames the descent's start skipped: 317 (400; 416;
+        // 606; 18 + 606 before the hand-over).
+        let lfm = cost(read_with_substitutions_at(&reference, &[95]), Some(1));
+        assert!(lfm <= 320, "3' seed difference: {lfm} LFMs");
+        // The wrong strand: the bound pass alone used to cost what both
+        // stages may now. Its three absent substrings are about ten bases
+        // each, and each starts four bases in: 24 (31; 55; 56).
+        let wrong_strand = reference.subseq(50_000..50_100).reverse_complement();
+        let lfm = cost(wrong_strand, None);
+        assert!(lfm <= 25, "wrong-strand read: {lfm} LFMs");
+        // Over budget, all at the 5' end, where the right-to-left pass
+        // sees one substring: the break frame, then both rounds to
+        // exhaustion, the second on a trimmed bound: 2 642 (3 637; 3 661;
+        // 6 058; 52 870 on the untrimmed bound).
+        let lfm = cost(read_with_substitutions_at(&reference, &[2, 3, 4]), None);
+        assert!(lfm <= 27 * m, "5' over-budget read: {lfm} LFMs");
     }
 
     #[test]

@@ -33,8 +33,9 @@ static BUILD_COUNT: AtomicU64 = AtomicU64::new(0);
 /// BWT bases (= Occ buckets × 128) one sub-array covers.
 const BASES_PER_SUBARRAY: usize = 256 * SubArrayLayout::BASES_PER_ROW;
 
-/// One request of a batched LFM step: read stream `stream` asks for
-/// `LFM(nt, id)` (Algorithm 1 line 9). See [`MappedIndex::lfm_batch`].
+/// One request of [`MappedIndex::lfm_batch`]: read stream `stream` asks
+/// for `LFM(nt, id)` (Algorithm 1 line 9). Kept because
+/// `benchmark/src/trace.rs` compiles against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LfmRequest {
     /// Read stream the request belongs to — indexes the caller's
@@ -44,36 +45,6 @@ pub struct LfmRequest {
     pub nt: Base,
     /// FM-index position (`0 ..= text_len`).
     pub id: usize,
-}
-
-/// One compare stage a lock step has already paid for: the post-sentinel
-/// match mask and the marker of `(bucket, nt)`, which stay in the
-/// sub-array's sense-amplifier latches until the step ends.
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    bucket: usize,
-    nt: Base,
-    mask: MatchMask,
-    marker: u32,
-}
-
-/// What a lock step keeps between its requests, recycled across steps:
-/// the table of compare stages already resident — a linear scan, at most
-/// two keys a read of the batch — and the `Pd` stage-queue scheduler.
-#[derive(Debug)]
-pub(crate) struct LfmBatchScratch {
-    resident: Vec<Resident>,
-    sim: PipelineSim,
-}
-
-impl LfmBatchScratch {
-    /// Fresh, empty scratch.
-    pub(crate) fn new() -> LfmBatchScratch {
-        LfmBatchScratch {
-            resident: Vec::new(),
-            sim: PipelineSim::new(1, PipelineParams::default()),
-        }
-    }
 }
 
 /// The DPU's reading of one `LFM`'s match mask: the matches before column
@@ -101,7 +72,7 @@ fn sense(
 
 /// Whether `[low, high)` is not empty and lies inside one word line — one
 /// Occ bucket: what selects the one-`LFM` interval step
-/// ([`MappedIndex::step`]), on either path, and nothing else does.
+/// ([`MappedIndex::step`]), and nothing else does.
 fn one_word_line(low: u32, high: u32) -> bool {
     let row = SubArrayLayout::BASES_PER_ROW as u32;
     high > low && (high - 1) / row == low / row
@@ -145,9 +116,9 @@ pub struct MappedIndex {
     /// Mirror sub-arrays for method-II (empty for method-I).
     mirrors: Vec<SubArray>,
     method: AddMethod,
-    /// Parallelism degree for the batched path's stage-queue scheduler.
+    /// Parallelism degree for [`MappedIndex::lfm_batch`]'s scheduler.
     pd: usize,
-    /// Stage timing for the batched path's stage-queue scheduler.
+    /// Stage timing for [`MappedIndex::lfm_batch`]'s scheduler.
     pipeline: PipelineParams,
     mapping_ledger: CycleLedger,
     /// The fault campaign the index was built under; sessions derive
@@ -316,9 +287,9 @@ impl MappedIndex {
     }
 
     /// A fresh alignment-time injector for globally indexed read
-    /// `token`: the batched kernel gives every read its own
-    /// decorrelated fault stream so faulted output is invariant to
-    /// batch width and worker count ([`FaultCampaign::for_read`]).
+    /// `token`: every read of a parallel run draws from its own
+    /// decorrelated fault stream, so faulted output is invariant to the
+    /// worker count ([`FaultCampaign::for_read`]).
     pub fn read_injector(&self, token: u64) -> FaultInjector {
         FaultInjector::new(self.campaign.for_read(token))
     }
@@ -355,46 +326,33 @@ impl MappedIndex {
         injector: &mut FaultInjector,
         ledger: &mut CycleLedger,
     ) -> u32 {
-        self.lfm_kernel(nt, id, 0, None, Some(injector), None, ledger)
-            .0
+        self.lfm_kernel(nt, id, 0, Some(injector), None, ledger).0
     }
 
-    /// The one `LFM` kernel: every `LFM` of every path — a single read's,
-    /// a lock step's, the inexact search's — is this function run once.
-    /// Returns the sum; the matches in the `span` columns from `id`'s own
-    /// on — the `nt`s of `BWT[id .. id + span)`, read from the mask the
-    /// `LFM` has sensed anyway: post-sentinel, and under a campaign the
-    /// same privately faulted copy the count is taken from (see
-    /// [`sense`]); and whether the compare stage was already `resident`.
+    /// The one `LFM` kernel: every `LFM` of every search is this function
+    /// run once. Returns the sum, and the matches in the `span` columns
+    /// from `id`'s own on — the `nt`s of `BWT[id .. id + span)`, read from
+    /// the mask the `LFM` has sensed anyway: post-sentinel, and under a
+    /// campaign the same privately faulted copy the count is taken from
+    /// (see [`sense`]). A stream's draws are those of its `LFM`s taken one
+    /// at a time, in the order they are made (DESIGN.md §15.2).
     ///
-    /// `resident` is the table of compare stages the current lock step has
-    /// paid for (`None` outside one). A request whose `(bucket, nt)` is in
-    /// it — a *follower* — reads the resident mask and marker: it is
-    /// charged neither `XNOR_Match` nor the marker `MEM` nor their two
-    /// zone activations, and never touches `cache`. Any other request — a
-    /// *leader* — runs the compare stage and leaves it in the table.
-    /// Popcount, the sensing draws, the carry draw and the add are per
-    /// request either way, so a stream's draws are those of its requests
-    /// taken one at a time, in the order they are made (DESIGN.md §15.2).
-    ///
-    /// `cache` memoizes a leader's compare stage — `(sub-array, bucket,
-    /// nt) → (post-sentinel match mask, marker)`, both pure functions of
-    /// the immutable index — so a hit skips the plane load and the 32-row
+    /// `cache` memoizes the compare stage — `(sub-array, bucket, nt) →
+    /// (post-sentinel match mask, marker)`, both pure functions of the
+    /// immutable index — so a hit skips the plane load and the 32-row
     /// marker gather on the host while the platform is charged what a
     /// recompute pays. Results, every simulated counter and the seeded
     /// fault stream are byte-identical with and without it, pinned by
     /// test.
-    #[allow(clippy::too_many_arguments)]
     fn lfm_kernel(
         &self,
         nt: Base,
         id: usize,
         span: usize,
-        resident: Option<&mut Vec<Resident>>,
         mut injector: Option<&mut FaultInjector>,
         cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
-    ) -> (u32, u32, bool) {
+    ) -> (u32, u32) {
         assert!(id <= self.index.text_len(), "LFM index {id} out of range");
         let bucket = id / SubArrayLayout::BASES_PER_ROW;
         let within = id % SubArrayLayout::BASES_PER_ROW;
@@ -406,7 +364,7 @@ impl MappedIndex {
         // `id` may equal the text length, landing exactly on a bucket
         // boundary past the last row; the count contribution is then zero
         // and the marker row is the final checkpoint.
-        let (count, spanned, marker, shared) = if s > last {
+        let (count, spanned, marker) = if s > last {
             // The checkpoint bucket holds no BWT row to sense: it can be
             // an interval's `high`, never the `low` of a word-line step.
             debug_assert_eq!(span, 0, "word-line step at the boundary checkpoint");
@@ -421,38 +379,17 @@ impl MappedIndex {
             // sub-array (where the last marker column lives).
             ledger.note_zone_many(last, 1);
             let marker = self.index.marker_table().marker(nt, bucket);
-            (0, 0, marker, false)
+            (0, 0, marker)
         } else {
-            let held = resident
-                .as_deref()
-                .and_then(|table| table.iter().find(|r| r.bucket == bucket && r.nt == nt))
-                .map(|r| (r.mask, r.marker));
-            let (mask, marker) = match held {
-                Some(stage) => stage,
-                None => {
-                    let (mask, marker) = self.compare_stage(s, lb, nt, cache, ledger);
-                    // Heatmap: the XNOR match and the marker read each
-                    // activate sub-array `s` (the popcount runs in the
-                    // DPU, not the array).
-                    ledger.note_zone_many(s, 2);
-                    if let Some(table) = resident {
-                        let stage = Resident {
-                            bucket,
-                            nt,
-                            mask,
-                            marker,
-                        };
-                        table.push(stage);
-                    }
-                    (mask, marker)
-                }
-            };
+            let (mask, marker) = self.compare_stage(s, lb, nt, cache, ledger);
+            // Heatmap: the XNOR match and the marker read each activate
+            // sub-array `s` (the popcount runs in the DPU, not the array).
+            ledger.note_zone_many(s, 2);
             LogicalOp::Popcount.charge(model, ledger);
-            // Fault injection (DESIGN.md §8) always corrupts this
-            // request's private copy of the mask, never the resident or
-            // the cached one.
+            // Fault injection (DESIGN.md §8) always corrupts this `LFM`'s
+            // private copy of the mask, never the cached one.
             let (count, spanned) = sense(mask, within, span, injector.as_deref_mut());
-            (count, spanned, marker, held.is_some())
+            (count, spanned, marker)
         };
         // `None` without consuming the stream when the carry rate is
         // zero, so an inactive injector is no injector.
@@ -481,7 +418,7 @@ impl MappedIndex {
         // inflate the count past the table range, and the controller
         // clamps rather than address outside the mapped region. A no-op
         // under ideal sensing.
-        (sum.min(self.index.text_len() as u32), spanned, shared)
+        (sum.min(self.index.text_len() as u32), spanned)
     }
 
     /// The compare stage of `LFM(nt, ·)` on bucket row `lb` of sub-array
@@ -532,8 +469,7 @@ impl MappedIndex {
     /// One backward-search step (Algorithm 1 lines 8–10): extends
     /// `[low, high)` by `nt` and leaves the result in `dpu`'s interval
     /// registers. Returns the `LFM`s issued — every search, exact or
-    /// inexact, single-read or lock-step ([`MappedIndex::step_batch`]),
-    /// extends its interval here and nowhere else.
+    /// inexact, extends its interval here and nowhere else.
     ///
     /// The published step issues `LFM(nt, low)` and `LFM(nt, high)`. When
     /// the interval lies inside one word line — `low` and `high − 1` in
@@ -562,22 +498,10 @@ impl MappedIndex {
         mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u64 {
-        self.step_by((low, high), dpu, ledger, |id, span, ledger| {
-            let (injector, cache) = (Some(&mut *injector), cache.as_deref_mut());
-            let (sum, count, _) = self.lfm_kernel(nt, id, span, None, injector, cache, ledger);
-            (sum, count)
-        })
-    }
-
-    /// The interval step both entries take, over whichever way
-    /// `issue(id, span, ledger)` runs the kernel for `LFM(nt, id)`.
-    fn step_by(
-        &self,
-        (low, high): (u32, u32),
-        dpu: &mut Dpu,
-        ledger: &mut CycleLedger,
-        mut issue: impl FnMut(usize, usize, &mut CycleLedger) -> (u32, u32),
-    ) -> u64 {
+        let mut issue = |id: usize, span: usize, ledger: &mut CycleLedger| {
+            let cache = cache.as_deref_mut();
+            self.lfm_kernel(nt, id, span, Some(&mut *injector), cache, ledger)
+        };
         if one_word_line(low, high) {
             // `low` as its `LFM` returned it, `high` counted on from it
             // over the span — taken before `low` is rebound.
@@ -677,53 +601,15 @@ impl MappedIndex {
         &self.seeds
     }
 
-    /// [`MappedIndex::step`] for reads in lock step: each `(stream, nt)`
-    /// of `steps` extends the interval in `dpus[stream]` by `nt` and adds
-    /// the `LFM`s it issued to `lfm_calls[stream]`. A stream issues its
-    /// `low` request then — unless its interval lies inside one word line
-    /// — its `high` request, in `steps` order, and the whole step is one
-    /// lock step ([`MappedIndex::lfm_batch`]), so a plane load shared
-    /// across reads is charged once. Intervals, counts and each stream's fault draws
-    /// are those of [`MappedIndex::step`] per read.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_batch(
-        &self,
-        steps: &[(usize, Base)],
-        dpus: &mut [Dpu],
-        lfm_calls: &mut [u64],
-        injectors: &mut [FaultInjector],
-        mut cache: Option<&mut KernelCache>,
-        ledger: &mut CycleLedger,
-        scratch: &mut LfmBatchScratch,
-    ) {
-        self.begin_lock_step(scratch);
-        for &(stream, nt) in steps {
-            let dpu = &mut dpus[stream];
-            let interval = (dpu.low(), dpu.high());
-            lfm_calls[stream] += self.step_by(interval, dpu, ledger, |id, span, ledger| {
-                let request = LfmRequest { stream, nt, id };
-                let cache = cache.as_deref_mut();
-                self.lfm_in_lock_step(request, span, injectors, cache, ledger, scratch)
-            });
-        }
-        ledger.record_pipeline(&scratch.sim.counters());
-    }
-
-    /// Executes `requests` as one lock step (DESIGN.md §15): the kernel
-    /// of [`MappedIndex::lfm`] run once per request, in request order,
-    /// over a table of the compare stages the step has already paid for.
-    /// The first request for a `(bucket, nt)` pays its `XNOR_Match` plane
-    /// load and marker read; a later one finds them resident and pays
-    /// neither. Everything else — popcount, fault sensing, `IM_ADD` — is
-    /// per request, bit-identical to the same sequence of single
-    /// [`MappedIndex::lfm`] calls. Issue timing flows through a
-    /// [`PipelineSim`] stage-queue scheduler (`Pd` from the config) whose
-    /// counters are recorded on `ledger`.
+    /// [`MappedIndex::lfm`] once per request, in request order, each
+    /// issued to a [`PipelineSim`] stage-queue scheduler at the config's
+    /// `Pd`, whose counters are recorded on `ledger`. Kept because
+    /// `benchmark/src/trace.rs` compiles against it; until the time model
+    /// schedules every issue, it is the one producer of
+    /// `breakdown.pipeline`, which alignment runs leave at zero.
     ///
-    /// `injectors` is indexed by request `stream`; pass an empty slice
-    /// when the fault campaign is inactive. Per-stream draw order is
-    /// request order, so push a read's low request before its high
-    /// request to replay the single-read injector stream exactly.
+    /// `injectors` is indexed by request `stream`; an empty slice draws no
+    /// faults. A stream's draws follow request order.
     ///
     /// # Panics
     ///
@@ -734,50 +620,17 @@ impl MappedIndex {
         injectors: &mut [FaultInjector],
         ledger: &mut CycleLedger,
     ) -> Vec<u32> {
-        let mut scratch = LfmBatchScratch::new();
-        self.begin_lock_step(&mut scratch);
+        let mut sim = PipelineSim::new(self.pd, self.pipeline);
         let sums = requests
             .iter()
-            .map(|&request| {
-                self.lfm_in_lock_step(request, 0, injectors, None, ledger, &mut scratch)
-                    .0
+            .map(|r| {
+                let injector = injectors.get_mut(r.stream);
+                sim.issue(r.stream);
+                self.lfm_kernel(r.nt, r.id, 0, injector, None, ledger).0
             })
             .collect();
-        ledger.record_pipeline(&scratch.sim.counters());
+        ledger.record_pipeline(&sim.counters());
         sums
-    }
-
-    /// Starts a lock step: nothing resident, an empty schedule.
-    fn begin_lock_step(&self, scratch: &mut LfmBatchScratch) {
-        scratch.resident.clear();
-        scratch.sim.reset(self.pd, self.pipeline);
-    }
-
-    /// One request of the lock step `scratch` holds: the kernel over the
-    /// step's resident table, then its issue slot — a follower's compare
-    /// result is already resident, so it goes straight to the addition
-    /// queue. Returns the sum and the matches in the `span` columns from
-    /// the request's own on.
-    fn lfm_in_lock_step(
-        &self,
-        request: LfmRequest,
-        span: usize,
-        injectors: &mut [FaultInjector],
-        cache: Option<&mut KernelCache>,
-        ledger: &mut CycleLedger,
-        scratch: &mut LfmBatchScratch,
-    ) -> (u32, u32) {
-        let (sum, count, shared) = self.lfm_kernel(
-            request.nt,
-            request.id,
-            span,
-            Some(&mut scratch.resident),
-            injectors.get_mut(request.stream),
-            cache,
-            ledger,
-        );
-        scratch.sim.issue(request.stream, shared);
-        (sum, count)
     }
 
     /// Reads suffix-array entries for an interval (`MEM` on the SA
@@ -805,10 +658,6 @@ mod tests {
 
     fn mapped(reference: &DnaSeq, method: AddMethod) -> MappedIndex {
         mapped_under(reference, method, FaultCampaign::none())
-    }
-
-    fn req(stream: usize, nt: Base, id: usize) -> LfmRequest {
-        LfmRequest { stream, nt, id }
     }
 
     fn mapped_under(reference: &DnaSeq, method: AddMethod, campaign: FaultCampaign) -> MappedIndex {
@@ -908,119 +757,22 @@ mod tests {
         assert!(MappedIndex::build_count() > before);
     }
 
-    #[test]
-    fn batched_lfm_matches_single_calls_and_saves_plane_loads() {
-        // text_len (raw + sentinel) fills exactly two sub-arrays, so
-        // `id = n` lands on the final checkpoint bucket (the unbatched
-        // boundary path).
-        let reference = genome::uniform(65_535, 3);
-        let m = mapped(&reference, AddMethod::InPlace);
-        let n = m.index().text_len();
-        // Three streams: a shared (bucket, base) pair, a second
-        // sub-array, and the boundary checkpoint.
-        let requests = vec![
-            req(0, Base::A, 130),
-            req(1, Base::A, 180),
-            req(1, Base::C, 33_000),
-            req(2, Base::C, 33_100),
-            req(2, Base::T, n),
-        ];
-        let mut batch_ledger = CycleLedger::new();
-        let sums = m.lfm_batch(&requests, &mut [], &mut batch_ledger);
-        let mut single_ledger = CycleLedger::new();
-        let mut injector = m.session_injector();
-        let singles: Vec<u32> = requests
-            .iter()
-            .map(|r| m.lfm(r.nt, r.id, &mut injector, &mut single_ledger))
-            .collect();
-        assert_eq!(sums, singles);
-        // requests 0 and 1 share one plane load: 3 XNORs, not 4.
-        assert_eq!(
-            batch_ledger.primitives().count(LogicalOp::XnorMatch),
-            3,
-            "shared bucket must be loaded once"
-        );
-        assert_eq!(single_ledger.primitives().count(LogicalOp::XnorMatch), 4);
-        assert!(batch_ledger.total_busy_cycles() < single_ledger.total_busy_cycles());
-        let pipe = batch_ledger.pipeline_counters();
-        assert_eq!(pipe.issued, 5);
-        assert!(pipe.makespan_cycles > 0);
-        assert_eq!(single_ledger.pipeline_counters().issued, 0);
-    }
-
-    #[test]
-    fn batched_lfm_replays_per_read_fault_streams() {
-        use mram::faults::FaultModel;
-        let config = PimAlignerConfig::baseline().with_fault_campaign(
-            FaultCampaign::seeded(29)
-                .with_model(FaultModel::with_probabilities(0.04, 0.0))
-                .with_transient_row_rate(0.15)
-                .with_carry_fault_prob(0.1),
-        );
-        let m = MappedIndex::build(&genome::uniform(40_000, 9), &config);
-        // Streams interleaved low/high, sharing bucket 1 across streams.
-        let requests = vec![
-            req(0, Base::A, 140),
-            req(1, Base::A, 170),
-            req(0, Base::A, 5_000),
-            req(1, Base::G, 9_000),
-        ];
-        let mut injectors = vec![m.read_injector(0), m.read_injector(1)];
-        let mut batch_ledger = CycleLedger::new();
-        let batched = m.lfm_batch(&requests, &mut injectors, &mut batch_ledger);
-        // Oracle: single-read replay per stream in per-stream order.
-        let mut oracle = [m.read_injector(0), m.read_injector(1)];
-        let mut single_ledger = CycleLedger::new();
-        let expected: Vec<u32> = requests
-            .iter()
-            .map(|r| m.lfm(r.nt, r.id, &mut oracle[r.stream], &mut single_ledger))
-            .collect();
-        assert_eq!(batched, expected);
-        for s in 0..2 {
-            assert_eq!(injectors[s].counters(), oracle[s].counters(), "stream {s}");
-        }
-        assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
-        assert_eq!(single_ledger.kernel_cache_counters().lookups(), 0);
-    }
-
-    /// [`MappedIndex::lfm_batch`] over `cache`, which no public entry
-    /// takes.
-    fn lfm_batch_cached(
-        m: &MappedIndex,
-        requests: &[LfmRequest],
-        injectors: &mut [FaultInjector],
-        cache: &mut KernelCache,
-        ledger: &mut CycleLedger,
-    ) -> Vec<u32> {
-        let mut scratch = LfmBatchScratch::new();
-        m.begin_lock_step(&mut scratch);
-        let sums = requests
-            .iter()
-            .map(|&request| {
-                let cache = Some(&mut *cache);
-                m.lfm_in_lock_step(request, 0, injectors, cache, ledger, &mut scratch)
-                    .0
-            })
-            .collect();
-        ledger.record_pipeline(&scratch.sim.counters());
-        sums
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The cached leg of `lock_step_is_the_single_read_kernel_per_request`
-        /// (`tests/platform_properties.rs`): through one rank-checkpoint
-        /// cache a lock step replays the sums, the fault draws and every
-        /// simulated charge of the uncached one, round after round —
-        /// later rounds hit — and only a leader looks the cache up.
+        /// Through one rank-checkpoint cache, interval steps replay the
+        /// intervals, each read's fault draws and every simulated charge
+        /// of the same steps uncached, round after round: the first
+        /// compare stage of a `(bucket, nt)` misses, every later one hits,
+        /// and one sub-array's keys never share a slot.
         #[test]
-        fn cached_lock_step_replays_the_uncached_one(
+        fn cached_steps_replay_the_uncached_ones(
             seed in any::<u64>(),
             mirrored in any::<bool>(),
-            // One request a code: two bits the stream, two the base, two
-            // one of four rows (the sentinel's among them), the rest the
-            // column; one code in eight is the boundary `id = N`.
+            // One step a code: two bits the read, two the base, two one of
+            // four rows (the sentinel's among them), seven the column of
+            // `low`, the rest the span — one in five reaches `high = N`,
+            // the boundary checkpoint.
             codes in proptest::collection::vec(any::<u32>(), 1..16),
             rounds in 1usize..4,
         ) {
@@ -1031,88 +783,80 @@ mod tests {
                 .with_stuck_at_rate(1e-4)
                 .with_transient_row_rate(0.2)
                 .with_carry_fault_prob(0.1);
+            // 32 768 rows fill one sub-array exactly.
             let m = mapped_under(&genome::uniform(32_767, seed % 8), method, campaign);
-            let n = m.index().text_len();
-            let sentinel = m.index().bwt().sentinel_pos() / 128;
-            let rows = [seed as usize % 256, (seed >> 8) as usize % 256, 255, sentinel];
-            let requests: Vec<LfmRequest> = codes
+            let n = m.index().text_len() as u32;
+            let sentinel = m.index().bwt().sentinel_pos() as u32 / 128;
+            let rows = [seed as u32 % 256, (seed >> 8) as u32 % 256, 255, sentinel];
+            let steps: Vec<(usize, Base, (u32, u32))> = codes
                 .iter()
                 .map(|&code| {
-                    let code = code as usize;
-                    let id = match (code >> 6) % 8 {
+                    let low = rows[(code >> 4) as usize % 4] * 128 + (code >> 6) % 128;
+                    let high = match (code >> 13) % 5 {
                         0 => n,
-                        _ => rows[(code >> 4) % 4] * 128 + (code >> 9) % 128,
+                        span => (low + [1, 2, 100, 300][span as usize - 1]).min(n),
                     };
-                    req(code % 4, Base::from_rank((code >> 2) % 4), id)
+                    (code as usize % 4, Base::from_rank((code >> 2) as usize % 4), (low, high))
                 })
                 .collect();
+            // The compare stages a round pays for, and their distinct keys:
+            // a step inside one word line issues `LFM(low)` alone, and the
+            // boundary checkpoint has no compare stage.
+            let (mut compares, mut keys) = (0, Vec::new());
+            for &(_, nt, (low, high)) in &steps {
+                let ids = if one_word_line(low, high) { vec![low] } else { vec![low, high] };
+                for id in ids.into_iter().filter(|&id| id < n) {
+                    compares += 1;
+                    if !keys.contains(&(id / 128, nt)) {
+                        keys.push((id / 128, nt));
+                    }
+                }
+            }
             let streams = || -> Vec<FaultInjector> {
                 (0..4).map(|s| m.read_injector(seed ^ s)).collect()
             };
             let mut cache = KernelCache::new();
             let (mut plain, mut cached) = (streams(), streams());
             let (mut plain_ledger, mut cached_ledger) = (CycleLedger::new(), CycleLedger::new());
+            let mut dpu = Dpu::new(m.model());
             for round in 0..rounds {
-                let want = m.lfm_batch(&requests, &mut plain, &mut plain_ledger);
-                let got =
-                    lfm_batch_cached(&m, &requests, &mut cached, &mut cache, &mut cached_ledger);
-                prop_assert_eq!(got, want, "round {}", round);
+                for (k, &(read, nt, interval)) in steps.iter().enumerate() {
+                    let issued =
+                        m.step(nt, interval, &mut dpu, &mut plain[read], None, &mut plain_ledger);
+                    let want = (issued, dpu.low(), dpu.high());
+                    let cache = Some(&mut cache);
+                    let issued =
+                        m.step(nt, interval, &mut dpu, &mut cached[read], cache, &mut cached_ledger);
+                    prop_assert_eq!((issued, dpu.low(), dpu.high()), want, "round {} step {}", round, k);
+                }
             }
-            for s in 0..4 {
-                prop_assert_eq!(cached[s].counters(), plain[s].counters(), "stream {}", s);
+            for read in 0..4 {
+                prop_assert_eq!(cached[read].counters(), plain[read].counters(), "read {}", read);
             }
             // Ledger equality is every simulated quantity — counts, zones,
             // pipeline — and leaves the host-side cache counters out.
             prop_assert_eq!(&cached_ledger, &plain_ledger);
             prop_assert_eq!(plain_ledger.kernel_cache_counters().lookups(), 0);
-            // One lookup a compare stage paid for — a follower makes none
-            // — and one sub-array's keys never share a slot: the first
-            // round installs them all, the later ones hit them all.
             let paid = plain_ledger.primitives().count(LogicalOp::XnorMatch);
+            prop_assert_eq!(paid, rounds as u64 * compares);
+            let installed = keys.len() as u64;
             let cc = cached_ledger.kernel_cache_counters();
-            let installed = paid / rounds as u64;
             prop_assert_eq!((cc.hits, cc.misses, cc.evictions), (paid - installed, installed, 0));
         }
     }
 
-    /// Steps `[low, high)` by `nt` through the single-read entry and,
-    /// from the same registers, through the lock-step one; returns the
-    /// interval both left in the DPU, the `LFM`s both issued, and the
-    /// single-read ledger.
-    fn step_both_ways(
+    /// Steps `[low, high)` by `nt` from fresh registers; returns the
+    /// interval left in the DPU, the `LFM`s issued and the ledger.
+    fn step_once(
         m: &MappedIndex,
         nt: Base,
-        (low, high): (u32, u32),
-        injectors: &mut [FaultInjector; 2],
+        interval: (u32, u32),
+        injector: &mut FaultInjector,
     ) -> ((u32, u32), u64, CycleLedger) {
-        let [single, batched] = injectors;
         let mut dpu = Dpu::new(m.model());
         let mut ledger = CycleLedger::new();
-        let issued = m.step(nt, (low, high), &mut dpu, single, None, &mut ledger);
-        let mut dpus = [Dpu::new(m.model())];
-        dpus[0].set_interval(low, high, &mut CycleLedger::new());
-        let mut lfm_calls = [0];
-        let mut batch_ledger = CycleLedger::new();
-        m.step_batch(
-            &[(0, nt)],
-            &mut dpus,
-            &mut lfm_calls,
-            std::slice::from_mut(batched),
-            None,
-            &mut batch_ledger,
-            &mut LfmBatchScratch::new(),
-        );
-        let interval = (dpu.low(), dpu.high());
-        assert_eq!((dpus[0].low(), dpus[0].high()), interval, "{nt} at {low}");
-        assert_eq!(lfm_calls[0], issued, "{nt} at {low}");
-        // The two `LFM`s of a step that is not a word-line step lie in two
-        // word lines: a lone step shares no plane load.
-        assert_eq!(
-            batch_ledger.primitives(),
-            ledger.primitives(),
-            "{nt} at {low}"
-        );
-        (interval, issued, ledger)
+        let issued = m.step(nt, interval, &mut dpu, injector, None, &mut ledger);
+        ((dpu.low(), dpu.high()), issued, ledger)
     }
 
     #[test]
@@ -1126,7 +870,7 @@ mod tests {
                 let oracle = m.index();
                 let n = oracle.text_len() as u32;
                 let lfm = |nt, id: u32| oracle.marker_table().lfm(oracle.bwt(), nt, id as usize);
-                let mut clean = [m.session_injector(), m.session_injector()];
+                let mut clean = m.session_injector();
                 let sentinel = oracle.bwt().sentinel_pos() as u32;
                 let line = |id: u32| id / 128 * 128;
                 // `(low, span)`: spans of 1, 2, 64, 127 and 128 columns
@@ -1157,8 +901,7 @@ mod tests {
                     let across = line(low) != line(high - 1);
                     let mut extended = 0;
                     for nt in Base::ALL {
-                        let (interval, issued, ledger) =
-                            step_both_ways(&m, nt, (low, high), &mut clean);
+                        let (interval, issued, ledger) = step_once(&m, nt, (low, high), &mut clean);
                         let at = format!("{nt} at [{low}, {high})");
                         assert_eq!(interval, (lfm(nt, low), lfm(nt, high)), "{at}");
                         extended += interval.1 - interval.0;
@@ -1225,9 +968,9 @@ mod tests {
             (300, 100),
         ];
         for (low, span) in cases {
-            let mut injectors = [m.read_injector(7), m.read_injector(7)];
+            let mut injector = m.read_injector(7);
             let high = low + span;
-            let (_, issued, _) = step_both_ways(&m, Base::G, (low, high), &mut injectors);
+            let (_, issued, _) = step_once(&m, Base::G, (low, high), &mut injector);
             let within = |id: u32| u64::from(id) % 128;
             let (lfms, columns) = if low / 128 == (high - 1) / 128 {
                 // The `within` columns counted, then the span's.
@@ -1236,12 +979,10 @@ mod tests {
                 (2, within(low) + within(high))
             };
             assert_eq!(issued, lfms);
-            for injector in &injectors {
-                let drawn = injector.counters();
-                assert_eq!(drawn.xnor_bit_flips, columns, "[{low}, {high})");
-                assert_eq!(drawn.transient_row_faults, lfms, "[{low}, {high})");
-                assert_eq!(drawn.carry_faults, lfms, "[{low}, {high})");
-            }
+            let drawn = injector.counters();
+            assert_eq!(drawn.xnor_bit_flips, columns, "[{low}, {high})");
+            assert_eq!(drawn.transient_row_faults, lfms, "[{low}, {high})");
+            assert_eq!(drawn.carry_faults, lfms, "[{low}, {high})");
         }
     }
 }

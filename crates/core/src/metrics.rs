@@ -32,9 +32,9 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// top-level `index` section (artifact-vs-rebuild provenance, shard
 /// geometry, SA sampling rate and the size-model reconciliation,
 /// all-zero when the run never described its index). v5 added the
-/// batched-kernel scheduler counters to `breakdown.pipeline` (`issued`,
+/// stage-queue scheduler counters to `breakdown.pipeline` (`issued`,
 /// `makespan_cycles`, `sequential_cycles`, `overlap_saved_cycles`,
-/// all-zero on the single-read kernel path). v6 added
+/// all-zero on an alignment run). v6 added
 /// `breakdown.kernel_cache` (rank-checkpoint cache `hits`/`misses`/
 /// `evictions`/`hit_rate` — host-side counters). v7 added the
 /// top-level `obs` section (observability-plane summary:
@@ -131,8 +131,8 @@ pub struct StageOccupancy {
     pub compare_occupancy_pct: f64,
     /// Adder-copy occupancy (transfer + add per copy), percent.
     pub adder_occupancy_pct: f64,
-    /// LFM issues the batched kernel routed through the stage-queue
-    /// scheduler (0 on the single-read path, which has no overlap).
+    /// LFM issues routed through the stage-queue scheduler by
+    /// `MappedIndex::lfm_batch` (0 on an alignment run).
     pub issued: u64,
     /// Scheduled makespan of those issues (simulated cycles).
     pub makespan_cycles: u64,

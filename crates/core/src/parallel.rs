@@ -146,16 +146,6 @@ fn run_workers(
     } else {
         reads.len().div_ceil(threads * 4).max(1)
     };
-    // Kernel-batch groups are carved from global read indices
-    // `[m·B, (m+1)·B)`; rounding the grain up to a multiple of B keeps
-    // every chunk boundary on a group boundary, so the groups — and the
-    // charged cycles and zone heatmap — are invariant to thread count.
-    let batch = platform.config().kernel_batch();
-    let grain = if batch > 1 {
-        grain.div_ceil(batch) * batch
-    } else {
-        grain
-    };
     // A worker's "fair share" of chunks under static round-robin; any
     // chunk claimed beyond it was stolen from a slower worker.
     let fair_share = reads.len().div_ceil(grain).div_ceil(threads) as u64;
@@ -187,9 +177,9 @@ fn run_workers(
                     let end = (start + grain).min(reads.len());
                     let chunk_t0 = Instant::now();
                     let h_chunk = session.host_start();
-                    // Batched kernel path: the group's fault-stream
-                    // tokens are the global read indices, so faulted
-                    // output is invariant to batch width and threads.
+                    // The chunk's fault-stream tokens are the global
+                    // read indices, so faulted output is invariant to
+                    // the worker count.
                     let first_token = epoch * EPOCH_STRIDE + start as u64;
                     let outcomes =
                         session.align_group(&reads[start..end], first_token, both_strands);
@@ -462,15 +452,19 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let (reference, reads) = workload();
-        // The sequential session API is the single-read kernel, so pin
-        // the parallel side to kernel_batch = 1 for an exact ledger
-        // match (batched runs charge fewer plane loads by design).
-        let config = PimAlignerConfig::baseline().with_kernel_batch(1);
+        let config = PimAlignerConfig::baseline();
         let mut sequential = AlignSession::new(&reference, config.clone());
         let seq_result = sequential.align_batch(&reads);
         let par_result = align_batch_parallel(&reference, &config, &reads, 4).unwrap();
         assert_eq!(par_result.outcomes, seq_result.outcomes);
         assert_eq!(par_result.exact_fraction, seq_result.exact_fraction);
+        // Every read's charges are its own: the same ledger, and no
+        // schedule recorded on either side.
+        assert_eq!(
+            par_result.report.breakdown.primitives,
+            seq_result.report.breakdown.primitives
+        );
+        assert_eq!(par_result.report.breakdown.pipeline.issued, 0);
         // Same merged work ⇒ same intensive report quantities.
         assert!(
             (par_result.report.throughput_qps - seq_result.report.throughput_qps).abs()
@@ -569,69 +563,35 @@ mod tests {
     }
 
     #[test]
-    fn kernel_batch_widths_agree_on_outcomes_and_differ_in_cycles() {
-        let (reference, reads) = workload();
-        let narrow = align_batch_parallel(
-            &reference,
-            &PimAlignerConfig::baseline().with_kernel_batch(1),
-            &reads,
-            4,
-        )
-        .unwrap();
-        let wide = align_batch_parallel(
-            &reference,
-            &PimAlignerConfig::baseline().with_kernel_batch(8),
-            &reads,
-            4,
-        )
-        .unwrap();
-        // Same bits out...
-        assert_eq!(narrow.outcomes, wide.outcomes);
-        assert_eq!(narrow.report.lfm_calls, wide.report.lfm_calls);
-        // ...for strictly fewer charged cycles (shared plane loads),
-        // with the stage-queue scheduler active only on the wide path.
-        assert!(
-            wide.report.breakdown.total_busy_cycles < narrow.report.breakdown.total_busy_cycles
-        );
-        assert!(wide.report.breakdown.pipeline.issued > 0);
-        assert_eq!(narrow.report.breakdown.pipeline.issued, 0);
-    }
-
-    #[test]
-    fn faulted_output_is_invariant_to_batch_and_threads() {
+    fn faulted_output_is_invariant_to_threads() {
         use mram::faults::{FaultCampaign, FaultModel};
         let (reference, reads) = workload();
         let campaign = FaultCampaign::seeded(52)
             .with_model(FaultModel::with_probabilities(3e-3, 0.0))
             .with_transient_row_rate(1e-3)
             .with_carry_fault_prob(1e-3);
-        let run = |batch: usize, threads: usize| {
-            let config = PimAlignerConfig::baseline()
-                .with_fault_campaign(campaign)
-                .with_kernel_batch(batch);
-            align_batch_parallel(&reference, &config, &reads, threads).unwrap()
-        };
-        let base = run(1, 1);
+        let config = PimAlignerConfig::baseline().with_fault_campaign(campaign);
+        let run = |threads: usize| align_batch_parallel(&reference, &config, &reads, threads);
+        let base = run(1).unwrap();
         assert!(
             base.report.faults.injected_total() > 0,
             "campaign must inject"
         );
-        for (batch, threads) in [(1, 8), (8, 1), (8, 8), (3, 5)] {
-            let other = run(batch, threads);
+        for threads in [2, 5, 8] {
+            let other = run(threads).unwrap();
             assert_eq!(
                 base.outcomes, other.outcomes,
-                "batch {batch} × threads {threads} diverged under faults"
+                "{threads} threads diverged under faults"
             );
         }
     }
 
     #[test]
-    fn counts_are_invariant_to_batch_and_threads_on_inexact_reads() {
+    fn counts_are_invariant_to_threads_on_inexact_reads() {
         use bioseq::Base;
         use mram::faults::{FaultCampaign, FaultModel};
         // Every read goes to stage 2, on the strand it came from or on
-        // both: the stage that starts from stage 1's descent, which the
-        // batched kernel and the single-read kernel each record.
+        // both: the stage that starts from stage 1's descent.
         let reference = genome::uniform(60_000, 405);
         let reads: Vec<DnaSeq> = (0..40usize)
             .map(|k| {
@@ -652,58 +612,38 @@ mod tests {
             .with_transient_row_rate(1e-3)
             .with_carry_fault_prob(1e-3);
         for faulted in [false, true] {
-            let run = |batch: usize, threads: usize| {
-                let mut config = PimAlignerConfig::baseline().with_kernel_batch(batch);
-                if faulted {
-                    config = config.with_fault_campaign(campaign);
-                }
+            let mut config = PimAlignerConfig::baseline();
+            if faulted {
+                config = config.with_fault_campaign(campaign);
+            }
+            let run = |threads: usize| {
                 align_batch_parallel_both_strands(&reference, &config, &reads, threads)
                     .unwrap()
                     .0
             };
-            // What a width or a worker count may not move: the per-request
-            // primitives (a wider batch shares plane loads, so XNOR and
-            // marker charges legitimately shrink with it).
-            let per_request = |result: &BatchResult| -> Vec<(&'static str, u64)> {
-                result
-                    .report
-                    .breakdown
-                    .primitives
-                    .iter()
-                    .filter(|p| !matches!(p.name, "xnor_match" | "marker_read"))
-                    .map(|p| (p.name, p.count))
-                    .collect()
-            };
-            let base = run(1, 1);
+            let base = run(1);
             assert!(base.report.breakdown.lfm_by_phase.inexact > 0);
             assert_eq!(faulted, base.report.faults.injected_total() > 0);
             assert!(
                 base.report.published_lfm_calls > base.report.lfm_calls,
                 "word-line steps in play"
             );
-            for batch in [1, 3, 8] {
-                let one = run(batch, 1);
-                let eight = run(batch, 8);
-                let what = format!("batch {batch}, faulted {faulted}");
-                assert_eq!(one.outcomes, base.outcomes, "{what}");
+            // The worker count moves nothing at all.
+            for threads in [2, 8] {
+                let other = run(threads);
+                let what = format!("{threads} threads, faulted {faulted}");
+                assert_eq!(other.outcomes, base.outcomes, "{what}");
                 assert_eq!(
-                    one.report.breakdown.lfm_by_phase, base.report.breakdown.lfm_by_phase,
-                    "{what}"
-                );
-                assert_eq!(per_request(&one), per_request(&base), "{what}");
-                // At one width the worker count moves nothing at all.
-                assert_eq!(eight.outcomes, one.outcomes, "{what}");
-                assert_eq!(
-                    eight.report.breakdown.lfm_by_phase, one.report.breakdown.lfm_by_phase,
+                    other.report.breakdown.lfm_by_phase, base.report.breakdown.lfm_by_phase,
                     "{what}"
                 );
                 assert_eq!(
-                    eight.report.breakdown.primitives, one.report.breakdown.primitives,
+                    other.report.breakdown.primitives, base.report.breakdown.primitives,
                     "{what}"
                 );
                 assert_eq!(
-                    eight.report.breakdown.energy_pj.to_bits(),
-                    one.report.breakdown.energy_pj.to_bits(),
+                    other.report.breakdown.energy_pj.to_bits(),
+                    base.report.breakdown.energy_pj.to_bits(),
                     "{what}"
                 );
             }

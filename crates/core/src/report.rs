@@ -444,9 +444,8 @@ impl PerfReport {
     /// issues exactly that many `LFM`s at the same rate. Energy per query
     /// is multiplied by `f` too, which is pro rata: an `LFM` of the run
     /// costs a few percent more energy than a published one on average,
-    /// since a word-line step's `LFM` has no partner on the same row to
-    /// share a compare with in the batched kernel and carries the step's
-    /// whole interval write, its bump and its span's popcount. Power, MBR, RUR and area are as
+    /// since a word-line step's `LFM` carries the step's whole interval
+    /// write, its bump and its span's popcount. Power, MBR, RUR and area are as
     /// run, and so is the breakdown — it describes work that ran, so take
     /// this view of a run, not of another view.
     pub fn as_published(&self) -> PerfReport {

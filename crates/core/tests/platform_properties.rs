@@ -5,7 +5,6 @@ use bioseq::{Base, DnaSeq};
 use fmindex::EditBudget;
 use mram::faults::{FaultCampaign, FaultModel};
 use pim_aligner::{exact_search, LfmRequest, MappedIndex, PimAlignerConfig};
-use pimsim::costs::LogicalOp;
 use pimsim::{CycleLedger, Dpu, FaultInjector, PipelineCounters, PipelineSim};
 use proptest::prelude::*;
 use readsim::genome;
@@ -103,17 +102,16 @@ proptest! {
         prop_assert_eq!(hw, sw);
     }
 
-    /// A lock step is the single-read kernel run once per request: over
-    /// request lists with repeated `(bucket, nt)` keys, sub-arrays
-    /// interleaved, the sentinel's row and the boundary checkpoint
-    /// `id = N`, under method I and II, clean and under a seeded campaign
-    /// with stuck cells, `lfm_batch` returns what `lfm` returns request by
-    /// request, charges one compare stage per distinct key, draws each
-    /// stream's faults as its single-read replay does, and schedules a
-    /// follower without its compare — round after round through the same
-    /// injectors.
+    /// `lfm_batch` is `lfm` per request: over request lists with repeated
+    /// `(bucket, nt)` keys, sub-arrays interleaved, the sentinel's row and
+    /// the boundary checkpoint `id = N`, under method I and II, clean and
+    /// under a seeded campaign with stuck cells, it returns what `lfm`
+    /// returns request by request, charges every op and zone the single
+    /// calls charge, draws each stream's faults as its single-read replay
+    /// does, and records the schedule a hand-driven `PipelineSim` makes of
+    /// the same issues — round after round through the same injectors.
     #[test]
-    fn lock_step_is_the_single_read_kernel_per_request(
+    fn lfm_batch_is_lfm_per_request(
         seed in any::<u64>(),
         mirrored in any::<bool>(),
         faulty in any::<bool>(),
@@ -169,51 +167,24 @@ proptest! {
         let mut replay = streams(&mapped);
         let mut ledger = CycleLedger::new();
         let mut singles = CycleLedger::new();
-        let mut sim = PipelineSim::new(config.pd(), config.pipeline());
         let mut scheduled = PipelineCounters::default();
-        let (mut keys, mut boundary) = (0, 0);
         for round in 0..rounds {
             let sums = mapped.lfm_batch(&requests, &mut injectors, &mut ledger);
-            sim.reset(config.pd(), config.pipeline());
-            let mut led: Vec<(usize, Base)> = Vec::new();
+            let mut sim = PipelineSim::new(config.pd(), config.pipeline());
             for (k, r) in requests.iter().enumerate() {
                 let single = mapped.lfm(r.nt, r.id, &mut replay[r.stream], &mut singles);
                 prop_assert_eq!(sums[k], single, "round {} request {}", round, k);
                 if !faulty {
                     prop_assert_eq!(single, oracle.marker_table().lfm(oracle.bwt(), r.nt, r.id));
                 }
-                let key = (r.id / 128, r.nt);
-                let follower = r.id < n && led.contains(&key);
-                if r.id == n {
-                    boundary += 1;
-                } else if !follower {
-                    led.push(key);
-                }
-                sim.issue(r.stream, follower);
+                sim.issue(r.stream);
             }
-            keys += led.len() as u64;
             scheduled.merge(&sim.counters());
         }
-        let issued = (rounds * requests.len()) as u64;
-        let prims = ledger.primitives();
-        prop_assert_eq!(prims.count(LogicalOp::XnorMatch), keys);
-        prop_assert_eq!(prims.count(LogicalOp::MarkerRead), keys + boundary);
-        prop_assert_eq!(prims.count(LogicalOp::Popcount), issued - boundary);
-        prop_assert_eq!(prims.count(LogicalOp::ImAdd32), issued);
-        // What a follower does not pay — its compare stage and the two
-        // activations of it — is all that sets the lock step apart from
-        // the single reads.
-        for op in LogicalOp::ALL {
-            if !matches!(op, LogicalOp::XnorMatch | LogicalOp::MarkerRead) {
-                prop_assert_eq!(prims.count(op), singles.primitives().count(op), "{:?}", op);
-            }
-        }
-        let followers = issued - boundary - keys;
-        prop_assert_eq!(
-            singles.zone_activations().iter().sum::<u64>(),
-            ledger.zone_activations().iter().sum::<u64>() + 2 * followers
-        );
+        prop_assert_eq!(ledger.primitives(), singles.primitives());
+        prop_assert_eq!(ledger.zone_activations(), singles.zone_activations());
         prop_assert_eq!(ledger.pipeline_counters(), scheduled);
+        prop_assert_eq!(singles.pipeline_counters(), PipelineCounters::default());
         prop_assert_eq!(ledger.kernel_cache_counters().lookups(), 0);
         for (s, injector) in injectors.iter().enumerate() {
             prop_assert_eq!(injector.counters(), replay[s].counters(), "stream {}", s);

@@ -242,13 +242,12 @@ impl FaultCampaign {
 
     /// Derives the deterministic sub-campaign for one *read*.
     ///
-    /// The batched kernel path gives every read its own decision stream
-    /// keyed by the read's global index (plus the chunk epoch), so the
-    /// faults a read sees depend only on the campaign seed and on *which
-    /// read it is* — never on how reads were grouped into kernel batches,
-    /// scheduled across worker threads, or interleaved by work stealing.
-    /// That is what makes seeded-fault SAM output byte-identical across
-    /// `--kernel-batch` and `--threads` settings.
+    /// The parallel engine gives every read its own decision stream keyed
+    /// by the read's global index (plus the chunk epoch), so the faults a
+    /// read sees depend only on the campaign seed and on *which read it
+    /// is* — never on how reads were scheduled across worker threads or
+    /// interleaved by work stealing. That is what makes seeded-fault SAM
+    /// output byte-identical across `--threads` settings.
     ///
     /// There is no identity token: every token re-seeds through a
     /// SplitMix64 finalizer over `(seed, token)`, so no read replays the

@@ -97,11 +97,11 @@ impl FaultInjector {
         self.counters
     }
 
-    /// Folds another injector's counts into this one's. The batched
-    /// kernel path runs each read against its own per-read injector
+    /// Folds another injector's counts into this one's. The parallel
+    /// engine runs each read against its own per-read injector
     /// ([`FaultCampaign::for_read`]) and absorbs the counts back into
     /// the session injector, so session telemetry stays a single total
-    /// regardless of how reads were batched.
+    /// regardless of how reads were grouped.
     pub fn absorb_counters(&mut self, other: &FaultCounters) {
         self.counters.merge(other);
     }

@@ -116,8 +116,8 @@ pub struct CycleLedger {
     /// their target (primary sub-arrays first, then method-II mirrors).
     /// Empty until the first zone note; grows on demand.
     zones: Vec<u64>,
-    /// Stage-queue scheduling totals recorded by the batched kernel
-    /// path ([`crate::PipelineSim`]); all-zero on the single-read path.
+    /// Stage-queue scheduling totals recorded by an `LFM` request batch
+    /// ([`crate::PipelineSim`]); all-zero on an alignment run.
     pipeline: PipelineCounters,
     /// Rank-checkpoint cache totals noted by the kernel call sites;
     /// all-zero when the caller passes no cache.
@@ -180,15 +180,15 @@ impl CycleLedger {
         &self.zones
     }
 
-    /// Folds one lock step's stage-queue scheduling totals in (called
-    /// once per step with its [`crate::PipelineSim`] counters).
+    /// Folds one request batch's stage-queue scheduling totals in (its
+    /// [`crate::PipelineSim`] counters).
     #[inline]
     pub fn record_pipeline(&mut self, counters: &PipelineCounters) {
         self.pipeline.merge(counters);
     }
 
-    /// Accumulated stage-queue scheduling totals (all-zero unless the
-    /// batched kernel path ran).
+    /// Accumulated stage-queue scheduling totals (all-zero unless a
+    /// request batch was scheduled).
     pub fn pipeline_counters(&self) -> PipelineCounters {
         self.pipeline
     }

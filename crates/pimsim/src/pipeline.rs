@@ -107,8 +107,8 @@ impl PipelineParams {
 /// the session ledger.
 ///
 /// `sequential_cycles` is what the same issues would have cost with no
-/// overlap at all (every non-shared compare plus every add, back to
-/// back); `makespan_cycles` is when the last issue actually finished
+/// overlap at all (every compare plus every add, back to back);
+/// `makespan_cycles` is when the last issue actually finished
 /// under the stage-queue schedule. Their difference is the overlap the
 /// pipeline bought. Counters from separate batch invocations merge by
 /// summation — batches on one sub-array run back to back, so makespans
@@ -188,42 +188,16 @@ impl PipelineSim {
         }
     }
 
-    /// Rewinds the scheduler to an empty schedule at degree `pd`,
-    /// keeping the per-stream table's capacity (the batched kernel
-    /// recycles one simulator across calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pd == 0`.
-    pub fn reset(&mut self, pd: usize, params: PipelineParams) {
-        assert!(pd >= 1, "parallelism degree must be at least 1");
-        self.pd = pd;
-        self.params = params;
-        self.compare_free = 0;
-        self.add_free = 0;
-        self.stream_done.clear();
-        self.counters = PipelineCounters::default();
-    }
-
-    /// Schedules one LFM step of read stream `stream`. A
-    /// `shared_compare` issue rides a compare the batch already paid for
-    /// (another stream loaded the same bucket row this step), so only
-    /// its add occupies a stage.
-    pub fn issue(&mut self, stream: usize, shared_compare: bool) {
-        let compare_cost = if shared_compare {
-            0
-        } else {
-            self.params.stage_a_cycles
-        };
+    /// Schedules one LFM step of read stream `stream`.
+    pub fn issue(&mut self, stream: usize) {
         let ready = self.stream_done.get(stream).copied().unwrap_or(0);
         let done = if self.pd == 1 {
             // One sub-array does both stages; issues fully serialise.
-            let start = self.compare_free.max(ready);
-            let done = start + compare_cost + self.params.stage_b_cycles;
+            let done = self.compare_free.max(ready) + self.params.sequential_cycles();
             self.compare_free = done;
             done
         } else {
-            let compare_done = self.compare_free.max(ready) + compare_cost;
+            let compare_done = self.compare_free.max(ready) + self.params.stage_a_cycles;
             let add_service = self.params.transfer_cycles
                 + self.params.stage_b_cycles.div_ceil(self.pd as u64 - 1);
             let done = compare_done.max(self.add_free) + add_service;
@@ -236,7 +210,7 @@ impl PipelineSim {
         }
         self.stream_done[stream] = done;
         self.counters.issued += 1;
-        self.counters.sequential_cycles += compare_cost + self.params.stage_b_cycles;
+        self.counters.sequential_cycles += self.params.sequential_cycles();
         self.counters.makespan_cycles = self.counters.makespan_cycles.max(done);
     }
 
@@ -302,7 +276,7 @@ mod tests {
     fn run_streams(pd: usize, n: usize) -> PipelineCounters {
         let mut sim = PipelineSim::new(pd, PipelineParams::default());
         for s in 0..n {
-            sim.issue(s, false);
+            sim.issue(s);
         }
         sim.counters()
     }
@@ -347,22 +321,12 @@ mod tests {
         // first to retire, so Pd=2 is strictly slower than two
         // independent streams.
         let mut sim = PipelineSim::new(2, PipelineParams::default());
-        sim.issue(0, false);
-        sim.issue(0, false);
+        sim.issue(0);
+        sim.issue(0);
         let dependent = sim.counters().makespan_cycles;
         let independent = run_streams(2, 2).makespan_cycles;
         assert!(dependent > independent, "{dependent} vs {independent}");
         assert_eq!(dependent, 2 * (29 + 54));
-    }
-
-    #[test]
-    fn shared_compare_issues_skip_stage_a() {
-        let mut sim = PipelineSim::new(1, PipelineParams::default());
-        sim.issue(0, false);
-        sim.issue(1, true);
-        let c = sim.counters();
-        assert_eq!(c.makespan_cycles, 76 + 47);
-        assert_eq!(c.sequential_cycles, 76 + 47);
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //!   --single-strand       skip the reverse-complement retry
 //!   --threads <N>         host worker threads for the batch (default 1)
 //!   --batch-size <N>      reads aligned per streamed chunk (default 4096)
-//!   --kernel-batch <N>    reads interleaved per LFM kernel batch
-//!                         (default 8; 1 = single-read kernel path)
 //!   --fault-seed <S>      seed for the fault-injection campaign
 //!   --fault-xnor <P>      per-bit XNOR sense-misread probability
 //!   --fault-stuck <R>     stuck-at cell rate in the data zones
@@ -71,7 +69,6 @@ use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
 use pim_aligner_suite::pim_aligner::{
     sa_rate_for_budget, sam, AlignError, AlignmentOutcome, BatchTotals, HostTraceConfig,
     IndexArtifact, MappedStrand, PimAlignerConfig, Platform, RecoveryPolicy, ShardedPlatform,
-    DEFAULT_KERNEL_BATCH,
 };
 use pim_aligner_suite::pimsim::{chrome_trace_json, peak_rss_bytes, HostEpoch, HostSpan};
 
@@ -205,7 +202,6 @@ struct Cli {
     both_strands: bool,
     threads: usize,
     batch_size: usize,
-    kernel_batch: usize,
     fault_seed: u64,
     fault_xnor: f64,
     fault_stuck: f64,
@@ -263,7 +259,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         both_strands: true,
         threads: 1,
         batch_size: 4_096,
-        kernel_batch: DEFAULT_KERNEL_BATCH,
         fault_seed: 0x5eed,
         fault_xnor: 0.0,
         fault_stuck: 0.0,
@@ -310,15 +305,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 cli.batch_size = parse_flag(args, &mut i, "--batch-size")?;
                 if cli.batch_size == 0 {
                     return Err("invalid --batch-size: must be at least 1".into());
-                }
-            }
-            "--kernel-batch" => {
-                cli.kernel_batch = parse_flag(args, &mut i, "--kernel-batch")?;
-                if cli.kernel_batch == 0 {
-                    return Err(
-                        "invalid --kernel-batch: must be at least 1 (1 = single-read kernel)"
-                            .into(),
-                    );
                 }
             }
             "--fault-seed" => cli.fault_seed = parse_flag(args, &mut i, "--fault-seed")?,
@@ -446,7 +432,6 @@ fn run() -> Result<(), CliError> {
     let mut config = PimAlignerConfig::baseline()
         .with_max_diffs(cli.max_diffs)
         .with_indels(cli.indels)
-        .with_kernel_batch(cli.kernel_batch)
         .with_fault_campaign(campaign);
     if cli.pd >= 2 {
         config = config.with_pd(cli.pd);

@@ -19,8 +19,6 @@
 //!   --retry-after-ms <N>      base of the shed retry-after hint (default 20)
 //!   --pipelined               use PIM-Aligner-p (Pd = 2) instead of the baseline
 //!   --pd <N>                  parallelism degree (implies method-II for N >= 2)
-//!   --kernel-batch <N>        reads interleaved per LFM kernel batch
-//!                             (default 8; 1 = single-read kernel path)
 //!   --max-diffs <Z>           inexact-stage difference budget (default 2, max 8)
 //!   --no-indels               substitutions only in the inexact stage
 //!   --single-strand           skip the reverse-complement retry
@@ -52,9 +50,7 @@ use std::process::ExitCode;
 use pim_aligner_suite::bioseq::fasta;
 use pim_aligner_suite::pim_aligner::service::obs::log_kv;
 use pim_aligner_suite::pim_aligner::service::{serve, ServiceConfig, ServiceError};
-use pim_aligner_suite::pim_aligner::{
-    IndexArtifact, PimAlignerConfig, Platform, ShardedPlatform, DEFAULT_KERNEL_BATCH,
-};
+use pim_aligner_suite::pim_aligner::{IndexArtifact, PimAlignerConfig, Platform, ShardedPlatform};
 use pim_aligner_suite::pimsim::chrome_trace_json;
 
 /// A CLI failure, classified exactly as in `pimalign`: usage = 2,
@@ -104,7 +100,6 @@ struct Cli {
     port_file: Option<String>,
     service: ServiceConfig,
     pd: usize,
-    kernel_batch: usize,
     max_diffs: u8,
     indels: bool,
     metrics_out: Option<String>,
@@ -130,7 +125,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         port_file: None,
         service: ServiceConfig::default(),
         pd: 1,
-        kernel_batch: DEFAULT_KERNEL_BATCH,
         max_diffs: 2,
         indels: true,
         metrics_out: None,
@@ -159,15 +153,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 cli.pd = parse_flag(args, &mut i, "--pd")?;
                 if cli.pd == 0 {
                     return Err("invalid --pd: parallelism degree must be at least 1".into());
-                }
-            }
-            "--kernel-batch" => {
-                cli.kernel_batch = parse_flag(args, &mut i, "--kernel-batch")?;
-                if cli.kernel_batch == 0 {
-                    return Err(
-                        "invalid --kernel-batch: must be at least 1 (1 = single-read kernel)"
-                            .into(),
-                    );
                 }
             }
             "--max-diffs" => {
@@ -221,8 +206,7 @@ fn run() -> Result<(), CliError> {
 
     let mut config = PimAlignerConfig::baseline()
         .with_max_diffs(cli.max_diffs)
-        .with_indels(cli.indels)
-        .with_kernel_batch(cli.kernel_batch);
+        .with_indels(cli.indels);
     if cli.pd >= 2 {
         config = config.with_pd(cli.pd);
     }

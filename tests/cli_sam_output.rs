@@ -185,15 +185,37 @@ fn telemetry_flags_never_touch_the_sam_stream() {
         .expect("untraced metrics JSON parses");
     let doc_traced = json::parse(&std::fs::read_to_string(&metrics_traced).unwrap())
         .expect("traced metrics JSON parses");
-    // The simulated sections are value-identical across flag shapes —
-    // only the wall-clock `host` section may differ.
+    // The simulated sections are value-identical across flag shapes and
+    // worker counts — only the wall-clock `host` section may differ, and
+    // the rank-checkpoint cache's host-side counters, which depend on
+    // whose cache each read met: every worker has its own.
+    let simulated = |doc: &Value, section: &str| {
+        let mut value = doc.get(section).cloned();
+        if let Some(Value::Object(fields)) = value.as_mut() {
+            fields.remove("kernel_cache");
+        }
+        value
+    };
     for section in ["schema_version", "report", "faults", "breakdown"] {
         assert_eq!(
-            doc_untraced.get(section),
-            doc_traced.get(section),
+            simulated(&doc_untraced, section),
+            simulated(&doc_traced, section),
             "simulated section {section} diverged under tracing"
         );
     }
+    // Every compare stage still looks the cache up exactly once.
+    let lookups = |doc: &Value| -> u64 {
+        ["hits", "misses"]
+            .iter()
+            .map(|c| {
+                let path = format!("breakdown.kernel_cache.{c}");
+                doc.get(&path)
+                    .and_then(Value::as_u64)
+                    .expect("cache counter")
+            })
+            .sum()
+    };
+    assert_eq!(lookups(&doc_untraced), lookups(&doc_traced));
 
     // The trace file is a loadable Chrome trace with spans.
     let trace_doc =
@@ -270,6 +292,7 @@ fn usage_errors_exit_2_with_named_flags() {
         (&["only-one-arg"][..], "usage"),
         (&["a", "b", "--bogus"][..], "unknown option"),
         (&["a", "b", "--kernel-simd", "auto"][..], "unknown option"),
+        (&["a", "b", "--kernel-batch", "8"][..], "unknown option"),
         (&["a", "b", "--threads", "0"][..], "--threads"),
         (&["a", "b", "--batch-size", "0"][..], "--batch-size"),
         (&["a", "b", "--pd", "0"][..], "--pd"),
@@ -281,16 +304,18 @@ fn usage_errors_exit_2_with_named_flags() {
     }
     // pimserve shares the exit-code scheme; flags are parsed before the
     // reference is opened, so no socket is ever bound.
-    let out = Command::new(env!("CARGO_BIN_EXE_pimserve"))
-        .args(["/nonexistent/ref.fa", "--kernel-simd", "auto"])
-        .output()
-        .expect("run pimserve");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "pimserve stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown option --kernel-simd"),
-        "pimserve stderr: {stderr}"
-    );
+    for (flag, value) in [("--kernel-simd", "auto"), ("--kernel-batch", "8")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pimserve"))
+            .args(["/nonexistent/ref.fa", flag, value])
+            .output()
+            .expect("run pimserve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "pimserve stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "pimserve stderr: {stderr}"
+        );
+    }
 }
 
 #[test]

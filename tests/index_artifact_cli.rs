@@ -8,8 +8,8 @@
 //! seeded fault injection on the deterministic sequential stream. A
 //! sharded artifact must align to the same SAM as the unsharded
 //! platform — and, under a fault campaign, to the same SAM and fault
-//! telemetry at any `--threads` × `--kernel-batch` — and `index inspect`
-//! must report the artifact's geometry.
+//! telemetry at any `--threads` — and `index inspect` must report the
+//! artifact's geometry.
 
 use std::fmt::Write as _;
 use std::process::Command;
@@ -267,12 +267,12 @@ fn sharded_artifact_aligns_to_the_unsharded_sam() {
 }
 
 /// Faults on a sharded platform: every shard draws each read's faults
-/// from the stream keyed by the read's global index, whichever worker and
-/// kernel-batch group aligns it, and reads its own seed table without a
-/// draw — so SAM, the stderr telemetry and the simulated counters repeat
-/// byte for byte across the matrix.
+/// from the stream keyed by the read's global index, whichever worker
+/// aligns it, and reads its own seed table without a draw — so SAM, the
+/// stderr telemetry and the simulated counters repeat byte for byte at
+/// every worker count.
 #[test]
-fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
+fn sharded_artifact_replays_itself_under_faults_at_any_threads() {
     let reference = genome::uniform(9_000, 0x5eed);
     let mut fastq = String::new();
     for i in 0..10 {
@@ -303,16 +303,14 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
     assert!(stderr.contains("3 shard(s)"), "{stderr}");
     assert!(stderr.contains("seed depth 4"), "{stderr}");
 
-    let run = |threads: &str, batch: &str| {
-        let metrics = temp_path(&format!("shardfault_{threads}_{batch}.json"));
+    let run = |threads: &str| {
+        let metrics = temp_path(&format!("shardfault_{threads}.json"));
         let (sam, stderr, ok) = run_cli(&[
             "--index",
             artifact.to_str().unwrap(),
             reads_fq.to_str().unwrap(),
             "--threads",
             threads,
-            "--kernel-batch",
-            batch,
             "--fault-seed",
             "42",
             "--fault-xnor",
@@ -322,10 +320,7 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
             "--metrics-out",
             metrics.to_str().unwrap(),
         ]);
-        assert!(
-            ok,
-            "--threads {threads} --kernel-batch {batch} failed: {stderr}"
-        );
+        assert!(ok, "--threads {threads} failed: {stderr}");
         let doc = json::parse(&std::fs::read_to_string(&metrics).expect("metrics"))
             .expect("metrics JSON");
         let telemetry: Vec<String> = stderr
@@ -336,30 +331,23 @@ fn sharded_artifact_replays_itself_under_faults_at_any_threads_and_batch() {
         assert_eq!(telemetry.len(), 2, "fault telemetry lines in: {stderr}");
         (sam, telemetry, doc)
     };
-    let (sam, telemetry, doc) = run("1", "1");
+    let (sam, telemetry, doc) = run("1");
     assert!(
         counter(&doc, "faults.xnor_bit_flips") > 0,
         "faults must fire"
     );
     assert_eq!(counter(&doc, "index.shards"), 3);
-    for (threads, batch) in [("8", "1"), ("1", "8"), ("8", "8")] {
-        let (other_sam, other_telemetry, other_doc) = run(threads, batch);
-        let at = format!("--threads {threads} --kernel-batch {batch}");
+    for threads in ["2", "8"] {
+        let (other_sam, other_telemetry, other_doc) = run(threads);
+        let at = format!("--threads {threads}");
         assert!(other_sam == sam, "{at}: SAM diverged");
         assert_eq!(other_telemetry, telemetry, "{at}: fault telemetry diverged");
         for path in SIMULATED_COUNTERS {
-            // A wider batch shares plane loads, and so busy cycles and
-            // activations, by design; everything else is the same work.
-            let shared = path.ends_with("cycles_total")
-                || path.ends_with("busy_cycles")
-                || path.ends_with("subarray_activations");
-            if batch == "1" || !shared {
-                assert_eq!(
-                    counter(&other_doc, path),
-                    counter(&doc, path),
-                    "{at}: {path}"
-                );
-            }
+            assert_eq!(
+                counter(&other_doc, path),
+                counter(&doc, path),
+                "{at}: {path}"
+            );
         }
     }
 }

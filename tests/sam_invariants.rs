@@ -3,8 +3,7 @@
 //! workloads.
 //!
 //! Every SAM record is held against the read it answers and the reference
-//! window it points into; every kernel-batch × thread combination must
-//! emit the same bytes; and the bytes are pinned by digest, so a change to
+//! window it points into; every thread count must emit the same bytes; and the bytes are pinned by digest, so a change to
 //! the search that moves any of them fails here before `pimbench` sees it.
 //! The same runs' metrics documents bound `LFM`s per read by phase: a
 //! search change that costs `LFM`s fails with the phase named.
@@ -331,8 +330,8 @@ fn assert_lfm_within(what: &str, count: u64, reads: usize, pinned: f64) {
     );
 }
 
-/// The four kernel-batch × thread runs of one strand policy: invariants
-/// on the first, byte identity of the rest, the digest, the `LFM` budget.
+/// The one- and two-thread runs of one strand policy: invariants on the
+/// first, byte identity of the second, the digest, the `LFM` budget.
 fn check_policy(
     inputs: &Inputs,
     policy: &[&str],
@@ -341,12 +340,12 @@ fn check_policy(
     pinned: [f64; 2],
     published: u64,
 ) {
-    let with = |batch: &'static str, threads: &'static str| {
+    let with = |threads: &'static str| {
         let mut args = policy.to_vec();
-        args.extend_from_slice(&["--kernel-batch", batch, "--threads", threads]);
+        args.extend_from_slice(&["--threads", threads]);
         run(inputs, &args)
     };
-    let (sam, doc) = with("1", "1");
+    let (sam, doc) = with("1");
     check_sam(&sam, inputs, both_strands);
 
     let phases = |doc: &Value| {
@@ -357,18 +356,13 @@ fn check_policy(
                 .and_then(Value::as_u64),
         )
     };
-    for (batch, threads) in [("1", "2"), ("8", "1"), ("8", "2")] {
-        let (other, other_doc) = with(batch, threads);
-        assert!(
-            other == sam,
-            "--kernel-batch {batch} --threads {threads} {policy:?}: SAM diverged"
-        );
-        assert_eq!(
-            phases(&other_doc),
-            phases(&doc),
-            "--kernel-batch {batch} --threads {threads} {policy:?}: LFM counts diverged"
-        );
-    }
+    let (other, other_doc) = with("2");
+    assert!(other == sam, "--threads 2 {policy:?}: SAM diverged");
+    assert_eq!(
+        phases(&other_doc),
+        phases(&doc),
+        "--threads 2 {policy:?}: LFM counts diverged"
+    );
     assert_eq!(
         fnv1a(sam.as_bytes()),
         digest,
