@@ -4,8 +4,8 @@
 #
 #   ./ci.sh            full gate (debug + release stages)
 #   ./ci.sh debug      fmt check, a locked `cargo check` of benchmark/,
-#                      debug tests (+ CLI flake gate x5), clippy, rustdoc
-#                      with broken intra-doc links denied
+#                      debug tests (+ CLI and service flake gate x5),
+#                      clippy, rustdoc with broken intra-doc links denied
 #   ./ci.sh release    release build, perfdump cmp'd against
 #                      BENCH_metrics.json, the 8 Mbp suffix-array test
 #                      tier-1 ignores, the release-binary smoke
@@ -88,12 +88,14 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
     cargo test -q --workspace --no-fail-fast
 
     # Flake gate: the CLI test binaries share the system temp directory
-    # and spawn real processes; five consecutive green runs each.
-    step "cargo test x5 (CLI flake gate)"
+    # and spawn real processes, and the service binaries drive drain and
+    # batcher stalls through blocking readers and an untimed queue wait;
+    # five consecutive green runs each.
+    step "cargo test x5 (CLI + service flake gate)"
     for _ in 1 2 3 4 5; do
         cargo test -q --test metrics_json --test cli_sam_output \
             --test index_artifact_cli --test sam_thread_invariance \
-            --test pimserve_process
+            --test pimserve_process --test service_overload --test obs_plane
     done
 
     # The two named perf lints guard the packed LFM hot path: a

@@ -8,7 +8,7 @@
 //! * [`protocol`] — the length-prefixed wire format and a blocking
 //!   [`Client`](protocol::Client) shared by server, `pimbench` and tests;
 //! * [`queue`] — the bounded, byte-accounted admission queue with
-//!   load-shedding and an arrival-rate-adaptive batch take;
+//!   load-shedding and a work-conserving batch take;
 //! * [`server`] — acceptor/readers/batcher threads, per-request
 //!   deadlines, `catch_unwind` panic quarantine and graceful drain;
 //! * [`obs`] — the live observability plane: rolling-window per-second

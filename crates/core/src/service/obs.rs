@@ -245,16 +245,6 @@ impl ObsState {
         self.epoch.now_ns()
     }
 
-    /// The span-log epoch (same origin as [`ObsState::now_ns`]).
-    pub fn epoch(&self) -> HostEpoch {
-        self.epoch
-    }
-
-    /// Watchdog stall threshold, ms (0 = disabled).
-    pub fn watchdog_threshold_ms(&self) -> u32 {
-        self.watchdog_threshold_ms
-    }
-
     /// Mints the next request trace id (monotonic from 1; lock-free).
     pub fn mint_trace_id(&self) -> u64 {
         self.next_trace_id.fetch_add(1, Ordering::Relaxed)

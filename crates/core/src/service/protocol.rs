@@ -244,6 +244,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame payload; `Ok(None)` on clean EOF at a frame boundary.
+/// A read that is [`io::ErrorKind::Interrupted`] is retried, as
+/// [`Read::read_exact`] retries it.
 ///
 /// # Errors
 ///
@@ -252,7 +254,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// [`MAX_FRAME_BYTES`] is [`io::ErrorKind::InvalidData`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf)? {
+    let first = loop {
+        match r.read(&mut len_buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => break read?,
+        }
+    };
+    match first {
         0 => return Ok(None),
         n => r.read_exact(&mut len_buf[n..])?,
     }
@@ -582,6 +590,15 @@ impl Client {
         }
     }
 
+    /// Sends `req` and receives one reply; a server close before it is
+    /// [`io::ErrorKind::UnexpectedEof`].
+    fn round_trip(&mut self, req: &Request) -> io::Result<Response> {
+        self.send(req)?;
+        self.recv()?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
+        })
+    }
+
     /// One blocking align round trip. Assumes no other request is in
     /// flight on this connection.
     ///
@@ -596,15 +613,12 @@ impl Client {
         seq: &str,
         deadline_ms: u32,
     ) -> io::Result<Response> {
-        self.send(&Request::Align(AlignRequest {
+        self.round_trip(&Request::Align(AlignRequest {
             req_id,
             deadline_ms,
             id: id.to_owned(),
             seq: seq.to_owned(),
-        }))?;
-        self.recv()?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
-        })
+        }))
     }
 
     /// Requests a graceful drain and waits for the acknowledgement.
@@ -628,17 +642,9 @@ impl Client {
     /// Propagates I/O errors; an unexpected server close or a non-Stats
     /// reply is [`io::ErrorKind::InvalidData`] / `UnexpectedEof`.
     pub fn stats(&mut self, req_id: u64) -> io::Result<String> {
-        self.send(&Request::Stats { req_id })?;
-        match self.recv()? {
-            Some(Response::Stats { json, .. }) => Ok(json),
-            Some(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Stats reply, got {other:?}"),
-            )),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-request",
-            )),
+        match self.round_trip(&Request::Stats { req_id })? {
+            Response::Stats { json, .. } => Ok(json),
+            other => Err(unexpected_reply("Stats", &other)),
         }
     }
 
@@ -651,28 +657,26 @@ impl Client {
     /// Propagates I/O errors; an unexpected server close or a non-Prom
     /// reply is [`io::ErrorKind::InvalidData`] / `UnexpectedEof`.
     pub fn prom(&mut self, req_id: u64) -> io::Result<String> {
-        self.send(&Request::Prom { req_id })?;
-        match self.recv()? {
-            Some(Response::Prom { text, .. }) => Ok(text),
-            Some(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Prom reply, got {other:?}"),
-            )),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-request",
-            )),
+        match self.round_trip(&Request::Prom { req_id })? {
+            Response::Prom { text, .. } => Ok(text),
+            other => Err(unexpected_reply("Prom", &other)),
         }
     }
+}
+
+/// A reply of the wrong kind, as [`io::ErrorKind::InvalidData`].
+fn unexpected_reply(want: &str, got: &Response) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("expected {want} reply, got {got:?}"),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::artifact::tests::Mutation;
-    use crate::service::server::read_frame_interruptible;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn requests() -> Vec<Request> {
         let align = |req_id, deadline_ms, id: &str, seq: &str| {
@@ -792,10 +796,15 @@ mod tests {
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
 
-        // The server's reader, a torn length prefix and an empty stream
-        // included.
-        for stream in [&wire[..], &torn, &torn[..2], &[]] {
-            interruptible_reads_what_read_frame_reads(stream);
+        // So is a torn length prefix; an empty stream ends cleanly.
+        let mut r = &torn[..2];
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(read_frame(&mut &[][..]).unwrap(), None, "empty stream");
+
+        // A read interrupted by a signal is retried, not fatal.
+        for stream in [&wire[..], &torn, &torn[..2], &[], &u32::MAX.to_be_bytes()] {
+            interrupted_reads_what_bytes_read(stream).unwrap();
         }
     }
 
@@ -814,7 +823,6 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
-        interruptible_reads_what_read_frame_reads(&wire);
     }
 
     /// An encoded message and the `(offset, width)` of its length fields.
@@ -861,26 +869,18 @@ mod tests {
         Ok(())
     }
 
-    /// A socket with a read timeout, as the server's connection loop sees
-    /// it: a `WouldBlock`, a `TimedOut`, then one byte, over and over.
-    struct Stalling<'a> {
-        bytes: &'a [u8],
-        reads: u8,
-    }
+    /// A socket whose every read is interrupted by a signal once before
+    /// it hands over one byte: `(bytes left, just interrupted)`.
+    struct Interrupting<'a>(&'a [u8], bool);
 
-    impl Read for Stalling<'_> {
+    impl Read for Interrupting<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.reads = (self.reads + 1) % 3;
-            match self.reads {
-                1 => Err(io::ErrorKind::WouldBlock.into()),
-                2 => Err(io::ErrorKind::TimedOut.into()),
-                _ => {
-                    let n = buf.len().min(self.bytes.len()).min(1);
-                    buf[..n].copy_from_slice(&self.bytes[..n]);
-                    self.bytes = &self.bytes[n..];
-                    Ok(n)
-                }
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::Interrupted.into());
             }
+            let one = buf.len().min(1);
+            self.0.read(&mut buf[..one])
         }
     }
 
@@ -900,50 +900,15 @@ mod tests {
         }
     }
 
-    /// The server's reader against `read_frame`'s `want` on `wire`, over
-    /// the bytes and over a [`Stalling`] socket: the same verdicts with
-    /// the stop flag clear; with it raised, `Ok(None)` before a byte is
-    /// read.
-    fn interruptible_agrees(wire: &[u8], want: &Verdicts) -> Result<(), TestCaseError> {
-        let stop = AtomicBool::new(false);
-        let mut bytes = wire;
-        let mut stalling = Stalling {
-            bytes: wire,
-            reads: 0,
-        };
+    /// `read_frame` over an [`Interrupting`] socket gives, call for
+    /// call, the verdicts it gives over the plain bytes of `wire`.
+    fn interrupted_reads_what_bytes_read(wire: &[u8]) -> Result<(), TestCaseError> {
+        let (mut bytes, mut interrupting) = (wire, Interrupting(wire, false));
         prop_assert_eq!(
-            &verdicts(|| read_frame_interruptible(&mut bytes, &stop)),
-            want
-        );
-        prop_assert_eq!(
-            &verdicts(|| read_frame_interruptible(&mut stalling, &stop)),
-            want
-        );
-        stop.store(true, Ordering::Relaxed);
-        let (mut bytes, mut stalling) = (
-            wire,
-            Stalling {
-                bytes: wire,
-                reads: 0,
-            },
-        );
-        prop_assert_eq!(read_frame_interruptible(&mut bytes, &stop).ok(), Some(None));
-        prop_assert_eq!(
-            read_frame_interruptible(&mut stalling, &stop).ok(),
-            Some(None)
-        );
-        prop_assert_eq!(
-            (bytes.len(), stalling.bytes.len()),
-            (wire.len(), wire.len())
+            verdicts(|| read_frame(&mut interrupting)),
+            verdicts(|| read_frame(&mut bytes))
         );
         Ok(())
-    }
-
-    /// [`interruptible_agrees`] with `read_frame`'s own verdicts on `wire`.
-    fn interruptible_reads_what_read_frame_reads(wire: &[u8]) {
-        let mut r = wire;
-        let want = verdicts(|| read_frame(&mut r));
-        interruptible_agrees(wire, &want).unwrap();
     }
 
     #[test]
@@ -985,9 +950,8 @@ mod tests {
         /// Hostile framed streams through `read_frame`: frames no longer
         /// than the stream that carried them, then a clean end where the
         /// last frame ends, a torn frame or a length over the cap — and
-        /// each frame through the decoders as above. The server's
-        /// interruptible reader gives the same verdicts, over the bytes
-        /// and over a stalling socket.
+        /// each frame through the decoders as above. A socket interrupted
+        /// before every byte gives the same verdicts.
         #[test]
         fn mutated_streams_read_frames_or_fail_typed(
             picks in proptest::collection::vec(any::<usize>(), 1..5),
@@ -1025,7 +989,7 @@ mod tests {
                 }
             }
             prop_assert!(framed <= wire.len());
-            interruptible_agrees(&wire, &want)?;
+            interrupted_reads_what_bytes_read(&wire)?;
         }
     }
 }

@@ -10,12 +10,11 @@
 //! bound *memory* (a few giant reads can be worth a thousand small
 //! ones).
 //!
-//! The queue is also the batcher's arrival-rate sensor: an EWMA of
-//! accepted inter-arrival times lets [`AdmissionQueue::take_batch`]
-//! linger briefly for more arrivals when traffic is dense (bigger
-//! coalesced batches amortise the parallel-region overhead) and hand
-//! out singletons immediately when traffic is sparse (no idle latency
-//! tax).
+//! The batch take is work-conserving: [`AdmissionQueue::take_batch`]
+//! sleeps only while the queue is empty and then hands out everything
+//! queued, up to the batch cap. Batches grow under load because
+//! requests arrive while the previous batch aligns — nothing is ever
+//! held back to fill one.
 //!
 //! The queue is generic over the queued item so it unit-tests without a
 //! socket in sight; the server queues its pending-request records.
@@ -23,16 +22,6 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How long `take_batch` is willing to linger for more arrivals when
-/// the arrival rate suggests a fuller batch is imminent.
-const LINGER_WINDOW: Duration = Duration::from_millis(2);
-
-/// Condvar re-check slice while lingering or idle.
-const WAIT_SLICE: Duration = Duration::from_millis(1);
-
-/// EWMA smoothing factor for accepted inter-arrival times.
-const EWMA_ALPHA: f64 = 0.2;
 
 /// The admission limits and shed hint for a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,12 +63,10 @@ struct State<T> {
     draining: bool,
     peak_depth: usize,
     peak_inflight_bytes: usize,
-    ewma_interarrival_ns: f64,
-    last_arrival: Option<Instant>,
 }
 
 /// A bounded, drain-aware MPSC admission queue with byte accounting and
-/// an arrival-rate-adaptive batch take.
+/// a work-conserving batch take.
 #[derive(Debug)]
 pub struct AdmissionQueue<T> {
     state: Mutex<State<T>>,
@@ -108,8 +95,6 @@ impl<T> AdmissionQueue<T> {
                 draining: false,
                 peak_depth: 0,
                 peak_inflight_bytes: 0,
-                ewma_interarrival_ns: 0.0,
-                last_arrival: None,
             }),
             ready: Condvar::new(),
             limits,
@@ -151,17 +136,7 @@ impl<T> AdmissionQueue<T> {
                 retry_after_ms: self.retry_after_ms(&s),
             };
         }
-        let now = Instant::now();
-        if let Some(last) = s.last_arrival {
-            let gap = now.duration_since(last).as_nanos() as f64;
-            s.ewma_interarrival_ns = if s.ewma_interarrival_ns == 0.0 {
-                gap
-            } else {
-                EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * s.ewma_interarrival_ns
-            };
-        }
-        s.last_arrival = Some(now);
-        s.queue.push_back((item, cost_bytes, now));
+        s.queue.push_back((item, cost_bytes, Instant::now()));
         s.inflight_bytes += cost_bytes;
         s.peak_depth = s.peak_depth.max(s.queue.len());
         s.peak_inflight_bytes = s.peak_inflight_bytes.max(s.inflight_bytes);
@@ -170,50 +145,21 @@ impl<T> AdmissionQueue<T> {
         Admit::Accepted
     }
 
-    /// Expected arrivals within the linger window at the current EWMA
-    /// rate, clamped to `[1, batch_max]`.
-    fn adaptive_target(&self, s: &State<T>, batch_max: usize) -> usize {
-        if s.ewma_interarrival_ns <= 0.0 {
-            return 1;
-        }
-        let expected = LINGER_WINDOW.as_nanos() as f64 / s.ewma_interarrival_ns;
-        (expected as usize).clamp(1, batch_max)
-    }
-
-    /// Takes the next batch (up to `batch_max` items), blocking until at
-    /// least one item is available. Under dense arrivals it lingers up
-    /// to [`LINGER_WINDOW`] waiting for the adaptive target to fill;
-    /// under sparse arrivals it returns singletons immediately. Returns
-    /// `None` exactly once the queue is draining *and* empty — the
-    /// batcher's signal to flush and exit.
+    /// Takes the next batch: everything queued, up to `batch_max`
+    /// items. Blocks only while the queue is empty, until an item
+    /// arrives or drain begins — both notify, so no timer is needed.
+    /// Returns `None` exactly once the queue is draining *and* empty —
+    /// the batcher's signal to flush and exit.
     pub fn take_batch(&self, batch_max: usize) -> Option<Vec<T>> {
-        let batch_max = batch_max.max(1);
         let mut s = self.lock();
-        loop {
-            if s.queue.is_empty() {
-                if s.draining {
-                    return None;
-                }
-                let (next, _) = self
-                    .ready
-                    .wait_timeout(s, WAIT_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner);
-                s = next;
-                continue;
+        while s.queue.is_empty() {
+            if s.draining {
+                return None;
             }
-            let target = self.adaptive_target(&s, batch_max);
-            let linger_deadline = Instant::now() + LINGER_WINDOW;
-            while s.queue.len() < target && !s.draining && Instant::now() < linger_deadline {
-                let (next, _) = self
-                    .ready
-                    .wait_timeout(s, WAIT_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner);
-                s = next;
-            }
-            let n = s.queue.len().min(batch_max);
-            let batch = s.queue.drain(..n).map(|(item, _, _)| item).collect();
-            return Some(batch);
+            s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
+        let n = s.queue.len().min(batch_max.max(1));
+        Some(s.queue.drain(..n).map(|(item, _, _)| item).collect())
     }
 
     /// Returns `cost_bytes` to the in-flight budget once the item's
@@ -227,11 +173,6 @@ impl<T> AdmissionQueue<T> {
     pub fn begin_drain(&self) {
         self.lock().draining = true;
         self.ready.notify_all();
-    }
-
-    /// `true` once [`AdmissionQueue::begin_drain`] has run.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
     }
 
     /// Currently queued items.
@@ -263,6 +204,7 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::RecvTimeoutError;
     use std::sync::Arc;
 
     fn limits(depth: usize, bytes: usize) -> QueueLimits {
@@ -312,7 +254,6 @@ mod tests {
         assert_eq!(q.offer(1, 1), Admit::Accepted);
         assert_eq!(q.offer(2, 1), Admit::Accepted);
         q.begin_drain();
-        assert!(q.is_draining());
         assert_eq!(q.offer(3, 1), Admit::Draining);
         assert_eq!(q.take_batch(1).unwrap(), vec![1]);
         assert_eq!(q.take_batch(8).unwrap(), vec![2]);
@@ -321,23 +262,30 @@ mod tests {
     }
 
     #[test]
-    fn take_batch_blocks_until_an_item_arrives() {
+    fn a_blocked_take_wakes_on_an_arrival_and_on_drain() {
+        // The take waits with no timeout, so only `offer`'s and
+        // `begin_drain`'s notifies can end it; a lost one hangs the taker
+        // and fails a recv below. The sleeps make a blocked taker the
+        // likely case; the assertions hold in any interleaving.
         let q = Arc::new(AdmissionQueue::new(limits(4, 100)));
-        let producer = {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let taker = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                assert_eq!(q.offer(99, 1), Admit::Accepted);
+                while let Some(batch) = q.take_batch(4) {
+                    tx.send(batch).unwrap();
+                }
             })
         };
-        let start = Instant::now();
-        let batch = q.take_batch(4).unwrap();
-        assert_eq!(batch, vec![99]);
-        assert!(
-            start.elapsed() >= Duration::from_millis(10),
-            "take_batch returned before the producer ran"
-        );
-        producer.join().unwrap();
+        let wait = Duration::from_secs(10);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.offer(99, 1), Admit::Accepted);
+        assert_eq!(rx.recv_timeout(wait), Ok(vec![99]), "no empty batch");
+        std::thread::sleep(Duration::from_millis(20));
+        q.begin_drain();
+        // The taker returns on `None` and drops its sender.
+        assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
+        taker.join().unwrap();
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The `pimserve` server core: acceptor, connection readers, adaptive
-//! batcher, panic quarantine and graceful drain (DESIGN.md §13.3–13.5).
+//! The `pimserve` server core: acceptor, connection readers,
+//! work-conserving batcher, panic quarantine and graceful drain
+//! (DESIGN.md §13.3–13.5).
 //!
 //! Thread topology (all blocking `std::net`; the vendor tree has no
 //! async runtime):
 //!
 //! * one **acceptor** polls the non-blocking listener and spawns a
 //!   reader thread per connection;
-//! * each **connection reader** decodes frames, runs admission control
-//!   and writes shed/invalid/drain responses inline — rejection never
-//!   waits behind alignment work;
+//! * each **connection reader** blocks in [`read_frame`], runs
+//!   admission control and writes shed/invalid/drain responses inline —
+//!   rejection never waits behind alignment work;
 //! * one **batcher** owns all [`AlignSession`](crate::AlignSession)
-//!   state: it takes adaptive batches from the queue, drops queue-expired
+//!   state: it takes whatever is queued, drops queue-expired
 //!   deadlines, aligns the rest via
 //!   [`Platform::align_chunk_parallel`] inside `catch_unwind`, and
 //!   writes responses back through each request's connection.
@@ -20,9 +21,11 @@
 //! `WorkerPanic`; every other in-flight read still gets its real
 //! outcome and the pool keeps serving. Drain (`Drain` opcode or
 //! [`ServerHandle::begin_drain`]) stops admissions, flushes everything
-//! already accepted, then stops the threads; [`ServerHandle::join`]
-//! returns a [`ServeSummary`] whose invariant — every accepted request
-//! answered exactly once — is pinned by the integration tests.
+//! already accepted, then stops the threads — shutting down the read
+//! half of every registered connection wakes its blocked reader;
+//! [`ServerHandle::join`] returns a [`ServeSummary`] whose invariant —
+//! every accepted request answered exactly once — is pinned by the
+//! integration tests.
 //!
 //! The observability plane ([`super::obs`], DESIGN.md §17) threads
 //! through all of it: admission mints a `trace_id` per request, every
@@ -34,11 +37,10 @@
 //! Everything is wall-clock only — simulated cycle counters and SAM
 //! bytes are untouched by the plane.
 
-use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,16 +55,16 @@ use crate::{AlignmentOutcome, MappedStrand};
 
 use super::obs::{log_kv, ObsState, ShedReason as ObsShed};
 use super::protocol::{
-    decode_request, encode_response, write_frame, AlignRequest, Request, Response, ShedReason,
+    decode_request, encode_response, read_frame, write_frame, AlignRequest, Request, Response,
+    ShedReason,
 };
 use super::queue::{AdmissionQueue, Admit, QueueLimits};
 use super::{ServiceConfig, ServiceError};
 
-/// Read-timeout slice for connection readers; bounds how long a blocked
-/// reader takes to notice the stop flag.
-const READ_POLL: Duration = Duration::from_millis(25);
-
-/// Acceptor poll interval on the non-blocking listener.
+/// Acceptor poll interval on the non-blocking listener. `std::net` has
+/// no way to interrupt a blocking `accept` short of connecting to the
+/// listener itself, which can fail; so the listener is non-blocking and
+/// the acceptor notices the stop flag within one poll after a drain.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Test-fault hook ids (active only with `ServiceConfig::test_faults`):
@@ -104,7 +106,7 @@ struct Pending {
 /// server's obligation is to produce the response, not to force the
 /// client to read it).
 struct ConnWriter {
-    stream: Mutex<TcpStream>,
+    stream: Mutex<Arc<TcpStream>>,
 }
 
 impl ConnWriter {
@@ -115,8 +117,8 @@ impl ConnWriter {
     fn send(&self, resp: &Response) {
         let payload = encode_response(resp);
         match self.stream.lock() {
-            Ok(mut stream) => {
-                let _ = write_frame(&mut *stream, &payload);
+            Ok(stream) => {
+                let _ = write_frame(&mut &**stream, &payload);
             }
             Err(poisoned) => {
                 let _ = poisoned.into_inner().shutdown(Shutdown::Both);
@@ -130,8 +132,15 @@ struct Shared {
     config: ServiceConfig,
     queue: AdmissionQueue<Pending>,
     /// Set once the batcher has flushed everything after drain; tells
-    /// the acceptor, connection readers and watchdog to exit.
+    /// the acceptor and watchdog to exit.
     stop: AtomicBool,
+    /// Every live connection, for the batcher to shut its read half down
+    /// at stop: the stream its reader and writer share, held weakly so a
+    /// connection whose reader has returned closes once its last reply is
+    /// written, and the reader's thread. The batcher stores `stop` before
+    /// it takes this lock and the acceptor loads it under the lock, so a
+    /// connection accepted mid-sweep is shut down too.
+    conns: Mutex<Vec<(Weak<TcpStream>, JoinHandle<()>)>>,
     /// The observability plane — owns the lifetime [`ServiceTelemetry`]
     /// and the rolling bucket ring under one lock, so snapshots always
     /// reconcile exactly.
@@ -187,22 +196,15 @@ impl ServeSummary {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    batcher: Option<JoinHandle<ServeSummary>>,
-    acceptor: Option<JoinHandle<()>>,
+    batcher: JoinHandle<ServeSummary>,
+    acceptor: JoinHandle<()>,
     watchdog: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
     /// The bound listener address (useful with port-0 binds).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Handles the connection registry holds.
-    #[cfg(test)]
-    fn registered_conns(&self) -> usize {
-        self.conns.lock().expect("conn registry poisoned").len()
     }
 
     /// Programmatic graceful drain — the in-process equivalent of the
@@ -221,22 +223,15 @@ impl ServerHandle {
     /// Panics if a service thread itself panicked — the batcher's
     /// quarantine should make that impossible, so it is a bug worth
     /// crashing on.
-    pub fn join(mut self) -> ServeSummary {
-        let summary = self
-            .batcher
-            .take()
-            .expect("join called once")
-            .join()
-            .expect("batcher thread panicked");
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().expect("acceptor thread panicked");
-        }
-        if let Some(watchdog) = self.watchdog.take() {
+    pub fn join(self) -> ServeSummary {
+        let summary = self.batcher.join().expect("batcher thread panicked");
+        self.acceptor.join().expect("acceptor thread panicked");
+        if let Some(watchdog) = self.watchdog {
             watchdog.join().expect("watchdog thread panicked");
         }
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
-        for c in conns {
-            c.join().expect("connection thread panicked");
+        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conn registry poisoned"));
+        for (_, reader) in conns {
+            reader.join().expect("connection thread panicked");
         }
         summary
     }
@@ -278,10 +273,10 @@ pub fn serve(
         }),
         config,
         stop: AtomicBool::new(false),
+        conns: Mutex::new(Vec::new()),
         obs: ObsState::new(config.obs_window_secs, config.watchdog_threshold_ms),
     });
 
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let batcher = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -291,10 +286,9 @@ pub fn serve(
     };
     let acceptor = {
         let shared = Arc::clone(&shared);
-        let conns = Arc::clone(&conns);
         std::thread::Builder::new()
             .name("pimserve-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &shared, &conns))
+            .spawn(move || acceptor_loop(&listener, &shared))
             .expect("spawn acceptor thread")
     };
     let watchdog = (config.watchdog_threshold_ms > 0).then(|| {
@@ -308,10 +302,9 @@ pub fn serve(
     Ok(ServerHandle {
         addr: local,
         shared,
-        batcher: Some(batcher),
-        acceptor: Some(acceptor),
+        batcher,
+        acceptor,
         watchdog,
-        conns,
     })
 }
 
@@ -351,23 +344,24 @@ fn watchdog_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
+                let stream = Arc::new(stream);
+                let (conn_shared, conn) = (Arc::clone(shared), Arc::clone(&stream));
                 let spawned = std::thread::Builder::new()
                     .name("pimserve-conn".into())
-                    .spawn(move || connection_loop(&shared, stream));
+                    .spawn(move || connection_loop(&conn_shared, conn));
                 match spawned {
-                    Ok(handle) => {
-                        let mut conns = conns.lock().expect("conn registry poisoned");
+                    Ok(reader) => {
+                        let mut conns = shared.conns.lock().expect("conn registry poisoned");
                         reap_finished(&mut conns);
-                        conns.push(handle);
+                        // The batcher's sweep may already have run.
+                        if shared.stop.load(Ordering::Relaxed) {
+                            let _ = stream.shutdown(Shutdown::Read);
+                        }
+                        conns.push((Arc::downgrade(&stream), reader));
                     }
                     // Out of threads: the unspawned closure is dropped and
                     // the stream with it, so this peer sees a close and
@@ -375,7 +369,6 @@ fn acceptor_loop(
                     Err(e) => log_kv("conn_spawn_failed", &[("error", e.to_string())]),
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
@@ -384,92 +377,25 @@ fn acceptor_loop(
 /// Joins the connection threads that have already returned — their
 /// peers hung up — so the registry holds the live connections, not one
 /// handle per connection ever accepted.
-fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
-    let mut k = 0;
-    while k < conns.len() {
-        if !conns[k].is_finished() {
-            k += 1;
-        } else if conns.swap_remove(k).join().is_err() {
+fn reap_finished(conns: &mut Vec<(Weak<TcpStream>, JoinHandle<()>)>) {
+    for (_, reader) in conns.extract_if(.., |(_, reader)| reader.is_finished()) {
+        if reader.join().is_err() {
             log_kv("conn_panicked", &[]);
         }
     }
 }
 
-/// [`super::protocol::read_frame`] against a reader with a read timeout
-/// — the connection's socket: retries timeout slices until a frame
-/// arrives, the peer hangs up, or the stop flag is raised. `Ok(None)`
-/// covers the latter two — the caller exits either way. Otherwise its
-/// verdicts are `read_frame`'s, pinned by `protocol::tests`.
-pub(super) fn read_frame_interruptible(
-    stream: &mut impl Read,
-    stop: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < len_buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None) // clean EOF at a frame boundary
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > super::protocol::MAX_FRAME_BYTES {
-        return Err(io::ErrorKind::InvalidData.into());
-    }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
+/// Reads frames until the peer hangs up, a frame is malformed, or the
+/// batcher shuts the read half down at stop — all three end the
+/// blocking [`read_frame`] with EOF or an error.
+fn connection_loop(shared: &Arc<Shared>, stream: Arc<TcpStream>) {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_POLL)).ok();
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnWriter {
-            stream: Mutex::new(w),
-        }),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    loop {
-        match read_frame_interruptible(&mut reader, &shared.stop) {
-            Ok(Some(payload)) => handle_request(shared, &writer, &payload),
-            Ok(None) | Err(_) => return,
-        }
+    let mut reader = &*stream;
+    let writer = Arc::new(ConnWriter {
+        stream: Mutex::new(Arc::clone(&stream)),
+    });
+    while let Ok(Some(payload)) = read_frame(&mut reader) {
+        handle_request(shared, &writer, &payload);
     }
 }
 
@@ -707,9 +633,16 @@ fn batcher_loop(shared: &Arc<Shared>) -> ServeSummary {
         epoch += 1;
         align_batch(shared, &mut totals, live, epoch);
     }
-    // Drained and flushed: release the acceptor and connection readers,
-    // then summarise.
+    // Drained and flushed: release the acceptor and watchdog, wake every
+    // blocked reader by ending its read half — the write half stays open,
+    // so a `DrainStarted` reply still in flight is not cut off — then
+    // summarise.
     shared.stop.store(true, Ordering::Relaxed);
+    for (conn, _) in shared.conns.lock().expect("conn registry poisoned").iter() {
+        if let Some(stream) = conn.upgrade() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
     let telemetry = shared.telemetry_snapshot();
     let obs = shared.obs.telemetry();
     let report = (totals.queries > 0).then(|| {
@@ -825,14 +758,19 @@ mod tests {
     use super::super::protocol::Client;
     use super::*;
     use crate::PimAlignerConfig;
+    use std::io::{Read, Write};
 
-    #[test]
-    fn closed_connections_are_reaped_not_kept_until_drain() {
+    fn start() -> ServerHandle {
         let reference: DnaSeq = "TGCTAGCATGAACCTTGGAACGTACGTTAGCATCGATCGGATTACAGATTACAGGG"
             .parse()
             .expect("reference parses");
         let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-        let handle = serve(platform, ServiceConfig::default(), "127.0.0.1:0").expect("serves");
+        serve(platform, ServiceConfig::default(), "127.0.0.1:0").expect("serves")
+    }
+
+    #[test]
+    fn closed_connections_are_reaped_not_kept_until_drain() {
+        let handle = start();
         let addr = handle.local_addr().to_string();
         for req_id in 0..200 {
             let mut client = Client::connect(&addr).expect("connects");
@@ -843,24 +781,62 @@ mod tests {
         }
         // Each accept joins the connections that closed before it; only
         // the last few can still be on their way out.
-        let held = handle.registered_conns();
+        let held = handle.shared.conns.lock().expect("registry").len();
         assert!(held <= 8, "{held} handles for 200 closed connections");
         handle.begin_drain();
         assert_eq!(handle.join().telemetry.accepted, 200);
     }
 
+    /// Everything `peer` receives until the server closes it, read on a
+    /// thread of its own: a peer still open after 30 s fails the test
+    /// instead of hanging it.
+    fn read_to_close(mut peer: TcpStream) -> Vec<u8> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let mut received = Vec::new();
+            tx.send(peer.read_to_end(&mut received).map(|_| received))
+        });
+        let read = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("closed in 30 s");
+        reader.join().expect("reader thread").expect("sent");
+        read.expect("reads to the close")
+    }
+
+    #[test]
+    fn readers_end_on_a_bad_frame_and_at_drain_with_no_timeout() {
+        let handle = start();
+        let addr = handle.local_addr();
+        // A frame over the cap ends its reader, and the peer sees the
+        // close then, not when a later accept or the drain reaps it.
+        let mut oversized = TcpStream::connect(addr).expect("connects");
+        oversized.write_all(&[0xff; 4]).expect("writes");
+        assert_eq!(read_to_close(oversized), vec![]);
+        // One peer stops two bytes into a length prefix, one never sends:
+        // both readers block in a read with no timeout.
+        let mut torn = TcpStream::connect(addr).expect("connects");
+        torn.write_all(&[0, 0]).expect("writes half a prefix");
+        let idle = TcpStream::connect(addr).expect("connects");
+        // Accepted in order, so both silent peers are registered by the
+        // time this one is answered.
+        let mut client = Client::connect(&addr.to_string()).expect("connects");
+        let answer = client.align(1, "r", "GATTACAGATTACA", 0).expect("answers");
+        assert!(matches!(answer, Response::Aligned { req_id: 1, .. }));
+        let ack = client.drain(2).expect("drains");
+        assert!(matches!(ack, Some(Response::DrainStarted { req_id: 2 })));
+        // Drain wakes both blocked readers, which close their peers.
+        assert_eq!([torn, idle].map(read_to_close), [vec![], vec![]]);
+        let served = handle.join().telemetry;
+        assert_eq!((served.accepted, served.responses), (1, 1));
+    }
+
     #[test]
     fn a_poisoned_writer_closes_its_connection_without_panicking() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let mut client =
-            TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
         let (server_side, _) = listener.accept().expect("accepts");
-        // A connection left open fails the read below instead of hanging.
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("sets a timeout");
         let writer = ConnWriter {
-            stream: Mutex::new(server_side),
+            stream: Mutex::new(Arc::new(server_side)),
         };
         let torn = catch_unwind(AssertUnwindSafe(|| {
             let _held = writer.stream.lock().expect("not yet poisoned");
@@ -871,10 +847,7 @@ mod tests {
             req_id: 1,
             message: "unsent".into(),
         });
-        let mut received = Vec::new();
-        client
-            .read_to_end(&mut received)
-            .expect("reads to the close");
+        let received = read_to_close(client);
         assert!(
             received.is_empty(),
             "{} bytes after the poison",
