@@ -5,7 +5,8 @@
 #   ./ci.sh            full gate (debug + release stages)
 #   ./ci.sh debug      fmt check, a locked `cargo check` of benchmark/,
 #                      debug tests (+ CLI and service flake gate x5),
-#                      clippy, rustdoc with broken intra-doc links denied
+#                      clippy, rustdoc (private items too) with every
+#                      warning denied
 #   ./ci.sh release    release build, perfdump cmp'd against
 #                      BENCH_metrics.json, the 8 Mbp suffix-array test
 #                      tier-1 ignores, the release-binary smoke
@@ -105,10 +106,10 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
         -D clippy::needless_collect -D clippy::naive_bytecount
 
     # The docs name code by intra-doc link, so a deletion that leaves a
-    # [`dangling`] reference behind fails here.
-    step "cargo doc (broken intra-doc links denied)"
-    RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
-        cargo doc --workspace --no-deps --offline
+    # [`dangling`] reference behind fails here, in private docs as well.
+    step "cargo doc (private items, warnings denied)"
+    RUSTDOCFLAGS="-D warnings" \
+        cargo doc --workspace --no-deps --offline --document-private-items
 fi
 
 if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then

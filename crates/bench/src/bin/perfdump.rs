@@ -4,9 +4,9 @@
 //! perfdump [--pipelined] [--out PATH]
 //! ```
 //!
-//! Runs the paper-shaped workload through one traced alignment session
-//! and writes the full metrics document (`PerfReport::to_metrics_json`:
-//! report + fault telemetry + per-primitive cycle breakdown + spans) to
+//! Runs the paper-shaped workload through one alignment session and
+//! writes the full metrics document (`PerfReport::to_metrics_json`:
+//! report + fault telemetry + per-primitive cycle breakdown) to
 //! `BENCH_metrics.json`. The report is derived entirely from *simulated*
 //! cycles, so the output is deterministic — byte-identical across runs
 //! and machines — and is committed as the metrics baseline. The `host`
@@ -24,10 +24,6 @@ use std::process::ExitCode;
 use bench::parse_report_args;
 use bench::workload::Workload;
 use pim_aligner::{HostTotals, PimAlignerConfig, Platform};
-
-/// Span-ring capacity: large enough to keep the index build, every
-/// per-read phase span and the tail of the per-`LFM` spans.
-const TRACE_CAPACITY: usize = 512;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,7 +53,6 @@ fn main() -> ExitCode {
 
     let platform = Platform::new(&workload.reference, config);
     let mut session = platform.session();
-    session.enable_tracing(TRACE_CAPACITY);
     for read in &workload.reads {
         let _ = session.align_read(read);
     }
@@ -87,11 +82,6 @@ fn main() -> ExitCode {
         b.lfm_by_phase.inexact,
         b.total_busy_cycles,
         b.subarray_activations
-    );
-    eprintln!(
-        "perfdump: {} spans kept, {} dropped (ring capacity {TRACE_CAPACITY})",
-        b.spans.len(),
-        b.spans_dropped
     );
 
     let mut file = std::fs::File::create(&out_path)

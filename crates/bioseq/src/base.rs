@@ -45,7 +45,7 @@ pub const BASES: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
 
 impl Base {
     /// All four bases in lexicographic order (associated-constant form of
-    /// [`BASES`]).
+    /// `BASES`).
     pub const ALL: [Base; 4] = BASES;
 
     /// Lexicographic rank: `A → 0`, `C → 1`, `G → 2`, `T → 3`.

@@ -7,7 +7,6 @@ use bioseq::DnaSeq;
 use fmindex::EditBudget;
 use pimsim::{
     CycleLedger, Dpu, FaultInjector, HostEpoch, HostHistogram, HostSpan, HostSpanLog, KernelCache,
-    Span, SpanTracer,
 };
 
 use crate::config::PimAlignerConfig;
@@ -140,8 +139,9 @@ pub struct AlignSession {
     /// Wall-clock latency of every entry-point align call (always on:
     /// one `Instant` read pair per read is noise next to an alignment).
     host_per_read: HostHistogram,
-    /// Wall-clock span recorder mirroring the simulated-cycle tracer
-    /// sites; `None` (the default) costs one branch per site.
+    /// Wall-clock span recorder around each alignment phase (exact and
+    /// inexact passes, locate, recovery rungs); `None` (the default)
+    /// costs one branch per site.
     host_log: Option<HostSpanLog>,
     /// The session's rank-checkpoint cache, threaded into every exact
     /// phase's `LFM`s. Per-session mutable state — the shared
@@ -183,35 +183,10 @@ impl AlignSession {
         }
     }
 
-    /// Enables span tracing, keeping the newest `capacity` spans in a
-    /// ring (the paper's phases — index build, exact/inexact passes,
-    /// recovery rungs, individual `LFM`s — show up in
-    /// `PerfReport::breakdown.spans`). Tracing is off by default and
-    /// costs one predictable branch per instrumentation point when
-    /// disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        *self.dpu.tracer_mut() = SpanTracer::with_capacity(capacity);
-        // The one-time index mapping predates the session; replay it as
-        // a synthetic span over the platform's mapping ledger.
-        self.dpu
-            .tracer_mut()
-            .record("index_build", 0, self.platform.mapped().mapping_ledger());
-    }
-
-    /// Spans recorded so far (empty unless
-    /// [`enable_tracing`](AlignSession::enable_tracing) was called).
-    pub fn spans(&self) -> Vec<Span> {
-        self.dpu.tracer().spans()
-    }
-
-    /// Enables wall-clock span recording on track `tid`, mirroring the
-    /// simulated-cycle tracer sites (exact/inexact passes, locate,
-    /// recovery rungs) with host timestamps measured from `epoch` — the
-    /// raw material for Chrome-trace export. Off by default; the per-read
+    /// Enables wall-clock span recording on track `tid` around each
+    /// alignment phase (exact/inexact passes, locate, recovery rungs),
+    /// with host timestamps measured from `epoch` — the raw material for
+    /// Chrome-trace export. Off by default; the per-read
     /// latency histogram is always on regardless.
     ///
     /// # Panics
@@ -320,7 +295,6 @@ impl AlignSession {
     /// starts from the exact stage's descent and walks none of it again.
     fn raw_align(&mut self, read: &DnaSeq, max_diffs: u8, attr: LfmAttr) -> AlignmentOutcome {
         let exhaustive = self.config().exhaustive_inexact();
-        let t_exact = self.dpu.tracer().start(&self.ledger);
         let h_exact = self.host_start();
         let (interval, stats) = exact_search_recorded(
             self.platform.mapped(),
@@ -331,19 +305,12 @@ impl AlignSession {
             Some(&mut self.descent),
             &mut self.ledger,
         );
-        self.dpu
-            .tracer_mut()
-            .record("exact_pass", t_exact, &self.ledger);
         self.host_record("exact_pass", h_exact);
         self.lfm_calls += stats.lfm_calls;
         self.note_lfm(attr, true, stats.lfm_calls);
         if !interval.is_empty() {
-            let t_locate = self.dpu.tracer().start(&self.ledger);
             let h_locate = self.host_start();
             let positions = self.platform.mapped().locate(interval, &mut self.ledger);
-            self.dpu
-                .tracer_mut()
-                .record("locate", t_locate, &self.ledger);
             self.host_record("locate", h_locate);
             return AlignmentOutcome::Exact { positions };
         }
@@ -351,7 +318,6 @@ impl AlignSession {
             return AlignmentOutcome::Unmapped;
         }
         let budget = self.edit_budget_for(max_diffs);
-        let t_inexact = self.dpu.tracer().start(&self.ledger);
         let h_inexact = self.host_start();
         let (hits, istats) = inexact_search_from(
             self.platform.mapped(),
@@ -363,9 +329,6 @@ impl AlignSession {
             &mut self.descent,
             &mut self.ledger,
         );
-        self.dpu
-            .tracer_mut()
-            .record("inexact_pass", t_inexact, &self.ledger);
         self.host_record("inexact_pass", h_inexact);
         self.lfm_calls += istats.lfm_calls;
         self.note_lfm(attr, false, istats.lfm_calls);
@@ -414,13 +377,9 @@ impl AlignSession {
             } else {
                 LfmAttr::Primary
             };
-            let t_rung = self.dpu.tracer().start(&self.ledger);
             let h_rung = self.host_start();
             let outcome = self.raw_align(read, base_z, attr);
             if attempt > 0 {
-                self.dpu
-                    .tracer_mut()
-                    .record("recovery.retry", t_rung, &self.ledger);
                 self.host_record("recovery.retry", h_rung);
             }
             if let Some(verified) = self.verified(read, outcome, faults_possible) {
@@ -435,12 +394,8 @@ impl AlignSession {
         let ceiling = policy.max_escalated_diffs.max(base_z);
         for z in (base_z + 1)..=ceiling {
             self.telemetry.escalations += 1;
-            let t_rung = self.dpu.tracer().start(&self.ledger);
             let h_rung = self.host_start();
             let outcome = self.raw_align(read, z, LfmAttr::Escalate);
-            self.dpu
-                .tracer_mut()
-                .record("recovery.escalate", t_rung, &self.ledger);
             self.host_record("recovery.escalate", h_rung);
             if let Some(verified) = self.verified(read, outcome, faults_possible) {
                 return verified;
@@ -448,14 +403,10 @@ impl AlignSession {
         }
         if policy.host_fallback {
             self.telemetry.host_fallbacks += 1;
-            // Host work is uncharged; the zero-length span still marks
-            // that the ladder bottomed out here.
-            let t_host = self.dpu.tracer().start(&self.ledger);
+            // Host work is uncharged; the span still marks that the
+            // ladder bottomed out here.
             let h_host = self.host_start();
             let outcome = self.host_fallback_align(read, ceiling);
-            self.dpu
-                .tracer_mut()
-                .record("recovery.host_fallback", t_host, &self.ledger);
             self.host_record("recovery.host_fallback", h_host);
             return outcome;
         }
@@ -673,7 +624,6 @@ impl AlignSession {
         report.faults = self.fault_telemetry();
         report.breakdown.lfm_by_phase = self.phase_lfm;
         report.breakdown.index_build_cycles = self.mapped().mapping_ledger().total_busy_cycles();
-        report.breakdown.attach_spans(self.dpu.tracer());
         report.host.per_read = self.host_per_read.clone();
         report
     }

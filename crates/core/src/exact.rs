@@ -131,10 +131,8 @@ pub(crate) fn exact_search_recorded(
         bases_consumed: depth,
     };
     for &nt in read.iter().rev().skip(depth) {
-        let t_lfm = dpu.tracer().start(ledger);
         let interval = (dpu.low(), dpu.high());
         stats.lfm_calls += mapped.step(nt, interval, dpu, injector, cache.as_deref_mut(), ledger);
-        dpu.tracer_mut().record("lfm", t_lfm, ledger);
         stats.bases_consumed += 1;
         let (low, high) = (dpu.low(), dpu.high());
         if dpu.interval_empty() {

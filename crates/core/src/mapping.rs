@@ -906,10 +906,24 @@ mod tests {
                         assert_eq!(interval, (lfm(nt, low), lfm(nt, high)), "{at}");
                         extended += interval.1 - interval.0;
                         let prims = ledger.primitives();
+                        // A mirrored add pays a 7-cycle transfer per `LFM`.
+                        let transfer = if method == AddMethod::Mirrored { 7 } else { 0 };
                         if across {
-                            // The published pair.
+                            // The published pair and the interval write,
+                            // 74 + 74 + 2 cycles, and no bump.
                             assert_eq!(issued, 2, "{at}");
-                            assert_eq!(prims.count(LogicalOp::IndexBump), 0, "{at}");
+                            for (op, count) in [
+                                (LogicalOp::XnorMatch, 2),
+                                (LogicalOp::Popcount, 2),
+                                (LogicalOp::MarkerRead, 2),
+                                (LogicalOp::ImAdd32, 2),
+                                (LogicalOp::IndexUpdate, 1),
+                                (LogicalOp::IndexBump, 0),
+                            ] {
+                                assert_eq!(prims.count(op), count, "{op:?}, {at}");
+                            }
+                            assert_eq!(prims.cycles(LogicalOp::RowWrite), 2 * transfer, "{at}");
+                            assert_eq!(ledger.total_busy_cycles(), 150 + 2 * transfer, "{at}");
                             continue;
                         }
                         // One published `LFM`, the interval write, the
@@ -928,8 +942,7 @@ mod tests {
                         ] {
                             assert_eq!(prims.count(op), count, "{op:?}, {at}");
                         }
-                        let transfer = prims.cycles(LogicalOp::RowWrite);
-                        assert_eq!(transfer, if method == AddMethod::Mirrored { 7 } else { 0 });
+                        assert_eq!(prims.cycles(LogicalOp::RowWrite), transfer, "{at}");
                         assert_eq!(ledger.total_busy_cycles(), 78 + 16 * counted + transfer);
                     }
                     // The four extensions split the rows that hold a base:

@@ -5,8 +5,8 @@
 //! ([`pimsim::PrimCounters`], recorded by every logical-op charge) into a
 //! reviewable breakdown: per-primitive counts/cycles, per-resource busy
 //! cycles, `LFM` attribution per alignment phase, sub-array activations,
-//! `IM_ADD` carry cycles, pipeline stage occupancy for the configured
-//! `Pd`, and any spans captured by the session tracer.
+//! `IM_ADD` carry cycles and pipeline stage occupancy for the configured
+//! `Pd`.
 //!
 //! The JSON emitters here are **stable interfaces**: `pimalign
 //! --metrics-out` and the `perfdump` bench bin both write
@@ -15,7 +15,7 @@
 //! together with that golden file and its `pimbench` consumer.
 
 use pimsim::costs::LogicalOp;
-use pimsim::{CycleLedger, HostHistogram, KernelCacheCounters, Resource, Span, SpanTracer};
+use pimsim::{CycleLedger, HostHistogram, KernelCacheCounters, Resource};
 
 use crate::config::PimAlignerConfig;
 use crate::host::HostTotals;
@@ -54,9 +54,13 @@ use crate::report::{FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, Se
 /// error-free reads the second is zero). v10 added
 /// `report.seed_corrections` (seed-table reads a short suffix of the text
 /// moved a boundary of, each one `index_bump` that `published_lfm_calls`
-/// does not count). Each version only *adds* paths, so consumers that
-/// address fields by name keep working across versions.
-pub const METRICS_SCHEMA_VERSION: u32 = 10;
+/// does not count). v11 removed `breakdown.spans` and
+/// `breakdown.spans_dropped` with the simulated-cycle span tracer that
+/// filled them: the per-primitive counts and `lfm_by_phase` say where the
+/// cycles went, and `pimalign --trace-out` exports the host span log.
+/// Every other version only *added* paths, so consumers that address
+/// fields by name keep working across them.
+pub const METRICS_SCHEMA_VERSION: u32 = 11;
 
 /// `LFM` invocations attributed to the alignment phase that issued them.
 ///
@@ -173,11 +177,6 @@ pub struct MetricsBreakdown {
     pub kernel_cache: KernelCacheCounters,
     /// One-time index mapping cost (busy cycles); 0 when not attached.
     pub index_build_cycles: u64,
-    /// Spans captured by the session tracer (empty when disabled or for
-    /// merged multi-worker reports).
-    pub spans: Vec<Span>,
-    /// Spans lost to ring overwrite.
-    pub spans_dropped: u64,
     /// Per-zone activation heatmap (primary sub-arrays first, then
     /// method-II mirrors), accumulated by the charge sites that know
     /// their target. Sums to at most
@@ -187,8 +186,8 @@ pub struct MetricsBreakdown {
 }
 
 impl MetricsBreakdown {
-    /// Builds the breakdown from a batch ledger. Phase attribution,
-    /// index-build cost and spans are attached afterwards by the session
+    /// Builds the breakdown from a batch ledger. Phase attribution and
+    /// index-build cost are attached afterwards by the session
     /// or platform report path.
     pub fn from_ledger(
         config: &PimAlignerConfig,
@@ -249,16 +248,8 @@ impl MetricsBreakdown {
             pipeline: occupancy,
             kernel_cache: ledger.kernel_cache_counters(),
             index_build_cycles: 0,
-            spans: Vec::new(),
-            spans_dropped: 0,
             zone_activations: ledger.zone_activations().to_vec(),
         }
-    }
-
-    /// Attaches the spans harvested from a session tracer.
-    pub fn attach_spans(&mut self, tracer: &SpanTracer) {
-        self.spans = tracer.spans();
-        self.spans_dropped = tracer.dropped();
     }
 
     /// `true` when the per-primitive cycle total equals the
@@ -294,22 +285,6 @@ impl MetricsBreakdown {
             })
             .collect::<Vec<_>>()
             .join(",\n");
-        let span_rows = self
-            .spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "      {{ \"name\": \"{}\", \"start_cycles\": {}, \"end_cycles\": {} }}",
-                    s.name, s.start_cycles, s.end_cycles
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let spans_json = if self.spans.is_empty() {
-            "[]".to_owned()
-        } else {
-            format!("[\n{span_rows}\n    ]")
-        };
         let zone_rows = self
             .zone_activations
             .iter()
@@ -336,8 +311,6 @@ impl MetricsBreakdown {
              \"sequential_cycles\": {}, \"overlap_saved_cycles\": {} }},\n    \
              \"kernel_cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
              \"hit_rate\": {} }},\n    \
-             \"spans\": {},\n    \
-             \"spans_dropped\": {},\n    \
              \"heatmap\": {{ \"zones\": {}, \"activations\": [{}] }}\n  }}",
             self.total_busy_cycles,
             self.primitive_cycles_total,
@@ -367,8 +340,6 @@ impl MetricsBreakdown {
             self.kernel_cache.misses,
             self.kernel_cache.evictions,
             json_f64(self.kernel_cache.hit_rate()),
-            spans_json,
-            self.spans_dropped,
             self.zone_activations.len(),
             zone_rows,
         )
@@ -703,8 +674,6 @@ mod tests {
             "\"pipeline\"",
             "\"kernel_cache\"",
             "\"hit_rate\"",
-            "\"spans\"",
-            "\"spans_dropped\"",
             "\"heatmap\"",
             "\"xnor_match\"",
             "\"compare_occupancy_pct\"",

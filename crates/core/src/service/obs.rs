@@ -614,6 +614,11 @@ fn indent_block(json: &str, indent: &str) -> String {
 /// quotes are debug-quoted so every record stays a single greppable
 /// line, joinable with trace spans via `trace_id=`/`req_id=` keys.
 pub fn log_kv(event: &str, fields: &[(&str, String)]) {
+    eprintln!("{}", kv_line(event, fields));
+}
+
+/// The record [`log_kv`] prints.
+fn kv_line(event: &str, fields: &[(&str, String)]) -> String {
     let mut line = format!("pimserve: event={event}");
     for (key, value) in fields {
         let needs_quoting =
@@ -624,7 +629,7 @@ pub fn log_kv(event: &str, fields: &[(&str, String)]) {
             line.push_str(&format!(" {key}={value}"));
         }
     }
-    eprintln!("{line}");
+    line
 }
 
 #[cfg(test)]
@@ -852,12 +857,17 @@ mod tests {
 
     #[test]
     fn log_kv_quotes_values_with_spaces() {
-        // Only shape-checkable indirectly; exercise the quoting branch
-        // by formatting the same way log_kv does.
-        let v = "bind failed: address in use".to_string();
-        assert!(v.contains(' '));
-        let formatted = format!("{v:?}");
-        assert!(formatted.starts_with('"') && formatted.ends_with('"'));
+        let fields = [
+            ("port", "7070".to_string()),
+            ("error", "bind failed: address in use".to_string()),
+            ("peer", String::new()),
+            ("name", "say \"hi\"".to_string()),
+        ];
+        assert_eq!(
+            kv_line("listening", &fields),
+            "pimserve: event=listening port=7070 error=\"bind failed: address in use\" \
+             peer=\"\" name=\"say \\\"hi\\\"\""
+        );
     }
 
     /// Builds a bucket from 14 counter seeds and a latency sample list,

@@ -25,7 +25,7 @@
 //! u64    FNV-1a-64 checksum of every byte after the magic
 //! ```
 //!
-//! The sampled SA is stored as [`SampledRows`](crate::SampledRows)
+//! The sampled SA is stored as [`SampledRows`]
 //! holds it — the loader rebuilds only its rank directory — so the bytes
 //! on disk are the bytes in memory. A stream whose magic names another
 //! format version is a [`LoadIndexError::Version`], which says to

@@ -17,7 +17,7 @@ use crate::tables::MarkerTable;
 /// `⌊(rows − 1) / rate⌋` needs and packed into `u64` words
 /// (`n/8 + ⌈n/rate⌉·w/8` bytes, `w` = 17 at 1 Mbp and rate 8, against
 /// `4·n` for a row-indexed array), plus a running count every
-/// [`RANK_BLOCK`] rows that is rebuilt from the bitmap rather than stored.
+/// `RANK_BLOCK` rows that is rebuilt from the bitmap rather than stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampledRows {
     /// Bit `row % 64` of word `row / 64` is set when the row is stored.

@@ -5,7 +5,7 @@
 //! nothing but the read's last few bases, so the interval they reach is
 //! a function of those bases alone. The table answers it for every
 //! `j`-mer, `1 ≤ j ≤ k`, with `k` from
-//! [`size_model::seed_depth`](crate::size_model::seed_depth): an
+//! [`size_model::seed_depth`]: an
 //! extension beyond the paper, derived from an index's BWT and marker
 //! table when a platform maps it and stored in no artifact.
 //!
@@ -159,7 +159,7 @@ impl SeedTable {
 
     /// Bytes held: `4^k + 1` boundaries of `⌈log₂(N + 1)⌉` bits, none
     /// without a table
-    /// ([`size_model::seed_bytes`](crate::size_model::seed_bytes)); the
+    /// ([`size_model::seed_bytes`]); the
     /// bits past the last boundary in its word are not counted.
     pub fn size_bytes(&self) -> usize {
         let boundaries = (1usize << (2 * self.depth)) + 1;

@@ -11,7 +11,6 @@ use mram::array::ArrayModel;
 
 use crate::costs::LogicalOp;
 use crate::ledger::CycleLedger;
-use crate::metrics::SpanTracer;
 
 /// One saved backtracking state (paper: "symbol, low and high", plus the
 /// remaining difference budget needed to resume Algorithm 2).
@@ -49,34 +48,17 @@ pub struct Dpu {
     low: u32,
     high: u32,
     stack: Vec<BacktrackState>,
-    /// The session's span tracer. The DPU is the controller that issues
-    /// every platform operation, so the trace buffer lives in it —
-    /// wherever the `LFM` loop runs, the tracer is already threaded in.
-    /// Disabled (zero-cost) by default.
-    tracer: SpanTracer,
 }
 
 impl Dpu {
-    /// Creates a DPU with cleared registers and tracing disabled.
+    /// Creates a DPU with cleared registers.
     pub fn new(model: ArrayModel) -> Dpu {
         Dpu {
             model,
             low: 0,
             high: 0,
             stack: Vec::new(),
-            tracer: SpanTracer::disabled(),
         }
-    }
-
-    /// The span tracer (read side: harvest recorded spans).
-    pub fn tracer(&self) -> &SpanTracer {
-        &self.tracer
-    }
-
-    /// The span tracer (write side: record spans, or replace it via
-    /// assignment to enable tracing).
-    pub fn tracer_mut(&mut self) -> &mut SpanTracer {
-        &mut self.tracer
     }
 
     /// Initialises the interval registers to `[0, n)` (Algorithm 1:

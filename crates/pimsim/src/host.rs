@@ -222,10 +222,9 @@ pub struct HostSpan {
 
 /// A bounded wall-clock span recorder for one thread.
 ///
-/// Unlike the simulated-cycle [`SpanTracer`](crate::SpanTracer) ring
-/// (which keeps the *newest* spans), the host log keeps the *earliest*
-/// spans — a truncated trace still shows the run from its start — and
-/// counts everything it refused in [`dropped`](HostSpanLog::dropped).
+/// The log keeps the *earliest* spans — a truncated trace still shows
+/// the run from its start — and counts everything it refused in
+/// [`dropped`](HostSpanLog::dropped).
 #[derive(Debug, Clone)]
 pub struct HostSpanLog {
     epoch: HostEpoch,

@@ -21,9 +21,8 @@
 //! * [`FaultInjector`] — seeded fault-campaign sampling (sense misreads,
 //!   stuck-at cells, transient row bursts, `IM_ADD` carry faults) with
 //!   per-class injection counters;
-//! * [`metrics`] — hierarchical per-primitive counters recorded by every
-//!   logical-op charge, plus the ring-buffered [`SpanTracer`]
-//!   (zero-cost when disabled) behind `PerfReport::breakdown`;
+//! * [`metrics`] — per-primitive counters recorded by every logical-op
+//!   charge, behind `PerfReport::breakdown`;
 //! * [`host`] — wall-clock telemetry ([`HostHistogram`], [`HostSpanLog`],
 //!   [`WorkerStats`], Chrome-trace export): host-side time, kept strictly
 //!   apart from the simulated-cycle accounting above;
@@ -62,7 +61,7 @@ pub use host::{
     chrome_trace_json, peak_rss_bytes, HostEpoch, HostHistogram, HostSpan, HostSpanLog, WorkerStats,
 };
 pub use ledger::{CycleLedger, KernelCacheCounters, Resource};
-pub use metrics::{PrimCounters, Span, SpanTracer};
+pub use metrics::PrimCounters;
 pub use pipeline::{PipelineCounters, PipelineParams, PipelineSim};
 pub use subarray::{validate_functions_against_circuit, MatchMask, SubArray, SubArrayLayout};
 

@@ -580,7 +580,7 @@ fn run() -> Result<(), CliError> {
         std::fs::write(path, chrome_trace_json(&spans, &tracks))
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
     }
-    let spans_dropped = totals.host.spans_dropped + report.breakdown.spans_dropped;
+    let spans_dropped = totals.host.spans_dropped;
     if spans_dropped > 0 {
         eprintln!(
             "pimalign: warning: {spans_dropped} trace span(s) dropped (capacity); \

@@ -1,6 +1,6 @@
 //! Integration: the cycle-level metrics layer — counter reconciliation
-//! against the ledger, worker-merge associativity, phase attribution and
-//! span tracing over real alignment runs.
+//! against the ledger, worker-merge associativity and phase attribution
+//! over real alignment runs.
 
 use pim_aligner_suite::bioseq::DnaSeq;
 use pim_aligner_suite::pim_aligner::{PerfReport, PimAlignerConfig, Platform};
@@ -189,77 +189,6 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
         assert_eq!(published.mbr_pct, report.mbr_pct);
         assert_eq!(published.breakdown, report.breakdown);
     }
-}
-
-/// Span tracing: disabled by default, and when enabled it records the
-/// index build, per-`LFM` spans and the phase passes with monotone
-/// simulated-cycle timestamps.
-#[test]
-fn span_tracer_records_alignment_phases() {
-    let (reference, reads) = workload(20_000, 8, 73);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-
-    let mut untraced = platform.session();
-    let _ = untraced.align_read(&reads[0]);
-    assert!(
-        untraced.spans().is_empty(),
-        "tracing must be off by default"
-    );
-
-    let mut session = platform.session();
-    session.enable_tracing(4_096);
-    for read in &reads {
-        let _ = session.align_read(read);
-    }
-    let spans = session.spans();
-    let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
-    assert!(names.contains(&"index_build"));
-    assert!(names.contains(&"lfm"));
-    assert!(names.contains(&"exact_pass"));
-    assert!(names.contains(&"locate"));
-    for span in &spans {
-        assert!(span.end_cycles >= span.start_cycles, "span {span:?}");
-    }
-    // Each lfm span brackets one interval step. While the interval
-    // spans several word lines that is two LFM invocations plus the
-    // interval update, 74 + 74 + 2 = 150 cycles (the first base's high
-    // bound lands on the boundary bucket and is cheaper); inside one word
-    // line it is one LFM, the update and the bump, 74 + 2 + 2 = 78, and
-    // 16 more for the span's popcount when it spans two rows or more.
-    let lfm_spans: Vec<_> = spans.iter().filter(|s| s.name == "lfm").collect();
-    assert!(!lfm_spans.is_empty());
-    for span in &lfm_spans {
-        assert!(
-            (50..=200).contains(&span.cycles()),
-            "implausible lfm span: {} cycles",
-            span.cycles()
-        );
-    }
-    for cycles in [150, 94, 78] {
-        assert!(
-            lfm_spans.iter().any(|s| s.cycles() == cycles),
-            "no {cycles}-cycle lfm span: a step's cost changed"
-        );
-    }
-    // The traced report exposes the same spans.
-    let report = session.report();
-    assert_eq!(report.breakdown.spans.len(), spans.len());
-}
-
-/// The ring keeps only the newest `capacity` spans and counts the rest
-/// as dropped.
-#[test]
-fn span_ring_drops_oldest_beyond_capacity() {
-    let (reference, reads) = workload(20_000, 8, 74);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-    let mut session = platform.session();
-    session.enable_tracing(16);
-    for read in &reads {
-        let _ = session.align_read(read);
-    }
-    let report = session.report();
-    assert_eq!(report.breakdown.spans.len(), 16);
-    assert!(report.breakdown.spans_dropped > 0);
 }
 
 /// Recovery-ladder attribution: under an active fault campaign with

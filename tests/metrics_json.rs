@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pipelined"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 10);
+    assert_eq!(as_u64(&doc, "schema_version"), 11);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
