@@ -133,6 +133,33 @@ fn live_stats_snapshot_reconciles_windows_with_lifetime() {
     assert_eq!(tids.len(), N as usize, "one track per request");
 }
 
+/// The `Stats` snapshot is parsed by `pimbench` (`service.*`) and by
+/// dashboards, so its leaf paths are pinned like the metrics document's.
+#[test]
+fn stats_schema_matches_golden_file() {
+    let handle = start_server(ServiceConfig::default());
+    let mut client = connect(&handle);
+    send_align(&mut client, 0, "r0", READ);
+    let resp = client.recv().expect("recv").expect("server open");
+    assert!(matches!(resp, Response::Aligned { .. }));
+    std::thread::sleep(Duration::from_millis(100));
+
+    let snapshot = connect(&handle).stats(900).expect("stats over the wire");
+    let doc = json::parse(&snapshot).expect("stats snapshot parses");
+    let actual = doc.schema_paths().join("\n") + "\n";
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/stats_schema.txt");
+    let golden = std::fs::read_to_string(golden_path)
+        .unwrap_or_else(|e| panic!("cannot read {golden_path}: {e}"));
+    connect(&handle).drain(999).expect("drain");
+    handle.join();
+    assert_eq!(
+        actual, golden,
+        "Stats snapshot schema drifted from tests/golden/stats_schema.txt.\n\
+         If the change is intentional, write the `actual` value above to the\n\
+         golden file and update pimbench's `during()`/`scrape()` readers."
+    );
+}
+
 #[test]
 fn stats_and_prom_answer_inline_while_saturated() {
     let config = ServiceConfig {
