@@ -71,8 +71,8 @@ pub use host::{HostTotals, HostTraceConfig, MAX_TRACE_SPANS};
 pub use inexact::{inexact_search, inexact_search_first, InexactStats};
 pub use mapping::{LfmRequest, MappedIndex};
 pub use metrics::{
-    index_section_json, obs_section_json, service_section_json, MetricsBreakdown, PhaseLfm,
-    PrimitiveMetrics, ResourceMetrics, StageOccupancy, METRICS_SCHEMA_VERSION,
+    MetricsBreakdown, PhaseLfm, PrimitiveMetrics, ResourceMetrics, StageOccupancy,
+    METRICS_SCHEMA_VERSION,
 };
 pub use parallel::{align_batch_parallel, align_batch_parallel_both_strands, BatchTotals};
 pub use platform::Platform;

@@ -384,11 +384,14 @@ impl Platform {
 /// sharing one platform built over `reference`.
 ///
 /// The index is built exactly once — workers share it through the
-/// [`Platform`] — and outcomes are returned in input order, identical to
-/// a sequential [`AlignSession::align_batch`](crate::AlignSession::align_batch)
-/// run with an ideal fault model
-/// (fault injection draws per-worker decorrelated streams, so faulty runs
-/// are only statistically equivalent).
+/// [`Platform`] — and outcomes are returned in input order. Under a
+/// fault campaign every read draws from its own stream, keyed by its
+/// index in the batch, so the output is identical at any thread count
+/// (`faulted_output_is_invariant_to_threads`). With an ideal fault model
+/// it is also identical to a sequential
+/// [`AlignSession::align_batch`](crate::AlignSession::align_batch) run;
+/// under a campaign it is not, since that call draws from the session's
+/// one stream.
 ///
 /// # Errors
 ///

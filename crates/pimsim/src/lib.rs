@@ -26,6 +26,7 @@
 //! * [`host`] — wall-clock telemetry ([`HostHistogram`], [`HostSpanLog`],
 //!   [`WorkerStats`], Chrome-trace export): host-side time, kept strictly
 //!   apart from the simulated-cycle accounting above;
+//! * [`json`] — the one JSON writer every emitted document goes through;
 //! * [`pipeline`] — the Fig. 7 pipeline model with parallelism degree
 //!   `Pd`;
 //! * [`costs`] — the logical-operation cost table (cycles per
@@ -45,6 +46,7 @@
 pub mod cache;
 pub mod costs;
 pub mod host;
+pub mod json;
 pub mod metrics;
 pub mod pipeline;
 pub mod reference;
