@@ -186,7 +186,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
 
     # indexbench exits 1 on its own counted checks: sharded-vs-unsharded
     # SAM identity, footprint vs size model (<= 0.1 %), and peak RSS
-    # <= 16 bytes per reference base at the largest swept genome.
+    # <= 7 bytes per reference base at the largest swept genome.
     step "indexbench --quick (self-checking)"
     cargo run -q --release -p bench --bin indexbench -- \
         --quick --out target/ci/BENCH_index_smoke.json

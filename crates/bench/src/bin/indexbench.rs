@@ -29,7 +29,7 @@
 //! summarised on stderr. The run checks its own counted results and
 //! exits 1 when the sharded SAM diverges, when the footprint is off the
 //! size model by more than 0.1 %, or when the largest row's peak RSS
-//! exceeds 16 bytes per reference base; `load_speedup` is wall-clock and
+//! exceeds 7 bytes per reference base; `load_speedup` is wall-clock and
 //! stays a printed number. `--quick` shrinks the sweep for CI; the full
 //! sweep reaches 64 Mbp, which is only practical because the build cost
 //! is paid once per artifact. An unknown flag or an `--out` without a
@@ -282,9 +282,9 @@ fn main() {
         );
         ok = false;
     }
-    if let Some(per_bp) = peak_rss_bytes_per_bp.filter(|&b| b > 16.0) {
+    if let Some(per_bp) = peak_rss_bytes_per_bp.filter(|&b| b > 7.0) {
         eprintln!(
-            "indexbench: FAIL: peak RSS at {} bp is {per_bp:.1} bytes/bp (ceiling 16)",
+            "indexbench: FAIL: peak RSS at {} bp is {per_bp:.1} bytes/bp (ceiling 7)",
             largest.genome_len
         );
         ok = false;

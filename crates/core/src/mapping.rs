@@ -165,7 +165,6 @@ impl MappedIndex {
         let n = index.text_len();
         let subarray_count = n.div_ceil(BASES_PER_SUBARRAY);
         let mut subarrays = Vec::with_capacity(subarray_count);
-        let (packed, _sentinel) = index.bwt().to_packed();
         // Marker buckets include the final checkpoint at n/d, one past the
         // last (possibly partial) BWT row.
         let total_marker_buckets = n / SubArrayLayout::BASES_PER_ROW + 1;
@@ -179,7 +178,7 @@ impl MappedIndex {
             for lb in 0..bwt_buckets {
                 let start = base_start + lb * SubArrayLayout::BASES_PER_ROW;
                 let count = SubArrayLayout::BASES_PER_ROW.min(n - start);
-                let codes = packed.codes(start, count);
+                let codes = index.bwt().codes(start, count);
                 sa.load_bwt_row(lb, &codes, &mut ledger);
             }
             let marker_buckets = (total_marker_buckets - s * 256).min(256);

@@ -2,15 +2,28 @@
 
 use std::fmt;
 
-use bioseq::{Base, PackedSeq, Symbol};
+use bioseq::{Base, Symbol};
 
-use crate::text::Text;
+use crate::text::{Text, ALPHABET};
+
+/// Every other bit: the low bit of each 2-bit cell of a word.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Cells of a 64-bit word.
+const CELLS_PER_WORD: usize = 32;
+
+/// The 2-bit hardware code the sentinel cell holds: `T`'s, which the
+/// platform reads as a never-matching placeholder.
+const SENTINEL_CODE: u8 = Base::T.code();
 
 /// The Burrows–Wheeler transform of a [`Text`] — the last column of the
 /// lexicographically-sorted BW-matrix (paper Fig. 1: `BWT(TGCTA$) =
 /// ATGTC$`).
 ///
-/// Stored as symbol ranks. Exactly one position holds the sentinel.
+/// Stored as the platform's BWT zone and the index file hold it: 2-bit
+/// hardware codes ([`Base::code`]), four a byte, low bits first, and the
+/// position of the one sentinel beside them. The sentinel has no code of
+/// its own; its cell holds `T`'s, which every count of `T` discounts.
 ///
 /// # Examples
 ///
@@ -19,7 +32,8 @@ use crate::text::Text;
 /// use fmindex::{suffix_array, Bwt, Text};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let text = Text::from_reference(&"TGCTA".parse::<DnaSeq>()?);
+/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let text = Text::from_reference(&reference);
 /// let sa = suffix_array(&text);
 /// let bwt = Bwt::from_sa(&text, &sa);
 /// assert_eq!(bwt.to_string(), "ATGTC$");
@@ -29,9 +43,23 @@ use crate::text::Text;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bwt {
-    ranks: Vec<u8>,
+    /// The codes, padded with zero bytes to whole 64-bit words so that
+    /// counting reads a word at a time.
+    codes: Vec<u8>,
+    len: usize,
     sentinel_pos: usize,
 }
+
+/// The text rank of each 2-bit code.
+const RANK_OF_CODE: [u8; 4] = {
+    let mut ranks = [0; 4];
+    let mut rank = 0;
+    while rank < 4 {
+        ranks[Base::from_rank(rank).code() as usize] = rank as u8 + 1;
+        rank += 1;
+    }
+    ranks
+};
 
 impl Bwt {
     /// Derives the BWT from a text and its suffix array:
@@ -39,49 +67,73 @@ impl Bwt {
     ///
     /// # Panics
     ///
-    /// Panics if `sa` is not a permutation of `0..text.len()`.
+    /// Panics if `sa` is not as long as the text or has no row for
+    /// position 0.
     pub fn from_sa(text: &Text, sa: &[u32]) -> Bwt {
-        assert_eq!(sa.len(), text.len(), "suffix array length mismatch");
-        let n = text.len();
-        let mut ranks = Vec::with_capacity(n);
-        let mut sentinel_pos = usize::MAX;
-        for (i, &p) in sa.iter().enumerate() {
-            let prev = if p == 0 { n - 1 } else { p as usize - 1 };
-            let r = text.rank(prev);
-            if r == 0 {
-                sentinel_pos = i;
-            }
-            ranks.push(r);
+        Bwt::from_sa_of(text.bases(), sa)
+    }
+
+    /// [`Bwt::from_sa`] for the text of `bases` and its sentinel, packed
+    /// in one pass over the suffix array.
+    pub(crate) fn from_sa_of(bases: &[Base], sa: &[u32]) -> Bwt {
+        let len = bases.len() + 1;
+        assert_eq!(sa.len(), len, "suffix array length mismatch");
+        let code_before = |p: u32| {
+            bases
+                .get((p as usize).wrapping_sub(1))
+                .map_or(SENTINEL_CODE, |b| b.code())
+        };
+        let mut codes = vec![0u8; padded_bytes(len)];
+        for (byte, rows) in codes.iter_mut().zip(sa.chunks(4)) {
+            *byte = (0..)
+                .zip(rows)
+                .fold(0, |acc, (j, &p)| acc | code_before(p) << (2 * j));
         }
-        assert_ne!(
-            sentinel_pos,
-            usize::MAX,
-            "suffix array missing sentinel row"
-        );
+        let sentinel_pos = sa
+            .iter()
+            .position(|&p| p == 0)
+            .expect("suffix array missing sentinel row");
         Bwt {
-            ranks,
+            codes,
+            len,
             sentinel_pos,
         }
     }
 
-    /// Reconstructs a BWT from stored symbol ranks (deserialisation
-    /// path).
-    pub(crate) fn from_ranks(ranks: Vec<u8>, sentinel_pos: usize) -> Bwt {
-        debug_assert_eq!(ranks[sentinel_pos], 0);
+    /// Takes over a stored BWT of `len` cells (the deserialisation path):
+    /// `packed` as [`Bwt::packed_bytes`] gives it. The sentinel cell and
+    /// the bits past the last cell are reset, whatever the bytes held.
+    pub(crate) fn from_packed(packed: &[u8], len: usize, sentinel_pos: usize) -> Bwt {
+        debug_assert_eq!(packed.len(), len.div_ceil(4));
+        let mut codes = vec![0u8; padded_bytes(len)];
+        codes[..packed.len()].copy_from_slice(packed);
+        if !len.is_multiple_of(4) {
+            codes[len / 4] &= (1 << (2 * (len % 4))) - 1;
+        }
+        let shift = 2 * (sentinel_pos % 4);
+        codes[sentinel_pos / 4] =
+            (codes[sentinel_pos / 4] & !(0b11 << shift)) | (SENTINEL_CODE << shift);
         Bwt {
-            ranks,
+            codes,
+            len,
             sentinel_pos,
         }
     }
 
     /// Length of the BWT (equals the text length).
     pub fn len(&self) -> usize {
-        self.ranks.len()
+        self.len
     }
 
     /// A BWT is never empty (the text always contains the sentinel).
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// The 2-bit code of cell `pos` (`T`'s for the sentinel).
+    #[inline]
+    fn code(&self, pos: usize) -> u8 {
+        self.codes[pos / 4] >> (2 * (pos % 4)) & 0b11
     }
 
     /// The symbol rank at `pos` (`0` is the sentinel).
@@ -91,7 +143,12 @@ impl Bwt {
     /// Panics if `pos >= self.len()`.
     #[inline]
     pub fn rank(&self, pos: usize) -> u8 {
-        self.ranks[pos]
+        assert!(pos < self.len, "BWT position {pos} out of range");
+        if pos == self.sentinel_pos {
+            0
+        } else {
+            RANK_OF_CODE[usize::from(self.code(pos))]
+        }
     }
 
     /// The symbol at `pos`.
@@ -100,7 +157,7 @@ impl Bwt {
     ///
     /// Panics if `pos >= self.len()`.
     pub fn symbol(&self, pos: usize) -> Symbol {
-        Symbol::from_rank(self.ranks[pos] as usize)
+        Symbol::from_rank(usize::from(self.rank(pos)))
     }
 
     /// Position of the sentinel within the BWT.
@@ -108,105 +165,134 @@ impl Bwt {
         self.sentinel_pos
     }
 
-    /// The ranks as a slice.
-    pub fn as_ranks(&self) -> &[u8] {
-        &self.ranks
+    /// The codes as stored: four a byte, low bits first, `len()` cells
+    /// rounded up to whole bytes, the sentinel cell holding `T`'s code.
+    pub(crate) fn packed_bytes(&self) -> &[u8] {
+        &self.codes[..self.len.div_ceil(4)]
+    }
+
+    /// The 2-bit hardware codes of cells `start .. start + count`, one a
+    /// byte — a word-line segment of the platform's BWT zone, where the
+    /// sentinel cell is the never-matching placeholder `T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + count > self.len()`.
+    pub fn codes(&self, start: usize, count: usize) -> Vec<u8> {
+        assert!(
+            start + count <= self.len,
+            "code range {start}..{} out of bounds (len {})",
+            start + count,
+            self.len
+        );
+        (start..start + count).map(|pos| self.code(pos)).collect()
+    }
+
+    /// Word `w` of the codes, cell `32·w` in its low bits.
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        let bytes = &self.codes[w * 8..w * 8 + 8];
+        u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
     }
 
     /// Counts occurrences of symbol rank `sym` in `self[range]` — the
     /// software equivalent of the platform's `XNOR_Match` + popcount
-    /// over a word-line segment, and word-parallel like it: eight bytes
-    /// at a time via SWAR (XOR against a broadcast of `sym` turns
-    /// matches into zero bytes, which are detected and counted with the
-    /// classic haszero mask + popcount).
+    /// over a word-line segment, and word-parallel like it: 32 cells at
+    /// a time, XOR against `sym`'s code in every cell turns matching
+    /// cells into `00`, whose low bits are then counted.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn count_in_range(&self, sym: u8, range: std::ops::Range<usize>) -> usize {
-        const LO: u64 = 0x0101_0101_0101_0101;
-        // Ranks are 0..=4 (sentinel plus four bases), so `rank ^ sym`
-        // fits in the low 3 bits of each byte: OR-folding those bits
-        // into bit 0 gives an exact per-byte nonzero flag. (The classic
-        // haszero SWAR is only a boolean test — its borrow chain
-        // overcounts 0x01 bytes that sit above a zero byte.)
-        debug_assert!(sym <= 4, "symbol rank out of range: {sym}");
-        let bytes = &self.ranks[range];
-        let broadcast = u64::from(sym) * LO;
-        let mut chunks = bytes.chunks_exact(8);
-        let mut count = 0;
-        for chunk in chunks.by_ref() {
-            let diff = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ broadcast;
-            let nonzero = (diff | (diff >> 1) | (diff >> 2)) & LO;
-            count += 8 - nonzero.count_ones() as usize;
+        let std::ops::Range { start, end } = range;
+        assert!(
+            start <= end && end <= self.len,
+            "range {start}..{end} out of bounds (len {})",
+            self.len
+        );
+        let holds_sentinel = (start..end).contains(&self.sentinel_pos);
+        if sym == 0 {
+            return usize::from(holds_sentinel);
         }
-        count
-            + chunks
-                .remainder()
-                .iter()
-                .map(|&r| usize::from(r == sym))
-                .sum::<usize>()
-    }
-
-    /// Packs the nucleotide content 2 bits per base for the PIM BWT zone.
-    /// The sentinel cannot be represented in 2 bits; the returned vector
-    /// gives `(packed sequence, sentinel position)` and the platform treats
-    /// the sentinel cell as a never-matching placeholder (encoded as `T`).
-    pub fn to_packed(&self) -> (PackedSeq, usize) {
-        // Hardware code by text rank; the sentinel cell gets T's bits as
-        // a placeholder.
-        let code_of = [Base::T, Base::A, Base::C, Base::G, Base::T].map(Base::code);
-        let packed = PackedSeq::pack(&self.ranks, |&r| code_of[r as usize]);
-        (packed, self.sentinel_pos)
+        debug_assert!(
+            usize::from(sym) < ALPHABET,
+            "symbol rank out of range: {sym}"
+        );
+        if start == end {
+            return 0;
+        }
+        let code = Base::from_rank(usize::from(sym) - 1).code();
+        let pattern = u64::from(code) * LOW_BITS;
+        let matches = |word: u64| {
+            let diff = word ^ pattern;
+            !(diff | diff >> 1) & LOW_BITS
+        };
+        let (first, last) = (start / CELLS_PER_WORD, (end - 1) / CELLS_PER_WORD);
+        // Cells at or past `start` in the first word, before `end` in the last.
+        let from_start = !0u64 << (2 * (start % CELLS_PER_WORD));
+        let to_end = !0u64 >> (2 * (CELLS_PER_WORD - 1 - (end - 1) % CELLS_PER_WORD));
+        let count: u32 = (first..=last)
+            .map(|w| {
+                let mut cells = matches(self.word(w));
+                if w == first {
+                    cells &= from_start;
+                }
+                if w == last {
+                    cells &= to_end;
+                }
+                cells.count_ones()
+            })
+            .sum();
+        count as usize - usize::from(code == SENTINEL_CODE && holds_sentinel)
     }
 
     /// Inverts the transform, reconstructing the original text — the
     /// "reversible permutation" property from paper §II.
-    pub fn invert(&self) -> Text {
+    pub fn invert(&self) -> Text<'static> {
         let n = self.len();
+        let ranks: Vec<u8> = (0..n).map(|pos| self.rank(pos)).collect();
         // LF mapping: stable rank of each symbol occurrence.
-        let mut counts = [0usize; crate::text::ALPHABET];
-        for &r in &self.ranks {
+        let mut counts = [0usize; ALPHABET];
+        for &r in &ranks {
             counts[r as usize] += 1;
         }
-        let mut starts = [0usize; crate::text::ALPHABET];
+        let mut starts = [0usize; ALPHABET];
         let mut sum = 0;
         for (s, &c) in starts.iter_mut().zip(&counts) {
             *s = sum;
             sum += c;
         }
         let mut occ_before = vec![0usize; n];
-        let mut running = [0usize; crate::text::ALPHABET];
-        for (i, &r) in self.ranks.iter().enumerate() {
+        let mut running = [0usize; ALPHABET];
+        for (i, &r) in ranks.iter().enumerate() {
             occ_before[i] = running[r as usize];
             running[r as usize] += 1;
         }
         // Reconstruct right-to-left. Row 0 of the BW matrix is always the
         // bare-sentinel suffix, and BWT[row] is the text symbol immediately
         // preceding that row's suffix; LF-stepping walks the text backwards.
-        let mut out = vec![0u8; n];
-        let mut pos = n - 1;
-        out[pos] = 0; // sentinel
+        let mut out = vec![Base::A; n - 1];
         let mut row = 0;
-        while pos > 0 {
-            let sym = self.ranks[row];
-            pos -= 1;
-            out[pos] = sym;
+        for pos in (0..n - 1).rev() {
+            let sym = ranks[row];
+            out[pos] = Base::from_rank(sym as usize - 1);
             // LF-step to the row of the suffix starting at `pos`.
             row = starts[sym as usize] + occ_before[row];
         }
-        let seq: bioseq::DnaSeq = out[..n - 1]
-            .iter()
-            .map(|&r| bioseq::Base::from_rank(r as usize - 1))
-            .collect();
-        Text::from_reference(&seq)
+        Text::from_bases(out)
     }
+}
+
+/// Bytes that hold `len` 2-bit cells in whole 64-bit words.
+fn padded_bytes(len: usize) -> usize {
+    len.div_ceil(CELLS_PER_WORD) * 8
 }
 
 impl fmt::Display for Bwt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &r in &self.ranks {
-            write!(f, "{}", Symbol::from_rank(r as usize).to_char())?;
+        for pos in 0..self.len {
+            write!(f, "{}", self.symbol(pos).to_char())?;
         }
         Ok(())
     }
@@ -216,14 +302,25 @@ impl fmt::Display for Bwt {
 mod tests {
     use super::*;
     use crate::sa::suffix_array;
-    use bioseq::DnaSeq;
+    use bioseq::{DnaSeq, PackedSeq};
     use proptest::prelude::*;
 
-    fn bwt_of(s: &str) -> (Text, Bwt) {
-        let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
+    fn bwt_of(s: &str) -> (Text<'static>, Bwt) {
+        let t = Text::from_bases(s.parse::<DnaSeq>().unwrap().into_bases());
         let sa = suffix_array(&t);
         let b = Bwt::from_sa(&t, &sa);
         (t, b)
+    }
+
+    /// The BWT one symbol rank a byte, straight from its definition.
+    fn oracle_ranks(t: &Text, sa: &[u32]) -> Vec<u8> {
+        sa.iter()
+            .map(|&p| t.rank((p as usize + t.len() - 1) % t.len()))
+            .collect()
+    }
+
+    fn text_of_ranks(ranks: &[u8]) -> Text<'static> {
+        Text::from_bases(ranks.iter().map(|&r| Base::from_rank(r.into())).collect())
     }
 
     #[test]
@@ -258,18 +355,19 @@ mod tests {
     }
 
     #[test]
-    fn count_in_range_swar_matches_naive_scan() {
-        // The adversarial shape for the SWAR kernel: rank^sym == 1
-        // bytes adjacent to matching (zero-diff) bytes, at every
-        // alignment and with sub-word remainders.
-        let (_, b) = bwt_of("ACGTACGTTTTGGGCCAATGCTAGCTAGGATCCA");
+    fn count_in_range_matches_a_byte_per_symbol_scan_on_every_range() {
+        // Long enough for three words, every start and end cell of them.
+        let (t, b) =
+            bwt_of(&"ACGTACGTTTTGGGCCAATGCTAGCTAGGATCCATTTTGGTTAACCGTTGACTTTTTACGAT".repeat(2));
+        let oracle = oracle_ranks(&t, &suffix_array(&t));
+        assert!(b.len() > 2 * CELLS_PER_WORD);
         for sym in 0..=4u8 {
             for start in 0..b.len() {
                 for end in start..=b.len() {
-                    let naive = b.as_ranks()[start..end]
+                    let naive: usize = oracle[start..end]
                         .iter()
                         .map(|&r| usize::from(r == sym))
-                        .sum::<usize>();
+                        .sum();
                     assert_eq!(
                         b.count_in_range(sym, start..end),
                         naive,
@@ -281,17 +379,40 @@ mod tests {
     }
 
     #[test]
-    fn packed_form_substitutes_sentinel() {
-        let (_, b) = bwt_of("TGCTA");
-        let (packed, pos) = b.to_packed();
-        assert_eq!(packed.len(), b.len());
-        assert_eq!(pos, b.sentinel_pos());
-        // Non-sentinel cells round-trip.
-        for i in 0..b.len() {
-            if i != pos {
-                let expected = bioseq::Base::from_rank(b.rank(i) as usize - 1);
-                assert_eq!(packed.get(i), Some(expected));
+    fn stored_bytes_are_the_packed_hardware_codes() {
+        for s in [
+            "TGCTA",
+            "A",
+            "",
+            "GATTACAGATTACAGG",
+            "TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT",
+        ] {
+            let (t, b) = bwt_of(s);
+            let oracle = oracle_ranks(&t, &suffix_array(&t));
+            // Hardware code by text rank; the sentinel cell gets T's bits
+            // as a placeholder.
+            let code_of = [Base::T, Base::A, Base::C, Base::G, Base::T].map(Base::code);
+            let packed = PackedSeq::pack(&oracle, |&r| code_of[r as usize]);
+            assert_eq!(b.packed_bytes(), packed.as_bytes(), "{s}");
+            assert_eq!(b.codes(0, b.len()), packed.codes(0, b.len()), "{s}");
+            let reloaded = Bwt::from_packed(packed.as_bytes(), b.len(), b.sentinel_pos());
+            assert_eq!(reloaded, b, "{s}");
+        }
+    }
+
+    #[test]
+    fn loading_resets_the_sentinel_cell_and_the_padding() {
+        for s in ["GATTACA", "GATTAC", "GATTA", "GATT"] {
+            let (_, b) = bwt_of(s);
+            let mut dirty = b.packed_bytes().to_vec();
+            let sentinel = b.sentinel_pos();
+            dirty[sentinel / 4] |= 0b11 << (2 * (sentinel % 4));
+            // Every bit past the last cell, if the last byte has any.
+            let used = b.len() % 4;
+            if used != 0 {
+                *dirty.last_mut().unwrap() |= !0u8 << (2 * used);
             }
+            assert_eq!(Bwt::from_packed(&dirty, b.len(), sentinel), b, "{s}");
         }
     }
 
@@ -311,11 +432,45 @@ mod tests {
             let t = Text::from_reference(&seq);
             let sa = suffix_array(&t);
             let b = Bwt::from_sa(&t, &sa);
-            let mut tx: Vec<u8> = t.as_ranks().to_vec();
-            let mut bw: Vec<u8> = b.as_ranks().to_vec();
+            let mut tx: Vec<u8> = (0..t.len()).map(|p| t.rank(p)).collect();
+            let mut bw: Vec<u8> = (0..b.len()).map(|p| b.rank(p)).collect();
             tx.sort_unstable();
             bw.sort_unstable();
             prop_assert_eq!(tx, bw);
+        }
+
+        /// Ranges around the sentinel cell and across word boundaries,
+        /// every symbol, against the BWT held a rank a byte.
+        #[test]
+        fn count_in_range_matches_the_byte_oracle(
+            ranks in proptest::collection::vec(0u8..4, 0..400),
+            spans in proptest::collection::vec(any::<u32>(), 1..16),
+        ) {
+            let t = text_of_ranks(&ranks);
+            let sa = suffix_array(&t);
+            let b = Bwt::from_sa(&t, &sa);
+            let oracle = oracle_ranks(&t, &sa);
+            let n = b.len();
+            for span in spans {
+                // Centre each range on the sentinel cell or a word
+                // boundary, reaching `before` cells left and `after` right.
+                let field = |shift: u32, modulus: usize| (span >> shift) as usize % modulus;
+                let (word, before, after) = (field(0, 16), field(8, 70), field(16, 70));
+                let centre = if span >> 31 == 1 {
+                    b.sentinel_pos()
+                } else {
+                    (word * CELLS_PER_WORD).min(n)
+                };
+                let start = centre.saturating_sub(before);
+                let end = (centre + after).min(n);
+                for sym in 0..=4u8 {
+                    let naive: usize = oracle[start..end]
+                        .iter()
+                        .map(|&r| usize::from(r == sym))
+                        .sum();
+                    prop_assert_eq!(b.count_in_range(sym, start..end), naive, "sym {} {}..{}", sym, start, end);
+                }
+            }
         }
     }
 }

@@ -7,10 +7,9 @@ use bioseq::DnaSeq;
 use crate::bwt::Bwt;
 use crate::inexact::{search_inexact, EditBudget, InexactHit};
 use crate::locate::{locate, SuffixArraySamples};
-use crate::sa::suffix_array;
+use crate::sa::suffix_array_of;
 use crate::search::{backward_search, SaInterval};
 use crate::tables::{CountTable, MarkerTable, SampledOcc};
-use crate::text::Text;
 
 /// How the suffix array is retained for `locate` queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -126,6 +125,10 @@ impl FmIndexBuilder {
     /// Builds the index over `reference`, rejecting references too long
     /// for the `u32` text-position representation.
     ///
+    /// Every pass reads the reference's own bases: while the index is
+    /// built, the only buffers of more than a bit per base are the
+    /// reference, the `u32` suffix array and the 2-bit BWT.
+    ///
     /// # Errors
     ///
     /// [`IndexBuildError::ReferenceTooLong`] when the reference exceeds
@@ -137,17 +140,15 @@ impl FmIndexBuilder {
                 len: reference.len(),
             });
         }
-        let text = Text::from_reference(reference);
-        let sa = suffix_array(&text);
-        let bwt = Bwt::from_sa(&text, &sa);
-        drop(text);
-        let count = CountTable::from_bwt(&bwt);
-        let sampled = SampledOcc::from_bwt(&bwt, self.bucket_width);
-        let marker = MarkerTable::new(&count, &sampled);
+        let sa = suffix_array_of(reference.as_slice());
+        let bwt = Bwt::from_sa_of(reference.as_slice(), &sa);
+        // The suffix array goes first, so that no table is alive beside it.
         let samples = match self.sa_storage {
             SaStorage::Full => SuffixArraySamples::full(sa),
             SaStorage::Sampled(rate) => SuffixArraySamples::sampled(sa, rate),
         };
+        let count = CountTable::from_bwt(&bwt);
+        let marker = MarkerTable::new(&count, &SampledOcc::from_bwt(&bwt, self.bucket_width));
         Ok(FmIndex {
             text_len: bwt.len(),
             bwt,
@@ -317,20 +318,7 @@ impl FmIndex {
         stored_markers: impl Iterator<Item = u32>,
         samples: SuffixArraySamples,
     ) -> Result<FmIndex, String> {
-        // One packed byte is four 2-bit base codes, low bits first.
-        let rank_of = [0u8, 1, 2, 3].map(|code| bioseq::Base::from_code(code).rank() as u8 + 1);
-        let mut ranks = Vec::with_capacity(packed_bwt.len() * 4);
-        for &byte in packed_bwt {
-            ranks.extend_from_slice(&[
-                rank_of[(byte & 3) as usize],
-                rank_of[(byte >> 2 & 3) as usize],
-                rank_of[(byte >> 4 & 3) as usize],
-                rank_of[(byte >> 6) as usize],
-            ]);
-        }
-        ranks.truncate(text_len);
-        ranks[sentinel_pos] = 0;
-        let bwt = Bwt::from_ranks(ranks, sentinel_pos);
+        let bwt = Bwt::from_packed(packed_bwt, text_len, sentinel_pos);
         let count = CountTable::from_bwt(&bwt);
         if count.as_array() != stored_count {
             return Err("count table disagrees with the stored BWT".into());

@@ -180,7 +180,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn index(s: &str, d: usize) -> (Vec<u32>, Bwt, MarkerTable) {
-        let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
+        let reference: DnaSeq = s.parse().unwrap();
+        let t = Text::from_reference(&reference);
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);

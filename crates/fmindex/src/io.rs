@@ -251,9 +251,7 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
     writer.write_all(&n.to_le_bytes())?;
     let bwt = index.bwt();
     writer.write_all(&(bwt.sentinel_pos() as u64).to_le_bytes())?;
-    let (packed, _) = bwt.to_packed();
-    writer.write_all(packed.as_bytes())?;
-    drop(packed);
+    writer.write_all(bwt.packed_bytes())?;
     write_words(writer, index.count_table().as_array())?;
     let mt = index.marker_table();
     writer.write_all(&(mt.bucket_width() as u64).to_le_bytes())?;

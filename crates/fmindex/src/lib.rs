@@ -8,11 +8,12 @@
 //!
 //! Pipeline (paper Fig. 2):
 //!
-//! 1. append the sentinel `$` to the reference and build the **suffix
-//!    array** ([`suffix_array`], linear-time SA-IS in one `u32` array,
-//!    with a naive cross-check implementation);
+//! 1. end the reference with the sentinel `$` (a virtual one: [`Text`]
+//!    is a view of the reference's bases) and build the **suffix array**
+//!    ([`suffix_array`], linear-time SA-IS in one `u32` array, with a
+//!    naive cross-check implementation);
 //! 2. derive the **BWT** ([`Bwt`]) — the last column of the sorted
-//!    BW-matrix;
+//!    BW-matrix, held as 2-bit codes the way the platform stores it;
 //! 3. pre-compute **`Count(nt)`** ([`CountTable`]), the **Occ** table
 //!    check-pointed every `d` positions ([`SampledOcc`], counted in one
 //!    pass over the BWT — the full [`OccTable`] is Fig. 2's illustration

@@ -218,8 +218,9 @@ impl SuffixArraySamples {
 
     /// Samples the SA at text positions divisible by `rate`. The kept
     /// values are compacted to the front of the array's own storage
-    /// (rows are visited in order, so nothing is sorted), then packed as
-    /// `value / rate` and the array freed.
+    /// (rows are visited in order, so nothing is sorted), the array is
+    /// shrunk to them before anything else is allocated, and they are
+    /// packed as `value / rate` and the array freed.
     ///
     /// The same row bound as [`SuffixArraySamples::full`] applies.
     ///
@@ -248,8 +249,10 @@ impl SuffixArraySamples {
                 kept += usize::from(keep);
             }
         }
+        sa.truncate(kept);
+        sa.shrink_to_fit();
         let width = bits_for(largest_quotient(rows, rate) as u64);
-        let words = PackedFields::pack(width, sa[..kept].iter().map(|&v| v / rate)).into_words();
+        let words = PackedFields::pack(width, sa.iter().map(|&v| v / rate)).into_words();
         drop(sa);
         SuffixArraySamples::Sampled {
             stored: SampledRows::new(bits, width, words, rows, rate)
@@ -360,7 +363,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn setup(s: &str) -> (Vec<u32>, Bwt, MarkerTable) {
-        let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
+        let reference: DnaSeq = s.parse().unwrap();
+        let t = Text::from_reference(&reference);
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);
@@ -457,7 +461,8 @@ mod tests {
     /// every row, over several rank blocks and a ragged last word.
     #[test]
     fn compact_rows_equal_the_dense_array() {
-        let text = Text::from_reference(&readsim::genome::uniform(5_003, 9));
+        let reference = readsim::genome::uniform(5_003, 9);
+        let text = Text::from_reference(&reference);
         let sa = suffix_array(&text);
         for rate in [1u32, 2, 3, 8, 32, 4_999] {
             let samples = SuffixArraySamples::sampled(sa.clone(), rate);

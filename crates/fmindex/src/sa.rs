@@ -7,11 +7,14 @@
 //! * [`suffix_array_naive`] — O(n² log n) comparison sort, kept as an
 //!   independent oracle for the property tests.
 //!
-//! Both operate on a [`Text`] (reference + sentinel), where the sentinel is
-//! the unique lexicographically-smallest symbol, and return the
-//! lexicographically-sorted array of suffix start positions (paper §II:
-//! "the Suffix Array (SA) of a reference genome-S is a
-//! lexicographically-sorted array of the suffixes of S").
+//! Both sort the suffixes of a [`Text`] (reference + sentinel), where the
+//! sentinel is the unique lexicographically-smallest symbol, and return
+//! the lexicographically-sorted array of suffix start positions (paper
+//! §II: "the Suffix Array (SA) of a reference genome-S is a
+//! lexicographically-sorted array of the suffixes of S"). SA-IS reads the
+//! reference's own bases: the sentinel is never stored, at any level.
+
+use bioseq::Base;
 
 use crate::text::{Text, ALPHABET};
 
@@ -24,22 +27,27 @@ use crate::text::{Text, ALPHABET};
 /// use fmindex::{suffix_array, Text};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let text = Text::from_reference(&"TGCTA".parse::<DnaSeq>()?);
+/// let reference: DnaSeq = "TGCTA".parse()?;
 /// // Sorted suffixes of TGCTA$: $  A$  CTA$  GCTA$  TA$  TGCTA$
-/// assert_eq!(suffix_array(&text), vec![5, 4, 2, 1, 3, 0]);
+/// assert_eq!(suffix_array(&Text::from_reference(&reference)), vec![5, 4, 2, 1, 3, 0]);
 /// # Ok(())
 /// # }
 /// ```
 pub fn suffix_array(text: &Text) -> Vec<u32> {
-    let s = text.as_ranks();
+    suffix_array_of(text.bases())
+}
+
+/// The suffix array of `bases` followed by the sentinel: `bases.len() + 1`
+/// rows, the only genome-sized allocation SA-IS makes.
+pub(crate) fn suffix_array_of(bases: &[Base]) -> Vec<u32> {
+    let n = bases.len() + 1;
     assert!(
-        s.len() <= u32::MAX as usize,
-        "text of {} rows; positions must fit below u32::MAX",
-        s.len()
+        n <= u32::MAX as usize,
+        "text of {n} rows; positions must fit below u32::MAX"
     );
     // Zeroed, so untouched until `sais` makes its own first fill.
-    let mut sa = vec![0; s.len()];
-    sais(s, &mut sa, ALPHABET);
+    let mut sa = vec![0; n];
+    sais(bases, &mut sa, ALPHABET, &mut [], Buckets::InSpare);
     sa
 }
 
@@ -57,46 +65,62 @@ pub fn suffix_array_naive(text: &Text) -> Vec<u32> {
 /// position: the text has at most `u32::MAX` rows.
 const EMPTY: u32 = u32::MAX;
 
-/// A text symbol: `u8` ranks at level 0, `u32` LMS names below.
+/// A stored text symbol: a `Base` at level 0, a `u32` LMS name below.
+/// Its bucket is never 0, which is the sentinel's: a base's is its rank
+/// plus one, and a name is its own (the sentinel's LMS substring, the
+/// smallest, is the only one named 0).
 trait Sym: Copy + Eq {
-    fn index(self) -> usize;
+    fn bucket(self) -> usize;
 }
 
-impl Sym for u8 {
+impl Sym for Base {
     #[inline]
-    fn index(self) -> usize {
-        self as usize
+    fn bucket(self) -> usize {
+        self.rank() + 1
     }
 }
 
 impl Sym for u32 {
     #[inline]
-    fn index(self) -> usize {
+    fn bucket(self) -> usize {
         self as usize
     }
 }
 
-/// One bit per position: set for S-type (suffix smaller than its right
-/// neighbour), clear for L-type. Bits past the text in the last word are
-/// clear.
+/// The bucket of position `p` of `s` followed by its sentinel.
+#[inline]
+fn bucket_at<T: Sym>(s: &[T], p: usize) -> usize {
+    if p == s.len() {
+        0
+    } else {
+        s[p].bucket()
+    }
+}
+
+/// One bit per position of a text and its sentinel: set for S-type
+/// (suffix smaller than its right neighbour), clear for L-type. Bits past
+/// the sentinel in the last word are clear.
 struct Types {
     bits: Vec<u64>,
 }
 
 impl Types {
-    /// Classifies every position of `s`, right to left, a word of type
-    /// bits at a time.
+    /// Classifies every position of `s` and of the sentinel after it,
+    /// right to left, a word of type bits at a time.
     fn classify<T: Sym>(s: &[T]) -> Types {
-        let n = s.len();
+        let n = s.len() + 1;
         let mut bits = vec![0u64; n.div_ceil(64)];
         // Nothing stands right of the sentinel; "larger than any symbol"
         // there makes it S-type by the rule every other position uses.
-        let mut right = usize::MAX;
-        let mut is_s = false;
+        let mut right = 0;
+        let mut is_s = true;
+        let last = bits.len() - 1;
         for (w, word) in bits.iter_mut().enumerate().rev() {
-            let mut acc = 0u64;
-            for &sym in s[w * 64..n.min(w * 64 + 64)].iter().rev() {
-                let a = sym.index();
+            // The sentinel's bit is the last word's first, shifted up
+            // past the symbols that precede it there.
+            let mut acc = u64::from(w == last);
+            for &sym in s[w * 64..s.len().min(w * 64 + 64)].iter().rev() {
+                let a = sym.bucket();
                 is_s = a < right || (a == right && is_s);
                 acc = acc << 1 | u64::from(is_s);
                 right = a;
@@ -148,13 +172,57 @@ impl Types {
     }
 }
 
-/// Symbol frequencies of `s` over an alphabet of `k` symbols.
-fn bucket_sizes<T: Sym>(s: &[T], k: usize) -> Vec<u32> {
-    let mut sizes = vec![0u32; k];
+/// Where a recursion level keeps its two bucket arrays, each as long as
+/// its alphabet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Buckets {
+    /// In the dead middle of a working array above the level whenever
+    /// both fit there, allocated otherwise (as at level 0, which has
+    /// nothing above it) — what every build does.
+    InSpare,
+    /// Always allocated, as at level 0 (the tests' reference).
+    #[cfg(test)]
+    OnHeap,
+}
+
+/// What [`sais`] did beyond sorting: how deep the recursion went (1 when
+/// the LMS substrings were all distinct) and how many of those levels
+/// found room for their buckets in a dead middle above them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Recursion {
+    levels: u32,
+    in_spare: u32,
+}
+
+/// Runs `f` with the level's symbol-frequency and bucket-pointer arrays,
+/// `k` slots each, taking them from `spare` when `buckets` allows and
+/// `2k` slots fit there, and allocating them otherwise. Returns `f`'s
+/// result and whether the spare slots held the arrays.
+fn with_buckets<R>(
+    spare: &mut [u32],
+    k: usize,
+    buckets: Buckets,
+    f: impl FnOnce(&mut [u32], &mut [u32]) -> R,
+) -> (R, bool) {
+    let in_spare = buckets == Buckets::InSpare && spare.len() >= 2 * k;
+    let mut heap;
+    let slots = if in_spare {
+        &mut spare[..2 * k]
+    } else {
+        heap = vec![0u32; 2 * k];
+        &mut heap[..]
+    };
+    let (sizes, bkt) = slots.split_at_mut(k);
+    (f(sizes, bkt), in_spare)
+}
+
+/// Fills `sizes` with the symbol frequencies of `s` and its sentinel.
+fn bucket_sizes<T: Sym>(s: &[T], sizes: &mut [u32]) {
+    sizes.fill(0);
+    sizes[0] = 1;
     for &c in s {
-        sizes[c.index()] += 1;
+        sizes[c.bucket()] += 1;
     }
-    sizes
 }
 
 /// Fills `out` with each bucket's first slot.
@@ -184,7 +252,7 @@ fn induce_l<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: 
         if p != EMPTY && p > 0 {
             let q = p as usize - 1;
             if !types.is_s(q) {
-                let c = s[q].index();
+                let c = s[q].bucket();
                 sa[bkt[c] as usize] = q as u32;
                 bkt[c] += 1;
             }
@@ -219,7 +287,7 @@ fn induce_s<T: Sym, const COLLECT_LMS: bool>(
         if p != EMPTY && p > 0 {
             let q = p as usize - 1;
             if types.is_s(q) {
-                let c = s[q].index();
+                let c = s[q].bucket();
                 bkt[c] -= 1;
                 sa[bkt[c] as usize] = q as u32;
             } else if COLLECT_LMS && types.is_s(p as usize) {
@@ -245,7 +313,7 @@ fn sort_lms_substrings<T: Sym, const COLLECT_LMS: bool>(
     sa.fill(EMPTY);
     bucket_tails(sizes, bkt);
     types.for_each_lms(|p| {
-        let c = s[p].index();
+        let c = bucket_at(s, p);
         bkt[c] -= 1;
         sa[bkt[c] as usize] = p as u32;
     });
@@ -253,43 +321,58 @@ fn sort_lms_substrings<T: Sym, const COLLECT_LMS: bool>(
     induce_s::<T, COLLECT_LMS>(s, sa, types, sizes, bkt)
 }
 
-/// SA-IS over `s`, whose last element is the unique smallest symbol (the
-/// sentinel), with symbols below `k`. Writes the suffix array of `s`
-/// into `sa` (same length), which is also the only working storage
-/// proportional to `n` apart from one type bit per position: the sorted
-/// LMS suffixes are moved to `sa[..m]`, their names are parked at
+/// SA-IS over `s` followed by an implicit sentinel, the unique smallest
+/// symbol, at index `s.len()`; the stored symbols' buckets are below `k`
+/// and above 0. Writes the suffix array of that text into `sa`
+/// (`s.len() + 1` rows), which is also the only working storage
+/// proportional to the text apart from one type bit per position: the
+/// sorted LMS suffixes are moved to `sa[..m]`, their names are parked at
 /// `sa[m + p/2]` (LMS positions are at least 2 apart) and then packed
-/// into `sa[n-m..]`, which is the reduced text the recursion sorts into
-/// `sa[..m]`. Returns how many levels deep the recursion went (1 when
-/// the LMS substrings were all distinct).
-fn sais<T: Sym>(s: &[T], sa: &mut [u32], k: usize) -> u32 {
-    let n = s.len();
+/// into `sa[n-m..]`, and that reduced text minus its last name — the
+/// sentinel's, which stays implicit there too — is what the recursion
+/// sorts into `sa[..m]`. The slots between, `sa[m..n-m]`, are dead until
+/// the recursion returns, and so is the `spare` stretch this level was
+/// handed: the recursion gets the larger of the two for its bucket
+/// arrays (`spare` is empty at level 0).
+fn sais<T: Sym>(
+    s: &[T],
+    sa: &mut [u32],
+    k: usize,
+    spare: &mut [u32],
+    buckets: Buckets,
+) -> Recursion {
+    let n = s.len() + 1;
     assert_eq!(sa.len(), n, "working array must match the text");
     if n == 1 {
         sa[0] = 0;
-        return 1;
+        return Recursion {
+            levels: 1,
+            in_spare: 0,
+        };
     }
     let types = Types::classify(s);
     // The bucket arrays are as large as the alphabet, which below level 0
     // can approach the text: they live for one stage, never across the
     // recursion.
-    let m = {
-        let sizes = bucket_sizes(s, k);
-        sort_lms_substrings::<T, true>(s, sa, &types, &sizes, &mut vec![0u32; k])
-    };
+    let (m, in_spare) = with_buckets(spare, k, buckets, |sizes, bkt| {
+        bucket_sizes(s, sizes);
+        sort_lms_substrings::<T, true>(s, sa, &types, sizes, bkt)
+    });
     sa.copy_within(n - m.., 0);
 
     // --- Name the LMS substrings in sorted order. An LMS substring runs
     // to the next LMS position inclusive (the sentinel's is itself), and
     // both ends being S-type fixes every type in between from the
-    // symbols alone: equal slices are equal substrings. ---
+    // symbols alone: equal slices are equal substrings. A substring that
+    // ends on the sentinel is its stored slice plus that sentinel. ---
     let parked = m..m + n.div_ceil(2);
     sa[parked.clone()].fill(EMPTY);
     let mut names = 0u32;
-    let mut prev: &[T] = &[];
+    let mut prev = None;
     for i in 0..m {
         let p = sa[i] as usize;
-        let substring = &s[p..=types.next_lms(p).unwrap_or(p)];
+        let end = types.next_lms(p).unwrap_or(p);
+        let substring = Some((end == s.len(), &s[p..s.len().min(end + 1)]));
         if substring != prev {
             names += 1;
         }
@@ -307,17 +390,30 @@ fn sais<T: Sym>(s: &[T], sa: &mut [u32], k: usize) -> u32 {
     debug_assert_eq!(j, n - m);
 
     // --- Order the LMS suffixes: sa[..m] = SA of the reduced text. ---
-    let levels = {
+    let below = {
         let (sa1, rest) = sa.split_at_mut(m);
-        let s1 = &rest[n - 2 * m..];
+        let (middle, s1) = rest.split_at_mut(n - 2 * m);
+        let s1 = &s1[..m - 1];
         if (names as usize) < m {
-            1 + sais(s1, sa1, names as usize)
+            // This level's buckets are not alive while the recursion
+            // runs, so it may have the larger of the two dead stretches.
+            let spare = if middle.len() >= spare.len() {
+                middle
+            } else {
+                &mut *spare
+            };
+            sais(s1, sa1, names as usize, spare, buckets)
         } else {
-            // All names unique: each name is its own rank.
+            // All names unique: each name is its own rank, and the
+            // sentinel's suffix is the smallest.
+            sa1[0] = s1.len() as u32;
             for (i, &name) in s1.iter().enumerate() {
                 sa1[name as usize] = i as u32;
             }
-            1
+            Recursion {
+                levels: 0,
+                in_spare: 0,
+            }
         }
     };
     // Reduced-text indices back to text positions.
@@ -332,20 +428,24 @@ fn sais<T: Sym>(s: &[T], sa: &mut [u32], k: usize) -> u32 {
 
     // --- Stage 3: induce the full order from the sorted LMS suffixes.
     // Largest first, so a suffix never lands on one not yet moved. ---
-    let sizes = bucket_sizes(s, k);
-    let mut bkt = vec![0u32; k];
     sa[m..].fill(EMPTY);
-    bucket_tails(&sizes, &mut bkt);
-    for i in (0..m).rev() {
-        let p = sa[i];
-        sa[i] = EMPTY;
-        let c = s[p as usize].index();
-        bkt[c] -= 1;
-        sa[bkt[c] as usize] = p;
+    with_buckets(spare, k, buckets, |sizes, bkt| {
+        bucket_sizes(s, sizes);
+        bucket_tails(sizes, bkt);
+        for i in (0..m).rev() {
+            let p = sa[i];
+            sa[i] = EMPTY;
+            let c = bucket_at(s, p as usize);
+            bkt[c] -= 1;
+            sa[bkt[c] as usize] = p;
+        }
+        induce_l(s, sa, &types, sizes, bkt);
+        induce_s::<T, false>(s, sa, &types, sizes, bkt);
+    });
+    Recursion {
+        levels: below.levels + 1,
+        in_spare: below.in_spare + u32::from(in_spare),
     }
-    induce_l(s, sa, &types, &sizes, &mut bkt);
-    induce_s::<T, false>(s, sa, &types, &sizes, &mut bkt);
-    levels
 }
 
 #[cfg(test)]
@@ -354,8 +454,17 @@ mod tests {
     use bioseq::DnaSeq;
     use proptest::prelude::*;
 
-    fn text_of(s: &str) -> Text {
-        Text::from_reference(&s.parse::<DnaSeq>().unwrap())
+    fn text_of(s: &str) -> Text<'static> {
+        Text::from_bases(s.parse::<DnaSeq>().unwrap().into_bases())
+    }
+
+    fn text_of_ranks(ranks: impl IntoIterator<Item = u8>) -> Text<'static> {
+        Text::from_bases(
+            ranks
+                .into_iter()
+                .map(|r| Base::from_rank(r.into()))
+                .collect(),
+        )
     }
 
     #[test]
@@ -381,7 +490,7 @@ mod tests {
 
     #[test]
     fn empty_reference() {
-        let t = Text::from_reference(&DnaSeq::new());
+        let t = text_of("");
         assert_eq!(suffix_array(&t), vec![0]);
     }
 
@@ -417,11 +526,18 @@ mod tests {
         assert_eq!(suffix_array(&t)[0] as usize, t.len() - 1);
     }
 
+    /// Suffix array plus what the recursion did, the buckets placed as
+    /// `buckets` says.
+    fn sais_with(t: &Text, buckets: Buckets) -> (Vec<u32>, Recursion) {
+        let mut sa = vec![0; t.len()];
+        let recursion = sais(t.bases(), &mut sa, ALPHABET, &mut [], buckets);
+        (sa, recursion)
+    }
+
     /// Suffix array plus the recursion depth SA-IS needed for it.
     fn sais_levels(t: &Text) -> (Vec<u32>, u32) {
-        let mut sa = vec![0; t.len()];
-        let levels = sais(t.as_ranks(), &mut sa, ALPHABET);
-        (sa, levels)
+        let (sa, recursion) = sais_with(t, Buckets::InSpare);
+        (sa, recursion.levels)
     }
 
     /// The fixed point of a two-letter substitution, as a DNA text.
@@ -437,19 +553,24 @@ mod tests {
         w
     }
 
-    #[test]
-    fn deeply_recursive_words_match_naive() {
+    /// Words that drive the recursion deep, and one that has none: name,
+    /// word, and the least recursion depth SA-IS needs for it.
+    fn recursive_words() -> [(&'static str, String, u32); 4] {
         let mut homopolymer = "A".repeat(1_500);
         homopolymer.push_str("CGTACGGT");
-        let words = [
+        [
             ("Fibonacci", morphic_word("AC", "A", 1_597), 3),
             ("period-doubling", morphic_word("AC", "AA", 2_000), 3),
             ("Thue–Morse", morphic_word("AC", "CA", 2_000), 3),
             // A^k + tail has a single non-sentinel LMS suffix: no recursion
             // at all, but the longest possible L-type induce chain.
             ("homopolymer + tail", homopolymer, 1),
-        ];
-        for (name, word, min_levels) in words {
+        ]
+    }
+
+    #[test]
+    fn deeply_recursive_words_match_naive() {
+        for (name, word, min_levels) in recursive_words() {
             let t = text_of(&word);
             let (sa, levels) = sais_levels(&t);
             assert_eq!(sa, suffix_array_naive(&t), "{name}");
@@ -475,6 +596,34 @@ mod tests {
         }
         for w in sa.windows(2) {
             assert!(t.suffix(w[0] as usize) < t.suffix(w[1] as usize));
+        }
+    }
+
+    /// A 200 kbp genome whose planted repeats force a recursion.
+    fn repeat_rich_text() -> Text<'static> {
+        let profile = readsim::genome::RepeatProfile::default();
+        Text::from_bases(readsim::genome::repeat_rich(200_000, profile, 0x5a15).into_bases())
+    }
+
+    /// The recursion's buckets in a dead middle above them and on the
+    /// heap sort alike, and a middle is really taken where they fit.
+    #[test]
+    fn buckets_in_the_spare_middle_sort_as_buckets_on_the_heap() {
+        let mut texts: Vec<(&str, Text)> = recursive_words()
+            .into_iter()
+            .map(|(name, word, _)| (name, text_of(&word)))
+            .collect();
+        texts.push(("repeat-rich 200 kbp", repeat_rich_text()));
+        for (name, t) in &texts {
+            let (in_spare, spared) = sais_with(t, Buckets::InSpare);
+            let (on_heap, heaped) = sais_with(t, Buckets::OnHeap);
+            assert_eq!(in_spare, on_heap, "{name}");
+            assert_eq!(spared.levels, heaped.levels, "{name}");
+            assert_eq!(heaped.in_spare, 0, "{name}");
+            // Level 0 has nothing above it. On these texts every level
+            // below finds room, some of them only in a middle two or more
+            // levels up (Thue–Morse and the genome, in level 0's).
+            assert_eq!(spared.in_spare, spared.levels - 1, "{name}: {spared:?}");
         }
     }
 
@@ -530,15 +679,16 @@ mod tests {
     /// filtering the whole induced array for LMS positions finds them
     /// (how they were found before the S-pass collected them).
     fn lms_order_collected_and_filtered(t: &Text) -> (Vec<u32>, Vec<u32>) {
-        let s = t.as_ranks();
-        let n = s.len();
-        let sizes = bucket_sizes(s, ALPHABET);
+        let s = t.bases();
+        let n = t.len();
+        let mut sizes = vec![0u32; ALPHABET];
+        bucket_sizes(s, &mut sizes);
         let mut bkt = vec![0u32; ALPHABET];
         let types = Types::classify(s);
         let mut sa = vec![0; n];
-        let m = sort_lms_substrings::<u8, true>(s, &mut sa, &types, &sizes, &mut bkt);
+        let m = sort_lms_substrings::<Base, true>(s, &mut sa, &types, &sizes, &mut bkt);
         let collected = sa[n - m..].to_vec();
-        sort_lms_substrings::<u8, false>(s, &mut sa, &types, &sizes, &mut bkt);
+        sort_lms_substrings::<Base, false>(s, &mut sa, &types, &sizes, &mut bkt);
         sa.retain(|&p| p != EMPTY && types.is_lms(p as usize));
         (collected, sa)
     }
@@ -552,11 +702,7 @@ mod tests {
             text_of(&morphic_word("AC", "AA", 2_000)),
             text_of(&morphic_word("AC", "CA", 2_000)),
         ];
-        texts.push(Text::from_reference(&readsim::genome::repeat_rich(
-            200_000,
-            readsim::genome::RepeatProfile::default(),
-            0x5a15,
-        )));
+        texts.push(repeat_rich_text());
         for t in &texts {
             let (collected, filtered) = lms_order_collected_and_filtered(t);
             assert!(!collected.is_empty(), "the sentinel is always LMS");
@@ -609,9 +755,21 @@ mod tests {
         }
 
         #[test]
+        fn bucket_placement_does_not_change_the_array(
+            bases in proptest::collection::vec(0u8..4, 0..600),
+            letters in 1u8..5,
+        ) {
+            let t = text_of_ranks(bases.into_iter().map(|r| r % letters));
+            let (in_spare, _) = sais_with(&t, Buckets::InSpare);
+            let (on_heap, heaped) = sais_with(&t, Buckets::OnHeap);
+            prop_assert_eq!(heaped.in_spare, 0);
+            prop_assert_eq!(&in_spare, &on_heap);
+            prop_assert_eq!(in_spare, suffix_array_naive(&t));
+        }
+
+        #[test]
         fn s_pass_collection_matches_the_filter(bases in proptest::collection::vec(0u8..3, 0..400)) {
-            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
-            let (collected, filtered) = lms_order_collected_and_filtered(&Text::from_reference(&seq));
+            let (collected, filtered) = lms_order_collected_and_filtered(&text_of_ranks(bases));
             prop_assert_eq!(collected, filtered);
         }
 

@@ -136,8 +136,8 @@ mod tests {
     use bioseq::Base;
     use proptest::prelude::*;
 
-    fn index(s: &str, d: usize) -> (Text, Vec<u32>, Bwt, MarkerTable) {
-        let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
+    fn index(s: &str, d: usize) -> (Text<'static>, Vec<u32>, Bwt, MarkerTable) {
+        let t = Text::from_bases(s.parse::<DnaSeq>().unwrap().into_bases());
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);

@@ -16,7 +16,6 @@
 use bioseq::Base;
 
 use crate::bwt::Bwt;
-use crate::text::ALPHABET;
 
 /// `Count(nt)`: the number of text symbols lexicographically smaller than
 /// `nt`. Indexed by [`Base::rank`]; the sentinel contributes one count to
@@ -29,7 +28,8 @@ use crate::text::ALPHABET;
 /// use fmindex::{suffix_array, Bwt, CountTable, Text};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let text = Text::from_reference(&"TGCTA".parse::<DnaSeq>()?);
+/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let text = Text::from_reference(&reference);
 /// let bwt = Bwt::from_sa(&text, &suffix_array(&text));
 /// let count = CountTable::from_bwt(&bwt);
 /// // TGCTA$ holds: $(1) A(1) C(1) G(1) T(2)
@@ -48,15 +48,11 @@ impl CountTable {
     /// Accumulates symbol frequencies from the BWT (a permutation of the
     /// text, so frequencies match).
     pub fn from_bwt(bwt: &Bwt) -> CountTable {
-        let mut freq = [0u32; ALPHABET];
-        for &r in bwt.as_ranks() {
-            freq[r as usize] += 1;
-        }
         let mut counts = [0u32; 4];
-        let mut sum = freq[0]; // the sentinel precedes every base
+        let mut sum = 1; // the sentinel precedes every base
         for (rank, slot) in counts.iter_mut().enumerate() {
             *slot = sum;
-            sum += freq[rank + 1];
+            sum += bwt.count_in_range(rank as u8 + 1, 0..bwt.len()) as u32;
         }
         CountTable { counts }
     }
@@ -143,7 +139,8 @@ pub struct SampledOcc {
 impl SampledOcc {
     /// Counts the check-points `occ(·, 0), occ(·, d), occ(·, 2d), …` up
     /// to and including the one at `⌊n/d⌋·d`, in one streaming pass over
-    /// the BWT — the full [`OccTable`] is never materialised.
+    /// the BWT, a bucket's four bases by popcount — the full [`OccTable`]
+    /// is never materialised.
     ///
     /// # Panics
     ///
@@ -152,13 +149,13 @@ impl SampledOcc {
         assert!(bucket_width > 0, "bucket width must be positive");
         let n = bwt.len();
         let mut samples = Vec::with_capacity((n / bucket_width + 1) * 4);
-        let mut running = [0u32; ALPHABET];
-        samples.extend_from_slice(&running[1..]);
-        for bucket in bwt.as_ranks().chunks_exact(bucket_width) {
-            for &r in bucket {
-                running[r as usize] += 1;
+        let mut running = [0u32; 4];
+        samples.extend_from_slice(&running);
+        for start in (0..n / bucket_width).map(|b| b * bucket_width) {
+            for (rank, occ) in (1..).zip(&mut running) {
+                *occ += bwt.count_in_range(rank, start..start + bucket_width) as u32;
             }
-            samples.extend_from_slice(&running[1..]);
+            samples.extend_from_slice(&running);
         }
         SampledOcc {
             samples,
@@ -295,7 +292,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn setup(s: &str, d: usize) -> (Bwt, CountTable, OccTable, SampledOcc, MarkerTable) {
-        let t = Text::from_reference(&s.parse::<DnaSeq>().unwrap());
+        let reference: DnaSeq = s.parse().unwrap();
+        let t = Text::from_reference(&reference);
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);

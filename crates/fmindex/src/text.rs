@@ -1,5 +1,6 @@
 //! The indexed text: reference genome plus sentinel.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use bioseq::{Base, DnaSeq, Symbol};
@@ -7,11 +8,13 @@ use bioseq::{Base, DnaSeq, Symbol};
 /// The alphabet size of the indexed text: `$, A, C, G, T`.
 pub const ALPHABET: usize = 5;
 
-/// A reference genome with the `$` sentinel appended, stored as symbol
-/// ranks (`$ → 0`, `A → 1`, …, `T → 4`).
+/// A reference genome with the `$` sentinel appended — a view of the
+/// reference's own bases, the sentinel virtual at position
+/// `text.len() - 1`. Symbol ranks are `$ → 0`, `A → 1`, …, `T → 4`.
 ///
-/// All index structures (suffix array, BWT, Occ) are built over a `Text`.
-/// Position `text.len() - 1` always holds the sentinel.
+/// Building one copies no base: [`Text::from_reference`] borrows the
+/// reference. Only [`Bwt::invert`](crate::Bwt::invert), which has no
+/// reference to borrow, returns a `Text` that owns its bases.
 ///
 /// # Examples
 ///
@@ -20,7 +23,8 @@ pub const ALPHABET: usize = 5;
 /// use fmindex::Text;
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let t = Text::from_reference(&"TGCTA".parse::<DnaSeq>()?);
+/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let t = Text::from_reference(&reference);
 /// assert_eq!(t.len(), 6); // 5 bases + $
 /// assert_eq!(t.to_string(), "TGCTA$");
 /// assert_eq!(t.rank(5), 0); // sentinel
@@ -28,23 +32,29 @@ pub const ALPHABET: usize = 5;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Text {
-    ranks: Vec<u8>,
+pub struct Text<'a> {
+    bases: Cow<'a, [Base]>,
 }
 
-impl Text {
-    /// Builds the text `S$` from reference `S`.
-    pub fn from_reference(reference: &DnaSeq) -> Text {
-        let mut ranks = Vec::with_capacity(reference.len() + 1);
-        ranks.extend(reference.iter().map(|b| Symbol::Base(*b).rank() as u8));
-        ranks.push(Symbol::Sentinel.rank() as u8);
-        Text { ranks }
+impl<'a> Text<'a> {
+    /// The text `S$` of reference `S`, borrowing its bases.
+    pub fn from_reference(reference: &'a DnaSeq) -> Text<'a> {
+        Text {
+            bases: Cow::Borrowed(reference.as_slice()),
+        }
+    }
+
+    /// The text `S$` of bases that are not held anywhere else.
+    pub(crate) fn from_bases(bases: Vec<Base>) -> Text<'static> {
+        Text {
+            bases: Cow::Owned(bases),
+        }
     }
 
     /// Total length including the sentinel (the `n + 1` of the paper's
     /// `n`-bp reference).
     pub fn len(&self) -> usize {
-        self.ranks.len()
+        self.bases.len() + 1
     }
 
     /// `Text` always contains at least the sentinel.
@@ -54,7 +64,12 @@ impl Text {
 
     /// Length of the reference without the sentinel.
     pub fn reference_len(&self) -> usize {
-        self.ranks.len() - 1
+        self.bases.len()
+    }
+
+    /// The reference's bases: every position but the sentinel's.
+    pub fn bases(&self) -> &[Base] {
+        &self.bases
     }
 
     /// The symbol rank at `pos` (`0` for the sentinel).
@@ -64,7 +79,11 @@ impl Text {
     /// Panics if `pos >= self.len()`.
     #[inline]
     pub fn rank(&self, pos: usize) -> u8 {
-        self.ranks[pos]
+        if pos == self.bases.len() {
+            0
+        } else {
+            self.bases[pos].rank() as u8 + 1
+        }
     }
 
     /// The symbol at `pos`.
@@ -73,36 +92,30 @@ impl Text {
     ///
     /// Panics if `pos >= self.len()`.
     pub fn symbol(&self, pos: usize) -> Symbol {
-        Symbol::from_rank(self.ranks[pos] as usize)
-    }
-
-    /// The ranks as a slice (sentinel last).
-    pub fn as_ranks(&self) -> &[u8] {
-        &self.ranks
+        Symbol::from_rank(usize::from(self.rank(pos)))
     }
 
     /// Reconstructs the reference sequence (without the sentinel).
     pub fn to_reference(&self) -> DnaSeq {
-        self.ranks[..self.reference_len()]
-            .iter()
-            .map(|&r| Base::from_rank(r as usize - 1))
-            .collect()
+        DnaSeq::from_bases(self.bases.to_vec())
     }
 
-    /// The suffix starting at `pos`, as symbol ranks.
+    /// The suffix starting at `pos`, up to but without the sentinel that
+    /// ends it. Slices order as the suffixes do: of two slices one is a
+    /// proper prefix of, the prefix is the smaller, as its sentinel is.
     ///
     /// # Panics
     ///
     /// Panics if `pos >= self.len()`.
-    pub fn suffix(&self, pos: usize) -> &[u8] {
-        &self.ranks[pos..]
+    pub fn suffix(&self, pos: usize) -> &[Base] {
+        &self.bases[pos..]
     }
 }
 
-impl fmt::Display for Text {
+impl fmt::Display for Text<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &r in &self.ranks {
-            write!(f, "{}", Symbol::from_rank(r as usize).to_char())?;
+        for pos in 0..self.len() {
+            write!(f, "{}", self.symbol(pos).to_char())?;
         }
         Ok(())
     }
@@ -112,13 +125,14 @@ impl fmt::Display for Text {
 mod tests {
     use super::*;
 
-    fn tgcta() -> Text {
-        Text::from_reference(&"TGCTA".parse().unwrap())
+    fn tgcta() -> DnaSeq {
+        "TGCTA".parse().unwrap()
     }
 
     #[test]
     fn sentinel_is_appended_last() {
-        let t = tgcta();
+        let reference = tgcta();
+        let t = Text::from_reference(&reference);
         assert_eq!(t.len(), 6);
         assert_eq!(t.rank(t.len() - 1), 0);
         assert_eq!(t.symbol(t.len() - 1), Symbol::Sentinel);
@@ -126,35 +140,53 @@ mod tests {
 
     #[test]
     fn ranks_match_symbols() {
-        let t = tgcta();
+        let reference = tgcta();
+        let t = Text::from_reference(&reference);
         // T G C T A $ -> 4 3 2 4 1 0
-        assert_eq!(t.as_ranks(), &[4, 3, 2, 4, 1, 0]);
+        let ranks: Vec<u8> = (0..t.len()).map(|p| t.rank(p)).collect();
+        assert_eq!(ranks, [4, 3, 2, 4, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rank_past_the_sentinel_panics() {
+        let reference = tgcta();
+        Text::from_reference(&reference).rank(6);
     }
 
     #[test]
     fn round_trip_to_reference() {
-        let t = tgcta();
+        let reference = tgcta();
+        let t = Text::from_reference(&reference);
         assert_eq!(t.to_reference().to_string(), "TGCTA");
         assert_eq!(t.reference_len(), 5);
+        assert_eq!(t, Text::from_bases(reference.as_slice().to_vec()));
     }
 
     #[test]
     fn display_shows_sentinel() {
-        assert_eq!(tgcta().to_string(), "TGCTA$");
+        assert_eq!(Text::from_reference(&tgcta()).to_string(), "TGCTA$");
     }
 
     #[test]
     fn empty_reference_is_just_sentinel() {
-        let t = Text::from_reference(&DnaSeq::new());
+        let empty = DnaSeq::new();
+        let t = Text::from_reference(&empty);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
         assert_eq!(t.to_string(), "$");
     }
 
     #[test]
-    fn suffixes_are_slices() {
-        let t = tgcta();
-        assert_eq!(t.suffix(2), &[2, 4, 1, 0]); // CTA$
-        assert_eq!(t.suffix(5), &[0]);
+    fn suffixes_are_slices_that_sort_as_suffixes() {
+        let reference = tgcta();
+        let t = Text::from_reference(&reference);
+        // CTA$, and $.
+        assert_eq!(t.suffix(2), &[Base::C, Base::T, Base::A]);
+        assert!(t.suffix(5).is_empty());
+        // $ < A$ < ACA$: the sentinel sorts first, so the prefix does.
+        let aca: DnaSeq = "ACA".parse().unwrap();
+        let t = Text::from_reference(&aca);
+        assert!(t.suffix(3) < t.suffix(2) && t.suffix(2) < t.suffix(0));
     }
 }

@@ -699,6 +699,10 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
     let parse_start = Instant::now();
     let (ref_id, reference) = load_reference(ref_path)?;
     let parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
+    // An artifact of no bases could never be loaded back.
+    if reference.is_empty() {
+        return Err(CliError::Input(format!("{ref_path}: no bases to index")));
+    }
     let max_len = pim_aligner_suite::fmindex::FmIndex::MAX_REFERENCE_LEN;
     if reference.len() > max_len {
         return Err(CliError::Input(format!(

@@ -474,3 +474,24 @@ fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
         "corruption error must name the cause: {stderr}"
     );
 }
+
+/// A FASTA whose one record has no bases is an input error for `index
+/// build` (exit 3, no backtrace): an artifact of no bases could not be
+/// loaded back, and no file is written.
+#[test]
+fn an_empty_reference_exits_3_and_writes_no_artifact() {
+    let ref_fa = write_temp("empty_ref.fa", ">chrEmpty\n");
+    let artifact = temp_path("empty.pimx");
+    let out = Command::new(env!("CARGO_BIN_EXE_pimalign"))
+        .args(["index", "build", ref_fa.to_str().unwrap()])
+        .arg(artifact.to_str().unwrap())
+        .output()
+        .expect("run pimalign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        format!("pimalign: {}: no bases to index", ref_fa.display())
+    );
+    assert!(!artifact.exists(), "an artifact was written");
+}
