@@ -12,9 +12,9 @@
 #                      tier-1 ignores, the release-binary smoke
 #                      (pimalign --threads 2 --trace-out, index build /
 #                      inspect / --index rerun + SAM cmp with the full
-#                      SA and again at --sa-rate 8), a
-#                      self-checking indexbench --quick, and a locked
-#                      build + test of benchmark/
+#                      SA and again at --sa-rate 8), the three API
+#                      examples, a self-checking indexbench --quick,
+#                      and a locked build + test of benchmark/
 #
 # Counted invariants are `cargo test` assertions, the byte-deterministic
 # metrics report is cmp'd against its committed file, and wall-clock is
@@ -183,6 +183,14 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         --index target/ci/smoke_sampled.pimx target/ci/smoke_reads.fq --threads 2 \
         > target/ci/smoke_sampled.sam
     cmp target/ci/smoke.sam target/ci/smoke_sampled.sam
+
+    # The documented API executes, not just compiles: the examples that
+    # drive Platform::align_chunk_parallel + batch_report (each asserts or
+    # panics on a wrong answer; ≈ 50 ms apiece once built).
+    step "examples (quickstart, resequencing, accelerator_survey)"
+    for _example in quickstart resequencing accelerator_survey; do
+        cargo run -q --release --example "$_example" > "target/ci/example_$_example.txt"
+    done
 
     # indexbench exits 1 on its own counted checks: sharded-vs-unsharded
     # SAM identity, footprint vs size model (<= 0.1 %), and peak RSS

@@ -193,11 +193,11 @@ fn fig9c() {
 /// primitive class.
 fn energy_breakdown() {
     let workload = figure_workload(19);
-    let mut aligner =
-        pim_aligner::AlignSession::new(&workload.reference, PimAlignerConfig::baseline());
-    let _ = aligner.align_batch(&workload.reads);
-    let model = *aligner.config().model();
-    let breakdown = aligner.ledger().energy_breakdown_pj(&model);
+    let config = PimAlignerConfig::baseline();
+    let (_, totals) = pim_aligner::Platform::new(&workload.reference, config.clone())
+        .align_chunk_parallel(&workload.reads, 1, 0, false)
+        .expect("the workload holds reads");
+    let breakdown = totals.ledger.energy_breakdown_pj(config.model());
     let total: f64 = breakdown.iter().map(|(_, e)| e).sum();
     println!("Energy breakdown per primitive class (PIM-Aligner-n, exact workload)");
     println!("--------------------------------------------------------------------");
@@ -215,16 +215,17 @@ fn energy_breakdown() {
 /// §III text claim: ~70 % of reads resolve in the exact stage.
 fn stages() {
     let workload = paper_workload(17);
-    let mut aligner =
-        pim_aligner::AlignSession::new(&workload.reference, PimAlignerConfig::baseline());
-    let result = aligner.align_batch(&workload.reads);
-    let mapped = result.outcomes.iter().filter(|o| o.is_mapped()).count();
+    let (pairs, totals) =
+        pim_aligner::Platform::new(&workload.reference, PimAlignerConfig::baseline())
+            .align_chunk_parallel(&workload.reads, 1, 0, false)
+            .expect("the workload holds reads");
+    let mapped = pairs.iter().filter(|(o, _)| o.is_mapped()).count();
     println!("Two-stage alignment on the paper workload (100 bp, 0.2% error, 0.1% variation)");
     println!("------------------------------------------------------------------------------");
     println!(
         "reads {}  mapped {}  exact-stage fraction {:.1}% (paper: 'up to ~70%' resolve in stage 1)\n",
         workload.reads.len(),
         mapped,
-        result.exact_fraction * 100.0
+        totals.exact_fraction() * 100.0
     );
 }

@@ -20,7 +20,7 @@
 use bench::Workload;
 use mram::device::CellParams;
 use mram::faults::{FaultCampaign, FaultModel};
-use pim_aligner::{AlignSession, PimAlignerConfig, RecoveryPolicy};
+use pim_aligner::{PimAlignerConfig, Platform, RecoveryPolicy};
 
 /// Comparator offset levels (mV-scale sigma multiplier on the sense
 /// path); 0 is the paper's nominal fault-free design point.
@@ -93,15 +93,16 @@ fn run_once(workload: &Workload, campaign: FaultCampaign, recovery: RecoveryPoli
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(campaign)
         .with_recovery(recovery);
-    let mut aligner = AlignSession::new(&workload.reference, config);
-    let result = aligner.align_batch(&workload.reads);
-    let correct = result
-        .outcomes
+    let platform = Platform::new(&workload.reference, config);
+    let (pairs, totals) = platform
+        .align_chunk_parallel(&workload.reads, 1, 0, false)
+        .expect("the workload holds reads");
+    let correct = pairs
         .iter()
         .zip(&workload.truth)
-        .filter(|(o, &truth)| o.positions().is_some_and(|p| p.contains(&truth)))
+        .filter(|((o, _), &truth)| o.positions().is_some_and(|p| p.contains(&truth)))
         .count();
-    let t = result.report.faults;
+    let t = platform.batch_report(&totals).faults;
     SweepPoint {
         accuracy: correct as f64 / workload.reads.len() as f64,
         injected: t.injected_total(),

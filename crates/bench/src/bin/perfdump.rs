@@ -4,8 +4,8 @@
 //! perfdump [--pipelined] [--out PATH]
 //! ```
 //!
-//! Runs the paper-shaped workload through one alignment session and
-//! writes the full metrics document (`PerfReport::to_metrics_json`:
+//! Runs the paper-shaped workload through one worker of
+//! `Platform::align_chunk_parallel`, forward strand only, and writes the full metrics document (`PerfReport::to_metrics_json`:
 //! report + fault telemetry + per-primitive cycle breakdown) to
 //! `BENCH_metrics.json`. The report is derived entirely from *simulated*
 //! cycles, so the output is deterministic — byte-identical across runs
@@ -52,11 +52,10 @@ fn main() -> ExitCode {
     );
 
     let platform = Platform::new(&workload.reference, config);
-    let mut session = platform.session();
-    for read in &workload.reads {
-        let _ = session.align_read(read);
-    }
-    let mut report = session.report();
+    let (_, totals) = platform
+        .align_chunk_parallel(&workload.reads, 1, 0, false)
+        .expect("the workload holds reads");
+    let mut report = platform.batch_report(&totals);
     // The committed baseline must stay byte-identical across runs and
     // machines, and the host section is wall-clock time. Redact it; the
     // live host numbers belong to `pimalign --metrics-out`.

@@ -3,7 +3,7 @@
 //! [`accel::Platform`] entries.
 
 use accel::{Platform, PlatformClass};
-use pim_aligner::{AlignSession, PerfReport, PimAlignerConfig};
+use pim_aligner::{PerfReport, PimAlignerConfig};
 
 use crate::workload::Workload;
 
@@ -22,8 +22,11 @@ pub struct PimRows {
 
 /// Runs one configuration over the workload and returns its report.
 pub fn simulate_config(workload: &Workload, config: PimAlignerConfig) -> PerfReport {
-    let mut aligner = AlignSession::new(&workload.reference, config);
-    aligner.align_batch(&workload.reads).report
+    let platform = pim_aligner::Platform::new(&workload.reference, config);
+    let (_, totals) = platform
+        .align_chunk_parallel(&workload.reads, 1, 0, false)
+        .expect("a workload holds reads");
+    platform.batch_report(&totals)
 }
 
 /// Converts a report into a figure row. The paper's figures are of the

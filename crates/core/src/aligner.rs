@@ -1,26 +1,22 @@
-//! The end-to-end PIM-Aligner: two-stage alignment plus performance
-//! reporting.
+//! The end-to-end PIM-Aligner: the per-worker session that runs the
+//! paper's two-stage alignment, with verify-and-recover, read by read.
 
 use std::time::Instant;
 
 use bioseq::DnaSeq;
 use fmindex::EditBudget;
-use pimsim::{
-    CycleLedger, Dpu, FaultInjector, HostEpoch, HostHistogram, HostSpan, HostSpanLog, KernelCache,
-};
+use pimsim::{Dpu, FaultInjector, HostEpoch, HostSpanLog, KernelCache};
 
 use crate::config::PimAlignerConfig;
-use crate::error::AlignError;
 use crate::exact::{exact_search_recorded, Descent};
 use crate::inexact::inexact_search_from;
 use crate::mapping::MappedIndex;
-use crate::metrics::PhaseLfm;
+use crate::parallel::BatchTotals;
 use crate::platform::Platform;
-use crate::report::{FaultTelemetry, PerfReport};
 use crate::verify::{verify_exact, verify_inexact};
 
 /// Which rung of the alignment state machine issued a platform pass —
-/// decides the [`PhaseLfm`] bucket its `LFM` calls land in.
+/// decides the [`PhaseLfm`](crate::PhaseLfm) bucket its `LFM` calls land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LfmAttr {
     /// The first pass over a read (exact + inexact stages attribute to
@@ -80,65 +76,30 @@ impl AlignmentOutcome {
     }
 }
 
-/// The result of aligning a batch of reads.
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    /// Per-read outcomes, in input order.
-    pub outcomes: Vec<AlignmentOutcome>,
-    /// The platform performance report for the batch.
-    pub report: PerfReport,
-    /// Fraction of reads resolved by the exact stage (paper §III: "up to
-    /// ∼70% of short reads should be exactly aligned … after stage one").
-    pub exact_fraction: f64,
-}
-
-/// A mutable alignment session over a shared [`Platform`], executing the
-/// paper's two-stage alignment.
+/// One worker's alignment state over a shared [`Platform`], executing the
+/// paper's two-stage alignment read by read.
 ///
 /// The session holds only per-worker state: the DPU registers, the
-/// alignment-time cycle ledger, the seeded fault-injection stream and the
-/// telemetry counters. The reference and the mapped FM-index live in the
-/// shared platform — [`MappedIndex::build`] runs exactly once per
-/// [`Platform::new`], no matter how many sessions are spawned.
+/// rank-checkpoint cache, the last exact descent, an optional host span
+/// log and the [`BatchTotals`] of everything it aligned. The reference
+/// and the mapped FM-index live in the shared platform —
+/// [`MappedIndex::build`](crate::MappedIndex::build) runs exactly once
+/// per [`Platform::new`], no matter how many sessions are spawned — and
+/// fault streams belong to reads: [`AlignSession::align_group`] draws
+/// each read's from
+/// [`MappedIndex::read_injector`](crate::MappedIndex::read_injector), so
+/// the session holds none.
 ///
-/// Constructing one with [`AlignSession::new`] builds a single-session
-/// platform.
-///
-/// # Examples
-///
-/// ```
-/// use bioseq::DnaSeq;
-/// use pim_aligner::{AlignmentOutcome, AlignSession, PimAlignerConfig};
-///
-/// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let reference: DnaSeq = "TGCTA".parse()?;
-/// let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-/// let outcome = aligner.align_read(&"CTA".parse()?);
-/// assert_eq!(outcome, AlignmentOutcome::Exact { positions: vec![2] });
-/// # Ok(())
-/// # }
-/// ```
+/// Sessions are the workers of
+/// [`Platform::align_chunk_parallel`], the one alignment entry point.
 #[derive(Debug)]
-pub struct AlignSession {
+pub(crate) struct AlignSession {
     platform: Platform,
-    /// Alignment-time fault stream (deterministic per campaign seed and
-    /// worker index).
-    injector: FaultInjector,
     dpu: Dpu,
-    ledger: CycleLedger,
-    lfm_calls: u64,
-    queries: u64,
-    exact_hits: u64,
-    /// Recovery-path counters (injection counters live in the session's
-    /// fault injector; [`AlignSession::fault_telemetry`] combines both
-    /// with the platform's one-time build counters).
-    telemetry: FaultTelemetry,
-    /// `LFM` calls attributed per alignment phase; always sums to
-    /// `lfm_calls`.
-    phase_lfm: PhaseLfm,
-    /// Wall-clock latency of every entry-point align call (always on:
-    /// one `Instant` read pair per read is noise next to an alignment).
-    host_per_read: HostHistogram,
+    /// Counters, the alignment-time cycle ledger, recovery and injection
+    /// telemetry, per-phase `LFM` attribution and the per-read wall-clock
+    /// latency histogram (`totals.host.per_read`) of every read so far.
+    totals: BatchTotals,
     /// Wall-clock span recorder around each alignment phase (exact and
     /// inexact passes, locate, recovery rungs); `None` (the default)
     /// costs one branch per site.
@@ -153,30 +114,14 @@ pub struct AlignSession {
 }
 
 impl AlignSession {
-    /// Builds a fresh single-session platform over a reference genome
-    /// (index construction + sub-array mapping; the one-time cost is
-    /// kept in the mapping ledger). To share one index across sessions,
-    /// build a [`Platform`] instead and spawn sessions from it.
-    pub fn new(reference: &DnaSeq, config: PimAlignerConfig) -> AlignSession {
-        Platform::new(reference, config).session()
-    }
-
-    /// Spawns a session over an existing platform (called by
+    /// Spawns a session over a platform (called by
     /// [`Platform::session`]).
-    pub(crate) fn for_platform(platform: Platform) -> AlignSession {
-        let injector = platform.mapped().session_injector();
+    pub(crate) fn new(platform: Platform) -> AlignSession {
         let dpu = Dpu::new(*platform.config().model());
         AlignSession {
             platform,
-            injector,
             dpu,
-            ledger: CycleLedger::new(),
-            lfm_calls: 0,
-            queries: 0,
-            exact_hits: 0,
-            telemetry: FaultTelemetry::default(),
-            phase_lfm: PhaseLfm::default(),
-            host_per_read: HostHistogram::new(),
+            totals: BatchTotals::new(),
             host_log: None,
             kernel_cache: KernelCache::new(),
             descent: Descent::new(),
@@ -192,23 +137,8 @@ impl AlignSession {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn enable_host_tracing(&mut self, epoch: HostEpoch, tid: u32, capacity: usize) {
+    pub(crate) fn enable_host_tracing(&mut self, epoch: HostEpoch, tid: u32, capacity: usize) {
         self.host_log = Some(HostSpanLog::new(epoch, tid, capacity));
-    }
-
-    /// Wall-clock per-read latency recorded so far.
-    pub fn host_histogram(&self) -> &HostHistogram {
-        &self.host_per_read
-    }
-
-    /// Drains the host span log: `(spans, dropped)`; empty/zero when
-    /// host tracing was never enabled. Draining disables tracing —
-    /// callers drain once, when the session retires.
-    pub fn take_host_spans(&mut self) -> (Vec<HostSpan>, u64) {
-        match self.host_log.take() {
-            Some(log) => log.into_parts(),
-            None => (Vec::new(), 0),
-        }
     }
 
     #[inline]
@@ -223,29 +153,59 @@ impl AlignSession {
         }
     }
 
-    /// `LFM` calls attributed per alignment phase.
-    pub fn phase_lfm(&self) -> PhaseLfm {
-        self.phase_lfm
-    }
-
-    /// The shared platform this session aligns on.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PimAlignerConfig {
+    fn config(&self) -> &PimAlignerConfig {
         self.platform.config()
     }
 
-    /// The mapped index (sub-arrays + software ground truth).
-    pub fn mapped(&self) -> &MappedIndex {
+    fn mapped(&self) -> &MappedIndex {
         self.platform.mapped()
     }
 
-    /// The indexed reference genome.
-    pub fn reference(&self) -> &DnaSeq {
-        self.platform.reference()
+    /// Aligns a contiguous group of reads one at a time, each on one
+    /// strand or — with `both_strands` — its reverse complement too when
+    /// the forward orientation misses.
+    ///
+    /// `first_token` is the global fault-stream token of `reads[0]`:
+    /// read `r` draws from [`MappedIndex::read_injector`] with token
+    /// `first_token + r`, so faulted output is a function of the read's
+    /// global index alone — invariant to the worker count. Each stream's
+    /// injection counters land in the session's telemetry, and one
+    /// wall-clock sample per read in the per-read histogram.
+    pub(crate) fn align_group(
+        &mut self,
+        reads: &[DnaSeq],
+        first_token: u64,
+        both_strands: bool,
+    ) -> Vec<(AlignmentOutcome, MappedStrand)> {
+        let mut results = Vec::with_capacity(reads.len());
+        for (r, read) in reads.iter().enumerate() {
+            let t0 = Instant::now();
+            let mut injector = self.mapped().read_injector(first_token + r as u64);
+            let result = if both_strands {
+                self.align_both(read, &mut injector)
+            } else {
+                (self.align_read(read, &mut injector), MappedStrand::Forward)
+            };
+            self.totals.telemetry.absorb_injected(&injector.counters());
+            self.totals
+                .host
+                .per_read
+                .record_ns(t0.elapsed().as_nanos() as u64);
+            results.push(result);
+        }
+        self.totals.reads += reads.len() as u64;
+        results
+    }
+
+    /// Retires the session: its totals, with the host spans it recorded
+    /// (none unless tracing was enabled).
+    pub(crate) fn into_totals(self) -> BatchTotals {
+        let mut totals = self.totals;
+        if let Some(log) = self.host_log {
+            let (spans, dropped) = log.into_parts();
+            totals.host.absorb_spans(spans, dropped);
+        }
+        totals
     }
 
     /// Aligns one read: exact stage first, then — if it fails — the
@@ -256,25 +216,15 @@ impl AlignSession {
     /// emitted, and failures walk the retry → escalate → host-fallback
     /// ladder (DESIGN.md §8); otherwise this is the raw platform path
     /// with zero verification overhead.
-    pub fn align_read(&mut self, read: &DnaSeq) -> AlignmentOutcome {
-        let t0 = Instant::now();
-        let outcome = self.align_read_inner(read);
-        self.host_per_read.record_ns(t0.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    /// [`align_read`](AlignSession::align_read) minus the wall-clock
-    /// sample, so each entry point — single- or both-strands — records
-    /// exactly one per-read latency.
-    fn align_read_inner(&mut self, read: &DnaSeq) -> AlignmentOutcome {
-        self.queries += 1;
+    fn align_read(&mut self, read: &DnaSeq, injector: &mut FaultInjector) -> AlignmentOutcome {
+        self.totals.queries += 1;
         let outcome = if self.config().recovery().is_enabled() {
-            self.align_read_recovered(read)
+            self.align_read_recovered(read, injector)
         } else {
-            self.raw_align(read, self.config().max_diffs(), LfmAttr::Primary)
+            self.raw_align(read, injector, self.config().max_diffs(), LfmAttr::Primary)
         };
         if matches!(outcome, AlignmentOutcome::Exact { .. }) {
-            self.exact_hits += 1;
+            self.totals.exact_hits += 1;
         }
         outcome
     }
@@ -283,34 +233,43 @@ impl AlignSession {
     /// (`exact_stage` distinguishes the two primary-pass stages).
     fn note_lfm(&mut self, attr: LfmAttr, exact_stage: bool, n: u64) {
         match attr {
-            LfmAttr::Primary if exact_stage => self.phase_lfm.exact += n,
-            LfmAttr::Primary => self.phase_lfm.inexact += n,
-            LfmAttr::Retry => self.phase_lfm.recovery_retry += n,
-            LfmAttr::Escalate => self.phase_lfm.recovery_escalate += n,
+            LfmAttr::Primary if exact_stage => self.totals.phase_lfm.exact += n,
+            LfmAttr::Primary => self.totals.phase_lfm.inexact += n,
+            LfmAttr::Retry => self.totals.phase_lfm.recovery_retry += n,
+            LfmAttr::Escalate => self.totals.phase_lfm.recovery_escalate += n,
         }
     }
 
     /// One unverified platform pass at difference budget `max_diffs`:
     /// the exact stage, then — if it misses — the inexact stage, which
     /// starts from the exact stage's descent and walks none of it again.
-    fn raw_align(&mut self, read: &DnaSeq, max_diffs: u8, attr: LfmAttr) -> AlignmentOutcome {
+    fn raw_align(
+        &mut self,
+        read: &DnaSeq,
+        injector: &mut FaultInjector,
+        max_diffs: u8,
+        attr: LfmAttr,
+    ) -> AlignmentOutcome {
         let exhaustive = self.config().exhaustive_inexact();
         let h_exact = self.host_start();
         let (interval, stats) = exact_search_recorded(
             self.platform.mapped(),
-            &mut self.injector,
+            injector,
             &mut self.dpu,
             read,
             Some(&mut self.kernel_cache),
             Some(&mut self.descent),
-            &mut self.ledger,
+            &mut self.totals.ledger,
         );
         self.host_record("exact_pass", h_exact);
-        self.lfm_calls += stats.lfm_calls;
+        self.totals.lfm_calls += stats.lfm_calls;
         self.note_lfm(attr, true, stats.lfm_calls);
         if !interval.is_empty() {
             let h_locate = self.host_start();
-            let positions = self.platform.mapped().locate(interval, &mut self.ledger);
+            let positions = self
+                .platform
+                .mapped()
+                .locate(interval, &mut self.totals.ledger);
             self.host_record("locate", h_locate);
             return AlignmentOutcome::Exact { positions };
         }
@@ -321,16 +280,16 @@ impl AlignSession {
         let h_inexact = self.host_start();
         let (hits, istats) = inexact_search_from(
             self.platform.mapped(),
-            &mut self.injector,
+            injector,
             &mut self.dpu,
             read,
             budget,
             exhaustive,
             &mut self.descent,
-            &mut self.ledger,
+            &mut self.totals.ledger,
         );
         self.host_record("inexact_pass", h_inexact);
-        self.lfm_calls += istats.lfm_calls;
+        self.totals.lfm_calls += istats.lfm_calls;
         self.note_lfm(attr, false, istats.lfm_calls);
         let Some(best) = hits.first() else {
             return AlignmentOutcome::Unmapped;
@@ -341,7 +300,7 @@ impl AlignSession {
             positions.extend(
                 self.platform
                     .mapped()
-                    .locate(hit.interval, &mut self.ledger),
+                    .locate(hit.interval, &mut self.totals.ledger),
             );
         }
         positions.sort_unstable();
@@ -365,20 +324,24 @@ impl AlignSession {
     /// a verified outcome escapes. Rungs, in order: same-budget retries
     /// (faults re-draw), difference-budget escalation, host software
     /// fallback (fault-free by construction).
-    fn align_read_recovered(&mut self, read: &DnaSeq) -> AlignmentOutcome {
+    fn align_read_recovered(
+        &mut self,
+        read: &DnaSeq,
+        injector: &mut FaultInjector,
+    ) -> AlignmentOutcome {
         let policy = self.config().recovery();
         let base_z = self.config().max_diffs();
         let faults_possible = self.mapped().faults_active();
 
         for attempt in 0..=policy.max_retries {
             let attr = if attempt > 0 {
-                self.telemetry.retries += 1;
+                self.totals.telemetry.retries += 1;
                 LfmAttr::Retry
             } else {
                 LfmAttr::Primary
             };
             let h_rung = self.host_start();
-            let outcome = self.raw_align(read, base_z, attr);
+            let outcome = self.raw_align(read, injector, base_z, attr);
             if attempt > 0 {
                 self.host_record("recovery.retry", h_rung);
             }
@@ -393,16 +356,16 @@ impl AlignSession {
         }
         let ceiling = policy.max_escalated_diffs.max(base_z);
         for z in (base_z + 1)..=ceiling {
-            self.telemetry.escalations += 1;
+            self.totals.telemetry.escalations += 1;
             let h_rung = self.host_start();
-            let outcome = self.raw_align(read, z, LfmAttr::Escalate);
+            let outcome = self.raw_align(read, injector, z, LfmAttr::Escalate);
             self.host_record("recovery.escalate", h_rung);
             if let Some(verified) = self.verified(read, outcome, faults_possible) {
                 return verified;
             }
         }
         if policy.host_fallback {
-            self.telemetry.host_fallbacks += 1;
+            self.totals.telemetry.host_fallbacks += 1;
             // Host work is uncharged; the span still marks that the
             // ladder bottomed out here.
             let h_host = self.host_start();
@@ -410,7 +373,7 @@ impl AlignSession {
             self.host_record("recovery.host_fallback", h_host);
             return outcome;
         }
-        self.telemetry.unrecoverable += 1;
+        self.totals.telemetry.unrecoverable += 1;
         AlignmentOutcome::Unmapped
     }
 
@@ -427,14 +390,14 @@ impl AlignSession {
     ) -> Option<AlignmentOutcome> {
         match outcome {
             AlignmentOutcome::Exact { positions } => {
-                self.telemetry.verifications += 1;
+                self.totals.telemetry.verifications += 1;
                 let total = positions.len();
                 let kept: Vec<usize> = positions
                     .into_iter()
                     .filter(|&p| verify_exact(self.platform.reference(), read, p))
                     .collect();
                 if kept.len() < total {
-                    self.telemetry.verify_failures += 1;
+                    self.totals.telemetry.verify_failures += 1;
                 }
                 if kept.is_empty() {
                     None
@@ -443,7 +406,7 @@ impl AlignSession {
                 }
             }
             AlignmentOutcome::Inexact { positions, diffs } => {
-                self.telemetry.verifications += 1;
+                self.totals.telemetry.verifications += 1;
                 let allow_indels = self.config().allows_indels();
                 let total = positions.len();
                 let kept: Vec<usize> = positions
@@ -453,7 +416,7 @@ impl AlignSession {
                     })
                     .collect();
                 if kept.len() < total {
-                    self.telemetry.verify_failures += 1;
+                    self.totals.telemetry.verify_failures += 1;
                 }
                 if kept.is_empty() {
                     None
@@ -515,23 +478,17 @@ impl AlignSession {
     /// Aligns a read against both genome strands: the forward
     /// orientation first, then — if unmapped — its reverse complement
     /// (the index covers the forward strand; real samples sequence both,
-    /// paper §I: "two twistings, paired strands").
-    pub fn align_read_both_strands(&mut self, read: &DnaSeq) -> (AlignmentOutcome, MappedStrand) {
-        // One wall-clock sample per *read*, covering both orientations —
-        // timing the inner calls separately would double-count the read
-        // in the per-read latency histogram.
-        let t0 = Instant::now();
-        let result = self.align_both_inner(read);
-        self.host_per_read.record_ns(t0.elapsed().as_nanos() as u64);
-        result
-    }
-
-    /// [`align_read_both_strands`](AlignSession::align_read_both_strands)
-    /// minus the wall-clock sample ([`AlignSession::align_group`] times
-    /// its reads itself).
-    fn align_both_inner(&mut self, read: &DnaSeq) -> (AlignmentOutcome, MappedStrand) {
-        match self.align_read_inner(read) {
-            AlignmentOutcome::Unmapped => match self.align_read_inner(&read.reverse_complement()) {
+    /// paper §I: "two twistings, paired strands"). Both orientations draw
+    /// from the read's one fault stream.
+    fn align_both(
+        &mut self,
+        read: &DnaSeq,
+        injector: &mut FaultInjector,
+    ) -> (AlignmentOutcome, MappedStrand) {
+        match self.align_read(read, injector) {
+            AlignmentOutcome::Unmapped => match self
+                .align_read(&read.reverse_complement(), injector)
+            {
                 // Neither orientation mapped: the read is unmapped as
                 // given, so report the forward strand (SAM leaves 0x10
                 // clear on unmapped records).
@@ -541,172 +498,43 @@ impl AlignSession {
             hit => (hit, MappedStrand::Forward),
         }
     }
-
-    /// Aligns a contiguous group of reads one at a time, each on one
-    /// strand or — with `both_strands` — its reverse complement too when
-    /// the forward orientation misses.
-    ///
-    /// `first_token` is the global fault-stream token of `reads[0]`:
-    /// read `r` draws from [`MappedIndex::read_injector`] with token
-    /// `first_token + r`, so faulted output is a function of the read's
-    /// global index alone — invariant to the worker count. The per-read
-    /// streams' injection counters are absorbed into the session's
-    /// telemetry. One wall-clock sample per read lands in the per-read
-    /// histogram.
-    pub fn align_group(
-        &mut self,
-        reads: &[DnaSeq],
-        first_token: u64,
-        both_strands: bool,
-    ) -> Vec<(AlignmentOutcome, MappedStrand)> {
-        let faults = self.mapped().faults_active();
-        let mut results = Vec::with_capacity(reads.len());
-        for (r, read) in reads.iter().enumerate() {
-            let t0 = Instant::now();
-            let mut stream = faults.then(|| self.mapped().read_injector(first_token + r as u64));
-            if let Some(stream) = stream.as_mut() {
-                std::mem::swap(&mut self.injector, stream);
-            }
-            let result = if both_strands {
-                self.align_both_inner(read)
-            } else {
-                (self.align_read_inner(read), MappedStrand::Forward)
-            };
-            if let Some(stream) = stream.as_mut() {
-                std::mem::swap(&mut self.injector, stream);
-                self.injector.absorb_counters(&stream.counters());
-            }
-            self.host_per_read.record_ns(t0.elapsed().as_nanos() as u64);
-            results.push(result);
-        }
-        results
-    }
-
-    /// Aligns a batch of reads and produces the performance report, or
-    /// a typed error for an empty batch.
-    pub fn try_align_batch(&mut self, reads: &[DnaSeq]) -> Result<BatchResult, AlignError> {
-        if reads.is_empty() {
-            return Err(AlignError::EmptyBatch);
-        }
-        let q0 = self.queries;
-        let e0 = self.exact_hits;
-        let outcomes: Vec<AlignmentOutcome> = reads.iter().map(|r| self.align_read(r)).collect();
-        let report = self.report();
-        let exact_fraction = (self.exact_hits - e0) as f64 / (self.queries - q0) as f64;
-        Ok(BatchResult {
-            outcomes,
-            report,
-            exact_fraction,
-        })
-    }
-
-    /// Aligns a batch of reads and produces the performance report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads` is empty (use
-    /// [`try_align_batch`](AlignSession::try_align_batch) for a typed
-    /// error).
-    pub fn align_batch(&mut self, reads: &[DnaSeq]) -> BatchResult {
-        self.try_align_batch(reads)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The cumulative performance report for all reads aligned so far,
-    /// including fault telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no read has been aligned yet.
-    pub fn report(&self) -> PerfReport {
-        let mut report =
-            PerfReport::from_batch(self.config(), &self.ledger, self.queries, self.lfm_calls);
-        report.faults = self.fault_telemetry();
-        report.breakdown.lfm_by_phase = self.phase_lfm;
-        report.breakdown.index_build_cycles = self.mapped().mapping_ledger().total_busy_cycles();
-        report.host.per_read = self.host_per_read.clone();
-        report
-    }
-
-    /// Combined fault telemetry: the session's injection counters plus
-    /// the platform's one-time build counters (stuck cells planted while
-    /// mapping) plus the recovery path's verification counters.
-    pub fn fault_telemetry(&self) -> FaultTelemetry {
-        let mut counters = self.injector.counters();
-        counters.merge(&self.mapped().build_fault_counters());
-        FaultTelemetry {
-            stuck_cells: counters.stuck_cells,
-            xnor_bit_flips: counters.xnor_bit_flips,
-            transient_row_faults: counters.transient_row_faults,
-            carry_faults: counters.carry_faults,
-            ..self.telemetry
-        }
-    }
-
-    /// This session's own telemetry only — injection counters from its
-    /// fault stream plus its recovery counters, *without* the platform's
-    /// one-time build counters. The parallel engine merges these across
-    /// workers and adds the build counters exactly once.
-    pub(crate) fn session_telemetry(&self) -> FaultTelemetry {
-        let counters = self.injector.counters();
-        FaultTelemetry {
-            stuck_cells: counters.stuck_cells,
-            xnor_bit_flips: counters.xnor_bit_flips,
-            transient_row_faults: counters.transient_row_faults,
-            carry_faults: counters.carry_faults,
-            ..self.telemetry
-        }
-    }
-
-    /// Cumulative `LFM` invocations.
-    pub fn lfm_calls(&self) -> u64 {
-        self.lfm_calls
-    }
-
-    /// Reads aligned so far.
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Reads resolved by the exact stage so far.
-    pub fn exact_hits(&self) -> u64 {
-        self.exact_hits
-    }
-
-    /// The alignment-time ledger (cycles and energy of every query so
-    /// far; the one-time mapping cost is kept separately in
-    /// [`MappedIndex::mapping_ledger`]).
-    pub fn ledger(&self) -> &CycleLedger {
-        &self.ledger
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::PerfReport;
     use fmindex::EditBudget;
     use readsim::{genome, ReadSimulator, SimProfile};
+
+    /// `reads` through the one entry point on one worker, forward strand
+    /// only: the outcomes in input order and the batch's report.
+    fn align(platform: &Platform, reads: &[DnaSeq]) -> (Vec<AlignmentOutcome>, BatchTotals) {
+        let (pairs, totals) = platform.align_chunk_parallel(reads, 1, 0, false).unwrap();
+        (pairs.into_iter().map(|(o, _)| o).collect(), totals)
+    }
+
+    fn report(platform: &Platform, reads: &[DnaSeq]) -> PerfReport {
+        platform.batch_report(&align(platform, reads).1)
+    }
 
     #[test]
     fn exact_and_inexact_stages_cooperate() {
         let reference = genome::uniform(5_000, 31);
-        let mut aligner = AlignSession::new(
+        let platform = Platform::new(
             &reference,
             PimAlignerConfig::baseline().with_exhaustive_inexact(true),
         );
-        // Clean read: exact.
+        // Clean read: exact. One substitution: inexact with diffs = 1.
         let clean = reference.subseq(1_000..1_050);
-        assert!(matches!(
-            aligner.align_read(&clean),
-            AlignmentOutcome::Exact { .. }
-        ));
-        // One substitution: inexact with diffs = 1.
         let mut bases = reference.subseq(2_000..2_050).into_bases();
         bases[25] = bioseq::Base::from_rank((bases[25].rank() + 2) % 4);
         let mutated = DnaSeq::from_bases(bases);
-        match aligner.align_read(&mutated) {
+        let (outcomes, _) = align(&platform, &[clean, mutated]);
+        assert!(matches!(outcomes[0], AlignmentOutcome::Exact { .. }));
+        match &outcomes[1] {
             AlignmentOutcome::Inexact { positions, diffs } => {
-                assert_eq!(diffs, 1);
+                assert_eq!(*diffs, 1);
                 assert!(positions.contains(&2_000));
             }
             other => panic!("expected inexact hit, got {other:?}"),
@@ -716,40 +544,40 @@ mod tests {
     #[test]
     fn unmappable_read_reported() {
         let reference: DnaSeq = "AAAAAAAAAAAAAAAAAAAA".parse().unwrap();
-        let mut aligner = AlignSession::new(
+        let platform = Platform::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
                 .with_indels(false),
         );
         let read: DnaSeq = "GGGGGGGG".parse().unwrap();
-        assert_eq!(aligner.align_read(&read), AlignmentOutcome::Unmapped);
+        assert_eq!(align(&platform, &[read]).0, [AlignmentOutcome::Unmapped]);
     }
 
     #[test]
     fn platform_positions_match_software_oracle() {
         let reference = genome::uniform(8_000, 32);
-        let mut aligner = AlignSession::new(
+        let platform = Platform::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
                 .with_exhaustive_inexact(true),
         );
-        let oracle = aligner.mapped().index().clone();
+        let oracle = platform.mapped().index();
         let profile = SimProfile::paper_defaults()
             .read_count(40)
             .read_len(50)
             .forward_only();
         let sim = ReadSimulator::new(profile, 33).simulate(&reference);
-        for read in &sim.reads {
-            let outcome = aligner.align_read(&read.seq);
+        let reads: Vec<DnaSeq> = sim.reads.into_iter().map(|r| r.seq).collect();
+        for (read, outcome) in reads.iter().zip(align(&platform, &reads).0) {
             match &outcome {
                 AlignmentOutcome::Exact { positions } => {
-                    let sw = oracle.find(&read.seq);
+                    let sw = oracle.find(read);
                     assert_eq!(positions, &sw);
                 }
                 AlignmentOutcome::Inexact { positions, diffs } => {
-                    let sw = oracle.find_inexact(&read.seq, EditBudget::edits(1));
+                    let sw = oracle.find_inexact(read, EditBudget::edits(1));
                     let best = sw.iter().map(|(_, d)| *d).min().unwrap();
                     assert_eq!(*diffs, best);
                     let sw_best: Vec<usize> = sw
@@ -762,9 +590,7 @@ mod tests {
                     }
                 }
                 AlignmentOutcome::Unmapped => {
-                    assert!(oracle
-                        .find_inexact(&read.seq, EditBudget::edits(1))
-                        .is_empty());
+                    assert!(oracle.find_inexact(read, EditBudget::edits(1)).is_empty());
                 }
             }
         }
@@ -773,23 +599,20 @@ mod tests {
     #[test]
     fn batch_reports_exact_fraction() {
         let reference = genome::uniform(20_000, 34);
-        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
         let profile = SimProfile::paper_defaults()
             .read_count(60)
             .read_len(60)
             .forward_only();
         let sim = ReadSimulator::new(profile, 35).simulate(&reference);
         let reads: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
-        let result = aligner.align_batch(&reads);
-        assert_eq!(result.outcomes.len(), 60);
+        let (outcomes, totals) = align(&platform, &reads);
+        assert_eq!(outcomes.len(), 60);
         // Paper §III: most reads align exactly in stage 1 (0.2 % error,
         // 0.1 % variation ⇒ the bulk of 60-bp reads are clean).
-        assert!(
-            result.exact_fraction > 0.5,
-            "exact fraction {:.2}",
-            result.exact_fraction
-        );
-        assert!(result.report.throughput_qps > 0.0);
+        let exact_fraction = totals.exact_fraction();
+        assert!(exact_fraction > 0.5, "exact fraction {exact_fraction:.2}");
+        assert!(platform.batch_report(&totals).throughput_qps > 0.0);
     }
 
     #[test]
@@ -798,10 +621,14 @@ mod tests {
         let reads: Vec<DnaSeq> = (0..20)
             .map(|i| reference.subseq(i * 100..i * 100 + 50))
             .collect();
-        let mut n = AlignSession::new(&reference, PimAlignerConfig::baseline());
-        let mut p = AlignSession::new(&reference, PimAlignerConfig::pipelined());
-        let rn = n.align_batch(&reads).report;
-        let rp = p.align_batch(&reads).report;
+        let rn = report(
+            &Platform::new(&reference, PimAlignerConfig::baseline()),
+            &reads,
+        );
+        let rp = report(
+            &Platform::new(&reference, PimAlignerConfig::pipelined()),
+            &reads,
+        );
         let gain = rp.throughput_qps / rn.throughput_qps;
         assert!((1.25..1.60).contains(&gain), "pipeline gain {gain:.3}");
     }
@@ -812,42 +639,23 @@ mod tests {
         // strand must come back Forward (SAM leaves 0x10 clear on
         // unmapped records), not Reverse as the pre-fix code claimed.
         let reference: DnaSeq = "AAAAAAAAAAAAAAAAAAAA".parse().unwrap();
-        let mut aligner = AlignSession::new(
+        let platform = Platform::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
                 .with_indels(false),
         );
         let read: DnaSeq = "GGGGGGGG".parse().unwrap();
-        assert_eq!(
-            aligner.align_read_both_strands(&read),
-            (AlignmentOutcome::Unmapped, MappedStrand::Forward)
-        );
+        let (pairs, _) = platform.align_chunk_parallel(&[read], 1, 0, true).unwrap();
+        assert_eq!(pairs, [(AlignmentOutcome::Unmapped, MappedStrand::Forward)]);
         // A reverse-complement hit still reports Reverse.
         let reference = genome::uniform(4_000, 48);
-        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
         let rev = reference.subseq(1_000..1_060).reverse_complement();
-        let (outcome, strand) = aligner.align_read_both_strands(&rev);
+        let (pairs, _) = platform.align_chunk_parallel(&[rev], 1, 0, true).unwrap();
+        let (outcome, strand) = &pairs[0];
         assert!(outcome.is_mapped());
-        assert_eq!(strand, MappedStrand::Reverse);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one read")]
-    fn empty_batch_panics() {
-        let reference = genome::uniform(1_000, 37);
-        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-        let _ = aligner.align_batch(&[]);
-    }
-
-    #[test]
-    fn empty_batch_yields_typed_error() {
-        let reference = genome::uniform(1_000, 38);
-        let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-        assert_eq!(
-            aligner.try_align_batch(&[]).unwrap_err(),
-            crate::error::AlignError::EmptyBatch
-        );
+        assert_eq!(*strand, MappedStrand::Reverse);
     }
 
     #[test]
@@ -857,15 +665,15 @@ mod tests {
         let reads: Vec<DnaSeq> = (0..12)
             .map(|i| reference.subseq(i * 400..i * 400 + 60))
             .collect();
-        let mut raw = AlignSession::new(&reference, PimAlignerConfig::baseline());
-        let mut recovering = AlignSession::new(
+        let raw = Platform::new(&reference, PimAlignerConfig::baseline());
+        let recovering = Platform::new(
             &reference,
             PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard()),
         );
-        let raw_out = raw.align_batch(&reads);
-        let rec_out = recovering.align_batch(&reads);
-        assert_eq!(raw_out.outcomes, rec_out.outcomes);
-        let t = rec_out.report.faults;
+        let (raw_out, raw_totals) = align(&raw, &reads);
+        let (rec_out, rec_totals) = align(&recovering, &reads);
+        assert_eq!(raw_out, rec_out);
+        let t = recovering.batch_report(&rec_totals).faults;
         assert_eq!(t.injected_total(), 0);
         assert_eq!(t.verify_failures, 0);
         assert_eq!(
@@ -873,7 +681,7 @@ mod tests {
             0
         );
         assert_eq!(t.verifications, reads.len() as u64);
-        assert!(raw_out.report.faults.is_quiet());
+        assert!(raw.batch_report(&raw_totals).faults.is_quiet());
     }
 
     #[test]
@@ -890,21 +698,21 @@ mod tests {
             .with_transient_row_rate(0.05)
             .with_carry_fault_prob(0.02)
             .with_stuck_at_rate(1e-4);
-        let mut aligner = AlignSession::new(
+        let platform = Platform::new(
             &reference,
             PimAlignerConfig::baseline()
                 .with_fault_campaign(campaign)
                 .with_recovery(RecoveryPolicy::standard()),
         );
-        for (i, read) in reads.iter().enumerate() {
-            let outcome = aligner.align_read(read);
+        let (outcomes, totals) = align(&platform, &reads);
+        for (i, outcome) in outcomes.iter().enumerate() {
             let positions = outcome.positions().expect("read must map");
             assert!(
                 positions.contains(&(i * 1_400)),
                 "read {i} placed at {positions:?}"
             );
         }
-        let t = aligner.fault_telemetry();
+        let t = platform.batch_report(&totals).faults;
         assert!(t.injected_total() > 0, "campaign must inject: {t:?}");
         assert!(
             t.retries + t.host_fallbacks > 0,

@@ -664,7 +664,8 @@ impl ShardedPlatform {
     ///
     /// # Errors
     ///
-    /// [`AlignError::EmptyBatch`], [`AlignError::NoThreads`], or
+    /// [`AlignError::EmptyBatch`], [`AlignError::NoThreads`],
+    /// [`AlignError::ChunkTooLong`], or
     /// [`AlignError::ReadExceedsShardOverlap`] when a read (plus the
     /// configured difference budget) does not fit the shard overlap.
     pub fn align_chunk(
@@ -763,17 +764,15 @@ impl ShardedPlatform {
             totals.queries,
             totals.lfm_calls,
         );
-        let mut faults = totals.telemetry;
+        report.faults = totals.telemetry;
         let mut build_cycles = 0;
         for shard in &self.shards {
-            let build = shard.platform.mapped().build_fault_counters();
-            faults.stuck_cells += build.stuck_cells;
-            faults.xnor_bit_flips += build.xnor_bit_flips;
-            faults.transient_row_faults += build.transient_row_faults;
-            faults.carry_faults += build.carry_faults;
-            build_cycles += shard.platform.mapped().mapping_ledger().total_busy_cycles();
+            let mapped = shard.platform.mapped();
+            report
+                .faults
+                .absorb_injected(&mapped.build_fault_counters());
+            build_cycles += mapped.mapping_ledger().total_busy_cycles();
         }
-        report.faults = faults;
         report.breakdown.lfm_by_phase = totals.phase_lfm;
         report.breakdown.index_build_cycles = build_cycles;
         report.host = totals.host.clone();

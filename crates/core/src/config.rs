@@ -115,7 +115,7 @@ pub enum AddMethod {
     Mirrored,
 }
 
-/// Configuration of an [`AlignSession`](crate::AlignSession).
+/// Configuration of a [`Platform`](crate::Platform).
 ///
 /// # Examples
 ///

@@ -9,6 +9,14 @@ pub enum AlignError {
     EmptyBatch,
     /// Zero worker threads were requested.
     NoThreads,
+    /// One chunk held more reads than its fault-stream tokens can key
+    /// apart from the next chunk's ([`EPOCH_STRIDE`](crate::EPOCH_STRIDE)).
+    ChunkTooLong {
+        /// Reads in the chunk.
+        reads: usize,
+        /// The most reads one chunk may hold.
+        max: usize,
+    },
     /// A read is longer than the shard overlap can guarantee to cover:
     /// a hit starting near the end of a shard's owned window would run
     /// past the shard's slice and be silently missed. The overlap must
@@ -27,6 +35,9 @@ impl fmt::Display for AlignError {
         match self {
             AlignError::EmptyBatch => write!(f, "batch must contain at least one read"),
             AlignError::NoThreads => write!(f, "at least one worker thread required"),
+            AlignError::ChunkTooLong { reads, max } => {
+                write!(f, "chunk of {reads} reads exceeds the {max}-read maximum")
+            }
             AlignError::ReadExceedsShardOverlap { read_len, budget } => write!(
                 f,
                 "read of {read_len} bases exceeds the shard overlap budget \

@@ -46,8 +46,8 @@ impl HostTraceConfig {
 /// and a field of it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostTotals {
-    /// Wall-clock latency of every `align_read` entry call (one sample
-    /// per read, even on the both-strands path).
+    /// Wall-clock latency of every read (one sample per read, even on
+    /// the both-strands path).
     pub per_read: HostHistogram,
     /// Wall-clock latency of every claimed work chunk.
     pub per_chunk: HostHistogram,

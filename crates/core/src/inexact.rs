@@ -1444,13 +1444,12 @@ pub(crate) mod tests {
         // A 100-base read of a 200 kbp genome at the default budget, two
         // edits: whether it maps, and for how many LFMs end to end —
         // stage 1's and stage 2's.
-        use crate::aligner::AlignSession;
         let reference = genome::uniform(200_000, 28);
         let m = 100;
-        let mut session = AlignSession::new(&reference, PimAlignerConfig::baseline());
-        let mut cost = |read: DnaSeq, diffs: Option<u8>| {
-            let before = session.lfm_calls();
-            let outcome = session.align_group(&[read], 0, false).remove(0).0;
+        let platform = crate::Platform::new(&reference, PimAlignerConfig::baseline());
+        let cost = |read: DnaSeq, diffs: Option<u8>| {
+            let (mut pairs, totals) = platform.align_chunk_parallel(&[read], 1, 0, false).unwrap();
+            let outcome = pairs.remove(0).0;
             match (&outcome, diffs) {
                 (AlignmentOutcome::Inexact { diffs, .. }, Some(expected)) => {
                     assert_eq!(*diffs, expected)
@@ -1458,7 +1457,7 @@ pub(crate) mod tests {
                 (AlignmentOutcome::Unmapped, None) => {}
                 _ => panic!("expected {diffs:?} differences, got {outcome:?}"),
             }
-            session.lfm_calls() - before
+            totals.lfm_calls
         };
         // Each ceiling is the count measured with the seed table (four
         // levels here), the word-line step and the partition rule, and a

@@ -12,9 +12,11 @@
 //! * [`exact_search`] — Algorithm 1 (exact alignment-in-memory);
 //! * [`inexact_search`] — Algorithm 2 (≤ z differences via DPU
 //!   backtracking);
-//! * [`AlignSession`] — the end-to-end two-stage aligner with the paper's
+//! * [`Platform`] — the end-to-end two-stage aligner with the paper's
 //!   two configurations, [`PimAlignerConfig::baseline`] (PIM-Aligner-n)
 //!   and [`PimAlignerConfig::pipelined`] (PIM-Aligner-p, Pd = 2);
+//!   [`Platform::align_chunk_parallel`] aligns reads and
+//!   [`Platform::batch_report`] reports on them;
 //! * [`PerfReport`] — throughput, power, MBR and RUR, the quantities of
 //!   Figs. 8–10.
 //!
@@ -25,16 +27,17 @@
 //!
 //! ```
 //! use bioseq::DnaSeq;
-//! use pim_aligner::{AlignSession, PimAlignerConfig};
+//! use pim_aligner::{PimAlignerConfig, Platform};
 //!
-//! # fn main() -> Result<(), bioseq::ParseSeqError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // The paper's Fig. 1 example: read CTA against reference TGCTA.
 //! let reference: DnaSeq = "TGCTA".parse()?;
-//! let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
-//! let outcome = aligner.align_read(&"CTA".parse()?);
-//! assert_eq!(outcome.positions(), Some(&[2usize][..]));
+//! let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+//! // One chunk (epoch 0) on one worker thread, forward strand only.
+//! let (pairs, totals) = platform.align_chunk_parallel(&["CTA".parse()?], 1, 0, false)?;
+//! assert_eq!(pairs[0].0.positions(), Some(&[2usize][..]));
 //!
-//! let report = aligner.report();
+//! let report = platform.batch_report(&totals);
 //! assert!(report.throughput_qps > 0.0);
 //! # Ok(())
 //! # }
@@ -59,7 +62,7 @@ pub mod metrics;
 pub mod sam;
 pub mod service;
 
-pub use aligner::{AlignSession, AlignmentOutcome, BatchResult, MappedStrand};
+pub use aligner::{AlignmentOutcome, MappedStrand};
 pub use artifact::{
     sa_rate_for_budget, ArtifactShard, IndexArtifact, LoadArtifactError, ShardedPlatform,
     ARTIFACT_MAGIC, BUDGET_RATES,
@@ -74,7 +77,7 @@ pub use metrics::{
     MetricsBreakdown, PhaseLfm, PrimitiveMetrics, ResourceMetrics, StageOccupancy,
     METRICS_SCHEMA_VERSION,
 };
-pub use parallel::{align_batch_parallel, align_batch_parallel_both_strands, BatchTotals};
+pub use parallel::{BatchTotals, EPOCH_STRIDE};
 pub use platform::Platform;
 pub use report::{
     FaultTelemetry, IndexTelemetry, ObsTelemetry, PerfReport, ServiceTelemetry, SlowRequest,

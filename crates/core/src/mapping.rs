@@ -214,9 +214,10 @@ impl MappedIndex {
         // Stuck-at injection: each physical array (primaries and
         // mirrors alike) draws its own defect plan after its tables are
         // written. The data zones are write-once, so a post-load force
-        // is behaviourally a stuck cell. The build-time injector is
-        // consumed here; alignment-time fault streams are per-session
-        // (see [`MappedIndex::session_injector`]).
+        // is behaviourally a stuck cell. The build-time injector, the
+        // one stream the campaign's own seed drives, is consumed here;
+        // alignment-time fault streams are per read (see
+        // [`MappedIndex::read_injector`]).
         let mut injector = FaultInjector::new(config.fault_campaign());
         let cols = model.geometry().cols;
         for sa in subarrays.iter_mut().chain(mirrors.iter_mut()) {
@@ -279,16 +280,19 @@ impl MappedIndex {
         self.campaign
     }
 
-    /// A fresh alignment-time fault injector seeded from the campaign
-    /// (the stream a sequential session replays).
+    /// A fresh fault injector seeded from the campaign itself, for
+    /// driving [`exact_search`](crate::exact_search) or
+    /// [`inexact_search`](crate::inexact_search) by hand. No alignment
+    /// draws from it: [`Platform::align_chunk_parallel`](crate::Platform::align_chunk_parallel)
+    /// gives every read its own [`MappedIndex::read_injector`].
     pub fn session_injector(&self) -> FaultInjector {
         FaultInjector::new(self.campaign)
     }
 
     /// A fresh alignment-time injector for globally indexed read
-    /// `token`: every read of a parallel run draws from its own
-    /// decorrelated fault stream, so faulted output is invariant to the
-    /// worker count ([`FaultCampaign::for_read`]).
+    /// `token`: every aligned read draws from its own decorrelated fault
+    /// stream, so faulted output is invariant to the worker count
+    /// ([`FaultCampaign::for_read`]).
     pub fn read_injector(&self, token: u64) -> FaultInjector {
         FaultInjector::new(self.campaign.for_read(token))
     }

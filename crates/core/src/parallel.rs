@@ -5,13 +5,13 @@
 //! across host threads so large batches evaluate faster. All workers
 //! share the one [`Platform`] — [`MappedIndex`](crate::MappedIndex) is
 //! built exactly once per run, never per worker — and each spawns its own
-//! [`AlignSession`](crate::AlignSession) holding the mutable per-worker
-//! state (DPU, ledger, fault counters; every fault draw is keyed by the
-//! read's global index, never by the worker). Threads model disjoint
+//! [`AlignSession`](crate::aligner::AlignSession) holding the mutable
+//! per-worker state (DPU, ledger, counters; every fault draw is keyed by
+//! the read's global index, never by the worker). Threads model disjoint
 //! groups of sub-array pipelines working on disjoint reads — exactly the
 //! paper's partitioning — and the ledgers and fault telemetry merge
-//! afterwards, so the performance report is identical to a sequential
-//! run.
+//! afterwards, so the performance report is identical at any worker
+//! count.
 //!
 //! Work is distributed dynamically: an atomic cursor hands out small
 //! chunks, so a worker that drew cheap reads steals the next chunk
@@ -24,18 +24,21 @@ use bioseq::DnaSeq;
 use parking_lot::Mutex;
 use pimsim::{CycleLedger, HostHistogram, WorkerStats};
 
-use crate::aligner::{AlignmentOutcome, BatchResult, MappedStrand};
-use crate::config::PimAlignerConfig;
+use crate::aligner::{AlignmentOutcome, MappedStrand};
 use crate::error::AlignError;
 use crate::host::{HostTotals, HostTraceConfig};
 use crate::metrics::PhaseLfm;
 use crate::platform::Platform;
 use crate::report::{FaultTelemetry, PerfReport};
 
-/// A read's fault-stream token is its index in the call's batch;
-/// successive streaming chunks (epochs) shift by this stride so chunk 1's
-/// read 0 does not replay chunk 0's read 0.
-const EPOCH_STRIDE: u64 = 65_536;
+/// The most reads one [`Platform::align_chunk_parallel`] call aligns.
+///
+/// A read's fault-stream token is `epoch · EPOCH_STRIDE + index`, its
+/// index in the chunk shifted by the chunk's epoch, so chunk 1's read 0
+/// does not replay chunk 0's read 0. A longer chunk would hand its read
+/// `EPOCH_STRIDE + r` the stream of the next chunk's read `r`, so it is
+/// refused with [`AlignError::ChunkTooLong`].
+pub const EPOCH_STRIDE: usize = 65_536;
 
 /// Mergeable accounting for a (possibly streamed) parallel alignment:
 /// read/query counters, the merged alignment-time ledger and the
@@ -50,8 +53,8 @@ pub struct BatchTotals {
     /// Input reads aligned (each read counts once, whichever strands
     /// were tried).
     pub reads: u64,
-    /// `align_read` invocations (≥ `reads`; the both-strands path may
-    /// try a read twice).
+    /// Single-orientation alignments (≥ `reads`; the both-strands path
+    /// may try a read twice).
     pub queries: u64,
     /// Cumulative `LFM` invocations.
     pub lfm_calls: u64,
@@ -102,7 +105,7 @@ impl BatchTotals {
 
     /// Fraction of *reads* resolved by the exact stage (paper §III).
     ///
-    /// Normalised per read, not per `align_read` call: on the
+    /// Normalised per read, not per query: on the
     /// both-strands path a reverse-mapped read issues two queries but is
     /// still one read, and dividing by queries would understate the
     /// stage-1 rate.
@@ -138,6 +141,12 @@ fn run_workers(
     if threads == 0 {
         return Err(AlignError::NoThreads);
     }
+    if reads.len() > EPOCH_STRIDE {
+        return Err(AlignError::ChunkTooLong {
+            reads: reads.len(),
+            max: EPOCH_STRIDE,
+        });
+    }
     let threads = threads.min(reads.len());
     // Dynamic chunking: ~4 chunks per worker so stragglers rebalance,
     // one chunk total when sequential (no stealing possible).
@@ -163,7 +172,6 @@ fn run_workers(
                     session.enable_host_tracing(cfg.epoch, w as u32, cfg.capacity_per_worker);
                 }
                 let mut chunks = Vec::new();
-                let mut reads_done = 0u64;
                 let mut per_chunk = HostHistogram::new();
                 let mut stats = WorkerStats {
                     worker: w as u32,
@@ -180,7 +188,7 @@ fn run_workers(
                     // The chunk's fault-stream tokens are the global
                     // read indices, so faulted output is invariant to
                     // the worker count.
-                    let first_token = epoch * EPOCH_STRIDE + start as u64;
+                    let first_token = epoch * EPOCH_STRIDE as u64 + start as u64;
                     let outcomes =
                         session.align_group(&reads[start..end], first_token, both_strands);
                     session.host_record("chunk", h_chunk);
@@ -188,30 +196,14 @@ fn run_workers(
                     per_chunk.record_ns(chunk_ns);
                     stats.busy_ns += chunk_ns;
                     stats.chunks_claimed += 1;
-                    reads_done += outcomes.len() as u64;
                     chunks.push((start, outcomes));
                 }
+                let mut totals = session.into_totals();
                 stats.steals = stats.chunks_claimed.saturating_sub(fair_share);
-                stats.reads = reads_done;
-                let mut host = HostTotals::new();
-                host.per_read = session.host_histogram().clone();
-                host.per_chunk = per_chunk;
-                host.absorb_worker(stats);
-                let (spans, dropped) = session.take_host_spans();
-                host.absorb_spans(spans, dropped);
-                collected.lock().push(WorkerOut {
-                    chunks,
-                    totals: BatchTotals {
-                        reads: reads_done,
-                        queries: session.queries(),
-                        lfm_calls: session.lfm_calls(),
-                        exact_hits: session.exact_hits(),
-                        ledger: session.ledger().clone(),
-                        telemetry: session.session_telemetry(),
-                        phase_lfm: session.phase_lfm(),
-                        host,
-                    },
-                });
+                stats.reads = totals.reads;
+                totals.host.per_chunk = per_chunk;
+                totals.host.absorb_worker(stats);
+                collected.lock().push(WorkerOut { chunks, totals });
             });
         }
     });
@@ -256,17 +248,23 @@ fn run_workers(
 impl Platform {
     /// Aligns one chunk of reads across `threads` shared-platform worker
     /// sessions, returning per-read `(outcome, strand)` pairs in input
-    /// order plus the chunk's mergeable [`BatchTotals`].
+    /// order plus the chunk's mergeable [`BatchTotals`]. This is the one
+    /// alignment entry point: a read is aligned on the forward strand, or
+    /// — with `both_strands` — as its reverse complement too when the
+    /// forward orientation misses.
     ///
-    /// This is the streaming building block: callers accumulate totals
-    /// over chunks (`epoch` decorrelates the fault streams between
-    /// chunks) and produce one report at the end with
-    /// [`Platform::batch_report`].
+    /// Callers accumulate totals over chunks and produce one report at
+    /// the end with [`Platform::batch_report`]. Read `r` of the chunk
+    /// draws its faults from the stream with token
+    /// `epoch · EPOCH_STRIDE + r` (see [`EPOCH_STRIDE`]), so successive
+    /// chunks pass successive epochs; a one-chunk run passes `0`.
     ///
     /// # Errors
     ///
     /// [`AlignError::EmptyBatch`] when `reads` is empty,
-    /// [`AlignError::NoThreads`] when `threads == 0`.
+    /// [`AlignError::NoThreads`] when `threads == 0`,
+    /// [`AlignError::ChunkTooLong`] when `reads` holds more than
+    /// [`EPOCH_STRIDE`] reads.
     pub fn align_chunk_parallel(
         &self,
         reads: &[DnaSeq],
@@ -286,8 +284,7 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// [`AlignError::EmptyBatch`] when `reads` is empty,
-    /// [`AlignError::NoThreads`] when `threads == 0`.
+    /// As [`Platform::align_chunk_parallel`].
     pub fn align_chunk_parallel_traced(
         &self,
         reads: &[DnaSeq],
@@ -297,39 +294,6 @@ impl Platform {
         trace: &HostTraceConfig,
     ) -> Result<(Vec<(AlignmentOutcome, MappedStrand)>, BatchTotals), AlignError> {
         run_workers(self, reads, threads, both_strands, epoch, Some(trace))
-    }
-
-    /// Aligns `reads` (forward strand only) using `threads` worker
-    /// sessions over this shared platform.
-    ///
-    /// # Errors
-    ///
-    /// [`AlignError::EmptyBatch`] when `reads` is empty,
-    /// [`AlignError::NoThreads`] when `threads == 0`.
-    pub fn align_batch_parallel(
-        &self,
-        reads: &[DnaSeq],
-        threads: usize,
-    ) -> Result<BatchResult, AlignError> {
-        let (pairs, totals) = run_workers(self, reads, threads, false, 0, None)?;
-        Ok(self.batch_result(pairs, &totals).0)
-    }
-
-    /// Like [`Platform::align_batch_parallel`] but each read also
-    /// retries as its reverse complement when the forward orientation
-    /// fails, returning the mapped strand per read.
-    ///
-    /// # Errors
-    ///
-    /// [`AlignError::EmptyBatch`] when `reads` is empty,
-    /// [`AlignError::NoThreads`] when `threads == 0`.
-    pub fn align_batch_parallel_both_strands(
-        &self,
-        reads: &[DnaSeq],
-        threads: usize,
-    ) -> Result<(BatchResult, Vec<MappedStrand>), AlignError> {
-        let (pairs, totals) = run_workers(self, reads, threads, true, 0, None)?;
-        Ok(self.batch_result(pairs, &totals))
     }
 
     /// The performance report for accumulated [`BatchTotals`]: the
@@ -343,102 +307,22 @@ impl Platform {
             totals.queries,
             totals.lfm_calls,
         );
-        let build = self.mapped().build_fault_counters();
-        let mut faults = totals.telemetry;
-        faults.stuck_cells += build.stuck_cells;
-        faults.xnor_bit_flips += build.xnor_bit_flips;
-        faults.transient_row_faults += build.transient_row_faults;
-        faults.carry_faults += build.carry_faults;
-        report.faults = faults;
+        report.faults = totals.telemetry;
+        report
+            .faults
+            .absorb_injected(&self.mapped().build_fault_counters());
         report.breakdown.lfm_by_phase = totals.phase_lfm;
         report.breakdown.index_build_cycles = self.mapped().mapping_ledger().total_busy_cycles();
         report.host = totals.host.clone();
         report.index = self.index_telemetry();
         report
     }
-
-    fn batch_result(
-        &self,
-        pairs: Vec<(AlignmentOutcome, MappedStrand)>,
-        totals: &BatchTotals,
-    ) -> (BatchResult, Vec<MappedStrand>) {
-        let report = self.batch_report(totals);
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        let mut strands = Vec::with_capacity(pairs.len());
-        for (outcome, strand) in pairs {
-            outcomes.push(outcome);
-            strands.push(strand);
-        }
-        (
-            BatchResult {
-                outcomes,
-                report,
-                exact_fraction: totals.exact_fraction(),
-            },
-            strands,
-        )
-    }
-}
-
-/// Aligns `reads` (forward strand only) using `threads` worker threads
-/// sharing one platform built over `reference`.
-///
-/// The index is built exactly once — workers share it through the
-/// [`Platform`] — and outcomes are returned in input order. Under a
-/// fault campaign every read draws from its own stream, keyed by its
-/// index in the batch, so the output is identical at any thread count
-/// (`faulted_output_is_invariant_to_threads`). With an ideal fault model
-/// it is also identical to a sequential
-/// [`AlignSession::align_batch`](crate::AlignSession::align_batch) run;
-/// under a campaign it is not, since that call draws from the session's
-/// one stream.
-///
-/// # Errors
-///
-/// [`AlignError::EmptyBatch`] when `reads` is empty,
-/// [`AlignError::NoThreads`] when `threads == 0`.
-pub fn align_batch_parallel(
-    reference: &DnaSeq,
-    config: &PimAlignerConfig,
-    reads: &[DnaSeq],
-    threads: usize,
-) -> Result<BatchResult, AlignError> {
-    if reads.is_empty() {
-        return Err(AlignError::EmptyBatch);
-    }
-    if threads == 0 {
-        return Err(AlignError::NoThreads);
-    }
-    Platform::new(reference, config.clone()).align_batch_parallel(reads, threads)
-}
-
-/// Like [`align_batch_parallel`] but each read also retries as its
-/// reverse complement when the forward orientation fails, returning the
-/// mapped strand per read.
-///
-/// # Errors
-///
-/// [`AlignError::EmptyBatch`] when `reads` is empty,
-/// [`AlignError::NoThreads`] when `threads == 0`.
-pub fn align_batch_parallel_both_strands(
-    reference: &DnaSeq,
-    config: &PimAlignerConfig,
-    reads: &[DnaSeq],
-    threads: usize,
-) -> Result<(BatchResult, Vec<MappedStrand>), AlignError> {
-    if reads.is_empty() {
-        return Err(AlignError::EmptyBatch);
-    }
-    if threads == 0 {
-        return Err(AlignError::NoThreads);
-    }
-    Platform::new(reference, config.clone()).align_batch_parallel_both_strands(reads, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aligner::AlignSession;
+    use crate::config::PimAlignerConfig;
     use readsim::{genome, ReadSimulator, SimProfile};
 
     fn workload() -> (DnaSeq, Vec<DnaSeq>) {
@@ -452,62 +336,71 @@ mod tests {
         (reference, reads)
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let (reference, reads) = workload();
-        let config = PimAlignerConfig::baseline();
-        let mut sequential = AlignSession::new(&reference, config.clone());
-        let seq_result = sequential.align_batch(&reads);
-        let par_result = align_batch_parallel(&reference, &config, &reads, 4).unwrap();
-        assert_eq!(par_result.outcomes, seq_result.outcomes);
-        assert_eq!(par_result.exact_fraction, seq_result.exact_fraction);
-        // Every read's charges are its own: the same ledger, and no
-        // schedule recorded on either side.
-        assert_eq!(
-            par_result.report.breakdown.primitives,
-            seq_result.report.breakdown.primitives
-        );
-        assert_eq!(par_result.report.breakdown.pipeline.issued, 0);
-        // Same merged work ⇒ same intensive report quantities.
-        assert!(
-            (par_result.report.throughput_qps - seq_result.report.throughput_qps).abs()
-                < 1e-6 * seq_result.report.throughput_qps
-        );
-        assert!((par_result.report.total_power_w - seq_result.report.total_power_w).abs() < 1e-9);
+    type Aligned = (Vec<(AlignmentOutcome, MappedStrand)>, PerfReport);
+
+    /// One chunk on a fresh platform: the per-read pairs and the report.
+    fn align(
+        reference: &DnaSeq,
+        config: &PimAlignerConfig,
+        reads: &[DnaSeq],
+        threads: usize,
+        both_strands: bool,
+    ) -> Result<Aligned, AlignError> {
+        let platform = Platform::new(reference, config.clone());
+        let (pairs, totals) = platform.align_chunk_parallel(reads, threads, 0, both_strands)?;
+        Ok((pairs, platform.batch_report(&totals)))
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let (reference, reads) = workload();
         let config = PimAlignerConfig::pipelined();
-        let one = align_batch_parallel(&reference, &config, &reads, 1).unwrap();
-        let many = align_batch_parallel(&reference, &config, &reads, 7).unwrap();
-        assert_eq!(one.outcomes, many.outcomes);
-        assert_eq!(one.report.lfm_calls, many.report.lfm_calls);
+        let one = align(&reference, &config, &reads, 1, false).unwrap();
+        let many = align(&reference, &config, &reads, 7, false).unwrap();
+        assert_eq!(one.0, many.0);
+        assert_eq!(one.1.lfm_calls, many.1.lfm_calls);
     }
 
     #[test]
     fn more_threads_than_reads_is_fine() {
         let (reference, reads) = workload();
         let config = PimAlignerConfig::baseline();
-        let result = align_batch_parallel(&reference, &config, &reads[..3], 16).unwrap();
-        assert_eq!(result.outcomes.len(), 3);
+        let (pairs, _) = align(&reference, &config, &reads[..3], 16, false).unwrap();
+        assert_eq!(pairs.len(), 3);
     }
 
     #[test]
     fn zero_threads_is_a_typed_error() {
         let (reference, reads) = workload();
-        let err =
-            align_batch_parallel(&reference, &PimAlignerConfig::baseline(), &reads, 0).unwrap_err();
+        let err = align(&reference, &PimAlignerConfig::baseline(), &reads, 0, false).unwrap_err();
         assert_eq!(err, AlignError::NoThreads);
     }
 
     #[test]
     fn empty_batch_is_a_typed_error() {
         let (reference, _) = workload();
-        let err =
-            align_batch_parallel(&reference, &PimAlignerConfig::baseline(), &[], 4).unwrap_err();
+        let err = align(&reference, &PimAlignerConfig::baseline(), &[], 4, false).unwrap_err();
         assert_eq!(err, AlignError::EmptyBatch);
+    }
+
+    #[test]
+    fn chunk_longer_than_the_epoch_stride_is_a_typed_error() {
+        // Read 65 536 + r of epoch e would draw read r of epoch e + 1's
+        // fault stream: refused before any read is aligned.
+        let reference = genome::uniform(1_000, 406);
+        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let reads = vec![reference.subseq(0..1); EPOCH_STRIDE + 1];
+        let err = platform
+            .align_chunk_parallel(&reads, 2, 0, false)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AlignError::ChunkTooLong {
+                reads: 65_537,
+                max: 65_536
+            }
+        );
+        assert!(err.to_string().contains("65537 reads"), "{err}");
     }
 
     #[test]
@@ -517,32 +410,31 @@ mod tests {
         let fwd = reference.subseq(500..560);
         let rev = reference.subseq(3_000..3_060).reverse_complement();
         let reads = vec![fwd, rev];
-        let (result, strands) =
-            align_batch_parallel_both_strands(&reference, &PimAlignerConfig::baseline(), &reads, 2)
-                .unwrap();
-        assert!(result.outcomes.iter().all(|o| o.is_mapped()));
+        let (pairs, _) = align(&reference, &PimAlignerConfig::baseline(), &reads, 2, true).unwrap();
+        assert!(pairs.iter().all(|(o, _)| o.is_mapped()));
+        let strands: Vec<MappedStrand> = pairs.iter().map(|&(_, s)| s).collect();
         assert_eq!(strands, vec![MappedStrand::Forward, MappedStrand::Reverse]);
     }
 
     #[test]
     fn exact_fraction_is_per_read_on_both_strands_path() {
         // Two reads, both exact — one forward, one reverse-complement.
-        // The reverse read issues two align_read queries; the fraction
-        // must still be per read (1.0), not per query (2/3).
+        // The reverse read issues two single-orientation queries; the
+        // fraction must still be per read (1.0), not per query (2/3).
         let reference = genome::uniform(20_000, 404);
         let reads = vec![
             reference.subseq(500..560),
             reference.subseq(3_000..3_060).reverse_complement(),
         ];
-        let (result, _) =
-            align_batch_parallel_both_strands(&reference, &PimAlignerConfig::baseline(), &reads, 2)
-                .unwrap();
-        assert!(result.outcomes.iter().all(|o| o.is_mapped()));
-        assert_eq!(result.exact_fraction, 1.0);
-        // The forward-only path agrees with the sequential definition.
-        let fwd_only =
-            align_batch_parallel(&reference, &PimAlignerConfig::baseline(), &reads, 2).unwrap();
-        assert!((0.0..=1.0).contains(&fwd_only.exact_fraction));
+        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let (pairs, totals) = platform.align_chunk_parallel(&reads, 2, 0, true).unwrap();
+        assert!(pairs.iter().all(|(o, _)| o.is_mapped()));
+        assert_eq!(totals.queries, 3);
+        assert_eq!(totals.exact_fraction(), 1.0);
+        // Forward only, the reverse read misses: one query, one read.
+        let (_, fwd_only) = platform.align_chunk_parallel(&reads, 2, 0, false).unwrap();
+        assert_eq!(fwd_only.queries, 2);
+        assert!((0.0..=1.0).contains(&fwd_only.exact_fraction()));
     }
 
     #[test]
@@ -550,19 +442,22 @@ mod tests {
         let (reference, reads) = workload();
         let platform = Platform::new(&reference, PimAlignerConfig::baseline());
         let mut totals = BatchTotals::new();
-        let mut outcomes = Vec::new();
+        let mut pairs = Vec::new();
         for (epoch, chunk) in reads.chunks(16).enumerate() {
-            let (pairs, t) = platform
+            let (chunk_pairs, t) = platform
                 .align_chunk_parallel(chunk, 3, epoch as u64, false)
                 .unwrap();
             totals.merge(&t);
-            outcomes.extend(pairs.into_iter().map(|(o, _)| o));
+            pairs.extend(chunk_pairs);
         }
-        let whole = platform.align_batch_parallel(&reads, 3).unwrap();
-        assert_eq!(outcomes, whole.outcomes);
+        let (whole, whole_totals) = platform.align_chunk_parallel(&reads, 3, 0, false).unwrap();
+        assert_eq!(pairs, whole);
         assert_eq!(totals.reads, reads.len() as u64);
         let report = platform.batch_report(&totals);
-        assert_eq!(report.lfm_calls, whole.report.lfm_calls);
+        assert_eq!(
+            report.lfm_calls,
+            platform.batch_report(&whole_totals).lfm_calls
+        );
     }
 
     #[test]
@@ -574,16 +469,16 @@ mod tests {
             .with_transient_row_rate(1e-3)
             .with_carry_fault_prob(1e-3);
         let config = PimAlignerConfig::baseline().with_fault_campaign(campaign);
-        let run = |threads: usize| align_batch_parallel(&reference, &config, &reads, threads);
-        let base = run(1).unwrap();
+        let run = |threads: usize| align(&reference, &config, &reads, threads, false);
+        let (base_outcomes, base_report) = run(1).unwrap();
         assert!(
-            base.report.faults.injected_total() > 0,
+            base_report.faults.injected_total() > 0,
             "campaign must inject"
         );
         for threads in [2, 5, 8] {
-            let other = run(threads).unwrap();
+            let (other_outcomes, _) = run(threads).unwrap();
             assert_eq!(
-                base.outcomes, other.outcomes,
+                base_outcomes, other_outcomes,
                 "{threads} threads diverged under faults"
             );
         }
@@ -619,34 +514,30 @@ mod tests {
             if faulted {
                 config = config.with_fault_campaign(campaign);
             }
-            let run = |threads: usize| {
-                align_batch_parallel_both_strands(&reference, &config, &reads, threads)
-                    .unwrap()
-                    .0
-            };
-            let base = run(1);
-            assert!(base.report.breakdown.lfm_by_phase.inexact > 0);
-            assert_eq!(faulted, base.report.faults.injected_total() > 0);
+            let run = |threads: usize| align(&reference, &config, &reads, threads, true).unwrap();
+            let (base_pairs, base) = run(1);
+            assert!(base.breakdown.lfm_by_phase.inexact > 0);
+            assert_eq!(faulted, base.faults.injected_total() > 0);
             assert!(
-                base.report.published_lfm_calls > base.report.lfm_calls,
+                base.published_lfm_calls > base.lfm_calls,
                 "word-line steps in play"
             );
             // The worker count moves nothing at all.
             for threads in [2, 8] {
-                let other = run(threads);
+                let (other_pairs, other) = run(threads);
                 let what = format!("{threads} threads, faulted {faulted}");
-                assert_eq!(other.outcomes, base.outcomes, "{what}");
+                assert_eq!(other_pairs, base_pairs, "{what}");
                 assert_eq!(
-                    other.report.breakdown.lfm_by_phase, base.report.breakdown.lfm_by_phase,
+                    other.breakdown.lfm_by_phase, base.breakdown.lfm_by_phase,
                     "{what}"
                 );
                 assert_eq!(
-                    other.report.breakdown.primitives, base.report.breakdown.primitives,
+                    other.breakdown.primitives, base.breakdown.primitives,
                     "{what}"
                 );
                 assert_eq!(
-                    other.report.breakdown.energy_pj.to_bits(),
-                    base.report.breakdown.energy_pj.to_bits(),
+                    other.breakdown.energy_pj.to_bits(),
+                    base.breakdown.energy_pj.to_bits(),
                     "{what}"
                 );
             }
@@ -667,8 +558,8 @@ mod tests {
                 FaultCampaign::seeded(9).with_model(FaultModel::with_probabilities(1e-4, 0.0)),
             )
             .with_recovery(RecoveryPolicy::standard());
-        let result = align_batch_parallel(&reference, &config, &reads, 4).unwrap();
-        let t = result.report.faults;
+        let (_, report) = align(&reference, &config, &reads, 4, false).unwrap();
+        let t = report.faults;
         assert!(t.xnor_bit_flips > 0, "campaign must inject: {t:?}");
         assert!(
             t.verifications >= reads.len() as u64 / 2,

@@ -6,9 +6,9 @@
 //! [`MappedIndex`] behind `Arc`s plus the configuration, built exactly
 //! once per run and shared — by clone of the cheap handles — across any
 //! number of host worker threads. All mutable per-query state (the DPU
-//! registers, the cycle ledger, the alignment-time fault-injection
-//! stream, the telemetry counters) lives in [`AlignSession`]s spawned
-//! from the platform.
+//! registers, the cycle ledger, the telemetry counters) lives in the
+//! worker sessions [`Platform::align_chunk_parallel`] spawns from the
+//! platform; each read's fault stream lives only as long as the read.
 
 use std::sync::Arc;
 
@@ -29,15 +29,15 @@ use crate::mapping::MappedIndex;
 ///
 /// ```
 /// use bioseq::DnaSeq;
-/// use pim_aligner::{AlignmentOutcome, Platform, PimAlignerConfig};
+/// use pim_aligner::{AlignmentOutcome, MappedStrand, Platform, PimAlignerConfig};
 ///
-/// # fn main() -> Result<(), bioseq::ParseSeqError> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let reference: DnaSeq = "TGCTA".parse()?;
 /// let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-/// // Sessions share the one mapped index; each holds only mutable state.
-/// let mut session = platform.session();
-/// let outcome = session.align_read(&"CTA".parse()?);
-/// assert_eq!(outcome, AlignmentOutcome::Exact { positions: vec![2] });
+/// // One chunk of one read, on one worker, forward strand only.
+/// let (pairs, _totals) = platform.align_chunk_parallel(&["CTA".parse()?], 1, 0, false)?;
+/// let exact = AlignmentOutcome::Exact { positions: vec![2] };
+/// assert_eq!(pairs, [(exact, MappedStrand::Forward)]);
 /// # Ok(())
 /// # }
 /// ```
@@ -138,11 +138,9 @@ impl Platform {
         &self.mapped
     }
 
-    /// Spawns a sequential alignment session. Its fault-injection stream
-    /// is seeded straight from the campaign, so it replays bit-identically
-    /// to a single-session [`AlignSession::new`] run.
-    pub fn session(&self) -> AlignSession {
-        AlignSession::for_platform(self.clone())
+    /// Spawns a worker session over this platform.
+    pub(crate) fn session(&self) -> AlignSession {
+        AlignSession::new(self.clone())
     }
 }
 
@@ -170,7 +168,8 @@ mod tests {
         let read = reference.subseq(100..160);
         for _ in 0..4 {
             let mut session = platform.session();
-            assert!(session.align_read(&read).is_mapped());
+            let (outcome, _) = &session.align_group(std::slice::from_ref(&read), 0, false)[0];
+            assert!(outcome.is_mapped());
         }
         assert_eq!(
             MappedIndex::build_count(),

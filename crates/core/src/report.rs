@@ -58,6 +58,15 @@ impl FaultTelemetry {
         self.unrecoverable += other.unrecoverable;
     }
 
+    /// Adds an injector's counts — one read's fault stream, or a
+    /// platform's one-time build counters — into `self`.
+    pub(crate) fn absorb_injected(&mut self, counters: &pimsim::FaultCounters) {
+        self.stuck_cells += counters.stuck_cells;
+        self.xnor_bit_flips += counters.xnor_bit_flips;
+        self.transient_row_faults += counters.transient_row_faults;
+        self.carry_faults += counters.carry_faults;
+    }
+
     /// Total fault events injected into the platform.
     pub fn injected_total(&self) -> u64 {
         self.stuck_cells + self.xnor_bit_flips + self.transient_row_faults + self.carry_faults

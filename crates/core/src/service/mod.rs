@@ -39,7 +39,8 @@ pub use server::{serve, ServeSummary, ServerHandle};
 pub struct ServiceConfig {
     /// Worker threads per alignment batch.
     pub threads: usize,
-    /// Most reads coalesced into one `align_chunk_parallel` call.
+    /// Most reads coalesced into one `align_chunk_parallel` call (at
+    /// most [`EPOCH_STRIDE`](crate::EPOCH_STRIDE)).
     pub batch_max: usize,
     /// Bounded admission queue depth.
     pub queue_depth: usize,
@@ -92,10 +93,11 @@ impl ServiceConfig {
                 "--threads must be at least 1".to_owned(),
             ));
         }
-        if self.batch_max == 0 {
-            return Err(ServiceError::InvalidConfig(
-                "--batch-max must be at least 1".to_owned(),
-            ));
+        if self.batch_max == 0 || self.batch_max > crate::EPOCH_STRIDE {
+            return Err(ServiceError::InvalidConfig(format!(
+                "--batch-max must be between 1 and {}",
+                crate::EPOCH_STRIDE
+            )));
         }
         if self.queue_depth == 0 {
             return Err(ServiceError::InvalidConfig(
@@ -161,6 +163,7 @@ mod tests {
                 &(|c: &mut ServiceConfig| c.threads = 0) as &dyn Fn(&mut ServiceConfig),
             ),
             ("--batch-max", &|c: &mut ServiceConfig| c.batch_max = 0),
+            ("--batch-max", &|c: &mut ServiceConfig| c.batch_max = 65_537),
             ("--queue-depth", &|c: &mut ServiceConfig| c.queue_depth = 0),
             ("--max-inflight-bytes", &|c: &mut ServiceConfig| {
                 c.max_inflight_bytes = 0

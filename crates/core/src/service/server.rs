@@ -10,9 +10,8 @@
 //! * each **connection reader** blocks in [`read_frame`], runs
 //!   admission control and writes shed/invalid/drain responses inline —
 //!   rejection never waits behind alignment work;
-//! * one **batcher** owns all [`AlignSession`](crate::AlignSession)
-//!   state: it takes whatever is queued, drops queue-expired
-//!   deadlines, aligns the rest via
+//! * one **batcher** owns all alignment state: it takes whatever is
+//!   queued, drops queue-expired deadlines, aligns the rest via
 //!   [`Platform::align_chunk_parallel`] inside `catch_unwind`, and
 //!   writes responses back through each request's connection.
 //!

@@ -6,7 +6,7 @@
 
 use accel::{catalog, figure_series, Figure, Platform, PlatformClass};
 use bioseq::DnaSeq;
-use pim_aligner::{AlignSession, PimAlignerConfig};
+use pim_aligner::PimAlignerConfig;
 use readsim::variant::VariantProfile;
 use readsim::{genome, ReadSimulator, SimProfile};
 
@@ -16,8 +16,11 @@ fn simulate(
     reference: &DnaSeq,
     reads: &[DnaSeq],
 ) -> Platform {
-    let mut aligner = AlignSession::new(reference, config);
-    let report = aligner.align_batch(reads).report;
+    let platform = pim_aligner::Platform::new(reference, config);
+    let (_, totals) = platform
+        .align_chunk_parallel(reads, 1, 0, false)
+        .expect("the workload holds reads");
+    let report = platform.batch_report(&totals);
     Platform::from_measurements(
         name,
         PlatformClass::FmIndex,

@@ -9,7 +9,7 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::FmIndex;
-use pim_aligner::{AlignSession, PimAlignerConfig};
+use pim_aligner::{PimAlignerConfig, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Fig. 1: reference, BWT, suffix array ---
@@ -35,13 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- The same alignment on the simulated PIM platform ---
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
-    let outcome = aligner.align_read(&read);
+    // One chunk (epoch 0) of one read, on one worker thread, forward
+    // strand only.
+    let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let (pairs, totals) = platform.align_chunk_parallel(&[read], 1, 0, false)?;
+    let (outcome, _strand) = &pairs[0];
     println!("platform search: {outcome:?}");
     assert_eq!(outcome.positions(), Some(&[2usize][..]));
 
     // --- Performance report (Figs. 8-10 quantities) ---
-    let report = aligner.report();
+    let report = platform.batch_report(&totals);
     println!("\nplatform report (PIM-Aligner-p, Pd = 2):");
     println!("  LFM invocations : {}", report.lfm_calls);
     println!(

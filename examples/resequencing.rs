@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --release --example resequencing`
 
-use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
-use readsim::{genome, ReadSimulator, SimProfile, Strand};
+use bioseq::DnaSeq;
+use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
+use readsim::{genome, ReadSimulator, SimProfile};
 
 fn main() {
     let genome_len = 100_000;
@@ -24,40 +25,32 @@ fn main() {
         sim.donor.variants.len()
     );
 
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::pipelined());
+    // Reads come from both strands; `both_strands` aligns each read as-is
+    // and, if that fails, its reverse complement (the index covers the
+    // forward strand only).
+    let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let seqs: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
+    let (pairs, totals) = platform
+        .align_chunk_parallel(&seqs, 1, 0, true)
+        .expect("the read set is not empty");
     let mut exact = 0usize;
     let mut inexact = 0usize;
     let mut unmapped = 0usize;
     let mut correct = 0usize;
 
-    for read in &sim.reads {
-        // Reads come from both strands; align the read as-is and, if that
-        // fails, its reverse complement (standard practice — the index
-        // covers the forward strand only).
-        let (outcome, flipped) = match aligner.align_read(&read.seq) {
-            AlignmentOutcome::Unmapped => {
-                (aligner.align_read(&read.seq.reverse_complement()), true)
-            }
-            hit => (hit, false),
-        };
-        match &outcome {
+    for (read, (outcome, _strand)) in sim.reads.iter().zip(&pairs) {
+        match outcome {
             AlignmentOutcome::Exact { .. } => exact += 1,
             AlignmentOutcome::Inexact { .. } => inexact += 1,
             AlignmentOutcome::Unmapped => unmapped += 1,
         }
         // Accuracy vs ground truth: a hit is correct when one reported
-        // position is near the true donor position (indel variants shift
-        // coordinates slightly, so allow a small window).
+        // position is near the true donor position, on either strand
+        // (indel variants shift coordinates slightly, so allow a small
+        // window).
         if let Some(positions) = outcome.positions() {
-            let expected_forward = (read.strand == Strand::Forward) != flipped;
-            if expected_forward && positions.iter().any(|&p| p.abs_diff(read.donor_pos) <= 5) {
+            if positions.iter().any(|&p| p.abs_diff(read.donor_pos) <= 5) {
                 correct += 1;
-            } else if !expected_forward {
-                // Reverse-strand read aligned via its reverse complement:
-                // position maps back to the same window.
-                if positions.iter().any(|&p| p.abs_diff(read.donor_pos) <= 5) {
-                    correct += 1;
-                }
             }
         }
     }
@@ -81,7 +74,7 @@ fn main() {
         100.0 * correct as f64 / (total - unmapped).max(1) as f64
     );
 
-    let report = aligner.report();
+    let report = platform.batch_report(&totals);
     println!("\nplatform performance (PIM-Aligner-p):");
     println!("  throughput : {:.3e} queries/s", report.throughput_qps);
     println!("  power      : {:.1} W", report.total_power_w);

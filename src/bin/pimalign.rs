@@ -22,7 +22,8 @@
 //!   --no-indels           substitutions only in the inexact stage
 //!   --single-strand       skip the reverse-complement retry
 //!   --threads <N>         host worker threads for the batch (default 1)
-//!   --batch-size <N>      reads aligned per streamed chunk (default 4096)
+//!   --batch-size <N>      reads aligned per streamed chunk (default 4096,
+//!                         max 65536)
 //!   --fault-seed <S>      seed for the fault-injection campaign
 //!   --fault-xnor <P>      per-bit XNOR sense-misread probability
 //!   --fault-stuck <R>     stuck-at cell rate in the data zones
@@ -69,6 +70,7 @@ use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
 use pim_aligner_suite::pim_aligner::{
     sa_rate_for_budget, sam, AlignError, AlignmentOutcome, BatchTotals, HostTraceConfig,
     IndexArtifact, MappedStrand, PimAlignerConfig, Platform, RecoveryPolicy, ShardedPlatform,
+    EPOCH_STRIDE,
 };
 use pim_aligner_suite::pimsim::{chrome_trace_json, peak_rss_bytes, HostEpoch, HostSpan};
 
@@ -303,8 +305,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--batch-size" => {
                 cli.batch_size = parse_flag(args, &mut i, "--batch-size")?;
-                if cli.batch_size == 0 {
-                    return Err("invalid --batch-size: must be at least 1".into());
+                if cli.batch_size == 0 || cli.batch_size > EPOCH_STRIDE {
+                    return Err(format!(
+                        "invalid --batch-size: must be between 1 and {EPOCH_STRIDE}"
+                    ));
                 }
             }
             "--fault-seed" => cli.fault_seed = parse_flag(args, &mut i, "--fault-seed")?,

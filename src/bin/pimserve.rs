@@ -12,7 +12,8 @@
 //!   --addr <HOST:PORT>        listen address (default 127.0.0.1:0)
 //!   --port-file <PATH>        write the bound address to PATH once listening
 //!   --threads <N>             worker threads per alignment batch (default 2)
-//!   --batch-max <N>           most reads coalesced per batch (default 64)
+//!   --batch-max <N>           most reads coalesced per batch (default 64,
+//!                             max 65536)
 //!   --queue-depth <N>         bounded admission queue depth (default 256)
 //!   --max-inflight-bytes <N>  admitted-but-unanswered byte budget (default 8 MiB)
 //!   --deadline-ms <N>         default per-request deadline, 0 = none (default 0)

@@ -15,15 +15,13 @@
 //! # Examples
 //!
 //! ```
-//! use pim_aligner_suite::pim_aligner::{AlignSession, PimAlignerConfig};
+//! use pim_aligner_suite::pim_aligner::{PimAlignerConfig, Platform};
 //!
-//! # fn main() -> Result<(), bioseq::ParseSeqError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let reference: bioseq::DnaSeq = "TGCTA".parse()?;
-//! let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-//! assert_eq!(
-//!     aligner.align_read(&"CTA".parse()?).positions(),
-//!     Some(&[2usize][..])
-//! );
+//! let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+//! let (pairs, _totals) = platform.align_chunk_parallel(&["CTA".parse()?], 1, 0, false)?;
+//! assert_eq!(pairs[0].0.positions(), Some(&[2usize][..]));
 //! # Ok(())
 //! # }
 //! ```

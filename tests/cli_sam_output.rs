@@ -295,6 +295,7 @@ fn usage_errors_exit_2_with_named_flags() {
         (&["a", "b", "--kernel-batch", "8"][..], "unknown option"),
         (&["a", "b", "--threads", "0"][..], "--threads"),
         (&["a", "b", "--batch-size", "0"][..], "--batch-size"),
+        (&["a", "b", "--batch-size", "65537"][..], "--batch-size"),
         (&["a", "b", "--pd", "0"][..], "--pd"),
         (&["a", "b", "--max-diffs", "99"][..], "--max-diffs"),
     ] {

@@ -3,32 +3,34 @@
 use bioseq::DnaSeq;
 use fmindex::{EditBudget, InexactHit};
 use pim_aligner::{
-    inexact_search, inexact_search_first, AlignSession, AlignmentOutcome, InexactStats,
-    MappedIndex, PimAlignerConfig,
+    inexact_search, inexact_search_first, AlignmentOutcome, InexactStats, MappedIndex,
+    PimAlignerConfig, Platform,
 };
 use pimsim::costs::LogicalOp;
 use pimsim::{CycleLedger, Dpu};
 
+mod support;
+
 #[test]
 fn single_base_reference() {
     let reference: DnaSeq = "A".parse().unwrap();
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
     assert_eq!(
-        aligner.align_read(&"A".parse().unwrap()),
+        support::align_one(&platform, &"A".parse().unwrap()),
         AlignmentOutcome::Exact { positions: vec![0] }
     );
     // With the default z = 2 budget, a single-base mismatch is a valid
     // 1-difference hit; with z = 0 it is unmapped.
     assert_eq!(
-        aligner.align_read(&"C".parse().unwrap()),
+        support::align_one(&platform, &"C".parse().unwrap()),
         AlignmentOutcome::Inexact {
             positions: vec![0],
             diffs: 1
         }
     );
-    let mut strict = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let strict = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
     assert_eq!(
-        strict.align_read(&"C".parse().unwrap()),
+        support::align_one(&strict, &"C".parse().unwrap()),
         AlignmentOutcome::Unmapped
     );
 }
@@ -36,18 +38,21 @@ fn single_base_reference() {
 #[test]
 fn read_longer_than_reference_does_not_panic() {
     let reference: DnaSeq = "ACGTACGT".parse().unwrap();
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
     let long: DnaSeq = "ACGTACGTACGTACGT".parse().unwrap();
     // Exact match is impossible; inexact may only succeed by treating the
     // overhang as insertions, which exceeds z = 2 here.
-    assert_eq!(aligner.align_read(&long), AlignmentOutcome::Unmapped);
+    assert_eq!(
+        support::align_one(&platform, &long),
+        AlignmentOutcome::Unmapped
+    );
 }
 
 #[test]
 fn read_equal_to_reference_maps_at_origin() {
     let reference: DnaSeq = "GATTACAGATTACA".parse().unwrap();
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-    match aligner.align_read(&reference) {
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    match support::align_one(&platform, &reference) {
         AlignmentOutcome::Exact { positions } => assert_eq!(positions, vec![0]),
         other => panic!("full-reference read must map exactly, got {other:?}"),
     }
@@ -60,12 +65,11 @@ fn reference_exactly_one_subarray_capacity() {
     let reference: DnaSeq = (0..32_768)
         .map(|i| bioseq::Base::from_rank((i * 13 + 1) % 4))
         .collect();
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
     let oracle = fmindex::FmIndex::new(&reference);
     for start in [0usize, 16_000, 32_768 - 64] {
         let read = reference.subseq(start..start + 64);
-        let positions = aligner
-            .align_read(&read)
+        let positions = support::align_one(&platform, &read)
             .positions()
             .expect("clean read must map")
             .to_vec();
@@ -76,8 +80,8 @@ fn reference_exactly_one_subarray_capacity() {
 #[test]
 fn homopolymer_reference_multi_hits() {
     let reference: DnaSeq = "A".repeat(200).parse().unwrap();
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-    match aligner.align_read(&"AAAA".parse().unwrap()) {
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    match support::align_one(&platform, &"AAAA".parse().unwrap()) {
         AlignmentOutcome::Exact { positions } => {
             assert_eq!(positions.len(), 197);
             assert_eq!(positions[0], 0);
@@ -90,8 +94,8 @@ fn homopolymer_reference_multi_hits() {
 #[test]
 fn one_base_reads() {
     let reference: DnaSeq = "TGCTA".parse().unwrap();
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline());
-    match aligner.align_read(&"T".parse().unwrap()) {
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    match support::align_one(&platform, &"T".parse().unwrap()) {
         AlignmentOutcome::Exact { positions } => assert_eq!(positions, vec![0, 3]),
         other => panic!("{other:?}"),
     }

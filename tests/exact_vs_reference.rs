@@ -3,18 +3,20 @@
 
 use bioseq::DnaSeq;
 use fmindex::FmIndex;
-use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
+use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
 use readsim::genome;
+
+mod support;
 
 #[test]
 fn platform_find_equals_software_find_on_uniform_genome() {
     let reference = genome::uniform(120_000, 71);
     let oracle = FmIndex::new(&reference);
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
     for start in (0..119_000).step_by(7_321) {
         let read = reference.subseq(start..start + 100);
         let sw = oracle.find(&read);
-        match aligner.align_read(&read) {
+        match support::align_one(&platform, &read) {
             AlignmentOutcome::Exact { positions } => assert_eq!(positions, sw, "read @{start}"),
             other => panic!("clean read @{start} must align exactly, got {other:?}"),
         }
@@ -31,12 +33,12 @@ fn platform_handles_repeat_rich_genomes() {
     };
     let reference = genome::repeat_rich(60_000, profile, 72);
     let oracle = FmIndex::new(&reference);
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
     let mut saw_multi_hit = false;
     for start in (0..59_000).step_by(4_111) {
         let read = reference.subseq(start..start + 40);
         let sw = oracle.find(&read);
-        match aligner.align_read(&read) {
+        match support::align_one(&platform, &read) {
             AlignmentOutcome::Exact { positions } => {
                 assert_eq!(positions, sw, "read @{start}");
                 if positions.len() > 1 {
@@ -56,10 +58,13 @@ fn platform_handles_repeat_rich_genomes() {
 fn absent_reads_fail_identically() {
     let reference = genome::uniform(30_000, 73);
     let oracle = FmIndex::new(&reference);
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
     // A 40-mer of pure GGG... is (with overwhelming probability) absent
     // from a uniform 30 kb genome.
     let absent: DnaSeq = "G".repeat(40).parse().unwrap();
     assert!(oracle.backward_search(&absent).is_none());
-    assert_eq!(aligner.align_read(&absent), AlignmentOutcome::Unmapped);
+    assert_eq!(
+        support::align_one(&platform, &absent),
+        AlignmentOutcome::Unmapped
+    );
 }

@@ -10,34 +10,36 @@
 use bioseq::DnaSeq;
 use mram::device::CellParams;
 use mram::faults::FaultModel;
-use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
+use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
 use readsim::genome;
 
-fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<(usize, DnaSeq)> {
+mod support;
+
+fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> (Vec<usize>, Vec<DnaSeq>) {
     (0..count)
         .map(|i| {
             let start = (i * 1_237) % (reference.len() - len);
             (start, reference.subseq(start..start + len))
         })
-        .collect()
+        .unzip()
 }
 
 fn accuracy(reference: &DnaSeq, faults: FaultModel) -> f64 {
-    let mut aligner = AlignSession::new(
+    let platform = Platform::new(
         reference,
         PimAlignerConfig::baseline()
             .with_max_diffs(0)
             .with_fault_model(faults),
     );
-    let reads = clean_reads(reference, 40, 80);
-    let mut correct = 0usize;
-    for (start, read) in &reads {
-        if let AlignmentOutcome::Exact { positions } = aligner.align_read(read) {
-            if positions.contains(start) {
-                correct += 1;
-            }
-        }
-    }
+    let (starts, reads) = clean_reads(reference, 40, 80);
+    let (outcomes, _) = support::align(&platform, &reads);
+    let correct = outcomes
+        .iter()
+        .zip(&starts)
+        .filter(|(o, start)| {
+            matches!(o, AlignmentOutcome::Exact { positions } if positions.contains(start))
+        })
+        .count();
     correct as f64 / reads.len() as f64
 }
 
@@ -55,11 +57,16 @@ fn paper_variation_gives_perfect_alignment() {
 #[test]
 fn injected_faults_degrade_accuracy_monotonically() {
     let reference = genome::uniform(40_000, 112);
+    // Each read draws from its own fault stream: at 1e-4 per-bit misreads
+    // some reads survive (0.80 of them), at 5e-2 none do.
     let perfect = accuracy(&reference, FaultModel::ideal());
-    let light = accuracy(&reference, FaultModel::with_probabilities(0.002, 0.0));
+    let light = accuracy(&reference, FaultModel::with_probabilities(1e-4, 0.0));
     let heavy = accuracy(&reference, FaultModel::with_probabilities(0.05, 0.0));
     assert_eq!(perfect, 1.0);
-    assert!(light >= heavy, "light {light} vs heavy {heavy}");
+    assert!(
+        perfect > light && light > heavy,
+        "perfect {perfect}, light {light}, heavy {heavy}"
+    );
     assert!(
         heavy < 0.9,
         "5% per-bit misreads must visibly corrupt alignment (got {heavy})"

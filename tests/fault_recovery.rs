@@ -11,8 +11,10 @@
 
 use bioseq::DnaSeq;
 use mram::faults::{FaultCampaign, FaultModel};
-use pim_aligner::{AlignSession, PimAlignerConfig, RecoveryPolicy};
+use pim_aligner::{PimAlignerConfig, Platform, RecoveryPolicy};
 use readsim::genome;
+
+mod support;
 
 const READS: usize = 100;
 const READ_LEN: usize = 80;
@@ -47,15 +49,15 @@ fn placement_accuracy(
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(hostile_campaign())
         .with_recovery(recovery);
-    let mut aligner = AlignSession::new(reference, config);
-    let result = aligner.align_batch(reads);
-    let correct = result
-        .outcomes
+    let platform = Platform::new(reference, config);
+    let (outcomes, totals) = support::align(&platform, reads);
+    let correct = outcomes
         .iter()
         .zip(truth)
         .filter(|(o, &t)| o.positions().is_some_and(|p| p.contains(&t)))
         .count();
-    (correct as f64 / reads.len() as f64, result.report.faults)
+    let faults = platform.batch_report(&totals).faults;
+    (correct as f64 / reads.len() as f64, faults)
 }
 
 #[test]
@@ -128,18 +130,20 @@ fn bound_pruned_unmapped_climbs_the_ladder_under_a_campaign() {
     // took one `LFM` and every alternative was issued, 5 146 before the
     // one-row step), held to that + 5 %.
     let config = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
-    let quiet = AlignSession::new(&reference, config).align_batch(&reads);
-    assert!(quiet.outcomes.iter().all(|o| o.positions().is_none()));
-    assert_eq!(quiet.report.faults.escalations, 0);
+    let platform = Platform::new(&reference, config);
+    let (outcomes, totals) = support::align(&platform, &reads);
+    let quiet = platform.batch_report(&totals);
+    assert!(outcomes.iter().all(|o| o.positions().is_none()));
+    assert_eq!(quiet.faults.escalations, 0);
     assert!(
-        quiet.report.published_lfm_calls <= (PRUNED * 4 * READ_LEN) as u64,
+        quiet.published_lfm_calls <= (PRUNED * 4 * READ_LEN) as u64,
         "{} LFMs as published: the bound pass did not prune",
-        quiet.report.published_lfm_calls
+        quiet.published_lfm_calls
     );
     assert!(
-        quiet.report.lfm_calls <= 2_816,
+        quiet.lfm_calls <= 2_816,
         "{} LFMs: the bound pass did not prune",
-        quiet.report.lfm_calls
+        quiet.lfm_calls
     );
 
     // Under a campaign the pass draws from the read's fault stream like
@@ -164,9 +168,9 @@ fn recovered_run_replays_identically() {
         let config = PimAlignerConfig::baseline()
             .with_fault_campaign(hostile_campaign())
             .with_recovery(RecoveryPolicy::standard());
-        let mut aligner = AlignSession::new(&reference, config);
-        let result = aligner.align_batch(&reads);
-        (result.outcomes, result.report.faults)
+        let platform = Platform::new(&reference, config);
+        let (outcomes, totals) = support::align(&platform, &reads);
+        (outcomes, platform.batch_report(&totals).faults)
     };
     let (outcomes_a, faults_a) = run();
     let (outcomes_b, faults_b) = run();

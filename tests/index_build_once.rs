@@ -25,14 +25,14 @@ fn eight_thread_run_builds_the_index_exactly_once() {
         "Platform::new must build the index"
     );
 
-    // An 8-thread batch, a second batch, and a streamed chunked pass:
-    // none of them may rebuild.
-    let result = platform.align_batch_parallel(&reads, 8).unwrap();
-    assert!(result.outcomes.iter().all(|o| o.is_mapped()));
-    let (with_strands, _) = platform
-        .align_batch_parallel_both_strands(&reads, 8)
-        .unwrap();
-    assert!(with_strands.outcomes.iter().all(|o| o.is_mapped()));
+    // An 8-thread batch, a second batch on both strands, and a streamed
+    // chunked pass: none of them may rebuild.
+    for both_strands in [false, true] {
+        let (pairs, _) = platform
+            .align_chunk_parallel(&reads, 8, 0, both_strands)
+            .unwrap();
+        assert!(pairs.iter().all(|(o, _)| o.is_mapped()));
+    }
     for (epoch, chunk) in reads.chunks(16).enumerate() {
         platform
             .align_chunk_parallel(chunk, 8, epoch as u64, false)
@@ -42,17 +42,6 @@ fn eight_thread_run_builds_the_index_exactly_once() {
         MappedIndex::build_count(),
         before + 1,
         "aligning must never rebuild the shared index"
-    );
-
-    // The compatibility wrappers build once per call (their contract is
-    // one platform per call), not once per worker.
-    let before = MappedIndex::build_count();
-    pim_aligner::align_batch_parallel(&reference, &PimAlignerConfig::baseline(), &reads, 8)
-        .unwrap();
-    assert_eq!(
-        MappedIndex::build_count(),
-        before + 1,
-        "align_batch_parallel must build exactly once for 8 threads"
     );
 
     // Booting from an artifact maps each shard exactly once and shares

@@ -3,11 +3,13 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, FmIndex};
-use pim_aligner::{AlignSession, AlignmentOutcome, PimAlignerConfig};
+use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use readsim::genome;
 use swalign::{banded_global, Scoring};
+
+mod support;
 
 fn mutate(read: &DnaSeq, positions: &[usize]) -> DnaSeq {
     let mut bases = read.clone().into_bases();
@@ -21,7 +23,7 @@ fn mutate(read: &DnaSeq, positions: &[usize]) -> DnaSeq {
 fn exhaustive_platform_hits_equal_software_hits() {
     let reference = genome::uniform(20_000, 81);
     let oracle = FmIndex::new(&reference);
-    let mut aligner = AlignSession::new(
+    let platform = Platform::new(
         &reference,
         PimAlignerConfig::baseline()
             .with_max_diffs(2)
@@ -34,7 +36,7 @@ fn exhaustive_platform_hits_equal_software_hits() {
         (15_000, vec![0]),
     ] {
         let read = mutate(&reference.subseq(start..start + 30), &muts);
-        let outcome = aligner.align_read(&read);
+        let outcome = support::align_one(&platform, &read);
         let sw = oracle.find_inexact(&read, EditBudget::substitutions_only(2));
         match outcome {
             AlignmentOutcome::Inexact { positions, diffs } => {
@@ -63,9 +65,10 @@ fn first_accept_position_confirmed_by_dp_baseline() {
     // paper compares against: banded global alignment at the reported
     // position must reach the expected score.
     let reference = genome::uniform(15_000, 82);
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
     let read = mutate(&reference.subseq(7_000..7_060), &[15, 40]);
-    let AlignmentOutcome::Inexact { positions, diffs } = aligner.align_read(&read) else {
+    let AlignmentOutcome::Inexact { positions, diffs } = support::align_one(&platform, &read)
+    else {
         panic!("expected an inexact hit");
     };
     assert_eq!(diffs, 2);
@@ -92,7 +95,7 @@ fn first_accept_reports_the_minimum_difference_count() {
     let config = PimAlignerConfig::baseline();
     assert!(!config.exhaustive_inexact(), "first-accept is the default");
     let budget = config.edit_budget();
-    let mut aligner = AlignSession::new(&reference, config);
+    let platform = Platform::new(&reference, config);
     let mut rng = StdRng::seed_from_u64(0x4e4d);
     let mut by_diffs = [0usize; 3];
     for case in 0..240 {
@@ -111,7 +114,7 @@ fn first_accept_reports_the_minimum_difference_count() {
         let read = DnaSeq::from_bases(bases);
         let sw = oracle.find_inexact(&read, budget);
         let best = sw.iter().map(|&(_, d)| d).min().expect("≤ 2 edits map");
-        let outcome = aligner.align_read(&read);
+        let outcome = support::align_one(&platform, &read);
         let diffs = match &outcome {
             AlignmentOutcome::Exact { .. } => 0,
             AlignmentOutcome::Inexact { diffs, .. } => *diffs,
@@ -138,8 +141,8 @@ fn indel_variant_recovered_cross_stack() {
     let mut bases = reference.subseq(3_000..3_050).into_bases();
     bases.remove(25);
     let read = DnaSeq::from_bases(bases);
-    let mut aligner = AlignSession::new(&reference, PimAlignerConfig::baseline().with_max_diffs(1));
-    match aligner.align_read(&read) {
+    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(1));
+    match support::align_one(&platform, &read) {
         AlignmentOutcome::Inexact { positions, .. } => {
             assert!(positions.iter().any(|&p| p.abs_diff(3_000) <= 1));
         }

@@ -6,6 +6,8 @@ use pim_aligner_suite::bioseq::DnaSeq;
 use pim_aligner_suite::pim_aligner::{PerfReport, PimAlignerConfig, Platform};
 use pim_aligner_suite::readsim::{genome, ReadSimulator, SimProfile};
 
+mod support;
+
 fn workload(genome_len: usize, count: usize, seed: u64) -> (DnaSeq, Vec<DnaSeq>) {
     let reference = genome::uniform(genome_len, seed);
     let profile = SimProfile::paper_defaults()
@@ -23,11 +25,8 @@ fn workload(genome_len: usize, count: usize, seed: u64) -> (DnaSeq, Vec<DnaSeq>)
 fn breakdown_reconciles_with_ledger_after_alignment() {
     let (reference, reads) = workload(30_000, 32, 71);
     let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
-    let mut session = platform.session();
-    for read in &reads {
-        let _ = session.align_read(read);
-    }
-    let report = session.report();
+    let (_, totals) = support::align(&platform, &reads);
+    let report = platform.batch_report(&totals);
     let b = &report.breakdown;
 
     assert!(
@@ -36,7 +35,7 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
         b.primitive_cycles_total,
         b.total_busy_cycles
     );
-    assert_eq!(b.total_busy_cycles, session.ledger().total_busy_cycles());
+    assert_eq!(b.total_busy_cycles, totals.ledger.total_busy_cycles());
     let row_sum: u64 = b.primitives.iter().map(|p| p.busy_cycles).sum();
     assert_eq!(row_sum, b.primitive_cycles_total);
     let resource_sum: u64 = b.resources.iter().map(|r| r.busy_cycles).sum();
@@ -63,12 +62,12 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
     // A seed read a short suffix of the text moved a boundary of bumps
     // once more and stands for no step; one here.
     assert!(by_name("seed_read").count >= reads.len() as u64);
-    assert_eq!(report.seed_corrections, session.ledger().seed_corrections());
+    assert_eq!(report.seed_corrections, totals.ledger.seed_corrections());
     assert_eq!(report.seed_corrections, 1);
     assert_eq!(
         report.published_lfm_calls,
         report.lfm_calls + by_name("index_bump").count - report.seed_corrections
-            + 2 * session.ledger().unissued_steps()
+            + 2 * totals.ledger.unissued_steps()
     );
     assert!(b.subarray_activations > 0);
     assert_eq!(b.im_add_carry_cycles, 13 * report.lfm_calls);
@@ -83,8 +82,13 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
 fn worker_merge_is_associative() {
     let (reference, reads) = workload(50_000, 48, 72);
     let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-    let one = platform.align_batch_parallel(&reads, 1).unwrap().report;
-    let eight = platform.align_batch_parallel(&reads, 8).unwrap().report;
+    let run = |threads| {
+        let (_, totals) = platform
+            .align_chunk_parallel(&reads, threads, 0, false)
+            .unwrap();
+        platform.batch_report(&totals)
+    };
+    let (one, eight) = (run(1), run(8));
 
     assert_eq!(one.lfm_calls, eight.lfm_calls);
     assert_eq!(one.breakdown.primitives, eight.breakdown.primitives);
@@ -106,16 +110,7 @@ fn worker_merge_is_associative() {
         one.breakdown.energy_pj.to_bits(),
         eight.breakdown.energy_pj.to_bits()
     );
-
-    // The sequential session runs the same single-read kernel, so the
-    // parallel engine charges exactly what it does.
-    let mut session = platform.session();
-    for read in &reads {
-        let _ = session.align_read(read);
-    }
-    let seq = session.report();
-    assert_eq!(seq.breakdown.primitives, one.breakdown.primitives);
-    assert_eq!(seq.breakdown.lfm_by_phase, one.breakdown.lfm_by_phase);
+    // Every read runs the single-read kernel: no schedule is recorded.
     assert_eq!(one.breakdown.pipeline.issued, 0);
 }
 
@@ -124,8 +119,7 @@ fn worker_merge_is_associative() {
 /// is `m` interval steps — `2·m` `LFM`s as published — of which one table
 /// read stands in for the first `k` and, of the rest, only the first
 /// ≈ log₄(n / 128) − k, while the interval still spans several word
-/// lines, issue two `LFM`s. Held on the sequential session and on the
-/// parallel engine.
+/// lines, issue two `LFM`s.
 #[test]
 fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
     const M: usize = 80;
@@ -137,58 +131,54 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
         })
         .collect();
     let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-    let mut session = platform.session();
-    for read in &reads {
-        assert!(session.align_read(read).is_mapped());
-    }
-    let parallel = platform.align_batch_parallel(&reads, 1).unwrap().report;
+    let (outcomes, totals) = support::align(&platform, &reads);
+    assert!(outcomes.iter().all(|o| o.is_mapped()));
+    let report = platform.batch_report(&totals);
     // ⌈log₄ 50 001⌉ = 8, and a table of six levels (five while it held
     // a pair of u32s an entry, three while it took N/64 bytes).
     let log4_n = (0..).find(|&k| 4usize.pow(k) > reference.len()).unwrap() as u64;
     let k = platform.mapped().seed_table().depth() as u64;
     assert_eq!(k, 6);
-    for report in [session.report(), parallel] {
-        let (m, reads) = (M as u64, reads.len() as u64);
-        assert_eq!(report.published_lfm_calls, 2 * m * reads);
-        assert!(
-            report.lfm_calls <= (m + 2 * (log4_n + 2) - 2 * k) * reads,
-            "{} LFMs for {reads} error-free reads of {m} bases",
-            report.lfm_calls
-        );
-        let count = |name: &str| {
-            let row = report.breakdown.primitives.iter().find(|p| p.name == name);
-            row.unwrap_or_else(|| panic!("missing primitive {name}"))
-                .count
-        };
-        assert_eq!(count("seed_read"), reads);
-        assert_eq!(
-            report.published_lfm_calls,
-            report.lfm_calls + count("index_bump") - report.seed_corrections
-                + 2 * k * count("seed_read")
-        );
-        assert_eq!(count("im_add32"), report.lfm_calls);
-        assert!(report.breakdown.reconciles());
-        assert_eq!(report.issue_slots(), report.lfm_calls + reads);
+    let (m, reads) = (M as u64, reads.len() as u64);
+    assert_eq!(report.published_lfm_calls, 2 * m * reads);
+    assert!(
+        report.lfm_calls <= (m + 2 * (log4_n + 2) - 2 * k) * reads,
+        "{} LFMs for {reads} error-free reads of {m} bases",
+        report.lfm_calls
+    );
+    let count = |name: &str| {
+        let row = report.breakdown.primitives.iter().find(|p| p.name == name);
+        row.unwrap_or_else(|| panic!("missing primitive {name}"))
+            .count
+    };
+    assert_eq!(count("seed_read"), reads);
+    assert_eq!(
+        report.published_lfm_calls,
+        report.lfm_calls + count("index_bump") - report.seed_corrections
+            + 2 * k * count("seed_read")
+    );
+    assert_eq!(count("im_add32"), report.lfm_calls);
+    assert!(report.breakdown.reconciles());
+    assert_eq!(report.issue_slots(), report.lfm_calls + reads);
 
-        // The view the paper's figures are compared at: Algorithm 1's
-        // count at the same rate, so time and throughput are exact.
-        let published = report.as_published();
-        let f = report.published_lfm_calls as f64 / report.issue_slots() as f64;
-        assert_eq!(published.lfm_calls, report.published_lfm_calls);
-        assert_eq!(published.published_lfm_calls, report.published_lfm_calls);
-        let exact = PerfReport::from_batch(
-            platform.config(),
-            &pim_aligner_suite::pimsim::CycleLedger::new(),
-            reads,
-            report.published_lfm_calls,
-        );
-        assert!((published.time_s / exact.time_s - 1.0).abs() < 1e-12);
-        assert!((published.throughput_qps / exact.throughput_qps - 1.0).abs() < 1e-12);
-        assert!((published.energy_per_query_j / report.energy_per_query_j - f).abs() < 1e-12);
-        assert_eq!(published.total_power_w, report.total_power_w);
-        assert_eq!(published.mbr_pct, report.mbr_pct);
-        assert_eq!(published.breakdown, report.breakdown);
-    }
+    // The view the paper's figures are compared at: Algorithm 1's
+    // count at the same rate, so time and throughput are exact.
+    let published = report.as_published();
+    let f = report.published_lfm_calls as f64 / report.issue_slots() as f64;
+    assert_eq!(published.lfm_calls, report.published_lfm_calls);
+    assert_eq!(published.published_lfm_calls, report.published_lfm_calls);
+    let exact = PerfReport::from_batch(
+        platform.config(),
+        &pim_aligner_suite::pimsim::CycleLedger::new(),
+        reads,
+        report.published_lfm_calls,
+    );
+    assert!((published.time_s / exact.time_s - 1.0).abs() < 1e-12);
+    assert!((published.throughput_qps / exact.throughput_qps - 1.0).abs() < 1e-12);
+    assert!((published.energy_per_query_j / report.energy_per_query_j - f).abs() < 1e-12);
+    assert_eq!(published.total_power_w, report.total_power_w);
+    assert_eq!(published.mbr_pct, report.mbr_pct);
+    assert_eq!(published.breakdown, report.breakdown);
 }
 
 /// Recovery-ladder attribution: under an active fault campaign with
@@ -207,11 +197,7 @@ fn recovery_lfms_attributed_to_their_rungs() {
         .with_fault_campaign(campaign)
         .with_recovery(RecoveryPolicy::standard());
     let platform = Platform::new(&reference, config);
-    let mut session = platform.session();
-    for read in &reads {
-        let _ = session.align_read(read);
-    }
-    let report = session.report();
+    let report = platform.batch_report(&support::align(&platform, &reads).1);
     let phase = report.breakdown.lfm_by_phase;
     assert_eq!(phase.total(), report.lfm_calls);
     assert!(
@@ -226,11 +212,7 @@ fn recovery_lfms_attributed_to_their_rungs() {
 fn scaling_leaves_breakdown_unscaled() {
     let (reference, reads) = workload(20_000, 16, 77);
     let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-    let mut session = platform.session();
-    for read in &reads {
-        let _ = session.align_read(read);
-    }
-    let report = session.report();
+    let report = platform.batch_report(&support::align(&platform, &reads).1);
     let scaled = report.scaled_to_queries(10_000_000);
     assert_eq!(scaled.breakdown, report.breakdown);
     assert!(scaled.lfm_calls > report.lfm_calls);

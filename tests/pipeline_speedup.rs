@@ -3,11 +3,12 @@
 
 use bioseq::DnaSeq;
 use pim_aligner::{
-    align_batch_parallel_both_strands, sam, AlignSession, BatchResult, LfmRequest, MappedIndex,
-    MappedStrand, PimAlignerConfig,
+    sam, AlignmentOutcome, LfmRequest, MappedIndex, MappedStrand, PimAlignerConfig, Platform,
 };
 use pimsim::CycleLedger;
 use readsim::genome;
+
+mod support;
 
 fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<DnaSeq> {
     (0..count)
@@ -22,10 +23,12 @@ fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<DnaSeq> {
 fn pd2_gains_about_forty_percent() {
     let reference = genome::uniform(80_000, 91);
     let reads = clean_reads(&reference, 50, 100);
-    let mut baseline = AlignSession::new(&reference, PimAlignerConfig::baseline());
-    let mut pipelined = AlignSession::new(&reference, PimAlignerConfig::pipelined());
-    let rn = baseline.align_batch(&reads).report;
-    let rp = pipelined.align_batch(&reads).report;
+    let baseline = Platform::new(&reference, PimAlignerConfig::baseline());
+    let pipelined = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let (on, totals_n) = support::align(&baseline, &reads);
+    let (op, totals_p) = support::align(&pipelined, &reads);
+    let rn = baseline.batch_report(&totals_n);
+    let rp = pipelined.batch_report(&totals_p);
     let gain = rp.throughput_qps / rn.throughput_qps;
     assert!(
         (1.30..1.55).contains(&gain),
@@ -34,21 +37,19 @@ fn pd2_gains_about_forty_percent() {
     // Fig. 8a: the pipelined design draws more power.
     assert!(rp.total_power_w > rn.total_power_w);
     // Identical alignment results regardless of configuration.
-    let on = baseline.align_batch(&reads).outcomes;
-    let op = pipelined.align_batch(&reads).outcomes;
     assert_eq!(on, op);
 }
 
-/// Renders the full SAM stream of a both-strands batch result, so the
+/// Renders the full SAM stream of a both-strands chunk, so the
 /// comparison below is byte identity of the actual output format, not
 /// just outcome-struct equality.
 fn sam_of(
     reads: &[DnaSeq],
     reference_len: usize,
-    result: &(BatchResult, Vec<MappedStrand>),
+    pairs: &[(AlignmentOutcome, MappedStrand)],
 ) -> String {
     let mut out = sam::header("chrT", reference_len);
-    for (i, (outcome, strand)) in result.0.outcomes.iter().zip(&result.1).enumerate() {
+    for (i, (outcome, strand)) in pairs.iter().enumerate() {
         let record = sam::record_for(&format!("r{i}"), "chrT", &reads[i], None, outcome, *strand);
         out.push_str(&record.to_line());
         out.push('\n');
@@ -106,9 +107,10 @@ fn pd2_schedule_cuts_simulated_cycles_sam_identical() {
         }
     };
     let run = |pd: usize, threads: usize| {
-        let result =
-            align_batch_parallel_both_strands(&reference, &config(pd), &reads, threads).unwrap();
-        sam_of(&reads, reference.len(), &result)
+        let (pairs, _) = Platform::new(&reference, config(pd))
+            .align_chunk_parallel(&reads, threads, 0, true)
+            .unwrap();
+        sam_of(&reads, reference.len(), &pairs)
     };
     let expected = run(1, 1);
     for (pd, threads) in [(1, 4), (2, 1), (2, 4)] {
@@ -153,8 +155,8 @@ fn pd_sweep_monotone_with_diminishing_returns() {
         } else {
             PimAlignerConfig::pipelined().with_pd(pd)
         };
-        let mut aligner = AlignSession::new(&reference, config);
-        let report = aligner.align_batch(&reads).report;
+        let platform = Platform::new(&reference, config);
+        let report = platform.batch_report(&support::align(&platform, &reads).1);
         throughput.push(report.throughput_qps);
         power.push(report.total_power_w);
     }

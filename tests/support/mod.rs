@@ -1,4 +1,5 @@
-//! The one temp-file helper of the CLI integration tests.
+//! Helpers the integration tests share: [`align`], one chunk through the
+//! one alignment entry point, and the one temp-file helper.
 //!
 //! A test binary's tests run as threads of one process, so a path built
 //! from the pid alone is shared by every test that picks the same name
@@ -6,12 +7,30 @@
 //! call here gets its own path — pid plus a process-wide counter — and
 //! the file is removed when the handle drops, on success or panic.
 
-// Every test binary compiles its own copy and none uses both functions.
+// Every test binary compiles its own copy and none uses every function.
 #![allow(dead_code)]
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use bioseq::DnaSeq;
+use pim_aligner::{AlignmentOutcome, BatchTotals, Platform};
+
+/// `reads` through `Platform::align_chunk_parallel` as one chunk on one
+/// worker, forward strand only: the outcomes in input order and the
+/// chunk's totals (`platform.batch_report(&totals)` is the report).
+pub fn align(platform: &Platform, reads: &[DnaSeq]) -> (Vec<AlignmentOutcome>, BatchTotals) {
+    let (pairs, totals) = platform
+        .align_chunk_parallel(reads, 1, 0, false)
+        .expect("a non-empty chunk on one worker");
+    (pairs.into_iter().map(|(o, _)| o).collect(), totals)
+}
+
+/// One read's outcome, as [`align`] gives it.
+pub fn align_one(platform: &Platform, read: &DnaSeq) -> AlignmentOutcome {
+    align(platform, std::slice::from_ref(read)).0.remove(0)
+}
 
 /// A path in the system temp directory, deleted on drop.
 pub struct TempFile(PathBuf);
