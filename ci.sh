@@ -192,9 +192,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         cargo run -q --release --example "$_example" > "target/ci/example_$_example.txt"
     done
 
-    # indexbench exits 1 on its own counted checks: sharded-vs-unsharded
-    # SAM identity, footprint vs size model (<= 0.1 %), and peak RSS
-    # <= 7 bytes per reference base at the largest swept genome.
+    # indexbench exits 1 on its own counted checks: footprint vs size
+    # model (<= 0.1 %) and peak RSS <= 7 bytes per reference base at the
+    # largest swept genome.
     step "indexbench --quick (self-checking)"
     cargo run -q --release -p bench --bin indexbench -- \
         --quick --out target/ci/BENCH_index_smoke.json

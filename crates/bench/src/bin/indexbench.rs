@@ -8,8 +8,8 @@
 //! Measures, for a sweep of genome sizes, the build-once/load-many
 //! asymmetry the artifact exists for:
 //!
-//! * `build_ms`: `IndexArtifact::build` (SA-IS + BWT + tables per
-//!   shard) — what a cold start pays every run;
+//! * `build_ms`: `IndexArtifact::new` (SA-IS + BWT + tables) — what a
+//!   cold start pays every run;
 //! * `load_ms`: `IndexArtifact::load_from_path` (checksums, table
 //!   decode, and one pass over the BWT recounting the marker
 //!   check-points to cross-check the stored ones) — what the warm path
@@ -21,14 +21,12 @@
 //!   byte accounting, so any drift is a bug, not noise);
 //! * `peak_rss_mb`: the process's resident high-water mark (`VmHWM`)
 //!   after the row — rows run small to large, so it is the row's own
-//!   peak; `null` where the host does not report it;
-//! * on the smallest genome, byte-identity of sharded vs unsharded SAM
-//!   output over a reads-with-errors workload (`sam_identical`).
+//!   peak; `null` where the host does not report it.
 //!
 //! Results are written as JSON (default `BENCH_index.json`) and
 //! summarised on stderr. The run checks its own counted results and
-//! exits 1 when the sharded SAM diverges, when the footprint is off the
-//! size model by more than 0.1 %, or when the largest row's peak RSS
+//! exits 1 when the footprint is off the size model by more than 0.1 %,
+//! or when the largest row's peak RSS
 //! exceeds 7 bytes per reference base; `load_speedup` is wall-clock and
 //! stays a printed number. `--quick` shrinks the sweep for CI; the full
 //! sweep reaches 64 Mbp, which is only practical because the build cost
@@ -39,8 +37,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use bench::parse_report_args;
-use bench::workload::Workload;
-use pim_aligner::{sam, IndexArtifact, PimAlignerConfig, Platform, ShardedPlatform};
+use pim_aligner::{IndexArtifact, PimAlignerConfig, Platform};
 use pimsim::json::{Json, Layout};
 use readsim::genome;
 
@@ -71,7 +68,7 @@ fn sweep_point(genome_len: usize, sa_rate: u32, scratch: &PathBuf) -> SweepRow {
     let config = PimAlignerConfig::baseline();
 
     let t0 = Instant::now();
-    let artifact = IndexArtifact::build("bench-ref", &reference, sa_rate, 0, 0);
+    let artifact = IndexArtifact::new("bench-ref", &reference, sa_rate);
     let build_ms = ms(t0);
 
     let t0 = Instant::now();
@@ -89,7 +86,7 @@ fn sweep_point(genome_len: usize, sa_rate: u32, scratch: &PathBuf) -> SweepRow {
     // The sub-array mapping runs identically on cold and warm boots, so
     // it is timed once and excluded from the speedup ratio.
     let t0 = Instant::now();
-    let _warm = ShardedPlatform::from_artifact(&loaded, config, true);
+    let _warm = Platform::from_artifact(&loaded, config, true);
     let boot_ms = ms(t0);
     let _ = std::fs::remove_file(scratch);
 
@@ -110,52 +107,12 @@ fn sweep_point(genome_len: usize, sa_rate: u32, scratch: &PathBuf) -> SweepRow {
     }
 }
 
-/// Renders a chunk's outcomes exactly as `pimalign` would, so the
-/// sharded-vs-unsharded comparison is a true SAM byte diff.
-fn sam_for(
-    ref_id: &str,
-    ref_len: usize,
-    reads: &[bioseq::DnaSeq],
-    pairs: &[(pim_aligner::AlignmentOutcome, pim_aligner::MappedStrand)],
-) -> String {
-    let mut out = sam::header(ref_id, ref_len);
-    for (i, (read, (outcome, strand))) in reads.iter().zip(pairs).enumerate() {
-        let record = sam::record_for(&format!("read{i}"), ref_id, read, None, outcome, *strand);
-        out.push_str(&record.to_line());
-        out.push('\n');
-    }
-    out
-}
-
-/// Byte-identity of sharded vs unsharded SAM over an erroring workload:
-/// exact, inexact and unmapped arms all occur.
-fn check_sam_identity(threads: usize) -> bool {
-    let workload = Workload::paper_scaled(200_000, 200, 100, 0xa11);
-    let config = PimAlignerConfig::baseline();
-    let flat = Platform::new(&workload.reference, config.clone());
-    let (flat_pairs, _) = flat
-        .align_chunk_parallel(&workload.reads, threads, 0, true)
-        .expect("unsharded chunk");
-
-    let artifact = IndexArtifact::build("bench-ref", &workload.reference, 1, 50_000, 512);
-    let sharded = ShardedPlatform::from_artifact(&artifact, config, false);
-    let (sharded_pairs, _) = sharded
-        .align_chunk(&workload.reads, threads, 0, true)
-        .expect("sharded chunk");
-
-    let ref_len = workload.reference.len();
-    let flat_sam = sam_for("bench-ref", ref_len, &workload.reads, &flat_pairs);
-    let sharded_sam = sam_for("bench-ref", ref_len, &workload.reads, &sharded_pairs);
-    flat_sam == sharded_sam
-}
-
 /// The report document, written through the workspace's one JSON
 /// writer: wall-clock timings at three decimals, ratios at four or six.
 fn report_json(
     quick: bool,
     host_cores: usize,
     rows: &[SweepRow],
-    sam_identical: bool,
     footprint_max_rel_err: f64,
 ) -> String {
     let largest = rows.last().expect("nonempty sweep");
@@ -192,7 +149,6 @@ fn report_json(
             w.key("genome_len").u64(largest.genome_len as u64);
             w.key("load_speedup").fixed(largest.load_speedup, 3);
         });
-        w.key("sam_identical").bool(sam_identical);
         w.key("footprint_max_rel_err")
             .fixed(footprint_max_rel_err, 6);
     })
@@ -249,23 +205,7 @@ fn main() {
     let largest = rows.last().expect("nonempty sweep");
     let footprint_max_rel_err = rows.iter().map(|r| r.model_rel_err).fold(0.0f64, f64::max);
 
-    let sam_identical = check_sam_identity(4);
-    eprintln!(
-        "indexbench: sharded vs unsharded SAM: {}",
-        if sam_identical {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        }
-    );
-
-    let json = report_json(
-        quick,
-        host_cores,
-        &rows,
-        sam_identical,
-        footprint_max_rel_err,
-    );
+    let json = report_json(quick, host_cores, &rows, footprint_max_rel_err);
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("indexbench: wrote {out_path}");
 
@@ -274,7 +214,7 @@ fn main() {
     let peak_rss_bytes_per_bp = largest
         .peak_rss_mb
         .map(|mb| mb * f64::from(1u32 << 20) / largest.genome_len as f64);
-    let mut ok = sam_identical;
+    let mut ok = true;
     if footprint_max_rel_err > 1e-3 {
         eprintln!(
             "indexbench: FAIL: serialised footprint off the size model by {:.3} % (tolerance 0.1 %)",
@@ -317,7 +257,7 @@ mod tests {
             model_rel_err: 0.0,
             peak_rss_mb: None,
         };
-        let fresh = json::parse(&report_json(true, 1, &[row], true, 0.0)).expect("report parses");
+        let fresh = json::parse(&report_json(true, 1, &[row], 0.0)).expect("report parses");
         let committed = json::parse(include_str!("../../../../BENCH_index.json"))
             .expect("BENCH_index.json parses");
         assert_eq!(fresh.schema_paths(), committed.schema_paths());

@@ -17,17 +17,6 @@ pub enum AlignError {
         /// The most reads one chunk may hold.
         max: usize,
     },
-    /// A read is longer than the shard overlap can guarantee to cover:
-    /// a hit starting near the end of a shard's owned window would run
-    /// past the shard's slice and be silently missed. The overlap must
-    /// be at least `read_len + max_diffs`.
-    ReadExceedsShardOverlap {
-        /// Length of the offending read (bases).
-        read_len: usize,
-        /// The largest read length the shard overlap covers
-        /// (`overlap - max_diffs`).
-        budget: usize,
-    },
 }
 
 impl fmt::Display for AlignError {
@@ -38,12 +27,6 @@ impl fmt::Display for AlignError {
             AlignError::ChunkTooLong { reads, max } => {
                 write!(f, "chunk of {reads} reads exceeds the {max}-read maximum")
             }
-            AlignError::ReadExceedsShardOverlap { read_len, budget } => write!(
-                f,
-                "read of {read_len} bases exceeds the shard overlap budget \
-                 ({budget} bases max); rebuild the artifact with a larger \
-                 --shard-overlap"
-            ),
         }
     }
 }
@@ -64,11 +47,13 @@ mod tests {
             AlignError::NoThreads.to_string(),
             "at least one worker thread required"
         );
-        let e = AlignError::ReadExceedsShardOverlap {
-            read_len: 200,
-            budget: 125,
-        };
-        assert!(e.to_string().contains("200 bases"));
-        assert!(e.to_string().contains("125 bases max"));
+        assert_eq!(
+            AlignError::ChunkTooLong {
+                reads: 65_537,
+                max: 65_536
+            }
+            .to_string(),
+            "chunk of 65537 reads exceeds the 65536-read maximum"
+        );
     }
 }

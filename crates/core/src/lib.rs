@@ -64,9 +64,11 @@ pub mod service;
 
 pub use aligner::{AlignmentOutcome, MappedStrand};
 pub use artifact::{
-    sa_rate_for_budget, ArtifactShard, IndexArtifact, LoadArtifactError, ShardedPlatform,
-    ARTIFACT_MAGIC, BUDGET_RATES,
+    sa_rate_for_budget, IndexArtifact, LoadArtifactError, ARTIFACT_MAGIC, BUDGET_RATES,
 };
+// What `benchmark/` still compiles against; goes with the module.
+#[doc(hidden)]
+pub use artifact::benchmark_pins::*;
 pub use config::{AddMethod, PimAlignerConfig, RecoveryPolicy, DEFAULT_KERNEL_BATCH};
 pub use error::AlignError;
 pub use exact::{exact_search, exact_search_batch, ExactStats};

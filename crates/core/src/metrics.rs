@@ -61,10 +61,12 @@ use crate::report::{
 /// does not count). v11 removed `breakdown.spans` and
 /// `breakdown.spans_dropped` with the simulated-cycle span tracer that
 /// filled them: the per-primitive counts and `lfm_by_phase` say where the
-/// cycles went, and `pimalign --trace-out` exports the host span log.
-/// Every other version only *added* paths, so consumers that address
-/// fields by name keep working across them.
-pub const METRICS_SCHEMA_VERSION: u32 = 11;
+/// cycles went, and `pimalign --trace-out` exports the host span log. v12
+/// removed `index.shards`, `index.shard_window` and `index.shard_overlap`
+/// with reference-window sharding: every index is one FM-index over the
+/// whole reference. Every other version only *added* paths, so consumers
+/// that address fields by name keep working across them.
+pub const METRICS_SCHEMA_VERSION: u32 = 12;
 
 /// `LFM` invocations attributed to the alignment phase that issued them.
 ///
@@ -480,17 +482,14 @@ pub(crate) fn service_section(w: &mut Json, s: &ServiceTelemetry) {
 }
 
 /// The `index` section (schema v4): where the index came from (artifact
-/// vs in-process build), the shard geometry, the SA sampling rate, and
-/// the actual-vs-modelled storage bytes. All-zero for callers that never
+/// vs in-process build), the SA sampling rate, and the actual-vs-modelled
+/// storage bytes. All-zero for callers that never
 /// described their index.
 fn index_section(w: &mut Json, ix: &IndexTelemetry) {
     w.key("index").object(Layout::Block, |w| {
         w.key("loaded").bool(ix.loaded);
         w.u64_fields(&[
-            ("shards", ix.shards),
             ("sa_rate", ix.sa_rate.into()),
-            ("shard_window", ix.shard_window),
-            ("shard_overlap", ix.shard_overlap),
             ("actual_bytes", ix.actual_bytes),
             ("model_bytes", ix.model_bytes),
         ]);

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use bioseq::DnaSeq;
 
 use crate::aligner::AlignSession;
+use crate::artifact::IndexArtifact;
 use crate::config::PimAlignerConfig;
 use crate::mapping::MappedIndex;
 
@@ -46,10 +47,10 @@ pub struct Platform {
     reference: Arc<DnaSeq>,
     mapped: Arc<MappedIndex>,
     config: PimAlignerConfig,
-    /// `true` when the FM-index came from a serialised artifact
-    /// ([`Platform::from_index`]) rather than being built in-process;
+    /// The provenance [`Platform::from_artifact`] was given: `true` when
+    /// the artifact came off disk rather than being built in-process;
     /// recorded in the report's index telemetry.
-    warm_booted: bool,
+    loaded: bool,
 }
 
 impl Platform {
@@ -62,45 +63,38 @@ impl Platform {
             reference: Arc::new(reference.clone()),
             mapped,
             config,
-            warm_booted: false,
+            loaded: false,
         }
     }
 
-    /// Builds the platform around an already-constructed FM-index — the
-    /// warm-boot path used when loading a serialised artifact. Only the
-    /// sub-array mapping runs; the index construction (SA-IS, BWT,
-    /// tables) is skipped entirely, and an index passed as
-    /// `Arc<FmIndex>` is shared, not copied.
+    /// Boots the platform from an index artifact — the warm path. Only
+    /// the sub-array mapping runs; the index construction (SA-IS, BWT,
+    /// tables) is skipped entirely, and the artifact's index and
+    /// reference are shared, not copied.
     ///
-    /// # Panics
-    ///
-    /// Panics if `index` was not built over `reference` (text length
-    /// mismatch) or its bucket width is not 128.
-    pub fn from_index(
-        reference: DnaSeq,
-        index: impl Into<Arc<fmindex::FmIndex>>,
+    /// `loaded` records provenance for telemetry — pass `true` when the
+    /// artifact came off disk, `false` when it was just built in-process.
+    pub fn from_artifact(
+        artifact: &IndexArtifact,
         config: PimAlignerConfig,
+        loaded: bool,
     ) -> Platform {
-        let index: Arc<fmindex::FmIndex> = index.into();
-        assert_eq!(
-            index.reference_len(),
-            reference.len(),
-            "index does not cover the supplied reference"
-        );
-        let mapped = Arc::new(MappedIndex::from_index(index, &config));
+        let mapped = Arc::new(MappedIndex::from_index(
+            Arc::clone(&artifact.index),
+            &config,
+        ));
         Platform {
-            reference: Arc::new(reference),
+            reference: Arc::clone(&artifact.reference),
             mapped,
             config,
-            warm_booted: true,
+            loaded,
         }
     }
 
     /// How this platform's index came to be, for the report's `index`
-    /// telemetry: one shard spanning the whole reference, the index's
-    /// actual suffix-array sampling rate, the bytes of its serialisable
-    /// tables and of the seed table mapped beside them, and what the size
-    /// model predicts for that geometry.
+    /// telemetry: the index's actual suffix-array sampling rate, the
+    /// bytes of its serialisable tables and of the seed table mapped
+    /// beside them, and what the size model predicts for them.
     pub fn index_telemetry(&self) -> crate::report::IndexTelemetry {
         let index = self.mapped.index();
         let sa_rate = match index.sa_samples() {
@@ -108,11 +102,8 @@ impl Platform {
             fmindex::SuffixArraySamples::Sampled { rate, .. } => *rate,
         };
         crate::report::IndexTelemetry {
-            loaded: self.warm_booted,
-            shards: 1,
+            loaded: self.loaded,
             sa_rate,
-            shard_window: self.reference.len() as u64,
-            shard_overlap: 0,
             actual_bytes: (index.size_bytes() + self.mapped.seed_table().size_bytes()) as u64,
             model_bytes: fmindex::size_model::footprint(
                 self.reference.len(),

@@ -172,7 +172,7 @@ impl ServiceTelemetry {
 
 /// Provenance and footprint of the index a run aligned against
 /// (DESIGN.md §14): whether it was loaded from a serialised artifact or
-/// built in-process, how the reference was sharded, and how the actual
+/// built in-process, its suffix-array sampling rate, and how the actual
 /// storage compares to the analytic
 /// [`size_model`](fmindex::size_model) prediction.
 ///
@@ -184,15 +184,9 @@ pub struct IndexTelemetry {
     /// `true` when the index came from a serialised artifact rather
     /// than an in-process build.
     pub loaded: bool,
-    /// Reference shards aligned against (1 = unsharded).
-    pub shards: u64,
     /// Suffix-array sampling rate (1 = full SA, the paper's setup).
     pub sa_rate: u32,
-    /// Shard window, bases (0 when unsharded).
-    pub shard_window: u64,
-    /// Shard overlap, bases (0 when unsharded).
-    pub shard_overlap: u64,
-    /// Bytes of index storage actually held, summed over shards.
+    /// Bytes of index storage actually held.
     pub actual_bytes: u64,
     /// Bytes the analytic size model predicts for the same geometry.
     pub model_bytes: u64,
@@ -319,8 +313,8 @@ pub struct PerfReport {
     /// Service-layer admission/deadline/panic/drain counters
     /// (all-zero outside `pimserve` runs).
     pub service: ServiceTelemetry,
-    /// Index provenance and footprint (artifact vs in-process build,
-    /// shard geometry, size-model reconciliation). Default-zero unless
+    /// Index provenance and footprint (artifact vs in-process build, SA
+    /// sampling rate, size-model reconciliation). Default-zero unless
     /// the caller described its index.
     pub index: IndexTelemetry,
     /// Observability-plane summary (rolling-window ring geometry,

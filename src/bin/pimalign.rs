@@ -39,9 +39,6 @@
 //!   --sa-rate <N>         keep every N-th suffix-array entry (default 1 = full)
 //!   --index-memory-budget <BYTES>
 //!                         pick the densest rate fitting BYTES instead
-//!   --shard-window <N>    owned bases per shard (default 0 = one shard)
-//!   --shard-overlap <N>   slice overlap past the owned window; must cover
-//!                         read length + difference budget (default 512)
 //! ```
 //!
 //! SAM goes to stdout; the platform performance report goes to stderr.
@@ -68,9 +65,8 @@ use std::time::Instant;
 use pim_aligner_suite::bioseq::{fasta, fastq, DnaSeq};
 use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
 use pim_aligner_suite::pim_aligner::{
-    sa_rate_for_budget, sam, AlignError, AlignmentOutcome, BatchTotals, HostTraceConfig,
-    IndexArtifact, MappedStrand, PimAlignerConfig, Platform, RecoveryPolicy, ShardedPlatform,
-    EPOCH_STRIDE,
+    sa_rate_for_budget, sam, BatchTotals, HostTraceConfig, IndexArtifact, PimAlignerConfig,
+    Platform, RecoveryPolicy, EPOCH_STRIDE,
 };
 use pim_aligner_suite::pimsim::{chrome_trace_json, peak_rss_bytes, HostEpoch, HostSpan};
 
@@ -349,43 +345,6 @@ fn load_reference(ref_path: &str) -> Result<(String, DnaSeq), CliError> {
     Ok((reference.id().to_owned(), reference.into_seq()))
 }
 
-/// The alignment engine behind the streaming loop: one flat platform
-/// (built in-process) or a sharded platform booted from an artifact.
-enum Engine {
-    Flat(Platform),
-    Sharded(ShardedPlatform),
-}
-
-impl Engine {
-    fn align_chunk(
-        &self,
-        seqs: &[DnaSeq],
-        threads: usize,
-        epoch: u64,
-        both_strands: bool,
-        trace: Option<&HostTraceConfig>,
-    ) -> Result<(Vec<(AlignmentOutcome, MappedStrand)>, BatchTotals), AlignError> {
-        match (self, trace) {
-            (Engine::Flat(p), Some(t)) => {
-                p.align_chunk_parallel_traced(seqs, threads, epoch, both_strands, t)
-            }
-            (Engine::Flat(p), None) => p.align_chunk_parallel(seqs, threads, epoch, both_strands),
-            (Engine::Sharded(s), Some(t)) => s
-                .single_platform()
-                .expect("multi-shard tracing is rejected at startup")
-                .align_chunk_parallel_traced(seqs, threads, epoch, both_strands, t),
-            (Engine::Sharded(s), None) => s.align_chunk(seqs, threads, epoch, both_strands),
-        }
-    }
-
-    fn batch_report(&self, totals: &BatchTotals) -> pim_aligner_suite::pim_aligner::PerfReport {
-        match self {
-            Engine::Flat(p) => p.batch_report(totals),
-            Engine::Sharded(s) => s.batch_report(totals),
-        }
-    }
-}
-
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("index") {
@@ -452,43 +411,37 @@ fn run() -> Result<(), CliError> {
         .as_ref()
         .map(|_| HostTraceConfig::new(host_epoch));
 
-    // One engine for the whole run: the index is built (or loaded)
+    // One platform for the whole run: the index is built (or loaded)
     // exactly once here and shared by every chunk and worker thread
     // below.
     let build_start_ns = host_epoch.now_ns();
-    let (engine, ref_id, ref_len) = match (&cli.index, ref_source) {
+    let (platform, ref_id) = match (&cli.index, ref_source) {
         (Some(artifact_path), None) => {
             let artifact = IndexArtifact::load_from_path(std::path::Path::new(artifact_path))
                 .map_err(|e| CliError::Input(format!("{artifact_path}: {e}")))?;
             let ref_id = artifact.reference_name().to_owned();
-            let ref_len = artifact.reference().len();
-            let sharded = ShardedPlatform::from_artifact(&artifact, config, true);
-            if trace_config.is_some() && sharded.shard_count() > 1 {
-                return Err(CliError::Usage(
-                    "--trace-out is not supported with sharded index artifacts".to_owned(),
-                ));
-            }
-            (Engine::Sharded(sharded), ref_id, ref_len)
+            (Platform::from_artifact(&artifact, config, true), ref_id)
         }
         (None, Some(ref_path)) => {
             let (ref_id, reference) = load_reference(ref_path)?;
-            let ref_len = reference.len();
-            let engine = if let Some(budget) = cli.index_memory_budget {
+            let platform = if let Some(budget) = cli.index_memory_budget {
+                let ref_len = reference.len();
                 let rate = sa_rate_for_budget(ref_len, budget).ok_or_else(|| {
                     CliError::Input(format!(
                         "--index-memory-budget {budget} bytes cannot hold the index for \
                          {ref_len} bases at any supported sampling rate"
                     ))
                 })?;
-                let artifact = IndexArtifact::build(&ref_id, &reference, rate, 0, 0);
-                Engine::Sharded(ShardedPlatform::from_artifact(&artifact, config, false))
+                let artifact = IndexArtifact::new(&ref_id, &reference, rate);
+                Platform::from_artifact(&artifact, config, false)
             } else {
-                Engine::Flat(Platform::new(&reference, config))
+                Platform::new(&reference, config)
             };
-            (engine, ref_id, ref_len)
+            (platform, ref_id)
         }
         _ => unreachable!("positional parsing pinned the index/reference combinations"),
     };
+    let ref_len = platform.reference().len();
     // The index build runs on the main thread; its trace track sits
     // after the worker tracks (tid = --threads).
     let build_span = HostSpan {
@@ -518,20 +471,17 @@ fn run() -> Result<(), CliError> {
             break;
         }
         let seqs: Vec<_> = chunk.iter().map(|r| r.seq().clone()).collect();
-        let (pairs, chunk_totals) = engine
-            .align_chunk(
+        let (pairs, chunk_totals) = match &trace_config {
+            Some(trace) => platform.align_chunk_parallel_traced(
                 &seqs,
                 cli.threads,
                 epoch,
                 cli.both_strands,
-                trace_config.as_ref(),
-            )
-            .map_err(|e| match e {
-                // A read too long for the artifact's shard overlap is a
-                // data problem (pick a different artifact), not a crash.
-                AlignError::ReadExceedsShardOverlap { .. } => CliError::Input(e.to_string()),
-                other => CliError::Runtime(other.to_string()),
-            })?;
+                trace,
+            ),
+            None => platform.align_chunk_parallel(&seqs, cli.threads, epoch, cli.both_strands),
+        }
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
         totals.merge(&chunk_totals);
         if cli.progress && last_progress.elapsed().as_millis() >= PROGRESS_INTERVAL_MS {
             last_progress = Instant::now();
@@ -566,7 +516,7 @@ fn run() -> Result<(), CliError> {
     if totals.reads == 0 {
         return Err(CliError::Input(format!("{reads_path}: no reads")));
     }
-    let report = engine.batch_report(&totals);
+    let report = platform.batch_report(&totals);
     if let Some(path) = &cli.metrics_out {
         std::fs::write(path, report.to_metrics_json())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
@@ -604,10 +554,8 @@ fn run() -> Result<(), CliError> {
     );
     let ix = report.index;
     eprintln!(
-        "pimalign: index: {} ({} shard{}), SA rate {}, {} bytes ({:.2} bytes/bp)",
+        "pimalign: index: {}, SA rate {}, {} bytes ({:.2} bytes/bp)",
         if ix.loaded { "loaded" } else { "built" },
-        ix.shards,
-        if ix.shards == 1 { "" } else { "s" },
         ix.sa_rate,
         ix.actual_bytes,
         ix.actual_bytes as f64 / ref_len as f64,
@@ -650,8 +598,6 @@ struct IndexBuildCli {
     positional: Vec<String>,
     sa_rate: u32,
     budget: Option<usize>,
-    shard_window: usize,
-    shard_overlap: usize,
 }
 
 fn parse_index_build_cli(args: &[String]) -> Result<IndexBuildCli, String> {
@@ -659,8 +605,6 @@ fn parse_index_build_cli(args: &[String]) -> Result<IndexBuildCli, String> {
         positional: Vec::new(),
         sa_rate: 1,
         budget: None,
-        shard_window: 0,
-        shard_overlap: 512,
     };
     let mut i = 0;
     while i < args.len() {
@@ -674,15 +618,6 @@ fn parse_index_build_cli(args: &[String]) -> Result<IndexBuildCli, String> {
             "--index-memory-budget" => {
                 let raw: String = parse_flag(args, &mut i, "--index-memory-budget")?;
                 cli.budget = Some(parse_bytes(&raw, "--index-memory-budget")?);
-            }
-            "--shard-window" => cli.shard_window = parse_flag(args, &mut i, "--shard-window")?,
-            "--shard-overlap" => {
-                cli.shard_overlap = parse_flag(args, &mut i, "--shard-overlap")?;
-                if cli.shard_overlap == 0 {
-                    return Err(
-                        "invalid --shard-overlap: must cover at least one read length".into(),
-                    );
-                }
             }
             flag if flag.starts_with("--") => return Err(format!("unknown option {flag}")),
             _ => cli.positional.push(args[i].clone()),
@@ -711,7 +646,7 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
     if reference.len() > max_len {
         return Err(CliError::Input(format!(
             "{ref_path}: {} bases exceeds the u32 position bound ({max_len} bases max); \
-             shard the reference across separate artifacts",
+             split the reference across separate artifacts",
             reference.len()
         )));
     }
@@ -726,13 +661,7 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
         None => cli.sa_rate,
     };
     let build_start = Instant::now();
-    let artifact = IndexArtifact::build(
-        &ref_id,
-        &reference,
-        sa_rate,
-        cli.shard_window,
-        cli.shard_overlap,
-    );
+    let artifact = IndexArtifact::new(&ref_id, &reference, sa_rate);
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let save_start = Instant::now();
     artifact
@@ -744,11 +673,10 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
         format!(", peak RSS {:.0} MB", bytes as f64 / f64::from(1u32 << 20))
     });
     eprintln!(
-        "pimalign: index build: {} bases -> {} shard(s), SA rate {}, {} index bytes \
+        "pimalign: index build: {} bases, SA rate {}, {} index bytes \
          ({:.2} bytes/bp; seed depth {}, {} bytes of them, derived at mapping), \
          parse {parse_ms:.0} ms, build {build_ms:.0} ms, save {save_ms:.0} ms{peak_rss}",
         reference.len(),
-        artifact.shards().len(),
         artifact.sa_rate(),
         artifact.index_bytes(),
         artifact.index_bytes() as f64 / reference.len() as f64,
@@ -771,9 +699,6 @@ fn run_index_inspect(args: &[String]) -> Result<(), CliError> {
     println!("reference: {}", artifact.reference_name());
     println!("bases: {}", artifact.reference().len());
     println!("sa_rate: {}", artifact.sa_rate());
-    println!("shards: {}", artifact.shards().len());
-    println!("shard_window: {}", artifact.shard_window());
-    println!("shard_overlap: {}", artifact.shard_overlap());
     println!("sa_value_bits: {}", artifact.sa_value_bits());
     println!("index_bytes: {}", artifact.index_bytes());
     println!("model_bytes: {}", artifact.model_bytes());

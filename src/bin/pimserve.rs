@@ -7,8 +7,7 @@
 //! options:
 //!   --index <PATH>            boot the warm platform from a serialised
 //!                             index artifact (built by `pimalign index
-//!                             build`) instead of indexing the FASTA;
-//!                             single-shard artifacts only
+//!                             build`) instead of indexing the FASTA
 //!   --addr <HOST:PORT>        listen address (default 127.0.0.1:0)
 //!   --port-file <PATH>        write the bound address to PATH once listening
 //!   --threads <N>             worker threads per alignment batch (default 2)
@@ -51,7 +50,7 @@ use std::process::ExitCode;
 use pim_aligner_suite::bioseq::fasta;
 use pim_aligner_suite::pim_aligner::service::obs::log_kv;
 use pim_aligner_suite::pim_aligner::service::{serve, ServiceConfig, ServiceError};
-use pim_aligner_suite::pim_aligner::{IndexArtifact, PimAlignerConfig, Platform, ShardedPlatform};
+use pim_aligner_suite::pim_aligner::{IndexArtifact, PimAlignerConfig, Platform};
 use pim_aligner_suite::pimsim::chrome_trace_json;
 
 /// A CLI failure, classified exactly as in `pimalign`: usage = 2,
@@ -218,20 +217,10 @@ fn run() -> Result<(), CliError> {
         (Some(artifact_path), None) => {
             let artifact = IndexArtifact::load_from_path(std::path::Path::new(artifact_path))
                 .map_err(|e| CliError::Input(format!("{artifact_path}: {e}")))?;
-            if artifact.shards().len() != 1 {
-                return Err(CliError::Input(format!(
-                    "{artifact_path}: pimserve needs a single-shard artifact, found {} shards; \
-                     rebuild with --shard-window 0",
-                    artifact.shards().len()
-                )));
-            }
             // The same boot `pimalign --index` runs: the platform shares
-            // the artifact's index, so dropping the artifact here frees
-            // only its copy of the reference.
-            ShardedPlatform::from_artifact(&artifact, config, true)
-                .single_platform()
-                .expect("one shard boots one platform")
-                .clone()
+            // the artifact's index and reference, so dropping the artifact
+            // here frees nothing the platform holds.
+            Platform::from_artifact(&artifact, config, true)
         }
         (None, Some(ref_path)) => {
             let ref_text = std::fs::read_to_string(ref_path)

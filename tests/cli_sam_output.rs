@@ -298,6 +298,14 @@ fn usage_errors_exit_2_with_named_flags() {
         (&["a", "b", "--batch-size", "65537"][..], "--batch-size"),
         (&["a", "b", "--pd", "0"][..], "--pd"),
         (&["a", "b", "--max-diffs", "99"][..], "--max-diffs"),
+        (
+            &["index", "build", "a", "b", "--shard-window", "1000"][..],
+            "unknown option --shard-window",
+        ),
+        (
+            &["index", "build", "a", "b", "--shard-overlap", "128"][..],
+            "unknown option --shard-overlap",
+        ),
     ] {
         let (code, stderr) = run_cli_code(args);
         assert_eq!(code, 2, "{args:?} must exit 2 (usage), stderr: {stderr}");

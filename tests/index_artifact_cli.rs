@@ -4,12 +4,10 @@
 //! `pimalign index build` must produce an artifact that `pimalign
 //! --index` boots into the *same* platform the FASTA path builds
 //! in-process: byte-identical SAM and identical simulated-cycle and
-//! fault counters — across 8 worker threads with faults off, and under
-//! seeded fault injection on the deterministic sequential stream. A
-//! sharded artifact must align to the same SAM as the unsharded
-//! platform — and, under a fault campaign, to the same SAM and fault
-//! telemetry at any `--threads` — and `index inspect` must report the
-//! artifact's geometry.
+//! fault counters — across 8 worker threads with faults off, and under a
+//! seeded fault campaign at any `--threads`, traced or not — and `index
+//! inspect` must report the artifact's geometry. An artifact the loader
+//! cannot use is an input error (exit 3) that says to rebuild it.
 
 use std::fmt::Write as _;
 use std::process::Command;
@@ -35,7 +33,7 @@ fn run_cli(args: &[&str]) -> (String, String, bool) {
 
 /// A deterministic 4 kbp reference and a read set covering every
 /// alignment arm: exact, mismatched (inexact), reverse-complement and
-/// unmappable reads, so shard merging and fault recovery both fire.
+/// unmappable reads, so every outcome arm and fault recovery fire.
 fn fixture() -> (DnaSeq, String) {
     let reference = genome::uniform(4_000, 0xf1e1d);
     let mut fastq = String::new();
@@ -96,24 +94,42 @@ const SIMULATED_COUNTERS: &[&str] = &[
     "faults.verify_failures",
 ];
 
+/// What a cold run and its warm replay left behind: both metrics
+/// documents, and the warm run's SAM and stderr fault-telemetry lines.
+struct ColdWarm {
+    cold: Value,
+    warm: Value,
+    sam: String,
+    fault_lines: Vec<String>,
+}
+
+/// The two `pimalign` stderr lines a fault campaign prints.
+fn fault_lines(stderr: &str) -> Vec<String> {
+    stderr
+        .lines()
+        .filter(|l| l.contains("faults injected") || l.contains("recovery:"))
+        .map(str::to_owned)
+        .collect()
+}
+
 /// Runs the cold (FASTA) and warm (`--index`) paths with identical
 /// engine flags and asserts byte-identical SAM plus identical simulated
-/// counters; returns the two metrics documents for extra checks.
+/// counters and fault telemetry.
 fn assert_cold_warm_identical(
     ref_fa: &std::path::Path,
     reads_fq: &std::path::Path,
     artifact: &std::path::Path,
     engine_flags: &[&str],
     label: &str,
-) -> (Value, Value) {
+) -> ColdWarm {
     let cold_metrics = temp_path(&format!("{label}_cold.json"));
     let warm_metrics = temp_path(&format!("{label}_warm.json"));
 
     let mut cold_args = vec![ref_fa.to_str().unwrap(), reads_fq.to_str().unwrap()];
     cold_args.extend_from_slice(engine_flags);
     cold_args.extend_from_slice(&["--metrics-out", cold_metrics.to_str().unwrap()]);
-    let (cold_sam, stderr, ok) = run_cli(&cold_args);
-    assert!(ok, "{label}: cold run failed: {stderr}");
+    let (cold_sam, cold_stderr, ok) = run_cli(&cold_args);
+    assert!(ok, "{label}: cold run failed: {cold_stderr}");
 
     let mut warm_args = vec![
         "--index",
@@ -133,6 +149,11 @@ fn assert_cold_warm_identical(
         cold_sam, warm_sam,
         "{label}: warm-boot SAM diverged from the in-process build"
     );
+    assert_eq!(
+        fault_lines(&cold_stderr),
+        fault_lines(&stderr),
+        "{label}: fault telemetry moved across the serialisation boundary"
+    );
 
     let cold = json::parse(&std::fs::read_to_string(&cold_metrics).expect("cold metrics"))
         .expect("cold metrics JSON");
@@ -145,7 +166,12 @@ fn assert_cold_warm_identical(
             "{label}: simulated counter {path} moved across the serialisation boundary"
         );
     }
-    (cold, warm)
+    ColdWarm {
+        cold,
+        warm,
+        sam: warm_sam,
+        fault_lines: fault_lines(&stderr),
+    }
 }
 
 #[test]
@@ -170,11 +196,11 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
     // Faults off, 8 threads: dynamic partitioning must not cost a byte
     // (the engine's thread-invariance guarantee, here asserted across
     // the serialisation boundary).
-    let (cold, warm) =
+    let ColdWarm { cold, warm, .. } =
         assert_cold_warm_identical(&ref_fa, &reads_fq, &artifact, &["--threads", "8"], "clean8");
 
-    // Provenance: only the warm run reports a loaded index; geometry and
-    // footprint agree with the cold build.
+    // Provenance: only the warm run reports a loaded index; the
+    // footprint agrees with the cold build.
     assert_eq!(
         cold.get("index.loaded").and_then(Value::as_bool),
         Some(false)
@@ -183,7 +209,6 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
         warm.get("index.loaded").and_then(Value::as_bool),
         Some(true)
     );
-    assert_eq!(counter(&warm, "index.shards"), 1);
     assert_eq!(
         counter(&cold, "index.actual_bytes"),
         counter(&warm, "index.actual_bytes")
@@ -191,165 +216,72 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
 
     // Seeded faults: every alignment-time draw is keyed by the read's
     // global index, so a faulted run replays bit-identically from the
-    // artifact at any worker count, not only the sequential one.
-    for threads in ["1", "8"] {
-        let (cold, _) = assert_cold_warm_identical(
+    // artifact at any worker count, and the warm runs agree with each
+    // other in SAM, fault telemetry and every simulated counter.
+    let faults = [
+        "--fault-seed",
+        "42",
+        "--fault-xnor",
+        "0.002",
+        "--fault-transient",
+        "0.001",
+    ];
+    let mut first: Option<ColdWarm> = None;
+    for threads in ["1", "2", "8"] {
+        let mut flags = vec!["--threads", threads];
+        flags.extend_from_slice(&faults);
+        let run = assert_cold_warm_identical(
             &ref_fa,
             &reads_fq,
             &artifact,
-            &[
-                "--threads",
-                threads,
-                "--fault-seed",
-                "42",
-                "--fault-xnor",
-                "0.002",
-                "--fault-transient",
-                "0.001",
-            ],
+            &flags,
             &format!("faulted{threads}"),
         );
-        assert!(
-            counter(&cold, "faults.xnor_bit_flips") > 0,
-            "faults must fire"
-        );
-    }
-}
-
-#[test]
-fn sharded_artifact_aligns_to_the_unsharded_sam() {
-    let (reference, fastq) = fixture();
-    let ref_fa = write_temp("shard_ref.fa", &format!(">chrA\n{reference}\n"));
-    let reads_fq = write_temp("shard_reads.fq", &fastq);
-    let artifact = temp_path("shard.pimx");
-    let metrics = temp_path("shard.json");
-
-    let (flat_sam, stderr, ok) = run_cli(&[
-        ref_fa.to_str().unwrap(),
-        reads_fq.to_str().unwrap(),
-        "--threads",
-        "4",
-    ]);
-    assert!(ok, "unsharded run failed: {stderr}");
-
-    let (_, stderr, ok) = run_cli(&[
-        "index",
-        "build",
-        ref_fa.to_str().unwrap(),
-        artifact.to_str().unwrap(),
-        "--shard-window",
-        "1000",
-        "--shard-overlap",
-        "128",
-    ]);
-    assert!(ok, "sharded index build failed: {stderr}");
-
-    let (sharded_sam, stderr, ok) = run_cli(&[
-        "--index",
-        artifact.to_str().unwrap(),
-        reads_fq.to_str().unwrap(),
-        "--threads",
-        "4",
-        "--metrics-out",
-        metrics.to_str().unwrap(),
-    ]);
-    assert!(ok, "sharded run failed: {stderr}");
-
-    assert_eq!(
-        flat_sam, sharded_sam,
-        "sharded SAM diverged from the unsharded platform"
-    );
-    let doc =
-        json::parse(&std::fs::read_to_string(&metrics).expect("metrics")).expect("metrics JSON");
-    assert_eq!(counter(&doc, "index.shards"), 4);
-    assert_eq!(counter(&doc, "index.shard_window"), 1000);
-    assert_eq!(counter(&doc, "index.shard_overlap"), 128);
-}
-
-/// Faults on a sharded platform: every shard draws each read's faults
-/// from the stream keyed by the read's global index, whichever worker
-/// aligns it, and reads its own seed table without a draw — so SAM, the
-/// stderr telemetry and the simulated counters repeat byte for byte at
-/// every worker count.
-#[test]
-fn sharded_artifact_replays_itself_under_faults_at_any_threads() {
-    let reference = genome::uniform(9_000, 0x5eed);
-    let mut fastq = String::new();
-    for i in 0..10 {
-        let start = (i * 877) % (reference.len() - 64);
-        let mut read = reference.subseq(start..start + 64);
-        if i % 3 == 1 {
-            read = read.reverse_complement();
-        }
-        writeln!(fastq, "@read{i}\n{read}\n+\n{}", "I".repeat(64)).expect("format fastq");
-    }
-    let ref_fa = write_temp("shardfault_ref.fa", &format!(">chrA\n{reference}\n"));
-    let reads_fq = write_temp("shardfault_reads.fq", &fastq);
-    let artifact = temp_path("shardfault.pimx");
-    let (_, stderr, ok) = run_cli(&[
-        "index",
-        "build",
-        ref_fa.to_str().unwrap(),
-        artifact.to_str().unwrap(),
-        "--shard-window",
-        "3000",
-        "--shard-overlap",
-        "128",
-    ]);
-    assert!(ok, "sharded index build failed: {stderr}");
-    // Shards of 3 128 and 3 000 bases: each derives a four-level table
-    // (three while it held a pair of u32s an entry, one while it took
-    // N/64 bytes).
-    assert!(stderr.contains("3 shard(s)"), "{stderr}");
-    assert!(stderr.contains("seed depth 4"), "{stderr}");
-
-    let run = |threads: &str| {
-        let metrics = temp_path(&format!("shardfault_{threads}.json"));
-        let (sam, stderr, ok) = run_cli(&[
-            "--index",
-            artifact.to_str().unwrap(),
-            reads_fq.to_str().unwrap(),
-            "--threads",
-            threads,
-            "--fault-seed",
-            "42",
-            "--fault-xnor",
-            "0.002",
-            "--fault-transient",
-            "0.001",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ]);
-        assert!(ok, "--threads {threads} failed: {stderr}");
-        let doc = json::parse(&std::fs::read_to_string(&metrics).expect("metrics"))
-            .expect("metrics JSON");
-        let telemetry: Vec<String> = stderr
-            .lines()
-            .filter(|l| l.contains("faults injected") || l.contains("recovery:"))
-            .map(str::to_owned)
-            .collect();
-        assert_eq!(telemetry.len(), 2, "fault telemetry lines in: {stderr}");
-        (sam, telemetry, doc)
-    };
-    let (sam, telemetry, doc) = run("1");
-    assert!(
-        counter(&doc, "faults.xnor_bit_flips") > 0,
-        "faults must fire"
-    );
-    assert_eq!(counter(&doc, "index.shards"), 3);
-    for threads in ["2", "8"] {
-        let (other_sam, other_telemetry, other_doc) = run(threads);
+        assert_eq!(run.fault_lines.len(), 2, "faulted{threads}: fault lines");
+        let Some(base) = &first else {
+            assert!(
+                counter(&run.cold, "faults.xnor_bit_flips") > 0,
+                "faults must fire"
+            );
+            first = Some(run);
+            continue;
+        };
         let at = format!("--threads {threads}");
-        assert!(other_sam == sam, "{at}: SAM diverged");
-        assert_eq!(other_telemetry, telemetry, "{at}: fault telemetry diverged");
+        assert!(run.sam == base.sam, "{at}: warm SAM diverged");
+        assert_eq!(run.fault_lines, base.fault_lines, "{at}: fault telemetry");
         for path in SIMULATED_COUNTERS {
             assert_eq!(
-                counter(&other_doc, path),
-                counter(&doc, path),
+                counter(&run.warm, path),
+                counter(&base.warm, path),
                 "{at}: {path}"
             );
         }
     }
+
+    // A traced warm run writes its trace and leaves the SAM as it was.
+    let base = first.expect("the faulted runs ran");
+    let trace = temp_path("warm_trace.json");
+    let mut args = vec![
+        "--index",
+        artifact.to_str().unwrap(),
+        reads_fq.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ];
+    args.extend_from_slice(&faults);
+    let (sam, stderr, ok) = run_cli(&args);
+    assert!(ok, "traced warm run failed: {stderr}");
+    assert!(sam == base.sam, "tracing moved the warm SAM");
+    assert_eq!(fault_lines(&stderr), base.fault_lines);
+    let doc =
+        json::parse(&std::fs::read_to_string(&trace).expect("trace written")).expect("trace JSON");
+    let events = doc.get("traceEvents").and_then(Value::as_array);
+    assert!(
+        events.is_some_and(|e| !e.is_empty()),
+        "the trace holds no events"
+    );
 }
 
 /// An artifact whose shard is a `PIMFMI3` stream — one written before the
@@ -383,35 +315,75 @@ fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
     raw[body_end..].copy_from_slice(&digest.to_le_bytes());
     std::fs::write(&artifact, &raw).expect("write the v3 artifact");
 
-    for (binary, args) in [
-        (
-            env!("CARGO_BIN_EXE_pimalign"),
-            vec![
-                "--index",
-                artifact.to_str().unwrap(),
-                reads_fq.to_str().unwrap(),
-            ],
-        ),
-        (
-            env!("CARGO_BIN_EXE_pimserve"),
-            vec!["--index", artifact.to_str().unwrap()],
-        ),
-    ] {
-        let out = Command::new(binary).args(&args).output().expect("run");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(3), "{binary}: {stderr}");
+    for stderr in boot_both_expecting_exit_3(&artifact, &reads_fq) {
         for needle in [
             "format version 3",
             "reads version 4",
             "pimalign index build",
         ] {
-            assert!(
-                stderr.contains(needle),
-                "{binary}: no `{needle}` in {stderr}"
-            );
+            assert!(stderr.contains(needle), "no `{needle}` in {stderr}");
         }
-        assert!(!stderr.contains("corrupt"), "{binary}: {stderr}");
+        assert!(!stderr.contains("corrupt"), "{stderr}");
     }
+}
+
+/// An artifact written with its reference split into windows — patched
+/// here into the header of an unsharded one, the container checksum
+/// re-sealed — is refused as input (exit 3) by both binaries, with what
+/// to run.
+#[test]
+fn a_sharded_artifact_exits_3_and_says_to_rebuild() {
+    let (reference, fastq) = fixture();
+    let ref_fa = write_temp("sharded_ref.fa", &format!(">chrA\n{reference}\n"));
+    let reads_fq = write_temp("sharded_reads.fq", &fastq);
+    let artifact = temp_path("sharded.pimx");
+    let (_, stderr, ok) = run_cli(&[
+        "index",
+        "build",
+        ref_fa.to_str().unwrap(),
+        artifact.to_str().unwrap(),
+    ]);
+    assert!(ok, "index build failed: {stderr}");
+    // Magic, name length, "chrA", reference length, 1 000 packed bytes
+    // and the SA rate; then the window, overlap and count fields.
+    let mut raw = std::fs::read(&artifact).expect("read artifact");
+    let window = 8 + 8 + 4 + 8 + 1_000 + 4;
+    raw[window..window + 8].copy_from_slice(&1_000u64.to_le_bytes());
+    raw[window + 16..window + 24].copy_from_slice(&4u64.to_le_bytes());
+    let body_end = raw.len() - 8;
+    let digest = pim_aligner_suite::fmindex::io::fnv1a(&raw[8..body_end]);
+    raw[body_end..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(&artifact, &raw).expect("write the sharded artifact");
+
+    for stderr in boot_both_expecting_exit_3(&artifact, &reads_fq) {
+        for needle in ["sharded artifact", "rebuild the artifact"] {
+            assert!(stderr.contains(needle), "no `{needle}` in {stderr}");
+        }
+    }
+}
+
+/// Boots `pimalign --index` and `pimserve --index` from `artifact`,
+/// asserts each exits 3, and returns their stderr.
+fn boot_both_expecting_exit_3(
+    artifact: &std::path::Path,
+    reads_fq: &std::path::Path,
+) -> Vec<String> {
+    let artifact = artifact.to_str().unwrap();
+    [
+        (
+            env!("CARGO_BIN_EXE_pimalign"),
+            vec!["--index", artifact, reads_fq.to_str().unwrap()],
+        ),
+        (env!("CARGO_BIN_EXE_pimserve"), vec!["--index", artifact]),
+    ]
+    .into_iter()
+    .map(|(binary, args)| {
+        let out = Command::new(binary).args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(3), "{binary}: {stderr}");
+        stderr
+    })
+    .collect()
 }
 
 #[test]
@@ -441,7 +413,7 @@ fn inspect_reports_geometry_and_budget_picks_a_sampled_rate() {
             .to_owned()
     };
     assert_eq!(field("bases"), "4000");
-    assert_eq!(field("shards"), "1");
+    assert!(!stdout.contains("shard"), "{stdout}");
     let rate: u32 = field("sa_rate").parse().expect("numeric sa_rate");
     assert!(
         rate > 1,

@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pipelined"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 11);
+    assert_eq!(as_u64(&doc, "schema_version"), 12);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
@@ -85,14 +85,13 @@ fn metrics_json_is_valid_and_reconciles() {
     );
 
     // v4: the index section records how the platform's FM-index came to
-    // be. A plain CLI run builds in-process: one shard, full SA, not
-    // loaded, and the serialisable footprint agrees with the size model.
+    // be. A plain CLI run builds in-process: full SA, not loaded, and the
+    // serialisable footprint agrees with the size model.
     assert_eq!(
         doc.get("index.loaded").and_then(Value::as_bool),
         Some(false),
         "a CLI FASTA run builds its index in-process"
     );
-    assert_eq!(as_u64(&doc, "index.shards"), 1);
     assert_eq!(as_u64(&doc, "index.sa_rate"), 1);
     let actual_bytes = as_u64(&doc, "index.actual_bytes");
     assert!(actual_bytes > 0);
@@ -285,7 +284,7 @@ fn metrics_document_writes_every_section_field() {
         ("service.received", Value::Number(0.0)),
         ("service.deadline_misses", Value::Number(0.0)),
         ("index.loaded", Value::Bool(false)),
-        ("index.shards", Value::Number(0.0)),
+        ("index.sa_rate", Value::Number(0.0)),
         ("host.workers", Value::Array(Vec::new())),
         ("host.per_read_latency.buckets", Value::Array(Vec::new())),
         (
@@ -320,10 +319,7 @@ fn metrics_document_writes_every_section_field() {
     report.service.peak_inflight_bytes = 4_096;
     report.index = IndexTelemetry {
         loaded: true,
-        shards: 3,
         sa_rate: 8,
-        shard_window: 65_536,
-        shard_overlap: 256,
         actual_bytes: 123_456,
         model_bytes: 123_400,
     };
@@ -347,10 +343,7 @@ fn metrics_document_writes_every_section_field() {
         ("service.panics_quarantined", 1),
         ("service.peak_queue_depth", 6),
         ("service.peak_inflight_bytes", 4_096),
-        ("index.shards", 3),
         ("index.sa_rate", 8),
-        ("index.shard_window", 65_536),
-        ("index.shard_overlap", 256),
         ("index.actual_bytes", 123_456),
         ("index.model_bytes", 123_400),
         ("host.wall_ns", 2_000),
