@@ -139,8 +139,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
 
     # Release-binary smoke: the optimised pimalign must align, write its
     # metrics and trace, and reproduce its own SAM byte-for-byte from a
-    # serialised artifact that `index inspect` accepts (checksum +
-    # geometry). The documents' contents are asserted by tier-1
+    # serialised artifact that `index inspect` accepts (checksum verified,
+    # SA rate and seed table as expected). The documents' contents are
+    # asserted by tier-1
     # (tests/cli_sam_output.rs, tests/index_artifact_cli.rs); the files
     # are kept as CI artifacts.
     step "pimalign smoke (trace + artifact round-trip)"
@@ -156,6 +157,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         index build target/ci/smoke_ref.fa target/ci/smoke.pimx
     cargo run -q --release --bin pimalign -- index inspect target/ci/smoke.pimx \
         > target/ci/smoke_inspect.txt
+    # The full SA: the rate is read off the SA section, as for a sampled one.
+    grep -qx 'sa_rate: 1' target/ci/smoke_inspect.txt
+    grep -qx 'sa_value_bits: 32' target/ci/smoke_inspect.txt
     # 57 rows hold a two-level seed table: 17 boundaries of 6 bits.
     grep -qx 'seed_depth: 2' target/ci/smoke_inspect.txt
     grep -qx 'seed_bytes: 13' target/ci/smoke_inspect.txt

@@ -10,7 +10,7 @@
 //!
 //! * `build_ms`: `IndexArtifact::new` (SA-IS + BWT + tables) — what a
 //!   cold start pays every run;
-//! * `load_ms`: `IndexArtifact::load_from_path` (checksums, table
+//! * `load_ms`: `IndexArtifact::load_from_path` (checksum, table
 //!   decode, and one pass over the BWT recounting the marker
 //!   check-points to cross-check the stored ones) — what the warm path
 //!   pays instead;

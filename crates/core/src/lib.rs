@@ -63,9 +63,7 @@ pub mod sam;
 pub mod service;
 
 pub use aligner::{AlignmentOutcome, MappedStrand};
-pub use artifact::{
-    sa_rate_for_budget, IndexArtifact, LoadArtifactError, ARTIFACT_MAGIC, BUDGET_RATES,
-};
+pub use artifact::{sa_rate_for_budget, IndexArtifact, BUDGET_RATES};
 // What `benchmark/` still compiles against; goes with the module.
 #[doc(hidden)]
 pub use artifact::benchmark_pins::*;

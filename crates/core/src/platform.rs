@@ -92,25 +92,13 @@ impl Platform {
     }
 
     /// How this platform's index came to be, for the report's `index`
-    /// telemetry: the index's actual suffix-array sampling rate, the
-    /// bytes of its serialisable tables and of the seed table mapped
-    /// beside them, and what the size model predicts for them.
+    /// telemetry: the index's suffix-array sampling rate, the bytes of
+    /// its serialisable tables and of the seed table mapped beside them,
+    /// and what the size model predicts for them.
     pub fn index_telemetry(&self) -> crate::report::IndexTelemetry {
-        let index = self.mapped.index();
-        let sa_rate = match index.sa_samples() {
-            fmindex::SuffixArraySamples::Full(_) => 1,
-            fmindex::SuffixArraySamples::Sampled { rate, .. } => *rate,
-        };
         crate::report::IndexTelemetry {
             loaded: self.loaded,
-            sa_rate,
-            actual_bytes: (index.size_bytes() + self.mapped.seed_table().size_bytes()) as u64,
-            model_bytes: fmindex::size_model::footprint(
-                self.reference.len(),
-                index.bucket_width(),
-                sa_rate as usize,
-            )
-            .total_bytes() as u64,
+            ..crate::report::IndexTelemetry::of(self.mapped.index())
         }
     }
 

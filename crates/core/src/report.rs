@@ -192,6 +192,29 @@ pub struct IndexTelemetry {
     pub model_bytes: u64,
 }
 
+impl IndexTelemetry {
+    /// The telemetry of a platform over `index`, built in-process: its
+    /// sampling rate, the bytes of its serialisable tables and of the
+    /// seed table a platform derives beside them, and what the size model
+    /// predicts for both.
+    pub(crate) fn of(index: &fmindex::FmIndex) -> IndexTelemetry {
+        use fmindex::size_model;
+        let (sa_rate, text_len) = (index.sa_rate(), index.text_len());
+        let seed_bytes = size_model::seed_bytes(size_model::seed_depth(text_len), text_len);
+        IndexTelemetry {
+            loaded: false,
+            sa_rate,
+            actual_bytes: (index.size_bytes() + seed_bytes) as u64,
+            model_bytes: size_model::footprint(
+                index.reference_len(),
+                index.bucket_width(),
+                sa_rate as usize,
+            )
+            .total_bytes() as u64,
+        }
+    }
+}
+
 /// One entry of the bounded slow-request log (DESIGN.md §17): the
 /// per-stage wall-clock breakdown of a single served request, keyed by
 /// the `trace_id` minted at admission so the entry is joinable with the

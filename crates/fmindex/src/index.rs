@@ -247,6 +247,14 @@ impl FmIndex {
         &self.samples
     }
 
+    /// The suffix-array sampling rate: 1 for the full array.
+    pub fn sa_rate(&self) -> u32 {
+        match &self.samples {
+            SuffixArraySamples::Full(_) => 1,
+            SuffixArraySamples::Sampled { rate, .. } => *rate,
+        }
+    }
+
     /// Exact backward search; `None` when the read does not occur.
     pub fn backward_search(&self, read: &DnaSeq) -> Option<SaInterval> {
         let interval = backward_search(&self.marker, &self.bwt, read);

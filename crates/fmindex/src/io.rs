@@ -1,12 +1,18 @@
-//! Binary persistence for the FM-index.
+//! The index file: the reference and its FM-index, built once, loaded
+//! at every boot.
 //!
 //! Pre-computation is one-off (paper Fig. 2: "it is just a one-step
 //! computation") — a deployed platform builds the tables once and loads
-//! them at boot. This module defines a compact little-endian format:
+//! them at boot. This module is the only one that knows the file's
+//! bytes, a compact little-endian layout:
 //!
 //! ```text
-//! magic  "PIMFMI4\n"
-//! u64    text length (incl. sentinel); must fit in u32 (position bound)
+//! magic  "PIMAIX2\n"
+//! u64    reference name length, then the name (UTF-8)
+//! u64    reference length (bases, at least 1)
+//! [u8]   reference, 2-bit packed (T=00 G=01 A=10 C=11), four bases a
+//!        byte from the low bits up
+//! u64    text length (reference + sentinel)
 //! u64    sentinel position in the BWT
 //! [u8]   BWT nucleotides, 2-bit packed (sentinel cell holds a placeholder)
 //! u32×4  Count table
@@ -25,18 +31,20 @@
 //! u64    FNV-1a-64 checksum of every byte after the magic
 //! ```
 //!
-//! The sampled SA is stored as [`SampledRows`]
-//! holds it — the loader rebuilds only its rank directory — so the bytes
-//! on disk are the bytes in memory. A stream whose magic names another
-//! format version is a [`LoadIndexError::Version`], which says to
-//! rebuild the artifact; this module decodes no other version.
+//! The SA sampling rate is the SA section's: 1 for the full array, the
+//! stored rate for a sampled one. The sampled SA is stored as
+//! [`SampledRows`] holds it — the loader rebuilds only its rank
+//! directory — so the bytes on disk are the bytes in memory. A file
+//! whose magic names another format version is a
+//! [`LoadIndexError::Version`], which says to rebuild it; this module
+//! decodes no other version.
 //!
-//! [`load_bytes`] slices the sections out of the stream first — every
-//! declared length is checked against the bytes that remain, so a
-//! hostile header allocates nothing — then verifies the trailing
-//! checksum, rejects trailing garbage, and only then decodes the tables.
-//! A short stream surfaces as [`LoadIndexError::Corrupt`] naming the
-//! table that was cut off.
+//! [`load`] slices the sections out of the file first — every declared
+//! length is checked against the bytes that remain, so a hostile header
+//! allocates nothing — then verifies the trailing checksum, rejects
+//! trailing garbage, and only then decodes the reference and the tables.
+//! A short file surfaces as [`LoadIndexError::Corrupt`] naming the
+//! section that was cut off.
 //!
 //! Only what the format stores is ever held: the check-points of the
 //! marker table are recounted from the BWT on load (one streaming pass)
@@ -47,12 +55,14 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use bioseq::{Base, DnaSeq};
+
 use crate::index::FmIndex;
 use crate::locate::{SampledRows, SuffixArraySamples};
 
-/// Magic bytes heading every serialised index: `PIMFMI`, the format
-/// version's digit, a newline.
-pub const MAGIC: &[u8; 8] = b"PIMFMI4\n";
+/// Magic bytes heading every index file: `PIMAIX`, the format version's
+/// digit, a newline.
+pub const MAGIC: &[u8; 8] = b"PIMAIX2\n";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -66,8 +76,7 @@ fn fnv1a_update(digest: u64, bytes: &[u8]) -> u64 {
         .fold(digest, |d, &b| (d ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// FNV-1a-64 of `bytes` — the checksum of this format and of the
-/// artifact container around it.
+/// FNV-1a-64 of `bytes` — the checksum of this format.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
@@ -79,14 +88,13 @@ pub enum LoadIndexError {
     ///
     /// [`Corrupt`]: LoadIndexError::Corrupt
     Io(io::Error),
-    /// The stream does not start with [`MAGIC`].
+    /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The stream is an FM-index of another format version (the digit
-    /// its magic carries), which this build does not decode.
+    /// The file is an index of another format version (the digit its
+    /// magic carries), which this build does not decode.
     Version(char),
-    /// The declared text length exceeds the `u32` position bound
-    /// ([`FmIndex::MAX_REFERENCE_LEN`]); such an index can never have
-    /// been written by a correct builder.
+    /// The declared reference exceeds [`FmIndex::MAX_REFERENCE_LEN`];
+    /// such an index can never have been written by a correct builder.
     TooLarge {
         /// The declared text length (reference + sentinel).
         len: usize,
@@ -99,11 +107,11 @@ pub enum LoadIndexError {
 impl fmt::Display for LoadIndexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LoadIndexError::Io(e) => write!(f, "index read failed: {e}"),
-            LoadIndexError::BadMagic => f.write_str("not a PIM-Aligner FM-index stream"),
+            LoadIndexError::Io(e) => write!(f, "I/O error reading index artifact: {e}"),
+            LoadIndexError::BadMagic => f.write_str("not a PIM-Aligner index artifact (bad magic)"),
             LoadIndexError::Version(found) => write!(
                 f,
-                "FM-index format version {found}, this build reads version {}: \
+                "index artifact format version {found}, this build reads version {}: \
                  rebuild the artifact with `pimalign index build`",
                 char::from(MAGIC[6])
             ),
@@ -112,7 +120,7 @@ impl fmt::Display for LoadIndexError {
                 "index text of {len} rows exceeds the u32 position bound ({} rows max)",
                 u32::MAX
             ),
-            LoadIndexError::Corrupt(msg) => write!(f, "corrupt index: {msg}"),
+            LoadIndexError::Corrupt(msg) => write!(f, "corrupt index artifact: {msg}"),
         }
     }
 }
@@ -132,41 +140,18 @@ impl From<io::Error> for LoadIndexError {
     }
 }
 
-/// A writer that checksums (FNV-1a-64) and counts what passes through
-/// it, so a stream is hashed as it is written instead of being staged
-/// in memory first.
-pub struct HashingWriter<W: Write> {
+/// A writer that checksums (FNV-1a-64) what passes through it, so a
+/// file is hashed as it is written instead of being staged in memory
+/// first.
+struct HashingWriter<W: Write> {
     inner: W,
     hash: u64,
-    written: u64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    /// Wraps `inner`; nothing hashed yet.
-    pub fn new(inner: W) -> Self {
-        HashingWriter {
-            inner,
-            hash: FNV_OFFSET,
-            written: 0,
-        }
-    }
-
-    /// The checksum of every byte written so far.
-    pub fn digest(&self) -> u64 {
-        self.hash
-    }
-
-    /// The number of bytes written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
 }
 
 impl<W: Write> Write for HashingWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
         self.hash = fnv1a_update(self.hash, &buf[..n]);
-        self.written += n as u64;
         Ok(n)
     }
 
@@ -175,22 +160,8 @@ impl<W: Write> Write for HashingWriter<W> {
     }
 }
 
-/// Exactly how many bytes [`save`] writes for `index`:
-/// [`FmIndex::size_bytes`] plus the fixed framing (magic, lengths, Count
-/// table, SA header, checksum). Lets a container length-prefix the
-/// stream without staging it.
-pub fn stream_len(index: &FmIndex) -> usize {
-    // magic + n + sentinel + count + bucket width + bucket count + SA tag
-    // + SA row count + checksum, and for a sampled SA its rate, bitmap
-    // word count, value width and value word count.
-    let framing = match index.sa_samples() {
-        SuffixArraySamples::Full(_) => 73,
-        SuffixArraySamples::Sampled { .. } => 94,
-    };
-    index.size_bytes() + framing
-}
-
-/// Serialises an index in the `PIMFMI4` format.
+/// Writes the index file of `reference`, named `name`, and of `index`,
+/// the FM-index over it.
 ///
 /// # Errors
 ///
@@ -203,25 +174,39 @@ pub fn stream_len(index: &FmIndex) -> usize {
 /// use fmindex::{io as fm_io, FmIndex};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let index = FmIndex::builder().bucket_width(4).build(&"GATTACA".parse::<DnaSeq>()?);
+/// let reference: DnaSeq = "GATTACA".parse()?;
+/// let index = FmIndex::builder().bucket_width(4).build(&reference);
 /// let mut buffer = Vec::new();
-/// fm_io::save(&index, &mut buffer)?;
-/// let restored = fm_io::load(buffer.as_slice())?;
+/// fm_io::save("chrT", &reference, &index, &mut buffer)?;
+/// let (name, restored_reference, restored) = fm_io::load(buffer.as_slice())?;
+/// assert_eq!((name.as_str(), &restored_reference), ("chrT", &reference));
 /// assert_eq!(restored.find(&"TTA".parse::<DnaSeq>()?), index.find(&"TTA".parse::<DnaSeq>()?));
 /// # Ok(())
 /// # }
 /// ```
-pub fn save<W: Write>(index: &FmIndex, mut writer: W) -> io::Result<()> {
+pub fn save<W: Write>(
+    name: &str,
+    reference: &DnaSeq,
+    index: &FmIndex,
+    mut writer: W,
+) -> io::Result<()> {
     writer.write_all(MAGIC)?;
-    let mut hashed = HashingWriter::new(&mut writer);
-    save_body(index, &mut hashed)?;
-    let digest = hashed.digest();
+    let mut hashed = HashingWriter {
+        inner: &mut writer,
+        hash: FNV_OFFSET,
+    };
+    hashed.write_all(&(name.len() as u64).to_le_bytes())?;
+    hashed.write_all(name.as_bytes())?;
+    hashed.write_all(&(reference.len() as u64).to_le_bytes())?;
+    hashed.write_all(reference.to_packed().as_bytes())?;
+    save_index(index, &mut hashed)?;
+    let digest = hashed.hash;
     writer.write_all(&digest.to_le_bytes())?;
     writer.flush()
 }
 
 /// Writes `words` little-endian, staged through a chunk buffer so the
-/// writer (and the checksums stacked on it) see kilobytes, not words.
+/// writer (and the checksum stacked on it) sees kilobytes, not words.
 fn write_words<W: Write>(writer: &mut W, words: impl IntoIterator<Item = u32>) -> io::Result<()> {
     let mut chunk = [0u8; 4096];
     let mut used = 0;
@@ -246,7 +231,7 @@ fn write_u64s<W: Write>(writer: &mut W, words: &[u64]) -> io::Result<()> {
     )
 }
 
-fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
+fn save_index<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
     let n = index.text_len() as u64;
     writer.write_all(&n.to_le_bytes())?;
     let bwt = index.bwt();
@@ -266,9 +251,8 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
         SuffixArraySamples::Sampled { stored, rate } => {
             writer.write_all(&[1u8])?;
             writer.write_all(&rate.to_le_bytes())?;
-            writer.write_all(&(index.text_len() as u64).to_le_bytes())?;
-            let bits = stored.bits();
-            write_u64s(writer, bits)?;
+            writer.write_all(&n.to_le_bytes())?;
+            write_u64s(writer, stored.bits())?;
             writer.write_all(&[stored.value_bits() as u8])?;
             write_u64s(writer, stored.value_words())?;
         }
@@ -276,39 +260,51 @@ fn save_body<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserialises an index previously written by [`save`]: reads the
-/// stream to its end and hands the bytes to [`load_bytes`].
+/// Reads an index file written by [`save`] to its end: the reference's
+/// name, the reference, and the FM-index over it.
 ///
 /// # Errors
 ///
-/// Returns [`LoadIndexError`] on I/O failure, a wrong magic, an
-/// over-long text, or structurally invalid contents (including
-/// truncation and checksum mismatch).
-pub fn load<R: Read>(mut reader: R) -> Result<FmIndex, LoadIndexError> {
+/// Returns [`LoadIndexError`] on I/O failure, a wrong magic or another
+/// format version, an over-long reference, or structurally invalid
+/// contents (including truncation, checksum mismatch and trailing
+/// bytes).
+pub fn load<R: Read>(mut reader: R) -> Result<(String, DnaSeq, FmIndex), LoadIndexError> {
+    // The magic first, so a foreign or old file is refused unread.
     let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    load_bytes(&bytes)
-}
-
-/// Deserialises an index from a complete in-memory `PIMFMI4` stream —
-/// the whole of `bytes` must be the stream, trailing bytes are rejected.
-///
-/// # Errors
-///
-/// As [`load`], minus the I/O failures; a stream of another format
-/// version is [`LoadIndexError::Version`].
-pub fn load_bytes(bytes: &[u8]) -> Result<FmIndex, LoadIndexError> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let magic = cursor.take(MAGIC.len(), "magic")?;
-    if magic != MAGIC {
-        return Err(match magic {
-            [b'P', b'I', b'M', b'F', b'M', b'I', v, b'\n'] if v.is_ascii_digit() => {
-                LoadIndexError::Version(char::from(*v))
+    reader
+        .by_ref()
+        .take(MAGIC.len() as u64)
+        .read_to_end(&mut bytes)?;
+    if bytes.len() < MAGIC.len() {
+        return Err(LoadIndexError::Corrupt("truncated in magic".into()));
+    }
+    if bytes != MAGIC {
+        return Err(match bytes[..] {
+            [b'P', b'I', b'M', b'A', b'I', b'X', v, b'\n'] if v.is_ascii_digit() => {
+                LoadIndexError::Version(char::from(v))
             }
             _ => LoadIndexError::BadMagic,
         });
     }
-    let sections = Sections::parse(&mut cursor)?;
+    reader.read_to_end(&mut bytes)?;
+    let mut cursor = Cursor {
+        bytes: &bytes,
+        pos: MAGIC.len(),
+    };
+    let name_len = cursor.len("name")?;
+    let name = cursor.take(name_len, "name")?;
+    let ref_len = cursor.len("reference length")?;
+    if ref_len == 0 {
+        return Err(LoadIndexError::Corrupt("empty reference".into()));
+    }
+    if ref_len > FmIndex::MAX_REFERENCE_LEN {
+        return Err(LoadIndexError::TooLarge {
+            len: ref_len.saturating_add(1),
+        });
+    }
+    let packed = cursor.take(ref_len.div_ceil(4), "reference")?;
+    let sections = Sections::parse(&mut cursor, ref_len + 1)?;
     let body = &bytes[MAGIC.len()..cursor.pos];
     if cursor.u64("checksum")? != fnv1a(body) {
         return Err(LoadIndexError::Corrupt("checksum mismatch".into()));
@@ -318,7 +314,15 @@ pub fn load_bytes(bytes: &[u8]) -> Result<FmIndex, LoadIndexError> {
             "trailing bytes after the index".into(),
         ));
     }
-    sections.assemble()
+    let name = String::from_utf8(name.to_vec())
+        .map_err(|_| LoadIndexError::Corrupt("name is not UTF-8".into()))?;
+    // One packed byte is four 2-bit base codes, low bits first.
+    let mut bases = Vec::with_capacity(packed.len() * 4);
+    for &byte in packed {
+        bases.extend([0, 2, 4, 6].map(|shift| Base::from_code(byte >> shift)));
+    }
+    bases.truncate(ref_len);
+    Ok((name, DnaSeq::from_bases(bases), sections.assemble()?))
 }
 
 /// Reads sections off a byte slice; every length is checked against the
@@ -387,7 +391,7 @@ fn u64s(section: &[u8]) -> Vec<u64> {
         .collect()
 }
 
-/// The SA section of a stream, still as bytes.
+/// The SA section of a file, still as bytes.
 enum SaSection<'a> {
     Full(&'a [u8]),
     Sampled {
@@ -398,7 +402,8 @@ enum SaSection<'a> {
     },
 }
 
-/// A stream's sections, sliced and length-checked but not yet decoded.
+/// A file's index sections, sliced and length-checked but not yet
+/// decoded.
 struct Sections<'a> {
     text_len: usize,
     sentinel: usize,
@@ -410,14 +415,16 @@ struct Sections<'a> {
 }
 
 impl<'a> Sections<'a> {
-    fn parse(cursor: &mut Cursor<'a>) -> Result<Sections<'a>, LoadIndexError> {
+    /// The index sections of the text of `text_len` rows the reference
+    /// before them makes.
+    fn parse(cursor: &mut Cursor<'a>, text_len: usize) -> Result<Sections<'a>, LoadIndexError> {
         let corrupt = |msg: &str| Err(LoadIndexError::Corrupt(msg.into()));
         let n = cursor.len("text length")?;
-        if n == 0 {
-            return corrupt("empty text");
-        }
-        if n > u32::MAX as usize {
-            return Err(LoadIndexError::TooLarge { len: n });
+        if n != text_len {
+            return Err(LoadIndexError::Corrupt(format!(
+                "text length {n} for a reference of {} bases",
+                text_len - 1
+            )));
         }
         let sentinel = cursor.len("sentinel")?;
         if sentinel >= n {
@@ -519,18 +526,34 @@ mod tests {
     use crate::{FmIndex, SaStorage};
     use bioseq::DnaSeq;
 
+    const NAME: &str = "sample";
+
+    fn sample_reference() -> DnaSeq {
+        "GATTACAGATTACAGGGTTTCCCAAATGCA".parse().unwrap()
+    }
+
     fn sample_index(storage: SaStorage) -> FmIndex {
-        let reference: DnaSeq = "GATTACAGATTACAGGGTTTCCCAAATGCA".parse().unwrap();
         FmIndex::builder()
             .bucket_width(4)
             .sa_storage(storage)
-            .build(&reference)
+            .build(&sample_reference())
     }
 
-    fn round_trip(index: &FmIndex) -> FmIndex {
+    /// The file of [`sample_reference`] and `index`.
+    fn saved(index: &FmIndex) -> Vec<u8> {
         let mut buffer = Vec::new();
-        save(index, &mut buffer).expect("save");
-        load(buffer.as_slice()).expect("load")
+        save(NAME, &sample_reference(), index, &mut buffer).expect("save");
+        buffer
+    }
+
+    /// Bytes before the text length: magic, name length, name, reference
+    /// length and the 30 packed bases.
+    const HEADER: usize = 8 + 8 + NAME.len() + 8 + 30usize.div_ceil(4);
+
+    fn round_trip(index: &FmIndex) -> FmIndex {
+        let (name, reference, restored) = load(saved(index).as_slice()).expect("load");
+        assert_eq!((name.as_str(), reference), (NAME, sample_reference()));
+        restored
     }
 
     #[test]
@@ -586,12 +609,13 @@ mod tests {
     /// full SA to 64, and at two lengths: 4 095 and 4 096 bases put
     /// `⌊(rows − 1)/rate⌋` at `2^w − 1` and `2^w` for every rate, the last
     /// value to fit `w` bits and the first to need one more. At each,
-    /// `size_bytes()` is the bytes `save` writes less the fixed framing:
-    /// magic(8) + n(8) + sentinel(8) + count(16) + bucket width(8) +
-    /// bucket count(8) + SA tag(1) + SA header (full: len(8); sampled:
-    /// rate(4) + len(8) + bitmap words(8) + value width(1) + value
-    /// words(8)) + checksum(8); and the sampled SA is smaller than its
-    /// values as `u32`s.
+    /// `size_bytes()` is the bytes `save` writes less the name, the packed
+    /// reference and the fixed framing: magic(8) + name length(8) +
+    /// reference length(8) + n(8) + sentinel(8) + count(16) + bucket
+    /// width(8) + bucket count(8) + SA tag(1) + SA header (full: len(8);
+    /// sampled: rate(4) + len(8) + bitmap words(8) + value width(1) +
+    /// value words(8)) + checksum(8); and the sampled SA is smaller than
+    /// its values as `u32`s.
     #[test]
     fn saved_samples_locate_as_the_full_suffix_array() {
         use crate::packed::bits_for;
@@ -617,10 +641,10 @@ mod tests {
                     .sa_storage(storage)
                     .build(&reference);
                 let mut buffer = Vec::new();
-                save(&index, &mut buffer).unwrap();
-                let framing = if rate == 1 { 73 } else { 94 };
-                assert_eq!(index.size_bytes() + framing, buffer.len(), "rate {rate}");
-                assert_eq!(stream_len(&index), buffer.len());
+                save("g", &reference, &index, &mut buffer).unwrap();
+                let framing = if rate == 1 { 89 } else { 110 };
+                let stored = 1 + reference.len().div_ceil(4) + index.size_bytes();
+                assert_eq!(stored + framing, buffer.len(), "rate {rate}");
                 if let SuffixArraySamples::Sampled { stored, .. } = index.sa_samples() {
                     let largest = reference.len() / rate as usize;
                     let edge = largest + reference.len() % 2;
@@ -629,8 +653,9 @@ mod tests {
                     let as_u32s = stored.bits().len() * 8 + stored.stored_len() * 4;
                     assert!(index.sa_samples().size_bytes() < as_u32s, "rate {rate}");
                 }
-                let restored = load_bytes(&buffer).expect("own stream");
+                let (_, _, restored) = load(buffer.as_slice()).expect("own file");
                 assert_eq!(restored.sa_samples(), index.sa_samples(), "rate {rate}");
+                assert_eq!(restored.sa_rate(), rate);
                 // xorshift64: 300 intervals of 1 to 64 rows.
                 let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(rate);
                 for _ in 0..300 {
@@ -660,29 +685,27 @@ mod tests {
         assert!(err.to_string().contains("not a PIM-Aligner"));
     }
 
-    /// A stream of the previous format, whose sampled SA kept its values
-    /// as `u32`s: its header is refused by version, with what
-    /// to do, before any of it is decoded.
+    /// A file of the previous format, which framed the index in a second
+    /// magic and checksum: its magic is refused by version, with what to
+    /// do, before any of it is read.
     #[test]
     fn a_previous_version_says_to_rebuild() {
-        let mut v3 = b"PIMFMI3\n".to_vec();
-        v3.extend_from_slice(&31u64.to_le_bytes());
-        v3.extend_from_slice(&5u64.to_le_bytes());
-        let err = load(v3.as_slice()).unwrap_err();
-        assert!(matches!(err, LoadIndexError::Version('3')), "{err:?}");
+        let mut v1 = saved(&sample_index(SaStorage::Full));
+        v1[..8].copy_from_slice(b"PIMAIX1\n");
+        let err = load(v1.as_slice()).unwrap_err();
+        assert!(matches!(err, LoadIndexError::Version('1')), "{err:?}");
         let message = err.to_string();
-        assert!(message.contains("version 3"), "{message}");
-        assert!(message.contains("reads version 4"), "{message}");
+        assert!(message.contains("version 1"), "{message}");
+        assert!(message.contains("reads version 2"), "{message}");
         assert!(message.contains("pimalign index build"), "{message}");
+        assert!(!message.contains("corrupt"), "{message}");
     }
 
     #[test]
     fn truncation_is_reported_as_corrupt_with_section() {
         for storage in [SaStorage::Full, SaStorage::Sampled(4)] {
-            let index = sample_index(storage);
-            let mut buffer = Vec::new();
-            save(&index, &mut buffer).unwrap();
-            // Cut the stream at every byte boundary: each must produce a
+            let buffer = saved(&sample_index(storage));
+            // Cut the file at every byte boundary: each must produce a
             // Corrupt("truncated in …") error, never a bare Io error.
             for cut in 0..buffer.len() {
                 let err = load(&buffer[..cut]).unwrap_err();
@@ -698,9 +721,7 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_detected() {
-        let index = sample_index(SaStorage::Full);
-        let mut buffer = Vec::new();
-        save(&index, &mut buffer).unwrap();
+        let mut buffer = saved(&sample_index(SaStorage::Full));
         let last = buffer.len() - 1;
         buffer[last] ^= 0xFF; // flip a bit of the trailing checksum
         let err = load(buffer.as_slice()).unwrap_err();
@@ -712,9 +733,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let index = sample_index(SaStorage::Sampled(4));
-        let mut buffer = Vec::new();
-        save(&index, &mut buffer).unwrap();
+        let mut buffer = saved(&sample_index(SaStorage::Sampled(4)));
         buffer.extend_from_slice(b"EXTRA");
         let err = load(buffer.as_slice()).unwrap_err();
         match err {
@@ -724,10 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_text_length_is_too_large() {
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(MAGIC);
-        buffer.extend_from_slice(&(u32::MAX as u64 + 1).to_le_bytes());
+    fn oversized_reference_length_is_too_large() {
+        let mut buffer = MAGIC.to_vec();
+        buffer.extend_from_slice(&0u64.to_le_bytes());
+        buffer.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
         let err = load(buffer.as_slice()).unwrap_err();
         match err {
             LoadIndexError::TooLarge { len } => {
@@ -756,36 +775,45 @@ mod tests {
     #[test]
     fn corrupt_bucket_count_detected() {
         let index = sample_index(SaStorage::Full);
-        let mut buffer = Vec::new();
-        save(&index, &mut buffer).unwrap();
-        // Bucket-width field lives after magic(8) + n(8) + sentinel(8) +
+        let mut buffer = saved(&index);
+        // Bucket-width field lives after the header + n(8) + sentinel(8) +
         // packed BWT + count(16).
-        let n = index.text_len();
-        let offset = 8 + 8 + 8 + n.div_ceil(4) + 16;
+        let offset = HEADER + 8 + 8 + index.text_len().div_ceil(4) + 16;
         buffer[offset] = 0xFF; // mangle the bucket width
         let err = load(buffer.as_slice()).unwrap_err();
         assert!(matches!(err, LoadIndexError::Corrupt(_)), "{err}");
     }
 
     /// A header may declare any length it likes; the loader must answer
-    /// from the bytes it was actually given. Each stream here is at most
+    /// from the bytes it was actually given. Each file here is at most
     /// 128 bytes and inflates one length field to 2³¹ — the loader slices
     /// sections before it decodes any, so nothing is allocated for them.
     #[test]
     fn hostile_lengths_are_truncation_not_allocation() {
         const HUGE: u64 = 1 << 31;
-        let header = |n: u64, sentinel: u64| {
+        let field = |b: &mut Vec<u8>, value: u64| b.extend_from_slice(&value.to_le_bytes());
+        let mut inflated_name = MAGIC.to_vec();
+        field(&mut inflated_name, HUGE);
+        // No name, then a reference of `len` bases behind `packed`.
+        let header = |len: u64, packed: &[u8]| {
             let mut b = MAGIC.to_vec();
-            b.extend_from_slice(&n.to_le_bytes());
-            b.extend_from_slice(&sentinel.to_le_bytes());
+            field(&mut b, 0);
+            field(&mut b, len);
+            b.extend_from_slice(packed);
             b
         };
-        // n inflated: the BWT section cannot be there.
-        let inflated_n = header(HUGE, 0);
-        // n = 4 (one BWT byte), d = 1 → 5 buckets promised, none present;
-        // and d inflated so that the bucket count (1) is consistent.
+        // The reference inflated: its bases cannot be there.
+        let inflated_reference = header(HUGE, &[]);
+        // An index over other than the reference before it.
+        let mut inflated_text = header(3, &[0]);
+        field(&mut inflated_text, HUGE);
+        // Three bases, so n = 4 (one BWT byte), d = 1 → 5 buckets
+        // promised, none present; and d inflated so that the bucket count
+        // (1) is consistent.
         let tables = |d: u64, buckets: u64| {
-            let mut b = header(4, 0);
+            let mut b = header(3, &[0]);
+            field(&mut b, 4);
+            field(&mut b, 0);
             b.push(0);
             b.extend_from_slice(&[0u8; 16]);
             b.extend_from_slice(&d.to_le_bytes());
@@ -808,7 +836,12 @@ mod tests {
         inflated_values.push(1);
         inflated_values.extend_from_slice(&HUGE.to_le_bytes());
         for (stream, expected) in [
-            (&inflated_n, "truncated in BWT"),
+            (&inflated_name, "truncated in name"),
+            (&inflated_reference, "truncated in reference"),
+            (
+                &inflated_text,
+                "text length 2147483648 for a reference of 3 bases",
+            ),
             (&inflated_buckets, "bucket count mismatch"),
             (&missing_buckets, "truncated in marker table"),
             (&inflated_words, "truncated in suffix array"),
@@ -823,7 +856,7 @@ mod tests {
     }
 
     /// What only the sampled section can get wrong, written into an
-    /// otherwise sound and sealed stream. The bitmap: a word count other
+    /// otherwise sound and sealed file. The bitmap: a word count other
     /// than `⌈rows/64⌉`, a row marked past the last, a popcount other than
     /// the `⌈rows/rate⌉` rows the rate keeps. The packed values: a width
     /// other than that of `⌊(rows − 1)/rate⌋`, a word count other than
@@ -840,10 +873,9 @@ mod tests {
         // ⌊30/3⌋ = 10: 11 values of 4 bits, 44 of one word's 64, and
         // 11 ..= 15 fit the width but are past the largest.
         assert_eq!(stored.value_bits(), 4);
-        let mut pristine = Vec::new();
-        save(&index, &mut pristine).unwrap();
+        let pristine = saved(&index);
         // The section's bitmap and values, rewritten behind its rate and
-        // row count, then the stream re-sealed.
+        // row count, then the file re-sealed.
         let section_len = 8 + 8 * stored.bits().len() + 1 + 8 + 8 * stored.value_words().len();
         let section_start = pristine.len() - 8 - section_len;
         let counted = |buffer: &mut Vec<u8>, words: &[u64]| {

@@ -627,7 +627,7 @@ fn parse_index_build_cli(args: &[String]) -> Result<IndexBuildCli, String> {
     Ok(cli)
 }
 
-/// `pimalign index build`: FASTA in, checksummed `PIMAIX1` artifact out.
+/// `pimalign index build`: FASTA in, checksummed `PIMAIX2` artifact out.
 fn run_index_build(args: &[String]) -> Result<(), CliError> {
     let cli = parse_index_build_cli(args).map_err(CliError::Usage)?;
     let [ref_path, out_path] = cli.positional.as_slice() else {

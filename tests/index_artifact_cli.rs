@@ -284,16 +284,16 @@ fn warm_boot_replays_the_cold_build_bit_identically() {
     );
 }
 
-/// An artifact whose shard is a `PIMFMI3` stream — one written before the
-/// sampled suffix array's values were packed at their width — is refused as
-/// input (exit 3) by both binaries, with its version and what to run.
+/// An artifact of the previous format — `PIMAIX1`, which framed the
+/// index in a second magic and checksum — is refused as input (exit 3)
+/// by both binaries, with its version and what to run, before any of its
+/// layout is read.
 #[test]
 fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
-    use pim_aligner_suite::fmindex::io as fm_io;
     let (reference, fastq) = fixture();
-    let ref_fa = write_temp("v3_ref.fa", &format!(">chrA\n{reference}\n"));
-    let reads_fq = write_temp("v3_reads.fq", &fastq);
-    let artifact = temp_path("v3.pimx");
+    let ref_fa = write_temp("v1_ref.fa", &format!(">chrA\n{reference}\n"));
+    let reads_fq = write_temp("v1_reads.fq", &fastq);
+    let artifact = temp_path("v1.pimx");
     let (_, stderr, ok) = run_cli(&[
         "index",
         "build",
@@ -303,22 +303,14 @@ fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
         "8",
     ]);
     assert!(ok, "index build failed: {stderr}");
-    // Write the shard stream's magic back one version and re-seal the
-    // container: the loader must refuse the version before the layout.
     let mut raw = std::fs::read(&artifact).expect("read artifact");
-    let at = (0..raw.len() - 8)
-        .find(|&at| &raw[at..at + 8] == fm_io::MAGIC)
-        .expect("one shard stream");
-    raw[at..at + 8].copy_from_slice(b"PIMFMI3\n");
-    let body_end = raw.len() - 8;
-    let digest = fm_io::fnv1a(&raw[8..body_end]);
-    raw[body_end..].copy_from_slice(&digest.to_le_bytes());
-    std::fs::write(&artifact, &raw).expect("write the v3 artifact");
+    raw[..8].copy_from_slice(b"PIMAIX1\n");
+    std::fs::write(&artifact, &raw).expect("write the v1 artifact");
 
     for stderr in boot_both_expecting_exit_3(&artifact, &reads_fq) {
         for needle in [
-            "format version 3",
-            "reads version 4",
+            "format version 1",
+            "reads version 2",
             "pimalign index build",
         ] {
             assert!(stderr.contains(needle), "no `{needle}` in {stderr}");
@@ -327,12 +319,14 @@ fn a_previous_format_artifact_exits_3_and_says_to_rebuild() {
     }
 }
 
-/// An artifact written with its reference split into windows — patched
-/// here into the header of an unsharded one, the container checksum
-/// re-sealed — is refused as input (exit 3) by both binaries, with what
-/// to run.
+/// An artifact written while the reference could be split into windows —
+/// a `PIMAIX1` header whose SA-rate and four geometry fields describe four
+/// 1 000-base windows overlapping by 4, the trailer re-sealed — is refused
+/// as input (exit 3) by both binaries by its version, with what to run,
+/// and never reported as corrupt.
 #[test]
 fn a_sharded_artifact_exits_3_and_says_to_rebuild() {
+    use pim_aligner_suite::fmindex::io as fm_io;
     let (reference, fastq) = fixture();
     let ref_fa = write_temp("sharded_ref.fa", &format!(">chrA\n{reference}\n"));
     let reads_fq = write_temp("sharded_reads.fq", &fastq);
@@ -344,21 +338,26 @@ fn a_sharded_artifact_exits_3_and_says_to_rebuild() {
         artifact.to_str().unwrap(),
     ]);
     assert!(ok, "index build failed: {stderr}");
-    // Magic, name length, "chrA", reference length, 1 000 packed bytes
-    // and the SA rate; then the window, overlap and count fields.
-    let mut raw = std::fs::read(&artifact).expect("read artifact");
-    let window = 8 + 8 + 4 + 8 + 1_000 + 4;
-    raw[window..window + 8].copy_from_slice(&1_000u64.to_le_bytes());
-    raw[window + 16..window + 24].copy_from_slice(&4u64.to_le_bytes());
-    let body_end = raw.len() - 8;
-    let digest = pim_aligner_suite::fmindex::io::fnv1a(&raw[8..body_end]);
-    raw[body_end..].copy_from_slice(&digest.to_le_bytes());
-    std::fs::write(&artifact, &raw).expect("write the sharded artifact");
+    // Magic, name length, "chrA", reference length and 1 000 packed
+    // bytes; the version-1 header fields followed them.
+    let raw = std::fs::read(&artifact).expect("read artifact");
+    let header_end = 8 + 8 + 4 + 8 + 1_000;
+    let mut sharded = b"PIMAIX1\n".to_vec();
+    sharded.extend_from_slice(&raw[8..header_end]);
+    sharded.extend_from_slice(&1u32.to_le_bytes());
+    for field in [1_000u64, 4, 4, 0] {
+        sharded.extend_from_slice(&field.to_le_bytes());
+    }
+    sharded.extend_from_slice(&raw[header_end..raw.len() - 8]);
+    let digest = fm_io::fnv1a(&sharded[8..]);
+    sharded.extend_from_slice(&digest.to_le_bytes());
+    std::fs::write(&artifact, &sharded).expect("write the sharded artifact");
 
     for stderr in boot_both_expecting_exit_3(&artifact, &reads_fq) {
-        for needle in ["sharded artifact", "rebuild the artifact"] {
+        for needle in ["format version 1", "pimalign index build"] {
             assert!(stderr.contains(needle), "no `{needle}` in {stderr}");
         }
+        assert!(!stderr.contains("corrupt"), "{stderr}");
     }
 }
 
