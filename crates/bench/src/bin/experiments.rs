@@ -194,7 +194,7 @@ fn fig9c() {
 fn energy_breakdown() {
     let workload = figure_workload(19);
     let config = PimAlignerConfig::baseline();
-    let (_, totals) = pim_aligner::Platform::new(&workload.reference, config.clone())
+    let (_, totals) = pim_aligner::Platform::new(workload.reference.to_packed(), config.clone())
         .align_chunk_parallel(&workload.reads, 1, 0, false)
         .expect("the workload holds reads");
     let breakdown = totals.ledger.energy_breakdown_pj(config.model());
@@ -216,7 +216,7 @@ fn energy_breakdown() {
 fn stages() {
     let workload = paper_workload(17);
     let (pairs, totals) =
-        pim_aligner::Platform::new(&workload.reference, PimAlignerConfig::baseline())
+        pim_aligner::Platform::new(workload.reference.to_packed(), PimAlignerConfig::baseline())
             .align_chunk_parallel(&workload.reads, 1, 0, false)
             .expect("the workload holds reads");
     let mapped = pairs.iter().filter(|(o, _)| o.is_mapped()).count();

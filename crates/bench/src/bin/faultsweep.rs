@@ -93,7 +93,7 @@ fn run_once(workload: &Workload, campaign: FaultCampaign, recovery: RecoveryPoli
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(campaign)
         .with_recovery(recovery);
-    let platform = Platform::new(&workload.reference, config);
+    let platform = Platform::new(workload.reference.to_packed(), config);
     let (pairs, totals) = platform
         .align_chunk_parallel(&workload.reads, 1, 0, false)
         .expect("the workload holds reads");

@@ -51,7 +51,7 @@ fn main() -> ExitCode {
         config.pd()
     );
 
-    let platform = Platform::new(&workload.reference, config);
+    let platform = Platform::new(workload.reference.to_packed(), config);
     let (_, totals) = platform
         .align_chunk_parallel(&workload.reads, 1, 0, false)
         .expect("the workload holds reads");

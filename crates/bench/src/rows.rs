@@ -22,7 +22,7 @@ pub struct PimRows {
 
 /// Runs one configuration over the workload and returns its report.
 pub fn simulate_config(workload: &Workload, config: PimAlignerConfig) -> PerfReport {
-    let platform = pim_aligner::Platform::new(&workload.reference, config);
+    let platform = pim_aligner::Platform::new(workload.reference.to_packed(), config);
     let (_, totals) = platform
         .align_chunk_parallel(&workload.reads, 1, 0, false)
         .expect("a workload holds reads");

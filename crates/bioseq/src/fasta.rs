@@ -18,20 +18,25 @@
 //!
 //! let round_trip = fasta::to_string(&records);
 //! assert_eq!(fasta::parse(&round_trip)?, records);
+//!
+//! // The same records, read line by line from any buffered source.
+//! assert_eq!(fasta::read(text.as_bytes())?, records);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::fmt::Write as _;
+use std::io::BufRead;
 
-use crate::{DnaSeq, ParseSeqError};
+use crate::{PackedSeq, ParseSeqError};
 
-/// One FASTA record: an identifier, an optional description, and a sequence.
+/// One FASTA record: an identifier, an optional description, and a
+/// sequence, held 2-bit packed as the platform stores a reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     id: String,
     description: Option<String>,
-    seq: DnaSeq,
+    seq: PackedSeq,
 }
 
 impl Record {
@@ -41,7 +46,7 @@ impl Record {
     ///
     /// Panics if `id` contains whitespace (it would not survive a
     /// write/parse round trip).
-    pub fn new(id: impl Into<String>, description: Option<String>, seq: DnaSeq) -> Self {
+    pub fn new(id: impl Into<String>, description: Option<String>, seq: PackedSeq) -> Self {
         let id = id.into();
         assert!(
             !id.chars().any(char::is_whitespace),
@@ -66,12 +71,12 @@ impl Record {
     }
 
     /// The sequence.
-    pub fn seq(&self) -> &DnaSeq {
+    pub fn seq(&self) -> &PackedSeq {
         &self.seq
     }
 
     /// Consumes the record, returning its sequence.
-    pub fn into_seq(self) -> DnaSeq {
+    pub fn into_seq(self) -> PackedSeq {
         self.seq
     }
 }
@@ -80,54 +85,56 @@ impl Record {
 ///
 /// # Errors
 ///
-/// Returns [`ParseSeqError`] when the text does not start with a `>` header,
-/// a record has an empty header, or a sequence line contains a non-ACGT
-/// character.
+/// As [`read`].
 pub fn parse(text: &str) -> Result<Vec<Record>, ParseSeqError> {
-    let mut records = Vec::new();
-    let mut header: Option<(String, Option<String>)> = None;
-    let mut seq = DnaSeq::new();
+    read(text.as_bytes())
+}
 
-    for line in text.lines() {
+/// Reads FASTA records line by line, each sequence packed as its lines
+/// arrive: no more than one line of text is held at a time.
+///
+/// # Errors
+///
+/// Returns [`ParseSeqError`] when the input cannot be read as UTF-8 text,
+/// does not start with a `>` header, a record has an empty header, or a
+/// sequence line contains a non-ACGT character.
+pub fn read<R: BufRead>(mut input: R) -> Result<Vec<Record>, ParseSeqError> {
+    let mut records: Vec<Record> = Vec::new();
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let n = input
+            .read_line(&mut line)
+            .map_err(|e| ParseSeqError::format(format!("I/O error: {e}")))?;
+        if n == 0 {
+            return Ok(records);
+        }
         let line = line.trim_end();
         if line.is_empty() {
             continue;
         }
         if let Some(rest) = line.strip_prefix('>') {
-            if let Some((id, desc)) = header.take() {
-                records.push(Record {
-                    id,
-                    description: desc,
-                    seq: std::mem::take(&mut seq),
-                });
-            }
             let mut parts = rest.splitn(2, char::is_whitespace);
             let id = parts
                 .next()
                 .filter(|s| !s.is_empty())
                 .ok_or_else(|| ParseSeqError::format("empty FASTA header"))?;
-            let desc = parts
+            let description = parts
                 .next()
                 .map(|s| s.trim().to_owned())
                 .filter(|s| !s.is_empty());
-            header = Some((id.to_owned(), desc));
+            records.push(Record {
+                id: id.to_owned(),
+                description,
+                seq: PackedSeq::new(),
+            });
         } else {
-            if header.is_none() {
-                return Err(ParseSeqError::format(
-                    "sequence data before the first '>' header",
-                ));
-            }
-            seq.extend_from_str(line)?;
+            let record = records.last_mut().ok_or_else(|| {
+                ParseSeqError::format("sequence data before the first '>' header")
+            })?;
+            record.seq.extend_from_str(line)?;
         }
     }
-    if let Some((id, desc)) = header {
-        records.push(Record {
-            id,
-            description: desc,
-            seq,
-        });
-    }
-    Ok(records)
 }
 
 /// Serialises records to FASTA text, wrapping sequence lines at 70 columns.
@@ -189,7 +196,7 @@ mod tests {
 
     #[test]
     fn write_parse_round_trip_with_wrapping() {
-        let long: DnaSeq = "ACGT".repeat(50).parse().unwrap();
+        let long: PackedSeq = "ACGT".repeat(50).parse().unwrap();
         let recs = vec![
             Record::new("a", Some("first".into()), long),
             Record::new("b", None, "TTT".parse().unwrap()),
@@ -202,6 +209,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "whitespace")]
     fn record_id_rejects_whitespace() {
-        let _ = Record::new("bad id", None, DnaSeq::new());
+        let _ = Record::new("bad id", None, PackedSeq::new());
     }
 }

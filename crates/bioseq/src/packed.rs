@@ -1,8 +1,10 @@
 //! 2-bit packed DNA sequences — the PIM platform's storage layout.
 
 use std::fmt;
+use std::ops::Range;
+use std::str::FromStr;
 
-use crate::{Base, DnaSeq};
+use crate::{Base, DnaSeq, ParseSeqError};
 
 /// A DNA sequence packed two bits per base using the paper's hardware
 /// encoding (Fig. 6a: `T = 00`, `G = 01`, `A = 10`, `C = 11`).
@@ -43,36 +45,23 @@ impl PackedSeq {
         }
     }
 
-    /// Creates an empty packed sequence with room for `capacity` bases.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PackedSeq {
-            bytes: Vec::with_capacity(capacity.div_ceil(4)),
-            len: 0,
+    /// Takes over `bytes` as the packing of `len` bases, as
+    /// [`PackedSeq::as_bytes`] gives them; bits past the last base are
+    /// cleared, whatever they held.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bytes` is `len` bases rounded up to whole bytes.
+    pub fn from_bytes(mut bytes: Vec<u8>, len: usize) -> PackedSeq {
+        assert_eq!(bytes.len(), len.div_ceil(4), "{len} bases packed");
+        if !len.is_multiple_of(4) {
+            bytes[len / 4] &= (1 << (2 * (len % 4))) - 1;
         }
-    }
-
-    /// Packs a slice four items to a byte; `code` gives each item's 2-bit
-    /// hardware pattern ([`Base::code`] for a base). The bulk form of
-    /// pushing every item.
-    pub fn pack<T>(items: &[T], code: impl Fn(&T) -> u8) -> PackedSeq {
-        let byte_of = |quad: &[T]| {
-            quad.iter()
-                .enumerate()
-                .fold(0, |byte, (i, item)| byte | (code(item) & 0b11) << (2 * i))
-        };
-        let mut quads = items.chunks_exact(4);
-        let mut bytes = Vec::with_capacity(items.len().div_ceil(4));
-        bytes.extend(quads.by_ref().map(byte_of));
-        if !quads.remainder().is_empty() {
-            bytes.push(byte_of(quads.remainder()));
-        }
-        PackedSeq {
-            bytes,
-            len: items.len(),
-        }
+        PackedSeq { bytes, len }
     }
 
     /// Number of bases stored.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -83,6 +72,7 @@ impl PackedSeq {
     }
 
     /// The underlying packed bytes (last byte may be partially used).
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -119,37 +109,70 @@ impl PackedSeq {
 
     /// Unpacks into a [`DnaSeq`].
     pub fn to_dna_seq(&self) -> DnaSeq {
-        self.iter().collect()
+        let mut bases = Vec::new();
+        self.unpack_into(0..self.len, &mut bases);
+        DnaSeq::from_bases(bases)
     }
 
-    /// The raw 2-bit code stream for positions `start .. start + count`,
-    /// exactly the bit pattern a word-line segment holds. Used by the
-    /// sub-array mapper when loading the BWT zone.
+    /// Replaces the contents of `out` with the bases over `range`,
+    /// unpacked.
     ///
     /// # Panics
     ///
-    /// Panics if `start + count > self.len()`.
-    pub fn codes(&self, start: usize, count: usize) -> Vec<u8> {
+    /// Panics if the range is out of bounds.
+    pub fn unpack_into(&self, range: Range<usize>, out: &mut Vec<Base>) {
         assert!(
-            start + count <= self.len,
-            "code range {}..{} out of bounds (len {})",
-            start,
-            start + count,
+            range.start <= range.end && range.end <= self.len,
+            "range {range:?} out of bounds (len {})",
             self.len
         );
-        (start..start + count)
-            .map(|i| self.get(i).expect("in bounds").code())
-            .collect()
+        out.clear();
+        out.extend(range.map(|i| Base::from_code(self.bytes[i / 4] >> (2 * (i % 4)))));
+    }
+
+    /// Appends the bases `text` spells (case-insensitive `ACGT`); on
+    /// error nothing is appended.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseSeqError`] naming the first character that is not
+    /// a base.
+    pub(crate) fn extend_from_str(&mut self, text: &str) -> Result<(), ParseSeqError> {
+        if text.bytes().any(|byte| Base::from_ascii(byte).is_none()) {
+            return Err(crate::seq::offender(text));
+        }
+        let code = |byte: u8| Base::from_ascii(byte).map_or(0, Base::code);
+        // Fill the partial last byte, then pack four letters a byte.
+        let fill = text.len().min(self.len.wrapping_neg() % 4);
+        let (head, body) = text.as_bytes().split_at(fill);
+        head.iter()
+            .for_each(|&byte| self.push(Base::from_code(code(byte))));
+        let quads = body.chunks_exact(4);
+        let tail = quads.remainder();
+        self.bytes.extend(
+            quads.map(|q| code(q[0]) | code(q[1]) << 2 | code(q[2]) << 4 | code(q[3]) << 6),
+        );
+        self.len += body.len() - tail.len();
+        tail.iter()
+            .for_each(|&byte| self.push(Base::from_code(code(byte))));
+        Ok(())
+    }
+}
+
+impl FromStr for PackedSeq {
+    type Err = ParseSeqError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let mut seq = PackedSeq::new();
+        seq.extend_from_str(s)?;
+        Ok(seq)
     }
 }
 
 impl FromIterator<Base> for PackedSeq {
     fn from_iter<I: IntoIterator<Item = Base>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut seq = PackedSeq::with_capacity(iter.size_hint().0);
-        for b in iter {
-            seq.push(b);
-        }
+        let mut seq = PackedSeq::new();
+        seq.extend(iter);
         seq
     }
 }
@@ -249,16 +272,32 @@ mod tests {
 
     #[test]
     fn codes_extracts_hardware_pattern() {
-        let p: PackedSeq = "TGAC".parse::<DnaSeq>().unwrap().to_packed();
-        assert_eq!(p.codes(0, 4), vec![0b00, 0b01, 0b10, 0b11]);
-        assert_eq!(p.codes(1, 2), vec![0b01, 0b10]);
+        let p: PackedSeq = "TGACA".parse().unwrap();
+        assert_eq!(p.as_bytes(), [0b11_10_01_00, 0b10]);
+        let mut bases = Vec::new();
+        p.unpack_into(1..3, &mut bases);
+        assert_eq!(bases, [Base::G, Base::A]);
+        // Bits past the last base are cleared, whatever a file held.
+        let q = PackedSeq::from_bytes(vec![0b11_10_01_00, 0b1111_1110], 5);
+        assert_eq!(q, p);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn codes_panics_out_of_range() {
         let p = sample();
-        let _ = p.codes(10, 10);
+        p.unpack_into(10..20, &mut Vec::new());
+    }
+
+    #[test]
+    fn a_rejected_line_appends_nothing() {
+        let mut p: PackedSeq = "TGCTAA".parse().unwrap();
+        let err = p.extend_from_str("GGNA").unwrap_err();
+        assert_eq!(err.bad_character(), Some('N'));
+        assert_eq!(p, "TGCTAA".parse().unwrap());
+        p.extend_from_str("cgt").unwrap();
+        assert_eq!(p.to_string(), "TGCTAACGT");
+        assert_eq!(p, "TGCTAACGT".parse::<DnaSeq>().unwrap().to_packed());
     }
 
     #[test]

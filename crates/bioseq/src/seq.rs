@@ -75,12 +75,8 @@ impl DnaSeq {
     /// [`DnaSeq::extend_from_ascii`] over text, where the offender named
     /// is a whole character.
     pub(crate) fn extend_from_str(&mut self, text: &str) -> Result<(), ParseSeqError> {
-        self.extend_decoded(text.as_bytes()).map_err(|at| {
-            // Every byte before `at` was an ASCII letter, so `at` starts
-            // a character.
-            let offender = text[at..].chars().next().expect("a rejected byte");
-            Base::from_char(offender).expect_err("the character the table rejected")
-        })
+        self.extend_decoded(text.as_bytes())
+            .map_err(|_| offender(text))
     }
 
     /// Decodes `ascii` through the byte table straight onto the end of
@@ -154,7 +150,7 @@ impl DnaSeq {
 
     /// Converts to the 2-bit packed representation used by the PIM platform.
     pub fn to_packed(&self) -> PackedSeq {
-        PackedSeq::pack(&self.bases, |base| base.code())
+        self.bases.iter().copied().collect()
     }
 
     /// Consumes the sequence, returning the underlying base vector.
@@ -178,6 +174,18 @@ impl DnaSeq {
             .filter(|(a, b)| a != b)
             .count()
     }
+}
+
+/// The error naming the first character of `text` that is not a base.
+pub(crate) fn offender(text: &str) -> ParseSeqError {
+    let at = text
+        .bytes()
+        .position(|byte| Base::from_ascii(byte).is_none())
+        .expect("a byte was rejected");
+    // Every byte before `at` was an ASCII letter, so `at` starts a
+    // character.
+    let offender = text[at..].chars().next().expect("a rejected byte");
+    Base::from_char(offender).expect_err("the character the table rejected")
 }
 
 impl FromStr for DnaSeq {

@@ -46,7 +46,7 @@ proptest! {
 
     #[test]
     fn fasta_round_trip(seq in arb_seq(400)) {
-        let records = vec![fasta::Record::new("r1", Some("prop".into()), seq)];
+        let records = vec![fasta::Record::new("r1", Some("prop".into()), seq.to_packed())];
         let text = fasta::to_string(&records);
         prop_assert_eq!(fasta::parse(&text).unwrap(), records);
     }

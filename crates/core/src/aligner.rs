@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use bioseq::DnaSeq;
+use bioseq::{Base, DnaSeq};
 use fmindex::EditBudget;
 use pimsim::{Dpu, FaultInjector, HostEpoch, HostSpanLog, KernelCache};
 
@@ -111,6 +111,9 @@ pub(crate) struct AlignSession {
     /// The match descent of the exact stage that ran last, which the
     /// inexact stage starts from.
     descent: Descent,
+    /// The reference bases a verification compares, unpacked: scratch
+    /// reused from read to read.
+    window: Vec<Base>,
 }
 
 impl AlignSession {
@@ -125,6 +128,7 @@ impl AlignSession {
             host_log: None,
             kernel_cache: KernelCache::new(),
             descent: Descent::new(),
+            window: Vec::new(),
         }
     }
 
@@ -394,7 +398,7 @@ impl AlignSession {
                 let total = positions.len();
                 let kept: Vec<usize> = positions
                     .into_iter()
-                    .filter(|&p| verify_exact(self.platform.reference(), read, p))
+                    .filter(|&p| verify_exact(self.platform.reference(), read, p, &mut self.window))
                     .collect();
                 if kept.len() < total {
                     self.totals.telemetry.verify_failures += 1;
@@ -412,7 +416,8 @@ impl AlignSession {
                 let kept: Vec<usize> = positions
                     .into_iter()
                     .filter(|&p| {
-                        verify_inexact(self.platform.reference(), read, p, diffs, allow_indels)
+                        let reference = self.platform.reference();
+                        verify_inexact(reference, read, p, diffs, allow_indels, &mut self.window)
                     })
                     .collect();
                 if kept.len() < total {
@@ -461,7 +466,10 @@ impl AlignSession {
             .iter()
             .filter(|&&(_, d)| d == best)
             .map(|&(p, _)| p)
-            .filter(|&p| verify_inexact(self.platform.reference(), read, p, best, allow_indels))
+            .filter(|&p| {
+                let reference = self.platform.reference();
+                verify_inexact(reference, read, p, best, allow_indels, &mut self.window)
+            })
             .collect();
         positions.sort_unstable();
         positions.dedup();
@@ -522,7 +530,7 @@ mod tests {
     fn exact_and_inexact_stages_cooperate() {
         let reference = genome::uniform(5_000, 31);
         let platform = Platform::new(
-            &reference,
+            reference.to_packed(),
             PimAlignerConfig::baseline().with_exhaustive_inexact(true),
         );
         // Clean read: exact. One substitution: inexact with diffs = 1.
@@ -545,7 +553,7 @@ mod tests {
     fn unmappable_read_reported() {
         let reference: DnaSeq = "AAAAAAAAAAAAAAAAAAAA".parse().unwrap();
         let platform = Platform::new(
-            &reference,
+            reference.to_packed(),
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
                 .with_indels(false),
@@ -558,7 +566,7 @@ mod tests {
     fn platform_positions_match_software_oracle() {
         let reference = genome::uniform(8_000, 32);
         let platform = Platform::new(
-            &reference,
+            reference.to_packed(),
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
                 .with_exhaustive_inexact(true),
@@ -599,7 +607,7 @@ mod tests {
     #[test]
     fn batch_reports_exact_fraction() {
         let reference = genome::uniform(20_000, 34);
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let profile = SimProfile::paper_defaults()
             .read_count(60)
             .read_len(60)
@@ -622,11 +630,11 @@ mod tests {
             .map(|i| reference.subseq(i * 100..i * 100 + 50))
             .collect();
         let rn = report(
-            &Platform::new(&reference, PimAlignerConfig::baseline()),
+            &Platform::new(reference.to_packed(), PimAlignerConfig::baseline()),
             &reads,
         );
         let rp = report(
-            &Platform::new(&reference, PimAlignerConfig::pipelined()),
+            &Platform::new(reference.to_packed(), PimAlignerConfig::pipelined()),
             &reads,
         );
         let gain = rp.throughput_qps / rn.throughput_qps;
@@ -640,7 +648,7 @@ mod tests {
         // unmapped records), not Reverse as the pre-fix code claimed.
         let reference: DnaSeq = "AAAAAAAAAAAAAAAAAAAA".parse().unwrap();
         let platform = Platform::new(
-            &reference,
+            reference.to_packed(),
             PimAlignerConfig::baseline()
                 .with_max_diffs(1)
                 .with_indels(false),
@@ -650,7 +658,7 @@ mod tests {
         assert_eq!(pairs, [(AlignmentOutcome::Unmapped, MappedStrand::Forward)]);
         // A reverse-complement hit still reports Reverse.
         let reference = genome::uniform(4_000, 48);
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let rev = reference.subseq(1_000..1_060).reverse_complement();
         let (pairs, _) = platform.align_chunk_parallel(&[rev], 1, 0, true).unwrap();
         let (outcome, strand) = &pairs[0];
@@ -665,9 +673,9 @@ mod tests {
         let reads: Vec<DnaSeq> = (0..12)
             .map(|i| reference.subseq(i * 400..i * 400 + 60))
             .collect();
-        let raw = Platform::new(&reference, PimAlignerConfig::baseline());
+        let raw = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let recovering = Platform::new(
-            &reference,
+            reference.to_packed(),
             PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard()),
         );
         let (raw_out, raw_totals) = align(&raw, &reads);
@@ -699,7 +707,7 @@ mod tests {
             .with_carry_fault_prob(0.02)
             .with_stuck_at_rate(1e-4);
         let platform = Platform::new(
-            &reference,
+            reference.to_packed(),
             PimAlignerConfig::baseline()
                 .with_fault_campaign(campaign)
                 .with_recovery(RecoveryPolicy::standard()),

@@ -19,7 +19,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bioseq::DnaSeq;
+use bioseq::PackedSeq;
 use fmindex::io::{self as fm_io, LoadIndexError};
 use fmindex::{size_model, FmIndex, SaStorage, SuffixArraySamples};
 use pimsim::SubArrayLayout;
@@ -36,19 +36,19 @@ pub const BUDGET_RATES: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024
 #[derive(Debug)]
 pub struct IndexArtifact {
     reference_name: String,
-    pub(crate) reference: Arc<DnaSeq>,
+    pub(crate) reference: Arc<PackedSeq>,
     pub(crate) index: Arc<FmIndex>,
 }
 
 impl IndexArtifact {
     /// Builds the artifact in memory: one FM-index over the whole
-    /// reference. `sa_rate == 1` keeps the full suffix array; larger
-    /// rates sample it.
+    /// reference, which the artifact then keeps. `sa_rate == 1` keeps the
+    /// full suffix array; larger rates sample it.
     ///
     /// # Panics
     ///
     /// Panics when the reference is empty or `sa_rate == 0`.
-    pub fn new(reference_name: &str, reference: &DnaSeq, sa_rate: u32) -> IndexArtifact {
+    pub fn new(reference_name: &str, reference: PackedSeq, sa_rate: u32) -> IndexArtifact {
         assert!(!reference.is_empty(), "cannot index an empty reference");
         assert!(sa_rate > 0, "SA sampling rate must be positive");
         let storage = if sa_rate == 1 {
@@ -59,12 +59,10 @@ impl IndexArtifact {
         let index = FmIndex::builder()
             .bucket_width(SubArrayLayout::BASES_PER_ROW)
             .sa_storage(storage)
-            .build(reference);
-        // The artifact's own copy of the reference is made only now, so
-        // it is not resident while SA-IS runs.
+            .build(&reference);
         IndexArtifact {
             reference_name: reference_name.to_string(),
-            reference: Arc::new(reference.clone()),
+            reference: Arc::new(reference),
             index: Arc::new(index),
         }
     }
@@ -75,7 +73,7 @@ impl IndexArtifact {
     }
 
     /// The embedded reference genome.
-    pub fn reference(&self) -> &DnaSeq {
+    pub fn reference(&self) -> &PackedSeq {
         &self.reference
     }
 
@@ -192,7 +190,7 @@ pub fn sa_rate_for_budget(genome_len: usize, budget_bytes: usize) -> Option<u32>
 /// them and deletes this module.
 #[doc(hidden)]
 pub mod benchmark_pins {
-    use bioseq::DnaSeq;
+    use bioseq::{DnaSeq, PackedSeq};
 
     use super::IndexArtifact;
     use crate::aligner::{AlignmentOutcome, MappedStrand};
@@ -239,13 +237,13 @@ pub mod benchmark_pins {
         /// [`IndexArtifact::new`]; `shard_window` must be 0.
         pub fn build(
             reference_name: &str,
-            reference: &DnaSeq,
+            reference: &PackedSeq,
             sa_rate: u32,
             shard_window: usize,
             _shard_overlap: usize,
         ) -> IndexArtifact {
             assert_eq!(shard_window, 0, "reference-window sharding is gone");
-            IndexArtifact::new(reference_name, reference, sa_rate)
+            IndexArtifact::new(reference_name, reference.clone(), sa_rate)
         }
     }
 }
@@ -260,7 +258,7 @@ pub(crate) mod tests {
 
     fn test_artifact(len: usize) -> IndexArtifact {
         let reference = genome::uniform(len, 97);
-        IndexArtifact::new("test-ref", &reference, 4)
+        IndexArtifact::new("test-ref", reference.to_packed(), 4)
     }
 
     #[test]
@@ -291,7 +289,7 @@ pub(crate) mod tests {
 
     fn saved_with_layout() -> Saved {
         let name = "mut";
-        let artifact = IndexArtifact::new(name, &genome::uniform(5_000, 61), 4);
+        let artifact = IndexArtifact::new(name, genome::uniform(5_000, 61).to_packed(), 4);
         // 5 001 rows: four levels of 13-bit boundaries.
         assert_eq!(artifact.seed_depth(), 4);
         let mut bytes = Vec::new();
@@ -478,7 +476,7 @@ pub(crate) mod tests {
         assert!(error(true).contains("disagrees"), "{}", error(true));
         // An index no platform can map — sound, but bucketed by 64 — in
         // place of the artifact's.
-        let reference = genome::uniform(5_000, 61);
+        let reference = genome::uniform(5_000, 61).to_packed();
         let narrow = FmIndex::builder()
             .bucket_width(64)
             .sa_storage(SaStorage::Sampled(4))
@@ -506,11 +504,12 @@ pub(crate) mod tests {
     /// trailer those of the previous format with the 60 cut out.
     #[test]
     fn saved_bytes_are_golden() {
-        let uniform = genome::uniform(50_000, 7);
-        let repeats = genome::repeat_rich(200_000, genome::RepeatProfile::default(), 0x5a15);
+        let uniform = genome::uniform(50_000, 7).to_packed();
+        let repeats =
+            genome::repeat_rich(200_000, genome::RepeatProfile::default(), 0x5a15).to_packed();
         /// `(sa_rate, bytes, trailer)`.
         type Row = (u32, usize, u64);
-        let golden: [(&str, &DnaSeq, &[Row]); 2] = [
+        let golden: [(&str, &PackedSeq, &[Row]); 2] = [
             (
                 "uniform",
                 &uniform,
@@ -532,7 +531,7 @@ pub(crate) mod tests {
         for (name, reference, rows) in golden {
             for &(rate, len, trailer) in rows {
                 let mut bytes = Vec::new();
-                let artifact = IndexArtifact::new("golden", reference, rate);
+                let artifact = IndexArtifact::new("golden", reference.clone(), rate);
                 artifact.save(&mut bytes).expect("save");
                 let (_, tail) = bytes.split_at(bytes.len() - 8);
                 assert_eq!(
@@ -574,8 +573,8 @@ pub(crate) mod tests {
     #[test]
     fn warm_boot_report_carries_index_telemetry() {
         let reference = genome::uniform(1_500, 21);
-        let artifact = IndexArtifact::new("r", &reference, 2);
-        let reads: Vec<DnaSeq> = (0..8)
+        let artifact = IndexArtifact::new("r", reference.to_packed(), 2);
+        let reads: Vec<_> = (0..8)
             .map(|i| reference.subseq(i * 100..i * 100 + 40))
             .collect();
         for loaded in [true, false] {

@@ -180,7 +180,7 @@ mod tests {
 
     fn setup(reference: &DnaSeq) -> (MappedIndex, FaultInjector, Dpu, CycleLedger) {
         let config = PimAlignerConfig::baseline();
-        let mapped = MappedIndex::build(reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let injector = mapped.session_injector();
         let dpu = Dpu::new(*config.model());
         (mapped, injector, dpu, CycleLedger::new())
@@ -301,7 +301,7 @@ mod tests {
             AddMethod::InPlace => PimAlignerConfig::baseline(),
             AddMethod::Mirrored => PimAlignerConfig::pipelined(),
         };
-        let mapped = MappedIndex::build(reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let model = mapped.model();
         let mut injector = mapped.session_injector();
         let mut dpu = Dpu::new(model);
@@ -474,7 +474,7 @@ mod tests {
         // ending in 3-mers a poly-A genome with one island lacks.
         let reference = island_genome();
         let reads = island_reads();
-        let mapped = MappedIndex::build(&reference, &PimAlignerConfig::baseline());
+        let mapped = MappedIndex::build(&reference.to_packed(), &PimAlignerConfig::baseline());
         assert_eq!(mapped.seed_table().depth(), 3);
         let mut ledger = CycleLedger::new();
         let mut dpu = Dpu::new(mapped.model());
@@ -513,7 +513,7 @@ mod tests {
         bases.splice(10_000..10_012, spliced.iter().copied());
         *bases.last_mut().unwrap() = bioseq::Base::C;
         let reference = DnaSeq::from_bases(bases);
-        let mapped = MappedIndex::build(&reference, &PimAlignerConfig::baseline());
+        let mapped = MappedIndex::build(&reference.to_packed(), &PimAlignerConfig::baseline());
         assert_eq!(mapped.seed_table().depth(), 5);
         let mut ledger = CycleLedger::new();
         let mut dpu = Dpu::new(mapped.model());
@@ -636,7 +636,7 @@ mod tests {
     ) -> (ExactStats, pimsim::FaultCounters) {
         let config = PimAlignerConfig::baseline().with_fault_campaign(campaign);
         let reference = genome::uniform(30_000, 23);
-        let mapped = MappedIndex::build(&reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let mut reads: Vec<DnaSeq> = (0..4)
             .map(|k| reference.subseq(k * 5_003..k * 5_003 + 50))
             .collect();

@@ -670,7 +670,7 @@ pub(crate) mod tests {
 
     fn setup(reference: &DnaSeq) -> (MappedIndex, FaultInjector, Dpu, CycleLedger) {
         let config = PimAlignerConfig::baseline();
-        let mapped = MappedIndex::build(reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let injector = mapped.session_injector();
         let dpu = Dpu::new(*config.model());
         (mapped, injector, dpu, CycleLedger::new())
@@ -1446,7 +1446,7 @@ pub(crate) mod tests {
         // stage 1's and stage 2's.
         let reference = genome::uniform(200_000, 28);
         let m = 100;
-        let platform = crate::Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = crate::Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let cost = |read: DnaSeq, diffs: Option<u8>| {
             let (mut pairs, totals) = platform.align_chunk_parallel(&[read], 1, 0, false).unwrap();
             let outcome = pairs.remove(0).0;

@@ -32,7 +32,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // The paper's Fig. 1 example: read CTA against reference TGCTA.
 //! let reference: DnaSeq = "TGCTA".parse()?;
-//! let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+//! let platform = Platform::new(reference.to_packed(), PimAlignerConfig::pipelined());
 //! // One chunk (epoch 0) on one worker thread, forward strand only.
 //! let (pairs, totals) = platform.align_chunk_parallel(&["CTA".parse()?], 1, 0, false)?;
 //! assert_eq!(pairs[0].0.positions(), Some(&[2usize][..]));

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bioseq::{Base, DnaSeq};
+use bioseq::{Base, PackedSeq};
 use fmindex::{FmIndex, SaInterval, SeedTable};
 use mram::array::ArrayModel;
 use mram::faults::FaultCampaign;
@@ -99,7 +99,7 @@ fn one_word_line(low: u32, high: u32) -> bool {
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
 /// let reference: DnaSeq = "TGCTA".parse()?;
-/// let mapped = MappedIndex::build(&reference, &PimAlignerConfig::baseline());
+/// let mapped = MappedIndex::build(&reference.to_packed(), &PimAlignerConfig::baseline());
 /// assert_eq!(mapped.subarray_count(), 1);
 /// # Ok(())
 /// # }
@@ -133,7 +133,7 @@ impl MappedIndex {
     /// Builds the FM-index over `reference` (Fig. 2 pre-computation) and
     /// maps BWT + MT into sub-arrays (Fig. 6a partitioning). The bucket
     /// width is fixed at 128, one word line.
-    pub fn build(reference: &DnaSeq, config: &PimAlignerConfig) -> MappedIndex {
+    pub fn build(reference: &PackedSeq, config: &PimAlignerConfig) -> MappedIndex {
         let index = FmIndex::builder()
             .bucket_width(SubArrayLayout::BASES_PER_ROW)
             .build(reference);
@@ -656,6 +656,7 @@ impl MappedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bioseq::DnaSeq;
     use proptest::prelude::*;
     use readsim::genome;
 
@@ -668,7 +669,10 @@ mod tests {
             AddMethod::InPlace => PimAlignerConfig::baseline(),
             AddMethod::Mirrored => PimAlignerConfig::pipelined(),
         };
-        MappedIndex::build(reference, &config.with_fault_campaign(campaign))
+        MappedIndex::build(
+            &reference.to_packed(),
+            &config.with_fault_campaign(campaign),
+        )
     }
 
     #[test]
@@ -971,7 +975,7 @@ mod tests {
                 .with_transient_row_rate(1.0)
                 .with_carry_fault_prob(1.0),
         );
-        let m = MappedIndex::build(&genome::uniform(40_000, 9), &config);
+        let m = MappedIndex::build(&genome::uniform(40_000, 9).to_packed(), &config);
         // Inside a word line: one column, two, to the edge, a whole line,
         // and column 127 alone. Across one: from column 127, and from 44.
         let cases = [

@@ -296,6 +296,23 @@ impl Platform {
         run_workers(self, reads, threads, both_strands, epoch, Some(trace))
     }
 
+    /// Aligns read `index` of chunk `epoch` on its own, on this thread,
+    /// from the fault stream it draws inside its whole chunk — how a
+    /// server re-aligns, one at a time, the reads of a batch that
+    /// panicked.
+    pub(crate) fn align_read_at(
+        &self,
+        read: &DnaSeq,
+        epoch: u64,
+        index: usize,
+        both_strands: bool,
+    ) -> ((AlignmentOutcome, MappedStrand), BatchTotals) {
+        let mut session = self.session();
+        let token = epoch * EPOCH_STRIDE as u64 + index as u64;
+        let mut outcomes = session.align_group(std::slice::from_ref(read), token, both_strands);
+        (outcomes.pop().expect("one read"), session.into_totals())
+    }
+
     /// The performance report for accumulated [`BatchTotals`]: the
     /// merged alignment-time ledger and counters, with the platform's
     /// one-time build fault counters (stuck cells planted while mapping)
@@ -346,7 +363,7 @@ mod tests {
         threads: usize,
         both_strands: bool,
     ) -> Result<Aligned, AlignError> {
-        let platform = Platform::new(reference, config.clone());
+        let platform = Platform::new(reference.to_packed(), config.clone());
         let (pairs, totals) = platform.align_chunk_parallel(reads, threads, 0, both_strands)?;
         Ok((pairs, platform.batch_report(&totals)))
     }
@@ -388,7 +405,7 @@ mod tests {
         // Read 65 536 + r of epoch e would draw read r of epoch e + 1's
         // fault stream: refused before any read is aligned.
         let reference = genome::uniform(1_000, 406);
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let reads = vec![reference.subseq(0..1); EPOCH_STRIDE + 1];
         let err = platform
             .align_chunk_parallel(&reads, 2, 0, false)
@@ -426,7 +443,7 @@ mod tests {
             reference.subseq(500..560),
             reference.subseq(3_000..3_060).reverse_complement(),
         ];
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let (pairs, totals) = platform.align_chunk_parallel(&reads, 2, 0, true).unwrap();
         assert!(pairs.iter().all(|(o, _)| o.is_mapped()));
         assert_eq!(totals.queries, 3);
@@ -440,7 +457,7 @@ mod tests {
     #[test]
     fn chunked_epochs_merge_into_one_report() {
         let (reference, reads) = workload();
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let mut totals = BatchTotals::new();
         let mut pairs = Vec::new();
         for (epoch, chunk) in reads.chunks(16).enumerate() {

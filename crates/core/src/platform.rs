@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use bioseq::DnaSeq;
+use bioseq::PackedSeq;
 
 use crate::aligner::AlignSession;
 use crate::artifact::IndexArtifact;
@@ -29,12 +29,10 @@ use crate::mapping::MappedIndex;
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
 /// use pim_aligner::{AlignmentOutcome, MappedStrand, Platform, PimAlignerConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let reference: DnaSeq = "TGCTA".parse()?;
-/// let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+/// let platform = Platform::new("TGCTA".parse()?, PimAlignerConfig::baseline());
 /// // One chunk of one read, on one worker, forward strand only.
 /// let (pairs, _totals) = platform.align_chunk_parallel(&["CTA".parse()?], 1, 0, false)?;
 /// let exact = AlignmentOutcome::Exact { positions: vec![2] };
@@ -44,7 +42,7 @@ use crate::mapping::MappedIndex;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Platform {
-    reference: Arc<DnaSeq>,
+    reference: Arc<PackedSeq>,
     mapped: Arc<MappedIndex>,
     config: PimAlignerConfig,
     /// The provenance [`Platform::from_artifact`] was given: `true` when
@@ -54,13 +52,13 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Builds the platform over a reference genome: FM-index
-    /// construction plus sub-array mapping, exactly once. The one-time
-    /// cost is kept in the index's mapping ledger.
-    pub fn new(reference: &DnaSeq, config: PimAlignerConfig) -> Platform {
-        let mapped = Arc::new(MappedIndex::build(reference, &config));
+    /// Builds the platform over a reference genome, which it keeps:
+    /// FM-index construction plus sub-array mapping, exactly once. The
+    /// one-time cost is kept in the index's mapping ledger.
+    pub fn new(reference: PackedSeq, config: PimAlignerConfig) -> Platform {
+        let mapped = Arc::new(MappedIndex::build(&reference, &config));
         Platform {
-            reference: Arc::new(reference.clone()),
+            reference: Arc::new(reference),
             mapped,
             config,
             loaded: false,
@@ -108,7 +106,7 @@ impl Platform {
     }
 
     /// The indexed reference genome.
-    pub fn reference(&self) -> &DnaSeq {
+    pub fn reference(&self) -> &PackedSeq {
         &self.reference
     }
 
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn clone_shares_the_mapped_index() {
         let reference = genome::uniform(3_000, 51);
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let before = MappedIndex::build_count();
         let clone = platform.clone();
         assert_eq!(MappedIndex::build_count(), before, "clone must not rebuild");
@@ -142,7 +140,7 @@ mod tests {
     #[test]
     fn sessions_share_one_index_build() {
         let reference = genome::uniform(3_000, 52);
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let before = MappedIndex::build_count();
         let read = reference.subseq(100..160);
         for _ in 0..4 {

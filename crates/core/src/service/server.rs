@@ -668,17 +668,24 @@ fn align_batch(shared: &Arc<Shared>, totals: &mut BatchTotals, live: Vec<Pending
         // threads were validated positive), but a typed response beats
         // an unreachable!: treat it like a quarantined batch.
         Ok(Err(_)) | Err(_) => {
-            for p in live {
-                align_one_quarantined(shared, totals, p, epoch);
+            for (index, p) in live.into_iter().enumerate() {
+                align_one_quarantined(shared, totals, p, epoch, index);
             }
         }
     }
 }
 
-/// Retries one read from a panicked batch inside its own unwind
-/// boundary. Only the read that actually panics is answered with a
-/// typed `WorkerPanic`; its neighbours still get real outcomes.
-fn align_one_quarantined(shared: &Arc<Shared>, totals: &mut BatchTotals, p: Pending, epoch: u64) {
+/// Retries read `index` of a panicked batch inside its own unwind
+/// boundary, from the fault stream it draws in the batch. Only the read
+/// that actually panics is answered with a typed `WorkerPanic`; its
+/// neighbours get the outcomes the batch would have given them.
+fn align_one_quarantined(
+    shared: &Arc<Shared>,
+    totals: &mut BatchTotals,
+    p: Pending,
+    epoch: u64,
+    index: usize,
+) {
     let mut p = p;
     let inject = shared.config.test_faults && p.read_id == FAULT_PANIC_ID;
     p.t_align_start_ns = shared.obs.now_ns();
@@ -686,24 +693,17 @@ fn align_one_quarantined(shared: &Arc<Shared>, totals: &mut BatchTotals, p: Pend
         if inject {
             panic!("injected worker fault");
         }
-        shared.platform.align_chunk_parallel(
-            std::slice::from_ref(&p.seq),
-            1,
-            epoch,
-            shared.config.both_strands,
-        )
+        let both_strands = shared.config.both_strands;
+        shared
+            .platform
+            .align_read_at(&p.seq, epoch, index, both_strands)
     }));
     p.t_align_end_ns = shared.obs.now_ns();
     let resp = match attempt {
-        Ok(Ok((outcomes, batch_totals))) => {
-            totals.merge(&batch_totals);
-            let (outcome, strand) = &outcomes[0];
-            aligned_response(p.req_id, outcome, *strand)
+        Ok(((outcome, strand), read_totals)) => {
+            totals.merge(&read_totals);
+            aligned_response(p.req_id, &outcome, strand)
         }
-        Ok(Err(e)) => Response::WorkerPanic {
-            req_id: p.req_id,
-            message: format!("alignment error for read {:?}: {e}", p.read_id),
-        },
         Err(_) => {
             shared.obs.panic_quarantined();
             log_kv(
@@ -737,7 +737,7 @@ mod tests {
         let reference: DnaSeq = "TGCTAGCATGAACCTTGGAACGTACGTTAGCATCGATCGGATTACAGATTACAGGG"
             .parse()
             .expect("reference parses");
-        let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         serve(platform, ServiceConfig::default(), "127.0.0.1:0").expect("serves")
     }
 

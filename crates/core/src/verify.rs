@@ -10,24 +10,36 @@
 //! cheap host-side read-back the paper's controller already performs for
 //! SA lookups.
 
-use bioseq::DnaSeq;
+use bioseq::{Base, DnaSeq, PackedSeq};
 use swalign::banded_edit_distance;
 
-/// `true` when `read` occurs verbatim at `pos`.
-pub fn verify_exact(reference: &DnaSeq, read: &DnaSeq, pos: usize) -> bool {
-    pos + read.len() <= reference.len() && reference.subseq(pos..pos + read.len()) == *read
+/// `true` when `read` occurs verbatim at `pos`. `window` is scratch: it
+/// receives the reference bases compared, unpacked.
+pub fn verify_exact(
+    reference: &PackedSeq,
+    read: &DnaSeq,
+    pos: usize,
+    window: &mut Vec<Base>,
+) -> bool {
+    if pos + read.len() > reference.len() {
+        return false;
+    }
+    reference.unpack_into(pos..pos + read.len(), window);
+    window[..] == *read.as_slice()
 }
 
 /// `true` when `read` aligns at `pos` with at most `max_diffs`
 /// differences — Hamming distance when `allow_indels` is `false`, edit
 /// distance (a banded `swalign` computation over the candidate windows)
-/// when it is `true`.
+/// when it is `true`. `window` is scratch: it receives the at most
+/// `read.len() + max_diffs` reference bases compared, unpacked.
 pub fn verify_inexact(
-    reference: &DnaSeq,
+    reference: &PackedSeq,
     read: &DnaSeq,
     pos: usize,
     max_diffs: u8,
     allow_indels: bool,
+    window: &mut Vec<Base>,
 ) -> bool {
     if pos >= reference.len() || read.is_empty() {
         return false;
@@ -37,7 +49,7 @@ pub fn verify_inexact(
         if pos + read.len() > reference.len() {
             return false;
         }
-        let window = reference.subseq(pos..pos + read.len());
+        reference.unpack_into(pos..pos + read.len(), window);
         let hamming = window
             .iter()
             .zip(read.iter())
@@ -49,66 +61,98 @@ pub fn verify_inexact(
     // position when any span aligns within the budget.
     let min_span = read.len().saturating_sub(z).max(1);
     let max_span = (read.len() + z).min(reference.len() - pos);
-    for span in min_span..=max_span {
-        if banded_edit_distance(&reference.subseq(pos..pos + span), read, z).is_some() {
-            return true;
-        }
-    }
-    false
+    reference.unpack_into(pos..pos + max_span, window);
+    (min_span..=max_span).any(|span| banded_edit_distance(&window[..span], read, z).is_some())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bioseq::Base;
 
     fn seq(s: &str) -> DnaSeq {
         s.parse().unwrap()
     }
 
+    fn exact(reference: &str, read: &str, pos: usize) -> bool {
+        verify_exact(
+            &reference.parse().unwrap(),
+            &seq(read),
+            pos,
+            &mut Vec::new(),
+        )
+    }
+
+    fn inexact(reference: &str, read: &str, pos: usize, diffs: u8, indels: bool) -> bool {
+        let reference = reference.parse().unwrap();
+        verify_inexact(&reference, &seq(read), pos, diffs, indels, &mut Vec::new())
+    }
+
     #[test]
     fn exact_verification_is_substring_equality() {
-        let reference = seq("TGCTAGGA");
-        assert!(verify_exact(&reference, &seq("CTA"), 2));
-        assert!(!verify_exact(&reference, &seq("CTA"), 3));
-        assert!(verify_exact(&reference, &seq("GGA"), 5));
-        assert!(!verify_exact(&reference, &seq("GGA"), 6)); // past the end
-        assert!(!verify_exact(&reference, &seq("GGAT"), 5)); // past the end
+        let reference = "TGCTAGGA";
+        assert!(exact(reference, "CTA", 2));
+        assert!(!exact(reference, "CTA", 3));
+        assert!(exact(reference, "GGA", 5));
+        assert!(!exact(reference, "GGA", 6)); // past the end
+        assert!(!exact(reference, "GGAT", 5)); // past the end
     }
 
     #[test]
     fn substitution_verification_counts_hamming() {
-        let reference = seq("ACGTACGT");
-        assert!(verify_inexact(&reference, &seq("ACGG"), 0, 1, false));
-        assert!(!verify_inexact(&reference, &seq("AGGG"), 0, 1, false));
-        assert!(verify_inexact(&reference, &seq("AGGG"), 0, 2, false));
+        let reference = "ACGTACGT";
+        assert!(inexact(reference, "ACGG", 0, 1, false));
+        assert!(!inexact(reference, "AGGG", 0, 1, false));
+        assert!(inexact(reference, "AGGG", 0, 2, false));
     }
 
     #[test]
     fn indel_verification_accepts_shifted_spans() {
-        let reference = seq("ACGTTACGT");
         // Read is the reference with the double-T collapsed: one deletion.
-        let read = seq("ACGTACGT");
-        assert!(verify_inexact(&reference, &read, 0, 1, true));
-        assert!(!verify_inexact(&reference, &read, 0, 0, true));
+        assert!(inexact("ACGTTACGT", "ACGTACGT", 0, 1, true));
+        assert!(!inexact("ACGTTACGT", "ACGTACGT", 0, 0, true));
         // An insertion relative to the reference also verifies.
-        let reference2 = seq("ACGTACGT");
-        let read2 = seq("ACGGTACGT");
-        assert!(verify_inexact(&reference2, &read2, 0, 1, true));
+        assert!(inexact("ACGTACGT", "ACGGTACGT", 0, 1, true));
     }
 
     #[test]
     fn out_of_range_positions_fail_closed() {
-        let reference = seq("ACGT");
-        assert!(!verify_exact(&reference, &seq("ACGT"), 1));
-        assert!(!verify_inexact(&reference, &seq("ACGT"), 4, 2, true));
-        assert!(!verify_inexact(
-            &reference,
-            &DnaSeq::from_bases(vec![]),
-            0,
-            2,
-            true
-        ));
-        let _ = Base::A; // keep the import used
+        assert!(!exact("ACGT", "ACGT", 1));
+        assert!(!inexact("ACGT", "ACGT", 4, 2, true));
+        assert!(!inexact("ACGT", "", 0, 2, true));
+    }
+
+    /// Hits at the first and the last place a read fits, with up to `z`
+    /// bases cut off or put on at either end: the window unpacked from
+    /// the 2-bit reference decides as spans copied a base a byte do.
+    #[test]
+    fn windows_at_both_ends_decide_as_a_byte_a_base_reference() {
+        let reference = readsim::genome::uniform(1_000, 77);
+        let (packed, n, len) = (reference.to_packed(), reference.len(), 60);
+        let span = |from: usize, to: usize| reference.subseq(from..to.min(n));
+        let window = &mut Vec::new();
+        for z in 0u8..=3 {
+            let k = usize::from(z);
+            for pos in [0, n - len] {
+                let cut = |from: usize, to: usize| span(pos + from, pos + len - to);
+                let grown = span(pos.saturating_sub(k), pos + len + k);
+                for read in [cut(0, 0), cut(k, 0), cut(0, k), grown] {
+                    for at in [pos.saturating_sub(1), pos, pos + 1] {
+                        let fits = |s: usize| at + s <= n;
+                        let copy = || span(at, at + read.len());
+                        let exact = fits(read.len()) && copy() == read;
+                        let hamming = fits(read.len()) && copy().hamming_distance(&read) <= k;
+                        let edit = (read.len().saturating_sub(k).max(1)..=read.len() + k)
+                            .take_while(|&s| fits(s))
+                            .any(|s| banded_edit_distance(&span(at, at + s), &read, k).is_some());
+                        let case = format!("z {z} at {at} read {read}");
+                        assert_eq!(verify_exact(&packed, &read, at, window), exact, "{case}");
+                        let substitutions = verify_inexact(&packed, &read, at, z, false, window);
+                        assert_eq!(substitutions, hamming, "{case}");
+                        let edits = verify_inexact(&packed, &read, at, z, true, window);
+                        assert_eq!(edits, edit && at < n, "{case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@ proptest! {
         ids in proptest::collection::vec(0usize..600, 1..12),
     ) {
         let config = PimAlignerConfig::baseline();
-        let mapped = MappedIndex::build(&reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let oracle = mapped.index().clone();
         let mut injector = mapped.session_injector();
         let mut ledger = CycleLedger::new();
@@ -45,7 +45,7 @@ proptest! {
         len in 4usize..24,
     ) {
         let config = PimAlignerConfig::baseline();
-        let mapped = MappedIndex::build(&reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let oracle = mapped.index().clone();
         let mut injector = mapped.session_injector();
         let mut dpu = Dpu::new(*config.model());
@@ -70,7 +70,7 @@ proptest! {
         z in 0u8..3,
     ) {
         let config = PimAlignerConfig::baseline();
-        let mapped = MappedIndex::build(&reference, &config);
+        let mapped = MappedIndex::build(&reference.to_packed(), &config);
         let oracle = mapped.index().clone();
         let mut injector = mapped.session_injector();
         let mut dpu = Dpu::new(*config.model());
@@ -139,7 +139,7 @@ proptest! {
         }
         // 65 536 rows fill two sub-arrays exactly, so `id = N` is the
         // checkpoint bucket no sub-array holds.
-        let mapped = MappedIndex::build(&genome::uniform(65_535, seed % 8), &config);
+        let mapped = MappedIndex::build(&genome::uniform(65_535, seed % 8).to_packed(), &config);
         let oracle = mapped.index();
         let n = oracle.text_len();
         prop_assert_eq!(mapped.subarray_count(), 2);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bioseq::{Base, Symbol};
+use bioseq::{Base, PackedSeq, Symbol};
 
 use crate::text::{Text, ALPHABET};
 
@@ -28,11 +28,11 @@ const SENTINEL_CODE: u8 = Base::T.code();
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::PackedSeq;
 /// use fmindex::{suffix_array, Bwt, Text};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let reference: PackedSeq = "TGCTA".parse()?;
 /// let text = Text::from_reference(&reference);
 /// let sa = suffix_array(&text);
 /// let bwt = Bwt::from_sa(&text, &sa);
@@ -74,14 +74,18 @@ impl Bwt {
     }
 
     /// [`Bwt::from_sa`] for the text of `bases` and its sentinel, packed
-    /// in one pass over the suffix array.
-    pub(crate) fn from_sa_of(bases: &[Base], sa: &[u32]) -> Bwt {
+    /// in one pass over the suffix array that copies the reference's own
+    /// codes.
+    pub(crate) fn from_sa_of(bases: &PackedSeq, sa: &[u32]) -> Bwt {
         let len = bases.len() + 1;
         assert_eq!(sa.len(), len, "suffix array length mismatch");
+        let packed = bases.as_bytes();
         let code_before = |p: u32| {
-            bases
-                .get((p as usize).wrapping_sub(1))
-                .map_or(SENTINEL_CODE, |b| b.code())
+            // Row 0's suffix is the text: wrapped, `q / 4` is past the codes.
+            let q = (p as usize).wrapping_sub(1);
+            packed
+                .get(q / 4)
+                .map_or(SENTINEL_CODE, |byte| byte >> (2 * (q % 4)) & 0b11)
         };
         let mut codes = vec![0u8; padded_bytes(len)];
         for (byte, rows) in codes.iter_mut().zip(sa.chunks(4)) {
@@ -101,12 +105,11 @@ impl Bwt {
     }
 
     /// Takes over a stored BWT of `len` cells (the deserialisation path):
-    /// `packed` as [`Bwt::packed_bytes`] gives it. The sentinel cell and
+    /// `codes` as [`Bwt::packed_bytes`] gives them. The sentinel cell and
     /// the bits past the last cell are reset, whatever the bytes held.
-    pub(crate) fn from_packed(packed: &[u8], len: usize, sentinel_pos: usize) -> Bwt {
-        debug_assert_eq!(packed.len(), len.div_ceil(4));
-        let mut codes = vec![0u8; padded_bytes(len)];
-        codes[..packed.len()].copy_from_slice(packed);
+    pub(crate) fn from_packed(mut codes: Vec<u8>, len: usize, sentinel_pos: usize) -> Bwt {
+        debug_assert_eq!(codes.len(), len.div_ceil(4));
+        codes.resize(padded_bytes(len), 0);
         if !len.is_multiple_of(4) {
             codes[len / 4] &= (1 << (2 * (len % 4))) - 1;
         }
@@ -280,7 +283,7 @@ impl Bwt {
             // LF-step to the row of the suffix starting at `pos`.
             row = starts[sym as usize] + occ_before[row];
         }
-        Text::from_bases(out)
+        Text::from_packed(out.into_iter().collect())
     }
 }
 
@@ -302,11 +305,11 @@ impl fmt::Display for Bwt {
 mod tests {
     use super::*;
     use crate::sa::suffix_array;
-    use bioseq::{DnaSeq, PackedSeq};
+    use bioseq::PackedSeq;
     use proptest::prelude::*;
 
     fn bwt_of(s: &str) -> (Text<'static>, Bwt) {
-        let t = Text::from_bases(s.parse::<DnaSeq>().unwrap().into_bases());
+        let t = Text::from_packed(s.parse().unwrap());
         let sa = suffix_array(&t);
         let b = Bwt::from_sa(&t, &sa);
         (t, b)
@@ -320,7 +323,7 @@ mod tests {
     }
 
     fn text_of_ranks(ranks: &[u8]) -> Text<'static> {
-        Text::from_bases(ranks.iter().map(|&r| Base::from_rank(r.into())).collect())
+        Text::from_packed(ranks.iter().map(|&r| Base::from_rank(r.into())).collect())
     }
 
     #[test]
@@ -391,11 +394,12 @@ mod tests {
             let oracle = oracle_ranks(&t, &suffix_array(&t));
             // Hardware code by text rank; the sentinel cell gets T's bits
             // as a placeholder.
-            let code_of = [Base::T, Base::A, Base::C, Base::G, Base::T].map(Base::code);
-            let packed = PackedSeq::pack(&oracle, |&r| code_of[r as usize]);
+            let base_of = [Base::T, Base::A, Base::C, Base::G, Base::T];
+            let packed: PackedSeq = oracle.iter().map(|&r| base_of[r as usize]).collect();
             assert_eq!(b.packed_bytes(), packed.as_bytes(), "{s}");
-            assert_eq!(b.codes(0, b.len()), packed.codes(0, b.len()), "{s}");
-            let reloaded = Bwt::from_packed(packed.as_bytes(), b.len(), b.sentinel_pos());
+            let codes: Vec<u8> = packed.iter().map(Base::code).collect();
+            assert_eq!(b.codes(0, b.len()), codes, "{s}");
+            let reloaded = Bwt::from_packed(packed.as_bytes().to_vec(), b.len(), b.sentinel_pos());
             assert_eq!(reloaded, b, "{s}");
         }
     }
@@ -412,14 +416,14 @@ mod tests {
             if used != 0 {
                 *dirty.last_mut().unwrap() |= !0u8 << (2 * used);
             }
-            assert_eq!(Bwt::from_packed(&dirty, b.len(), sentinel), b, "{s}");
+            assert_eq!(Bwt::from_packed(dirty, b.len(), sentinel), b, "{s}");
         }
     }
 
     proptest! {
         #[test]
         fn bwt_round_trips(bases in proptest::collection::vec(0u8..4, 0..200)) {
-            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let seq: PackedSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             let sa = suffix_array(&t);
             let b = Bwt::from_sa(&t, &sa);
@@ -428,7 +432,7 @@ mod tests {
 
         #[test]
         fn bwt_is_permutation_of_text(bases in proptest::collection::vec(0u8..4, 0..200)) {
-            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let seq: PackedSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             let sa = suffix_array(&t);
             let b = Bwt::from_sa(&t, &sa);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bioseq::DnaSeq;
+use bioseq::{DnaSeq, PackedSeq};
 
 use crate::bwt::Bwt;
 use crate::inexact::{search_inexact, EditBudget, InexactHit};
@@ -56,11 +56,11 @@ impl std::error::Error for IndexBuildError {}
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::PackedSeq;
 /// use fmindex::{FmIndex, SaStorage};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let reference: DnaSeq = "GATTACA".parse()?;
+/// let reference: PackedSeq = "GATTACA".parse()?;
 /// let index = FmIndex::builder()
 ///     .bucket_width(4)
 ///     .sa_storage(SaStorage::Sampled(4))
@@ -117,7 +117,7 @@ impl FmIndexBuilder {
     ///
     /// Panics if the reference exceeds [`FmIndex::MAX_REFERENCE_LEN`];
     /// use [`FmIndexBuilder::try_build`] for a typed error instead.
-    pub fn build(self, reference: &DnaSeq) -> FmIndex {
+    pub fn build(self, reference: &PackedSeq) -> FmIndex {
         self.try_build(reference)
             .unwrap_or_else(|e| panic!("cannot build index: {e}"))
     }
@@ -125,23 +125,23 @@ impl FmIndexBuilder {
     /// Builds the index over `reference`, rejecting references too long
     /// for the `u32` text-position representation.
     ///
-    /// Every pass reads the reference's own bases: while the index is
-    /// built, the only buffers of more than a bit per base are the
-    /// reference, the `u32` suffix array and the 2-bit BWT.
+    /// Every pass reads the reference's own 2-bit codes: while the index
+    /// is built, the only buffers of more than a bit per base are the
+    /// `u32` suffix array, the packed reference and the 2-bit BWT.
     ///
     /// # Errors
     ///
     /// [`IndexBuildError::ReferenceTooLong`] when the reference exceeds
     /// [`FmIndex::MAX_REFERENCE_LEN`] (text positions are `u32` with
     /// `u32::MAX` reserved as SA-IS's empty-slot mark).
-    pub fn try_build(self, reference: &DnaSeq) -> Result<FmIndex, IndexBuildError> {
+    pub fn try_build(self, reference: &PackedSeq) -> Result<FmIndex, IndexBuildError> {
         if reference.len() > FmIndex::MAX_REFERENCE_LEN {
             return Err(IndexBuildError::ReferenceTooLong {
                 len: reference.len(),
             });
         }
-        let sa = suffix_array_of(reference.as_slice());
-        let bwt = Bwt::from_sa_of(reference.as_slice(), &sa);
+        let sa = suffix_array_of(reference);
+        let bwt = Bwt::from_sa_of(reference, &sa);
         // The suffix array goes first, so that no table is alive beside it.
         let samples = match self.sa_storage {
             SaStorage::Full => SuffixArraySamples::full(sa),
@@ -169,11 +169,11 @@ impl FmIndexBuilder {
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::{DnaSeq, PackedSeq};
 /// use fmindex::FmIndex;
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let index = FmIndex::builder().build(&"TGCTA".parse::<DnaSeq>()?);
+/// let index = FmIndex::builder().build(&"TGCTA".parse::<PackedSeq>()?);
 /// let hit = index.backward_search(&"CTA".parse::<DnaSeq>()?).expect("match");
 /// assert_eq!(index.locate(hit), vec![2]);
 /// assert!(index.backward_search(&"AAA".parse::<DnaSeq>()?).is_none());
@@ -208,7 +208,7 @@ impl FmIndex {
     }
 
     /// Builds with default options (`d = 128`, full SA).
-    pub fn new(reference: &DnaSeq) -> FmIndex {
+    pub fn new(reference: &PackedSeq) -> FmIndex {
         FmIndexBuilder::default().build(reference)
     }
 
@@ -320,7 +320,7 @@ impl FmIndex {
     pub(crate) fn from_stored_parts(
         text_len: usize,
         sentinel_pos: usize,
-        packed_bwt: &[u8],
+        packed_bwt: Vec<u8>,
         stored_count: [u32; 4],
         bucket_width: usize,
         stored_markers: impl Iterator<Item = u32>,
@@ -366,7 +366,7 @@ mod tests {
     fn idx(s: &str) -> FmIndex {
         FmIndex::builder()
             .bucket_width(3)
-            .build(&s.parse::<DnaSeq>().unwrap())
+            .build(&s.parse::<PackedSeq>().unwrap())
     }
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn sampled_sa_gives_same_answers() {
-        let reference: DnaSeq = "GATTACAGATTACAGGG".parse().unwrap();
+        let reference: PackedSeq = "GATTACAGATTACAGGG".parse().unwrap();
         let full = FmIndex::builder().bucket_width(4).build(&reference);
         let sparse = FmIndex::builder()
             .bucket_width(4)
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn try_build_matches_build_within_bound() {
-        let reference: DnaSeq = "GATTACA".parse().unwrap();
+        let reference: PackedSeq = "GATTACA".parse().unwrap();
         let index = FmIndex::builder()
             .bucket_width(3)
             .try_build(&reference)
@@ -453,13 +453,13 @@ mod tests {
             ref_bases in proptest::collection::vec(0u8..4, 5..120),
             read_bases in proptest::collection::vec(0u8..4, 1..8),
         ) {
-            let reference: DnaSeq = ref_bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let reference: PackedSeq = ref_bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let read: DnaSeq = read_bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let index = FmIndex::builder().bucket_width(7).build(&reference);
             for pos in index.find(&read) {
                 prop_assert!(pos + read.len() <= reference.len());
                 for j in 0..read.len() {
-                    prop_assert_eq!(reference[pos + j], read[j]);
+                    prop_assert_eq!(reference.get(pos + j), Some(read[j]));
                 }
             }
         }

@@ -9,6 +9,8 @@
 
 use std::collections::HashMap;
 
+#[cfg(test)]
+use bioseq::PackedSeq;
 use bioseq::{Base, DnaSeq};
 
 use crate::bwt::Bwt;
@@ -180,7 +182,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn index(s: &str, d: usize) -> (Vec<u32>, Bwt, MarkerTable) {
-        let reference: DnaSeq = s.parse().unwrap();
+        let reference: PackedSeq = s.parse().unwrap();
         let t = Text::from_reference(&reference);
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
@@ -279,14 +281,14 @@ mod tests {
 
     /// Brute-force oracle for substitution-only matching: positions where
     /// the read aligns with Hamming distance ≤ z.
-    fn hamming_positions(reference: &DnaSeq, read: &DnaSeq, z: usize) -> Vec<usize> {
+    fn hamming_positions(reference: &PackedSeq, read: &DnaSeq, z: usize) -> Vec<usize> {
         if read.is_empty() || read.len() > reference.len() {
             return Vec::new();
         }
         (0..=reference.len() - read.len())
             .filter(|&i| {
                 (0..read.len())
-                    .filter(|&j| reference[i + j] != read[j])
+                    .filter(|&j| reference.get(i + j) != Some(read[j]))
                     .count()
                     <= z
             })
@@ -301,7 +303,7 @@ mod tests {
             read_bases in proptest::collection::vec(0u8..4, 3..8),
             z in 0u8..3,
         ) {
-            let reference: DnaSeq = ref_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
+            let reference: PackedSeq = ref_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let read: DnaSeq = read_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&reference);
             let sa = suffix_array(&t);

@@ -39,12 +39,14 @@
 //! [`LoadIndexError::Version`], which says to rebuild it; this module
 //! decodes no other version.
 //!
-//! [`load`] slices the sections out of the file first — every declared
-//! length is checked against the bytes that remain, so a hostile header
-//! allocates nothing — then verifies the trailing checksum, rejects
-//! trailing garbage, and only then decodes the reference and the tables.
-//! A short file surfaces as [`LoadIndexError::Corrupt`] naming the
-//! section that was cut off.
+//! [`load`] reads the file as a stream, hashing it as it goes, and never
+//! holds it whole: each section is read straight into the buffer it is
+//! kept in (the reference stays 2-bit packed), and a buffer grows only
+//! with the bytes that arrive, so a hostile header allocates next to
+//! nothing. It then verifies the trailing checksum, rejects trailing
+//! garbage, and only then checks the tables against each other. A short
+//! file surfaces as [`LoadIndexError::Corrupt`] naming the section that
+//! was cut off.
 //!
 //! Only what the format stores is ever held: the check-points of the
 //! marker table are recounted from the BWT on load (one streaming pass)
@@ -55,7 +57,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use bioseq::{Base, DnaSeq};
+use bioseq::PackedSeq;
 
 use crate::index::FmIndex;
 use crate::locate::{SampledRows, SuffixArraySamples};
@@ -170,11 +172,11 @@ impl<W: Write> Write for HashingWriter<W> {
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::{DnaSeq, PackedSeq};
 /// use fmindex::{io as fm_io, FmIndex};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let reference: DnaSeq = "GATTACA".parse()?;
+/// let reference: PackedSeq = "GATTACA".parse()?;
 /// let index = FmIndex::builder().bucket_width(4).build(&reference);
 /// let mut buffer = Vec::new();
 /// fm_io::save("chrT", &reference, &index, &mut buffer)?;
@@ -186,7 +188,7 @@ impl<W: Write> Write for HashingWriter<W> {
 /// ```
 pub fn save<W: Write>(
     name: &str,
-    reference: &DnaSeq,
+    reference: &PackedSeq,
     index: &FmIndex,
     mut writer: W,
 ) -> io::Result<()> {
@@ -198,7 +200,7 @@ pub fn save<W: Write>(
     hashed.write_all(&(name.len() as u64).to_le_bytes())?;
     hashed.write_all(name.as_bytes())?;
     hashed.write_all(&(reference.len() as u64).to_le_bytes())?;
-    hashed.write_all(reference.to_packed().as_bytes())?;
+    hashed.write_all(reference.as_bytes())?;
     save_index(index, &mut hashed)?;
     let digest = hashed.hash;
     writer.write_all(&digest.to_le_bytes())?;
@@ -269,32 +271,31 @@ fn save_index<W: Write>(index: &FmIndex, writer: &mut W) -> io::Result<()> {
 /// format version, an over-long reference, or structurally invalid
 /// contents (including truncation, checksum mismatch and trailing
 /// bytes).
-pub fn load<R: Read>(mut reader: R) -> Result<(String, DnaSeq, FmIndex), LoadIndexError> {
+pub fn load<R: Read>(mut reader: R) -> Result<(String, PackedSeq, FmIndex), LoadIndexError> {
     // The magic first, so a foreign or old file is refused unread.
-    let mut bytes = Vec::new();
+    let mut magic = Vec::new();
     reader
         .by_ref()
         .take(MAGIC.len() as u64)
-        .read_to_end(&mut bytes)?;
-    if bytes.len() < MAGIC.len() {
+        .read_to_end(&mut magic)?;
+    if magic.len() < MAGIC.len() {
         return Err(LoadIndexError::Corrupt("truncated in magic".into()));
     }
-    if bytes != MAGIC {
-        return Err(match bytes[..] {
+    if magic != MAGIC {
+        return Err(match magic[..] {
             [b'P', b'I', b'M', b'A', b'I', b'X', v, b'\n'] if v.is_ascii_digit() => {
                 LoadIndexError::Version(char::from(v))
             }
             _ => LoadIndexError::BadMagic,
         });
     }
-    reader.read_to_end(&mut bytes)?;
-    let mut cursor = Cursor {
-        bytes: &bytes,
-        pos: MAGIC.len(),
+    let mut stream = HashingReader {
+        inner: reader,
+        hash: FNV_OFFSET,
     };
-    let name_len = cursor.len("name")?;
-    let name = cursor.take(name_len, "name")?;
-    let ref_len = cursor.len("reference length")?;
+    let name_len = stream.len("name")?;
+    let name = stream.bytes(name_len, "name")?;
+    let ref_len = stream.len("reference length")?;
     if ref_len == 0 {
         return Err(LoadIndexError::Corrupt("empty reference".into()));
     }
@@ -303,62 +304,86 @@ pub fn load<R: Read>(mut reader: R) -> Result<(String, DnaSeq, FmIndex), LoadInd
             len: ref_len.saturating_add(1),
         });
     }
-    let packed = cursor.take(ref_len.div_ceil(4), "reference")?;
-    let sections = Sections::parse(&mut cursor, ref_len + 1)?;
-    let body = &bytes[MAGIC.len()..cursor.pos];
-    if cursor.u64("checksum")? != fnv1a(body) {
+    let packed = stream.bytes(ref_len.div_ceil(4), "reference")?;
+    let sections = Sections::parse(&mut stream, ref_len + 1)?;
+    let digest = stream.hash;
+    if stream.u64("checksum")? != digest {
         return Err(LoadIndexError::Corrupt("checksum mismatch".into()));
     }
-    if cursor.pos != bytes.len() {
+    if stream.inner.read(&mut [0])? != 0 {
         return Err(LoadIndexError::Corrupt(
             "trailing bytes after the index".into(),
         ));
     }
-    let name = String::from_utf8(name.to_vec())
-        .map_err(|_| LoadIndexError::Corrupt("name is not UTF-8".into()))?;
-    // One packed byte is four 2-bit base codes, low bits first.
-    let mut bases = Vec::with_capacity(packed.len() * 4);
-    for &byte in packed {
-        bases.extend([0, 2, 4, 6].map(|shift| Base::from_code(byte >> shift)));
+    let name =
+        String::from_utf8(name).map_err(|_| LoadIndexError::Corrupt("name is not UTF-8".into()))?;
+    let reference = PackedSeq::from_bytes(packed, ref_len);
+    Ok((name, reference, sections.assemble()?))
+}
+
+/// Reads sections off a stream as their bytes arrive and checksums
+/// (FNV-1a-64) them as it goes: the dual of [`HashingWriter`]. A
+/// section's buffer grows with the bytes read into it, never ahead of
+/// them by more than it already holds, so a hostile length allocates next
+/// to nothing.
+struct HashingReader<R: Read> {
+    inner: R,
+    hash: u64,
+}
+
+impl<R: Read> HashingReader<R> {
+    /// Fills `buf`; a stream that ends first is truncated in `section`.
+    fn fill(&mut self, buf: &mut [u8], section: &str) -> Result<(), LoadIndexError> {
+        self.inner.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => {
+                LoadIndexError::Corrupt(format!("truncated in {section}"))
+            }
+            _ => LoadIndexError::Io(e),
+        })?;
+        self.hash = fnv1a_update(self.hash, buf);
+        Ok(())
     }
-    bases.truncate(ref_len);
-    Ok((name, DnaSeq::from_bases(bases), sections.assemble()?))
-}
 
-/// Reads sections off a byte slice; every length is checked against the
-/// bytes that remain before anything is sliced, let alone allocated.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize, section: &str) -> Result<&'a [u8], LoadIndexError> {
-        if self.bytes.len() - self.pos < len {
-            return Err(LoadIndexError::Corrupt(format!("truncated in {section}")));
+    /// `count` little-endian records of `N` bytes each.
+    fn records<T, const N: usize>(
+        &mut self,
+        count: usize,
+        section: &str,
+        decode: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, LoadIndexError> {
+        const CHUNK: usize = 4096;
+        let mut out = Vec::new();
+        let mut chunk = [0u8; CHUNK];
+        while out.len() < count {
+            // Double what has arrived, up to what was declared.
+            if out.len() == out.capacity() {
+                out.reserve_exact((count - out.len()).min(out.len().max(CHUNK)));
+            }
+            let n = (count - out.len()).min(CHUNK / N);
+            self.fill(&mut chunk[..n * N], section)?;
+            out.extend(
+                chunk[..n * N]
+                    .chunks_exact(N)
+                    .map(|b| decode(b.try_into().expect("chunks_exact(N) yields N-byte chunks"))),
+            );
         }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
         Ok(out)
     }
 
-    /// `count` records of `record_bytes` each.
-    fn records(
-        &mut self,
-        count: usize,
-        record_bytes: usize,
-        section: &str,
-    ) -> Result<&'a [u8], LoadIndexError> {
-        // A count whose byte length overflows cannot be backed by bytes.
-        self.take(count.saturating_mul(record_bytes), section)
+    fn bytes(&mut self, count: usize, section: &str) -> Result<Vec<u8>, LoadIndexError> {
+        self.records(count, section, |[byte]: [u8; 1]| byte)
+    }
+
+    fn u8(&mut self, section: &str) -> Result<u8, LoadIndexError> {
+        Ok(self.bytes(1, section)?[0])
+    }
+
+    fn u32(&mut self, section: &str) -> Result<u32, LoadIndexError> {
+        Ok(self.records(1, section, u32::from_le_bytes)?[0])
     }
 
     fn u64(&mut self, section: &str) -> Result<u64, LoadIndexError> {
-        let b = self.take(8, section)?;
-        Ok(u64::from_le_bytes(
-            b.try_into()
-                .expect("take(8, _) returns 8 bytes or an error"),
-        ))
+        Ok(self.records(1, section, u64::from_le_bytes)?[0])
     }
 
     /// A `u64` length or position field; one that does not fit `usize`
@@ -366,105 +391,88 @@ impl<'a> Cursor<'a> {
     fn len(&mut self, section: &str) -> Result<usize, LoadIndexError> {
         Ok(usize::try_from(self.u64(section)?).unwrap_or(usize::MAX))
     }
-
-    fn u32(&mut self, section: &str) -> Result<u32, LoadIndexError> {
-        let b = self.take(4, section)?;
-        Ok(u32::from_le_bytes(
-            b.try_into()
-                .expect("take(4, _) returns 4 bytes or an error"),
-        ))
-    }
 }
 
-/// Little-endian `u32`s of a section whose length is a multiple of 4.
-fn words(section: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    section
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("chunks_exact(4) yields 4-byte chunks")))
-}
-
-/// Little-endian `u64`s of a section whose length is a multiple of 8.
-fn u64s(section: &[u8]) -> Vec<u64> {
-    section
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("chunks_exact(8) yields 8-byte chunks")))
-        .collect()
-}
-
-/// The SA section of a file, still as bytes.
-enum SaSection<'a> {
-    Full(&'a [u8]),
+/// The SA section of a file, read but not yet checked.
+enum SaSection {
+    Full(Vec<u32>),
     Sampled {
         rate: u32,
-        bits: &'a [u8],
+        bits: Vec<u64>,
         width: u8,
-        values: &'a [u8],
+        values: Vec<u64>,
     },
 }
 
-/// A file's index sections, sliced and length-checked but not yet
-/// decoded.
-struct Sections<'a> {
+/// A file's index sections, read and length-checked but not yet
+/// assembled.
+struct Sections {
     text_len: usize,
     sentinel: usize,
-    packed_bwt: &'a [u8],
+    packed_bwt: Vec<u8>,
     count: [u32; 4],
     bucket_width: usize,
-    markers: &'a [u8],
-    sa: SaSection<'a>,
+    markers: Vec<u32>,
+    sa: SaSection,
 }
 
-impl<'a> Sections<'a> {
+impl Sections {
     /// The index sections of the text of `text_len` rows the reference
     /// before them makes.
-    fn parse(cursor: &mut Cursor<'a>, text_len: usize) -> Result<Sections<'a>, LoadIndexError> {
+    fn parse<R: Read>(
+        stream: &mut HashingReader<R>,
+        text_len: usize,
+    ) -> Result<Sections, LoadIndexError> {
         let corrupt = |msg: &str| Err(LoadIndexError::Corrupt(msg.into()));
-        let n = cursor.len("text length")?;
+        let n = stream.len("text length")?;
         if n != text_len {
             return Err(LoadIndexError::Corrupt(format!(
                 "text length {n} for a reference of {} bases",
                 text_len - 1
             )));
         }
-        let sentinel = cursor.len("sentinel")?;
+        let sentinel = stream.len("sentinel")?;
         if sentinel >= n {
             return corrupt("sentinel out of range");
         }
-        let packed_bwt = cursor.take(n.div_ceil(4), "BWT")?;
+        let packed_bwt = stream.bytes(n.div_ceil(4), "BWT")?;
         let mut count = [0u32; 4];
         for c in &mut count {
-            *c = cursor.u32("count table")?;
+            *c = stream.u32("count table")?;
         }
-        let bucket_width = cursor.len("marker table")?;
+        let bucket_width = stream.len("marker table")?;
         if bucket_width == 0 {
             return corrupt("zero bucket width");
         }
-        let buckets = cursor.len("marker table")?;
+        let buckets = stream.len("marker table")?;
         if buckets != n / bucket_width + 1 {
             return corrupt("bucket count mismatch");
         }
-        let markers = cursor.records(buckets, 16, "marker table")?;
-        let tag = cursor.take(1, "SA tag")?[0];
-        let sa = match tag {
+        let markers = stream.records(
+            buckets.saturating_mul(4),
+            "marker table",
+            u32::from_le_bytes,
+        )?;
+        let sa = match stream.u8("SA tag")? {
             0 => {
-                if cursor.len("suffix array")? != n {
+                if stream.len("suffix array")? != n {
                     return corrupt("SA length mismatch");
                 }
-                SaSection::Full(cursor.records(n, 4, "suffix array")?)
+                SaSection::Full(stream.records(n, "suffix array", u32::from_le_bytes)?)
             }
             1 => {
-                let rate = cursor.u32("suffix array")?;
+                let rate = stream.u32("suffix array")?;
                 if rate == 0 {
                     return corrupt("zero SA rate");
                 }
-                if cursor.len("suffix array")? != n {
+                if stream.len("suffix array")? != n {
                     return corrupt("SA length mismatch");
                 }
-                let words = cursor.len("suffix array")?;
-                let bits = cursor.records(words, 8, "suffix array")?;
-                let width = cursor.take(1, "suffix array")?[0];
-                let words = cursor.len("suffix array")?;
-                let values = cursor.records(words, 8, "suffix array")?;
+                let words = stream.len("suffix array")?;
+                let bits = stream.records(words, "suffix array", u64::from_le_bytes)?;
+                let width = stream.u8("suffix array")?;
+                let words = stream.len("suffix array")?;
+                let values = stream.records(words, "suffix array", u64::from_le_bytes)?;
                 SaSection::Sampled {
                     rate,
                     bits,
@@ -489,21 +497,15 @@ impl<'a> Sections<'a> {
 
     fn assemble(self) -> Result<FmIndex, LoadIndexError> {
         let samples = match self.sa {
-            SaSection::Full(values) => SuffixArraySamples::Full(words(values).collect()),
+            SaSection::Full(values) => SuffixArraySamples::Full(values),
             SaSection::Sampled {
                 rate,
                 bits,
                 width,
                 values,
             } => SuffixArraySamples::Sampled {
-                stored: SampledRows::new(
-                    u64s(bits),
-                    u32::from(width),
-                    u64s(values),
-                    self.text_len,
-                    rate,
-                )
-                .map_err(LoadIndexError::Corrupt)?,
+                stored: SampledRows::new(bits, u32::from(width), values, self.text_len, rate)
+                    .map_err(LoadIndexError::Corrupt)?,
                 rate,
             },
         };
@@ -513,7 +515,7 @@ impl<'a> Sections<'a> {
             self.packed_bwt,
             self.count,
             self.bucket_width,
-            words(self.markers),
+            self.markers.into_iter(),
             samples,
         )
         .map_err(LoadIndexError::Corrupt)
@@ -528,7 +530,7 @@ mod tests {
 
     const NAME: &str = "sample";
 
-    fn sample_reference() -> DnaSeq {
+    fn sample_reference() -> PackedSeq {
         "GATTACAGATTACAGGGTTTCCCAAATGCA".parse().unwrap()
     }
 
@@ -630,6 +632,7 @@ mod tests {
             ]
         });
         for reference in genomes {
+            let reference = reference.to_packed();
             let sa = suffix_array(&Text::from_reference(&reference));
             for rate in [1u32, 2, 8, 32, 64] {
                 let storage = match rate {

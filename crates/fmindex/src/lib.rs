@@ -34,11 +34,11 @@
 //! `S = TGCTA`.
 //!
 //! ```
-//! use bioseq::DnaSeq;
+//! use bioseq::{DnaSeq, PackedSeq};
 //! use fmindex::FmIndex;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let reference: DnaSeq = "TGCTA".parse()?;
+//! let reference: PackedSeq = "TGCTA".parse()?;
 //! let index = FmIndex::builder().bucket_width(2).build(&reference);
 //!
 //! assert_eq!(index.bwt().to_string(), "ATGTC$");

@@ -359,11 +359,11 @@ mod tests {
     use crate::tables::{CountTable, OccTable, SampledOcc};
     use crate::text::Text;
     use crate::{FmIndex, SaStorage};
-    use bioseq::{Base, DnaSeq};
+    use bioseq::{Base, PackedSeq};
     use proptest::prelude::*;
 
     fn setup(s: &str) -> (Vec<u32>, Bwt, MarkerTable) {
-        let reference: DnaSeq = s.parse().unwrap();
+        let reference: PackedSeq = s.parse().unwrap();
         let t = Text::from_reference(&reference);
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
@@ -408,7 +408,7 @@ mod tests {
     /// `LF(row) = Count(c) + Occ(c, row)` until a sampled position.
     #[test]
     fn locate_matches_an_occ_table_stepped_walk() {
-        let reference = readsim::genome::uniform(700, 41);
+        let reference = readsim::genome::uniform(700, 41).to_packed();
         let text = Text::from_reference(&reference);
         let sa = suffix_array(&text);
         let bwt = Bwt::from_sa(&text, &sa);
@@ -461,7 +461,7 @@ mod tests {
     /// every row, over several rank blocks and a ragged last word.
     #[test]
     fn compact_rows_equal_the_dense_array() {
-        let reference = readsim::genome::uniform(5_003, 9);
+        let reference = readsim::genome::uniform(5_003, 9).to_packed();
         let text = Text::from_reference(&reference);
         let sa = suffix_array(&text);
         for rate in [1u32, 2, 3, 8, 32, 4_999] {
@@ -558,7 +558,7 @@ mod tests {
             bases in proptest::collection::vec(0u8..4, 1..120),
             rate in 1u32..10,
         ) {
-            let seq: DnaSeq = bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
+            let seq: PackedSeq = bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             let sa = suffix_array(&t);
             let bwt = Bwt::from_sa(&t, &sa);

@@ -12,9 +12,10 @@
 //! the lexicographically-sorted array of suffix start positions (paper
 //! §II: "the Suffix Array (SA) of a reference genome-S is a
 //! lexicographically-sorted array of the suffixes of S"). SA-IS reads the
-//! reference's own bases: the sentinel is never stored, at any level.
+//! reference's own 2-bit codes in place: the sentinel is never stored, at
+//! any level.
 
-use bioseq::Base;
+use bioseq::PackedSeq;
 
 use crate::text::{Text, ALPHABET};
 
@@ -23,11 +24,11 @@ use crate::text::{Text, ALPHABET};
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::PackedSeq;
 /// use fmindex::{suffix_array, Text};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let reference: PackedSeq = "TGCTA".parse()?;
 /// // Sorted suffixes of TGCTA$: $  A$  CTA$  GCTA$  TA$  TGCTA$
 /// assert_eq!(suffix_array(&Text::from_reference(&reference)), vec![5, 4, 2, 1, 3, 0]);
 /// # Ok(())
@@ -39,7 +40,7 @@ pub fn suffix_array(text: &Text) -> Vec<u32> {
 
 /// The suffix array of `bases` followed by the sentinel: `bases.len() + 1`
 /// rows, the only genome-sized allocation SA-IS makes.
-pub(crate) fn suffix_array_of(bases: &[Base]) -> Vec<u32> {
+pub(crate) fn suffix_array_of(bases: &PackedSeq) -> Vec<u32> {
     let n = bases.len() + 1;
     assert!(
         n <= u32::MAX as usize,
@@ -65,35 +66,99 @@ pub fn suffix_array_naive(text: &Text) -> Vec<u32> {
 /// position: the text has at most `u32::MAX` rows.
 const EMPTY: u32 = u32::MAX;
 
-/// A stored text symbol: a `Base` at level 0, a `u32` LMS name below.
-/// Its bucket is never 0, which is the sentinel's: a base's is its rank
-/// plus one, and a name is its own (the sentinel's LMS substring, the
-/// smallest, is the only one named 0).
-trait Sym: Copy + Eq {
-    fn bucket(self) -> usize;
-}
-
-impl Sym for Base {
-    #[inline]
-    fn bucket(self) -> usize {
-        self.rank() + 1
+/// A text SA-IS sorts, its sentinel implicit past the last stored
+/// symbol: level 0's packed reference, or a level's reduced text of `u32`
+/// LMS names. A symbol's rank orders the suffixes, and its bucket is the
+/// slot of the bucket arrays that holds its suffixes; the sentinel's are
+/// both 0 and a stored symbol's are neither (a name is its own rank and
+/// bucket, and the sentinel's LMS substring, the smallest, is the only
+/// one named 0).
+trait Symbols {
+    /// Stored symbols, the sentinel not counted.
+    fn len(&self) -> usize;
+    /// The bucket of stored symbol `p`.
+    fn bucket(&self, p: usize) -> usize;
+    /// The rank of stored symbol `p`.
+    fn rank(&self, p: usize) -> usize {
+        self.bucket(p)
+    }
+    /// The `k` buckets, in the order of their symbols' ranks.
+    fn by_rank(&self, k: usize) -> impl Iterator<Item = usize> {
+        0..k
+    }
+    /// `true` when the `len` symbols from `a` equal those from `b`.
+    fn same(&self, a: usize, b: usize, len: usize) -> bool {
+        (0..len).all(|i| self.bucket(a + i) == self.bucket(b + i))
     }
 }
 
-impl Sym for u32 {
+/// The rank of each 2-bit hardware code (`T G A C` as `0..4`): its
+/// base's rank (`A < C < G < T`) plus one.
+const RANK_OF_CODE: [usize; 4] = [4, 3, 1, 2];
+
+/// Level 0: the reference's 2-bit codes, read in place. A base's bucket
+/// is its code plus one, so the induced sorts index their buckets with
+/// the stored bits and only the classification and the bucket bounds
+/// look up its rank.
+impl Symbols for PackedSeq {
+    fn len(&self) -> usize {
+        PackedSeq::len(self)
+    }
+
     #[inline]
-    fn bucket(self) -> usize {
-        self as usize
+    fn bucket(&self, p: usize) -> usize {
+        usize::from(code_at(self, p)) + 1
+    }
+
+    #[inline]
+    fn rank(&self, p: usize) -> usize {
+        RANK_OF_CODE[usize::from(code_at(self, p))]
+    }
+
+    fn by_rank(&self, _: usize) -> impl Iterator<Item = usize> {
+        // $, then A C G T: codes 10, 11, 01, 00 plus one.
+        [0, 3, 4, 2, 1].into_iter()
+    }
+
+    /// Up to 28 codes in one compare of the words of 8 bytes from the
+    /// first's, where both words are there; a code at a time otherwise.
+    fn same(&self, a: usize, b: usize, len: usize) -> bool {
+        let bytes = self.as_bytes();
+        let word = |p: usize| {
+            let at = bytes.get(p / 4..p / 4 + 8)?;
+            Some(u64::from_le_bytes(at.try_into().expect("8 bytes")) >> (2 * (p % 4)))
+        };
+        match (word(a), word(b)) {
+            (Some(x), Some(y)) if len <= 28 => (x ^ y) & ((1 << (2 * len)) - 1) == 0,
+            _ => (0..len).all(|i| code_at(self, a + i) == code_at(self, b + i)),
+        }
+    }
+}
+
+/// The 2-bit code of base `p`.
+#[inline]
+fn code_at(reference: &PackedSeq, p: usize) -> u8 {
+    reference.as_bytes()[p / 4] >> (2 * (p % 4)) & 0b11
+}
+
+impl Symbols for [u32] {
+    fn len(&self) -> usize {
+        <[u32]>::len(self)
+    }
+
+    #[inline]
+    fn bucket(&self, p: usize) -> usize {
+        self[p] as usize
     }
 }
 
 /// The bucket of position `p` of `s` followed by its sentinel.
 #[inline]
-fn bucket_at<T: Sym>(s: &[T], p: usize) -> usize {
+fn bucket_at<S: Symbols + ?Sized>(s: &S, p: usize) -> usize {
     if p == s.len() {
         0
     } else {
-        s[p].bucket()
+        s.bucket(p)
     }
 }
 
@@ -107,7 +172,7 @@ struct Types {
 impl Types {
     /// Classifies every position of `s` and of the sentinel after it,
     /// right to left, a word of type bits at a time.
-    fn classify<T: Sym>(s: &[T]) -> Types {
+    fn classify<S: Symbols + ?Sized>(s: &S) -> Types {
         let n = s.len() + 1;
         let mut bits = vec![0u64; n.div_ceil(64)];
         // Nothing stands right of the sentinel; "larger than any symbol"
@@ -119,8 +184,8 @@ impl Types {
             // The sentinel's bit is the last word's first, shifted up
             // past the symbols that precede it there.
             let mut acc = u64::from(w == last);
-            for &sym in s[w * 64..s.len().min(w * 64 + 64)].iter().rev() {
-                let a = sym.bucket();
+            for p in (w * 64..s.len().min(w * 64 + 64)).rev() {
+                let a = s.rank(p);
                 is_s = a < right || (a == right && is_s);
                 acc = acc << 1 | u64::from(is_s);
                 right = a;
@@ -217,42 +282,48 @@ fn with_buckets<R>(
 }
 
 /// Fills `sizes` with the symbol frequencies of `s` and its sentinel.
-fn bucket_sizes<T: Sym>(s: &[T], sizes: &mut [u32]) {
+fn bucket_sizes<S: Symbols + ?Sized>(s: &S, sizes: &mut [u32]) {
     sizes.fill(0);
     sizes[0] = 1;
-    for &c in s {
-        sizes[c.bucket()] += 1;
+    for p in 0..s.len() {
+        sizes[s.bucket(p)] += 1;
     }
 }
 
 /// Fills `out` with each bucket's first slot.
-fn bucket_heads(sizes: &[u32], out: &mut [u32]) {
+fn bucket_heads<S: Symbols + ?Sized>(s: &S, sizes: &[u32], out: &mut [u32]) {
     let mut sum = 0;
-    for (h, &sz) in out.iter_mut().zip(sizes) {
-        *h = sum;
-        sum += sz;
+    for b in s.by_rank(sizes.len()) {
+        out[b] = sum;
+        sum += sizes[b];
     }
 }
 
 /// Fills `out` with one past each bucket's last slot.
-fn bucket_tails(sizes: &[u32], out: &mut [u32]) {
+fn bucket_tails<S: Symbols + ?Sized>(s: &S, sizes: &[u32], out: &mut [u32]) {
     let mut sum = 0;
-    for (t, &sz) in out.iter_mut().zip(sizes) {
-        sum += sz;
-        *t = sum;
+    for b in s.by_rank(sizes.len()) {
+        sum += sizes[b];
+        out[b] = sum;
     }
 }
 
 /// The L-pass of an induced sort: scanning left to right, the L-type
 /// predecessor of every suffix met goes to its bucket's head.
-fn induce_l<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: &mut [u32]) {
-    bucket_heads(sizes, bkt);
+fn induce_l<S: Symbols + ?Sized>(
+    s: &S,
+    sa: &mut [u32],
+    types: &Types,
+    sizes: &[u32],
+    bkt: &mut [u32],
+) {
+    bucket_heads(s, sizes, bkt);
     for i in 0..sa.len() {
         let p = sa[i];
         if p != EMPTY && p > 0 {
             let q = p as usize - 1;
             if !types.is_s(q) {
-                let c = s[q].bucket();
+                let c = s.bucket(q);
                 sa[bkt[c] as usize] = q as u32;
                 bkt[c] += 1;
             }
@@ -272,22 +343,22 @@ fn induce_l<T: Sym>(s: &[T], sa: &mut [u32], types: &Types, sizes: &[u32], bkt: 
 /// final when the cursor reads it, and after `j` slots are read at most
 /// `j` suffixes have been collected — the collection never passes the
 /// cursor.
-fn induce_s<T: Sym, const COLLECT_LMS: bool>(
-    s: &[T],
+fn induce_s<S: Symbols + ?Sized, const COLLECT_LMS: bool>(
+    s: &S,
     sa: &mut [u32],
     types: &Types,
     sizes: &[u32],
     bkt: &mut [u32],
 ) -> usize {
     let n = sa.len();
-    bucket_tails(sizes, bkt);
+    bucket_tails(s, sizes, bkt);
     let mut collected = n;
     for i in (0..n).rev() {
         let p = sa[i];
         if p != EMPTY && p > 0 {
             let q = p as usize - 1;
             if types.is_s(q) {
-                let c = s[q].bucket();
+                let c = s.bucket(q);
                 bkt[c] -= 1;
                 sa[bkt[c] as usize] = q as u32;
             } else if COLLECT_LMS && types.is_s(p as usize) {
@@ -303,22 +374,22 @@ fn induce_s<T: Sym, const COLLECT_LMS: bool>(
 /// suffixes placed in text order, and returns how many there are. With
 /// `COLLECT_LMS` they end up, sorted, in `sa[n - m..]` (see
 /// [`induce_s`]); without, `sa` is the whole induced array.
-fn sort_lms_substrings<T: Sym, const COLLECT_LMS: bool>(
-    s: &[T],
+fn sort_lms_substrings<S: Symbols + ?Sized, const COLLECT_LMS: bool>(
+    s: &S,
     sa: &mut [u32],
     types: &Types,
     sizes: &[u32],
     bkt: &mut [u32],
 ) -> usize {
     sa.fill(EMPTY);
-    bucket_tails(sizes, bkt);
+    bucket_tails(s, sizes, bkt);
     types.for_each_lms(|p| {
         let c = bucket_at(s, p);
         bkt[c] -= 1;
         sa[bkt[c] as usize] = p as u32;
     });
     induce_l(s, sa, types, sizes, bkt);
-    induce_s::<T, COLLECT_LMS>(s, sa, types, sizes, bkt)
+    induce_s::<S, COLLECT_LMS>(s, sa, types, sizes, bkt)
 }
 
 /// SA-IS over `s` followed by an implicit sentinel, the unique smallest
@@ -334,8 +405,8 @@ fn sort_lms_substrings<T: Sym, const COLLECT_LMS: bool>(
 /// the recursion returns, and so is the `spare` stretch this level was
 /// handed: the recursion gets the larger of the two for its bucket
 /// arrays (`spare` is empty at level 0).
-fn sais<T: Sym>(
-    s: &[T],
+fn sais<S: Symbols + ?Sized>(
+    s: &S,
     sa: &mut [u32],
     k: usize,
     spare: &mut [u32],
@@ -356,28 +427,31 @@ fn sais<T: Sym>(
     // recursion.
     let (m, in_spare) = with_buckets(spare, k, buckets, |sizes, bkt| {
         bucket_sizes(s, sizes);
-        sort_lms_substrings::<T, true>(s, sa, &types, sizes, bkt)
+        sort_lms_substrings::<S, true>(s, sa, &types, sizes, bkt)
     });
     sa.copy_within(n - m.., 0);
 
     // --- Name the LMS substrings in sorted order. An LMS substring runs
     // to the next LMS position inclusive (the sentinel's is itself), and
     // both ends being S-type fixes every type in between from the
-    // symbols alone: equal slices are equal substrings. A substring that
-    // ends on the sentinel is its stored slice plus that sentinel. ---
+    // symbols alone: equal symbols are equal substrings. A substring that
+    // ends on the sentinel is its stored symbols plus that sentinel. ---
     let parked = m..m + n.div_ceil(2);
     sa[parked.clone()].fill(EMPTY);
     let mut names = 0u32;
-    let mut prev = None;
+    // The previous substring: start, stored length, ends on the sentinel.
+    let mut prev: Option<(usize, usize, bool)> = None;
     for i in 0..m {
         let p = sa[i] as usize;
         let end = types.next_lms(p).unwrap_or(p);
-        let substring = Some((end == s.len(), &s[p..s.len().min(end + 1)]));
-        if substring != prev {
+        let (len, on_sentinel) = (s.len().min(end + 1) - p, end == s.len());
+        if !prev.is_some_and(|(q, q_len, q_on)| {
+            (q_len, q_on) == (len, on_sentinel) && s.same(p, q, len)
+        }) {
             names += 1;
         }
         sa[m + p / 2] = names - 1;
-        prev = substring;
+        prev = Some((p, len, on_sentinel));
     }
     // Pack the names, still in text order, into sa[n-m..].
     let mut j = n;
@@ -431,7 +505,7 @@ fn sais<T: Sym>(
     sa[m..].fill(EMPTY);
     with_buckets(spare, k, buckets, |sizes, bkt| {
         bucket_sizes(s, sizes);
-        bucket_tails(sizes, bkt);
+        bucket_tails(s, sizes, bkt);
         for i in (0..m).rev() {
             let p = sa[i];
             sa[i] = EMPTY;
@@ -440,7 +514,7 @@ fn sais<T: Sym>(
             sa[bkt[c] as usize] = p;
         }
         induce_l(s, sa, &types, sizes, bkt);
-        induce_s::<T, false>(s, sa, &types, sizes, bkt);
+        induce_s::<S, false>(s, sa, &types, sizes, bkt);
     });
     Recursion {
         levels: below.levels + 1,
@@ -451,20 +525,29 @@ fn sais<T: Sym>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bioseq::DnaSeq;
+    use bioseq::Base;
     use proptest::prelude::*;
 
     fn text_of(s: &str) -> Text<'static> {
-        Text::from_bases(s.parse::<DnaSeq>().unwrap().into_bases())
+        Text::from_packed(s.parse().unwrap())
     }
 
     fn text_of_ranks(ranks: impl IntoIterator<Item = u8>) -> Text<'static> {
-        Text::from_bases(
+        Text::from_packed(
             ranks
                 .into_iter()
                 .map(|r| Base::from_rank(r.into()))
                 .collect(),
         )
+    }
+
+    #[test]
+    fn code_ranks_are_base_ranks_plus_one() {
+        let ranks = [0, 1, 2, 3].map(|code| Base::from_code(code).rank() + 1);
+        assert_eq!(RANK_OF_CODE, ranks);
+        let mut by_rank = vec![0];
+        by_rank.extend(Base::ALL.map(|base| usize::from(base.code()) + 1));
+        assert!(PackedSeq::new().by_rank(ALPHABET).eq(by_rank));
     }
 
     #[test]
@@ -516,7 +599,7 @@ mod tests {
         let t = text_of("CTAGCTAGCATCGATCGAT");
         let sa = suffix_array(&t);
         for w in sa.windows(2) {
-            assert!(t.suffix(w[0] as usize) < t.suffix(w[1] as usize));
+            assert!(t.suffix(w[0] as usize).lt(t.suffix(w[1] as usize)));
         }
     }
 
@@ -587,6 +670,7 @@ mod tests {
             readsim::genome::RepeatProfile::default(),
             0x5a15,
         );
+        let genome = genome.to_packed();
         let t = Text::from_reference(&genome);
         let (sa, levels) = sais_levels(&t);
         assert!(levels >= 2, "repeats should force a recursion");
@@ -595,14 +679,14 @@ mod tests {
             assert!(!std::mem::replace(&mut seen[p as usize], true));
         }
         for w in sa.windows(2) {
-            assert!(t.suffix(w[0] as usize) < t.suffix(w[1] as usize));
+            assert!(t.suffix(w[0] as usize).lt(t.suffix(w[1] as usize)));
         }
     }
 
     /// A 200 kbp genome whose planted repeats force a recursion.
     fn repeat_rich_text() -> Text<'static> {
         let profile = readsim::genome::RepeatProfile::default();
-        Text::from_bases(readsim::genome::repeat_rich(200_000, profile, 0x5a15).into_bases())
+        Text::from_packed(readsim::genome::repeat_rich(200_000, profile, 0x5a15).to_packed())
     }
 
     /// The recursion's buckets in a dead middle above them and on the
@@ -686,9 +770,9 @@ mod tests {
         let mut bkt = vec![0u32; ALPHABET];
         let types = Types::classify(s);
         let mut sa = vec![0; n];
-        let m = sort_lms_substrings::<Base, true>(s, &mut sa, &types, &sizes, &mut bkt);
+        let m = sort_lms_substrings::<_, true>(s, &mut sa, &types, &sizes, &mut bkt);
         let collected = sa[n - m..].to_vec();
-        sort_lms_substrings::<Base, false>(s, &mut sa, &types, &sizes, &mut bkt);
+        sort_lms_substrings::<_, false>(s, &mut sa, &types, &sizes, &mut bkt);
         sa.retain(|&p| p != EMPTY && types.is_lms(p as usize));
         (collected, sa)
     }
@@ -724,6 +808,7 @@ mod tests {
             ),
         ];
         for genome in genomes {
+            let genome = genome.to_packed();
             let t = Text::from_reference(&genome);
             let sa = suffix_array(&t);
             assert!(
@@ -742,12 +827,12 @@ mod tests {
             letters in 1u8..5,
             len in 0usize..3_000,
         ) {
-            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let seq: PackedSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             prop_assert_eq!(suffix_array(&t), suffix_array_naive(&t));
             // Periodic texts (period 1–7, one to four letters): every LMS
             // substring repeats, so naming and the recursion carry the sort.
-            let periodic: DnaSeq = (0..len)
+            let periodic: PackedSeq = (0..len)
                 .map(|i| bioseq::Base::from_rank((unit[i % unit.len()] % letters) as usize))
                 .collect();
             let t = Text::from_reference(&periodic);
@@ -776,7 +861,7 @@ mod tests {
         #[test]
         fn sais_matches_naive_low_entropy(bases in proptest::collection::vec(0u8..2, 0..400)) {
             // Two-symbol texts stress the LMS naming/recursion path.
-            let seq: DnaSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
+            let seq: PackedSeq = bases.iter().map(|&r| bioseq::Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             prop_assert_eq!(suffix_array(&t), suffix_array_naive(&t));
         }

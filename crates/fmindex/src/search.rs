@@ -133,11 +133,11 @@ mod tests {
     use crate::sa::suffix_array;
     use crate::tables::{CountTable, SampledOcc};
     use crate::text::Text;
-    use bioseq::Base;
+    use bioseq::{Base, PackedSeq};
     use proptest::prelude::*;
 
     fn index(s: &str, d: usize) -> (Text<'static>, Vec<u32>, Bwt, MarkerTable) {
-        let t = Text::from_bases(s.parse::<DnaSeq>().unwrap().into_bases());
+        let t = Text::from_packed(s.parse().unwrap());
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
         let count = CountTable::from_bwt(&bwt);
@@ -209,12 +209,12 @@ mod tests {
 
     /// Oracle: positions found by backward search must equal positions
     /// found by scanning the reference directly.
-    fn scan_positions(reference: &DnaSeq, read: &DnaSeq) -> Vec<usize> {
+    fn scan_positions(reference: &PackedSeq, read: &DnaSeq) -> Vec<usize> {
         if read.is_empty() || read.len() > reference.len() {
             return Vec::new();
         }
         (0..=reference.len() - read.len())
-            .filter(|&i| (0..read.len()).all(|j| reference[i + j] == read[j]))
+            .filter(|&i| (0..read.len()).all(|j| reference.get(i + j) == Some(read[j])))
             .collect()
     }
 
@@ -225,7 +225,7 @@ mod tests {
             read_bases in proptest::collection::vec(0u8..4, 1..12),
             d in 1usize..20,
         ) {
-            let reference: DnaSeq = ref_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
+            let reference: PackedSeq = ref_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let read: DnaSeq = read_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let (_, sa, bwt, mt) = {
                 let t = Text::from_reference(&reference);
@@ -246,7 +246,7 @@ mod tests {
             ref_bases in proptest::collection::vec(0u8..4, 1..150),
             read_bases in proptest::collection::vec(0u8..4, 1..10),
         ) {
-            let reference: DnaSeq = ref_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
+            let reference: PackedSeq = ref_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let read: DnaSeq = read_bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&reference);
             let sa = suffix_array(&t);

@@ -34,10 +34,10 @@ use crate::size_model;
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::PackedSeq;
 /// use fmindex::{FmIndex, SeedTable};
 ///
-/// let reference: DnaSeq = (0..4_000).map(|i| bioseq::Base::from_rank(i * i % 4)).collect();
+/// let reference: PackedSeq = (0..4_000).map(|i| bioseq::Base::from_rank(i * i % 4)).collect();
 /// let index = FmIndex::new(&reference);
 /// let seeds = SeedTable::derive(&index);
 /// // 4 001 rows hold 1 000 bytes of table: 257 boundaries of 12 bits.
@@ -171,14 +171,14 @@ impl SeedTable {
 mod tests {
     use super::*;
     use crate::search::{backward_step, SaInterval};
-    use bioseq::DnaSeq;
+    use bioseq::{DnaSeq, PackedSeq};
     use proptest::prelude::*;
     use readsim::genome;
 
     /// Every entry at every level against `j` published steps from
     /// `[0, N)`, walked on through an empty interval as the table's
     /// derivation is.
-    fn every_entry_is_the_published_walk(reference: &DnaSeq) -> Result<(), TestCaseError> {
+    fn every_entry_is_the_published_walk(reference: &PackedSeq) -> Result<(), TestCaseError> {
         let index = FmIndex::builder().bucket_width(128).build(reference);
         let seeds = SeedTable::derive(&index);
         prop_assert_eq!(seeds.depth(), size_model::seed_depth(reference.len() + 1));
@@ -217,7 +217,7 @@ mod tests {
             len in 1usize..50_000,
             seed in any::<u64>(),
         ) {
-            every_entry_is_the_published_walk(&genome::uniform(len, seed))?;
+            every_entry_is_the_published_walk(&genome::uniform(len, seed).to_packed())?;
         }
 
         /// Few distinct k-mers: most entries wide, many empty.
@@ -226,7 +226,7 @@ mod tests {
             unit in proptest::collection::vec(0usize..4, 1..40),
             len in 2_047usize..30_000,
         ) {
-            let reference: DnaSeq =
+            let reference: PackedSeq =
                 (0..len).map(|i| Base::from_rank(unit[i % unit.len()])).collect();
             every_entry_is_the_published_walk(&reference)?;
         }
@@ -240,7 +240,7 @@ mod tests {
         let mut bases = vec![Base::A; 44_000];
         let island: DnaSeq = "CGTTGC".parse().unwrap();
         bases.splice(6_000..6_006, island.iter().copied());
-        let reference = DnaSeq::from_bases(bases);
+        let reference = DnaSeq::from_bases(bases).to_packed();
         every_entry_is_the_published_walk(&reference).unwrap();
         let seeds = SeedTable::derive(&FmIndex::new(&reference));
         assert_eq!(seeds.depth(), 6);
@@ -271,7 +271,7 @@ mod tests {
         let with_tail = |body: DnaSeq, tail: &str| {
             let tail: DnaSeq = tail.parse().unwrap();
             let body = body.subseq(0..len - tail.len());
-            DnaSeq::from_bases(body.iter().chain(tail.iter()).copied().collect())
+            DnaSeq::from_bases(body.iter().chain(tail.iter()).copied().collect()).to_packed()
         };
         let (a, c, t) = (Base::A, Base::C, Base::T);
         // A poly-A tail: `A^j$` for j < 5 sorts inside the rows below
@@ -284,7 +284,7 @@ mod tests {
         let attt: DnaSeq = (0..len).map(|i| unit[i % 5]).collect();
         let successor = with_tail(attt, "C");
         // And one whose last bases are random.
-        let uniform = genome::uniform(len, 4);
+        let uniform = genome::uniform(len, 4).to_packed();
         for reference in [&poly_a, &successor, &uniform] {
             every_entry_is_the_published_walk(reference).unwrap();
         }
@@ -307,7 +307,7 @@ mod tests {
     #[should_panic(expected = "no level 4")]
     fn a_level_beyond_the_depth_panics() {
         // 301 rows hold three levels (74 of their 75 bytes).
-        let seeds = SeedTable::derive(&FmIndex::new(&genome::uniform(300, 1)));
+        let seeds = SeedTable::derive(&FmIndex::new(&genome::uniform(300, 1).to_packed()));
         let _ = seeds.interval(&[Base::A, Base::C, Base::G, Base::T]);
     }
 }

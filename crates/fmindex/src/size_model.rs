@@ -121,7 +121,7 @@ pub fn footprint(genome_len: usize, d: usize, sa_rate: usize) -> IndexFootprint 
 mod tests {
     use super::*;
     use crate::{FmIndex, SaStorage, SeedTable};
-    use bioseq::{Base, DnaSeq};
+    use bioseq::{Base, PackedSeq};
 
     #[test]
     fn paper_twelve_gigabyte_claim() {
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn model_matches_built_index_exactly() {
-        let reference: DnaSeq = (0..5_000)
+        let reference: PackedSeq = (0..5_000)
             .map(|i| Base::from_rank((i * 7 + 1) % 4))
             .collect();
         for (d, rate) in [

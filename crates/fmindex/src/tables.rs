@@ -24,11 +24,11 @@ use crate::bwt::Bwt;
 /// # Examples
 ///
 /// ```
-/// use bioseq::{Base, DnaSeq};
+/// use bioseq::{Base, PackedSeq};
 /// use fmindex::{suffix_array, Bwt, CountTable, Text};
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let reference: PackedSeq = "TGCTA".parse()?;
 /// let text = Text::from_reference(&reference);
 /// let bwt = Bwt::from_sa(&text, &suffix_array(&text));
 /// let count = CountTable::from_bwt(&bwt);
@@ -288,11 +288,11 @@ mod tests {
     use super::*;
     use crate::sa::suffix_array;
     use crate::text::Text;
-    use bioseq::DnaSeq;
+    use bioseq::PackedSeq;
     use proptest::prelude::*;
 
     fn setup(s: &str, d: usize) -> (Bwt, CountTable, OccTable, SampledOcc, MarkerTable) {
-        let reference: DnaSeq = s.parse().unwrap();
+        let reference: PackedSeq = s.parse().unwrap();
         let t = Text::from_reference(&reference);
         let sa = suffix_array(&t);
         let bwt = Bwt::from_sa(&t, &sa);
@@ -405,7 +405,7 @@ mod tests {
             bases in proptest::collection::vec(0u8..4, 1..150),
             d in 1usize..40,
         ) {
-            let seq: DnaSeq = bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
+            let seq: PackedSeq = bases.iter().map(|&r| Base::from_rank(r as usize)).collect();
             let t = Text::from_reference(&seq);
             let sa = suffix_array(&t);
             let bwt = Bwt::from_sa(&t, &sa);

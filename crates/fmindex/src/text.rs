@@ -3,13 +3,13 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use bioseq::{Base, DnaSeq, Symbol};
+use bioseq::{Base, PackedSeq, Symbol};
 
 /// The alphabet size of the indexed text: `$, A, C, G, T`.
 pub const ALPHABET: usize = 5;
 
 /// A reference genome with the `$` sentinel appended — a view of the
-/// reference's own bases, the sentinel virtual at position
+/// reference's own 2-bit packed bases, the sentinel virtual at position
 /// `text.len() - 1`. Symbol ranks are `$ → 0`, `A → 1`, …, `T → 4`.
 ///
 /// Building one copies no base: [`Text::from_reference`] borrows the
@@ -19,11 +19,11 @@ pub const ALPHABET: usize = 5;
 /// # Examples
 ///
 /// ```
-/// use bioseq::DnaSeq;
+/// use bioseq::PackedSeq;
 /// use fmindex::Text;
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let reference: DnaSeq = "TGCTA".parse()?;
+/// let reference: PackedSeq = "TGCTA".parse()?;
 /// let t = Text::from_reference(&reference);
 /// assert_eq!(t.len(), 6); // 5 bases + $
 /// assert_eq!(t.to_string(), "TGCTA$");
@@ -33,19 +33,19 @@ pub const ALPHABET: usize = 5;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Text<'a> {
-    bases: Cow<'a, [Base]>,
+    bases: Cow<'a, PackedSeq>,
 }
 
 impl<'a> Text<'a> {
     /// The text `S$` of reference `S`, borrowing its bases.
-    pub fn from_reference(reference: &'a DnaSeq) -> Text<'a> {
+    pub fn from_reference(reference: &'a PackedSeq) -> Text<'a> {
         Text {
-            bases: Cow::Borrowed(reference.as_slice()),
+            bases: Cow::Borrowed(reference),
         }
     }
 
     /// The text `S$` of bases that are not held anywhere else.
-    pub(crate) fn from_bases(bases: Vec<Base>) -> Text<'static> {
+    pub(crate) fn from_packed(bases: PackedSeq) -> Text<'static> {
         Text {
             bases: Cow::Owned(bases),
         }
@@ -68,7 +68,7 @@ impl<'a> Text<'a> {
     }
 
     /// The reference's bases: every position but the sentinel's.
-    pub fn bases(&self) -> &[Base] {
+    pub fn bases(&self) -> &PackedSeq {
         &self.bases
     }
 
@@ -82,7 +82,8 @@ impl<'a> Text<'a> {
         if pos == self.bases.len() {
             0
         } else {
-            self.bases[pos].rank() as u8 + 1
+            let base = self.bases.get(pos).expect("position past the sentinel");
+            base.rank() as u8 + 1
         }
     }
 
@@ -95,20 +96,17 @@ impl<'a> Text<'a> {
         Symbol::from_rank(usize::from(self.rank(pos)))
     }
 
-    /// Reconstructs the reference sequence (without the sentinel).
-    pub fn to_reference(&self) -> DnaSeq {
-        DnaSeq::from_bases(self.bases.to_vec())
-    }
-
-    /// The suffix starting at `pos`, up to but without the sentinel that
-    /// ends it. Slices order as the suffixes do: of two slices one is a
-    /// proper prefix of, the prefix is the smaller, as its sentinel is.
+    /// The bases of the suffix starting at `pos`, up to but without the
+    /// sentinel that ends it. They order as the suffixes do: of two runs
+    /// one is a proper prefix of, the prefix is the smaller, as its
+    /// sentinel is.
     ///
     /// # Panics
     ///
     /// Panics if `pos >= self.len()`.
-    pub fn suffix(&self, pos: usize) -> &[Base] {
-        &self.bases[pos..]
+    pub fn suffix(&self, pos: usize) -> impl Iterator<Item = Base> + '_ {
+        assert!(pos < self.len(), "suffix {pos} past the sentinel");
+        (pos..self.bases.len()).map(|i| self.bases.get(i).expect("a stored base"))
     }
 }
 
@@ -125,7 +123,7 @@ impl fmt::Display for Text<'_> {
 mod tests {
     use super::*;
 
-    fn tgcta() -> DnaSeq {
+    fn tgcta() -> PackedSeq {
         "TGCTA".parse().unwrap()
     }
 
@@ -158,9 +156,8 @@ mod tests {
     fn round_trip_to_reference() {
         let reference = tgcta();
         let t = Text::from_reference(&reference);
-        assert_eq!(t.to_reference().to_string(), "TGCTA");
         assert_eq!(t.reference_len(), 5);
-        assert_eq!(t, Text::from_bases(reference.as_slice().to_vec()));
+        assert_eq!(t, Text::from_packed(reference.clone()));
     }
 
     #[test]
@@ -170,7 +167,7 @@ mod tests {
 
     #[test]
     fn empty_reference_is_just_sentinel() {
-        let empty = DnaSeq::new();
+        let empty = PackedSeq::new();
         let t = Text::from_reference(&empty);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
@@ -182,11 +179,11 @@ mod tests {
         let reference = tgcta();
         let t = Text::from_reference(&reference);
         // CTA$, and $.
-        assert_eq!(t.suffix(2), &[Base::C, Base::T, Base::A]);
-        assert!(t.suffix(5).is_empty());
+        assert!(t.suffix(2).eq([Base::C, Base::T, Base::A]));
+        assert_eq!(t.suffix(5).count(), 0);
         // $ < A$ < ACA$: the sentinel sorts first, so the prefix does.
-        let aca: DnaSeq = "ACA".parse().unwrap();
+        let aca: PackedSeq = "ACA".parse().unwrap();
         let t = Text::from_reference(&aca);
-        assert!(t.suffix(3) < t.suffix(2) && t.suffix(2) < t.suffix(0));
+        assert!(t.suffix(3).lt(t.suffix(2)) && t.suffix(2).lt(t.suffix(0)));
     }
 }

@@ -44,7 +44,9 @@ pub struct BoolSubArray {
     /// high bit at column `2j + 1`.
     bwt: Vec<Vec<bool>>,
     cref: Vec<Vec<bool>>,
-    bwt_row_len: Vec<usize>,
+    /// Bases the BWT zone holds, as [`SubArray`](crate::SubArray) counts
+    /// them.
+    bwt_len: usize,
 }
 
 impl BoolSubArray {
@@ -56,13 +58,14 @@ impl BoolSubArray {
             model,
             bwt: vec![vec![false; cols]; layout.buckets()],
             cref: vec![vec![false; cols]; 4],
-            bwt_row_len: vec![0; layout.buckets()],
+            bwt_len: 0,
         }
     }
 
     /// Loads up to 128 2-bit base codes into bucket row `bucket`,
     /// touching only the first `2 × codes.len()` columns (the partial-
-    /// write semantics the packed kernel must reproduce).
+    /// write semantics the packed kernel must reproduce). Rows are loaded
+    /// in order: the zone's bases end with this row's.
     ///
     /// # Panics
     ///
@@ -79,7 +82,7 @@ impl BoolSubArray {
             row[2 * j] = code & 0b01 != 0;
             row[2 * j + 1] = code & 0b10 != 0;
         }
-        self.bwt_row_len[bucket] = codes.len();
+        self.bwt_len = bucket * SubArrayLayout::BASES_PER_ROW + codes.len();
         LogicalOp::RowWrite.charge(&self.model, ledger);
     }
 
@@ -124,7 +127,7 @@ impl BoolSubArray {
         assert!(bucket < self.bwt.len(), "bucket {bucket} out of range");
         let row = &self.bwt[bucket];
         let cref = &self.cref[base.rank()];
-        let len = self.bwt_row_len[bucket];
+        let len = crate::subarray::row_len(self.bwt_len, bucket);
         LogicalOp::XnorMatch.charge(&self.model, ledger);
         (0..SubArrayLayout::BASES_PER_ROW)
             .map(|j| j < len && row[2 * j] == cref[2 * j] && row[2 * j + 1] == cref[2 * j + 1])

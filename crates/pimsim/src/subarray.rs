@@ -254,9 +254,9 @@ pub struct SubArray {
     /// Row-major packed bit matrix (see [`col_bit`] for the column
     /// mapping).
     rows: Vec<PackedRow>,
-    /// Bases loaded into each BWT row (for bounds checking and the
-    /// match-length mask).
-    bwt_row_len: Vec<usize>,
+    /// Bases the BWT zone holds: every row's are 128 but the last
+    /// loaded row's (the match-length mask).
+    bwt_len: usize,
 }
 
 impl SubArray {
@@ -273,7 +273,7 @@ impl SubArray {
         SubArray {
             model,
             rows: vec![[0u64; WORDS_PER_ROW]; geometry.rows],
-            bwt_row_len: vec![0; layout.bwt_rows.len()],
+            bwt_len: 0,
             layout,
         }
     }
@@ -328,7 +328,8 @@ impl SubArray {
     }
 
     /// Loads up to 128 2-bit base codes into BWT bucket row `bucket`
-    /// (one `RowWrite`).
+    /// (one `RowWrite`). Rows are loaded in order: the zone's bases end
+    /// with this row's.
     ///
     /// # Panics
     ///
@@ -359,7 +360,7 @@ impl SubArray {
             row[w] = (row[w] & !written[w]) | plane0[w];
             row[2 + w] = (row[2 + w] & !written[w]) | plane1[w];
         }
-        self.bwt_row_len[bucket] = codes.len();
+        self.bwt_len = bucket * SubArrayLayout::BASES_PER_ROW + codes.len();
         LogicalOp::RowWrite.charge(&self.model, ledger);
     }
 
@@ -401,7 +402,7 @@ impl SubArray {
         let bwt = &self.rows[self.layout.bwt_rows.start + bucket];
         let cref = &self.rows[self.layout.cref_rows.start + base.rank()];
         LogicalOp::XnorMatch.charge(&self.model, ledger);
-        let loaded = MatchMask::prefix_words(self.bwt_row_len[bucket]);
+        let loaded = MatchMask::prefix_words(row_len(self.bwt_len, bucket));
         // Words 0..2 of a row are bit-plane 0, words 2..4 bit-plane 1.
         MatchMask([
             !(bwt[0] ^ cref[0]) & !(bwt[2] ^ cref[2]) & loaded[0],
@@ -573,6 +574,14 @@ impl SubArray {
         LogicalOp::RowWrite.charge(&dest.model, ledger);
         dest.rows[dest_row] = self.rows[row];
     }
+}
+
+/// Bases in BWT row `bucket` of a zone holding `bwt_len`, loaded row by
+/// row.
+pub(crate) fn row_len(bwt_len: usize, bucket: usize) -> usize {
+    bwt_len
+        .saturating_sub(bucket * SubArrayLayout::BASES_PER_ROW)
+        .min(SubArrayLayout::BASES_PER_ROW)
 }
 
 /// The ripple adder's gate-level arithmetic (XOR3 sum, MAJ carry) with

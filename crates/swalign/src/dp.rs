@@ -1,6 +1,6 @@
 //! The dynamic-programming aligners.
 
-use bioseq::DnaSeq;
+use bioseq::{Base, DnaSeq};
 
 use crate::cigar::{Cigar, CigarOp};
 use crate::score::Scoring;
@@ -246,17 +246,25 @@ pub fn banded_global(
 /// # Examples
 ///
 /// ```
+/// use bioseq::DnaSeq;
 /// use swalign::banded_edit_distance;
 ///
 /// # fn main() -> Result<(), bioseq::ParseSeqError> {
-/// let a = "GATTACA".parse()?;
-/// let b = "GATACA".parse()?;
+/// let a: DnaSeq = "GATTACA".parse()?;
+/// let b: DnaSeq = "GATACA".parse()?;
 /// assert_eq!(banded_edit_distance(&a, &b, 2), Some(1));
-/// assert_eq!(banded_edit_distance(&a, &"TTTTTTT".parse()?, 2), None);
+/// // Any run of bases: here a's first five.
+/// assert_eq!(banded_edit_distance(&a.as_slice()[..5], &b, 2), Some(2));
+/// assert_eq!(banded_edit_distance(&a, &"TTTTTTT".parse::<DnaSeq>()?, 2), None);
 /// # Ok(())
 /// # }
 /// ```
-pub fn banded_edit_distance(a: &DnaSeq, b: &DnaSeq, band: usize) -> Option<u32> {
+pub fn banded_edit_distance(
+    a: &(impl AsRef<[Base]> + ?Sized),
+    b: &(impl AsRef<[Base]> + ?Sized),
+    band: usize,
+) -> Option<u32> {
+    let (a, b) = (a.as_ref(), b.as_ref());
     let n = a.len();
     let m = b.len();
     if n.abs_diff(m) > band {

@@ -16,7 +16,7 @@ fn simulate(
     reference: &DnaSeq,
     reads: &[DnaSeq],
 ) -> Platform {
-    let platform = pim_aligner::Platform::new(reference, config);
+    let platform = pim_aligner::Platform::new(reference.to_packed(), config);
     let (_, totals) = platform
         .align_chunk_parallel(reads, 1, 0, false)
         .expect("the workload holds reads");

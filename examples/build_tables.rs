@@ -6,11 +6,11 @@
 //!
 //! Run with: `cargo run --example build_tables`
 
-use bioseq::{Base, DnaSeq};
+use bioseq::{Base, PackedSeq};
 use fmindex::{suffix_array, Bwt, CountTable, MarkerTable, OccTable, SampledOcc, Text};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let reference: DnaSeq = "TGCTAGCATG".parse()?;
+    let reference: PackedSeq = "TGCTAGCATG".parse()?;
     let d = 4;
     println!("reference S = {reference}, bucket width d = {d}\n");
 

@@ -7,13 +7,13 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use bioseq::{Base, DnaSeq};
+use bioseq::{Base, DnaSeq, PackedSeq};
 use fmindex::FmIndex;
 use pim_aligner::{PimAlignerConfig, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Fig. 1: reference, BWT, suffix array ---
-    let reference: DnaSeq = "TGCTA".parse()?;
+    let reference: PackedSeq = "TGCTA".parse()?;
     let read: DnaSeq = "CTA".parse()?;
     println!("reference S = {reference}$   read R = {read}");
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The same alignment on the simulated PIM platform ---
     // One chunk (epoch 0) of one read, on one worker thread, forward
     // strand only.
-    let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let platform = Platform::new(reference, PimAlignerConfig::pipelined());
     let (pairs, totals) = platform.align_chunk_parallel(&[read], 1, 0, false)?;
     let (outcome, _strand) = &pairs[0];
     println!("platform search: {outcome:?}");

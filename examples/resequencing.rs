@@ -28,7 +28,7 @@ fn main() {
     // Reads come from both strands; `both_strands` aligns each read as-is
     // and, if that fails, its reverse complement (the index covers the
     // forward strand only).
-    let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::pipelined());
     let seqs: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
     let (pairs, totals) = platform
         .align_chunk_parallel(&seqs, 1, 0, true)

@@ -62,7 +62,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pim_aligner_suite::bioseq::{fasta, fastq, DnaSeq};
+use pim_aligner_suite::bioseq::fastq;
+use pim_aligner_suite::load_reference;
 use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
 use pim_aligner_suite::pim_aligner::{
     sa_rate_for_budget, sam, BatchTotals, HostTraceConfig, IndexArtifact, PimAlignerConfig,
@@ -326,25 +327,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Reads a FASTA file expected to hold exactly one reference record.
-fn load_reference(ref_path: &str) -> Result<(String, DnaSeq), CliError> {
-    let ref_text = std::fs::read_to_string(ref_path)
-        .map_err(|e| CliError::Input(format!("cannot read {ref_path}: {e}")))?;
-    let mut references =
-        fasta::parse(&ref_text).map_err(|e| CliError::Input(format!("{ref_path}: {e}")))?;
-    // The FASTA text is a second copy of the genome; it must not outlive
-    // the parse into the index build.
-    drop(ref_text);
-    if references.len() != 1 {
-        return Err(CliError::Input(format!(
-            "{ref_path}: expected exactly one reference record, found {}",
-            references.len()
-        )));
-    }
-    let reference = references.pop().expect("exactly one record");
-    Ok((reference.id().to_owned(), reference.into_seq()))
-}
-
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("index") {
@@ -423,7 +405,7 @@ fn run() -> Result<(), CliError> {
             (Platform::from_artifact(&artifact, config, true), ref_id)
         }
         (None, Some(ref_path)) => {
-            let (ref_id, reference) = load_reference(ref_path)?;
+            let (ref_id, reference) = load_reference(ref_path).map_err(CliError::Input)?;
             let platform = if let Some(budget) = cli.index_memory_budget {
                 let ref_len = reference.len();
                 let rate = sa_rate_for_budget(ref_len, budget).ok_or_else(|| {
@@ -432,10 +414,10 @@ fn run() -> Result<(), CliError> {
                          {ref_len} bases at any supported sampling rate"
                     ))
                 })?;
-                let artifact = IndexArtifact::new(&ref_id, &reference, rate);
+                let artifact = IndexArtifact::new(&ref_id, reference, rate);
                 Platform::from_artifact(&artifact, config, false)
             } else {
-                Platform::new(&reference, config)
+                Platform::new(reference, config)
             };
             (platform, ref_id)
         }
@@ -636,7 +618,7 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
         ));
     };
     let parse_start = Instant::now();
-    let (ref_id, reference) = load_reference(ref_path)?;
+    let (ref_id, reference) = load_reference(ref_path).map_err(CliError::Input)?;
     let parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
     // An artifact of no bases could never be loaded back.
     if reference.is_empty() {
@@ -650,18 +632,18 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
             reference.len()
         )));
     }
+    let bases = reference.len();
     let sa_rate = match cli.budget {
-        Some(budget) => sa_rate_for_budget(reference.len(), budget).ok_or_else(|| {
+        Some(budget) => sa_rate_for_budget(bases, budget).ok_or_else(|| {
             CliError::Input(format!(
-                "--index-memory-budget {budget} bytes cannot hold the index for {} bases \
-                 at any supported sampling rate",
-                reference.len()
+                "--index-memory-budget {budget} bytes cannot hold the index for {bases} bases \
+                 at any supported sampling rate"
             ))
         })?,
         None => cli.sa_rate,
     };
     let build_start = Instant::now();
-    let artifact = IndexArtifact::new(&ref_id, &reference, sa_rate);
+    let artifact = IndexArtifact::new(&ref_id, reference, sa_rate);
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let save_start = Instant::now();
     artifact
@@ -676,10 +658,10 @@ fn run_index_build(args: &[String]) -> Result<(), CliError> {
         "pimalign: index build: {} bases, SA rate {}, {} index bytes \
          ({:.2} bytes/bp; seed depth {}, {} bytes of them, derived at mapping), \
          parse {parse_ms:.0} ms, build {build_ms:.0} ms, save {save_ms:.0} ms{peak_rss}",
-        reference.len(),
+        bases,
         artifact.sa_rate(),
         artifact.index_bytes(),
-        artifact.index_bytes() as f64 / reference.len() as f64,
+        artifact.index_bytes() as f64 / bases as f64,
         artifact.seed_depth(),
         artifact.seed_bytes(),
     );

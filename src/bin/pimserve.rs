@@ -47,7 +47,6 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use pim_aligner_suite::bioseq::fasta;
 use pim_aligner_suite::pim_aligner::service::obs::log_kv;
 use pim_aligner_suite::pim_aligner::service::{serve, ServiceConfig, ServiceError};
 use pim_aligner_suite::pim_aligner::{IndexArtifact, PimAlignerConfig, Platform};
@@ -223,18 +222,9 @@ fn run() -> Result<(), CliError> {
             Platform::from_artifact(&artifact, config, true)
         }
         (None, Some(ref_path)) => {
-            let ref_text = std::fs::read_to_string(ref_path)
-                .map_err(|e| CliError::Input(format!("cannot read {ref_path}: {e}")))?;
-            let references =
-                fasta::parse(&ref_text).map_err(|e| CliError::Input(format!("{ref_path}: {e}")))?;
-            drop(ref_text);
-            let [reference] = references.as_slice() else {
-                return Err(CliError::Input(format!(
-                    "{ref_path}: expected exactly one reference record, found {}",
-                    references.len()
-                )));
-            };
-            Platform::new(reference.seq(), config)
+            let (_, reference) =
+                pim_aligner_suite::load_reference(ref_path).map_err(CliError::Input)?;
+            Platform::new(reference, config)
         }
         _ => unreachable!("positional parsing pinned the index/reference combinations"),
     };

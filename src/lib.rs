@@ -19,7 +19,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let reference: bioseq::DnaSeq = "TGCTA".parse()?;
-//! let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+//! let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
 //! let (pairs, _totals) = platform.align_chunk_parallel(&["CTA".parse()?], 1, 0, false)?;
 //! assert_eq!(pairs[0].0.positions(), Some(&[2usize][..]));
 //! # Ok(())
@@ -36,3 +36,20 @@ pub use pim_aligner;
 pub use pimsim;
 pub use readsim;
 pub use swalign;
+
+/// Reads a FASTA file that must hold exactly one record — the reference
+/// `pimalign` and `pimserve` index — as its name and its bases, packed
+/// line by line as they are read. The error is the message to print.
+pub fn load_reference(path: &str) -> Result<(String, bioseq::PackedSeq), String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut records =
+        bioseq::fasta::read(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    if records.len() != 1 {
+        return Err(format!(
+            "{path}: expected exactly one reference record, found {}",
+            records.len()
+        ));
+    }
+    let record = records.pop().expect("exactly one record");
+    Ok((record.id().to_owned(), record.into_seq()))
+}

@@ -14,7 +14,7 @@ mod support;
 #[test]
 fn single_base_reference() {
     let reference: DnaSeq = "A".parse().unwrap();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     assert_eq!(
         support::align_one(&platform, &"A".parse().unwrap()),
         AlignmentOutcome::Exact { positions: vec![0] }
@@ -28,7 +28,10 @@ fn single_base_reference() {
             diffs: 1
         }
     );
-    let strict = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let strict = Platform::new(
+        reference.to_packed(),
+        PimAlignerConfig::baseline().with_max_diffs(0),
+    );
     assert_eq!(
         support::align_one(&strict, &"C".parse().unwrap()),
         AlignmentOutcome::Unmapped
@@ -38,7 +41,7 @@ fn single_base_reference() {
 #[test]
 fn read_longer_than_reference_does_not_panic() {
     let reference: DnaSeq = "ACGTACGT".parse().unwrap();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let long: DnaSeq = "ACGTACGTACGTACGT".parse().unwrap();
     // Exact match is impossible; inexact may only succeed by treating the
     // overhang as insertions, which exceeds z = 2 here.
@@ -51,7 +54,7 @@ fn read_longer_than_reference_does_not_panic() {
 #[test]
 fn read_equal_to_reference_maps_at_origin() {
     let reference: DnaSeq = "GATTACAGATTACA".parse().unwrap();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     match support::align_one(&platform, &reference) {
         AlignmentOutcome::Exact { positions } => assert_eq!(positions, vec![0]),
         other => panic!("full-reference read must map exactly, got {other:?}"),
@@ -65,8 +68,8 @@ fn reference_exactly_one_subarray_capacity() {
     let reference: DnaSeq = (0..32_768)
         .map(|i| bioseq::Base::from_rank((i * 13 + 1) % 4))
         .collect();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
-    let oracle = fmindex::FmIndex::new(&reference);
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
+    let oracle = fmindex::FmIndex::new(&reference.to_packed());
     for start in [0usize, 16_000, 32_768 - 64] {
         let read = reference.subseq(start..start + 64);
         let positions = support::align_one(&platform, &read)
@@ -80,7 +83,7 @@ fn reference_exactly_one_subarray_capacity() {
 #[test]
 fn homopolymer_reference_multi_hits() {
     let reference: DnaSeq = "A".repeat(200).parse().unwrap();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     match support::align_one(&platform, &"AAAA".parse().unwrap()) {
         AlignmentOutcome::Exact { positions } => {
             assert_eq!(positions.len(), 197);
@@ -94,7 +97,7 @@ fn homopolymer_reference_multi_hits() {
 #[test]
 fn one_base_reads() {
     let reference: DnaSeq = "TGCTA".parse().unwrap();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     match support::align_one(&platform, &"T".parse().unwrap()) {
         AlignmentOutcome::Exact { positions } => assert_eq!(positions, vec![0, 3]),
         other => panic!("{other:?}"),

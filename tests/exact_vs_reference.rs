@@ -11,8 +11,11 @@ mod support;
 #[test]
 fn platform_find_equals_software_find_on_uniform_genome() {
     let reference = genome::uniform(120_000, 71);
-    let oracle = FmIndex::new(&reference);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let oracle = FmIndex::new(&reference.to_packed());
+    let platform = Platform::new(
+        reference.to_packed(),
+        PimAlignerConfig::baseline().with_max_diffs(0),
+    );
     for start in (0..119_000).step_by(7_321) {
         let read = reference.subseq(start..start + 100);
         let sw = oracle.find(&read);
@@ -32,8 +35,11 @@ fn platform_handles_repeat_rich_genomes() {
         ..Default::default()
     };
     let reference = genome::repeat_rich(60_000, profile, 72);
-    let oracle = FmIndex::new(&reference);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let oracle = FmIndex::new(&reference.to_packed());
+    let platform = Platform::new(
+        reference.to_packed(),
+        PimAlignerConfig::baseline().with_max_diffs(0),
+    );
     let mut saw_multi_hit = false;
     for start in (0..59_000).step_by(4_111) {
         let read = reference.subseq(start..start + 40);
@@ -57,8 +63,11 @@ fn platform_handles_repeat_rich_genomes() {
 #[test]
 fn absent_reads_fail_identically() {
     let reference = genome::uniform(30_000, 73);
-    let oracle = FmIndex::new(&reference);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(0));
+    let oracle = FmIndex::new(&reference.to_packed());
+    let platform = Platform::new(
+        reference.to_packed(),
+        PimAlignerConfig::baseline().with_max_diffs(0),
+    );
     // A 40-mer of pure GGG... is (with overwhelming probability) absent
     // from a uniform 30 kb genome.
     let absent: DnaSeq = "G".repeat(40).parse().unwrap();

@@ -26,7 +26,7 @@ fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> (Vec<usize>, Vec
 
 fn accuracy(reference: &DnaSeq, faults: FaultModel) -> f64 {
     let platform = Platform::new(
-        reference,
+        reference.to_packed(),
         PimAlignerConfig::baseline()
             .with_max_diffs(0)
             .with_fault_model(faults),

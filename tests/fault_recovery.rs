@@ -49,7 +49,7 @@ fn placement_accuracy(
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(hostile_campaign())
         .with_recovery(recovery);
-    let platform = Platform::new(reference, config);
+    let platform = Platform::new(reference.to_packed(), config);
     let (outcomes, totals) = support::align(&platform, reads);
     let correct = outcomes
         .iter()
@@ -130,7 +130,7 @@ fn bound_pruned_unmapped_climbs_the_ladder_under_a_campaign() {
     // took one `LFM` and every alternative was issued, 5 146 before the
     // one-row step), held to that + 5 %.
     let config = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
-    let platform = Platform::new(&reference, config);
+    let platform = Platform::new(reference.to_packed(), config);
     let (outcomes, totals) = support::align(&platform, &reads);
     let quiet = platform.batch_report(&totals);
     assert!(outcomes.iter().all(|o| o.positions().is_none()));
@@ -168,7 +168,7 @@ fn recovered_run_replays_identically() {
         let config = PimAlignerConfig::baseline()
             .with_fault_campaign(hostile_campaign())
             .with_recovery(RecoveryPolicy::standard());
-        let platform = Platform::new(&reference, config);
+        let platform = Platform::new(reference.to_packed(), config);
         let (outcomes, totals) = support::align(&platform, &reads);
         (outcomes, platform.batch_report(&totals).faults)
     };

@@ -47,7 +47,7 @@ fn workload(genome_len: usize, read_count: usize) -> (DnaSeq, Vec<DnaSeq>) {
 #[test]
 fn simulated_totals_and_heatmap_are_thread_invariant() {
     let (reference, reads) = workload(4_000, 64);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
 
     let (_, totals_1) = platform
         .align_chunk_parallel(&reads, 1, 0, false)
@@ -163,7 +163,7 @@ fn chrome_trace_export_is_well_formed() {
     let (reference, reads) = workload(4_000, 32);
     let epoch = HostEpoch::new();
     let trace = HostTraceConfig::new(epoch);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let threads = 4usize;
     let (_, totals) = platform
         .align_chunk_parallel_traced(&reads, threads, 0, false, &trace)

@@ -8,6 +8,7 @@
 //! is a process-global counter, and any sibling `#[test]` running
 //! concurrently in the same process would inflate the delta.
 
+use bioseq::PackedSeq;
 use pim_aligner::{IndexArtifact, MappedIndex, PimAlignerConfig, Platform};
 use readsim::genome;
 
@@ -19,7 +20,7 @@ fn eight_thread_run_builds_the_index_exactly_once() {
         .collect();
 
     let before = MappedIndex::build_count();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     assert_eq!(
         MappedIndex::build_count(),
         before + 1,
@@ -46,11 +47,13 @@ fn eight_thread_run_builds_the_index_exactly_once() {
     );
 
     // Booting from an artifact maps its index exactly once and shares
-    // the artifact's index and reference instead of cloning them.
-    let artifact = IndexArtifact::new("r", &reference, 8);
+    // the artifact's index and its one 2-bit reference instead of
+    // cloning them.
+    let artifact = IndexArtifact::new("r", reference.to_packed(), 8);
     let before = MappedIndex::build_count();
     let booted = Platform::from_artifact(&artifact, PimAlignerConfig::baseline(), true);
     assert_eq!(MappedIndex::build_count(), before + 1);
     assert!(std::ptr::eq(artifact.index(), booted.mapped().index()));
-    assert!(std::ptr::eq(artifact.reference(), booted.reference()));
+    let packed: &PackedSeq = artifact.reference();
+    assert!(std::ptr::eq(packed, booted.reference()));
 }

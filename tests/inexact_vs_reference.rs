@@ -22,9 +22,9 @@ fn mutate(read: &DnaSeq, positions: &[usize]) -> DnaSeq {
 #[test]
 fn exhaustive_platform_hits_equal_software_hits() {
     let reference = genome::uniform(20_000, 81);
-    let oracle = FmIndex::new(&reference);
+    let oracle = FmIndex::new(&reference.to_packed());
     let platform = Platform::new(
-        &reference,
+        reference.to_packed(),
         PimAlignerConfig::baseline()
             .with_max_diffs(2)
             .with_indels(false)
@@ -65,7 +65,10 @@ fn first_accept_position_confirmed_by_dp_baseline() {
     // paper compares against: banded global alignment at the reported
     // position must reach the expected score.
     let reference = genome::uniform(15_000, 82);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(2));
+    let platform = Platform::new(
+        reference.to_packed(),
+        PimAlignerConfig::baseline().with_max_diffs(2),
+    );
     let read = mutate(&reference.subseq(7_000..7_060), &[15, 40]);
     let AlignmentOutcome::Inexact { positions, diffs } = support::align_one(&platform, &read)
     else {
@@ -91,11 +94,11 @@ fn first_accept_reports_the_minimum_difference_count() {
     // exhaustive software oracle calls the best, and every reported
     // position is one of the oracle's best.
     let reference = genome::uniform(6_000, 84);
-    let oracle = FmIndex::new(&reference);
+    let oracle = FmIndex::new(&reference.to_packed());
     let config = PimAlignerConfig::baseline();
     assert!(!config.exhaustive_inexact(), "first-accept is the default");
     let budget = config.edit_budget();
-    let platform = Platform::new(&reference, config);
+    let platform = Platform::new(reference.to_packed(), config);
     let mut rng = StdRng::seed_from_u64(0x4e4d);
     let mut by_diffs = [0usize; 3];
     for case in 0..240 {
@@ -141,7 +144,10 @@ fn indel_variant_recovered_cross_stack() {
     let mut bases = reference.subseq(3_000..3_050).into_bases();
     bases.remove(25);
     let read = DnaSeq::from_bases(bases);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline().with_max_diffs(1));
+    let platform = Platform::new(
+        reference.to_packed(),
+        PimAlignerConfig::baseline().with_max_diffs(1),
+    );
     match support::align_one(&platform, &read) {
         AlignmentOutcome::Inexact { positions, .. } => {
             assert!(positions.iter().any(|&p| p.abs_diff(3_000) <= 1));

@@ -24,7 +24,7 @@ fn workload(genome_len: usize, count: usize, seed: u64) -> (DnaSeq, Vec<DnaSeq>)
 #[test]
 fn breakdown_reconciles_with_ledger_after_alignment() {
     let (reference, reads) = workload(30_000, 32, 71);
-    let platform = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::pipelined());
     let (_, totals) = support::align(&platform, &reads);
     let report = platform.batch_report(&totals);
     let b = &report.breakdown;
@@ -81,7 +81,7 @@ fn breakdown_reconciles_with_ledger_after_alignment() {
 #[test]
 fn worker_merge_is_associative() {
     let (reference, reads) = workload(50_000, 48, 72);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let run = |threads| {
         let (_, totals) = platform
             .align_chunk_parallel(&reads, threads, 0, false)
@@ -130,7 +130,7 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
             reference.subseq(start..start + M)
         })
         .collect();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let (outcomes, totals) = support::align(&platform, &reads);
     assert!(outcomes.iter().all(|o| o.is_mapped()));
     let report = platform.batch_report(&totals);
@@ -196,7 +196,7 @@ fn recovery_lfms_attributed_to_their_rungs() {
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(campaign)
         .with_recovery(RecoveryPolicy::standard());
-    let platform = Platform::new(&reference, config);
+    let platform = Platform::new(reference.to_packed(), config);
     let report = platform.batch_report(&support::align(&platform, &reads).1);
     let phase = report.breakdown.lfm_by_phase;
     assert_eq!(phase.total(), report.lfm_calls);
@@ -211,7 +211,7 @@ fn recovery_lfms_attributed_to_their_rungs() {
 #[test]
 fn scaling_leaves_breakdown_unscaled() {
     let (reference, reads) = workload(20_000, 16, 77);
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let report = platform.batch_report(&support::align(&platform, &reads).1);
     let scaled = report.scaled_to_queries(10_000_000);
     assert_eq!(scaled.breakdown, report.breakdown);

@@ -43,7 +43,7 @@ const COUNTERS: [&str; 11] = [
 
 fn start_server(config: ServiceConfig) -> ServerHandle {
     let reference: DnaSeq = REFERENCE.parse().expect("reference parses");
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     serve(platform, config, "127.0.0.1:0").expect("server starts")
 }
 

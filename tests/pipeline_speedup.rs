@@ -23,8 +23,8 @@ fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> Vec<DnaSeq> {
 fn pd2_gains_about_forty_percent() {
     let reference = genome::uniform(80_000, 91);
     let reads = clean_reads(&reference, 50, 100);
-    let baseline = Platform::new(&reference, PimAlignerConfig::baseline());
-    let pipelined = Platform::new(&reference, PimAlignerConfig::pipelined());
+    let baseline = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
+    let pipelined = Platform::new(reference.to_packed(), PimAlignerConfig::pipelined());
     let (on, totals_n) = support::align(&baseline, &reads);
     let (op, totals_p) = support::align(&pipelined, &reads);
     let rn = baseline.batch_report(&totals_n);
@@ -107,7 +107,7 @@ fn pd2_schedule_cuts_simulated_cycles_sam_identical() {
         }
     };
     let run = |pd: usize, threads: usize| {
-        let (pairs, _) = Platform::new(&reference, config(pd))
+        let (pairs, _) = Platform::new(reference.to_packed(), config(pd))
             .align_chunk_parallel(&reads, threads, 0, true)
             .unwrap();
         sam_of(&reads, reference.len(), &pairs)
@@ -124,7 +124,7 @@ fn pd2_schedule_cuts_simulated_cycles_sam_identical() {
     // lock step, overlaps one read's compare with another's add at Pd = 2
     // and finishes strictly earlier.
     let schedule = |pd: usize| {
-        let mapped = MappedIndex::build(&reference, &config(pd));
+        let mapped = MappedIndex::build(&reference.to_packed(), &config(pd));
         let requests = lock_step_requests(&mapped, &reads);
         let mut ledger = CycleLedger::new();
         mapped.lfm_batch(&requests, &mut [], &mut ledger);
@@ -155,7 +155,7 @@ fn pd_sweep_monotone_with_diminishing_returns() {
         } else {
             PimAlignerConfig::pipelined().with_pd(pd)
         };
-        let platform = Platform::new(&reference, config);
+        let platform = Platform::new(reference.to_packed(), config);
         let report = platform.batch_report(&support::align(&platform, &reads).1);
         throughput.push(report.throughput_qps);
         power.push(report.total_power_w);

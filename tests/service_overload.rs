@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bioseq::DnaSeq;
-use pim_aligner::service::protocol::{AlignRequest, Client, Request, Response};
+use mram::faults::{FaultCampaign, FaultModel};
+use pim_aligner::service::protocol::{AlignRequest, AlignStatus, Client, Request, Response};
 use pim_aligner::service::{serve, ServerHandle, ServiceConfig};
 use pim_aligner::{PimAlignerConfig, Platform};
 
@@ -27,7 +28,7 @@ const READ: &str = "GATTACAGATTACA";
 
 fn start_server(config: ServiceConfig) -> ServerHandle {
     let reference: DnaSeq = REFERENCE.parse().expect("reference parses");
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     serve(platform, config, "127.0.0.1:0").expect("server starts")
 }
 
@@ -204,6 +205,61 @@ fn panicking_read_poisons_only_its_own_response() {
     let summary = handle.join();
     assert_eq!(summary.telemetry.panics_quarantined, 1);
     assert_eq!(summary.telemetry.accepted, summary.telemetry.responses);
+}
+
+/// A panicked batch re-aligns its reads one at a time, each from the
+/// fault stream it draws in the batch: under a fault campaign every
+/// neighbour of the poisoned read gets the answer the same batch gives it
+/// when nothing panics.
+#[test]
+fn quarantined_neighbours_keep_their_fault_streams() {
+    let genome = readsim::genome::uniform(20_000, 0x9a7);
+    let read = genome.subseq(4_500..4_560).to_string();
+    const POISONED: u64 = 6;
+    let statuses = |panic: bool| -> Vec<Option<AlignStatus>> {
+        let faults = FaultModel::with_probabilities(5e-4, 5e-4);
+        let config = PimAlignerConfig::baseline()
+            .with_fault_campaign(FaultCampaign::seeded(11).with_model(faults));
+        let service = ServiceConfig {
+            test_faults: true,
+            both_strands: false,
+            ..ServiceConfig::default()
+        };
+        let platform = Platform::new(genome.to_packed(), config);
+        let handle = serve(platform, service, "127.0.0.1:0").expect("server starts");
+        let mut client = connect(&handle);
+        // All twelve reads wait behind the stall and form one batch.
+        stall_batcher(&mut client, 0, 150);
+        for req_id in 1..=12 {
+            let poisoned = panic && req_id == POISONED;
+            send_align(
+                &mut client,
+                req_id,
+                if poisoned { "__panic__" } else { "r" },
+                &read,
+                0,
+            );
+        }
+        let ids: Vec<u64> = (0..=12).collect();
+        let responses = collect_responses(&mut client, &ids);
+        connect(&handle).drain(99).expect("drain");
+        assert_eq!(handle.join().telemetry.panics_quarantined, u64::from(panic));
+        let status = |id| match &responses[&id] {
+            Response::Aligned { status, .. } => Some(status.clone()),
+            _ => None,
+        };
+        (1..=12).map(status).collect()
+    };
+    let (clean, poisoned) = (statuses(false), statuses(true));
+    // One read twelve times over: only the fault streams tell them apart.
+    assert!(clean.iter().any(|s| *s != clean[0]), "{clean:?}");
+    for (req_id, (clean, poisoned)) in (1..).zip(clean.iter().zip(&poisoned)) {
+        if req_id == POISONED {
+            assert_eq!(poisoned, &None, "a WorkerPanic");
+        } else {
+            assert_eq!(poisoned, clean, "neighbour {req_id}");
+        }
+    }
 }
 
 #[test]

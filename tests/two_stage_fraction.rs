@@ -14,7 +14,7 @@ fn about_seventy_percent_resolve_in_stage_one() {
     let profile = SimProfile::paper_defaults().read_count(250).forward_only();
     let sim = ReadSimulator::new(profile, 102).simulate(&reference);
     let reads: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let (outcomes, totals) = support::align(&platform, &reads);
     // Expected exact fraction: (1 - per-base error)^(100) with both error
     // sources ≈ 0.997^100 ≈ 0.74; paper says "up to ~70%".
@@ -45,7 +45,7 @@ fn error_free_workload_is_all_exact() {
         .forward_only();
     let sim = ReadSimulator::new(profile, 104).simulate(&reference);
     let reads: Vec<DnaSeq> = sim.reads.iter().map(|r| r.seq.clone()).collect();
-    let platform = Platform::new(&reference, PimAlignerConfig::baseline());
+    let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
     let (_, totals) = support::align(&platform, &reads);
     assert_eq!(totals.exact_fraction(), 1.0);
 }
