@@ -84,9 +84,11 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
     step "benchmark/ check (locked)"
     cargo check --offline --locked --manifest-path benchmark/Cargo.toml
 
-    # --no-fail-fast: a failing binary must not hide the ones after it.
+    # The tier-1 command: the root's default members are the whole
+    # workspace. --no-fail-fast: a failing binary must not hide the ones
+    # after it.
     step "cargo test (debug)"
-    cargo test -q --workspace --no-fail-fast
+    cargo test -q --no-fail-fast
 
     # Flake gate: the CLI test binaries share the system temp directory
     # and spawn real processes, and the service binaries drive drain and

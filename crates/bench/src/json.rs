@@ -85,14 +85,6 @@ impl Value {
         }
     }
 
-    /// The value as an object map, if it is one.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
     /// Every leaf path in the document (dotted; array indices collapsed
     /// to `[]` so the shape is independent of element counts), sorted
     /// and deduplicated — the schema fingerprint the golden test pins.
@@ -149,14 +141,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-/// Reads `path` and parses it as one JSON document. Errors (I/O or
-/// parse) are rendered as strings that name the offending file — the
-/// shape every bench tool reports to stderr.
-pub fn parse_file(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("{path}: {e}"))
-}
 
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// trailing garbage is an error).

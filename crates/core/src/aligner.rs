@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use bioseq::{Base, DnaSeq};
 use fmindex::EditBudget;
-use pimsim::{Dpu, FaultInjector, HostEpoch, HostSpanLog, KernelCache};
+use pimsim::{Dpu, FaultInjector, HostEpoch, HostSpanLog};
 
 use crate::config::PimAlignerConfig;
 use crate::exact::{exact_search_recorded, Descent};
@@ -79,9 +79,9 @@ impl AlignmentOutcome {
 /// One worker's alignment state over a shared [`Platform`], executing the
 /// paper's two-stage alignment read by read.
 ///
-/// The session holds only per-worker state: the DPU registers, the
-/// rank-checkpoint cache, the last exact descent, an optional host span
-/// log and the [`BatchTotals`] of everything it aligned. The reference
+/// The session holds only per-worker state: the DPU registers, the last
+/// exact descent, an optional host span log and the [`BatchTotals`] of
+/// everything it aligned. The reference
 /// and the mapped FM-index live in the shared platform —
 /// [`MappedIndex::build`](crate::MappedIndex::build) runs exactly once
 /// per [`Platform::new`], no matter how many sessions are spawned — and
@@ -104,10 +104,6 @@ pub(crate) struct AlignSession {
     /// inexact passes, locate, recovery rungs); `None` (the default)
     /// costs one branch per site.
     host_log: Option<HostSpanLog>,
-    /// The session's rank-checkpoint cache, threaded into every exact
-    /// phase's `LFM`s. Per-session mutable state — the shared
-    /// `MappedIndex` stays immutable.
-    kernel_cache: KernelCache,
     /// The match descent of the exact stage that ran last, which the
     /// inexact stage starts from.
     descent: Descent,
@@ -126,7 +122,6 @@ impl AlignSession {
             dpu,
             totals: BatchTotals::new(),
             host_log: None,
-            kernel_cache: KernelCache::new(),
             descent: Descent::new(),
             window: Vec::new(),
         }
@@ -261,7 +256,6 @@ impl AlignSession {
             injector,
             &mut self.dpu,
             read,
-            Some(&mut self.kernel_cache),
             Some(&mut self.descent),
             &mut self.totals.ledger,
         );

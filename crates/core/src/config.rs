@@ -68,12 +68,6 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Sets the retry count.
-    pub fn with_max_retries(mut self, retries: u32) -> RecoveryPolicy {
-        self.max_retries = retries;
-        self
-    }
-
     /// Sets the escalation ceiling.
     ///
     /// # Panics
@@ -82,12 +76,6 @@ impl RecoveryPolicy {
     pub fn with_max_escalated_diffs(mut self, z: u8) -> RecoveryPolicy {
         assert!(z <= 8, "difference budget too large");
         self.max_escalated_diffs = z;
-        self
-    }
-
-    /// Enables or disables the host-software fallback rung.
-    pub fn with_host_fallback(mut self, fallback: bool) -> RecoveryPolicy {
-        self.host_fallback = fallback;
         self
     }
 
@@ -214,12 +202,6 @@ impl PimAlignerConfig {
     /// Sets the array model (device/energy calibration).
     pub fn with_model(mut self, model: ArrayModel) -> PimAlignerConfig {
         self.model = model;
-        self
-    }
-
-    /// Sets the chip organisation.
-    pub fn with_chip(mut self, chip: ChipOrg) -> PimAlignerConfig {
-        self.chip = chip;
         self
     }
 

@@ -3,7 +3,7 @@
 use bioseq::DnaSeq;
 use fmindex::SaInterval;
 use mram::faults::FaultCampaign;
-use pimsim::{CycleLedger, Dpu, FaultInjector, KernelCache};
+use pimsim::{CycleLedger, Dpu, FaultInjector};
 
 use crate::mapping::MappedIndex;
 
@@ -30,9 +30,7 @@ pub struct ExactStats {
 /// that serves both bounds — stopping early when `low ≥ high`.
 ///
 /// The index is shared and immutable; the caller supplies the session's
-/// own fault-injection stream, DPU and ledger, and optionally its
-/// rank-checkpoint cache, which every `LFM`'s compare stage consults and
-/// which never changes a result or a charge.
+/// own fault-injection stream, DPU and ledger.
 ///
 /// Returns the final interval (empty = no exact match) plus statistics
 /// for the performance model.
@@ -41,10 +39,9 @@ pub fn exact_search(
     injector: &mut FaultInjector,
     dpu: &mut Dpu,
     read: &DnaSeq,
-    cache: Option<&mut KernelCache>,
     ledger: &mut CycleLedger,
 ) -> (SaInterval, ExactStats) {
-    exact_search_recorded(mapped, injector, dpu, read, cache, None, ledger)
+    exact_search_recorded(mapped, injector, dpu, read, None, ledger)
 }
 
 /// The match descent of one exact search: the interval of the read's last
@@ -115,7 +112,6 @@ pub(crate) fn exact_search_recorded(
     injector: &mut FaultInjector,
     dpu: &mut Dpu,
     read: &DnaSeq,
-    mut cache: Option<&mut KernelCache>,
     mut descent: Option<&mut Descent>,
     ledger: &mut CycleLedger,
 ) -> (SaInterval, ExactStats) {
@@ -132,7 +128,7 @@ pub(crate) fn exact_search_recorded(
     };
     for &nt in read.iter().rev().skip(depth) {
         let interval = (dpu.low(), dpu.high());
-        stats.lfm_calls += mapped.step(nt, interval, dpu, injector, cache.as_deref_mut(), ledger);
+        stats.lfm_calls += mapped.step(nt, interval, dpu, injector, ledger);
         stats.bases_consumed += 1;
         let (low, high) = (dpu.low(), dpu.high());
         if dpu.interval_empty() {
@@ -163,7 +159,7 @@ pub fn exact_search_batch(
             Some(injector) => injector,
             None => &mut clean,
         };
-        results.push(exact_search(mapped, injector, &mut dpu, read, None, ledger));
+        results.push(exact_search(mapped, injector, &mut dpu, read, ledger));
     }
     results
 }
@@ -222,8 +218,7 @@ mod tests {
         let reference: DnaSeq = "TGCTA".parse().unwrap();
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read: DnaSeq = "CTA".parse().unwrap();
-        let (interval, stats) =
-            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
+        let (interval, stats) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
         assert_eq!(interval.count(), 1);
         assert_eq!(stats.bases_consumed, 3);
         // The paper's worked example issues six `LFM`s. `TGCTA$` is six
@@ -290,8 +285,7 @@ mod tests {
     /// The seeded start and the interval step against the published
     /// descent, read by read: the same interval at every step they take,
     /// the published `LFM` count accounted for, and a ledger that differs
-    /// by the `LFM`s not issued, the bumps and the seed read. Then the
-    /// same searches cached against those.
+    /// by the `LFM`s not issued, the bumps and the seed read.
     fn step_equals_published(
         reference: &DnaSeq,
         reads: &[DnaSeq],
@@ -305,7 +299,6 @@ mod tests {
         let model = mapped.model();
         let mut injector = mapped.session_injector();
         let mut dpu = Dpu::new(model);
-        let mut cache = KernelCache::new();
         for read in reads {
             let mut published = CycleLedger::new();
             let (want, want_stats, want_descent) =
@@ -317,7 +310,6 @@ mod tests {
                 &mut injector,
                 &mut dpu,
                 read,
-                None,
                 Some(&mut descent),
                 &mut stepped,
             );
@@ -416,21 +408,6 @@ mod tests {
                 rebuilt.energy_pj(&model).to_bits(),
                 over.energy_pj(&model).to_bits()
             );
-
-            let mut cached = CycleLedger::new();
-            let mut cached_descent = Descent::new();
-            let (again, again_stats) = exact_search_recorded(
-                &mapped,
-                &mut injector,
-                &mut dpu,
-                read,
-                Some(&mut cache),
-                Some(&mut cached_descent),
-                &mut cached,
-            );
-            prop_assert_eq!((again, again_stats), (got, stats));
-            prop_assert_eq!(&cached_descent, &descent);
-            prop_assert!(cached == stepped, "the cache moved a charge");
         }
         Ok(())
     }
@@ -439,7 +416,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// One to two sub-arrays and a seed table of two to six levels;
-        /// up to eight windows through one cache.
+        /// up to eight windows.
         #[test]
         fn step_equals_the_published_descent(
             reference in arb_seq(200, 48_000),
@@ -539,8 +516,7 @@ mod tests {
         let oracle = mapped.index().clone();
         for start in (0..49_000).step_by(1_777) {
             let read = reference.subseq(start..start + 60);
-            let (interval, _) =
-                exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
+            let (interval, _) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
             let sw = oracle.backward_search(&read);
             match sw {
                 Some(expected) => assert_eq!(interval, expected, "read at {start}"),
@@ -555,8 +531,7 @@ mod tests {
         let reference: DnaSeq = "AAAAAAAAAA".parse().unwrap();
         let (mapped, mut injector, mut dpu, mut ledger) = setup(&reference);
         let read: DnaSeq = "AAAAAAAACT".parse().unwrap(); // rightmost T absent
-        let (interval, stats) =
-            exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
+        let (interval, stats) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
         assert!(interval.is_empty());
         assert_eq!(stats.bases_consumed, 1);
         // `[0, 11)` lies in one word line: one `LFM`, not the published
@@ -581,14 +556,7 @@ mod tests {
         assert_eq!(batched.len(), reads.len());
         let mut single_ledger = CycleLedger::new();
         for (read, result) in reads.iter().zip(&batched) {
-            let single = exact_search(
-                &mapped,
-                &mut injector,
-                &mut dpu,
-                read,
-                None,
-                &mut single_ledger,
-            );
+            let single = exact_search(&mapped, &mut injector, &mut dpu, read, &mut single_ledger);
             assert_eq!(*result, single);
         }
         // No two reads share a charge: the two that end alike pay for
@@ -656,47 +624,29 @@ mod tests {
         let mut injectors = fresh_injectors();
         let mut batch_ledger = CycleLedger::new();
         let batched = exact_search_batch(&mapped, &mut injectors, &refs, &mut batch_ledger);
-        assert_eq!(batch_ledger.kernel_cache_counters().lookups(), 0);
-        // Cached leg: two rounds of the same searches through one
-        // rank-checkpoint cache — the second hits what the first
-        // installed — each recording its descent into a buffer that holds
-        // a stale one, must replay the uncached searches.
-        let mut cache = KernelCache::new();
+        // The same searches one at a time, each recording its descent
+        // into a buffer that holds a stale one, must replay the batch.
         let mut ledger = CycleLedger::new();
         let mut dpu = Dpu::new(mapped.model());
-        for round in 0..2 {
-            for (r, read) in reads.iter().enumerate() {
-                let mut oracle = mapped.read_injector(r as u64);
-                let mut descent = stale_descent();
-                let (expected, expected_stats) = exact_search_recorded(
-                    &mapped,
-                    &mut oracle,
-                    &mut dpu,
-                    read,
-                    Some(&mut cache),
-                    Some(&mut descent),
-                    &mut ledger,
-                );
-                let at = format!("round {round} read {r}");
-                assert_eq!(batched[r], (expected, expected_stats), "{at}");
-                assert_eq!(descent.get(0), Some((0, reference.len() as u32 + 1)));
-                // It ends at the last base that extended.
-                let extended = expected_stats.bases_consumed - usize::from(expected.is_empty());
-                assert_eq!(descent.matched(), extended, "{at}");
-                assert_eq!(injectors[r].counters(), oracle.counters(), "{at}");
-            }
+        for (r, read) in reads.iter().enumerate() {
+            let mut oracle = mapped.read_injector(r as u64);
+            let mut descent = stale_descent();
+            let (expected, expected_stats) = exact_search_recorded(
+                &mapped,
+                &mut oracle,
+                &mut dpu,
+                read,
+                Some(&mut descent),
+                &mut ledger,
+            );
+            assert_eq!(batched[r], (expected, expected_stats), "read {r}");
+            assert_eq!(descent.get(0), Some((0, reference.len() as u32 + 1)));
+            // It ends at the last base that extended.
+            let extended = expected_stats.bases_consumed - usize::from(expected.is_empty());
+            assert_eq!(descent.matched(), extended, "read {r}");
+            assert_eq!(injectors[r].counters(), oracle.counters(), "read {r}");
         }
-        let mut twice = batch_ledger.clone();
-        twice.merge(&batch_ledger);
-        assert_eq!(ledger, twice, "the cache moved a charge");
-        // One lookup a compare stage; the reference fills one sub-array,
-        // whose keys never share a slot, so nothing is evicted and the
-        // second round hits every key the first installed.
-        let cache = ledger.kernel_cache_counters();
-        let lookups = ledger.primitives().count(LogicalOp::XnorMatch);
-        assert_eq!(cache.lookups(), lookups, "{cache:?}");
-        assert_eq!(cache.evictions, 0, "{cache:?}");
-        assert!(cache.hits >= lookups / 2, "{cache:?}");
+        assert_eq!(ledger, batch_ledger);
         (batched[4].1, injectors[4].counters())
     }
 
@@ -709,8 +659,7 @@ mod tests {
         assert!(mapped.subarray_count() >= 3);
         for &start in &[32_700usize, 32_760, 65_500] {
             let read = reference.subseq(start..start + 100);
-            let (interval, _) =
-                exact_search(&mapped, &mut injector, &mut dpu, &read, None, &mut ledger);
+            let (interval, _) = exact_search(&mapped, &mut injector, &mut dpu, &read, &mut ledger);
             assert!(!interval.is_empty(), "boundary read at {start} failed");
             assert!(mapped.locate(interval, &mut ledger).contains(&start));
         }

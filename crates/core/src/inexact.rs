@@ -266,7 +266,7 @@ impl<'a> Search<'a> {
     fn extend(&mut self, b: Base, low: u32, high: u32) -> Option<(u32, u32)> {
         self.stats.lfm_calls +=
             self.mapped
-                .step(b, (low, high), self.dpu, self.injector, None, self.ledger);
+                .step(b, (low, high), self.dpu, self.injector, self.ledger);
         (!self.dpu.interval_empty()).then_some((self.dpu.low(), self.dpu.high()))
     }
 
@@ -963,7 +963,6 @@ pub(crate) mod tests {
                 &mut injector,
                 &mut dpu,
                 read,
-                None,
                 Some(&mut descent),
                 &mut staged,
             );

@@ -17,10 +17,7 @@ use mram::array::ArrayModel;
 use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::pipeline::{PipelineParams, PipelineSim};
-use pimsim::{
-    CycleLedger, Dpu, FaultCounters, FaultInjector, KernelCache, MatchMask, SubArray,
-    SubArrayLayout,
-};
+use pimsim::{CycleLedger, Dpu, FaultCounters, FaultInjector, MatchMask, SubArray, SubArrayLayout};
 
 use crate::config::{AddMethod, PimAlignerConfig};
 
@@ -201,14 +198,12 @@ impl MappedIndex {
                 // Method-II: "essentially duplicates the number of
                 // sub-arrays, where only in-memory addition computation is
                 // transferred to a second sub-array".
-                let mut mirrors = subarrays.clone();
-                for (src, dst) in subarrays.iter().zip(mirrors.iter_mut()) {
-                    // Account the duplication as row copies.
-                    for row in 0..model.geometry().rows {
-                        src.copy_row_to(row, dst, row, &mut ledger);
-                    }
-                }
-                mirrors
+                // The clone is the copy; the platform pays a row read and
+                // a row write for every row of every sub-array.
+                let rows = (model.geometry().rows * subarrays.len()) as u64;
+                LogicalOp::RowRead.charge_many(&model, &mut ledger, rows);
+                LogicalOp::RowWrite.charge_many(&model, &mut ledger, rows);
+                subarrays.clone()
             }
         };
         // Stuck-at injection: each physical array (primaries and
@@ -329,7 +324,7 @@ impl MappedIndex {
         injector: &mut FaultInjector,
         ledger: &mut CycleLedger,
     ) -> u32 {
-        self.lfm_kernel(nt, id, 0, Some(injector), None, ledger).0
+        self.lfm_kernel(nt, id, 0, Some(injector), ledger).0
     }
 
     /// The one `LFM` kernel: every `LFM` of every search is this function
@@ -339,21 +334,12 @@ impl MappedIndex {
     /// campaign the same privately faulted copy the count is taken from
     /// (see [`sense`]). A stream's draws are those of its `LFM`s taken one
     /// at a time, in the order they are made (DESIGN.md §15.2).
-    ///
-    /// `cache` memoizes the compare stage — `(sub-array, bucket, nt) →
-    /// (post-sentinel match mask, marker)`, both pure functions of the
-    /// immutable index — so a hit skips the plane load and the 32-row
-    /// marker gather on the host while the platform is charged what a
-    /// recompute pays. Results, every simulated counter and the seeded
-    /// fault stream are byte-identical with and without it, pinned by
-    /// test.
     fn lfm_kernel(
         &self,
         nt: Base,
         id: usize,
         span: usize,
         mut injector: Option<&mut FaultInjector>,
-        cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> (u32, u32) {
         assert!(id <= self.index.text_len(), "LFM index {id} out of range");
@@ -384,13 +370,13 @@ impl MappedIndex {
             let marker = self.index.marker_table().marker(nt, bucket);
             (0, 0, marker)
         } else {
-            let (mask, marker) = self.compare_stage(s, lb, nt, cache, ledger);
+            let (mask, marker) = self.compare_stage(s, lb, nt, ledger);
             // Heatmap: the XNOR match and the marker read each activate
             // sub-array `s` (the popcount runs in the DPU, not the array).
             ledger.note_zone_many(s, 2);
             LogicalOp::Popcount.charge(model, ledger);
-            // Fault injection (DESIGN.md §8) always corrupts this `LFM`'s
-            // private copy of the mask, never the cached one.
+            // Fault injection (DESIGN.md §8) corrupts this `LFM`'s private
+            // copy of the mask, never the array.
             let (count, spanned) = sense(mask, within, span, injector.as_deref_mut());
             (count, spanned, marker)
         };
@@ -425,29 +411,16 @@ impl MappedIndex {
     }
 
     /// The compare stage of `LFM(nt, ·)` on bucket row `lb` of sub-array
-    /// `s`: the post-sentinel match mask and the marker, from `cache` if
-    /// it holds them. Charges one `XNOR_Match` and one marker `MEM` either
-    /// way.
+    /// `s`: the post-sentinel match mask and the marker. Charges one
+    /// `XNOR_Match` and one marker `MEM`.
     fn compare_stage(
         &self,
         s: usize,
         lb: usize,
         nt: Base,
-        cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> (MatchMask, u32) {
         let sub = &self.subarrays[s];
-        let cached = cache
-            .as_deref()
-            .and_then(|c| c.lookup(s as u32, lb, nt.rank()));
-        if let Some((words, marker)) = cached {
-            // Host work skipped; the platform is billed what the
-            // recompute below pays.
-            ledger.note_kernel_cache_hit();
-            LogicalOp::XnorMatch.charge(sub.model(), ledger);
-            LogicalOp::MarkerRead.charge(sub.model(), ledger);
-            return (MatchMask(words), marker);
-        }
         // Stack-allocated packed match mask: the whole compare stage runs
         // on [u64; 2] words, no heap traffic per LFM.
         let mut mask = sub.xnor_match(lb, nt, ledger);
@@ -459,14 +432,7 @@ impl MappedIndex {
         if sentinel / SubArrayLayout::BASES_PER_ROW == s * 256 + lb {
             mask.set(sentinel % SubArrayLayout::BASES_PER_ROW, false);
         }
-        let marker = sub.read_marker(lb, nt, ledger);
-        if let Some(c) = cache {
-            ledger.note_kernel_cache_miss();
-            if c.insert(s as u32, lb, nt.rank(), mask.0, marker) {
-                ledger.note_kernel_cache_eviction();
-            }
-        }
-        (mask, marker)
+        (mask, sub.read_marker(lb, nt, ledger))
     }
 
     /// One backward-search step (Algorithm 1 lines 8–10): extends
@@ -498,12 +464,10 @@ impl MappedIndex {
         (low, high): (u32, u32),
         dpu: &mut Dpu,
         injector: &mut FaultInjector,
-        mut cache: Option<&mut KernelCache>,
         ledger: &mut CycleLedger,
     ) -> u64 {
         let mut issue = |id: usize, span: usize, ledger: &mut CycleLedger| {
-            let cache = cache.as_deref_mut();
-            self.lfm_kernel(nt, id, span, Some(&mut *injector), cache, ledger)
+            self.lfm_kernel(nt, id, span, Some(&mut *injector), ledger)
         };
         if one_word_line(low, high) {
             // `low` as its `LFM` returned it, `high` counted on from it
@@ -629,7 +593,7 @@ impl MappedIndex {
             .map(|r| {
                 let injector = injectors.get_mut(r.stream);
                 sim.issue(r.stream);
-                self.lfm_kernel(r.nt, r.id, 0, injector, None, ledger).0
+                self.lfm_kernel(r.nt, r.id, 0, injector, ledger).0
             })
             .collect();
         ledger.record_pipeline(&sim.counters());
@@ -657,7 +621,6 @@ impl MappedIndex {
 mod tests {
     use super::*;
     use bioseq::DnaSeq;
-    use proptest::prelude::*;
     use readsim::genome;
 
     fn mapped(reference: &DnaSeq, method: AddMethod) -> MappedIndex {
@@ -764,94 +727,6 @@ mod tests {
         assert!(MappedIndex::build_count() > before);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Through one rank-checkpoint cache, interval steps replay the
-        /// intervals, each read's fault draws and every simulated charge
-        /// of the same steps uncached, round after round: the first
-        /// compare stage of a `(bucket, nt)` misses, every later one hits,
-        /// and one sub-array's keys never share a slot.
-        #[test]
-        fn cached_steps_replay_the_uncached_ones(
-            seed in any::<u64>(),
-            mirrored in any::<bool>(),
-            // One step a code: two bits the read, two the base, two one of
-            // four rows (the sentinel's among them), seven the column of
-            // `low`, the rest the span — one in five reaches `high = N`,
-            // the boundary checkpoint.
-            codes in proptest::collection::vec(any::<u32>(), 1..16),
-            rounds in 1usize..4,
-        ) {
-            use mram::faults::FaultModel;
-            let method = if mirrored { AddMethod::Mirrored } else { AddMethod::InPlace };
-            let campaign = FaultCampaign::seeded(seed)
-                .with_model(FaultModel::with_probabilities(0.05, 0.0))
-                .with_stuck_at_rate(1e-4)
-                .with_transient_row_rate(0.2)
-                .with_carry_fault_prob(0.1);
-            // 32 768 rows fill one sub-array exactly.
-            let m = mapped_under(&genome::uniform(32_767, seed % 8), method, campaign);
-            let n = m.index().text_len() as u32;
-            let sentinel = m.index().bwt().sentinel_pos() as u32 / 128;
-            let rows = [seed as u32 % 256, (seed >> 8) as u32 % 256, 255, sentinel];
-            let steps: Vec<(usize, Base, (u32, u32))> = codes
-                .iter()
-                .map(|&code| {
-                    let low = rows[(code >> 4) as usize % 4] * 128 + (code >> 6) % 128;
-                    let high = match (code >> 13) % 5 {
-                        0 => n,
-                        span => (low + [1, 2, 100, 300][span as usize - 1]).min(n),
-                    };
-                    (code as usize % 4, Base::from_rank((code >> 2) as usize % 4), (low, high))
-                })
-                .collect();
-            // The compare stages a round pays for, and their distinct keys:
-            // a step inside one word line issues `LFM(low)` alone, and the
-            // boundary checkpoint has no compare stage.
-            let (mut compares, mut keys) = (0, Vec::new());
-            for &(_, nt, (low, high)) in &steps {
-                let ids = if one_word_line(low, high) { vec![low] } else { vec![low, high] };
-                for id in ids.into_iter().filter(|&id| id < n) {
-                    compares += 1;
-                    if !keys.contains(&(id / 128, nt)) {
-                        keys.push((id / 128, nt));
-                    }
-                }
-            }
-            let streams = || -> Vec<FaultInjector> {
-                (0..4).map(|s| m.read_injector(seed ^ s)).collect()
-            };
-            let mut cache = KernelCache::new();
-            let (mut plain, mut cached) = (streams(), streams());
-            let (mut plain_ledger, mut cached_ledger) = (CycleLedger::new(), CycleLedger::new());
-            let mut dpu = Dpu::new(m.model());
-            for round in 0..rounds {
-                for (k, &(read, nt, interval)) in steps.iter().enumerate() {
-                    let issued =
-                        m.step(nt, interval, &mut dpu, &mut plain[read], None, &mut plain_ledger);
-                    let want = (issued, dpu.low(), dpu.high());
-                    let cache = Some(&mut cache);
-                    let issued =
-                        m.step(nt, interval, &mut dpu, &mut cached[read], cache, &mut cached_ledger);
-                    prop_assert_eq!((issued, dpu.low(), dpu.high()), want, "round {} step {}", round, k);
-                }
-            }
-            for read in 0..4 {
-                prop_assert_eq!(cached[read].counters(), plain[read].counters(), "read {}", read);
-            }
-            // Ledger equality is every simulated quantity — counts, zones,
-            // pipeline — and leaves the host-side cache counters out.
-            prop_assert_eq!(&cached_ledger, &plain_ledger);
-            prop_assert_eq!(plain_ledger.kernel_cache_counters().lookups(), 0);
-            let paid = plain_ledger.primitives().count(LogicalOp::XnorMatch);
-            prop_assert_eq!(paid, rounds as u64 * compares);
-            let installed = keys.len() as u64;
-            let cc = cached_ledger.kernel_cache_counters();
-            prop_assert_eq!((cc.hits, cc.misses, cc.evictions), (paid - installed, installed, 0));
-        }
-    }
-
     /// Steps `[low, high)` by `nt` from fresh registers; returns the
     /// interval left in the DPU, the `LFM`s issued and the ledger.
     fn step_once(
@@ -862,7 +737,7 @@ mod tests {
     ) -> ((u32, u32), u64, CycleLedger) {
         let mut dpu = Dpu::new(m.model());
         let mut ledger = CycleLedger::new();
-        let issued = m.step(nt, interval, &mut dpu, injector, None, &mut ledger);
+        let issued = m.step(nt, interval, &mut dpu, injector, &mut ledger);
         ((dpu.low(), dpu.high()), issued, ledger)
     }
 

@@ -17,7 +17,7 @@
 
 use pimsim::costs::LogicalOp;
 use pimsim::json::{Json, Layout};
-use pimsim::{CycleLedger, HostHistogram, KernelCacheCounters, Resource};
+use pimsim::{CycleLedger, HostHistogram, Resource};
 
 use crate::config::PimAlignerConfig;
 use crate::host::HostTotals;
@@ -38,10 +38,9 @@ use crate::report::{
 /// all-zero when the run never described its index). v5 added the
 /// stage-queue scheduler counters to `breakdown.pipeline` (`issued`,
 /// `makespan_cycles`, `sequential_cycles`, `overlap_saved_cycles`,
-/// all-zero on an alignment run). v6 added
-/// `breakdown.kernel_cache` (rank-checkpoint cache `hits`/`misses`/
-/// `evictions`/`hit_rate` — host-side counters). v7 added the
-/// top-level `obs` section (observability-plane summary:
+/// all-zero on an alignment run). v6 added a rank-checkpoint cache
+/// section (host-side `hits`/`misses`/`evictions`/`hit_rate`). v7 added
+/// the top-level `obs` section (observability-plane summary:
 /// rolling-window ring geometry, watchdog
 /// stall verdicts and the bounded slow-request log — all-zero/empty for
 /// one-shot CLI runs; the *live* windowed views travel over the wire
@@ -64,9 +63,27 @@ use crate::report::{
 /// cycles went, and `pimalign --trace-out` exports the host span log. v12
 /// removed `index.shards`, `index.shard_window` and `index.shard_overlap`
 /// with reference-window sharding: every index is one FM-index over the
-/// whole reference. Every other version only *added* paths, so consumers
+/// whole reference. v13 removed v6's section with the rank-checkpoint
+/// cache it counted: the compare stage has one path, and a marker read
+/// is one load. Every other version only *added* paths, so consumers
 /// that address fields by name keep working across them.
-pub const METRICS_SCHEMA_VERSION: u32 = 12;
+pub const METRICS_SCHEMA_VERSION: u32 = 13;
+
+/// The always-zero `hits` / `misses` / `hit_rate()` of
+/// [`MetricsBreakdown`]'s hidden cache field.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredCacheCounters {
+    pub hits: u64,
+    pub misses: u64,
+}
+
+impl RetiredCacheCounters {
+    /// Always `0.0`.
+    pub fn hit_rate(&self) -> f64 {
+        0.0
+    }
+}
 
 /// `LFM` invocations attributed to the alignment phase that issued them.
 ///
@@ -178,9 +195,10 @@ pub struct MetricsBreakdown {
     pub lfm_by_phase: PhaseLfm,
     /// Pipeline stage occupancy at the configured `Pd`.
     pub pipeline: StageOccupancy,
-    /// Rank-checkpoint cache totals (host-side hit/miss/eviction
-    /// counts; all-zero when the cache is disabled).
-    pub kernel_cache: KernelCacheCounters,
+    /// Always zero, and in no document: the counters of the deleted
+    /// rank-checkpoint cache, which `benchmark/src/trace.rs` still reads.
+    #[doc(hidden)]
+    pub kernel_cache: RetiredCacheCounters,
     /// One-time index mapping cost (busy cycles); 0 when not attached.
     pub index_build_cycles: u64,
     /// Per-zone activation heatmap (primary sub-arrays first, then
@@ -252,7 +270,7 @@ impl MetricsBreakdown {
             lfm_calls,
             lfm_by_phase: PhaseLfm::default(),
             pipeline: occupancy,
-            kernel_cache: ledger.kernel_cache_counters(),
+            kernel_cache: RetiredCacheCounters::default(),
             index_build_cycles: 0,
             zone_activations: ledger.zone_activations().to_vec(),
         }
@@ -384,15 +402,6 @@ fn breakdown_section(w: &mut Json, b: &MetricsBreakdown) {
                 ("sequential_cycles", p.sequential_cycles),
                 ("overlap_saved_cycles", p.overlap_saved_cycles),
             ]);
-        });
-        let cache = &b.kernel_cache;
-        w.key("kernel_cache").object(Layout::Inline, |w| {
-            w.u64_fields(&[
-                ("hits", cache.hits),
-                ("misses", cache.misses),
-                ("evictions", cache.evictions),
-            ]);
-            w.key("hit_rate").f64(cache.hit_rate());
         });
         w.key("heatmap").object(Layout::Inline, |w| {
             w.key("zones").u64(b.zone_activations.len() as u64);

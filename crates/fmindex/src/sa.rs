@@ -57,8 +57,13 @@ pub(crate) fn suffix_array_of(bases: &PackedSeq) -> Vec<u32> {
 /// Quadratic in the worst case — use only as a test oracle or on tiny
 /// inputs.
 pub fn suffix_array_naive(text: &Text) -> Vec<u32> {
+    // Unpacked once, so the sort compares slices. A suffix that is a
+    // proper prefix of another sorts first, as its sentinel does.
+    let mut bases = Vec::new();
+    text.bases()
+        .unpack_into(0..text.reference_len(), &mut bases);
     let mut sa: Vec<u32> = (0..text.len() as u32).collect();
-    sa.sort_by(|&a, &b| text.suffix(a as usize).cmp(text.suffix(b as usize)));
+    sa.sort_by(|&a, &b| bases[a as usize..].cmp(&bases[b as usize..]));
     sa
 }
 

@@ -42,46 +42,6 @@ impl Resource {
     }
 }
 
-/// Host-side hit/miss/eviction totals for the rank-checkpoint cache
-/// ([`crate::KernelCache`]). These count *host work avoided*, never
-/// simulated cycles: a cache hit still charges the platform exactly the
-/// ops a recompute would, so these counters live beside — not inside —
-/// the cycle/energy accounting (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelCacheCounters {
-    /// Lookups answered from a live entry (compare + marker gather
-    /// skipped on the host).
-    pub hits: u64,
-    /// Lookups that recomputed and installed an entry.
-    pub misses: u64,
-    /// Installs that displaced a live entry of a different sub-array.
-    pub evictions: u64,
-}
-
-impl KernelCacheCounters {
-    /// Total lookups (hits + misses).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups served from the cache; `0.0` when the cache
-    /// never ran.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-
-    /// Adds another set of totals into this one.
-    pub fn merge(&mut self, other: &KernelCacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
-}
-
 /// Counts every logical primitive issued to the platform. Busy cycles,
 /// their attribution to resource classes, array-primitive counts and
 /// dynamic energy are not stored: each is read off the ten counts
@@ -106,7 +66,7 @@ impl KernelCacheCounters {
 /// assert_eq!(ledger.busy_cycles(Resource::Compare), 2);
 /// assert!(ledger.energy_pj(&model) > 0.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleLedger {
     /// Issued [`LogicalOp`]s — the whole simulated cost state. Bumped by
     /// [`LogicalOp::charge_many`] and nothing else.
@@ -119,9 +79,6 @@ pub struct CycleLedger {
     /// Stage-queue scheduling totals recorded by an `LFM` request batch
     /// ([`crate::PipelineSim`]); all-zero on an alignment run.
     pipeline: PipelineCounters,
-    /// Rank-checkpoint cache totals noted by the kernel call sites;
-    /// all-zero when the caller passes no cache.
-    kernel_cache: KernelCacheCounters,
     /// Interval steps of the published algorithm taken without an `LFM`
     /// ([`CycleLedger::note_unissued_steps`]): those a seed-table read
     /// stood in for, and alternatives a search saw were empty before
@@ -134,25 +91,6 @@ pub struct CycleLedger {
     /// ([`CycleLedger::note_seed_correction`]), each priced as one
     /// [`LogicalOp::IndexBump`] that stands for no interval step.
     seed_corrections: u64,
-}
-
-/// Ledger equality is *simulated-state* equality: primitive counts (and
-/// with them cycles and energy), zone heatmap, pipeline totals, unissued
-/// steps, seed corrections. The
-/// kernel-cache counters are deliberately excluded — they are host-side
-/// telemetry (a hit charges the identical ops as the recompute it
-/// replaces), and the hit/miss split depends on how the parallel engine
-/// partitions reads across per-worker caches, so it is not
-/// thread-invariant. Compare [`CycleLedger::kernel_cache_counters`]
-/// explicitly where cache traffic itself is under test.
-impl PartialEq for CycleLedger {
-    fn eq(&self, other: &CycleLedger) -> bool {
-        self.prims == other.prims
-            && self.zones == other.zones
-            && self.pipeline == other.pipeline
-            && self.unissued_steps == other.unissued_steps
-            && self.seed_corrections == other.seed_corrections
-    }
 }
 
 impl CycleLedger {
@@ -191,34 +129,6 @@ impl CycleLedger {
     /// request batch was scheduled).
     pub fn pipeline_counters(&self) -> PipelineCounters {
         self.pipeline
-    }
-
-    /// Notes one rank-checkpoint cache hit. Called by the kernel call
-    /// site *alongside* the usual logical-op charges — a hit changes
-    /// host work only, never what the platform is billed.
-    #[inline]
-    pub fn note_kernel_cache_hit(&mut self) {
-        self.kernel_cache.hits += 1;
-    }
-
-    /// Notes one rank-checkpoint cache miss (entry recomputed and
-    /// installed).
-    #[inline]
-    pub fn note_kernel_cache_miss(&mut self) {
-        self.kernel_cache.misses += 1;
-    }
-
-    /// Notes one eviction (a miss whose install displaced a live entry
-    /// of a different sub-array).
-    #[inline]
-    pub fn note_kernel_cache_eviction(&mut self) {
-        self.kernel_cache.evictions += 1;
-    }
-
-    /// Accumulated rank-checkpoint cache totals (all-zero when no
-    /// caller passed a cache).
-    pub fn kernel_cache_counters(&self) -> KernelCacheCounters {
-        self.kernel_cache
     }
 
     /// Notes `steps` interval steps taken without an `LFM` — the first
@@ -302,7 +212,6 @@ impl CycleLedger {
     pub fn merge(&mut self, other: &CycleLedger) {
         self.prims.merge(&other.prims);
         self.pipeline.merge(&other.pipeline);
-        self.kernel_cache.merge(&other.kernel_cache);
         self.unissued_steps += other.unissued_steps;
         self.seed_corrections += other.seed_corrections;
         if self.zones.len() < other.zones.len() {
@@ -393,26 +302,5 @@ mod tests {
         assert_eq!(total.makespan_cycles, 245 + 137);
         assert_eq!(total.sequential_cycles, 304 + 152);
         assert_eq!(total.overlap_saved_cycles(), 456 - 382);
-    }
-
-    #[test]
-    fn kernel_cache_counters_record_and_merge() {
-        let mut a = CycleLedger::new();
-        assert_eq!(a.kernel_cache_counters(), KernelCacheCounters::default());
-        assert_eq!(a.kernel_cache_counters().hit_rate(), 0.0);
-        a.note_kernel_cache_miss();
-        a.note_kernel_cache_hit();
-        a.note_kernel_cache_hit();
-        a.note_kernel_cache_eviction();
-        let mut b = CycleLedger::new();
-        b.note_kernel_cache_hit();
-        b.note_kernel_cache_miss();
-        a.merge(&b);
-        let total = a.kernel_cache_counters();
-        assert_eq!(total.hits, 3);
-        assert_eq!(total.misses, 2);
-        assert_eq!(total.evictions, 1);
-        assert_eq!(total.lookups(), 5);
-        assert!((total.hit_rate() - 0.6).abs() < 1e-12);
     }
 }

@@ -31,10 +31,7 @@
 //!   `Pd`;
 //! * [`costs`] — the logical-operation cost table (cycles per
 //!   `XNOR_Match`, marker read, 32-bit `IM_ADD`, …) documented in
-//!   DESIGN.md §6;
-//! * [`cache`] — the rank-checkpoint [`KernelCache`]: a host-wall-clock
-//!   memoization that leaves every simulated charge byte-identical
-//!   (DESIGN.md §16).
+//!   DESIGN.md §6.
 //!
 //! Functional results are validated in two directions: against the
 //! `mram` sense-amplifier model (every bulk op agrees with what the
@@ -43,7 +40,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod costs;
 pub mod host;
 pub mod json;
@@ -56,13 +52,12 @@ mod faults;
 mod ledger;
 mod subarray;
 
-pub use cache::KernelCache;
 pub use dpu::{BacktrackState, Dpu};
 pub use faults::{FaultCounters, FaultInjector};
 pub use host::{
     chrome_trace_json, peak_rss_bytes, HostEpoch, HostHistogram, HostSpan, HostSpanLog, WorkerStats,
 };
-pub use ledger::{CycleLedger, KernelCacheCounters, Resource};
+pub use ledger::{CycleLedger, Resource};
 pub use metrics::PrimCounters;
 pub use pipeline::{PipelineCounters, PipelineParams, PipelineSim};
 pub use subarray::{validate_functions_against_circuit, MatchMask, SubArray, SubArrayLayout};

@@ -10,6 +10,11 @@
 //! sentinel positions, stuck cells, and fault seeds — the packed rewrite
 //! is an *optimisation*, not a behaviour change.
 //!
+//! The same goes for the vertical marker table: the packed sub-array
+//! holds each marker as one word, and this reference keeps the 128
+//! boolean MT rows and gathers a marker from them bit by bit, so a stuck
+//! MT cell has an oracle too.
+//!
 //! Both kernels charge the same [`LogicalOp`]s: the cycle model prices
 //! logical operations, not host-side data structures.
 
@@ -21,8 +26,7 @@ use crate::ledger::CycleLedger;
 use crate::subarray::SubArrayLayout;
 
 /// The boolean-matrix sub-array as it existed before bit-plane packing:
-/// BWT and `CRef` zones only (markers and `IM_ADD` never changed
-/// representation on the hot path).
+/// BWT, `CRef` and MT zones (`IM_ADD` scratch is not modelled).
 ///
 /// # Examples
 ///
@@ -44,6 +48,9 @@ pub struct BoolSubArray {
     /// high bit at column `2j + 1`.
     bwt: Vec<Vec<bool>>,
     cref: Vec<Vec<bool>>,
+    /// The MT zone row by row: row `32b + k` holds bit `k` of base rank
+    /// `b`'s marker in every bucket column.
+    mt: Vec<Vec<bool>>,
     /// Bases the BWT zone holds, as [`SubArray`](crate::SubArray) counts
     /// them.
     bwt_len: usize,
@@ -58,6 +65,7 @@ impl BoolSubArray {
             model,
             bwt: vec![vec![false; cols]; layout.buckets()],
             cref: vec![vec![false; cols]; 4],
+            mt: vec![vec![false; cols]; layout.mt_rows.len()],
             bwt_len: 0,
         }
     }
@@ -100,18 +108,48 @@ impl BoolSubArray {
         }
     }
 
-    /// Raw bit at `(bucket, col)` of the BWT zone (interleaved column
-    /// addressing, matching [`SubArray::bit`](crate::SubArray::bit) on
-    /// the BWT rows).
-    pub fn bwt_bit(&self, bucket: usize, col: usize) -> bool {
-        self.bwt[bucket][col]
+    /// Stores marker word `value` for `base` of bucket-column `bucket`:
+    /// one boolean in each of the base's 32 MT rows. Charges what
+    /// [`SubArray::store_marker`](crate::SubArray::store_marker) does.
+    pub fn store_marker(
+        &mut self,
+        bucket: usize,
+        base: Base,
+        value: u32,
+        ledger: &mut CycleLedger,
+    ) {
+        for k in 0..32 {
+            self.mt[32 * base.rank() + k][bucket] = (value >> k) & 1 == 1;
+        }
+        LogicalOp::RowWrite.charge(&self.model, ledger);
     }
 
-    /// Forces a BWT-zone cell — the stuck-at hook, mirroring
-    /// [`SubArray::force_bit`](crate::SubArray::force_bit) for the rows
-    /// this reference models.
-    pub fn force_bwt_bit(&mut self, bucket: usize, col: usize, value: bool) {
-        self.bwt[bucket][col] = value;
+    /// Gathers the marker word for `base` of bucket-column `bucket` from
+    /// its 32 MT rows. Charges what
+    /// [`SubArray::read_marker`](crate::SubArray::read_marker) does.
+    pub fn read_marker(&self, bucket: usize, base: Base, ledger: &mut CycleLedger) -> u32 {
+        LogicalOp::MarkerRead.charge(&self.model, ledger);
+        (0..32).fold(0, |acc, k| {
+            acc | u32::from(self.mt[32 * base.rank() + k][bucket]) << k
+        })
+    }
+
+    /// Forces the cell at `(row, col)` of a BWT or MT row — the stuck-at
+    /// hook, mirroring [`SubArray::force_bit`](crate::SubArray::force_bit)
+    /// for the rows this reference models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is a `CRef` or reserved row.
+    pub fn force_bit(&mut self, row: usize, col: usize, value: bool) {
+        let layout = SubArrayLayout::paper();
+        if layout.bwt_rows.contains(&row) {
+            self.bwt[row - layout.bwt_rows.start][col] = value;
+        } else if layout.mt_rows.contains(&row) {
+            self.mt[row - layout.mt_rows.start][col] = value;
+        } else {
+            panic!("row {row} is not modelled");
+        }
     }
 
     /// The original per-boolean `XNOR_Match`: allocates and returns a

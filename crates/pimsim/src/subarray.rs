@@ -5,8 +5,10 @@
 //! `u64` words holding the two bit-planes of the 2-bit base encoding, so
 //! the `XNOR_Match` primitive is evaluated word-parallel — a handful of
 //! XOR/AND/NOT word operations instead of a 128-iteration boolean scan —
-//! and returns a stack-allocated [`MatchMask`]. The cycle/energy charges
-//! are unchanged: the ledger prices *logical operations*, which are
+//! and returns a stack-allocated [`MatchMask`]. The vertical marker
+//! table is held as the 32-bit words it stores, one per (bucket column,
+//! base), so a marker `MEM` is one load. The cycle/energy charges are
+//! unchanged: the ledger prices *logical operations*, which are
 //! representation-independent.
 
 use std::ops::Range;
@@ -66,20 +68,24 @@ impl SubArrayLayout {
     ///
     /// # Panics
     ///
-    /// Panics if zones overlap, exceed the geometry, or the MT zone
-    /// cannot hold four 32-bit words per column.
+    /// Panics if zones overlap, exceed the geometry, or the MT zone is
+    /// not four 32-bit words per column.
     pub fn validate(&self, geometry: SubArrayGeometry) {
         assert!(self.bwt_rows.end <= self.cref_rows.start);
         assert!(self.cref_rows.end <= self.mt_rows.start);
         assert!(self.mt_rows.end <= self.reserved_rows.start);
         assert!(self.reserved_rows.end <= geometry.rows);
         assert_eq!(self.cref_rows.len(), 4, "one CRef row per nucleotide");
-        assert!(
-            self.mt_rows.len() >= 128,
-            "MT zone must hold 4 × 32-bit vertical words"
+        assert_eq!(
+            self.mt_rows.len(),
+            MARKER_ROWS,
+            "MT zone must be 4 × 32-bit vertical words"
         );
     }
 }
+
+/// Rows of the MT zone: four 32-bit vertical words per column.
+const MARKER_ROWS: usize = 4 * 32;
 
 /// `u64` words per packed 256-column row.
 const WORDS_PER_ROW: usize = 4;
@@ -95,8 +101,7 @@ type PackedRow = [u64; WORDS_PER_ROW];
 /// `j`'s low bit at column `2j`, high bit at column `2j + 1`); physically
 /// the planes are stored contiguously so `XNOR_Match` needs no bit
 /// de-interleaving. The mapping is a fixed bijection applied uniformly to
-/// every row, so cross-row column addressing (the vertical marker table,
-/// stuck-at coordinates) stays self-consistent.
+/// every packed row, so stuck-at coordinates stay self-consistent.
 #[inline]
 fn col_bit(col: usize) -> usize {
     (col >> 1) + ((col & 1) << 7)
@@ -251,9 +256,14 @@ impl MatchMask {
 pub struct SubArray {
     model: ArrayModel,
     layout: SubArrayLayout,
-    /// Row-major packed bit matrix (see [`col_bit`] for the column
-    /// mapping).
+    /// Row-major packed bit matrix of every zone but the MT zone (see
+    /// [`col_bit`] for the column mapping); the rows past the MT zone sit
+    /// `mt_rows.len()` lower ([`SubArray::packed_index`]).
     rows: Vec<PackedRow>,
+    /// The MT zone, held once as the words it stores: `markers[4c + b]`
+    /// is the marker of base rank `b` in bucket column `c`, and bit `k`
+    /// of it is the cell of row `mt_rows.start + 32b + k`, column `c`.
+    markers: Vec<u32>,
     /// Bases the BWT zone holds: every row's are 128 but the last
     /// loaded row's (the match-length mask).
     bwt_len: usize,
@@ -272,7 +282,8 @@ impl SubArray {
         );
         SubArray {
             model,
-            rows: vec![[0u64; WORDS_PER_ROW]; geometry.rows],
+            rows: vec![[0u64; WORDS_PER_ROW]; geometry.rows - MARKER_ROWS],
+            markers: vec![0; 4 * geometry.cols],
             bwt_len: 0,
             layout,
         }
@@ -288,12 +299,43 @@ impl SubArray {
         &self.model
     }
 
+    /// Where row `row` is held: its index in `rows`, or `None` for an MT
+    /// row, which lives in `markers`.
+    #[inline]
+    fn packed_index(&self, row: usize) -> Option<usize> {
+        let mt = &self.layout.mt_rows;
+        if row < mt.start {
+            Some(row)
+        } else if row >= mt.end {
+            Some(row - MARKER_ROWS)
+        } else {
+            None
+        }
+    }
+
+    /// The marker word and its bit that hold the cell at MT row `row`,
+    /// column `col`.
+    #[inline]
+    fn marker_cell(&self, row: usize, col: usize) -> (usize, usize) {
+        let k = row - self.layout.mt_rows.start;
+        (4 * col + k / 32, k % 32)
+    }
+
     /// Raw bit at `(row, col)` (test/debug accessor; no cycle charge).
     /// Columns use the paper's interleaved word-line addressing — base
-    /// `j`'s low bit at column `2j`, high bit at `2j + 1`.
+    /// `j`'s low bit at column `2j`, high bit at `2j + 1` — and an MT
+    /// row's cell is the bit of its column's marker word.
     pub fn bit(&self, row: usize, col: usize) -> bool {
-        let p = col_bit(col);
-        (self.rows[row][p >> 6] >> (p & 63)) & 1 == 1
+        match self.packed_index(row) {
+            Some(r) => {
+                let p = col_bit(col);
+                (self.rows[r][p >> 6] >> (p & 63)) & 1 == 1
+            }
+            None => {
+                let (w, k) = self.marker_cell(row, col);
+                (self.markers[w] >> k) & 1 == 1
+            }
+        }
     }
 
     /// Forces the cell at `(row, col)` to `value` — the stuck-at
@@ -310,12 +352,17 @@ impl SubArray {
             col < self.model.geometry().cols,
             "column {col} out of range"
         );
-        let p = col_bit(col);
-        let (w, b) = (p >> 6, p & 63);
-        if value {
-            self.rows[row][w] |= 1 << b;
-        } else {
-            self.rows[row][w] &= !(1 << b);
+        match self.packed_index(row) {
+            Some(r) => {
+                let p = col_bit(col);
+                let (word, b) = (&mut self.rows[r][p >> 6], p & 63);
+                *word = (*word & !(1 << b)) | (u64::from(value) << b);
+            }
+            None => {
+                let (w, k) = self.marker_cell(row, col);
+                let word = &mut self.markers[w];
+                *word = (*word & !(1 << k)) | (u32::from(value) << k);
+            }
         }
     }
 
@@ -426,37 +473,25 @@ impl SubArray {
     ) {
         let cols = self.model.geometry().cols;
         assert!(bucket < cols, "marker column {bucket} out of range");
-        let start = self.layout.mt_rows.start + base.rank() * 32;
-        let p = col_bit(bucket);
-        let (w, b) = (p >> 6, p & 63);
-        for k in 0..32 {
-            let row = &mut self.rows[start + k];
-            if (value >> k) & 1 == 1 {
-                row[w] |= 1 << b;
-            } else {
-                row[w] &= !(1 << b);
-            }
-        }
+        self.markers[4 * bucket + base.rank()] = value;
         LogicalOp::RowWrite.charge(&self.model, ledger);
     }
 
     /// Reads the marker word for `base` of bucket-column `bucket`
     /// (`MEM`, 11 cycles — three bits per cycle through the three
-    /// sub-SAs).
+    /// sub-SAs): one load of the word, stuck cells included. Draws no
+    /// fault: an `LFM`'s alignment-time draws are on its match-vector
+    /// sensing and its add (DESIGN.md §11).
     ///
     /// # Panics
     ///
     /// Panics if `bucket` exceeds the column count.
+    #[inline]
     pub fn read_marker(&self, bucket: usize, base: bioseq::Base, ledger: &mut CycleLedger) -> u32 {
         let cols = self.model.geometry().cols;
         assert!(bucket < cols, "marker column {bucket} out of range");
-        let start = self.layout.mt_rows.start + base.rank() * 32;
         LogicalOp::MarkerRead.charge(&self.model, ledger);
-        let p = col_bit(bucket);
-        let (w, b) = (p >> 6, p & 63);
-        (0..32).fold(0u32, |acc, k| {
-            acc | ((((self.rows[start + k][w] >> b) & 1) as u32) << k)
-        })
+        self.markers[4 * bucket + base.rank()]
     }
 
     /// The in-memory 32-bit addition (`IM_ADD`): writes both operands
@@ -496,7 +531,9 @@ impl SubArray {
         kill_carry_at: Option<usize>,
         ledger: &mut CycleLedger,
     ) -> u32 {
-        let base = self.layout.reserved_rows.start;
+        let base = self
+            .packed_index(self.layout.reserved_rows.start)
+            .expect("the reserved zone is packed");
         let (a_rows, b_rows, sum_rows, carry_row) = (base, base + 32, base + 64, base + 96);
         // Stage the operands in column 0 (bulk transposed write, part of
         // the IM_ADD cost model rather than separate row writes).
@@ -559,20 +596,6 @@ impl SubArray {
         assert!(kill_carry_at < 32, "carry bit {kill_carry_at} out of range");
         LogicalOp::ImAdd32.charge(&self.model, ledger);
         ripple_add32(a, b, kill_carry_at)
-    }
-
-    /// Copies one row into another sub-array (method-II duplication);
-    /// charges a read here and a write there.
-    pub fn copy_row_to(
-        &self,
-        row: usize,
-        dest: &mut SubArray,
-        dest_row: usize,
-        ledger: &mut CycleLedger,
-    ) {
-        LogicalOp::RowRead.charge(&self.model, ledger);
-        LogicalOp::RowWrite.charge(&dest.model, ledger);
-        dest.rows[dest_row] = self.rows[row];
     }
 }
 
@@ -867,6 +890,7 @@ mod tests {
         sa.store_marker(9, Base::G, 0, &mut ledger);
         let start = sa.layout().mt_rows.start + Base::G.rank() * 32;
         sa.force_bit(start + 5, 9, true);
+        assert!(sa.bit(start + 5, 9) && !sa.bit(start + 5, 8));
         assert_eq!(sa.read_marker(9, Base::G, &mut ledger), 1 << 5);
         assert!(sa.data_zone_rows() > start);
     }
@@ -901,18 +925,6 @@ mod tests {
             ledger.total_busy_cycles() - before,
             LogicalOp::XnorMatch.cycles()
         );
-    }
-
-    #[test]
-    fn copy_row_duplicates_contents() {
-        let (mut src, mut ledger) = fresh();
-        let mut dst = SubArray::new(ArrayModel::default());
-        let codes: Vec<u8> = (0..64).map(|i| (i % 4) as u8).collect();
-        src.load_bwt_row(5, &codes, &mut ledger);
-        src.copy_row_to(5, &mut dst, 7, &mut ledger);
-        for col in 0..128 {
-            assert_eq!(src.bit(5, col), dst.bit(7, col));
-        }
     }
 
     #[test]

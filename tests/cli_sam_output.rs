@@ -186,36 +186,14 @@ fn telemetry_flags_never_touch_the_sam_stream() {
     let doc_traced = json::parse(&std::fs::read_to_string(&metrics_traced).unwrap())
         .expect("traced metrics JSON parses");
     // The simulated sections are value-identical across flag shapes and
-    // worker counts — only the wall-clock `host` section may differ, and
-    // the rank-checkpoint cache's host-side counters, which depend on
-    // whose cache each read met: every worker has its own.
-    let simulated = |doc: &Value, section: &str| {
-        let mut value = doc.get(section).cloned();
-        if let Some(Value::Object(fields)) = value.as_mut() {
-            fields.remove("kernel_cache");
-        }
-        value
-    };
+    // worker counts — only the wall-clock `host` section may differ.
     for section in ["schema_version", "report", "faults", "breakdown"] {
         assert_eq!(
-            simulated(&doc_untraced, section),
-            simulated(&doc_traced, section),
+            doc_untraced.get(section),
+            doc_traced.get(section),
             "simulated section {section} diverged under tracing"
         );
     }
-    // Every compare stage still looks the cache up exactly once.
-    let lookups = |doc: &Value| -> u64 {
-        ["hits", "misses"]
-            .iter()
-            .map(|c| {
-                let path = format!("breakdown.kernel_cache.{c}");
-                doc.get(&path)
-                    .and_then(Value::as_u64)
-                    .expect("cache counter")
-            })
-            .sum()
-    };
-    assert_eq!(lookups(&doc_untraced), lookups(&doc_traced));
 
     // The trace file is a loadable Chrome trace with spans.
     let trace_doc =

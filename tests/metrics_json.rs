@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pipelined"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 12);
+    assert_eq!(as_u64(&doc, "schema_version"), 13);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
@@ -66,23 +66,8 @@ fn metrics_json_is_valid_and_reconciles() {
     assert_eq!(as_u64(&doc, "obs.buckets_retired"), 0);
     assert_eq!(as_u64(&doc, "obs.window_secs"), 0);
 
-    // v6: the rank-checkpoint cache section is present and internally
-    // consistent. The default policy (auto) runs the cache, so an
-    // aligning run records lookups; the hit counters are host-side
-    // observability and never perturb the simulated totals checked
-    // below.
-    let hits = as_u64(&doc, "breakdown.kernel_cache.hits");
-    let misses = as_u64(&doc, "breakdown.kernel_cache.misses");
-    assert!(hits + misses > 0, "auto policy must record cache lookups");
-    let hit_rate = doc
-        .get("breakdown.kernel_cache.hit_rate")
-        .and_then(Value::as_f64)
-        .expect("hit_rate");
-    let expected_rate = hits as f64 / (hits + misses) as f64;
-    assert!(
-        (hit_rate - expected_rate).abs() < 1e-5,
-        "hit_rate {hit_rate} vs {expected_rate}"
-    );
+    // v13: the rank-checkpoint cache section is gone with the cache.
+    assert_eq!(doc.get("breakdown.kernel_cache"), None);
 
     // v4: the index section records how the platform's FM-index came to
     // be. A plain CLI run builds in-process: full SA, not loaded, and the
@@ -303,7 +288,6 @@ fn metrics_document_writes_every_section_field() {
         "breakdown.resources.0.busy_cycles",
         "breakdown.lfm_by_phase.exact",
         "breakdown.pipeline.compare_occupancy_pct",
-        "breakdown.kernel_cache.hit_rate",
         "breakdown.heatmap.activations",
     ] {
         assert_ne!(leaf(&quiet, path), Value::Null, "missing {path}");
