@@ -133,8 +133,10 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     fi
 
     # SA-IS at the size the naive oracle cannot reach (8 Mbp uniform,
-    # 2 Mbp repeat-rich), checked through BWT inversion: seconds here,
-    # minutes in a debug build, hence #[ignore]d for `cargo test`.
+    # 2 Mbp repeat-rich, and the 1 Mbp Fibonacci and period-13 words
+    # with the largest key ties and the deepest recursion), checked
+    # through BWT inversion: seconds here, minutes in a debug build,
+    # hence #[ignore]d for `cargo test`.
     step "large suffix arrays (release-only test)"
     cargo test -q --release -p fmindex --lib -- \
         --ignored large_suffix_arrays_invert_to_their_text

@@ -31,6 +31,8 @@ use pimsim::{HostEpoch, HostHistogram};
 use crate::metrics::{service_section, slow_section};
 use crate::report::{ObsTelemetry, ServiceTelemetry, SlowRequest};
 
+use super::protocol::ShedReason;
+
 /// Default rolling-window ring capacity, seconds (`--obs-window`).
 pub const DEFAULT_OBS_WINDOW_SECS: u32 = 60;
 
@@ -159,16 +161,6 @@ impl BucketRing {
     }
 }
 
-/// Why admission shed or rejected a request — selects which bucket
-/// counter one [`ObsState::not_admitted`] call moves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    QueueFull,
-    InflightBytes,
-    Draining,
-    Invalid,
-}
-
 struct ObsInner {
     ring: BucketRing,
     /// Sorted descending by `total_ns`, truncated to
@@ -240,10 +232,11 @@ impl ObsState {
         });
     }
 
-    /// A request was shed or rejected at admission.
+    /// A request was shed or rejected at admission: `reason` selects
+    /// the bucket counter that moves.
     pub fn not_admitted(&self, reason: ShedReason) {
         self.count(|c| match reason {
-            ShedReason::QueueFull => c.shed_queue_full += 1,
+            ShedReason::QueueDepth => c.shed_queue_full += 1,
             ShedReason::InflightBytes => c.shed_inflight_bytes += 1,
             ShedReason::Draining => c.rejected_draining += 1,
             ShedReason::Invalid => c.rejected_invalid += 1,
@@ -683,7 +676,7 @@ mod tests {
         let obs = ObsState::new(60, 0);
         obs.received();
         obs.accepted(3, 1024);
-        obs.not_admitted(ShedReason::QueueFull);
+        obs.not_admitted(ShedReason::QueueDepth);
         obs.not_admitted(ShedReason::Invalid);
         obs.batch(2);
         obs.response(

@@ -112,13 +112,29 @@ pub enum Request {
     },
 }
 
-/// Why admission control shed a request.
+/// Why admission turned a request away. The first two shed it under
+/// load, and an `Overloaded` response names them on the wire as bytes 0
+/// and 1; the other two reject it, each with a response of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The bounded queue was at its depth limit.
     QueueDepth,
     /// In-flight payload bytes were at their limit.
     InflightBytes,
+    /// The server was draining.
+    Draining,
+    /// The request was malformed.
+    Invalid,
+}
+
+impl ShedReason {
+    /// Every reason, in the order of its wire byte.
+    const ALL: [ShedReason; 4] = [
+        ShedReason::QueueDepth,
+        ShedReason::InflightBytes,
+        ShedReason::Draining,
+        ShedReason::Invalid,
+    ];
 }
 
 /// The alignment outcome carried by an `Aligned` response.
@@ -396,13 +412,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
     Ok(req)
 }
 
-fn shed_reason_byte(reason: ShedReason) -> u8 {
-    match reason {
-        ShedReason::QueueDepth => 0,
-        ShedReason::InflightBytes => 1,
-    }
-}
-
 /// Encodes a response payload (frame it with [`write_frame`]).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
@@ -434,7 +443,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         } => {
             out.push(ST_OVERLOADED);
             out.extend_from_slice(&retry_after_ms.to_be_bytes());
-            out.push(shed_reason_byte(*reason));
+            out.push(*reason as u8);
         }
         Response::DeadlineExceeded { .. } => out.push(ST_DEADLINE),
         Response::Invalid { message, .. } => {
@@ -496,11 +505,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
         }
         ST_OVERLOADED => {
             let retry_after_ms = c.u32()?;
-            let reason = match c.u8()? {
-                0 => ShedReason::QueueDepth,
-                1 => ShedReason::InflightBytes,
-                r => return Err(ProtocolError::new(format!("unknown shed reason {r}"))),
-            };
+            let r = c.u8()?;
+            let reason = *ShedReason::ALL
+                .get(usize::from(r))
+                .ok_or_else(|| ProtocolError::new(format!("unknown shed reason {r}")))?;
             Response::Overloaded {
                 req_id,
                 retry_after_ms,
@@ -752,6 +760,27 @@ mod tests {
             let decoded = decode_response(&encode_response(&response)).expect("decodes");
             assert_eq!(decoded, response);
         }
+    }
+
+    #[test]
+    fn shed_reasons_keep_their_wire_bytes() {
+        let overloaded = |reason| Response::Overloaded {
+            req_id: 5,
+            retry_after_ms: 9,
+            reason,
+        };
+        for (byte, reason) in ShedReason::ALL.into_iter().enumerate() {
+            let bytes = encode_response(&overloaded(reason));
+            assert_eq!(bytes.last(), Some(&(byte as u8)), "{reason:?}");
+        }
+        assert_eq!(
+            ShedReason::ALL[..2],
+            [ShedReason::QueueDepth, ShedReason::InflightBytes]
+        );
+        let mut bytes = encode_response(&overloaded(ShedReason::QueueDepth));
+        *bytes.last_mut().unwrap() = 4;
+        let e = decode_response(&bytes).expect_err("no fifth reason");
+        assert!(e.to_string().contains("unknown shed reason 4"), "{e}");
     }
 
     #[test]

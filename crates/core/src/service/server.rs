@@ -53,7 +53,7 @@ use crate::platform::Platform;
 use crate::report::{ObsTelemetry, PerfReport, ServiceTelemetry, SlowRequest};
 use crate::{AlignmentOutcome, MappedStrand};
 
-use super::obs::{log_kv, ObsState, ShedReason as ObsShed};
+use super::obs::{log_kv, ObsState};
 use super::protocol::{
     decode_request, encode_response, read_frame, write_frame, AlignRequest, Request, Response,
     ShedReason,
@@ -397,7 +397,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: Arc<TcpStream>) {
 fn handle_request(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, payload: &[u8]) {
     match decode_request(payload) {
         Err(e) => {
-            shared.obs.not_admitted(ObsShed::Invalid);
+            shared.obs.not_admitted(ShedReason::Invalid);
             writer.send(&Response::Invalid {
                 req_id: 0,
                 message: e.to_string(),
@@ -436,7 +436,7 @@ fn admit_align(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: AlignRequest
     let seq: DnaSeq = match req.seq.parse() {
         Ok(s) => s,
         Err(e) => {
-            shared.obs.not_admitted(ObsShed::Invalid);
+            shared.obs.not_admitted(ShedReason::Invalid);
             writer.send(&Response::Invalid {
                 req_id: req.req_id,
                 message: format!("read {:?}: {e}", req.id),
@@ -445,7 +445,7 @@ fn admit_align(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: AlignRequest
         }
     };
     if seq.is_empty() {
-        shared.obs.not_admitted(ObsShed::Invalid);
+        shared.obs.not_admitted(ShedReason::Invalid);
         writer.send(&Response::Invalid {
             req_id: req.req_id,
             message: format!("read {:?}: empty sequence", req.id),
@@ -482,7 +482,7 @@ fn admit_align(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: AlignRequest
             shared.queue.inflight_bytes() as u64,
         ),
         Admit::ShedDepth { retry_after_ms } => {
-            shared.obs.not_admitted(ObsShed::QueueFull);
+            shared.obs.not_admitted(ShedReason::QueueDepth);
             writer.send(&Response::Overloaded {
                 req_id,
                 retry_after_ms,
@@ -490,7 +490,7 @@ fn admit_align(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: AlignRequest
             });
         }
         Admit::ShedBytes { retry_after_ms } => {
-            shared.obs.not_admitted(ObsShed::InflightBytes);
+            shared.obs.not_admitted(ShedReason::InflightBytes);
             writer.send(&Response::Overloaded {
                 req_id,
                 retry_after_ms,
@@ -498,7 +498,7 @@ fn admit_align(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, req: AlignRequest
             });
         }
         Admit::Draining => {
-            shared.obs.not_admitted(ObsShed::Draining);
+            shared.obs.not_admitted(ShedReason::Draining);
             writer.send(&Response::Draining { req_id });
         }
     }

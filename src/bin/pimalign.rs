@@ -16,7 +16,6 @@
 //!                         build the in-process index with the densest
 //!                         suffix-array sampling rate whose modelled
 //!                         footprint fits (suffixes K/M/G = KiB/MiB/GiB)
-//!   --pipelined           use PIM-Aligner-p (Pd = 2) instead of the baseline
 //!   --pd <N>              parallelism degree (implies method-II for N >= 2)
 //!   --max-diffs <Z>       inexact-stage difference budget (default 2, max 8)
 //!   --no-indels           substitutions only in the inexact stage
@@ -276,7 +275,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 let raw: String = parse_flag(args, &mut i, "--index-memory-budget")?;
                 cli.index_memory_budget = Some(parse_bytes(&raw, "--index-memory-budget")?);
             }
-            "--pipelined" => cli.pd = cli.pd.max(2),
             "--pd" => {
                 cli.pd = parse_flag(args, &mut i, "--pd")?;
                 if cli.pd == 0 {

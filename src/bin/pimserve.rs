@@ -17,7 +17,6 @@
 //!   --max-inflight-bytes <N>  admitted-but-unanswered byte budget (default 8 MiB)
 //!   --deadline-ms <N>         default per-request deadline, 0 = none (default 0)
 //!   --retry-after-ms <N>      base of the shed retry-after hint (default 20)
-//!   --pipelined               use PIM-Aligner-p (Pd = 2) instead of the baseline
 //!   --pd <N>                  parallelism degree (implies method-II for N >= 2)
 //!   --max-diffs <Z>           inexact-stage difference budget (default 2, max 8)
 //!   --no-indels               substitutions only in the inexact stage
@@ -147,7 +146,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--retry-after-ms" => {
                 cli.service.retry_after_base_ms = parse_flag(args, &mut i, "--retry-after-ms")?;
             }
-            "--pipelined" => cli.pd = cli.pd.max(2),
             "--pd" => {
                 cli.pd = parse_flag(args, &mut i, "--pd")?;
                 if cli.pd == 0 {

@@ -33,7 +33,8 @@ fn aligns_reads_and_emits_valid_sam() {
     let (stdout, stderr, ok) = run_cli(&[
         reference.to_str().unwrap(),
         reads.to_str().unwrap(),
-        "--pipelined",
+        "--pd",
+        "2",
     ]);
     assert!(ok, "CLI failed: {stderr}");
 
@@ -271,6 +272,7 @@ fn usage_errors_exit_2_with_named_flags() {
         (&["a", "b", "--bogus"][..], "unknown option"),
         (&["a", "b", "--kernel-simd", "auto"][..], "unknown option"),
         (&["a", "b", "--kernel-batch", "8"][..], "unknown option"),
+        (&["a", "b", "--pipelined"][..], "unknown option --pipelined"),
         (&["a", "b", "--threads", "0"][..], "--threads"),
         (&["a", "b", "--batch-size", "0"][..], "--batch-size"),
         (&["a", "b", "--batch-size", "65537"][..], "--batch-size"),
@@ -291,15 +293,20 @@ fn usage_errors_exit_2_with_named_flags() {
     }
     // pimserve shares the exit-code scheme; flags are parsed before the
     // reference is opened, so no socket is ever bound.
-    for (flag, value) in [("--kernel-simd", "auto"), ("--kernel-batch", "8")] {
+    for flag in [
+        &["--kernel-simd", "auto"][..],
+        &["--kernel-batch", "8"],
+        &["--pipelined"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pimserve"))
-            .args(["/nonexistent/ref.fa", flag, value])
+            .arg("/nonexistent/ref.fa")
+            .args(flag)
             .output()
             .expect("run pimserve");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "pimserve stderr: {stderr}");
         assert!(
-            stderr.contains(&format!("unknown option {flag}")),
+            stderr.contains(&format!("unknown option {}", flag[0])),
             "pimserve stderr: {stderr}"
         );
     }

@@ -54,7 +54,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 
 #[test]
 fn metrics_json_is_valid_and_reconciles() {
-    let doc = run_with_metrics(&["--pipelined"]);
+    let doc = run_with_metrics(&["--pd", "2"]);
 
     assert_eq!(as_u64(&doc, "schema_version"), 13);
 
