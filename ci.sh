@@ -12,8 +12,8 @@
 #                      tier-1 ignores, the release-binary smoke
 #                      (pimalign --threads 2 --trace-out, index build /
 #                      inspect / --index rerun + SAM cmp with the full
-#                      SA and again at --sa-rate 8), the three API
-#                      examples, a self-checking indexbench --quick,
+#                      SA and again at --sa-rate 8), every example,
+#                      a self-checking indexbench --quick,
 #                      and a locked build + test of benchmark/
 #
 # Counted invariants are `cargo test` assertions, the byte-deterministic
@@ -192,11 +192,12 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         > target/ci/smoke_sampled.sam
     cmp target/ci/smoke.sam target/ci/smoke_sampled.sam
 
-    # The documented API executes, not just compiles: the examples that
-    # drive Platform::align_chunk_parallel + batch_report (each asserts or
-    # panics on a wrong answer; ≈ 50 ms apiece once built).
-    step "examples (quickstart, resequencing, accelerator_survey)"
-    for _example in quickstart resequencing accelerator_survey; do
+    # The documented API executes, not just compiles: every example runs —
+    # the three that drive Platform::align_chunk_parallel + batch_report
+    # (each asserts or panics on a wrong answer), and the table and
+    # sub-array walkthroughs (≈ 50 ms apiece once built).
+    step "examples (all five)"
+    for _example in quickstart resequencing accelerator_survey build_tables subarray_walkthrough; do
         cargo run -q --release --example "$_example" > "target/ci/example_$_example.txt"
     done
 

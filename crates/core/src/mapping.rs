@@ -17,7 +17,9 @@ use mram::array::ArrayModel;
 use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::pipeline::{PipelineParams, PipelineSim};
-use pimsim::{CycleLedger, Dpu, FaultCounters, FaultInjector, MatchMask, SubArray, SubArrayLayout};
+use pimsim::{
+    im_add32, CycleLedger, Dpu, FaultCounters, FaultInjector, MatchMask, SubArray, SubArrayLayout,
+};
 
 use crate::config::{AddMethod, PimAlignerConfig};
 
@@ -42,29 +44,6 @@ pub struct LfmRequest {
     pub nt: Base,
     /// FM-index position (`0 ..= text_len`).
     pub id: usize,
-}
-
-/// The DPU's reading of one `LFM`'s match mask: the matches before column
-/// `within`, and the matches in the `span` columns from `within` on — the
-/// second bound of a word-line step ([`MappedIndex::step`]); `span` is 0
-/// for any other `LFM`. Under an active campaign the reading is taken
-/// from this request's own copy of the mask, faulted with what one `LFM`
-/// draws (DESIGN.md §8, §15.2): one transient-row decision, then one
-/// misread draw per column sensed, `within + span` of them. The mask APIs
-/// draw the RNG stream of the boolean ones, so seeded replays do not
-/// depend on the packing.
-fn sense(
-    mut mask: MatchMask,
-    within: usize,
-    span: usize,
-    injector: Option<&mut FaultInjector>,
-) -> (u32, u32) {
-    if let Some(injector) = injector.filter(|i| i.is_active()) {
-        injector.transient_row_mask(&mut mask);
-        injector.corrupt_match_mask(&mut mask, within + span);
-    }
-    let prefix = mask.count_prefix(within);
-    (prefix, mask.count_prefix(within + span) - prefix)
 }
 
 /// Whether `[low, high)` is not empty and lies inside one word line — one
@@ -110,8 +89,8 @@ pub struct MappedIndex {
     /// `index` here and stored in no artifact; see [`MappedIndex::start`].
     seeds: SeedTable,
     subarrays: Vec<SubArray>,
-    /// Mirror sub-arrays for method-II (empty for method-I).
-    mirrors: Vec<SubArray>,
+    /// Method-II adds in a mirror of each sub-array, one zone index past
+    /// the primaries'. A mirror holds no rows: the add reads none.
     method: AddMethod,
     /// Parallelism degree for [`MappedIndex::lfm_batch`]'s scheduler.
     pd: usize,
@@ -140,10 +119,11 @@ impl MappedIndex {
     /// Maps an already-built FM-index — owned, or shared as an
     /// `Arc<FmIndex>` with e.g. the [`fmindex::io`] artifact it was
     /// deserialised from — into sub-arrays, skipping the index
-    /// construction itself. The mapping (table loads, mirrors, stuck-cell
-    /// injection) is identical to [`MappedIndex::build`], so a loaded
-    /// index produces the same sub-array state and mapping ledger as an
-    /// in-process build of the same index.
+    /// construction itself. The mapping (table loads, the mirror copy's
+    /// charge, stuck-cell injection) is identical to
+    /// [`MappedIndex::build`], so a loaded index produces the same
+    /// sub-array state and mapping ledger as an in-process build of the
+    /// same index.
     ///
     /// # Panics
     ///
@@ -192,39 +172,38 @@ impl MappedIndex {
             }
             subarrays.push(sa);
         }
-        let mut mirrors = match config.method() {
-            AddMethod::InPlace => Vec::new(),
-            AddMethod::Mirrored => {
-                // Method-II: "essentially duplicates the number of
-                // sub-arrays, where only in-memory addition computation is
-                // transferred to a second sub-array".
-                // The clone is the copy; the platform pays a row read and
-                // a row write for every row of every sub-array.
-                let rows = (model.geometry().rows * subarrays.len()) as u64;
-                LogicalOp::RowRead.charge_many(&model, &mut ledger, rows);
-                LogicalOp::RowWrite.charge_many(&model, &mut ledger, rows);
-                subarrays.clone()
-            }
-        };
-        // Stuck-at injection: each physical array (primaries and
-        // mirrors alike) draws its own defect plan after its tables are
-        // written. The data zones are write-once, so a post-load force
-        // is behaviourally a stuck cell. The build-time injector, the
-        // one stream the campaign's own seed drives, is consumed here;
+        // Stuck-at injection: each physical array draws its own defect
+        // plan after its tables are written, the primaries first. The
+        // data zones are write-once, so a post-load force is
+        // behaviourally a stuck cell. The build-time injector, the one
+        // stream the campaign's own seed drives, is consumed here;
         // alignment-time fault streams are per read (see
         // [`MappedIndex::read_injector`]).
         let mut injector = FaultInjector::new(config.fault_campaign());
         let cols = model.geometry().cols;
-        for sa in subarrays.iter_mut().chain(mirrors.iter_mut()) {
+        for sa in &mut subarrays {
             for (row, col, value) in injector.stuck_cell_plan(sa.data_zone_rows(), cols) {
                 sa.force_bit(row, col, value);
+            }
+        }
+        if config.method() == AddMethod::Mirrored {
+            // Method-II: "essentially duplicates the number of
+            // sub-arrays, where only in-memory addition computation is
+            // transferred to a second sub-array". The platform pays a row
+            // read and a row write for every row of every sub-array, and
+            // each mirror draws its own stuck cells. The host keeps
+            // neither the copy nor its cells: the add reads no stored row.
+            let rows = (model.geometry().rows * subarrays.len()) as u64;
+            LogicalOp::RowRead.charge_many(&model, &mut ledger, rows);
+            LogicalOp::RowWrite.charge_many(&model, &mut ledger, rows);
+            for sa in &subarrays {
+                injector.stuck_cell_plan(sa.data_zone_rows(), cols);
             }
         }
         MappedIndex {
             seeds: SeedTable::derive(&index),
             index,
             subarrays,
-            mirrors,
             method: config.method(),
             pd: config.pd(),
             pipeline: config.pipeline(),
@@ -249,11 +228,6 @@ impl MappedIndex {
     /// Number of primary computational sub-arrays used.
     pub fn subarray_count(&self) -> usize {
         self.subarrays.len()
-    }
-
-    /// Total sub-arrays including method-II mirrors.
-    pub fn total_subarrays(&self) -> usize {
-        self.subarrays.len() + self.mirrors.len()
     }
 
     /// The one-time mapping cost ledger (pre-computation, excluded from
@@ -332,8 +306,8 @@ impl MappedIndex {
     /// from `id`'s own on — the `nt`s of `BWT[id .. id + span)`, read from
     /// the mask the `LFM` has sensed anyway: post-sentinel, and under a
     /// campaign the same privately faulted copy the count is taken from
-    /// (see [`sense`]). A stream's draws are those of its `LFM`s taken one
-    /// at a time, in the order they are made (DESIGN.md §15.2).
+    /// ([`MatchMask::sense`]). A stream's draws are those of its `LFM`s
+    /// taken one at a time, in the order they are made (DESIGN.md §15.2).
     fn lfm_kernel(
         &self,
         nt: Base,
@@ -347,7 +321,7 @@ impl MappedIndex {
         let within = id % SubArrayLayout::BASES_PER_ROW;
         let s = bucket / 256;
         let lb = bucket % 256;
-        // Every sub-array and mirror shares one `ArrayModel`.
+        // Every sub-array shares one `ArrayModel`.
         let model = self.subarrays[0].model();
         let last = self.subarrays.len() - 1;
         // `id` may equal the text length, landing exactly on a bucket
@@ -377,32 +351,25 @@ impl MappedIndex {
             LogicalOp::Popcount.charge(model, ledger);
             // Fault injection (DESIGN.md §8) corrupts this `LFM`'s private
             // copy of the mask, never the array.
-            let (count, spanned) = sense(mask, within, span, injector.as_deref_mut());
+            let (count, spanned) = mask.sense(within, span, injector.as_deref_mut());
             (count, spanned, marker)
         };
         // `None` without consuming the stream when the carry rate is
         // zero, so an inactive injector is no injector.
         let carry_fault = injector.and_then(FaultInjector::carry_fault_bit);
         let idx = s.min(last);
-        let adder = match self.method {
-            AddMethod::InPlace => {
-                // Heatmap: the in-place add activates the same zone.
-                ledger.note_zone_many(idx, 1);
-                &self.subarrays[idx]
-            }
+        match self.method {
+            // Heatmap: the in-place add activates the same zone.
+            AddMethod::InPlace => ledger.note_zone_many(idx, 1),
             AddMethod::Mirrored => {
                 // Operand transfer into the mirror's write port.
                 LogicalOp::RowWrite.charge_many(model, ledger, 7);
                 // Heatmap: mirror zones are indexed after the primaries
                 // (7 operand-transfer writes + the add = 8 activations).
                 ledger.note_zone_many(self.subarrays.len() + idx, 8);
-                &self.mirrors[idx]
             }
-        };
-        let sum = match carry_fault {
-            Some(k) => adder.im_add32_shared_faulty(marker, count, k, ledger),
-            None => adder.im_add32_shared(marker, count, ledger),
-        };
+        }
+        let sum = im_add32(model, marker, count, carry_fault, ledger);
         // The DPU's index registers saturate at N: a sensing fault can
         // inflate the count past the table range, and the controller
         // clamps rather than address outside the mapped region. A no-op
@@ -644,13 +611,31 @@ mod tests {
         assert_eq!(small.subarray_count(), 1);
         let big = mapped(&genome::uniform(100_000, 1), AddMethod::InPlace);
         assert_eq!(big.subarray_count(), (100_001usize).div_ceil(32_768));
-        assert_eq!(big.total_subarrays(), big.subarray_count());
+        // Method-I copies no sub-array.
+        assert_eq!(
+            big.mapping_ledger().primitives().count(LogicalOp::RowRead),
+            0
+        );
     }
 
     #[test]
     fn mirrored_doubles_subarrays() {
-        let m = mapped(&genome::uniform(40_000, 2), AddMethod::Mirrored);
-        assert_eq!(m.total_subarrays(), 2 * m.subarray_count());
+        // The hardware copies every row of both sub-arrays, and an add in
+        // sub-array 1 activates mirror zone 2 + 1: seven operand writes
+        // and the add, beside the compare stage's two activations of
+        // zone 1. The host holds no copy.
+        let reference = genome::uniform(40_000, 2);
+        let m = mapped(&reference, AddMethod::Mirrored);
+        let writes = |x: &MappedIndex| x.mapping_ledger().primitives().count(LogicalOp::RowWrite);
+        let in_place = writes(&mapped(&reference, AddMethod::InPlace));
+        assert_eq!(writes(&m), in_place + 2 * 512);
+        assert_eq!(
+            m.mapping_ledger().primitives().count(LogicalOp::RowRead),
+            2 * 512
+        );
+        let mut ledger = CycleLedger::new();
+        m.lfm(Base::A, 33_000, &mut m.session_injector(), &mut ledger);
+        assert_eq!(ledger.zone_activations(), &[0, 2, 0, 8]);
     }
 
     #[test]

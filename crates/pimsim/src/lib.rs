@@ -11,8 +11,9 @@
 //!
 //! * [`SubArray`] — the computational sub-array with the Fig. 6a zone
 //!   layout (BWT rows, `CRef` rows, vertical marker table, reserved
-//!   scratch) and the three bulk primitives `MEM`, `XNOR_Match`,
-//!   `IM_ADD`;
+//!   scratch — modelled, not held) and the bulk primitives `MEM` and
+//!   `XNOR_Match`; [`im_add32`] is the third, `IM_ADD`, which reads no
+//!   stored row;
 //! * [`Dpu`] — the digital processing unit: popcount of match vectors,
 //!   interval registers, backtracking state (paper: "DPU's registers
 //!   store the state (i.e. symbol, low and high)");
@@ -60,7 +61,9 @@ pub use host::{
 pub use ledger::{CycleLedger, Resource};
 pub use metrics::PrimCounters;
 pub use pipeline::{PipelineCounters, PipelineParams, PipelineSim};
-pub use subarray::{validate_functions_against_circuit, MatchMask, SubArray, SubArrayLayout};
+pub use subarray::{
+    im_add32, validate_functions_against_circuit, MatchMask, SubArray, SubArrayLayout,
+};
 
 /// Behaviour-free shim pinned by `benchmark/src/trace.rs:43,85`; the
 /// next `benchmark` PR deletes it with `with_kernel_simd` (ROADMAP 3b).

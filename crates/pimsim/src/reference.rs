@@ -204,8 +204,10 @@ pub fn reference_compare_stage(
 
 /// The packed-kernel compare stage with identical logical structure and
 /// ledger charges: word-parallel `XNOR_Match` into a stack
-/// [`MatchMask`](crate::MatchMask), sentinel clear, optional mask-based
-/// faults, masked-popcount prefix. Returns `count_match`.
+/// [`MatchMask`](crate::MatchMask), sentinel clear, then the aligner's
+/// own reading of the mask, [`MatchMask::sense`](crate::MatchMask::sense)
+/// — optional faults and the masked-popcount prefix. Returns
+/// `count_match`.
 pub fn packed_compare_stage(
     sa: &crate::SubArray,
     bucket: usize,
@@ -220,11 +222,7 @@ pub fn packed_compare_stage(
         matches.set(pos, false);
     }
     LogicalOp::Popcount.charge(sa.model(), ledger);
-    if let Some(injector) = injector {
-        injector.transient_row_mask(&mut matches);
-        injector.corrupt_match_mask(&mut matches, within);
-    }
-    matches.count_prefix(within)
+    matches.sense(within, 0, injector).0
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ use mram::array::{ArrayModel, SubArrayGeometry};
 use mram::sense::{SenseAmp, SenseMode};
 
 use crate::costs::LogicalOp;
+use crate::faults::FaultInjector;
 use crate::ledger::CycleLedger;
 
 /// The Fig. 6a zone partitioning of a 512×256 sub-array:
@@ -27,7 +28,8 @@ use crate::ledger::CycleLedger;
 ///   repeated across the word line;
 /// * 128 rows of vertically stored markers: each *column* holds the four
 ///   32-bit markers (A, C, G, T) of one bucket;
-/// * 124 reserved rows of `IM_ADD` scratch (operands, sum, carry).
+/// * 124 reserved rows of `IM_ADD` scratch (operands, sum, carry),
+///   modelled but not held: [`im_add32`] reads no stored row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubArrayLayout {
     /// Rows holding BWT buckets.
@@ -59,11 +61,6 @@ impl SubArrayLayout {
         self.bwt_rows.len()
     }
 
-    /// Total BWT bases this sub-array covers.
-    pub fn bwt_capacity_bases(&self) -> usize {
-        self.buckets() * Self::BASES_PER_ROW
-    }
-
     /// Validates the layout against a geometry.
     ///
     /// # Panics
@@ -76,16 +73,10 @@ impl SubArrayLayout {
         assert!(self.mt_rows.end <= self.reserved_rows.start);
         assert!(self.reserved_rows.end <= geometry.rows);
         assert_eq!(self.cref_rows.len(), 4, "one CRef row per nucleotide");
-        assert_eq!(
-            self.mt_rows.len(),
-            MARKER_ROWS,
-            "MT zone must be 4 × 32-bit vertical words"
-        );
+        let rows = self.mt_rows.len();
+        assert_eq!(rows, 4 * 32, "MT zone must be 4 × 32-bit vertical words");
     }
 }
-
-/// Rows of the MT zone: four 32-bit vertical words per column.
-const MARKER_ROWS: usize = 4 * 32;
 
 /// `u64` words per packed 256-column row.
 const WORDS_PER_ROW: usize = 4;
@@ -206,6 +197,30 @@ impl MatchMask {
         (bits & below).count_ones()
     }
 
+    /// The DPU's reading of one `LFM`'s match mask: the matches before
+    /// column `within`, and the matches in the `span` columns from
+    /// `within` on — the second bound of a word-line interval step; `span`
+    /// is 0 for any other `LFM`. Under an active campaign the reading is
+    /// taken from this copy of the mask, faulted with what one `LFM` draws
+    /// (DESIGN.md §8, §15.2): one transient-row decision, then one misread
+    /// draw per column sensed, `within + span` of them. The mask APIs draw
+    /// the RNG stream of the boolean ones, so seeded replays do not depend
+    /// on the packing.
+    #[inline]
+    pub fn sense(
+        mut self,
+        within: usize,
+        span: usize,
+        injector: Option<&mut FaultInjector>,
+    ) -> (u32, u32) {
+        if let Some(injector) = injector.filter(|i| i.is_active()) {
+            injector.transient_row_mask(&mut self);
+            injector.corrupt_match_mask(&mut self, within + span);
+        }
+        let prefix = self.count_prefix(within);
+        (prefix, self.count_prefix(within + span) - prefix)
+    }
+
     /// The mask as 128 booleans (test/reference interop; not used on the
     /// hot path).
     pub fn to_bools(&self) -> Vec<bool> {
@@ -256,9 +271,9 @@ impl MatchMask {
 pub struct SubArray {
     model: ArrayModel,
     layout: SubArrayLayout,
-    /// Row-major packed bit matrix of every zone but the MT zone (see
-    /// [`col_bit`] for the column mapping); the rows past the MT zone sit
-    /// `mt_rows.len()` lower ([`SubArray::packed_index`]).
+    /// Row-major packed bit matrix of the BWT and `CRef` zones (see
+    /// [`col_bit`] for the column mapping); the MT zone is `markers`, and
+    /// the `IM_ADD` scratch zone is not held ([`SubArray::packed_index`]).
     rows: Vec<PackedRow>,
     /// The MT zone, held once as the words it stores: `markers[4c + b]`
     /// is the marker of base rank `b` in bucket column `c`, and bit `k`
@@ -282,7 +297,7 @@ impl SubArray {
         );
         SubArray {
             model,
-            rows: vec![[0u64; WORDS_PER_ROW]; geometry.rows - MARKER_ROWS],
+            rows: vec![[0u64; WORDS_PER_ROW]; layout.mt_rows.start],
             markers: vec![0; 4 * geometry.cols],
             bwt_len: 0,
             layout,
@@ -304,13 +319,8 @@ impl SubArray {
     #[inline]
     fn packed_index(&self, row: usize) -> Option<usize> {
         let mt = &self.layout.mt_rows;
-        if row < mt.start {
-            Some(row)
-        } else if row >= mt.end {
-            Some(row - MARKER_ROWS)
-        } else {
-            None
-        }
+        assert!(row < mt.end, "row {row} is not held (IM_ADD scratch)");
+        (row < mt.start).then_some(row)
     }
 
     /// The marker word and its bit that hold the cell at MT row `row`,
@@ -325,6 +335,10 @@ impl SubArray {
     /// Columns use the paper's interleaved word-line addressing — base
     /// `j`'s low bit at column `2j`, high bit at `2j + 1` — and an MT
     /// row's cell is the bit of its column's marker word.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `IM_ADD` scratch row, which is not held.
     pub fn bit(&self, row: usize, col: usize) -> bool {
         match self.packed_index(row) {
             Some(r) => {
@@ -346,7 +360,8 @@ impl SubArray {
     ///
     /// # Panics
     ///
-    /// Panics if the coordinates exceed the geometry.
+    /// Panics if the coordinates exceed the geometry or `row` is an
+    /// `IM_ADD` scratch row, which is not held.
     pub fn force_bit(&mut self, row: usize, col: usize, value: bool) {
         assert!(
             col < self.model.geometry().cols,
@@ -369,7 +384,7 @@ impl SubArray {
     /// Rows in the data zones (BWT + CRef + MT) — the region where
     /// stuck-at injection is meaningful; the reserved `IM_ADD` scratch is
     /// rewritten every addition, so its defects are modelled by the
-    /// carry-chain fault mode instead.
+    /// carry-chain fault mode instead, and no sub-array holds it.
     pub fn data_zone_rows(&self) -> usize {
         self.layout.mt_rows.end
     }
@@ -493,110 +508,6 @@ impl SubArray {
         LogicalOp::MarkerRead.charge(&self.model, ledger);
         self.markers[4 * bucket + base.rank()]
     }
-
-    /// The in-memory 32-bit addition (`IM_ADD`): writes both operands
-    /// bit-serially into the reserved zone, then produces sum (XOR3) and
-    /// carry (MAJ) per bit through the reconfigurable SA. Returns the
-    /// 32-bit sum (wrapping).
-    ///
-    /// The functional result is computed through the same
-    /// XOR3/MAJ gate semantics the [`SenseAmp`] realises.
-    pub fn im_add32(&mut self, a: u32, b: u32, ledger: &mut CycleLedger) -> u32 {
-        self.add32_impl(a, b, None, ledger)
-    }
-
-    /// `IM_ADD` with an injected carry-chain fault: the ripple carry out
-    /// of bit `kill_carry_at` is forced low (the reconfigurable SA's MAJ
-    /// read fails for that cycle), and the corruption propagates through
-    /// the remaining bits exactly as the hardware would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kill_carry_at >= 32`.
-    pub fn im_add32_faulty(
-        &mut self,
-        a: u32,
-        b: u32,
-        kill_carry_at: usize,
-        ledger: &mut CycleLedger,
-    ) -> u32 {
-        assert!(kill_carry_at < 32, "carry bit {kill_carry_at} out of range");
-        self.add32_impl(a, b, Some(kill_carry_at), ledger)
-    }
-
-    fn add32_impl(
-        &mut self,
-        a: u32,
-        b: u32,
-        kill_carry_at: Option<usize>,
-        ledger: &mut CycleLedger,
-    ) -> u32 {
-        let base = self
-            .packed_index(self.layout.reserved_rows.start)
-            .expect("the reserved zone is packed");
-        let (a_rows, b_rows, sum_rows, carry_row) = (base, base + 32, base + 64, base + 96);
-        // Stage the operands in column 0 (bulk transposed write, part of
-        // the IM_ADD cost model rather than separate row writes).
-        for k in 0..32 {
-            self.rows[a_rows + k][0] =
-                (self.rows[a_rows + k][0] & !1) | u64::from((a >> k) & 1 == 1);
-            self.rows[b_rows + k][0] =
-                (self.rows[b_rows + k][0] & !1) | u64::from((b >> k) & 1 == 1);
-        }
-        self.rows[carry_row][0] &= !1;
-        LogicalOp::ImAdd32.charge(&self.model, ledger);
-        let mut carry = false;
-        let mut sum = 0u32;
-        for k in 0..32 {
-            let x = self.rows[a_rows + k][0] & 1 == 1;
-            let y = self.rows[b_rows + k][0] & 1 == 1;
-            // Gate-level semantics identical to SenseAmp::full_add; an
-            // injected fault forces the MAJ (carry) read low at one bit.
-            let s = x ^ y ^ carry;
-            let c = ((x & y) | (x & carry) | (y & carry)) && kill_carry_at != Some(k);
-            self.rows[sum_rows + k][0] = (self.rows[sum_rows + k][0] & !1) | u64::from(s);
-            carry = c;
-            self.rows[carry_row][0] = (self.rows[carry_row][0] & !1) | u64::from(c);
-            if s {
-                sum |= 1 << k;
-            }
-        }
-        sum
-    }
-
-    /// Shared-platform `IM_ADD`: identical cost and XOR3/MAJ gate
-    /// semantics to [`SubArray::im_add32`], without staging the operands
-    /// in this sub-array's reserved scratch rows. The scratch zone is
-    /// transient per-operation state — excluded from the data zone (see
-    /// [`SubArray::data_zone_rows`]) and overwritten by every add — so a
-    /// session sharing the mapped array with other sessions can skip the
-    /// staging without any observable difference.
-    pub fn im_add32_shared(&self, a: u32, b: u32, ledger: &mut CycleLedger) -> u32 {
-        LogicalOp::ImAdd32.charge(&self.model, ledger);
-        // A ripple add with no carry killed is a wrapping add, value for
-        // value; this is every fault-free `LFM`'s add, so the host does
-        // not walk the 32 gates to learn it.
-        a.wrapping_add(b)
-    }
-
-    /// Shared-platform variant of [`SubArray::im_add32_faulty`]: the
-    /// carry out of bit `kill_carry_at` is forced low and the corruption
-    /// propagates exactly as in the staged add.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kill_carry_at >= 32`.
-    pub fn im_add32_shared_faulty(
-        &self,
-        a: u32,
-        b: u32,
-        kill_carry_at: usize,
-        ledger: &mut CycleLedger,
-    ) -> u32 {
-        assert!(kill_carry_at < 32, "carry bit {kill_carry_at} out of range");
-        LogicalOp::ImAdd32.charge(&self.model, ledger);
-        ripple_add32(a, b, kill_carry_at)
-    }
 }
 
 /// Bases in BWT row `bucket` of a zone holding `bwt_len`, loaded row by
@@ -607,9 +518,35 @@ pub(crate) fn row_len(bwt_len: usize, bucket: usize) -> usize {
         .min(SubArrayLayout::BASES_PER_ROW)
 }
 
+/// The in-memory 32-bit addition (`IM_ADD`), one [`LogicalOp::ImAdd32`]:
+/// XOR3 sum and MAJ carry per bit in the adding sub-array's scratch zone,
+/// which holds no stored row, so no sub-array is an argument. `Some(k)`
+/// kills the ripple carry out of bit `k` (the MAJ read fails for that
+/// cycle); with `None` the sum is the wrapping add — what a ripple add with
+/// no carry killed gives — so no fault-free `LFM` walks the gates.
+///
+/// # Panics
+///
+/// Panics if `kill_carry_at` is `Some(k)` with `k >= 32`.
+pub fn im_add32(
+    model: &ArrayModel,
+    a: u32,
+    b: u32,
+    kill_carry_at: Option<usize>,
+    ledger: &mut CycleLedger,
+) -> u32 {
+    LogicalOp::ImAdd32.charge(model, ledger);
+    match kill_carry_at {
+        None => a.wrapping_add(b),
+        Some(k) => {
+            assert!(k < 32, "carry bit {k} out of range");
+            ripple_add32(a, b, k)
+        }
+    }
+}
+
 /// The ripple adder's gate-level arithmetic (XOR3 sum, MAJ carry) with
-/// the carry out of bit `kill_carry_at` forced low — the pure function
-/// the staged faulty `IM_ADD` realises in its scratch rows.
+/// the carry out of bit `kill_carry_at` forced low.
 fn ripple_add32(a: u32, b: u32, kill_carry_at: usize) -> u32 {
     let mut carry = false;
     let mut sum = 0u32;
@@ -626,8 +563,8 @@ fn ripple_add32(a: u32, b: u32, kill_carry_at: usize) -> u32 {
 }
 
 /// Proves the boolean fast path agrees with the analog circuit model for
-/// every input combination (used by tests; exposed for the bench crate's
-/// circuit-validation bench).
+/// every input combination. Public for `tests/circuit_consistency.rs`,
+/// which checks it under more than one cell model.
 pub fn validate_functions_against_circuit(model: &ArrayModel) -> bool {
     let sa = SenseAmp::new(model.cell());
     let cell = model.cell();
@@ -666,7 +603,7 @@ mod tests {
         assert_eq!(l.cref_rows.len(), 4);
         assert_eq!(l.mt_rows.len(), 128);
         assert_eq!(l.reserved_rows.len(), 124);
-        assert_eq!(l.bwt_capacity_bases(), 32_768);
+        assert_eq!(l.buckets() * SubArrayLayout::BASES_PER_ROW, 32_768);
     }
 
     #[test]
@@ -818,7 +755,8 @@ mod tests {
 
     #[test]
     fn im_add_matches_wrapping_add() {
-        let (mut sa, mut ledger) = fresh();
+        let model = ArrayModel::default();
+        let mut ledger = CycleLedger::new();
         let cases = [
             (0u32, 0u32),
             (1, 1),
@@ -829,7 +767,7 @@ mod tests {
         ];
         for (a, b) in cases {
             assert_eq!(
-                sa.im_add32(a, b, &mut ledger),
+                im_add32(&model, a, b, None, &mut ledger),
                 a.wrapping_add(b),
                 "{a} + {b}"
             );
@@ -838,50 +776,78 @@ mod tests {
 
     #[test]
     fn faulty_add_differs_only_when_a_carry_dies() {
-        let (mut sa, mut ledger) = fresh();
+        let model = ArrayModel::default();
+        let mut ledger = CycleLedger::new();
         // 0xFFFF + 1 ripples a carry through the low 17 bits: killing it
         // anywhere below bit 16 corrupts the sum.
-        let good = sa.im_add32(0xFFFF, 1, &mut ledger);
+        let good = im_add32(&model, 0xFFFF, 1, None, &mut ledger);
         assert_eq!(good, 0x1_0000);
         // Killing the carry out of bit 0 leaves 0xFFFF's high bits
         // un-incremented: 0 at bit 0, then bits 1..16 of the operand.
-        let bad = sa.im_add32_faulty(0xFFFF, 1, 0, &mut ledger);
+        let bad = im_add32(&model, 0xFFFF, 1, Some(0), &mut ledger);
         assert_eq!(bad, 0xFFFE, "carry killed at bit 0 must stop the ripple");
         // No carry is generated at bit 20, so a fault there is silent.
-        let silent = sa.im_add32_faulty(0xFFFF, 1, 20, &mut ledger);
+        let silent = im_add32(&model, 0xFFFF, 1, Some(20), &mut ledger);
         assert_eq!(silent, good);
     }
 
-    #[test]
-    fn shared_add_matches_staged_add_and_cost() {
-        let (mut sa, mut ledger) = fresh();
-        let cases = [
-            (0u32, 0u32),
-            (1, 1),
-            (0xFFFF_FFFF, 1),
-            (123_456_789, 987_654_321),
-            (0x8000_0000, 0x8000_0000),
-            (0xFFFF, 1),
-        ];
-        for (a, b) in cases {
-            let mut staged_ledger = CycleLedger::new();
-            let mut shared_ledger = CycleLedger::new();
-            let staged = sa.im_add32(a, b, &mut staged_ledger);
-            let shared = sa.im_add32_shared(a, b, &mut shared_ledger);
-            assert_eq!(staged, shared, "{a} + {b}");
-            assert_eq!(
-                staged_ledger.total_busy_cycles(),
-                shared_ledger.total_busy_cycles(),
-                "shared add must charge the same cycles"
+    /// A carry killed out of bit `k`, by arithmetic that shares no gate
+    /// code with the adder: the low `k + 1` bits add on their own and
+    /// drop their carry, the high bits add with no carry coming in. In
+    /// `u64`, so `k = 31` needs no special case: the high part is empty.
+    fn split_add(a: u32, b: u32, k: usize) -> u32 {
+        let (a, b, low_bits) = (u64::from(a), u64::from(b), k + 1);
+        let low_mask = (1u64 << low_bits) - 1;
+        let low = ((a & low_mask) + (b & low_mask)) & low_mask;
+        let high = ((a >> low_bits) + (b >> low_bits)) << low_bits;
+        (low | high) as u32
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn faulty_add_matches_split_arithmetic(
+            a in proptest::prelude::any::<u32>(),
+            b in proptest::prelude::any::<u32>(),
+            k in 0usize..32,
+        ) {
+            let model = ArrayModel::default();
+            let mut ledger = CycleLedger::new();
+            proptest::prop_assert_eq!(
+                im_add32(&model, a, b, Some(k), &mut ledger),
+                split_add(a, b, k)
             );
-            for k in [0usize, 7, 16, 31] {
-                assert_eq!(
-                    sa.im_add32_faulty(a, b, k, &mut ledger),
-                    sa.im_add32_shared_faulty(a, b, k, &mut ledger),
-                    "{a} + {b} with carry killed at {k}"
-                );
-            }
+            proptest::prop_assert_eq!(im_add32(&model, a, b, None, &mut ledger), a.wrapping_add(b));
+            // Faulted or not, an add is one `IM_ADD`.
+            proptest::prop_assert_eq!(ledger.primitives().count(LogicalOp::ImAdd32), 2);
+            proptest::prop_assert_eq!(ledger.total_busy_cycles(), 2 * LogicalOp::ImAdd32.cycles());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "carry bit 32 out of range")]
+    fn faulty_add_rejects_a_carry_bit_past_the_word() {
+        im_add32(
+            &ArrayModel::default(),
+            1,
+            1,
+            Some(32),
+            &mut CycleLedger::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not held")]
+    fn bit_on_a_scratch_row_panics() {
+        let (sa, _) = fresh();
+        let _ = sa.bit(sa.layout().reserved_rows.start, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not held")]
+    fn force_bit_on_a_scratch_row_panics() {
+        let (mut sa, _) = fresh();
+        let last = sa.layout().reserved_rows.end - 1;
+        sa.force_bit(last, 0, true);
     }
 
     #[test]

@@ -3,24 +3,24 @@
 use bioseq::Base;
 use mram::array::ArrayModel;
 use pimsim::costs::LogicalOp;
-use pimsim::{CycleLedger, Dpu, SubArray};
+use pimsim::{im_add32, CycleLedger, Dpu, SubArray};
 use proptest::prelude::*;
 
 proptest! {
     #[test]
     fn im_add_is_wrapping_u32_addition(a in any::<u32>(), b in any::<u32>()) {
-        let mut sub = SubArray::new(ArrayModel::default());
-        let mut ledger = CycleLedger::new();
-        prop_assert_eq!(sub.im_add32(a, b, &mut ledger), a.wrapping_add(b));
+        let sum = im_add32(&ArrayModel::default(), a, b, None, &mut CycleLedger::new());
+        prop_assert_eq!(sum, a.wrapping_add(b));
     }
 
     #[test]
-    fn im_add_is_commutative(a in any::<u32>(), b in any::<u32>()) {
-        let mut sub = SubArray::new(ArrayModel::default());
+    fn im_add_is_commutative(a in any::<u32>(), b in any::<u32>(), k in 0usize..32) {
+        let model = ArrayModel::default();
         let mut ledger = CycleLedger::new();
-        let ab = sub.im_add32(a, b, &mut ledger);
-        let ba = sub.im_add32(b, a, &mut ledger);
-        prop_assert_eq!(ab, ba);
+        for kill in [None, Some(k)] {
+            let ab = im_add32(&model, a, b, kill, &mut ledger);
+            prop_assert_eq!(ab, im_add32(&model, b, a, kill, &mut ledger));
+        }
     }
 
     #[test]

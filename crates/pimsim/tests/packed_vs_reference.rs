@@ -14,7 +14,7 @@ use mram::array::ArrayModel;
 use mram::faults::{FaultCampaign, FaultModel};
 use pimsim::costs::LogicalOp;
 use pimsim::reference::{packed_compare_stage, reference_compare_stage, BoolSubArray};
-use pimsim::{CycleLedger, FaultInjector, SubArray, SubArrayLayout};
+use pimsim::{im_add32, CycleLedger, FaultInjector, SubArray, SubArrayLayout};
 use proptest::prelude::*;
 
 /// Builds the packed and the reference sub-array with identical BWT
@@ -99,7 +99,7 @@ proptest! {
         let marker_p = packed.read_marker(bucket, base, &mut ledger_p);
         let marker_r = reference.read_marker(bucket, base, &mut ledger_r);
         prop_assert_eq!(
-            packed.im_add32_shared(marker_p, count_p, &mut ledger_p),
+            im_add32(packed.model(), marker_p, count_p, None, &mut ledger_p),
             marker_r.wrapping_add(count_r)
         );
         prop_assert_eq!(ledger_p.primitives().count(LogicalOp::MarkerRead), 1025);

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         layout.mt_rows
     );
     println!(
-        "  reserved rows : {:?} (IM_ADD scratch)",
+        "  reserved rows : {:?} (IM_ADD scratch; modelled, not held)",
         layout.reserved_rows
     );
 
@@ -57,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let marker = sub.read_marker(0, Base::T, &mut ledger);
     println!("MEM marker[bucket 0][T] = {marker}");
 
-    // IM_ADD: marker + count, in-memory.
-    let sum = sub.im_add32(marker, count, &mut ledger);
+    // IM_ADD: marker + count, in-memory; it reads no stored row.
+    let sum = pimsim::im_add32(&model, marker, count, None, &mut ledger);
     println!("IM_ADD: {marker} + {count} = {sum} (the updated bound)");
 
     // What it all cost.

@@ -11,7 +11,7 @@
 
 use bioseq::DnaSeq;
 use mram::faults::{FaultCampaign, FaultModel};
-use pim_aligner::{PimAlignerConfig, Platform, RecoveryPolicy};
+use pim_aligner::{FaultTelemetry, PimAlignerConfig, Platform, RecoveryPolicy};
 use readsim::genome;
 
 mod support;
@@ -45,7 +45,7 @@ fn placement_accuracy(
     reads: &[DnaSeq],
     truth: &[usize],
     recovery: RecoveryPolicy,
-) -> (f64, pim_aligner::FaultTelemetry) {
+) -> (f64, FaultTelemetry) {
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(hostile_campaign())
         .with_recovery(recovery);
@@ -179,4 +179,45 @@ fn recovered_run_replays_identically() {
         "same campaign seed must replay identically"
     );
     assert_eq!(faults_a, faults_b);
+}
+
+/// Method-II mirrors hold no rows, but each still draws its stuck-cell
+/// plan, after every primary has drawn its own: at `--pd 2` the build
+/// counts the mirrors' stuck cells too, and every read aligns as at `-n`
+/// — the primaries hold the same cells, and no add reads a row.
+#[test]
+fn mirrored_platform_counts_mirror_stuck_cells_and_aligns_as_in_place() {
+    // Two sub-arrays of 32 768 bases.
+    let reference = genome::uniform(40_000, 214);
+    let (reads, _) = reads_with_truth(&reference);
+    let campaign = FaultCampaign::seeded(41)
+        .with_stuck_at_rate(1e-4)
+        .with_carry_fault_prob(5e-3);
+    let run = |config: PimAlignerConfig| {
+        let config = config
+            .with_fault_campaign(campaign)
+            .with_recovery(RecoveryPolicy::standard());
+        let platform = Platform::new(reference.to_packed(), config);
+        assert_eq!(platform.mapped().subarray_count(), 2);
+        let (outcomes, totals) = support::align(&platform, &reads);
+        let faults = platform.batch_report(&totals).faults;
+        let build = platform.mapped().build_fault_counters().stuck_cells;
+        assert_eq!(faults.stuck_cells, build);
+        (outcomes, faults)
+    };
+    let (outcomes_n, faults_n) = run(PimAlignerConfig::baseline());
+    let (outcomes_p, faults_p) = run(PimAlignerConfig::pipelined());
+    // Pinned when each mirror was a stored copy with its plan forced in.
+    assert_eq!((faults_n.stuck_cells, faults_p.stuck_cells), (34, 62));
+    assert_eq!(outcomes_p, outcomes_n);
+    // Every alignment-time draw, and what recovery made of it, is `-n`'s.
+    assert!(faults_p.carry_faults > 0, "{faults_p:?}");
+    let stuck_cells = faults_n.stuck_cells;
+    assert_eq!(
+        FaultTelemetry {
+            stuck_cells,
+            ..faults_p
+        },
+        faults_n
+    );
 }
