@@ -3,7 +3,8 @@
 # access required — all dependencies are vendored (see vendor/).
 #
 #   ./ci.sh            full gate (debug + release stages)
-#   ./ci.sh debug      fmt check, a locked `cargo check` of benchmark/,
+#   ./ci.sh debug      fmt check, the Rust line count (printed only),
+#                      a locked `cargo check` of benchmark/,
 #                      debug tests (+ CLI and service flake gate x5),
 #                      clippy, rustdoc (private items too) with every
 #                      warning denied
@@ -77,6 +78,11 @@ trap 'exit 143' TERM
 if [ "$MODE" = "all" ] || [ "$MODE" = "debug" ]; then
     step "cargo fmt --check"
     cargo fmt --all --check
+
+    # ROADMAP item 10's figure, printed so no PR counts it by hand. It
+    # only prints: no threshold.
+    step "Rust lines outside benchmark/ and vendor/"
+    git ls-files '*.rs' | grep -v '^benchmark/\|^vendor/' | xargs cat | wc -l
 
     # pimbench compiles against this tree's public names: a deletion that
     # takes one of them away fails here, in seconds, and not only in the

@@ -437,7 +437,7 @@ impl AlignSession {
     }
 
     /// The last rung: the host software path — FM-index search over the
-    /// fault-free index plus `swalign`-backed verification for inexact
+    /// fault-free index plus the same `verify_inexact` check for inexact
     /// hits. Host work is not charged to the platform ledger (it runs on
     /// the controller, like the SA read-back).
     fn host_fallback_align(&mut self, read: &DnaSeq, max_diffs: u8) -> AlignmentOutcome {

@@ -41,7 +41,7 @@ pub struct RecoveryPolicy {
     /// [`fmindex::EditBudget`] cap of 8).
     pub max_escalated_diffs: u8,
     /// Whether the final rung falls back to the host software aligner
-    /// (FM-index search + Smith–Waterman verification), which is
+    /// (FM-index search + banded edit-distance verification), which is
     /// fault-free by construction.
     pub host_fallback: bool,
 }

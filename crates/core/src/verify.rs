@@ -5,13 +5,13 @@
 //! an interval and report a wrong locus. Before a position is emitted,
 //! the verifier re-checks it against the reference held by the host:
 //! direct substring comparison for exact hits, Hamming distance for
-//! substitution-only budgets, and the banded `swalign` edit distance
-//! when indels are allowed. In a deployed PIM this is the
-//! cheap host-side read-back the paper's controller already performs for
-//! SA lookups.
+//! substitution-only budgets, and one banded `swalign` edit-distance
+//! pass over the window when indels are allowed. In a deployed PIM this
+//! is the cheap host-side read-back the paper's controller already
+//! performs for SA lookups.
 
 use bioseq::{Base, DnaSeq, PackedSeq};
-use swalign::banded_edit_distance;
+use swalign::prefix_edit_distance;
 
 /// `true` when `read` occurs verbatim at `pos`. `window` is scratch: it
 /// receives the reference bases compared, unpacked.
@@ -30,9 +30,10 @@ pub fn verify_exact(
 
 /// `true` when `read` aligns at `pos` with at most `max_diffs`
 /// differences — Hamming distance when `allow_indels` is `false`, edit
-/// distance (a banded `swalign` computation over the candidate windows)
-/// when it is `true`. `window` is scratch: it receives the at most
-/// `read.len() + max_diffs` reference bases compared, unpacked.
+/// distance to the reference from `pos`, its end free (one banded
+/// [`prefix_edit_distance`] pass), when it is `true`. `window` is scratch:
+/// it receives the at most `read.len() + max_diffs` reference bases
+/// compared, unpacked.
 pub fn verify_inexact(
     reference: &PackedSeq,
     read: &DnaSeq,
@@ -58,16 +59,21 @@ pub fn verify_inexact(
         return hamming <= z;
     }
     // With indels the reference span may be read.len() ± z; accept the
-    // position when any span aligns within the budget.
-    let min_span = read.len().saturating_sub(z).max(1);
-    let max_span = (read.len() + z).min(reference.len() - pos);
-    reference.unpack_into(pos..pos + max_span, window);
-    (min_span..=max_span).any(|span| banded_edit_distance(&window[..span], read, z).is_some())
+    // position when the read aligns within the budget to any prefix of
+    // the longest span.
+    let span = (read.len() + z).min(reference.len() - pos);
+    reference.unpack_into(pos..pos + span, window);
+    prefix_edit_distance(window.as_slice(), read, z).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmindex::EditBudget;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use swalign::banded_edit_distance;
 
     fn seq(s: &str) -> DnaSeq {
         s.parse().unwrap()
@@ -153,6 +159,72 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An error-free read checked one base right of its truth: the
+    /// window's end is free, so one insertion (the read's first base)
+    /// aligns it. This is the anchored start a movable one will change.
+    #[test]
+    fn a_start_one_base_right_of_the_truth_costs_one_insertion() {
+        let reference = readsim::genome::uniform(1_000, 91);
+        let read = reference.subseq(200..300);
+        let packed = reference.to_packed();
+        let verify = |diffs| verify_inexact(&packed, &read, 201, diffs, true, &mut Vec::new());
+        assert!(verify(1));
+        assert!(!verify(0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+        /// One prefix pass decides as the span-by-span rule it replaced
+        /// did: accept when some span from `len − z` to `len + z` bases
+        /// at `pos` is within `z` edits of the read.
+        #[test]
+        fn one_prefix_pass_decides_as_every_span_did(
+            seed in any::<u64>(),
+            reference_len in 1usize..=400,
+            read_len in 1usize..=256,
+            edits in 0usize..=10,
+            z in 0u8..=EditBudget::MAX_DIFFS,
+            place in 0u8..3,
+            shift in 0usize..=4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let reference: DnaSeq = (0..reference_len)
+                .map(|_| Base::from_rank(rng.gen_range(0..4)))
+                .collect();
+            let n = reference.len();
+            let len = read_len.min(n);
+            let locus = match place {
+                0 => 0,
+                1 => n - len,
+                _ => rng.gen_range(0..=n - len),
+            };
+            let mut bases = reference.subseq(locus..locus + len).into_bases();
+            for _ in 0..edits {
+                let at = rng.gen_range(0..bases.len());
+                let base = Base::from_rank(rng.gen_range(0..4));
+                match rng.gen_range(0..3) {
+                    0 => bases[at] = base,
+                    1 => bases.insert(at, base),
+                    _ if bases.len() > 1 => drop(bases.remove(at)),
+                    _ => {}
+                }
+            }
+            let read = DnaSeq::from_bases(bases);
+            let pos = (locus + shift).saturating_sub(2);
+            let k = usize::from(z);
+            let anchored = pos < n && {
+                let min_span = read.len().saturating_sub(k).max(1);
+                let max_span = (read.len() + k).min(n - pos);
+                let w = reference.subseq(pos..pos + max_span);
+                (min_span..=max_span)
+                    .any(|s| banded_edit_distance(&w.as_slice()[..s], &read, k).is_some())
+            };
+            let packed = reference.to_packed();
+            let verified = verify_inexact(&packed, &read, pos, z, true, &mut Vec::new());
+            prop_assert_eq!(verified, anchored);
         }
     }
 }

@@ -1,41 +1,36 @@
-//! Dynamic-programming sequence alignment — the O(n·m) baseline class.
+//! Banded unit-cost edit distance — the host's one dynamic program.
 //!
 //! The paper contrasts its O(m) FM-index search with "dynamic programming
-//! algorithms such as Smith-Waterman (SW) with O(nm) complexity" — the
-//! algorithm family behind the Darwin, ReCAM and RaceLogic accelerators it
-//! compares against. This crate implements that baseline class in
-//! software so the comparison is executable, not just quoted:
+//! algorithms such as Smith-Waterman (SW) with O(nm) complexity"; those
+//! platforms are published rows of the `accel` catalog. What the host
+//! itself computes is the distance the verifier checks a candidate locus
+//! with: one band of 2·band + 1 diagonals, held as one row of cells, so a
+//! check costs O(m · band) time and O(band) memory, not an n × m matrix.
 //!
-//! * [`needleman_wunsch`] — global alignment;
-//! * [`smith_waterman`] — local alignment (the SW of the paper);
-//! * [`banded_global`] — banded global alignment for bounded edit distance;
-//! * [`banded_edit_distance`] — banded unit-cost Levenshtein distance.
-//!
-//! All return an [`Alignment`] with score, coordinates and a [`Cigar`].
+//! * [`banded_edit_distance`] — the global distance between two runs of
+//!   bases;
+//! * [`prefix_edit_distance`] — the least distance between a read and
+//!   any prefix of a reference window, the window's end left free.
 //!
 //! # Examples
 //!
 //! ```
 //! use bioseq::DnaSeq;
-//! use swalign::{smith_waterman, Scoring};
+//! use swalign::prefix_edit_distance;
 //!
 //! # fn main() -> Result<(), bioseq::ParseSeqError> {
-//! let reference: DnaSeq = "ACGTGATTACAGGT".parse()?;
-//! let read: DnaSeq = "GATTACA".parse()?;
-//! let aln = smith_waterman(&reference, &read, Scoring::default());
-//! assert_eq!(aln.ref_start, 4);
-//! assert_eq!(aln.score, 7 * i32::from(Scoring::default().match_score));
-//! assert_eq!(aln.cigar.to_string(), "7M");
+//! let window: DnaSeq = "GATTACAGGT".parse()?;
+//! // The read matches the window's first seven bases; the rest is free.
+//! assert_eq!(prefix_edit_distance(&window, &"GATTACA".parse::<DnaSeq>()?, 2), Some(0));
+//! // One deleted T.
+//! assert_eq!(prefix_edit_distance(&window, &"GATACA".parse::<DnaSeq>()?, 2), Some(1));
+//! assert_eq!(prefix_edit_distance(&window, &"CCCCCCC".parse::<DnaSeq>()?, 2), None);
 //! # Ok(())
 //! # }
 //! ```
 
 #![forbid(unsafe_code)]
 
-mod cigar;
 mod dp;
-mod score;
 
-pub use cigar::{Cigar, CigarOp};
-pub use dp::{banded_edit_distance, banded_global, needleman_wunsch, smith_waterman, Alignment};
-pub use score::Scoring;
+pub use dp::{banded_edit_distance, prefix_edit_distance};

@@ -5,7 +5,7 @@
 //!
 //! * [`bioseq`] — DNA alphabet, packed sequences, FASTA/FASTQ;
 //! * [`fmindex`] — the software-reference FM-index (ground truth);
-//! * [`swalign`] — dynamic-programming baselines (Smith–Waterman class);
+//! * [`swalign`] — the host's banded edit distance, which verifies loci;
 //! * [`readsim`] — the ART-like read simulator;
 //! * [`mram`] — SOT-MRAM device/circuit/array models;
 //! * [`pimsim`] — the computational sub-array simulator;

@@ -1,5 +1,5 @@
 //! Integration: Algorithm 2 on the platform vs the software oracle and
-//! the dynamic-programming baseline.
+//! an independent edit distance.
 
 use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, FmIndex};
@@ -7,7 +7,6 @@ use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use readsim::genome;
-use swalign::{banded_global, Scoring};
 
 mod support;
 
@@ -61,9 +60,9 @@ fn exhaustive_platform_hits_equal_software_hits() {
 
 #[test]
 fn first_accept_position_confirmed_by_dp_baseline() {
-    // Cross-validate the PIM result with the O(n·m) baseline class the
-    // paper compares against: banded global alignment at the reported
-    // position must reach the expected score.
+    // Cross-validate the PIM result with a plain O(n·m) edit distance:
+    // the read is exactly `diffs` edits from the window at each reported
+    // position.
     let reference = genome::uniform(15_000, 82);
     let platform = Platform::new(
         reference.to_packed(),
@@ -77,13 +76,8 @@ fn first_accept_position_confirmed_by_dp_baseline() {
     assert_eq!(diffs, 2);
     for &pos in &positions {
         let window = reference.subseq(pos..(pos + read.len()).min(reference.len()));
-        let aln = banded_global(&window, &read, Scoring::default(), 4).expect("band wide enough");
-        // ≤ 2 substitutions over 60 bases: score ≥ 58 matches − 2×(1+1).
-        assert!(
-            aln.score >= (read.len() as i32 - 2) - 2 * 2,
-            "DP score {} too low at position {pos}",
-            aln.score
-        );
+        let distance = support::edit_distance(window.as_slice(), read.as_slice());
+        assert_eq!(distance, usize::from(diffs), "at position {pos}");
     }
 }
 

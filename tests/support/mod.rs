@@ -1,5 +1,6 @@
 //! Helpers the integration tests share: [`align`], one chunk through the
-//! one alignment entry point, and the one temp-file helper.
+//! one alignment entry point, the one temp-file helper, and
+//! [`edit_distance`], an oracle independent of `swalign`.
 //!
 //! A test binary's tests run as threads of one process, so a path built
 //! from the pid alone is shared by every test that picks the same name
@@ -14,7 +15,7 @@ use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bioseq::DnaSeq;
+use bioseq::{Base, DnaSeq};
 use pim_aligner::{AlignmentOutcome, BatchTotals, Platform};
 
 /// `reads` through `Platform::align_chunk_parallel` as one chunk on one
@@ -30,6 +31,27 @@ pub fn align(platform: &Platform, reads: &[DnaSeq]) -> (Vec<AlignmentOutcome>, B
 /// One read's outcome, as [`align`] gives it.
 pub fn align_one(platform: &Platform, read: &DnaSeq) -> AlignmentOutcome {
     align(platform, std::slice::from_ref(read)).0.remove(0)
+}
+
+/// Unit-cost edit distance between `a` and `b` over the whole O(mn)
+/// table, one row at a time. It shares no code with `swalign`, so it can
+/// check what the aligner verified with it.
+pub fn edit_distance(a: &[Base], b: &[Base]) -> usize {
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, x) in a.iter().enumerate() {
+        // `diagonal` is the previous row's cell j, `row[j + 1]` still the
+        // previous row's cell j + 1, `row[j]` this row's cell j.
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, y) in b.iter().enumerate() {
+            let cell = (diagonal + usize::from(x != y))
+                .min(row[j + 1] + 1)
+                .min(row[j] + 1);
+            diagonal = row[j + 1];
+            row[j + 1] = cell;
+        }
+    }
+    row[b.len()]
 }
 
 /// A path in the system temp directory, deleted on drop.
