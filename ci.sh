@@ -154,7 +154,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     # asserted by tier-1
     # (tests/cli_sam_output.rs, tests/index_artifact_cli.rs); the files
     # are kept as CI artifacts.
-    step "pimalign smoke (trace + artifact round-trip)"
+    step "pimalign smoke (trace + artifact round-trip + budget boot)"
     printf '>chrT\nTGCTAGCATGAACCTTGGAACGTACGTTAGCATCGATCGGATTACAGATTACAGGG\n' \
         > target/ci/smoke_ref.fa
     printf '@exact\nGATTACAGATTACA\n+\nIIIIIIIIIIIIII\n@revcomp\nCGTTCCAAGGTTCA\n+\nIIIIIIIIIIIIII\n' \
@@ -197,6 +197,13 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
         --index target/ci/smoke_sampled.pimx target/ci/smoke_reads.fq --threads 2 \
         > target/ci/smoke_sampled.sam
     cmp target/ci/smoke.sam target/ci/smoke_sampled.sam
+    # A cold boot through the shared front end's budget -> rate path: a
+    # 200-byte budget samples the SA at rate 2, and the SAM must not move.
+    cargo run -q --release --bin pimalign -- --index-memory-budget 200 \
+        target/ci/smoke_ref.fa target/ci/smoke_reads.fq \
+        > target/ci/smoke_budget.sam 2> target/ci/smoke_budget.err
+    grep -q 'index: built, SA rate 2,' target/ci/smoke_budget.err
+    cmp target/ci/smoke.sam target/ci/smoke_budget.sam
 
     # The documented API executes, not just compiles: every example runs —
     # the three that drive Platform::align_chunk_parallel + batch_report

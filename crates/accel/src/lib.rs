@@ -29,8 +29,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod scaling;
-
 mod figures;
 mod platform;
 

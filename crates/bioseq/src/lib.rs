@@ -12,7 +12,6 @@
 //!   PIM platform stores in its BWT zone (128 bases per 256-bit word line).
 //! * [`fasta`] / [`fastq`] — minimal readers and writers for the two common
 //!   sequence interchange formats.
-//! * [`kmer`] — k-mer iteration with canonical form.
 //! * [`quality`] — Phred quality scores for simulated reads.
 //!
 //! # Examples
@@ -38,7 +37,6 @@ mod seq;
 
 pub mod fasta;
 pub mod fastq;
-pub mod kmer;
 pub mod quality;
 
 pub use base::{Base, Symbol};

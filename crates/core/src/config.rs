@@ -68,17 +68,6 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Sets the escalation ceiling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z > 8` (the [`fmindex::EditBudget`] cap).
-    pub fn with_max_escalated_diffs(mut self, z: u8) -> RecoveryPolicy {
-        assert!(z <= 8, "difference budget too large");
-        self.max_escalated_diffs = z;
-        self
-    }
-
     /// Whether recovery is active.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -119,7 +108,6 @@ pub enum AddMethod {
 #[derive(Debug, Clone)]
 pub struct PimAlignerConfig {
     pd: usize,
-    method: AddMethod,
     model: ArrayModel,
     chip: ChipOrg,
     pipeline: PipelineParams,
@@ -136,7 +124,6 @@ impl PimAlignerConfig {
     pub fn baseline() -> PimAlignerConfig {
         PimAlignerConfig {
             pd: 1,
-            method: AddMethod::InPlace,
             model: ArrayModel::default(),
             chip: ChipOrg::default(),
             pipeline: PipelineParams::default(),
@@ -151,16 +138,13 @@ impl PimAlignerConfig {
     /// The paper's pipelined configuration, **PIM-Aligner-p**: method-II
     /// with `Pd = 2`.
     pub fn pipelined() -> PimAlignerConfig {
-        PimAlignerConfig {
-            pd: 2,
-            method: AddMethod::Mirrored,
-            ..PimAlignerConfig::baseline()
-        }
+        PimAlignerConfig::baseline().with_pd(2)
     }
 
     /// Sets the parallelism degree (Fig. 9c sweeps 1..=4).
     ///
-    /// `pd >= 2` requires (and implies) [`AddMethod::Mirrored`].
+    /// `pd >= 2` implies [`AddMethod::Mirrored`]: the pipeline needs the
+    /// mirrored sub-array.
     ///
     /// # Panics
     ///
@@ -168,9 +152,6 @@ impl PimAlignerConfig {
     pub fn with_pd(mut self, pd: usize) -> PimAlignerConfig {
         assert!(pd >= 1, "parallelism degree must be at least 1");
         self.pd = pd;
-        if pd >= 2 {
-            self.method = AddMethod::Mirrored;
-        }
         self
     }
 
@@ -181,21 +162,6 @@ impl PimAlignerConfig {
 
     /// No-op shim pinned by `benchmark/src/trace.rs:85` (ROADMAP 3b).
     pub fn with_kernel_simd(self, _: pimsim::SimdPolicy) -> PimAlignerConfig {
-        self
-    }
-
-    /// Sets the addition method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if method-I is requested with `pd >= 2` (the pipeline
-    /// needs the mirrored sub-array).
-    pub fn with_method(mut self, method: AddMethod) -> PimAlignerConfig {
-        assert!(
-            !(method == AddMethod::InPlace && self.pd >= 2),
-            "method-I cannot pipeline; use Mirrored for Pd >= 2"
-        );
-        self.method = method;
         self
     }
 
@@ -255,21 +221,10 @@ impl PimAlignerConfig {
         self
     }
 
-    /// Re-seeds the active fault campaign (the CLI's `--fault-seed`).
-    pub fn with_fault_seed(mut self, seed: u64) -> PimAlignerConfig {
-        self.fault_campaign = self.fault_campaign.with_seed(seed);
-        self
-    }
-
     /// Sets the verify-and-recover policy.
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> PimAlignerConfig {
         self.recovery = recovery;
         self
-    }
-
-    /// The active sensing-fault model (the campaign's sense component).
-    pub fn fault_model(&self) -> FaultModel {
-        self.fault_campaign.model()
     }
 
     /// The active fault campaign.
@@ -287,9 +242,14 @@ impl PimAlignerConfig {
         self.pd
     }
 
-    /// The addition method.
+    /// The addition method, read off the parallelism degree: method-II
+    /// exactly when `pd >= 2`, the only configurations that pipeline.
     pub fn method(&self) -> AddMethod {
-        self.method
+        if self.pd >= 2 {
+            AddMethod::Mirrored
+        } else {
+            AddMethod::InPlace
+        }
     }
 
     /// The array model.
@@ -358,20 +318,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "method-I cannot pipeline")]
-    fn in_place_with_pipeline_rejected() {
-        let _ = PimAlignerConfig::pipelined().with_method(AddMethod::InPlace);
-    }
-
-    #[test]
     fn fault_model_shorthand_updates_campaign() {
         let model = FaultModel::with_probabilities(0.01, 0.0);
         let c = PimAlignerConfig::baseline()
             .with_fault_campaign(FaultCampaign::seeded(5).with_stuck_at_rate(1e-4))
-            .with_fault_model(model)
-            .with_fault_seed(9);
-        assert_eq!(c.fault_model(), model);
-        assert_eq!(c.fault_campaign().seed(), 9);
+            .with_fault_model(model);
+        assert_eq!(c.fault_campaign().model(), model);
+        assert_eq!(c.fault_campaign().seed(), 5);
         assert_eq!(c.fault_campaign().stuck_at_rate(), 1e-4);
     }
 
@@ -381,12 +334,6 @@ mod tests {
         let c = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
         assert!(c.recovery().is_enabled());
         assert_eq!(c.recovery().max_retries, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "difference budget too large")]
-    fn recovery_escalation_capped() {
-        let _ = RecoveryPolicy::standard().with_max_escalated_diffs(9);
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub fn repeat_rich(len: usize, profile: RepeatProfile, seed: u64) -> DnaSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bioseq::kmer::kmers;
     use std::collections::HashMap;
 
     #[test]
@@ -147,9 +146,9 @@ mod tests {
         let repetitive = repeat_rich(len, profile, 5);
         let random = uniform(len, 5);
         let dup_fraction = |g: &DnaSeq| {
-            let mut seen: HashMap<u64, usize> = HashMap::new();
-            for k in kmers(g, 21) {
-                *seen.entry(k.packed()).or_insert(0) += 1;
+            let mut seen: HashMap<&[Base], usize> = HashMap::new();
+            for k in g.as_slice().windows(21) {
+                *seen.entry(k).or_insert(0) += 1;
             }
             let dups: usize = seen.values().filter(|&&c| c > 1).copied().sum();
             dups as f64 / (g.len() - 20) as f64

@@ -47,6 +47,11 @@
 //! escalate the budget, fall back to the host) is then on unless
 //! `--no-recover` is given.
 //!
+//! The flags `pimserve` also takes, the platform configuration they set,
+//! the checked reference load (which `index build` calls too) and the
+//! boot are the shared front end, [`pim_aligner_suite::cli`]. Exit codes:
+//! usage = 2, input = 3, runtime = 4.
+//!
 //! The index is built exactly once per run; reads stream through in
 //! `--batch-size` chunks (bounded memory — SAM records are written as
 //! each chunk completes), and every chunk is aligned by the same shared
@@ -62,11 +67,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pim_aligner_suite::bioseq::fastq;
-use pim_aligner_suite::load_reference;
+use pim_aligner_suite::cli::{
+    load_artifact, load_reference, parse_args, parse_flag, Args, CliError,
+};
 use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
 use pim_aligner_suite::pim_aligner::{
-    sa_rate_for_budget, sam, BatchTotals, HostTraceConfig, IndexArtifact, PimAlignerConfig,
-    Platform, RecoveryPolicy, EPOCH_STRIDE,
+    sam, BatchTotals, HostTraceConfig, IndexArtifact, RecoveryPolicy, EPOCH_STRIDE,
 };
 use pim_aligner_suite::pimsim::{chrome_trace_json, peak_rss_bytes, HostEpoch, HostSpan};
 
@@ -139,36 +145,6 @@ fn report_progress(reads_done: u64, elapsed_s: f64, bytes_done: u64, bytes_total
     );
 }
 
-/// A CLI failure, classified so scripts can tell a typo (fix the
-/// command) from a bad input file (fix the data) from a runtime fault
-/// (look at the environment). Exit codes: usage = 2, input = 3,
-/// runtime = 4.
-enum CliError {
-    /// Bad flags or arguments.
-    Usage(String),
-    /// Unreadable or malformed input files.
-    Input(String),
-    /// A failure while the run was underway (write errors, alignment
-    /// errors).
-    Runtime(String),
-}
-
-impl CliError {
-    fn message(&self) -> &str {
-        match self {
-            CliError::Usage(m) | CliError::Input(m) | CliError::Runtime(m) => m,
-        }
-    }
-
-    fn exit_code(&self) -> u8 {
-        match self {
-            CliError::Usage(_) => 2,
-            CliError::Input(_) => 3,
-            CliError::Runtime(_) => 4,
-        }
-    }
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -190,15 +166,9 @@ fn sam_write_ok(result: std::io::Result<()>) -> Result<bool, CliError> {
     }
 }
 
+/// The flags only `pimalign` takes; [`Args`] holds the shared ones.
 struct Cli {
-    positional: Vec<String>,
-    index: Option<String>,
     index_memory_budget: Option<usize>,
-    pd: usize,
-    max_diffs: u8,
-    indels: bool,
-    both_strands: bool,
-    threads: usize,
     batch_size: usize,
     fault_seed: u64,
     fault_xnor: f64,
@@ -206,29 +176,17 @@ struct Cli {
     fault_transient: f64,
     fault_carry: f64,
     recover: bool,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
     progress: bool,
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    *i += 1;
-    args.get(*i)
-        .ok_or(format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|e| format!("invalid {flag}: {e}"))
-}
-
 /// Parses a byte count with optional binary suffix: `64M` = 64 MiB.
-fn parse_bytes(raw: &str, flag: &str) -> Result<usize, String> {
+fn parse_bytes(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
+    let raw: String = parse_flag(args, i, flag)?;
     let (digits, shift) = match raw.as_bytes().last() {
         Some(b'K' | b'k') => (&raw[..raw.len() - 1], 10),
         Some(b'M' | b'm') => (&raw[..raw.len() - 1], 20),
         Some(b'G' | b'g') => (&raw[..raw.len() - 1], 30),
-        _ => (raw, 0),
+        _ => (raw.as_str(), 0),
     };
     let n: usize = digits.parse().map_err(|e| format!("invalid {flag}: {e}"))?;
     n.checked_shl(shift)
@@ -246,16 +204,9 @@ fn parse_prob(args: &[String], i: &mut usize, flag: &str) -> Result<f64, String>
     Ok(p)
 }
 
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
+fn parse_cli(args: &[String]) -> Result<(Args, Cli), String> {
     let mut cli = Cli {
-        positional: Vec::new(),
-        index: None,
         index_memory_budget: None,
-        pd: 1,
-        max_diffs: 2,
-        indels: true,
-        both_strands: true,
-        threads: 1,
         batch_size: 4_096,
         fault_seed: 0x5eed,
         fault_xnor: 0.0,
@@ -263,66 +214,33 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         fault_transient: 0.0,
         fault_carry: 0.0,
         recover: true,
-        metrics_out: None,
-        trace_out: None,
         progress: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--index" => cli.index = Some(parse_flag(args, &mut i, "--index")?),
+    let shared = Args::parse(args, 1, |args, i| {
+        match args[*i].as_str() {
             "--index-memory-budget" => {
-                let raw: String = parse_flag(args, &mut i, "--index-memory-budget")?;
-                cli.index_memory_budget = Some(parse_bytes(&raw, "--index-memory-budget")?);
-            }
-            "--pd" => {
-                cli.pd = parse_flag(args, &mut i, "--pd")?;
-                if cli.pd == 0 {
-                    return Err("invalid --pd: parallelism degree must be at least 1".into());
-                }
-            }
-            "--max-diffs" => {
-                cli.max_diffs = parse_flag(args, &mut i, "--max-diffs")?;
-                if cli.max_diffs > 8 {
-                    return Err(format!(
-                        "invalid --max-diffs: {} exceeds the platform maximum of 8",
-                        cli.max_diffs
-                    ));
-                }
-            }
-            "--no-indels" => cli.indels = false,
-            "--single-strand" => cli.both_strands = false,
-            "--threads" => {
-                cli.threads = parse_flag(args, &mut i, "--threads")?;
-                if cli.threads == 0 {
-                    return Err("invalid --threads: at least one worker thread required".into());
-                }
+                cli.index_memory_budget = Some(parse_bytes(args, i, "--index-memory-budget")?);
             }
             "--batch-size" => {
-                cli.batch_size = parse_flag(args, &mut i, "--batch-size")?;
+                cli.batch_size = parse_flag(args, i, "--batch-size")?;
                 if cli.batch_size == 0 || cli.batch_size > EPOCH_STRIDE {
                     return Err(format!(
                         "invalid --batch-size: must be between 1 and {EPOCH_STRIDE}"
                     ));
                 }
             }
-            "--fault-seed" => cli.fault_seed = parse_flag(args, &mut i, "--fault-seed")?,
-            "--fault-xnor" => cli.fault_xnor = parse_prob(args, &mut i, "--fault-xnor")?,
-            "--fault-stuck" => cli.fault_stuck = parse_prob(args, &mut i, "--fault-stuck")?,
-            "--fault-transient" => {
-                cli.fault_transient = parse_prob(args, &mut i, "--fault-transient")?;
-            }
-            "--fault-carry" => cli.fault_carry = parse_prob(args, &mut i, "--fault-carry")?,
+            "--fault-seed" => cli.fault_seed = parse_flag(args, i, "--fault-seed")?,
+            "--fault-xnor" => cli.fault_xnor = parse_prob(args, i, "--fault-xnor")?,
+            "--fault-stuck" => cli.fault_stuck = parse_prob(args, i, "--fault-stuck")?,
+            "--fault-transient" => cli.fault_transient = parse_prob(args, i, "--fault-transient")?,
+            "--fault-carry" => cli.fault_carry = parse_prob(args, i, "--fault-carry")?,
             "--no-recover" => cli.recover = false,
-            "--metrics-out" => cli.metrics_out = Some(parse_flag(args, &mut i, "--metrics-out")?),
-            "--trace-out" => cli.trace_out = Some(parse_flag(args, &mut i, "--trace-out")?),
             "--progress" => cli.progress = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown option {flag}")),
-            _ => cli.positional.push(args[i].clone()),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    Ok(cli)
+        Ok(true)
+    })?;
+    Ok((shared, cli))
 }
 
 fn run() -> Result<(), CliError> {
@@ -330,27 +248,23 @@ fn run() -> Result<(), CliError> {
     if args.first().map(String::as_str) == Some("index") {
         return run_index(&args[1..]);
     }
-    let cli = parse_cli(&args).map_err(CliError::Usage)?;
-    if cli.index.is_some() && cli.index_memory_budget.is_some() {
+    let (shared, cli) = parse_cli(&args).map_err(CliError::Usage)?;
+    if shared.index.is_some() && cli.index_memory_budget.is_some() {
         return Err(CliError::Usage(
             "--index-memory-budget applies when building an index; a loaded artifact's \
              sampling rate is already fixed"
                 .to_owned(),
         ));
     }
-    let (ref_source, reads_path) = match (&cli.index, cli.positional.as_slice()) {
-        (Some(_), [reads]) => (None, reads),
-        (None, [reference, reads]) => (Some(reference), reads),
-        (Some(_), _) => {
-            return Err(CliError::Usage(
-                "usage: pimalign --index <artifact> <reads.fastq> [options]".to_owned(),
-            ));
-        }
-        (None, _) => {
-            return Err(CliError::Usage(
-                "usage: pimalign <reference.fasta> <reads.fastq> [options]".to_owned(),
-            ));
-        }
+    let Some([reads_path]) = shared.operands() else {
+        return Err(CliError::Usage(
+            if shared.index.is_some() {
+                "usage: pimalign --index <artifact> <reads.fastq> [options]"
+            } else {
+                "usage: pimalign <reference.fasta> <reads.fastq> [options]"
+            }
+            .to_owned(),
+        ));
     };
     let reads_file = std::fs::File::open(reads_path)
         .map_err(|e| CliError::Input(format!("cannot read {reads_path}: {e}")))?;
@@ -372,13 +286,7 @@ fn run() -> Result<(), CliError> {
         .with_stuck_at_rate(cli.fault_stuck)
         .with_transient_row_rate(cli.fault_transient)
         .with_carry_fault_prob(cli.fault_carry);
-    let mut config = PimAlignerConfig::baseline()
-        .with_max_diffs(cli.max_diffs)
-        .with_indels(cli.indels)
-        .with_fault_campaign(campaign);
-    if cli.pd >= 2 {
-        config = config.with_pd(cli.pd);
-    }
+    let mut config = shared.config().with_fault_campaign(campaign);
     if campaign.is_active() && cli.recover {
         config = config.with_recovery(RecoveryPolicy::standard());
     }
@@ -386,7 +294,7 @@ fn run() -> Result<(), CliError> {
     // The run's wall-clock epoch: created before the index build so the
     // build lands at t ≈ 0 on the trace timeline.
     let host_epoch = HostEpoch::new();
-    let trace_config = cli
+    let trace_config = shared
         .trace_out
         .as_ref()
         .map(|_| HostTraceConfig::new(host_epoch));
@@ -395,38 +303,13 @@ fn run() -> Result<(), CliError> {
     // exactly once here and shared by every chunk and worker thread
     // below.
     let build_start_ns = host_epoch.now_ns();
-    let (platform, ref_id) = match (&cli.index, ref_source) {
-        (Some(artifact_path), None) => {
-            let artifact = IndexArtifact::load_from_path(std::path::Path::new(artifact_path))
-                .map_err(|e| CliError::Input(format!("{artifact_path}: {e}")))?;
-            let ref_id = artifact.reference_name().to_owned();
-            (Platform::from_artifact(&artifact, config, true), ref_id)
-        }
-        (None, Some(ref_path)) => {
-            let (ref_id, reference) = load_reference(ref_path).map_err(CliError::Input)?;
-            let platform = if let Some(budget) = cli.index_memory_budget {
-                let ref_len = reference.len();
-                let rate = sa_rate_for_budget(ref_len, budget).ok_or_else(|| {
-                    CliError::Input(format!(
-                        "--index-memory-budget {budget} bytes cannot hold the index for \
-                         {ref_len} bases at any supported sampling rate"
-                    ))
-                })?;
-                let artifact = IndexArtifact::new(&ref_id, reference, rate);
-                Platform::from_artifact(&artifact, config, false)
-            } else {
-                Platform::new(reference, config)
-            };
-            (platform, ref_id)
-        }
-        _ => unreachable!("positional parsing pinned the index/reference combinations"),
-    };
+    let (platform, ref_id) = shared.boot(cli.index_memory_budget, config)?;
     let ref_len = platform.reference().len();
     // The index build runs on the main thread; its trace track sits
     // after the worker tracks (tid = --threads).
     let build_span = HostSpan {
         name: "index_build",
-        tid: cli.threads as u32,
+        tid: shared.threads as u32,
         start_ns: build_start_ns,
         dur_ns: host_epoch.now_ns().saturating_sub(build_start_ns),
     };
@@ -454,12 +337,14 @@ fn run() -> Result<(), CliError> {
         let (pairs, chunk_totals) = match &trace_config {
             Some(trace) => platform.align_chunk_parallel_traced(
                 &seqs,
-                cli.threads,
+                shared.threads,
                 epoch,
-                cli.both_strands,
+                shared.both_strands,
                 trace,
             ),
-            None => platform.align_chunk_parallel(&seqs, cli.threads, epoch, cli.both_strands),
+            None => {
+                platform.align_chunk_parallel(&seqs, shared.threads, epoch, shared.both_strands)
+            }
         }
         .map_err(|e| CliError::Runtime(e.to_string()))?;
         totals.merge(&chunk_totals);
@@ -497,18 +382,18 @@ fn run() -> Result<(), CliError> {
         return Err(CliError::Input(format!("{reads_path}: no reads")));
     }
     let report = platform.batch_report(&totals);
-    if let Some(path) = &cli.metrics_out {
+    if let Some(path) = &shared.metrics_out {
         std::fs::write(path, report.to_metrics_json())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
     }
-    if let Some(path) = &cli.trace_out {
+    if let Some(path) = &shared.trace_out {
         // Every worker gets a labelled track, spans or not: a starved
         // worker showing an empty track is itself a finding. The main
         // track carries the one-time index build.
-        let mut tracks: Vec<(u32, String)> = (0..cli.threads as u32)
+        let mut tracks: Vec<(u32, String)> = (0..shared.threads as u32)
             .map(|w| (w, format!("worker-{w}")))
             .collect();
-        tracks.push((cli.threads as u32, "main".to_owned()));
+        tracks.push((shared.threads as u32, "main".to_owned()));
         let mut spans = totals.host.spans.clone();
         spans.push(build_span);
         std::fs::write(path, chrome_trace_json(&spans, &tracks))
@@ -530,7 +415,7 @@ fn run() -> Result<(), CliError> {
     );
     eprintln!(
         "pimalign: platform Pd={}: {:.3e} queries/s, {:.1} W, MBR {:.1}%, RUR {:.1}%",
-        cli.pd, report.throughput_qps, report.total_power_w, report.mbr_pct, report.rur_pct
+        shared.pd, report.throughput_qps, report.total_power_w, report.mbr_pct, report.rur_pct
     );
     let ix = report.index;
     eprintln!(
@@ -574,72 +459,36 @@ fn run_index(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-struct IndexBuildCli {
-    positional: Vec<String>,
-    sa_rate: u32,
-    budget: Option<usize>,
-}
-
-fn parse_index_build_cli(args: &[String]) -> Result<IndexBuildCli, String> {
-    let mut cli = IndexBuildCli {
-        positional: Vec::new(),
-        sa_rate: 1,
-        budget: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+/// `pimalign index build`: FASTA in, checksummed `PIMAIX2` artifact out.
+fn run_index_build(args: &[String]) -> Result<(), CliError> {
+    let (mut sa_rate, mut budget) = (1, None);
+    let positional = parse_args(args, |args, i| {
+        match args[*i].as_str() {
             "--sa-rate" => {
-                cli.sa_rate = parse_flag(args, &mut i, "--sa-rate")?;
-                if cli.sa_rate == 0 {
+                sa_rate = parse_flag(args, i, "--sa-rate")?;
+                if sa_rate == 0 {
                     return Err("invalid --sa-rate: must be at least 1".into());
                 }
             }
             "--index-memory-budget" => {
-                let raw: String = parse_flag(args, &mut i, "--index-memory-budget")?;
-                cli.budget = Some(parse_bytes(&raw, "--index-memory-budget")?);
+                budget = Some(parse_bytes(args, i, "--index-memory-budget")?)
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown option {flag}")),
-            _ => cli.positional.push(args[i].clone()),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    Ok(cli)
-}
-
-/// `pimalign index build`: FASTA in, checksummed `PIMAIX2` artifact out.
-fn run_index_build(args: &[String]) -> Result<(), CliError> {
-    let cli = parse_index_build_cli(args).map_err(CliError::Usage)?;
-    let [ref_path, out_path] = cli.positional.as_slice() else {
+        Ok(true)
+    })
+    .map_err(CliError::Usage)?;
+    let [ref_path, out_path] = positional.as_slice() else {
         return Err(CliError::Usage(
             "usage: pimalign index build <reference.fasta> <artifact> [options]".to_owned(),
         ));
     };
     let parse_start = Instant::now();
-    let (ref_id, reference) = load_reference(ref_path).map_err(CliError::Input)?;
+    let (ref_id, reference, budget_rate) =
+        load_reference(ref_path, budget).map_err(CliError::Input)?;
     let parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
-    // An artifact of no bases could never be loaded back.
-    if reference.is_empty() {
-        return Err(CliError::Input(format!("{ref_path}: no bases to index")));
-    }
-    let max_len = pim_aligner_suite::fmindex::FmIndex::MAX_REFERENCE_LEN;
-    if reference.len() > max_len {
-        return Err(CliError::Input(format!(
-            "{ref_path}: {} bases exceeds the u32 position bound ({max_len} bases max); \
-             split the reference across separate artifacts",
-            reference.len()
-        )));
-    }
     let bases = reference.len();
-    let sa_rate = match cli.budget {
-        Some(budget) => sa_rate_for_budget(bases, budget).ok_or_else(|| {
-            CliError::Input(format!(
-                "--index-memory-budget {budget} bytes cannot hold the index for {bases} bases \
-                 at any supported sampling rate"
-            ))
-        })?,
-        None => cli.sa_rate,
-    };
+    let sa_rate = budget_rate.unwrap_or(sa_rate);
     let build_start = Instant::now();
     let artifact = IndexArtifact::new(&ref_id, reference, sa_rate);
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
@@ -674,8 +523,7 @@ fn run_index_inspect(args: &[String]) -> Result<(), CliError> {
             "usage: pimalign index inspect <artifact>".to_owned(),
         ));
     };
-    let artifact = IndexArtifact::load_from_path(std::path::Path::new(path))
-        .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+    let artifact = load_artifact(path)?;
     println!("reference: {}", artifact.reference_name());
     println!("bases: {}", artifact.reference().len());
     println!("sa_rate: {}", artifact.sa_rate());

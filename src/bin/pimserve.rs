@@ -31,13 +31,17 @@
 //!   --test-faults             enable the deterministic test-fault hooks
 //! ```
 //!
-//! One warm [`Platform`] is built at startup and shared by every
+//! One warm platform is built at startup and shared by every
 //! connection; the wire protocol, admission control, deadlines, panic
 //! quarantine and drain live in `pim_aligner::service` (DESIGN.md §13).
 //! The process runs until a client sends the `Drain` opcode, then
 //! answers everything already accepted, writes its final metrics, and
-//! exits 0. Exit codes mirror `pimalign`: usage = 2, input = 3,
-//! runtime = 4.
+//! exits 0.
+//!
+//! The flags `pimalign` also takes, the platform configuration they set,
+//! the checked reference load and the boot are the shared front end,
+//! [`pim_aligner_suite::cli`], so both binaries refuse the same inputs
+//! with the same exit codes: usage = 2, input = 3, runtime = 4.
 //!
 //! All diagnostics are single-line structured `key=value` records on
 //! stderr (`pimserve: event=<name> k=v ...`) so a log scraper never has
@@ -46,34 +50,10 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
+use pim_aligner_suite::cli::{parse_flag, Args, CliError};
 use pim_aligner_suite::pim_aligner::service::obs::log_kv;
 use pim_aligner_suite::pim_aligner::service::{serve, ServiceConfig, ServiceError};
-use pim_aligner_suite::pim_aligner::{IndexArtifact, PimAlignerConfig, Platform};
 use pim_aligner_suite::pimsim::chrome_trace_json;
-
-/// A CLI failure, classified exactly as in `pimalign`: usage = 2,
-/// input = 3, runtime = 4.
-enum CliError {
-    Usage(String),
-    Input(String),
-    Runtime(String),
-}
-
-impl CliError {
-    fn message(&self) -> &str {
-        match self {
-            CliError::Usage(m) | CliError::Input(m) | CliError::Runtime(m) => m,
-        }
-    }
-
-    fn exit_code(&self) -> u8 {
-        match self {
-            CliError::Usage(_) => 2,
-            CliError::Input(_) => 3,
-            CliError::Runtime(_) => 4,
-        }
-    }
-}
 
 fn main() -> ExitCode {
     match run() {
@@ -91,156 +71,69 @@ fn main() -> ExitCode {
     }
 }
 
-struct Cli {
-    positional: Vec<String>,
-    index: Option<String>,
-    addr: String,
-    port_file: Option<String>,
-    service: ServiceConfig,
-    pd: usize,
-    max_diffs: u8,
-    indels: bool,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    *i += 1;
-    args.get(*i)
-        .ok_or(format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|e| format!("invalid {flag}: {e}"))
-}
-
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        positional: Vec::new(),
-        index: None,
-        addr: "127.0.0.1:0".to_owned(),
-        port_file: None,
-        service: ServiceConfig::default(),
-        pd: 1,
-        max_diffs: 2,
-        indels: true,
-        metrics_out: None,
-        trace_out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--index" => cli.index = Some(parse_flag(args, &mut i, "--index")?),
-            "--addr" => cli.addr = parse_flag(args, &mut i, "--addr")?,
-            "--port-file" => cli.port_file = Some(parse_flag(args, &mut i, "--port-file")?),
-            "--threads" => cli.service.threads = parse_flag(args, &mut i, "--threads")?,
-            "--batch-max" => cli.service.batch_max = parse_flag(args, &mut i, "--batch-max")?,
-            "--queue-depth" => cli.service.queue_depth = parse_flag(args, &mut i, "--queue-depth")?,
-            "--max-inflight-bytes" => {
-                cli.service.max_inflight_bytes = parse_flag(args, &mut i, "--max-inflight-bytes")?;
-            }
-            "--deadline-ms" => {
-                cli.service.default_deadline_ms = parse_flag(args, &mut i, "--deadline-ms")?;
-            }
-            "--retry-after-ms" => {
-                cli.service.retry_after_base_ms = parse_flag(args, &mut i, "--retry-after-ms")?;
-            }
-            "--pd" => {
-                cli.pd = parse_flag(args, &mut i, "--pd")?;
-                if cli.pd == 0 {
-                    return Err("invalid --pd: parallelism degree must be at least 1".into());
-                }
-            }
-            "--max-diffs" => {
-                cli.max_diffs = parse_flag(args, &mut i, "--max-diffs")?;
-                if cli.max_diffs > 8 {
-                    return Err(format!(
-                        "invalid --max-diffs: {} exceeds the platform maximum of 8",
-                        cli.max_diffs
-                    ));
-                }
-            }
-            "--no-indels" => cli.indels = false,
-            "--single-strand" => cli.service.both_strands = false,
-            "--metrics-out" => cli.metrics_out = Some(parse_flag(args, &mut i, "--metrics-out")?),
-            "--obs-window" => {
-                cli.service.obs_window_secs = parse_flag(args, &mut i, "--obs-window")?;
-            }
-            "--watchdog-ms" => {
-                cli.service.watchdog_threshold_ms = parse_flag(args, &mut i, "--watchdog-ms")?;
-            }
-            "--trace-out" => cli.trace_out = Some(parse_flag(args, &mut i, "--trace-out")?),
-            "--test-faults" => cli.service.test_faults = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown option {flag}")),
-            _ => cli.positional.push(args[i].clone()),
-        }
-        i += 1;
+/// A rejected knob is a usage error; a failed bind is a runtime one.
+fn service_error(e: ServiceError) -> CliError {
+    match e {
+        ServiceError::InvalidConfig(_) => CliError::Usage(e.to_string()),
+        ServiceError::Bind { .. } => CliError::Runtime(e.to_string()),
     }
-    Ok(cli)
 }
 
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_cli(&args).map_err(CliError::Usage)?;
-    let ref_path = match (&cli.index, cli.positional.as_slice()) {
-        (Some(_), []) => None,
-        (None, [ref_path]) => Some(ref_path),
-        _ => {
-            return Err(CliError::Usage(
-                "usage: pimserve <reference.fasta> [options]\n\
-                 \x20      pimserve --index <artifact> [options]"
-                    .to_owned(),
-            ));
+    let (mut listen, mut port_file) = ("127.0.0.1:0".to_owned(), None);
+    let mut service = ServiceConfig::default();
+    let shared = Args::parse(&args, service.threads, |args, i| {
+        match args[*i].as_str() {
+            "--addr" => listen = parse_flag(args, i, "--addr")?,
+            "--port-file" => port_file = Some(parse_flag::<String>(args, i, "--port-file")?),
+            "--batch-max" => service.batch_max = parse_flag(args, i, "--batch-max")?,
+            "--queue-depth" => service.queue_depth = parse_flag(args, i, "--queue-depth")?,
+            "--max-inflight-bytes" => {
+                service.max_inflight_bytes = parse_flag(args, i, "--max-inflight-bytes")?;
+            }
+            "--deadline-ms" => service.default_deadline_ms = parse_flag(args, i, "--deadline-ms")?,
+            "--retry-after-ms" => {
+                service.retry_after_base_ms = parse_flag(args, i, "--retry-after-ms")?;
+            }
+            "--obs-window" => service.obs_window_secs = parse_flag(args, i, "--obs-window")?,
+            "--watchdog-ms" => {
+                service.watchdog_threshold_ms = parse_flag(args, i, "--watchdog-ms")?;
+            }
+            "--test-faults" => service.test_faults = true,
+            _ => return Ok(false),
         }
+        Ok(true)
+    })
+    .map_err(CliError::Usage)?;
+    service.threads = shared.threads;
+    service.both_strands = shared.both_strands;
+    let Some([]) = shared.operands() else {
+        return Err(CliError::Usage(
+            "usage: pimserve <reference.fasta> [options]\n\
+             \x20      pimserve --index <artifact> [options]"
+                .to_owned(),
+        ));
     };
     // Reject bad knobs before the (expensive) index build: a zero queue
     // depth is a typo to fix, not a reason to spend seconds indexing.
-    cli.service.validate().map_err(|e| match e {
-        ServiceError::InvalidConfig(_) => CliError::Usage(e.to_string()),
-        ServiceError::Bind { .. } => CliError::Runtime(e.to_string()),
-    })?;
+    service.validate().map_err(service_error)?;
 
-    let mut config = PimAlignerConfig::baseline()
-        .with_max_diffs(cli.max_diffs)
-        .with_indels(cli.indels);
-    if cli.pd >= 2 {
-        config = config.with_pd(cli.pd);
-    }
     // The warm platform, shared by every request for the lifetime of the
     // process: indexed from FASTA exactly once, or — with --index —
     // booted from the artifact with only the sub-array mapping run here.
-    let platform = match (&cli.index, ref_path) {
-        (Some(artifact_path), None) => {
-            let artifact = IndexArtifact::load_from_path(std::path::Path::new(artifact_path))
-                .map_err(|e| CliError::Input(format!("{artifact_path}: {e}")))?;
-            // The same boot `pimalign --index` runs: the platform shares
-            // the artifact's index and reference, so dropping the artifact
-            // here frees nothing the platform holds.
-            Platform::from_artifact(&artifact, config, true)
-        }
-        (None, Some(ref_path)) => {
-            let (_, reference) =
-                pim_aligner_suite::load_reference(ref_path).map_err(CliError::Input)?;
-            Platform::new(reference, config)
-        }
-        _ => unreachable!("positional parsing pinned the index/reference combinations"),
-    };
-
-    let handle = serve(platform, cli.service, &cli.addr).map_err(|e| match e {
-        ServiceError::InvalidConfig(_) => CliError::Usage(e.to_string()),
-        ServiceError::Bind { .. } => CliError::Runtime(e.to_string()),
-    })?;
+    let (platform, _) = shared.boot(None, shared.config())?;
+    let handle = serve(platform, service, &listen).map_err(service_error)?;
     let addr = handle.local_addr();
     log_kv(
         "listening",
         &[
             ("addr", addr.to_string()),
-            ("obs_window_secs", cli.service.obs_window_secs.to_string()),
-            ("watchdog_ms", cli.service.watchdog_threshold_ms.to_string()),
+            ("obs_window_secs", service.obs_window_secs.to_string()),
+            ("watchdog_ms", service.watchdog_threshold_ms.to_string()),
         ],
     );
-    if let Some(path) = &cli.port_file {
+    if let Some(path) = &port_file {
         // Write-then-rename so a polling launcher never reads a partial
         // address.
         let tmp = format!("{path}.tmp");
@@ -253,11 +146,11 @@ fn run() -> Result<(), CliError> {
     // Serve until a client drains us; join returns only after every
     // accepted request has been answered.
     let summary = handle.join();
-    if let Some(path) = &cli.metrics_out {
+    if let Some(path) = &shared.metrics_out {
         std::fs::write(path, summary.metrics_json())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
     }
-    if let Some(path) = &cli.trace_out {
+    if let Some(path) = &shared.trace_out {
         // One Perfetto track per request: every stage span carries the
         // request's trace id as its tid, so naming the tracks after the
         // trace ids groups admit/queued/batched/aligned/respond rows.

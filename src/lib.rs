@@ -12,6 +12,9 @@
 //! * [`pim_aligner`] — the paper's platform (the core contribution);
 //! * [`accel`] — comparison-platform models for the evaluation figures.
 //!
+//! Its own module, [`cli`], is the front end `pimalign` and `pimserve`
+//! share.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,6 +31,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
+
 pub use accel;
 pub use bioseq;
 pub use fmindex;
@@ -36,20 +41,3 @@ pub use pim_aligner;
 pub use pimsim;
 pub use readsim;
 pub use swalign;
-
-/// Reads a FASTA file that must hold exactly one record — the reference
-/// `pimalign` and `pimserve` index — as its name and its bases, packed
-/// line by line as they are read. The error is the message to print.
-pub fn load_reference(path: &str) -> Result<(String, bioseq::PackedSeq), String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut records =
-        bioseq::fasta::read(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-    if records.len() != 1 {
-        return Err(format!(
-            "{path}: expected exactly one reference record, found {}",
-            records.len()
-        ));
-    }
-    let record = records.pop().expect("exactly one record");
-    Ok((record.id().to_owned(), record.into_seq()))
-}

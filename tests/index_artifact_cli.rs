@@ -466,3 +466,52 @@ fn an_empty_reference_exits_3_and_writes_no_artifact() {
     );
     assert!(!artifact.exists(), "an artifact was written");
 }
+
+/// The same empty FASTA is refused with the same exit code and message
+/// by every entry point that boots a platform: cold `pimalign`, with or
+/// without a memory budget, and `pimserve`, which binds no socket.
+#[test]
+fn an_empty_reference_exits_3_from_every_entry_point() {
+    let ref_fa = write_temp("empty_boot_ref.fa", ">chrEmpty\n");
+    let reads = write_temp("empty_boot_reads.fq", "@r\nACGT\n+\nIIII\n");
+    let message = format!("{}: no bases to index", ref_fa.display());
+    let (reference, reads) = (ref_fa.to_str().unwrap(), reads.to_str().unwrap());
+    for args in [
+        &[reference, reads][..],
+        &["--index-memory-budget", "1M", reference, reads],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pimalign"))
+            .args(args)
+            .output()
+            .expect("run pimalign");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("pimalign: {message}"));
+        assert!(out.stdout.is_empty(), "{args:?} wrote SAM");
+    }
+
+    let port_file = temp_path("empty_boot.port");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_pimserve"))
+        .args([reference, "--port-file", port_file.to_str().unwrap()])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run pimserve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("poll pimserve") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            server.kill().expect("kill pimserve");
+            server.wait().expect("reap pimserve");
+            panic!("pimserve served an empty reference");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut server.stderr.take().unwrap(), &mut stderr)
+        .expect("read pimserve stderr");
+    assert_eq!(status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains(&format!("message={message:?}")), "{stderr}");
+    assert!(!port_file.exists(), "pimserve bound a socket");
+}
