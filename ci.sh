@@ -15,6 +15,7 @@
 #                      inspect / --index rerun + SAM cmp with the full
 #                      SA and again at --sa-rate 8), every example,
 #                      a self-checking indexbench --quick,
+#                      the faultsweep and experiments bins,
 #                      and a locked build + test of benchmark/
 #
 # Counted invariants are `cargo test` assertions, the byte-deterministic
@@ -221,6 +222,14 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "release" ]; then
     step "indexbench --quick (self-checking)"
     cargo run -q --release -p bench --bin indexbench -- \
         --quick --out target/ci/BENCH_index_smoke.json
+
+    # The two figure bins run too (≈ 0.1 s each), so a change to the
+    # fault or recovery surface, or to the figures, executes them: the
+    # fault sweep's table and the paper-figure rows are kept as
+    # artifacts to diff against a parent's.
+    step "faultsweep + experiments"
+    cargo run -q --release -p bench --bin faultsweep > target/ci/faultsweep.txt
+    cargo run -q --release -p bench --bin experiments > target/ci/experiments.txt
 
     # The benchmark is a workspace of its own that pins this tree's API:
     # building and testing it here makes a PR that breaks that API fail

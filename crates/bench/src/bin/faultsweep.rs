@@ -11,16 +11,16 @@
 //! misread probability from the Monte-Carlo margin analysis at each
 //! level, adds level-scaled structural faults (stuck-at cells, transient
 //! row reads, carry-chain kills), and aligns one fixed workload twice
-//! per level: recovery disabled and recovery enabled
-//! ([`RecoveryPolicy::standard`]). The table reports the fraction of
+//! per level: recovery off and recovery on
+//! ([`PimAlignerConfig::with_recovery`]). The table reports the fraction of
 //! reads placed at their ground-truth donor locus plus the recovery
 //! telemetry, showing where the unprotected platform starts mis-placing
 //! reads and that the verify-and-recover path holds accuracy.
 
 use bench::Workload;
 use mram::device::CellParams;
-use mram::faults::{FaultCampaign, FaultModel};
-use pim_aligner::{PimAlignerConfig, Platform, RecoveryPolicy};
+use mram::faults::FaultCampaign;
+use pim_aligner::{PimAlignerConfig, Platform};
 
 /// Comparator offset levels (mV-scale sigma multiplier on the sense
 /// path); 0 is the paper's nominal fault-free design point.
@@ -51,29 +51,27 @@ fn main() {
     );
     println!();
     println!(
-        "{:>6}  {:>9}  {:>9}  {:>9}  {:>8}  {:>8}  {:>8}  {:>7}",
-        "offset", "p(misread)", "acc(raw)", "acc(rec)", "injected", "retries", "fallback", "unrec"
+        "{:>6}  {:>9}  {:>9}  {:>9}  {:>8}  {:>8}  {:>8}",
+        "offset", "p(misread)", "acc(raw)", "acc(rec)", "injected", "retries", "fallback"
     );
     for &offset in OFFSET_LEVELS {
         let cell = CellParams::default().with_sense_offset(offset);
-        let model = FaultModel::from_cell(&cell, MC_TRIALS, 7);
-        let campaign = FaultCampaign::seeded(seed)
-            .with_model(model)
+        let campaign = FaultCampaign::from_cell(&cell, MC_TRIALS, 7)
+            .with_seed(seed)
             .with_stuck_at_rate(2e-5 * offset)
             .with_transient_row_rate(2e-3 * offset)
             .with_carry_fault_prob(1e-3 * offset);
-        let raw = run_once(&workload, campaign, RecoveryPolicy::disabled());
-        let rec = run_once(&workload, campaign, RecoveryPolicy::standard());
+        let raw = run_once(&workload, campaign, false);
+        let rec = run_once(&workload, campaign, true);
         println!(
-            "{:>6.2}  {:>9.2e}  {:>8.1}%  {:>8.1}%  {:>8}  {:>8}  {:>8}  {:>7}",
+            "{:>6.2}  {:>9.2e}  {:>8.1}%  {:>8.1}%  {:>8}  {:>8}  {:>8}",
             offset,
-            model.xnor_misread_prob(),
+            campaign.xnor_misread_prob(),
             100.0 * raw.accuracy,
             100.0 * rec.accuracy,
             rec.injected,
             rec.retries,
             rec.fallbacks,
-            rec.unrecoverable,
         );
     }
     println!();
@@ -86,10 +84,9 @@ struct SweepPoint {
     injected: u64,
     retries: u64,
     fallbacks: u64,
-    unrecoverable: u64,
 }
 
-fn run_once(workload: &Workload, campaign: FaultCampaign, recovery: RecoveryPolicy) -> SweepPoint {
+fn run_once(workload: &Workload, campaign: FaultCampaign, recovery: bool) -> SweepPoint {
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(campaign)
         .with_recovery(recovery);
@@ -105,9 +102,8 @@ fn run_once(workload: &Workload, campaign: FaultCampaign, recovery: RecoveryPoli
     let t = platform.batch_report(&totals).faults;
     SweepPoint {
         accuracy: correct as f64 / workload.reads.len() as f64,
-        injected: t.injected_total(),
+        injected: t.injected.total(),
         retries: t.retries,
         fallbacks: t.host_fallbacks,
-        unrecoverable: t.unrecoverable,
     }
 }

@@ -15,6 +15,14 @@ use crate::parallel::BatchTotals;
 use crate::platform::Platform;
 use crate::verify::{verify_exact, verify_inexact};
 
+/// Same-budget re-runs a failed verification gets before the ladder
+/// escalates (DESIGN.md §8).
+const MAX_RETRIES: u32 = 2;
+
+/// The difference budget the escalation rungs climb to, one step at a
+/// time from the configured `z`, before the host fallback.
+const ESCALATED_DIFFS: u8 = 3;
+
 /// Which rung of the alignment state machine issued a platform pass —
 /// decides the [`PhaseLfm`](crate::PhaseLfm) bucket its `LFM` calls land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +56,11 @@ pub enum AlignmentOutcome {
     },
     /// The read matched with `diffs > 0` differences (stage 2).
     Inexact {
-        /// Sorted reference positions of the best (fewest-difference)
-        /// hits.
+        /// Sorted reference positions of the first-accept hit's interval
+        /// (the host fallback's: every fewest-difference position it
+        /// verified).
         positions: Vec<usize>,
-        /// Differences used by the best hits: the fewest the read aligns
-        /// with, in first-accept mode as in exhaustive mode.
+        /// Differences the hit uses: the fewest the read aligns with.
         diffs: u8,
     },
     /// No alignment within the configured budget.
@@ -185,7 +193,7 @@ impl AlignSession {
             } else {
                 (self.align_read(read, &mut injector), MappedStrand::Forward)
             };
-            self.totals.telemetry.absorb_injected(&injector.counters());
+            self.totals.telemetry.injected.merge(&injector.counters());
             self.totals
                 .host
                 .per_read
@@ -210,14 +218,14 @@ impl AlignSession {
     /// Aligns one read: exact stage first, then — if it fails — the
     /// inexact stage with the configured difference budget.
     ///
-    /// With an enabled [`RecoveryPolicy`](crate::RecoveryPolicy) every
+    /// With [recovery](PimAlignerConfig::with_recovery) on, every
     /// candidate locus is verified against the reference before it is
     /// emitted, and failures walk the retry → escalate → host-fallback
     /// ladder (DESIGN.md §8); otherwise this is the raw platform path
     /// with zero verification overhead.
     fn align_read(&mut self, read: &DnaSeq, injector: &mut FaultInjector) -> AlignmentOutcome {
         self.totals.queries += 1;
-        let outcome = if self.config().recovery().is_enabled() {
+        let outcome = if self.config().recovery() {
             self.align_read_recovered(read, injector)
         } else {
             self.raw_align(read, injector, self.config().max_diffs(), LfmAttr::Primary)
@@ -249,7 +257,6 @@ impl AlignSession {
         max_diffs: u8,
         attr: LfmAttr,
     ) -> AlignmentOutcome {
-        let exhaustive = self.config().exhaustive_inexact();
         let h_exact = self.host_start();
         let (interval, stats) = exact_search_recorded(
             self.platform.mapped(),
@@ -282,30 +289,24 @@ impl AlignSession {
             &mut self.dpu,
             read,
             budget,
-            exhaustive,
+            false,
             &mut self.descent,
             &mut self.totals.ledger,
         );
         self.host_record("inexact_pass", h_inexact);
         self.totals.lfm_calls += istats.lfm_calls;
         self.note_lfm(attr, false, istats.lfm_calls);
-        let Some(best) = hits.first() else {
+        let Some(hit) = hits.first() else {
             return AlignmentOutcome::Unmapped;
         };
-        let best_diffs = best.diffs;
-        let mut positions = Vec::new();
-        for hit in hits.iter().filter(|h| h.diffs == best_diffs) {
-            positions.extend(
-                self.platform
-                    .mapped()
-                    .locate(hit.interval, &mut self.totals.ledger),
-            );
-        }
+        let mut positions = self
+            .platform
+            .mapped()
+            .locate(hit.interval, &mut self.totals.ledger);
         positions.sort_unstable();
-        positions.dedup();
         AlignmentOutcome::Inexact {
             positions,
-            diffs: best_diffs,
+            diffs: hit.diffs,
         }
     }
 
@@ -319,19 +320,19 @@ impl AlignSession {
 
     /// The verify-and-recover state machine: every rung runs a platform
     /// pass, verifies the candidate loci against the reference, and only
-    /// a verified outcome escapes. Rungs, in order: same-budget retries
-    /// (faults re-draw), difference-budget escalation, host software
-    /// fallback (fault-free by construction).
+    /// a verified outcome escapes. Rungs, in order: [`MAX_RETRIES`]
+    /// same-budget retries (faults re-draw), difference-budget escalation
+    /// to [`ESCALATED_DIFFS`], host software fallback (fault-free by
+    /// construction), which always answers.
     fn align_read_recovered(
         &mut self,
         read: &DnaSeq,
         injector: &mut FaultInjector,
     ) -> AlignmentOutcome {
-        let policy = self.config().recovery();
         let base_z = self.config().max_diffs();
         let faults_possible = self.mapped().faults_active();
 
-        for attempt in 0..=policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             let attr = if attempt > 0 {
                 self.totals.telemetry.retries += 1;
                 LfmAttr::Retry
@@ -352,7 +353,7 @@ impl AlignSession {
                 break;
             }
         }
-        let ceiling = policy.max_escalated_diffs.max(base_z);
+        let ceiling = ESCALATED_DIFFS.max(base_z);
         for z in (base_z + 1)..=ceiling {
             self.totals.telemetry.escalations += 1;
             let h_rung = self.host_start();
@@ -362,17 +363,13 @@ impl AlignSession {
                 return verified;
             }
         }
-        if policy.host_fallback {
-            self.totals.telemetry.host_fallbacks += 1;
-            // Host work is uncharged; the span still marks that the
-            // ladder bottomed out here.
-            let h_host = self.host_start();
-            let outcome = self.host_fallback_align(read, ceiling);
-            self.host_record("recovery.host_fallback", h_host);
-            return outcome;
-        }
-        self.totals.telemetry.unrecoverable += 1;
-        AlignmentOutcome::Unmapped
+        self.totals.telemetry.host_fallbacks += 1;
+        // Host work is uncharged; the span still marks that the ladder
+        // bottomed out here.
+        let h_host = self.host_start();
+        let outcome = self.host_fallback_align(read, ceiling);
+        self.host_record("recovery.host_fallback", h_host);
+        outcome
     }
 
     /// Verifies an outcome's positions against the reference. Returns
@@ -523,10 +520,7 @@ mod tests {
     #[test]
     fn exact_and_inexact_stages_cooperate() {
         let reference = genome::uniform(5_000, 31);
-        let platform = Platform::new(
-            reference.to_packed(),
-            PimAlignerConfig::baseline().with_exhaustive_inexact(true),
-        );
+        let platform = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         // Clean read: exact. One substitution: inexact with diffs = 1.
         let clean = reference.subseq(1_000..1_050);
         let mut bases = reference.subseq(2_000..2_050).into_bases();
@@ -561,9 +555,7 @@ mod tests {
         let reference = genome::uniform(8_000, 32);
         let platform = Platform::new(
             reference.to_packed(),
-            PimAlignerConfig::baseline()
-                .with_max_diffs(1)
-                .with_exhaustive_inexact(true),
+            PimAlignerConfig::baseline().with_max_diffs(1),
         );
         let oracle = platform.mapped().index();
         let profile = SimProfile::paper_defaults()
@@ -662,7 +654,6 @@ mod tests {
 
     #[test]
     fn recovery_is_transparent_without_faults() {
-        use crate::config::RecoveryPolicy;
         let reference = genome::uniform(6_000, 39);
         let reads: Vec<DnaSeq> = (0..12)
             .map(|i| reference.subseq(i * 400..i * 400 + 60))
@@ -670,33 +661,29 @@ mod tests {
         let raw = Platform::new(reference.to_packed(), PimAlignerConfig::baseline());
         let recovering = Platform::new(
             reference.to_packed(),
-            PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard()),
+            PimAlignerConfig::baseline().with_recovery(true),
         );
         let (raw_out, raw_totals) = align(&raw, &reads);
         let (rec_out, rec_totals) = align(&recovering, &reads);
         assert_eq!(raw_out, rec_out);
         let t = recovering.batch_report(&rec_totals).faults;
-        assert_eq!(t.injected_total(), 0);
+        assert_eq!(t.injected.total(), 0);
         assert_eq!(t.verify_failures, 0);
-        assert_eq!(
-            t.retries + t.escalations + t.host_fallbacks + t.unrecoverable,
-            0
-        );
+        assert_eq!(t.retries + t.escalations + t.host_fallbacks, 0);
         assert_eq!(t.verifications, reads.len() as u64);
         assert!(raw.batch_report(&raw_totals).faults.is_quiet());
     }
 
     #[test]
     fn recovery_survives_a_hostile_campaign() {
-        use crate::config::RecoveryPolicy;
-        use mram::faults::{FaultCampaign, FaultModel};
+        use mram::faults::FaultCampaign;
         let reference = genome::uniform(30_000, 40);
         let reads: Vec<DnaSeq> = (0..20)
             .map(|i| reference.subseq(i * 1_400..i * 1_400 + 80))
             .collect();
         // A brutal campaign: every fault class firing hard.
         let campaign = FaultCampaign::seeded(41)
-            .with_model(FaultModel::with_probabilities(0.01, 0.0))
+            .with_xnor_misread_prob(0.01)
             .with_transient_row_rate(0.05)
             .with_carry_fault_prob(0.02)
             .with_stuck_at_rate(1e-4);
@@ -704,7 +691,7 @@ mod tests {
             reference.to_packed(),
             PimAlignerConfig::baseline()
                 .with_fault_campaign(campaign)
-                .with_recovery(RecoveryPolicy::standard()),
+                .with_recovery(true),
         );
         let (outcomes, totals) = align(&platform, &reads);
         for (i, outcome) in outcomes.iter().enumerate() {
@@ -715,7 +702,7 @@ mod tests {
             );
         }
         let t = platform.batch_report(&totals).faults;
-        assert!(t.injected_total() > 0, "campaign must inject: {t:?}");
+        assert!(t.injected.total() > 0, "campaign must inject: {t:?}");
         assert!(
             t.retries + t.host_fallbacks > 0,
             "recovery must have worked: {t:?}"

@@ -1,7 +1,7 @@
 //! Platform configuration.
 
 use mram::array::{ArrayModel, ChipOrg};
-use mram::faults::{FaultCampaign, FaultModel};
+use mram::faults::FaultCampaign;
 use pimsim::pipeline::PipelineParams;
 
 /// The request width of `benchmark/src/trace.rs`'s
@@ -9,76 +9,6 @@ use pimsim::pipeline::PipelineParams;
 /// compiles against it. Nothing in the aligner reads it: every read runs
 /// the single-read kernel.
 pub const DEFAULT_KERNEL_BATCH: usize = 8;
-
-/// The verify-and-recover policy (DESIGN.md §8): what the aligner does
-/// when a candidate locus fails online verification against the
-/// reference.
-///
-/// The escalation ladder is: re-run the LFM loop (faults re-draw) up to
-/// [`max_retries`](RecoveryPolicy::max_retries) times → escalate the
-/// difference budget `z` one step at a time up to
-/// [`max_escalated_diffs`](RecoveryPolicy::max_escalated_diffs) → fall
-/// back to the fault-free host software path when
-/// [`host_fallback`](RecoveryPolicy::host_fallback) is set.
-///
-/// # Examples
-///
-/// ```
-/// use pim_aligner::RecoveryPolicy;
-///
-/// assert!(!RecoveryPolicy::disabled().is_enabled());
-/// let p = RecoveryPolicy::standard();
-/// assert!(p.is_enabled() && p.host_fallback);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Master switch; when `false` the aligner emits raw platform
-    /// results with zero verification overhead.
-    pub enabled: bool,
-    /// Same-budget re-runs before escalating.
-    pub max_retries: u32,
-    /// Ceiling for the escalated difference budget (clamped to the
-    /// [`fmindex::EditBudget`] cap of 8).
-    pub max_escalated_diffs: u8,
-    /// Whether the final rung falls back to the host software aligner
-    /// (FM-index search + banded edit-distance verification), which is
-    /// fault-free by construction.
-    pub host_fallback: bool,
-}
-
-impl RecoveryPolicy {
-    /// No verification, no recovery (the raw platform path).
-    pub fn disabled() -> RecoveryPolicy {
-        RecoveryPolicy {
-            enabled: false,
-            max_retries: 0,
-            max_escalated_diffs: 0,
-            host_fallback: false,
-        }
-    }
-
-    /// The default active policy: 2 retries, escalate one step past the
-    /// configured budget, host fallback on.
-    pub fn standard() -> RecoveryPolicy {
-        RecoveryPolicy {
-            enabled: true,
-            max_retries: 2,
-            max_escalated_diffs: 3,
-            host_fallback: true,
-        }
-    }
-
-    /// Whether recovery is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy::disabled()
-    }
-}
 
 /// Where `IM_ADD` executes (paper §V, Fig. 6d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,9 +43,8 @@ pub struct PimAlignerConfig {
     pipeline: PipelineParams,
     max_diffs: u8,
     allow_indels: bool,
-    exhaustive_inexact: bool,
     fault_campaign: FaultCampaign,
-    recovery: RecoveryPolicy,
+    recovery: bool,
 }
 
 impl PimAlignerConfig {
@@ -129,9 +58,8 @@ impl PimAlignerConfig {
             pipeline: PipelineParams::default(),
             max_diffs: 2,
             allow_indels: true,
-            exhaustive_inexact: false,
             fault_campaign: FaultCampaign::none(),
-            recovery: RecoveryPolicy::disabled(),
+            recovery: false,
         }
     }
 
@@ -189,31 +117,6 @@ impl PimAlignerConfig {
         self
     }
 
-    /// Switches the inexact stage between first-accept backtracking (the
-    /// default, mirroring the hardware's bounded DPU register file) and
-    /// exhaustive edit-neighbourhood enumeration (the oracle mode; can be
-    /// orders of magnitude slower on long reads).
-    pub fn with_exhaustive_inexact(mut self, exhaustive: bool) -> PimAlignerConfig {
-        self.exhaustive_inexact = exhaustive;
-        self
-    }
-
-    /// Whether the inexact stage enumerates exhaustively.
-    pub fn exhaustive_inexact(&self) -> bool {
-        self.exhaustive_inexact
-    }
-
-    /// Injects sensing faults into the platform's `XNOR_Match`
-    /// primitives (DESIGN.md §8 failure-injection extension). Derive the
-    /// model from Monte-Carlo margins with
-    /// [`FaultModel::from_cell`](mram::faults::FaultModel::from_cell) or
-    /// set probabilities explicitly. Shorthand for setting the model of
-    /// the [`fault_campaign`](PimAlignerConfig::fault_campaign).
-    pub fn with_fault_model(mut self, faults: FaultModel) -> PimAlignerConfig {
-        self.fault_campaign = self.fault_campaign.with_model(faults);
-        self
-    }
-
     /// Installs a full seeded fault campaign (sense misreads, stuck-at
     /// cells, transient row bursts, `IM_ADD` carry faults).
     pub fn with_fault_campaign(mut self, campaign: FaultCampaign) -> PimAlignerConfig {
@@ -221,8 +124,12 @@ impl PimAlignerConfig {
         self
     }
 
-    /// Sets the verify-and-recover policy.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> PimAlignerConfig {
+    /// Turns verify-and-recover (DESIGN.md §8) on or off. On, every
+    /// candidate locus is checked against the reference, and a failure
+    /// climbs the ladder: two same-budget retries, escalation of the
+    /// difference budget to 3, then the host software fallback. Off (the
+    /// default), the aligner emits raw platform results.
+    pub fn with_recovery(mut self, recovery: bool) -> PimAlignerConfig {
         self.recovery = recovery;
         self
     }
@@ -232,8 +139,8 @@ impl PimAlignerConfig {
         self.fault_campaign
     }
 
-    /// The verify-and-recover policy.
-    pub fn recovery(&self) -> RecoveryPolicy {
+    /// Whether verify-and-recover is on.
+    pub fn recovery(&self) -> bool {
         self.recovery
     }
 
@@ -318,22 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_model_shorthand_updates_campaign() {
-        let model = FaultModel::with_probabilities(0.01, 0.0);
-        let c = PimAlignerConfig::baseline()
-            .with_fault_campaign(FaultCampaign::seeded(5).with_stuck_at_rate(1e-4))
-            .with_fault_model(model);
-        assert_eq!(c.fault_campaign().model(), model);
-        assert_eq!(c.fault_campaign().seed(), 5);
-        assert_eq!(c.fault_campaign().stuck_at_rate(), 1e-4);
-    }
-
-    #[test]
     fn recovery_defaults_off() {
-        assert!(!PimAlignerConfig::baseline().recovery().is_enabled());
-        let c = PimAlignerConfig::baseline().with_recovery(RecoveryPolicy::standard());
-        assert!(c.recovery().is_enabled());
-        assert_eq!(c.recovery().max_retries, 2);
+        assert!(!PimAlignerConfig::baseline().recovery());
+        assert!(PimAlignerConfig::baseline().with_recovery(true).recovery());
     }
 
     #[test]

@@ -567,7 +567,7 @@ mod tests {
 
     #[test]
     fn search_replays_per_read_fault_streams() {
-        use mram::faults::{FaultCampaign, FaultModel};
+        use mram::faults::FaultCampaign;
         // A campaign under which no descent gets far, and one mild enough
         // that a long read spends most of its steps inside one word line
         // — where a step draws for one `LFM`, not two. (The mild one was
@@ -581,7 +581,7 @@ mod tests {
         // through all 200 with a misread, a transient and a carry fault.)
         for (seed, xnor, transient, carry) in [(41, 0.02, 0.05, 0.02), (2015, 1e-4, 1e-3, 3e-3)] {
             let campaign = FaultCampaign::seeded(seed)
-                .with_model(FaultModel::with_probabilities(xnor, 0.0))
+                .with_xnor_misread_prob(xnor)
                 .with_transient_row_rate(transient)
                 .with_carry_fault_prob(carry);
             let (long, faults) = replays_per_read_fault_streams(campaign);

@@ -67,7 +67,7 @@ pub use artifact::{sa_rate_for_budget, IndexArtifact, BUDGET_RATES};
 // What `benchmark/` still compiles against; goes with the module.
 #[doc(hidden)]
 pub use artifact::benchmark_pins::*;
-pub use config::{AddMethod, PimAlignerConfig, RecoveryPolicy, DEFAULT_KERNEL_BATCH};
+pub use config::{AddMethod, PimAlignerConfig, DEFAULT_KERNEL_BATCH};
 pub use error::AlignError;
 pub use exact::{exact_search, exact_search_batch, ExactStats};
 pub use host::{HostTotals, HostTraceConfig, MAX_TRACE_SPANS};

@@ -825,13 +825,12 @@ mod tests {
 
     #[test]
     fn word_line_step_draws_what_one_lfm_draws() {
-        use mram::faults::FaultModel;
         // Every decision fires, so the counters count the decisions: a
         // misread draw per column sensed, a transient and a carry
         // decision per `LFM`.
         let config = PimAlignerConfig::baseline().with_fault_campaign(
             FaultCampaign::seeded(5)
-                .with_model(FaultModel::with_probabilities(1.0, 0.0))
+                .with_xnor_misread_prob(1.0)
                 .with_transient_row_rate(1.0)
                 .with_carry_fault_prob(1.0),
         );

@@ -65,9 +65,11 @@ use crate::report::{
 /// with reference-window sharding: every index is one FM-index over the
 /// whole reference. v13 removed v6's section with the rank-checkpoint
 /// cache it counted: the compare stage has one path, and a marker read
-/// is one load. Every other version only *added* paths, so consumers
+/// is one load. v14 removed `faults.unrecoverable`: with recovery on, the
+/// ladder always ends in the host fallback, so no read is left without
+/// an answer. Every other version only *added* paths, so consumers
 /// that address fields by name keep working across them.
-pub const METRICS_SCHEMA_VERSION: u32 = 13;
+pub const METRICS_SCHEMA_VERSION: u32 = 14;
 
 /// The always-zero `hits` / `misses` / `hit_rate()` of
 /// [`MetricsBreakdown`]'s hidden cache field.
@@ -332,16 +334,15 @@ fn report_section(w: &mut Json, r: &PerfReport) {
 fn faults_section(w: &mut Json, t: &FaultTelemetry) {
     w.key("faults").object(Layout::Inline, |w| {
         w.u64_fields(&[
-            ("stuck_cells", t.stuck_cells),
-            ("xnor_bit_flips", t.xnor_bit_flips),
-            ("transient_row_faults", t.transient_row_faults),
-            ("carry_faults", t.carry_faults),
+            ("stuck_cells", t.injected.stuck_cells),
+            ("xnor_bit_flips", t.injected.xnor_bit_flips),
+            ("transient_row_faults", t.injected.transient_row_faults),
+            ("carry_faults", t.injected.carry_faults),
             ("verifications", t.verifications),
             ("verify_failures", t.verify_failures),
             ("retries", t.retries),
             ("escalations", t.escalations),
             ("host_fallbacks", t.host_fallbacks),
-            ("unrecoverable", t.unrecoverable),
         ]);
     });
 }

@@ -327,7 +327,8 @@ impl Platform {
         report.faults = totals.telemetry;
         report
             .faults
-            .absorb_injected(&self.mapped().build_fault_counters());
+            .injected
+            .merge(&self.mapped().build_fault_counters());
         report.breakdown.lfm_by_phase = totals.phase_lfm;
         report.breakdown.index_build_cycles = self.mapped().mapping_ledger().total_busy_cycles();
         report.host = totals.host.clone();
@@ -479,17 +480,17 @@ mod tests {
 
     #[test]
     fn faulted_output_is_invariant_to_threads() {
-        use mram::faults::{FaultCampaign, FaultModel};
+        use mram::faults::FaultCampaign;
         let (reference, reads) = workload();
         let campaign = FaultCampaign::seeded(52)
-            .with_model(FaultModel::with_probabilities(3e-3, 0.0))
+            .with_xnor_misread_prob(3e-3)
             .with_transient_row_rate(1e-3)
             .with_carry_fault_prob(1e-3);
         let config = PimAlignerConfig::baseline().with_fault_campaign(campaign);
         let run = |threads: usize| align(&reference, &config, &reads, threads, false);
         let (base_outcomes, base_report) = run(1).unwrap();
         assert!(
-            base_report.faults.injected_total() > 0,
+            base_report.faults.injected.total() > 0,
             "campaign must inject"
         );
         for threads in [2, 5, 8] {
@@ -504,7 +505,7 @@ mod tests {
     #[test]
     fn counts_are_invariant_to_threads_on_inexact_reads() {
         use bioseq::Base;
-        use mram::faults::{FaultCampaign, FaultModel};
+        use mram::faults::FaultCampaign;
         // Every read goes to stage 2, on the strand it came from or on
         // both: the stage that starts from stage 1's descent.
         let reference = genome::uniform(60_000, 405);
@@ -523,7 +524,7 @@ mod tests {
             })
             .collect();
         let campaign = FaultCampaign::seeded(52)
-            .with_model(FaultModel::with_probabilities(3e-3, 0.0))
+            .with_xnor_misread_prob(3e-3)
             .with_transient_row_rate(1e-3)
             .with_carry_fault_prob(1e-3);
         for faulted in [false, true] {
@@ -534,7 +535,7 @@ mod tests {
             let run = |threads: usize| align(&reference, &config, &reads, threads, true).unwrap();
             let (base_pairs, base) = run(1);
             assert!(base.breakdown.lfm_by_phase.inexact > 0);
-            assert_eq!(faulted, base.faults.injected_total() > 0);
+            assert_eq!(faulted, base.faults.injected.total() > 0);
             assert!(
                 base.published_lfm_calls > base.lfm_calls,
                 "word-line steps in play"
@@ -563,21 +564,18 @@ mod tests {
 
     #[test]
     fn parallel_merges_fault_telemetry() {
-        use crate::config::RecoveryPolicy;
-        use mram::faults::{FaultCampaign, FaultModel};
+        use mram::faults::FaultCampaign;
         let (reference, reads) = workload();
         // A misread rate at which the platform still produces candidates
         // to verify. At 2e-3 nearly every rung came up Unmapped and went
         // to the host: whether any read verified at all (2 of 48, or
         // none) hung on the draw order.
         let config = PimAlignerConfig::baseline()
-            .with_fault_campaign(
-                FaultCampaign::seeded(9).with_model(FaultModel::with_probabilities(1e-4, 0.0)),
-            )
-            .with_recovery(RecoveryPolicy::standard());
+            .with_fault_campaign(FaultCampaign::seeded(9).with_xnor_misread_prob(1e-4))
+            .with_recovery(true);
         let (_, report) = align(&reference, &config, &reads, 4, false).unwrap();
         let t = report.faults;
-        assert!(t.xnor_bit_flips > 0, "campaign must inject: {t:?}");
+        assert!(t.injected.xnor_bit_flips > 0, "campaign must inject: {t:?}");
         assert!(
             t.verifications >= reads.len() as u64 / 2,
             "workers must verify outcomes: {t:?}"

@@ -1,7 +1,7 @@
 //! Performance reporting: the quantities behind Figs. 8–10.
 
 use pimsim::costs::LogicalOp;
-use pimsim::{CycleLedger, Resource};
+use pimsim::{CycleLedger, FaultCounters, Resource};
 use serde::{Deserialize, Serialize};
 
 use crate::config::PimAlignerConfig;
@@ -16,19 +16,13 @@ pub const BACKGROUND_W_PER_SUBARRAY: f64 = 0.005;
 /// injected and what the verify-and-recover path did about it.
 ///
 /// Injection counters come from the platform's
-/// [`FaultInjector`](pimsim::FaultInjector); recovery counters from the
+/// [`FaultInjector`](pimsim::FaultInjector)s; recovery counters from the
 /// aligner's verification state machine. All-zero when the campaign is
-/// inactive and recovery is disabled.
+/// inactive and recovery is off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultTelemetry {
-    /// Data-zone cells frozen by stuck-at injection at mapping time.
-    pub stuck_cells: u64,
-    /// `XNOR_Match` bits flipped by sense misreads.
-    pub xnor_bit_flips: u64,
-    /// Transient row-read burst events.
-    pub transient_row_faults: u64,
-    /// `IM_ADD` carry-chain faults.
-    pub carry_faults: u64,
+    /// What the read streams and the index build injected.
+    pub injected: FaultCounters,
     /// Candidate outcomes checked against the reference.
     pub verifications: u64,
     /// Verifications in which at least one candidate position was wrong.
@@ -39,37 +33,17 @@ pub struct FaultTelemetry {
     pub escalations: u64,
     /// Reads resolved by the host software fallback.
     pub host_fallbacks: u64,
-    /// Reads the recovery ladder exhausted without a trusted answer.
-    pub unrecoverable: u64,
 }
 
 impl FaultTelemetry {
     /// Adds `other`'s counts into `self` (parallel worker merge).
     pub fn merge(&mut self, other: &FaultTelemetry) {
-        self.stuck_cells += other.stuck_cells;
-        self.xnor_bit_flips += other.xnor_bit_flips;
-        self.transient_row_faults += other.transient_row_faults;
-        self.carry_faults += other.carry_faults;
+        self.injected.merge(&other.injected);
         self.verifications += other.verifications;
         self.verify_failures += other.verify_failures;
         self.retries += other.retries;
         self.escalations += other.escalations;
         self.host_fallbacks += other.host_fallbacks;
-        self.unrecoverable += other.unrecoverable;
-    }
-
-    /// Adds an injector's counts — one read's fault stream, or a
-    /// platform's one-time build counters — into `self`.
-    pub(crate) fn absorb_injected(&mut self, counters: &pimsim::FaultCounters) {
-        self.stuck_cells += counters.stuck_cells;
-        self.xnor_bit_flips += counters.xnor_bit_flips;
-        self.transient_row_faults += counters.transient_row_faults;
-        self.carry_faults += counters.carry_faults;
-    }
-
-    /// Total fault events injected into the platform.
-    pub fn injected_total(&self) -> u64 {
-        self.stuck_cells + self.xnor_bit_flips + self.transient_row_faults + self.carry_faults
     }
 
     /// `true` when nothing was injected and nothing recovered.

@@ -3,7 +3,7 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::EditBudget;
-use mram::faults::{FaultCampaign, FaultModel};
+use mram::faults::FaultCampaign;
 use pim_aligner::{exact_search, LfmRequest, MappedIndex, PimAlignerConfig};
 use pimsim::{CycleLedger, Dpu, FaultInjector, PipelineCounters, PipelineSim};
 use proptest::prelude::*;
@@ -131,7 +131,7 @@ proptest! {
         if faulty {
             config = config.with_fault_campaign(
                 FaultCampaign::seeded(seed)
-                    .with_model(FaultModel::with_probabilities(0.05, 0.0))
+                    .with_xnor_misread_prob(0.05)
                     .with_stuck_at_rate(1e-4)
                     .with_transient_row_rate(0.2)
                     .with_carry_fault_prob(0.1),

@@ -1,5 +1,5 @@
-//! Sensing-fault model: from Monte-Carlo margins to misread
-//! probabilities.
+//! Fault campaigns: from Monte-Carlo margins to misread probabilities,
+//! plus the structural fault classes.
 //!
 //! The paper caps the sensed fan-in at three and thickens the MgO barrier
 //! precisely "to avoid logic failure and guarantee the SA output's
@@ -10,107 +10,21 @@
 //! alignment accuracy (DESIGN.md §8).
 
 use crate::device::CellParams;
-use crate::montecarlo::{run, SenseMarginReport};
-
-/// A per-decision sensing-fault model.
-///
-/// # Examples
-///
-/// ```
-/// use mram::device::CellParams;
-/// use mram::faults::FaultModel;
-///
-/// // At the paper's variation the platform is fault-free...
-/// let nominal = FaultModel::from_cell(&CellParams::default(), 2_000, 7);
-/// assert_eq!(nominal.xnor_misread_prob(), 0.0);
-///
-/// // ...but a noisy comparator starts to overlap the XOR3 levels.
-/// let noisy_cell = CellParams::default().with_sense_offset(1.5);
-/// let noisy = FaultModel::from_cell(&noisy_cell, 2_000, 7);
-/// assert!(noisy.xnor_misread_prob() > nominal.xnor_misread_prob());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultModel {
-    xnor_misread_prob: f64,
-    add_misread_prob: f64,
-}
-
-impl FaultModel {
-    /// A fault-free model (ideal sensing).
-    pub fn ideal() -> FaultModel {
-        FaultModel {
-            xnor_misread_prob: 0.0,
-            add_misread_prob: 0.0,
-        }
-    }
-
-    /// Builds a model with explicit probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1]`.
-    pub fn with_probabilities(xnor: f64, add: f64) -> FaultModel {
-        assert!((0.0..=1.0).contains(&xnor), "probability out of range");
-        assert!((0.0..=1.0).contains(&add), "probability out of range");
-        FaultModel {
-            xnor_misread_prob: xnor,
-            add_misread_prob: add,
-        }
-    }
-
-    /// Derives the model from a Monte-Carlo report: the `XNOR_Match`
-    /// decision uses the three-input XOR3 path, whose worst threshold is
-    /// the MAJ boundary; the adder's carry shares it.
-    pub fn from_report(report: &SenseMarginReport) -> FaultModel {
-        let panel = report.panel(3);
-        let worst = panel.misread_prob.iter().copied().fold(0.0f64, f64::max);
-        FaultModel {
-            xnor_misread_prob: worst,
-            add_misread_prob: worst,
-        }
-    }
-
-    /// Runs the Monte-Carlo analysis for `cell` and derives the model.
-    pub fn from_cell(cell: &CellParams, trials: usize, seed: u64) -> FaultModel {
-        FaultModel::from_report(&run(cell, trials, seed))
-    }
-
-    /// Probability that one bit of an `XNOR_Match` vector reads wrong.
-    pub fn xnor_misread_prob(&self) -> f64 {
-        self.xnor_misread_prob
-    }
-
-    /// Probability that one full-adder cycle produces a wrong sum/carry.
-    pub fn add_misread_prob(&self) -> f64 {
-        self.add_misread_prob
-    }
-
-    /// `true` when both probabilities are exactly zero (lets simulators
-    /// skip the per-bit sampling entirely).
-    pub fn is_ideal(&self) -> bool {
-        self.xnor_misread_prob == 0.0 && self.add_misread_prob == 0.0
-    }
-}
-
-impl Default for FaultModel {
-    fn default() -> Self {
-        FaultModel::ideal()
-    }
-}
+use crate::montecarlo::run;
 
 fn assert_probability(p: f64, what: &str) {
     assert!((0.0..=1.0).contains(&p), "{what} probability out of range");
 }
 
-/// A seeded, reproducible fault-injection campaign: the sensing-fault
-/// [`FaultModel`] plus the structural fault classes the platform
-/// simulator injects (DESIGN.md §8).
+/// A seeded, reproducible fault-injection campaign: one replay seed and
+/// one rate for each fault class the platform simulator injects
+/// (DESIGN.md §8).
 ///
 /// The four fault classes are:
 ///
-/// * **sense misreads** — per-bit `XNOR_Match` / per-`IM_ADD` decision
-///   errors from the [`FaultModel`] (derived from Monte-Carlo margins or
-///   set explicitly);
+/// * **sense misreads** — per-bit `XNOR_Match` decision errors, derived
+///   from Monte-Carlo margins ([`FaultCampaign::from_cell`]) or set
+///   explicitly;
 /// * **stuck-at cells** — a fraction of MRAM cells frozen to a random
 ///   value when the tables are mapped (persistent data corruption);
 /// * **transient row-read faults** — whole-row sense events that flip a
@@ -125,13 +39,13 @@ fn assert_probability(p: f64, what: &str) {
 /// # Examples
 ///
 /// ```
-/// use mram::faults::{FaultCampaign, FaultModel};
+/// use mram::faults::FaultCampaign;
 ///
 /// let quiet = FaultCampaign::none();
 /// assert!(!quiet.is_active());
 ///
 /// let noisy = FaultCampaign::seeded(7)
-///     .with_model(FaultModel::with_probabilities(1e-3, 1e-4))
+///     .with_xnor_misread_prob(1e-3)
 ///     .with_transient_row_rate(1e-3)
 ///     .with_carry_fault_prob(1e-4);
 /// assert!(noisy.is_active());
@@ -140,7 +54,7 @@ fn assert_probability(p: f64, what: &str) {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultCampaign {
     seed: u64,
-    model: FaultModel,
+    xnor_misread_prob: f64,
     stuck_at_rate: f64,
     transient_row_rate: f64,
     carry_fault_prob: f64,
@@ -157,22 +71,54 @@ impl FaultCampaign {
     pub fn seeded(seed: u64) -> FaultCampaign {
         FaultCampaign {
             seed,
-            model: FaultModel::ideal(),
+            xnor_misread_prob: 0.0,
             stuck_at_rate: 0.0,
             transient_row_rate: 0.0,
             carry_fault_prob: 0.0,
         }
     }
 
-    /// Derives the sensing-fault model from `cell`'s Monte-Carlo margins
-    /// (structural rates stay zero).
+    /// Runs the Monte-Carlo margin analysis for `cell` (`trials` draws
+    /// from `seed`) and takes its sense-misread rate from it: the
+    /// `XNOR_Match` decision uses the three-input XOR3 path, whose worst
+    /// threshold is the MAJ boundary. The campaign's replay seed is
+    /// `seed` too; the structural rates stay zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mram::device::CellParams;
+    /// use mram::faults::FaultCampaign;
+    ///
+    /// // At the paper's variation the platform is fault-free...
+    /// let nominal = FaultCampaign::from_cell(&CellParams::default(), 2_000, 7);
+    /// assert_eq!(nominal.xnor_misread_prob(), 0.0);
+    ///
+    /// // ...but a noisy comparator starts to overlap the XOR3 levels.
+    /// let noisy_cell = CellParams::default().with_sense_offset(1.5);
+    /// let noisy = FaultCampaign::from_cell(&noisy_cell, 2_000, 7);
+    /// assert!(noisy.xnor_misread_prob() > nominal.xnor_misread_prob());
+    /// ```
     pub fn from_cell(cell: &CellParams, trials: usize, seed: u64) -> FaultCampaign {
-        FaultCampaign::seeded(seed).with_model(FaultModel::from_cell(cell, trials, seed))
+        let report = run(cell, trials, seed);
+        let worst = report
+            .panel(3)
+            .misread_prob
+            .iter()
+            .copied()
+            .fold(0.0f64, f64::max);
+        FaultCampaign::seeded(seed).with_xnor_misread_prob(worst)
     }
 
-    /// Sets the sensing-fault model.
-    pub fn with_model(mut self, model: FaultModel) -> FaultCampaign {
-        self.model = model;
+    /// Sets the probability that one sensed bit of an `XNOR_Match`
+    /// vector reads wrong.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prob` is outside `[0, 1]`.
+    pub fn with_xnor_misread_prob(mut self, prob: f64) -> FaultCampaign {
+        assert_probability(prob, "XNOR misread");
+        self.xnor_misread_prob = prob;
         self
     }
 
@@ -220,9 +166,9 @@ impl FaultCampaign {
         self.seed
     }
 
-    /// The sensing-fault model.
-    pub fn model(&self) -> FaultModel {
-        self.model
+    /// The per-bit `XNOR_Match` misread probability.
+    pub fn xnor_misread_prob(&self) -> f64 {
+        self.xnor_misread_prob
     }
 
     /// The stuck-at cell rate.
@@ -252,8 +198,8 @@ impl FaultCampaign {
     /// There is no identity token: every token re-seeds through a
     /// SplitMix64 finalizer over `(seed, token)`, so no read replays the
     /// base campaign's own stream (the one a sequential session and the
-    /// index build draw from). The rates and the sensing model are
-    /// inherited unchanged — only the seed differs.
+    /// index build draw from). The rates are inherited unchanged — only
+    /// the seed differs.
     pub fn for_read(self, token: u64) -> FaultCampaign {
         // The salt is part of the replay contract: every seeded faulted
         // run on record was drawn with it.
@@ -270,7 +216,7 @@ impl FaultCampaign {
     /// `true` when any fault class can fire (simulators skip every
     /// sampling path for inactive campaigns).
     pub fn is_active(&self) -> bool {
-        !self.model.is_ideal()
+        self.xnor_misread_prob > 0.0
             || self.stuck_at_rate > 0.0
             || self.transient_row_rate > 0.0
             || self.carry_fault_prob > 0.0
@@ -289,15 +235,17 @@ mod tests {
 
     #[test]
     fn ideal_model_is_fault_free() {
-        let m = FaultModel::ideal();
-        assert!(m.is_ideal());
-        assert_eq!(m.xnor_misread_prob(), 0.0);
+        let c = FaultCampaign::none();
+        assert_eq!(c.xnor_misread_prob(), 0.0);
+        assert_eq!(c.stuck_at_rate(), 0.0);
+        assert_eq!(c.transient_row_rate(), 0.0);
+        assert_eq!(c.carry_fault_prob(), 0.0);
     }
 
     #[test]
     fn paper_sigma_yields_zero_misreads() {
-        let m = FaultModel::from_cell(&CellParams::default(), 3_000, 11);
-        assert!(m.is_ideal(), "paper variation must be reliable: {m:?}");
+        let c = FaultCampaign::from_cell(&CellParams::default(), 3_000, 11);
+        assert!(!c.is_active(), "paper variation must be reliable: {c:?}");
     }
 
     #[test]
@@ -305,12 +253,12 @@ mod tests {
         // The 3-cell level gap is 3 mV; a 1.5 mV absolute offset sigma
         // overlaps adjacent distributions.
         let noisy = CellParams::default().with_sense_offset(1.5);
-        let m = FaultModel::from_cell(&noisy, 3_000, 11);
+        let c = FaultCampaign::from_cell(&noisy, 3_000, 11);
         assert!(
-            m.xnor_misread_prob() > 0.0,
+            c.xnor_misread_prob() > 0.0,
             "1.5 mV offset must overlap levels"
         );
-        assert!(!m.is_ideal());
+        assert!(c.is_active());
     }
 
     #[test]
@@ -319,8 +267,8 @@ mod tests {
         // (and their gaps) exponentially, while the comparator offset is
         // absolute — so the same offset becomes harmless.
         let noisy = CellParams::default().with_sense_offset(1.5);
-        let thin = FaultModel::from_cell(&noisy, 3_000, 13);
-        let thick = FaultModel::from_cell(&noisy.with_tox_nm(2.0), 3_000, 13);
+        let thin = FaultCampaign::from_cell(&noisy, 3_000, 13);
+        let thick = FaultCampaign::from_cell(&noisy.with_tox_nm(2.0), 3_000, 13);
         assert!(thin.xnor_misread_prob() > 0.0);
         assert_eq!(
             thick.xnor_misread_prob(),
@@ -332,15 +280,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn invalid_probability_rejected() {
-        let _ = FaultModel::with_probabilities(1.5, 0.0);
+        let _ = FaultCampaign::none().with_xnor_misread_prob(1.5);
     }
 
     #[test]
     fn campaign_activity_tracks_every_class() {
         assert!(!FaultCampaign::none().is_active());
         assert!(!FaultCampaign::seeded(99).is_active());
-        let model = FaultModel::with_probabilities(1e-3, 0.0);
-        assert!(FaultCampaign::none().with_model(model).is_active());
+        assert!(FaultCampaign::none()
+            .with_xnor_misread_prob(1e-3)
+            .is_active());
         assert!(FaultCampaign::none().with_stuck_at_rate(1e-4).is_active());
         assert!(FaultCampaign::none()
             .with_transient_row_rate(1e-4)
@@ -351,11 +300,14 @@ mod tests {
     }
 
     #[test]
-    fn campaign_from_cell_mirrors_fault_model() {
+    fn campaign_from_cell_takes_the_worst_three_input_misread() {
         let noisy = CellParams::default().with_sense_offset(1.5);
         let campaign = FaultCampaign::from_cell(&noisy, 2_000, 11);
-        assert_eq!(campaign.model(), FaultModel::from_cell(&noisy, 2_000, 11));
+        let panel = run(&noisy, 2_000, 11).panel(3).misread_prob.clone();
+        assert!(panel.iter().all(|&p| p <= campaign.xnor_misread_prob()));
+        assert!(panel.contains(&campaign.xnor_misread_prob()));
         assert!(campaign.is_active());
+        assert_eq!(campaign.seed(), 11);
         assert_eq!(campaign.stuck_at_rate(), 0.0);
     }
 
@@ -368,7 +320,7 @@ mod tests {
     #[test]
     fn read_tokens_get_distinct_decorrelated_seeds() {
         let base = FaultCampaign::seeded(37)
-            .with_model(FaultModel::with_probabilities(1e-3, 0.0))
+            .with_xnor_misread_prob(1e-3)
             .with_carry_fault_prob(1e-4);
         let mut seeds: Vec<u64> = (0..64).map(|t| base.for_read(t).seed()).collect();
         seeds.sort_unstable();
@@ -377,11 +329,9 @@ mod tests {
         // Token 0 re-seeds too: the per-read stream is never the base
         // campaign's own stream.
         assert_ne!(base.for_read(0).seed(), base.seed());
-        // Rates and model are inherited unchanged; derivation is
-        // deterministic.
+        // Rates are inherited unchanged; derivation is deterministic.
         let r5 = base.for_read(5);
-        assert_eq!(r5.model(), base.model());
-        assert_eq!(r5.carry_fault_prob(), base.carry_fault_prob());
+        assert_eq!(r5.with_seed(base.seed()), base);
         assert_eq!(base.for_read(5), base.for_read(5));
     }
 }

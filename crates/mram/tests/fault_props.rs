@@ -1,4 +1,4 @@
-//! Property tests for the sensing-fault model and the fault campaign
+//! Property tests for the margin-derived misread rate and the fault campaign
 //! (DESIGN.md §8).
 //!
 //! The Monte-Carlo misread probability must respond to device variation
@@ -9,7 +9,7 @@
 //! statistical.
 
 use mram::device::CellParams;
-use mram::faults::{FaultCampaign, FaultModel};
+use mram::faults::FaultCampaign;
 use proptest::prelude::*;
 
 /// Quantized sense-offset levels (mV): coarse enough that adjacent
@@ -34,9 +34,9 @@ proptest! {
     #[test]
     fn misread_monotone_in_sense_offset(a in offset_level(), b in offset_level()) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let p_lo = FaultModel::from_cell(
+        let p_lo = FaultCampaign::from_cell(
             &CellParams::default().with_sense_offset(lo), TRIALS, MC_SEED);
-        let p_hi = FaultModel::from_cell(
+        let p_hi = FaultCampaign::from_cell(
             &CellParams::default().with_sense_offset(hi), TRIALS, MC_SEED);
         prop_assert!(
             p_lo.xnor_misread_prob() <= p_hi.xnor_misread_prob(),
@@ -53,9 +53,9 @@ proptest! {
         // A sense offset keeps the probabilities off the floor so the
         // comparison is informative at small sigmas.
         let cell = CellParams::default().with_sense_offset(1.0);
-        let p_lo = FaultModel::from_cell(
+        let p_lo = FaultCampaign::from_cell(
             &cell.with_variation(0.02 * lo, 0.05 * lo), TRIALS, MC_SEED);
-        let p_hi = FaultModel::from_cell(
+        let p_hi = FaultCampaign::from_cell(
             &cell.with_variation(0.02 * hi, 0.05 * hi), TRIALS, MC_SEED);
         prop_assert!(
             p_lo.xnor_misread_prob() <= p_hi.xnor_misread_prob(),
@@ -73,7 +73,7 @@ proptest! {
         transient in (0u8..4).prop_map(|k| k as f64 * 1e-3),
     ) {
         let build = || FaultCampaign::seeded(seed)
-            .with_model(FaultModel::with_probabilities(xnor, xnor))
+            .with_xnor_misread_prob(xnor)
             .with_transient_row_rate(transient)
             .with_carry_fault_prob(1e-4);
         prop_assert_eq!(build(), build());
@@ -82,12 +82,11 @@ proptest! {
 
 #[test]
 fn ideal_model_is_exactly_zero() {
-    let ideal = FaultModel::ideal();
+    let ideal = FaultCampaign::none();
     assert_eq!(ideal.xnor_misread_prob(), 0.0);
-    assert_eq!(ideal.add_misread_prob(), 0.0);
-    assert!(ideal.is_ideal());
+    assert!(!ideal.is_active());
     // The paper's nominal design point senses fault-free too.
-    let nominal = FaultModel::from_cell(&CellParams::default(), TRIALS, MC_SEED);
+    let nominal = FaultCampaign::from_cell(&CellParams::default(), TRIALS, MC_SEED);
     assert_eq!(nominal.xnor_misread_prob(), 0.0);
 }
 
@@ -95,7 +94,7 @@ fn ideal_model_is_exactly_zero() {
 fn offset_eventually_degrades_sensing() {
     // The monotone chain is not vacuous: a large offset must actually
     // produce a nonzero misread probability.
-    let noisy = FaultModel::from_cell(
+    let noisy = FaultCampaign::from_cell(
         &CellParams::default().with_sense_offset(2.5),
         TRIALS,
         MC_SEED,

@@ -123,10 +123,10 @@ impl FaultInjector {
     }
 
     /// Applies per-bit sense misreads to a match vector (probability =
-    /// the campaign model's `xnor_misread_prob`). Returns the number of
+    /// the campaign's `xnor_misread_prob`). Returns the number of
     /// bits flipped.
     pub fn corrupt_match_bits(&mut self, bits: &mut [bool]) -> u64 {
-        let p = self.campaign.model().xnor_misread_prob();
+        let p = self.campaign.xnor_misread_prob();
         if p <= 0.0 {
             return 0;
         }
@@ -171,7 +171,7 @@ impl FaultInjector {
     /// Panics if `limit > 128`.
     pub fn corrupt_match_mask(&mut self, mask: &mut MatchMask, limit: usize) -> u64 {
         assert!(limit <= MatchMask::BITS, "misread limit out of range");
-        let p = self.campaign.model().xnor_misread_prob();
+        let p = self.campaign.xnor_misread_prob();
         if p <= 0.0 {
             return 0;
         }
@@ -240,11 +240,10 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mram::faults::FaultModel;
 
     fn noisy_campaign(seed: u64) -> FaultCampaign {
         FaultCampaign::seeded(seed)
-            .with_model(FaultModel::with_probabilities(0.05, 0.0))
+            .with_xnor_misread_prob(0.05)
             .with_transient_row_rate(0.1)
             .with_carry_fault_prob(0.1)
             .with_stuck_at_rate(0.01)

@@ -11,7 +11,7 @@
 
 use bioseq::Base;
 use mram::array::ArrayModel;
-use mram::faults::{FaultCampaign, FaultModel};
+use mram::faults::FaultCampaign;
 use pimsim::costs::LogicalOp;
 use pimsim::reference::{packed_compare_stage, reference_compare_stage, BoolSubArray};
 use pimsim::{im_add32, CycleLedger, FaultInjector, SubArray, SubArrayLayout};
@@ -162,7 +162,7 @@ proptest! {
         let (packed, reference) = twin_arrays(&codes, &stuck_enc);
         let base = Base::from_rank(base_rank);
         let campaign = FaultCampaign::seeded(seed)
-            .with_model(FaultModel::with_probabilities(0.05, 0.0))
+            .with_xnor_misread_prob(0.05)
             .with_transient_row_rate(0.2);
         let mut injector_p = FaultInjector::new(campaign);
         let mut injector_r = FaultInjector::new(campaign);

@@ -70,9 +70,9 @@ use pim_aligner_suite::bioseq::fastq;
 use pim_aligner_suite::cli::{
     load_artifact, load_reference, parse_args, parse_flag, Args, CliError,
 };
-use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
+use pim_aligner_suite::mram::faults::FaultCampaign;
 use pim_aligner_suite::pim_aligner::{
-    sam, BatchTotals, HostTraceConfig, IndexArtifact, RecoveryPolicy, EPOCH_STRIDE,
+    sam, BatchTotals, HostTraceConfig, IndexArtifact, EPOCH_STRIDE,
 };
 use pim_aligner_suite::pimsim::{chrome_trace_json, peak_rss_bytes, HostEpoch, HostSpan};
 
@@ -279,17 +279,14 @@ fn run() -> Result<(), CliError> {
     }));
 
     let campaign = FaultCampaign::seeded(cli.fault_seed)
-        .with_model(FaultModel::with_probabilities(
-            cli.fault_xnor,
-            cli.fault_xnor,
-        ))
+        .with_xnor_misread_prob(cli.fault_xnor)
         .with_stuck_at_rate(cli.fault_stuck)
         .with_transient_row_rate(cli.fault_transient)
         .with_carry_fault_prob(cli.fault_carry);
-    let mut config = shared.config().with_fault_campaign(campaign);
-    if campaign.is_active() && cli.recover {
-        config = config.with_recovery(RecoveryPolicy::standard());
-    }
+    let config = shared
+        .config()
+        .with_fault_campaign(campaign)
+        .with_recovery(campaign.is_active() && cli.recover);
 
     // The run's wall-clock epoch: created before the index build so the
     // build lands at t ≈ 0 on the trace timeline.
@@ -430,17 +427,15 @@ fn run() -> Result<(), CliError> {
         eprintln!(
             "pimalign: faults injected: {} stuck cells, {} XNOR flips, {} transient rows, \
              {} carry faults",
-            t.stuck_cells, t.xnor_bit_flips, t.transient_row_faults, t.carry_faults
+            t.injected.stuck_cells,
+            t.injected.xnor_bit_flips,
+            t.injected.transient_row_faults,
+            t.injected.carry_faults
         );
         eprintln!(
             "pimalign: recovery: {} verifications ({} failed), {} retries, {} escalations, \
-             {} host fallbacks, {} unrecoverable",
-            t.verifications,
-            t.verify_failures,
-            t.retries,
-            t.escalations,
-            t.host_fallbacks,
-            t.unrecoverable
+             {} host fallbacks",
+            t.verifications, t.verify_failures, t.retries, t.escalations, t.host_fallbacks
         );
     }
     Ok(())

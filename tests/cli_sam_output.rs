@@ -278,6 +278,15 @@ fn usage_errors_exit_2_with_named_flags() {
         (&["a", "b", "--batch-size", "65537"][..], "--batch-size"),
         (&["a", "b", "--pd", "0"][..], "--pd"),
         (&["a", "b", "--max-diffs", "99"][..], "--max-diffs"),
+        // A fault rate is a probability: outside [0, 1], or NaN, it is a
+        // usage error naming its flag, before any campaign is built.
+        (&["a", "b", "--fault-xnor", "1.5"][..], "--fault-xnor"),
+        (&["a", "b", "--fault-stuck", "-0.1"][..], "--fault-stuck"),
+        (
+            &["a", "b", "--fault-transient", "nan"][..],
+            "--fault-transient",
+        ),
+        (&["a", "b", "--fault-carry", "2"][..], "--fault-carry"),
         (
             &["index", "build", "a", "b", "--shard-window", "1000"][..],
             "unknown option --shard-window",

@@ -9,7 +9,7 @@
 
 use bioseq::DnaSeq;
 use mram::device::CellParams;
-use mram::faults::FaultModel;
+use mram::faults::FaultCampaign;
 use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
 use readsim::genome;
 
@@ -24,12 +24,14 @@ fn clean_reads(reference: &DnaSeq, count: usize, len: usize) -> (Vec<usize>, Vec
         .unzip()
 }
 
-fn accuracy(reference: &DnaSeq, faults: FaultModel) -> f64 {
+/// Placement accuracy of 40 clean reads under per-bit `XNOR_Match`
+/// misreads at `p` (campaign seed 0).
+fn accuracy(reference: &DnaSeq, p: f64) -> f64 {
     let platform = Platform::new(
         reference.to_packed(),
         PimAlignerConfig::baseline()
             .with_max_diffs(0)
-            .with_fault_model(faults),
+            .with_fault_campaign(FaultCampaign::none().with_xnor_misread_prob(p)),
     );
     let (starts, reads) = clean_reads(reference, 40, 80);
     let (outcomes, _) = support::align(&platform, &reads);
@@ -46,12 +48,12 @@ fn accuracy(reference: &DnaSeq, faults: FaultModel) -> f64 {
 #[test]
 fn paper_variation_gives_perfect_alignment() {
     let reference = genome::uniform(40_000, 111);
-    let derived = FaultModel::from_cell(&CellParams::default(), 2_000, 5);
+    let derived = FaultCampaign::from_cell(&CellParams::default(), 2_000, 5);
     assert!(
-        derived.is_ideal(),
-        "paper sigma must derive a fault-free model"
+        !derived.is_active(),
+        "paper sigma must derive a fault-free campaign"
     );
-    assert_eq!(accuracy(&reference, derived), 1.0);
+    assert_eq!(accuracy(&reference, derived.xnor_misread_prob()), 1.0);
 }
 
 #[test]
@@ -59,9 +61,9 @@ fn injected_faults_degrade_accuracy_monotonically() {
     let reference = genome::uniform(40_000, 112);
     // Each read draws from its own fault stream: at 1e-4 per-bit misreads
     // some reads survive (0.80 of them), at 5e-2 none do.
-    let perfect = accuracy(&reference, FaultModel::ideal());
-    let light = accuracy(&reference, FaultModel::with_probabilities(1e-4, 0.0));
-    let heavy = accuracy(&reference, FaultModel::with_probabilities(0.05, 0.0));
+    let perfect = accuracy(&reference, 0.0);
+    let light = accuracy(&reference, 1e-4);
+    let heavy = accuracy(&reference, 0.05);
     assert_eq!(perfect, 1.0);
     assert!(
         perfect > light && light > heavy,
@@ -76,18 +78,18 @@ fn injected_faults_degrade_accuracy_monotonically() {
 #[test]
 fn margin_derived_model_connects_device_to_accuracy() {
     // A comparator with 1.5 mV absolute offset sigma overlaps the 3 mV
-    // three-cell level gap; the derived fault model must be non-ideal and
+    // three-cell level gap; the derived misread rate must be non-zero and
     // must reduce accuracy.
     let reference = genome::uniform(30_000, 113);
     let noisy_cell = CellParams::default().with_sense_offset(1.5);
-    let derived = FaultModel::from_cell(&noisy_cell, 3_000, 9);
-    assert!(!derived.is_ideal());
+    let derived = FaultCampaign::from_cell(&noisy_cell, 3_000, 9).xnor_misread_prob();
+    assert!(derived > 0.0);
     let acc = accuracy(&reference, derived);
     assert!(
         acc < 1.0,
         "non-ideal sensing must cost accuracy (got {acc})"
     );
     // And the paper's thick-oxide fix restores it.
-    let fixed = FaultModel::from_cell(&noisy_cell.with_tox_nm(2.0), 3_000, 9);
-    assert_eq!(accuracy(&reference, fixed), 1.0);
+    let fixed = FaultCampaign::from_cell(&noisy_cell.with_tox_nm(2.0), 3_000, 9);
+    assert_eq!(accuracy(&reference, fixed.xnor_misread_prob()), 1.0);
 }

@@ -89,7 +89,6 @@ const SIMULATED_COUNTERS: &[&str] = &[
     "faults.retries",
     "faults.escalations",
     "faults.host_fallbacks",
-    "faults.unrecoverable",
     "faults.verifications",
     "faults.verify_failures",
 ];

@@ -3,7 +3,8 @@
 
 use bioseq::{Base, DnaSeq};
 use fmindex::{EditBudget, FmIndex};
-use pim_aligner::{AlignmentOutcome, PimAlignerConfig, Platform};
+use pim_aligner::{inexact_search, AlignmentOutcome, MappedIndex, PimAlignerConfig, Platform};
+use pimsim::{CycleLedger, Dpu};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use readsim::genome;
@@ -18,43 +19,44 @@ fn mutate(read: &DnaSeq, positions: &[usize]) -> DnaSeq {
     DnaSeq::from_bases(bases)
 }
 
+/// The platform's exhaustive Algorithm 2 ([`inexact_search`]), located
+/// through the mapped index, finds exactly the software oracle's
+/// best-difference positions.
 #[test]
 fn exhaustive_platform_hits_equal_software_hits() {
     let reference = genome::uniform(20_000, 81);
     let oracle = FmIndex::new(&reference.to_packed());
-    let platform = Platform::new(
-        reference.to_packed(),
-        PimAlignerConfig::baseline()
-            .with_max_diffs(2)
-            .with_indels(false)
-            .with_exhaustive_inexact(true),
-    );
+    let config = PimAlignerConfig::baseline();
+    let mapped = MappedIndex::build(&reference.to_packed(), &config);
+    let mut injector = mapped.session_injector();
+    let mut dpu = Dpu::new(*config.model());
+    let mut ledger = CycleLedger::new();
+    let budget = EditBudget::substitutions_only(2);
     for (start, muts) in [
         (500usize, vec![10]),
         (4_000, vec![5, 20]),
         (15_000, vec![0]),
     ] {
         let read = mutate(&reference.subseq(start..start + 30), &muts);
-        let outcome = support::align_one(&platform, &read);
-        let sw = oracle.find_inexact(&read, EditBudget::substitutions_only(2));
-        match outcome {
-            AlignmentOutcome::Inexact { positions, diffs } => {
-                let best = sw.iter().map(|(_, d)| *d).min().expect("oracle hit");
-                assert_eq!(diffs, best, "read @{start}");
-                let sw_best: Vec<usize> = sw
-                    .iter()
-                    .filter(|(_, d)| *d == best)
-                    .map(|(p, _)| *p)
-                    .collect();
-                assert_eq!(positions, sw_best, "read @{start}");
-                assert!(positions.contains(&start));
-            }
-            AlignmentOutcome::Exact { positions } => {
-                // The mutated read may coincidentally occur elsewhere.
-                assert!(!positions.is_empty());
-            }
-            AlignmentOutcome::Unmapped => panic!("mutated read @{start} must map"),
-        }
+        let (hits, _) =
+            inexact_search(&mapped, &mut injector, &mut dpu, &read, budget, &mut ledger);
+        let sw = oracle.find_inexact(&read, budget);
+        let best = sw.iter().map(|(_, d)| *d).min().expect("oracle hit");
+        assert_eq!(hits[0].diffs, best, "read @{start}");
+        let mut positions: Vec<usize> = hits
+            .iter()
+            .filter(|h| h.diffs == best)
+            .flat_map(|h| mapped.locate(h.interval, &mut ledger))
+            .collect();
+        positions.sort_unstable();
+        let sw_best: Vec<usize> = sw
+            .iter()
+            .filter(|(_, d)| *d == best)
+            .map(|(p, _)| *p)
+            .collect();
+        assert_eq!(positions, sw_best, "read @{start}");
+        // The mutated read may coincidentally occur elsewhere exactly.
+        assert!(best == 0 || positions.contains(&start), "read @{start}");
     }
 }
 
@@ -90,7 +92,6 @@ fn first_accept_reports_the_minimum_difference_count() {
     let reference = genome::uniform(6_000, 84);
     let oracle = FmIndex::new(&reference.to_packed());
     let config = PimAlignerConfig::baseline();
-    assert!(!config.exhaustive_inexact(), "first-accept is the default");
     let budget = config.edit_budget();
     let platform = Platform::new(reference.to_packed(), config);
     let mut rng = StdRng::seed_from_u64(0x4e4d);

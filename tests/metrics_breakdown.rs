@@ -186,16 +186,15 @@ fn error_free_reads_issue_one_lfm_a_base_once_the_interval_is_one_row() {
 /// the total still covers every call.
 #[test]
 fn recovery_lfms_attributed_to_their_rungs() {
-    use pim_aligner_suite::mram::faults::{FaultCampaign, FaultModel};
-    use pim_aligner_suite::pim_aligner::RecoveryPolicy;
+    use pim_aligner_suite::mram::faults::FaultCampaign;
 
     let (reference, reads) = workload(30_000, 24, 75);
     let campaign = FaultCampaign::seeded(76)
-        .with_model(FaultModel::with_probabilities(5e-3, 0.0))
+        .with_xnor_misread_prob(5e-3)
         .with_transient_row_rate(0.01);
     let config = PimAlignerConfig::baseline()
         .with_fault_campaign(campaign)
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery(true);
     let platform = Platform::new(reference.to_packed(), config);
     let report = platform.batch_report(&support::align(&platform, &reads).1);
     let phase = report.breakdown.lfm_by_phase;

@@ -56,7 +56,7 @@ fn as_u64(doc: &Value, path: &str) -> u64 {
 fn metrics_json_is_valid_and_reconciles() {
     let doc = run_with_metrics(&["--pd", "2"]);
 
-    assert_eq!(as_u64(&doc, "schema_version"), 13);
+    assert_eq!(as_u64(&doc, "schema_version"), 14);
 
     // v7: the obs section mirrors drain-time observability scalars. A
     // CLI run never starts the service plane, so everything is zero and
@@ -68,6 +68,9 @@ fn metrics_json_is_valid_and_reconciles() {
 
     // v13: the rank-checkpoint cache section is gone with the cache.
     assert_eq!(doc.get("breakdown.kernel_cache"), None);
+    // v14: recovery always ends in the host fallback, so no read is
+    // left unrecoverable and the counter is gone.
+    assert_eq!(doc.get("faults.unrecoverable"), None);
 
     // v4: the index section records how the platform's FM-index came to
     // be. A plain CLI run builds in-process: full SA, not loaded, and the

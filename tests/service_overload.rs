@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bioseq::DnaSeq;
-use mram::faults::{FaultCampaign, FaultModel};
+use mram::faults::FaultCampaign;
 use pim_aligner::service::protocol::{AlignRequest, AlignStatus, Client, Request, Response};
 use pim_aligner::service::{serve, ServerHandle, ServiceConfig};
 use pim_aligner::{PimAlignerConfig, Platform};
@@ -217,9 +217,8 @@ fn quarantined_neighbours_keep_their_fault_streams() {
     let read = genome.subseq(4_500..4_560).to_string();
     const POISONED: u64 = 6;
     let statuses = |panic: bool| -> Vec<Option<AlignStatus>> {
-        let faults = FaultModel::with_probabilities(5e-4, 5e-4);
         let config = PimAlignerConfig::baseline()
-            .with_fault_campaign(FaultCampaign::seeded(11).with_model(faults));
+            .with_fault_campaign(FaultCampaign::seeded(11).with_xnor_misread_prob(5e-4));
         let service = ServiceConfig {
             test_faults: true,
             both_strands: false,
